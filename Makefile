@@ -1,8 +1,8 @@
 # Development entry points. `make ci` is what the GitHub workflow runs.
 
-.PHONY: ci vet lint lockgraph lint-fix-fixtures build test race stress recovery-stress shard-stress lazy-stress adaptive-stress bench bench-smoke
+.PHONY: ci vet lint lockgraph lint-fix-fixtures build test race stress recovery-stress shard-stress adaptive-stress bench bench-smoke
 
-ci: vet lint build test race stress recovery-stress shard-stress lazy-stress adaptive-stress
+ci: vet lint build test race stress recovery-stress shard-stress adaptive-stress
 
 vet:
 	go vet ./...
@@ -48,36 +48,32 @@ race:
 stress:
 	go test -race -count=2 -run 'GroupCommit' ./internal/wal/ ./internal/core/
 
-# Repeated crash/recover cycles with Pass-2 parallelism under the race
-# detector: the demux reader, per-context drains, worker slots, and the
-# serial-vs-parallel equivalence suites.
+# Recovery stress under the race detector, repeated: the one
+# equivalence table (mode × workers × shards × clean crash, injected
+# crashes, mixed-era log, adaptive promotion boundary — on-demand
+# replays racing the background workers), the nested-demand hang
+# regression, the first-touch / crash-mid-drain / RecoverContext
+# suites, the wal cursor and positioned-read tests, the bookstore
+# seller through the facade, and the lazy-vs-eager bench cell on a
+# compressed clock.
 recovery-stress:
-	go test -race -count=2 -run 'ParallelRecovery|ScanFrom' ./internal/core/ ./internal/wal/
-	go test -race -count=2 -run 'SellerParallelRecovery' ./internal/bookstore/
+	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|RecordsScanned|Lazy|ScanFrom|ReadAt' ./internal/core/ ./internal/wal/
+	go test -race -count=2 -run 'SellerRecoveryEquivalence' ./internal/bookstore/
+	go run ./cmd/phoenix-bench -experiment lazyrecovery -scale 0.05 -metrics=false
 
-# Sharded-log stress under the race detector: the wal.Set unit suite,
-# the shards-1/4/8 serial-vs-parallel recovery equivalence and
-# mixed-era upgrade tests, and a concurrent group-commit run against a
-# 4-shard log (per-shard flushers appending and syncing in parallel).
+# Sharded-log stress under the race detector: the wal.Set unit suite
+# and a concurrent group-commit run against a 4-shard log (per-shard
+# flushers appending and syncing in parallel). Recovery over sharded
+# and mixed-era logs is part of recovery-stress.
 shard-stress:
 	go test -race -count=2 -run 'OpenSet|SetSync|SetDiscard|WellKnownMarks' ./internal/wal/
-	go test -race -count=2 -run 'ShardedRecoveryEquivalence|MixedEraRecovery' ./internal/core/
 	go run ./cmd/phoenix-bench -experiment groupcommit -scale 0.02 -calls 20 -concurrency 8 -wal-shards 4
-
-# Lazy-admission stress under the race detector: on-demand replays
-# racing the background drainers across the mode × shards ×
-# parallelism × crash-point equivalence matrix (including the
-# mixed-era upgrade log), plus the crash-mid-drain and first-touch
-# suites, and the lazy-vs-eager bench cell on a compressed clock.
-lazy-stress:
-	go test -race -count=2 -run 'Lazy' ./internal/core/
-	go run ./cmd/phoenix-bench -experiment lazyrecovery -scale 0.05 -metrics=false
 
 # Adaptive-discipline stress under the race detector: the controller's
 # epoch machine and promotion/demotion paths racing live calls, the
-# hysteresis and read-only-guard suites, and the crash-at-promotion-
-# boundary recovery equivalence matrix (eager/lazy × shards 1/4), plus
-# the convergence bench cell on a compressed clock.
+# hysteresis and read-only-guard suites, plus the convergence bench
+# cell on a compressed clock. (The crash-at-promotion-boundary cases
+# are rows of the recovery equivalence table: recovery-stress.)
 adaptive-stress:
 	go test -race -count=2 -run 'Adaptive' ./internal/core/
 	go run ./cmd/phoenix-bench -experiment adaptive -scale 0.05 -calls 40 -metrics=false

@@ -11,15 +11,17 @@ import (
 	phoenix "repro"
 )
 
-// TestSellerParallelRecoveryEquivalence pins the Config.Recovery
-// contract against the paper's own application: a bookstore seller
-// process hosting one BookSeller plus a basket-manager context per
-// buyer, crashed mid-shopping and recovered from the same log at
-// Parallelism 0, 1, 4 and 8. Every level must reproduce identical
-// baskets and identical replay accounting, and the EventRecoveryDone
-// event must carry the same RecoveryStats that Process.LastRecovery
-// returns.
-func TestSellerParallelRecoveryEquivalence(t *testing.T) {
+// TestSellerRecoveryEquivalence pins the Config.Recovery contract
+// against the paper's own application, through the public facade: a
+// bookstore seller process hosting one BookSeller plus a
+// basket-manager context per buyer, crashed mid-shopping and recovered
+// from the same log eagerly and lazily with 1 and 4 replay workers.
+// Every cell must reproduce identical baskets and identical replay
+// accounting, and the EventRecoveryDone event must carry the same
+// RecoveryStats that Process.LastRecovery returns. (The wider table —
+// shard layouts, injected crashes, last-call tables — is core's
+// TestRecoveryEquivalence.)
+func TestSellerRecoveryEquivalence(t *testing.T) {
 	buyers := []string{"alice", "bob", "carol", "dave"}
 	dir := t.TempDir()
 	u, err := phoenix.NewUniverse(phoenix.UniverseConfig{Dir: dir})
@@ -51,7 +53,7 @@ func TestSellerParallelRecoveryEquivalence(t *testing.T) {
 		baskets map[string][]BasketItem
 		stats   phoenix.RecoveryStats
 	}
-	recoverAt := func(par int) outcome {
+	recoverAt := func(mode phoenix.RecoveryMode, par int) outcome {
 		t.Helper()
 		dst := t.TempDir()
 		cloneDir(t, dir, dst)
@@ -65,7 +67,7 @@ func TestSellerParallelRecoveryEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := LevelOptimizedLogging.Config()
-		cfg.Recovery = phoenix.Recovery{Parallelism: par, QueueDepth: 4}
+		cfg.Recovery = phoenix.RecoveryConfig{Mode: mode, Parallelism: par}
 		var (
 			mu   sync.Mutex
 			done *phoenix.Event
@@ -80,19 +82,22 @@ func TestSellerParallelRecoveryEquivalence(t *testing.T) {
 		}
 		p2, err := m2.StartProcess("seller", cfg)
 		if err != nil {
-			t.Fatalf("parallelism %d: restart seller: %v", par, err)
+			t.Fatalf("%v/%d: restart seller: %v", mode, par, err)
+		}
+		if err := p2.DrainRecovery(); err != nil {
+			t.Fatalf("%v/%d: drain: %v", mode, par, err)
 		}
 		stats, ok := p2.LastRecovery()
 		if !ok {
-			t.Fatalf("parallelism %d: LastRecovery reported no run", par)
+			t.Fatalf("%v/%d: LastRecovery reported no run", mode, par)
 		}
 		mu.Lock()
 		if done == nil || done.Recovery == nil {
-			t.Fatalf("parallelism %d: EventRecoveryDone missing Recovery stats", par)
+			t.Fatalf("%v/%d: EventRecoveryDone missing Recovery stats", mode, par)
 		}
 		if *done.Recovery != stats {
-			t.Errorf("parallelism %d: event stats %+v != LastRecovery %+v",
-				par, *done.Recovery, stats)
+			t.Errorf("%v/%d: event stats %+v != LastRecovery %+v",
+				mode, par, *done.Recovery, stats)
 		}
 		mu.Unlock()
 
@@ -101,40 +106,43 @@ func TestSellerParallelRecoveryEquivalence(t *testing.T) {
 		for _, b := range buyers {
 			res, err := ref.Call("ShowBasket", b)
 			if err != nil {
-				t.Fatalf("parallelism %d: ShowBasket %s: %v", par, b, err)
+				t.Fatalf("%v/%d: ShowBasket %s: %v", mode, par, b, err)
 			}
 			out.baskets[b] = res[0].([]BasketItem)
 		}
 		return out
 	}
 
-	base := recoverAt(0)
+	base := recoverAt(phoenix.RecoveryEager, 1)
 	if base.stats.CallsReplayed == 0 {
 		t.Error("seller recovery replayed no calls; workload too small")
 	}
 	for _, b := range buyers {
 		if len(base.baskets[b]) != 3 {
-			t.Errorf("serial recovery: %s basket has %d items, want 3", b, len(base.baskets[b]))
+			t.Errorf("baseline recovery: %s basket has %d items, want 3", b, len(base.baskets[b]))
 		}
 	}
-	for _, par := range []int{1, 4, 8} {
-		got := recoverAt(par)
+	for _, cell := range []struct {
+		mode phoenix.RecoveryMode
+		par  int
+	}{{phoenix.RecoveryEager, 4}, {phoenix.RecoveryLazy, 1}, {phoenix.RecoveryLazy, 4}} {
+		got := recoverAt(cell.mode, cell.par)
 		for _, b := range buyers {
 			if fmt.Sprint(got.baskets[b]) != fmt.Sprint(base.baskets[b]) {
-				t.Errorf("parallelism %d: %s basket %v, serial recovered %v",
-					par, b, got.baskets[b], base.baskets[b])
+				t.Errorf("%v/%d: %s basket %v, baseline recovered %v",
+					cell.mode, cell.par, b, got.baskets[b], base.baskets[b])
 			}
 		}
 		if got.stats.CallsReplayed != base.stats.CallsReplayed ||
 			got.stats.CallsSuppressed != base.stats.CallsSuppressed ||
 			got.stats.RecordsScanned != base.stats.RecordsScanned ||
 			got.stats.ContextsRestored != base.stats.ContextsRestored {
-			t.Errorf("parallelism %d: stats %+v diverge from serial %+v",
-				par, got.stats, base.stats)
+			t.Errorf("%v/%d: stats %+v diverge from baseline %+v",
+				cell.mode, cell.par, got.stats, base.stats)
 		}
-		if got.stats.WorkersUsed < 1 || got.stats.WorkersUsed > par {
-			t.Errorf("parallelism %d: WorkersUsed = %d, want 1..%d",
-				par, got.stats.WorkersUsed, par)
+		if got.stats.WorkersUsed < 1 || got.stats.WorkersUsed > cell.par {
+			t.Errorf("%v/%d: WorkersUsed = %d, want 1..%d",
+				cell.mode, cell.par, got.stats.WorkersUsed, cell.par)
 		}
 	}
 }

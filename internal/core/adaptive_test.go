@@ -445,80 +445,18 @@ func adaptiveChain(t *testing.T, dir string, cfg Config) (*Universe, *disk.Virtu
 	return u, clk, p, u.ExternalRef(hr.URI())
 }
 
-// TestAdaptivePromotionBoundaryEquivalence crashes the promoting
-// relay -> counter chain at the three spots that straddle a promotion:
-// before any discipline-change record exists, immediately after the
-// first change record is forced but before the controller's in-memory
-// commit (PointAdaptiveAfterChangeLogged), and well after the
-// promotion took effect. Each crashed log is recovered under eager and
-// lazy modes on 1- and 4-shard layouts; every variant must agree on
-// component state, the last-call table, and the promoted assignment
-// set — and that set must be exactly what the durable log said at the
-// crash point.
-func TestAdaptivePromotionBoundaryEquivalence(t *testing.T) {
-	type outcome struct {
-		counter, relayCalls int
-		lastCalls           []lastCallSaved
-		promoted            []AdaptiveAssignment
-	}
-
-	recoverVariant := func(t *testing.T, srcDir string, mode RecoveryMode, shards int) outcome {
-		t.Helper()
-		dst := t.TempDir()
-		copyDir(t, srcDir, dst)
-		u, err := NewUniverse(UniverseConfig{Dir: dst})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer u.Shutdown()
-		m, err := u.AddMachine("evo1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := adaptiveConfig(LogBaseline)
-		// A huge window freezes the epoch machine across recovery and
-		// collection: the assignments we read are exactly what the log
-		// mined, never what post-restart traffic re-decided.
-		cfg.Adaptive.Window = time.Hour
-		cfg.Recovery = Recovery{Mode: mode, Parallelism: 2, QueueDepth: 2}
-		cfg.WAL.Shards = shards
-		p, err := m.StartProcess("srv", cfg)
-		if err != nil {
-			t.Fatalf("%v/%d shards: restart: %v", mode, shards, err)
-		}
-		if !p.Recovered() {
-			t.Fatalf("%v/%d shards: restarted process did not recover", mode, shards)
-		}
-		if mode == RecoveryLazy {
-			// First-touch the counter mid-drain (Add 0 leaves its state
-			// unchanged; external calls leave no last-call entries), then
-			// await the background drain.
-			h, ok := p.Lookup("C")
-			if !ok {
-				t.Fatalf("lazy/%d shards: C missing after Pass 1", shards)
-			}
-			callInt(t, u.ExternalRef(h.URI()), "Add", 0)
-			if err := p.DrainRecovery(); err != nil {
-				t.Fatalf("lazy/%d shards: drain: %v", shards, err)
-			}
-		}
-		var out outcome
-		hc, ok := p.Lookup("C")
-		if !ok {
-			t.Fatalf("%v/%d shards: C missing after recovery", mode, shards)
-		}
-		out.counter = hc.Object().(*Counter).N
-		hr, ok := p.Lookup("R")
-		if !ok {
-			t.Fatalf("%v/%d shards: R missing after recovery", mode, shards)
-		}
-		out.relayCalls = hr.Object().(*Relay).Calls
-		out.lastCalls = p.lastCalls.snapshot()
-		sortLastCalls(out.lastCalls)
-		out.promoted = adaptivePromoted(p.AdaptiveAssignments())
-		return out
-	}
-
+// adaptiveBoundaryScenarios crash the promoting relay -> counter chain
+// at the three spots that straddle a promotion: before any
+// discipline-change record exists, immediately after the first change
+// record is forced but before the controller's in-memory commit
+// (PointAdaptiveAfterChangeLogged), and well after the promotion took
+// effect. They join the recovery equivalence table
+// (TestRecoveryEquivalence): each crashed single-stream log is
+// restarted on 1- and 4-shard layouts under every mode and worker
+// count, and every cell must agree on component state, the last-call
+// table, and the promoted assignment set — which must be exactly what
+// the durable log said at the crash point.
+func adaptiveBoundaryScenarios() []equivScenario {
 	cases := []struct {
 		name string
 		// build drives the chain at dir to the named crash point and
@@ -609,49 +547,42 @@ func TestAdaptivePromotionBoundaryEquivalence(t *testing.T) {
 		},
 	}
 
+	var scs []equivScenario
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			tc.build(t, dir)
-
-			base := recoverVariant(t, dir, RecoveryEager, 1)
-			var methods []string
-			for _, a := range base.promoted {
-				methods = append(methods, a.Method)
-				if a.Discipline != "algo2" {
-					t.Errorf("recovered %s assigned %q, want algo2", a.Method, a.Discipline)
+		var dir string // one log per case, built on first use
+		scs = append(scs, equivScenario{
+			name:    "adaptive-" + tc.name,
+			shards:  []int{1, 4},
+			sameLog: true,
+			build: func(t *testing.T, shards int) equivImage {
+				if dir == "" {
+					dir = t.TempDir()
+					tc.build(t, dir)
 				}
-			}
-			if !reflect.DeepEqual(methods, tc.wantPromoted) {
-				t.Fatalf("eager baseline recovered promotions %v, want %v", methods, tc.wantPromoted)
-			}
-
-			for _, v := range []struct {
-				mode   RecoveryMode
-				shards int
-			}{
-				{RecoveryEager, 4},
-				{RecoveryLazy, 1},
-				{RecoveryLazy, 4},
-			} {
-				got := recoverVariant(t, dir, v.mode, v.shards)
-				if got.counter != base.counter {
-					t.Errorf("%v/%d shards: counter = %d, eager/1 recovered %d",
-						v.mode, v.shards, got.counter, base.counter)
+				cfg := adaptiveConfig(LogBaseline)
+				cfg.Metrics = nil
+				// A huge window freezes the epoch machine across
+				// recovery and collection: the assignments read back are
+				// exactly what the log mined, never what post-restart
+				// traffic re-decided.
+				cfg.Adaptive.Window = time.Hour
+				cfg.WAL.Shards = shards
+				return equivImage{dir: dir, counters: []string{"C"}, relays: []string{"R"},
+					touch: []string{"C"}, cfg: cfg}
+			},
+			check: func(t *testing.T, base recoveryOutcome) {
+				var methods []string
+				for _, a := range base.promoted {
+					methods = append(methods, a.Method)
+					if a.Discipline != "algo2" {
+						t.Errorf("recovered %s assigned %q, want algo2", a.Method, a.Discipline)
+					}
 				}
-				if got.relayCalls != base.relayCalls {
-					t.Errorf("%v/%d shards: relay calls = %d, eager/1 recovered %d",
-						v.mode, v.shards, got.relayCalls, base.relayCalls)
+				if !reflect.DeepEqual(methods, tc.wantPromoted) {
+					t.Errorf("baseline recovered promotions %v, want %v", methods, tc.wantPromoted)
 				}
-				if !reflect.DeepEqual(got.lastCalls, base.lastCalls) {
-					t.Errorf("%v/%d shards: last-call table diverged from eager/1",
-						v.mode, v.shards)
-				}
-				if !reflect.DeepEqual(got.promoted, base.promoted) {
-					t.Errorf("%v/%d shards: promoted assignments %v, eager/1 recovered %v",
-						v.mode, v.shards, got.promoted, base.promoted)
-				}
-			}
+			},
 		})
 	}
+	return scs
 }

@@ -54,15 +54,14 @@ type RecoveryMode int
 const (
 	// RecoveryEager is the classic two-phase restart: the process
 	// replays every context's backlog before serving any call. The
-	// zero value — existing behavior, bit for bit.
+	// zero value.
 	RecoveryEager RecoveryMode = iota
 	// RecoveryLazy opens the process for traffic as soon as Pass 1 has
 	// rebuilt the context tables and restart LSNs. A call arriving at
 	// an unreplayed context triggers on-demand replay of just that
 	// context's backlog (blocking only that call; concurrent arrivals
-	// wait on the same replay), while a background replayer drains the
-	// remaining contexts in traffic-hotness order, per shard stream,
-	// under the Parallelism worker semaphore.
+	// wait on the same replay), while the background workers drain the
+	// remaining contexts in traffic-hotness order.
 	RecoveryLazy
 )
 
@@ -80,46 +79,23 @@ func (m RecoveryMode) String() string {
 }
 
 // Recovery configures crash recovery's replay engine (Config.Recovery).
-// Pass 1 (finding contexts and restart LSNs) is always a single
-// sequential scan — it is cheap and builds the maps Pass 2 needs. With
-// Parallelism > 0, Pass 2 partitions by context: one log reader
-// demultiplexes message records into per-context replay queues, and
-// bounded worker slots drain them concurrently — contexts are
-// single-threaded and independent by construction (Section 4.4), so
-// their replays need no mutual ordering. The tail calls (each
-// context's final buffered incoming call) still replay sequentially in
-// log order, preserving the serial path's cross-context resumption
-// argument. Mode selects when Pass 2 runs at all: eagerly before the
-// process admits traffic, or lazily per context after it. The zero
-// value keeps today's strictly serial eager two-pass replay, bit for
-// bit.
+// Pass 1 (finding contexts and restart LSNs) and the index scan that
+// files each message record under its context are single sequential
+// scans. Replay is then per context — contexts are single-threaded and
+// independent by construction (Section 4.4), so their replays need no
+// mutual ordering — and the two fields say how much of it runs at once
+// and who waits for it. The zero value is one background worker,
+// joined before the process serves its first call.
 type Recovery struct {
 	// Mode schedules Pass 2: RecoveryEager (the zero value) replays
 	// everything before the process serves calls; RecoveryLazy admits
-	// traffic after Pass 1 and replays each context's backlog on first
-	// touch or from the background drain.
+	// traffic after Pass 1 and the index scan, and replays each
+	// context's backlog on first touch or from the background workers.
 	Mode RecoveryMode
-	// Parallelism bounds how many context replays execute concurrently
-	// during Pass 2. In eager mode 0 selects the serial
-	// scan-and-replay path; 1 runs the partitioned engine with a
-	// single worker slot (same order of work, pipelined behind the
-	// reader). In lazy mode it is the worker-slot count bounding
-	// concurrent per-context backlog replays — on-demand and
-	// background alike — and 0 means one slot.
+	// Parallelism is the number of background replay workers and the
+	// bound on how many contexts replay their chains concurrently
+	// (workers and touching calls alike). 0 means 1.
 	Parallelism int
-	// QueueDepth bounds each context's replay queue — records buffered
-	// between the demux reader and that context's replayer. A full
-	// queue blocks the reader (backpressure, counted under
-	// recovery.pass2.queue_stalls). 0 means 64.
-	QueueDepth int
-}
-
-// queueDepth resolves the QueueDepth default.
-func (r Recovery) queueDepth() int {
-	if r.QueueDepth > 0 {
-		return r.QueueDepth
-	}
-	return 64
 }
 
 // LogMode selects the logging discipline for persistent components.

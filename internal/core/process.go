@@ -74,11 +74,10 @@ type Process struct {
 	recMu        sync.Mutex
 	lastRecovery *RecoveryStats
 
-	// lazy is the in-flight lazy recovery engine (Recovery.Mode =
-	// RecoveryLazy), attached at admission and detached when the drain
-	// completes cleanly; nil otherwise, so the serve hot path pays one
-	// atomic pointer load.
-	lazy atomic.Pointer[lazyRecovery]
+	// engine is the in-flight replay engine of a recovery run, attached
+	// at admission and detached when the drain completes cleanly; nil
+	// otherwise, so the serve hot path pays one atomic pointer load.
+	engine atomic.Pointer[replayEngine]
 
 	// adaptive is the discipline controller (Config.Adaptive.Enabled),
 	// set once at construction and immutable thereafter. Nil means
@@ -247,19 +246,14 @@ func (p *Process) noteFirstCall() {
 
 // DrainRecovery blocks until a lazy recovery's background drain has
 // replayed every context (or the process crashes mid-drain), returning
-// the first replay failure if any. Eager mode — where recovery
-// completed before the process came up — and a process that never
-// recovered return immediately.
+// the first replay failure if any. Eager mode — where StartProcess
+// joined the drain itself — and a process that never recovered return
+// immediately.
 func (p *Process) DrainRecovery() error {
-	lr := p.lazy.Load()
-	if lr == nil {
-		return nil
+	if e := p.engine.Load(); e != nil {
+		return e.join()
 	}
-	<-lr.done
-	lr.drainers.Wait()
-	lr.mu.Lock()
-	defer lr.mu.Unlock()
-	return lr.firstErr
+	return nil
 }
 
 func (p *Process) setLastRecovery(s RecoveryStats) {
@@ -807,8 +801,8 @@ func (p *Process) Crash() {
 	}
 	p.dumpFlightRecorder()
 	p.markStarted() // release any waiters; they will see the crash
-	if lr := p.lazy.Load(); lr != nil {
-		lr.stop()
+	if e := p.engine.Load(); e != nil {
+		e.stop()
 	}
 	p.emit(EventCrash, "", "%s", detail)
 	p.m.svc.NotifyCrash(p.name)
@@ -868,8 +862,8 @@ func (p *Process) Close() error {
 	p.u.cfg.Net.Unlisten(p.addr)
 	p.listening.Store(false)
 	p.markStarted()
-	if lr := p.lazy.Load(); lr != nil {
-		lr.stop()
+	if e := p.engine.Load(); e != nil {
+		e.stop()
 	}
 	return p.log.Close()
 }

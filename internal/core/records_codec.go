@@ -131,6 +131,48 @@ func consumeCallID(data []byte, id *ids.CallID) ([]byte, error) {
 	return data, err
 }
 
+// consumeRecHeader parses the head every binary record payload shares:
+// version byte, kind byte, the causal trace when the version is 0xC4,
+// then the owning context. body is what follows — the per-kind fields.
+func consumeRecHeader(data []byte) (kind wal.RecordType, tr trace.Ref, ctx ids.CompID, body []byte, err error) {
+	kind, body = wal.RecordType(data[1]), data[2:]
+	if data[0] == recBinVerTraced {
+		if tr.Trace, body, err = msg.ConsumeUvarint(body); err == nil {
+			tr.Span, body, err = msg.ConsumeUvarint(body)
+		}
+		if err != nil {
+			return 0, tr, 0, nil, fmt.Errorf("trace: %w", err)
+		}
+	}
+	var u uint64
+	u, body, err = msg.ConsumeUvarint(body)
+	return kind, tr, ids.CompID(u), body, err
+}
+
+// recCtx returns the context a message record belongs to without
+// decoding the message: the index scan of recovery reads every
+// record's owner and only a context's own replay decodes the rest. A
+// gob payload (a hot record from a pre-codec log) is decoded for its
+// Ctx field alone; gob skips the fields the receiver lacks.
+func recCtx(payload []byte) (ids.CompID, error) {
+	if binaryRec(payload) {
+		_, _, ctx, _, err := consumeRecHeader(payload)
+		if err != nil {
+			return 0, fmt.Errorf("core: decode record owner: %w", err)
+		}
+		return ctx, nil
+	}
+	var head struct{ Ctx ids.CompID }
+	err := decodeRec(payload, &head)
+	return head.Ctx, err
+}
+
+// binaryRec reports whether a record payload opens with one of the
+// binary codec's version bytes (anything else is gob).
+func binaryRec(data []byte) bool {
+	return len(data) >= 2 && (data[0] == recBinVer || data[0] == recBinVerTraced)
+}
+
 // decodeRecBinary decodes a 0xC3 or 0xC4 payload into v, verifying the
 // kind byte matches the record struct the caller expects (the frame
 // type routed the caller here, so a mismatch means a corrupt or
@@ -138,23 +180,10 @@ func consumeCallID(data []byte, id *ids.CallID) ([]byte, error) {
 // restored into both the record's Trace field and its embedded
 // Call/Reply, whose bare bodies never carry it.
 func decodeRecBinary(data []byte, v any) error {
-	kind := wal.RecordType(data[1])
-	body := data[2:]
-	var tr trace.Ref
-	var u uint64
-	var err error
-	if data[0] == recBinVerTraced {
-		if tr.Trace, body, err = msg.ConsumeUvarint(body); err != nil {
-			return fmt.Errorf("core: decode %T trace: %w", v, err)
-		}
-		if tr.Span, body, err = msg.ConsumeUvarint(body); err != nil {
-			return fmt.Errorf("core: decode %T trace: %w", v, err)
-		}
-	}
-	if u, body, err = msg.ConsumeUvarint(body); err != nil {
+	kind, tr, ctx, body, err := consumeRecHeader(data)
+	if err != nil {
 		return fmt.Errorf("core: decode %T: %w", v, err)
 	}
-	ctx := ids.CompID(u)
 	want := wal.RecordType(0)
 	switch r := v.(type) {
 	case *incomingRec:

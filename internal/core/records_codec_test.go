@@ -43,6 +43,12 @@ var hotRecCases = []struct {
 		Trace: trace.Ref{Trace: 0xEF00000003, Span: 13},
 		Reply: msg.Reply{Results: []byte{4}, NumResults: 1,
 			Trace: trace.Ref{Trace: 0xEF00000003, Span: 13}}}},
+	{recReplyContent, &replyContentRec{Ctx: 11, Trace: trace.Ref{Trace: 0x1200000004, Span: 17},
+		CallID: ids.CallID{Caller: ids.ComponentAddr{Machine: "m"}, Seq: 3},
+		Reply: msg.Reply{Results: []byte{8}, NumResults: 1,
+			Trace: trace.Ref{Trace: 0x1200000004, Span: 17}}}},
+	{recOutgoing, &outgoingRec{Ctx: 300, Trace: trace.Ref{Trace: 0x3400000005, Span: 19},
+		Call: msg.Call{Method: "M", Trace: trace.Ref{Trace: 0x3400000005, Span: 19}}}},
 }
 
 // TestRecordCodecRoundTrip: every hot record kind must round-trip
@@ -82,6 +88,86 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 			t.Errorf("%s: binary and legacy decodes differ:\n  bin %+v\n  gob %+v", name, fromBin, fromGob)
 		}
 	}
+}
+
+// hotRecFor returns a zero record struct of the kind a payload's frame
+// type selects, or nil for a kind the binary codec does not cover.
+func hotRecFor(t wal.RecordType) any {
+	switch t {
+	case recIncoming:
+		return new(incomingRec)
+	case recReplySent:
+		return new(replySentRec)
+	case recReplyContent:
+		return new(replyContentRec)
+	case recOutgoing:
+		return new(outgoingRec)
+	case recOutgoingReply:
+		return new(outgoingReplyRec)
+	}
+	return nil
+}
+
+func recCtxOf(v any) ids.CompID {
+	return ids.CompID(reflect.ValueOf(v).Elem().FieldByName("Ctx").Uint())
+}
+
+// TestRecCtxAgreesWithDecode: the index scan's peek at a record's owner
+// must name the context a full decode finds, for all five hot kinds,
+// traced and untraced, and for the gob payloads of pre-codec logs.
+func TestRecCtxAgreesWithDecode(t *testing.T) {
+	for _, tc := range hotRecCases {
+		bin, err := appendRecInto(nil, tc.t, tc.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy, err := encodeRec(tc.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for format, payload := range map[string][]byte{"binary": bin, "gob": legacy} {
+			got, err := recCtx(payload)
+			if err != nil {
+				t.Errorf("%s %s: recCtx: %v", recName(tc.t), format, err)
+			}
+			if want := recCtxOf(tc.v); got != want {
+				t.Errorf("%s %s: recCtx = %d, record belongs to %d", recName(tc.t), format, got, want)
+			}
+		}
+	}
+	for _, bad := range [][]byte{nil, {recBinVer}, {recBinVer, byte(recIncoming)}, {recBinVerTraced, byte(recIncoming), 0x80}} {
+		if _, err := recCtx(bad); err == nil {
+			t.Errorf("recCtx(% x) succeeded on a truncated payload", bad)
+		}
+	}
+}
+
+// FuzzRecCtx: on any binary payload that decodes in full, recCtx
+// succeeds and agrees; on anything else it fails cleanly.
+func FuzzRecCtx(f *testing.F) {
+	for _, tc := range hotRecCases {
+		bin, err := appendRecInto(nil, tc.t, tc.v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bin)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		got, err := recCtx(payload)
+		if !binaryRec(payload) {
+			return
+		}
+		v := hotRecFor(wal.RecordType(payload[1]))
+		if v == nil || decodeRec(payload, v) != nil {
+			return
+		}
+		if err != nil {
+			t.Fatalf("recCtx failed on a payload that decodes: %v", err)
+		}
+		if want := recCtxOf(v); got != want {
+			t.Fatalf("recCtx = %d, decode says %d", got, want)
+		}
+	})
 }
 
 // recEqual is reflect.DeepEqual modulo the nil-versus-empty byte slice

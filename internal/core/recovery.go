@@ -4,12 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/ids"
-	"repro/internal/msg"
 	"repro/internal/obs/trace"
 	"repro/internal/rpc"
 	"repro/internal/serial"
@@ -18,18 +15,21 @@ import (
 
 // This file is the recovery manager of paper Section 4.4.
 //
-// Process crash recovery runs in two passes over the log. Pass 1 scans
-// from the well-known checkpoint LSN (or the log start) to the end,
-// finding every context that existed at the crash and the LSN of its
-// latest state record (or creation record); contexts are then restored
-// from those records. Pass 2 scans from the minimum restart LSN,
-// buffering the message records of each context until the next incoming
-// call record arrives, at which point the previous incoming call is
-// replayed with its outgoing calls answered from the buffer; the final
-// buffered calls are replayed at the end of the scan, where a missing
-// outgoing reply switches the context back to live execution. The last
-// call table is rebuilt along the way — LSNs only; reply bodies are
-// fetched from the log when a duplicate call actually needs them.
+// Process crash recovery runs in two passes over the log. Pass 1
+// (restore, this file) scans from the well-known checkpoint LSN (or
+// the log start) to the end, finding every context that existed at the
+// crash and the LSN of its latest state record (or creation record);
+// contexts are then restored from those records. Pass 2 (admit) scans
+// from the minimum restart LSN once to index each context's message
+// records (recovery_replay.go), and the replay engine
+// (recovery_engine.go) replays each context from its own chain:
+// message records are buffered until the next incoming call record
+// arrives, at which point the previous incoming call is replayed with
+// its outgoing calls answered from the buffer; the final buffered call
+// is replayed at the end of the chain, where a missing outgoing reply
+// switches the context back to live execution. The last call table is
+// rebuilt along the way — LSNs only; reply bodies are fetched from the
+// log when a duplicate call actually needs them.
 
 // RecoveryStats summarizes one crash-recovery run: what each pass
 // cost, how much log it covered, and how much replay work it did.
@@ -49,15 +49,17 @@ type RecoveryStats struct {
 	// ContextsRestored counts contexts rebuilt from creation or state
 	// records.
 	ContextsRestored int
-	// RecordsScanned counts log records visited across both passes.
+	// RecordsScanned counts every record read from the log: by Pass 1,
+	// by the index scan that builds the per-context chains, and by the
+	// chain reads of each context's replay. It grows with the backlog,
+	// not with the number of contexts times the length of the log.
 	RecordsScanned int64
 	// CallsReplayed counts incoming calls re-executed; CallsSuppressed
 	// counts outgoing sends answered from the log during those replays.
 	CallsReplayed   int64
 	CallsSuppressed int64
-	// WorkersUsed is the number of Pass-2 replay worker slots
-	// (min(Config.Recovery.Parallelism, contexts with records));
-	// 0 means the serial path ran.
+	// WorkersUsed is the number of background replay workers:
+	// min(max(1, Config.Recovery.Parallelism), contexts to replay).
 	WorkersUsed int
 	// Mode is the recovery mode this run executed under.
 	Mode RecoveryMode
@@ -67,16 +69,17 @@ type RecoveryStats struct {
 	// that is at least the full replay time; in lazy mode it is
 	// typically Pass 1 plus one context's backlog.
 	TimeToFirstCallNanos int64
-	// ContextsOnDemand counts lazy-mode contexts whose backlog was
-	// replayed because a call touched them; ContextsBackground counts
-	// contexts drained by the background replayer. Both are 0 in eager
-	// mode.
+	// ContextsOnDemand counts contexts whose backlog was replayed
+	// because a call touched them; ContextsBackground counts contexts
+	// replayed by the background workers. Eager runs report them too:
+	// there a touch is a resumed tail call reaching a same-process
+	// context (or a client racing the restart), the rest is background.
 	ContextsOnDemand   int
 	ContextsBackground int
-	// CtxReplayMaxNanos and CtxReplayTotalNanos summarize lazy-mode
-	// per-context backlog replay latency on the universe clock (the
-	// full distribution is the recovery.lazy.ctx_replay_micros
-	// histogram). Both are 0 in eager mode.
+	// CtxReplayMaxNanos and CtxReplayTotalNanos summarize per-context
+	// backlog replay latency on the universe clock, in either mode
+	// (the full distribution is the recovery.lazy.ctx_replay_micros
+	// histogram).
 	CtxReplayMaxNanos   int64
 	CtxReplayTotalNanos int64
 }
@@ -274,100 +277,36 @@ func (p *Process) restore() (*restorePlan, error) {
 	}, nil
 }
 
-// admit is the explicit second lifecycle phase of a restart: it takes
-// the restore plan and makes the process serve traffic. In eager mode
-// (the default) it replays every restored context's backlog first and
-// returns when the process is fully caught up — the classic blocking
-// Pass 2. In lazy mode it opens the floodgates immediately: contexts
-// stay unready until a call demands their replay or the background
-// drain reaches them, and admit returns as soon as the lazy engine is
-// armed. A nil plan (nothing restored) is a no-op.
+// admit is the explicit second lifecycle phase of a restart: Pass 2.
+// One index scan turns the restore plan into per-context chains, the
+// replay engine is armed over them, and then the mode decides only who
+// waits: eager (the default) joins the engine's drain, so the process
+// is fully caught up — or has failed to start — when admit returns;
+// lazy returns at once and lets first touches and the background
+// workers replay around live traffic. A nil plan (nothing restored) is
+// a no-op.
 func (p *Process) admit(plan *restorePlan) error {
 	if plan == nil {
 		return nil
 	}
+	admitStart, admitWall := p.u.cfg.Clock.Now(), time.Now()
+	scanTS := p.tr.Now()
+	chains, scanned, err := p.buildChains(plan.restart)
+	if err != nil {
+		return fmt.Errorf("recovery index scan: %w", err)
+	}
+	plan.stats.RecordsScanned += scanned
+	p.recoverySpan(plan.recRun, scanTS)
+	eng := p.startEngine(plan, chains, admitStart, admitWall)
 	if p.cfg.Recovery.Mode == RecoveryLazy {
-		return p.admitLazy(plan)
+		return nil
 	}
-	return p.admitEager(plan)
-}
-
-// admitEager runs the blocking Pass 2 over the whole restore plan and
-// publishes the finished recovery stats. This is bit-for-bit the
-// pre-lazy recovery tail: serial or parallel replay per
-// Config.Recovery.Parallelism, tail-less contexts readied before the
-// tail calls run, every context ready on return.
-func (p *Process) admitEager(plan *restorePlan) error {
-	clock := p.u.cfg.Clock
-	stats := plan.stats
-	recRun, recStart, recWall := plan.recRun, plan.recStart, plan.recWall
-	restart, restored := plan.restart, plan.restored
-
-	// ---- Pass 2: replay incoming calls per context. ----
-	// Each stream scans from the lowest restart LSN it holds. A context
-	// restored from an older era also opens every later-era stream its
-	// key maps to, from that stream's start: its post-reshard records
-	// live there.
-	starts := p.pass2Starts(restart)
-	pass2Start, pass2Wall := clock.Now(), time.Now()
-	pass2TS := p.tr.Now()
-	var tails []tailReplay
-	if par := p.cfg.Recovery.Parallelism; par > 0 {
-		scanned, workers, parTails, err := p.replayParallel(starts, par, p.cfg.Recovery.queueDepth())
-		if err != nil {
-			return fmt.Errorf("recovery pass 2: %w", err)
-		}
-		stats.RecordsScanned += scanned
-		stats.WorkersUsed = workers
-		tails = parTails
-	} else {
-		scanned, serTails, err := p.replayFrom(starts, nil)
-		if err != nil {
-			return fmt.Errorf("recovery pass 2: %w", err)
-		}
-		stats.RecordsScanned += scanned
-		tails = serTails
-	}
-	// Contexts with no tail call to replay become available before the
-	// tails run: a resumed tail on one shard may call a tail-less
-	// context whose records live on another shard, and must not block
-	// on its ready latch.
-	hasTail := make(map[*Context]bool, len(tails))
-	for _, t := range tails {
-		hasTail[t.cx] = true
-	}
-	for _, cx := range restored {
-		if !hasTail[cx] {
-			cx.markReady()
-		}
-	}
-	if err := p.replayTails(tails); err != nil {
+	if err := eng.join(); err != nil {
 		return fmt.Errorf("recovery pass 2: %w", err)
 	}
-	p.obs.RecoveryPass2Micros.Observe(time.Since(pass2Wall).Microseconds())
-	p.recoverySpan(recRun, pass2TS)
-	stats.Pass2Duration = clock.Now().Sub(pass2Start)
-	// Catch-all: every restored context is available now.
-	for _, cx := range restored {
-		cx.markReady()
+	if p.crashed.Load() {
+		return fmt.Errorf("recovery pass 2: process crashed during replay")
 	}
-	p.recovered = true
-	p.obs.RecoveryMicros.Observe(time.Since(recWall).Microseconds())
-	replayed := p.replayedCalls.Load()
-	suppressed := p.suppressedCalls.Load()
-	stats.CallsReplayed = replayed
-	stats.CallsSuppressed = suppressed
-	stats.TotalDuration = clock.Now().Sub(recStart)
-	p.setLastRecovery(stats)
-	p.emitEvent(Event{
-		Kind:       EventRecoveryDone,
-		Restored:   len(restored),
-		Replayed:   replayed,
-		Suppressed: suppressed,
-		Recovery:   &stats,
-		Detail: fmt.Sprintf("%d contexts restored, %d calls replayed, %d sends suppressed",
-			len(restored), replayed, suppressed),
-	})
 	return nil
 }
 
@@ -538,235 +477,6 @@ func (p *Process) pass2Starts(restart map[ids.CompID]ids.LSN) map[uint32]ids.LSN
 	return starts
 }
 
-// tailReplay is one context's final buffered incoming call, carried
-// out of the Pass-2 scan for the coordinator to replay (see
-// replayTails).
-type tailReplay struct {
-	cx         *Context
-	pending    *incomingRec
-	pendingLSN ids.LSN
-	replies    map[uint64]*msg.Reply
-	// replied marks a complete tail: the pending call's own reply
-	// record is on the log, so its replay is fully answered from
-	// buffered replies and never leaves the context. Tails without it
-	// are the calls the log ends inside — their replay resumes live.
-	replied bool
-}
-
-// replayTails runs the tail calls — each context's last buffered
-// incoming call, which may resume live execution and call into other
-// contexts of this process. On a single-stream log they replay
-// serially in log order, exactly the serial path's cross-context
-// resumption argument. On a sharded log there is no total cross-shard
-// order to honor: tails replay serially per stream (preserving the
-// within-stream prefix argument) with the streams running
-// concurrently, so a resumed tail that calls a context whose tail
-// lives on another shard finds that shard's replayer making progress
-// rather than a latch that nothing will close.
-func (p *Process) replayTails(tails []tailReplay) error {
-	sort.Slice(tails, func(i, j int) bool { return tails[i].pendingLSN < tails[j].pendingLSN })
-	runGroup := func(group []tailReplay) error {
-		// Complete tails (their reply is on the log) replay first, in
-		// log order: every outgoing call they make is answered from the
-		// buffered replies, so they never leave their context.
-		// Incomplete tails — the log ends inside these calls — then
-		// resume innermost-first (reverse log order): in a nested
-		// same-process chain the callee's incoming is logged after its
-		// caller's, so reverse order re-executes and readies the callee
-		// before the caller's resumed live send re-arrives, which is
-		// then answered from the last-call table instead of parking
-		// forever on a ready latch this serial loop would never close.
-		ordered := make([]tailReplay, 0, len(group))
-		for _, t := range group {
-			if t.replied {
-				ordered = append(ordered, t)
-			}
-		}
-		for i := len(group) - 1; i >= 0; i-- {
-			if !group[i].replied {
-				ordered = append(ordered, group[i])
-			}
-		}
-		for _, t := range ordered {
-			if err := p.replayIncoming(t.cx, t.pending, t.pendingLSN, t.replies); err != nil {
-				return err
-			}
-			if t.cx != nil {
-				t.cx.markReady()
-			}
-		}
-		return nil
-	}
-	if len(p.log.Shards()) == 1 {
-		return runGroup(tails)
-	}
-	byStream := make(map[uint32][]tailReplay)
-	order := make([]uint32, 0, 4)
-	for _, t := range tails {
-		s := t.pendingLSN.Stream()
-		if _, ok := byStream[s]; !ok {
-			order = append(order, s)
-		}
-		byStream[s] = append(byStream[s], t)
-	}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-	)
-	for _, s := range order {
-		group := byStream[s]
-		wg.Add(1)
-		go func(group []tailReplay) {
-			defer wg.Done()
-			if err := runGroup(group); err != nil {
-				mu.Lock()
-				if first == nil {
-					first = err
-				}
-				mu.Unlock()
-			}
-		}(group)
-	}
-	wg.Wait()
-	return first
-}
-
-// replayFrom is pass 2: scan each stream from its start LSN to the end
-// of the log, replaying incoming calls of the selected contexts
-// (nil = all). Message records older than a context's restart LSN are
-// skipped ("If a message log record occurs earlier than the latest
-// state record of the same context, it is ignored"). Returns the
-// number of records visited and the tail calls still buffered at the
-// end of the scan — the caller replays those via replayTails.
-func (p *Process) replayFrom(starts map[uint32]ids.LSN, only map[ids.CompID]bool) (int64, []tailReplay, error) {
-	type ctxReplay struct {
-		pending    *incomingRec
-		pendingLSN ids.LSN
-		replies    map[uint64]*msg.Reply
-		replied    bool // pending's own reply record seen on the log
-	}
-	states := make(map[ids.CompID]*ctxReplay)
-	get := func(id ids.CompID) *ctxReplay {
-		st, ok := states[id]
-		if !ok {
-			st = &ctxReplay{replies: make(map[uint64]*msg.Reply)}
-			states[id] = st
-		}
-		return st
-	}
-	ctxOf := func(id ids.CompID) *Context {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.contexts[id]
-	}
-	skip := func(id ids.CompID, lsn ids.LSN) bool {
-		if only != nil && !only[id] {
-			return true
-		}
-		cx := ctxOf(id)
-		if cx == nil {
-			return true // context no longer exists (stateless or dropped)
-		}
-		return lsn < cx.restartLSN
-	}
-
-	var scanned int64
-	scanRec := func(rec wal.Record) error {
-		scanned++
-		switch rec.Type {
-		case recIncoming:
-			var ir incomingRec
-			if err := decodeRec(rec.Payload, &ir); err != nil {
-				return err
-			}
-			if skip(ir.Ctx, rec.LSN) {
-				return nil
-			}
-			st := get(ir.Ctx)
-			if st.pending != nil {
-				// All messages of the previous incoming call are now
-				// buffered: replay it.
-				if err := p.replayIncoming(ctxOf(ir.Ctx), st.pending, st.pendingLSN, st.replies); err != nil {
-					return err
-				}
-			}
-			st.pending = &ir
-			st.pendingLSN = rec.LSN
-			st.replies = make(map[uint64]*msg.Reply)
-			st.replied = false
-		case recReplySent:
-			var rs replySentRec
-			if err := decodeRec(rec.Payload, &rs); err != nil {
-				return err
-			}
-			if skip(rs.Ctx, rec.LSN) {
-				return nil
-			}
-			if st := get(rs.Ctx); st.pending != nil && rs.CallID == st.pending.Call.ID {
-				st.replied = true
-			}
-		case recReplyContent:
-			var rc replyContentRec
-			if err := decodeRec(rec.Payload, &rc); err != nil {
-				return err
-			}
-			if skip(rc.Ctx, rec.LSN) {
-				return nil
-			}
-			// Section 4.2 also writes recReplyContent for old last-call
-			// replies saved ahead of a state record; only the pending
-			// call's own reply marks its tail complete.
-			if st := get(rc.Ctx); st.pending != nil && rc.CallID == st.pending.Call.ID {
-				st.replied = true
-			}
-		case recOutgoingReply:
-			var or outgoingReplyRec
-			if err := decodeRec(rec.Payload, &or); err != nil {
-				return err
-			}
-			if skip(or.Ctx, rec.LSN) {
-				return nil
-			}
-			reply := or.Reply
-			get(or.Ctx).replies[or.Seq] = &reply
-		default:
-			// Pass 2 replays buffered incoming calls against their saved
-			// replies; creation, state, and checkpoint records were
-			// consumed by pass 1 and carry nothing to replay.
-		}
-		return nil
-	}
-	// Streams scan sequentially in era order; within an era a context's
-	// records live on exactly one stream, so the per-context buffering
-	// above sees them in their original order.
-	for _, sh := range p.log.Shards() {
-		from, ok := starts[sh.Stream]
-		if !ok {
-			continue // no restored context has records on this stream
-		}
-		if err := sh.Log.Scan(from, scanRec); err != nil {
-			return scanned, nil, err
-		}
-	}
-
-	// "After this pass, the recovery manager replays the remaining
-	// buffered method calls, which are the last incoming calls." The
-	// caller runs them via replayTails, after readying tail-less
-	// contexts.
-	tails := make([]tailReplay, 0, len(states))
-	for id, st := range states {
-		if st.pending != nil {
-			tails = append(tails, tailReplay{
-				cx: ctxOf(id), pending: st.pending,
-				pendingLSN: st.pendingLSN, replies: st.replies,
-				replied: st.replied,
-			})
-		}
-	}
-	return scanned, tails, nil
-}
-
 // recoverySpan records one recovery scan pass under the run's own
 // trace (recRun from recover()); free when tracing is off.
 func (p *Process) recoverySpan(run trace.Ref, start int64) {
@@ -783,75 +493,6 @@ func (p *Process) recoverySpan(run trace.Ref, start int64) {
 	})
 }
 
-// replayIncoming re-executes one logged incoming call. Outgoing calls
-// are answered from replies when present; a missing reply means the
-// log ends inside this call, and execution continues live with the
-// same deterministically re-derived call IDs, so servers answer
-// repeats from their last call tables. The reply is not sent to the
-// caller (condition 5) — it lands in the last call table, where a
-// duplicate call will find it.
-//
-// A traced record replays under its ORIGINAL trace: the StageReplay
-// span carries the trace read back from the log plus the record's LSN,
-// which is what lets phoenix-trace stitch the pre-crash and post-crash
-// halves of a timeline together; curTrace is restored too, so records
-// re-logged by a resumed execution stay on that timeline.
-func (p *Process) replayIncoming(cx *Context, ir *incomingRec, lsn ids.LSN, replies map[uint64]*msg.Reply) error {
-	if cx == nil {
-		return nil
-	}
-	cx.mu.Lock()
-	defer cx.mu.Unlock()
-	cx.recovering = true
-	cx.replayReplies = replies
-	cx.curTrace = ir.Trace
-	defer func() {
-		cx.recovering = false
-		cx.replayReplies = nil
-		cx.curTrace = trace.Ref{}
-	}()
-
-	cx.beginExecution()
-	p.replayedCalls.Add(1)
-	p.obs.ReplayedCalls.Inc()
-	p.emitEvent(Event{Kind: EventReplay, Context: cx.uri, Method: ir.Call.Method, LSN: lsn})
-	call := &ir.Call
-	replayStart := p.tr.Now()
-	results, numResults, appErr, err := cx.parent.disp.InvokeEncoded(call.Method, call.Args, call.NumArgs)
-	if p.tr != nil && !ir.Trace.IsZero() {
-		p.tr.Record(trace.SpanData{
-			Ref:    trace.Ref{Trace: ir.Trace.Trace, Span: p.tr.NewSpan()},
-			Parent: ir.Trace.Span,
-			Stage:  trace.StageReplay,
-			Start:  replayStart,
-			End:    p.tr.Now(),
-			LSN:    uint64(lsn),
-			Proc:   &p.name,
-			Method: &call.Method,
-		})
-	}
-	if err != nil {
-		return fmt.Errorf("replay %s.%s: %w", cx.uri, call.Method, err)
-	}
-	if !call.ID.IsZero() {
-		reply := &msg.Reply{ID: call.ID, Results: results, NumResults: numResults, AppErr: appErr}
-		p.lastCalls.putReplayed(call.ID.Caller, call.ID.Seq, reply, cx.parent.id)
-	}
-	return nil
-}
-
-// replayContextBacklog is the per-context unit of Pass 2: a filtered
-// scan of the context's streams from its restart LSN, replaying only
-// its own incoming calls. It returns the records visited and the
-// context's tail call (if any) still buffered at the end — the caller
-// runs replayTails and marks the context ready. The log's cursors are
-// safe for concurrent use, so several contexts may replay their
-// backlogs at once (the lazy engine's worker slots bound how many).
-func (p *Process) replayContextBacklog(cx *Context, restart ids.LSN) (int64, []tailReplay, error) {
-	starts := p.pass2Starts(map[ids.CompID]ids.LSN{cx.parent.id: restart})
-	return p.replayFrom(starts, map[ids.CompID]bool{cx.parent.id: true})
-}
-
 // RecoverContext recovers a single failed context inside a live
 // process — the easier case at the end of Section 4.4: "The state
 // record LSN can be found in the context table and the state record
@@ -860,8 +501,8 @@ func (p *Process) replayContextBacklog(cx *Context, restart ids.LSN) (int64, []t
 // method calls for the context are replayed." The context must be
 // quiescent (its component "failed"; no calls in flight).
 //
-// During a lazy recovery it doubles as the API form of on-demand
-// replay: a context still waiting in the pending set has its backlog
+// During a recovery run it doubles as the API form of on-demand
+// replay: a context still waiting in the engine's pending set is
 // replayed in place (Pass 1 already rebuilt its components), exactly
 // as if a call had touched it.
 func (p *Process) RecoverContext(name string) error {
@@ -871,8 +512,8 @@ func (p *Process) RecoverContext(name string) error {
 	if !ok {
 		return fmt.Errorf("core: no component %q in process %s", name, p.name)
 	}
-	if lr := p.lazy.Load(); lr != nil {
-		if done, err := lr.recoverNow(old); done {
+	if e := p.engine.Load(); e != nil {
+		if done, err := e.recoverNow(old); done {
 			return err
 		}
 	}
@@ -888,11 +529,14 @@ func (p *Process) RecoverContext(name string) error {
 	if err != nil {
 		return err
 	}
-	starts := p.pass2Starts(map[ids.CompID]ids.LSN{cx.parent.id: restart})
-	_, tails, err := p.replayFrom(starts, map[ids.CompID]bool{cx.parent.id: true})
-	if err == nil {
-		err = p.replayTails(tails)
+	defer cx.markReady()
+	chains, _, err := p.buildChains(map[ids.CompID]ids.LSN{cx.parent.id: restart})
+	if err != nil {
+		return err
 	}
-	cx.markReady()
-	return err
+	tail, err := p.replayContext(cx, chains[cx.parent.id])
+	if err != nil {
+		return err
+	}
+	return p.replayTail(cx, tail)
 }

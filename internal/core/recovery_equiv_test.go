@@ -1,0 +1,502 @@
+package core
+
+import (
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/wal"
+)
+
+// This file pins the recovery contract in one table: whatever the
+// mode (eager, lazy), the number of replay workers (1, 4) and the
+// shard layout (1, 4, 8), recovering the same crashed log must produce
+// identical component state, identical last-call tables and identical
+// replay and suppression counts — across a clean crash, crashes
+// injected inside a served call (where a tail replay runs off the end
+// of the log and resumes live), a log that changed shard counts
+// mid-life, and the adaptive controller's promotion boundary. Each
+// cell recovers its own copy of the crashed universe directory; lazy
+// cells take calls mid-drain. Run under -race: on-demand replays race
+// the background workers here by design.
+
+// copyDir clones a universe directory so each recovery attempt starts
+// from the same crashed on-disk state.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		target := filepath.Join(dst, rel)
+		if d.IsDir() {
+			return os.MkdirAll(target, 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(target, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// equivImage is a crashed universe on disk, how to restart its "srv"
+// process, and what to read back afterwards.
+type equivImage struct {
+	dir              string
+	counters, relays []string
+	// touch names the contexts a lazy restart calls (Add 0) while the
+	// drain is running: first-touch replays racing the workers. Add(0)
+	// leaves counter state unchanged and external calls leave no
+	// last-call entries, so the comparison still holds bit for bit.
+	touch []string
+	// cfg is the restart configuration; the matrix sets cfg.Recovery.
+	cfg Config
+}
+
+// recoveryOutcome is everything the equivalence table compares.
+type recoveryOutcome struct {
+	counters   map[string]int
+	relayCalls map[string]int
+	lastCalls  []lastCallSaved
+	promoted   []AdaptiveAssignment
+	suppressed int64
+	stats      RecoveryStats
+}
+
+func sortLastCalls(s []lastCallSaved) {
+	sort.Slice(s, func(i, j int) bool {
+		if s[i].Caller != s[j].Caller {
+			return fmt.Sprint(s[i].Caller) < fmt.Sprint(s[j].Caller)
+		}
+		return s[i].Seq < s[j].Seq
+	})
+}
+
+// recoverImage clones the image and recovers it under the given mode
+// and worker count: restart, touch (lazy), drain, collect. The restart
+// runs under a watchdog, so a replay that waits on a latch nobody will
+// open fails its cell in seconds instead of hanging the run.
+func recoverImage(t *testing.T, img equivImage, mode RecoveryMode, workers int) recoveryOutcome {
+	t.Helper()
+	dst := t.TempDir()
+	copyDir(t, img.dir, dst)
+	u, err := NewUniverse(UniverseConfig{Dir: dst})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Shutdown()
+	m, err := u.AddMachine("evo1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := img.cfg
+	cfg.Recovery = Recovery{Mode: mode, Parallelism: workers}
+
+	type started struct {
+		p   *Process
+		err error
+	}
+	ch := make(chan started, 1)
+	go func() {
+		p, err := m.StartProcess("srv", cfg)
+		for i := 0; err == nil && mode == RecoveryLazy && i < len(img.touch); i++ {
+			h, ok := p.Lookup(img.touch[i])
+			if !ok {
+				err = fmt.Errorf("%s missing after Pass 1", img.touch[i])
+				break
+			}
+			_, err = u.ExternalRef(h.URI()).Call("Add", 0)
+		}
+		if err == nil {
+			err = p.DrainRecovery()
+		}
+		ch <- started{p, err}
+	}()
+	var p *Process
+	select {
+	case s := <-ch:
+		if s.err != nil {
+			t.Fatalf("restart: %v", s.err)
+		}
+		p = s.p
+	case <-time.After(5 * time.Second):
+		t.Fatal("recovery hung: restart and drain did not finish in 5 s")
+	}
+	if !p.Recovered() {
+		t.Fatal("restarted process did not recover")
+	}
+
+	out := recoveryOutcome{
+		counters:   make(map[string]int),
+		relayCalls: make(map[string]int),
+		suppressed: p.suppressedCalls.Load(),
+		promoted:   adaptivePromoted(p.AdaptiveAssignments()),
+	}
+	for _, name := range img.counters {
+		h, ok := p.Lookup(name)
+		if !ok {
+			t.Fatalf("counter %s missing after recovery", name)
+		}
+		out.counters[name] = h.Object().(*Counter).N
+	}
+	for _, name := range img.relays {
+		h, ok := p.Lookup(name)
+		if !ok {
+			t.Fatalf("relay %s missing after recovery", name)
+		}
+		out.relayCalls[name] = h.Object().(*Relay).Calls
+	}
+	out.lastCalls = p.lastCalls.snapshot()
+	sortLastCalls(out.lastCalls)
+	stats, ok := p.LastRecovery()
+	if !ok {
+		t.Fatal("LastRecovery reported no run")
+	}
+	out.stats = stats
+	return out
+}
+
+// assertEngineStats checks what every run must report about itself,
+// whatever it is compared against.
+func assertEngineStats(t *testing.T, got recoveryOutcome, mode RecoveryMode, workers int) {
+	t.Helper()
+	s := got.stats
+	if s.Mode != mode {
+		t.Errorf("stats.Mode = %v, want %v", s.Mode, mode)
+	}
+	if s.WorkersUsed < 1 || s.WorkersUsed > workers {
+		t.Errorf("WorkersUsed = %d, want 1..%d", s.WorkersUsed, workers)
+	}
+	// Every restored context was replayed exactly once, by a toucher or
+	// by a worker; which side won each race varies run to run.
+	if sum := s.ContextsOnDemand + s.ContextsBackground; sum != s.ContextsRestored {
+		t.Errorf("on-demand %d + background %d != restored %d",
+			s.ContextsOnDemand, s.ContextsBackground, s.ContextsRestored)
+	}
+	if s.ContextsRestored > 0 && s.CtxReplayMaxNanos <= 0 {
+		t.Errorf("CtxReplayMaxNanos = %d, want > 0", s.CtxReplayMaxNanos)
+	}
+	if s.CtxReplayTotalNanos < s.CtxReplayMaxNanos {
+		t.Errorf("CtxReplayTotalNanos %d < max %d", s.CtxReplayTotalNanos, s.CtxReplayMaxNanos)
+	}
+}
+
+// assertEquivalent compares a recovery against a reference run. sameLog
+// says both recovered the same bytes: then the last-call tables (whose
+// reply LSNs name positions in that log) and the records read must
+// match too, not only what was recovered.
+func assertEquivalent(t *testing.T, ref, got recoveryOutcome, sameLog bool) {
+	t.Helper()
+	if !reflect.DeepEqual(got.counters, ref.counters) {
+		t.Errorf("counters = %v, reference recovered %v", got.counters, ref.counters)
+	}
+	if !reflect.DeepEqual(got.relayCalls, ref.relayCalls) {
+		t.Errorf("relay calls = %v, reference recovered %v", got.relayCalls, ref.relayCalls)
+	}
+	if !reflect.DeepEqual(got.promoted, ref.promoted) {
+		t.Errorf("promoted assignments = %v, reference recovered %v", got.promoted, ref.promoted)
+	}
+	if got.suppressed != ref.suppressed {
+		t.Errorf("suppressed %d sends, reference suppressed %d", got.suppressed, ref.suppressed)
+	}
+	if got.stats.CallsSuppressed != ref.stats.CallsSuppressed {
+		t.Errorf("stats.CallsSuppressed = %d, reference %d", got.stats.CallsSuppressed, ref.stats.CallsSuppressed)
+	}
+	if got.stats.CallsReplayed != ref.stats.CallsReplayed {
+		t.Errorf("replayed %d calls, reference replayed %d", got.stats.CallsReplayed, ref.stats.CallsReplayed)
+	}
+	if got.stats.ContextsRestored != ref.stats.ContextsRestored {
+		t.Errorf("restored %d contexts, reference restored %d", got.stats.ContextsRestored, ref.stats.ContextsRestored)
+	}
+	if len(got.lastCalls) != len(ref.lastCalls) {
+		t.Errorf("last-call table has %d entries, reference has %d", len(got.lastCalls), len(ref.lastCalls))
+	}
+	if !sameLog {
+		return
+	}
+	if !reflect.DeepEqual(got.lastCalls, ref.lastCalls) {
+		t.Errorf("last-call table = %+v, reference %+v", got.lastCalls, ref.lastCalls)
+	}
+	if got.stats.RecordsScanned != ref.stats.RecordsScanned {
+		t.Errorf("scanned %d records, reference scanned %d", got.stats.RecordsScanned, ref.stats.RecordsScanned)
+	}
+}
+
+// equivScenario is one way of producing a crashed log.
+type equivScenario struct {
+	name   string
+	shards []int
+	// build leaves a crashed universe on disk for one value of the
+	// shard axis. It runs on the scenario's *testing.T, so directories
+	// it makes outlive the per-cell subtests.
+	build func(t *testing.T, shards int) equivImage
+	// sameLog marks scenarios whose shard axis varies only the restart
+	// configuration of one log (resharding at restart).
+	sameLog bool
+	// check, when set, asserts what the scenario expects of the
+	// baseline run.
+	check func(t *testing.T, base recoveryOutcome)
+}
+
+// injectedCrashImage drives four counters on a log with the given
+// shard count until the injector crashes the process mid-call at point
+// — late enough that earlier calls replay normally and the last one
+// exercises the crash point.
+func injectedCrashImage(t *testing.T, point InjectionPoint, shards int) equivImage {
+	t.Helper()
+	img := equivImage{dir: t.TempDir(), touch: []string{"C3"}, cfg: testConfig()}
+	u, err := NewUniverse(UniverseConfig{Dir: img.dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.WAL = WALConfig{Shards: shards}
+	cfg.Injector = NewInjector().CrashAt(point, 12)
+	_, p := startProc(t, u, "evo1", "srv", cfg)
+	refs := make(map[string]*Ref)
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("C%d", i)
+		h, err := p.Create(name, &Counter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		img.counters = append(img.counters, name)
+		refs[name] = u.ExternalRef(h.URI()).WithoutRetry()
+	}
+	crashed := false
+	for round := 1; round <= 5 && !crashed; round++ {
+		for i, name := range img.counters {
+			if _, err := refs[name].Call("Add", i+round); err != nil {
+				crashed = true
+				break
+			}
+		}
+	}
+	if !crashed {
+		t.Fatalf("injector at %s never fired", point)
+	}
+	u.Shutdown()
+	return img
+}
+
+func equivScenarios() []equivScenario {
+	replayedAndSuppressed := func(t *testing.T, base recoveryOutcome) {
+		if base.suppressed == 0 {
+			t.Error("workload produced no suppressed sends; relays did not exercise replay suppression")
+		}
+		if base.stats.CallsReplayed == 0 {
+			t.Error("workload produced no replayed calls")
+		}
+	}
+	scs := []equivScenario{{
+		// Counters plus relays (whose replays suppress outgoing sends
+		// answered from the log). Restarts carry no WAL config: the
+		// shard layout must be detected from the directory alone.
+		name:   "clean-crash",
+		shards: []int{1, 4, 8},
+		build: func(t *testing.T, shards int) equivImage {
+			dir, counters, relays := shardWorkload(t, shards)
+			if sharded := wal.IsSharded(filepath.Join(dir, "evo1", "srv.log")); sharded != (shards > 1) {
+				t.Fatalf("IsSharded reports %v for a %d-shard log", sharded, shards)
+			}
+			// Late restart LSNs: the workers reach these last.
+			return equivImage{dir: dir, counters: counters, relays: relays,
+				touch: []string{"C5", "C4"}, cfg: testConfig()}
+		},
+		check: replayedAndSuppressed,
+	}}
+	for _, point := range []InjectionPoint{
+		PointServerAfterLogIncoming,
+		PointServerAfterExecute,
+		PointServerBeforeSendReply,
+	} {
+		scs = append(scs, equivScenario{
+			name:   string(point),
+			shards: []int{1, 4, 8},
+			build: func(t *testing.T, shards int) equivImage {
+				return injectedCrashImage(t, point, shards)
+			},
+		})
+	}
+	var wantC0 int // C0's value across both eras of the mixed-era log
+	scs = append(scs, equivScenario{
+		// A legacy single-stream era (with gob-framed records) followed
+		// by a 4-shard era: per-context replay must cross the era
+		// barrier in order even when contexts replay independently.
+		name:   "mixed-era",
+		shards: []int{4},
+		build: func(t *testing.T, _ int) equivImage {
+			dir, counters, relays, want := mixedEraWorkload(t)
+			wantC0 = want
+			return equivImage{dir: dir, counters: counters, relays: relays,
+				touch: []string{"C0", "C3"}, cfg: testConfig()}
+		},
+		check: func(t *testing.T, base recoveryOutcome) {
+			replayedAndSuppressed(t, base)
+			if got := base.counters["C0"]; got != wantC0 {
+				t.Errorf("C0 recovered as %d, want %d", got, wantC0)
+			}
+		},
+	})
+	return append(scs, adaptiveBoundaryScenarios()...)
+}
+
+// TestRecoveryEquivalence is the table. The first cell of a scenario —
+// eager, one worker, the first shard count — is the baseline; the
+// first cell of every further shard count is compared with it on what
+// was recovered, and every other cell with the first cell of its own
+// log on everything.
+func TestRecoveryEquivalence(t *testing.T) {
+	for _, sc := range equivScenarios() {
+		t.Run(sc.name, func(t *testing.T) {
+			var base *recoveryOutcome
+			for _, shards := range sc.shards {
+				img := sc.build(t, shards)
+				var logBase *recoveryOutcome
+				for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
+					for _, workers := range []int{1, 4} {
+						t.Run(fmt.Sprintf("shards=%d/%v/workers=%d", shards, mode, workers), func(t *testing.T) {
+							got := recoverImage(t, img, mode, workers)
+							assertEngineStats(t, got, mode, workers)
+							switch {
+							case base == nil:
+								if sc.check != nil {
+									sc.check(t, got)
+								}
+								base, logBase = &got, &got
+							case logBase == nil:
+								assertEquivalent(t, *base, got, sc.sameLog)
+								logBase = &got
+							default:
+								assertEquivalent(t, *logBase, got, true)
+							}
+						})
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRecoveryCalleeCompleteTailBeforeCallerIncomplete: a callee whose
+// last call is complete on the log, and its same-process caller whose
+// last call is not. External C.Add(5) completes; R.Forward(1) crashes
+// after forcing its send to C. R's tail resumes live and calls C, so C
+// must be replayed — by R's own goroutine if nobody else has — before
+// R can finish; an engine that orders tails globally and runs R's
+// first waits on C's latch forever.
+func TestRecoveryCalleeCompleteTailBeforeCallerIncomplete(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		img := equivImage{dir: t.TempDir(), counters: []string{"C"}, relays: []string{"R"}, cfg: testConfig()}
+		u, err := NewUniverse(UniverseConfig{Dir: img.dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := testConfig()
+		cfg.WAL = WALConfig{Shards: shards}
+		cfg.Injector = NewInjector().CrashAt(PointClientAfterForceSend, 1)
+		_, p := startProc(t, u, "evo1", "srv", cfg)
+		hc, err := p.Create("C", &Counter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := p.Create("R", &Relay{Server: NewRef(hc.URI())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := callInt(t, u.ExternalRef(hc.URI()), "Add", 5); got != 5 {
+			t.Fatalf("C.Add(5) = %d", got)
+		}
+		if _, err := u.ExternalRef(hr.URI()).WithoutRetry().Call("Forward", 1); err == nil {
+			t.Fatal("injector at client-after-force-send never fired")
+		}
+		u.Shutdown()
+
+		var ref *recoveryOutcome
+		for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("shards=%d/%v/workers=%d", shards, mode, workers), func(t *testing.T) {
+					got := recoverImage(t, img, mode, workers)
+					if got.counters["C"] != 6 || got.relayCalls["R"] != 1 {
+						t.Errorf("recovered C = %d, R.Calls = %d; want 6 and 1",
+							got.counters["C"], got.relayCalls["R"])
+					}
+					// R's resumed call reached C exactly once: C's table
+					// holds R's call 1, and nothing else was a
+					// persistent caller.
+					if len(got.lastCalls) != 1 || got.lastCalls[0].Seq != 1 {
+						t.Errorf("last-call table = %+v, want R's call 1 only", got.lastCalls)
+					}
+					if ref == nil {
+						ref = &got
+					} else if !reflect.DeepEqual(got.lastCalls, ref.lastCalls) {
+						t.Errorf("last-call table = %+v, first cell recovered %+v", got.lastCalls, ref.lastCalls)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRecordsScannedGrowsWithBacklog pins RecoveryStats.RecordsScanned
+// on a 64-context log: Pass 1, the index scan and the chain reads each
+// see a record at most once, so the count is bounded by three times
+// the log — not by contexts × log length, which is what one filtered
+// scan per first touch would cost — and a lazy restart reads what an
+// eager one does.
+func TestRecordsScannedGrowsWithBacklog(t *testing.T) {
+	const n, rounds = 64, 6
+	img := equivImage{dir: t.TempDir(), cfg: testConfig()}
+	u, err := NewUniverse(UniverseConfig{Dir: img.dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, p := startProc(t, u, "evo1", "srv", testConfig())
+	refs := make([]*Ref, n)
+	for i := range refs {
+		name := fmt.Sprintf("C%d", i)
+		h, err := p.Create(name, &Counter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		img.counters = append(img.counters, name)
+		refs[i] = u.ExternalRef(h.URI())
+	}
+	for round := 1; round <= rounds; round++ {
+		for _, ref := range refs {
+			callInt(t, ref, "Add", round)
+		}
+	}
+	logged := p.LogStats().Appends
+	p.Crash()
+	u.Shutdown()
+
+	// Lazy touches spread over the log: each is a first-touch replay.
+	img.touch = []string{"C63", "C31", "C7", "C48"}
+	eager := recoverImage(t, img, RecoveryEager, 1)
+	lazy := recoverImage(t, img, RecoveryLazy, 1)
+	assertEquivalent(t, eager, lazy, true)
+	if eager.stats.CallsReplayed != n*rounds {
+		t.Fatalf("replayed %d calls, want %d", eager.stats.CallsReplayed, n*rounds)
+	}
+	if got := eager.stats.RecordsScanned; got < logged || got > 3*logged {
+		t.Errorf("eager scanned %d records of a %d-record log, want between 1x and 3x", got, logged)
+	}
+	if 2*lazy.stats.RecordsScanned > 3*eager.stats.RecordsScanned {
+		t.Errorf("lazy scanned %d records, eager %d: more than 1.5x",
+			lazy.stats.RecordsScanned, eager.stats.RecordsScanned)
+	}
+}

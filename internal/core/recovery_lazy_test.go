@@ -2,269 +2,15 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"repro/internal/obs"
 )
 
-// These tests pin the lazy admission contract (Recovery.Mode =
-// RecoveryLazy): recovering the same crashed log lazily — with calls
-// landing mid-drain, across shard layouts, parallelism levels, crash
-// injection points, and a mixed-era upgrade log — must converge on
-// component state, last-call tables, and replay/suppression counts
-// identical to the eager serial baseline. Lazy mode changes *when*
-// replay runs, never what it computes. Run under -race: on-demand
-// replays race the background drainers here by design.
-//
-// One deliberate exception: RecordsScanned is not compared across
-// modes. Lazy replays scan per context from that context's restart
-// LSN, so overlapping log regions are visited once per context rather
-// than once total — more records read, same records replayed.
-
-// recoverLazyCopy clones the crashed universe at srcDir and recovers
-// the "srv" process lazily. Contexts named in touch get a no-op call
-// (Add 0) immediately after admission — first-touch on-demand replays
-// racing the background drain — then the drain is awaited and the
-// outcome collected exactly like the eager harness does.
-func recoverLazyCopy(t *testing.T, srcDir string, counters, relays, touch []string, par int) recoveryOutcome {
-	t.Helper()
-	dst := t.TempDir()
-	copyDir(t, srcDir, dst)
-	u, err := NewUniverse(UniverseConfig{Dir: dst})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Shutdown()
-	m, err := u.AddMachine("evo1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig()
-	cfg.Recovery = Recovery{Mode: RecoveryLazy, Parallelism: par, QueueDepth: 2}
-	p, err := m.StartProcess("srv", cfg)
-	if err != nil {
-		t.Fatalf("lazy par %d: restart: %v", par, err)
-	}
-	if !p.Recovered() {
-		t.Fatalf("lazy par %d: restarted process did not recover", par)
-	}
-	// Touch while the drain is running: Add(0) leaves counter state
-	// unchanged and external calls leave no last-call entries, so the
-	// equivalence comparison still holds bit for bit.
-	for _, name := range touch {
-		h, ok := p.Lookup(name)
-		if !ok {
-			t.Fatalf("lazy par %d: %s missing after Pass 1", par, name)
-		}
-		callInt(t, u.ExternalRef(h.URI()), "Add", 0)
-	}
-	if err := p.DrainRecovery(); err != nil {
-		t.Fatalf("lazy par %d: drain: %v", par, err)
-	}
-
-	out := recoveryOutcome{
-		counters:   make(map[string]int),
-		relayCalls: make(map[string]int),
-		suppressed: p.suppressedCalls.Load(),
-	}
-	for _, name := range counters {
-		h, ok := p.Lookup(name)
-		if !ok {
-			t.Fatalf("lazy par %d: counter %s missing after recovery", par, name)
-		}
-		out.counters[name] = h.Object().(*Counter).N
-	}
-	for _, name := range relays {
-		h, ok := p.Lookup(name)
-		if !ok {
-			t.Fatalf("lazy par %d: relay %s missing after recovery", par, name)
-		}
-		out.relayCalls[name] = h.Object().(*Relay).Calls
-	}
-	out.lastCalls = p.lastCalls.snapshot()
-	sortLastCalls(out.lastCalls)
-	stats, ok := p.LastRecovery()
-	if !ok {
-		t.Fatalf("lazy par %d: LastRecovery reported no run", par)
-	}
-	out.stats = stats
-	return out
-}
-
-func sortLastCalls(s []lastCallSaved) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Caller != s[j].Caller {
-			return fmt.Sprint(s[i].Caller) < fmt.Sprint(s[j].Caller)
-		}
-		return s[i].Seq < s[j].Seq
-	})
-}
-
-// assertLazyEquivalent compares a lazy recovery's outcome against the
-// eager serial baseline: everything assertEquivalent checks except
-// RecordsScanned (see the file comment), plus the lazy accounting
-// invariants.
-func assertLazyEquivalent(t *testing.T, par int, base, got recoveryOutcome) {
-	t.Helper()
-	for name, want := range base.counters {
-		if got.counters[name] != want {
-			t.Errorf("lazy par %d: counter %s = %d, eager recovered %d",
-				par, name, got.counters[name], want)
-		}
-	}
-	for name, want := range base.relayCalls {
-		if got.relayCalls[name] != want {
-			t.Errorf("lazy par %d: relay %s calls = %d, eager recovered %d",
-				par, name, got.relayCalls[name], want)
-		}
-	}
-	// The no-op touches are external calls (no last-call entries), so
-	// the tables must still match entry for entry.
-	if len(got.lastCalls) != len(base.lastCalls) {
-		t.Errorf("lazy par %d: last-call table has %d entries, eager has %d",
-			par, len(got.lastCalls), len(base.lastCalls))
-	} else {
-		for i := range base.lastCalls {
-			if got.lastCalls[i] != base.lastCalls[i] {
-				t.Errorf("lazy par %d: last-call entry %d = %+v, eager %+v",
-					par, i, got.lastCalls[i], base.lastCalls[i])
-			}
-		}
-	}
-	if got.suppressed != base.suppressed {
-		t.Errorf("lazy par %d: suppressed %d sends, eager suppressed %d",
-			par, got.suppressed, base.suppressed)
-	}
-	if got.stats.CallsReplayed != base.stats.CallsReplayed {
-		t.Errorf("lazy par %d: replayed %d calls, eager replayed %d",
-			par, got.stats.CallsReplayed, base.stats.CallsReplayed)
-	}
-	if got.stats.ContextsRestored != base.stats.ContextsRestored {
-		t.Errorf("lazy par %d: restored %d contexts, eager restored %d",
-			par, got.stats.ContextsRestored, base.stats.ContextsRestored)
-	}
-	if got.stats.Mode != RecoveryLazy {
-		t.Errorf("lazy par %d: stats.Mode = %v", par, got.stats.Mode)
-	}
-	// Every restored context was replayed exactly once, by one side or
-	// the other; which side won each race varies run to run.
-	if sum := got.stats.ContextsOnDemand + got.stats.ContextsBackground; sum != got.stats.ContextsRestored {
-		t.Errorf("lazy par %d: on-demand %d + background %d != restored %d",
-			par, got.stats.ContextsOnDemand, got.stats.ContextsBackground, got.stats.ContextsRestored)
-	}
-	if got.stats.ContextsRestored > 0 && got.stats.CtxReplayMaxNanos <= 0 {
-		t.Errorf("lazy par %d: CtxReplayMaxNanos = %d, want > 0",
-			par, got.stats.CtxReplayMaxNanos)
-	}
-	if got.stats.CtxReplayTotalNanos < got.stats.CtxReplayMaxNanos {
-		t.Errorf("lazy par %d: CtxReplayTotalNanos %d < max %d",
-			par, got.stats.CtxReplayTotalNanos, got.stats.CtxReplayMaxNanos)
-	}
-}
-
-// lazyParallelism are the worker-slot levels the equivalence matrix
-// runs: the serial default and a contended pool.
-var lazyParallelism = []int{0, 4}
-
-// TestLazyRecoveryEquivalence is the mode × shards × parallelism
-// matrix: the standard counters+relays workload crashed on 1- and
-// 4-shard logs, recovered eagerly (serial baseline) and lazily at each
-// worker level, with two contexts touched mid-drain.
-func TestLazyRecoveryEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			dir, counters, relays := shardWorkload(t, shards)
-			base := recoverCopy(t, dir, counters, relays, 0)
-			if base.suppressed == 0 {
-				t.Error("workload produced no suppressed sends")
-			}
-			touch := []string{"C5", "C4"} // late restart LSNs: the drain reaches them last
-			for _, par := range lazyParallelism {
-				assertLazyEquivalent(t, par, base,
-					recoverLazyCopy(t, dir, counters, relays, touch, par))
-			}
-		})
-	}
-}
-
-// TestLazyRecoveryEquivalenceCrashPoints repeats the check for logs
-// truncated by mid-call crash injection, including the case where a
-// tail replay runs off the end of the log and resumes live execution
-// during a lazy on-demand replay.
-func TestLazyRecoveryEquivalenceCrashPoints(t *testing.T) {
-	points := []InjectionPoint{
-		PointServerAfterLogIncoming,
-		PointServerAfterExecute,
-		PointServerBeforeSendReply,
-	}
-	for _, point := range points {
-		t.Run(string(point), func(t *testing.T) {
-			dir := t.TempDir()
-			u, err := NewUniverse(UniverseConfig{Dir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := u.AddMachine("evo1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := testConfig()
-			cfg.Injector = NewInjector().CrashAt(point, 12)
-			p, err := m.StartProcess("srv", cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var counters []string
-			refs := make(map[string]*Ref)
-			for i := 0; i < 4; i++ {
-				name := fmt.Sprintf("C%d", i)
-				h, err := p.Create(name, &Counter{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				counters = append(counters, name)
-				refs[name] = u.ExternalRef(h.URI()).WithoutRetry()
-			}
-			crashed := false
-			for round := 1; round <= 5 && !crashed; round++ {
-				for i, name := range counters {
-					if _, err := refs[name].Call("Add", i+round); err != nil {
-						crashed = true
-						break
-					}
-				}
-			}
-			if !crashed {
-				t.Fatalf("injector at %s never fired", point)
-			}
-			u.Shutdown()
-
-			base := recoverCopy(t, dir, counters, nil, 0)
-			touch := []string{"C3"}
-			for _, par := range lazyParallelism {
-				assertLazyEquivalent(t, par, base,
-					recoverLazyCopy(t, dir, counters, nil, touch, par))
-			}
-		})
-	}
-}
-
-// TestLazyMixedEraRecovery recovers the two-era legacy-upgrade log
-// lazily: per-context replay must cross the era barrier in order even
-// when each context replays independently on its own schedule.
-func TestLazyMixedEraRecovery(t *testing.T) {
-	dir, counters, relays, wantC0 := mixedEraWorkload(t)
-	base := recoverCopy(t, dir, counters, relays, 0)
-	if got := base.counters["C0"]; got != wantC0 {
-		t.Fatalf("eager baseline C0 = %d, want %d", got, wantC0)
-	}
-	touch := []string{"C0", "C3"}
-	for _, par := range lazyParallelism {
-		assertLazyEquivalent(t, par, base,
-			recoverLazyCopy(t, dir, counters, relays, touch, par))
-	}
-}
+// These tests pin what is particular to lazy admission (Recovery.Mode =
+// RecoveryLazy) — the first-touch path, the RecoverContext API and a
+// crash in the middle of the drain. That lazy and eager recovery
+// compute the same thing is TestRecoveryEquivalence's business.
 
 // TestLazyFirstTouchAndStats drives a wide backlog, restarts lazily,
 // and touches the context the background drain reaches last — the
@@ -415,7 +161,7 @@ func TestLazyRecoverContextAPI(t *testing.T) {
 // nothing).
 func TestLazyCrashMidDrain(t *testing.T) {
 	dir, counters, relays := shardWorkload(t, 4)
-	base := recoverCopy(t, dir, counters, relays, 0)
+	base := recoverImage(t, equivImage{dir: dir, counters: counters, relays: relays, cfg: testConfig()}, RecoveryEager, 1)
 
 	dst := t.TempDir()
 	copyDir(t, dir, dst)

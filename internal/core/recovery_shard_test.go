@@ -8,12 +8,8 @@ import (
 	"repro/internal/wal"
 )
 
-// These tests pin the sharded-log recovery contract: a universe whose
-// process partitioned its log across N shards must recover to the same
-// component state, last-call tables, and replay/suppression counts
-// whether Pass 2 runs serially or with parallel per-shard readers —
-// and a log that changed shard counts mid-life (a legacy single-stream
-// era followed by a sharded era) must recover across both eras.
+// The crashed logs the recovery suites share: the standard workload on
+// an N-shard log, and a log that changed shard counts mid-life.
 
 // shardWorkload drives the standard counters+relays workload against a
 // fresh process configured with the given shard count, crashes it, and
@@ -68,37 +64,11 @@ func shardWorkload(t *testing.T, shards int) (dir string, counters, relays []str
 	return dir, counters, relays
 }
 
-// TestShardedRecoveryEquivalence runs the serial-vs-parallel
-// equivalence suite over logs partitioned into 1, 4 and 8 shards.
-// Restarted processes carry no WAL config: the shard layout must be
-// detected from the directory alone.
-func TestShardedRecoveryEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 4, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			dir, counters, relays := shardWorkload(t, shards)
-			if sharded := wal.IsSharded(filepath.Join(dir, "evo1", "srv.log")); sharded != (shards > 1) {
-				t.Fatalf("IsSharded reports %v for a %d-shard log", sharded, shards)
-			}
-			base := recoverCopy(t, dir, counters, relays, 0)
-			if base.suppressed == 0 {
-				t.Error("workload produced no suppressed sends")
-			}
-			if base.stats.CallsReplayed == 0 {
-				t.Error("workload produced no replayed calls")
-			}
-			for _, par := range equivalenceLevels[1:] {
-				assertEquivalent(t, par, base, recoverCopy(t, dir, counters, relays, par))
-			}
-		})
-	}
-}
-
 // mixedEraWorkload builds a crashed log spanning two eras — a legacy
 // single-stream era (including some gob-framed records) written before
 // sharding existed, then a 4-shard era appended after an upgrade
 // restart — and returns the universe dir, the component names, and the
-// expected recovered value of C0 (spanning both eras). Shared by the
-// sharded and lazy equivalence suites.
+// expected recovered value of C0 (spanning both eras).
 func mixedEraWorkload(t *testing.T) (dir string, counters, relays []string, wantC0 int) {
 	t.Helper()
 	dir = t.TempDir()
@@ -190,24 +160,4 @@ func mixedEraWorkload(t *testing.T) (dir string, counters, relays []string, want
 	// sharded-era Adds, and six relayed Forwards.
 	wantC0 = (1 + 10) + (100 + 200 + 300 + 400 + 500 + 600) + 6*7
 	return dir, counters, relays, wantC0
-}
-
-// TestMixedEraRecovery recovers the two-era log at every parallelism
-// level: recovery must replay both eras in order with identical
-// outcomes.
-func TestMixedEraRecovery(t *testing.T) {
-	dir, counters, relays, wantC0 := mixedEraWorkload(t)
-	base := recoverCopy(t, dir, counters, relays, 0)
-	if base.suppressed == 0 {
-		t.Error("sharded era produced no suppressed sends")
-	}
-	if base.stats.CallsReplayed == 0 {
-		t.Error("mixed-era workload produced no replayed calls")
-	}
-	if got := base.counters["C0"]; got != wantC0 {
-		t.Errorf("C0 recovered as %d, want %d", got, wantC0)
-	}
-	for _, par := range equivalenceLevels[1:] {
-		assertEquivalent(t, par, base, recoverCopy(t, dir, counters, relays, par))
-	}
 }

@@ -147,16 +147,17 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 	}
 
 	// A context being recovered holds arrivals until replay completes.
-	// Under lazy admission an arrival does better than wait: it claims
-	// the context and replays its backlog right here (first toucher
-	// pays; concurrent arrivals wait on the same latch). Steady state
-	// — no engine attached, first call already noted — costs two
-	// atomic loads.
-	if lr := p.lazy.Load(); lr != nil {
-		lr.demand(cx, call)
+	// While the replay engine is attached an arrival does better than
+	// wait: it claims the context and replays its chain right here
+	// (first toucher pays; concurrent arrivals wait on the same latch)
+	// — which is also how a resumed tail call reaches a same-process
+	// context that nobody has replayed yet. Steady state — no engine
+	// attached, first call already noted — costs two atomic loads.
+	if e := p.engine.Load(); e != nil {
+		e.demand(cx, call)
 		<-cx.ready
-		if err := lr.replayFailure(cx.parent.id); err != nil {
-			return fault(call.ID, "context %s unavailable: lazy replay failed: %v", cx.uri, err)
+		if err := e.replayFailure(cx.parent.id); err != nil {
+			return fault(call.ID, "context %s unavailable: replay failed: %v", cx.uri, err)
 		}
 	} else {
 		<-cx.ready

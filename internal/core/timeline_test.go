@@ -190,10 +190,10 @@ func TestCrashCrossingTimeline(t *testing.T) {
 	}
 }
 
-// TestParallelRecoveryQueueWaitSpans: with the partitioned Pass-2
-// engine, a traced record's time in its context queue is recorded as a
-// replay_queue_wait span on the record's own trace.
-func TestParallelRecoveryQueueWaitSpans(t *testing.T) {
+// TestRecoveryContextReplaySpans: the replay engine records each
+// context's replay as a demand_replay span carrying the context's
+// restart LSN, in eager mode as in lazy.
+func TestRecoveryContextReplaySpans(t *testing.T) {
 	u, rec := newTracedUniverse(t)
 	cfg := testConfig()
 	cfg.Recovery = Recovery{Parallelism: 2}
@@ -222,16 +222,16 @@ func TestParallelRecoveryQueueWaitSpans(t *testing.T) {
 		t.Fatalf("counter = %d after recovery, want 3", got)
 	}
 
-	waits := 0
+	replays := 0
 	for _, sp := range rec.Snapshot() {
-		if sp.Stage == trace.StageReplayQueueWait {
-			waits++
+		if sp.Stage == trace.StageDemandReplay {
+			replays++
 			if sp.LSN == 0 {
-				t.Error("replay_queue_wait span has no LSN")
+				t.Error("demand_replay span has no restart LSN")
 			}
 		}
 	}
-	if waits == 0 {
-		t.Error("parallel recovery recorded no replay_queue_wait spans")
+	if replays != 1 {
+		t.Errorf("recovery of one context recorded %d demand_replay spans, want 1", replays)
 	}
 }

@@ -242,9 +242,9 @@ func (m *Machine) StartProcess(name string, cfg Config) (*Process, error) {
 	}
 	if existing {
 		// Explicit two-phase restart: restore rebuilds the context
-		// tables and restart LSNs from Pass 1, admit schedules the
-		// replay — before accepting traffic (eager) or around it
-		// (lazy on-demand + background drain).
+		// tables and restart LSNs from Pass 1, admit arms the replay
+		// engine and waits for it (eager) or lets it run around live
+		// traffic (lazy).
 		plan, err := p.restore()
 		if err == nil {
 			err = p.admit(plan)

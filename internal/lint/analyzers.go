@@ -46,7 +46,7 @@ func repoLocksyncConfig() LocksyncConfig {
 			"repro/internal/wal.Log.mu",
 			"repro/internal/wal.groupCommitter.mu",
 			"repro/internal/core.Process.mu",
-			"repro/internal/core.lazyRecovery.mu",
+			"repro/internal/core.replayEngine.mu",
 		},
 		Blocking: append([]string{
 			"(*repro/internal/wal.Log).Append",

@@ -37,7 +37,7 @@ var (
 		"(repro/internal/wal.Writer).Discard",
 		"(repro/internal/wal.Writer).Flush",
 		"repro/internal/core.decodeRec",
-		"(*repro/internal/core.lazyRecovery).replayOne",
+		"(*repro/internal/core.replayEngine).replayOne",
 		"repro/internal/obs/trace.WriteDump",
 	}
 )

@@ -36,7 +36,7 @@ var (
 		"repro/internal/core",
 		"repro/internal/wal",
 	}
-	defaultLockOrderSemaphores = []string{"repro/internal/core.lazyRecovery.slots"}
+	defaultLockOrderSemaphores = []string{"repro/internal/core.replayEngine.slots"}
 	defaultLockOrderLatches    = []string{"repro/internal/core.Context.ready"}
 )
 

@@ -161,8 +161,8 @@ func (w *lockWalker) walk(root ast.Node, sc *lockScope) {
 		case *ast.FuncLit:
 			// A plain closure runs on this goroutine but manages its
 			// own locks; give it a fresh held-set so a `defer
-			// mu.Unlock()` inside (the ctxOf pattern in recovery.go)
-			// cannot poison the enclosing replay.
+			// mu.Unlock()` inside (the restart-LSN read in
+			// RecoverContext) cannot poison the enclosing function.
 			w.walk(n.Body, &lockScope{inGo: sc.inGo})
 			return false
 		case *ast.DeferStmt:

@@ -24,7 +24,7 @@ func (e *Engine) Close() {
 	<-e.done
 }
 
-// Pool is the good WaitGroup pattern (the lazy-recovery drainers):
+// Pool is the good WaitGroup pattern (the replay engine's workers):
 // workers Done a field WaitGroup that Close waits on.
 type Pool struct {
 	wg   sync.WaitGroup

@@ -124,42 +124,31 @@ const (
 	RecoveryPass2Micros = "recovery.pass2_micros"
 	RecoveryMicros      = "recovery.total_micros"
 
-	// --- parallel Pass 2 (Config.Recovery). The demux reader and the
-	// worker slots are accounted per recovery run; queue depths are
-	// observed at each enqueue, so the histogram's shape shows whether
-	// the bounded queues ever filled (stalls count the enqueues that
-	// found a queue full and blocked the reader). ---
-
-	// RecoveryPass2Workers is the replay-worker-slots-used distribution,
-	// observed once per parallel recovery run.
+	// RecoveryPass2Workers is the distribution of background replay
+	// workers started, observed once per recovery run that had
+	// contexts to replay.
 	RecoveryPass2Workers = "recovery.pass2.workers"
-	// RecoveryPass2QueueDepth is the per-context replay queue depth at
-	// each enqueue.
-	RecoveryPass2QueueDepth = "recovery.pass2.queue_depth"
-	// RecoveryPass2Demuxed counts records the Pass-2 reader routed into
-	// per-context replay queues.
-	RecoveryPass2Demuxed = "recovery.pass2.demuxed_records"
-	// RecoveryPass2Stalls counts enqueues that found the target queue
-	// full — backpressure on the single reader.
-	RecoveryPass2Stalls = "recovery.pass2.queue_stalls"
 
-	// --- lazy admission (Config.Recovery.Mode = RecoveryLazy). The
-	// process opens after Pass 1; these account how the deferred Pass-2
-	// work actually got done and what admission latency looked like.
+	// --- per-context replay. These account how Pass 2 actually got
+	// done, context by context, and what admission latency looked like.
+	// The names say "lazy" because lazy admission introduced them; the
+	// replay engine reports the first three in eager runs too (where a
+	// touch is a resumed tail call reaching a same-process context).
 	// Durations are universe-clock microseconds (model time under a
 	// virtual bench clock), unlike the wall-time recovery.*_micros. ---
 
 	// RecoveryLazyOnDemand counts contexts whose backlog replayed
 	// because a call touched them first.
 	RecoveryLazyOnDemand = "recovery.lazy.on_demand_replays"
-	// RecoveryLazyBackground counts contexts drained by the background
-	// replayer before any call arrived.
+	// RecoveryLazyBackground counts contexts replayed by the background
+	// workers before any call arrived.
 	RecoveryLazyBackground = "recovery.lazy.background_replays"
 	// RecoveryLazyCtxReplayMicros is the per-context backlog replay
 	// latency — what a first-touch call waits on top of its own work.
 	RecoveryLazyCtxReplayMicros = "recovery.lazy.ctx_replay_micros"
 	// RecoveryLazyTTFCMicros is time-to-first-call: recovery start to
 	// the first call admitted past a ready gate — perceived downtime.
+	// Observed in lazy mode only.
 	RecoveryLazyTTFCMicros = "recovery.lazy.ttfc_micros"
 
 	// --- adaptive logging disciplines (internal/core adaptive.go).
@@ -263,7 +252,6 @@ const (
 	TraceReplyMicros            = "trace.stage.reply_micros"
 	TraceClientResumeMicros     = "trace.stage.client_resume_micros"
 	TraceRecoveryScanMicros     = "trace.stage.recovery_scan_micros"
-	TraceReplayQueueWaitMicros  = "trace.stage.replay_queue_wait_micros"
 	TraceReplayMicros           = "trace.stage.replay_micros"
 	TraceDemandReplayMicros     = "trace.stage.demand_replay_micros"
 	TraceDisciplineChangeMicros = "trace.stage.discipline_change_micros"
@@ -281,7 +269,6 @@ var TraceStageMicros = []string{
 	TraceReplyMicros,
 	TraceClientResumeMicros,
 	TraceRecoveryScanMicros,
-	TraceReplayQueueWaitMicros,
 	TraceReplayMicros,
 	TraceDemandReplayMicros,
 	TraceDisciplineChangeMicros,
@@ -376,7 +363,6 @@ type TraceMetrics struct {
 	ReplyMicros            *Histogram
 	ClientResumeMicros     *Histogram
 	RecoveryScanMicros     *Histogram
-	ReplayQueueWaitMicros  *Histogram
 	ReplayMicros           *Histogram
 	DemandReplayMicros     *Histogram
 	DisciplineChangeMicros *Histogram
@@ -397,7 +383,6 @@ func TraceView(r *Registry) *TraceMetrics {
 		ReplyMicros:            r.Histogram(TraceReplyMicros),
 		ClientResumeMicros:     r.Histogram(TraceClientResumeMicros),
 		RecoveryScanMicros:     r.Histogram(TraceRecoveryScanMicros),
-		ReplayQueueWaitMicros:  r.Histogram(TraceReplayQueueWaitMicros),
 		ReplayMicros:           r.Histogram(TraceReplayMicros),
 		DemandReplayMicros:     r.Histogram(TraceDemandReplayMicros),
 		DisciplineChangeMicros: r.Histogram(TraceDisciplineChangeMicros),
@@ -439,17 +424,14 @@ type RuntimeMetrics struct {
 	StateSaves  *Counter
 	Trims       *Counter
 
-	RecoveryRuns            *Counter
-	ContextsRestored        *Counter
-	ReplayedCalls           *Counter
-	SuppressedSends         *Counter
-	RecoveryPass1Micros     *Histogram
-	RecoveryPass2Micros     *Histogram
-	RecoveryMicros          *Histogram
-	RecoveryPass2Workers    *Histogram
-	RecoveryPass2QueueDepth *Histogram
-	RecoveryPass2Demuxed    *Counter
-	RecoveryPass2Stalls     *Counter
+	RecoveryRuns         *Counter
+	ContextsRestored     *Counter
+	ReplayedCalls        *Counter
+	SuppressedSends      *Counter
+	RecoveryPass1Micros  *Histogram
+	RecoveryPass2Micros  *Histogram
+	RecoveryMicros       *Histogram
+	RecoveryPass2Workers *Histogram
 
 	RecoveryLazyOnDemand        *Counter
 	RecoveryLazyBackground      *Counter
@@ -510,17 +492,14 @@ func RuntimeView(r *Registry) *RuntimeMetrics {
 		StateSaves:  r.Counter(StateSaves),
 		Trims:       r.Counter(Trims),
 
-		RecoveryRuns:            r.Counter(RecoveryRuns),
-		ContextsRestored:        r.Counter(ContextsRestored),
-		ReplayedCalls:           r.Counter(ReplayedCalls),
-		SuppressedSends:         r.Counter(SuppressedSends),
-		RecoveryPass1Micros:     r.Histogram(RecoveryPass1Micros),
-		RecoveryPass2Micros:     r.Histogram(RecoveryPass2Micros),
-		RecoveryMicros:          r.Histogram(RecoveryMicros),
-		RecoveryPass2Workers:    r.Histogram(RecoveryPass2Workers),
-		RecoveryPass2QueueDepth: r.Histogram(RecoveryPass2QueueDepth),
-		RecoveryPass2Demuxed:    r.Counter(RecoveryPass2Demuxed),
-		RecoveryPass2Stalls:     r.Counter(RecoveryPass2Stalls),
+		RecoveryRuns:         r.Counter(RecoveryRuns),
+		ContextsRestored:     r.Counter(ContextsRestored),
+		ReplayedCalls:        r.Counter(ReplayedCalls),
+		SuppressedSends:      r.Counter(SuppressedSends),
+		RecoveryPass1Micros:  r.Histogram(RecoveryPass1Micros),
+		RecoveryPass2Micros:  r.Histogram(RecoveryPass2Micros),
+		RecoveryMicros:       r.Histogram(RecoveryMicros),
+		RecoveryPass2Workers: r.Histogram(RecoveryPass2Workers),
 
 		RecoveryLazyOnDemand:        r.Counter(RecoveryLazyOnDemand),
 		RecoveryLazyBackground:      r.Counter(RecoveryLazyBackground),

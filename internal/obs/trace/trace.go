@@ -68,21 +68,18 @@ const (
 	// arrives: message-4 logging and result decode.
 	StageClientResume
 	// StageRecoveryScan is a recovery pass over the log (Pass 1 mining
-	// or the Pass-2 cursor scan), one span per pass per recovery run.
+	// or the Pass-2 index scan), one span per pass per recovery run.
 	StageRecoveryScan
-	// StageReplayQueueWait is the time a demultiplexed record spent in
-	// a per-context replay queue before a worker picked it up.
-	StageReplayQueueWait
 	// StageReplay is the re-execution of a logged incoming call during
 	// Pass 2. Its Ref is the *original* trace read back from the log
 	// record and its LSN is the replayed record's LSN — the stitch
 	// point between pre-crash and post-crash halves of a timeline.
 	StageReplay
-	// StageDemandReplay is one lazy-admission backlog replay: a whole
-	// context's deferred Pass-2 work, run on first touch (parented
-	// under the triggering call's trace — the wait that call actually
-	// experienced) or by the background drain (parented under the
-	// recovery run's trace). Its LSN is the context's restart LSN.
+	// StageDemandReplay is one context's backlog replay: its whole
+	// Pass-2 work, run on first touch (parented under the triggering
+	// call's trace — the wait that call actually experienced) or by a
+	// background worker (parented under the recovery run's trace), in
+	// eager and lazy mode alike. Its LSN is the context's restart LSN.
 	StageDemandReplay
 	// StageDisciplineChange is one adaptive discipline transition: the
 	// span covers appending and forcing the discipline-change record
@@ -104,7 +101,6 @@ var stageNames = [stageCount]string{
 	StageReply:            "reply",
 	StageClientResume:     "client_resume",
 	StageRecoveryScan:     "recovery_scan",
-	StageReplayQueueWait:  "replay_queue_wait",
 	StageReplay:           "replay",
 	StageDemandReplay:     "demand_replay",
 	StageDisciplineChange: "discipline_change",
@@ -244,7 +240,6 @@ func NewRecorder(o Options) *Recorder {
 		StageReply:            tm.ReplyMicros,
 		StageClientResume:     tm.ClientResumeMicros,
 		StageRecoveryScan:     tm.RecoveryScanMicros,
-		StageReplayQueueWait:  tm.ReplayQueueWaitMicros,
 		StageReplay:           tm.ReplayMicros,
 		StageDemandReplay:     tm.DemandReplayMicros,
 		StageDisciplineChange: tm.DisciplineChangeMicros,

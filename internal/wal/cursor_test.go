@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -159,5 +160,52 @@ func TestScanFromBoundedView(t *testing.T) {
 	}
 	if n != 5 {
 		t.Fatalf("cursor saw %d records, want 5", n)
+	}
+}
+
+// TestReadAtMatchesScan: the positioned read returns, for every
+// {LSN, length} a Scan reported, the record the Scan saw — across
+// segment boundaries, through one reused buffer — and refuses an index
+// entry that does not describe a record.
+func TestReadAtMatchesScan(t *testing.T) {
+	l, err := Open(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.SetSegmentBytes(256) // force several segments
+	for i := 0; i < 50; i++ {
+		if _, err := l.Append(RecordType(i%7), []byte(fmt.Sprintf("payload-%0*d", i%9, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []Record
+	if err := l.Scan(ids.NilLSN, func(r Record) error {
+		r.Payload = append([]byte(nil), r.Payload...) // payload is scan-owned
+		want = append(want, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	for _, w := range want {
+		var got Record
+		got, buf, err = l.ReadAt(w.LSN, len(w.Payload), buf)
+		if err != nil {
+			t.Fatalf("ReadAt(%v, %d): %v", w.LSN, len(w.Payload), err)
+		}
+		if got.LSN != w.LSN || got.Type != w.Type || string(got.Payload) != string(w.Payload) {
+			t.Errorf("ReadAt(%v) = %+v, Scan saw %+v", w.LSN, got, w)
+		}
+	}
+	last := want[len(want)-1]
+	if _, _, err := l.ReadAt(last.LSN, len(last.Payload)+1, buf); !errors.Is(err, ErrNotFound) {
+		t.Errorf("ReadAt past the end of the log: %v, want ErrNotFound", err)
+	}
+	if _, _, err := l.ReadAt(want[0].LSN, len(want[0].Payload)+1, buf); err == nil {
+		t.Error("ReadAt accepted a length that is not the record's")
+	}
+	if _, _, err := l.ReadAt(want[0].LSN+1, len(want[0].Payload), buf); err == nil {
+		t.Error("ReadAt accepted an LSN inside a record")
 	}
 }

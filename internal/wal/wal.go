@@ -770,6 +770,43 @@ func (l *Log) readIntoLocked(lsn ids.LSN, buf []byte) (Record, []byte, error) {
 	return Record{LSN: lsn, Type: typ, Payload: payload}, buf, nil
 }
 
+// ReadAt returns the record at lsn whose payload is n bytes long — what
+// a caller holding an index of {LSN, length} pairs built from a Scan
+// knows — with one positioned read of frame and payload together.
+// Unlike Read it does not flush (anything a Scan or Cursor returned is
+// already in its file) and does not allocate per record: the bytes are
+// staged in buf, which is grown as needed and returned for reuse, and
+// the Record's Payload aliases it until the next call.
+func (l *Log) ReadAt(lsn ids.LSN, n int, buf []byte) (Record, []byte, error) {
+	if cap(buf) < frameSize+n {
+		buf = make([]byte, frameSize+n)
+	}
+	buf = buf[:frameSize+n]
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return Record{}, buf, ErrClosed
+	}
+	s := l.findSegment(lsn)
+	if s == nil || int64(lsn-s.start)+int64(len(buf)) > s.size {
+		l.mu.Unlock()
+		return Record{}, buf, fmt.Errorf("%w: %v", ErrNotFound, lsn)
+	}
+	_, err := s.f.ReadAt(buf, segHeaderSize+int64(lsn-s.start))
+	l.mu.Unlock()
+	if err != nil {
+		return Record{}, buf, fmt.Errorf("wal: read record: %w", err)
+	}
+	payload := buf[frameSize:]
+	if int(binary.LittleEndian.Uint32(buf)) != n {
+		return Record{}, buf, fmt.Errorf("wal: record at %v is not %d bytes long", lsn, n)
+	}
+	if crc32.Update(crc32.Update(0, crcTable, buf[4:5]), crcTable, payload) != binary.LittleEndian.Uint32(buf[5:9]) {
+		return Record{}, buf, fmt.Errorf("wal: checksum mismatch at %v", lsn)
+	}
+	return Record{LSN: lsn, Type: RecordType(buf[4]), Payload: payload}, buf, nil
+}
+
 // Scan calls fn for every record from lsn `from` (or the log start if
 // from is nil or trimmed away) to the end of the log, in LSN order.
 //

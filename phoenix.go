@@ -90,18 +90,15 @@ type (
 	// restart surface. Mode schedules Pass-2 replay: RecoveryEager
 	// (the zero value) replays every context's backlog before the
 	// process serves a single call; RecoveryLazy admits traffic as
-	// soon as Pass 1 has rebuilt the context tables, replaying each
-	// context's backlog when a call first touches it (only that call
-	// waits; concurrent arrivals share one replay) while a background
-	// drain works through the cold contexts hottest-first.
-	// Parallelism > 0 bounds concurrent replay work (eager worker
-	// slots; lazy per-context replay slots) and QueueDepth bounds the
-	// eager demux queues (0 = 64). The zero value keeps the strictly
-	// serial eager two-pass replay, bit for bit.
+	// soon as Pass 1 has rebuilt the context tables and one index
+	// scan has filed each message record under its context,
+	// replaying a context's backlog when a call first touches it
+	// (only that call waits; concurrent arrivals share one replay)
+	// while background workers take the cold contexts hottest-first.
+	// Parallelism is the number of those workers and the bound on
+	// concurrent context replays (0 = 1). The zero value is one
+	// worker, joined before the process opens.
 	RecoveryConfig = core.Recovery
-	// Recovery is the original name of RecoveryConfig, kept as an
-	// equal alias so existing callers compile unchanged.
-	Recovery = core.Recovery
 	// AdaptiveConfig is the nested Config.Adaptive section: Enabled
 	// turns on the runtime discipline controller, which observes each
 	// (component, method)'s interaction pattern per epoch (Window on
@@ -129,10 +126,10 @@ type (
 	RecoveryMode = core.RecoveryMode
 	// RecoveryStats summarizes a crash-recovery run: per-pass durations
 	// (measured on the universe clock), contexts restored, records
-	// scanned, calls replayed, sends suppressed, and worker slots used.
-	// Lazy runs also report TimeToFirstCallNanos (recovery start to
-	// the first call admitted — perceived downtime), on-demand vs
-	// background replay counts, and per-context replay latency.
+	// read from the log, calls replayed, sends suppressed, workers
+	// used, TimeToFirstCallNanos (recovery start to the first call
+	// admitted — perceived downtime), on-demand vs background replay
+	// counts, and per-context replay latency.
 	// Retrieve it with Process.LastRecovery or from the
 	// EventRecoveryDone event's Recovery field; after a lazy restart,
 	// Process.DrainRecovery blocks until the background drain is done
