@@ -1,6 +1,6 @@
 # Development entry points. `make ci` is what the GitHub workflow runs.
 
-.PHONY: ci vet lint lockgraph lint-fix-fixtures build test race stress recovery-stress shard-stress adaptive-stress bench bench-smoke
+.PHONY: ci vet lint lockgraph lint-fix-fixtures build test race stress recovery-stress shard-stress adaptive-stress bench bench-smoke loc
 
 ci: vet lint build test race stress recovery-stress shard-stress adaptive-stress
 
@@ -50,7 +50,7 @@ stress:
 
 # Recovery stress under the race detector, repeated: the one
 # equivalence table (mode × workers × shards × clean crash, injected
-# crashes, mixed-era log, adaptive promotion boundary — on-demand
+# crashes, a log resharded 1 → 4, adaptive promotion boundary — on-demand
 # replays racing the background workers), the nested-demand hang
 # regression, the first-touch / crash-mid-drain / RecoverContext
 # suites, the wal cursor and positioned-read tests, the bookstore
@@ -62,11 +62,12 @@ recovery-stress:
 	go run ./cmd/phoenix-bench -experiment lazyrecovery -scale 0.05 -metrics=false
 
 # Sharded-log stress under the race detector: the wal.Set unit suite
-# and a concurrent group-commit run against a 4-shard log (per-shard
+# (open, reshard, era-file and well-known-file handling) and a
+# concurrent group-commit run against a 4-shard log (per-shard
 # flushers appending and syncing in parallel). Recovery over sharded
 # and mixed-era logs is part of recovery-stress.
 shard-stress:
-	go test -race -count=2 -run 'OpenSet|SetSync|SetDiscard|WellKnownMarks' ./internal/wal/
+	go test -race -count=2 -run 'OpenSet|ShardMeta|SetSync|SetDiscard|WellKnown' ./internal/wal/
 	go run ./cmd/phoenix-bench -experiment groupcommit -scale 0.02 -calls 20 -concurrency 8 -wal-shards 4
 
 # Adaptive-discipline stress under the race detector: the controller's
@@ -92,3 +93,10 @@ bench-smoke:
 	go test -run 'TestAllocs' -v ./internal/core/
 	go test -run 'TestTraceOverhead$$' -v ./internal/bench/
 	go test -run 'TestAdaptiveConvergenceGate$$' -v ./internal/bench/
+
+# Non-test lines of Go per package (ROADMAP aim 2: net non-test LoC is
+# a tracked number). Lint fixtures under testdata/ are not product code.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' | sort -k2

@@ -482,13 +482,19 @@ func BenchmarkMultiCall(b *testing.B) {
 
 // ---- building-block micro-benchmarks ----
 
-// BenchmarkWALAppend measures a buffered log append.
-func BenchmarkWALAppend(b *testing.B) {
-	l, err := wal.Open(b.TempDir()+"/bench.log", disk.HostModel{})
+// benchLog opens a one-shard log and returns its only stream.
+func benchLog(b *testing.B) *wal.Log {
+	set, err := wal.OpenSet(b.TempDir()+"/bench.log", disk.HostModel{}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer l.Close()
+	b.Cleanup(func() { set.Close() })
+	return set.Shards()[0].Log
+}
+
+// BenchmarkWALAppend measures a buffered log append.
+func BenchmarkWALAppend(b *testing.B) {
+	l := benchLog(b)
 	payload := make([]byte, 186) // the paper's incoming-record size
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -501,18 +507,14 @@ func BenchmarkWALAppend(b *testing.B) {
 // BenchmarkWALAppendForce measures append+force on the host fs (the
 // real-fsync analogue of the paper's unbuffered write).
 func BenchmarkWALAppendForce(b *testing.B) {
-	l, err := wal.Open(b.TempDir()+"/bench.log", disk.HostModel{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
+	l := benchLog(b)
 	payload := make([]byte, 186)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := l.Append(2, payload); err != nil {
 			b.Fatal(err)
 		}
-		if err := l.Force(); err != nil {
+		if _, err := l.SyncAll(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -91,7 +91,7 @@ func main() {
 		calls       = flag.Int("calls", 60, "iterations per measured cell")
 		concurrency = flag.Int("concurrency", 8, "client count for the concurrent experiments (groupcommit)")
 		recoveryPar = flag.Int("recovery-parallelism", 8, "largest Config.Recovery.Parallelism the recovery experiment sweeps to")
-		walShards   = flag.Int("wal-shards", 1, "Config.WAL.Shards for the concurrent experiments: 1 = single-stream log, N > 1 partitions the log into N shards")
+		walShards   = flag.Int("wal-shards", 1, "Config.WAL.Shards for the concurrent experiments: 1 = one shard, N > 1 partitions the log into N shards")
 		seed        = flag.Int64("seed", 20040330, "random seed for jitter and phase noise")
 		list        = flag.Bool("list", false, "list experiment IDs and exit")
 		jsonOut     = flag.Bool("json", false, "emit tables and metric snapshots as JSON")

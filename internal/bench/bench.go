@@ -43,7 +43,7 @@ type Options struct {
 	RecoveryParallelism int
 	// WALShards is the Config.WAL.Shards value the concurrent
 	// experiments run the server's log with: 1 (the default) is the
-	// single-stream log; higher values partition appends and forces
+	// one-shard log; higher values partition appends and forces
 	// across that many shard streams.
 	WALShards int
 	// Seed drives the network jitter.

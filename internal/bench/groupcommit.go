@@ -77,9 +77,9 @@ func runGroupCommitCell(o Options, gcOn bool, clients int) ([]string, error) {
 	}
 	cfg := benchConfig(phoenix.LogOptimized, true)
 	if gcOn {
-		cfg.GroupCommit = phoenix.GroupCommit{Enabled: true}
+		cfg.WAL.GroupCommit = phoenix.GroupCommit{Enabled: true}
 	}
-	cfg.WAL = phoenix.WALConfig{Shards: o.WALShards}
+	cfg.WAL.Shards = o.WALShards
 	ps, err := m.StartProcess("srv", cfg)
 	if err != nil {
 		return nil, err

@@ -113,7 +113,7 @@ func runTraceOverheadCell(o Options, ec envConfig, gcOn bool) (perCall time.Dura
 	}
 	cfg := benchConfig(phoenix.LogOptimized, true)
 	if gcOn {
-		cfg.GroupCommit = phoenix.GroupCommit{Enabled: true}
+		cfg.WAL.GroupCommit = phoenix.GroupCommit{Enabled: true}
 	}
 	ps, err := m.StartProcess("srv", cfg)
 	if err != nil {

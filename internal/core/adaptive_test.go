@@ -451,7 +451,7 @@ func adaptiveChain(t *testing.T, dir string, cfg Config) (*Universe, *disk.Virtu
 // record is forced but before the controller's in-memory commit
 // (PointAdaptiveAfterChangeLogged), and well after the promotion took
 // effect. They join the recovery equivalence table
-// (TestRecoveryEquivalence): each crashed single-stream log is
+// (TestRecoveryEquivalence): each crashed one-shard log is
 // restarted on 1- and 4-shard layouts under every mode and worker
 // count, and every cell must agree on component state, the last-call
 // table, and the promoted assignment set — which must be exactly what

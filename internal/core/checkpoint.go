@@ -98,14 +98,15 @@ func (p *Process) runCheckpoint() error {
 	if err != nil {
 		return err
 	}
-	// On a sharded log, snapshot every stream's append position now:
-	// records past these positions postdate the checkpoint, so the
-	// well-known watermark vector may default each stream to its
-	// snapshot (recovery rescans everything later). Records before a
-	// snapshot belong to contexts whose restart LSNs constrain the
-	// vector downward when it is published (see wellKnownMarks).
+	// With more than one stream, snapshot every stream's append
+	// position now: records past these positions postdate the
+	// checkpoint, so the well-known watermark vector may default each
+	// stream to its snapshot (recovery rescans everything later).
+	// Records before a snapshot belong to contexts whose restart LSNs
+	// constrain the vector downward when it is published (see
+	// wellKnownMarks). A one-stream log needs none: its mark is begin.
 	var ends map[uint32]ids.LSN
-	if shards := p.log.Shards(); len(shards) > 1 || shards[0].Stream != 0 {
+	if shards := p.log.Shards(); len(shards) > 1 {
 		ends = make(map[uint32]ids.LSN, len(shards))
 		for _, sh := range shards {
 			ends[sh.Stream] = sh.Log.End()

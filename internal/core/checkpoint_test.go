@@ -112,15 +112,20 @@ func TestProcessCheckpointWritesWellKnownLSNOnNextForce(t *testing.T) {
 	}
 	// The checkpoint is unforced: the well-known file must not point
 	// at it yet.
-	if _, err := wal.LoadWellKnownLSN(p.wkPath); err == nil {
+	if _, err := wal.LoadWellKnownMarks(p.wkPath); err == nil {
 		t.Error("well-known LSN written before the checkpoint was forced")
 	}
 	// The next send's force covers the checkpoint (Section 4.3:
-	// "possibly by a later send message").
+	// "possibly by a later send message"). A one-shard log's vector is
+	// the one mark the paper's protocol has: the begin-checkpoint LSN.
 	callInt(t, ref, "Add", 1)
-	lsn, err := wal.LoadWellKnownLSN(p.wkPath)
+	marks, err := wal.LoadWellKnownMarks(p.wkPath)
 	if err != nil {
 		t.Fatalf("well-known LSN missing after a later force: %v", err)
+	}
+	lsn, ok := marks[1]
+	if !ok || len(marks) != 1 {
+		t.Fatalf("well-known marks = %v, want one mark for stream 1", marks)
 	}
 	rec, err := p.log.Read(lsn)
 	if err != nil || rec.Type != recBeginCkpt {

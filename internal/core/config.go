@@ -21,29 +21,32 @@ import (
 )
 
 // GroupCommit configures the process log's group-commit flusher
-// (Config.GroupCommit): a dedicated goroutine collects concurrent
+// (Config.WAL.GroupCommit): a dedicated goroutine collects concurrent
 // force requests, holds a MaxWait commit window so committers pile up,
 // and satisfies each batch of up to MaxBatch waiters with one device
 // sync. The zero value disables it; with Enabled true, zero MaxWait
 // and MaxBatch mean 200µs and 64.
 type GroupCommit = wal.GroupCommitConfig
 
-// WALConfig shapes the process's write-ahead log layout
-// (Config.WAL). The zero value is a single-stream log, bit-for-bit
-// today's on-disk format.
+// WALConfig shapes the process's write-ahead log (Config.WAL). The
+// zero value is a one-shard log with no group commit.
 type WALConfig struct {
 	// Shards partitions the log into N shard streams keyed by the
 	// appending context's CompID: each shard owns its own files,
 	// append mutex, group-commit flusher and synced watermark, so
 	// appends and forces from different contexts stop serializing on
-	// one mutex and one device file. 0 or 1 keeps the single-stream
-	// log. Restarting an already-sharded log with 0 or 1 keeps its
-	// on-disk layout; any other mismatch reshards in place (old
+	// one mutex and one device file. 0 means one shard for a fresh
+	// log and the layout already on disk for an existing one; any
+	// other value that differs from the disk's reshards in place (old
 	// records stay where they are — recovery reads every era).
 	Shards int
-	// GroupCommit configures each shard's flusher. The zero value
-	// falls back to the legacy top-level Config.GroupCommit, so
-	// existing callers keep working unchanged.
+	// GroupCommit batches concurrent log forces behind a dedicated
+	// flusher goroutine per shard: one device sync per batch of
+	// committers, replacing the direct path's opportunistic
+	// piggybacking with a deliberate commit window. Worth turning on
+	// when many contexts (or external clients) commit concurrently
+	// against one process log; a lone caller only pays the window
+	// latency.
 	GroupCommit GroupCommit
 }
 
@@ -146,17 +149,7 @@ type Config struct {
 	// log; the force happens at the component's own reply, or on a
 	// second call to the same server.
 	MultiCall bool
-	// GroupCommit batches concurrent log forces behind a dedicated
-	// flusher goroutine: one device sync per batch of committers,
-	// replacing the direct path's opportunistic piggybacking with a
-	// deliberate commit window. Worth turning on when many contexts
-	// (or external clients) commit concurrently against one process
-	// log; a lone caller only pays the window latency. WAL.GroupCommit
-	// takes precedence when set.
-	GroupCommit GroupCommit
-	// WAL shapes the log layout: shard count and per-shard group
-	// commit. The zero value is the single-stream log, bit-for-bit
-	// today's format.
+	// WAL shapes the log: shard count and per-shard group commit.
 	WAL WALConfig
 	// Recovery parallelizes crash recovery's Pass 2 by context: a
 	// single reader demultiplexes the log into per-context replay
@@ -239,13 +232,4 @@ func (c Config) retryLimit() int {
 		return c.RetryLimit
 	}
 	return defaultRetryLimit
-}
-
-// effectiveGroupCommit resolves the flusher config: WAL.GroupCommit
-// when enabled, else the legacy top-level GroupCommit.
-func (c Config) effectiveGroupCommit() GroupCommit {
-	if c.WAL.GroupCommit.Enabled {
-		return c.WAL.GroupCommit
-	}
-	return c.GroupCommit
 }

@@ -27,13 +27,7 @@ import (
 // "forced"; the actual force count is runtime state the log does not
 // store, so the summary reports the implied minimum.
 func DumpLog(w io.Writer, dir string) error {
-	var log wal.Writer
-	var err error
-	if wal.IsSharded(dir) {
-		log, err = wal.OpenSet(dir, nil, 0)
-	} else {
-		log, err = wal.Open(dir, nil)
-	}
+	log, err := wal.OpenSet(dir, nil, 0)
 	if err != nil {
 		return err
 	}
@@ -56,7 +50,7 @@ func DumpLog(w io.Writer, dir string) error {
 	for _, path := range []string{strings.TrimSuffix(dir, ".log") + ".wk", dir + ".wk"} {
 		if m, err := wal.LoadWellKnownMarks(path); err == nil {
 			marks = m
-			if k, ok := m[0]; ok && len(m) == 1 {
+			if k, ok := m[shards[0].Stream]; ok && len(shards) == 1 {
 				fmt.Fprintf(w, "well-known checkpoint LSN: %v\n", k)
 			} else {
 				fmt.Fprintf(w, "well-known checkpoint marks:")

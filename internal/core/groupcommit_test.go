@@ -13,7 +13,7 @@ import (
 // tight window so tests never idle on a wall clock.
 func groupCommitConfig() Config {
 	cfg := testConfig()
-	cfg.GroupCommit = GroupCommit{Enabled: true, MaxWait: 100 * time.Microsecond}
+	cfg.WAL.GroupCommit = GroupCommit{Enabled: true, MaxWait: 100 * time.Microsecond}
 	return cfg
 }
 
@@ -94,7 +94,7 @@ func TestGroupCommitExactlyOnceUnderInjection(t *testing.T) {
 					SpecializedTypes: true,
 					RetryInterval:    2 * time.Millisecond,
 					RetryLimit:       2000,
-					GroupCommit:      GroupCommit{Enabled: true, MaxWait: 100 * time.Microsecond},
+					WAL:              WALConfig{GroupCommit: GroupCommit{Enabled: true, MaxWait: 100 * time.Microsecond}},
 				}
 				runExactlyOnceCfg(t, base, pt, false)
 			})

@@ -103,8 +103,7 @@ type Process struct {
 	// began: records past those positions postdate the checkpoint and
 	// are always rescanned, so the per-stream watermark can default to
 	// them. lastMarks is the vector last recorded in the well-known
-	// file — recovery scans from it, so log trimming must keep it
-	// ({0: lsn} on a single-stream log, exactly the legacy protocol).
+	// file — recovery scans from it, so log trimming must keep it.
 	ckptMu          sync.Mutex
 	pendingCkpt     ids.LSN
 	pendingCkptEnd  ids.LSN
@@ -129,17 +128,9 @@ func newProcess(m *Machine, name string, procID ids.ProcID, cfg Config) (*Proces
 		model = m.u.cfg.DiskModel(m.name, name)
 	}
 	logPath := filepath.Join(m.dir, name+".log")
-	// Config.WAL.Shards > 1 asks for a sharded log; an already-sharded
-	// directory stays sharded regardless of config (a restart with the
-	// zero config must keep reading every stream). Everything else is a
-	// plain single-stream Log, bit-for-bit the legacy format.
-	var log wal.Writer
-	var err error
-	if cfg.WAL.Shards > 1 || wal.IsSharded(logPath) {
-		log, err = wal.OpenSet(logPath, model, cfg.WAL.Shards)
-	} else {
-		log, err = wal.Open(logPath, model)
-	}
+	// Every process log is a wal.Set; the zero config is one shard, and
+	// a restart with it keeps whatever layout the directory has.
+	log, err := wal.OpenSet(logPath, model, cfg.WAL.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +145,7 @@ func newProcess(m *Machine, name string, procID ids.ProcID, cfg Config) (*Proces
 	}
 	// The flusher's commit window sleeps on the universe clock, so a
 	// virtual clock drives group commit deterministically in tests.
-	log.StartGroupCommit(cfg.effectiveGroupCommit(), m.u.cfg.Clock)
+	log.StartGroupCommit(cfg.WAL.GroupCommit, m.u.cfg.Clock)
 	p := &Process{
 		u:            m.u,
 		m:            m,
@@ -273,7 +264,7 @@ type ShardLogStat struct {
 }
 
 // ShardLogStats exposes the per-shard log counters in era order. A
-// single-stream log reports one entry; the bench harness uses the
+// one-shard log reports one entry; the bench harness uses the
 // per-shard BusyNanos split to bound partitioned-log throughput.
 func (p *Process) ShardLogStats() []ShardLogStat {
 	shards := p.log.Shards()
@@ -544,16 +535,17 @@ func (p *Process) completeCheckpoint() error {
 
 // wellKnownMarks computes the checkpoint watermark vector the
 // well-known file records: for each stream, a position recovery's
-// pass-1 scan of that stream may start from. A single-stream log gets
-// exactly the legacy protocol — the begin-checkpoint LSN. A sharded
-// log starts each stream at its append position when the checkpoint
+// pass-1 scan of that stream may start from. A log of one stream gets
+// exactly the paper's protocol — the begin-checkpoint LSN, since the
+// checkpoint's own tables summarise everything before it. With more
+// streams each starts at its append position when the checkpoint
 // began (everything later postdates the checkpoint and is rescanned)
-// and lowers it to any restart LSN, reply-content LSN or cross-era
+// and is lowered to any restart LSN, reply-content LSN or cross-era
 // floor that recovery still needs (constrainMarks).
 func (p *Process) wellKnownMarks(begin ids.LSN, ends map[uint32]ids.LSN) map[uint32]ids.LSN {
 	shards := p.log.Shards()
-	if len(shards) == 1 && shards[0].Stream == 0 {
-		return map[uint32]ids.LSN{0: begin}
+	if len(shards) == 1 {
+		return map[uint32]ids.LSN{shards[0].Stream: begin}
 	}
 	marks := make(map[uint32]ids.LSN, len(shards))
 	starts := make(map[uint32]ids.LSN, len(shards))
@@ -695,7 +687,8 @@ func (p *Process) appendRec(t wal.RecordType, key ids.CompID, v any) (ids.LSN, e
 	enc, ok := v.(wal.PayloadEncoder)
 	if !ok {
 		enc = wal.EncodeFunc(func(dst []byte) ([]byte, error) {
-			return appendRecInto(dst, t, v)
+			b, err := encodeRec(v)
+			return append(dst, b...), err
 		})
 	}
 	lsn, err := p.log.AppendInto(uint64(key), t, enc)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/msg"
-	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/wal"
 )
@@ -14,10 +13,12 @@ import (
 // kinds written on the Figure-1 hot paths — incoming, reply-sent,
 // reply-content, outgoing, outgoing-reply — are appended once per
 // message, so their payloads use the hand-rolled binary format of
-// internal/msg instead of gob (a fresh gob stream per record re-emits
-// type descriptors every time). Cold records — creation, context
-// state, checkpoint dumps — stay gob: they are rare, nested, and not
-// worth a hand-maintained schema.
+// internal/msg (a fresh gob stream per record would re-emit type
+// descriptors every time). Cold records — creation, context state,
+// checkpoint dumps — are gob: they are rare, nested, and not worth a
+// hand-maintained schema. A record kind has exactly one format: the
+// hot kinds are the ones that implement wal.PayloadEncoder below, and
+// decodeRec sends those, and only those, through this codec.
 //
 // Format (DESIGN.md Section 10): 0xC3, kind byte (the wal.RecordType,
 // doubling as a schema check against the frame's type), then the
@@ -26,18 +27,13 @@ import (
 // length-prefixed bytes). Embedded Call/Reply bodies use the bare
 // envelope bodies (msg.AppendCall / msg.AppendReply — no 0xC1/0xC2).
 //
-// Traced records (PR 6) are framed 0xC4, kind byte, uvarint TraceID,
-// uvarint SpanID, then the identical 0xC3 tail. The encoder emits 0xC4
-// only for a nonzero record trace, so untraced logs stay bit-for-bit
-// in the PR-5 format; since the bare Call/Reply bodies never carry the
-// trace, the record header is the only durable home of a record's
-// causal identity, and the decoder restores it into both the record's
-// Trace field and its embedded message.
-//
-// 0xC3 and 0xC4 live in the 0x80..0xF7 range no gob stream can start
-// with, so decodeRec falls back to gob on any other first byte and
-// logs written before this codec replay unchanged (the mixed-format
-// recovery test proves it).
+// Traced records are framed 0xC4, kind byte, uvarint TraceID, uvarint
+// SpanID, then the identical 0xC3 tail. The encoder emits 0xC4 only
+// for a nonzero record trace (an untraced record does not pay for two
+// zero bytes); since the bare Call/Reply bodies never carry the trace,
+// the record header is the only durable home of a record's causal
+// identity, and the decoder restores it into both the record's Trace
+// field and its embedded message.
 
 // recBinVer is the version byte opening a binary record payload;
 // recBinVerTraced opens one carrying a causal-trace header.
@@ -46,64 +42,19 @@ const (
 	recBinVerTraced = 0xC4
 )
 
-// legacyRecEncoding is a test hook: when true, appendRecInto writes
-// every record payload in the legacy gob format, so tests can produce
-// old-format logs with the current runtime and prove mixed-format
-// recovery.
-var legacyRecEncoding = false
-
-// recCodecMetrics counts record-payload codec activity on the default
-// registry (the per-process registries track record kinds; the codec
-// split is global).
-var recCodecMetrics = obs.CodecView(obs.Default())
-
-// appendRecInto appends the encoded payload of v (a record struct
-// pointer, as passed to appendRec) for record type t onto dst. Hot
-// record kinds get the binary format; anything else falls back to gob.
-func appendRecInto(dst []byte, t wal.RecordType, v any) ([]byte, error) {
-	if !legacyRecEncoding {
-		switch r := v.(type) {
-		case *incomingRec:
-			dst = appendRecHeader(dst, t, r.Trace)
-			dst = msg.AppendUvarint(dst, uint64(r.Ctx))
-			return msg.AppendCall(dst, &r.Call), nil
-		case *replySentRec:
-			dst = appendRecHeader(dst, t, r.Trace)
-			dst = msg.AppendUvarint(dst, uint64(r.Ctx))
-			return appendCallID(dst, r.CallID), nil
-		case *replyContentRec:
-			dst = appendRecHeader(dst, t, r.Trace)
-			dst = msg.AppendUvarint(dst, uint64(r.Ctx))
-			dst = appendCallID(dst, r.CallID)
-			return msg.AppendReply(dst, &r.Reply), nil
-		case *outgoingRec:
-			dst = appendRecHeader(dst, t, r.Trace)
-			dst = msg.AppendUvarint(dst, uint64(r.Ctx))
-			return msg.AppendCall(dst, &r.Call), nil
-		case *outgoingReplyRec:
-			dst = appendRecHeader(dst, t, r.Trace)
-			dst = msg.AppendUvarint(dst, uint64(r.Ctx))
-			dst = msg.AppendUvarint(dst, r.Seq)
-			return msg.AppendReply(dst, &r.Reply), nil
-		}
-	}
-	b, err := encodeRec(v)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, b...), nil
-}
-
-// appendRecHeader opens a binary record payload: the untraced 0xC3
-// header for a zero trace (keeping untraced logs bit-for-bit PR-5),
-// the 0xC4 header with the trace identity otherwise.
-func appendRecHeader(dst []byte, t wal.RecordType, tr trace.Ref) []byte {
+// appendRecHeader opens a binary record payload — the untraced 0xC3
+// header for a zero trace, the 0xC4 header with the trace identity
+// otherwise — and appends the owning context every hot record leads
+// with.
+func appendRecHeader(dst []byte, t wal.RecordType, tr trace.Ref, ctx ids.CompID) []byte {
 	if tr.IsZero() {
-		return append(dst, recBinVer, byte(t))
+		dst = append(dst, recBinVer, byte(t))
+	} else {
+		dst = append(dst, recBinVerTraced, byte(t))
+		dst = msg.AppendUvarint(dst, tr.Trace)
+		dst = msg.AppendUvarint(dst, tr.Span)
 	}
-	dst = append(dst, recBinVerTraced, byte(t))
-	dst = msg.AppendUvarint(dst, tr.Trace)
-	return msg.AppendUvarint(dst, tr.Span)
+	return msg.AppendUvarint(dst, uint64(ctx))
 }
 
 func appendCallID(dst []byte, id ids.CallID) []byte {
@@ -134,15 +85,23 @@ func consumeCallID(data []byte, id *ids.CallID) ([]byte, error) {
 // consumeRecHeader parses the head every binary record payload shares:
 // version byte, kind byte, the causal trace when the version is 0xC4,
 // then the owning context. body is what follows — the per-kind fields.
+// Any other version byte is an error that names it.
 func consumeRecHeader(data []byte) (kind wal.RecordType, tr trace.Ref, ctx ids.CompID, body []byte, err error) {
+	if len(data) < 2 {
+		return 0, tr, 0, nil, fmt.Errorf("%d-byte payload", len(data))
+	}
 	kind, body = wal.RecordType(data[1]), data[2:]
-	if data[0] == recBinVerTraced {
+	switch data[0] {
+	case recBinVer:
+	case recBinVerTraced:
 		if tr.Trace, body, err = msg.ConsumeUvarint(body); err == nil {
 			tr.Span, body, err = msg.ConsumeUvarint(body)
 		}
 		if err != nil {
 			return 0, tr, 0, nil, fmt.Errorf("trace: %w", err)
 		}
+	default:
+		return 0, tr, 0, nil, fmt.Errorf("unknown record version byte %#x", data[0])
 	}
 	var u uint64
 	u, body, err = msg.ConsumeUvarint(body)
@@ -151,34 +110,21 @@ func consumeRecHeader(data []byte) (kind wal.RecordType, tr trace.Ref, ctx ids.C
 
 // recCtx returns the context a message record belongs to without
 // decoding the message: the index scan of recovery reads every
-// record's owner and only a context's own replay decodes the rest. A
-// gob payload (a hot record from a pre-codec log) is decoded for its
-// Ctx field alone; gob skips the fields the receiver lacks.
+// record's owner and only a context's own replay decodes the rest.
 func recCtx(payload []byte) (ids.CompID, error) {
-	if binaryRec(payload) {
-		_, _, ctx, _, err := consumeRecHeader(payload)
-		if err != nil {
-			return 0, fmt.Errorf("core: decode record owner: %w", err)
-		}
-		return ctx, nil
+	_, _, ctx, _, err := consumeRecHeader(payload)
+	if err != nil {
+		return 0, fmt.Errorf("core: decode record owner: %w", err)
 	}
-	var head struct{ Ctx ids.CompID }
-	err := decodeRec(payload, &head)
-	return head.Ctx, err
-}
-
-// binaryRec reports whether a record payload opens with one of the
-// binary codec's version bytes (anything else is gob).
-func binaryRec(data []byte) bool {
-	return len(data) >= 2 && (data[0] == recBinVer || data[0] == recBinVerTraced)
+	return ctx, nil
 }
 
 // decodeRecBinary decodes a 0xC3 or 0xC4 payload into v, verifying the
 // kind byte matches the record struct the caller expects (the frame
 // type routed the caller here, so a mismatch means a corrupt or
-// mislabeled record, not a version issue). A 0xC4 header's trace is
-// restored into both the record's Trace field and its embedded
-// Call/Reply, whose bare bodies never carry it.
+// mislabeled record). A 0xC4 header's trace is restored into both the
+// record's Trace field and its embedded Call/Reply, whose bare bodies
+// never carry it.
 func decodeRecBinary(data []byte, v any) error {
 	kind, tr, ctx, body, err := consumeRecHeader(data)
 	if err != nil {
@@ -220,7 +166,7 @@ func decodeRecBinary(data []byte, v any) error {
 		}
 		r.Reply.Trace = tr
 	default:
-		return fmt.Errorf("core: decode %T: binary payload for a gob-only record", v)
+		return fmt.Errorf("core: decode %T: not a binary record kind", v)
 	}
 	if err != nil {
 		return fmt.Errorf("core: decode %T: %w", v, err)
@@ -234,44 +180,40 @@ func decodeRecBinary(data []byte, v any) error {
 	return nil
 }
 
-// hotRecord reports whether v is one of the record kinds the binary
-// codec covers (used to classify gob payloads as legacy).
-func hotRecord(v any) bool {
-	switch v.(type) {
-	case *incomingRec, *replySentRec, *replyContentRec, *outgoingRec, *outgoingReplyRec:
-		return true
-	}
-	return false
-}
-
 // The hot record types implement wal.PayloadEncoder directly, so
 // appendRec hands the log an interface value that already exists (the
 // record pointer) instead of wrapping a fresh closure per append —
 // the assertion is what keeps the per-call append path at zero
-// allocations. Each delegates to appendRecInto, so the legacy-format
-// test hook and the gob fallback apply unchanged.
+// allocations.
 
 // AppendPayload implements wal.PayloadEncoder.
 func (r *incomingRec) AppendPayload(dst []byte) ([]byte, error) {
-	return appendRecInto(dst, recIncoming, r)
+	dst = appendRecHeader(dst, recIncoming, r.Trace, r.Ctx)
+	return msg.AppendCall(dst, &r.Call), nil
 }
 
 // AppendPayload implements wal.PayloadEncoder.
 func (r *replySentRec) AppendPayload(dst []byte) ([]byte, error) {
-	return appendRecInto(dst, recReplySent, r)
+	dst = appendRecHeader(dst, recReplySent, r.Trace, r.Ctx)
+	return appendCallID(dst, r.CallID), nil
 }
 
 // AppendPayload implements wal.PayloadEncoder.
 func (r *replyContentRec) AppendPayload(dst []byte) ([]byte, error) {
-	return appendRecInto(dst, recReplyContent, r)
+	dst = appendRecHeader(dst, recReplyContent, r.Trace, r.Ctx)
+	dst = appendCallID(dst, r.CallID)
+	return msg.AppendReply(dst, &r.Reply), nil
 }
 
 // AppendPayload implements wal.PayloadEncoder.
 func (r *outgoingRec) AppendPayload(dst []byte) ([]byte, error) {
-	return appendRecInto(dst, recOutgoing, r)
+	dst = appendRecHeader(dst, recOutgoing, r.Trace, r.Ctx)
+	return msg.AppendCall(dst, &r.Call), nil
 }
 
 // AppendPayload implements wal.PayloadEncoder.
 func (r *outgoingReplyRec) AppendPayload(dst []byte) ([]byte, error) {
-	return appendRecInto(dst, recOutgoingReply, r)
+	dst = appendRecHeader(dst, recOutgoingReply, r.Trace, r.Ctx)
+	dst = msg.AppendUvarint(dst, r.Seq)
+	return msg.AppendReply(dst, &r.Reply), nil
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ids"
@@ -51,16 +53,23 @@ var hotRecCases = []struct {
 		Call: msg.Call{Method: "M", Trace: trace.Ref{Trace: 0x3400000005, Span: 19}}}},
 }
 
+// encodeHot returns a hot record's binary payload.
+func encodeHot(t testing.TB, v any) []byte {
+	t.Helper()
+	bin, err := v.(wal.PayloadEncoder).AppendPayload(nil)
+	if err != nil {
+		t.Fatalf("%T: encode: %v", v, err)
+	}
+	return bin
+}
+
 // TestRecordCodecRoundTrip: every hot record kind must round-trip
-// through the binary payload codec, and the legacy gob payload of the
-// same value must decode to the identical struct (format parity).
+// through the binary payload codec, and a gob payload of the same
+// value is an error naming its first byte — a hot kind has one format.
 func TestRecordCodecRoundTrip(t *testing.T) {
 	for _, tc := range hotRecCases {
 		name := recName(tc.t)
-		bin, err := appendRecInto(nil, tc.t, tc.v)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
-		}
+		bin := encodeHot(t, tc.v)
 		wantVer := byte(recBinVer)
 		if tv, ok := tc.v.(traceable); ok && !tv.traceRef().IsZero() {
 			wantVer = recBinVerTraced
@@ -68,24 +77,24 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		if bin[0] != wantVer || bin[1] != byte(tc.t) {
 			t.Fatalf("%s: header % x, want %#x %#x", name, bin[:2], wantVer, byte(tc.t))
 		}
-		legacy, err := encodeRec(tc.v)
+		got := reflect.New(reflect.TypeOf(tc.v).Elem()).Interface()
+		if err := decodeRec(bin, got); err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if !recEqual(got, tc.v) {
+			t.Errorf("%s: round trip mismatch:\n  got  %+v\n  want %+v", name, got, tc.v)
+		}
+
+		old, err := encodeRec(tc.v)
 		if err != nil {
 			t.Fatalf("%s: gob encode: %v", name, err)
 		}
-
-		fromBin := reflect.New(reflect.TypeOf(tc.v).Elem()).Interface()
-		if err := decodeRec(bin, fromBin); err != nil {
-			t.Fatalf("%s: decode binary: %v", name, err)
+		names := fmt.Sprintf("version byte %#x", old[0])
+		if err := decodeRec(old, got); err == nil || !strings.Contains(err.Error(), names) {
+			t.Errorf("%s: decodeRec(gob payload) = %v, want an error naming %s", name, err, names)
 		}
-		fromGob := reflect.New(reflect.TypeOf(tc.v).Elem()).Interface()
-		if err := decodeRec(legacy, fromGob); err != nil {
-			t.Fatalf("%s: decode legacy: %v", name, err)
-		}
-		if !recEqual(fromBin, tc.v) {
-			t.Errorf("%s: binary round trip mismatch:\n  got  %+v\n  want %+v", name, fromBin, tc.v)
-		}
-		if !recEqual(fromBin, fromGob) {
-			t.Errorf("%s: binary and legacy decodes differ:\n  bin %+v\n  gob %+v", name, fromBin, fromGob)
+		if _, err := recCtx(old); err == nil || !strings.Contains(err.Error(), names) {
+			t.Errorf("%s: recCtx(gob payload) = %v, want an error naming %s", name, err, names)
 		}
 	}
 }
@@ -114,25 +123,15 @@ func recCtxOf(v any) ids.CompID {
 
 // TestRecCtxAgreesWithDecode: the index scan's peek at a record's owner
 // must name the context a full decode finds, for all five hot kinds,
-// traced and untraced, and for the gob payloads of pre-codec logs.
+// traced and untraced.
 func TestRecCtxAgreesWithDecode(t *testing.T) {
 	for _, tc := range hotRecCases {
-		bin, err := appendRecInto(nil, tc.t, tc.v)
+		got, err := recCtx(encodeHot(t, tc.v))
 		if err != nil {
-			t.Fatal(err)
+			t.Errorf("%s: recCtx: %v", recName(tc.t), err)
 		}
-		legacy, err := encodeRec(tc.v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for format, payload := range map[string][]byte{"binary": bin, "gob": legacy} {
-			got, err := recCtx(payload)
-			if err != nil {
-				t.Errorf("%s %s: recCtx: %v", recName(tc.t), format, err)
-			}
-			if want := recCtxOf(tc.v); got != want {
-				t.Errorf("%s %s: recCtx = %d, record belongs to %d", recName(tc.t), format, got, want)
-			}
+		if want := recCtxOf(tc.v); got != want {
+			t.Errorf("%s: recCtx = %d, record belongs to %d", recName(tc.t), got, want)
 		}
 	}
 	for _, bad := range [][]byte{nil, {recBinVer}, {recBinVer, byte(recIncoming)}, {recBinVerTraced, byte(recIncoming), 0x80}} {
@@ -142,19 +141,24 @@ func TestRecCtxAgreesWithDecode(t *testing.T) {
 	}
 }
 
-// FuzzRecCtx: on any binary payload that decodes in full, recCtx
-// succeeds and agrees; on anything else it fails cleanly.
+// FuzzRecCtx: recCtx accepts only payloads that open with a record
+// version byte (the gob seeds must be rejected), and on any payload
+// that decodes in full it succeeds and agrees.
 func FuzzRecCtx(f *testing.F) {
 	for _, tc := range hotRecCases {
-		bin, err := appendRecInto(nil, tc.t, tc.v)
+		f.Add(encodeHot(f, tc.v))
+		old, err := encodeRec(tc.v)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(bin)
+		f.Add(old)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		got, err := recCtx(payload)
-		if !binaryRec(payload) {
+		if err == nil && payload[0] != recBinVer && payload[0] != recBinVerTraced {
+			t.Fatalf("recCtx accepted a payload opening with %#x", payload[0])
+		}
+		if len(payload) < 2 {
 			return
 		}
 		v := hotRecFor(wal.RecordType(payload[1]))
@@ -171,7 +175,7 @@ func FuzzRecCtx(f *testing.F) {
 }
 
 // recEqual is reflect.DeepEqual modulo the nil-versus-empty byte slice
-// distinction, which neither codec preserves.
+// distinction, which the codec does not preserve.
 func recEqual(a, b any) bool {
 	norm := func(v any) any {
 		switch r := v.(type) {
@@ -200,23 +204,16 @@ func recEqual(a, b any) bool {
 // TestRecordCodecKindMismatch: a binary payload whose kind byte does
 // not match the struct the frame type selected must be rejected.
 func TestRecordCodecKindMismatch(t *testing.T) {
-	bin, err := appendRecInto(nil, recIncoming, &incomingRec{Ctx: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var rs replySentRec
-	if err := decodeRec(bin, &rs); err == nil {
+	if err := decodeRec(encodeHot(t, &incomingRec{Ctx: 1}), &rs); err == nil {
 		t.Fatal("incoming payload decoded into replySentRec")
 	}
 }
 
-// TestMixedFormatRecovery: a log whose prefix was written by the
-// legacy gob record codec, whose middle is untraced binary, and whose
-// tail is traced binary must recover exactly — the upgrade scenario
-// for logs that predate the codec and then predate tracing. The
-// pre-trace phases are written by an untraced process, so their bytes
-// are bit-for-bit what PR-5 produced.
-func TestMixedFormatRecovery(t *testing.T) {
+// TestTracedUntracedRecovery: one log whose head was written by an
+// untraced process (0xC3 records) and whose tail by a traced one (0xC4
+// records) must recover exactly, in a process of either kind.
+func TestTracedUntracedRecovery(t *testing.T) {
 	for _, mode := range []LogMode{LogBaseline, LogOptimized} {
 		u := newTestUniverse(t)
 		cfg := testConfig()
@@ -227,138 +224,62 @@ func TestMixedFormatRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := u.ExternalRef(h.URI())
-
-		// Phase 1: records in the legacy gob format (the pre-codec log).
-		legacyRecEncoding = true
-		for i := 0; i < 5; i++ {
-			callInt(t, ref, "Add", 2)
-		}
-		// Phase 2: the binary format, appended to the same log.
-		legacyRecEncoding = false
 		for i := 0; i < 3; i++ {
 			callInt(t, ref, "Add", 3)
 		}
 		p.Crash()
 
-		before := obs.Default().Counter(obs.CodecLegacyDecodes).Load()
-		p2, err := m.StartProcess("srv", cfg)
+		// Restart with a flight recorder: replay of the untraced head,
+		// then new traffic appends traced records behind it.
+		cfgTraced := cfg
+		cfgTraced.Trace = trace.NewRecorder(trace.Options{
+			Name: "mixed", Metrics: obs.NewRegistry()})
+		p2, err := m.StartProcess("srv", cfgTraced)
 		if err != nil {
-			t.Fatalf("%v: restart: %v", mode, err)
+			t.Fatalf("%v: traced restart: %v", mode, err)
 		}
 		if !p2.Recovered() {
 			t.Errorf("%v: restarted process did not recover", mode)
 		}
-		if got := callInt(t, ref, "Get"); got != 19 {
-			t.Errorf("%v: recovered counter = %d, want 19", mode, got)
+		if got := callInt(t, ref, "Add", 5); got != 14 {
+			t.Errorf("%v: traced Add -> %d, want 14", mode, got)
 		}
-		if got := callInt(t, ref, "Add", 1); got != 20 {
-			t.Errorf("%v: post-recovery Add -> %d, want 20", mode, got)
+		if got := callInt(t, ref, "Add", 5); got != 19 {
+			t.Errorf("%v: traced Add -> %d, want 19", mode, got)
 		}
-		if after := obs.Default().Counter(obs.CodecLegacyDecodes).Load(); after <= before {
-			t.Errorf("%v: recovery of a mixed log did not count any legacy decodes", mode)
-		}
-
-		// Phase 3: crash again and restart with a flight recorder — the
-		// tracing upgrade on the same log. Replay of the pre-trace
-		// prefix is unchanged; new traffic appends 0xC4-framed traced
-		// records alongside it.
 		p2.Crash()
-		cfgTraced := cfg
-		cfgTraced.Trace = trace.NewRecorder(trace.Options{
-			Name: "mixed", Metrics: obs.NewRegistry()})
-		p3, err := m.StartProcess("srv", cfgTraced)
-		if err != nil {
-			t.Fatalf("%v: traced restart: %v", mode, err)
-		}
-		if got := callInt(t, ref, "Add", 5); got != 25 {
-			t.Errorf("%v: traced Add -> %d, want 25", mode, got)
-		}
-		if got := callInt(t, ref, "Add", 5); got != 30 {
-			t.Errorf("%v: traced Add -> %d, want 30", mode, got)
-		}
-		p3.Crash()
 
-		// Final restart replays all three formats from one log — gob,
-		// untraced binary, traced binary — back in an untraced process.
-		before = obs.Default().Counter(obs.CodecLegacyDecodes).Load()
-		p4, err := m.StartProcess("srv", cfg)
+		// Back in an untraced process, both layouts replay from one log.
+		p3, err := m.StartProcess("srv", cfg)
 		if err != nil {
 			t.Fatalf("%v: final restart: %v", mode, err)
 		}
-		if got := callInt(t, ref, "Get"); got != 30 {
-			t.Errorf("%v: counter after three-format recovery = %d, want 30", mode, got)
+		if got := callInt(t, ref, "Get"); got != 19 {
+			t.Errorf("%v: counter after two-layout recovery = %d, want 19", mode, got)
 		}
-		if after := obs.Default().Counter(obs.CodecLegacyDecodes).Load(); after <= before {
-			t.Errorf("%v: three-format recovery did not count any legacy decodes", mode)
+		if err := p3.Close(); err != nil {
+			t.Fatal(err)
 		}
-		p4.Close()
 
-		// The closed log must actually hold traced frames (the phase-3
-		// tail) next to the legacy ones just replayed.
-		log, err := wal.Open(p4.LogDir(), nil)
+		// The closed log must actually hold both layouts.
+		vers := map[byte]int{}
+		log, err := wal.OpenSet(p3.LogDir(), nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		traced := 0
-		if err := log.Scan(ids.NilLSN, func(rec wal.Record) error {
-			if len(rec.Payload) > 0 && rec.Payload[0] == recBinVerTraced {
-				traced++
+		for _, sh := range log.Shards() {
+			if err := sh.Log.Scan(ids.NilLSN, func(rec wal.Record) error {
+				if len(rec.Payload) > 0 {
+					vers[rec.Payload[0]]++
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
 		}
 		log.Close()
-		if traced == 0 {
-			t.Errorf("%v: no traced (0x%x) records in the mixed log", mode, recBinVerTraced)
+		if vers[recBinVer] == 0 || vers[recBinVerTraced] == 0 {
+			t.Errorf("%v: log holds %d untraced and %d traced records, want both", mode, vers[recBinVer], vers[recBinVerTraced])
 		}
-	}
-}
-
-// TestMixedFormatRecoveryCrossProcess runs the upgrade scenario across
-// two processes, so outgoing-call and outgoing-reply records (messages
-// 3-4) cross the format boundary too, then crashes the CLIENT — replay
-// must consume legacy and binary outgoing-reply records alike.
-func TestMixedFormatRecoveryCrossProcess(t *testing.T) {
-	for _, mode := range []LogMode{LogBaseline, LogOptimized} {
-		u := newTestUniverse(t)
-		cfg := testConfig()
-		cfg.LogMode = mode
-		_, ps := startProc(t, u, "evo2", "srv", cfg)
-		mc, pc := startProc(t, u, "evo1", "cli", cfg)
-		hs, err := ps.Create("Server", &Counter{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hb, err := pc.Create("Batcher", &AllocBatcher{Server: NewRef(hs.URI())})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := u.ExternalRef(hb.URI())
-
-		// Counter.Add returns the running total, so the batcher's sum
-		// after n calls is 1+2+…+n of the server's counter values.
-		legacyRecEncoding = true
-		if got := callInt(t, ref, "RunBatch", 4); got != 10 {
-			t.Fatalf("%v: legacy batch sum = %d, want 10", mode, got)
-		}
-		legacyRecEncoding = false
-		if got := callInt(t, ref, "RunBatch", 3); got != 28 {
-			t.Fatalf("%v: binary batch sum = %d, want 28", mode, got)
-		}
-		pc.Crash()
-
-		pc2, err := mc.StartProcess("cli", cfg)
-		if err != nil {
-			t.Fatalf("%v: restart: %v", mode, err)
-		}
-		if !pc2.Recovered() {
-			t.Errorf("%v: restarted client did not recover", mode)
-		}
-		if got := callInt(t, ref, "RunBatch", 1); got != 36 {
-			t.Errorf("%v: post-recovery batch sum = %d, want 36", mode, got)
-		}
-		pc2.Close()
-		ps.Close()
 	}
 }

@@ -111,10 +111,9 @@ func (p *Process) restore() (*restorePlan, error) {
 		return nil, nil // registered before, but nothing was ever logged
 	}
 
-	// The well-known file is a per-stream watermark vector (a single
-	// LSN on legacy logs, loaded as the stream-0 mark); each shard scans
-	// from its mark, or from its own start when the vector predates the
-	// shard's era.
+	// The well-known file is a per-stream watermark vector; each shard
+	// scans from its mark, or from its own start when the vector
+	// predates the shard's era.
 	marks, err := wal.LoadWellKnownMarks(p.wkPath)
 	if err != nil && !errors.Is(err, wal.ErrNoWellKnown) {
 		return nil, err

@@ -9,8 +9,6 @@ import (
 	"sort"
 	"testing"
 	"time"
-
-	"repro/internal/wal"
 )
 
 // This file pins the recovery contract in one table: whatever the
@@ -309,9 +307,7 @@ func equivScenarios() []equivScenario {
 		shards: []int{1, 4, 8},
 		build: func(t *testing.T, shards int) equivImage {
 			dir, counters, relays := shardWorkload(t, shards)
-			if sharded := wal.IsSharded(filepath.Join(dir, "evo1", "srv.log")); sharded != (shards > 1) {
-				t.Fatalf("IsSharded reports %v for a %d-shard log", sharded, shards)
-			}
+			assertSetOnDisk(t, filepath.Join(dir, "evo1", "srv.log"), shards)
 			// Late restart LSNs: the workers reach these last.
 			return equivImage{dir: dir, counters: counters, relays: relays,
 				touch: []string{"C5", "C4"}, cfg: testConfig()}
@@ -333,8 +329,8 @@ func equivScenarios() []equivScenario {
 	}
 	var wantC0 int // C0's value across both eras of the mixed-era log
 	scs = append(scs, equivScenario{
-		// A legacy single-stream era (with gob-framed records) followed
-		// by a 4-shard era: per-context replay must cross the era
+		// A one-shard era followed by a 4-shard era, restarted with the
+		// zero config again: per-context replay must cross the era
 		// barrier in order even when contexts replay independently.
 		name:   "mixed-era",
 		shards: []int{4},

@@ -2,10 +2,9 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/wal"
 )
 
 // The crashed logs the recovery suites share: the standard workload on
@@ -64,11 +63,25 @@ func shardWorkload(t *testing.T, shards int) (dir string, counters, relays []str
 	return dir, counters, relays
 }
 
-// mixedEraWorkload builds a crashed log spanning two eras — a legacy
-// single-stream era (including some gob-framed records) written before
-// sharding existed, then a 4-shard era appended after an upgrade
-// restart — and returns the universe dir, the component names, and the
-// expected recovered value of C0 (spanning both eras).
+// assertSetOnDisk checks the layout every process log has: an era file
+// and one shard-NNN directory per stream, no segment files beside them.
+func assertSetOnDisk(t *testing.T, logDir string, streams int) {
+	t.Helper()
+	if _, err := os.Stat(filepath.Join(logDir, "shards.meta")); err != nil {
+		t.Fatalf("process log has no era file: %v", err)
+	}
+	dirs, _ := filepath.Glob(filepath.Join(logDir, "shard-*"))
+	segs, _ := filepath.Glob(filepath.Join(logDir, "*.seg"))
+	if len(dirs) != streams || len(segs) != 0 {
+		t.Fatalf("%s holds %d shard directories and %d root segments, want %d and 0",
+			logDir, len(dirs), len(segs), streams)
+	}
+}
+
+// mixedEraWorkload builds a crashed log spanning two eras — written by
+// a zero-config process (one shard), then resharded to 4 by a restart
+// that kept working — and returns the universe dir, the component
+// names, and the expected recovered value of C0 (spanning both eras).
 func mixedEraWorkload(t *testing.T) (dir string, counters, relays []string, wantC0 int) {
 	t.Helper()
 	dir = t.TempDir()
@@ -80,7 +93,7 @@ func mixedEraWorkload(t *testing.T) (dir string, counters, relays []string, want
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := m.StartProcess("srv", testConfig()) // era 0: single stream
+	p, err := m.StartProcess("srv", testConfig()) // era 0: one shard
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,19 +107,12 @@ func mixedEraWorkload(t *testing.T) (dir string, counters, relays []string, want
 		ref := u.ExternalRef(h.URI())
 		callInt(t, ref, "Add", i+1)
 	}
-	// A stretch of legacy gob-framed records inside the legacy era:
-	// the upgrade must not care how old frames were encoded.
-	legacyRecEncoding = true
-	for i, name := range counters {
-		h, _ := p.Lookup(name)
-		callInt(t, u.ExternalRef(h.URI()), "Add", 10+i)
-	}
-	legacyRecEncoding = false
 	p.Crash()
 	u.Shutdown()
+	assertSetOnDisk(t, filepath.Join(dir, "evo1", "srv.log"), 1)
 
-	// Upgrade restart: same directory, now asking for 4 shards. This
-	// recovers the legacy era and appends a sharded era for new work.
+	// Reshard restart: same directory, now asking for 4 shards. This
+	// recovers era 0 and appends a 4-shard era for new work.
 	u2, err := NewUniverse(UniverseConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -119,19 +125,19 @@ func mixedEraWorkload(t *testing.T) (dir string, counters, relays []string, want
 	cfg.WAL = WALConfig{Shards: 4}
 	p2, err := m2.StartProcess("srv", cfg)
 	if err != nil {
-		t.Fatalf("upgrade restart: %v", err)
+		t.Fatalf("reshard restart: %v", err)
 	}
 	if !p2.Recovered() {
-		t.Fatal("upgrade restart did not recover the legacy era")
+		t.Fatal("reshard restart did not recover era 0")
 	}
-	if !wal.IsSharded(filepath.Join(dir, "evo1", "srv.log")) {
-		t.Fatal("upgrade restart left the log unsharded")
+	if got := len(p2.log.Shards()); got != 5 {
+		t.Fatalf("resharded log has %d streams, want 5 (1 + 4)", got)
 	}
 	refs := make(map[string]*Ref)
 	for _, name := range counters {
 		h, ok := p2.Lookup(name)
 		if !ok {
-			t.Fatalf("counter %s lost across the upgrade", name)
+			t.Fatalf("counter %s lost across the reshard", name)
 		}
 		refs[name] = u2.ExternalRef(h.URI())
 	}
@@ -156,8 +162,8 @@ func mixedEraWorkload(t *testing.T) (dir string, counters, relays []string, want
 	p2.Crash()
 	u2.Shutdown()
 
-	// C0's expected value spans both eras: its two legacy-era Adds, six
-	// sharded-era Adds, and six relayed Forwards.
-	wantC0 = (1 + 10) + (100 + 200 + 300 + 400 + 500 + 600) + 6*7
+	// C0's expected value spans both eras: its era-0 Add, six era-1
+	// Adds, and six relayed Forwards.
+	wantC0 = 1 + (100 + 200 + 300 + 400 + 500 + 600) + 6*7
 	return dir, counters, relays, wantC0
 }

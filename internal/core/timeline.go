@@ -130,13 +130,7 @@ func TraceTimelines(logs, dumps []string) ([]Timeline, error) {
 // scanTraceRecords appends a record event for every trace-carrying hot
 // record in the log at path.
 func scanTraceRecords(path string, byTrace map[uint64][]TimelineEvent) error {
-	var log wal.Writer
-	var err error
-	if wal.IsSharded(path) {
-		log, err = wal.OpenSet(path, nil, 0)
-	} else {
-		log, err = wal.Open(path, nil)
-	}
+	log, err := wal.OpenSet(path, nil, 0)
 	if err != nil {
 		return err
 	}

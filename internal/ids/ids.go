@@ -23,9 +23,9 @@ import (
 // stream.
 //
 // Sharded logs (internal/wal.Set) qualify LSNs with a stream tag in
-// the top byte: stream 0 is the legacy single-log stream, whose LSNs
-// are plain byte offsets and encode bit-for-bit as before. Stream
-// tags are assigned monotonically across reshard eras, so comparing
+// the top byte. A Set's streams are tagged from 1; stream 0 is the tag
+// of a bare wal.Log, whose LSNs are therefore plain byte offsets.
+// Stream tags are assigned monotonically across reshard eras, so comparing
 // two raw LSNs orders them first by era (temporal order) and then by
 // offset within a stream — which is exactly the order recovery and
 // the checkpoint watermark rely on.
@@ -48,15 +48,15 @@ const (
 // IsNil reports whether the LSN is the reserved "absent" value.
 func (l LSN) IsNil() bool { return l == NilLSN }
 
-// Stream returns the log stream the LSN belongs to. Stream 0 is the
-// legacy single-log stream.
+// Stream returns the log stream the LSN belongs to. Stream 0 is a
+// bare wal.Log.
 func (l LSN) Stream() uint32 { return uint32(l >> lsnStreamShift) }
 
 // Offset returns the byte offset of the LSN within its stream.
 func (l LSN) Offset() LSN { return l & lsnOffsetMask }
 
 // StreamLSN builds a stream-qualified LSN from a stream tag and a byte
-// offset. StreamLSN(0, off) == off: legacy LSNs are stream 0.
+// offset. StreamLSN(0, off) == off: a bare wal.Log's LSNs.
 func StreamLSN(stream uint32, off LSN) LSN {
 	return LSN(stream)<<lsnStreamShift | off&lsnOffsetMask
 }

@@ -20,7 +20,6 @@ type ForcesiteConfig struct {
 var defaultForcesiteGuarded = []string{
 	"(*repro/internal/wal.Log).Append",
 	"(*repro/internal/wal.Log).AppendInto",
-	"(*repro/internal/wal.Log).Force",
 	"(*repro/internal/wal.Log).ForceTo",
 	"(*repro/internal/wal.Log).SyncTo",
 	"(*repro/internal/wal.Log).SyncAll",
@@ -37,14 +36,6 @@ var defaultForcesiteGuarded = []string{
 	"(repro/internal/wal.Writer).SyncTo",
 	"(repro/internal/wal.Writer).SyncAll",
 }
-
-// deprecatedForce is the bare whole-log force. It keeps working for
-// compatibility, but production code must name its watermark
-// (ForceTo/SyncTo) or sync every shard deliberately (SyncAll): on a
-// sharded log "force everything" hides which stream the caller
-// actually needed durable. Calls outside _test.go files are reported
-// even from blessed functions.
-const deprecatedForce = "(*repro/internal/wal.Log).Force"
 
 // NewForcesite returns the forcesite analyzer: the wal append/force
 // entry points may only be called from the blessed functions listed
@@ -84,9 +75,7 @@ func NewForcesite(cfg ForcesiteConfig, allow *Allowlist) *Analyzer {
 				return nil
 			}
 			WalkFuncs(pass, func(decl *ast.FuncDecl, fname string) {
-				inTest := strings.HasSuffix(pass.Fset.Position(decl.Pos()).Filename, "_test.go")
-				isBlessed := allow.Allowed("forcesite", fname)
-				if isBlessed && inTest {
+				if allow.Allowed("forcesite", fname) {
 					return
 				}
 				ast.Inspect(decl, func(n ast.Node) bool {
@@ -94,14 +83,7 @@ func NewForcesite(cfg ForcesiteConfig, allow *Allowlist) *Analyzer {
 					if !ok {
 						return true
 					}
-					callee := CalleeString(pass.Info, call)
-					if callee == deprecatedForce && !inTest {
-						pass.ReportfFn(call.Pos(), fname,
-							"%s is deprecated outside tests: name the watermark with ForceTo/SyncTo or sync every shard with SyncAll",
-							callee)
-						return true
-					}
-					if !isBlessed && guarded[callee] {
+					if callee := CalleeString(pass.Info, call); guarded[callee] {
 						pass.ReportfFn(call.Pos(), fname,
 							"%s called from %s, which is not a blessed force/append site; %s",
 							callee, fname, route)

@@ -8,12 +8,12 @@ import (
 )
 
 // blessedAppend is the fixture's accounting chokepoint (allowlisted).
-// Blessing does not excuse the deprecated bare force.
 func blessedAppend(l *wal.Log, payload []byte) error {
-	if _, err := l.Append(1, payload); err != nil {
+	lsn, err := l.Append(1, payload)
+	if err != nil {
 		return err
 	}
-	return l.Force() // want `\Q(*repro/internal/wal.Log).Force\E is deprecated outside tests`
+	return l.ForceTo(lsn)
 }
 
 func rogueAppend(l *wal.Log, payload []byte) {
@@ -21,9 +21,6 @@ func rogueAppend(l *wal.Log, payload []byte) {
 }
 
 func rogueForces(l *wal.Log) error {
-	if err := l.Force(); err != nil { // want `\Q(*repro/internal/wal.Log).Force\E is deprecated outside tests`
-		return err
-	}
 	if err := l.ForceTo(7); err != nil { // want `\Q(*repro/internal/wal.Log).ForceTo\E called from`
 		return err
 	}

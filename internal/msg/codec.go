@@ -1,13 +1,12 @@
 // Binary envelope codec for Call and Reply.
 //
-// The gob envelope this replaces re-emits its type descriptors on every
-// message (each message is a fresh gob stream, so nothing amortizes)
-// and walks both structs reflectively; that cost shows up on all four
-// Figure-1 message paths. The envelope fields are a fixed, closed set,
-// so they are encoded by hand: varints for integers, length-prefixed
-// raw bytes for strings and byte slices, one flag byte for the bools.
-// Only the user argument/result values inside Args and Results remain
-// gob (see EncodeValues) — their types are open.
+// The envelope fields are a fixed, closed set, so they are encoded by
+// hand: varints for integers, length-prefixed raw bytes for strings and
+// byte slices, one flag byte for the bools (a gob envelope would
+// re-emit its type descriptors on every message and walk both structs
+// reflectively, on all four Figure-1 message paths). Only the user
+// argument/result values inside Args and Results are gob (see
+// EncodeValues) — their types are open.
 //
 // Format (DESIGN.md Section 10). All integers are unsigned varints
 // (encoding/binary uvarint); "bytes" means uvarint length + raw bytes.
@@ -19,11 +18,10 @@
 //	Traced Call  = 0xC6 TraceID SpanID body
 //	Traced Reply = 0xC7 TraceID SpanID body
 //
-// The traced envelopes (PR 6) prepend the causal-trace identity as two
-// uvarints before the unchanged bare body. Encoders emit them only for
-// a nonzero Trace, so untraced output stays bit-for-bit identical to
-// the 0xC1/0xC2 format and pre-trace peers keep decoding their own
-// streams.
+// The traced envelopes prepend the causal-trace identity as two
+// uvarints before the same bare body. Encoders emit them only for a
+// nonzero Trace: an untraced message does not pay for two zero bytes
+// (DESIGN.md Section 10 has the measurement).
 //
 //	Call body:  Machine bytes, Proc, Comp, Seq, Target bytes,
 //	            Method bytes, Args bytes, NumArgs, CallerType byte,
@@ -34,26 +32,21 @@
 //	            (bit0 HasAttachment, bit1 MethodReadOnly),
 //	            ServerType byte
 //
-// The version bytes live in 0x80..0xF7, a range no gob stream can
-// start with (gob streams open with a uvarint byte count: either a
-// small literal < 0x80 or a negated length marker 0xF8..0xFF), so
-// DecodeCall/DecodeReply fall back to gob on any other first byte and
-// old peers and old logs keep decoding.
+// The version byte is the format: DecodeCall/DecodeReply reject any
+// other first byte with an error that names it.
 package msg
 
 import "errors"
 
 const (
-	// verCall and verReply are the envelope version bytes. They must
-	// stay within 0x80..0xF7 (see package comment) so gob fallback
-	// detection stays sound. 0xC3 (hot log records), 0xC4 (traced log
-	// records) and 0xC5 (serialized component state) are taken by
-	// internal/core and internal/serial.
+	// verCall and verReply are the envelope version bytes. 0xC3 (hot
+	// log records), 0xC4 (traced log records) and 0xC5 (serialized
+	// component state) are taken by internal/core and internal/serial.
 	verCall  = 0xC1
 	verReply = 0xC2
 	// verCallTraced and verReplyTraced frame envelopes that carry a
 	// causal-trace identity (uvarint TraceID + SpanID before the bare
-	// body). Same 0x80..0xF7 constraint.
+	// body).
 	verCallTraced  = 0xC6
 	verReplyTraced = 0xC7
 )

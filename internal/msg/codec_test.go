@@ -2,7 +2,6 @@ package msg
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"repro/internal/ids"
@@ -34,11 +33,9 @@ var codecReplies = []Reply{
 	},
 }
 
-// TestCallCodecGobParity: the binary envelope and the legacy gob
-// envelope must decode to identical structs, and DecodeCall must
-// accept both formats (the version-byte fallback that keeps old logs
-// and mixed-version peers working).
-func TestCallCodecGobParity(t *testing.T) {
+// TestCodecTableRoundTrip: the edge-case table (zero values, multi-byte
+// varint lengths, every flag set) round-trips under its version byte.
+func TestCodecTableRoundTrip(t *testing.T) {
 	for i, want := range codecCalls {
 		bin, err := EncodeCall(&want)
 		if err != nil {
@@ -47,32 +44,15 @@ func TestCallCodecGobParity(t *testing.T) {
 		if bin[0] != verCall {
 			t.Fatalf("call %d: version byte %#x, want %#x", i, bin[0], verCall)
 		}
-		legacy, err := encodeCallGob(&want)
+		got, err := DecodeCall(bin)
 		if err != nil {
-			t.Fatalf("call %d: gob encode: %v", i, err)
+			t.Fatalf("call %d: decode: %v", i, err)
 		}
-		if legacy[0] >= 0x80 && legacy[0] <= 0xf7 {
-			t.Fatalf("call %d: gob stream starts with %#x, collides with version-byte space", i, legacy[0])
-		}
-		fromBin, err := DecodeCall(bin)
-		if err != nil {
-			t.Fatalf("call %d: decode binary: %v", i, err)
-		}
-		fromGob, err := DecodeCall(legacy)
-		if err != nil {
-			t.Fatalf("call %d: decode legacy: %v", i, err)
-		}
-		if !reflect.DeepEqual(fromBin, fromGob) {
-			t.Errorf("call %d: binary and legacy decodes differ:\n  bin %+v\n  gob %+v", i, fromBin, fromGob)
-		}
-		if !callEqual(fromBin, &want) {
-			t.Errorf("call %d: round trip mismatch:\n  got  %+v\n  want %+v", i, fromBin, want)
+		if !callEqual(got, &want) {
+			t.Errorf("call %d: round trip mismatch:\n  got  %+v\n  want %+v", i, got, want)
 		}
 		FreeBuf(bin)
 	}
-}
-
-func TestReplyCodecGobParity(t *testing.T) {
 	for i, want := range codecReplies {
 		bin, err := EncodeReply(&want)
 		if err != nil {
@@ -81,29 +61,18 @@ func TestReplyCodecGobParity(t *testing.T) {
 		if bin[0] != verReply {
 			t.Fatalf("reply %d: version byte %#x, want %#x", i, bin[0], verReply)
 		}
-		legacy, err := encodeReplyGob(&want)
+		got, err := DecodeReply(bin)
 		if err != nil {
-			t.Fatalf("reply %d: gob encode: %v", i, err)
+			t.Fatalf("reply %d: decode: %v", i, err)
 		}
-		fromBin, err := DecodeReply(bin)
-		if err != nil {
-			t.Fatalf("reply %d: decode binary: %v", i, err)
-		}
-		fromGob, err := DecodeReply(legacy)
-		if err != nil {
-			t.Fatalf("reply %d: decode legacy: %v", i, err)
-		}
-		if !reflect.DeepEqual(fromBin, fromGob) {
-			t.Errorf("reply %d: binary and legacy decodes differ:\n  bin %+v\n  gob %+v", i, fromBin, fromGob)
-		}
-		if !replyEqual(fromBin, &want) {
-			t.Errorf("reply %d: round trip mismatch:\n  got  %+v\n  want %+v", i, fromBin, want)
+		if !replyEqual(got, &want) {
+			t.Errorf("reply %d: round trip mismatch:\n  got  %+v\n  want %+v", i, got, want)
 		}
 	}
 }
 
-// callEqual compares treating nil and empty byte slices as equal (gob
-// and the binary codec both collapse the distinction).
+// callEqual compares treating nil and empty byte slices as equal (the
+// codec collapses the distinction).
 func callEqual(a, b *Call) bool {
 	return a.ID == b.ID && a.Target == b.Target && a.Method == b.Method &&
 		bytes.Equal(a.Args, b.Args) && a.NumArgs == b.NumArgs &&
@@ -171,60 +140,4 @@ func TestDecodeTrailing(t *testing.T) {
 	if _, err := DecodeCall(append(data, 0x00)); err == nil {
 		t.Fatal("decode with trailing byte succeeded")
 	}
-}
-
-// FuzzCallCodecParity builds a Call from fuzzed fields and checks the
-// binary round trip preserves exactly what a gob round trip preserves.
-func FuzzCallCodecParity(f *testing.F) {
-	f.Add("m", uint32(1), uint32(2), uint64(3), "t", "M", []byte{1}, 1, byte(1), "u", true, false)
-	f.Add("", uint32(0), uint32(0), uint64(0), "", "", []byte(nil), 0, byte(0), "", false, false)
-	f.Fuzz(func(t *testing.T, machine string, proc, comp uint32, seq uint64,
-		target, method string, args []byte, numArgs int, ctype byte, uri string, ro, ks bool) {
-		in := &Call{
-			ID:     ids.CallID{Caller: ids.ComponentAddr{Machine: machine, Proc: ids.ProcID(proc), Comp: ids.CompID(comp)}, Seq: seq},
-			Target: ids.URI(target), Method: method, Args: args, NumArgs: numArgs,
-			CallerType: ComponentType(ctype), CallerURI: ids.URI(uri),
-			ReadOnly: ro, KnowsServer: ks,
-		}
-		if numArgs < 0 {
-			return // int field is uvarint on the wire; negative counts never occur
-		}
-		bin, err := EncodeCall(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeCall(bin)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if !callEqual(got, in) {
-			t.Fatalf("round trip mismatch:\n  got  %+v\n  want %+v", got, in)
-		}
-	})
-}
-
-func FuzzReplyCodecParity(f *testing.F) {
-	f.Add("m", uint64(3), []byte{1}, 1, "e", "f", true, byte(1), false)
-	f.Fuzz(func(t *testing.T, machine string, seq uint64, results []byte,
-		numResults int, appErr, fault string, att bool, stype byte, mro bool) {
-		if numResults < 0 {
-			return
-		}
-		in := &Reply{
-			ID:      ids.CallID{Caller: ids.ComponentAddr{Machine: machine}, Seq: seq},
-			Results: results, NumResults: numResults, AppErr: appErr, Fault: fault,
-			HasAttachment: att, ServerType: ComponentType(stype), MethodReadOnly: mro,
-		}
-		bin, err := EncodeReply(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeReply(bin)
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if !replyEqual(got, in) {
-			t.Fatalf("round trip mismatch:\n  got  %+v\n  want %+v", got, in)
-		}
-	})
 }

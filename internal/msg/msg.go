@@ -152,36 +152,45 @@ func EncodeCall(c *Call) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeCall deserializes a Call from the transport. A 0xC1 first byte
-// selects the binary envelope, 0xC6 the traced one; anything else is
-// an old-format gob stream (gob streams cannot start with 0x80..0xF7)
-// and falls back to the legacy decoder, so mixed-version peers and old
-// logs keep working.
+// DecodeCall deserializes a Call from the transport: 0xC1 opens the
+// binary envelope, 0xC6 the traced one. Any other first byte is a
+// decode error that names it — there is no second format to try.
 func DecodeCall(data []byte) (*Call, error) {
 	codecMetrics.BytesIn.Add(int64(len(data)))
-	if len(data) > 0 && (data[0] == verCall || data[0] == verCallTraced) {
-		var c Call
-		body := data[1:]
-		if data[0] == verCallTraced {
-			var err error
-			if c.Trace.Trace, body, err = ConsumeUvarint(body); err != nil {
-				return nil, fmt.Errorf("msg: decode call trace: %w", err)
-			}
-			if c.Trace.Span, body, err = ConsumeUvarint(body); err != nil {
-				return nil, fmt.Errorf("msg: decode call trace: %w", err)
-			}
-		}
-		rest, err := ConsumeCall(body, &c)
-		if err != nil {
-			return nil, fmt.Errorf("msg: decode call: %w", err)
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("msg: decode call: %d trailing bytes", len(rest))
-		}
-		return &c, nil
+	var c Call
+	body, err := consumeEnvelope(data, verCall, verCallTraced, &c.Trace)
+	if err == nil {
+		body, err = ConsumeCall(body, &c)
 	}
-	codecMetrics.LegacyDecodes.Inc()
-	return decodeCallGob(data)
+	if err != nil {
+		return nil, fmt.Errorf("msg: decode call: %w", err)
+	}
+	if len(body) != 0 {
+		return nil, fmt.Errorf("msg: decode call: %d trailing bytes", len(body))
+	}
+	return &c, nil
+}
+
+// consumeEnvelope strips an envelope's version byte — plain, or traced
+// with the causal identity behind it, which lands in tr — and returns
+// the bare body.
+func consumeEnvelope(data []byte, plain, traced byte, tr *trace.Ref) (body []byte, err error) {
+	if len(data) == 0 {
+		return nil, errShort
+	}
+	switch data[0] {
+	case plain:
+		return data[1:], nil
+	case traced:
+		if tr.Trace, body, err = ConsumeUvarint(data[1:]); err == nil {
+			tr.Span, body, err = ConsumeUvarint(body)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("trace: %w", err)
+		}
+		return body, nil
+	}
+	return nil, fmt.Errorf("unknown envelope version byte %#x", data[0])
 }
 
 // EncodeReply serializes a Reply for the transport. Unlike EncodeCall
@@ -202,65 +211,20 @@ func EncodeReply(r *Reply) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeReply deserializes a Reply from the transport, with the same
-// traced-envelope dispatch and gob fallback as DecodeCall.
+// DecodeReply deserializes a Reply from the transport: 0xC2, or 0xC7
+// traced, with the same single-format rule as DecodeCall.
 func DecodeReply(data []byte) (*Reply, error) {
 	codecMetrics.BytesIn.Add(int64(len(data)))
-	if len(data) > 0 && (data[0] == verReply || data[0] == verReplyTraced) {
-		var r Reply
-		body := data[1:]
-		if data[0] == verReplyTraced {
-			var err error
-			if r.Trace.Trace, body, err = ConsumeUvarint(body); err != nil {
-				return nil, fmt.Errorf("msg: decode reply trace: %w", err)
-			}
-			if r.Trace.Span, body, err = ConsumeUvarint(body); err != nil {
-				return nil, fmt.Errorf("msg: decode reply trace: %w", err)
-			}
-		}
-		rest, err := ConsumeReply(body, &r)
-		if err != nil {
-			return nil, fmt.Errorf("msg: decode reply: %w", err)
-		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("msg: decode reply: %d trailing bytes", len(rest))
-		}
-		return &r, nil
-	}
-	codecMetrics.LegacyDecodes.Inc()
-	return decodeReplyGob(data)
-}
-
-// encodeCallGob is the pre-binary-codec envelope encoder. It survives
-// for the fallback parity tests and for writing legacy-format fixtures.
-func encodeCallGob(c *Call) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		return nil, fmt.Errorf("msg: encode call: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeCallGob(data []byte) (*Call, error) {
-	var c Call
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&c); err != nil {
-		return nil, fmt.Errorf("msg: decode call: %w", err)
-	}
-	return &c, nil
-}
-
-func encodeReplyGob(r *Reply) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		return nil, fmt.Errorf("msg: encode reply: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeReplyGob(data []byte) (*Reply, error) {
 	var r Reply
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&r); err != nil {
+	body, err := consumeEnvelope(data, verReply, verReplyTraced, &r.Trace)
+	if err == nil {
+		body, err = ConsumeReply(body, &r)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("msg: decode reply: %w", err)
+	}
+	if len(body) != 0 {
+		return nil, fmt.Errorf("msg: decode reply: %d trailing bytes", len(body))
 	}
 	return &r, nil
 }

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -85,12 +86,18 @@ func TestReplyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeGarbage: a first byte that is not an envelope version byte
+// — a gob stream included — is an error naming the byte.
 func TestDecodeGarbage(t *testing.T) {
 	if _, err := DecodeCall([]byte("not gob")); err == nil {
 		t.Error("DecodeCall accepted garbage")
 	}
-	if _, err := DecodeReply([]byte{0xde, 0xad}); err == nil {
-		t.Error("DecodeReply accepted garbage")
+	if _, err := DecodeReply([]byte{0xde, 0xad}); err == nil || !strings.Contains(err.Error(), "0xde") {
+		t.Errorf("DecodeReply(0xde 0xad) = %v, want an error naming the byte", err)
+	}
+	old := gobOf(&Call{Method: "M"})
+	if _, err := DecodeCall(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%#x", old[0])) {
+		t.Errorf("DecodeCall(gob stream) = %v, want an error naming byte %#x", err, old[0])
 	}
 }
 

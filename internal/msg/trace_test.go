@@ -72,10 +72,9 @@ func TestTracedReplyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUntracedEnvelopeUnchanged pins the compatibility contract: a
-// zero Trace encodes to the PR-5 envelope bit-for-bit, and the traced
-// envelope is exactly the legacy bytes behind a new header — old
-// streams and traced streams differ only in the prefix.
+// TestUntracedEnvelopeUnchanged pins the trace elision: a zero Trace
+// encodes to the 0xC1 envelope with no trace bytes, and the traced
+// envelope is exactly the same body behind its header.
 func TestUntracedEnvelopeUnchanged(t *testing.T) {
 	c := tracedCall()
 	traced, err := EncodeCall(c)
@@ -83,12 +82,12 @@ func TestUntracedEnvelopeUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Trace = trace.Ref{}
-	legacy, err := EncodeCall(c)
+	plain, err := EncodeCall(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy[0] != verCall {
-		t.Fatalf("untraced call framed as %#x, want %#x", legacy[0], verCall)
+	if plain[0] != verCall {
+		t.Fatalf("untraced call framed as %#x, want %#x", plain[0], verCall)
 	}
 	// Strip the traced header: version byte + two uvarints.
 	body := traced[1:]
@@ -99,8 +98,8 @@ func TestUntracedEnvelopeUnchanged(t *testing.T) {
 	if _, body, consumeErr = ConsumeUvarint(body); consumeErr != nil {
 		t.Fatal(consumeErr)
 	}
-	if !bytes.Equal(body, legacy[1:]) {
-		t.Error("traced call body differs from the legacy body")
+	if !bytes.Equal(body, plain[1:]) {
+		t.Error("traced call body differs from the untraced body")
 	}
 }
 

@@ -226,9 +226,6 @@ const (
 	// CodecPoolMisses counts scratch-buffer requests that had to grow a
 	// fresh buffer.
 	CodecPoolMisses = "codec.pool_misses"
-	// CodecLegacyDecodes counts envelopes and records decoded through
-	// the gob fallback path (pre-binary-codec format).
-	CodecLegacyDecodes = "codec.legacy_decodes"
 
 	// --- causal tracing (internal/obs/trace). The stage histograms are
 	// per-leg latency distributions of traced interactions in
@@ -327,21 +324,19 @@ func WALView(r *Registry) *WALMetrics {
 // field of a nil-registry view is nil and the update methods tolerate
 // it.
 type CodecMetrics struct {
-	BytesOut      *Counter
-	BytesIn       *Counter
-	PoolHits      *Counter
-	PoolMisses    *Counter
-	LegacyDecodes *Counter
+	BytesOut   *Counter
+	BytesIn    *Counter
+	PoolHits   *Counter
+	PoolMisses *Counter
 }
 
 // CodecView resolves the codec.* bundle from r.
 func CodecView(r *Registry) *CodecMetrics {
 	return &CodecMetrics{
-		BytesOut:      r.Counter(CodecBytesOut),
-		BytesIn:       r.Counter(CodecBytesIn),
-		PoolHits:      r.Counter(CodecPoolHits),
-		PoolMisses:    r.Counter(CodecPoolMisses),
-		LegacyDecodes: r.Counter(CodecLegacyDecodes),
+		BytesOut:   r.Counter(CodecBytesOut),
+		BytesIn:    r.Counter(CodecBytesIn),
+		PoolHits:   r.Counter(CodecPoolHits),
+		PoolMisses: r.Counter(CodecPoolMisses),
 	}
 }
 

@@ -27,8 +27,8 @@ import (
 
 // Ref identifies one causal position: the trace an interaction belongs
 // to and the span (one leg of work) within it. The zero Ref means
-// "untraced" — codecs treat it as absent and emit the pre-trace wire
-// formats bit-for-bit.
+// "untraced" — codecs treat it as absent and emit the envelope and
+// record layouts that carry no trace header.
 type Ref struct {
 	Trace uint64
 	Span  uint64

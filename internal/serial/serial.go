@@ -224,10 +224,9 @@ func isRefType(t reflect.Type) bool {
 	return t.Implements(remoteRefType) || t.Implements(localRefType)
 }
 
-// verState is the version byte opening a binary State encoding. Like
-// the message-envelope version bytes it lives in 0x80..0xF7, which no
-// gob stream can start with, so DecodeState can tell the two formats
-// apart and old captured states keep restoring (DESIGN.md Section 10).
+// verState is the version byte opening a State encoding, from the
+// same numbering as the message-envelope version bytes (DESIGN.md
+// Section 10).
 const verState = 0xC5
 
 // Encode serializes the State for inclusion in a log record: 0xC5,
@@ -247,21 +246,20 @@ func (s *State) Encode() ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeState deserializes a State produced by Encode, in either the
-// binary format or the legacy gob format.
+// DecodeState deserializes a State produced by Encode. Any first byte
+// but 0xC5 is a decode error that names it.
 func DecodeState(data []byte) (*State, error) {
-	if len(data) > 0 && data[0] == verState {
-		s, err := decodeStateBinary(data[1:])
-		if err != nil {
-			return nil, fmt.Errorf("serial: decode state: %w", err)
-		}
-		return s, nil
+	if len(data) == 0 {
+		return nil, fmt.Errorf("serial: decode state: empty encoding")
 	}
-	var s State
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s); err != nil {
+	if data[0] != verState {
+		return nil, fmt.Errorf("serial: decode state: unknown version byte %#x", data[0])
+	}
+	s, err := decodeStateBinary(data[1:])
+	if err != nil {
 		return nil, fmt.Errorf("serial: decode state: %w", err)
 	}
-	return &s, nil
+	return s, nil
 }
 
 func decodeStateBinary(data []byte) (*State, error) {

@@ -257,10 +257,10 @@ func TestPlainStateRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestStateCodecFormats: the binary State encoding must round-trip,
-// and a legacy gob encoding of the same State must decode identically
-// (state records written before the binary codec keep restoring).
-func TestStateCodecFormats(t *testing.T) {
+// TestStateCodec: the State encoding must round-trip, and a gob stream
+// of the same State — any first byte but 0xC5 — is an error naming the
+// byte.
+func TestStateCodec(t *testing.T) {
 	want := &State{
 		TypeName: "serial.plain",
 		Fields: []FieldState{
@@ -282,13 +282,12 @@ func TestStateCodecFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var legacy bytes.Buffer
-	if err := gob.NewEncoder(&legacy).Encode(want); err != nil {
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(want); err != nil {
 		t.Fatal(err)
 	}
-	fromGob, err := DecodeState(legacy.Bytes())
-	if err != nil {
-		t.Fatal(err)
+	if _, err := DecodeState(old.Bytes()); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%#x", old.Bytes()[0])) {
+		t.Errorf("DecodeState(gob stream) = %v, want an error naming byte %#x", err, old.Bytes()[0])
 	}
 
 	norm := func(s *State) {
@@ -299,13 +298,9 @@ func TestStateCodecFormats(t *testing.T) {
 		}
 	}
 	norm(fromBin)
-	norm(fromGob)
 	norm(want)
 	if !reflect.DeepEqual(fromBin, want) {
 		t.Errorf("binary round trip mismatch:\n  got  %+v\n  want %+v", fromBin, want)
-	}
-	if !reflect.DeepEqual(fromBin, fromGob) {
-		t.Errorf("binary and legacy decodes differ:\n  bin %+v\n  gob %+v", fromBin, fromGob)
 	}
 
 	// Truncations must error cleanly, never panic.

@@ -9,9 +9,11 @@ import (
 	"repro/internal/ids"
 )
 
-// TestScanFromMatchesScan: a cursor visits exactly the records Scan
-// visits, from any starting position.
-func TestScanFromMatchesScan(t *testing.T) {
+// TestScanFromVisitsAppendedRecords: from any starting position, a
+// cursor — and Scan, the same cursor driven by a callback — visits
+// exactly the records appended from there on, and between records the
+// cursor sits at the next record's LSN.
+func TestScanFromVisitsAppendedRecords(t *testing.T) {
 	l, err := Open(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -27,22 +29,25 @@ func TestScanFromMatchesScan(t *testing.T) {
 		}
 		lsns = append(lsns, lsn)
 	}
-
-	for _, from := range []ids.LSN{ids.NilLSN, lsns[0], lsns[10], lsns[49]} {
-		var want []Record
-		if err := l.Scan(from, func(r Record) error {
-			r.Payload = append([]byte(nil), r.Payload...) // payload is scan-owned
-			want = append(want, r)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+	check := func(from ids.LSN, first, i int, rec Record) {
+		t.Helper()
+		if n := first + i; n >= len(lsns) || rec.LSN != lsns[n] || rec.Type != RecordType(n%7) ||
+			string(rec.Payload) != fmt.Sprintf("payload-%d", n) {
+			t.Fatalf("from %v: record %d is %+v, want append %d", from, i, rec, n)
+		}
+	}
+	for _, first := range []int{0, 10, 49} {
+		from := lsns[first]
+		if first == 0 {
+			from = ids.NilLSN
 		}
 		cur, err := l.ScanFrom(from)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got []Record
+		seen := 0
 		for {
+			at := cur.LSN()
 			rec, ok, err := cur.Next()
 			if err != nil {
 				t.Fatal(err)
@@ -50,17 +55,25 @@ func TestScanFromMatchesScan(t *testing.T) {
 			if !ok {
 				break
 			}
-			rec.Payload = append([]byte(nil), rec.Payload...) // payload is cursor-owned
-			got = append(got, rec)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("from %v: cursor saw %d records, Scan saw %d", from, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].LSN != want[i].LSN || got[i].Type != want[i].Type ||
-				string(got[i].Payload) != string(want[i].Payload) {
-				t.Fatalf("from %v: record %d differs: %+v vs %+v", from, i, got[i], want[i])
+			if at != rec.LSN {
+				t.Fatalf("from %v: cursor at %v returned the record at %v", from, at, rec.LSN)
 			}
+			check(from, first, seen, rec)
+			seen++
+		}
+		if seen != len(lsns)-first {
+			t.Fatalf("from %v: cursor saw %d records, want %d", from, seen, len(lsns)-first)
+		}
+		scanned := 0
+		if err := l.Scan(from, func(rec Record) error {
+			check(from, first, scanned, rec)
+			scanned++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if scanned != seen {
+			t.Fatalf("from %v: Scan saw %d records, cursor %d", from, scanned, seen)
 		}
 	}
 }

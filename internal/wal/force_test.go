@@ -22,7 +22,7 @@ func TestCleanForceIsFreeAndNotDoubleCounted(t *testing.T) {
 	if _, err := l.Append(1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Force(); err != nil {
+	if _, err := l.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	after := l.Stats()
@@ -32,7 +32,7 @@ func TestCleanForceIsFreeAndNotDoubleCounted(t *testing.T) {
 
 	// Repeated forces on a clean log: free, and counted separately.
 	for i := 0; i < 3; i++ {
-		if err := l.Force(); err != nil {
+		if _, err := l.SyncAll(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,7 +60,7 @@ func TestCleanForceIsFreeAndNotDoubleCounted(t *testing.T) {
 	if _, err := l.Append(1, []byte("y")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Force(); err != nil {
+	if _, err := l.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.Stats().Forces; got != 2 {

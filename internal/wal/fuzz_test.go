@@ -30,10 +30,10 @@ func FuzzOpenTornSegment(f *testing.F) {
 			}
 			lsns = append(lsns, lsn)
 		}
-		if err := l.Force(); err != nil {
+		if _, err := l.SyncAll(); err != nil {
 			t.Fatal(err)
 		}
-		seg := l.SegmentPaths()[len(l.SegmentPaths())-1]
+		seg := activeSegPath(t, l)
 		l.Close()
 
 		fh, err := os.OpenFile(seg, os.O_RDWR, 0)
@@ -101,7 +101,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Force(); err != nil {
+		if _, err := l.SyncAll(); err != nil {
 			t.Fatal(err)
 		}
 		l.Close()

@@ -43,8 +43,8 @@ func TestForceToCoveredLSNIsClean(t *testing.T) {
 	if got := l.Stats().Forces; got != 1 {
 		t.Errorf("Forces = %d after covered ForceTo with dirty tail, want still 1", got)
 	}
-	// Force() still covers the whole tail.
-	if err := l.Force(); err != nil {
+	// SyncAll still covers the whole tail.
+	if _, err := l.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.Stats().Forces; got != 2 {
@@ -419,7 +419,7 @@ func TestAppendNotBlockedByInFlightSync(t *testing.T) {
 	syncDone := make(chan struct{})
 	go func() {
 		defer close(syncDone)
-		if err := l.Force(); err != nil {
+		if _, err := l.SyncAll(); err != nil {
 			t.Errorf("Force: %v", err)
 		}
 	}()

@@ -71,7 +71,7 @@ func TestWALModelProperty(t *testing.T) {
 				}
 				all = append(all, modelRec{lsn: lsn, typ: typ, payload: payload})
 			case op < 7: // force
-				if err := l.Force(); err != nil {
+				if _, err := l.SyncAll(); err != nil {
 					t.Fatal(err)
 				}
 				stable = len(all)
@@ -82,7 +82,7 @@ func TestWALModelProperty(t *testing.T) {
 			case op == 8: // trim to a random surviving record
 				if len(all) > 0 {
 					k := all[rng.Intn(len(all))].lsn
-					if err := l.Force(); err != nil { // trim follows checkpoints in practice
+					if _, err := l.SyncAll(); err != nil { // trim follows checkpoints in practice
 						t.Fatal(err)
 					}
 					stable = len(all)

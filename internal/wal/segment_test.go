@@ -3,7 +3,6 @@ package wal
 import (
 	"bytes"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/ids"
@@ -15,7 +14,7 @@ func fillSegments(t *testing.T, l *Log, nSegs int) []ids.LSN {
 	t.Helper()
 	payload := bytes.Repeat([]byte("r"), 100)
 	var lsns []ids.LSN
-	for i := 0; len(l.SegmentPaths()) < nSegs; i++ {
+	for i := 0; l.Stats().Segments < nSegs; i++ {
 		lsn, err := l.Append(1, payload)
 		if err != nil {
 			t.Fatal(err)
@@ -30,7 +29,7 @@ func fillSegments(t *testing.T, l *Log, nSegs int) []ids.LSN {
 			t.Fatal("log never rolled; SetSegmentBytes broken?")
 		}
 	}
-	if err := l.Force(); err != nil {
+	if _, err := l.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	return lsns
@@ -124,7 +123,7 @@ func TestTrimHeadNeverRemovesActiveSegment(t *testing.T) {
 	l, _ := openTemp(t)
 	defer l.Close()
 	lsn, _ := l.Append(1, []byte("x"))
-	if err := l.Force(); err != nil {
+	if _, err := l.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.TrimHead(l.End()); err != nil {
@@ -169,7 +168,7 @@ func TestSegmentGapRejected(t *testing.T) {
 	l, dir := openTemp(t)
 	l.SetSegmentBytes(512)
 	fillSegments(t, l, 4)
-	paths := l.SegmentPaths()
+	paths := segPaths(t, l)
 	l.Close()
 	// Delete a middle segment: the gap must be detected at open.
 	if err := os.Remove(paths[1]); err != nil {
@@ -187,7 +186,7 @@ func TestDiscardRemovesUnsyncedSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Force(); err != nil {
+	if _, err := l.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	// Push unforced data across several new segments.
@@ -225,18 +224,5 @@ func TestDiscardRemovesUnsyncedSegments(t *testing.T) {
 	}
 	if rec, err := l2.Read(lsn); err != nil || string(rec.Payload) != "fresh" {
 		t.Errorf("append after discard: %v %v", rec, err)
-	}
-}
-
-func TestSegmentPathsSorted(t *testing.T) {
-	l, _ := openTemp(t)
-	defer l.Close()
-	l.SetSegmentBytes(512)
-	fillSegments(t, l, 3)
-	paths := l.SegmentPaths()
-	for i := 1; i < len(paths); i++ {
-		if filepath.Base(paths[i-1]) >= filepath.Base(paths[i]) {
-			t.Errorf("segment paths out of order: %v", paths)
-		}
 	}
 }

@@ -11,22 +11,21 @@ import (
 	"repro/internal/obs"
 )
 
-// Set is a sharded log: N appendable shard streams keyed by the
-// append's routing key (the context's CompID), each stream owning its
-// own segment files, append mutex, group-commit flusher and synced
-// watermark. It satisfies Writer, so core.Process drives it exactly
-// like a single Log — what changes is that appends from different
-// contexts stop serializing on one mutex and one flusher, and forces
-// to different shards sync different files concurrently.
+// Set is the log a process opens: N appendable shard streams keyed by
+// the append's routing key (the context's CompID), each stream a Log
+// owning its own segment files, append mutex, group-commit flusher and
+// synced watermark. Appends from different contexts do not serialize
+// on one mutex and one flusher, and forces to different shards sync
+// different files concurrently. One shard is the general case with
+// N = 1, not a separate implementation.
 //
 // Cross-shard ordering: there is none, deliberately. Recoverability
 // does not need a totally ordered log (arXiv:1901.06491) — it needs
 // the per-context record order, and a context's records all land in
 // one stream per era because the routing key is the context ID. The
-// well-known checkpoint watermark becomes a per-stream vector (see
+// well-known checkpoint watermark is a per-stream vector (see
 // SaveWellKnownMarks).
 type Set struct {
-	dir    string
 	eras   []Era
 	shards []Shard // era order; index-aligned with eras expansion
 	active []*Log  // logs of the latest era, routing-index order
@@ -34,16 +33,16 @@ type Set struct {
 	m      *obs.WALMetrics
 }
 
-// OpenSet opens (creating or resharding as necessary) the sharded log
-// at dir with n appendable shards:
+// OpenSet opens the sharded log at dir with n appendable shards:
 //
-//   - fresh directory: creates streams 1..n (no empty stream-0 era);
-//   - legacy single-stream directory: records era {0,1} and, when
-//     n > 1, appends era {base 1, n} — an in-place upgrade, old
-//     records untouched;
-//   - already-sharded directory: n <= 1 keeps the existing layout
-//     (restarts with a zero config must not reshard), n != current
-//     count appends a new era.
+//   - fresh directory: creates streams 1..max(n, 1);
+//   - existing log: n <= 0 keeps the layout on disk (a restart with
+//     the zero config, and every read-only tool), and so does n equal
+//     to the current shard count; any other n appends a new era.
+//
+// The era file is written only when the era list changed — on
+// creation and on a reshard — and always before any directory of the
+// new era exists.
 func OpenSet(dir string, model disk.Model, n int) (*Set, error) {
 	if n > ids.MaxStream {
 		return nil, fmt.Errorf("wal: %d shards exceeds the %d-stream LSN tag space", n, ids.MaxStream)
@@ -55,20 +54,21 @@ func OpenSet(dir string, model disk.Model, n int) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	reshards := 0
-	if eras == nil {
-		if legacy, err := hasRootSegments(dir); err != nil {
-			return nil, err
-		} else if legacy {
-			eras = []Era{{Base: 0, Count: 1}}
-		}
-	}
+	fresh, resharded := eras == nil, false
 	switch {
-	case len(eras) == 0:
-		if n < 1 {
-			n = 1
+	case fresh:
+		// Segment files without an era file are a bare Log's records;
+		// starting an era list beside them would silently hide them.
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			return nil, fmt.Errorf("wal: read dir: %w", err)
 		}
-		eras = []Era{{Base: 1, Count: n}}
+		for _, e := range entries {
+			if strings.HasSuffix(e.Name(), ".seg") {
+				return nil, fmt.Errorf("wal: %s holds segment files but no %s: not a sharded log directory", dir, shardMetaName)
+			}
+		}
+		eras = []Era{{Base: 1, Count: max(n, 1)}}
 	case n >= 1 && n != eras[len(eras)-1].Count:
 		last := eras[len(eras)-1]
 		base := uint64(last.Base) + uint64(last.Count)
@@ -76,14 +76,15 @@ func OpenSet(dir string, model disk.Model, n int) (*Set, error) {
 			return nil, fmt.Errorf("wal: reshard to %d shards exhausts the %d-stream LSN tag space", n, ids.MaxStream)
 		}
 		eras = append(eras, Era{Base: uint32(base), Count: n})
-		reshards++
+		resharded = true
 	}
-	if err := saveShardMeta(dir, eras); err != nil {
-		return nil, err
+	if fresh || resharded {
+		if err := saveShardMeta(dir, eras); err != nil {
+			return nil, err
+		}
 	}
 
 	s := &Set{
-		dir:   dir,
 		eras:  eras,
 		byStr: make(map[uint32]*Log),
 		m:     obs.WALView(obs.Default()),
@@ -91,12 +92,8 @@ func OpenSet(dir string, model disk.Model, n int) (*Set, error) {
 	for ei, e := range eras {
 		for i := 0; i < e.Count; i++ {
 			stream := e.Base + uint32(i)
-			sdir, base := dir, firstLSN
-			if stream != 0 {
-				sdir = filepath.Join(dir, shardDirName(stream))
-				base = ids.StreamLSN(stream, ids.LSN(segHeaderSize))
-			}
-			l, err := openLog(sdir, model, base)
+			l, err := openLog(filepath.Join(dir, shardDirName(stream)), model,
+				ids.StreamLSN(stream, ids.LSN(segHeaderSize)))
 			if err != nil {
 				s.closeOpened()
 				return nil, err
@@ -108,26 +105,11 @@ func OpenSet(dir string, model disk.Model, n int) (*Set, error) {
 			}
 		}
 	}
-	for ; reshards > 0; reshards-- {
+	if resharded {
 		s.m.ShardReshards.Inc()
 	}
 	s.m.ShardStreams.Observe(int64(len(s.active)))
 	return s, nil
-}
-
-// hasRootSegments reports whether dir itself holds legacy stream-0
-// segment files.
-func hasRootSegments(dir string) (bool, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false, fmt.Errorf("wal: read dir: %w", err)
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".seg") {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 func (s *Set) closeOpened() {
@@ -182,7 +164,7 @@ func (s *Set) ForceTo(lsn ids.LSN) error {
 }
 
 // SyncTo implements Writer. A nil LSN is a clean force accounted to
-// the meta shard, as on a single Log.
+// the meta shard.
 func (s *Set) SyncTo(lsn ids.LSN) (SyncOutcome, error) {
 	if lsn.IsNil() {
 		return s.active[0].SyncTo(lsn)

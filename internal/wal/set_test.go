@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/ids"
@@ -21,9 +22,9 @@ func appendKeyed(t *testing.T, w Writer, key uint64, payload []byte) ids.LSN {
 	return lsn
 }
 
-// TestOpenSetFresh: a fresh 4-shard set creates streams 1..4 (no empty
-// legacy stream), routes appends deterministically by key, and reads
-// records back through the stream-tagged LSNs.
+// TestOpenSetFresh: a fresh 4-shard set creates streams 1..4, routes
+// appends deterministically by key, and reads records back through the
+// stream-tagged LSNs.
 func TestOpenSetFresh(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "p.log")
 	s, err := OpenSet(dir, nil, 4)
@@ -95,59 +96,107 @@ func TestOpenSetFresh(t *testing.T) {
 	}
 }
 
-// TestOpenSetLegacyUpgrade: sharding an existing single-stream log
-// keeps the old records in stream 0 (era 0) and appends a new era for
-// fresh appends — the in-place upgrade path.
-func TestOpenSetLegacyUpgrade(t *testing.T) {
+// TestOpenSetRejectsBareLogDir: a directory holding a bare Log's
+// segment files and no era file is an error naming the directory, and
+// is left as it was — never an empty new log beside the old records.
+func TestOpenSetRejectsBareLogDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "p.log")
 	l, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyLSN, err := l.Append(1, []byte("old"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.ForceTo(legacyLSN); err != nil {
+	if _, err := l.Append(1, []byte("old")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	before, _ := os.ReadDir(dir)
+	for _, n := range []int{0, 4} {
+		if _, err := OpenSet(dir, nil, n); err == nil || !strings.Contains(err.Error(), dir) {
+			t.Errorf("OpenSet(bare log dir, %d) = %v, want an error naming %s", n, err, dir)
+		}
+	}
+	if after, _ := os.ReadDir(dir); len(after) != len(before) {
+		t.Errorf("rejected open changed the directory: %d entries, was %d", len(after), len(before))
+	}
+}
 
-	s, err := OpenSet(dir, nil, 4)
+// TestShardMetaRejectsMalformedLines: an era line is exactly what
+// saveShardMeta writes — trailing tokens and stream 0 (a bare Log's
+// tag) do not load.
+func TestShardMetaRejectsMalformedLines(t *testing.T) {
+	for _, line := range []string{"era 1 4 junk", "era 0 1", "era 1"} {
+		dir := t.TempDir()
+		meta := shardMetaMagic + "\n" + line + "\n"
+		if err := os.WriteFile(filepath.Join(dir, shardMetaName), []byte(meta), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenSet(dir, nil, 0); err == nil {
+			t.Errorf("OpenSet loaded a shard meta with line %q", line)
+		}
+	}
+}
+
+// TestOpenSetWritesMetaOnlyOnChange: the default open makes a one-shard
+// set (shards.meta + shard-001); reopening without a reshard leaves the
+// era file alone; a reshard persists the new era list before any
+// directory of the new era is touched.
+func TestOpenSetWritesMetaOnlyOnChange(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "p.log")
+	s, err := OpenSet(dir, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shards := s.Shards(); len(shards) != 1 || shards[0].Stream != 1 {
+		t.Fatalf("default set has shards %+v, want the one stream 1", shards)
+	}
+	s.Close()
+	metaPath := filepath.Join(dir, shardMetaName)
+	before, err := os.Stat(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "shard-001")); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1} {
+		s, err := OpenSet(dir, nil, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		after, err := os.Stat(metaPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) {
+			t.Errorf("reopen with n=%d rewrote %s", n, shardMetaName)
+		}
+	}
+
+	// A file where the first new shard directory must go makes the
+	// reshard fail — after the era list was made durable.
+	blocker := filepath.Join(dir, shardDirName(2))
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSet(dir, nil, 3); err == nil {
+		t.Fatal("reshard opened a shard directory through a regular file")
+	}
+	if eras, err := loadShardMeta(dir); err != nil || len(eras) != 2 || eras[1] != (Era{Base: 2, Count: 3}) {
+		t.Fatalf("era list after the failed reshard = %v, %v; want the new era {2 3} persisted", eras, err)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	s, err = OpenSet(dir, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	shards := s.Shards()
-	if len(shards) != 5 {
-		t.Fatalf("upgraded set has %d shards, want 5 (legacy + 4)", len(shards))
-	}
-	if shards[0].Stream != 0 || shards[0].Era != 0 {
-		t.Fatalf("first shard is stream %d era %d, want the legacy stream 0", shards[0].Stream, shards[0].Era)
-	}
-	for i := 1; i <= 4; i++ {
-		if shards[i].Stream != uint32(i) || shards[i].Era != 1 {
-			t.Errorf("shard %d: stream %d era %d, want stream %d era 1", i, shards[i].Stream, shards[i].Era, i)
-		}
-	}
-	// The legacy record is still readable at its untagged LSN.
-	rec, err := s.Read(legacyLSN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rec.Payload, []byte("old")) {
-		t.Errorf("legacy record reads %q", rec.Payload)
-	}
-	// New appends land in the new era, never stream 0.
-	for key := uint64(1); key <= 8; key++ {
-		if lsn := appendKeyed(t, s, key, []byte("new")); lsn.Stream() == 0 {
-			t.Errorf("post-upgrade append for key %d landed in the legacy stream", key)
-		}
-		if streams := s.StreamsFor(key); len(streams) != 2 || streams[0] != 0 {
-			t.Errorf("StreamsFor(%d) = %v, want [0, new-era stream]", key, streams)
-		}
+	if got := len(s.Shards()); got != 4 {
+		t.Errorf("reopen after the reshard: %d shards, want 4 (1 + 3)", got)
 	}
 }
 
@@ -249,41 +298,18 @@ func TestSetSyncRouting(t *testing.T) {
 	}
 }
 
-// TestWellKnownMarksFormats: the marks vector round-trips; a
-// single-stream vector writes the legacy v1 bytes bit-for-bit; v1
-// files load as a stream-0 vector; LoadWellKnownLSN refuses v2.
-func TestWellKnownMarksFormats(t *testing.T) {
-	dir := t.TempDir()
-
-	// {0: lsn} must be byte-identical to SaveWellKnownLSN.
-	v1Path := filepath.Join(dir, "v1.wk")
-	marksPath := filepath.Join(dir, "marks.wk")
-	if err := SaveWellKnownLSN(v1Path, 4242); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveWellKnownMarks(marksPath, map[uint32]ids.LSN{0: 4242}); err != nil {
-		t.Fatal(err)
-	}
-	b1, _ := os.ReadFile(v1Path)
-	b2, _ := os.ReadFile(marksPath)
-	if !bytes.Equal(b1, b2) {
-		t.Errorf("single-stream marks file differs from the v1 format:\n  v1    % x\n  marks % x", b1, b2)
-	}
-	if m, err := LoadWellKnownMarks(v1Path); err != nil || len(m) != 1 || m[0] != 4242 {
-		t.Errorf("v1 file loads as marks %v, %v; want {0:4242}", m, err)
-	}
-
-	// Multi-stream vector round-trips through v2.
+// TestWellKnownMarksVector: a multi-stream vector round-trips.
+func TestWellKnownMarksVector(t *testing.T) {
 	want := map[uint32]ids.LSN{
 		1: ids.StreamLSN(1, 100),
 		2: ids.StreamLSN(2, 16),
 		7: ids.StreamLSN(7, 99999),
 	}
-	v2Path := filepath.Join(dir, "v2.wk")
-	if err := SaveWellKnownMarks(v2Path, want); err != nil {
+	path := filepath.Join(t.TempDir(), "marks.wk")
+	if err := SaveWellKnownMarks(path, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadWellKnownMarks(v2Path)
+	got, err := LoadWellKnownMarks(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,19 +320,6 @@ func TestWellKnownMarksFormats(t *testing.T) {
 		if got[s] != l {
 			t.Errorf("stream %d mark %v, want %v", s, got[s], l)
 		}
-	}
-	if _, err := LoadWellKnownLSN(v2Path); err == nil {
-		t.Error("LoadWellKnownLSN accepted a v2 vector file")
-	}
-
-	// Corruption is ErrNoWellKnown, not garbage.
-	raw, _ := os.ReadFile(v2Path)
-	raw[len(raw)-1] ^= 0xFF
-	if err := os.WriteFile(v2Path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadWellKnownMarks(v2Path); err != ErrNoWellKnown {
-		t.Errorf("corrupt v2 file: err = %v, want ErrNoWellKnown", err)
 	}
 }
 

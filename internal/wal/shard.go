@@ -18,11 +18,8 @@ import (
 // never reused — so raw LSN comparison orders records first by era
 // (temporal order), then by offset within a stream.
 //
-// Stream 0 is the log directory itself (the legacy single-stream
-// layout, bit-for-bit); stream s > 0 lives in the shard-<s>
-// subdirectory. A legacy directory upgraded to N shards gets the era
-// list [{0,1}, {1,N}]: its old records stay where they are and decode
-// unchanged.
+// Stream s lives in the shard-<s> subdirectory; tags start at 1.
+// Stream 0 is the tag of a bare Log (Open), which no Set contains.
 
 // Era is one reshard era: streams Base..Base+Count-1.
 type Era struct {
@@ -32,23 +29,15 @@ type Era struct {
 
 const (
 	// shardMetaName is the era-list file inside a sharded log
-	// directory; its presence is what makes a directory sharded.
+	// directory.
 	shardMetaName = "shards.meta"
 	// shardMetaMagic heads the meta file.
 	shardMetaMagic = "PHXSHARDS1"
 )
 
-// shardDirName is the subdirectory of stream s > 0. Stream 0 is the
-// log directory itself.
+// shardDirName is the subdirectory of stream s.
 func shardDirName(stream uint32) string {
 	return fmt.Sprintf("shard-%03d", stream)
-}
-
-// IsSharded reports whether the log directory at dir carries a shard
-// era file (i.e. must be opened with OpenSet).
-func IsSharded(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, shardMetaName))
-	return err == nil
 }
 
 // loadShardMeta reads the era list. A missing file returns (nil, nil).
@@ -71,11 +60,14 @@ func loadShardMeta(dir string) ([]Era, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
+		// A line must be exactly what saveShardMeta writes: Sscanf alone
+		// would accept trailing tokens.
 		var e Era
-		if _, err := fmt.Sscanf(line, "era %d %d", &e.Base, &e.Count); err != nil {
-			return nil, fmt.Errorf("wal: bad shard meta line %q: %v", line, err)
+		if _, err := fmt.Sscanf(line, "era %d %d", &e.Base, &e.Count); err != nil ||
+			line != fmt.Sprintf("era %d %d", e.Base, e.Count) {
+			return nil, fmt.Errorf("wal: bad shard meta line %q", line)
 		}
-		if e.Count < 1 || uint64(e.Base)+uint64(e.Count)-1 > ids.MaxStream {
+		if e.Base < 1 || e.Count < 1 || uint64(e.Base)+uint64(e.Count)-1 > ids.MaxStream {
 			return nil, fmt.Errorf("wal: shard meta era out of range: %+v", e)
 		}
 		if len(eras) > 0 && e.Base <= eras[len(eras)-1].Base+uint32(eras[len(eras)-1].Count)-1 {

@@ -133,11 +133,10 @@ type Log struct {
 	dir          string
 	model        disk.Model
 	segmentBytes int64
-	// base is where this log's LSN space starts: firstLSN for a plain
-	// single-stream log, ids.StreamLSN(stream, 16) for a shard stream
+	// base is where this log's LSN space starts: firstLSN (stream 0)
+	// for a bare Log, ids.StreamLSN(stream, 16) for a shard stream
 	// owned by a Set. Segment names, watermarks and record LSNs are all
-	// natively stream-qualified; a stream-0 log is bit-for-bit the
-	// legacy format.
+	// natively stream-qualified.
 	base ids.LSN
 
 	mu       sync.Mutex
@@ -158,7 +157,8 @@ type Log struct {
 // Open opens (creating if necessary) the log directory at dir, verifies
 // segment headers, truncates any torn tail, and returns a log manager
 // whose physical writes and syncs are accounted to model. A nil model
-// means disk.HostModel.
+// means disk.HostModel. The result is a bare one-stream Log — what a
+// Set is made of; processes and tools open a Set (OpenSet).
 func Open(dir string, model disk.Model) (*Log, error) {
 	return openLog(dir, model, firstLSN)
 }
@@ -350,7 +350,7 @@ func (l *Log) closeSegs() {
 func (l *Log) active() *segment { return l.segs[len(l.segs)-1] }
 
 // Append adds a record to the log buffer and returns its LSN. The
-// record is not stable until the next Force (or until recovery-time
+// record is not stable until the next force (or until recovery-time
 // reads flush it to a file, which still does not sync it). Append
 // does not retain payload and, in steady state, does not allocate:
 // the frame header is built on the stack, the checksum runs over the
@@ -418,8 +418,8 @@ func (l *Log) appendLocked(t RecordType, payload []byte) (ids.LSN, error) {
 // must not call back into the log, and must not retain the slice it is
 // given or the one it returns.
 //
-// key is the record's routing key (the Writer contract); a single Log
-// is one stream, so it ignores the key and every record lands here.
+// key is the record's routing key: a Set picked this Log by it, and a
+// Log, being one stream, ignores it.
 func (l *Log) AppendInto(key uint64, t RecordType, enc PayloadEncoder) (ids.LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -484,21 +484,6 @@ const (
 	SyncCombined
 )
 
-// Force makes every appended record stable. Forcing a clean log is
-// free and not counted in Stats.Forces.
-//
-// Deprecated: Force is the bare whole-tail alias that predates the
-// LSN-aware Writer API. Callers that know the LSN of the last record
-// they care about should use ForceTo or SyncTo and stop over-waiting
-// on records they did not write; callers that really mean "everything"
-// should use SyncAll, whose outcome feeds the per-site force
-// accounting. The forcesite analyzer reports Force calls outside test
-// files.
-func (l *Log) Force() error {
-	_, err := l.SyncAll()
-	return err
-}
-
 // ForceTo blocks until the record appended at lsn — and every record
 // before it — is stable. An lsn already covered by the stable
 // watermark (or NilLSN) returns immediately as a clean force, even if
@@ -509,7 +494,8 @@ func (l *Log) ForceTo(lsn ids.LSN) error {
 	return err
 }
 
-// SyncAll is Force with the outcome exposed.
+// SyncAll makes every appended record stable. Forcing a clean log is
+// free and not counted in Stats.Forces.
 func (l *Log) SyncAll() (SyncOutcome, error) {
 	l.mu.Lock()
 	target := l.bufBase + ids.LSN(len(l.buf))
@@ -685,19 +671,6 @@ func (l *Log) Empty() bool {
 	return l.bufBase+ids.LSN(len(l.buf)) == l.segs[0].start
 }
 
-// Shards returns the log's shard streams in era order. A single Log is
-// its own only stream.
-func (l *Log) Shards() []Shard {
-	return []Shard{{Stream: l.base.Stream(), Log: l}}
-}
-
-// StreamsFor returns the streams, one per era in era order, that
-// records with the given routing key were (or would be) appended to. A
-// single Log has one era and one stream.
-func (l *Log) StreamsFor(key uint64) []uint32 {
-	return []uint32{l.base.Stream()}
-}
-
 // findSegment returns the segment containing lsn, or nil.
 func (l *Log) findSegment(lsn ids.LSN) *segment {
 	i := sort.Search(len(l.segs), func(i int) bool { return l.segs[i].end() > lsn })
@@ -727,12 +700,12 @@ func (l *Log) readLocked(lsn ids.LSN) (Record, error) {
 }
 
 // readIntoLocked reads the record at lsn, staging frame and payload in
-// buf (grown as needed). It returns the possibly grown buffer so
-// iterating callers (Scan, Cursor) can amortize one buffer across a
-// whole traversal; with a nil buf the payload is freshly allocated and
-// safe for the caller to keep (the readLocked/Read contract). The
-// frame scratch lives inside buf too — a stack array here escapes via
-// the read/checksum calls and costs an allocation per record.
+// buf (grown as needed). It returns the possibly grown buffer so a
+// Cursor can amortize one buffer across a whole traversal; with a nil
+// buf the payload is freshly allocated and safe for the caller to keep
+// (the readLocked/Read contract). The frame scratch lives inside buf
+// too — a stack array here escapes via the read/checksum calls and
+// costs an allocation per record.
 func (l *Log) readIntoLocked(lsn ids.LSN, buf []byte) (Record, []byte, error) {
 	s := l.findSegment(lsn)
 	if s == nil {
@@ -808,45 +781,21 @@ func (l *Log) ReadAt(lsn ids.LSN, n int, buf []byte) (Record, []byte, error) {
 }
 
 // Scan calls fn for every record from lsn `from` (or the log start if
-// from is nil or trimmed away) to the end of the log, in LSN order.
+// from is nil or trimmed away) to the end of the log as it was when
+// Scan began, in LSN order: a ScanFrom cursor driven to its end. fn
+// may return ErrStopScan to stop early without an error.
 //
-// The Record's Payload is only valid for the duration of the callback:
-// the scan reuses one grow-only buffer across records (recovery walks
-// the whole log, and a per-record allocation there is exactly the cost
-// this log exists to avoid). A callback that retains payload bytes
-// must copy them.
+// The Record's Payload is only valid for the duration of the callback
+// (the cursor's contract): a callback that retains payload bytes must
+// copy them.
 func (l *Log) Scan(from ids.LSN, fn func(Record) error) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if err := l.flushLocked(); err != nil {
-		l.mu.Unlock()
+	c, err := l.ScanFrom(from)
+	if err != nil {
 		return err
 	}
-	end := l.bufBase
-	start := l.segs[0].start
-	l.mu.Unlock()
-
-	lsn := from
-	if lsn.IsNil() || lsn < start {
-		lsn = start
-	}
-	var buf []byte
-	for lsn+frameSize <= end {
-		l.mu.Lock()
-		// Segment boundaries: a position at a segment's end is the
-		// start of the next segment.
-		if s := l.findSegment(lsn); s == nil {
-			l.mu.Unlock()
-			return fmt.Errorf("%w: %v (scan)", ErrNotFound, lsn)
-		}
-		var rec Record
-		var err error
-		rec, buf, err = l.readIntoLocked(lsn, buf)
-		l.mu.Unlock()
-		if err != nil {
+	for {
+		rec, ok, err := c.Next()
+		if err != nil || !ok {
 			return err
 		}
 		if err := fn(rec); err != nil {
@@ -855,14 +804,11 @@ func (l *Log) Scan(from ids.LSN, fn func(Record) error) error {
 			}
 			return err
 		}
-		lsn += ids.LSN(frameSize + len(rec.Payload))
 	}
-	return nil
 }
 
 // Cursor is a stateful forward iterator over the log, as returned by
-// ScanFrom. Unlike Scan — which holds the whole traversal inside one
-// call — a cursor hands out one record per Next, so several consumers
+// ScanFrom. It hands out one record per Next, so several consumers
 // (recovery passes, concurrent readers of disjoint ranges) can each
 // hold their own position without coordinating. A cursor is NOT safe
 // for concurrent use by multiple goroutines; concurrency comes from
@@ -878,8 +824,7 @@ type Cursor struct {
 // ScanFrom returns a cursor positioned at lsn (or the log start if lsn
 // is nil or trimmed away). The cursor sees the records present when
 // ScanFrom ran: buffered records are flushed so they are readable, and
-// records appended afterwards are not visited — the same bounded view
-// Scan takes, reified so concurrent consumers can each hold one.
+// records appended afterwards are not visited.
 func (l *Log) ScanFrom(lsn ids.LSN) (*Cursor, error) {
 	l.mu.Lock()
 	if l.closed {
@@ -903,9 +848,10 @@ func (l *Log) ScanFrom(lsn ids.LSN) (*Cursor, error) {
 // the end of the cursor's view (err is nil there).
 //
 // The Record's Payload is only valid until the following Next call:
-// the cursor reuses one grow-only buffer for the whole traversal, the
-// same contract as Scan. Consumers that retain payload bytes must
-// copy them.
+// the cursor reuses one grow-only buffer for the whole traversal
+// (recovery walks the whole log, and a per-record allocation there is
+// exactly the cost this log exists to avoid). Consumers that retain
+// payload bytes must copy them.
 func (c *Cursor) Next() (rec Record, ok bool, err error) {
 	if c.lsn+frameSize > c.end {
 		return Record{}, false, nil
@@ -926,15 +872,6 @@ func (c *Cursor) Next() (rec Record, ok bool, err error) {
 
 // LSN returns the position of the record Next would return.
 func (c *Cursor) LSN() ids.LSN { return c.lsn }
-
-// Next returns the LSN of the record following the record at lsn.
-func (l *Log) Next(lsn ids.LSN) (ids.LSN, error) {
-	rec, err := l.Read(lsn)
-	if err != nil {
-		return ids.NilLSN, err
-	}
-	return lsn + ids.LSN(frameSize+len(rec.Payload)), nil
-}
 
 // TrimHead deletes whole segments that lie entirely before keep: every
 // record at LSN >= keep stays readable. It is called once recovery no
@@ -965,18 +902,6 @@ func (l *Log) TrimHead(keep ids.LSN) error {
 	}
 	l.segs = append([]*segment{}, l.segs[cut:]...)
 	return nil
-}
-
-// SegmentPaths returns the on-disk segment files, oldest first (used
-// by tests and operational tooling).
-func (l *Log) SegmentPaths() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, len(l.segs))
-	for i, s := range l.segs {
-		out[i] = s.path
-	}
-	return out
 }
 
 // SetSegmentBytes overrides the roll-over threshold (tests use small
@@ -1016,7 +941,7 @@ func (l *Log) ResetStats() {
 }
 
 // Close flushes and closes the log without syncing (a crash may follow
-// Close in tests; durability comes only from Force). Pending
+// Close in tests; durability comes only from a force). Pending
 // group-commit force requests are drained with a final sync first, so
 // no acknowledged-in-flight waiter is left behind.
 func (l *Log) Close() error {
@@ -1055,7 +980,7 @@ func (l *Log) stopGroupCommit(drain bool) {
 
 // Discard closes the log simulating a process crash: buffered records
 // are dropped and the files are truncated back to the last forced
-// position, so only data made stable by Force survives. (A real crash
+// position, so only data made stable by a force survives. (A real crash
 // loses whatever the OS page cache had not written; truncating to the
 // sync watermark models the worst permitted loss, which redo recovery
 // must tolerate.)

@@ -22,13 +22,21 @@ func openTemp(t *testing.T) (*Log, string) {
 	return l, dir
 }
 
+// segPaths lists the log's segment files, oldest first (the names are
+// zero-padded start LSNs, so Glob's lexical order is LSN order).
+func segPaths(t *testing.T, l *Log) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(l.dir, "*.seg"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no segments in %s (%v)", l.dir, err)
+	}
+	return paths
+}
+
 // activeSegPath returns the tail segment file for direct manipulation.
 func activeSegPath(t *testing.T, l *Log) string {
 	t.Helper()
-	paths := l.SegmentPaths()
-	if len(paths) == 0 {
-		t.Fatal("no segments")
-	}
+	paths := segPaths(t, l)
 	return paths[len(paths)-1]
 }
 
@@ -77,7 +85,7 @@ func TestForcedRecordsSurviveReopen(t *testing.T) {
 		}
 		lsns = append(lsns, lsn)
 	}
-	if err := l.Force(); err != nil {
+	if _, err := l.SyncAll(); err != nil {
 		t.Fatalf("Force: %v", err)
 	}
 	if err := l.Close(); err != nil {
@@ -105,7 +113,7 @@ func TestUnforcedRecordsLostOnDiscard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Force(); err != nil {
+	if _, err := l.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	lost, err := l.Append(1, []byte("lost"))
@@ -134,7 +142,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Force(); err != nil {
+	if _, err := l.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	seg := activeSegPath(t, l)
@@ -179,7 +187,7 @@ func TestCorruptRecordStopsScanAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Force(); err != nil {
+	if _, err := l.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	seg := activeSegPath(t, l)
@@ -265,33 +273,19 @@ func TestScanFromMiddle(t *testing.T) {
 	}
 }
 
-func TestNext(t *testing.T) {
-	l, _ := openTemp(t)
-	defer l.Close()
-	a, _ := l.Append(1, []byte("aa"))
-	b, _ := l.Append(1, []byte("bb"))
-	next, err := l.Next(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next != b {
-		t.Errorf("Next(%v) = %v, want %v", a, next, b)
-	}
-}
-
 func TestForceOnCleanLogIsFree(t *testing.T) {
 	l, _ := openTemp(t)
 	defer l.Close()
 	if _, err := l.Append(1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Force(); err != nil {
+	if _, err := l.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Force(); err != nil {
+	if _, err := l.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Force(); err != nil {
+	if _, err := l.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.Stats().Forces; got != 1 {
@@ -324,7 +318,7 @@ func TestFlushThenForceStillSyncs(t *testing.T) {
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Force(); err != nil {
+	if _, err := l.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.Stats().Forces; got != 1 {
@@ -344,7 +338,7 @@ func TestStatsCounting(t *testing.T) {
 		if _, err := l.Append(1, []byte("payload")); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Force(); err != nil {
+		if _, err := l.SyncAll(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -382,7 +376,7 @@ func TestClosedLogErrors(t *testing.T) {
 	if _, err := l.Append(1, nil); err != ErrClosed {
 		t.Errorf("Append after close: %v", err)
 	}
-	if err := l.Force(); err != ErrClosed {
+	if _, err := l.SyncAll(); err != ErrClosed {
 		t.Errorf("Force after close: %v", err)
 	}
 	if _, err := l.Read(ids.LSN(16)); err != ErrClosed {
@@ -493,7 +487,7 @@ func TestReopenIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Force(); err != nil {
+	if _, err := l.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -513,46 +507,55 @@ func TestReopenIdempotent(t *testing.T) {
 	}
 }
 
+// wkMark is a one-stream watermark vector, as a one-shard process
+// writes it.
+func wkMark(lsn ids.LSN) map[uint32]ids.LSN { return map[uint32]ids.LSN{1: lsn} }
+
 func TestWellKnownRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wk")
-	if _, err := LoadWellKnownLSN(path); err != ErrNoWellKnown {
+	if _, err := LoadWellKnownMarks(path); err != ErrNoWellKnown {
 		t.Errorf("missing file: err = %v, want ErrNoWellKnown", err)
 	}
-	if err := SaveWellKnownLSN(path, ids.LSN(12345)); err != nil {
+	if err := SaveWellKnownMarks(path, wkMark(12345)); err != nil {
 		t.Fatal(err)
 	}
-	lsn, err := LoadWellKnownLSN(path)
-	if err != nil || lsn != ids.LSN(12345) {
-		t.Errorf("load = %v, %v", lsn, err)
+	m, err := LoadWellKnownMarks(path)
+	if err != nil || len(m) != 1 || m[1] != ids.LSN(12345) {
+		t.Errorf("load = %v, %v", m, err)
 	}
 	// Overwrite with a new value.
-	if err := SaveWellKnownLSN(path, ids.LSN(99)); err != nil {
+	if err := SaveWellKnownMarks(path, wkMark(99)); err != nil {
 		t.Fatal(err)
 	}
-	lsn, err = LoadWellKnownLSN(path)
-	if err != nil || lsn != ids.LSN(99) {
-		t.Errorf("reload = %v, %v", lsn, err)
+	m, err = LoadWellKnownMarks(path)
+	if err != nil || len(m) != 1 || m[1] != ids.LSN(99) {
+		t.Errorf("reload = %v, %v", m, err)
 	}
 }
 
 func TestWellKnownCorruptRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wk")
-	if err := SaveWellKnownLSN(path, ids.LSN(7)); err != nil {
+	if err := SaveWellKnownMarks(path, wkMark(7)); err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := os.ReadFile(path)
-	raw[3] ^= 0xFF
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
+	for _, flip := range []int{3, 14, len(raw) - 1} { // magic, a mark, the CRC
+		bad := append([]byte(nil), raw...)
+		bad[flip] ^= 0xFF
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadWellKnownMarks(path); err != ErrNoWellKnown {
+			t.Errorf("byte %d corrupt: err = %v, want ErrNoWellKnown", flip, err)
+		}
 	}
-	if _, err := LoadWellKnownLSN(path); err != ErrNoWellKnown {
-		t.Errorf("corrupt file: err = %v, want ErrNoWellKnown", err)
-	}
-	// Short file.
-	if err := os.WriteFile(path, []byte{1, 2}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadWellKnownLSN(path); err != ErrNoWellKnown {
-		t.Errorf("short file: err = %v, want ErrNoWellKnown", err)
+	// A short file, and a bare LSN+CRC without the magic.
+	for _, bad := range [][]byte{{1, 2}, make([]byte, 12)} {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadWellKnownMarks(path); err != ErrNoWellKnown {
+			t.Errorf("%d-byte file: err = %v, want ErrNoWellKnown", len(bad), err)
+		}
 	}
 }

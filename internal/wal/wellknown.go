@@ -17,20 +17,14 @@ import (
 // LSN of the begin checkpoint record into a well-known file. This LSN
 // always points to a process checkpoint (if exists)."
 //
-// Two formats share the file:
+// With a sharded log the one LSN becomes a vector, one mark per
+// stream: an 8-byte magic, a count, per-stream (tag, LSN) pairs, and a
+// trailing CRC. Recovery scans each stream from its own mark.
 //
-//   - v1 (legacy, single stream): a fixed 12-byte record, LSN + CRC.
-//     Written whenever the marks vector is exactly {stream 0: lsn}, so
-//     a single-shard process keeps producing files any older build can
-//     read.
-//   - v2 (sharded): an 8-byte magic, a count, per-stream (tag, LSN)
-//     pairs, and a trailing CRC — the cross-shard checkpoint
-//     watermark. Recovery scans each stream from its own mark.
-//
-// Both formats are written atomically: temp file, fsync, rename,
-// fsync of the containing directory — so the file named path always
-// holds a complete record even across a crash right after checkpoint
-// (the rename is the commit point). A corrupt or missing file makes
+// The file is written atomically: temp file, fsync, rename, fsync of
+// the containing directory — so the file named path always holds a
+// complete record even across a crash right after checkpoint (the
+// rename is the commit point). A corrupt or missing file makes
 // recovery scan from the very beginning, exactly the paper's "If the
 // LSN does not exist, the log is examined from the very beginning."
 
@@ -38,59 +32,20 @@ import (
 // unreadable, so recovery must scan from the log start.
 var ErrNoWellKnown = errors.New("wal: no well-known checkpoint LSN")
 
-// wellKnownV2Magic heads the v2 (per-stream vector) format. The first
-// 8 bytes of a v1 file are a little-endian LSN whose top byte is a
-// stream tag well below 'P', so the formats cannot be confused.
-const wellKnownV2Magic = "PHXWKV2\n"
+// wellKnownMagic heads the file.
+const wellKnownMagic = "PHXWKV2\n"
 
-// SaveWellKnownLSN durably records lsn in the v1 well-known file at
-// path: write a temp file, rename it over path, fsync the directory.
-func SaveWellKnownLSN(path string, lsn ids.LSN) error {
-	buf := make([]byte, 12)
-	binary.LittleEndian.PutUint64(buf, uint64(lsn))
-	binary.LittleEndian.PutUint32(buf[8:], crc32.ChecksumIEEE(buf[:8]))
-	if err := atomicWriteFile(path, buf); err != nil {
-		return fmt.Errorf("wal: write well-known file: %w", err)
-	}
-	return nil
-}
-
-// LoadWellKnownLSN reads the last durably recorded checkpoint LSN from
-// a v1 file. It returns ErrNoWellKnown if the file is missing, short,
-// corrupt, or in the v2 vector format (sharded callers use
-// LoadWellKnownMarks).
-func LoadWellKnownLSN(path string) (ids.LSN, error) {
-	buf, err := readWellKnown(path)
-	if err != nil {
-		return ids.NilLSN, err
-	}
-	if len(buf) < 12 || string(buf[:8]) == wellKnownV2Magic {
-		return ids.NilLSN, ErrNoWellKnown
-	}
-	if crc32.ChecksumIEEE(buf[:8]) != binary.LittleEndian.Uint32(buf[8:12]) {
-		return ids.NilLSN, ErrNoWellKnown
-	}
-	return ids.LSN(binary.LittleEndian.Uint64(buf[:8])), nil
-}
-
-// SaveWellKnownMarks durably records the cross-shard checkpoint
-// watermark: one LSN per stream, each the point that stream's recovery
-// scan may start from. A vector of exactly {stream 0: lsn} is written
-// in the legacy v1 format, so single-shard processes stay bit-for-bit
-// compatible; anything else is v2.
+// SaveWellKnownMarks durably records the checkpoint watermark: one LSN
+// per stream, each the point that stream's recovery scan may start
+// from.
 func SaveWellKnownMarks(path string, marks map[uint32]ids.LSN) error {
-	if len(marks) == 1 {
-		if lsn, ok := marks[0]; ok {
-			return SaveWellKnownLSN(path, lsn)
-		}
-	}
 	streams := make([]uint32, 0, len(marks))
 	for s := range marks {
 		streams = append(streams, s)
 	}
 	sort.Slice(streams, func(i, j int) bool { return streams[i] < streams[j] })
 	buf := make([]byte, 0, 8+4+12*len(streams)+4)
-	buf = append(buf, wellKnownV2Magic...)
+	buf = append(buf, wellKnownMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(streams)))
 	for _, s := range streams {
 		buf = binary.LittleEndian.AppendUint32(buf, s)
@@ -103,43 +58,9 @@ func SaveWellKnownMarks(path string, marks map[uint32]ids.LSN) error {
 	return nil
 }
 
-// LoadWellKnownMarks reads the checkpoint watermark vector, accepting
-// both formats: a v1 file loads as {stream 0: lsn}. It returns
+// LoadWellKnownMarks reads the checkpoint watermark vector. It returns
 // ErrNoWellKnown if the file is missing, short, or corrupt.
 func LoadWellKnownMarks(path string) (map[uint32]ids.LSN, error) {
-	buf, err := readWellKnown(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(buf) >= 8 && string(buf[:8]) == wellKnownV2Magic {
-		if len(buf) < 16 {
-			return nil, ErrNoWellKnown
-		}
-		body, crc := buf[:len(buf)-4], binary.LittleEndian.Uint32(buf[len(buf)-4:])
-		if crc32.ChecksumIEEE(body) != crc {
-			return nil, ErrNoWellKnown
-		}
-		n := int(binary.LittleEndian.Uint32(body[8:12]))
-		if len(body) != 12+12*n {
-			return nil, ErrNoWellKnown
-		}
-		marks := make(map[uint32]ids.LSN, n)
-		for i := 0; i < n; i++ {
-			off := 12 + 12*i
-			s := binary.LittleEndian.Uint32(body[off:])
-			marks[s] = ids.LSN(binary.LittleEndian.Uint64(body[off+4:]))
-		}
-		return marks, nil
-	}
-	lsn, err := LoadWellKnownLSN(path)
-	if err != nil {
-		return nil, err
-	}
-	return map[uint32]ids.LSN{0: lsn}, nil
-}
-
-// readWellKnown reads the raw file, mapping absence to ErrNoWellKnown.
-func readWellKnown(path string) ([]byte, error) {
 	buf, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, ErrNoWellKnown
@@ -147,5 +68,22 @@ func readWellKnown(path string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: read well-known file: %w", err)
 	}
-	return buf, nil
+	if len(buf) < 16 || string(buf[:8]) != wellKnownMagic {
+		return nil, ErrNoWellKnown
+	}
+	body, crc := buf[:len(buf)-4], binary.LittleEndian.Uint32(buf[len(buf)-4:])
+	if crc32.ChecksumIEEE(body) != crc {
+		return nil, ErrNoWellKnown
+	}
+	n := int(binary.LittleEndian.Uint32(body[8:12]))
+	if len(body) != 12+12*n {
+		return nil, ErrNoWellKnown
+	}
+	marks := make(map[uint32]ids.LSN, n)
+	for i := 0; i < n; i++ {
+		off := 12 + 12*i
+		s := binary.LittleEndian.Uint32(body[off:])
+		marks[s] = ids.LSN(binary.LittleEndian.Uint64(body[off+4:]))
+	}
+	return marks, nil
 }

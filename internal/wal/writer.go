@@ -38,16 +38,13 @@ type Shard struct {
 	Log *Log
 }
 
-// Writer is the log interface the Phoenix runtime writes through —
-// satisfied by a single *Log (one stream, the legacy bit-for-bit
-// format) and by *Set (N shard streams with per-shard group commit).
+// Writer is the log interface the Phoenix runtime writes through,
+// implemented by *Set:
 //
-// The redesign over the old concrete-*Log API:
-//
-//   - AppendInto takes a routing key (the appending context's CompID):
-//     a Set hashes it to pick the shard, a Log ignores it.
+//   - AppendInto takes a routing key (the appending context's CompID),
+//     hashed to pick the shard.
 //   - Forces are LSN-aware (ForceTo/SyncTo) and route to the shard
-//     that owns the LSN's stream; bare Force() is deprecated.
+//     that owns the LSN's stream.
 //   - Whole-log introspection goes through Shards(): recovery and
 //     tooling scan each stream with its own cursor instead of assuming
 //     one contiguous LSN space.
@@ -65,8 +62,7 @@ type Writer interface {
 	// SyncIssued if any stream issued a device sync.
 	SyncAll() (SyncOutcome, error)
 	// SyncedLSN returns the stable watermark of the meta stream (the
-	// stream checkpoint records append to; the only stream of a plain
-	// Log).
+	// stream checkpoint records append to).
 	SyncedLSN() ids.LSN
 	// Flush writes buffered records of every stream to their files
 	// without syncing.
@@ -92,7 +88,7 @@ type Writer interface {
 	// SetMetrics redirects device-boundary accounting to reg.
 	SetMetrics(reg *obs.Registry)
 	// StartGroupCommit starts a group-commit flusher per appendable
-	// stream (one for a plain Log).
+	// stream.
 	StartGroupCommit(cfg GroupCommitConfig, clock disk.Clock)
 	// Close flushes and closes every stream without syncing.
 	Close() error
@@ -101,7 +97,4 @@ type Writer interface {
 	Discard() error
 }
 
-var (
-	_ Writer = (*Log)(nil)
-	_ Writer = (*Set)(nil)
-)
+var _ Writer = (*Set)(nil)

@@ -64,27 +64,25 @@ type (
 	Process = core.Process
 	// Config holds the per-process runtime switches: logging mode,
 	// specialized types, multi-call optimization, checkpoint policies,
-	// group-commit batching (Config.GroupCommit), log sharding
-	// (Config.WAL), and recovery parallelism (Config.Recovery).
+	// log sharding and group-commit batching (Config.WAL), and recovery
+	// scheduling (Config.Recovery).
 	Config = core.Config
-	// GroupCommit is the nested Config.GroupCommit section: Enabled
+	// GroupCommit is the nested Config.WAL.GroupCommit section: Enabled
 	// routes the process log's forces through a dedicated flusher
 	// goroutine that satisfies each batch of concurrent committers
 	// with one device sync; MaxWait is the commit window (0 = 200µs)
 	// and MaxBatch the batch cap (0 = 64). The zero value disables
 	// batching — forces sync inline and combine only opportunistically.
 	GroupCommit = core.GroupCommit
-	// WALConfig is the nested Config.WAL section: Shards > 1 partitions
-	// the process log into that many shard streams keyed by the
-	// appending context, each with its own files, append mutex,
-	// group-commit flusher and synced watermark; WALConfig.GroupCommit
-	// configures the per-shard flushers (falling back to the top-level
-	// Config.GroupCommit). The zero value keeps the single-stream log,
-	// bit-for-bit today's on-disk format.
+	// WALConfig is the nested Config.WAL section: Shards partitions the
+	// process log into that many shard streams keyed by the appending
+	// context, each with its own files, append mutex, group-commit
+	// flusher and synced watermark; GroupCommit configures the
+	// per-shard flushers. The zero value is one shard, forces inline.
 	WALConfig = core.WALConfig
 	// ShardLogStat pairs one log shard's stream ID with its activity
-	// counters (Process.ShardLogStats); a single-stream log reports
-	// one entry.
+	// counters (Process.ShardLogStats); a one-shard log reports one
+	// entry.
 	ShardLogStat = core.ShardLogStat
 	// RecoveryConfig is the nested Config.Recovery section — the
 	// restart surface. Mode schedules Pass-2 replay: RecoveryEager
