@@ -16,16 +16,17 @@ func init() {
 	})
 }
 
-// runGroupCommit measures the group-commit log manager against the
-// direct force path: N external clients call N persistent components
-// hosted in ONE server process, so every call pays Algorithm 3's two
-// forces (incoming record, then reply record) against the shared log.
-// The direct path combines concurrent forces only opportunistically
-// (later requesters piggyback on a sync in flight); the flusher's
-// commit window batches them deliberately, so device syncs per call
-// drop below 1 as concurrency grows. The wal.group.* metrics expose
-// the batch shape and land in phoenix-bench -json via the default
-// registry.
+// runGroupCommit measures the log's one force path with the commit
+// window off ("direct") and on ("group-commit"): N external clients
+// call N persistent components hosted in ONE server process, so every
+// call pays Algorithm 3's two forces (incoming record, then reply
+// record) against the shared log. Concurrent forces always share a
+// device sync (the first requester leads it, later ones ride it);
+// without the window that happens only when requests overlap a sync in
+// flight, with it a fresh leader waits 200µs for company first. Device
+// syncs per call drop below 1 as concurrency grows in both modes. The
+// wal.group.* metrics expose the batch shape and land in phoenix-bench
+// -json via the default registry.
 func runGroupCommit(o Options) (*Table, error) {
 	o = o.Defaults()
 	t := &Table{
@@ -36,7 +37,7 @@ func runGroupCommit(o Options) (*Table, error) {
 		Cols: []string{"Log manager", "Shards", "Clients", "Calls", "Device syncs", "Syncs/call", "Mean batch", "Syncs saved", "Calls/s (bound)", "Appends/s (bound)"},
 		Notes: []string{
 			"every external call semantically forces twice (Algorithm 3: incoming + reply); syncs/call < 1 means combining beats the per-call bill",
-			"Mean batch and Syncs saved are the wal.group.* metrics (the direct path reports saved piggybacks but no batches)",
+			"Mean batch (requests satisfied per device sync, leader included) and Syncs saved are the wal.group.* metrics, observed by the same leader/follower code in both modes",
 			"Shards > 1 partitions the log by context (Config.WAL.Shards): appends and forces from different clients stop serializing on one mutex and one device file",
 			"Calls/s (bound) divides total calls by the busiest shard's serialized busy time (append critical sections + flush/sync durations, Stats.*BusyNanos): the throughput ceiling the log's serial resources impose, independent of the measuring host's core count",
 			"Appends/s (bound) is the same ceiling for the append path alone (record appends / busiest shard's AppendBusyNanos): the mutex-serialized work that sharding divides; sync busy does not divide here because tail-covering group commit already gives each device ~constant syncs per call",
@@ -125,11 +126,6 @@ func runGroupCommitCell(o Options, gcOn bool, clients int) ([]string, error) {
 	delta := obs.Default().Snapshot().Diff(before)
 	syncs := ps.LogStats().Forces
 	total := clients * o.Calls
-	batch := delta.HistogramFor(obs.WALGroupBatchSize)
-	meanBatch := "-"
-	if batch.Count > 0 {
-		meanBatch = fmt.Sprintf("%.2f", batch.Mean())
-	}
 	mode := "direct"
 	if gcOn {
 		mode = "group-commit"
@@ -161,7 +157,7 @@ func runGroupCommitCell(o Options, gcOn bool, clients int) ([]string, error) {
 		fmt.Sprintf("%d", total),
 		fmt.Sprintf("%d", syncs),
 		fmt.Sprintf("%.2f", float64(syncs)/float64(total)),
-		meanBatch,
+		fmt.Sprintf("%.2f", delta.HistogramFor(obs.WALGroupBatchSize).Mean()),
 		fmt.Sprintf("%d", delta.Counter(obs.WALGroupSyncsSaved)),
 		rate,
 		appendRate,

@@ -1,4 +1,4 @@
-//go:build unix
+//go:build unix && perfgate
 
 package bench
 
@@ -22,8 +22,14 @@ func cpuNow(t *testing.T) time.Duration {
 
 // TestTraceOverhead is the CI perf gate for the tracing tentpole: on
 // the group-commit workload, enabling the flight recorder must cost
-// under 5% per call. Span recording is wait-free and alloc-free, so
-// the honest number is noise-level — which dictates the measurement:
+// under 5% per call. It is a timing verdict, so it is built only with
+// `-tags perfgate` (make bench-smoke): on a shared 2-vCPU host the
+// median itself swings by more than the budget, and `go test ./...`
+// must not depend on that. TestAllocsTracedCallPath and
+// TestTraceOverheadShape are the deterministic tier-1 tracing checks.
+//
+// Span recording is wait-free and alloc-free, so the honest number is
+// noise-level — which dictates the measurement:
 // cells run on a virtual clock (simulated waits are free, so the run
 // is pure CPU), the meter is process CPU time (wall time over real
 // syncs swings ±50% and cannot resolve a 5% budget), and the verdict

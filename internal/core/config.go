@@ -20,12 +20,12 @@ import (
 	"repro/internal/wal"
 )
 
-// GroupCommit configures the process log's group-commit flusher
-// (Config.WAL.GroupCommit): a dedicated goroutine collects concurrent
-// force requests, holds a MaxWait commit window so committers pile up,
-// and satisfies each batch of up to MaxBatch waiters with one device
-// sync. The zero value disables it; with Enabled true, zero MaxWait
-// and MaxBatch mean 200µs and 64.
+// GroupCommit switches on the process log's commit window
+// (Config.WAL.GroupCommit): concurrent force requests always share a
+// device sync — the first leads it, the rest ride it — and with
+// Enabled a leader first waits 200µs of universe-clock time so
+// committers already on their way are covered too. The zero value
+// leaves the combining opportunistic.
 type GroupCommit = wal.GroupCommitConfig
 
 // WALConfig shapes the process's write-ahead log (Config.WAL). The
@@ -33,20 +33,19 @@ type GroupCommit = wal.GroupCommitConfig
 type WALConfig struct {
 	// Shards partitions the log into N shard streams keyed by the
 	// appending context's CompID: each shard owns its own files,
-	// append mutex, group-commit flusher and synced watermark, so
-	// appends and forces from different contexts stop serializing on
-	// one mutex and one device file. 0 means one shard for a fresh
+	// append mutex, sync leader and synced watermark, so appends and
+	// forces from different contexts stop serializing on one mutex
+	// and one device file. 0 means one shard for a fresh
 	// log and the layout already on disk for an existing one; any
 	// other value that differs from the disk's reshards in place (old
 	// records stay where they are — recovery reads every era).
 	Shards int
-	// GroupCommit batches concurrent log forces behind a dedicated
-	// flusher goroutine per shard: one device sync per batch of
-	// committers, replacing the direct path's opportunistic
-	// piggybacking with a deliberate commit window. Worth turning on
-	// when many contexts (or external clients) commit concurrently
-	// against one process log; a lone caller only pays the window
-	// latency.
+	// GroupCommit makes each shard's sync leader hold a commit window
+	// before it flushes: one device sync per batch of committers,
+	// deliberately instead of only when their requests happen to
+	// overlap. Worth turning on when many contexts (or external
+	// clients) commit concurrently against one process log; a lone
+	// caller only pays the window latency.
 	GroupCommit GroupCommit
 }
 

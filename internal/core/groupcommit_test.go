@@ -9,17 +9,16 @@ import (
 	"repro/internal/disk"
 )
 
-// groupCommitConfig is testConfig with the flusher switched on and a
-// tight window so tests never idle on a wall clock.
+// groupCommitConfig is testConfig with the commit window switched on.
 func groupCommitConfig() Config {
 	cfg := testConfig()
-	cfg.WAL.GroupCommit = GroupCommit{Enabled: true, MaxWait: 100 * time.Microsecond}
+	cfg.WAL.GroupCommit = GroupCommit{Enabled: true}
 	return cfg
 }
 
 // TestGroupCommitEndToEndCrashRecovery drives concurrent external
-// clients against one process whose log runs the group-commit flusher
-// on a virtual clock (the commit window is deterministic and instant),
+// clients against one process whose log holds the commit window on a
+// virtual clock (the window is deterministic and instant),
 // then crashes the process mid-life: recovery must rebuild every
 // counter exactly, proving batched acknowledgements were durable.
 func TestGroupCommitEndToEndCrashRecovery(t *testing.T) {
@@ -77,7 +76,7 @@ func TestGroupCommitEndToEndCrashRecovery(t *testing.T) {
 // TestGroupCommitExactlyOnceUnderInjection re-runs the exactly-once
 // crash-injection harness with group commit enabled in every process:
 // batching forces must not widen any recovery window. The points cover
-// the client-side force (now a flusher batch) and the server's logged
+// the client-side force (now a batched sync) and the server's logged
 // reply.
 func TestGroupCommitExactlyOnceUnderInjection(t *testing.T) {
 	points := []InjectionPoint{
@@ -94,7 +93,7 @@ func TestGroupCommitExactlyOnceUnderInjection(t *testing.T) {
 					SpecializedTypes: true,
 					RetryInterval:    2 * time.Millisecond,
 					RetryLimit:       2000,
-					WAL:              WALConfig{GroupCommit: GroupCommit{Enabled: true, MaxWait: 100 * time.Microsecond}},
+					WAL:              WALConfig{GroupCommit: GroupCommit{Enabled: true}},
 				}
 				runExactlyOnceCfg(t, base, pt, false)
 			})
@@ -102,11 +101,11 @@ func TestGroupCommitExactlyOnceUnderInjection(t *testing.T) {
 	}
 }
 
-// TestGroupCommitConcurrentRelayFanIn exercises the batching path the
-// flusher exists for: many persistent relays in one process forcing
-// the shared log concurrently (message-3 forces), all fanning into one
-// counter process. Every chain must complete and the counter must see
-// every increment exactly once.
+// TestGroupCommitConcurrentRelayFanIn exercises the batching the
+// commit window exists for: many persistent relays in one process
+// forcing the shared log concurrently (message-3 forces), all fanning
+// into one counter process. Every chain must complete and the counter
+// must see every increment exactly once.
 func TestGroupCommitConcurrentRelayFanIn(t *testing.T) {
 	u := newTestUniverse(t)
 	cfg := groupCommitConfig()

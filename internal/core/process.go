@@ -143,8 +143,8 @@ func newProcess(m *Machine, name string, procID ids.ProcID, cfg Config) (*Proces
 	if tr == nil {
 		tr = m.u.cfg.Trace
 	}
-	// The flusher's commit window sleeps on the universe clock, so a
-	// virtual clock drives group commit deterministically in tests.
+	// The commit window sleeps on the universe clock, so a virtual
+	// clock drives group commit deterministically in tests.
 	log.StartGroupCommit(cfg.WAL.GroupCommit, m.u.cfg.Clock)
 	p := &Process{
 		u:            m.u,

@@ -307,12 +307,10 @@ func (cx *Context) outgoingCall(call *msg.Call) (*msg.Reply, error) {
 	switch {
 	case cx.parent.ctype == msg.External || stateless:
 		// Nothing at stateless callers.
-	case cx.recovering:
-		// The reply came from a live send during replay; it is the
-		// current end of history for this context. Log it like normal
-		// execution would (below) so a second failure replays it too.
-		fallthrough
 	default:
+		// A reply to a live send during replay (cx.recovering) is the
+		// current end of history for this context: it is logged like
+		// any other, so a second failure replays it too.
 		if p.cfg.LogMode == LogBaseline && !aopt {
 			lsn, err := p.appendRec(recOutgoingReply, cx.parent.id, &outgoingReplyRec{Ctx: cx.parent.id, Seq: seq, Reply: *reply, Trace: call.Trace})
 			if err != nil {

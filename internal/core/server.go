@@ -103,11 +103,9 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 	}
 
 	external := call.ID.IsZero()
-	method, ok := cx.parent.disp.Method(call.Method)
-	if !ok {
+	if _, ok := cx.parent.disp.Method(call.Method); !ok {
 		return fault(call.ID, "component %q has no method %q", compName, call.Method)
 	}
-	_ = method
 
 	// Classify the interaction (Sections 3.2-3.3). Stateless servers
 	// (functional, read-only) log nothing and keep no last-call

@@ -30,8 +30,8 @@ func Analyzers(allow *Allowlist) []*Analyzer {
 
 // repoLocksyncConfig is the repository's locksync scope: since PRs 7-8
 // the blocking-I/O-free critical sections are the per-shard log
-// mutexes (every Set shard is a Log), the group-commit flusher queue,
-// the engine registry and the lazy-recovery bookkeeping — named
+// mutexes (every Set shard is a Log), the engine registry and the
+// lazy-recovery bookkeeping — named
 // explicitly so the per-context mutex, which serializes whole handler
 // executions (forces included) by design, stays exempt. The blocking
 // list adds the wal append/force entry points and the core
@@ -44,22 +44,18 @@ func repoLocksyncConfig() LocksyncConfig {
 		},
 		Mutexes: []string{
 			"repro/internal/wal.Log.mu",
-			"repro/internal/wal.groupCommitter.mu",
 			"repro/internal/core.Process.mu",
 			"repro/internal/core.replayEngine.mu",
 		},
 		Blocking: append([]string{
 			"(*repro/internal/wal.Log).Append",
 			"(*repro/internal/wal.Log).AppendInto",
-			"(*repro/internal/wal.Log).ForceTo",
 			"(*repro/internal/wal.Log).SyncTo",
 			"(*repro/internal/wal.Log).SyncAll",
 			"(*repro/internal/wal.Set).AppendInto",
-			"(*repro/internal/wal.Set).ForceTo",
 			"(*repro/internal/wal.Set).SyncTo",
 			"(*repro/internal/wal.Set).SyncAll",
 			"(repro/internal/wal.Writer).AppendInto",
-			"(repro/internal/wal.Writer).ForceTo",
 			"(repro/internal/wal.Writer).SyncTo",
 			"(repro/internal/wal.Writer).SyncAll",
 			"(*repro/internal/core.Process).appendRec",

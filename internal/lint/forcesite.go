@@ -20,7 +20,6 @@ type ForcesiteConfig struct {
 var defaultForcesiteGuarded = []string{
 	"(*repro/internal/wal.Log).Append",
 	"(*repro/internal/wal.Log).AppendInto",
-	"(*repro/internal/wal.Log).ForceTo",
 	"(*repro/internal/wal.Log).SyncTo",
 	"(*repro/internal/wal.Log).SyncAll",
 	// The sharded set and the Writer interface expose the same entry
@@ -28,11 +27,9 @@ var defaultForcesiteGuarded = []string{
 	// analyzer would lose its coverage the moment a call site is typed
 	// wal.Writer instead of *wal.Log.
 	"(*repro/internal/wal.Set).AppendInto",
-	"(*repro/internal/wal.Set).ForceTo",
 	"(*repro/internal/wal.Set).SyncTo",
 	"(*repro/internal/wal.Set).SyncAll",
 	"(repro/internal/wal.Writer).AppendInto",
-	"(repro/internal/wal.Writer).ForceTo",
 	"(repro/internal/wal.Writer).SyncTo",
 	"(repro/internal/wal.Writer).SyncAll",
 }

@@ -12,15 +12,15 @@ type LocksyncConfig struct {
 	Packages []string
 	// Blocking are the call targets (FuncString spelling) that can
 	// block on device I/O or real time. Empty means the runtime
-	// defaults: file syncs, the disk model's sync, the group-commit
-	// wait, clock sleeps, segment creation, and the wal append/force
-	// entry points core reaches while holding its own mutexes.
+	// defaults: file syncs, the disk model's sync, clock sleeps,
+	// segment creation, and the wal append/force entry points core
+	// reaches while holding its own mutexes.
 	Blocking []string
 	// Mutexes are the lock classes ("pkgpath.Type.field") whose
 	// critical sections must stay free of blocking calls. Empty means
 	// every lock the replay can see (the strict mode fixtures use);
-	// the repository configuration names the shard, flusher, engine
-	// and lazy-recovery mutexes explicitly so that coarse outer locks
+	// the repository configuration names the shard, engine and
+	// lazy-recovery mutexes explicitly so that coarse outer locks
 	// like the per-context mutex — which serializes whole handler
 	// executions, forces included, by design — stay exempt.
 	Mutexes []string
@@ -29,7 +29,6 @@ type LocksyncConfig struct {
 var defaultLocksyncBlocking = []string{
 	"(*os.File).Sync",
 	"(repro/internal/disk.Model).Sync",
-	"(*repro/internal/wal.groupCommitter).wait",
 	"(repro/internal/disk.Clock).Sleep",
 	"time.Sleep",
 	"(*repro/internal/wal.Log).createSegment",

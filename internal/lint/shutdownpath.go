@@ -29,7 +29,7 @@ var (
 	defaultShutdownPackages = []string{"repro/internal/core", "repro/internal/wal"}
 	defaultShutdownRoots    = []string{
 		"Close", "Crash", "Discard", "shutdown", "stop", "Stop",
-		"stopAndWait", "stopGroupCommit", "DrainRecovery",
+		"DrainRecovery",
 	}
 	defaultShutdownLatches = []string{"repro/internal/core.Context.ready"}
 )

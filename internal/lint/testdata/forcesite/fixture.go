@@ -13,7 +13,8 @@ func blessedAppend(l *wal.Log, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	return l.ForceTo(lsn)
+	_, err = l.SyncTo(lsn)
+	return err
 }
 
 func rogueAppend(l *wal.Log, payload []byte) {
@@ -21,9 +22,6 @@ func rogueAppend(l *wal.Log, payload []byte) {
 }
 
 func rogueForces(l *wal.Log) error {
-	if err := l.ForceTo(7); err != nil { // want `\Q(*repro/internal/wal.Log).ForceTo\E called from`
-		return err
-	}
 	if _, err := l.SyncAll(); err != nil { // want `\Q(*repro/internal/wal.Log).SyncAll\E called from`
 		return err
 	}
@@ -38,20 +36,16 @@ func rogueSet(s *wal.Set, enc wal.PayloadEncoder) error {
 	if _, err := s.AppendInto(3, 1, enc); err != nil { // want `\Q(*repro/internal/wal.Set).AppendInto\E called from`
 		return err
 	}
-	if _, err := s.SyncAll(); err != nil { // want `\Q(*repro/internal/wal.Set).SyncAll\E called from`
-		return err
-	}
-	return s.ForceTo(7) // want `\Q(*repro/internal/wal.Set).ForceTo\E called from`
+	_, err := s.SyncAll() // want `\Q(*repro/internal/wal.Set).SyncAll\E called from`
+	return err
 }
 
 func rogueWriter(w wal.Writer, enc wal.PayloadEncoder) error {
 	if _, err := w.AppendInto(3, 1, enc); err != nil { // want `\Q(repro/internal/wal.Writer).AppendInto\E called from`
 		return err
 	}
-	if _, err := w.SyncTo(9); err != nil { // want `\Q(repro/internal/wal.Writer).SyncTo\E called from`
-		return err
-	}
-	return w.ForceTo(7) // want `\Q(repro/internal/wal.Writer).ForceTo\E called from`
+	_, err := w.SyncTo(9) // want `\Q(repro/internal/wal.Writer).SyncTo\E called from`
+	return err
 }
 
 // reads are not guarded: only the append/force entry points are.

@@ -83,8 +83,7 @@ func (o *Orphan) run() {
 
 // window races a timer goroutine against other wake-ups: the join is
 // one arm of a multi-case select, so the goroutine may outlive the
-// function (the groupCommitter.window shape — allowlisted in the real
-// tree, flagged here).
+// function.
 func window(full chan struct{}) bool {
 	timer := make(chan struct{})
 	go func() { // want `signals a local channel/WaitGroup that .* does not unconditionally join`

@@ -26,25 +26,24 @@ const (
 	// WALAppendBytes is the size distribution of appended records.
 	WALAppendBytes = "wal.append_bytes"
 
-	// --- group commit (internal/wal group.go). The batch metrics are
-	// observed once per flusher device sync; syncs_saved also counts
-	// direct-path requests that piggybacked on a sync in flight, so
-	// device syncs (wal.forces) + wal.group.syncs_saved + clean forces
-	// add up to the total force requests. ---
+	// --- force combining (internal/wal syncTarget, group.go), with the
+	// commit window on or off. Every force request ends as a device
+	// sync it led, a sync it rode, or a clean force: wal.forces +
+	// wal.group.syncs_saved + wal.clean_forces add up to the total
+	// force requests. ---
 
-	// WALGroupBatchSize is the waiters-per-device-sync distribution of
-	// the group-commit flusher (mean > 1 means forces are combining).
+	// WALGroupBatchSize is the distribution of requests satisfied per
+	// device sync, its leader included (mean > 1 means forces are
+	// combining).
 	WALGroupBatchSize = "wal.group.batch_size"
-	// WALGroupWaitMicros is how long force requesters waited from
-	// enqueue to wake (commit window + sync latency).
+	// WALGroupWaitMicros is how long a force request that needed a
+	// device sync took from arrival to stable (commit window + waiting
+	// for the leader + sync latency).
 	WALGroupWaitMicros = "wal.group.wait_micros"
 	// WALGroupSyncsSaved counts force requests satisfied by a device
 	// sync they did not issue — the paper's combined forces, made
 	// deliberate.
 	WALGroupSyncsSaved = "wal.group.syncs_saved"
-	// WALGroupBackpressure counts force requests that blocked because
-	// the flusher's queue was full.
-	WALGroupBackpressure = "wal.group.backpressure"
 
 	// --- sharded log (internal/wal set.go). A Set's shards report the
 	// plain wal.* and wal.group.* metrics into the same registry, so
@@ -284,10 +283,9 @@ type WALMetrics struct {
 	ForceMicros    *Histogram
 	AppendBytes    *Histogram
 
-	GroupBatchSize    *Histogram
-	GroupWaitMicros   *Histogram
-	GroupSyncsSaved   *Counter
-	GroupBackpressure *Counter
+	GroupBatchSize  *Histogram
+	GroupWaitMicros *Histogram
+	GroupSyncsSaved *Counter
 
 	ShardAppends  *Counter
 	ShardSpread   *Histogram
@@ -307,10 +305,9 @@ func WALView(r *Registry) *WALMetrics {
 		ForceMicros:    r.Histogram(WALForceMicros),
 		AppendBytes:    r.Histogram(WALAppendBytes),
 
-		GroupBatchSize:    r.Histogram(WALGroupBatchSize),
-		GroupWaitMicros:   r.Histogram(WALGroupWaitMicros),
-		GroupSyncsSaved:   r.Counter(WALGroupSyncsSaved),
-		GroupBackpressure: r.Counter(WALGroupBackpressure),
+		GroupBatchSize:  r.Histogram(WALGroupBatchSize),
+		GroupWaitMicros: r.Histogram(WALGroupWaitMicros),
+		GroupSyncsSaved: r.Counter(WALGroupSyncsSaved),
 
 		ShardAppends:  r.Counter(WALShardAppends),
 		ShardSpread:   r.Histogram(WALShardSpread),

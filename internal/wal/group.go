@@ -1,87 +1,42 @@
 package wal
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/disk"
-	"repro/internal/ids"
 )
 
-// Group commit: a dedicated flusher goroutine collects concurrent
-// force requests into batches and satisfies each batch with a single
-// device sync. The paper's Section 3.1 observes that contexts sharing
-// a process log combine forces opportunistically; the flusher makes
-// that combining deliberate — the first request opens a commit window
-// (MaxWait) during which later requests pile on, then one sync covers
-// the whole tail and wakes every waiter whose records it covered.
+// Group commit: the leader's commit window. Concurrent force requests
+// always combine — the first requester leads the device sync, later
+// ones wait for it and ride it when it covers them (syncTarget; the
+// paper's Section 3.1 combined force). Group commit makes the
+// combining deliberate: a leader that did not itself wait through a
+// previous sync first holds a fixed commit window with the mutex
+// released, so concurrent committers append and line up behind it
+// before it flushes, and one device sync covers them all. A leader
+// elected after waiting skips the window: the sync it waited through
+// was the batching interval, and its company is already lined up.
+//
+// There is no queue to bound: a waiting request is a goroutine blocked
+// on syncDone, exactly what it would be blocked in any other design.
 
-// GroupCommitConfig tunes the group-commit flusher. The zero value of
-// each knob means its default; Enabled false means forces stay on the
-// direct path (inline sync with opportunistic piggybacking).
+// GroupCommitConfig switches the commit window on.
 type GroupCommitConfig struct {
-	// Enabled routes force requests through the flusher goroutine.
+	// Enabled makes a fresh sync leader hold the commit window before
+	// it flushes. False leaves combining opportunistic: requests ride
+	// a sync only if one happens to be in flight.
 	Enabled bool
-	// MaxWait is the commit window: how long the flusher holds the
-	// batch open after the first request arrives, giving concurrent
-	// committers time to join. 0 means 200µs. The window sleeps on the
-	// clock passed to StartGroupCommit, so a virtual clock makes it
-	// deterministic (and instant) in tests.
-	MaxWait time.Duration
-	// MaxBatch closes the window early once this many requests are
-	// waiting, and caps the waiters satisfied per sync. 0 means 64.
-	MaxBatch int
 }
 
-const (
-	defaultGroupMaxWait  = 200 * time.Microsecond
-	defaultGroupMaxBatch = 64
-)
+// commitWindow is how long a fresh leader waits for company: well
+// under one device sync, long enough for committers already on their
+// way to append.
+const commitWindow = 200 * time.Microsecond
 
-func (c GroupCommitConfig) withDefaults() GroupCommitConfig {
-	if c.MaxWait <= 0 {
-		c.MaxWait = defaultGroupMaxWait
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = defaultGroupMaxBatch
-	}
-	return c
-}
-
-// gcWaiter is one queued force request.
-type gcWaiter struct {
-	target  ids.LSN // exclusive position the waiter needs stable
-	done    chan struct{}
-	outcome SyncOutcome
-	err     error
-	enq     time.Time
-}
-
-// groupCommitter owns the flusher goroutine and its queue.
-type groupCommitter struct {
-	l     *Log
-	cfg   GroupCommitConfig
-	clock disk.Clock
-
-	mu       sync.Mutex
-	room     *sync.Cond // backpressure: signaled when the queue drains
-	pending  []*gcWaiter
-	stopped  bool // no new waiters; pending being resolved
-	stopping bool
-	drain    bool // stop mode: final sync (close) vs fail (crash)
-
-	wake   chan struct{} // cap 1: queue went empty -> non-empty
-	full   chan struct{} // cap 1: queue reached MaxBatch
-	stopCh chan struct{}
-	done   chan struct{} // closed when the flusher exits
-}
-
-// StartGroupCommit routes this log's force requests through a
-// dedicated flusher goroutine per cfg. clock drives the commit window
-// (nil means an unscaled wall clock); the runtime passes the
-// universe's clock so a virtual clock drives the window
-// deterministically. No-op when cfg.Enabled is false, when the log is
-// closed, or when a flusher is already running.
+// StartGroupCommit turns the commit window on per cfg. The window
+// sleeps on clock (nil means an unscaled wall clock); the runtime
+// passes the universe's clock, so a virtual clock makes the window
+// deterministic and instant. No-op when cfg.Enabled is false.
 func (l *Log) StartGroupCommit(cfg GroupCommitConfig, clock disk.Clock) {
 	if !cfg.Enabled {
 		return
@@ -89,206 +44,7 @@ func (l *Log) StartGroupCommit(cfg GroupCommitConfig, clock disk.Clock) {
 	if clock == nil {
 		clock = disk.NewRealClock(1)
 	}
-	g := &groupCommitter{
-		l:      l,
-		cfg:    cfg.withDefaults(),
-		clock:  clock,
-		wake:   make(chan struct{}, 1),
-		full:   make(chan struct{}, 1),
-		stopCh: make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	g.room = sync.NewCond(&g.mu)
 	l.mu.Lock()
-	if l.closed || l.gc != nil {
-		l.mu.Unlock()
-		return
-	}
-	l.gc = g
+	l.window = clock
 	l.mu.Unlock()
-	go g.run()
-}
-
-// queueCap bounds the waiter queue; enqueuers past it block until the
-// flusher drains a batch (backpressure instead of unbounded memory).
-func (g *groupCommitter) queueCap() int { return 4 * g.cfg.MaxBatch }
-
-// wait enqueues a force request and blocks until a batch sync covers
-// it (or shutdown resolves it).
-func (g *groupCommitter) wait(target ids.LSN) (SyncOutcome, error) {
-	w := &gcWaiter{target: target, done: make(chan struct{}), enq: time.Now()}
-	g.mu.Lock()
-	for !g.stopped && len(g.pending) >= g.queueCap() {
-		g.l.m.GroupBackpressure.Inc()
-		g.room.Wait()
-	}
-	if g.stopped {
-		g.mu.Unlock()
-		return SyncClean, ErrClosed
-	}
-	g.pending = append(g.pending, w)
-	n := len(g.pending)
-	g.mu.Unlock()
-	if n == 1 {
-		select {
-		case g.wake <- struct{}{}:
-		default:
-		}
-	}
-	if n >= g.cfg.MaxBatch {
-		select {
-		case g.full <- struct{}{}:
-		default:
-		}
-	}
-	<-w.done
-	g.l.m.GroupWaitMicros.Observe(time.Since(w.enq).Microseconds())
-	return w.outcome, w.err
-}
-
-// run is the flusher: wait for the first request, hold the commit
-// window open so concurrent requests pile up, then satisfy batches
-// until the queue is dry. Follow-up batches skip the window — under
-// overload the sync latency itself is the batching interval.
-func (g *groupCommitter) run() {
-	defer close(g.done)
-	for {
-		select {
-		case <-g.stopCh:
-			g.finish()
-			return
-		case <-g.wake:
-		}
-		if g.window() {
-			// Stop arrived mid-window: the shutdown mode, not another
-			// sync, decides the fate of whatever is queued — a crash
-			// must fail waiters, not quietly commit them on the way out.
-			g.finish()
-			return
-		}
-		for g.syncBatch() {
-		}
-	}
-}
-
-// window sleeps MaxWait on the configured clock unless the batch
-// fills first; reports whether stop cut it short.
-func (g *groupCommitter) window() (stopped bool) {
-	timer := make(chan struct{})
-	go func() {
-		g.clock.Sleep(g.cfg.MaxWait)
-		close(timer)
-	}()
-	select {
-	case <-timer:
-		return false
-	case <-g.full:
-		return false
-	case <-g.stopCh:
-		return true
-	}
-}
-
-// syncBatch takes up to MaxBatch waiters and satisfies them with one
-// device sync; reports whether more are already pending. Every
-// queue-empty -> non-empty transition sends a wake token, so waiters
-// that arrive after the final emptiness check re-arm the run loop.
-func (g *groupCommitter) syncBatch() bool {
-	g.mu.Lock()
-	n := len(g.pending)
-	if n == 0 {
-		g.mu.Unlock()
-		return false
-	}
-	if n > g.cfg.MaxBatch {
-		n = g.cfg.MaxBatch
-	}
-	batch := g.pending[:n:n]
-	rest := make([]*gcWaiter, len(g.pending)-n)
-	copy(rest, g.pending[n:])
-	g.pending = rest
-	g.room.Broadcast()
-	g.mu.Unlock()
-
-	g.l.syncFor(batch)
-
-	g.mu.Lock()
-	more := len(g.pending) > 0
-	g.mu.Unlock()
-	return more
-}
-
-// stopAndWait stops the flusher and blocks until it has exited and
-// every queued waiter is resolved. Idempotent; concurrent callers all
-// wait for the same exit.
-func (g *groupCommitter) stopAndWait(drain bool) {
-	g.mu.Lock()
-	if !g.stopping {
-		g.stopping = true
-		g.drain = drain
-		close(g.stopCh)
-	}
-	g.mu.Unlock()
-	<-g.done
-}
-
-// finish resolves whatever is still queued at shutdown: a clean close
-// drains it with a final sync; a crash fails it — those records were
-// never acknowledged, so losing them is within the contract.
-func (g *groupCommitter) finish() {
-	g.mu.Lock()
-	g.stopped = true
-	pending := g.pending
-	g.pending = nil
-	drain := g.drain
-	g.room.Broadcast()
-	g.mu.Unlock()
-	if len(pending) == 0 {
-		return
-	}
-	if drain {
-		g.l.syncFor(pending)
-		return
-	}
-	for _, w := range pending {
-		w.err = ErrClosed
-		close(w.done)
-	}
-}
-
-// syncFor performs one device sync on behalf of batch and completes
-// every waiter. The sync covers the whole log tail, so it necessarily
-// covers each waiter's target; when a previous batch's sync already
-// covered everything the batch rides for free. The first waiter of a
-// real sync is its issuer (per-site accounting in core keys off
-// this); everyone else is a combined force.
-func (l *Log) syncFor(batch []*gcWaiter) {
-	l.mu.Lock()
-	var didSync bool
-	var err error
-	if l.closed {
-		err = ErrClosed
-	} else {
-		didSync, err = l.syncLocked()
-	}
-	l.mu.Unlock()
-	if err == nil {
-		if didSync {
-			l.m.GroupBatchSize.Observe(int64(len(batch)))
-			l.m.GroupSyncsSaved.Add(int64(len(batch) - 1))
-		} else {
-			l.m.GroupSyncsSaved.Add(int64(len(batch)))
-		}
-	}
-	for i, w := range batch {
-		w.err = err
-		if err == nil {
-			if didSync && i == 0 {
-				w.outcome = SyncIssued
-			} else {
-				w.outcome = SyncCombined
-			}
-		}
-		close(w.done)
-	}
 }

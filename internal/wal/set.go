@@ -13,10 +13,10 @@ import (
 
 // Set is the log a process opens: N appendable shard streams keyed by
 // the append's routing key (the context's CompID), each stream a Log
-// owning its own segment files, append mutex, group-commit flusher and
-// synced watermark. Appends from different contexts do not serialize
-// on one mutex and one flusher, and forces to different shards sync
-// different files concurrently. One shard is the general case with
+// owning its own segment files, append mutex, sync leader and synced
+// watermark. Appends from different contexts do not serialize on one
+// mutex, and forces to different shards sync different files
+// concurrently. One shard is the general case with
 // N = 1, not a separate implementation.
 //
 // Cross-shard ordering: there is none, deliberately. Recoverability
@@ -157,14 +157,8 @@ func (s *Set) streamLog(lsn ids.LSN) (*Log, error) {
 	return l, nil
 }
 
-// ForceTo implements Writer: the force routes to the LSN's stream.
-func (s *Set) ForceTo(lsn ids.LSN) error {
-	_, err := s.SyncTo(lsn)
-	return err
-}
-
-// SyncTo implements Writer. A nil LSN is a clean force accounted to
-// the meta shard.
+// SyncTo implements Writer: the force routes to the LSN's stream. A
+// nil LSN is a clean force accounted to the meta shard.
 func (s *Set) SyncTo(lsn ids.LSN) (SyncOutcome, error) {
 	if lsn.IsNil() {
 		return s.active[0].SyncTo(lsn)
@@ -292,9 +286,9 @@ func (s *Set) SetMetrics(reg *obs.Registry) {
 	}
 }
 
-// StartGroupCommit implements Writer: one flusher per appendable
-// shard, so commit windows on different shards close — and sync their
-// files — independently and in parallel.
+// StartGroupCommit implements Writer: each appendable shard elects
+// its own leaders, so commit windows on different shards close — and
+// sync their files — independently and in parallel.
 func (s *Set) StartGroupCommit(cfg GroupCommitConfig, clock disk.Clock) {
 	for _, l := range s.active {
 		l.StartGroupCommit(cfg, clock)

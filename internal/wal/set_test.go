@@ -335,7 +335,7 @@ func TestSetDiscardAndEmpty(t *testing.T) {
 		t.Error("fresh set is not Empty")
 	}
 	forced := appendKeyed(t, s, 1, []byte("durable"))
-	if err := s.ForceTo(forced); err != nil {
+	if _, err := s.SyncTo(forced); err != nil {
 		t.Fatal(err)
 	}
 	var unforcedKey uint64

@@ -125,10 +125,11 @@ func (s *segment) end() ids.LSN { return s.start + ids.LSN(s.size) }
 // Log is a process-local recovery log. It is safe for concurrent use.
 // Buffer and segment bookkeeping serialize on a mutex, but the device
 // sync itself runs with the mutex released, so Append never blocks
-// behind an in-flight force. Concurrent force requests combine: on the
-// direct path later requesters piggyback on the sync in flight (the
-// paper's Section 3.1 force-combining); with StartGroupCommit a
-// dedicated flusher batches them deliberately.
+// behind an in-flight force. Concurrent force requests combine (the
+// paper's Section 3.1): the first requester leads the device sync and
+// later ones ride it; with StartGroupCommit a fresh leader first holds
+// a commit window so more of them arrive in time (group.go). A failed
+// device sync stops the log for good.
 type Log struct {
 	dir          string
 	model        disk.Model
@@ -146,12 +147,16 @@ type Log struct {
 	bufBase  ids.LSN // LSN of buf[0]
 	synced   ids.LSN // stable watermark (survives Discard)
 	unsynced map[*segment]bool
-	syncing  bool       // a device sync is in flight with mu released
-	syncDone *sync.Cond // broadcast (on mu) when an in-flight sync completes
+	syncing  bool       // a sync leader is in its commit window or its device sync
+	syncDone *sync.Cond // broadcast (on mu) when the leader is done
+	waiters  int        // force requests behind the leader that no finished sync covers
+	late     int        // of those, the ones whose records the leader's flush missed
+	leadEnd  ids.LSN    // what the leader's sync covers (exclusive); nil until it flushes
+	window   disk.Clock // non-nil once StartGroupCommit ran: fresh leaders hold commitWindow on it
+	failed   error      // sticky: a device sync failed, the watermark can no longer be trusted
 	closed   bool
 	stats    Stats
 	m        *obs.WALMetrics
-	gc       *groupCommitter // non-nil once StartGroupCommit ran
 }
 
 // Open opens (creating if necessary) the log directory at dir, verifies
@@ -359,8 +364,8 @@ func (l *Log) active() *segment { return l.segs[len(l.segs)-1] }
 func (l *Log) Append(t RecordType, payload []byte) (ids.LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ids.NilLSN, ErrClosed
+	if err := l.down(); err != nil {
+		return ids.NilLSN, err
 	}
 	start := time.Now()
 	lsn, err := l.appendLocked(t, payload)
@@ -423,8 +428,8 @@ func (l *Log) appendLocked(t RecordType, payload []byte) (ids.LSN, error) {
 func (l *Log) AppendInto(key uint64, t RecordType, enc PayloadEncoder) (ids.LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ids.NilLSN, ErrClosed
+	if err := l.down(); err != nil {
+		return ids.NilLSN, err
 	}
 	start := time.Now()
 	payload, err := enc.AppendPayload(l.encBuf[:0])
@@ -484,14 +489,15 @@ const (
 	SyncCombined
 )
 
-// ForceTo blocks until the record appended at lsn — and every record
-// before it — is stable. An lsn already covered by the stable
-// watermark (or NilLSN) returns immediately as a clean force, even if
-// later records are dirty: that is the over-waiting the LSN-aware API
-// eliminates.
-func (l *Log) ForceTo(lsn ids.LSN) error {
-	_, err := l.SyncTo(lsn)
-	return err
+// down reports why the log takes no more appends or forces: it is
+// closed, or a device sync failed. After a failed fsync the kernel may
+// have dropped the dirty pages and answer the next fsync with success,
+// so the error is sticky — fail-stop, never retry and carry on.
+func (l *Log) down() error {
+	if l.closed {
+		return ErrClosed
+	}
+	return l.failed
 }
 
 // SyncAll makes every appended record stable. Forcing a clean log is
@@ -503,13 +509,17 @@ func (l *Log) SyncAll() (SyncOutcome, error) {
 	return l.syncTarget(target)
 }
 
-// SyncTo is ForceTo with the outcome exposed.
+// SyncTo blocks until the record appended at lsn — and every record
+// before it — is stable, and reports how. An lsn already covered by
+// the stable watermark (or NilLSN) returns immediately as a clean
+// force, even if later records are dirty: that is the over-waiting the
+// LSN-aware API eliminates.
 func (l *Log) SyncTo(lsn ids.LSN) (SyncOutcome, error) {
 	if lsn.IsNil() {
 		l.mu.Lock()
 		defer l.mu.Unlock()
-		if l.closed {
-			return SyncClean, ErrClosed
+		if err := l.down(); err != nil {
+			return SyncClean, err
 		}
 		l.m.CleanForces.Inc()
 		return SyncClean, nil
@@ -528,73 +538,81 @@ func (l *Log) SyncedLSN() ids.LSN {
 }
 
 // syncTarget blocks until the stable watermark reaches target (an
-// exclusive log position). Getting there may mean issuing the device
-// sync, piggybacking on one in flight, or — with group commit on —
-// joining the flusher's next batch.
+// exclusive log position) — the only way an LSN becomes durable. While
+// a leader is at work, requesters wait for it and ride its sync if it
+// covers them; a requester that finds no leader becomes one, syncs the
+// whole tail and wakes the rest.
 func (l *Log) syncTarget(target ids.LSN) (SyncOutcome, error) {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return SyncClean, ErrClosed
+	defer l.mu.Unlock()
+	if err := l.down(); err != nil {
+		return SyncClean, err
 	}
 	if l.synced >= target {
 		l.m.CleanForces.Inc()
-		l.mu.Unlock()
 		return SyncClean, nil
 	}
-	if gc := l.gc; gc != nil {
-		l.mu.Unlock()
-		return gc.wait(target)
-	}
-	// Direct path: single-flight. A sync in flight may already cover
-	// our records — the paper's combined force, now without holding
-	// the mutex through device I/O.
-	for l.syncing {
+	arrived := time.Now()
+	rode := false
+	for l.syncing && l.synced < target && l.down() == nil {
+		if !rode {
+			rode = true
+			l.waiters++
+		}
+		// The leader's flush takes everything appended before it, and a
+		// request's record is appended before the request is made.
+		if !l.leadEnd.IsNil() && target > l.leadEnd {
+			l.late++
+		}
 		l.syncDone.Wait()
-		if l.closed {
-			l.mu.Unlock()
-			return SyncClean, ErrClosed
-		}
-		if l.synced >= target {
-			l.m.GroupSyncsSaved.Inc()
-			l.mu.Unlock()
-			return SyncCombined, nil
-		}
 	}
-	_, err := l.syncLocked()
-	l.mu.Unlock()
+	if l.synced >= target {
+		// The leader whose sync covered this request took it off the
+		// waiter count. Stable is stable, even if the log closed since.
+		l.m.GroupSyncsSaved.Inc()
+		l.m.GroupWaitMicros.Observe(time.Since(arrived).Microseconds())
+		return SyncCombined, nil
+	}
+	if err := l.down(); err != nil {
+		return SyncClean, err
+	}
+	if rode {
+		l.waiters--
+	}
+	l.syncing, l.late, l.leadEnd = true, 0, ids.NilLSN
+	if l.window != nil && !rode {
+		// The commit window (group.go): nobody else can start a sync
+		// meanwhile, and committers append and line up behind this one.
+		l.mu.Unlock()
+		l.window.Sleep(commitWindow)
+		l.mu.Lock()
+	}
+	err := l.syncLocked()
+	l.syncing = false
+	l.syncDone.Broadcast()
 	if err != nil {
 		return SyncClean, err
 	}
+	l.m.GroupBatchSize.Observe(int64(1 + l.waiters - l.late))
+	l.waiters = l.late
+	l.m.GroupWaitMicros.Observe(time.Since(arrived).Microseconds())
 	return SyncIssued, nil
 }
 
-// syncLocked performs one device sync covering everything appended so
-// far. Called with l.mu held; the mutex is RELEASED during the file
-// syncs — so Append never blocks behind an in-flight force — and
-// retaken to publish the new watermark. The syncing flag keeps syncs
-// single-flight. Reports whether a device sync actually happened
-// (false when a previous sync already covered the whole tail).
-func (l *Log) syncLocked() (bool, error) {
-	for l.syncing {
-		l.syncDone.Wait()
-		if l.closed {
-			return false, ErrClosed
-		}
+// syncLocked is the leader's device sync: it covers everything
+// appended so far. Called with l.mu held and l.syncing set; the mutex
+// is RELEASED during the file syncs — so Append never blocks behind an
+// in-flight force — and retaken to publish the new watermark.
+func (l *Log) syncLocked() error {
+	if l.closed {
+		return ErrClosed // Discard struck during the commit window
 	}
 	start := time.Now()
 	if err := l.flushLocked(); err != nil {
-		return false, err
+		return err
 	}
 	target := l.bufBase
-	if target <= l.synced {
-		return false, nil
-	}
-	l.syncing = true
-	defer func() {
-		l.syncing = false
-		l.syncDone.Broadcast()
-	}()
+	l.leadEnd = target
 	type syncSnap struct {
 		s    *segment
 		size int64
@@ -611,12 +629,13 @@ func (l *Log) syncLocked() (bool, error) {
 	l.model.Sync()
 	l.mu.Lock()
 	if l.closed {
-		return false, ErrClosed
+		return ErrClosed // Discard struck during the device sync
 	}
 	for i, sn := range snaps {
 		if errs[i] != nil {
 			if l.unsynced[sn.s] {
-				return false, fmt.Errorf("wal: sync: %w", errs[i])
+				l.failed = fmt.Errorf("wal: sync failed, log stopped: %w", errs[i])
+				return l.failed
 			}
 			continue // segment trimmed away mid-sync; nothing to keep
 		}
@@ -626,14 +645,12 @@ func (l *Log) syncLocked() (bool, error) {
 			delete(l.unsynced, sn.s)
 		}
 	}
-	if target > l.synced {
-		l.synced = target
-	}
+	l.synced = target
 	l.stats.Forces++
 	l.stats.SyncBusyNanos += time.Since(start).Nanoseconds()
 	l.m.Forces.Inc()
 	l.m.ForceMicros.Observe(time.Since(start).Microseconds())
-	return true, nil
+	return nil
 }
 
 // Flush writes buffered records to the files without syncing. Paper
@@ -941,41 +958,23 @@ func (l *Log) ResetStats() {
 }
 
 // Close flushes and closes the log without syncing (a crash may follow
-// Close in tests; durability comes only from a force). Pending
-// group-commit force requests are drained with a final sync first, so
-// no acknowledged-in-flight waiter is left behind.
+// Close in tests; durability comes only from a force). Force requests
+// that arrived first run to completion: Close waits for the leader and
+// for every waiter — each is covered by a sync or leads the next one —
+// so none is failed by an orderly shutdown.
 func (l *Log) Close() error {
-	l.stopGroupCommit(true)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.syncing {
+	for l.down() == nil && (l.syncing || l.waiters > 0) {
 		l.syncDone.Wait()
 	}
 	if l.closed {
 		return nil
 	}
-	if err := l.flushLocked(); err != nil {
-		l.closed = true
-		l.closeSegs()
-		return err
-	}
+	err := l.flushLocked()
 	l.closed = true
 	l.closeSegs()
-	return nil
-}
-
-// stopGroupCommit detaches and stops the flusher, if any. drain makes
-// pending force requests durable with a final sync; !drain fails them
-// with ErrClosed (their records were never acknowledged, so a crash is
-// allowed to lose them).
-func (l *Log) stopGroupCommit(drain bool) {
-	l.mu.Lock()
-	gc := l.gc
-	l.gc = nil
-	l.mu.Unlock()
-	if gc != nil {
-		gc.stopAndWait(drain)
-	}
+	return err
 }
 
 // Discard closes the log simulating a process crash: buffered records
@@ -983,18 +982,21 @@ func (l *Log) stopGroupCommit(drain bool) {
 // position, so only data made stable by a force survives. (A real crash
 // loses whatever the OS page cache had not written; truncating to the
 // sync watermark models the worst permitted loss, which redo recovery
-// must tolerate.)
+// must tolerate.) From the first instant no force request is
+// acknowledged: the leader — in its commit window or its device sync —
+// and every waiter fail with ErrClosed, and Discard waits only for the
+// leader to let go of the files.
 func (l *Log) Discard() error {
-	l.stopGroupCommit(false)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.syncing {
-		l.syncDone.Wait()
-	}
 	if l.closed {
 		return nil
 	}
 	l.closed = true
+	l.syncDone.Broadcast()
+	for l.syncing {
+		l.syncDone.Wait()
+	}
 	l.buf = nil
 	var firstErr error
 	for i := len(l.segs) - 1; i >= 0; i-- {

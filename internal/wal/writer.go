@@ -43,8 +43,8 @@ type Shard struct {
 //
 //   - AppendInto takes a routing key (the appending context's CompID),
 //     hashed to pick the shard.
-//   - Forces are LSN-aware (ForceTo/SyncTo) and route to the shard
-//     that owns the LSN's stream.
+//   - Forces are LSN-aware (SyncTo) and route to the shard that owns
+//     the LSN's stream.
 //   - Whole-log introspection goes through Shards(): recovery and
 //     tooling scan each stream with its own cursor instead of assuming
 //     one contiguous LSN space.
@@ -52,10 +52,8 @@ type Writer interface {
 	// AppendInto appends a record built by enc to the stream the
 	// routing key maps to and returns its stream-qualified LSN.
 	AppendInto(key uint64, t RecordType, enc PayloadEncoder) (ids.LSN, error)
-	// ForceTo blocks until the record at lsn (and everything before it
-	// in its stream) is stable.
-	ForceTo(lsn ids.LSN) error
-	// SyncTo is ForceTo with the outcome exposed for per-site force
+	// SyncTo blocks until the record at lsn (and everything before it
+	// in its stream) is stable; the outcome feeds per-site force
 	// accounting.
 	SyncTo(lsn ids.LSN) (SyncOutcome, error)
 	// SyncAll forces every stream's full tail. The outcome is
@@ -87,8 +85,8 @@ type Writer interface {
 	SetSegmentBytes(n int64)
 	// SetMetrics redirects device-boundary accounting to reg.
 	SetMetrics(reg *obs.Registry)
-	// StartGroupCommit starts a group-commit flusher per appendable
-	// stream.
+	// StartGroupCommit turns on the sync leader's commit window in
+	// every appendable stream.
 	StartGroupCommit(cfg GroupCommitConfig, clock disk.Clock)
 	// Close flushes and closes every stream without syncing.
 	Close() error

@@ -67,18 +67,18 @@ type (
 	// log sharding and group-commit batching (Config.WAL), and recovery
 	// scheduling (Config.Recovery).
 	Config = core.Config
-	// GroupCommit is the nested Config.WAL.GroupCommit section: Enabled
-	// routes the process log's forces through a dedicated flusher
-	// goroutine that satisfies each batch of concurrent committers
-	// with one device sync; MaxWait is the commit window (0 = 200µs)
-	// and MaxBatch the batch cap (0 = 64). The zero value disables
-	// batching — forces sync inline and combine only opportunistically.
+	// GroupCommit is the nested Config.WAL.GroupCommit section.
+	// Concurrent forces of the process log always share a device sync
+	// (the first requester leads it, later ones ride it); Enabled
+	// makes a leader first hold a 200µs commit window so committers
+	// already on their way are covered by the same sync. The zero
+	// value leaves the combining opportunistic.
 	GroupCommit = core.GroupCommit
 	// WALConfig is the nested Config.WAL section: Shards partitions the
 	// process log into that many shard streams keyed by the appending
-	// context, each with its own files, append mutex, group-commit
-	// flusher and synced watermark; GroupCommit configures the
-	// per-shard flushers. The zero value is one shard, forces inline.
+	// context, each with its own files, append mutex, sync leader and
+	// synced watermark; GroupCommit switches on the leaders' commit
+	// window. The zero value is one shard, no window.
 	WALConfig = core.WALConfig
 	// ShardLogStat pairs one log shard's stream ID with its activity
 	// counters (Process.ShardLogStats); a one-shard log reports one
