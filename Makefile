@@ -1,8 +1,8 @@
 # Development entry points. `make ci` is what the GitHub workflow runs.
 
-.PHONY: ci vet lint lockgraph lint-fix-fixtures build test race stress recovery-stress shard-stress adaptive-stress bench bench-smoke loc
+.PHONY: ci vet lint lockgraph lint-fix-fixtures build test fuzz race stress recovery-stress shard-stress adaptive-stress bench bench-smoke loc
 
-ci: vet lint build test race stress recovery-stress shard-stress adaptive-stress
+ci: vet lint build test fuzz race stress recovery-stress shard-stress adaptive-stress
 
 vet:
 	go vet ./...
@@ -16,8 +16,12 @@ vet:
 # is cached on a hash of go.mod/go.sum and the tree's sources, so a
 # warm run skips the go tool. staticcheck and govulncheck run when
 # installed (CI installs them; offline dev machines may not have them).
+# The go list line keeps encoding/gob off the call and replay paths:
+# msg and rpc must not depend on it, even transitively.
 lint:
 	go run ./cmd/phoenix-lint -deadallow ./...
+	@! go list -deps ./internal/msg ./internal/rpc | grep -qx encoding/gob || \
+		{ echo "lint: internal/msg or internal/rpc depends on encoding/gob"; exit 1; }
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "lint: staticcheck not installed, skipping"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
@@ -39,6 +43,12 @@ build:
 
 test:
 	go test ./...
+
+# Ten seconds of the value-stream decoder fuzzer (total, no oversized
+# allocation, decode → encode → decode stable) on top of its checked-in
+# seeds, which `go test` already runs.
+fuzz:
+	go test -run '^$$' -fuzz FuzzDecodeAnySlice -fuzztime 10s ./internal/msg/
 
 race:
 	go test -race ./internal/core/ ./internal/wal/

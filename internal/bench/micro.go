@@ -109,7 +109,7 @@ type measurement struct {
 	forcesPerCall float64
 }
 
-// runRaw measures the "native .NET object" analogue: transport + gob
+// runRaw measures the "native .NET object" analogue: transport + value
 // marshalling + reflection dispatch, with no Phoenix contexts or
 // interception (Table 4's MarshalByRefObject row).
 func runRaw(e *env, calls int) (measurement, error) {

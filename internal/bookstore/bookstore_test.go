@@ -2,11 +2,13 @@ package bookstore
 
 import (
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	phoenix "repro"
+	"repro/internal/rpc"
 )
 
 func newUniverse(t *testing.T) *phoenix.Universe {
@@ -309,7 +311,7 @@ func TestCheckoutBuysFromEachStore(t *testing.T) {
 
 func TestBookstoreOverTCP(t *testing.T) {
 	// The whole application over real sockets: six processes, each on
-	// its own loopback port, gob frames on the wire.
+	// its own loopback port, binary envelopes on the wire.
 	tcp := phoenix.NewTCPNetwork()
 	defer tcp.Close()
 	var mu sync.Mutex
@@ -373,5 +375,26 @@ func TestGrabberMergesStores(t *testing.T) {
 	offers = res[0].([]Offer)
 	if len(offers) != 2 {
 		t.Errorf("Grab(Multi-Tier) = %+v, want offers from both stores", offers)
+	}
+}
+
+// TestValuesCrossTheWire: every application type the bookstore passes
+// between components survives the value codec, singly and in the
+// slices Search, Show and Inventories return.
+func TestValuesCrossTheWire(t *testing.T) {
+	book := Book{Title: "Transaction Processing", Author: "Gray, Reuter", Price: 89.5, Stock: 3}
+	offer := Offer{Store: "phoenix://evo2/store1/BookStore", Book: book}
+	item := BasketItem{Title: book.Title, Store: offer.Store, Price: book.Price}
+	in := []any{book, offer, item, []Book{book, {}}, []Offer{offer, {Store: "s"}}, []BasketItem{item}, []Offer(nil)}
+	data, n, err := rpc.EncodeArgs(in...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := rpc.DecodeResults(data)
+	if err != nil || n != len(in) {
+		t.Fatalf("decode: %v (%d values)", err, n)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Errorf("round trip:\n got %#v\nwant %#v", out, in)
 	}
 }

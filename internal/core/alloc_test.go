@@ -9,12 +9,16 @@ import (
 )
 
 // Allocation-regression gates for the paper's Figure-1 hot path: the
-// point of this PR's codec work is that the per-call software overhead
-// (envelope encode/decode, record construction, WAL framing) stays
-// gone. The baselines below were measured at the pre-binary-codec
-// commit (gob envelopes, allocating WAL framing) on go1.x/linux; the
-// gates assert the ≥50% reduction the optimization claims, with
-// headroom so toolchain drift does not flake.
+// per-call software overhead (envelope and value codec, record
+// construction, WAL framing) must stay gone. Each gate is the figure
+// measured when its layer was last optimized plus ~25% headroom, so
+// toolchain drift does not flake but a reintroduced per-message
+// encoder does.
+
+// callPathAllocGate bounds one persistent↔persistent optimized call:
+// 27.5 allocs measured with the tagged value codec (947 with gob
+// envelopes, 394 with gob values only).
+const callPathAllocGate = 35.0
 
 // AllocBatcher drives n persistent↔persistent calls per envelope call,
 // so the inner-call allocation cost can be isolated from the external
@@ -115,14 +119,10 @@ func TestAllocsCallPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement is slow under -short")
 	}
-	// Pre-PR baseline (gob envelope + allocating WAL framing):
-	// ~947 allocs per persistent↔persistent optimized call.
-	const prePR = 947.0
 	got := measureCallPathAllocs(t)
-	t.Logf("persistent↔persistent call path: %.1f allocs/call (pre-PR %.1f)", got, prePR)
-	if got > prePR/2 {
-		t.Errorf("call path allocates %.1f/call; gate is ≤ %.1f (50%% of pre-PR %.1f)",
-			got, prePR/2, prePR)
+	t.Logf("persistent↔persistent call path: %.1f allocs/call", got)
+	if got > callPathAllocGate {
+		t.Errorf("call path allocates %.1f/call; gate is ≤ %.1f", got, callPathAllocGate)
 	}
 }
 
@@ -140,15 +140,15 @@ func TestAllocsTracedCallPath(t *testing.T) {
 	u, _ := newTracedUniverse(t)
 	traced := measureCallPathAllocsIn(t, u)
 	t.Logf("call path: %.1f allocs/call untraced, %.1f traced", base, traced)
-	if traced > base+2 {
-		t.Errorf("tracing costs %.1f allocs/call (untraced %.1f, traced %.1f); gate is ≤ +2",
-			traced-base, base, traced)
+	if traced > base+2 || base > callPathAllocGate {
+		t.Errorf("tracing costs %.1f allocs/call (untraced %.1f, traced %.1f); gate is ≤ +2 over a base ≤ %.1f",
+			traced-base, base, traced, callPathAllocGate)
 	}
 }
 
 func TestAllocsAppendRec(t *testing.T) {
-	// Pre-PR baseline: ~27 allocs per incoming-record append (gob
-	// encoder + buffer + WAL frame + crc copy).
+	// Baseline before the binary record codec: ~27 allocs per
+	// incoming-record append (encoder + buffer + WAL frame + crc copy).
 	const prePR = 27.0
 	got := measureWALPathAllocs(t)
 	t.Logf("appendRec(incoming): %.1f allocs/record (pre-PR %.1f)", got, prePR)

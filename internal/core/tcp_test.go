@@ -10,7 +10,7 @@ import (
 )
 
 // TestTCPUniverse runs two processes over real sockets: the same
-// runtime, a different Network, exercising gob framing end to end.
+// runtime, a different Network, exercising the binary framing end to end.
 func TestTCPUniverse(t *testing.T) {
 	// Allocate two loopback ports.
 	addrs := make(map[string]string)

@@ -132,11 +132,14 @@ func (u URI) Split() (machine, process, component string, err error) {
 	if !strings.HasPrefix(s, scheme) {
 		return "", "", "", fmt.Errorf("ids: URI %q lacks %q scheme", u, scheme)
 	}
-	parts := strings.Split(s[len(scheme):], "/")
-	if len(parts) != 3 || parts[0] == "" || parts[1] == "" || parts[2] == "" {
+	// Two cuts, not strings.Split: this runs several times per call and
+	// must not allocate.
+	machine, rest, _ := strings.Cut(s[len(scheme):], "/")
+	process, component, _ = strings.Cut(rest, "/")
+	if machine == "" || process == "" || component == "" || strings.Contains(component, "/") {
 		return "", "", "", fmt.Errorf("ids: URI %q is not phoenix://machine/process/component", u)
 	}
-	return parts[0], parts[1], parts[2], nil
+	return machine, process, component, nil
 }
 
 // Machine returns the machine part of the URI, or "" if malformed.

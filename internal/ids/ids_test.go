@@ -87,6 +87,19 @@ func TestURISplitErrors(t *testing.T) {
 	}
 }
 
+// TestURISplitAllocs: Split runs several times on every call path
+// (address resolution, request routing), so it must not allocate.
+func TestURISplitAllocs(t *testing.T) {
+	u := MakeURI("evo1", "shopd", "PriceGrabber")
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, _, err := u.Split(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Split allocates %v objects per call, want 0", n)
+	}
+}
+
 func TestURIRoundTripProperty(t *testing.T) {
 	// For names without '/' the URI round-trips exactly.
 	f := func(mRaw, pRaw, cRaw uint16) bool {

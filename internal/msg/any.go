@@ -1,59 +1,83 @@
 package msg
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"maps"
+	"reflect"
+	"sync"
+	"sync/atomic"
 )
 
-// Argument and result streams travel as gob-encoded []any, so a generic
-// client can decode a reply without knowing the remote method's
-// signature. Gob transmits interface values with their concrete type
-// names, which must be registered: common types are registered here,
-// and applications register their own with RegisterType (the public
-// phoenix.RegisterType forwards to it), exactly as encoding/gob users
-// register types exchanged through interfaces.
+// Argument and result lists travel as tagged value streams (value.go),
+// so a generic client can decode a reply without knowing the remote
+// method's signature. A value whose type is outside the codec's closed
+// set is carried under a registered name: applications register their
+// own types with RegisterType (the public phoenix.RegisterType forwards
+// to it), once, on every process that sends or receives them.
 
-func init() {
-	for _, v := range []any{
-		int(0), int8(0), int16(0), int32(0), int64(0),
-		uint(0), uint8(0), uint16(0), uint32(0), uint64(0),
-		float32(0), float64(0), string(""), bool(false),
-		[]byte(nil), []string(nil), []int(nil), []int64(nil), []float64(nil),
-		map[string]string(nil), map[string]int(nil), map[string]float64(nil),
-		[]any(nil), map[string]any(nil),
-	} {
-		gob.Register(v)
-	}
+// registry is the set of registered types. It is copy-on-write: a
+// registration publishes a new one, so the codec's lookups are a plain
+// map read with no lock.
+type registry struct {
+	byName map[string]*plan       // the decoder's lookup
+	byType map[reflect.Type]*plan // the encoder's lookup
 }
+
+var (
+	regMu sync.Mutex // serializes RegisterType
+	reg   = func() *atomic.Pointer[registry] {
+		p := new(atomic.Pointer[registry])
+		p.Store(&registry{byName: map[string]*plan{}, byType: map[reflect.Type]*plan{}})
+		return p
+	}()
+)
 
 // RegisterType makes a concrete type transmissible as a method argument
 // or result. Call it once (e.g. from an init function) for every
-// application struct that crosses a component boundary.
-func RegisterType(v any) { gob.Register(v) }
-
-// EncodeAnySlice serializes an argument or result list.
-func EncodeAnySlice(vals []any) ([]byte, error) {
-	var buf bytes.Buffer
-	if vals == nil {
-		vals = []any{}
+// application type that crosses a component boundary inside an
+// interface — the struct and, separately, any slice or pointer of it
+// that is passed directly. The type's encoding plan is compiled here,
+// so a type the codec cannot carry panics at registration, naming the
+// offending field, not on first send. Registering a type again is a
+// no-op; two types under one name panic.
+func RegisterType(v any) {
+	t := reflect.TypeOf(v)
+	if t == nil {
+		panic("msg: RegisterType(nil): pass a typed value")
 	}
-	for i, v := range vals {
-		if v == nil {
-			return nil, fmt.Errorf("msg: value %d is untyped nil; pass a typed zero value", i)
+	name := typeName(t)
+	regMu.Lock()
+	defer regMu.Unlock()
+	old := reg.Load()
+	if p := old.byName[name]; p != nil {
+		if p.typ == t {
+			return
 		}
+		panic(fmt.Sprintf("msg: RegisterType(%s): name %q is already taken by %s", t, name, p.typ))
 	}
-	if err := gob.NewEncoder(&buf).Encode(vals); err != nil {
-		return nil, fmt.Errorf("msg: encode values: %w", err)
-	}
-	return buf.Bytes(), nil
+	p := compilePlan(t)
+	p.name = name
+	next := &registry{byName: maps.Clone(old.byName), byType: maps.Clone(old.byType)}
+	next.byName[name] = p
+	next.byType[t] = p
+	reg.Store(next)
 }
 
-// DecodeAnySlice deserializes an argument or result list.
-func DecodeAnySlice(data []byte) ([]any, error) {
-	var vals []any
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&vals); err != nil {
-		return nil, fmt.Errorf("msg: decode values: %w", err)
+// typeName is the name a type travels under: import path + name for a
+// named type (or a pointer to one), the printed form otherwise.
+func typeName(t reflect.Type) string {
+	star := ""
+	if t.Name() == "" && t.Kind() == reflect.Pointer {
+		star, t = "*", t.Elem()
 	}
-	return vals, nil
+	if t.Name() != "" && t.PkgPath() != "" {
+		return star + t.PkgPath() + "." + t.Name()
+	}
+	return star + t.String()
 }
+
+// registeredPlan returns the plan t was registered with, or nil.
+func registeredPlan(t reflect.Type) *plan { return reg.Load().byType[t] }
+
+// namedPlan returns the plan registered under name, or nil.
+func namedPlan(name []byte) *plan { return reg.Load().byName[string(name)] }

@@ -94,3 +94,66 @@ func BenchmarkDecodeReply(b *testing.B) {
 		}
 	}
 }
+
+// The two value-list shapes the benchmark's workloads send: one int
+// (p2p-mem's Add) and a search reply of eight offers (the bookstore's
+// []Offer, mirrored here because bookstore imports this package).
+type benchBook struct {
+	Title  string
+	Author string
+	Price  float64
+	Stock  int
+}
+
+type benchOffer struct {
+	Store string
+	Book  benchBook
+}
+
+func init() { RegisterType([]benchOffer(nil)) }
+
+type benchValueList struct {
+	name string
+	vals []any
+}
+
+func benchValueLists() []benchValueList {
+	offers := make([]benchOffer, 8)
+	for i := range offers {
+		offers[i] = benchOffer{
+			Store: "phoenix://evo2/store1/BookStore",
+			Book:  benchBook{Title: "Transaction Processing", Author: "Gray, Reuter", Price: 89.5, Stock: i},
+		}
+	}
+	return []benchValueList{{"int", []any{42}}, {"offers8", []any{offers}}}
+}
+
+func BenchmarkEncodeAnySlice(b *testing.B) {
+	for _, l := range benchValueLists() {
+		b.Run(l.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := EncodeAnySlice(l.vals); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkDecodeAnySlice(b *testing.B) {
+	for _, l := range benchValueLists() {
+		data, err := EncodeAnySlice(l.vals)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(l.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeAnySlice(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -2,11 +2,11 @@
 //
 // The envelope fields are a fixed, closed set, so they are encoded by
 // hand: varints for integers, length-prefixed raw bytes for strings and
-// byte slices, one flag byte for the bools (a gob envelope would
-// re-emit its type descriptors on every message and walk both structs
-// reflectively, on all four Figure-1 message paths). Only the user
-// argument/result values inside Args and Results are gob (see
-// EncodeValues) — their types are open.
+// byte slices, one flag byte for the bools — no reflection and no type
+// descriptors on any of the four Figure-1 message paths. The user
+// argument/result values inside Args and Results, whose types are
+// open, are a tagged value stream built from the same primitives
+// (value.go).
 //
 // Format (DESIGN.md Section 10). All integers are unsigned varints
 // (encoding/binary uvarint); "bytes" means uvarint length + raw bytes.

@@ -3,6 +3,8 @@ package msg
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/ids"
@@ -82,13 +84,39 @@ func FuzzDecodeReply(f *testing.F) {
 	})
 }
 
-// FuzzDecodeAnySlice: the argument stream decoder must be total.
+// FuzzDecodeAnySlice: the value stream decoder must be total, must not
+// let a short input claim a large allocation, and whatever it accepts
+// must re-encode to a stream that decodes to the same values.
 func FuzzDecodeAnySlice(f *testing.F) {
-	seed, _ := EncodeAnySlice([]any{1, "two", 3.0, true})
-	f.Add(seed)
+	for _, vals := range [][]any{
+		{1, "two", 3.0, true},
+		{[]string{"a", "b"}, map[string]any{"k": []any{int8(1), nil}}, []byte{1, 2}},
+		{tree{Ptr: &leaf{S: "p"}, ByID: map[int32]string{1: "x", 2: "y"}, Any: leaf{N: 1}, Next: &tree{}}, []leaf{{N: 2}}},
+	} {
+		seed, err := EncodeAnySlice(vals)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
 	f.Add([]byte("x"))
+	f.Add(gobOf([]any{42}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		vals, err := DecodeAnySlice(data)
+		// The fuzzing engine's own goroutines allocate too: take the
+		// quietest of a few tries.
+		var vals []any
+		var err error
+		grew := uint64(math.MaxUint64)
+		for try := 0; try < 3 && grew > allocBound(data); try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			vals, err = DecodeAnySlice(data)
+			runtime.ReadMemStats(&after)
+			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+		}
+		if grew > allocBound(data) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
 		if err != nil {
 			return
 		}
@@ -97,5 +125,22 @@ func FuzzDecodeAnySlice(f *testing.F) {
 				t.Fatal("decoder produced a nil value")
 			}
 		}
+		again, err := EncodeAnySlice(vals)
+		if err != nil {
+			t.Fatalf("re-encode of decoded values failed: %v", err)
+		}
+		back, err := DecodeAnySlice(again)
+		if err != nil {
+			t.Fatalf("decode of re-encoded values failed: %v", err)
+		}
+		// Compared as bytes: NaN != NaN, but its encoding is.
+		if third, err := EncodeAnySlice(back); err != nil || !bytes.Equal(third, again) {
+			t.Fatalf("decode → encode → decode changed the values (%v):\n  %x\n  %x", err, again, third)
+		}
 	})
 }
+
+// allocBound is what decoding data may allocate: a fixed part (the
+// error, a registered value's box) plus a small multiple of the input,
+// the worst honest ratio being a slice header or interface per byte.
+func allocBound(data []byte) uint64 { return 2048 + 64*uint64(len(data)) }

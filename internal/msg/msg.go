@@ -13,10 +13,7 @@
 package msg
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"reflect"
 
 	"repro/internal/ids"
 	"repro/internal/obs/trace"
@@ -76,7 +73,8 @@ type Call struct {
 	Target ids.URI
 	// Method is the exported method name to invoke.
 	Method string
-	// Args is the gob stream of the NumArgs argument values.
+	// Args is the value stream (value.go) of the NumArgs argument
+	// values.
 	Args []byte
 	// NumArgs is the number of encoded arguments.
 	NumArgs int
@@ -106,7 +104,7 @@ type Call struct {
 type Reply struct {
 	// ID echoes the call's ID.
 	ID ids.CallID
-	// Results is the gob stream of the NumResults return values,
+	// Results is the value stream of the NumResults return values,
 	// excluding a trailing error.
 	Results []byte
 	// NumResults is the number of encoded results.
@@ -227,35 +225,4 @@ func DecodeReply(data []byte) (*Reply, error) {
 		return nil, fmt.Errorf("msg: decode reply: %d trailing bytes", len(body))
 	}
 	return &r, nil
-}
-
-// EncodeValues gob-encodes a sequence of values (method arguments or
-// results) into one stream. Marshalling happens even for in-process
-// calls, exactly as .NET remoting marshals across context boundaries:
-// it isolates component state and makes the logged bytes identical to
-// the delivered bytes, which replay determinism relies on.
-func EncodeValues(vals []reflect.Value) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	for i, v := range vals {
-		if err := enc.EncodeValue(v); err != nil {
-			return nil, fmt.Errorf("msg: encode value %d (%s): %w", i, v.Type(), err)
-		}
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeValues decodes n values of the given types from a stream
-// produced by EncodeValues.
-func DecodeValues(data []byte, types []reflect.Type) ([]reflect.Value, error) {
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	vals := make([]reflect.Value, len(types))
-	for i, t := range types {
-		p := reflect.New(t)
-		if err := dec.DecodeValue(p); err != nil {
-			return nil, fmt.Errorf("msg: decode value %d (%s): %w", i, t, err)
-		}
-		vals[i] = p.Elem()
-	}
-	return vals, nil
 }

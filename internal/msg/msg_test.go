@@ -2,6 +2,7 @@ package msg
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -101,97 +102,20 @@ func TestDecodeGarbage(t *testing.T) {
 	}
 }
 
-type basket struct {
-	Items []string
-	Total float64
-}
-
-func TestEncodeDecodeValues(t *testing.T) {
-	vals := []reflect.Value{
-		reflect.ValueOf("recovery"),
-		reflect.ValueOf(42),
-		reflect.ValueOf(basket{Items: []string{"a", "b"}, Total: 9.5}),
-		reflect.ValueOf([]int{1, 2, 3}),
-		reflect.ValueOf(map[string]int{"x": 1}),
-	}
-	data, err := EncodeValues(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	types := []reflect.Type{
-		reflect.TypeOf(""),
-		reflect.TypeOf(0),
-		reflect.TypeOf(basket{}),
-		reflect.TypeOf([]int(nil)),
-		reflect.TypeOf(map[string]int(nil)),
-	}
-	got, err := DecodeValues(data, types)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vals {
-		if !reflect.DeepEqual(got[i].Interface(), vals[i].Interface()) {
-			t.Errorf("value %d: got %v, want %v", i, got[i], vals[i])
-		}
-	}
-}
-
-func TestEncodeValuesEmpty(t *testing.T) {
-	data, err := EncodeValues(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeValues(data, nil)
-	if err != nil || len(got) != 0 {
-		t.Errorf("empty round trip: %v %v", got, err)
-	}
-}
-
-func TestDecodeValuesWrongType(t *testing.T) {
-	data, err := EncodeValues([]reflect.Value{reflect.ValueOf("text")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Decoding a string into a struct must fail, not panic.
-	if _, err := DecodeValues(data, []reflect.Type{reflect.TypeOf(basket{})}); err == nil {
-		t.Error("decoding string into struct succeeded")
-	}
-}
-
-func TestDecodeValuesTruncated(t *testing.T) {
-	data, err := EncodeValues([]reflect.Value{reflect.ValueOf(1), reflect.ValueOf(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	types := []reflect.Type{reflect.TypeOf(0), reflect.TypeOf(0), reflect.TypeOf(0)}
-	if _, err := DecodeValues(data, types); err == nil {
-		t.Error("decoding 3 values from a 2-value stream succeeded")
-	} else if !strings.Contains(err.Error(), "value 2") {
-		t.Errorf("error should name the failing value: %v", err)
-	}
-}
-
 // Property: string/int/float tuples always round-trip exactly.
 func TestValuesRoundTripProperty(t *testing.T) {
 	f := func(s string, i int64, fl float64, b bool) bool {
-		vals := []reflect.Value{
-			reflect.ValueOf(s), reflect.ValueOf(i),
-			reflect.ValueOf(fl), reflect.ValueOf(b),
-		}
-		data, err := EncodeValues(vals)
+		data, err := EncodeAnySlice([]any{s, i, fl, b})
 		if err != nil {
 			return false
 		}
-		got, err := DecodeValues(data, []reflect.Type{
-			reflect.TypeOf(""), reflect.TypeOf(int64(0)),
-			reflect.TypeOf(float64(0)), reflect.TypeOf(false),
-		})
-		if err != nil {
+		got, err := DecodeAnySlice(data)
+		if err != nil || len(got) != 4 {
 			return false
 		}
-		return got[0].String() == s && got[1].Int() == i &&
-			(got[2].Float() == fl || (fl != fl && got[2].Float() != got[2].Float())) &&
-			got[3].Bool() == b
+		gf, _ := got[2].(float64)
+		return got[0] == any(s) && got[1] == any(i) &&
+			math.Float64bits(gf) == math.Float64bits(fl) && got[3] == any(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,0 +1,329 @@
+package msg
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"sort"
+)
+
+// A plan lays out the body of one application type in a value stream
+// (the part after tagNamed + name). It is compiled from the
+// reflect.Type once, at RegisterType, and interpreted on every encode
+// and decode — no per-message type analysis. By kind:
+//
+//	bool                 one byte, 0 or 1
+//	int*, uint*, uintptr zig-zag / plain uvarint, range-checked on decode
+//	float32, float64     fixed-width little-endian bits
+//	string               bytes
+//	slice                count, elements ([]byte kinds: bytes); nil == empty
+//	array                length (must match the type's), elements
+//	map                  count, then key value pairs in ascending order of
+//	                     the encoded key; nil == empty
+//	pointer              0, or 1 and the pointee
+//	interface            a tagged value (tagNil for a nil interface)
+//	struct               exported-field count (must match the type's),
+//	                     then the exported fields in declaration order
+type plan struct {
+	name   string // the registered name; "" for a type only reached through another
+	typ    reflect.Type
+	kind   reflect.Kind
+	min    int   // fewest bytes an encoded value takes; never 0
+	elem   *plan // slice, array and pointer element; map value
+	key    *plan // map key
+	fields []planField
+}
+
+type planField struct {
+	index int
+	plan  *plan
+}
+
+// compilePlan builds the plan for t and every type it reaches. It
+// panics, naming t and the path to the offending field, on a kind the
+// codec cannot carry.
+func compilePlan(t reflect.Type) *plan {
+	c := planCompiler{root: t, seen: map[reflect.Type]*plan{}}
+	return c.compile(t, t.String())
+}
+
+type planCompiler struct {
+	root reflect.Type
+	seen map[reflect.Type]*plan // also what lets a recursive type find itself
+}
+
+func (c *planCompiler) compile(t reflect.Type, path string) *plan {
+	if p := c.seen[t]; p != nil {
+		return p
+	}
+	// min is final here for every kind a type can recur through
+	// (pointer, slice, map, interface), so a parent that sums its
+	// children's min never reads a half-built one.
+	p := &plan{typ: t, kind: t.Kind(), min: 1}
+	c.seen[t] = p
+	switch p.kind {
+	case reflect.Bool, reflect.String, reflect.Interface,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+	case reflect.Float32:
+		p.min = 4
+	case reflect.Float64:
+		p.min = 8
+	case reflect.Pointer:
+		p.elem = c.compile(t.Elem(), path)
+	case reflect.Slice:
+		p.elem = c.compile(t.Elem(), path+"[]")
+	case reflect.Array:
+		p.elem = c.compile(t.Elem(), path+"[]")
+		p.min = 1 + t.Len()*p.elem.min
+	case reflect.Map:
+		// Keys are ordered and compared by their encoding, which is
+		// only faithful for kinds where equal bytes mean equal keys.
+		switch k := t.Key().Kind(); k {
+		case reflect.Bool, reflect.String,
+			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		default:
+			c.fail(path, "map key kind "+k.String())
+		}
+		p.key = c.compile(t.Key(), path+"[key]")
+		p.elem = c.compile(t.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); f.IsExported() {
+				fp := c.compile(f.Type, path+"."+f.Name)
+				p.fields = append(p.fields, planField{i, fp})
+				p.min += fp.min
+			}
+		}
+		if len(p.fields) == 0 {
+			c.fail(path, "struct "+t.String()+" with no exported fields")
+		}
+	default:
+		c.fail(path, "kind "+p.kind.String())
+	}
+	return p
+}
+
+func (c *planCompiler) fail(path, what string) {
+	panic(fmt.Sprintf("msg: RegisterType(%s): %s: %s cannot be carried in a value stream", c.root, path, what))
+}
+
+// append appends v, a value of p's type, to dst.
+func (p *plan) append(dst []byte, v reflect.Value, depth int) ([]byte, error) {
+	if depth > maxDepth {
+		return nil, errDepth
+	}
+	var err error
+	switch p.kind {
+	case reflect.Bool:
+		return appendBool(dst, v.Bool()), nil
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return appendZigzag(dst, v.Int()), nil
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return AppendUvarint(dst, v.Uint()), nil
+	case reflect.Float32:
+		return appendFloat32(dst, float32(v.Float())), nil
+	case reflect.Float64:
+		return appendFloat64(dst, v.Float()), nil
+	case reflect.String:
+		return AppendString(dst, v.String()), nil
+	case reflect.Interface:
+		return appendValue(dst, v.Interface(), depth+1)
+	case reflect.Pointer:
+		if v.IsNil() {
+			return append(dst, 0), nil
+		}
+		return p.elem.append(append(dst, 1), v.Elem(), depth+1)
+	case reflect.Slice:
+		if p.elem.kind == reflect.Uint8 {
+			return AppendBytes(dst, v.Bytes()), nil
+		}
+		fallthrough
+	case reflect.Array:
+		n := v.Len()
+		dst = AppendUvarint(dst, uint64(n))
+		for i := 0; i < n; i++ {
+			if dst, err = p.elem.append(dst, v.Index(i), depth+1); err != nil {
+				return nil, fmt.Errorf("[%d]: %w", i, err)
+			}
+		}
+		return dst, nil
+	case reflect.Map:
+		return p.appendMap(dst, v, depth)
+	case reflect.Struct:
+		dst = AppendUvarint(dst, uint64(len(p.fields)))
+		for _, f := range p.fields {
+			if dst, err = f.plan.append(dst, v.Field(f.index), depth); err != nil {
+				return nil, fmt.Errorf(".%s: %w", p.typ.Field(f.index).Name, err)
+			}
+		}
+		return dst, nil
+	}
+	panic("msg: plan compiled for unsupported kind " + p.kind.String())
+}
+
+// appendMap writes the entries in ascending order of their encoded
+// keys, so that equal maps give equal bytes whatever the iteration
+// order.
+func (p *plan) appendMap(dst []byte, v reflect.Value, depth int) ([]byte, error) {
+	n := v.Len()
+	dst = AppendUvarint(dst, uint64(n))
+	if n == 0 {
+		return dst, nil
+	}
+	type entry struct {
+		key []byte // encoded
+		val reflect.Value
+	}
+	entries := make([]entry, 0, n)
+	for it := v.MapRange(); it.Next(); {
+		key, err := p.key.append(nil, it.Key(), depth+1)
+		if err != nil {
+			return nil, err
+		}
+		entries = append(entries, entry{key, it.Value()})
+	}
+	sort.Slice(entries, func(a, b int) bool { return bytes.Compare(entries[a].key, entries[b].key) < 0 })
+	for _, e := range entries {
+		var err error
+		if dst, err = p.elem.append(append(dst, e.key...), e.val, depth+1); err != nil {
+			return nil, fmt.Errorf("[key %x]: %w", e.key, err)
+		}
+	}
+	return dst, nil
+}
+
+// read decodes one value of p's type from r into v, which must be
+// settable and zero.
+func (p *plan) read(r *reader, v reflect.Value, depth int) error {
+	if depth > maxDepth {
+		return errDepth
+	}
+	switch p.kind {
+	case reflect.Bool:
+		b, err := r.bool()
+		v.SetBool(b)
+		return err
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		x, err := r.zigzag()
+		if err == nil && v.OverflowInt(x) {
+			return fmt.Errorf("%d overflows %s", x, p.typ)
+		}
+		v.SetInt(x)
+		return err
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		x, err := r.uvarint()
+		if err == nil && v.OverflowUint(x) {
+			return fmt.Errorf("%d overflows %s", x, p.typ)
+		}
+		v.SetUint(x)
+		return err
+	case reflect.Float32:
+		f, err := r.float32()
+		v.SetFloat(float64(f))
+		return err
+	case reflect.Float64:
+		f, err := r.float64()
+		v.SetFloat(f)
+		return err
+	case reflect.String:
+		s, err := r.string()
+		v.SetString(s)
+		return err
+	case reflect.Interface:
+		x, err := r.value(depth + 1)
+		if err != nil || x == nil {
+			return err
+		}
+		xv := reflect.ValueOf(x)
+		if !xv.Type().AssignableTo(p.typ) {
+			return fmt.Errorf("%s is not assignable to %s", xv.Type(), p.typ)
+		}
+		v.Set(xv)
+		return nil
+	case reflect.Pointer:
+		set, err := r.bool()
+		if err != nil || !set {
+			return err
+		}
+		e := reflect.New(p.typ.Elem())
+		v.Set(e)
+		return p.elem.read(r, e.Elem(), depth+1)
+	case reflect.Slice:
+		if p.elem.kind == reflect.Uint8 {
+			b, err := r.bytes()
+			v.SetBytes(b)
+			return err
+		}
+		n, err := r.count(p.elem.min)
+		if err != nil || n == 0 {
+			return err
+		}
+		v.Set(reflect.MakeSlice(p.typ, n, n))
+		return p.readElems(r, v, n, depth)
+	case reflect.Array:
+		n, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		if n != uint64(v.Len()) {
+			return fmt.Errorf("%d elements on the wire, %s has %d", n, p.typ, v.Len())
+		}
+		return p.readElems(r, v, v.Len(), depth)
+	case reflect.Map:
+		return p.readMap(r, v, depth)
+	case reflect.Struct:
+		n, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		if n != uint64(len(p.fields)) {
+			return fmt.Errorf("%d fields on the wire, %s has %d exported", n, p.typ, len(p.fields))
+		}
+		for _, f := range p.fields {
+			if err := f.plan.read(r, v.Field(f.index), depth); err != nil {
+				return fmt.Errorf(".%s: %w", p.typ.Field(f.index).Name, err)
+			}
+		}
+		return nil
+	}
+	panic("msg: plan compiled for unsupported kind " + p.kind.String())
+}
+
+func (p *plan) readElems(r *reader, v reflect.Value, n, depth int) error {
+	for i := 0; i < n; i++ {
+		if err := p.elem.read(r, v.Index(i), depth+1); err != nil {
+			return fmt.Errorf("[%d]: %w", i, err)
+		}
+	}
+	return nil
+}
+
+func (p *plan) readMap(r *reader, v reflect.Value, depth int) error {
+	n, err := r.count(p.key.min + p.elem.min)
+	if err != nil || n == 0 {
+		return err
+	}
+	m := reflect.MakeMapWithSize(p.typ, n)
+	v.Set(m)
+	var prev []byte
+	for i := 0; i < n; i++ {
+		before := r.b
+		k := reflect.New(p.key.typ).Elem()
+		if err := p.key.read(r, k, depth+1); err != nil {
+			return fmt.Errorf("key %d: %w", i, err)
+		}
+		enc := before[:len(before)-len(r.b)]
+		if i > 0 && bytes.Compare(enc, prev) <= 0 {
+			return fmt.Errorf("map key %v: not in ascending order", k)
+		}
+		prev = enc
+		e := reflect.New(p.elem.typ).Elem()
+		if err := p.elem.read(r, e, depth+1); err != nil {
+			return fmt.Errorf("[key %v]: %w", k, err)
+		}
+		m.SetMapIndex(k, e)
+	}
+	return nil
+}

@@ -1,0 +1,476 @@
+// Tagged binary value codec for argument and result lists.
+//
+// A value stream is self-contained and stateless — no type descriptors,
+// no per-connection dictionary — so the bytes a client sends are the
+// bytes the server logs and the bytes recovery replays, and decoding
+// one stream costs the same whether it is the first or the millionth.
+//
+// Format (DESIGN.md Section 10, "Value stream"). Integers are uvarints
+// (signed ones zig-zag first), floats are fixed-width little-endian
+// IEEE bits, "bytes" is a uvarint length plus raw bytes:
+//
+//	stream = count value*
+//	value  = tag body
+//
+// The tag names the value's dynamic type: one tag per closed-set type
+// below, and tagNamed + the registered name for application types,
+// whose body is laid out by the type's plan (plan.go). Slices and maps
+// encode nil and empty alike (count 0) and decode as nil; map entries
+// are written in ascending key order, so equal values give equal bytes.
+package msg
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"strconv"
+)
+
+const (
+	tagNil byte = iota // a nil interface; never a top-level value
+	tagInt
+	tagInt8
+	tagInt16
+	tagInt32
+	tagInt64
+	tagUint
+	tagUint8
+	tagUint16
+	tagUint32
+	tagUint64
+	tagFloat32
+	tagFloat64
+	tagString
+	tagBool
+	tagBytes
+	tagStrings
+	tagInts
+	tagInt64s
+	tagFloat64s
+	tagMapStringString
+	tagMapStringInt
+	tagMapStringFloat64
+	tagMapStringAny
+	tagAnys
+	tagNamed // bytes registered name, then the plan's body
+)
+
+// maxDepth bounds how deep values may nest through interfaces,
+// pointers, slices and maps. It turns a cyclic value into an encode
+// error and a hostile stream into a decode error, not a stack overflow.
+const maxDepth = 1000
+
+var errDepth = errors.New("value nests deeper than " + strconv.Itoa(maxDepth) + " levels (cyclic?)")
+
+// EncodeAnySlice serializes an argument or result list. The result is
+// freshly allocated and owned by the caller.
+func EncodeAnySlice(vals []any) ([]byte, error) {
+	dst := AppendUvarint(make([]byte, 0, 32), uint64(len(vals)))
+	var err error
+	for i, v := range vals {
+		if v == nil {
+			return nil, fmt.Errorf("msg: value %d is untyped nil; pass a typed zero value", i)
+		}
+		if dst, err = appendValue(dst, v, 0); err != nil {
+			return nil, fmt.Errorf("msg: encode value %d: %w", i, err)
+		}
+	}
+	return dst, nil
+}
+
+// DecodeAnySlice deserializes an argument or result list. The values
+// never alias data.
+func DecodeAnySlice(data []byte) ([]any, error) {
+	r := reader{data}
+	n, err := r.count(1)
+	if err != nil {
+		return nil, fmt.Errorf("msg: decode values: %w", err)
+	}
+	vals := make([]any, n)
+	for i := range vals {
+		if vals[i], err = r.value(0); err != nil {
+			return nil, fmt.Errorf("msg: decode value %d: %w", i, err)
+		}
+		if vals[i] == nil {
+			return nil, fmt.Errorf("msg: decode value %d: untyped nil", i)
+		}
+	}
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("msg: decode values: %d trailing bytes", len(r.b))
+	}
+	return vals, nil
+}
+
+func appendZigzag(dst []byte, v int64) []byte {
+	return AppendUvarint(dst, uint64(v<<1)^uint64(v>>63))
+}
+
+func appendFloat64(dst []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+}
+
+func appendFloat32(dst []byte, f float32) []byte {
+	return binary.LittleEndian.AppendUint32(dst, math.Float32bits(f))
+}
+
+func appendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+func appendInt(dst []byte, v int) []byte { return appendZigzag(dst, int64(v)) }
+
+func appendSlice[T any](dst []byte, x []T, elem func([]byte, T) []byte) []byte {
+	dst = AppendUvarint(dst, uint64(len(x)))
+	for _, e := range x {
+		dst = elem(dst, e)
+	}
+	return dst
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+func appendStringMap[V any](dst []byte, m map[string]V, val func([]byte, V) []byte) []byte {
+	dst = AppendUvarint(dst, uint64(len(m)))
+	for _, k := range sortedKeys(m) {
+		dst = val(AppendString(dst, k), m[k])
+	}
+	return dst
+}
+
+// appendValue appends v in tagged form: the closed set by type switch,
+// anything else through its registered plan.
+func appendValue(dst []byte, v any, depth int) ([]byte, error) {
+	if depth > maxDepth {
+		return nil, errDepth
+	}
+	switch x := v.(type) {
+	case nil:
+		return append(dst, tagNil), nil
+	case int:
+		return appendZigzag(append(dst, tagInt), int64(x)), nil
+	case int8:
+		return appendZigzag(append(dst, tagInt8), int64(x)), nil
+	case int16:
+		return appendZigzag(append(dst, tagInt16), int64(x)), nil
+	case int32:
+		return appendZigzag(append(dst, tagInt32), int64(x)), nil
+	case int64:
+		return appendZigzag(append(dst, tagInt64), x), nil
+	case uint:
+		return AppendUvarint(append(dst, tagUint), uint64(x)), nil
+	case uint8:
+		return AppendUvarint(append(dst, tagUint8), uint64(x)), nil
+	case uint16:
+		return AppendUvarint(append(dst, tagUint16), uint64(x)), nil
+	case uint32:
+		return AppendUvarint(append(dst, tagUint32), uint64(x)), nil
+	case uint64:
+		return AppendUvarint(append(dst, tagUint64), x), nil
+	case float32:
+		return appendFloat32(append(dst, tagFloat32), x), nil
+	case float64:
+		return appendFloat64(append(dst, tagFloat64), x), nil
+	case string:
+		return AppendString(append(dst, tagString), x), nil
+	case bool:
+		return appendBool(append(dst, tagBool), x), nil
+	case []byte:
+		return AppendBytes(append(dst, tagBytes), x), nil
+	case []string:
+		return appendSlice(append(dst, tagStrings), x, AppendString), nil
+	case []int:
+		return appendSlice(append(dst, tagInts), x, appendInt), nil
+	case []int64:
+		return appendSlice(append(dst, tagInt64s), x, appendZigzag), nil
+	case []float64:
+		return appendSlice(append(dst, tagFloat64s), x, appendFloat64), nil
+	case map[string]string:
+		return appendStringMap(append(dst, tagMapStringString), x, AppendString), nil
+	case map[string]int:
+		return appendStringMap(append(dst, tagMapStringInt), x, appendInt), nil
+	case map[string]float64:
+		return appendStringMap(append(dst, tagMapStringFloat64), x, appendFloat64), nil
+	case map[string]any:
+		dst = AppendUvarint(append(dst, tagMapStringAny), uint64(len(x)))
+		var err error
+		for _, k := range sortedKeys(x) {
+			if dst, err = appendValue(AppendString(dst, k), x[k], depth+1); err != nil {
+				return nil, fmt.Errorf("key %q: %w", k, err)
+			}
+		}
+		return dst, nil
+	case []any:
+		dst = AppendUvarint(append(dst, tagAnys), uint64(len(x)))
+		var err error
+		for i, e := range x {
+			if dst, err = appendValue(dst, e, depth+1); err != nil {
+				return nil, fmt.Errorf("element %d: %w", i, err)
+			}
+		}
+		return dst, nil
+	}
+	t := reflect.TypeOf(v)
+	p := registeredPlan(t)
+	if p == nil {
+		return nil, fmt.Errorf("type %s is not registered (call RegisterType)", t)
+	}
+	dst = AppendString(append(dst, tagNamed), p.name)
+	return p.append(dst, reflect.ValueOf(v), depth)
+}
+
+// reader consumes a value stream front to back.
+type reader struct{ b []byte }
+
+func (r *reader) uvarint() (v uint64, err error) {
+	v, r.b, err = ConsumeUvarint(r.b)
+	return v, err
+}
+
+func (r *reader) zigzag() (int64, error) {
+	u, err := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1), err
+}
+
+// intN reads a signed integer that must fit in bits bits.
+func (r *reader) intN(bits int) (int64, error) {
+	v, err := r.zigzag()
+	if err == nil && bits < 64 && v>>(bits-1) != 0 && v>>(bits-1) != -1 {
+		return 0, fmt.Errorf("%d overflows int%d", v, bits)
+	}
+	return v, err
+}
+
+func (r *reader) int() (int, error) {
+	v, err := r.intN(strconv.IntSize)
+	return int(v), err
+}
+
+// uintN reads an unsigned integer that must fit in bits bits.
+func (r *reader) uintN(bits int) (uint64, error) {
+	v, err := r.uvarint()
+	if err == nil && bits < 64 && v>>bits != 0 {
+		return 0, fmt.Errorf("%d overflows uint%d", v, bits)
+	}
+	return v, err
+}
+
+func (r *reader) float64() (float64, error) {
+	if len(r.b) < 8 {
+		return 0, errShort
+	}
+	f := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+	r.b = r.b[8:]
+	return f, nil
+}
+
+func (r *reader) float32() (float32, error) {
+	if len(r.b) < 4 {
+		return 0, errShort
+	}
+	f := math.Float32frombits(binary.LittleEndian.Uint32(r.b))
+	r.b = r.b[4:]
+	return f, nil
+}
+
+func (r *reader) string() (s string, err error) {
+	s, r.b, err = ConsumeString(r.b)
+	return s, err
+}
+
+func (r *reader) bytes() (b []byte, err error) {
+	b, r.b, err = ConsumeBytes(r.b)
+	return b, err
+}
+
+func (r *reader) bool() (bool, error) {
+	b, rest, err := ConsumeByte(r.b)
+	if err != nil {
+		return false, err
+	}
+	if b > 1 {
+		return false, fmt.Errorf("bool byte %#x", b)
+	}
+	r.b = rest
+	return b == 1, nil
+}
+
+// count reads an element count and checks it against the bytes left,
+// given that each element takes at least min bytes — before the caller
+// allocates anything of that size.
+func (r *reader) count(min int) (int, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(len(r.b)/min) {
+		return 0, fmt.Errorf("count %d exceeds the %d bytes left", n, len(r.b))
+	}
+	return int(n), nil
+}
+
+// key reads the next key of a string-keyed map, which must sort after
+// prev: the encoder writes entries in ascending key order.
+func (r *reader) key(i int, prev string) (string, error) {
+	k, err := r.string()
+	if err == nil && i > 0 && k <= prev {
+		return "", fmt.Errorf("map key %q after %q: not in ascending order", k, prev)
+	}
+	return k, err
+}
+
+// readElem reads one element of a closed-set slice or map into p.
+// (A type switch, not a func parameter: a reader handed to a func value
+// escapes to the heap, one allocation per decoded list.)
+func readElem[T any](r *reader, p *T, depth int) (err error) {
+	switch p := any(p).(type) {
+	case *string:
+		*p, err = r.string()
+	case *int:
+		*p, err = r.int()
+	case *int64:
+		*p, err = r.zigzag()
+	case *float64:
+		*p, err = r.float64()
+	case *any:
+		*p, err = r.value(depth + 1)
+	}
+	return err
+}
+
+// readSlice reads a count and that many elements of at least min
+// bytes each. A count of zero gives a nil slice.
+func readSlice[T any](r *reader, min, depth int) ([]T, error) {
+	n, err := r.count(min)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	out := make([]T, n)
+	for i := range out {
+		if err := readElem(r, &out[i], depth); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// readStringMap reads a count and that many key value pairs of at
+// least min bytes each. A count of zero gives a nil map.
+func readStringMap[V any](r *reader, min, depth int) (map[string]V, error) {
+	n, err := r.count(min)
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	out := make(map[string]V, n)
+	var k string
+	for i := 0; i < n; i++ {
+		if k, err = r.key(i, k); err != nil {
+			return nil, err
+		}
+		var v V
+		if err := readElem(r, &v, depth); err != nil {
+			return nil, err
+		}
+		out[k] = v
+	}
+	return out, nil
+}
+
+// value reads one tagged value.
+func (r *reader) value(depth int) (any, error) {
+	if depth > maxDepth {
+		return nil, errDepth
+	}
+	tag, rest, err := ConsumeByte(r.b)
+	if err != nil {
+		return nil, err
+	}
+	r.b = rest
+	switch tag {
+	case tagNil:
+		return nil, nil
+	case tagInt:
+		return r.int()
+	case tagInt8:
+		v, err := r.intN(8)
+		return int8(v), err
+	case tagInt16:
+		v, err := r.intN(16)
+		return int16(v), err
+	case tagInt32:
+		v, err := r.intN(32)
+		return int32(v), err
+	case tagInt64:
+		return r.zigzag()
+	case tagUint:
+		v, err := r.uintN(strconv.IntSize)
+		return uint(v), err
+	case tagUint8:
+		v, err := r.uintN(8)
+		return uint8(v), err
+	case tagUint16:
+		v, err := r.uintN(16)
+		return uint16(v), err
+	case tagUint32:
+		v, err := r.uintN(32)
+		return uint32(v), err
+	case tagUint64:
+		return r.uvarint()
+	case tagFloat32:
+		return r.float32()
+	case tagFloat64:
+		return r.float64()
+	case tagString:
+		return r.string()
+	case tagBool:
+		return r.bool()
+	case tagBytes:
+		return r.bytes()
+	case tagStrings:
+		return readSlice[string](r, 1, depth)
+	case tagInts:
+		return readSlice[int](r, 1, depth)
+	case tagInt64s:
+		return readSlice[int64](r, 1, depth)
+	case tagFloat64s:
+		return readSlice[float64](r, 8, depth)
+	case tagMapStringString:
+		return readStringMap[string](r, 2, depth)
+	case tagMapStringInt:
+		return readStringMap[int](r, 2, depth)
+	case tagMapStringFloat64:
+		return readStringMap[float64](r, 9, depth)
+	case tagMapStringAny:
+		return readStringMap[any](r, 2, depth)
+	case tagAnys:
+		return readSlice[any](r, 1, depth)
+	case tagNamed:
+		n, err := r.count(1)
+		if err != nil {
+			return nil, err
+		}
+		p := namedPlan(r.b[:n])
+		if p == nil {
+			return nil, fmt.Errorf("type %q is not registered (call RegisterType)", r.b[:n])
+		}
+		r.b = r.b[n:]
+		v := reflect.New(p.typ).Elem()
+		if err := p.read(r, v, depth); err != nil {
+			return nil, fmt.Errorf("%s: %w", p.name, err)
+		}
+		return v.Interface(), nil
+	}
+	return nil, fmt.Errorf("unknown value tag %#x", tag)
+}

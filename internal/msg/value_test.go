@@ -1,0 +1,425 @@
+package msg
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+	"unsafe"
+)
+
+// Application types as the codec sees them: nested structs, pointers,
+// maps, interface fields, arrays, named basic kinds, an unexported
+// field that must not travel, and a type that contains itself.
+type level int
+
+type leaf struct {
+	N int8
+	S string
+}
+
+type tree struct {
+	Leaf    leaf
+	Ptr     *leaf
+	NilPtr  *leaf
+	ByName  map[string]leaf
+	ByID    map[int32]string
+	Any     any
+	Anys    []any
+	Str     fmt.Stringer
+	Arr     [3]uint16
+	Raw     []byte
+	Leaves  []leaf
+	F32     float32
+	Level   level
+	Next    *tree
+	private int
+}
+
+func (l leaf) String() string { return l.S }
+
+func init() {
+	RegisterType(leaf{})
+	RegisterType([]leaf(nil))
+	RegisterType(&leaf{})
+	RegisterType(tree{})
+	RegisterType(level(0))
+	RegisterType(map[level][]leaf(nil))
+}
+
+// sameValue is reflect.DeepEqual, except that floats compare by bits
+// (NaN equals itself, -0 differs from +0).
+func sameValue(a, b any) bool {
+	switch x := a.(type) {
+	case float64:
+		y, ok := b.(float64)
+		return ok && math.Float64bits(x) == math.Float64bits(y)
+	case float32:
+		y, ok := b.(float32)
+		return ok && math.Float32bits(x) == math.Float32bits(y)
+	case []float64:
+		y, ok := b.([]float64)
+		if !ok || len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+// TestValueRoundTrip: every closed-set type at its edges, and the
+// registered shapes, come back as the same dynamic type and value. The
+// one lossy rule — an empty slice or map decodes as nil — is the rows
+// with a want.
+func TestValueRoundTrip(t *testing.T) {
+	l := leaf{N: -128, S: "x"}
+	cases := []struct {
+		name     string
+		in, want any // want nil: same as in
+	}{
+		{"int min", math.MinInt, nil},
+		{"int max", math.MaxInt, nil},
+		{"int8 min", int8(math.MinInt8), nil},
+		{"int8 max", int8(math.MaxInt8), nil},
+		{"int16 min", int16(math.MinInt16), nil},
+		{"int16 max", int16(math.MaxInt16), nil},
+		{"int32 min", int32(math.MinInt32), nil},
+		{"int32 max", int32(math.MaxInt32), nil},
+		{"int64 min", int64(math.MinInt64), nil},
+		{"int64 max", int64(math.MaxInt64), nil},
+		{"uint max", uint(math.MaxUint), nil},
+		{"uint8 max", uint8(math.MaxUint8), nil},
+		{"uint16 max", uint16(math.MaxUint16), nil},
+		{"uint32 max", uint32(math.MaxUint32), nil},
+		{"uint64 max", uint64(math.MaxUint64), nil},
+		{"zeroes", []any{0, int8(0), uint(0), 0.0, "", false}, nil},
+		{"float32", float32(-1.5), nil},
+		{"float32 NaN", float32(math.NaN()), nil},
+		{"float64 NaN", math.NaN(), nil},
+		{"float64 +Inf", math.Inf(1), nil},
+		{"float64 -Inf", math.Inf(-1), nil},
+		{"float64 -0", math.Copysign(0, -1), nil},
+		{"float64 smallest", math.SmallestNonzeroFloat64, nil},
+		{"string", "héllo\x00wörld", nil},
+		{"bool", true, nil},
+		{"bytes", []byte{0, 1, 255}, nil},
+		{"bytes nil", []byte(nil), nil},
+		{"bytes empty", []byte{}, []byte(nil)},
+		{"strings", []string{"a", "", "c"}, nil},
+		{"strings nil", []string(nil), nil},
+		{"strings empty", []string{}, []string(nil)},
+		{"ints", []int{math.MinInt, -1, 0, 1, math.MaxInt}, nil},
+		{"ints empty", []int{}, []int(nil)},
+		{"int64s", []int64{math.MinInt64, math.MaxInt64}, nil},
+		{"int64s empty", []int64{}, []int64(nil)},
+		{"float64s", []float64{math.NaN(), math.Inf(-1), math.Copysign(0, -1), 2.5}, nil},
+		{"float64s empty", []float64{}, []float64(nil)},
+		{"map string string", map[string]string{"k": "v", "": ""}, nil},
+		{"map string string nil", map[string]string(nil), nil},
+		{"map string string empty", map[string]string{}, map[string]string(nil)},
+		{"map string int", map[string]int{"a": -1, "b": math.MaxInt}, nil},
+		{"map string int empty", map[string]int{}, map[string]int(nil)},
+		{"map string float64", map[string]float64{"pi": 3.14, "inf": math.Inf(1)}, nil},
+		{"map string float64 empty", map[string]float64{}, map[string]float64(nil)},
+		{"map string any", map[string]any{"n": 1, "s": "x", "nil": nil, "in": map[string]any{"d": 2.0}}, nil},
+		{"map string any empty", map[string]any{}, map[string]any(nil)},
+		{"anys", []any{1, "two", nil, []any{3.0, l}, []leaf{l}}, nil},
+		{"anys empty", []any{}, []any(nil)},
+		{"struct", l, nil},
+		{"struct slice", []leaf{l, {}}, nil},
+		{"struct slice empty", []leaf{}, []leaf(nil)},
+		{"pointer", &l, nil},
+		{"pointer nil", (*leaf)(nil), nil},
+		{"named int", level(-3), nil},
+		{"named-key map", map[level][]leaf{2: {l}, -1: nil}, nil},
+		{"nested", tree{
+			Leaf: l, Ptr: &leaf{N: 1}, ByName: map[string]leaf{"a": l, "b": {}},
+			ByID: map[int32]string{-5: "neg", 5: "pos"}, Any: l, Anys: []any{int64(1), nil},
+			Str: l, Arr: [3]uint16{1, 2, math.MaxUint16}, Raw: []byte("raw"), Leaves: []leaf{l},
+			F32: 0.25, Level: 7, Next: &tree{Any: "tail"},
+		}, nil},
+		{"nested zero", tree{}, nil},
+		{"nested empties", tree{ByName: map[string]leaf{}, Anys: []any{}, Raw: []byte{}, Leaves: []leaf{}}, tree{}},
+	}
+	for _, tc := range cases {
+		data, err := EncodeAnySlice([]any{tc.in})
+		if err != nil {
+			t.Errorf("%s: encode: %v", tc.name, err)
+			continue
+		}
+		got, err := DecodeAnySlice(data)
+		if err != nil || len(got) != 1 {
+			t.Errorf("%s: decode = %v, %v", tc.name, got, err)
+			continue
+		}
+		want := tc.want
+		if want == nil {
+			want = tc.in
+		}
+		if !sameValue(got[0], want) {
+			t.Errorf("%s: got %#v (%T), want %#v (%T)", tc.name, got[0], got[0], want, want)
+		}
+	}
+}
+
+// TestValueUnexportedFieldStaysHome: only exported fields travel.
+func TestValueUnexportedFieldStaysHome(t *testing.T) {
+	data, err := EncodeAnySlice([]any{tree{private: 9, Level: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeAnySlice(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr := got[0].(tree); tr.private != 0 || tr.Level != 1 {
+		t.Errorf("decoded %+v, want private 0 and Level 1", tr)
+	}
+}
+
+// TestValueBytesDeterministic: equal values give equal bytes, whatever
+// order a map was filled or iterated in.
+func TestValueBytesDeterministic(t *testing.T) {
+	build := func(reverse bool) []any {
+		byName, byKey, anyMap, named := map[string]int{}, map[string]leaf{}, map[string]any{}, map[level][]leaf{}
+		for i := 0; i < 100; i++ {
+			k := i
+			if reverse {
+				k = 99 - i
+			}
+			key := fmt.Sprintf("key-%03d", k*37%100)
+			byName[key] = k
+			byKey[key] = leaf{N: int8(k), S: key}
+			anyMap[key] = k
+			named[level(k-50)] = []leaf{{S: key}}
+		}
+		return []any{byName, anyMap, tree{ByName: byKey}, named}
+	}
+	first, err := EncodeAnySlice(build(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		again, err := EncodeAnySlice(build(i%2 == 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, again) {
+			t.Fatalf("encoding %d of an equal value differs from the first", i)
+		}
+	}
+	if _, err := DecodeAnySlice(first); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+}
+
+// TestDecodeAnySliceRejects: malformed streams fail, and the error
+// names what was wrong.
+func TestDecodeAnySliceRejects(t *testing.T) {
+	named := func(name string, body ...byte) []byte {
+		return append(AppendString([]byte{1, tagNamed}, name), body...)
+	}
+	leafName := typeName(reflect.TypeOf(leaf{}))
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"empty", nil, "short"},
+		{"gob stream", gobOf([]any{42}), ""},
+		{"unknown tag", []byte{1, 0xEE}, "unknown value tag 0xee"},
+		{"unregistered name", named("no.such/pkg.Type", 0), `"no.such/pkg.Type" is not registered`},
+		{"field count mismatch", named(leafName, 3, 0, 0, 0), "3 fields on the wire"},
+		{"string body for a struct", named(leafName, 5, 'h', 'e', 'l', 'l', 'o'), "5 fields on the wire"},
+		{"value count beyond input", []byte{200, 1, tagInt, 0}, "count 200 exceeds"},
+		{"slice count beyond input", []byte{1, tagStrings, 9, 0}, "count 9 exceeds"},
+		{"float slice count beyond input", []byte{1, tagFloat64s, 2, 0, 0, 0, 0, 0, 0, 0, 0}, "count 2 exceeds"},
+		{"string length beyond input", []byte{1, tagString, 5, 'a'}, "short"},
+		{"name length beyond input", []byte{1, tagNamed, 9, 'a'}, "count 9 exceeds"},
+		{"trailing byte", []byte{1, tagInt, 2, 0}, "1 trailing bytes"},
+		{"top-level nil", []byte{1, tagNil}, "untyped nil"},
+		{"bool byte", []byte{1, tagBool, 2}, "bool byte 0x2"},
+		{"int8 overflow", []byte{1, tagInt8, 0x80, 0x02}, "overflows int8"},
+		{"uint16 overflow", []byte{1, tagUint16, 0x80, 0x80, 0x04}, "overflows uint16"},
+		{"struct field overflow", named(leafName, 2, 0x80, 0x02, 0), "overflows int8"},
+		{"map keys out of order", []byte{1, tagMapStringInt, 2, 1, 'b', 0, 1, 'a', 0}, "ascending"},
+		{"map key repeated", []byte{1, tagMapStringInt, 2, 1, 'a', 0, 1, 'a', 0}, "ascending"},
+		{"truncated float", []byte{1, tagFloat64, 0, 0, 0}, "short"},
+	}
+	for _, tc := range cases {
+		vals, err := DecodeAnySlice(tc.data)
+		if err == nil {
+			t.Errorf("%s: decoded %v, want an error", tc.name, vals)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+
+	// An array whose length differs from the registered type's fails
+	// stop, like a struct whose field count does.
+	bad := named(typeName(reflect.TypeOf(tree{})), 14, 2, 0, 0, 0, 0, 0, 0, tagNil, 0, tagNil, 2, 0, 0)
+	if _, err := DecodeAnySlice(bad); err == nil || !strings.Contains(err.Error(), "2 elements on the wire") {
+		t.Errorf("array length mismatch: %v", err)
+	}
+}
+
+// TestDecodeAnySliceTruncated: no strict prefix of a valid stream
+// decodes.
+func TestDecodeAnySliceTruncated(t *testing.T) {
+	data, err := EncodeAnySlice([]any{1, "two", 3.0, []string{"a"}, map[string]any{"k": []byte{1}},
+		tree{Ptr: &leaf{S: "p"}, ByID: map[int32]string{1: "x"}, Any: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(data); n++ {
+		if vals, err := DecodeAnySlice(data[:n]); err == nil {
+			t.Fatalf("prefix of %d/%d bytes decoded: %v", n, len(data), vals)
+		}
+	}
+}
+
+// TestDecodedValuesDoNotAlias: transport and WAL buffers are reused
+// after decoding.
+func TestDecodedValuesDoNotAlias(t *testing.T) {
+	in := []any{"string", []byte("bytes"), []string{"elem"}, map[string]string{"key": "val"},
+		tree{Raw: []byte("raw"), Leaf: leaf{S: "leaf"}, ByID: map[int32]string{1: "one"}}}
+	data, err := EncodeAnySlice(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeAnySlice(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = 0xAA
+	}
+	if !reflect.DeepEqual(got, in) {
+		t.Errorf("decoded values changed with the input buffer:\n got %#v\nwant %#v", got, in)
+	}
+}
+
+func TestEncodeAnySliceRejects(t *testing.T) {
+	type stranger struct{ X int }
+	cycle := &tree{}
+	cycle.Next = cycle
+	cases := []struct {
+		name string
+		in   []any
+		want string
+	}{
+		{"untyped nil", []any{1, nil}, "msg: value 1 is untyped nil; pass a typed zero value"},
+		{"unregistered", []any{stranger{}}, "msg.stranger is not registered"},
+		{"unregistered in a field", []any{tree{Any: stranger{}}}, "msg.stranger is not registered"},
+		{"unregistered slice of registered", []any{[]*leaf{}}, "[]*msg.leaf is not registered"},
+		{"cycle", []any{*cycle}, "cyclic"},
+	}
+	for _, tc := range cases {
+		data, err := EncodeAnySlice(tc.in)
+		if err == nil {
+			t.Errorf("%s: encoded %d bytes, want an error", tc.name, len(data))
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+func TestEncodeAnySliceEmpty(t *testing.T) {
+	for _, in := range [][]any{nil, {}} {
+		data, err := EncodeAnySlice(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeAnySlice(data)
+		if err != nil || len(got) != 0 {
+			t.Errorf("empty list round trip: %v %v", got, err)
+		}
+	}
+}
+
+func panicOf(f func()) (msg string) {
+	defer func() { msg = fmt.Sprint(recover()) }()
+	f()
+	return
+}
+
+// TestRegisterTypePanics: a type the codec cannot carry is refused at
+// registration, with the type and the path to the field in the message.
+func TestRegisterTypePanics(t *testing.T) {
+	type hidden struct{ a, b int }
+	type holder struct {
+		OK   int
+		Deep []map[string]*struct{ Bad chan int }
+	}
+	cases := []struct {
+		v    any
+		want []string
+	}{
+		{holder{}, []string{"msg.holder", "Deep[][].Bad", "kind chan"}},
+		{struct{ F func() }{}, []string{".F", "kind func"}},
+		{struct{ P unsafe.Pointer }{}, []string{".P", "kind unsafe.Pointer"}},
+		{struct{ C complex128 }{}, []string{".C", "kind complex128"}},
+		{hidden{}, []string{"msg.hidden", "no exported fields"}},
+		{struct{ H hidden }{}, []string{".H", "no exported fields"}},
+		{struct{ M map[float64]int }{}, []string{".M", "map key kind float64"}},
+		{struct{ M map[leaf]int }{}, []string{".M", "map key kind struct"}},
+		{nil, []string{"RegisterType(nil)"}},
+	}
+	for _, tc := range cases {
+		got := panicOf(func() { RegisterType(tc.v) })
+		for _, w := range tc.want {
+			if !strings.Contains(got, w) {
+				t.Errorf("RegisterType(%T) panicked with %q, want a mention of %q", tc.v, got, w)
+			}
+		}
+	}
+	// A refused registration leaves nothing behind.
+	if _, err := EncodeAnySlice([]any{holder{}}); err == nil || !strings.Contains(err.Error(), "not registered") {
+		t.Errorf("refused type encodes: %v", err)
+	}
+}
+
+// TestRegisterTypeTwice: the same type again is a no-op; a second type
+// under a taken name panics.
+func TestRegisterTypeTwice(t *testing.T) {
+	RegisterType(leaf{})
+	RegisterType(leaf{S: "any value of the type"})
+	first := func() any { type twin struct{ A int }; return twin{} }()
+	second := func() any { type twin struct{ B string }; return twin{} }()
+	RegisterType(first)
+	if got := panicOf(func() { RegisterType(second) }); !strings.Contains(got, "already taken") || !strings.Contains(got, "twin") {
+		t.Errorf("second type under one name: panic %q, want \"already taken\" naming twin", got)
+	}
+	// The first registration still works.
+	data, err := EncodeAnySlice([]any{first})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := DecodeAnySlice(data); err != nil || !reflect.DeepEqual(got[0], first) {
+		t.Errorf("round trip after the refused twin: %v %v", got, err)
+	}
+}
+
+// TestValueListAllocs: a one-int list — the shape of most calls — costs
+// one allocation each way: the output buffer, the []any. (A reader that
+// escapes to the heap, or a per-message encoder, shows up here first.)
+func TestValueListAllocs(t *testing.T) {
+	vals := []any{42}
+	data, err := EncodeAnySlice(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { EncodeAnySlice(vals) }); n != 1 {
+		t.Errorf("EncodeAnySlice([42]) allocates %v objects, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { DecodeAnySlice(data) }); n != 1 {
+		t.Errorf("DecodeAnySlice([42]) allocates %v objects, want 1", n)
+	}
+}

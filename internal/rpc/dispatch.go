@@ -1,16 +1,17 @@
 // Package rpc provides reflection-based method dispatch for Phoenix/App
 // components, the Go analogue of .NET remoting's marshalled method
 // invocation. A Dispatcher wraps a component object and invokes its
-// exported methods from gob-encoded argument streams, producing
-// gob-encoded result streams — the representation that travels on the
-// wire and into the recovery log, so that replaying a logged call is
-// bit-identical to receiving it.
+// exported methods from encoded argument lists, producing encoded
+// result lists (internal/msg value streams) — the representation that
+// travels on the wire and into the recovery log, so that replaying a
+// logged call is bit-identical to receiving it.
 //
 // Method convention: any exported method whose parameters and results
-// are gob-encodable can be called remotely. A trailing error result is
-// separated out as the application error (it travels as a string in the
-// reply and is re-raised at the caller); other results are encoded in
-// order.
+// the value codec can carry (its closed set of basic types, plus
+// msg.RegisterType'd application types) can be called remotely. A
+// trailing error result is separated out as the application error (it
+// travels as a string in the reply and is re-raised at the caller);
+// other results are encoded in order.
 package rpc
 
 import (

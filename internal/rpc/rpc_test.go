@@ -166,10 +166,12 @@ func TestInvokeEncodedAppErrorTravels(t *testing.T) {
 func TestInvokeEncodedNumericCoercion(t *testing.T) {
 	s := newStore()
 	d, _ := NewDispatcher(s)
-	// NoResults takes int; send it an int64 (gob may widen).
-	args, n, _ := EncodeArgs(int64(7))
-	if _, _, _, err := d.InvokeEncoded("NoResults", args, n); err != nil {
-		t.Errorf("int64 -> int coercion failed: %v", err)
+	// NoResults takes int; a generic caller may send any numeric width.
+	for _, arg := range []any{int64(7), int8(7), uint16(7), float64(7)} {
+		args, n, _ := EncodeArgs(arg)
+		if _, _, _, err := d.InvokeEncoded("NoResults", args, n); err != nil {
+			t.Errorf("%T -> int coercion failed: %v", arg, err)
+		}
 	}
 }
 
@@ -181,13 +183,23 @@ func TestInvokeEncodedRejectsBadInput(t *testing.T) {
 	if _, _, _, err := d.InvokeEncoded("Search", []byte("garbage"), 1); err == nil {
 		t.Error("garbage args accepted")
 	}
+	wantsOne := "rpc: *rpc.store.Search wants 1 args, got 2"
 	args, _, _ := EncodeArgs("a", "b")
-	if _, _, _, err := d.InvokeEncoded("Search", args, 2); err == nil {
-		t.Error("wrong arg count accepted")
+	if _, _, _, err := d.InvokeEncoded("Search", args, 2); err == nil || err.Error() != wantsOne {
+		t.Errorf("two args for Search: %v, want %q", err, wantsOne)
+	}
+	// The envelope's count and the stream's must agree too.
+	one, _, _ := EncodeArgs("a")
+	if _, _, _, err := d.InvokeEncoded("Search", one, 2); err == nil || !strings.Contains(err.Error(), "wants 1 args, got 1") {
+		t.Errorf("NumArgs 2 over a one-value stream: %v", err)
+	}
+	if _, err := d.CallValues("Search", "a", "b"); err == nil || err.Error() != wantsOne {
+		t.Errorf("CallValues with two args: %v, want %q", err, wantsOne)
 	}
 	argsStr, _, _ := EncodeArgs("x")
-	if _, _, _, err := d.InvokeEncoded("NoResults", argsStr, 1); err == nil {
-		t.Error("string for int accepted")
+	if _, _, _, err := d.InvokeEncoded("NoResults", argsStr, 1); err == nil ||
+		!strings.Contains(err.Error(), "arg 0: string is not assignable to int") {
+		t.Errorf("string for int: %v", err)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"repro/internal/msg"
 )
 
-// InvokeEncoded runs the named method from a gob-encoded argument
-// stream and produces the gob-encoded result stream — the full
+// InvokeEncoded runs the named method from an encoded argument list
+// (msg value stream) and produces the encoded result list — the full
 // marshalled path a cross-context call takes. The appErr return carries
 // the method's own error (the component stays alive; this is the
 // paper's "invalid argument exception indicates an error, but the
@@ -54,8 +54,8 @@ func (d *Dispatcher) InvokeEncoded(name string, args []byte, numArgs int) (resul
 }
 
 // coerce fits a decoded interface value to a declared parameter type.
-// Exact assignability always works; numeric kinds convert (gob loses
-// the distinction between int widths a caller may have used).
+// Exact assignability always works; numeric kinds convert (a generic
+// caller need not match the declared int or float width).
 func coerce(a any, want reflect.Type) (reflect.Value, error) {
 	v := reflect.ValueOf(a)
 	if !v.IsValid() {

@@ -130,6 +130,24 @@ func captureField(name string, fv reflect.Value) (FieldState, error) {
 	return FieldState{Name: name, Kind: KindValue, Data: buf.Bytes()}, nil
 }
 
+// RegisterType makes a concrete type storable inside an
+// interface-typed component field: field values are gob, which carries
+// an interface's dynamic type by registered name.
+func RegisterType(v any) { gob.Register(v) }
+
+// The composite types of the value codec's closed set are what a method
+// may return and a component may then keep in an interface-typed field,
+// so they are storable without the application registering them. (gob
+// itself pre-registers the scalars and the slices of scalars.)
+func init() {
+	for _, v := range []any{
+		map[string]string(nil), map[string]int(nil), map[string]float64(nil),
+		[]any(nil), map[string]any(nil),
+	} {
+		gob.Register(v)
+	}
+}
+
 // Restore writes the captured state back into obj, resolving component
 // references through r. obj must be a fresh instance of the same type
 // Capture saw. Fields present in obj but absent from the state keep

@@ -126,6 +126,45 @@ func TestNilRefsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestClosedSetCompositesInInterfaceFields: the value codec's composite
+// types are what a method may return, so a component may keep one in an
+// interface-typed field without registering anything.
+func TestClosedSetCompositesInInterfaceFields(t *testing.T) {
+	type holder struct {
+		X    any
+		Meta map[string]any
+		Log  []any
+	}
+	orig := &holder{
+		X: map[string]string{"k": "v"},
+		Meta: map[string]any{
+			"ints":   map[string]int{"a": 1},
+			"floats": map[string]float64{"pi": 3.14},
+			"nested": map[string]any{"deep": []any{1, "two"}},
+		},
+		Log: []any{[]any{"a", 2}, map[string]string{"x": "y"}, []string{"s"}, 7},
+	}
+	st, err := Capture(orig)
+	if err != nil {
+		t.Fatalf("Capture: %v", err)
+	}
+	data, err := st.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, err := DecodeState(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := &holder{}
+	if err := Restore(fresh, st2, nil); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if !reflect.DeepEqual(fresh, orig) {
+		t.Errorf("restored %+v, want %+v", fresh, orig)
+	}
+}
+
 func TestRestoreTypeMismatch(t *testing.T) {
 	type other struct{ X int }
 	st, err := Capture(&basket{})

@@ -115,11 +115,10 @@ func (t *TCP) Unlisten(addr string) {
 }
 
 // tcpConn is one pooled client connection. The write and read staging
-// buffers are cached per connection — the per-message cost this evens
-// out used to be gob re-sending its type descriptors on every message;
-// with the binary envelope the remaining per-message transport cost is
-// these buffers, so they live exactly where the descriptor cache would
-// have. Both are reset on redial: a fresh connection starts with no
+// buffers are cached per connection: with a stateless binary envelope
+// and value stream, these buffers are the only per-message transport
+// cost left, and they live exactly where a per-connection encoder
+// cache would have. Both are reset on redial: a fresh connection starts with no
 // inherited state, the same discipline a per-connection encoder cache
 // would need.
 type tcpConn struct {

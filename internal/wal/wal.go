@@ -147,6 +147,7 @@ type Log struct {
 	bufBase  ids.LSN // LSN of buf[0]
 	synced   ids.LSN // stable watermark (survives Discard)
 	unsynced map[*segment]bool
+	snaps    []syncSnap // the sync leader's scratch (syncLocked); reused across syncs
 	syncing  bool       // a sync leader is in its commit window or its device sync
 	syncDone *sync.Cond // broadcast (on mu) when the leader is done
 	waiters  int        // force requests behind the leader that no finished sync covers
@@ -157,6 +158,14 @@ type Log struct {
 	closed   bool
 	stats    Stats
 	m        *obs.WALMetrics
+}
+
+// syncSnap is one unsynced segment as the sync leader found it, and
+// what syncing it returned.
+type syncSnap struct {
+	s    *segment
+	size int64
+	err  error
 }
 
 // Open opens (creating if necessary) the log directory at dir, verifies
@@ -613,28 +622,27 @@ func (l *Log) syncLocked() error {
 	}
 	target := l.bufBase
 	l.leadEnd = target
-	type syncSnap struct {
-		s    *segment
-		size int64
-	}
-	snaps := make([]syncSnap, 0, len(l.unsynced))
+	// One leader at a time (l.syncing), so the snapshot lives on the
+	// Log and is resliced: a device sync allocates nothing.
+	snaps := l.snaps[:0]
 	for s := range l.unsynced {
-		snaps = append(snaps, syncSnap{s, s.size})
+		snaps = append(snaps, syncSnap{s: s, size: s.size})
 	}
+	l.snaps = snaps
+	defer clear(snaps) // keep the capacity, not the segments: one may be trimmed next
 	l.mu.Unlock()
-	errs := make([]error, len(snaps))
-	for i, sn := range snaps {
-		errs[i] = sn.s.f.Sync()
+	for i := range snaps {
+		snaps[i].err = snaps[i].s.f.Sync()
 	}
 	l.model.Sync()
 	l.mu.Lock()
 	if l.closed {
 		return ErrClosed // Discard struck during the device sync
 	}
-	for i, sn := range snaps {
-		if errs[i] != nil {
+	for _, sn := range snaps {
+		if sn.err != nil {
 			if l.unsynced[sn.s] {
-				l.failed = fmt.Errorf("wal: sync failed, log stopped: %w", errs[i])
+				l.failed = fmt.Errorf("wal: sync failed, log stopped: %w", sn.err)
 				return l.failed
 			}
 			continue // segment trimmed away mid-sync; nothing to keep

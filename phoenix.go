@@ -29,8 +29,9 @@
 //
 // Components are plain Go structs: exported fields are the recoverable
 // state (fields tagged `phoenix:"-"` and unexported fields are
-// transient), exported methods with gob-encodable parameters are
-// callable. Components must be piece-wise deterministic: contexts are
+// transient), exported methods whose parameters and results the value
+// codec carries (basic types, their common slices and maps, and
+// registered application types) are callable. Components must be piece-wise deterministic: contexts are
 // single-threaded, and all interaction with other components must go
 // through Refs so the runtime can intercept it. Register argument and
 // result struct types with RegisterType.
@@ -47,6 +48,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/rpc"
+	"repro/internal/serial"
 	"repro/internal/transport"
 )
 
@@ -326,9 +328,18 @@ func WithSubordinate(name string, obj any) CreateOption {
 	return core.WithSubordinate(name, obj)
 }
 
-// RegisterType makes a concrete type transmissible as a method
-// argument or result (a thin wrapper over gob.Register).
-func RegisterType(v any) { msg.RegisterType(v) }
+// RegisterType makes a concrete application type transmissible as a
+// method argument or result: register the struct and, separately, any
+// slice or pointer of it that is passed directly. The type's encoding
+// plan is compiled here, so a type that cannot cross a component
+// boundary (a chan, func or unsafe-pointer field, a struct with no
+// exported fields) panics at registration, naming the field.
+// Registering a type twice is a no-op. The same registration lets the
+// type sit in an interface-typed field of a component's saved state.
+func RegisterType(v any) {
+	msg.RegisterType(v)
+	serial.RegisterType(v)
+}
 
 // BindStub fills the exported func-typed fields of *stub with typed
 // wrappers around ref.Call, giving a component reference a statically

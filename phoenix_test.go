@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -242,4 +243,121 @@ func Example() {
 	fmt.Println("balance after crash:", res[0])
 	p.Close()
 	// Output: balance after crash: 70
+}
+
+// Receipt is an application value type; Till keeps the last one in an
+// interface-typed state field.
+type Receipt struct {
+	Memo   string
+	Amount int
+}
+
+type Till struct {
+	Last any
+	Log  []any
+	Bag  map[string]any
+}
+
+func (t *Till) Ring(r Receipt) (Receipt, error) {
+	t.Last = r
+	t.Log = append(t.Log, r, r.Amount)
+	return r, nil
+}
+
+// Stash keeps closed-set composite values — what any method may return —
+// in interface-typed state.
+func (t *Till) Stash(tags map[string]string, items []any, bag map[string]any) (int, error) {
+	t.Last = tags
+	t.Log = append(t.Log, items, tags)
+	t.Bag = bag
+	return len(t.Log), nil
+}
+
+// TestClosedSetValuesInInterfaceStateField: the codec's own composite
+// types need no registration to sit in an interface-typed state field
+// across a state save, a crash and recovery.
+func TestClosedSetValuesInInterfaceStateField(t *testing.T) {
+	u, err := phoenix.NewUniverse(phoenix.UniverseConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := u.AddMachine("evo1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := m.StartProcess("shopd", testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := p.Create("Till", &Till{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tags := map[string]string{"aisle": "7"}
+	items := []any{"tea", 2, map[string]int{"qty": 3}}
+	bag := map[string]any{"prices": map[string]float64{"tea": 1.5}, "more": []any{"x"}, "sub": map[string]any{"k": "v"}}
+	if res, err := u.ExternalRef(h.URI()).Call("Stash", tags, items, bag); err != nil || res[0] != any(2) {
+		t.Fatalf("Stash = %v, %v", res, err)
+	}
+	if err := h.SaveState(); err != nil {
+		t.Fatalf("SaveState with closed-set composites in interface fields: %v", err)
+	}
+	p.Crash()
+	p2, err := m.StartProcess("shopd", testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	h2, ok := p2.Lookup("Till")
+	if !ok {
+		t.Fatal("Lookup failed after recovery")
+	}
+	want := &Till{Last: tags, Log: []any{items, tags}, Bag: bag}
+	if till := h2.Object().(*Till); !reflect.DeepEqual(till, want) {
+		t.Errorf("recovered till = %+v, want %+v", till, want)
+	}
+}
+
+// TestRegisteredTypeInInterfaceStateField: RegisterType covers both
+// places an application value can sit inside an interface — a method
+// argument or result, and a component's saved state.
+func TestRegisteredTypeInInterfaceStateField(t *testing.T) {
+	phoenix.RegisterType(Receipt{})
+	u, err := phoenix.NewUniverse(phoenix.UniverseConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := u.AddMachine("evo1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := m.StartProcess("shopd", testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := p.Create("Till", &Till{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Receipt{Memo: "coffee", Amount: 3}
+	res, err := u.ExternalRef(h.URI()).Call("Ring", want)
+	if err != nil || res[0] != any(want) {
+		t.Fatalf("Ring = %v, %v", res, err)
+	}
+	if err := h.SaveState(); err != nil {
+		t.Fatalf("SaveState with a registered value in an interface field: %v", err)
+	}
+	p.Crash()
+	p2, err := m.StartProcess("shopd", testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	h2, ok := p2.Lookup("Till")
+	if !ok {
+		t.Fatal("Lookup failed after recovery")
+	}
+	if till := h2.Object().(*Till); till.Last != any(want) || len(till.Log) != 2 || till.Log[0] != any(want) {
+		t.Errorf("recovered till = %+v, want Last and Log[0] = %+v", till, want)
+	}
 }
