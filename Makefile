@@ -16,12 +16,14 @@ vet:
 # is cached on a hash of go.mod/go.sum and the tree's sources, so a
 # warm run skips the go tool. staticcheck and govulncheck run when
 # installed (CI installs them; offline dev machines may not have them).
-# The go list line keeps encoding/gob off the call and replay paths:
-# msg and rpc must not depend on it, even transitively.
+# The go list line keeps encoding/gob out of the module: msg's plans
+# are the one value codec, and no package may depend on another, even
+# transitively. ./benchmark is exempt — its calibration loop times gob
+# as a fixed yardstick of host speed.
 lint:
 	go run ./cmd/phoenix-lint -deadallow ./...
-	@! go list -deps ./internal/msg ./internal/rpc | grep -qx encoding/gob || \
-		{ echo "lint: internal/msg or internal/rpc depends on encoding/gob"; exit 1; }
+	@! go list -deps $$(go list ./... | grep -v '/benchmark$$') | grep -qx encoding/gob || \
+		{ echo "lint: a package other than ./benchmark depends on encoding/gob"; exit 1; }
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "lint: staticcheck not installed, skipping"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
@@ -44,11 +46,18 @@ build:
 test:
 	go test ./...
 
-# Ten seconds of the value-stream decoder fuzzer (total, no oversized
-# allocation, decode → encode → decode stable) on top of its checked-in
-# seeds, which `go test` already runs.
+# Ten seconds of every fuzz target in the module — the envelope, value
+# stream, component state, record and WAL frame decoders (total, no
+# oversized allocation, decode → encode → decode stable) — on top of
+# their checked-in seeds, which `go test` already runs. (go test takes
+# one -fuzz target of one package at a time.)
 fuzz:
-	go test -run '^$$' -fuzz FuzzDecodeAnySlice -fuzztime 10s ./internal/msg/
+	@set -e; for pkg in $$(go list ./...); do \
+		for f in $$(go test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$f"; \
+			go test -run '^$$' -fuzz "^$$f\$$" -fuzztime 10s $$pkg; \
+		done; \
+	done
 
 race:
 	go test -race ./internal/core/ ./internal/wal/
@@ -96,7 +105,8 @@ bench:
 
 # Quick allocation-focused microbenchmarks of the message/WAL hot path
 # (encode/decode envelopes, wal append, cursor scans), one iteration
-# batch each, plus the AllocsPerRun regression gates and the tracing
+# batch each, plus the AllocsPerRun regression gates (call path, record
+# append, checkpoint capture/restore) and the tracing
 # CPU-overhead gate (flight recorder must stay under 5% per call on
 # the group-commit workload; a timing verdict, so it is compiled only
 # under the perfgate build tag and kept out of `go test ./...`). This
@@ -104,7 +114,7 @@ bench:
 # BENCH_PR6.json hold the trajectory.
 bench-smoke:
 	go test -run '^$$' -bench 'Encode|Decode|WALAppend|Cursor|Scan' -benchmem -benchtime 100x ./internal/msg/ ./internal/wal/
-	go test -run 'TestAllocs' -v ./internal/core/
+	go test -run 'TestAllocs' -v . ./internal/core/
 	go test -tags perfgate -run 'TestTraceOverhead$$' -v ./internal/bench/
 	go test -run 'TestAdaptiveConvergenceGate$$' -v ./internal/bench/
 

@@ -94,7 +94,7 @@ func (p *Process) Checkpoint() error {
 // concurrency, and readers "examine all the log records between the
 // begin checkpoint and end checkpoint record".
 func (p *Process) runCheckpoint() error {
-	begin, err := p.appendRec(recBeginCkpt, 0, &struct{}{})
+	begin, err := p.appendRec(recBeginCkpt, 0, nil)
 	if err != nil {
 		return err
 	}

@@ -672,8 +672,9 @@ func (p *Process) reclaimPoints() map[uint32]ids.LSN {
 // records implement wal.PayloadEncoder themselves and encode straight
 // into the log's scratch buffer, so the per-call append allocates
 // nothing (the assertion reads the existing interface value); cold
-// record types fall back to a one-off closure. A traced record also
-// drops a StageWALAppend span.
+// records (and a nil v: a record that is all header) go through
+// appendColdRec in a one-off closure. A traced record also drops a
+// StageWALAppend span.
 func (p *Process) appendRec(t wal.RecordType, key ids.CompID, v any) (ids.LSN, error) {
 	var tref trace.Ref
 	var tstart int64
@@ -686,10 +687,7 @@ func (p *Process) appendRec(t wal.RecordType, key ids.CompID, v any) (ids.LSN, e
 	}
 	enc, ok := v.(wal.PayloadEncoder)
 	if !ok {
-		enc = wal.EncodeFunc(func(dst []byte) ([]byte, error) {
-			b, err := encodeRec(v)
-			return append(dst, b...), err
-		})
+		enc = wal.EncodeFunc(func(dst []byte) ([]byte, error) { return appendColdRec(dst, t, key, v) })
 	}
 	lsn, err := p.log.AppendInto(uint64(key), t, enc)
 	if err == nil {

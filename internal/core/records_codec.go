@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 
 	"repro/internal/ids"
 	"repro/internal/msg"
@@ -9,31 +10,31 @@ import (
 	"repro/internal/wal"
 )
 
-// Binary payload codec for the per-call log records. The five record
-// kinds written on the Figure-1 hot paths — incoming, reply-sent,
-// reply-content, outgoing, outgoing-reply — are appended once per
-// message, so their payloads use the hand-rolled binary format of
-// internal/msg (a fresh gob stream per record would re-emit type
-// descriptors every time). Cold records — creation, context state,
-// checkpoint dumps — are gob: they are rare, nested, and not worth a
-// hand-maintained schema. A record kind has exactly one format: the
-// hot kinds are the ones that implement wal.PayloadEncoder below, and
-// decodeRec sends those, and only those, through this codec.
+// Payload codec for the log records: one header, one decoder
+// (decodeRec), and a body that depends on how often the kind is written.
 //
-// Format (DESIGN.md Section 10): 0xC3, kind byte (the wal.RecordType,
-// doubling as a schema check against the frame's type), then the
-// per-kind fields in the order of the struct definitions in
-// records.go, encoded with the msg codec primitives (uvarints,
-// length-prefixed bytes). Embedded Call/Reply bodies use the bare
-// envelope bodies (msg.AppendCall / msg.AppendReply — no 0xC1/0xC2).
+// Header (DESIGN.md Section 10): 0xC3, kind byte (the wal.RecordType,
+// doubling as a schema check against the frame's type), uvarint owning
+// context (0 for a process-wide checkpoint record) — so recCtx tells
+// whose any record is without decoding it. A traced record is framed
+// 0xC4, kind byte, uvarint TraceID, uvarint SpanID, owning context
+// instead. The encoder emits 0xC4 only for a nonzero record trace (an
+// untraced record does not pay for two zero bytes); since the bare
+// Call/Reply bodies never carry the trace, the record header is the
+// only durable home of a record's causal identity, and the decoder
+// restores it into both the record's Trace field and its embedded
+// message.
 //
-// Traced records are framed 0xC4, kind byte, uvarint TraceID, uvarint
-// SpanID, then the identical 0xC3 tail. The encoder emits 0xC4 only
-// for a nonzero record trace (an untraced record does not pay for two
-// zero bytes); since the bare Call/Reply bodies never carry the trace,
-// the record header is the only durable home of a record's causal
-// identity, and the decoder restores it into both the record's Trace
-// field and its embedded message.
+// The five kinds written on the Figure-1 hot paths — incoming,
+// reply-sent, reply-content, outgoing, outgoing-reply — are appended
+// once per message, so their bodies are laid out by hand with the msg
+// codec primitives: the fields in the order of the struct definitions
+// in records.go, embedded Call/Reply as bare envelope bodies
+// (msg.AppendCall / msg.AppendReply — no 0xC1/0xC2). The cold kinds —
+// creation, context state, the checkpoint records, discipline changes —
+// are rare and nested, so their body is their struct laid out by its
+// msg.Plan, the layout the value codec gives any Go type; a
+// begin-checkpoint record has no body.
 
 // recBinVer is the version byte opening a binary record payload;
 // recBinVerTraced opens one carrying a causal-trace header.
@@ -42,10 +43,9 @@ const (
 	recBinVerTraced = 0xC4
 )
 
-// appendRecHeader opens a binary record payload — the untraced 0xC3
-// header for a zero trace, the 0xC4 header with the trace identity
-// otherwise — and appends the owning context every hot record leads
-// with.
+// appendRecHeader opens a record payload — the untraced 0xC3 header
+// for a zero trace, the 0xC4 header with the trace identity otherwise —
+// and appends the owning context.
 func appendRecHeader(dst []byte, t wal.RecordType, tr trace.Ref, ctx ids.CompID) []byte {
 	if tr.IsZero() {
 		dst = append(dst, recBinVer, byte(t))
@@ -82,7 +82,7 @@ func consumeCallID(data []byte, id *ids.CallID) ([]byte, error) {
 	return data, err
 }
 
-// consumeRecHeader parses the head every binary record payload shares:
+// consumeRecHeader parses the head every record payload shares:
 // version byte, kind byte, the causal trace when the version is 0xC4,
 // then the owning context. body is what follows — the per-kind fields.
 // Any other version byte is an error that names it.
@@ -108,9 +108,9 @@ func consumeRecHeader(data []byte) (kind wal.RecordType, tr trace.Ref, ctx ids.C
 	return kind, tr, ids.CompID(u), body, err
 }
 
-// recCtx returns the context a message record belongs to without
-// decoding the message: the index scan of recovery reads every
-// record's owner and only a context's own replay decodes the rest.
+// recCtx returns the context a record belongs to without decoding the
+// rest: the index scan of recovery reads every message record's owner
+// and only a context's own replay decodes the message.
 func recCtx(payload []byte) (ids.CompID, error) {
 	_, _, ctx, _, err := consumeRecHeader(payload)
 	if err != nil {
@@ -119,13 +119,43 @@ func recCtx(payload []byte) (ids.CompID, error) {
 	return ctx, nil
 }
 
-// decodeRecBinary decodes a 0xC3 or 0xC4 payload into v, verifying the
-// kind byte matches the record struct the caller expects (the frame
-// type routed the caller here, so a mismatch means a corrupt or
-// mislabeled record). A 0xC4 header's trace is restored into both the
-// record's Trace field and its embedded Call/Reply, whose bare bodies
-// never carry it.
-func decodeRecBinary(data []byte, v any) error {
+// coldKinds names the record type each plan-encoded struct is the
+// payload of.
+var coldKinds = map[reflect.Type]wal.RecordType{
+	reflect.TypeOf(creationRec{}):         recCreation,
+	reflect.TypeOf(ctxStateRec{}):         recCtxState,
+	reflect.TypeOf(ckptCtxTableRec{}):     recCkptCtxTable,
+	reflect.TypeOf(ckptLastCallRec{}):     recCkptLastCall,
+	reflect.TypeOf(endCkptRec{}):          recEndCkpt,
+	reflect.TypeOf(disciplineChangeRec{}): recDisciplineChange,
+}
+
+// appendColdRec appends the payload of a cold record: the header, then
+// v (a pointer to the kind's struct; nil for a kind with no body) as
+// its plan lays it out.
+func appendColdRec(dst []byte, t wal.RecordType, ctx ids.CompID, v any) ([]byte, error) {
+	dst = appendRecHeader(dst, t, trace.Ref{}, ctx)
+	if v == nil {
+		return dst, nil
+	}
+	rv := reflect.ValueOf(v).Elem()
+	p, err := msg.PlanFor(rv.Type())
+	if err == nil {
+		dst, err = p.Append(dst, rv)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: encode %T: %w", v, err)
+	}
+	return dst, nil
+}
+
+// decodeRec decodes a record payload into v, a pointer to one of the
+// record structs of records.go, verifying the header's kind byte
+// matches it (the frame type routed the caller here, so a mismatch
+// means a corrupt or mislabeled record). A 0xC4 header's trace is
+// restored into both the record's Trace field and its embedded
+// Call/Reply, whose bare bodies never carry it.
+func decodeRec(data []byte, v any) error {
 	kind, tr, ctx, body, err := consumeRecHeader(data)
 	if err != nil {
 		return fmt.Errorf("core: decode %T: %w", v, err)
@@ -166,13 +196,19 @@ func decodeRecBinary(data []byte, v any) error {
 		}
 		r.Reply.Trace = tr
 	default:
-		return fmt.Errorf("core: decode %T: not a binary record kind", v)
-	}
-	if err != nil {
-		return fmt.Errorf("core: decode %T: %w", v, err)
+		rv := reflect.ValueOf(v).Elem()
+		var p *msg.Plan
+		if want = coldKinds[rv.Type()]; want == kind {
+			if p, err = msg.PlanFor(rv.Type()); err == nil {
+				body, err = nil, p.Read(body, rv)
+			}
+		}
 	}
 	if kind != want {
 		return fmt.Errorf("core: decode %T: payload kind %s, want %s", v, recName(kind), recName(want))
+	}
+	if err != nil {
+		return fmt.Errorf("core: decode %T: %w", v, err)
 	}
 	if len(body) != 0 {
 		return fmt.Errorf("core: decode %T: %d trailing bytes", v, len(body))

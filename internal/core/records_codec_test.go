@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
+	"repro/internal/serial"
 	"repro/internal/wal"
 )
 
@@ -63,10 +66,25 @@ func encodeHot(t testing.TB, v any) []byte {
 	return bin
 }
 
+// gobReplySent and gobCreation are the encoding/gob streams the parent
+// format wrote for a replySentRec and a creationRec: kept as bytes so
+// that the decoders can be shown to refuse them without importing gob.
+const (
+	gobReplySent = "9\xff\x87\x03\x01\x01\freplySentRec\x01\xff\x88\x00\x01\x03\x01\x03Ctx\x01\x06\x00\x01\x06CallID\x01\xff\x8a\x00\x01\x05Trace\x01\xff\x8e\x00\x00\x00(\xff\x89\x03\x01\x01\x06CallID\x01\xff\x8a\x00\x01\x02\x01\x06Caller\x01\xff\x8c\x00\x01\x03Seq\x01\x06\x00\x00\x009\xff\x8b\x03\x01\x01\rComponentAddr\x01\xff\x8c\x00\x01\x03\x01\aMachine\x01\f\x00\x01\x04Proc\x01\x06\x00\x01\x04Comp\x01\x06\x00\x00\x00$\xff\x8d\x03\x01\x01\x03Ref\x01\xff\x8e\x00\x01\x02\x01\x05Trace\x01\x06\x00\x01\x04Span\x01\x06\x00\x00\x00\x14\xff\x88\x01\x04\x01\x01\x01\x01m\x01\x01\x01\x01\x00\x01d\x00\x01\x00\x00"
+	gobCreation  = "3\x7f\x03\x01\x01\vcreationRec\x01\xff\x80\x00\x01\x03\x01\x03Ctx\x01\x06\x00\x01\x03URI\x01\f\x00\x01\x05Comps\x01\xff\x86\x00\x00\x00 \xff\x85\x02\x01\x01\x11[]core.compRecord\x01\xff\x86\x00\x01\xff\x82\x00\x00U\xff\x81\x03\x01\x01\ncompRecord\x01\xff\x82\x00\x01\x06\x01\x02ID\x01\x06\x00\x01\x04Name\x01\f\x00\x01\x06GoType\x01\f\x00\x01\x04Type\x01\x06\x00\x01\tROMethods\x01\xff\x84\x00\x01\x05State\x01\n\x00\x00\x00\x16\xff\x83\x02\x01\x01\b[]string\x01\xff\x84\x00\x01\f\x00\x00,\xff\x80\x01\x03\x01\x0fphoenix://m/p/c\x01\x01\x01\x03\x01\x01c\x01\fcore.Counter\x00\x00"
+)
+
 // TestRecordCodecRoundTrip: every hot record kind must round-trip
-// through the binary payload codec, and a gob payload of the same
-// value is an error naming its first byte — a hot kind has one format.
+// through the payload codec, and a gob payload is an error naming its
+// first byte — a kind has one format.
 func TestRecordCodecRoundTrip(t *testing.T) {
+	names := fmt.Sprintf("version byte %#x", gobReplySent[0])
+	if err := decodeRec([]byte(gobReplySent), new(replySentRec)); err == nil || !strings.Contains(err.Error(), names) {
+		t.Errorf("decodeRec(gob payload) = %v, want an error naming %s", err, names)
+	}
+	if _, err := recCtx([]byte(gobReplySent)); err == nil || !strings.Contains(err.Error(), names) {
+		t.Errorf("recCtx(gob payload) = %v, want an error naming %s", err, names)
+	}
 	for _, tc := range hotRecCases {
 		name := recName(tc.t)
 		bin := encodeHot(t, tc.v)
@@ -83,18 +101,6 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		}
 		if !recEqual(got, tc.v) {
 			t.Errorf("%s: round trip mismatch:\n  got  %+v\n  want %+v", name, got, tc.v)
-		}
-
-		old, err := encodeRec(tc.v)
-		if err != nil {
-			t.Fatalf("%s: gob encode: %v", name, err)
-		}
-		names := fmt.Sprintf("version byte %#x", old[0])
-		if err := decodeRec(old, got); err == nil || !strings.Contains(err.Error(), names) {
-			t.Errorf("%s: decodeRec(gob payload) = %v, want an error naming %s", name, err, names)
-		}
-		if _, err := recCtx(old); err == nil || !strings.Contains(err.Error(), names) {
-			t.Errorf("%s: recCtx(gob payload) = %v, want an error naming %s", name, err, names)
 		}
 	}
 }
@@ -142,17 +148,13 @@ func TestRecCtxAgreesWithDecode(t *testing.T) {
 }
 
 // FuzzRecCtx: recCtx accepts only payloads that open with a record
-// version byte (the gob seeds must be rejected), and on any payload
+// version byte (the gob seed must be rejected), and on any payload
 // that decodes in full it succeeds and agrees.
 func FuzzRecCtx(f *testing.F) {
 	for _, tc := range hotRecCases {
 		f.Add(encodeHot(f, tc.v))
-		old, err := encodeRec(tc.v)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(old)
 	}
+	f.Add([]byte(gobReplySent))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		got, err := recCtx(payload)
 		if err == nil && payload[0] != recBinVer && payload[0] != recBinVerTraced {
@@ -201,13 +203,156 @@ func recEqual(a, b any) bool {
 	return reflect.DeepEqual(norm(a), norm(b))
 }
 
-// TestRecordCodecKindMismatch: a binary payload whose kind byte does
-// not match the struct the frame type selected must be rejected.
-func TestRecordCodecKindMismatch(t *testing.T) {
-	var rs replySentRec
-	if err := decodeRec(encodeHot(t, &incomingRec{Ctx: 1}), &rs); err == nil {
-		t.Fatal("incoming payload decoded into replySentRec")
+// coldRecCases pairs each cold record kind with a payload a running
+// process could have written (the component state is a captured one).
+func coldRecCases(t testing.TB) []struct {
+	t wal.RecordType
+	v any
+} {
+	st, err := serial.Capture(&Counter{N: 41})
+	if err != nil {
+		t.Fatal(err)
 	}
+	state, err := st.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	comps := []compRecord{
+		{ID: 3, Name: "Counter", GoType: st.TypeName, Type: msg.Persistent, ROMethods: []string{"Get"}, State: state},
+		{ID: 4, Name: "Counter/sub", GoType: st.TypeName, Type: msg.Subordinate, State: state},
+	}
+	lastCalls := []lastCallSaved{{Caller: ids.ComponentAddr{Machine: "evo1", Proc: 2, Comp: 5}, Seq: 9, ReplyLSN: 4096, Ctx: 3}}
+	return []struct {
+		t wal.RecordType
+		v any
+	}{
+		{recCreation, &creationRec{Ctx: 3, URI: "phoenix://evo2/srv/Counter", Comps: comps}},
+		{recCtxState, &ctxStateRec{Ctx: 3, URI: "phoenix://evo2/srv/Counter", Comps: comps,
+			LastOutSeq: 12, SubCounter: 1, LastCalls: lastCalls}},
+		{recCkptCtxTable, &ckptCtxTableRec{Entries: []ckptCtxEntry{{Ctx: 3, RestartLSN: 512}, {Ctx: 9, RestartLSN: 1 << 40}}}},
+		{recCkptLastCall, &ckptLastCallRec{Entries: lastCalls}},
+		{recEndCkpt, &endCkptRec{BeginLSN: 2048}},
+		{recDisciplineChange, &disciplineChangeRec{Ctx: 3, Method: "Add", From: DiscBaseline,
+			To: DiscAlgo2, MultiCall: true, Epoch: 7}},
+	}
+}
+
+func encodeCold(t testing.TB, kind wal.RecordType, v any) []byte {
+	t.Helper()
+	bin, err := appendColdRec(nil, kind, 3, v)
+	if err != nil {
+		t.Fatalf("%s: encode: %v", recName(kind), err)
+	}
+	return bin
+}
+
+// TestColdRecordRoundTrip: every cold record kind opens with the header
+// the hot kinds open with and round-trips through its struct's plan; a
+// begin-checkpoint record is that header and nothing else.
+func TestColdRecordRoundTrip(t *testing.T) {
+	for _, tc := range coldRecCases(t) {
+		bin := encodeCold(t, tc.t, tc.v)
+		if bin[0] != recBinVer || bin[1] != byte(tc.t) {
+			t.Fatalf("%s: header % x, want %#x %#x", recName(tc.t), bin[:2], recBinVer, byte(tc.t))
+		}
+		got := reflect.New(reflect.TypeOf(tc.v).Elem()).Interface()
+		if err := decodeRec(bin, got); err != nil {
+			t.Fatalf("%s: decode: %v", recName(tc.t), err)
+		}
+		if !reflect.DeepEqual(got, tc.v) {
+			t.Errorf("%s: round trip mismatch:\n  got  %+v\n  want %+v", recName(tc.t), got, tc.v)
+		}
+	}
+	if bin := encodeCold(t, recBeginCkpt, nil); !reflect.DeepEqual(bin, []byte{recBinVer, byte(recBeginCkpt), 3}) {
+		t.Errorf("begin-checkpoint payload % x, want the bare header", bin)
+	}
+}
+
+// TestRecordCodecRejects: a payload that is not what the frame type
+// promised fails to decode with an error that says what was found —
+// for hot and cold kinds alike, and never by panicking.
+func TestRecordCodecRejects(t *testing.T) {
+	creation := encodeCold(t, recCreation, coldRecCases(t)[0].v)
+	type endCkptDrifted struct{ BeginLSN int64 } // same bytes as endCkptRec, another layout
+	drifted, err := msg.PlanFor(reflect.TypeOf(endCkptDrifted{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	driftedEnd, err := drifted.Append([]byte{recBinVer, byte(recEndCkpt), 0}, reflect.ValueOf(endCkptDrifted{2048}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		into    any
+		want    string
+	}{
+		{"hot kind into another hot struct", encodeHot(t, &incomingRec{Ctx: 1}), new(replySentRec), "payload kind incoming, want reply-sent"},
+		{"cold kind into another cold struct", creation, new(ctxStateRec), "payload kind creation, want ctx-state"},
+		{"cold kind into a hot struct", creation, new(incomingRec), "payload kind creation, want incoming"},
+		{"hot kind into a cold struct", encodeHot(t, &incomingRec{Ctx: 1}), new(creationRec), "payload kind incoming, want creation"},
+		{"kind byte rewritten", append([]byte{recBinVer, byte(recCtxState)}, creation[2:]...), new(ctxStateRec), "layout signature"},
+		{"struct layout drifted", driftedEnd, new(endCkptRec), "layout signature"},
+		{"parent-format gob payload", []byte(gobCreation), new(creationRec), fmt.Sprintf("version byte %#x", gobCreation[0])},
+		{"header only", creation[:3], new(creationRec), "short"},
+		{"truncated", creation[:len(creation)-1], new(creationRec), "short"},
+		{"trailing byte", append(creation[:len(creation):len(creation)], 0), new(creationRec), "trailing"},
+	} {
+		if err := decodeRec(tc.payload, tc.into); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: decodeRec = %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// FuzzDecodeColdRec: decoding arbitrary bytes as each cold kind must be
+// total and must not let a short input claim a large allocation, and
+// whatever decodes must re-encode to bytes that decode to the same.
+func FuzzDecodeColdRec(f *testing.F) {
+	for _, tc := range coldRecCases(f) {
+		f.Add(encodeCold(f, tc.t, tc.v))
+	}
+	f.Add([]byte(gobCreation))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if len(payload) < 2 {
+			return
+		}
+		kind := wal.RecordType(payload[1])
+		var typ reflect.Type
+		for ct, k := range coldKinds {
+			if k == kind {
+				typ = ct
+			}
+		}
+		if typ == nil {
+			return
+		}
+		// The fuzzing engine's own goroutines allocate too: take the
+		// quietest of a few tries.
+		bound := 2048 + 64*uint64(len(payload))
+		var v any
+		var err error
+		grew := uint64(math.MaxUint64)
+		for try := 0; try < 3 && grew > bound; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			v = reflect.New(typ).Interface()
+			err = decodeRec(payload, v)
+			runtime.ReadMemStats(&after)
+			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+		}
+		if grew > bound {
+			t.Fatalf("decoding %d bytes allocated %d", len(payload), grew)
+		}
+		if err != nil {
+			return
+		}
+		again := encodeCold(t, kind, v)
+		back := reflect.New(typ).Interface()
+		if err := decodeRec(again, back); err != nil || !reflect.DeepEqual(back, v) {
+			t.Fatalf("decode → encode → decode changed the record (%v):\n  %+v\n  %+v", err, v, back)
+		}
+	})
 }
 
 // TestTracedUntracedRecovery: one log whose head was written by an

@@ -15,25 +15,74 @@ import (
 // own types with RegisterType (the public phoenix.RegisterType forwards
 // to it), once, on every process that sends or receives them.
 
-// registry is the set of registered types. It is copy-on-write: a
-// registration publishes a new one, so the codec's lookups are a plain
+// registry holds every compiled plan. It is copy-on-write: a
+// compilation publishes a new one, so the codec's lookups are a plain
 // map read with no lock.
 type registry struct {
-	byName map[string]*plan       // the decoder's lookup
-	byType map[reflect.Type]*plan // the encoder's lookup
+	byName map[string]*Plan       // RegisterType'd types: the decoder's lookup
+	byType map[reflect.Type]*Plan // every compiled type; a RegisterType'd one carries its name
 }
 
 var (
-	regMu sync.Mutex // serializes RegisterType
+	regMu sync.Mutex // serializes compilation and registration
 	reg   = func() *atomic.Pointer[registry] {
 		p := new(atomic.Pointer[registry])
-		p.Store(&registry{byName: map[string]*plan{}, byType: map[reflect.Type]*plan{}})
+		p.Store(&registry{byName: map[string]*Plan{}, byType: map[reflect.Type]*Plan{}})
 		return p
 	}()
 )
 
+// PlanFor returns the plan of t, compiled on first use and shared from
+// then on. A type the codec cannot carry (a chan, func, unsafe-pointer
+// or complex kind, a struct with no exported fields, a map keyed by
+// anything but a bool, integer or string kind) is an error naming the
+// path to the offending field.
+func PlanFor(t reflect.Type) (*Plan, error) {
+	if p := reg.Load().byType[t]; p != nil {
+		return p, nil
+	}
+	return register(t, "")
+}
+
+// register compiles t's plan unless that is done and, given a name,
+// files the type under it.
+func register(t reflect.Type, name string) (*Plan, error) {
+	regMu.Lock()
+	defer regMu.Unlock()
+	old := reg.Load()
+	if q := old.byName[name]; q != nil {
+		if q.typ == t {
+			return q, nil
+		}
+		return nil, fmt.Errorf("msg: name %q is already taken by %s", name, q.typ)
+	}
+	next := &registry{byName: old.byName, byType: maps.Clone(old.byType)}
+	p := old.byType[t]
+	if p == nil {
+		c := planCompiler{done: old.byType, seen: map[reflect.Type]*Plan{}}
+		if p = c.compile(t, t.String()); c.err != nil {
+			return nil, c.err
+		}
+		for _, q := range c.seen {
+			q.sig = layoutSig(q)
+			next.byType[q.typ] = q
+		}
+	}
+	if name != "" {
+		// The plan may be shared already (reached through another type,
+		// handed out by PlanFor), so the name goes on a copy of its root.
+		named := *p
+		named.name, p = name, &named
+		next.byName = maps.Clone(old.byName)
+		next.byName[name], next.byType[t] = p, p
+	}
+	reg.Store(next)
+	return p, nil
+}
+
 // RegisterType makes a concrete type transmissible as a method argument
-// or result. Call it once (e.g. from an init function) for every
+// or result, and storable in an interface-typed field of a component's
+// saved state. Call it once (e.g. from an init function) for every
 // application type that crosses a component boundary inside an
 // interface — the struct and, separately, any slice or pointer of it
 // that is passed directly. The type's encoding plan is compiled here,
@@ -45,22 +94,9 @@ func RegisterType(v any) {
 	if t == nil {
 		panic("msg: RegisterType(nil): pass a typed value")
 	}
-	name := typeName(t)
-	regMu.Lock()
-	defer regMu.Unlock()
-	old := reg.Load()
-	if p := old.byName[name]; p != nil {
-		if p.typ == t {
-			return
-		}
-		panic(fmt.Sprintf("msg: RegisterType(%s): name %q is already taken by %s", t, name, p.typ))
+	if _, err := register(t, typeName(t)); err != nil {
+		panic(fmt.Sprintf("RegisterType(%s): %v", t, err))
 	}
-	p := compilePlan(t)
-	p.name = name
-	next := &registry{byName: maps.Clone(old.byName), byType: maps.Clone(old.byType)}
-	next.byName[name] = p
-	next.byType[t] = p
-	reg.Store(next)
 }
 
 // typeName is the name a type travels under: import path + name for a
@@ -77,7 +113,12 @@ func typeName(t reflect.Type) string {
 }
 
 // registeredPlan returns the plan t was registered with, or nil.
-func registeredPlan(t reflect.Type) *plan { return reg.Load().byType[t] }
+func registeredPlan(t reflect.Type) *Plan {
+	if p := reg.Load().byType[t]; p != nil && p.name != "" {
+		return p
+	}
+	return nil
+}
 
 // namedPlan returns the plan registered under name, or nil.
-func namedPlan(name []byte) *plan { return reg.Load().byName[string(name)] }
+func namedPlan(name []byte) *Plan { return reg.Load().byName[string(name)] }

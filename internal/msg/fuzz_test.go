@@ -2,7 +2,6 @@ package msg
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"runtime"
 	"testing"
@@ -11,15 +10,14 @@ import (
 	"repro/internal/obs/trace"
 )
 
-// gobOf returns v as a gob stream: the envelope format this codec
-// replaced, seeded into the decoder fuzzers as input they must reject.
-func gobOf(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
+// The encoding/gob streams of a Call, a Reply and the value list
+// []any{42}: the formats this codec replaced, kept as bytes (nothing
+// here imports gob) and shown to the decoders as input they must reject.
+const (
+	gobCall  = "\xff\x89\x7f\x03\x01\x01\x04Call\x01\xff\x80\x00\x01\n\x01\x02ID\x01\xff\x82\x00\x01\x06Target\x01\f\x00\x01\x06Method\x01\f\x00\x01\x04Args\x01\n\x00\x01\aNumArgs\x01\x04\x00\x01\nCallerType\x01\x06\x00\x01\tCallerURI\x01\f\x00\x01\bReadOnly\x01\x02\x00\x01\vKnowsServer\x01\x02\x00\x01\x05Trace\x01\xff\x86\x00\x00\x00(\xff\x81\x03\x01\x01\x06CallID\x01\xff\x82\x00\x01\x02\x01\x06Caller\x01\xff\x84\x00\x01\x03Seq\x01\x06\x00\x00\x009\xff\x83\x03\x01\x01\rComponentAddr\x01\xff\x84\x00\x01\x03\x01\aMachine\x01\f\x00\x01\x04Proc\x01\x06\x00\x01\x04Comp\x01\x06\x00\x00\x00$\xff\x85\x03\x01\x01\x03Ref\x01\xff\x86\x00\x01\x02\x01\x05Trace\x01\x06\x00\x01\x04Span\x01\x06\x00\x00\x00#\xff\x80\x01\x01\x00\x00\x01\x0fphoenix://m/p/c\x01\x01M\x01\x02\x01\x02\x01\x02\x05\x00\x00"
+	gobReply = "\xff\x8a\xff\x87\x03\x01\x01\x05Reply\x01\xff\x88\x00\x01\t\x01\x02ID\x01\xff\x82\x00\x01\aResults\x01\n\x00\x01\nNumResults\x01\x04\x00\x01\x06AppErr\x01\f\x00\x01\x05Fault\x01\f\x00\x01\rHasAttachment\x01\x02\x00\x01\nServerType\x01\x06\x00\x01\x0eMethodReadOnly\x01\x02\x00\x01\x05Trace\x01\xff\x86\x00\x00\x00(\xff\x81\x03\x01\x01\x06CallID\x01\xff\x82\x00\x01\x02\x01\x06Caller\x01\xff\x84\x00\x01\x03Seq\x01\x06\x00\x00\x009\xff\x83\x03\x01\x01\rComponentAddr\x01\xff\x84\x00\x01\x03\x01\aMachine\x01\f\x00\x01\x04Proc\x01\x06\x00\x01\x04Comp\x01\x06\x00\x00\x00$\xff\x85\x03\x01\x01\x03Ref\x01\xff\x86\x00\x01\x02\x01\x05Trace\x01\x06\x00\x01\x04Span\x01\x06\x00\x00\x00\x11\xff\x88\x01\x01\x00\x00\x01\x01\t\x01\x02\x01\x01x\x05\x00\x00"
+	gobAnys  = "\f\xff\x89\x02\x01\x02\xff\x8a\x00\x01\x10\x00\x00\f\xff\x8a\x00\x01\x03int\x04\x02\x00T"
+)
 
 // FuzzDecodeCall: arbitrary bytes must never panic the call decoder,
 // only the two version bytes open an envelope, and whatever decodes
@@ -38,7 +36,7 @@ func FuzzDecodeCall(f *testing.F) {
 	f.Add(tracedSeed)
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
-	f.Add(gobOf(&Call{Target: "phoenix://m/p/c", Method: "M", Args: []byte{1, 2}, NumArgs: 1}))
+	f.Add([]byte(gobCall))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := DecodeCall(data)
 		if err != nil {
@@ -65,7 +63,7 @@ func FuzzDecodeReply(f *testing.F) {
 		Trace: trace.Ref{Trace: 0xBEEF0001, Span: 3}})
 	f.Add(tracedSeed)
 	f.Add([]byte{0xff, 0x00})
-	f.Add(gobOf(&Reply{Results: []byte{9}, NumResults: 1, AppErr: "x"}))
+	f.Add([]byte(gobReply))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeReply(data)
 		if err != nil {
@@ -100,7 +98,7 @@ func FuzzDecodeAnySlice(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Add([]byte("x"))
-	f.Add(gobOf([]any{42}))
+	f.Add([]byte(gobAnys))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The fuzzing engine's own goroutines allocate too: take the
 		// quietest of a few tries.

@@ -96,7 +96,7 @@ func TestDecodeGarbage(t *testing.T) {
 	if _, err := DecodeReply([]byte{0xde, 0xad}); err == nil || !strings.Contains(err.Error(), "0xde") {
 		t.Errorf("DecodeReply(0xde 0xad) = %v, want an error naming the byte", err)
 	}
-	old := gobOf(&Call{Method: "M"})
+	old := []byte(gobCall)
 	if _, err := DecodeCall(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%#x", old[0])) {
 		t.Errorf("DecodeCall(gob stream) = %v, want an error naming byte %#x", err, old[0])
 	}

@@ -2,15 +2,20 @@ package msg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"reflect"
+	"slices"
 	"sort"
 )
 
-// A plan lays out the body of one application type in a value stream
-// (the part after tagNamed + name). It is compiled from the
-// reflect.Type once, at RegisterType, and interpreted on every encode
-// and decode — no per-message type analysis. By kind:
+// A Plan lays out values of one Go type as bytes. It is compiled from
+// the reflect.Type once (PlanFor; RegisterType for a type that travels
+// in a value stream, where the plan's body follows tagNamed + name) and
+// interpreted on every encode and decode — no per-message type
+// analysis. By kind:
 //
 //	bool                 one byte, 0 or 1
 //	int*, uint*, uintptr zig-zag / plain uvarint, range-checked on decode
@@ -24,42 +29,43 @@ import (
 //	interface            a tagged value (tagNil for a nil interface)
 //	struct               exported-field count (must match the type's),
 //	                     then the exported fields in declaration order
-type plan struct {
-	name   string // the registered name; "" for a type only reached through another
+type Plan struct {
+	name   string // the registered name; "" for a type never passed to RegisterType
 	typ    reflect.Type
 	kind   reflect.Kind
 	min    int   // fewest bytes an encoded value takes; never 0
-	elem   *plan // slice, array and pointer element; map value
-	key    *plan // map key
+	elem   *Plan // slice, array and pointer element; map value
+	key    *Plan // map key
 	fields []planField
+	sig    uint16 // layoutSig(p): what Read checks before trusting a body
 }
 
 type planField struct {
 	index int
-	plan  *plan
+	plan  *Plan
 }
 
-// compilePlan builds the plan for t and every type it reaches. It
-// panics, naming t and the path to the offending field, on a kind the
-// codec cannot carry.
-func compilePlan(t reflect.Type) *plan {
-	c := planCompiler{root: t, seen: map[reflect.Type]*plan{}}
-	return c.compile(t, t.String())
-}
-
+// planCompiler builds the plans of one root type and every type it
+// reaches that done does not already hold. The first kind the codec
+// cannot carry is kept in err, with the path to the offending field;
+// the plans built are then garbage and must be dropped.
 type planCompiler struct {
-	root reflect.Type
-	seen map[reflect.Type]*plan // also what lets a recursive type find itself
+	done map[reflect.Type]*Plan // compiled earlier; shared, read-only
+	seen map[reflect.Type]*Plan // built here; also what lets a recursive type find itself
+	err  error
 }
 
-func (c *planCompiler) compile(t reflect.Type, path string) *plan {
+func (c *planCompiler) compile(t reflect.Type, path string) *Plan {
+	if p := c.done[t]; p != nil {
+		return p
+	}
 	if p := c.seen[t]; p != nil {
 		return p
 	}
 	// min is final here for every kind a type can recur through
 	// (pointer, slice, map, interface), so a parent that sums its
 	// children's min never reads a half-built one.
-	p := &plan{typ: t, kind: t.Kind(), min: 1}
+	p := &Plan{typ: t, kind: t.Kind(), min: 1}
 	c.seen[t] = p
 	switch p.kind {
 	case reflect.Bool, reflect.String, reflect.Interface,
@@ -106,11 +112,77 @@ func (c *planCompiler) compile(t reflect.Type, path string) *plan {
 }
 
 func (c *planCompiler) fail(path, what string) {
-	panic(fmt.Sprintf("msg: RegisterType(%s): %s: %s cannot be carried in a value stream", c.root, path, what))
+	if c.err == nil {
+		c.err = fmt.Errorf("msg: %s: %s cannot be carried in a value stream", path, what)
+	}
+}
+
+// layoutSig folds what p reads and writes — kinds, array lengths and
+// exported field names, to any depth; not type names — into 16 bits. A
+// plan's bytes carry no types, so a body written under one layout would
+// often read "successfully" under another (an int as a uint, two
+// swapped string fields): Append leads with the signature and Read
+// refuses a body whose signature is not its own.
+func layoutSig(p *Plan) uint16 {
+	h := fnv.New32a()
+	p.writeLayout(h, nil)
+	return uint16(h.Sum32() ^ h.Sum32()>>16)
+}
+
+// writeLayout writes p's layout to w. open is the chain of plans being
+// written, so a recursive type ends in a back-reference.
+func (p *Plan) writeLayout(w io.Writer, open []*Plan) {
+	if i := slices.Index(open, p); i >= 0 {
+		fmt.Fprint(w, "^", len(open)-i)
+		return
+	}
+	open = append(open, p)
+	fmt.Fprint(w, p.kind, "(")
+	if p.kind == reflect.Array {
+		fmt.Fprint(w, p.typ.Len())
+	}
+	for _, q := range []*Plan{p.key, p.elem} {
+		if q != nil {
+			q.writeLayout(w, open)
+		}
+	}
+	for _, f := range p.fields {
+		fmt.Fprint(w, p.typ.Field(f.index).Name, ":")
+		f.plan.writeLayout(w, open)
+	}
+	fmt.Fprint(w, ")")
+}
+
+// Append appends v, a value of p's type, to dst: the layout signature,
+// then the body.
+func (p *Plan) Append(dst []byte, v reflect.Value) ([]byte, error) {
+	return p.append(binary.LittleEndian.AppendUint16(dst, p.sig), v, 0)
+}
+
+// Read decodes into v, a settable value of p's type, what Append
+// wrote. Whatever v held is dropped first, so the result does not
+// depend on it. A body written under another layout, and bytes left
+// over, are errors.
+func (p *Plan) Read(data []byte, v reflect.Value) error {
+	if len(data) < 2 {
+		return errShort
+	}
+	if sig := binary.LittleEndian.Uint16(data); sig != p.sig {
+		return fmt.Errorf("msg: layout signature %#x, %s has %#x: not written from this type", sig, p.typ, p.sig)
+	}
+	v.SetZero()
+	r := reader{data[2:]}
+	if err := p.read(&r, v, 0); err != nil {
+		return err
+	}
+	if len(r.b) != 0 {
+		return fmt.Errorf("msg: %d trailing bytes after a %s", len(r.b), p.typ)
+	}
+	return nil
 }
 
 // append appends v, a value of p's type, to dst.
-func (p *plan) append(dst []byte, v reflect.Value, depth int) ([]byte, error) {
+func (p *Plan) append(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 	if depth > maxDepth {
 		return nil, errDepth
 	}
@@ -166,7 +238,7 @@ func (p *plan) append(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 // appendMap writes the entries in ascending order of their encoded
 // keys, so that equal maps give equal bytes whatever the iteration
 // order.
-func (p *plan) appendMap(dst []byte, v reflect.Value, depth int) ([]byte, error) {
+func (p *Plan) appendMap(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 	n := v.Len()
 	dst = AppendUvarint(dst, uint64(n))
 	if n == 0 {
@@ -196,7 +268,7 @@ func (p *plan) appendMap(dst []byte, v reflect.Value, depth int) ([]byte, error)
 
 // read decodes one value of p's type from r into v, which must be
 // settable and zero.
-func (p *plan) read(r *reader, v reflect.Value, depth int) error {
+func (p *Plan) read(r *reader, v reflect.Value, depth int) error {
 	if depth > maxDepth {
 		return errDepth
 	}
@@ -291,7 +363,7 @@ func (p *plan) read(r *reader, v reflect.Value, depth int) error {
 	panic("msg: plan compiled for unsupported kind " + p.kind.String())
 }
 
-func (p *plan) readElems(r *reader, v reflect.Value, n, depth int) error {
+func (p *Plan) readElems(r *reader, v reflect.Value, n, depth int) error {
 	for i := 0; i < n; i++ {
 		if err := p.elem.read(r, v.Index(i), depth+1); err != nil {
 			return fmt.Errorf("[%d]: %w", i, err)
@@ -300,7 +372,7 @@ func (p *plan) readElems(r *reader, v reflect.Value, n, depth int) error {
 	return nil
 }
 
-func (p *plan) readMap(r *reader, v reflect.Value, depth int) error {
+func (p *Plan) readMap(r *reader, v reflect.Value, depth int) error {
 	n, err := r.count(p.key.min + p.elem.min)
 	if err != nil || n == 0 {
 		return err

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -233,7 +234,7 @@ func TestDecodeAnySliceRejects(t *testing.T) {
 		want string
 	}{
 		{"empty", nil, "short"},
-		{"gob stream", gobOf([]any{42}), ""},
+		{"gob stream", []byte(gobAnys), ""},
 		{"unknown tag", []byte{1, 0xEE}, "unknown value tag 0xee"},
 		{"unregistered name", named("no.such/pkg.Type", 0), `"no.such/pkg.Type" is not registered`},
 		{"field count mismatch", named(leafName, 3, 0, 0, 0), "3 fields on the wire"},
@@ -421,5 +422,99 @@ func TestValueListAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { DecodeAnySlice(data) }); n != 1 {
 		t.Errorf("DecodeAnySlice([42]) allocates %v objects, want 1", n)
+	}
+}
+
+// TestPlanFor: the typed-body surface — a plan is compiled once per
+// type (registered or not), an uncarriable type is an error naming the
+// field, Read replaces what its target held, and a body written under
+// another layout is refused by signature.
+func TestPlanFor(t *testing.T) {
+	type row struct {
+		Name string
+		Tags map[string]int
+		Next *row
+	}
+	p, err := PlanFor(reflect.TypeOf(row{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := PlanFor(reflect.TypeOf(row{})); again != p {
+		t.Error("PlanFor compiled the same type twice")
+	}
+	if rp, _ := PlanFor(reflect.TypeOf(leaf{})); rp != registeredPlan(reflect.TypeOf(leaf{})) {
+		t.Error("PlanFor of a registered type is not the registered plan")
+	}
+	if _, err := PlanFor(reflect.TypeOf(struct{ OK, F func() }{})); err == nil || !strings.Contains(err.Error(), ".OK: kind func") {
+		t.Errorf("PlanFor(func field) = %v, want an error naming .OK", err)
+	}
+
+	want := row{Name: "a", Tags: map[string]int{"x": 1}, Next: &row{Name: "b"}}
+	data, err := p.Append(nil, reflect.ValueOf(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := row{Name: "stale", Tags: map[string]int{"x": 9, "old": 2}, Next: &row{Next: &row{}}}
+	if err := p.Read(data, reflect.ValueOf(&got).Elem()); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("Read over a used value = %+v, %v; want %+v", got, err, want)
+	}
+	if err := p.Read(append(data, 0), reflect.ValueOf(&got).Elem()); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Errorf("Read with a trailing byte = %v", err)
+	}
+
+	type rowDrifted struct {
+		Name string
+		Tags map[string]uint // was int
+		Next *rowDrifted
+	}
+	q, err := PlanFor(reflect.TypeOf(rowDrifted{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Read(data, reflect.ValueOf(new(rowDrifted)).Elem()); err == nil || !strings.Contains(err.Error(), "layout signature") {
+		t.Errorf("Read under a drifted layout = %v, want a layout signature error", err)
+	}
+	for n := 0; n < len(data); n++ {
+		if err := p.Read(data[:n], reflect.ValueOf(new(row)).Elem()); err == nil {
+			t.Errorf("Read of a %d/%d-byte prefix succeeded", n, len(data))
+		}
+	}
+}
+
+// TestPlanForConcurrent: compilation, registration and lookups from
+// many goroutines at once (run under -race) agree on one plan per type.
+func TestPlanForConcurrent(t *testing.T) {
+	type shared struct{ A []leaf }
+	type named struct{ B map[string]shared }
+	types := []reflect.Type{reflect.TypeOf(shared{}), reflect.TypeOf(named{}), reflect.TypeOf([]named(nil))}
+	got := make([][]*Plan, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g == 0 {
+				RegisterType(named{})
+			}
+			for _, typ := range types {
+				p, err := PlanFor(typ)
+				if err != nil {
+					t.Error(err)
+				}
+				got[g] = append(got[g], p)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for i, p := range got[g] {
+			// A registration swaps in a named copy of the root: same layout.
+			if q := got[0][i]; p.typ != q.typ || p.sig != q.sig || p.elem != q.elem {
+				t.Errorf("goroutine %d got another plan for %s", g, types[i])
+			}
+		}
+	}
+	if _, err := EncodeAnySlice([]any{named{}}); err != nil {
+		t.Errorf("type registered during the race does not encode: %v", err)
 	}
 }

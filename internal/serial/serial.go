@@ -8,21 +8,22 @@
 // same context), we store the component ID. When restoring a pointer
 // field, we re-obtain the pointer using the saved URI or component ID."
 //
-// The Go translation: a component is a pointer to a struct; its
-// exported fields are captured with gob (unexported fields are
-// transient, the idiom gob and encoding/json established; fields tagged
-// `phoenix:"-"` are also skipped). Fields whose values implement
-// RemoteRef or LocalRef — the proxy types of the runtime — are saved as
-// a URI or component ID and re-resolved through a Resolver at restore
-// time, because a proxy holds live transport state that must not be
-// serialized.
+// The Go translation: a component is a pointer to a struct; each
+// exported field is laid out by the msg plan of its type, the codec
+// call arguments travel in (unexported fields are transient, the idiom
+// encoding/json established; fields tagged `phoenix:"-"` are also
+// skipped). An interface-typed field holds what an argument list may.
+// Fields whose types implement RemoteRef or LocalRef — the proxy types
+// of the runtime — are saved as a URI or component ID and re-resolved
+// through a Resolver at restore time, because a proxy holds live
+// transport state that must not be serialized.
 package serial
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 
 	"repro/internal/ids"
 	"repro/internal/msg"
@@ -54,7 +55,7 @@ type Resolver interface {
 type FieldKind uint8
 
 const (
-	// KindValue is an ordinary gob-encoded value.
+	// KindValue is an ordinary value, laid out by its field type's plan.
 	KindValue FieldKind = iota
 	// KindRemoteRef is a remote component reference stored as a URI.
 	KindRemoteRef
@@ -69,8 +70,9 @@ const (
 type FieldState struct {
 	Name string
 	Kind FieldKind
-	// Data is the gob encoding of the value (KindValue), the URI bytes
-	// (KindRemoteRef), or the decimal component ID (KindLocalRef).
+	// Data is msg.Plan.Append's encoding of the value (KindValue), the
+	// URI bytes (KindRemoteRef), or the component ID as a uvarint
+	// (KindLocalRef).
 	Data []byte
 }
 
@@ -83,122 +85,135 @@ type State struct {
 	Fields   []FieldState
 }
 
+// field is one saved field of a component type: exported and not
+// tagged `phoenix:"-"`.
+type field struct {
+	name  string
+	index int
+	plan  *msg.Plan // lays the value out; nil for a component reference, saved by URI or ID
+}
+
+var fieldLists sync.Map // reflect.Type (the struct) → []field in declaration order, built once
+
+// fieldsOf returns obj's struct value and the saved fields of its type.
+func fieldsOf(obj any) (reflect.Value, []field, error) {
+	v := reflect.ValueOf(obj)
+	if !v.IsValid() || v.Kind() != reflect.Pointer || v.IsNil() || v.Elem().Kind() != reflect.Struct {
+		return v, nil, fmt.Errorf("serial: component must be a non-nil pointer to struct, got %T", obj)
+	}
+	v = v.Elem()
+	t := v.Type()
+	if fields, ok := fieldLists.Load(t); ok {
+		return v, fields.([]field), nil
+	}
+	var fields []field
+	for i := 0; i < t.NumField(); i++ {
+		sf := t.Field(i)
+		if !sf.IsExported() || sf.Tag.Get("phoenix") == "-" {
+			continue
+		}
+		f := field{name: sf.Name, index: i}
+		if !sf.Type.Implements(remoteRefType) && !sf.Type.Implements(localRefType) {
+			var err error
+			if f.plan, err = msg.PlanFor(sf.Type); err != nil {
+				return v, nil, fmt.Errorf("serial: %s.%s: %w", t, sf.Name, err)
+			}
+		}
+		fields = append(fields, f)
+	}
+	fieldLists.Store(t, fields)
+	return v, fields, nil
+}
+
 // Capture reads the exported fields of obj (a pointer to struct) into a
 // State. The context must be quiescent — not serving a call — exactly
 // as Section 4.2 requires ("context states are saved only when the
 // context is not active"), so field values alone suffice.
 func Capture(obj any) (*State, error) {
-	v, t, err := structOf(obj)
+	v, fields, err := fieldsOf(obj)
 	if err != nil {
 		return nil, err
 	}
-	st := &State{TypeName: t.String()}
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() || f.Tag.Get("phoenix") == "-" {
+	st := &State{TypeName: v.Type().String(), Fields: make([]FieldState, len(fields))}
+	var buf []byte // the value fields' Data, back to back
+	for i, f := range fields {
+		fs, fv := &st.Fields[i], v.Field(f.index)
+		fs.Name = f.name
+		if f.plan == nil {
+			fs.Kind, fs.Data = captureRef(fv)
 			continue
 		}
-		fv := v.Field(i)
-		fs, err := captureField(f.Name, fv)
-		if err != nil {
-			return nil, fmt.Errorf("serial: capture %s.%s: %w", t, f.Name, err)
+		start := len(buf)
+		if buf, err = f.plan.Append(buf, fv); err != nil {
+			return nil, fmt.Errorf("serial: capture %s.%s: %w", st.TypeName, f.name, err)
 		}
-		st.Fields = append(st.Fields, fs)
+		fs.Data = buf[start:len(buf):len(buf)]
 	}
 	return st, nil
 }
 
-func captureField(name string, fv reflect.Value) (FieldState, error) {
-	if isRefType(fv.Type()) {
-		if fv.Kind() == reflect.Interface || fv.Kind() == reflect.Pointer {
-			if fv.IsNil() {
-				return FieldState{Name: name, Kind: KindNilRef}, nil
-			}
-		}
-		if r, ok := fv.Interface().(RemoteRef); ok {
-			return FieldState{Name: name, Kind: KindRemoteRef, Data: []byte(r.PhoenixURI())}, nil
-		}
-		if r, ok := fv.Interface().(LocalRef); ok {
-			return FieldState{Name: name, Kind: KindLocalRef,
-				Data: []byte(fmt.Sprintf("%d", r.PhoenixLocalID()))}, nil
-		}
+func captureRef(fv reflect.Value) (FieldKind, []byte) {
+	if (fv.Kind() == reflect.Interface || fv.Kind() == reflect.Pointer) && fv.IsNil() {
+		return KindNilRef, nil
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).EncodeValue(fv); err != nil {
-		return FieldState{}, err
+	if r, ok := fv.Interface().(RemoteRef); ok {
+		return KindRemoteRef, []byte(r.PhoenixURI())
 	}
-	return FieldState{Name: name, Kind: KindValue, Data: buf.Bytes()}, nil
+	return KindLocalRef, msg.AppendUvarint(nil, uint64(fv.Interface().(LocalRef).PhoenixLocalID()))
 }
 
-// RegisterType makes a concrete type storable inside an
-// interface-typed component field: field values are gob, which carries
-// an interface's dynamic type by registered name.
-func RegisterType(v any) { gob.Register(v) }
-
-// The composite types of the value codec's closed set are what a method
-// may return and a component may then keep in an interface-typed field,
-// so they are storable without the application registering them. (gob
-// itself pre-registers the scalars and the slices of scalars.)
-func init() {
-	for _, v := range []any{
-		map[string]string(nil), map[string]int(nil), map[string]float64(nil),
-		[]any(nil), map[string]any(nil),
-	} {
-		gob.Register(v)
-	}
-}
-
-// Restore writes the captured state back into obj, resolving component
-// references through r. obj must be a fresh instance of the same type
-// Capture saw. Fields present in obj but absent from the state keep
-// their zero values; fields in the state with no match in obj are an
-// error (the state and the code disagree).
+// Restore writes the captured state back into obj, which must be of
+// the type Capture saw, resolving component references through r. Each
+// field in the state replaces what obj held (a map is not merged
+// into); fields of obj absent from the state are left alone; a field in
+// the state with no match in obj, or captured from a field of another
+// type, is an error — the state and the code disagree.
 func Restore(obj any, st *State, r Resolver) error {
-	v, t, err := structOf(obj)
+	v, fields, err := fieldsOf(obj)
 	if err != nil {
 		return err
 	}
-	if st.TypeName != t.String() {
+	if t := v.Type().String(); st.TypeName != t {
 		return fmt.Errorf("serial: state is for %s, object is %s", st.TypeName, t)
 	}
-	for _, fs := range st.Fields {
-		sf, ok := t.FieldByName(fs.Name)
-		if !ok || !sf.IsExported() {
-			return fmt.Errorf("serial: state field %s.%s not found in object", t, fs.Name)
+	for i := range st.Fields {
+		fs := &st.Fields[i]
+		j := slices.IndexFunc(fields, func(f field) bool { return f.name == fs.Name })
+		if j < 0 {
+			return fmt.Errorf("serial: state field %s.%s not found in object", st.TypeName, fs.Name)
 		}
-		fv := v.FieldByIndex(sf.Index)
-		if err := restoreField(fv, fs, r); err != nil {
-			return fmt.Errorf("serial: restore %s.%s: %w", t, fs.Name, err)
+		if err := restoreField(v.Field(fields[j].index), fields[j].plan, fs, r); err != nil {
+			return fmt.Errorf("serial: restore %s.%s: %w", st.TypeName, fs.Name, err)
 		}
 	}
 	return nil
 }
 
-func restoreField(fv reflect.Value, fs FieldState, r Resolver) error {
+func restoreField(fv reflect.Value, plan *msg.Plan, fs *FieldState, r Resolver) error {
+	if r == nil && (fs.Kind == KindRemoteRef || fs.Kind == KindLocalRef) {
+		return fmt.Errorf("a component reference needs a resolver")
+	}
 	switch fs.Kind {
 	case KindValue:
-		return gob.NewDecoder(bytes.NewReader(fs.Data)).DecodeValue(fv)
+		if plan == nil {
+			return fmt.Errorf("state holds a value, %s is a component reference", fv.Type())
+		}
+		return plan.Read(fs.Data, fv)
 	case KindNilRef:
-		fv.Set(reflect.Zero(fv.Type()))
+		fv.SetZero()
 		return nil
 	case KindRemoteRef:
-		if r == nil {
-			return fmt.Errorf("remote reference %q needs a resolver", fs.Data)
-		}
 		val, err := r.ResolveRemote(ids.URI(fs.Data), fv.Type())
 		if err != nil {
 			return err
 		}
 		return assign(fv, val)
 	case KindLocalRef:
-		if r == nil {
-			return fmt.Errorf("local reference %q needs a resolver", fs.Data)
+		id, rest, err := msg.ConsumeUvarint(fs.Data)
+		if err != nil || len(rest) != 0 {
+			return fmt.Errorf("bad local reference % x", fs.Data)
 		}
-		var id ids.CompID
-		if _, err := fmt.Sscanf(string(fs.Data), "%d", &id); err != nil {
-			return fmt.Errorf("bad local ref %q: %w", fs.Data, err)
-		}
-		val, err := r.ResolveLocal(id, fv.Type())
+		val, err := r.ResolveLocal(ids.CompID(id), fv.Type())
 		if err != nil {
 			return err
 		}
@@ -211,7 +226,7 @@ func restoreField(fv reflect.Value, fs FieldState, r Resolver) error {
 func assign(fv reflect.Value, val any) error {
 	rv := reflect.ValueOf(val)
 	if !rv.IsValid() {
-		fv.Set(reflect.Zero(fv.Type()))
+		fv.SetZero()
 		return nil
 	}
 	if !rv.Type().AssignableTo(fv.Type()) {
@@ -221,38 +236,24 @@ func assign(fv reflect.Value, val any) error {
 	return nil
 }
 
-func structOf(obj any) (reflect.Value, reflect.Type, error) {
-	v := reflect.ValueOf(obj)
-	if !v.IsValid() || v.Kind() != reflect.Pointer || v.IsNil() {
-		return reflect.Value{}, nil, fmt.Errorf("serial: component must be a non-nil pointer to struct, got %T", obj)
-	}
-	v = v.Elem()
-	if v.Kind() != reflect.Struct {
-		return reflect.Value{}, nil, fmt.Errorf("serial: component must point to a struct, got %T", obj)
-	}
-	return v, v.Type(), nil
-}
-
 var (
 	remoteRefType = reflect.TypeOf((*RemoteRef)(nil)).Elem()
 	localRefType  = reflect.TypeOf((*LocalRef)(nil)).Elem()
 )
 
-func isRefType(t reflect.Type) bool {
-	return t.Implements(remoteRefType) || t.Implements(localRefType)
-}
-
-// verState is the version byte opening a State encoding, from the
-// same numbering as the message-envelope version bytes (DESIGN.md
-// Section 10).
+// verState opens a State encoding (DESIGN.md Section 10 numbers the
+// version bytes).
 const verState = 0xC5
 
 // Encode serializes the State for inclusion in a log record: 0xC5,
 // TypeName, a field count, then Name/Kind/Data per field, using the
-// msg codec primitives. Field values inside Data stay gob — their
-// types are open, exactly like call arguments.
+// msg codec primitives — a framing that reads without the Go type.
 func (s *State) Encode() ([]byte, error) {
-	dst := []byte{verState}
+	n := 8 + len(s.TypeName) // a size hint: short lengths take a byte or two
+	for i := range s.Fields {
+		n += 8 + len(s.Fields[i].Name) + len(s.Fields[i].Data)
+	}
+	dst := append(make([]byte, 0, n), verState)
 	dst = msg.AppendString(dst, s.TypeName)
 	dst = msg.AppendUvarint(dst, uint64(len(s.Fields)))
 	for i := range s.Fields {
@@ -267,11 +268,8 @@ func (s *State) Encode() ([]byte, error) {
 // DecodeState deserializes a State produced by Encode. Any first byte
 // but 0xC5 is a decode error that names it.
 func DecodeState(data []byte) (*State, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("serial: decode state: empty encoding")
-	}
-	if data[0] != verState {
-		return nil, fmt.Errorf("serial: decode state: unknown version byte %#x", data[0])
+	if len(data) == 0 || data[0] != verState {
+		return nil, fmt.Errorf("serial: decode state: unknown version byte % #x", data[:min(1, len(data))])
 	}
 	s, err := decodeStateBinary(data[1:])
 	if err != nil {

@@ -2,9 +2,10 @@ package serial
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -223,7 +224,7 @@ func TestRestoreRejectsNonStructPointer(t *testing.T) {
 
 func TestCaptureUnencodableField(t *testing.T) {
 	type bad struct {
-		F func() // gob cannot encode funcs
+		F func() // no plan carries a func
 	}
 	if _, err := Capture(&bad{F: func() {}}); err == nil {
 		t.Error("Capture of func field succeeded")
@@ -273,7 +274,7 @@ func TestPlainStateRoundTripProperty(t *testing.T) {
 		if err := Restore(fresh, st2, nil); err != nil {
 			return false
 		}
-		// gob turns empty slices/maps into nil; normalize.
+		// Empty slices and maps come back nil; normalize.
 		norm := func(p *plain) {
 			if len(p.C) == 0 {
 				p.C = nil
@@ -296,6 +297,11 @@ func TestPlainStateRoundTripProperty(t *testing.T) {
 	}
 }
 
+// gobState is the encoding/gob stream of a State{TypeName:
+// "serial.plain", Fields: [{A KindValue [3 4 0 42]}]}: the format 0xC5
+// replaced, kept as bytes so that nothing here imports gob.
+const gobState = "+\x7f\x03\x01\x01\x05State\x01\xff\x80\x00\x01\x02\x01\bTypeName\x01\f\x00\x01\x06Fields\x01\xff\x84\x00\x00\x00\"\xff\x83\x02\x01\x01\x13[]serial.FieldState\x01\xff\x84\x00\x01\xff\x82\x00\x003\xff\x81\x03\x01\x01\nFieldState\x01\xff\x82\x00\x01\x03\x01\x04Name\x01\f\x00\x01\x04Kind\x01\x06\x00\x01\x04Data\x01\n\x00\x00\x00\x1d\xff\x80\x01\fserial.plain\x01\x01\x01\x01A\x02\x04\x03\x04\x00*\x00\x00"
+
 // TestStateCodec: the State encoding must round-trip, and a gob stream
 // of the same State — any first byte but 0xC5 — is an error naming the
 // byte.
@@ -305,7 +311,7 @@ func TestStateCodec(t *testing.T) {
 		Fields: []FieldState{
 			{Name: "A", Kind: KindValue, Data: []byte{3, 4, 0, 42}},
 			{Name: "R", Kind: KindRemoteRef, Data: []byte("phoenix://m/p/c")},
-			{Name: "L", Kind: KindLocalRef, Data: []byte("7")},
+			{Name: "L", Kind: KindLocalRef, Data: []byte{7}},
 			{Name: "N", Kind: KindNilRef},
 		},
 	}
@@ -321,12 +327,8 @@ func TestStateCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var old bytes.Buffer
-	if err := gob.NewEncoder(&old).Encode(want); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeState(old.Bytes()); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%#x", old.Bytes()[0])) {
-		t.Errorf("DecodeState(gob stream) = %v, want an error naming byte %#x", err, old.Bytes()[0])
+	if _, err := DecodeState([]byte(gobState)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%#x", gobState[0])) {
+		t.Errorf("DecodeState(gob stream) = %v, want an error naming byte %#x", err, gobState[0])
 	}
 
 	norm := func(s *State) {
@@ -348,4 +350,175 @@ func TestStateCodec(t *testing.T) {
 			t.Fatalf("decode of %d/%d-byte prefix succeeded", n, len(bin))
 		}
 	}
+}
+
+// TestRestoreReplacesFields: restoring into an object that already
+// holds values gives the saved state, not a merge of the two.
+func TestRestoreReplacesFields(t *testing.T) {
+	type shelf struct {
+		Stock map[string]int
+		Tags  []string
+		Note  *string
+		Keep  int `phoenix:"-"`
+	}
+	st, err := Capture(&shelf{Stock: map[string]int{"a": 1}, Tags: []string{"x"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := "stale"
+	obj := &shelf{Stock: map[string]int{"a": 9, "old": 2}, Tags: []string{"p", "q", "r"}, Note: &stale, Keep: 5}
+	if err := Restore(obj, st, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := &shelf{Stock: map[string]int{"a": 1}, Tags: []string{"x"}, Keep: 5}
+	if !reflect.DeepEqual(obj, want) {
+		t.Errorf("restored over a used object: %+v, want %+v", obj, want)
+	}
+}
+
+// TestSchemaDrift: a state whose field was captured from another type —
+// or by the gob encoder this codec replaced — fails to restore with an
+// error naming Type.Field; it is never a panic or a wrong value.
+func TestSchemaDrift(t *testing.T) {
+	type pair struct{ A, B string }
+	cases := []struct {
+		name         string
+		saved, fresh any // both print as serial.drift
+	}{
+		{"int64 as uint64",
+			func() any { type drift struct{ Field int64 }; return &drift{5} }(),
+			func() any { type drift struct{ Field uint64 }; return &drift{} }()},
+		{"int as string",
+			func() any { type drift struct{ Field int }; return &drift{3} }(),
+			func() any { type drift struct{ Field string }; return &drift{} }()},
+		{"[]int32 as []int64",
+			func() any { type drift struct{ Field []int32 }; return &drift{[]int32{1}} }(),
+			func() any { type drift struct{ Field []int64 }; return &drift{} }()},
+		{"struct lost a field",
+			func() any { type drift struct{ Field pair }; return &drift{pair{"a", "b"}} }(),
+			func() any { type drift struct{ Field struct{ A string } }; return &drift{} }()},
+		{"struct fields swapped",
+			func() any { type drift struct{ Field []pair }; return &drift{[]pair{{"a", "b"}}} }(),
+			func() any { type drift struct{ Field []struct{ B, A string } }; return &drift{} }()},
+		{"value as reference",
+			func() any { type drift struct{ Field int }; return &drift{3} }(),
+			func() any { type drift struct{ Field *fakeRef }; return &drift{} }()},
+	}
+	for _, tc := range cases {
+		st, err := Capture(tc.saved)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := Restore(tc.fresh, st, &fakeResolver{}); err == nil || !strings.Contains(err.Error(), "serial.drift.Field") {
+			t.Errorf("%s: Restore = %v, want an error naming serial.drift.Field", tc.name, err)
+		}
+	}
+
+	// What the gob encoder left in Data for an int64 of 42 and for a
+	// map[string]int{"k": 1}, and a few shorter things.
+	type drift struct {
+		Field int64
+		Map   map[string]int
+	}
+	for _, data := range []string{
+		"\x03\x04\x00\x54",
+		"\x0e\xff\x85\x04\x01\x02\xff\x86\x00\x01\x0c\x01\x04\x00\x00\x07\xff\x86\x00\x01\x01\x6b\x02",
+		"", "\x00",
+	} {
+		for _, name := range []string{"Field", "Map"} {
+			st := &State{TypeName: "serial.drift", Fields: []FieldState{{Name: name, Kind: KindValue, Data: []byte(data)}}}
+			if err := Restore(&drift{}, st, nil); err == nil || !strings.Contains(err.Error(), "serial.drift."+name) {
+				t.Errorf("Restore(%s = %q) = %v, want an error naming serial.drift.%s", name, data, err, name)
+			}
+		}
+	}
+}
+
+// fuzzComp has a field of every shape Restore handles.
+type fuzzComp struct {
+	N    int
+	S    string
+	L    []int32
+	M    map[string]bool
+	X    any
+	Rows []struct {
+		Title string
+		Price float64
+	}
+	Next   *fuzzNode
+	Store  *fakeRef
+	Helper *fakeLocal
+}
+
+type fuzzNode struct {
+	V    uint8
+	Next *fuzzNode
+}
+
+func encodeStateOf(t testing.TB, obj any) []byte {
+	t.Helper()
+	st, err := Capture(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := st.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// FuzzDecodeState: decoding and restoring arbitrary bytes must be
+// total, must not let a short input claim a large allocation, and
+// whatever restores must capture to bytes that restore to the same.
+func FuzzDecodeState(f *testing.F) {
+	f.Add(encodeStateOf(f, &fuzzComp{}))
+	f.Add(encodeStateOf(f, &fuzzComp{
+		N: -7, S: "s", L: []int32{1, 2}, M: map[string]bool{"a": true, "b": false},
+		X: map[string]any{"k": []any{1, "two", nil}},
+		Rows: []struct {
+			Title string
+			Price float64
+		}{{"tp", 9.5}},
+		Next: &fuzzNode{V: 1, Next: &fuzzNode{}}, Store: &fakeRef{uri: "phoenix://m/p/c"}, Helper: &fakeLocal{id: 300},
+	}))
+	f.Add([]byte(gobState))
+	f.Add([]byte{verState})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		restore := func(data []byte) (*fuzzComp, error) {
+			st, err := DecodeState(data)
+			if err != nil {
+				return nil, err
+			}
+			obj := new(fuzzComp)
+			return obj, Restore(obj, st, &fakeResolver{})
+		}
+		// The fuzzing engine's own goroutines allocate too: take the
+		// quietest of a few tries.
+		bound := 2048 + 64*uint64(len(data))
+		var obj *fuzzComp
+		var err error
+		grew := uint64(math.MaxUint64)
+		for try := 0; try < 3 && grew > bound; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			obj, err = restore(data)
+			runtime.ReadMemStats(&after)
+			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+		}
+		if grew > bound {
+			t.Fatalf("restoring %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		again := encodeStateOf(t, obj)
+		back, err := restore(again)
+		if err != nil {
+			t.Fatalf("restore of a captured state failed: %v", err)
+		}
+		if third := encodeStateOf(t, back); !bytes.Equal(third, again) {
+			t.Fatalf("restore → capture → restore changed the state:\n  %x\n  %x", again, third)
+		}
+	})
 }

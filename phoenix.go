@@ -48,7 +48,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/rpc"
-	"repro/internal/serial"
 	"repro/internal/transport"
 )
 
@@ -334,12 +333,10 @@ func WithSubordinate(name string, obj any) CreateOption {
 // plan is compiled here, so a type that cannot cross a component
 // boundary (a chan, func or unsafe-pointer field, a struct with no
 // exported fields) panics at registration, naming the field.
-// Registering a type twice is a no-op. The same registration lets the
-// type sit in an interface-typed field of a component's saved state.
-func RegisterType(v any) {
-	msg.RegisterType(v)
-	serial.RegisterType(v)
-}
+// Registering a type twice is a no-op. Saved component state goes
+// through the same codec, so the one registration also lets the type
+// sit in an interface-typed field of a component.
+func RegisterType(v any) { msg.RegisterType(v) }
 
 // BindStub fills the exported func-typed fields of *stub with typed
 // wrappers around ref.Call, giving a component reference a statically
