@@ -74,11 +74,12 @@ stress:
 # crashes, a log resharded 1 → 4, adaptive promotion boundary — on-demand
 # replays racing the background workers), the nested-demand hang
 # regression, the first-touch / crash-mid-drain / RecoverContext
-# suites, the wal cursor and positioned-read tests, the bookstore
-# seller through the facade, and the lazy-vs-eager bench cell on a
-# compressed clock.
+# suites, the wal cursor and positioned-read tests (the reader's
+# edge-case table; cursors racing an appender and TrimHead), the
+# bookstore seller through the facade, and the lazy-vs-eager bench cell
+# on a compressed clock.
 recovery-stress:
-	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|RecordsScanned|Lazy|ScanFrom|ReadAt' ./internal/core/ ./internal/wal/
+	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|RecordsScanned|LogReads|Lazy|ScanFrom|ReadAt|Reader' ./internal/core/ ./internal/wal/
 	go test -race -count=2 -run 'SellerRecoveryEquivalence' ./internal/bookstore/
 	go run ./cmd/phoenix-bench -experiment lazyrecovery -scale 0.05 -metrics=false
 
@@ -104,17 +105,18 @@ bench:
 	go run ./cmd/phoenix-bench -scale 0.05 -calls 30
 
 # Quick allocation-focused microbenchmarks of the message/WAL hot path
-# (encode/decode envelopes, wal append, cursor scans), one iteration
-# batch each, plus the AllocsPerRun regression gates (call path, record
-# append, checkpoint capture/restore) and the tracing
+# (encode/decode envelopes, wal append, cursor scans, positioned reads),
+# one iteration batch each, plus the AllocsPerRun regression gates (call
+# path, record append, checkpoint capture/restore, log reads: two
+# allocations per scan, none per positioned read) and the tracing
 # CPU-overhead gate (flight recorder must stay under 5% per call on
 # the group-commit workload; a timing verdict, so it is compiled only
 # under the perfgate build tag and kept out of `go test ./...`). This
 # is the perf-regression smoke CI runs; BENCH_PR5.json and
 # BENCH_PR6.json hold the trajectory.
 bench-smoke:
-	go test -run '^$$' -bench 'Encode|Decode|WALAppend|Cursor|Scan' -benchmem -benchtime 100x ./internal/msg/ ./internal/wal/
-	go test -run 'TestAllocs' -v . ./internal/core/
+	go test -run '^$$' -bench 'Encode|Decode|WALAppend|Cursor|Scan|Positioned' -benchmem -benchtime 100x ./internal/msg/ ./internal/wal/
+	go test -run 'TestAllocs' -v . ./internal/core/ ./internal/wal/
 	go test -tags perfgate -run 'TestTraceOverhead$$' -v ./internal/bench/
 	go test -run 'TestAdaptiveConvergenceGate$$' -v ./internal/bench/
 

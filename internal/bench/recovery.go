@@ -54,10 +54,10 @@ func runRecovery(o Options) (*Table, error) {
 			"Parallel recovery: %d contexts x %d calls, %d µs replay cost per call",
 			recoveryContexts, recoveryCalls, recoveryWorkUS),
 		Cols: []string{"Parallelism", "Restart (ms)", "Pass 1 (ms)", "Pass 2 (ms)",
-			"Workers", "Calls replayed", "Records scanned"},
+			"Workers", "Calls replayed", "Records scanned", "Device reads"},
 		Notes: []string{
 			"parallelism N is N replay workers, each replaying one context at a time from its own chain (Config.Recovery; 0 means 1)",
-			"replayed calls and scanned records are identical across rows — only the schedule changes",
+			"replayed calls and scanned records are identical across rows — only the schedule changes; device reads are read-ahead blocks fetched (RecoveryStats.LogReads), one reader per worker",
 			"durations are Process.LastRecovery() stats; Restart wraps the whole StartProcess call",
 		},
 	}
@@ -155,5 +155,6 @@ func runRecoveryCell(o Options, par int) ([]string, error) {
 		fmt.Sprintf("%d", stats.WorkersUsed),
 		fmt.Sprintf("%d", stats.CallsReplayed),
 		fmt.Sprintf("%d", stats.RecordsScanned),
+		fmt.Sprintf("%d", stats.LogReads),
 	}, nil
 }

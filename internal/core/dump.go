@@ -105,8 +105,9 @@ func DumpLog(w io.Writer, dir string) error {
 		}
 	}
 
-	fmt.Fprintf(w, "\nsummary: %d records, >=%d forces implied by record kinds\n",
-		records, impliedForces)
+	st := log.Stats()
+	fmt.Fprintf(w, "\nsummary: %d records, >=%d forces implied by record kinds; read with %d device reads (%d bytes)\n",
+		records, impliedForces, st.ReadOps, st.ReadBytes)
 	if len(discCounts) > 0 {
 		algos := make([]string, 0, len(discCounts))
 		for a := range discCounts {

@@ -247,9 +247,14 @@ func (p *Process) DrainRecovery() error {
 	return nil
 }
 
-func (p *Process) setLastRecovery(s RecoveryStats) {
+// setLastRecovery completes s with the log's read counters and
+// publishes a copy of it.
+func (p *Process) setLastRecovery(s *RecoveryStats) {
+	st := p.log.Stats()
+	s.LogReads, s.LogBytesRead = st.ReadOps, st.ReadBytes
+	pub := *s
 	p.recMu.Lock()
-	p.lastRecovery = &s
+	p.lastRecovery = &pub
 	p.recMu.Unlock()
 }
 

@@ -54,6 +54,13 @@ type RecoveryStats struct {
 	// chain reads of each context's replay. It grows with the backlog,
 	// not with the number of contexts times the length of the log.
 	RecordsScanned int64
+	// LogReads counts the device reads the restart issued — one per
+	// read-ahead block, the log's open-time tail check included — and
+	// LogBytesRead the bytes they returned (wal.Stats.ReadOps/ReadBytes
+	// when the stats were published). Records scanned per device read
+	// is what the block reader buys.
+	LogReads     int64
+	LogBytesRead int64
 	// CallsReplayed counts incoming calls re-executed; CallsSuppressed
 	// counts outgoing sends answered from the log during those replays.
 	CallsReplayed   int64
@@ -246,7 +253,7 @@ func (p *Process) restore() (*restorePlan, error) {
 		p.obs.RecoveryMicros.Observe(time.Since(recWall).Microseconds())
 		stats.Pass1Duration = clock.Now().Sub(pass1Start)
 		stats.TotalDuration = clock.Now().Sub(recStart)
-		p.setLastRecovery(stats)
+		p.setLastRecovery(&stats)
 		p.recovered = true
 		p.emitEvent(Event{Kind: EventRecoveryDone, Recovery: &stats,
 			Detail: "no contexts to restore"})
@@ -533,7 +540,7 @@ func (p *Process) RecoverContext(name string) error {
 	if err != nil {
 		return err
 	}
-	tail, err := p.replayContext(cx, chains[cx.parent.id])
+	tail, err := p.replayContext(cx, chains[cx.parent.id], p.log.NewReader())
 	if err != nil {
 		return err
 	}

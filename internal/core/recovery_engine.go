@@ -9,6 +9,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/obs/trace"
+	"repro/internal/wal"
 )
 
 // This file is the replay engine: the one scheduler of Pass 2, for
@@ -41,7 +42,7 @@ import (
 type pendingCtx struct {
 	cx      *Context
 	restart ids.LSN
-	chain   []chainEntry
+	chain   []ids.LSN
 }
 
 // replayEngine coordinates one recovery run's Pass 2. It lives in
@@ -93,7 +94,7 @@ type replayEngine struct {
 // startEngine arms the engine over the plan's unready contexts and
 // starts the background workers. From here on the serve path admits
 // calls, replaying a context on first touch.
-func (p *Process) startEngine(plan *restorePlan, chains map[ids.CompID][]chainEntry, admitStart, admitWall time.Time) *replayEngine {
+func (p *Process) startEngine(plan *restorePlan, chains map[ids.CompID][]ids.LSN, admitStart, admitWall time.Time) *replayEngine {
 	slots := max(1, p.cfg.Recovery.Parallelism)
 	e := &replayEngine{
 		p:          p,
@@ -151,7 +152,7 @@ func (e *replayEngine) demand(cx *Context, call *msg.Call) {
 	if ent == nil {
 		return
 	}
-	_ = e.replayOne(ent, true, call.Trace, &call.Method)
+	_ = e.replayOne(ent, true, call.Trace, &call.Method, e.p.log.NewReader())
 }
 
 // recoverNow is RecoverContext's entry into a live run. A context
@@ -162,7 +163,7 @@ func (e *replayEngine) demand(cx *Context, call *msg.Call) {
 func (e *replayEngine) recoverNow(cx *Context) (handled bool, err error) {
 	id := cx.parent.id
 	if ent := e.claim(id); ent != nil {
-		return true, e.replayOne(ent, true, trace.Ref{}, nil)
+		return true, e.replayOne(ent, true, trace.Ref{}, nil, e.p.log.NewReader())
 	}
 	select {
 	case <-cx.ready:
@@ -214,9 +215,11 @@ func (e *replayEngine) claimHottest() *pendingCtx {
 
 // work is one background worker: it drains the pending set, re-reading
 // the hotness counters before each pick so traffic arriving mid-drain
-// reorders what is left.
+// reorders what is left. Its log reader — one read-ahead block — serves
+// every chain it walks.
 func (e *replayEngine) work() {
 	defer e.workers.Done()
+	rd := e.p.log.NewReader()
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(crashSignal); ok {
@@ -230,18 +233,18 @@ func (e *replayEngine) work() {
 		if ent == nil {
 			return
 		}
-		_ = e.replayOne(ent, false, trace.Ref{}, nil)
+		_ = e.replayOne(ent, false, trace.Ref{}, nil, rd)
 	}
 }
 
 // replayOne replays a claimed context: the chain walk under a worker
-// slot, then the tail call slot-free (it may resume live execution and
-// demand further contexts). It records the per-context latency, drops
+// slot, reading through the caller's rd, then the tail call slot-free
+// (it may resume live execution and demand further contexts). It records the per-context latency, drops
 // a demand-replay span into the flight recorder — under the triggering
 // call's trace when there is one, else under the recovery run's own —
 // and marks the context ready whatever happened, so waiters unblock
 // and find the failure, or the crash that unwound through here.
-func (e *replayEngine) replayOne(ent *pendingCtx, onDemand bool, tref trace.Ref, method *string) error {
+func (e *replayEngine) replayOne(ent *pendingCtx, onDemand bool, tref trace.Ref, method *string, rd *wal.Reader) error {
 	p := e.p
 	clock := p.u.cfg.Clock
 	start := clock.Now()
@@ -254,7 +257,7 @@ func (e *replayEngine) replayOne(ent *pendingCtx, onDemand bool, tref trace.Ref,
 	case e.slots <- struct{}{}:
 		ran = true
 		var tail ctxTail
-		tail, err = p.replayContext(ent.cx, ent.chain)
+		tail, err = p.replayContext(ent.cx, ent.chain, rd)
 		<-e.slots
 		ent.chain = nil
 		if err == nil {
@@ -371,7 +374,7 @@ func (e *replayEngine) finalize() {
 	stats.CallsSuppressed = p.suppressedCalls.Load()
 	p.obs.RecoveryPass2Micros.Observe(time.Since(e.admitWall).Microseconds())
 	p.obs.RecoveryMicros.Observe(time.Since(e.plan.recWall).Microseconds())
-	p.setLastRecovery(stats)
+	p.setLastRecovery(&stats)
 	p.emitEvent(Event{
 		Kind:       EventRecoveryDone,
 		Restored:   len(e.plan.restored),

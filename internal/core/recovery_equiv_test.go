@@ -9,6 +9,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/wal"
 )
 
 // This file pins the recovery contract in one table: whatever the
@@ -447,14 +449,11 @@ func TestRecoveryCalleeCompleteTailBeforeCallerIncomplete(t *testing.T) {
 	}
 }
 
-// TestRecordsScannedGrowsWithBacklog pins RecoveryStats.RecordsScanned
-// on a 64-context log: Pass 1, the index scan and the chain reads each
-// see a record at most once, so the count is bounded by three times
-// the log — not by contexts × log length, which is what one filtered
-// scan per first touch would cost — and a lazy restart reads what an
-// eager one does.
-func TestRecordsScannedGrowsWithBacklog(t *testing.T) {
-	const n, rounds = 64, 6
+// counterImage builds a crashed image of n Counter contexts C0..Cn-1
+// that each served Add(1) … Add(rounds), round-robin, and returns it
+// with the log's counters at the crash.
+func counterImage(t *testing.T, n, rounds int) (equivImage, wal.Stats) {
+	t.Helper()
 	img := equivImage{dir: t.TempDir(), cfg: testConfig()}
 	u, err := NewUniverse(UniverseConfig{Dir: img.dir})
 	if err != nil {
@@ -476,9 +475,22 @@ func TestRecordsScannedGrowsWithBacklog(t *testing.T) {
 			callInt(t, ref, "Add", round)
 		}
 	}
-	logged := p.LogStats().Appends
+	st := p.LogStats()
 	p.Crash()
 	u.Shutdown()
+	return img, st
+}
+
+// TestRecordsScannedGrowsWithBacklog pins RecoveryStats.RecordsScanned
+// on a 64-context log: Pass 1, the index scan and the chain reads each
+// see a record at most once, so the count is bounded by three times
+// the log — not by contexts × log length, which is what one filtered
+// scan per first touch would cost — and a lazy restart reads what an
+// eager one does.
+func TestRecordsScannedGrowsWithBacklog(t *testing.T) {
+	const n, rounds = 64, 6
+	img, st := counterImage(t, n, rounds)
+	logged := st.Appends
 
 	// Lazy touches spread over the log: each is a first-touch replay.
 	img.touch = []string{"C63", "C31", "C7", "C48"}
@@ -495,4 +507,40 @@ func TestRecordsScannedGrowsWithBacklog(t *testing.T) {
 		t.Errorf("lazy scanned %d records, eager %d: more than 1.5x",
 			lazy.stats.RecordsScanned, eager.stats.RecordsScanned)
 	}
+}
+
+// TestLogReadsBoundedByBlocks pins the restart's device-read budget
+// (RecoveryStats.LogReads) on a fixed image: the open-time tail check,
+// Pass 1 and the index scan each pass over the log once, and one
+// worker's chain walks pass over it once per context, every pass
+// fetching a read-ahead block at a time — plus the two reads of each
+// context's restart record. The count is a property of the image, so
+// it repeats exactly from one restart to the next.
+func TestLogReadsBoundedByBlocks(t *testing.T) {
+	const n, rounds = 4, 250
+	const block = 16 << 10 // wal's read-ahead unit
+	img, st := counterImage(t, n, rounds)
+	if st.BytesWritten < 4*block {
+		t.Fatalf("image is %d bytes: too small to need several blocks", st.BytesWritten)
+	}
+
+	first := recoverImage(t, img, RecoveryEager, 1)
+	again := recoverImage(t, img, RecoveryEager, 1)
+	if first.stats.CallsReplayed != n*rounds {
+		t.Fatalf("replayed %d calls, want %d", first.stats.CallsReplayed, n*rounds)
+	}
+	perPass := (st.BytesWritten+block-1)/block + int64(st.Segments)
+	if got, max := first.stats.LogReads, (3+n)*perPass+2*n; got > max {
+		t.Errorf("restart issued %d device reads over a %d-byte log in %d segments, budget %d",
+			got, st.BytesWritten, st.Segments, max)
+	}
+	if first.stats.LogBytesRead < st.BytesWritten {
+		t.Errorf("restart read %d bytes of a %d-byte log", first.stats.LogBytesRead, st.BytesWritten)
+	}
+	if first.stats.LogReads != again.stats.LogReads || first.stats.LogBytesRead != again.stats.LogBytesRead {
+		t.Errorf("device reads do not repeat: %d (%d bytes), then %d (%d bytes)",
+			first.stats.LogReads, first.stats.LogBytesRead, again.stats.LogReads, again.stats.LogBytesRead)
+	}
+	t.Logf("%d records scanned with %d device reads (%d bytes) over a %d-byte log",
+		first.stats.RecordsScanned, first.stats.LogReads, first.stats.LogBytesRead, st.BytesWritten)
 }

@@ -23,14 +23,6 @@ import (
 // appending in scan order is era order, then LSN order, which is the
 // order the records were written in.
 
-// chainEntry locates one message record of a context's backlog: where
-// it is and how long its payload is, which is all a positioned read
-// needs. 16 bytes per record in the range Pass 2 reads.
-type chainEntry struct {
-	lsn ids.LSN
-	n   uint32
-}
-
 // buildChains is the index scan: it reads each stream once from its
 // Pass-2 start and files every replay-relevant message record — an
 // incoming call, or the reply to an outgoing one — under the context
@@ -38,9 +30,11 @@ type chainEntry struct {
 // absent from restart (stateless or dropped) and records older than
 // their context's restart LSN are left out ("If a message log record
 // occurs earlier than the latest state record of the same context, it
-// is ignored"). Returns the chains and the number of records read.
-func (p *Process) buildChains(restart map[ids.CompID]ids.LSN) (map[ids.CompID][]chainEntry, int64, error) {
-	chains := make(map[ids.CompID][]chainEntry, len(restart))
+// is ignored"). A chain is the LSNs of a context's backlog, 8 bytes per
+// record — all a positioned read needs. Returns the chains and the
+// number of records read.
+func (p *Process) buildChains(restart map[ids.CompID]ids.LSN) (map[ids.CompID][]ids.LSN, int64, error) {
+	chains := make(map[ids.CompID][]ids.LSN, len(restart))
 	var scanned int64
 	index := func(rec wal.Record) error {
 		scanned++
@@ -55,7 +49,7 @@ func (p *Process) buildChains(restart map[ids.CompID]ids.LSN) (map[ids.CompID][]
 			return err
 		}
 		if from, ok := restart[ctx]; ok && rec.LSN >= from {
-			chains[ctx] = append(chains[ctx], chainEntry{lsn: rec.LSN, n: uint32(len(rec.Payload))})
+			chains[ctx] = append(chains[ctx], rec.LSN)
 		}
 		return nil
 	}
@@ -84,36 +78,19 @@ type ctxTail struct {
 }
 
 // replayContext replays cx's backlog from its chain: each entry is read
-// with one positioned read into a buffer reused across the walk,
+// through rd — the caller's positioned reader, which it keeps across
+// the contexts it replays so neighbouring records share a device read —
 // decoded, and fed to the Section-4.4 state machine — replies are
 // buffered under the pending incoming call, and the pending call is
 // replayed when the next incoming call shows that all its messages are
 // in hand. By the log-prefix argument those replays never leave the
 // context: a later incoming record survived the crash, so every reply
 // to the earlier call's sends did too. Returns the tail.
-func (p *Process) replayContext(cx *Context, chain []chainEntry) (ctxTail, error) {
+func (p *Process) replayContext(cx *Context, chain []ids.LSN, rd *wal.Reader) (ctxTail, error) {
 	tail := ctxTail{replies: make(map[uint64]*msg.Reply)}
-	shards := p.log.Shards()
-	var (
-		log    *wal.Log // the stream the walk is in
-		stream uint32
-		buf    []byte
-	)
-	for _, e := range chain {
-		if log == nil || e.lsn.Stream() != stream {
-			stream, log = e.lsn.Stream(), nil
-			for _, sh := range shards {
-				if sh.Stream == stream {
-					log = sh.Log
-				}
-			}
-			if log == nil {
-				return tail, fmt.Errorf("%w: %v (no stream %d)", wal.ErrNotFound, e.lsn, e.lsn.Stream())
-			}
-		}
-		var rec wal.Record
-		var err error
-		if rec, buf, err = log.ReadAt(e.lsn, int(e.n), buf); err != nil {
+	for _, lsn := range chain {
+		rec, err := rd.ReadAt(lsn)
+		if err != nil {
 			return tail, err
 		}
 		if rec.Type == recIncoming {
@@ -127,7 +104,7 @@ func (p *Process) replayContext(cx *Context, chain []chainEntry) (ctxTail, error
 				}
 				clear(tail.replies)
 			}
-			tail.call, tail.lsn = ir, e.lsn
+			tail.call, tail.lsn = ir, lsn
 		} else {
 			var or outgoingReplyRec
 			if err := decodeRec(rec.Payload, &or); err != nil {

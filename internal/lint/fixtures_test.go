@@ -74,6 +74,7 @@ func TestPoolLifeFixture(t *testing.T) {
 			Get:      []string{p + ".getBuf"},
 			Free:     []string{p + ".freeBuf"},
 			Payloads: []string{p + ".Record.Payload"},
+			Windows:  []string{"(*" + p + ".Reader).ReadAt"},
 		}, nil)})
 }
 

@@ -23,6 +23,11 @@ type PoolLifeConfig struct {
 	// Cursor.Next payload contract): they may be decoded in place but
 	// never stored or returned. Empty means wal.Record.Payload.
 	Payloads []string
+	// Windows are the calls (FuncString spelling) whose first result is
+	// a record whose payload aliases the reader's block until its next
+	// read: the whole record obeys the payload rule, not just the field
+	// read off it. Empty means wal's Cursor.Next and Reader.ReadAt.
+	Windows []string
 }
 
 var (
@@ -35,6 +40,10 @@ var (
 	defaultPoolLifeGet      = []string{"repro/internal/msg.GetBuf", "repro/internal/msg.EncodeCall"}
 	defaultPoolLifeFree     = []string{"repro/internal/msg.FreeBuf"}
 	defaultPoolLifePayloads = []string{"repro/internal/wal.Record.Payload"}
+	defaultPoolLifeWindows  = []string{
+		"(*repro/internal/wal.Cursor).Next",
+		"(*repro/internal/wal.Reader).ReadAt",
+	}
 )
 
 // trackKind distinguishes what a tracked variable aliases.
@@ -52,14 +61,17 @@ const (
 // escape the owning function — no stores to fields, globals, channels
 // or composite literals, no returns. Variables aliasing a WAL record
 // payload obey the same no-escape rule: the bytes are valid only until
-// the scan callback returns (DESIGN.md §14). The check is lexical and
-// per-function; ownership handoffs (a producer returning the pooled
-// buffer to its caller) are documented as allowlist entries.
+// the scan callback returns or the reader that produced the record —
+// a cursor or a positioned reader — reads again (DESIGN.md §14), and a
+// record taken straight from such a reader is tracked whole. The check
+// is lexical and per-function; ownership handoffs (a producer returning
+// the pooled buffer to its caller) are documented as allowlist entries.
 func NewPoolLife(cfg PoolLifeConfig, allow *Allowlist) *Analyzer {
 	pkgs := toSet(cfg.Packages, defaultPoolLifePackages)
 	get := toSet(cfg.Get, defaultPoolLifeGet)
 	free := toSet(cfg.Free, defaultPoolLifeFree)
 	payloads := toSet(cfg.Payloads, defaultPoolLifePayloads)
+	windows := toSet(cfg.Windows, defaultPoolLifeWindows)
 	return &Analyzer{
 		Name: "poollife",
 		Doc:  "pooled buffers are freed exactly once and never escape; scan payloads never outlive their window",
@@ -71,7 +83,7 @@ func NewPoolLife(cfg PoolLifeConfig, allow *Allowlist) *Analyzer {
 				if allow.Allowed("poollife", fname) || decl.Body == nil {
 					return
 				}
-				checkPoolLife(pass, decl, fname, get, free, payloads)
+				checkPoolLife(pass, decl, fname, get, free, payloads, windows)
 			})
 			return nil
 		},
@@ -95,14 +107,15 @@ type poolCheck struct {
 	get      map[string]bool
 	free     map[string]bool
 	payloads map[string]bool
+	windows  map[string]bool
 	tracked  map[*types.Var]trackKind
 	origin   map[*types.Var]token.Pos
 }
 
-func checkPoolLife(pass *Pass, decl *ast.FuncDecl, fname string, get, free, payloads map[string]bool) {
+func checkPoolLife(pass *Pass, decl *ast.FuncDecl, fname string, get, free, payloads, windows map[string]bool) {
 	c := &poolCheck{
 		pass: pass, fname: fname,
-		get: get, free: free, payloads: payloads,
+		get: get, free: free, payloads: payloads, windows: windows,
 		tracked: map[*types.Var]trackKind{},
 		origin:  map[*types.Var]token.Pos{},
 	}
@@ -171,6 +184,9 @@ func (c *poolCheck) classify(e ast.Expr) (trackKind, bool) {
 		if c.get[callee] {
 			return trackPooled, true
 		}
+		if c.windows[callee] {
+			return trackPayload, true
+		}
 		// append(tracked, ...) may alias the tracked backing array.
 		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && id.Name == "append" && len(e.Args) > 0 {
 			if k, ok := c.classify(e.Args[0]); ok {
@@ -188,11 +204,13 @@ func (c *poolCheck) classify(e ast.Expr) (trackKind, bool) {
 // anything new was learned.
 func (c *poolCheck) trackAssign(as *ast.AssignStmt) bool {
 	if len(as.Lhs) != len(as.Rhs) {
-		// Multi-value: data, err := msg.EncodeCall(...) — the buffer
-		// is the first result.
+		// Multi-value: data, err := msg.EncodeCall(...) — the buffer (or
+		// the windowed record) is the first result.
 		if len(as.Rhs) == 1 && len(as.Lhs) > 1 {
-			if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok && c.get[CalleeString(c.pass.Info, call)] {
-				return c.mark(as.Lhs[0], trackPooled, as.Pos())
+			if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {
+				if k, ok := c.classify(call); ok {
+					return c.mark(as.Lhs[0], k, as.Pos())
+				}
 			}
 		}
 		return false

@@ -1,6 +1,7 @@
 // Fixture for the poollife analyzer: getBuf/freeBuf stand in for
 // msg.GetBuf/msg.FreeBuf, Record.Payload for the WAL scan payload
-// window.
+// window, Reader.ReadAt for the positioned reader whose records alias
+// its read-ahead block.
 package poollife
 
 func getBuf(n int) []byte { return make([]byte, n) }
@@ -118,4 +119,33 @@ func leakPayloadSlice(r *Record) []byte {
 // decodePayload reads the payload in place inside the window: fine.
 func decodePayload(r *Record) byte {
 	return r.Payload[0]
+}
+
+type Reader struct{ blk []byte }
+
+func (r *Reader) ReadAt(lsn uint64) (Record, error) { return Record{Payload: r.blk}, nil }
+
+type recHolder struct{ rec Record }
+
+// keepPositioned retains a record read through the positioned reader:
+// its payload aliases the reader's block, which the next ReadAt
+// overwrites.
+func keepPositioned(r *Reader, h *recHolder) error {
+	rec, err := r.ReadAt(1)
+	if err != nil {
+		return err
+	}
+	h.rec = rec // want `WAL record payload .* stored to field rec`
+	return nil
+}
+
+// forwardPositioned hands the aliasing record to its caller.
+func forwardPositioned(r *Reader) (Record, error) {
+	return r.ReadAt(1) // want `WAL record payload .* returned in .*forwardPositioned`
+}
+
+// decodePositioned reads the payload before the next ReadAt: fine.
+func decodePositioned(r *Reader) byte {
+	rec, _ := r.ReadAt(1)
+	return rec.Payload[0]
 }

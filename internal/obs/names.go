@@ -21,6 +21,12 @@ const (
 	WALBytesWritten = "wal.bytes_written"
 	// WALTrimmedBytes totals log space reclaimed by TrimHead.
 	WALTrimmedBytes = "wal.trimmed_bytes"
+	// WALReadOps counts device reads of segment files — one per
+	// read-ahead block refill, however many records the block serves —
+	// and WALReadBytes the bytes they returned (recovery's scans, chain
+	// walks and the open-time tail check).
+	WALReadOps   = "wal.read.ops"
+	WALReadBytes = "wal.read.bytes"
 	// WALForceMicros is the latency distribution of device forces.
 	WALForceMicros = "wal.force_micros"
 	// WALAppendBytes is the size distribution of appended records.
@@ -280,6 +286,8 @@ type WALMetrics struct {
 	PhysicalWrites *Counter
 	BytesWritten   *Counter
 	TrimmedBytes   *Counter
+	ReadOps        *Counter
+	ReadBytes      *Counter
 	ForceMicros    *Histogram
 	AppendBytes    *Histogram
 
@@ -302,6 +310,8 @@ func WALView(r *Registry) *WALMetrics {
 		PhysicalWrites: r.Counter(WALPhysicalWrites),
 		BytesWritten:   r.Counter(WALBytesWritten),
 		TrimmedBytes:   r.Counter(WALTrimmedBytes),
+		ReadOps:        r.Counter(WALReadOps),
+		ReadBytes:      r.Counter(WALReadBytes),
 		ForceMicros:    r.Histogram(WALForceMicros),
 		AppendBytes:    r.Histogram(WALAppendBytes),
 

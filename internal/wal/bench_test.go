@@ -123,3 +123,42 @@ func BenchmarkScan(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReaderPositioned measures the chain walk's read: one reader
+// visiting every fourth record of the log, as a replay worker visits
+// the records of one context among its neighbours'.
+func BenchmarkReaderPositioned(b *testing.B) {
+	l, err := Open(b.TempDir(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	var lsns []ids.LSN
+	for i := 0; i < 4096; i++ {
+		lsn, err := l.Append(1, benchPayload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i%4 == 0 {
+			lsns = append(lsns, lsn)
+		}
+	}
+	if err := l.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	rd := readerOn(l, readBlock)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(lsns) * len(benchPayload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, lsn := range lsns {
+			rec, err := rd.ReadAt(lsn)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(rec.Payload) != len(benchPayload) {
+				b.Fatalf("record %v: payload %d bytes", lsn, len(rec.Payload))
+			}
+		}
+	}
+}

@@ -176,10 +176,10 @@ func TestScanFromBoundedView(t *testing.T) {
 	}
 }
 
-// TestReadAtMatchesScan: the positioned read returns, for every
-// {LSN, length} a Scan reported, the record the Scan saw — across
-// segment boundaries, through one reused buffer — and refuses an index
-// entry that does not describe a record.
+// TestReadAtMatchesScan: the positioned read returns, for every LSN a
+// Scan reported, the record the Scan saw — across segment boundaries,
+// through one reader, forwards and backwards — and refuses an LSN that
+// is not a record's.
 func TestReadAtMatchesScan(t *testing.T) {
 	l, err := Open(t.TempDir(), nil)
 	if err != nil {
@@ -200,25 +200,29 @@ func TestReadAtMatchesScan(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var buf []byte
-	for _, w := range want {
-		var got Record
-		got, buf, err = l.ReadAt(w.LSN, len(w.Payload), buf)
-		if err != nil {
-			t.Fatalf("ReadAt(%v, %d): %v", w.LSN, len(w.Payload), err)
+	for _, block := range []int{0, 64, readBlock} {
+		rd := readerOn(l, block)
+		check := func(w Record) {
+			t.Helper()
+			got, err := rd.ReadAt(w.LSN)
+			if err != nil {
+				t.Fatalf("block %d: ReadAt(%v): %v", block, w.LSN, err)
+			}
+			if got.LSN != w.LSN || got.Type != w.Type || string(got.Payload) != string(w.Payload) {
+				t.Errorf("block %d: ReadAt(%v) = %+v, Scan saw %+v", block, w.LSN, got, w)
+			}
 		}
-		if got.LSN != w.LSN || got.Type != w.Type || string(got.Payload) != string(w.Payload) {
-			t.Errorf("ReadAt(%v) = %+v, Scan saw %+v", w.LSN, got, w)
+		for _, w := range want {
+			check(w)
 		}
-	}
-	last := want[len(want)-1]
-	if _, _, err := l.ReadAt(last.LSN, len(last.Payload)+1, buf); !errors.Is(err, ErrNotFound) {
-		t.Errorf("ReadAt past the end of the log: %v, want ErrNotFound", err)
-	}
-	if _, _, err := l.ReadAt(want[0].LSN, len(want[0].Payload)+1, buf); err == nil {
-		t.Error("ReadAt accepted a length that is not the record's")
-	}
-	if _, _, err := l.ReadAt(want[0].LSN+1, len(want[0].Payload), buf); err == nil {
-		t.Error("ReadAt accepted an LSN inside a record")
+		for i := len(want) - 1; i >= 0; i -= 3 {
+			check(want[i])
+		}
+		if _, err := rd.ReadAt(l.End()); !errors.Is(err, ErrNotFound) {
+			t.Errorf("block %d: ReadAt past the end of the log: %v, want ErrNotFound", block, err)
+		}
+		if _, err := rd.ReadAt(want[0].LSN + 1); err == nil {
+			t.Errorf("block %d: ReadAt accepted an LSN inside a record", block)
+		}
 	}
 }

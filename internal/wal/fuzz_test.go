@@ -16,6 +16,7 @@ func FuzzOpenTornSegment(f *testing.F) {
 	f.Add([]byte{}, false)
 	f.Add([]byte{0xff, 0x00, 0x01}, true)
 	f.Add([]byte("half a record maybe"), false)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x01, 0, 0, 0, 0, 'x'}, false) // a frame claiming a 4 GiB payload
 	f.Fuzz(func(t *testing.T, tail []byte, clobberLast bool) {
 		dir := filepath.Join(t.TempDir(), "f.log")
 		l, err := Open(dir, nil)

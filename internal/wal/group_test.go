@@ -354,7 +354,7 @@ func TestGroupCommitDiscardFailsRequests(t *testing.T) {
 
 	discarded := make(chan error, 1)
 	go func() { discarded <- l.Discard() }()
-	waitFor(t, l, "the crash", func() bool { return l.closed })
+	waitFor(t, l, "the crash", func() bool { return l.closed.Load() })
 	close(clock.release)
 
 	for name, res := range map[string]<-chan forceResult{"leader": leader, "rider": rider} {

@@ -18,7 +18,9 @@ import (
 //   - after a crash, exactly the records up to the last force survive
 //     (flushed-but-unsynced data is deliberately dropped);
 //   - after a trim at LSN k, every surviving record at LSN >= k is
-//     still readable and intact.
+//     still readable and intact;
+//   - a scan through a read-ahead block of any size returns the records
+//     that per-record Read returns.
 func TestWALModelProperty(t *testing.T) {
 	type modelRec struct {
 		lsn     ids.LSN
@@ -138,6 +140,30 @@ func TestWALModelProperty(t *testing.T) {
 		}
 		if seen != len(want) {
 			t.Errorf("trial %d: scan saw %d of %d surviving records", trial, seen, len(want))
+		}
+		block := rng.Intn(2048)
+		c, err := l.ScanFrom(ids.NilLSN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.r.block = block
+		blockSeen := 0
+		for {
+			rec, ok, err := c.Next()
+			if err != nil {
+				t.Fatalf("trial %d: block-%d scan: %v", trial, block, err)
+			}
+			if !ok {
+				break
+			}
+			one, err := l.Read(rec.LSN)
+			if err != nil || one.Type != rec.Type || !bytes.Equal(one.Payload, rec.Payload) {
+				t.Errorf("trial %d: block-%d scan and Read disagree at %v (%v)", trial, block, rec.LSN, err)
+			}
+			blockSeen++
+		}
+		if blockSeen != seen {
+			t.Errorf("trial %d: block-%d scan saw %d records, Scan saw %d", trial, block, blockSeen, seen)
 		}
 		l.Close()
 	}

@@ -210,6 +210,11 @@ func (s *Set) Read(lsn ids.LSN) (Record, error) {
 	return l.Read(lsn)
 }
 
+// NewReader implements Writer; the first read allocates the block.
+func (s *Set) NewReader() *Reader {
+	return &Reader{set: s, block: readBlock, limit: noLimit}
+}
+
 // TrimHead implements Writer, routed by keep's stream tag.
 func (s *Set) TrimHead(keep ids.LSN) error {
 	l, err := s.streamLog(keep)
@@ -257,6 +262,8 @@ func (s *Set) Stats() Stats {
 		sum.BytesWritten += st.BytesWritten
 		sum.Segments += st.Segments
 		sum.TrimmedBytes += st.TrimmedBytes
+		sum.ReadOps += st.ReadOps
+		sum.ReadBytes += st.ReadBytes
 		sum.AppendBusyNanos += st.AppendBusyNanos
 		sum.SyncBusyNanos += st.SyncBusyNanos
 	}

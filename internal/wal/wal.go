@@ -35,6 +35,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/disk"
@@ -69,6 +70,10 @@ type Stats struct {
 	Segments int
 	// TrimmedBytes counts log space reclaimed by TrimHead.
 	TrimmedBytes int64
+	// ReadOps counts device reads since the log was opened — one per
+	// read-ahead block fetched, the open-time scan's included — and
+	// ReadBytes the bytes they returned.
+	ReadOps, ReadBytes int64
 	// AppendBusyNanos is the cumulative wall time spent inside the
 	// append critical section (encode, frame, roll) with the log mutex
 	// held. One mutex admits one append at a time, so total appends
@@ -147,15 +152,15 @@ type Log struct {
 	bufBase  ids.LSN // LSN of buf[0]
 	synced   ids.LSN // stable watermark (survives Discard)
 	unsynced map[*segment]bool
-	snaps    []syncSnap // the sync leader's scratch (syncLocked); reused across syncs
-	syncing  bool       // a sync leader is in its commit window or its device sync
-	syncDone *sync.Cond // broadcast (on mu) when the leader is done
-	waiters  int        // force requests behind the leader that no finished sync covers
-	late     int        // of those, the ones whose records the leader's flush missed
-	leadEnd  ids.LSN    // what the leader's sync covers (exclusive); nil until it flushes
-	window   disk.Clock // non-nil once StartGroupCommit ran: fresh leaders hold commitWindow on it
-	failed   error      // sticky: a device sync failed, the watermark can no longer be trusted
-	closed   bool
+	snaps    []syncSnap  // the sync leader's scratch (syncLocked); reused across syncs
+	syncing  bool        // a sync leader is in its commit window or its device sync
+	syncDone *sync.Cond  // broadcast (on mu) when the leader is done
+	waiters  int         // force requests behind the leader that no finished sync covers
+	late     int         // of those, the ones whose records the leader's flush missed
+	leadEnd  ids.LSN     // what the leader's sync covers (exclusive); nil until it flushes
+	window   disk.Clock  // non-nil once StartGroupCommit ran: fresh leaders hold commitWindow on it
+	failed   error       // sticky: a device sync failed, the watermark can no longer be trusted
+	closed   atomic.Bool // set under mu; a Reader serving from the block it holds loads it lock-free
 	stats    Stats
 	m        *obs.WALMetrics
 }
@@ -322,36 +327,20 @@ func (l *Log) openSegment(start ids.LSN) (*segment, error) {
 	return &segment{f: f, path: path, start: start, size: fi.Size() - segHeaderSize}, nil
 }
 
-// scanValidEnd walks the active segment's records and returns the LSN
-// just past the last complete, checksum-valid record.
+// scanValidEnd returns the LSN just past the active segment's last
+// complete, checksum-valid record: where a cursor over it stops.
 func (l *Log) scanValidEnd(s *segment) (ids.LSN, error) {
-	off := int64(0)
-	buf := make([]byte, frameSize, 4096) // frame + payload scratch, grow-only
-	for off+frameSize <= s.size {
-		frame := buf[:frameSize]
-		if _, err := s.f.ReadAt(frame, segHeaderSize+off); err != nil {
-			return 0, fmt.Errorf("wal: read frame: %w", err)
+	c := Cursor{r: Reader{l: l, block: readBlock, limit: s.end()}, lsn: s.start}
+	for {
+		_, ok, err := c.Next()
+		switch {
+		case ok:
+		case err == nil, errors.Is(err, ErrNotFound), errors.Is(err, errChecksum):
+			return c.lsn, nil
+		default:
+			return 0, err
 		}
-		n := int64(binary.LittleEndian.Uint32(frame))
-		wantCRC := binary.LittleEndian.Uint32(frame[5:9])
-		if n > s.size-off-frameSize {
-			break // torn tail
-		}
-		if int64(cap(buf)) < frameSize+n {
-			nb := make([]byte, frameSize+int(n))
-			copy(nb, frame)
-			buf = nb
-		}
-		payload := buf[frameSize : frameSize+int(n)]
-		if _, err := s.f.ReadAt(payload, segHeaderSize+off+frameSize); err != nil {
-			return 0, fmt.Errorf("wal: read payload: %w", err)
-		}
-		if crc32.Update(crc32.Update(0, crcTable, buf[4:5]), crcTable, payload) != wantCRC {
-			break // corrupt record: stop here
-		}
-		off += frameSize + n
 	}
-	return s.start + ids.LSN(off), nil
 }
 
 func (l *Log) closeSegs() {
@@ -503,7 +492,7 @@ const (
 // have dropped the dirty pages and answer the next fsync with success,
 // so the error is sticky — fail-stop, never retry and carry on.
 func (l *Log) down() error {
-	if l.closed {
+	if l.closed.Load() {
 		return ErrClosed
 	}
 	return l.failed
@@ -613,7 +602,7 @@ func (l *Log) syncTarget(target ids.LSN) (SyncOutcome, error) {
 // is RELEASED during the file syncs — so Append never blocks behind an
 // in-flight force — and retaken to publish the new watermark.
 func (l *Log) syncLocked() error {
-	if l.closed {
+	if l.closed.Load() {
 		return ErrClosed // Discard struck during the commit window
 	}
 	start := time.Now()
@@ -636,7 +625,7 @@ func (l *Log) syncLocked() error {
 	}
 	l.model.Sync()
 	l.mu.Lock()
-	if l.closed {
+	if l.closed.Load() {
 		return ErrClosed // Discard struck during the device sync
 	}
 	for _, sn := range snaps {
@@ -668,7 +657,7 @@ func (l *Log) syncLocked() error {
 func (l *Log) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
+	if l.closed.Load() {
 		return ErrClosed
 	}
 	return l.flushLocked()
@@ -706,103 +695,117 @@ func (l *Log) findSegment(lsn ids.LSN) *segment {
 }
 
 // Read returns the record at lsn. It flushes the buffer first so that
-// records appended but not yet forced are readable.
+// records appended but not yet forced are readable. The payload is the
+// caller's to keep: it is read, without read-ahead, into its own memory.
 func (l *Log) Read(lsn ids.LSN) (Record, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return Record{}, ErrClosed
-	}
-	if err := l.flushLocked(); err != nil {
+	if err := l.Flush(); err != nil {
 		return Record{}, err
 	}
-	return l.readLocked(lsn)
+	r := Reader{l: l, limit: noLimit}
+	return r.read(lsn)
 }
 
-func (l *Log) readLocked(lsn ids.LSN) (Record, error) {
-	rec, _, err := l.readIntoLocked(lsn, nil)
-	return rec, err
+// readBlock is the read-ahead unit of every reader: one device read
+// fetches this much of a segment, and the records in it are served
+// without a lock or a system call each.
+const readBlock = 16 << 10
+
+// noLimit is the Reader.limit of a reader that is not a bounded view.
+const noLimit = ^ids.LSN(0)
+
+// errChecksum is wrapped, with the LSN, when a record fails its checksum.
+var errChecksum = errors.New("wal: checksum mismatch")
+
+// Reader turns log bytes into records — the one place that parses a
+// frame and verifies its checksum, under the open-time scan, cursors,
+// Read and positioned reads alike. It holds one block of one segment
+// and refills it only when asked for a record the block does not hold.
+// A Record's Payload aliases the block and is valid until the next
+// read. A Reader is not safe for concurrent use; every consumer owns
+// its own.
+type Reader struct {
+	set   *Set    // non-nil: ReadAt follows an LSN's stream tag to its shard
+	l     *Log    // the log blk was read from
+	block int     // bytes a refill asks for (more for a longer record)
+	limit ids.LSN // a record must end at or before it (a cursor's snapshot end)
+	blk   []byte  // one segment's bytes from LSN base on
+	base  ids.LSN
 }
 
-// readIntoLocked reads the record at lsn, staging frame and payload in
-// buf (grown as needed). It returns the possibly grown buffer so a
-// Cursor can amortize one buffer across a whole traversal; with a nil
-// buf the payload is freshly allocated and safe for the caller to keep
-// (the readLocked/Read contract). The frame scratch lives inside buf
-// too — a stack array here escapes via the read/checksum calls and
-// costs an allocation per record.
-func (l *Log) readIntoLocked(lsn ids.LSN, buf []byte) (Record, []byte, error) {
-	s := l.findSegment(lsn)
-	if s == nil {
-		return Record{}, buf, fmt.Errorf("%w: %v", ErrNotFound, lsn)
+// ReadAt returns the record at lsn — an LSN a Scan or Cursor reported,
+// so the record is in its file and nothing needs flushing. A reader
+// kept across reads of nearby LSNs serves them from one device read.
+func (r *Reader) ReadAt(lsn ids.LSN) (Record, error) {
+	if r.set != nil && (r.l == nil || r.l.base.Stream() != lsn.Stream()) {
+		l, err := r.set.streamLog(lsn)
+		if err != nil {
+			return Record{}, err
+		}
+		r.l, r.blk = l, r.blk[:0]
 	}
-	off := segHeaderSize + int64(lsn-s.start)
-	if off+frameSize > segHeaderSize+s.size {
-		return Record{}, buf, fmt.Errorf("%w: %v", ErrNotFound, lsn)
-	}
-	if cap(buf) < frameSize {
-		buf = make([]byte, frameSize, 512)
-	}
-	frame := buf[:frameSize]
-	if _, err := s.f.ReadAt(frame, off); err != nil {
-		return Record{}, buf, fmt.Errorf("wal: read frame: %w", err)
-	}
-	n := int64(binary.LittleEndian.Uint32(frame))
-	typ := RecordType(frame[4])
-	wantCRC := binary.LittleEndian.Uint32(frame[5:9])
-	if off+frameSize+n > segHeaderSize+s.size {
-		return Record{}, buf, fmt.Errorf("%w: %v (record extends past end)", ErrNotFound, lsn)
-	}
-	if int64(cap(buf)) < frameSize+n {
-		nb := make([]byte, frameSize+int(n))
-		copy(nb, frame)
-		buf = nb
-	}
-	payload := buf[frameSize : frameSize+int(n)]
-	if _, err := s.f.ReadAt(payload, off+frameSize); err != nil {
-		return Record{}, buf, fmt.Errorf("wal: read payload: %w", err)
-	}
-	if crc32.Update(crc32.Update(0, crcTable, buf[4:5]), crcTable, payload) != wantCRC {
-		return Record{}, buf, fmt.Errorf("wal: checksum mismatch at %v", lsn)
-	}
-	return Record{LSN: lsn, Type: typ, Payload: payload}, buf, nil
+	return r.read(lsn)
 }
 
-// ReadAt returns the record at lsn whose payload is n bytes long — what
-// a caller holding an index of {LSN, length} pairs built from a Scan
-// knows — with one positioned read of frame and payload together.
-// Unlike Read it does not flush (anything a Scan or Cursor returned is
-// already in its file) and does not allocate per record: the bytes are
-// staged in buf, which is grown as needed and returned for reuse, and
-// the Record's Payload aliases it until the next call.
-func (l *Log) ReadAt(lsn ids.LSN, n int, buf []byte) (Record, []byte, error) {
-	if cap(buf) < frameSize+n {
-		buf = make([]byte, frameSize+n)
+func (r *Reader) read(lsn ids.LSN) (Record, error) {
+	// A block may outlive the bytes it was read from: Discard truncates
+	// flushed records that were never forced.
+	if r.l.closed.Load() {
+		return Record{}, ErrClosed
 	}
-	buf = buf[:frameSize+n]
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return Record{}, buf, ErrClosed
-	}
-	s := l.findSegment(lsn)
-	if s == nil || int64(lsn-s.start)+int64(len(buf)) > s.size {
-		l.mu.Unlock()
-		return Record{}, buf, fmt.Errorf("%w: %v", ErrNotFound, lsn)
-	}
-	_, err := s.f.ReadAt(buf, segHeaderSize+int64(lsn-s.start))
-	l.mu.Unlock()
+	b, err := r.window(lsn, frameSize)
 	if err != nil {
-		return Record{}, buf, fmt.Errorf("wal: read record: %w", err)
+		return Record{}, err
 	}
-	payload := buf[frameSize:]
-	if int(binary.LittleEndian.Uint32(buf)) != n {
-		return Record{}, buf, fmt.Errorf("wal: record at %v is not %d bytes long", lsn, n)
+	// The length is held against the view here and the segment in
+	// window before any buffer is sized by it: a torn frame may claim 4 GiB.
+	n := int(binary.LittleEndian.Uint32(b))
+	if uint64(frameSize+n) > uint64(r.limit-lsn) {
+		return Record{}, fmt.Errorf("%w: %v (record extends past end)", ErrNotFound, lsn)
 	}
-	if crc32.Update(crc32.Update(0, crcTable, buf[4:5]), crcTable, payload) != binary.LittleEndian.Uint32(buf[5:9]) {
-		return Record{}, buf, fmt.Errorf("wal: checksum mismatch at %v", lsn)
+	if b, err = r.window(lsn, frameSize+n); err != nil {
+		return Record{}, err
 	}
-	return Record{LSN: lsn, Type: RecordType(buf[4]), Payload: payload}, buf, nil
+	payload := b[frameSize : frameSize+n]
+	if crc32.Update(crc32.Update(0, crcTable, b[4:5]), crcTable, payload) != binary.LittleEndian.Uint32(b[5:9]) {
+		return Record{}, fmt.Errorf("%w at %v", errChecksum, lsn)
+	}
+	return Record{LSN: lsn, Type: RecordType(b[4]), Payload: payload}, nil
+}
+
+// window returns the segment's bytes from lsn on, at least need of
+// them: out of the block when it holds them, else after one device read
+// of max(need, r.block) bytes (or what the segment has) that makes the
+// block start at lsn — a record straddling the old block's edge leads
+// the new one, a record longer than a block is read whole. The read
+// holds the log mutex: TrimHead and Close cannot pull the file away.
+func (r *Reader) window(lsn ids.LSN, need int) ([]byte, error) {
+	if lsn >= r.base && lsn+ids.LSN(need) <= r.base+ids.LSN(len(r.blk)) {
+		return r.blk[lsn-r.base:], nil
+	}
+	l := r.l
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed.Load() {
+		return nil, ErrClosed
+	}
+	r.blk = r.blk[:0]
+	s := l.findSegment(lsn)
+	if s == nil || int64(s.end()-lsn) < int64(need) {
+		return nil, fmt.Errorf("%w: %v", ErrNotFound, lsn)
+	}
+	n := int(min(int64(max(need, r.block)), int64(s.end()-lsn)))
+	if cap(r.blk) < n {
+		r.blk = make([]byte, 0, max(n, r.block))
+	}
+	if _, err := s.f.ReadAt(r.blk[:n], segHeaderSize+int64(lsn-s.start)); err != nil {
+		return nil, fmt.Errorf("wal: read at %v: %w", lsn, err)
+	}
+	r.blk, r.base = r.blk[:n], lsn
+	l.stats.ReadOps++
+	l.stats.ReadBytes += int64(n)
+	l.m.ReadOps.Inc()
+	l.m.ReadBytes.Add(int64(n))
+	return r.blk, nil
 }
 
 // Scan calls fn for every record from lsn `from` (or the log start if
@@ -840,10 +843,8 @@ func (l *Log) Scan(from ids.LSN, fn func(Record) error) error {
 // giving each consumer its own cursor, which the log (safe for
 // concurrent use) serves independently.
 type Cursor struct {
-	l   *Log
+	r   Reader  // limit: the log end at ScanFrom time
 	lsn ids.LSN // position of the next record to return
-	end ids.LSN // snapshot of the log end at ScanFrom time
-	buf []byte  // grow-only payload buffer reused across Next calls
 }
 
 // ScanFrom returns a cursor positioned at lsn (or the log start if lsn
@@ -852,43 +853,32 @@ type Cursor struct {
 // records appended afterwards are not visited.
 func (l *Log) ScanFrom(lsn ids.LSN) (*Cursor, error) {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
+	defer l.mu.Unlock()
+	if l.closed.Load() {
 		return nil, ErrClosed
 	}
 	if err := l.flushLocked(); err != nil {
-		l.mu.Unlock()
 		return nil, err
 	}
-	end := l.bufBase
-	start := l.segs[0].start
-	l.mu.Unlock()
-	if lsn.IsNil() || lsn < start {
+	if start := l.segs[0].start; lsn.IsNil() || lsn < start {
 		lsn = start
 	}
-	return &Cursor{l: l, lsn: lsn, end: end}, nil
+	return &Cursor{r: Reader{l: l, block: readBlock, limit: l.bufBase}, lsn: lsn}, nil
 }
 
 // Next returns the next record and advances the cursor. ok is false at
 // the end of the cursor's view (err is nil there).
 //
-// The Record's Payload is only valid until the following Next call:
-// the cursor reuses one grow-only buffer for the whole traversal
-// (recovery walks the whole log, and a per-record allocation there is
-// exactly the cost this log exists to avoid). Consumers that retain
-// payload bytes must copy them.
+// The Record's Payload is only valid until the following Next call: it
+// aliases the cursor's read-ahead block (recovery walks the whole log,
+// and a per-record allocation or system call there is exactly the cost
+// this log exists to avoid). Consumers that retain payload bytes must
+// copy them.
 func (c *Cursor) Next() (rec Record, ok bool, err error) {
-	if c.lsn+frameSize > c.end {
+	if c.lsn+frameSize > c.r.limit {
 		return Record{}, false, nil
 	}
-	c.l.mu.Lock()
-	if c.l.closed {
-		c.l.mu.Unlock()
-		return Record{}, false, ErrClosed
-	}
-	rec, c.buf, err = c.l.readIntoLocked(c.lsn, c.buf)
-	c.l.mu.Unlock()
-	if err != nil {
+	if rec, err = c.r.read(c.lsn); err != nil {
 		return Record{}, false, err
 	}
 	c.lsn += ids.LSN(frameSize + len(rec.Payload))
@@ -906,7 +896,7 @@ func (c *Cursor) LSN() ids.LSN { return c.lsn }
 func (l *Log) TrimHead(keep ids.LSN) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
+	if l.closed.Load() {
 		return ErrClosed
 	}
 	cut := 0
@@ -976,11 +966,11 @@ func (l *Log) Close() error {
 	for l.down() == nil && (l.syncing || l.waiters > 0) {
 		l.syncDone.Wait()
 	}
-	if l.closed {
+	if l.closed.Load() {
 		return nil
 	}
 	err := l.flushLocked()
-	l.closed = true
+	l.closed.Store(true)
 	l.closeSegs()
 	return err
 }
@@ -997,10 +987,10 @@ func (l *Log) Close() error {
 func (l *Log) Discard() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
+	if l.closed.Load() {
 		return nil
 	}
-	l.closed = true
+	l.closed.Store(true)
 	l.syncDone.Broadcast()
 	for l.syncing {
 		l.syncDone.Wait()

@@ -67,6 +67,9 @@ type Writer interface {
 	Flush() error
 	// Read returns the record at lsn, routed by the LSN's stream tag.
 	Read(lsn ids.LSN) (Record, error)
+	// NewReader returns a positioned reader over every stream for a
+	// consumer holding LSNs a scan reported (a worker walking chains).
+	NewReader() *Reader
 	// TrimHead deletes whole segments entirely before keep in the
 	// stream keep's tag names.
 	TrimHead(keep ids.LSN) error
