@@ -1,6 +1,6 @@
 # Development entry points. `make ci` is what the GitHub workflow runs.
 
-.PHONY: ci vet lint lockgraph lint-fix-fixtures build test fuzz race stress recovery-stress shard-stress adaptive-stress bench bench-smoke loc
+.PHONY: ci vet lint lockgraph lint-fix-fixtures build test fuzz race stress recovery-stress shard-stress adaptive-stress bench bench-smoke profile-call loc
 
 ci: vet lint build test fuzz race stress recovery-stress shard-stress adaptive-stress
 
@@ -107,7 +107,8 @@ bench:
 # Quick allocation-focused microbenchmarks of the message/WAL hot path
 # (encode/decode envelopes, wal append, cursor scans, positioned reads),
 # one iteration batch each, plus the AllocsPerRun regression gates (call
-# path, record append, checkpoint capture/restore, log reads: two
+# path, record append, envelope decode, encoded dispatch, the buffer
+# pool's round trip, checkpoint capture/restore, log reads: two
 # allocations per scan, none per positioned read) and the tracing
 # CPU-overhead gate (flight recorder must stay under 5% per call on
 # the group-commit workload; a timing verdict, so it is compiled only
@@ -116,9 +117,29 @@ bench:
 # BENCH_PR6.json hold the trajectory.
 bench-smoke:
 	go test -run '^$$' -bench 'Encode|Decode|WALAppend|Cursor|Scan|Positioned' -benchmem -benchtime 100x ./internal/msg/ ./internal/wal/
-	go test -run 'TestAllocs' -v . ./internal/core/ ./internal/wal/
+	go test -run 'TestAllocs|TestPoolRoundTripAllocs' -v . ./internal/core/ ./internal/wal/ ./internal/msg/ ./internal/rpc/
 	go test -tags perfgate -run 'TestTraceOverhead$$' -v ./internal/bench/
 	go test -run 'TestAdaptiveConvergenceGate$$' -v ./internal/bench/
+
+# The census a call-path change starts from: where one Table-4
+# persistent→persistent optimized call spends its CPU and what it
+# allocates, on a memory-backed file system (TMPDIR=/dev/shm: no device
+# in the numbers), as `pprof -top`. Two runs of fixed length — a CPU
+# profile of 1,000,000 calls, then every allocation of 100,000
+# (-memprofilerate=1 records a stack per object, which slows the call
+# ~30x and would fill a CPU profile taken alongside it; counts per call
+# are exact at any length: divide alloc_objects by the calls). The
+# profiler leaves out tiny objects that fit an open 16-byte block, so
+# the -benchmem figure printed above the table is the total. Profiles
+# and the test binary stay in PROFILE_DIR for `go tool pprof -list`.
+PROFILE_DIR ?= /tmp/phoenix-profile-call
+PROFILE_BENCH = TMPDIR=/dev/shm go test -run '^$$' -bench 'BenchmarkTable4_PersistentToPersistent_Optimized$$' -benchmem -o $(PROFILE_DIR)/call.test
+profile-call:
+	@mkdir -p $(PROFILE_DIR)
+	$(PROFILE_BENCH) -benchtime 1000000x -cpuprofile $(PROFILE_DIR)/cpu.prof .
+	go tool pprof -top -nodecount 40 $(PROFILE_DIR)/call.test $(PROFILE_DIR)/cpu.prof
+	$(PROFILE_BENCH) -benchtime 100000x -memprofile $(PROFILE_DIR)/mem.prof -memprofilerate=1 .
+	go tool pprof -sample_index=alloc_objects -top -nodecount 40 $(PROFILE_DIR)/call.test $(PROFILE_DIR)/mem.prof
 
 # Non-test lines of Go per package (ROADMAP aim 2: net non-test LoC is
 # a tracked number). Lint fixtures under testdata/ are not product code.

@@ -16,9 +16,11 @@ import (
 // encoder does.
 
 // callPathAllocGate bounds one persistent↔persistent optimized call:
-// 27.5 allocs measured with the tagged value codec (947 with gob
+// 18.5 allocs measured with one backing copy per decoded envelope,
+// stack scratch in rpc.InvokeEncoded, per-context hot records and the
+// holder-recycling buffer pool (27.5 before those; 947 with gob
 // envelopes, 394 with gob values only).
-const callPathAllocGate = 35.0
+const callPathAllocGate = 22.0
 
 // AllocBatcher drives n persistent↔persistent calls per envelope call,
 // so the inner-call allocation cost can be isolated from the external

@@ -180,7 +180,7 @@ func (p *Process) runCheckpoint() error {
 	// stable — the next force whose watermark passes the end record
 	// (ours or a later send's) covers it.
 	p.ckptMu.Lock()
-	p.pendingCkpt = begin
+	p.pendingCkpt.Store(uint64(begin))
 	p.pendingCkptEnd = end
 	p.pendingCkptEnds = ends
 	p.ckptMu.Unlock()

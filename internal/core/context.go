@@ -89,6 +89,14 @@ type Context struct {
 	// the execution state (Create sets it before publication).
 	lastLSN ids.LSN
 
+	// Scratch for the records written once per message: built here,
+	// encoded before appendRec returns, never read again. They belong
+	// to whoever owns lastOutSeq — the goroutine holding mu, or the
+	// one replaying this context.
+	incoming      incomingRec
+	replySent     replySentRec
+	outgoingReply outgoingReplyRec
+
 	callsSinceSave int
 }
 
@@ -225,7 +233,10 @@ func (cx *Context) attachAware() {
 // before an incoming call is dispatched.
 func (cx *Context) beginExecution() {
 	if cx.p.cfg.MultiCall || cx.p.adaptive != nil {
-		cx.multiCallSeen = make(map[ids.URI]bool)
+		if cx.multiCallSeen == nil {
+			cx.multiCallSeen = make(map[ids.URI]bool)
+		}
+		clear(cx.multiCallSeen)
 	}
 	if cx.p.adaptive != nil {
 		cx.execOut, cx.execRepeats = 0, 0

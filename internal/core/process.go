@@ -105,7 +105,7 @@ type Process struct {
 	// them. lastMarks is the vector last recorded in the well-known
 	// file — recovery scans from it, so log trimming must keep it.
 	ckptMu          sync.Mutex
-	pendingCkpt     ids.LSN
+	pendingCkpt     atomic.Uint64 // an ids.LSN; written under ckptMu, loaded without it by every force's early-out
 	pendingCkptEnd  ids.LSN
 	pendingCkptEnds map[uint32]ids.LSN
 	lastMarks       map[uint32]ids.LSN
@@ -509,21 +509,25 @@ func (p *Process) finishForce(site *obs.Counter, out wal.SyncOutcome, err error)
 // force API a sync need not cover the whole tail, so the check is
 // against the end-checkpoint record's LSN, not "any force happened".
 func (p *Process) completeCheckpoint() error {
+	if p.pendingCkpt.Load() == 0 {
+		return nil
+	}
 	p.ckptMu.Lock()
-	begin, end := p.pendingCkpt, p.pendingCkptEnd
+	begin, end := ids.LSN(p.pendingCkpt.Load()), p.pendingCkptEnd
 	p.ckptMu.Unlock()
 	if begin.IsNil() || p.log.SyncedLSN() <= end {
 		return nil
 	}
 	p.ckptMu.Lock()
-	if p.pendingCkpt != begin {
+	if ids.LSN(p.pendingCkpt.Load()) != begin {
 		// A newer checkpoint superseded the one we saw; its own force
 		// will publish it.
 		p.ckptMu.Unlock()
 		return nil
 	}
 	ends := p.pendingCkptEnds
-	p.pendingCkpt, p.pendingCkptEnd, p.pendingCkptEnds = ids.NilLSN, ids.NilLSN, nil
+	p.pendingCkpt.Store(0)
+	p.pendingCkptEnd, p.pendingCkptEnds = ids.NilLSN, nil
 	p.ckptMu.Unlock()
 	marks := p.wellKnownMarks(begin, ends)
 	if err := wal.SaveWellKnownMarks(p.wkPath, marks); err != nil {

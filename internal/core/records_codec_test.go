@@ -75,7 +75,8 @@ const (
 )
 
 // TestRecordCodecRoundTrip: every hot record kind must round-trip
-// through the payload codec, and a gob payload is an error naming its
+// through the payload codec into a record that owns all its strings
+// and bytes, and a gob payload is an error naming its
 // first byte — a kind has one format.
 func TestRecordCodecRoundTrip(t *testing.T) {
 	names := fmt.Sprintf("version byte %#x", gobReplySent[0])
@@ -101,6 +102,14 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		}
 		if !recEqual(got, tc.v) {
 			t.Errorf("%s: round trip mismatch:\n  got  %+v\n  want %+v", name, got, tc.v)
+		}
+		// The payload was a view of a wal.Reader block, refilled by the
+		// next read: a decoded record keeps none of it.
+		for i := range bin {
+			bin[i] = 0xee
+		}
+		if !recEqual(got, tc.v) {
+			t.Errorf("%s: decoded record aliases its payload:\n  got  %+v\n  want %+v", name, got, tc.v)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/msg"
+	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/rpc"
 )
@@ -312,7 +313,8 @@ func (cx *Context) outgoingCall(call *msg.Call) (*msg.Reply, error) {
 		// current end of history for this context: it is logged like
 		// any other, so a second failure replays it too.
 		if p.cfg.LogMode == LogBaseline && !aopt {
-			lsn, err := p.appendRec(recOutgoingReply, cx.parent.id, &outgoingReplyRec{Ctx: cx.parent.id, Seq: seq, Reply: *reply, Trace: call.Trace})
+			cx.outgoingReply = outgoingReplyRec{Ctx: cx.parent.id, Seq: seq, Reply: *reply, Trace: call.Trace}
+			lsn, err := p.appendRec(recOutgoingReply, cx.parent.id, &cx.outgoingReply)
 			if err != nil {
 				return nil, err
 			}
@@ -328,7 +330,8 @@ func (cx *Context) outgoingCall(call *msg.Call) (*msg.Reply, error) {
 			// Optimized: log message 4 without forcing. Read-only
 			// replies are unrepeatable and must be logged too
 			// (Algorithm 5: "Log message 4").
-			lsn, err := p.appendRec(recOutgoingReply, cx.parent.id, &outgoingReplyRec{Ctx: cx.parent.id, Seq: seq, Reply: *reply, Trace: call.Trace})
+			cx.outgoingReply = outgoingReplyRec{Ctx: cx.parent.id, Seq: seq, Reply: *reply, Trace: call.Trace}
+			lsn, err := p.appendRec(recOutgoingReply, cx.parent.id, &cx.outgoingReply)
 			if err != nil {
 				return nil, err
 			}
@@ -364,9 +367,9 @@ func (u *Universe) send(call *msg.Call, retries int, interval time.Duration,
 	// the buffer is free once the retry loop is done with it.
 	defer msg.FreeBuf(data)
 	u.rpcm.RPCCalls.Inc()
-	start := time.Now()
+	start := obs.Stopwatch()
 	tstart := tr.Now()
-	defer func() { u.rpcm.RPCCallMicros.Observe(time.Since(start).Microseconds()) }()
+	defer func() { u.rpcm.RPCCallMicros.Observe((obs.Stopwatch() - start) / 1e3) }()
 	var lastErr error
 	for attempt := 0; attempt < retries; attempt++ {
 		if attempt > 0 {

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/ids"
 	"repro/internal/msg"
+	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/transport"
 )
@@ -203,7 +203,8 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 	// (Algorithm 5); the runtime guard below backstops the bet.
 	if !roTreatment && !ad.readOnly {
 		p.inject(PointServerBeforeLogIncoming)
-		lsn, err := p.appendRec(recIncoming, cx.parent.id, &incomingRec{Ctx: cx.parent.id, Call: *call, Trace: call.Trace})
+		cx.incoming = incomingRec{Ctx: cx.parent.id, Call: *call, Trace: call.Trace}
+		lsn, err := p.appendRec(recIncoming, cx.parent.id, &cx.incoming)
 		if err != nil {
 			return fault(call.ID, "log incoming: %v", err)
 		}
@@ -231,11 +232,11 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 		cx.curMethod = call.Method
 	}
 	defer func() { cx.curTrace = trace.Ref{}; cx.curMethod = "" }()
-	execStart := time.Now()
+	execStart := obs.Stopwatch()
 	execTraceStart := p.tr.Now()
 	results, numResults, appErr, err := cx.parent.disp.InvokeEncoded(call.Method, call.Args, call.NumArgs)
 	p.obs.ServeExecs.Inc()
-	p.obs.ServeExecMicros.Observe(time.Since(execStart).Microseconds())
+	p.obs.ServeExecMicros.Observe((obs.Stopwatch() - execStart) / 1e3)
 	p.traceSpan(call, trace.StageExecute, execTraceStart)
 	if err != nil {
 		return fault(call.ID, "%v", err)
@@ -262,7 +263,8 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 		case external:
 			// Algorithm 3: a short record — only the fact that the
 			// reply was (attempted to be) sent — then force.
-			lsn, err := p.appendRec(recReplySent, cx.parent.id, &replySentRec{Ctx: cx.parent.id, CallID: call.ID, Trace: call.Trace})
+			cx.replySent = replySentRec{Ctx: cx.parent.id, CallID: call.ID, Trace: call.Trace}
+			lsn, err := p.appendRec(recReplySent, cx.parent.id, &cx.replySent)
 			if err != nil {
 				return fault(call.ID, "log reply-sent: %v", err)
 			}

@@ -3,7 +3,11 @@
 // function.
 package wallclock
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/obs"
+)
 
 func bad() time.Duration {
 	t0 := time.Now()             // want `time\.Now reads the wall clock in .*bad`
@@ -23,6 +27,13 @@ func badTimer() *time.Ticker {
 func instrumented() time.Duration {
 	t0 := time.Now()
 	return time.Since(t0)
+}
+
+// hostTimed is the sanctioned route for host-side instrumentation: the
+// obs stopwatch, with no allowlist entry.
+func hostTimed(h *obs.Histogram) {
+	start := obs.Stopwatch()
+	h.Observe((obs.Stopwatch() - start) / 1e3)
 }
 
 // durations are data, not clock reads: nothing to flag here.

@@ -25,8 +25,11 @@ var defaultWallclockBanned = []string{
 // packages, every read of or wait on the wall clock must go through
 // the clock abstraction (disk.Clock / the universe clock), so that
 // simulated-time runs stay deterministic and scaled runs report model
-// time. Wall-time instrumentation that is deliberate — host-side
-// latency histograms — is granted per function in the allowlist.
+// time. Host-side instrumentation — latency histograms, busy-time sums
+// — has one sanctioned route, obs.Stopwatch: a monotonic reading that
+// is not a time.* call, so it passes here by construction and a site
+// that uses it needs no allowlist entry. A wall read that must stay
+// one is granted per function in the allowlist.
 //
 // This is the bug class PR 3 fixed by hand: recovery durations read
 // time.Now under a VirtualClock and reported nonsense.
@@ -61,7 +64,7 @@ func NewWallclock(cfg WallclockConfig, allow *Allowlist) *Analyzer {
 					}
 					if callee := CalleeString(pass.Info, call); banned[callee] {
 						pass.ReportfFn(call.Pos(), fname,
-							"%s reads the wall clock in %s; use the universe clock (disk.Clock), or allowlist %s in phoenix-lint.allow if this wall read is deliberate instrumentation",
+							"%s reads the wall clock in %s; use the universe clock (disk.Clock) for model time and obs.Stopwatch for host-side instrumentation, or allowlist %s in phoenix-lint.allow if this wall read is deliberate",
 							callee, fname, fname)
 					}
 					return true

@@ -92,11 +92,11 @@ func ConsumeUvarint(data []byte) (uint64, []byte, error) {
 	return 0, nil, errShort
 }
 
-// ConsumeBytes consumes a length-prefixed byte field and returns a COPY.
-// Decoded envelopes must not alias the input: transport reads and WAL
-// cursors reuse their buffers, and core retains decoded records across
-// replay (DESIGN.md Section 10 ownership rules).
-func ConsumeBytes(data []byte) ([]byte, []byte, error) {
+// consumeSpan consumes a length-prefixed field and returns it as a
+// view of data: the one place a field's length is held against the
+// input. The exported consumers below copy it; ConsumeCall and
+// ConsumeReply collect their strings' spans and copy them together.
+func consumeSpan(data []byte) ([]byte, []byte, error) {
 	n, rest, err := ConsumeUvarint(data)
 	if err != nil {
 		return nil, nil, err
@@ -104,25 +104,26 @@ func ConsumeBytes(data []byte) ([]byte, []byte, error) {
 	if n > uint64(len(rest)) {
 		return nil, nil, errShort
 	}
-	if n == 0 {
-		return nil, rest, nil
+	return rest[:n], rest[n:], nil
+}
+
+// ConsumeBytes consumes a length-prefixed byte field and returns a COPY.
+// Decoded envelopes must not alias the input: transport reads and WAL
+// cursors reuse their buffers, and core retains decoded records across
+// replay (DESIGN.md Section 10 ownership rules).
+func ConsumeBytes(data []byte) ([]byte, []byte, error) {
+	span, rest, err := consumeSpan(data)
+	if err != nil || len(span) == 0 {
+		return nil, rest, err
 	}
-	out := make([]byte, n)
-	copy(out, rest[:n])
-	return out, rest[n:], nil
+	return append(make([]byte, 0, len(span)), span...), rest, nil
 }
 
 // ConsumeString consumes a length-prefixed string field (string(…) makes
 // the copy).
 func ConsumeString(data []byte) (string, []byte, error) {
-	n, rest, err := ConsumeUvarint(data)
-	if err != nil {
-		return "", nil, err
-	}
-	if n > uint64(len(rest)) {
-		return "", nil, errShort
-	}
-	return string(rest[:n]), rest[n:], nil
+	span, rest, err := consumeSpan(data)
+	return string(span), rest, err
 }
 
 // ConsumeByte consumes one raw byte.

@@ -1,6 +1,10 @@
 package msg
 
-import "repro/internal/ids"
+import (
+	"strings"
+
+	"repro/internal/ids"
+)
 
 // AppendCall appends the bare binary body of c (no version byte) to
 // dst and returns the extended slice. Core's log records use it to
@@ -27,12 +31,13 @@ func AppendCall(dst []byte, c *Call) []byte {
 }
 
 // ConsumeCall decodes a bare Call body from data into c and returns
-// the unconsumed tail. All byte and string fields are copies; c never
-// aliases data.
+// the unconsumed tail. c never aliases data: the string fields share
+// one backing copy (ownStrings) and Args is its own.
 func ConsumeCall(data []byte, c *Call) ([]byte, error) {
 	var err error
 	var u uint64
-	if c.ID.Caller.Machine, data, err = ConsumeString(data); err != nil {
+	var str [4][]byte // Machine, Target, Method, CallerURI: views of data
+	if str[0], data, err = consumeSpan(data); err != nil {
 		return nil, err
 	}
 	if u, data, err = ConsumeUvarint(data); err != nil {
@@ -46,12 +51,10 @@ func ConsumeCall(data []byte, c *Call) ([]byte, error) {
 	if c.ID.Seq, data, err = ConsumeUvarint(data); err != nil {
 		return nil, err
 	}
-	var s string
-	if s, data, err = ConsumeString(data); err != nil {
+	if str[1], data, err = consumeSpan(data); err != nil {
 		return nil, err
 	}
-	c.Target = ids.URI(s)
-	if c.Method, data, err = ConsumeString(data); err != nil {
+	if str[2], data, err = consumeSpan(data); err != nil {
 		return nil, err
 	}
 	if c.Args, data, err = ConsumeBytes(data); err != nil {
@@ -66,16 +69,40 @@ func ConsumeCall(data []byte, c *Call) ([]byte, error) {
 		return nil, err
 	}
 	c.CallerType = ComponentType(b)
-	if s, data, err = ConsumeString(data); err != nil {
+	if str[3], data, err = consumeSpan(data); err != nil {
 		return nil, err
 	}
-	c.CallerURI = ids.URI(s)
 	if b, data, err = ConsumeByte(data); err != nil {
 		return nil, err
 	}
 	c.ReadOnly = b&1 != 0
 	c.KnowsServer = b&2 != 0
+	var own [4]string
+	ownStrings(str[:], own[:])
+	c.ID.Caller.Machine, c.Target, c.Method, c.CallerURI = own[0], ids.URI(own[1]), own[2], ids.URI(own[3])
 	return data, nil
+}
+
+// ownStrings copies spans — views of a decoder's input — into one
+// backing string and sets out[i] to span i's part of it: one
+// allocation however many fields (DESIGN §10 "Buffer ownership").
+func ownStrings(spans [][]byte, out []string) {
+	n := 0
+	for _, sp := range spans {
+		n += len(sp)
+	}
+	if n == 0 {
+		return
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, sp := range spans {
+		b.Write(sp)
+	}
+	all := b.String()
+	for i, sp := range spans {
+		out[i], all = all[:len(sp)], all[len(sp):]
+	}
 }
 
 // AppendReply appends the bare binary body of r (no version byte) to
@@ -101,12 +128,12 @@ func AppendReply(dst []byte, r *Reply) []byte {
 }
 
 // ConsumeReply decodes a bare Reply body from data into r and returns
-// the unconsumed tail. All byte and string fields are copies; r never
-// aliases data.
+// the unconsumed tail. r never aliases data, as in ConsumeCall.
 func ConsumeReply(data []byte, r *Reply) ([]byte, error) {
 	var err error
 	var u uint64
-	if r.ID.Caller.Machine, data, err = ConsumeString(data); err != nil {
+	var str [3][]byte // Machine, AppErr, Fault: views of data
+	if str[0], data, err = consumeSpan(data); err != nil {
 		return nil, err
 	}
 	if u, data, err = ConsumeUvarint(data); err != nil {
@@ -127,10 +154,10 @@ func ConsumeReply(data []byte, r *Reply) ([]byte, error) {
 		return nil, err
 	}
 	r.NumResults = int(u)
-	if r.AppErr, data, err = ConsumeString(data); err != nil {
+	if str[1], data, err = consumeSpan(data); err != nil {
 		return nil, err
 	}
-	if r.Fault, data, err = ConsumeString(data); err != nil {
+	if str[2], data, err = consumeSpan(data); err != nil {
 		return nil, err
 	}
 	var b byte
@@ -143,5 +170,8 @@ func ConsumeReply(data []byte, r *Reply) ([]byte, error) {
 		return nil, err
 	}
 	r.ServerType = ComponentType(b)
+	var own [3]string
+	ownStrings(str[:], own[:])
+	r.ID.Caller.Machine, r.AppErr, r.Fault = own[0], own[1], own[2]
 	return data, nil
 }

@@ -87,23 +87,74 @@ func replyEqual(a, b *Reply) bool {
 		a.MethodReadOnly == b.MethodReadOnly
 }
 
-// TestDecodeNoAlias: decoded byte fields must be copies — transport
-// reads and WAL cursors reuse their buffers after decode returns.
+// TestDecodeNoAlias: a decoded envelope owns every string and byte
+// field — the strings in one backing copy, Args/Results in their own —
+// so overwriting the input changes nothing. The TCP transport's
+// per-connection buffer and the wal.Cursor block are both reused as
+// soon as decode returns.
 func TestDecodeNoAlias(t *testing.T) {
-	orig := &Call{Args: []byte{1, 2, 3}, NumArgs: 1, Method: "M"}
-	data, err := EncodeCall(orig)
+	scribble := func(b []byte) {
+		for i := range b {
+			b[i] = 0xee
+		}
+	}
+	for i := range codecCalls {
+		want := &codecCalls[i]
+		data, err := EncodeCall(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := DecodeCall(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scribble(data)
+		if !callEqual(c, want) {
+			t.Errorf("call %d aliases the input buffer:\n  got  %+v\n  want %+v", i, c, want)
+		}
+	}
+	for i := range codecReplies {
+		want := &codecReplies[i]
+		data, err := EncodeReply(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := DecodeReply(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scribble(data)
+		if !replyEqual(r, want) {
+			t.Errorf("reply %d aliases the input buffer:\n  got  %+v\n  want %+v", i, r, want)
+		}
+	}
+}
+
+// TestAllocsDecodeCall gates the decode of a persistent→persistent
+// envelope (four string fields and an argument list) at three
+// allocations: the Call, the strings' one backing copy, Args.
+func TestAllocsDecodeCall(t *testing.T) {
+	data, err := EncodeCall(&codecCalls[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := DecodeCall(data)
-	if err != nil {
-		t.Fatal(err)
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := DecodeCall(data); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Errorf("DecodeCall allocates %v objects, gate 3", n)
 	}
-	for i := range data {
-		data[i] = 0xee
-	}
-	if !bytes.Equal(c.Args, []byte{1, 2, 3}) || c.Method != "M" {
-		t.Fatalf("decoded call aliases the input buffer: %+v", c)
+}
+
+// TestPoolRoundTripAllocs: once the pool is warm, drawing a buffer and
+// returning it allocates nothing — FreeBuf recycles the holder GetBuf
+// emptied. (The collector may drop pooled items mid-run, so the check
+// is on the average, which a holder per release would put at 1.)
+func TestPoolRoundTripAllocs(t *testing.T) {
+	FreeBuf(GetBuf())
+	if n := testing.AllocsPerRun(1000, func() { FreeBuf(append(GetBuf(), 1, 2, 3)) }); n != 0 {
+		t.Errorf("GetBuf/FreeBuf round trip allocates %v objects/run, want 0", n)
 	}
 }
 

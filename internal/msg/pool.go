@@ -27,11 +27,13 @@ const minBufCap = 256
 // must not pin megabytes inside the pool forever.
 const maxPooledCap = 1 << 20
 
-// The pool's New returns an empty holder (cap 0) rather than a fresh
-// buffer, so GetBuf can tell a reuse from a miss and count each.
-var bufPool = sync.Pool{
-	New: func() any { return new([]byte) },
-}
+// bufPool holds free buffers, each in a *[]byte holder. FreeBuf takes
+// the holder from holderPool, where GetBuf put the one it emptied —
+// never &b of its own argument, which would allocate (DESIGN §10).
+var (
+	bufPool    sync.Pool
+	holderPool = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // codecMetrics is the package-wide codec accounting (obs.Default). The
 // counters are nil-safe, so an unobserved process pays one predictable
@@ -42,15 +44,16 @@ var codecMetrics = obs.CodecView(obs.Default())
 // encoders call it internally; it is exported for callers that frame
 // their own bytes (the WAL's encode-into path).
 func GetBuf() []byte {
-	p := bufPool.Get().(*[]byte)
-	b := *p
-	if cap(b) == 0 {
+	p, _ := bufPool.Get().(*[]byte)
+	if p == nil {
 		codecMetrics.PoolMisses.Inc()
-		b = make([]byte, 0, minBufCap)
-	} else {
-		codecMetrics.PoolHits.Inc()
+		return make([]byte, 0, minBufCap)
 	}
-	return b[:0]
+	codecMetrics.PoolHits.Inc()
+	b := *p
+	*p = nil
+	holderPool.Put(p)
+	return b
 }
 
 // FreeBuf returns a buffer obtained from GetBuf (or from one of the
@@ -60,6 +63,7 @@ func FreeBuf(b []byte) {
 	if cap(b) == 0 || cap(b) > maxPooledCap {
 		return
 	}
-	b = b[:0]
-	bufPool.Put(&b)
+	p := holderPool.Get().(*[]byte)
+	*p = b[:0]
+	bufPool.Put(p)
 }

@@ -84,19 +84,30 @@ func EncodeAnySlice(vals []any) ([]byte, error) {
 // DecodeAnySlice deserializes an argument or result list. The values
 // never alias data.
 func DecodeAnySlice(data []byte) ([]any, error) {
+	return DecodeAnyInto(nil, data)
+}
+
+// DecodeAnyInto is DecodeAnySlice with the caller's scratch: the list
+// is built in buf's backing array when it has the room.
+func DecodeAnyInto(buf []any, data []byte) ([]any, error) {
 	r := reader{data}
 	n, err := r.count(1)
 	if err != nil {
 		return nil, fmt.Errorf("msg: decode values: %w", err)
 	}
-	vals := make([]any, n)
-	for i := range vals {
-		if vals[i], err = r.value(0); err != nil {
+	vals := buf[:0]
+	if n > cap(buf) {
+		vals = make([]any, 0, n)
+	}
+	for i := 0; i < n; i++ {
+		v, err := r.value(0)
+		if err != nil {
 			return nil, fmt.Errorf("msg: decode value %d: %w", i, err)
 		}
-		if vals[i] == nil {
+		if v == nil {
 			return nil, fmt.Errorf("msg: decode value %d: untyped nil", i)
 		}
+		vals = append(vals, v)
 	}
 	if len(r.b) != 0 {
 		return nil, fmt.Errorf("msg: decode values: %d trailing bytes", len(r.b))

@@ -107,6 +107,12 @@ func (d *Dispatcher) Call(name string, args []reflect.Value) ([]reflect.Value, e
 		return nil, fmt.Errorf("rpc: %T.%s wants %d args, got %d",
 			d.obj, name, len(m.ParamTypes), len(args))
 	}
+	return m.call(args)
+}
+
+// call invokes the method and splits a trailing error result off as
+// the application error.
+func (m *Method) call(args []reflect.Value) ([]reflect.Value, error) {
 	out := m.fn.Call(args)
 	if m.ReturnsErr {
 		last := out[len(out)-1]

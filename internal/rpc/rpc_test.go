@@ -149,6 +149,20 @@ func TestInvokeEncodedRoundTrip(t *testing.T) {
 	if len(books) != 1 || books[0].Title != "Transaction Processing" {
 		t.Errorf("decoded = %+v", books)
 	}
+
+	// Past stackVals arguments and results the lists are heap-allocated.
+	args, n, err = EncodeArgs(1, 2, 3, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ = NewDispatcher(&adder{})
+	results, nres, appErr, err = d.InvokeEncoded("Rotate", args, n)
+	if err != nil || appErr != "" || nres != 5 {
+		t.Fatalf("invoke Rotate: %v / %q / %d results", err, appErr, nres)
+	}
+	if out, err = DecodeResults(results); err != nil || !reflect.DeepEqual(out, []any{2, 3, 4, 5, 1}) {
+		t.Errorf("Rotate results = %v, %v", out, err)
+	}
 }
 
 func TestInvokeEncodedAppErrorTravels(t *testing.T) {
@@ -187,6 +201,10 @@ func TestInvokeEncodedRejectsBadInput(t *testing.T) {
 	args, _, _ := EncodeArgs("a", "b")
 	if _, _, _, err := d.InvokeEncoded("Search", args, 2); err == nil || err.Error() != wantsOne {
 		t.Errorf("two args for Search: %v, want %q", err, wantsOne)
+	}
+	five, _, _ := EncodeArgs(1, 2, 3, 4, 5)
+	if _, _, _, err := d.InvokeEncoded("NoResults", five, 5); err == nil || err.Error() != "rpc: *rpc.store.NoResults wants 1 args, got 5" {
+		t.Errorf("five args for NoResults: %v", err)
 	}
 	// The envelope's count and the stream's must agree too.
 	one, _, _ := EncodeArgs("a")
@@ -227,5 +245,35 @@ func TestObject(t *testing.T) {
 	d, _ := NewDispatcher(s)
 	if d.Object() != any(s) {
 		t.Error("Object() lost the instance")
+	}
+}
+
+type adder struct{ n int }
+
+func (a *adder) Add(d int) (int, error) { a.n += d; return a.n, nil }
+
+// Rotate is wider than InvokeEncoded's stack scratch on both sides.
+func (a *adder) Rotate(v, w, x, y, z int) (int, int, int, int, int) { return w, x, y, z, v }
+
+// TestAllocsInvokeEncoded gates the dispatch of the benchmark's call
+// shape — one int in, one int and a nil error out — at five
+// allocations: what reflect's Call makes for itself and its results,
+// the boxed result, the result bytes. The argument list, its
+// reflect.Values and the result list live in InvokeEncoded's frame.
+func TestAllocsInvokeEncoded(t *testing.T) {
+	d, err := NewDispatcher(&adder{n: 1 << 20}) // past the runtime's preboxed small ints
+	if err != nil {
+		t.Fatal(err)
+	}
+	args, n, err := EncodeArgs(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if _, _, _, err := d.InvokeEncoded("Add", args, n); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 5 {
+		t.Errorf("InvokeEncoded(Add) allocates %v objects, gate 5", got)
 	}
 }

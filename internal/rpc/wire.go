@@ -19,7 +19,11 @@ func (d *Dispatcher) InvokeEncoded(name string, args []byte, numArgs int) (resul
 	if !ok {
 		return nil, 0, "", fmt.Errorf("rpc: %T has no method %q", d.obj, name)
 	}
-	decoded, err := msg.DecodeAnySlice(args)
+	// Arguments, their reflect.Values and the results are dead when
+	// this returns: up to stackVals of each live in this frame.
+	var argBuf, outBuf [stackVals]any
+	var valBuf [stackVals]reflect.Value
+	decoded, err := msg.DecodeAnyInto(argBuf[:0], args)
 	if err != nil {
 		return nil, 0, "", fmt.Errorf("rpc: %T.%s: %w", d.obj, name, err)
 	}
@@ -27,24 +31,27 @@ func (d *Dispatcher) InvokeEncoded(name string, args []byte, numArgs int) (resul
 		return nil, 0, "", fmt.Errorf("rpc: %T.%s wants %d args, got %d",
 			d.obj, name, len(m.ParamTypes), len(decoded))
 	}
-	vals := make([]reflect.Value, len(decoded))
+	vals := valBuf[:0]
+	if len(decoded) > stackVals {
+		vals = make([]reflect.Value, 0, len(decoded))
+	}
 	for i, a := range decoded {
 		v, err := coerce(a, m.ParamTypes[i])
 		if err != nil {
 			return nil, 0, "", fmt.Errorf("rpc: %T.%s arg %d: %w", d.obj, name, i, err)
 		}
-		vals[i] = v
+		vals = append(vals, v)
 	}
-	out, callErr := d.Call(name, vals)
+	out, callErr := m.call(vals)
 	if callErr != nil {
 		appErr = callErr.Error()
 		if appErr == "" {
 			appErr = "application error"
 		}
 	}
-	anyOut := make([]any, len(out))
-	for i, o := range out {
-		anyOut[i] = o.Interface()
+	anyOut := outBuf[:0]
+	for _, o := range out {
+		anyOut = append(anyOut, o.Interface())
 	}
 	results, err = msg.EncodeAnySlice(anyOut)
 	if err != nil {
@@ -52,6 +59,9 @@ func (d *Dispatcher) InvokeEncoded(name string, args []byte, numArgs int) (resul
 	}
 	return results, len(anyOut), appErr, nil
 }
+
+// stackVals is how many arguments or results fit InvokeEncoded's frame.
+const stackVals = 4
 
 // coerce fits a decoded interface value to a declared parameter type.
 // Exact assignability always works; numeric kinds convert (a generic

@@ -1,10 +1,6 @@
 package transport
 
-import (
-	"time"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // instrumented wraps a Network and accounts every Send to a registry:
 // message counts, bytes in both directions, round-trip latency and
@@ -46,9 +42,9 @@ func (i *instrumented) Unlisten(addr string) { i.inner.Unlisten(addr) }
 func (i *instrumented) Send(addr string, req []byte) ([]byte, error) {
 	i.sends.Inc()
 	i.bytesOut.Add(int64(len(req)))
-	start := time.Now()
+	start := obs.Stopwatch()
 	resp, err := i.inner.Send(addr, req)
-	i.rtMicros.Observe(time.Since(start).Microseconds())
+	i.rtMicros.Observe((obs.Stopwatch() - start) / 1e3)
 	if err != nil {
 		i.errors.Inc()
 		return nil, err

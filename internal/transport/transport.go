@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/disk"
@@ -60,8 +61,8 @@ type Mem struct {
 	partLock sync.RWMutex
 	severed  map[string]bool // addresses partitioned away (fault injection)
 
+	jitter   atomic.Int64 // a time.Duration; rng and jitterMu are touched only when it is positive
 	jitterMu sync.Mutex
-	jitter   time.Duration
 	rng      *rand.Rand
 }
 
@@ -86,17 +87,18 @@ func NewMem(clock disk.Clock, rtt time.Duration) *Mem {
 func (m *Mem) SetJitter(d time.Duration, seed int64) {
 	m.jitterMu.Lock()
 	defer m.jitterMu.Unlock()
-	m.jitter = d
 	m.rng = rand.New(rand.NewSource(seed))
+	m.jitter.Store(int64(d))
 }
 
 func (m *Mem) jitterDelay() time.Duration {
-	m.jitterMu.Lock()
-	defer m.jitterMu.Unlock()
-	if m.jitter <= 0 || m.rng == nil {
+	j := m.jitter.Load()
+	if j <= 0 {
 		return 0
 	}
-	return time.Duration(m.rng.Int63n(int64(m.jitter)))
+	m.jitterMu.Lock()
+	defer m.jitterMu.Unlock()
+	return time.Duration(m.rng.Int63n(j))
 }
 
 // Listen implements Network.

@@ -54,8 +54,16 @@ func TestCleanForceIsFreeAndNotDoubleCounted(t *testing.T) {
 		t.Errorf("wal.clean_forces counter = %d, want 3", got)
 	}
 	// The force-latency histogram only observes device forces.
-	if h := snap.HistogramFor(obs.WALForceMicros); h.Count != 1 {
-		t.Errorf("wal.force_micros count = %d, want 1", h.Count)
+	force := snap.HistogramFor(obs.WALForceMicros)
+	if force.Count != 1 {
+		t.Errorf("wal.force_micros count = %d, want 1", force.Count)
+	}
+	// A leader that neither rode nor held a window took two stopwatch
+	// readings: its arrival is its sync's start, and the one end stamp
+	// closes wal.force_micros, wal.group.wait_micros and SyncBusyNanos.
+	if wait := snap.HistogramFor(obs.WALGroupWaitMicros); wait.Count != 1 || wait.Sum != force.Sum || after.SyncBusyNanos/1e3 != force.Sum {
+		t.Errorf("one undelayed force: wait_micros %d×%dµs, force_micros %dµs, SyncBusyNanos %dns; want the same interval thrice",
+			wait.Count, wait.Sum, force.Sum, after.SyncBusyNanos)
 	}
 
 	// Dirtying the log re-arms the real force path.
@@ -150,4 +158,109 @@ func TestFailedSyncStopsTheLog(t *testing.T) {
 	if _, err := l2.Read(lost); err == nil {
 		t.Error("record whose sync failed survived the crash")
 	}
+}
+
+// TestUnsyncedSegmentsAcrossASync drives the two ways the unsynced list
+// can change under a leader whose device sync is in flight (the mutex
+// is released there), on top of the failed-sync case above: a segment
+// that grew stays listed for the next force and the watermark stops at
+// what the flush covered; a segment trimmed away is forgotten, and its
+// failed sync — the descriptor died with it — does not stop the log.
+func TestUnsyncedSegmentsAcrossASync(t *testing.T) {
+	open := func(t *testing.T) (*Log, gateModel) {
+		model := gateModel{newGate()}
+		l, err := Open(t.TempDir()+"/proc.log", model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l, model
+	}
+	syncAsync := func(l *Log) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := l.SyncAll()
+			done <- err
+		}()
+		return done
+	}
+	listed := func(l *Log) int {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return len(l.unsynced)
+	}
+
+	t.Run("grew", func(t *testing.T) {
+		l, model := open(t)
+		if _, err := l.Append(1, []byte("covered")); err != nil {
+			t.Fatal(err)
+		}
+		covered := l.End()
+		done := syncAsync(l)
+		model.awaitEntered(t, "the device sync")
+		late, err := l.Append(1, []byte("flushed mid-sync"))
+		if err == nil {
+			err = l.Flush()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		close(model.release)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if got := l.SyncedLSN(); got != covered {
+			t.Errorf("SyncedLSN = %v, want %v: the sync covered its own flush only", got, covered)
+		}
+		if n := listed(l); n != 1 {
+			t.Errorf("%d unsynced segments after the segment grew mid-sync, want it still listed", n)
+		}
+		if out, err := l.SyncTo(late); err != nil || out != SyncIssued {
+			t.Errorf("SyncTo(late record) = %v, %v; want a second device sync", out, err)
+		}
+		if n := listed(l); n != 0 {
+			t.Errorf("%d unsynced segments after the second sync, want 0", n)
+		}
+	})
+
+	t.Run("trimmed", func(t *testing.T) {
+		l, model := open(t)
+		l.SetSegmentBytes(64)
+		payload := make([]byte, 40)
+		if _, err := l.Append(1, payload); err != nil {
+			t.Fatal(err)
+		}
+		second, err := l.Append(1, payload) // rolls: the first segment is flushed, not synced
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead, err := os.Open(segPaths(t, l)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead.Close()
+		l.mu.Lock()
+		l.segs[0].f.Close()
+		l.segs[0].f = dead // its sync will fail
+		l.mu.Unlock()
+
+		done := syncAsync(l)
+		model.awaitEntered(t, "the device sync")
+		if err := l.TrimHead(second); err != nil {
+			t.Fatal(err)
+		}
+		close(model.release)
+		if err := <-done; err != nil {
+			t.Fatalf("sync over a segment trimmed mid-sync: %v", err)
+		}
+		if n := listed(l); n != 0 {
+			t.Errorf("%d unsynced segments, want 0: one trimmed, one synced", n)
+		}
+		if got := l.SyncedLSN(); got != l.End() {
+			t.Errorf("SyncedLSN = %v, want the log end %v", got, l.End())
+		}
+		if _, err := l.Append(1, payload); err != nil {
+			t.Errorf("Append after the sync: %v (a trimmed segment's failed sync must not stop the log)", err)
+		}
+	})
 }

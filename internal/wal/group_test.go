@@ -240,6 +240,7 @@ func TestGroupCommitMidWindowArrivalRidesTheLeader(t *testing.T) {
 	clock.awaitEntered(t, "the commit window")
 	_, rider := forceAsync(t, l, "rider")
 	waitFor(t, l, "the rider waiting on the leader", func() bool { return l.waiters == 1 })
+	time.Sleep(held) // a commit window of known real length
 	close(clock.release)
 
 	if r := await(t, leader, "leader"); r.err != nil || r.out != SyncIssued {
@@ -255,10 +256,21 @@ func TestGroupCommitMidWindowArrivalRidesTheLeader(t *testing.T) {
 	if h := snap.HistogramFor(obs.WALGroupBatchSize); h.Count != 1 || h.Sum != 2 {
 		t.Errorf("wal.group.batch_size = %d observations summing to %d, want one batch of 2", h.Count, h.Sum)
 	}
-	if h := snap.HistogramFor(obs.WALGroupWaitMicros); h.Count != 2 {
-		t.Errorf("wal.group.wait_micros has %d observations, want leader + rider", h.Count)
+	wait := snap.HistogramFor(obs.WALGroupWaitMicros)
+	if wait.Count != 2 {
+		t.Errorf("wal.group.wait_micros has %d observations, want leader + rider", wait.Count)
+	}
+	// The leader waited the window and then synced; only the sync is
+	// device time. (Its wait is the longer of the two: it arrived first.)
+	if busy := l.Stats().SyncBusyNanos / 1e3; busy+held.Microseconds() > wait.Max+2 {
+		t.Errorf("SyncBusyNanos = %dµs with a leader wait of %dµs: the %v commit window was counted as device time",
+			busy, wait.Max, held)
 	}
 }
+
+// held is how long the stopwatch tests keep a leader in its commit
+// window, or a rider behind another leader's sync, in real time.
+const held = 20 * time.Millisecond
 
 // TestGroupCommitLeaderAfterWaitingSkipsWindow: a request that arrives
 // during the device sync with a record the sync does not cover waits
@@ -268,13 +280,14 @@ func TestGroupCommitMidWindowArrivalRidesTheLeader(t *testing.T) {
 func TestGroupCommitLeaderAfterWaitingSkipsWindow(t *testing.T) {
 	clock := disk.NewVirtualClock()
 	model := gateModel{newGate()}
-	l, _, _ := windowLog(t, model, clock)
+	l, _, reg := windowLog(t, model, clock)
 	defer l.Close()
 	start := clock.Now()
 	_, first := forceAsync(t, l, "first")
 	model.awaitEntered(t, "the device sync")
 	_, second := forceAsync(t, l, "appended after the flush")
 	waitFor(t, l, "the second request waiting", func() bool { return l.waiters == 1 })
+	time.Sleep(held) // the second request rides the first sync this long
 	close(model.release)
 
 	if r := await(t, first, "first leader"); r.err != nil || r.out != SyncIssued {
@@ -288,6 +301,18 @@ func TestGroupCommitLeaderAfterWaitingSkipsWindow(t *testing.T) {
 	}
 	if got := clock.Now().Sub(start); got != commitWindow {
 		t.Errorf("clock advanced %v, want %v: only the first leader holds a window", got, commitWindow)
+	}
+	// The second leader's device time starts when it takes over, not
+	// when it arrived: across both forces, waiting exceeds syncing by
+	// at least the ride. (The first's window is virtual and instant.)
+	snap := reg.Snapshot()
+	wait, force := snap.HistogramFor(obs.WALGroupWaitMicros), snap.HistogramFor(obs.WALForceMicros)
+	if wait.Sum-force.Sum < held.Microseconds()-2 {
+		t.Errorf("wait_micros sum %dµs, force_micros sum %dµs: the %v spent riding the first sync was counted as the second's device time",
+			wait.Sum, force.Sum, held)
+	}
+	if busy := l.Stats().SyncBusyNanos / 1e3; busy > force.Sum+2 || busy < force.Sum-2 {
+		t.Errorf("SyncBusyNanos = %dµs, force_micros sum = %dµs; want the same intervals", busy, force.Sum)
 	}
 }
 

@@ -31,12 +31,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/disk"
 	"repro/internal/ids"
@@ -148,10 +148,10 @@ type Log struct {
 	mu       sync.Mutex
 	segs     []*segment // ascending by start; last is active
 	buf      []byte
-	encBuf   []byte  // grow-only scratch for AppendInto encoders
-	bufBase  ids.LSN // LSN of buf[0]
-	synced   ids.LSN // stable watermark (survives Discard)
-	unsynced map[*segment]bool
+	encBuf   []byte      // grow-only scratch for AppendInto encoders
+	bufBase  ids.LSN     // LSN of buf[0]
+	synced   ids.LSN     // stable watermark (survives Discard)
+	unsynced []*segment  // segments with flushed bytes no sync has covered, oldest first (flushLocked)
 	snaps    []syncSnap  // the sync leader's scratch (syncLocked); reused across syncs
 	syncing  bool        // a sync leader is in its commit window or its device sync
 	syncDone *sync.Cond  // broadcast (on mu) when the leader is done
@@ -197,7 +197,6 @@ func openLog(dir string, model disk.Model, base ids.LSN) (*Log, error) {
 		model:        model,
 		segmentBytes: DefaultSegmentBytes,
 		base:         base,
-		unsynced:     make(map[*segment]bool),
 		m:            obs.WALView(obs.Default()),
 	}
 	l.syncDone = sync.NewCond(&l.mu)
@@ -365,9 +364,9 @@ func (l *Log) Append(t RecordType, payload []byte) (ids.LSN, error) {
 	if err := l.down(); err != nil {
 		return ids.NilLSN, err
 	}
-	start := time.Now()
+	start := obs.Stopwatch()
 	lsn, err := l.appendLocked(t, payload)
-	l.stats.AppendBusyNanos += time.Since(start).Nanoseconds()
+	l.stats.AppendBusyNanos += obs.Stopwatch() - start
 	return lsn, err
 }
 
@@ -429,7 +428,7 @@ func (l *Log) AppendInto(key uint64, t RecordType, enc PayloadEncoder) (ids.LSN,
 	if err := l.down(); err != nil {
 		return ids.NilLSN, err
 	}
-	start := time.Now()
+	start := obs.Stopwatch()
 	payload, err := enc.AppendPayload(l.encBuf[:0])
 	if err != nil {
 		return ids.NilLSN, err
@@ -443,7 +442,7 @@ func (l *Log) AppendInto(key uint64, t RecordType, enc PayloadEncoder) (ids.LSN,
 		l.encBuf = nil
 	}
 	lsn, err := l.appendLocked(t, payload)
-	l.stats.AppendBusyNanos += time.Since(start).Nanoseconds()
+	l.stats.AppendBusyNanos += obs.Stopwatch() - start
 	return lsn, err
 }
 
@@ -460,7 +459,11 @@ func (l *Log) flushLocked() error {
 	}
 	l.model.Write(int(n))
 	s.size += n
-	l.unsynced[s] = true
+	// Only the active segment is flushed to: it is the list's last
+	// entry or not on it.
+	if k := len(l.unsynced); k == 0 || l.unsynced[k-1] != s {
+		l.unsynced = append(l.unsynced, s)
+	}
 	l.buf = l.buf[:0]
 	l.bufBase += ids.LSN(n)
 	l.stats.PhysicalWrites++
@@ -550,7 +553,7 @@ func (l *Log) syncTarget(target ids.LSN) (SyncOutcome, error) {
 		l.m.CleanForces.Inc()
 		return SyncClean, nil
 	}
-	arrived := time.Now()
+	arrived := obs.Stopwatch()
 	rode := false
 	for l.syncing && l.synced < target && l.down() == nil {
 		if !rode {
@@ -568,7 +571,7 @@ func (l *Log) syncTarget(target ids.LSN) (SyncOutcome, error) {
 		// The leader whose sync covered this request took it off the
 		// waiter count. Stable is stable, even if the log closed since.
 		l.m.GroupSyncsSaved.Inc()
-		l.m.GroupWaitMicros.Observe(time.Since(arrived).Microseconds())
+		l.m.GroupWaitMicros.Observe((obs.Stopwatch() - arrived) / 1e3)
 		return SyncCombined, nil
 	}
 	if err := l.down(); err != nil {
@@ -578,14 +581,22 @@ func (l *Log) syncTarget(target ids.LSN) (SyncOutcome, error) {
 		l.waiters--
 	}
 	l.syncing, l.late, l.leadEnd = true, 0, ids.NilLSN
+	waited := rode
 	if l.window != nil && !rode {
 		// The commit window (group.go): nobody else can start a sync
 		// meanwhile, and committers append and line up behind this one.
 		l.mu.Unlock()
 		l.window.Sleep(commitWindow)
 		l.mu.Lock()
+		waited = true
 	}
-	err := l.syncLocked()
+	// SyncBusyNanos and wal.force_micros hold device time only: arrival
+	// is the sync's start unless this leader waited first (DESIGN §6).
+	start := arrived
+	if waited {
+		start = obs.Stopwatch()
+	}
+	end, err := l.syncLocked(start)
 	l.syncing = false
 	l.syncDone.Broadcast()
 	if err != nil {
@@ -593,28 +604,29 @@ func (l *Log) syncTarget(target ids.LSN) (SyncOutcome, error) {
 	}
 	l.m.GroupBatchSize.Observe(int64(1 + l.waiters - l.late))
 	l.waiters = l.late
-	l.m.GroupWaitMicros.Observe(time.Since(arrived).Microseconds())
+	l.m.GroupWaitMicros.Observe((end - arrived) / 1e3)
 	return SyncIssued, nil
 }
 
 // syncLocked is the leader's device sync: it covers everything
 // appended so far. Called with l.mu held and l.syncing set; the mutex
 // is RELEASED during the file syncs — so Append never blocks behind an
-// in-flight force — and retaken to publish the new watermark.
-func (l *Log) syncLocked() error {
+// in-flight force — and retaken to publish the new watermark. start is
+// the stopwatch reading the sync's busy time counts from; the reading
+// that ends it is returned for the caller's own arrival-to-stable sum.
+func (l *Log) syncLocked(start int64) (end int64, err error) {
 	if l.closed.Load() {
-		return ErrClosed // Discard struck during the commit window
+		return 0, ErrClosed // Discard struck during the commit window
 	}
-	start := time.Now()
 	if err := l.flushLocked(); err != nil {
-		return err
+		return 0, err
 	}
 	target := l.bufBase
 	l.leadEnd = target
 	// One leader at a time (l.syncing), so the snapshot lives on the
 	// Log and is resliced: a device sync allocates nothing.
 	snaps := l.snaps[:0]
-	for s := range l.unsynced {
+	for _, s := range l.unsynced {
 		snaps = append(snaps, syncSnap{s: s, size: s.size})
 	}
 	l.snaps = snaps
@@ -626,28 +638,30 @@ func (l *Log) syncLocked() error {
 	l.model.Sync()
 	l.mu.Lock()
 	if l.closed.Load() {
-		return ErrClosed // Discard struck during the device sync
+		return 0, ErrClosed // Discard struck during the device sync
 	}
 	for _, sn := range snaps {
-		if sn.err != nil {
-			if l.unsynced[sn.s] {
-				l.failed = fmt.Errorf("wal: sync failed, log stopped: %w", sn.err)
-				return l.failed
-			}
+		i := slices.Index(l.unsynced, sn.s)
+		if i < 0 {
 			continue // segment trimmed away mid-sync; nothing to keep
+		}
+		if sn.err != nil {
+			l.failed = fmt.Errorf("wal: sync failed, log stopped: %w", sn.err)
+			return 0, l.failed
 		}
 		if sn.s.size == sn.size {
 			// Unchanged since the snapshot: fully synced. A segment that
 			// grew mid-sync stays unsynced for the next force.
-			delete(l.unsynced, sn.s)
+			l.unsynced = slices.Delete(l.unsynced, i, i+1)
 		}
 	}
 	l.synced = target
+	end = obs.Stopwatch()
 	l.stats.Forces++
-	l.stats.SyncBusyNanos += time.Since(start).Nanoseconds()
+	l.stats.SyncBusyNanos += end - start
 	l.m.Forces.Inc()
-	l.m.ForceMicros.Observe(time.Since(start).Microseconds())
-	return nil
+	l.m.ForceMicros.Observe((end - start) / 1e3)
+	return end, nil
 }
 
 // Flush writes buffered records to the files without syncing. Paper
@@ -911,7 +925,9 @@ func (l *Log) TrimHead(keep ids.LSN) error {
 		if err := os.Remove(s.path); err != nil {
 			return fmt.Errorf("wal: trim %s: %w", s.path, err)
 		}
-		delete(l.unsynced, s)
+		if i := slices.Index(l.unsynced, s); i >= 0 {
+			l.unsynced = slices.Delete(l.unsynced, i, i+1)
+		}
 		l.stats.TrimmedBytes += s.size
 		l.m.TrimmedBytes.Add(s.size)
 	}
