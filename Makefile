@@ -1,6 +1,6 @@
 # Development entry points. `make ci` is what the GitHub workflow runs.
 
-.PHONY: ci vet lint lockgraph lint-fix-fixtures build test fuzz race stress recovery-stress shard-stress adaptive-stress bench bench-smoke profile-call loc
+.PHONY: ci vet lint lockgraph lint-fix-fixtures build test fuzz race stress recovery-stress shard-stress adaptive-stress bench bench-smoke profile-call profile-restart loc
 
 ci: vet lint build test fuzz race stress recovery-stress shard-stress adaptive-stress
 
@@ -73,13 +73,14 @@ stress:
 # equivalence table (mode × workers × shards × clean crash, injected
 # crashes, a log resharded 1 → 4, adaptive promotion boundary — on-demand
 # replays racing the background workers), the nested-demand hang
-# regression, the first-touch / crash-mid-drain / RecoverContext
-# suites, the wal cursor and positioned-read tests (the reader's
-# edge-case table; cursors racing an appender and TrimHead), the
+# regression, the chains-against-brute-force property, the first-touch /
+# crash-mid-drain / RecoverContext suites, the wal cursor and
+# positioned-read tests (the reader's edge-case table with its Hold
+# rows; cursors racing an appender and TrimHead), the
 # bookstore seller through the facade, and the lazy-vs-eager bench cell
 # on a compressed clock.
 recovery-stress:
-	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|RecordsScanned|LogReads|Lazy|ScanFrom|ReadAt|Reader' ./internal/core/ ./internal/wal/
+	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|TestChains|RecordsScanned|LogReads|Lazy|ScanFrom|ReadAt|Reader' ./internal/core/ ./internal/wal/
 	go test -race -count=2 -run 'SellerRecoveryEquivalence' ./internal/bookstore/
 	go run ./cmd/phoenix-bench -experiment lazyrecovery -scale 0.05 -metrics=false
 
@@ -140,6 +141,22 @@ profile-call:
 	go tool pprof -top -nodecount 40 $(PROFILE_DIR)/call.test $(PROFILE_DIR)/cpu.prof
 	$(PROFILE_BENCH) -benchtime 100000x -memprofile $(PROFILE_DIR)/mem.prof -memprofilerate=1 .
 	go tool pprof -sample_index=alloc_objects -top -nodecount 40 $(PROFILE_DIR)/call.test $(PROFILE_DIR)/mem.prof
+
+# The census a restart change starts from, profile-call's sibling: the
+# benchmark's restart-mem image (64 contexts, 6,000 calls, checkpoint at
+# 3,000) built once on the memory-backed file system and restarted
+# eagerly 300 times, as `pprof -top` (putting the pristine image back is
+# outside the benchmark's timer but inside the profile, under copyTree),
+# then one restart each way for the RecoveryStats line: device reads,
+# bytes read over log bytes, records scanned, calls replayed — counts,
+# the same on every run.
+RESTART_DIR ?= /tmp/phoenix-profile-restart
+RESTART_BENCH = TMPDIR=/dev/shm go test -run '^$$' -o $(RESTART_DIR)/restart.test
+profile-restart:
+	@mkdir -p $(RESTART_DIR)
+	$(RESTART_BENCH) -bench 'BenchmarkTable7_RestartImage$$/eager' -benchmem -benchtime 300x -cpuprofile $(RESTART_DIR)/cpu.prof .
+	go tool pprof -top -nodecount 40 $(RESTART_DIR)/restart.test $(RESTART_DIR)/cpu.prof
+	$(RESTART_BENCH) -bench 'BenchmarkTable7_RestartImage$$' -benchtime 1x . | grep -E 'restart of a|^Benchmark'
 
 # Non-test lines of Go per package (ROADMAP aim 2: net non-test LoC is
 # a tracked number). Lint fixtures under testdata/ are not product code.

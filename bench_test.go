@@ -14,6 +14,11 @@ package phoenix_test
 
 import (
 	"fmt"
+	"io/fs"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -376,6 +381,129 @@ func BenchmarkTable7_Recovery(b *testing.B) {
 		b.Run(fmt.Sprintf("fromState/calls=%d", n), func(b *testing.B) {
 			benchRecovery(b, n, true)
 		})
+	}
+}
+
+// BenchmarkTable7_RestartImage is the census a restart change starts
+// from (make profile-restart): the image of the benchmark's restart-mem
+// workload — 64 Counter contexts serving 6,000 Add(1) calls spread by a
+// seeded generator, the even contexts' state saved and a process
+// checkpoint taken at call 3,000, then a crash — restarted eagerly and
+// lazily. One op is one restart up to the drained backlog; putting the
+// pristine image back is outside the timer. The RecoveryStats of the
+// last restart are logged: the counts repeat exactly.
+func BenchmarkTable7_RestartImage(b *testing.B) {
+	const contexts, calls = 64, 6000
+	img := filepath.Join(b.TempDir(), "img")
+	u, err := phoenix.NewUniverse(phoenix.UniverseConfig{Dir: img})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := u.AddMachine("evo1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := cfgFor(phoenix.LogOptimized, true)
+	p, err := m.StartProcess("srv", cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var handles [contexts]*phoenix.Handle
+	var refs [contexts]*phoenix.Ref
+	var model [contexts]int
+	for i := range handles {
+		if handles[i], err = p.Create(fmt.Sprintf("C%d", i), &Counter{}); err != nil {
+			b.Fatal(err)
+		}
+		refs[i] = u.ExternalRef(handles[i].URI())
+	}
+	pick := rand.New(rand.NewSource(1))
+	for c := 0; c < calls; c++ {
+		if c == calls/2 {
+			for i := 0; i < contexts; i += 2 {
+				if err := handles[i].SaveState(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := p.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		i := pick.Intn(contexts)
+		model[i]++
+		if _, err := refs[i].Call("Add", 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	logBytes := p.LogStats().BytesWritten
+	p.Crash()
+	u.Shutdown()
+
+	for _, mode := range []phoenix.RecoveryMode{phoenix.RecoveryEager, phoenix.RecoveryLazy} {
+		b.Run(mode.String(), func(b *testing.B) {
+			cfg := cfg
+			cfg.Recovery.Mode = mode
+			live := filepath.Join(b.TempDir(), "live")
+			var stats phoenix.RecoveryStats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := os.RemoveAll(live); err != nil {
+					b.Fatal(err)
+				}
+				copyTree(b, img, live)
+				u, err := phoenix.NewUniverse(phoenix.UniverseConfig{Dir: live})
+				if err != nil {
+					b.Fatal(err)
+				}
+				m, err := u.AddMachine("evo1")
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				p, err := m.StartProcess("srv", cfg)
+				if err == nil {
+					err = p.DrainRecovery()
+				}
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i, want := range model {
+					if h, ok := p.Lookup(fmt.Sprintf("C%d", i)); !ok || h.Object().(*Counter).N != want {
+						b.Fatalf("C%d did not recover to %d", i, want)
+					}
+				}
+				stats, _ = p.LastRecovery()
+				p.Crash()
+				u.Shutdown()
+			}
+			b.Logf("%s restart of a %d-byte log: %d device reads, %d bytes read (%.2fx the log), %d records scanned, %d calls replayed, %d sends suppressed",
+				mode, logBytes, stats.LogReads, stats.LogBytesRead, float64(stats.LogBytesRead)/float64(logBytes),
+				stats.RecordsScanned, stats.CallsReplayed, stats.CallsSuppressed)
+		})
+	}
+}
+
+// copyTree copies the directory tree at src to dst.
+func copyTree(b *testing.B, src, dst string) {
+	b.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		target := filepath.Join(dst, strings.TrimPrefix(path, src))
+		if d.IsDir() {
+			return os.MkdirAll(target, 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(target, data, 0o644)
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -54,10 +54,10 @@ func runRecovery(o Options) (*Table, error) {
 			"Parallel recovery: %d contexts x %d calls, %d µs replay cost per call",
 			recoveryContexts, recoveryCalls, recoveryWorkUS),
 		Cols: []string{"Parallelism", "Restart (ms)", "Pass 1 (ms)", "Pass 2 (ms)",
-			"Workers", "Calls replayed", "Records scanned", "Device reads"},
+			"Workers", "Calls replayed", "Records scanned", "Device reads", "Read ÷ log bytes"},
 		Notes: []string{
 			"parallelism N is N replay workers, each replaying one context at a time from its own chain (Config.Recovery; 0 means 1)",
-			"replayed calls and scanned records are identical across rows — only the schedule changes; device reads are read-ahead blocks fetched (RecoveryStats.LogReads), one reader per worker",
+			"replayed calls and scanned records are identical across rows — only the schedule changes; device reads (RecoveryStats.LogReads) are the read-ahead blocks of the open-time check and the scans plus each worker's one read of the backlog, and Read ÷ log bytes is RecoveryStats.LogBytesRead over the bytes the crashed process had written: one more log length per extra worker",
 			"durations are Process.LastRecovery() stats; Restart wraps the whole StartProcess call",
 		},
 	}
@@ -121,6 +121,7 @@ func runRecoveryCell(o Options, par int) ([]string, error) {
 	for err := range errs {
 		return nil, err
 	}
+	logBytes := p.LogStats().BytesWritten
 	p.Crash()
 
 	var p2 *phoenix.Process
@@ -156,5 +157,6 @@ func runRecoveryCell(o Options, par int) ([]string, error) {
 		fmt.Sprintf("%d", stats.CallsReplayed),
 		fmt.Sprintf("%d", stats.RecordsScanned),
 		fmt.Sprintf("%d", stats.LogReads),
+		fmt.Sprintf("%.2f", float64(stats.LogBytesRead)/float64(logBytes)),
 	}, nil
 }

@@ -81,9 +81,9 @@ func (m RecoveryMode) String() string {
 }
 
 // Recovery configures crash recovery's replay engine (Config.Recovery).
-// Pass 1 (finding contexts and restart LSNs) and the index scan that
-// files each message record under its context are single sequential
-// scans. Replay is then per context — contexts are single-threaded and
+// Pass 1 (finding contexts and restart LSNs) and the head pass, which
+// between them file each message record under its context, are single
+// sequential scans. Replay is then per context — contexts are single-threaded and
 // independent by construction (Section 4.4), so their replays need no
 // mutual ordering — and the two fields say how much of it runs at once
 // and who waits for it. The zero value is one background worker,
@@ -91,7 +91,7 @@ func (m RecoveryMode) String() string {
 type Recovery struct {
 	// Mode schedules Pass 2: RecoveryEager (the zero value) replays
 	// everything before the process serves calls; RecoveryLazy admits
-	// traffic after Pass 1 and the index scan, and replays each
+	// traffic after Pass 1 and the head pass, and replays each
 	// context's backlog on first touch or from the background workers.
 	Mode RecoveryMode
 	// Parallelism is the number of background replay workers and the

@@ -109,14 +109,32 @@ func consumeRecHeader(data []byte) (kind wal.RecordType, tr trace.Ref, ctx ids.C
 }
 
 // recCtx returns the context a record belongs to without decoding the
-// rest: the index scan of recovery reads every message record's owner
-// and only a context's own replay decodes the message.
+// rest: recovery's scans read every message record's owner to file it
+// under its context, and only a context's own replay decodes the message.
 func recCtx(payload []byte) (ids.CompID, error) {
 	_, _, ctx, _, err := consumeRecHeader(payload)
 	if err != nil {
 		return 0, fmt.Errorf("core: decode record owner: %w", err)
 	}
 	return ctx, nil
+}
+
+// msgHead reads a type-t message record's owner off the head of its
+// payload, and behind it an incoming call's ID — msg.AppendCall lays the
+// ID out first, as appendCallID does — decoding nothing else: all Pass 1
+// wants of the message records it passes.
+func msgHead(t wal.RecordType, payload []byte) (ctx ids.CompID, id ids.CallID, err error) {
+	kind, _, ctx, body, err := consumeRecHeader(payload)
+	if err == nil && kind != t {
+		err = fmt.Errorf("payload kind %s", recName(kind))
+	}
+	if err == nil && t == recIncoming {
+		_, err = consumeCallID(body, &id)
+	}
+	if err != nil {
+		err = fmt.Errorf("core: decode %s record head: %w", recName(t), err)
+	}
+	return ctx, id, err
 }
 
 // coldKinds names the record type each plan-encoded struct is the

@@ -136,7 +136,7 @@ func recCtxOf(v any) ids.CompID {
 	return ids.CompID(reflect.ValueOf(v).Elem().FieldByName("Ctx").Uint())
 }
 
-// TestRecCtxAgreesWithDecode: the index scan's peek at a record's owner
+// TestRecCtxAgreesWithDecode: the recovery scans' peek at a record's owner
 // must name the context a full decode finds, for all five hot kinds,
 // traced and untraced.
 func TestRecCtxAgreesWithDecode(t *testing.T) {
@@ -153,6 +153,41 @@ func TestRecCtxAgreesWithDecode(t *testing.T) {
 		if _, err := recCtx(bad); err == nil {
 			t.Errorf("recCtx(% x) succeeded on a truncated payload", bad)
 		}
+	}
+}
+
+// TestMsgHeadAgreesWithDecode: Pass 1's read of a message record's
+// owner, and of an incoming record's call ID behind it — it relies on
+// msg.AppendCall laying the ID out first — must find what a full decode
+// finds, and must refuse a kind other than the frame's and a truncated
+// head.
+func TestMsgHeadAgreesWithDecode(t *testing.T) {
+	seen := false
+	for _, tc := range hotRecCases {
+		payload := encodeHot(t, tc.v)
+		ctx, id, err := msgHead(recIncoming, payload)
+		ir, ok := tc.v.(*incomingRec)
+		if !ok {
+			if err == nil {
+				t.Errorf("msgHead(incoming) accepted a %s record", recName(tc.t))
+			}
+			if ctx, id, err := msgHead(tc.t, payload); err != nil || ctx != recCtxOf(tc.v) || !id.IsZero() {
+				t.Errorf("msgHead(%s) = context %d, call %v, err %v; want %d and no ID", recName(tc.t), ctx, id, err, recCtxOf(tc.v))
+			}
+			continue
+		}
+		seen = true
+		if err != nil || ctx != ir.Ctx || id != ir.Call.ID {
+			t.Errorf("msgHead = context %d, call %v, err %v; the record holds %d, %v", ctx, id, err, ir.Ctx, ir.Call.ID)
+		}
+		for cut := 0; cut < 11; cut++ { // the shortest head here: 2 header bytes, context, 8 of call ID
+			if _, _, err := msgHead(recIncoming, payload[:cut]); err == nil {
+				t.Errorf("msgHead succeeded on the first %d bytes", cut)
+			}
+		}
+	}
+	if !seen {
+		t.Fatal("hotRecCases holds no incoming record")
 	}
 }
 

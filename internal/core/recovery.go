@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"time"
 
 	"repro/internal/ids"
@@ -18,11 +19,12 @@ import (
 // Process crash recovery runs in two passes over the log. Pass 1
 // (restore, this file) scans from the well-known checkpoint LSN (or
 // the log start) to the end, finding every context that existed at the
-// crash and the LSN of its latest state record (or creation record);
-// contexts are then restored from those records. Pass 2 (admit) scans
-// from the minimum restart LSN once to index each context's message
-// records (recovery_replay.go), and the replay engine
-// (recovery_engine.go) replays each context from its own chain:
+// crash and the LSN of its latest state record (or creation record) —
+// contexts are then restored from those records — and filing each
+// message record it passes under its context. Pass 2 (admit) files what
+// lies between the oldest restart LSN and Pass 1's start and cuts a
+// context's records at its restart LSN — its chain (recovery_replay.go)
+// — which the replay engine (recovery_engine.go) replays:
 // message records are buffered until the next incoming call record
 // arrives, at which point the previous incoming call is replayed with
 // its outgoing calls answered from the buffer; the final buffered call
@@ -50,15 +52,16 @@ type RecoveryStats struct {
 	// records.
 	ContextsRestored int
 	// RecordsScanned counts every record read from the log: by Pass 1,
-	// by the index scan that builds the per-context chains, and by the
-	// chain reads of each context's replay. It grows with the backlog,
-	// not with the number of contexts times the length of the log.
+	// by the head pass and by the chain reads of each context's replay.
+	// It scales with the records from the oldest restart LSN on plus the
+	// backlog, whatever the number of contexts.
 	RecordsScanned int64
-	// LogReads counts the device reads the restart issued — one per
-	// read-ahead block, the log's open-time tail check included — and
-	// LogBytesRead the bytes they returned (wal.Stats.ReadOps/ReadBytes
-	// when the stats were published). Records scanned per device read
-	// is what the block reader buys.
+	// LogReads counts the device reads the restart issued, the log's
+	// open-time tail check included, and LogBytesRead the bytes they
+	// returned (wal.Stats.ReadOps/ReadBytes when published). They scale
+	// with the log's bytes while a worker can hold its backlog
+	// (wal.Reader.Hold); a first touch, or a backlog it cannot hold,
+	// walks a chain a block per miss: contexts × the span of a chain.
 	LogReads     int64
 	LogBytesRead int64
 	// CallsReplayed counts incoming calls re-executed; CallsSuppressed
@@ -92,16 +95,18 @@ type RecoveryStats struct {
 }
 
 // restorePlan carries Pass-1 results across the restore/admit
-// lifecycle boundary: the contexts that were rebuilt, their restart
-// LSNs, and the in-progress stats and trace of the recovery run.
-// A nil plan means admission has nothing to replay.
+// lifecycle boundary: the contexts that were rebuilt (restart-LSN
+// order), their restart LSNs, what the scan filed, and the in-progress
+// stats and trace of the run. A nil plan: admission has nothing to replay.
 type restorePlan struct {
-	stats    RecoveryStats
-	recRun   trace.Ref
-	recStart time.Time // universe clock, recovery begin
-	recWall  time.Time // wall clock, for the recovery.* obs histograms
-	restart  map[ids.CompID]ids.LSN
-	restored []*Context
+	stats       RecoveryStats
+	recRun      trace.Ref
+	recStart    time.Time // universe clock, recovery begin
+	recWall     time.Time // wall clock, for the recovery.* obs histograms
+	restart     map[ids.CompID]ids.LSN
+	restored    []*Context
+	filed       map[ids.CompID][]ids.LSN // chain candidates, scan order
+	scannedFrom map[uint32]ids.LSN       // Pass 1's first LSN, per stream
 }
 
 // restore is the explicit first lifecycle phase of a restart: Pass 1
@@ -156,6 +161,7 @@ func (p *Process) restore() (*restorePlan, error) {
 	pass1Start, pass1Wall := clock.Now(), time.Now()
 	pass1TS := p.tr.Now()
 	restart := make(map[ids.CompID]ids.LSN)
+	filed := make(map[ids.CompID][]ids.LSN) // restart LSNs are not known yet: buildChains makes the cut
 	pass1 := func(rec wal.Record) error {
 		stats.RecordsScanned++
 		switch rec.Type {
@@ -196,15 +202,14 @@ func (p *Process) restore() (*restorePlan, error) {
 			for _, e := range lc.Entries {
 				p.lastCalls.seed(e)
 			}
-		case recIncoming:
-			var ir incomingRec
-			if err := decodeRec(rec.Payload, &ir); err != nil {
+		case recIncoming, recOutgoingReply:
+			ctx, id, err := msgHead(rec.Type, rec.Payload)
+			if err != nil {
 				return err
 			}
-			if !ir.Call.ID.IsZero() {
-				p.lastCalls.seed(lastCallSaved{
-					Caller: ir.Call.ID.Caller, Seq: ir.Call.ID.Seq, Ctx: ir.Ctx,
-				})
+			filed[ctx] = append(filed[ctx], rec.LSN)
+			if !id.IsZero() {
+				p.lastCalls.seed(lastCallSaved{Caller: id.Caller, Seq: id.Seq, Ctx: ctx})
 			}
 		case recReplyContent:
 			var rc replyContentRec
@@ -232,9 +237,8 @@ func (p *Process) restore() (*restorePlan, error) {
 				p.adaptive.restoreChange(&dc)
 			}
 		default:
-			// Pass 1 only mines restart points and last-call state; the
-			// remaining record types (replies, outgoing sends, checkpoint
-			// brackets) are replay detail that pass 2 consumes.
+			// Reply-sent and outgoing records say what a context emitted;
+			// replay regenerates that. Checkpoint brackets carry nothing.
 		}
 		return nil
 	}
@@ -242,8 +246,10 @@ func (p *Process) restore() (*restorePlan, error) {
 	// per-context, and a context's records occupy one stream per era
 	// with monotonically growing stream tags, so the raw-LSN "newest
 	// wins" comparisons above stay temporally correct across shards.
+	scannedFrom := make(map[uint32]ids.LSN, len(shards))
 	for _, sh := range shards {
-		if err := sh.Log.Scan(scanStart(sh), pass1); err != nil {
+		scannedFrom[sh.Stream] = scanStart(sh)
+		if err := sh.Log.Scan(scannedFrom[sh.Stream], pass1); err != nil {
 			return nil, fmt.Errorf("recovery pass 1: %w", err)
 		}
 	}
@@ -260,12 +266,19 @@ func (p *Process) restore() (*restorePlan, error) {
 		return nil, nil
 	}
 
-	// Restore every context from its restart record.
-	restored := make([]*Context, 0, len(restart))
-	for id, lsn := range restart {
-		cx, err := p.restoreContext(lsn)
+	// Restore every context from its restart record, in LSN order through
+	// one reader: they sit in clusters (creations, a checkpoint's saves).
+	lsns := make([]ids.LSN, 0, len(restart))
+	for _, lsn := range restart {
+		lsns = append(lsns, lsn)
+	}
+	slices.Sort(lsns)
+	rd := p.log.NewReader()
+	restored := make([]*Context, 0, len(lsns))
+	for _, lsn := range lsns {
+		cx, err := p.restoreContext(rd, lsn)
 		if err != nil {
-			return nil, fmt.Errorf("restore context %d: %w", id, err)
+			return nil, fmt.Errorf("restore context at %v: %w", lsn, err)
 		}
 		restored = append(restored, cx)
 	}
@@ -279,12 +292,12 @@ func (p *Process) restore() (*restorePlan, error) {
 		recStart: recStart,
 		recWall:  recWall,
 		restart:  restart,
-		restored: restored,
+		restored: restored, filed: filed, scannedFrom: scannedFrom,
 	}, nil
 }
 
 // admit is the explicit second lifecycle phase of a restart: Pass 2.
-// One index scan turns the restore plan into per-context chains, the
+// The head pass completes what Pass 1 filed into per-context chains, the
 // replay engine is armed over them, and then the mode decides only who
 // waits: eager (the default) joins the engine's drain, so the process
 // is fully caught up — or has failed to start — when admit returns;
@@ -297,9 +310,9 @@ func (p *Process) admit(plan *restorePlan) error {
 	}
 	admitStart, admitWall := p.u.cfg.Clock.Now(), time.Now()
 	scanTS := p.tr.Now()
-	chains, scanned, err := p.buildChains(plan.restart)
+	chains, scanned, err := p.buildChains(plan.restart, plan.filed, plan.scannedFrom)
 	if err != nil {
-		return fmt.Errorf("recovery index scan: %w", err)
+		return fmt.Errorf("recovery head pass: %w", err)
 	}
 	plan.stats.RecordsScanned += scanned
 	p.recoverySpan(plan.recRun, scanTS)
@@ -316,11 +329,12 @@ func (p *Process) admit(plan *restorePlan) error {
 	return nil
 }
 
-// restoreContext reads the creation or state record at lsn and rebuilds
-// the context: fresh component instances via the type registry, field
-// state via the serial package, component references re-resolved.
-func (p *Process) restoreContext(lsn ids.LSN) (*Context, error) {
-	rec, err := p.log.Read(lsn)
+// restoreContext reads the creation or state record at lsn through rd
+// (it is in its file; decoding copies what it keeps) and rebuilds the
+// context: fresh component instances via the type registry, field state
+// via the serial package, component references re-resolved.
+func (p *Process) restoreContext(rd *wal.Reader, lsn ids.LSN) (*Context, error) {
+	rec, err := rd.ReadAt(lsn)
 	if err != nil {
 		return nil, err
 	}
@@ -531,16 +545,21 @@ func (p *Process) RecoverContext(name string) error {
 	if restart.IsNil() {
 		return fmt.Errorf("core: context %s has no restart record (stateless?)", old.uri)
 	}
-	cx, err := p.restoreContext(restart) // re-registers under the same name/ID
+	if err := p.log.Flush(); err != nil { // a state record is not forced: it may be buffered still
+		return err
+	}
+	rd := p.log.NewReader()
+	cx, err := p.restoreContext(rd, restart) // re-registers under the same name/ID
 	if err != nil {
 		return err
 	}
 	defer cx.markReady()
-	chains, _, err := p.buildChains(map[ids.CompID]ids.LSN{cx.parent.id: restart})
+	// No Pass 1 ran: the head pass runs to the end of the log.
+	chains, _, err := p.buildChains(map[ids.CompID]ids.LSN{cx.parent.id: restart}, map[ids.CompID][]ids.LSN{}, nil)
 	if err != nil {
 		return err
 	}
-	tail, err := p.replayContext(cx, chains[cx.parent.id], p.log.NewReader())
+	tail, err := p.replayContext(cx, chains[cx.parent.id], rd)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,7 @@ import (
 
 // This file is the replay engine: the one scheduler of Pass 2, for
 // every recovery mode. After Pass 1 has rebuilt the context tables and
-// the index scan has built each context's chain, every restored
+// the head pass has completed each context's chain, every restored
 // context keeps its ready latch shut until its own chain has replayed.
 // Background workers — min(max(1, Parallelism), contexts) of them —
 // claim contexts hottest-first; a call that touches an unclaimed
@@ -77,6 +77,11 @@ type replayEngine struct {
 	// (read-only after startEngine publishes the engine).
 	owned map[ids.CompID]bool
 
+	// backlogLo and backlogHi are the first and last LSN of all pending
+	// chains together (lo > hi: none): what a worker asks its reader to
+	// hold, so interleaved chains share one device read. Immutable too.
+	backlogLo, backlogHi ids.LSN
+
 	// failures guards the post-ready failure lookup on the serve path:
 	// zero means no mutex needs taking.
 	failures atomic.Int32
@@ -106,6 +111,7 @@ func (p *Process) startEngine(plan *restorePlan, chains map[ids.CompID][]ids.LSN
 		owned:      make(map[ids.CompID]bool),
 		stopCh:     make(chan struct{}),
 		done:       make(chan struct{}),
+		backlogLo:  ^ids.LSN(0),
 	}
 	for _, cx := range plan.restored {
 		select {
@@ -114,8 +120,12 @@ func (p *Process) startEngine(plan *restorePlan, chains map[ids.CompID][]ids.LSN
 		default:
 		}
 		id := cx.parent.id
-		e.pending[id] = &pendingCtx{cx: cx, restart: plan.restart[id], chain: chains[id]}
+		chain := chains[id]
+		e.pending[id] = &pendingCtx{cx: cx, restart: plan.restart[id], chain: chain}
 		e.owned[id] = true
+		if n := len(chain); n > 0 {
+			e.backlogLo, e.backlogHi = min(e.backlogLo, chain[0]), max(e.backlogHi, chain[n-1])
+		}
 	}
 	e.remaining = len(e.pending)
 	workers := min(slots, e.remaining)
@@ -215,11 +225,12 @@ func (e *replayEngine) claimHottest() *pendingCtx {
 
 // work is one background worker: it drains the pending set, re-reading
 // the hotness counters before each pick so traffic arriving mid-drain
-// reorders what is left. Its log reader — one read-ahead block — serves
-// every chain it walks.
+// reorders what is left. Its log reader serves every chain it walks: out
+// of the whole backlog, read once, when it can hold that, else by the block.
 func (e *replayEngine) work() {
 	defer e.workers.Done()
 	rd := e.p.log.NewReader()
+	rd.Hold(e.backlogLo, e.backlogHi)
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(crashSignal); ok {

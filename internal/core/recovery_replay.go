@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ids"
 	"repro/internal/msg"
@@ -11,57 +12,68 @@ import (
 
 // This file is Pass 2 of Section 4.4, once: "buffer a context's
 // message records, replay its previous incoming call when the next one
-// arrives". One index scan finds which records belong to which context
+// arrives". Pass 1 files the message records it passes under their
+// contexts and the head pass here those before Pass 1's start
 // (buildChains); replaying a context then walks only its own chain
 // (replayContext). Every way a context gets replayed — the eager
 // drain, a lazy first touch, a background worker, RecoverContext —
 // goes through these two functions.
 //
-// Chain invariant: a context's entries are in replay order. Streams
-// are scanned in era order, a context's records occupy exactly one
-// stream per era, and a scan visits a stream in LSN order — so
-// appending in scan order is era order, then LSN order, which is the
-// order the records were written in.
+// Chain invariant: a context's entries are in replay order, which is
+// raw-LSN order — stream tags grow with the era and a context's records
+// occupy exactly one stream per era, so the smaller of two LSNs was
+// written first (what Pass 1's "newest restart record wins" rests on).
+// Sorting the filed candidates orders them, whichever scan filed which.
 
-// buildChains is the index scan: it reads each stream once from its
-// Pass-2 start and files every replay-relevant message record — an
-// incoming call, or the reply to an outgoing one — under the context
-// it belongs to, without decoding the message. Records of contexts
-// absent from restart (stateless or dropped) and records older than
-// their context's restart LSN are left out ("If a message log record
-// occurs earlier than the latest state record of the same context, it
-// is ignored"). A chain is the LSNs of a context's backlog, 8 bytes per
-// record — all a positioned read needs. Returns the chains and the
-// number of records read.
-func (p *Process) buildChains(restart map[ids.CompID]ids.LSN) (map[ids.CompID][]ids.LSN, int64, error) {
-	chains := make(map[ids.CompID][]ids.LSN, len(restart))
+// buildChains completes the chains. filed holds what Pass 1 filed from
+// scannedFrom[stream] on, before any restart LSN was known. The head
+// pass reads each stream that holds a restart LSN below that point, from
+// its Pass-2 start up to it (to its end when scannedFrom lacks the
+// stream — RecoverContext: no Pass 1, all head), and files every
+// replay-relevant message record — an incoming call, or the reply to an
+// outgoing one — under the restored context it belongs to, without
+// decoding the message. Then each context's candidates are sorted and
+// cut at its restart LSN ("If a message log record occurs earlier than
+// the latest state record of the same context, it is ignored"); those of
+// contexts absent from restart (stateless or dropped) are left behind.
+// A chain is 8 bytes per record of backlog — all a positioned read
+// needs. Returns the chains and the records the head pass read.
+func (p *Process) buildChains(restart map[ids.CompID]ids.LSN, filed map[ids.CompID][]ids.LSN, scannedFrom map[uint32]ids.LSN) (map[ids.CompID][]ids.LSN, int64, error) {
 	var scanned int64
-	index := func(rec wal.Record) error {
-		scanned++
-		if rec.Type != recIncoming && rec.Type != recOutgoingReply {
-			// Reply-sent/-content and outgoing records say what the
-			// context emitted; replay regenerates that. Creation, state
-			// and checkpoint records were Pass 1's.
-			return nil
-		}
-		ctx, err := recCtx(rec.Payload)
-		if err != nil {
-			return err
-		}
-		if from, ok := restart[ctx]; ok && rec.LSN >= from {
-			chains[ctx] = append(chains[ctx], rec.LSN)
-		}
-		return nil
-	}
 	starts := p.pass2Starts(restart)
 	for _, sh := range p.log.Shards() {
 		from, ok := starts[sh.Stream]
-		if !ok {
-			continue // no restored context has records on this stream
+		upTo, bounded := scannedFrom[sh.Stream]
+		if !ok || (bounded && from >= upTo) {
+			continue // no restored context has unfiled records on this stream
 		}
-		if err := sh.Log.Scan(from, index); err != nil {
+		head := func(rec wal.Record) error {
+			if bounded && rec.LSN >= upTo {
+				return wal.ErrStopScan
+			}
+			scanned++
+			if rec.Type != recIncoming && rec.Type != recOutgoingReply {
+				return nil
+			}
+			ctx, err := recCtx(rec.Payload)
+			if err != nil {
+				return err
+			}
+			if r, ok := restart[ctx]; ok && rec.LSN >= r {
+				filed[ctx] = append(filed[ctx], rec.LSN)
+			}
+			return nil
+		}
+		if err := sh.Log.Scan(from, head); err != nil {
 			return nil, scanned, err
 		}
+	}
+	chains := make(map[ids.CompID][]ids.LSN, len(restart))
+	for ctx, from := range restart {
+		c := filed[ctx]
+		slices.Sort(c)
+		cut, _ := slices.BinarySearch(c, from)
+		chains[ctx] = c[cut:]
 	}
 	return chains, scanned, nil
 }

@@ -149,3 +149,25 @@ func decodePositioned(r *Reader) byte {
 	rec, _ := r.ReadAt(1)
 	return rec.Payload[0]
 }
+
+// Hold fills the block ahead of the reads and returns no Record: it
+// opens no window, so the analyzer's Windows list names ReadAt alone.
+func (r *Reader) Hold(lo, hi uint64) { r.blk = r.blk[:0] }
+
+// holdThenDecode holds a span and decodes records out of it: fine — the
+// records still come from ReadAt and are used before the next one.
+func holdThenDecode(r *Reader) byte {
+	r.Hold(1, 9)
+	a, _ := r.ReadAt(1)
+	x := a.Payload[0]
+	b, _ := r.ReadAt(9)
+	return x + b.Payload[0]
+}
+
+// keepHeld retains a record served from a held span: still the
+// reader's block, still overwritten by the next read that misses.
+func keepHeld(r *Reader, h *recHolder) {
+	r.Hold(1, 9)
+	rec, _ := r.ReadAt(1)
+	h.rec = rec // want `WAL record payload .* stored to field rec`
+}

@@ -21,10 +21,11 @@ const (
 	WALBytesWritten = "wal.bytes_written"
 	// WALTrimmedBytes totals log space reclaimed by TrimHead.
 	WALTrimmedBytes = "wal.trimmed_bytes"
-	// WALReadOps counts device reads of segment files — one per
-	// read-ahead block refill, however many records the block serves —
-	// and WALReadBytes the bytes they returned (recovery's scans, chain
-	// walks and the open-time tail check).
+	// WALReadOps counts device reads of segment files — one per refill
+	// of a reader's block (a read-ahead block, or a replay worker's held
+	// backlog), however many records it serves — and WALReadBytes the
+	// bytes they returned (recovery's scans, chain walks and the
+	// open-time tail check).
 	WALReadOps   = "wal.read.ops"
 	WALReadBytes = "wal.read.bytes"
 	// WALForceMicros is the latency distribution of device forces.

@@ -67,8 +67,8 @@ const (
 	// StageClientResume is the client-side resume after the reply
 	// arrives: message-4 logging and result decode.
 	StageClientResume
-	// StageRecoveryScan is a recovery pass over the log (Pass 1 mining
-	// or the Pass-2 index scan), one span per pass per recovery run.
+	// StageRecoveryScan is a recovery pass over the log (Pass 1's scan
+	// or Pass 2's head pass), one span per pass per recovery run.
 	StageRecoveryScan
 	// StageReplay is the re-execution of a logged incoming call during
 	// Pass 2. Its Ref is the *original* trace read back from the log

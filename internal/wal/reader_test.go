@@ -2,9 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -251,6 +254,183 @@ func TestReaderEdgeCases(t *testing.T) {
 				}
 			})
 		}
+
+		// Hold: one device read when the span can be held, none when it
+		// cannot; never a different record, error or lifetime than reads
+		// without it.
+		hold := func(t *testing.T, l *Log, lo, hi ids.LSN) (rd *Reader, reads, bytesRead int64) {
+			t.Helper()
+			rd = readerOn(l, block)
+			before := l.Stats()
+			rd.Hold(lo, hi)
+			after := l.Stats()
+			return rd, after.ReadOps - before.ReadOps, after.ReadBytes - before.ReadBytes
+		}
+		readBack := func(t *testing.T, rd *Reader, lsns []ids.LSN, payloads [][]byte) {
+			t.Helper()
+			for i := range lsns {
+				j := i * 37 % len(lsns) // not in log order: a worker's chains interleave
+				rec, err := rd.ReadAt(lsns[j])
+				if err != nil || rec.LSN != lsns[j] || !bytes.Equal(rec.Payload, payloads[j]) {
+					t.Fatalf("ReadAt(%v) = %v (%d bytes), err %v", lsns[j], rec.LSN, len(rec.Payload), err)
+				}
+			}
+		}
+
+		run("hold: span fits", func(t *testing.T, l *Log) {
+			payloads := numbered(200, 40)
+			lsns := appendAll(t, l, payloads...)
+			rd, reads, bytesRead := hold(t, l, lsns[0], lsns[len(lsns)-1])
+			if want := int64(len(payloads) * 49); reads != 1 || bytesRead != want {
+				t.Fatalf("Hold issued %d reads of %d bytes, want 1 of %d (the span, cut at the segment's end)", reads, bytesRead, want)
+			}
+			before := l.Stats().ReadOps
+			readBack(t, rd, lsns, payloads)
+			if got := l.Stats().ReadOps - before; got != 0 {
+				t.Errorf("%d device reads under a hold of every record read", got)
+			}
+		})
+
+		run("hold: at holdMax, and one byte over", func(t *testing.T, l *Log) {
+			// hi - lo is the first record's frame: the span is that plus a block.
+			for over := 0; over <= 1; over++ {
+				big := make([]byte, holdMax-block-frameSize+over)
+				payloads := [][]byte{big, []byte("hi")}
+				lsns := appendAll(t, l, payloads...)
+				rd, reads, _ := hold(t, l, lsns[0], lsns[1])
+				if want := int64(1 - over); reads != want {
+					t.Fatalf("span of holdMax+%d: Hold issued %d reads, want %d", over, reads, want)
+				}
+				readBack(t, rd, lsns, payloads)
+			}
+		})
+
+		run("hold: span crosses a segment", func(t *testing.T, l *Log) {
+			l.SetSegmentBytes(256)
+			payloads := numbered(40, 33)
+			lsns := appendAll(t, l, payloads...)
+			rd, reads, _ := hold(t, l, lsns[0], lsns[len(lsns)-1])
+			if reads != 0 {
+				t.Fatalf("Hold across %d segments issued %d reads", l.Stats().Segments, reads)
+			}
+			readBack(t, rd, lsns, payloads)
+		})
+
+		run("hold: span crosses a stream", func(t *testing.T, l *Log) {
+			payloads := numbered(10, 33)
+			lsns := appendAll(t, l, payloads...)
+			rd, reads, _ := hold(t, l, lsns[0], ids.StreamLSN(l.base.Stream()+1, lsns[9]))
+			if reads != 0 {
+				t.Fatalf("Hold across streams issued %d reads", reads)
+			}
+			readBack(t, rd, lsns, payloads)
+		})
+
+		run("hold: hi in the unflushed buffer", func(t *testing.T, l *Log) {
+			payloads := numbered(10, 33)
+			lsns := appendAll(t, l, payloads...)
+			pending, err := l.Append(1, []byte("not in the file yet"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd, reads, _ := hold(t, l, lsns[0], pending)
+			if reads != 0 {
+				t.Fatalf("Hold up to an unflushed record issued %d reads", reads)
+			}
+			readBack(t, rd, lsns, payloads)
+		})
+
+		run("hold: segment trimmed under it", func(t *testing.T, l *Log) {
+			l.SetSegmentBytes(1024)
+			payloads := numbered(60, 40)
+			lsns := appendAll(t, l, payloads...)
+			rd, reads, _ := hold(t, l, lsns[0], lsns[10])
+			if reads != 1 {
+				t.Fatalf("Hold inside the first segment issued %d reads", reads)
+			}
+			if err := l.TrimHead(lsns[45]); err != nil {
+				t.Fatal(err)
+			}
+			// Hits keep serving what the block holds; the first miss finds
+			// the segment gone.
+			readBack(t, rd, lsns[:11], payloads[:11])
+			if _, err := rd.ReadAt(lsns[30]); !errors.Is(err, ErrNotFound) {
+				t.Errorf("miss after the trim: %v, want ErrNotFound", err)
+			}
+		})
+
+		run("hold: record at hi longer than the span's last block", func(t *testing.T, l *Log) {
+			payloads := [][]byte{[]byte("a"), []byte("b"), bytes.Repeat([]byte("L"), 5000), []byte("after")}
+			lsns := appendAll(t, l, payloads...)
+			rd, reads, _ := hold(t, l, lsns[0], lsns[2])
+			if reads != 1 {
+				t.Fatalf("Hold issued %d reads", reads)
+			}
+			readBack(t, rd, lsns, payloads)
+		})
+
+		for _, crash := range []bool{false, true} {
+			crash := crash
+			run(fmt.Sprintf("hold: closed under it (discard=%v)", crash), func(t *testing.T, l *Log) {
+				lsns := appendAll(t, l, numbered(30, 10)...)
+				rd, reads, _ := hold(t, l, lsns[0], lsns[29])
+				if reads != 1 {
+					t.Fatalf("Hold issued %d reads", reads)
+				}
+				shut := l.Close
+				if crash {
+					shut = l.Discard
+				}
+				if err := shut(); err != nil {
+					t.Fatal(err)
+				}
+				for _, lsn := range lsns {
+					if _, err := rd.ReadAt(lsn); !errors.Is(err, ErrClosed) {
+						t.Fatalf("ReadAt(%v) under a hold on a closed log: %v, want ErrClosed", lsn, err)
+					}
+				}
+				rd.Hold(lsns[0], lsns[29]) // and holding again is harmless
+			})
+		}
+	}
+}
+
+// TestReaderHoldOnSet: a Set's reader follows lo's stream tag to its
+// shard, and holds nothing for a span that names two streams.
+func TestReaderHoldOnSet(t *testing.T) {
+	s, err := OpenSet(filepath.Join(t.TempDir(), "proc.log"), nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	byStream := make(map[uint32][]ids.LSN)
+	for key := uint64(1); key <= 40; key++ {
+		lsn := appendKeyed(t, s, key, []byte(fmt.Sprintf("record of key %d", key)))
+		byStream[lsn.Stream()] = append(byStream[lsn.Stream()], lsn)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if len(byStream) != 2 {
+		t.Fatalf("40 keys landed on %d streams", len(byStream))
+	}
+	one, two := byStream[1], byStream[2]
+	rd := s.NewReader()
+	rd.Hold(one[0], two[len(two)-1])
+	if got := s.Stats().ReadOps; got != 0 {
+		t.Fatalf("Hold across streams issued %d reads", got)
+	}
+	for _, lsns := range [][]ids.LSN{two, one} {
+		before := s.Stats().ReadOps
+		rd.Hold(lsns[0], lsns[len(lsns)-1])
+		for _, lsn := range lsns {
+			if rec, err := rd.ReadAt(lsn); err != nil || rec.LSN != lsn {
+				t.Fatalf("ReadAt(%v) = %v, %v", lsn, rec.LSN, err)
+			}
+		}
+		if got := s.Stats().ReadOps - before; got != 1 {
+			t.Errorf("stream %d: %d device reads for a held stream, want 1", lsns[0].Stream(), got)
+		}
 	}
 }
 
@@ -413,5 +593,43 @@ func TestAllocsReader(t *testing.T) {
 	})
 	if positioned != 0 {
 		t.Errorf("a positioned read allocates %.1f times, want 0", positioned)
+	}
+	held := readerOn(l, readBlock)
+	held.Hold(lsns[0], lsns[len(lsns)-1])
+	before := l.Stats().ReadOps
+	positioned = testing.AllocsPerRun(1000, func() {
+		if _, err := held.ReadAt(lsns[i*37%len(lsns)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if got := l.Stats().ReadOps - before; positioned != 0 || got != 0 {
+		t.Errorf("a positioned read after a hold allocates %.1f times and the run issued %d device reads, want 0 and 0", positioned, got)
+	}
+}
+
+// TestFrameChecksumIsIEEEOverTypeAndPayload pins the frame format: the
+// checksum continued from typeCRC is, bit for bit, CRC-32/IEEE over the
+// type byte followed by the payload — what every segment on disk holds.
+func TestFrameChecksumIsIEEEOverTypeAndPayload(t *testing.T) {
+	payloads := [][]byte{nil, {0}, []byte("reply"), bytes.Repeat([]byte{0xA5}, 15), bytes.Repeat([]byte("0123456789"), 100)}
+	for typ := 0; typ < 256; typ++ {
+		for _, p := range payloads {
+			want := crc32.ChecksumIEEE(append([]byte{byte(typ)}, p...))
+			if got := crc32.Update(typeCRC[typ], crcTable, p); got != want {
+				t.Fatalf("type %d, %d-byte payload: checksum %#x, IEEE over type+payload is %#x", typ, len(p), got, want)
+			}
+		}
+	}
+	l, _ := openTemp(t)
+	defer l.Close()
+	lsn := appendAll(t, l, []byte("on disk"))[0]
+	raw, err := os.ReadFile(activeSegPath(t, l))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := raw[segHeaderSize+int(lsn-l.base):]
+	if got, want := binary.LittleEndian.Uint32(frame[5:9]), crc32.ChecksumIEEE(append([]byte{1}, "on disk"...)); got != want {
+		t.Errorf("frame on disk carries checksum %#x, want %#x", got, want)
 	}
 }

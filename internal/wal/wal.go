@@ -98,10 +98,18 @@ const (
 	firstLSN = ids.LSN(16)
 )
 
-// crcTable backs the incremental crc32.Update calls on the append and
-// read paths (ChecksumIEEE over a joined copy is an allocation per
-// record).
-var crcTable = crc32.MakeTable(crc32.IEEE)
+// crcTable backs the crc32.Update calls on the append and read paths
+// (ChecksumIEEE over a joined copy is an allocation per record). A
+// frame's checksum is typeCRC[its type byte] continued over its payload.
+var (
+	crcTable = crc32.MakeTable(crc32.IEEE)
+	typeCRC  = func() (t [256]uint32) {
+		for i := range t {
+			t[i] = crc32.Update(0, crcTable, []byte{byte(i)})
+		}
+		return t
+	}()
+)
 
 // DefaultSegmentBytes is the roll-over threshold for segment files.
 const DefaultSegmentBytes = 4 << 20
@@ -400,8 +408,7 @@ func (l *Log) appendLocked(t RecordType, payload []byte) (ids.LSN, error) {
 	frame[4] = byte(t)
 	l.buf = append(l.buf, frame[:]...)
 	l.buf = append(l.buf, payload...)
-	crc := crc32.Update(crc32.Update(0, crcTable, l.buf[base+4:base+5]), crcTable, payload)
-	binary.LittleEndian.PutUint32(l.buf[base+5:base+9], crc)
+	binary.LittleEndian.PutUint32(l.buf[base+5:base+9], crc32.Update(typeCRC[t], crcTable, payload))
 	l.stats.Appends++
 	l.m.Appends.Inc()
 	l.m.AppendBytes.Observe(int64(len(payload)))
@@ -722,7 +729,10 @@ func (l *Log) Read(lsn ids.LSN) (Record, error) {
 // readBlock is the read-ahead unit of every reader: one device read
 // fetches this much of a segment, and the records in it are served
 // without a lock or a system call each.
-const readBlock = 16 << 10
+const (
+	readBlock = 16 << 10
+	holdMax   = 64 * readBlock // the longest span Reader.Hold keeps
+)
 
 // noLimit is the Reader.limit of a reader that is not a bounded view.
 const noLimit = ^ids.LSN(0)
@@ -738,7 +748,7 @@ var errChecksum = errors.New("wal: checksum mismatch")
 // read. A Reader is not safe for concurrent use; every consumer owns
 // its own.
 type Reader struct {
-	set   *Set    // non-nil: ReadAt follows an LSN's stream tag to its shard
+	set   *Set    // non-nil: a miss follows the LSN's stream tag to its shard
 	l     *Log    // the log blk was read from
 	block int     // bytes a refill asks for (more for a longer record)
 	limit ids.LSN // a record must end at or before it (a cursor's snapshot end)
@@ -749,21 +759,29 @@ type Reader struct {
 // ReadAt returns the record at lsn — an LSN a Scan or Cursor reported,
 // so the record is in its file and nothing needs flushing. A reader
 // kept across reads of nearby LSNs serves them from one device read.
-func (r *Reader) ReadAt(lsn ids.LSN) (Record, error) {
-	if r.set != nil && (r.l == nil || r.l.base.Stream() != lsn.Stream()) {
-		l, err := r.set.streamLog(lsn)
-		if err != nil {
-			return Record{}, err
-		}
-		r.l, r.blk = l, r.blk[:0]
+func (r *Reader) ReadAt(lsn ids.LSN) (Record, error) { return r.read(lsn) }
+
+// Hold fills the block, in one device read, with every record from the
+// one at lo to the one at hi, so a worker walking many contexts'
+// interleaved chains is served from memory until a read outside the span
+// refills the block as usual. The span ([lo, hi] plus a block for the
+// record at hi, cut at the segment's end) is held only when it lies in
+// one segment and is at most holdMax — the most a reader pins and one
+// hold of the log mutex reads. A hint: reads report a bad log.
+func (r *Reader) Hold(lo, hi ids.LSN) {
+	if hi < lo || hi.Stream() != lo.Stream() || int64(hi-lo) > int64(holdMax-r.block) {
+		return
 	}
-	return r.read(lsn)
+	block := r.block
+	r.block += int(hi - lo)
+	_, _ = r.window(lo, int(hi-lo)+frameSize) // the segment must hold the frame at hi
+	r.block = block
 }
 
 func (r *Reader) read(lsn ids.LSN) (Record, error) {
 	// A block may outlive the bytes it was read from: Discard truncates
 	// flushed records that were never forced.
-	if r.l.closed.Load() {
+	if r.l != nil && r.l.closed.Load() {
 		return Record{}, ErrClosed
 	}
 	b, err := r.window(lsn, frameSize)
@@ -780,7 +798,7 @@ func (r *Reader) read(lsn ids.LSN) (Record, error) {
 		return Record{}, err
 	}
 	payload := b[frameSize : frameSize+n]
-	if crc32.Update(crc32.Update(0, crcTable, b[4:5]), crcTable, payload) != binary.LittleEndian.Uint32(b[5:9]) {
+	if crc32.Update(typeCRC[b[4]], crcTable, payload) != binary.LittleEndian.Uint32(b[5:9]) {
 		return Record{}, fmt.Errorf("%w at %v", errChecksum, lsn)
 	}
 	return Record{LSN: lsn, Type: RecordType(b[4]), Payload: payload}, nil
@@ -795,6 +813,15 @@ func (r *Reader) read(lsn ids.LSN) (Record, error) {
 func (r *Reader) window(lsn ids.LSN, need int) ([]byte, error) {
 	if lsn >= r.base && lsn+ids.LSN(need) <= r.base+ids.LSN(len(r.blk)) {
 		return r.blk[lsn-r.base:], nil
+	}
+	// LSNs carry their stream, so only a miss can name another shard.
+	if r.set != nil && (r.l == nil || r.l.base.Stream() != lsn.Stream()) {
+		r.blk = r.blk[:0]
+		l, err := r.set.streamLog(lsn)
+		if err != nil {
+			return nil, err
+		}
+		r.l = l
 	}
 	l := r.l
 	l.mu.Lock()
