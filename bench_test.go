@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -389,7 +390,8 @@ func BenchmarkTable7_Recovery(b *testing.B) {
 // workload — 64 Counter contexts serving 6,000 Add(1) calls spread by a
 // seeded generator, the even contexts' state saved and a process
 // checkpoint taken at call 3,000, then a crash — restarted eagerly and
-// lazily. One op is one restart up to the drained backlog; putting the
+// lazily by 1, 2 and 4 replay workers (Config.Recovery.Parallelism).
+// One op is one restart up to the drained backlog; putting the
 // pristine image back is outside the timer. The RecoveryStats of the
 // last restart are logged: the counts repeat exactly.
 func BenchmarkTable7_RestartImage(b *testing.B) {
@@ -439,10 +441,16 @@ func BenchmarkTable7_RestartImage(b *testing.B) {
 	p.Crash()
 	u.Shutdown()
 
+	var cells []phoenix.RecoveryConfig
 	for _, mode := range []phoenix.RecoveryMode{phoenix.RecoveryEager, phoenix.RecoveryLazy} {
-		b.Run(mode.String(), func(b *testing.B) {
+		for _, workers := range []int{1, 2, 4} {
+			cells = append(cells, phoenix.RecoveryConfig{Mode: mode, Parallelism: workers})
+		}
+	}
+	for _, rc := range cells {
+		b.Run(fmt.Sprintf("%v/workers=%d", rc.Mode, rc.Parallelism), func(b *testing.B) {
 			cfg := cfg
-			cfg.Recovery.Mode = mode
+			cfg.Recovery = rc
 			live := filepath.Join(b.TempDir(), "live")
 			var stats phoenix.RecoveryStats
 			b.ResetTimer()
@@ -478,8 +486,8 @@ func BenchmarkTable7_RestartImage(b *testing.B) {
 				p.Crash()
 				u.Shutdown()
 			}
-			b.Logf("%s restart of a %d-byte log: %d device reads, %d bytes read (%.2fx the log), %d records scanned, %d calls replayed, %d sends suppressed",
-				mode, logBytes, stats.LogReads, stats.LogBytesRead, float64(stats.LogBytesRead)/float64(logBytes),
+			b.Logf("%v restart of a %d-byte log: %d device reads, %d bytes read (%.2fx the log), %d records scanned, %d calls replayed, %d sends suppressed",
+				rc.Mode, logBytes, stats.LogReads, stats.LogBytesRead, float64(stats.LogBytesRead)/float64(logBytes),
 				stats.RecordsScanned, stats.CallsReplayed, stats.CallsSuppressed)
 		})
 	}
@@ -505,6 +513,63 @@ func copyTree(b *testing.B, src, dst string) {
 	if err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkContendedAppend measures what sharding the log and holding
+// the commit window buy under contention: `clients` external callers
+// with one persistent Counter each, all hosted in ONE server process,
+// so every call forces the shared log twice (Algorithm 3). One op is
+// one call from every client (-benchtime 400x is 400 calls a client);
+// calls/s is wall throughput, syncs/call the device syncs the log paid
+// per call. TMPDIR picks the device under the log (/dev/shm: a sync
+// is free).
+func BenchmarkContendedAppend(b *testing.B) {
+	for _, shards := range []int{1, 4} {
+		for _, clients := range []int{8, 64} {
+			for _, window := range []string{"off", "on"} {
+				b.Run(fmt.Sprintf("shards=%d/clients=%d/window=%s", shards, clients, window), func(b *testing.B) {
+					cfg := cfgFor(phoenix.LogOptimized, true)
+					cfg.WAL = phoenix.WALConfig{Shards: shards, GroupCommit: phoenix.GroupCommit{Enabled: window == "on"}}
+					contendedAppend(b, cfg, clients)
+				})
+			}
+		}
+	}
+}
+
+func contendedAppend(b *testing.B, cfg phoenix.Config, clients int) {
+	u, _, p := benchWorld(b, cfg)
+	refs := make([]*phoenix.Ref, clients)
+	for i := range refs {
+		h, err := p.Create(fmt.Sprintf("C%d", i), &Counter{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		refs[i] = u.ExternalRef(h.URI())
+		if _, err := refs[i].Call("Add", 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	p.ResetLogStats()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for _, ref := range refs {
+		wg.Add(1)
+		go func(r *phoenix.Ref) {
+			defer wg.Done()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Call("Add", 1); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(ref)
+	}
+	wg.Wait()
+	b.StopTimer()
+	calls := float64(clients * b.N)
+	b.ReportMetric(calls/b.Elapsed().Seconds(), "calls/s")
+	b.ReportMetric(float64(p.LogStats().Forces)/calls, "syncs/call")
 }
 
 // BenchmarkTable8_Bookstore regenerates Table 8: one buyer session per

@@ -11,8 +11,6 @@
 //	phoenix-bench -list                   # show experiment IDs
 //	phoenix-bench -json                   # machine-readable tables + metrics
 //	phoenix-bench -metrics=false          # suppress the per-run metric dump
-//	phoenix-bench -cpuprofile cpu.pb.gz   # CPU profile of the whole run
-//	phoenix-bench -memprofile mem.pb.gz   # heap profile at exit
 //	phoenix-bench -trace                  # flight recorder on: per-stage p50/p99
 //
 // Each experiment also reports the runtime metrics it generated — the
@@ -32,7 +30,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"repro/internal/bench"
@@ -89,46 +86,13 @@ func main() {
 		experiment  = flag.String("experiment", "", "experiment ID to run (default: all)")
 		scale       = flag.Float64("scale", 0.2, "clock scale: 1 = real time, 0.05 = 20x compressed")
 		calls       = flag.Int("calls", 60, "iterations per measured cell")
-		concurrency = flag.Int("concurrency", 8, "client count for the concurrent experiments (groupcommit)")
-		recoveryPar = flag.Int("recovery-parallelism", 8, "largest Config.Recovery.Parallelism the recovery experiment sweeps to")
-		walShards   = flag.Int("wal-shards", 1, "Config.WAL.Shards for the concurrent experiments: 1 = one shard, N > 1 partitions the log into N shards")
 		seed        = flag.Int64("seed", 20040330, "random seed for jitter and phase noise")
 		list        = flag.Bool("list", false, "list experiment IDs and exit")
 		jsonOut     = flag.Bool("json", false, "emit tables and metric snapshots as JSON")
 		showMetrics = flag.Bool("metrics", true, "print the metric deltas of each experiment")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		traceOn     = flag.Bool("trace", false, "wire a flight recorder into every universe and print per-stage trace latencies")
 	)
 	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "phoenix-bench: cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "phoenix-bench: cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "phoenix-bench: memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle live-heap accounting before the snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "phoenix-bench: memprofile: %v\n", err)
-			}
-		}()
-	}
 
 	if *list {
 		for _, e := range bench.All() {
@@ -137,9 +101,7 @@ func main() {
 		return
 	}
 
-	opts := bench.Options{Scale: *scale, Calls: *calls, Seed: *seed,
-		Concurrency: *concurrency, RecoveryParallelism: *recoveryPar,
-		WALShards: *walShards, Trace: *traceOn}.Defaults()
+	opts := bench.Options{Scale: *scale, Calls: *calls, Seed: *seed, Trace: *traceOn}.Defaults()
 
 	var exps []*bench.Experiment
 	if *experiment != "" {

@@ -34,18 +34,6 @@ type Options struct {
 	Calls int
 	// Recovery workload sizes for Table 7 (calls replayed).
 	RecoverySizes []int
-	// Concurrency is the client count for the concurrent experiments
-	// (group-commit): how many external clients commit against one
-	// server process at once.
-	Concurrency int
-	// RecoveryParallelism is the largest Config.Recovery.Parallelism
-	// the recovery experiment sweeps to (0, 1, 2, ... up to it).
-	RecoveryParallelism int
-	// WALShards is the Config.WAL.Shards value the concurrent
-	// experiments run the server's log with: 1 (the default) is the
-	// one-shard log; higher values partition appends and forces
-	// across that many shard streams.
-	WALShards int
 	// Seed drives the network jitter.
 	Seed int64
 	// Dir is scratch space for logs; empty uses a temp dir per run.
@@ -67,15 +55,6 @@ func (o Options) Defaults() Options {
 	}
 	if len(o.RecoverySizes) == 0 {
 		o.RecoverySizes = []int{0, 1000, 2000, 3000, 4000, 5000}
-	}
-	if o.Concurrency <= 0 {
-		o.Concurrency = 8
-	}
-	if o.RecoveryParallelism <= 0 {
-		o.RecoveryParallelism = 8
-	}
-	if o.WALShards <= 0 {
-		o.WALShards = 1
 	}
 	if o.Seed == 0 {
 		o.Seed = 20040330

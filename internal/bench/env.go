@@ -52,8 +52,9 @@ type envConfig struct {
 	hostDisk bool
 	// virtualClock replaces the scaled-sleep clock with a non-sleeping
 	// VirtualClock: simulated waits (rotations, commit windows, RTTs)
-	// cost zero wall time, so wall-clock measurements over such an env
-	// isolate pure CPU cost (the trace-overhead gate).
+	// cost zero wall time and are all that model time counts, so model
+	// time is exact on any host (the shape tests) and a CPU meter over
+	// such an env sees pure CPU cost (the trace-overhead gate).
 	virtualClock bool
 }
 

@@ -21,7 +21,10 @@ func init() {
 
 func runFigure9(o Options) (*Table, error) {
 	o = o.Defaults()
-	clock := disk.NewRealClock(o.Scale)
+	return figure9(o, disk.NewRealClock(o.Scale)), nil
+}
+
+func figure9(o Options, clock disk.Clock) *Table {
 	t := &Table{
 		ID:    "Figure 9",
 		Title: "Elapsed time per iteration vs delay after a 1KB unbuffered write",
@@ -51,5 +54,5 @@ func runFigure9(o Options) (*Table, error) {
 			fmt.Sprintf("%.2f", float64(per)/float64(rot)),
 		})
 	}
-	return t, nil
+	return t
 }

@@ -31,7 +31,11 @@ var paper4 = map[string][2]string{
 	"Persistent→Persistent (optimized)":     {"17.9", "10.8"},
 }
 
-func runTable4(o Options) (*Table, error) {
+func runTable4(o Options) (*Table, error) { return table4(o, localEnv(), remoteEnv()) }
+
+// table4 measures every row in the two given worlds (the tests pass
+// the presets on a virtual clock, where model time is exact).
+func table4(o Options, localEC, remoteEC envConfig) (*Table, error) {
 	o = o.Defaults()
 	t := &Table{
 		ID:    "Table 4",
@@ -89,11 +93,11 @@ func runTable4(o Options) (*Table, error) {
 	}
 
 	for _, r := range rows {
-		local, err := measureIn(o, localEnv(), r.run)
+		local, err := measureIn(o, localEC, r.run)
 		if err != nil {
 			return nil, fmt.Errorf("table4 %s local: %w", r.name, err)
 		}
-		remote, err := measureIn(o, remoteEnv(), r.run)
+		remote, err := measureIn(o, remoteEC, r.run)
 		if err != nil {
 			return nil, fmt.Errorf("table4 %s remote: %w", r.name, err)
 		}

@@ -27,7 +27,9 @@ var paper5 = map[string][2]string{
 	"Read-only→Persistent":              {"1.218", "1.404"},
 }
 
-func runTable5(o Options) (*Table, error) {
+func runTable5(o Options) (*Table, error) { return table5(o, localEnv(), remoteEnv()) }
+
+func table5(o Options, localEC, remoteEC envConfig) (*Table, error) {
 	o = o.Defaults()
 	cfg := benchConfig(phoenix.LogOptimized, true)
 	one := 1
@@ -85,13 +87,13 @@ func runTable5(o Options) (*Table, error) {
 	}
 
 	for _, r := range rows {
-		local, err := measureIn(o, localEnv(), r.run)
+		local, err := measureIn(o, localEC, r.run)
 		if err != nil {
 			return nil, fmt.Errorf("table5 %s local: %w", r.name, err)
 		}
 		remoteCell := "-"
 		if r.remote {
-			remote, err := measureIn(o, remoteEnv(), r.run)
+			remote, err := measureIn(o, remoteEC, r.run)
 			if err != nil {
 				return nil, fmt.Errorf("table5 %s remote: %w", r.name, err)
 			}

@@ -27,12 +27,14 @@ var paper6 = map[string]string{
 	"Persistent→Persistent (save state) / cache on":  "3.82",
 }
 
-func runTable6(o Options) (*Table, error) {
+func runTable6(o Options) (*Table, error) { return table6(o, remoteEnv()) }
+
+func table6(o Options, remoteEC envConfig) (*Table, error) {
 	o = o.Defaults()
 	t := &Table{
 		ID:    "Table 6",
 		Title: "Checkpointing Performance (ms per call)",
-		Cols:  []string{"Configuration", "Measured", "Paper"},
+		Cols:  []string{"Configuration", "Measured", "Forces/call", "Paper"},
 		Notes: []string{
 			"save-state-on-call serializes the server component and appends a context state record (plus last-call reply records) without forcing (Section 4.2)",
 		},
@@ -40,7 +42,7 @@ func runTable6(o Options) (*Table, error) {
 	one := 1
 	for _, cache := range []bool{false, true} {
 		for _, save := range []bool{false, true} {
-			ec := remoteEnv()
+			ec := remoteEC
 			ec.writeCache = cache
 			cfg := benchConfig(phoenix.LogOptimized, true)
 			if save {
@@ -61,7 +63,8 @@ func runTable6(o Options) (*Table, error) {
 			if cache {
 				key = name + " / cache on"
 			}
-			t.Rows = append(t.Rows, []string{key, ms(m.perCall), paper6[key]})
+			t.Rows = append(t.Rows, []string{key, ms(m.perCall),
+				fmt.Sprintf("%.1f", m.forcesPerCall), paper6[key]})
 		}
 	}
 	return t, nil

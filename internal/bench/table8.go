@@ -26,7 +26,10 @@ var paper8 = map[bookstore.Level][2]string{
 	bookstore.LevelSpecialized:      {"296 ms", "34"},
 }
 
-func runTable8(o Options) (*Table, error) {
+// The buyer runs on one machine, the servers on the other.
+func runTable8(o Options) (*Table, error) { return table8(o, remoteEnv()) }
+
+func table8(o Options, ec envConfig) (*Table, error) {
 	o = o.Defaults()
 	t := &Table{
 		ID:    "Table 8",
@@ -44,41 +47,40 @@ func runTable8(o Options) (*Table, error) {
 		bookstore.LevelSpecialized,
 	}
 	for _, level := range levels {
-		ec := remoteEnv() // buyer on one machine, servers on the other
-		e, err := newEnv(o, ec)
+		elapsed, forces, err := table8Session(o, ec, level)
 		if err != nil {
-			return nil, err
-		}
-		d, err := bookstore.Deploy(e.u, "evo2", level, []string{"buyer"})
-		if err != nil {
-			e.Close()
 			return nil, fmt.Errorf("table8 %v: %w", level, err)
 		}
-		buyer := bookstore.NewBuyer(e.u, d, "buyer", "WA")
-		if _, err := buyer.RunSession(); err != nil { // warm up
-			d.Close()
-			e.Close()
-			return nil, fmt.Errorf("table8 %v warmup: %w", level, err)
-		}
-		d.ResetStats()
-		var elapsed time.Duration
-		elapsed, err = e.elapsed(func() error {
-			_, err := buyer.RunSession()
-			return err
-		})
-		if err != nil {
-			d.Close()
-			e.Close()
-			return nil, fmt.Errorf("table8 %v: %w", level, err)
-		}
-		forces := d.Forces()
 		paper := paper8[level]
 		t.Rows = append(t.Rows, []string{
 			level.String(), ms(elapsed) + " ms", fmt.Sprintf("%d", forces),
 			paper[0], paper[1],
 		})
-		d.Close()
-		e.Close()
 	}
 	return t, nil
+}
+
+// table8Session deploys the bookstore at one level, warms it up with
+// one session and measures the next.
+func table8Session(o Options, ec envConfig, level bookstore.Level) (time.Duration, int64, error) {
+	e, err := newEnv(o, ec)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer e.Close()
+	d, err := bookstore.Deploy(e.u, "evo2", level, []string{"buyer"})
+	if err != nil {
+		return 0, 0, err
+	}
+	defer d.Close()
+	buyer := bookstore.NewBuyer(e.u, d, "buyer", "WA")
+	if _, err := buyer.RunSession(); err != nil {
+		return 0, 0, fmt.Errorf("warmup: %w", err)
+	}
+	d.ResetStats()
+	elapsed, err := e.elapsed(func() error {
+		_, err := buyer.RunSession()
+		return err
+	})
+	return elapsed, d.Forces(), err
 }

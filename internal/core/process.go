@@ -262,24 +262,6 @@ func (p *Process) setLastRecovery(s *RecoveryStats) {
 // Table 8's "Number of Forces").
 func (p *Process) LogStats() wal.Stats { return p.log.Stats() }
 
-// ShardLogStat pairs one log shard's stream ID with its counters.
-type ShardLogStat struct {
-	Stream uint32
-	Stats  wal.Stats
-}
-
-// ShardLogStats exposes the per-shard log counters in era order. A
-// one-shard log reports one entry; the bench harness uses the
-// per-shard BusyNanos split to bound partitioned-log throughput.
-func (p *Process) ShardLogStats() []ShardLogStat {
-	shards := p.log.Shards()
-	out := make([]ShardLogStat, 0, len(shards))
-	for _, sh := range shards {
-		out = append(out, ShardLogStat{Stream: sh.Stream, Stats: sh.Log.Stats()})
-	}
-	return out
-}
-
 // LogDir returns the process's recovery-log directory (for
 // phoenix-logdump and operational tooling).
 func (p *Process) LogDir() string { return p.logPath }

@@ -171,7 +171,7 @@ func (p *Plan) Read(data []byte, v reflect.Value) error {
 		return fmt.Errorf("msg: layout signature %#x, %s has %#x: not written from this type", sig, p.typ, p.sig)
 	}
 	v.SetZero()
-	r := reader{data[2:]}
+	r := newReader(data[2:])
 	if err := p.read(&r, v, 0); err != nil {
 		return err
 	}

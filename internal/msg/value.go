@@ -90,7 +90,7 @@ func DecodeAnySlice(data []byte) ([]any, error) {
 // DecodeAnyInto is DecodeAnySlice with the caller's scratch: the list
 // is built in buf's backing array when it has the room.
 func DecodeAnyInto(buf []any, data []byte) ([]any, error) {
-	r := reader{data}
+	r := newReader(data)
 	n, err := r.count(1)
 	if err != nil {
 		return nil, fmt.Errorf("msg: decode values: %w", err)
@@ -242,8 +242,17 @@ func appendValue(dst []byte, v any, depth int) ([]byte, error) {
 	return p.append(dst, reflect.ValueOf(v), depth)
 }
 
-// reader consumes a value stream front to back.
-type reader struct{ b []byte }
+// reader consumes a value stream front to back. left is how many more
+// elements its counts may claim: every element of every list and map,
+// at any depth, takes a byte of the stream to itself, so one budget of
+// the stream's length for all levels bounds what decoding pre-sizes by
+// the input's length, not length × nesting depth.
+type reader struct {
+	b    []byte
+	left int
+}
+
+func newReader(data []byte) reader { return reader{data, len(data)} }
 
 func (r *reader) uvarint() (v uint64, err error) {
 	v, r.b, err = ConsumeUvarint(r.b)
@@ -319,16 +328,18 @@ func (r *reader) bool() (bool, error) {
 }
 
 // count reads an element count and checks it against the bytes left,
-// given that each element takes at least min bytes — before the caller
+// given that each element takes at least min bytes, and against the
+// stream's element budget, which it debits — before the caller
 // allocates anything of that size.
 func (r *reader) count(min int) (int, error) {
 	n, err := r.uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if n > uint64(len(r.b)/min) {
-		return 0, fmt.Errorf("count %d exceeds the %d bytes left", n, len(r.b))
+	if n > uint64(len(r.b)/min) || n > uint64(r.left) {
+		return 0, fmt.Errorf("count %d exceeds the %d bytes left (%d unclaimed)", n, len(r.b), r.left)
 	}
+	r.left -= int(n)
 	return int(n), nil
 }
 

@@ -81,10 +81,6 @@ type (
 	// synced watermark; GroupCommit switches on the leaders' commit
 	// window. The zero value is one shard, no window.
 	WALConfig = core.WALConfig
-	// ShardLogStat pairs one log shard's stream ID with its activity
-	// counters (Process.ShardLogStats); a one-shard log reports one
-	// entry.
-	ShardLogStat = core.ShardLogStat
 	// RecoveryConfig is the nested Config.Recovery section — the
 	// restart surface. Mode schedules Pass-2 replay: RecoveryEager
 	// (the zero value) replays every context's backlog before the
