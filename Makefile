@@ -75,17 +75,19 @@ stress:
 # equivalence table (mode × workers × shards × clean crash, injected
 # crashes, a log resharded 1 → 4, adaptive promotion boundary — on-demand
 # replays racing the background workers), the nested-demand hang
-# regression, the chains-against-brute-force property, the first-touch /
+# regression, the walked-chains-against-brute-force property and the
+# walk's fail-stop, the flat-as-the-log-grows counts, the first-touch /
 # crash-mid-drain / RecoverContext suites, the wal cursor and
 # positioned-read tests (the reader's edge-case table with its Hold
 # rows; cursors racing an appender and TrimHead), and the
 # bookstore seller through the facade.
 recovery-stress:
-	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|TestChains|RecordsScanned|LogReads|Lazy|ScanFrom|ReadAt|Reader' ./internal/core/ ./internal/wal/
+	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|TestChain|RecordsScanned|LogReads|TestRestart|Lazy|ScanFrom|ReadAt|Reader' ./internal/core/ ./internal/wal/
 	go test -race -count=2 -run 'SellerRecoveryEquivalence' ./internal/bookstore/
 
 # Sharded-log stress under the race detector: the wal.Set unit suite
-# (open, reshard, era-file and well-known-file handling). Concurrent
+# (open, reshard, era-file, stable-watermark and well-known-file
+# handling). Concurrent
 # group commit against a 4-shard log is a row of `stress`; recovery
 # over sharded and mixed-era logs is part of recovery-stress.
 shard-stress:
@@ -144,9 +146,11 @@ profile-call:
 # 3,000) built once on the memory-backed file system and restarted
 # eagerly by one worker 300 times, as `pprof -top` (putting the pristine image back is
 # outside the benchmark's timer but inside the profile, under copyTree),
-# then one restart each way for the RecoveryStats line: device reads,
-# bytes read over log bytes, records scanned, calls replayed — counts,
-# the same on every run.
+# then one restart each way for the RecoveryStats line: device reads
+# (by phase: open-time tail check, Pass 1, chain walks, replays), bytes
+# read over log bytes, records scanned, calls replayed, and what
+# replaying one context by itself reads, as a first touch does —
+# counts, the same on every run.
 RESTART_DIR ?= /tmp/phoenix-profile-restart
 RESTART_BENCH = TMPDIR=/dev/shm go test -run '^$$' -o $(RESTART_DIR)/restart.test
 profile-restart:
@@ -158,8 +162,12 @@ profile-restart:
 # Non-test lines of Go per package (ROADMAP aim 2: net non-test LoC is
 # a tracked number). Lint fixtures under testdata/ are not product code.
 # The total may not pass LOC_MAX: a change that needs more lines raises
-# the number here, in its own diff, where review sees it.
-LOC_MAX = 24797
+# the number here, in its own diff, where review sees it. (PR 21 raised
+# it from 24,797: the frame with its back-link, the reader that walks
+# backwards, the stable watermark and its corruption rule came to more
+# than the head pass they replaced — CHANGES.md has the ledger, ROADMAP
+# item 3 where it comes back.)
+LOC_MAX = 24973
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

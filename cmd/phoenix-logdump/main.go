@@ -1,7 +1,10 @@
 // Command phoenix-logdump prints a process recovery log human-readably:
-// one line per record, with call identities, context IDs, checkpoint
-// structure and state-record summaries — the tool for answering "what
-// would recovery replay?".
+// one line per record — its LSN, kind, payload+frame bytes, call
+// identities, context IDs, checkpoint structure (each context's restart
+// LSN and chain head), state-record summaries, and for a message record
+// the record of its context it links back to (prev=<LSN>) — then a
+// summary with the stable watermark shards.meta holds: the tool for
+// answering "what would recovery replay?".
 //
 //	phoenix-logdump /path/to/state/machine/process.log
 package main

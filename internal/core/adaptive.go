@@ -517,7 +517,7 @@ func (ac *adaptiveController) reemitChanges() error {
 		return recs[i].Method < recs[j].Method
 	})
 	for _, r := range recs {
-		if _, err := ac.p.appendRec(recDisciplineChange, r.Ctx, r); err != nil {
+		if _, err := ac.p.appendRec(recDisciplineChange, r.Ctx, r, nil); err != nil {
 			return err
 		}
 	}
@@ -634,7 +634,7 @@ func (cx *Context) adaptiveROViolationLocked(call *msg.Call) error {
 			Ctx: ch.Ctx, Method: ch.Method, From: ch.From, To: ch.To,
 			MultiCall: ch.MultiCall, Barred: ch.Barred, Epoch: ch.Epoch,
 		}
-		if _, err := p.appendRec(recDisciplineChange, ch.Ctx, rec); err != nil {
+		if _, err := p.appendRec(recDisciplineChange, ch.Ctx, rec, nil); err != nil {
 			return err
 		}
 	}
@@ -661,7 +661,7 @@ func (p *Process) applyDisciplineChanges(changes []disciplineChange, tref trace.
 			Ctx: ch.Ctx, Method: ch.Method, From: ch.From, To: ch.To,
 			MultiCall: ch.MultiCall, Barred: ch.Barred, Epoch: ch.Epoch,
 		}
-		lsn, err := p.appendRec(recDisciplineChange, ch.Ctx, rec)
+		lsn, err := p.appendRec(recDisciplineChange, ch.Ctx, rec, nil)
 		if err != nil {
 			continue
 		}

@@ -107,11 +107,11 @@ func measureWALPathAllocs(t *testing.T) float64 {
 			CallerURI:  ids.MakeURI("evo1", "cli", "Batcher"),
 		},
 	}
-	if _, err := p.appendRec(recIncoming, rec.Ctx, rec); err != nil {
+	if _, err := p.appendRec(recIncoming, rec.Ctx, rec, nil); err != nil {
 		t.Fatal(err)
 	}
 	return testing.AllocsPerRun(200, func() {
-		if _, err := p.appendRec(recIncoming, rec.Ctx, rec); err != nil {
+		if _, err := p.appendRec(recIncoming, rec.Ctx, rec, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

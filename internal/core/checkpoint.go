@@ -35,7 +35,7 @@ func (cx *Context) saveStateLocked() error {
 				Ctx:    cx.parent.id,
 				CallID: ids.CallID{Caller: e.caller, Seq: e.seq},
 				Reply:  *e.reply,
-			})
+			}, nil)
 			if err != nil {
 				return err
 			}
@@ -58,7 +58,7 @@ func (cx *Context) saveStateLocked() error {
 		LastOutSeq: cx.lastOutSeq,
 		SubCounter: cx.subCounter,
 		LastCalls:  saved,
-	})
+	}, nil)
 	if err != nil {
 		return err
 	}
@@ -94,7 +94,7 @@ func (p *Process) Checkpoint() error {
 // concurrency, and readers "examine all the log records between the
 // begin checkpoint and end checkpoint record".
 func (p *Process) runCheckpoint() error {
-	begin, err := p.appendRec(recBeginCkpt, 0, nil)
+	begin, err := p.appendRec(recBeginCkpt, 0, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -135,7 +135,7 @@ func (p *Process) runCheckpoint() error {
 		if err != nil {
 			return err
 		}
-		lsn, err := p.appendRec(recCreation, cx.parent.id, rec)
+		lsn, err := p.appendRec(recCreation, cx.parent.id, rec, nil)
 		if err != nil {
 			return err
 		}
@@ -160,29 +160,40 @@ func (p *Process) runCheckpoint() error {
 		if cx.parent.ctype.Stateless() {
 			continue
 		}
-		entries = append(entries, ckptCtxEntry{Ctx: id, RestartLSN: cx.restartLSN})
+		// Read after the begin record (and the ends snapshot): no older
+		// than the newest chain record recovery's scan will not pass.
+		entries = append(entries, ckptCtxEntry{Ctx: id, RestartLSN: cx.restartLSN, ChainHead: ids.LSN(cx.chainHead.Load())})
 	}
 	p.mu.Unlock()
-	if _, err := p.appendRec(recCkptCtxTable, 0, &ckptCtxTableRec{Entries: entries}); err != nil {
+	if _, err := p.appendRec(recCkptCtxTable, 0, &ckptCtxTableRec{Entries: entries}, nil); err != nil {
 		return err
 	}
 
-	if _, err := p.appendRec(recCkptLastCall, 0, &ckptLastCallRec{Entries: p.lastCalls.snapshot()}); err != nil {
+	if _, err := p.appendRec(recCkptLastCall, 0, &ckptLastCallRec{Entries: p.lastCalls.snapshot()}, nil); err != nil {
 		return err
 	}
 
-	end, err := p.appendRec(recEndCkpt, 0, &endCkptRec{BeginLSN: begin})
+	end, err := p.appendRec(recEndCkpt, 0, &endCkptRec{BeginLSN: begin}, nil)
 	if err != nil {
 		return err
 	}
 
 	// The well-known file is updated only once the checkpoint is
 	// stable — the next force whose watermark passes the end record
-	// (ours or a later send's) covers it.
+	// (ours or a later send's) covers it — and, on a sharded log, every
+	// stream as far as it reaches now: the tables name records of all
+	// of them (restart LSNs, chain heads).
+	var tails map[uint32]ids.LSN
+	if ends != nil {
+		tails = make(map[uint32]ids.LSN, len(ends))
+		for _, sh := range p.log.Shards() {
+			tails[sh.Stream] = sh.Log.End()
+		}
+	}
 	p.ckptMu.Lock()
 	p.pendingCkpt.Store(uint64(begin))
 	p.pendingCkptEnd = end
-	p.pendingCkptEnds = ends
+	p.pendingCkptEnds, p.pendingCkptTails = ends, tails
 	p.ckptMu.Unlock()
 	p.obs.Checkpoints.Inc()
 	p.emitEvent(Event{Kind: EventCheckpoint, LSN: begin,

@@ -82,6 +82,13 @@ type Context struct {
 	restartLSN  ids.LSN
 	creationLSN ids.LSN
 
+	// chainHead is the LSN of the newest replay-relevant record this
+	// context appended — an incoming call or the reply to an outgoing
+	// one. Each one's frame links back to the one before
+	// (wal.Writer.AppendLinked), so recovery reads the backlog off the
+	// log, newest first. Checkpoints read it; recovery re-seeds it.
+	chainHead atomic.Uint64
+
 	// lastLSN is the newest log record this context appended (any
 	// kind). The context's commit points force the log only up to it
 	// (ForceTo): a context never waits on other contexts' dirty

@@ -25,7 +25,10 @@ import (
 // scan. Records whose type implies a log force under every discipline
 // (creation records, Algorithm 3's reply-sent markers) are tagged
 // "forced"; the actual force count is runtime state the log does not
-// store, so the summary reports the implied minimum.
+// store, so the summary reports the implied minimum. The size column is
+// what the record takes in the log, payload plus frame; a message
+// record that continues its context's chain shows the record it links
+// back to as prev=<LSN>.
 func DumpLog(w io.Writer, dir string) error {
 	log, err := wal.OpenSet(dir, nil, 0)
 	if err != nil {
@@ -93,9 +96,12 @@ func DumpLog(w io.Writer, dir string) error {
 			if algo != "-" {
 				discCounts[algo]++
 			}
-			fmt.Fprintf(w, "%-12v %-17s %-13s %-9s %5dB  ", rec.LSN, recName(rec.Type), status, algo, len(rec.Payload))
+			fmt.Fprintf(w, "%-12v %-17s %-13s %-9s %5dB+%-2d ", rec.LSN, recName(rec.Type), status, algo, len(rec.Payload), rec.Size-len(rec.Payload))
 			if err := dumpPayload(w, rec); err != nil {
 				fmt.Fprintf(w, "<undecodable: %v>", err)
+			}
+			if !rec.Prev.IsNil() {
+				fmt.Fprintf(w, " prev=%v", rec.Prev)
 			}
 			fmt.Fprintln(w)
 			return nil
@@ -106,8 +112,17 @@ func DumpLog(w io.Writer, dir string) error {
 	}
 
 	st := log.Stats()
-	fmt.Fprintf(w, "\nsummary: %d records, >=%d forces implied by record kinds; read with %d device reads (%d bytes)\n",
-		records, impliedForces, st.ReadOps, st.ReadBytes)
+	fmt.Fprintf(w, "\nsummary: %d records, >=%d forces implied by record kinds; stable watermark", records, impliedForces)
+	stable := log.StableMarks()
+	if len(stable) == 0 {
+		fmt.Fprint(w, " none")
+	}
+	for _, sh := range shards {
+		if mark, ok := stable[sh.Stream]; ok {
+			fmt.Fprintf(w, " %v", mark)
+		}
+	}
+	fmt.Fprintf(w, "; read with %d device reads (%d bytes)\n", st.ReadOps, st.ReadBytes)
 	if len(discCounts) > 0 {
 		algos := make([]string, 0, len(discCounts))
 		for a := range discCounts {
@@ -326,7 +341,7 @@ func dumpPayload(w io.Writer, rec wal.Record) error {
 		}
 		fmt.Fprintf(w, "context table: %d entries", len(v.Entries))
 		for _, e := range v.Entries {
-			fmt.Fprintf(w, " [ctx=%d restart=%v]", e.Ctx, e.RestartLSN)
+			fmt.Fprintf(w, " [ctx=%d restart=%v head=%v]", e.Ctx, e.RestartLSN, e.ChainHead)
 		}
 	case recCkptLastCall:
 		var v ckptLastCallRec

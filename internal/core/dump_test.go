@@ -42,10 +42,18 @@ func TestDumpLogRendersAllRecordTypes(t *testing.T) {
 		"reply-content", "ctx-state", "begin-ckpt", "ckpt-ctx-table",
 		"ckpt-last-call", "end-ckpt",
 		"Relay", "Forward", "context table",
+		// The format: what the frame adds to a payload, the chain link
+		// of the second call's record, the head the checkpoint kept for
+		// the context, and how far the log was stable when it was
+		// published.
+		"B+7 ", " prev=lsn:1:", " head=lsn:1:", "stable watermark lsn:1:",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q\n%s", want, out)
 		}
+	}
+	if testing.Verbose() {
+		t.Log("\n" + out)
 	}
 }
 

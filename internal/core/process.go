@@ -32,9 +32,10 @@ type Process struct {
 	cfg    Config
 	addr   string
 
-	log     wal.Writer
-	logPath string
-	wkPath  string
+	log       wal.Writer
+	logPath   string
+	wkPath    string
+	openReads int64 // device reads of the log's open-time tail check
 
 	// metrics is the resolved observability registry (Config.Metrics,
 	// else the universe's, else obs.Default()); obs caches its runtime
@@ -102,13 +103,17 @@ type Process struct {
 	// snapshots each stream's append position when the checkpoint
 	// began: records past those positions postdate the checkpoint and
 	// are always rescanned, so the per-stream watermark can default to
-	// them. lastMarks is the vector last recorded in the well-known
+	// them; pendingCkptTails snapshots them again once the checkpoint is
+	// written: as far as its tables can name a record, and so as far as
+	// every stream has to be stable before it is published. lastMarks
+	// is the vector last recorded in the well-known
 	// file — recovery scans from it, so log trimming must keep it.
-	ckptMu          sync.Mutex
-	pendingCkpt     atomic.Uint64 // an ids.LSN; written under ckptMu, loaded without it by every force's early-out
-	pendingCkptEnd  ids.LSN
-	pendingCkptEnds map[uint32]ids.LSN
-	lastMarks       map[uint32]ids.LSN
+	ckptMu           sync.Mutex
+	pendingCkpt      atomic.Uint64 // an ids.LSN; written under ckptMu, loaded without it by every force's early-out
+	pendingCkptEnd   ids.LSN
+	pendingCkptEnds  map[uint32]ids.LSN
+	pendingCkptTails map[uint32]ids.LSN
+	lastMarks        map[uint32]ids.LSN
 }
 
 // component is one row of the component table (paper Table 1).
@@ -154,6 +159,7 @@ func newProcess(m *Machine, name string, procID ids.ProcID, cfg Config) (*Proces
 		cfg:          cfg,
 		addr:         m.u.addrFor(m.name, name),
 		log:          log,
+		openReads:    log.Stats().ReadOps,
 		logPath:      logPath,
 		wkPath:       filepath.Join(m.dir, name+".wk"),
 		metrics:      reg,
@@ -372,7 +378,7 @@ func (p *Process) Create(name string, obj any, opts ...CreateOption) (*Handle, e
 	if err != nil {
 		return nil, err
 	}
-	lsn, err := p.appendRec(recCreation, parent.id, rec)
+	lsn, err := p.appendRec(recCreation, parent.id, rec, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -496,9 +502,17 @@ func (p *Process) completeCheckpoint() error {
 	}
 	p.ckptMu.Lock()
 	begin, end := ids.LSN(p.pendingCkpt.Load()), p.pendingCkptEnd
+	ends, tails := p.pendingCkptEnds, p.pendingCkptTails
 	p.ckptMu.Unlock()
 	if begin.IsNil() || p.log.SyncedLSN() <= end {
 		return nil
+	}
+	if len(tails) > 0 {
+		for _, sh := range p.log.Shards() {
+			if sh.Log.SyncedLSN() < tails[sh.Stream] {
+				return nil // a later force will find the stream stable
+			}
+		}
 	}
 	p.ckptMu.Lock()
 	if ids.LSN(p.pendingCkpt.Load()) != begin {
@@ -507,12 +521,15 @@ func (p *Process) completeCheckpoint() error {
 		p.ckptMu.Unlock()
 		return nil
 	}
-	ends := p.pendingCkptEnds
 	p.pendingCkpt.Store(0)
-	p.pendingCkptEnd, p.pendingCkptEnds = ids.NilLSN, nil
+	p.pendingCkptEnd, p.pendingCkptEnds, p.pendingCkptTails = ids.NilLSN, nil, nil
 	p.ckptMu.Unlock()
 	marks := p.wellKnownMarks(begin, ends)
 	if err := wal.SaveWellKnownMarks(p.wkPath, marks); err != nil {
+		return err
+	}
+	// The next open need not check what is stable now for a torn tail.
+	if err := p.log.MarkStable(); err != nil {
 		return err
 	}
 	p.ckptMu.Lock()
@@ -664,9 +681,11 @@ func (p *Process) reclaimPoints() map[uint32]ids.LSN {
 // into the log's scratch buffer, so the per-call append allocates
 // nothing (the assertion reads the existing interface value); cold
 // records (and a nil v: a record that is all header) go through
-// appendColdRec in a one-off closure. A traced record also drops a
-// StageWALAppend span.
-func (p *Process) appendRec(t wal.RecordType, key ids.CompID, v any) (ids.LSN, error) {
+// appendColdRec in a one-off closure. head is the owning context's
+// chainHead for an incoming call or the reply to an outgoing one, which
+// the log links into the context's chain, else nil. A traced record
+// also drops a StageWALAppend span.
+func (p *Process) appendRec(t wal.RecordType, key ids.CompID, v any, head *atomic.Uint64) (ids.LSN, error) {
 	var tref trace.Ref
 	var tstart int64
 	if p.tr != nil {
@@ -680,7 +699,7 @@ func (p *Process) appendRec(t wal.RecordType, key ids.CompID, v any) (ids.LSN, e
 	if !ok {
 		enc = wal.EncodeFunc(func(dst []byte) ([]byte, error) { return appendColdRec(dst, t, key, v) })
 	}
-	lsn, err := p.log.AppendInto(uint64(key), t, enc)
+	lsn, err := p.log.AppendLinked(uint64(key), t, enc, head)
 	if err == nil {
 		p.recCounter(t).Inc()
 		if !tref.IsZero() {

@@ -273,7 +273,7 @@ func coldRecCases(t testing.TB) []struct {
 		{recCreation, &creationRec{Ctx: 3, URI: "phoenix://evo2/srv/Counter", Comps: comps}},
 		{recCtxState, &ctxStateRec{Ctx: 3, URI: "phoenix://evo2/srv/Counter", Comps: comps,
 			LastOutSeq: 12, SubCounter: 1, LastCalls: lastCalls}},
-		{recCkptCtxTable, &ckptCtxTableRec{Entries: []ckptCtxEntry{{Ctx: 3, RestartLSN: 512}, {Ctx: 9, RestartLSN: 1 << 40}}}},
+		{recCkptCtxTable, &ckptCtxTableRec{Entries: []ckptCtxEntry{{Ctx: 3, RestartLSN: 512, ChainHead: 1500}, {Ctx: 9, RestartLSN: 1 << 40}, {Ctx: 11, RestartLSN: 2<<56 | 64, ChainHead: 1<<56 | 9000}}}},
 		{recCkptLastCall, &ckptLastCallRec{Entries: lastCalls}},
 		{recEndCkpt, &endCkptRec{BeginLSN: 2048}},
 		{recDisciplineChange, &disciplineChangeRec{Ctx: 3, Method: "Add", From: DiscBaseline,

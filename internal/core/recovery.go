@@ -19,12 +19,12 @@ import (
 // Process crash recovery runs in two passes over the log. Pass 1
 // (restore, this file) scans from the well-known checkpoint LSN (or
 // the log start) to the end, finding every context that existed at the
-// crash and the LSN of its latest state record (or creation record) —
-// contexts are then restored from those records — and filing each
-// message record it passes under its context. Pass 2 (admit) files what
-// lies between the oldest restart LSN and Pass 1's start and cuts a
-// context's records at its restart LSN — its chain (recovery_replay.go)
-// — which the replay engine (recovery_engine.go) replays:
+// crash, the LSN of its latest state record (or creation record) —
+// contexts are then restored from those records — and the LSN of its
+// newest message record, the head of its chain. Pass 2 (admit) hands
+// the replay engine (recovery_engine.go) each context's restart LSN and
+// head; replaying a context reads its chain off the log, head to
+// restart LSN (recovery_replay.go), and replays it:
 // message records are buffered until the next incoming call record
 // arrives, at which point the previous incoming call is replayed with
 // its outgoing calls answered from the buffer; the final buffered call
@@ -52,18 +52,21 @@ type RecoveryStats struct {
 	// records.
 	ContextsRestored int
 	// RecordsScanned counts every record read from the log: by Pass 1,
-	// by the head pass and by the chain reads of each context's replay.
-	// It scales with the records from the oldest restart LSN on plus the
-	// backlog, whatever the number of contexts.
+	// and twice per record of backlog — the walk that finds a context's
+	// chain and the replay that decodes it. It scales with the records
+	// past the checkpoint plus the backlog, whatever the log retains.
 	RecordsScanned int64
-	// LogReads counts the device reads the restart issued, the log's
-	// open-time tail check included, and LogBytesRead the bytes they
-	// returned (wal.Stats.ReadOps/ReadBytes when published). They scale
-	// with the log's bytes while a worker can hold its backlog
-	// (wal.Reader.Hold); a first touch, or a backlog it cannot hold,
-	// walks a chain a block per miss: contexts × the span of a chain.
-	LogReads     int64
-	LogBytesRead int64
+	// LogReads counts the device reads the restart issued and
+	// LogBytesRead the bytes they returned (wal.Stats.ReadOps/ReadBytes
+	// when published), by phase: LogReadsOpen, the open-time tail check
+	// past the stable watermark; LogReadsPass1, the scan past the
+	// checkpoint and the restart records; LogReadsWalk, the chain walks
+	// and the workers' holds of the backlog (wal.Reader.Hold);
+	// LogReadsReplay, the replays — none under a hold; a first touch, or
+	// a backlog a worker cannot hold, passes over a chain's span twice,
+	// a block per miss.
+	LogReads, LogBytesRead                                    int64
+	LogReadsOpen, LogReadsPass1, LogReadsWalk, LogReadsReplay int64
 	// CallsReplayed counts incoming calls re-executed; CallsSuppressed
 	// counts outgoing sends answered from the log during those replays.
 	CallsReplayed   int64
@@ -96,17 +99,16 @@ type RecoveryStats struct {
 
 // restorePlan carries Pass-1 results across the restore/admit
 // lifecycle boundary: the contexts that were rebuilt (restart-LSN
-// order), their restart LSNs, what the scan filed, and the in-progress
+// order), their restart LSNs and chain heads, and the in-progress
 // stats and trace of the run. A nil plan: admission has nothing to replay.
 type restorePlan struct {
-	stats       RecoveryStats
-	recRun      trace.Ref
-	recStart    time.Time // universe clock, recovery begin
-	recWall     time.Time // wall clock, for the recovery.* obs histograms
-	restart     map[ids.CompID]ids.LSN
-	restored    []*Context
-	filed       map[ids.CompID][]ids.LSN // chain candidates, scan order
-	scannedFrom map[uint32]ids.LSN       // Pass 1's first LSN, per stream
+	stats    RecoveryStats
+	recRun   trace.Ref
+	recStart time.Time // universe clock, recovery begin
+	recWall  time.Time // wall clock, for the recovery.* obs histograms
+	restart  map[ids.CompID]ids.LSN
+	heads    map[ids.CompID]ids.LSN // newest message record; absent: none
+	restored []*Context
 }
 
 // restore is the explicit first lifecycle phase of a restart: Pass 1
@@ -161,7 +163,11 @@ func (p *Process) restore() (*restorePlan, error) {
 	pass1Start, pass1Wall := clock.Now(), time.Now()
 	pass1TS := p.tr.Now()
 	restart := make(map[ids.CompID]ids.LSN)
-	filed := make(map[ids.CompID][]ids.LSN) // restart LSNs are not known yet: buildChains makes the cut
+	heads := make(map[ids.CompID]ids.LSN)
+	scannedFrom := make(map[uint32]ids.LSN, len(shards))
+	for _, sh := range shards {
+		scannedFrom[sh.Stream] = scanStart(sh)
+	}
 	pass1 := func(rec wal.Record) error {
 		stats.RecordsScanned++
 		switch rec.Type {
@@ -193,6 +199,12 @@ func (p *Process) restore() (*restorePlan, error) {
 				if e.RestartLSN > restart[e.Ctx] {
 					restart[e.Ctx] = e.RestartLSN
 				}
+				// The table speaks for what this scan does not pass; a
+				// head inside the scan's range may have died unforced
+				// with the crash, and the scan sees what survived.
+				if h := e.ChainHead; h > heads[e.Ctx] && h < scannedFrom[h.Stream()] {
+					heads[e.Ctx] = h
+				}
 			}
 		case recCkptLastCall:
 			var lc ckptLastCallRec
@@ -207,7 +219,9 @@ func (p *Process) restore() (*restorePlan, error) {
 			if err != nil {
 				return err
 			}
-			filed[ctx] = append(filed[ctx], rec.LSN)
+			if rec.LSN > heads[ctx] {
+				heads[ctx] = rec.LSN
+			}
 			if !id.IsZero() {
 				p.lastCalls.seed(lastCallSaved{Caller: id.Caller, Seq: id.Seq, Ctx: ctx})
 			}
@@ -246,15 +260,15 @@ func (p *Process) restore() (*restorePlan, error) {
 	// per-context, and a context's records occupy one stream per era
 	// with monotonically growing stream tags, so the raw-LSN "newest
 	// wins" comparisons above stay temporally correct across shards.
-	scannedFrom := make(map[uint32]ids.LSN, len(shards))
 	for _, sh := range shards {
-		scannedFrom[sh.Stream] = scanStart(sh)
 		if err := sh.Log.Scan(scannedFrom[sh.Stream], pass1); err != nil {
 			return nil, fmt.Errorf("recovery pass 1: %w", err)
 		}
 	}
 	p.recoverySpan(recRun, pass1TS)
+	stats.LogReadsOpen = p.openReads
 	if len(restart) == 0 {
+		stats.LogReadsPass1 = p.log.Stats().ReadOps - p.openReads
 		p.obs.RecoveryPass1Micros.Observe(time.Since(pass1Wall).Microseconds())
 		p.obs.RecoveryMicros.Observe(time.Since(recWall).Microseconds())
 		stats.Pass1Duration = clock.Now().Sub(pass1Start)
@@ -280,11 +294,14 @@ func (p *Process) restore() (*restorePlan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("restore context at %v: %w", lsn, err)
 		}
+		// Whatever the context logs next links behind its newest record.
+		cx.chainHead.Store(uint64(heads[cx.parent.id]))
 		restored = append(restored, cx)
 	}
 	p.obs.ContextsRestored.Add(int64(len(restored)))
 	p.obs.RecoveryPass1Micros.Observe(time.Since(pass1Wall).Microseconds())
 	stats.ContextsRestored = len(restored)
+	stats.LogReadsPass1 = p.log.Stats().ReadOps - p.openReads
 	stats.Pass1Duration = clock.Now().Sub(pass1Start)
 	return &restorePlan{
 		stats:    stats,
@@ -292,14 +309,15 @@ func (p *Process) restore() (*restorePlan, error) {
 		recStart: recStart,
 		recWall:  recWall,
 		restart:  restart,
-		restored: restored, filed: filed, scannedFrom: scannedFrom,
+		heads:    heads,
+		restored: restored,
 	}, nil
 }
 
 // admit is the explicit second lifecycle phase of a restart: Pass 2.
-// The head pass completes what Pass 1 filed into per-context chains, the
-// replay engine is armed over them, and then the mode decides only who
-// waits: eager (the default) joins the engine's drain, so the process
+// The replay engine is armed over the restored contexts, and then the
+// mode decides only who waits: eager (the default) joins the engine's
+// drain, so the process
 // is fully caught up — or has failed to start — when admit returns;
 // lazy returns at once and lets first touches and the background
 // workers replay around live traffic. A nil plan (nothing restored) is
@@ -309,14 +327,7 @@ func (p *Process) admit(plan *restorePlan) error {
 		return nil
 	}
 	admitStart, admitWall := p.u.cfg.Clock.Now(), time.Now()
-	scanTS := p.tr.Now()
-	chains, scanned, err := p.buildChains(plan.restart, plan.filed, plan.scannedFrom)
-	if err != nil {
-		return fmt.Errorf("recovery head pass: %w", err)
-	}
-	plan.stats.RecordsScanned += scanned
-	p.recoverySpan(plan.recRun, scanTS)
-	eng := p.startEngine(plan, chains, admitStart, admitWall)
+	eng := p.startEngine(plan, admitStart, admitWall)
 	if p.cfg.Recovery.Mode == RecoveryLazy {
 		return nil
 	}
@@ -470,33 +481,6 @@ func (r *ctxResolver) ResolveLocal(id ids.CompID, fieldType reflect.Type) (any, 
 	return l, nil
 }
 
-// pass2Starts builds the per-stream Pass-2 scan starts from the
-// restart map: each restart LSN lowers its own stream's start, and
-// every later-era stream the context's key maps to is opened from its
-// start (the restart record predates those streams entirely, so any of
-// the context's records there postdate it).
-func (p *Process) pass2Starts(restart map[ids.CompID]ids.LSN) map[uint32]ids.LSN {
-	shardStart := make(map[uint32]ids.LSN)
-	for _, sh := range p.log.Shards() {
-		shardStart[sh.Stream] = sh.Log.Start()
-	}
-	starts := make(map[uint32]ids.LSN)
-	lower := func(stream uint32, l ids.LSN) {
-		if cur, ok := starts[stream]; !ok || l < cur {
-			starts[stream] = l
-		}
-	}
-	for id, r := range restart {
-		lower(r.Stream(), r)
-		for _, s := range p.log.StreamsFor(uint64(id)) {
-			if s > r.Stream() {
-				lower(s, shardStart[s])
-			}
-		}
-	}
-	return starts
-}
-
 // recoverySpan records one recovery scan pass under the run's own
 // trace (recRun from recover()); free when tracing is off.
 func (p *Process) recoverySpan(run trace.Ref, start int64) {
@@ -554,12 +538,14 @@ func (p *Process) RecoverContext(name string) error {
 		return err
 	}
 	defer cx.markReady()
-	// No Pass 1 ran: the head pass runs to the end of the log.
-	chains, _, err := p.buildChains(map[ids.CompID]ids.LSN{cx.parent.id: restart}, map[ids.CompID][]ids.LSN{}, nil)
+	// No Pass 1 ran: the failed context's own head starts the walk.
+	head := ids.LSN(old.chainHead.Load())
+	cx.chainHead.Store(uint64(head))
+	chain, err := walkChain(rd, cx.parent.id, head, restart)
 	if err != nil {
 		return err
 	}
-	tail, err := p.replayContext(cx, chains[cx.parent.id], rd)
+	tail, err := p.replayContext(cx, chain, rd)
 	if err != nil {
 		return err
 	}

@@ -14,8 +14,8 @@ import (
 
 // This file is the replay engine: the one scheduler of Pass 2, for
 // every recovery mode. After Pass 1 has rebuilt the context tables and
-// the head pass has completed each context's chain, every restored
-// context keeps its ready latch shut until its own chain has replayed.
+// found each context's chain head, every restored context keeps its
+// ready latch shut until its own chain has been walked and replayed.
 // Background workers — min(max(1, Parallelism), contexts) of them —
 // claim contexts hottest-first; a call that touches an unclaimed
 // context claims it and replays it on its own goroutine (concurrent
@@ -38,11 +38,10 @@ import (
 // replays (a crash mid-drain loses nothing).
 
 // pendingCtx is one restored-but-unreplayed context in the engine's
-// work set. The chain is dropped as soon as it has been walked.
+// work set: its chain runs from head down to restart.
 type pendingCtx struct {
-	cx      *Context
-	restart ids.LSN
-	chain   []ids.LSN
+	cx            *Context
+	restart, head ids.LSN
 }
 
 // replayEngine coordinates one recovery run's Pass 2. It lives in
@@ -67,7 +66,6 @@ type replayEngine struct {
 	remaining   int                        // claimed-but-unfinished + pending
 	onDemand    int
 	background  int
-	chainReads  int64
 	replayMax   time.Duration
 	replayTotal time.Duration
 	failed      map[ids.CompID]error
@@ -77,9 +75,9 @@ type replayEngine struct {
 	// (read-only after startEngine publishes the engine).
 	owned map[ids.CompID]bool
 
-	// backlogLo and backlogHi are the first and last LSN of all pending
-	// chains together (lo > hi: none): what a worker asks its reader to
-	// hold, so interleaved chains share one device read. Immutable too.
+	// backlogLo and backlogHi bound all pending chains together, lowest
+	// restart LSN to highest head (lo > hi: none): what a worker asks
+	// its reader to hold, so interleaved chains share one device read.
 	backlogLo, backlogHi ids.LSN
 
 	// failures guards the post-ready failure lookup on the serve path:
@@ -99,7 +97,7 @@ type replayEngine struct {
 // startEngine arms the engine over the plan's unready contexts and
 // starts the background workers. From here on the serve path admits
 // calls, replaying a context on first touch.
-func (p *Process) startEngine(plan *restorePlan, chains map[ids.CompID][]ids.LSN, admitStart, admitWall time.Time) *replayEngine {
+func (p *Process) startEngine(plan *restorePlan, admitStart, admitWall time.Time) *replayEngine {
 	slots := max(1, p.cfg.Recovery.Parallelism)
 	e := &replayEngine{
 		p:          p,
@@ -120,11 +118,11 @@ func (p *Process) startEngine(plan *restorePlan, chains map[ids.CompID][]ids.LSN
 		default:
 		}
 		id := cx.parent.id
-		chain := chains[id]
-		e.pending[id] = &pendingCtx{cx: cx, restart: plan.restart[id], chain: chain}
+		ent := &pendingCtx{cx: cx, restart: plan.restart[id], head: plan.heads[id]}
+		e.pending[id] = ent
 		e.owned[id] = true
-		if n := len(chain); n > 0 {
-			e.backlogLo, e.backlogHi = min(e.backlogLo, chain[0]), max(e.backlogHi, chain[n-1])
+		if ent.head >= ent.restart {
+			e.backlogLo, e.backlogHi = min(e.backlogLo, ent.restart), max(e.backlogHi, ent.head)
 		}
 	}
 	e.remaining = len(e.pending)
@@ -230,7 +228,6 @@ func (e *replayEngine) claimHottest() *pendingCtx {
 func (e *replayEngine) work() {
 	defer e.workers.Done()
 	rd := e.p.log.NewReader()
-	rd.Hold(e.backlogLo, e.backlogHi)
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(crashSignal); ok {
@@ -248,9 +245,11 @@ func (e *replayEngine) work() {
 	}
 }
 
-// replayOne replays a claimed context: the chain walk under a worker
-// slot, reading through the caller's rd, then the tail call slot-free
-// (it may resume live execution and demand further contexts). It records the per-context latency, drops
+// replayOne replays a claimed context: under a worker slot the chain
+// is walked, newest record to restart LSN, and replayed, oldest first,
+// both through the caller's rd; then the tail call runs slot-free (it
+// may resume live execution and demand further contexts). It records
+// the per-context latency, drops
 // a demand-replay span into the flight recorder — under the triggering
 // call's trace when there is one, else under the recovery run's own —
 // and marks the context ready whatever happened, so waiters unblock
@@ -263,14 +262,23 @@ func (e *replayEngine) replayOne(ent *pendingCtx, onDemand bool, tref trace.Ref,
 	defer ent.cx.markReady()
 	var err error
 	ran := false
-	reads := int64(len(ent.chain))
+	var cost replayCost
 	select {
 	case e.slots <- struct{}{}:
 		ran = true
+		var chain []ids.LSN
 		var tail ctxTail
-		tail, err = p.replayContext(ent.cx, ent.chain, rd)
+		before := rd.Reads()
+		if !onDemand && before == 0 {
+			rd.Hold(e.backlogLo, e.backlogHi) // a worker's first context: the whole backlog, once
+		}
+		chain, err = walkChain(rd, ent.cx.parent.id, ent.head, ent.restart)
+		cost.walkReads = rd.Reads() - before
+		if err == nil {
+			tail, err = p.replayContext(ent.cx, chain, rd)
+		}
+		cost.records, cost.replayReads = 2*int64(len(chain)), rd.Reads()-before-cost.walkReads
 		<-e.slots
-		ent.chain = nil
 		if err == nil {
 			err = p.replayTail(ent.cx, tail)
 		}
@@ -299,19 +307,24 @@ func (e *replayEngine) replayOne(ent *pendingCtx, onDemand bool, tref trace.Ref,
 			})
 		}
 	}
-	e.finishOne(ent, onDemand, ran, reads, clock.Now().Sub(start), err)
+	e.finishOne(ent, onDemand, ran, cost, clock.Now().Sub(start), err)
 	return err
 }
 
+// replayCost is what one context's walk and replay read.
+type replayCost struct{ records, walkReads, replayReads int64 }
+
 // finishOne folds one finished replay into the run's accounting and
 // triggers finalization when it was the last.
-func (e *replayEngine) finishOne(ent *pendingCtx, onDemand, ran bool, reads int64, d time.Duration, err error) {
+func (e *replayEngine) finishOne(ent *pendingCtx, onDemand, ran bool, cost replayCost, d time.Duration, err error) {
 	p := e.p
 	e.mu.Lock()
 	e.remaining--
 	last := e.remaining == 0
 	if ran {
-		e.chainReads += reads
+		e.plan.stats.RecordsScanned += cost.records
+		e.plan.stats.LogReadsWalk += cost.walkReads
+		e.plan.stats.LogReadsReplay += cost.replayReads
 		if onDemand {
 			e.onDemand++
 		} else {
@@ -369,9 +382,8 @@ func (e *replayEngine) finalize() {
 		return
 	}
 	clock := p.u.cfg.Clock
-	stats := e.plan.stats
 	e.mu.Lock()
-	stats.RecordsScanned += e.chainReads
+	stats := e.plan.stats // finishOne adds what the walks and replays read
 	stats.ContextsOnDemand = e.onDemand
 	stats.ContextsBackground = e.background
 	stats.CtxReplayMaxNanos = int64(e.replayMax)

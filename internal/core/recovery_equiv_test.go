@@ -7,9 +7,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/ids"
 	"repro/internal/wal"
 )
 
@@ -451,8 +453,10 @@ func TestRecoveryCalleeCompleteTailBeforeCallerIncomplete(t *testing.T) {
 
 // counterImage builds a crashed image of n Counter contexts C0..Cn-1
 // that each served Add(1) … Add(rounds), round-robin, and returns it
-// with the log's counters at the crash.
-func counterImage(t *testing.T, n, rounds int) (equivImage, wal.Stats) {
+// with the log's counters at the crash. Before round ckptAt (0: never)
+// every save-th context saves its state and the process takes a
+// checkpoint, which the next call's force publishes.
+func counterImage(t *testing.T, n, rounds, ckptAt, save int) (equivImage, wal.Stats) {
 	t.Helper()
 	img := equivImage{dir: t.TempDir(), cfg: testConfig()}
 	u, err := NewUniverse(UniverseConfig{Dir: img.dir})
@@ -461,16 +465,26 @@ func counterImage(t *testing.T, n, rounds int) (equivImage, wal.Stats) {
 	}
 	_, p := startProc(t, u, "evo1", "srv", testConfig())
 	refs := make([]*Ref, n)
+	handles := make([]*Handle, n)
 	for i := range refs {
 		name := fmt.Sprintf("C%d", i)
-		h, err := p.Create(name, &Counter{})
-		if err != nil {
+		if handles[i], err = p.Create(name, &Counter{}); err != nil {
 			t.Fatal(err)
 		}
 		img.counters = append(img.counters, name)
-		refs[i] = u.ExternalRef(h.URI())
+		refs[i] = u.ExternalRef(handles[i].URI())
 	}
 	for round := 1; round <= rounds; round++ {
+		if round == ckptAt {
+			for i := 0; i < n; i += save {
+				if err := handles[i].SaveState(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := p.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for _, ref := range refs {
 			callInt(t, ref, "Add", round)
 		}
@@ -483,14 +497,14 @@ func counterImage(t *testing.T, n, rounds int) (equivImage, wal.Stats) {
 
 // TestRecordsScannedGrowsWithBacklog pins RecoveryStats.RecordsScanned
 // on a 64-context log with no checkpoint: Pass 1 reads every record
-// once (and files the message records as it goes — there is nothing
-// before its start for a head pass), and the chain reads see each
-// replayed record once more, so the count is the log plus the backlog —
-// not contexts × log length, which is what one filtered scan per first
-// touch would cost — and a lazy restart reads what an eager one does.
+// once, and each replayed record is read twice more — by the walk that
+// finds its context's chain and by the replay — so the count is Pass 1
+// plus twice the backlog — not contexts × log length, which is what one
+// filtered scan per first touch would cost — and a lazy restart reads
+// what an eager one does.
 func TestRecordsScannedGrowsWithBacklog(t *testing.T) {
 	const n, rounds = 64, 6
-	img, st := counterImage(t, n, rounds)
+	img, st := counterImage(t, n, rounds, 0, 0)
 	logged := st.Appends
 
 	// Lazy touches spread over the log: each is a first-touch replay.
@@ -501,47 +515,236 @@ func TestRecordsScannedGrowsWithBacklog(t *testing.T) {
 	if eager.stats.CallsReplayed != n*rounds {
 		t.Fatalf("replayed %d calls, want %d", eager.stats.CallsReplayed, n*rounds)
 	}
-	if got, want := eager.stats.RecordsScanned, logged+n*rounds; got != want {
-		t.Errorf("eager scanned %d records, want the log's %d plus the %d replayed", got, logged, n*rounds)
+	if got, want := eager.stats.RecordsScanned, logged+2*n*rounds; got != want {
+		t.Errorf("eager scanned %d records, want Pass 1's %d plus twice the %d replayed", got, logged, n*rounds)
+	}
+	if lazy.stats.RecordsScanned != eager.stats.RecordsScanned {
+		t.Errorf("lazy scanned %d records, eager %d", lazy.stats.RecordsScanned, eager.stats.RecordsScanned)
 	}
 }
 
 // TestLogReadsBoundedByBlocks pins the restart's device reads
 // (RecoveryStats.LogReads/LogBytesRead) to the log's bytes, not to the
-// number of contexts: the open-time tail check and Pass 1 each pass
-// over the log a read-ahead block at a time, the restart records are
+// number of contexts, on an image checkpointed halfway with every other
+// context's state saved: the open-time tail check passes over what lies
+// past the stable watermark and Pass 1 over what lies past the
+// checkpoint, a read-ahead block at a time, the restart records are
 // read in LSN order through one reader, and the one worker holds the
 // whole backlog in one read however many chains interleave in it. The
 // same calls spread over 4 and over 32 contexts cost the same reads, at
-// most 3.5 times the log's bytes, and the counts are properties of the
-// image: they repeat exactly from one restart to the next.
+// most 2.3 times the log's bytes, and the counts are properties of the
+// image: they repeat exactly from one restart to the next. A context
+// replayed by itself — a first touch — passes over its chain's span
+// once to walk it and once to replay it, a block per read.
 func TestLogReadsBoundedByBlocks(t *testing.T) {
-	const calls = 1088     // both images end mid-block, well clear of a block-count edge
+	const calls = 4352     // both images end mid-block, well clear of a block-count edge
 	const block = 16 << 10 // wal's read-ahead unit
 	reads := make(map[int]int64)
 	for _, n := range []int{4, 32} {
-		img, st := counterImage(t, n, calls/n)
-		if st.BytesWritten < 4*block {
+		rounds := calls / n
+		img, st := counterImage(t, n, rounds, rounds/2+1, 2)
+		if st.BytesWritten < 8*block {
 			t.Fatalf("image is %d bytes: too small to need several blocks", st.BytesWritten)
 		}
 		first := recoverImage(t, img, RecoveryEager, 1)
 		again := recoverImage(t, img, RecoveryEager, 1)
-		if first.stats.CallsReplayed != calls {
-			t.Fatalf("replayed %d calls, want %d", first.stats.CallsReplayed, calls)
+		// The contexts that saved their state replay the second half.
+		if want := int64(n/2*rounds + n/2*(rounds-rounds/2)); first.stats.CallsReplayed != want {
+			t.Fatalf("replayed %d calls, want %d", first.stats.CallsReplayed, want)
 		}
-		if got := first.stats.LogBytesRead; got < st.BytesWritten || 2*got > 7*st.BytesWritten {
-			t.Errorf("%d contexts: restart read %d bytes of a %d-byte log, want between 1x and 3.5x",
+		s := first.stats
+		if got := s.LogBytesRead; got < st.BytesWritten || 10*got > 23*st.BytesWritten {
+			t.Errorf("%d contexts: restart read %d bytes of a %d-byte log, want between 1x and 2.3x",
 				n, got, st.BytesWritten)
 		}
-		if first.stats.LogReads != again.stats.LogReads || first.stats.LogBytesRead != again.stats.LogBytesRead {
+		if s.LogReads != again.stats.LogReads || s.LogBytesRead != again.stats.LogBytesRead {
 			t.Errorf("%d contexts: device reads do not repeat: %d (%d bytes), then %d (%d bytes)",
-				n, first.stats.LogReads, first.stats.LogBytesRead, again.stats.LogReads, again.stats.LogBytesRead)
+				n, s.LogReads, s.LogBytesRead, again.stats.LogReads, again.stats.LogBytesRead)
 		}
-		reads[n] = first.stats.LogReads
+		if sum := s.LogReadsOpen + s.LogReadsPass1 + s.LogReadsWalk + s.LogReadsReplay; sum != s.LogReads ||
+			s.LogReadsWalk != 1 || s.LogReadsReplay != 0 {
+			t.Errorf("%d contexts: %d device reads, by phase open %d + Pass 1 %d + walk %d + replay %d; want them to add up, one hold and nothing past it",
+				n, s.LogReads, s.LogReadsOpen, s.LogReadsPass1, s.LogReadsWalk, s.LogReadsReplay)
+		}
+		// Half the log is past the watermark and past the checkpoint.
+		if half := (st.BytesWritten/2)/block + 2; s.LogReadsOpen > half || s.LogReadsPass1 > half+3 {
+			t.Errorf("%d contexts: open-time check %d reads, Pass 1 and the restart records %d; want at most %d and %d",
+				n, s.LogReadsOpen, s.LogReadsPass1, half, half+3)
+		}
+		reads[n] = s.LogReads
 		t.Logf("%d contexts: %d records scanned with %d device reads (%d bytes) over a %d-byte log",
-			n, first.stats.RecordsScanned, first.stats.LogReads, first.stats.LogBytesRead, st.BytesWritten)
+			n, s.RecordsScanned, s.LogReads, s.LogBytesRead, st.BytesWritten)
+
+		// One context by itself, with a reader of its own.
+		p, plan := passOne(t, img)
+		for ctx, restart := range plan.restart {
+			head := plan.heads[ctx]
+			rd := p.log.NewReader()
+			chain, err := walkChain(rd, ctx, head, restart)
+			if err != nil {
+				t.Fatal(err)
+			}
+			walk := rd.Reads()
+			for _, lsn := range chain {
+				if _, err := rd.ReadAt(lsn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bound := int64(head-restart)/block + 1 + 1 // ⌈chain bytes / block⌉, and the log's one segment
+			if replay := rd.Reads() - walk; walk > bound || replay > bound {
+				t.Errorf("%d contexts: context %d's chain spans %d bytes: walked with %d device reads, replayed with %d, want at most %d each",
+					n, ctx, head-restart, walk, replay, bound)
+			}
+		}
 	}
 	if reads[4] != reads[32] {
 		t.Errorf("%d device reads with 4 contexts, %d with 32: reads must not grow with contexts", reads[4], reads[32])
 	}
+}
+
+// TestRestartFlatAsLogGrows: what a restart reads is set by what there
+// is to redo, not by what the log retains. Two images end alike — every
+// context's state saved, a checkpoint, three rounds of calls, the crash —
+// behind a history of 1 round and of 700: the restart scans the same
+// records and issues the same device reads over both, eagerly and
+// lazily, and a first touch — one context walked and replayed through a
+// reader of its own — reads the same.
+func TestRestartFlatAsLogGrows(t *testing.T) {
+	const n, tail = 8, 3
+	type cost struct {
+		logBytes                  int64
+		eager, lazy               RecoveryStats
+		touchRecords, touchDevice int64
+	}
+	costs := make(map[int]cost)
+	for _, history := range []int{1, 700} {
+		img, st := counterImage(t, n, history+tail, history+1, 1)
+		c := cost{logBytes: st.BytesWritten}
+		c.eager = recoverImage(t, img, RecoveryEager, 1).stats
+		c.lazy = recoverImage(t, img, RecoveryLazy, 1).stats
+		if c.eager.CallsReplayed != n*tail {
+			t.Fatalf("history %d: replayed %d calls, want %d", history, c.eager.CallsReplayed, n*tail)
+		}
+		p, plan := passOne(t, img)
+		ctx := ids.CompID(0)
+		for id, cx := range p.contexts {
+			if cx.parent.name == "C5" {
+				ctx = id
+			}
+		}
+		rd := p.log.NewReader()
+		chain, err := walkChain(rd, ctx, plan.heads[ctx], plan.restart[ctx])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lsn := range chain {
+			if _, err := rd.ReadAt(lsn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.touchRecords, c.touchDevice = 2*int64(len(chain)), rd.Reads()
+		costs[history] = c
+		t.Logf("history %d rounds, %d-byte log: %d records scanned, %d device reads (%d bytes); a first touch reads %d records with %d device reads",
+			history, c.logBytes, c.eager.RecordsScanned, c.eager.LogReads, c.eager.LogBytesRead, c.touchRecords, c.touchDevice)
+	}
+	short, long := costs[1], costs[700]
+	if long.logBytes < 100*short.logBytes {
+		t.Fatalf("logs of %d and %d bytes: the long one should retain 100x more", short.logBytes, long.logBytes)
+	}
+	if short.touchRecords != 2*tail || short.touchRecords != long.touchRecords || short.touchDevice != long.touchDevice {
+		t.Errorf("a first touch reads %d records with %d device reads over the short log, %d with %d over the long one; want %d records and equal reads",
+			short.touchRecords, short.touchDevice, long.touchRecords, long.touchDevice, 2*tail)
+	}
+	for _, mode := range []struct {
+		name        string
+		short, long RecoveryStats
+	}{{"eager", short.eager, long.eager}, {"lazy", short.lazy, long.lazy}} {
+		if mode.short.RecordsScanned != mode.long.RecordsScanned || mode.short.LogReads != mode.long.LogReads {
+			t.Errorf("%s: %d records scanned with %d device reads over the short log, %d with %d over the long one",
+				mode.name, mode.short.RecordsScanned, mode.short.LogReads, mode.long.RecordsScanned, mode.long.LogReads)
+		}
+	}
+}
+
+// TestRestartOverDamagedLog: on a checkpointed image the stable
+// watermark splits the log. A bad frame past it is the torn tail of the
+// crash — the open cuts it off and the restart recovers what is in
+// front of it. A bad frame below it is damage to records that were
+// durable: nothing is cut off, and the restart that has to read it —
+// here Pass 1, at the checkpoint's first record — fails stop naming the
+// LSN, instead of carrying on without every record behind it.
+func TestRestartOverDamagedLog(t *testing.T) {
+	const n, rounds = 4, 10
+	img, _ := counterImage(t, n, rounds, rounds/2+1, 2)
+	logDir := filepath.Join(img.dir, "evo1", "srv.log")
+	marks, err := wal.LoadWellKnownMarks(filepath.Join(img.dir, "evo1", "srv.wk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := wal.OpenSet(logDir, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stable, end := set.StableMarks()[1], set.Shards()[0].Log.End()
+	var last wal.Record // the last call's reply-sent marker
+	if err := set.Shards()[0].Log.Scan(stable, func(rec wal.Record) error { last = rec; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	set.Close()
+	if !(marks[1] < stable && stable < last.LSN && last.Type == recReplySent) {
+		t.Fatalf("image: mark %v, watermark %v, last record %s at %v of a log ending at %v", marks[1], stable, recName(last.Type), last.LSN, end)
+	}
+	// damaged copies the image and inverts the byte at lsn's offset + off.
+	damaged := func(lsn ids.LSN, off int64) equivImage {
+		cp := img
+		cp.dir = t.TempDir()
+		copyDir(t, img.dir, cp.dir)
+		segs, err := filepath.Glob(filepath.Join(cp.dir, "evo1", "srv.log", "shard-001", "*.seg"))
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("segments %v, %v", segs, err)
+		}
+		f, err := os.OpenFile(segs[0], os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		b := make([]byte, 1)
+		at := int64(lsn.Offset()) + off // the first segment: a record's file offset is its LSN's
+		if _, err := f.ReadAt(b, at); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte{^b[0]}, at); err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	}
+
+	t.Run("past the watermark: truncated there, recovers", func(t *testing.T) {
+		got := recoverImage(t, damaged(last.LSN, int64(last.Size)-1), RecoveryEager, 1)
+		for _, name := range img.counters {
+			if got.counters[name] != rounds*(rounds+1)/2 {
+				t.Errorf("%s recovered to %d, want %d", name, got.counters[name], rounds*(rounds+1)/2)
+			}
+		}
+	})
+	t.Run("below the watermark: fails stop", func(t *testing.T) {
+		cp := damaged(marks[1], 4)
+		u, err := NewUniverse(UniverseConfig{Dir: cp.dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer u.Shutdown()
+		m, err := u.AddMachine("evo1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = m.StartProcess("srv", cp.cfg)
+		if err == nil || !strings.Contains(err.Error(), "checksum mismatch at "+marks[1].String()) {
+			t.Fatalf("restart over a damaged checkpoint record: %v, want a checksum error at %v", err, marks[1])
+		}
+		fi, serr := os.Stat(filepath.Join(cp.dir, "evo1", "srv.log", "shard-001", fmt.Sprintf("%020d.seg", uint64(ids.StreamLSN(1, 16)))))
+		if serr != nil || fi.Size() != int64(end.Offset()) {
+			t.Errorf("the refused restart left a %v-byte segment (%v), want all %d bytes kept", fi, serr, end.Offset())
+		}
+	})
 }

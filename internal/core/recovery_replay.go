@@ -12,70 +12,46 @@ import (
 
 // This file is Pass 2 of Section 4.4, once: "buffer a context's
 // message records, replay its previous incoming call when the next one
-// arrives". Pass 1 files the message records it passes under their
-// contexts and the head pass here those before Pass 1's start
-// (buildChains); replaying a context then walks only its own chain
-// (replayContext). Every way a context gets replayed — the eager
-// drain, a lazy first touch, a background worker, RecoverContext —
-// goes through these two functions.
+// arrives". A context's message records are a chain on the log: each
+// one's frame links back to the one before (wal.Writer.AppendLinked), so
+// its backlog is read off the log from its newest record, which Pass 1
+// found (walkChain), and replayed oldest first (replayContext). Every
+// way a context gets replayed — the eager drain, a lazy first touch, a
+// background worker, RecoverContext — goes through these two functions.
 //
-// Chain invariant: a context's entries are in replay order, which is
-// raw-LSN order — stream tags grow with the era and a context's records
-// occupy exactly one stream per era, so the smaller of two LSNs was
-// written first (what Pass 1's "newest restart record wins" rests on).
-// Sorting the filed candidates orders them, whichever scan filed which.
+// Chain invariant: a link points at an older record, in raw-LSN order —
+// stream tags grow with the era and a context's records occupy exactly
+// one stream per era, so the smaller of two LSNs was written first (what
+// Pass 1's "newest restart record wins" rests on).
 
-// buildChains completes the chains. filed holds what Pass 1 filed from
-// scannedFrom[stream] on, before any restart LSN was known. The head
-// pass reads each stream that holds a restart LSN below that point, from
-// its Pass-2 start up to it (to its end when scannedFrom lacks the
-// stream — RecoverContext: no Pass 1, all head), and files every
-// replay-relevant message record — an incoming call, or the reply to an
-// outgoing one — under the restored context it belongs to, without
-// decoding the message. Then each context's candidates are sorted and
-// cut at its restart LSN ("If a message log record occurs earlier than
-// the latest state record of the same context, it is ignored"); those of
-// contexts absent from restart (stateless or dropped) are left behind.
-// A chain is 8 bytes per record of backlog — all a positioned read
-// needs. Returns the chains and the records the head pass read.
-func (p *Process) buildChains(restart map[ids.CompID]ids.LSN, filed map[ids.CompID][]ids.LSN, scannedFrom map[uint32]ids.LSN) (map[ids.CompID][]ids.LSN, int64, error) {
-	var scanned int64
-	starts := p.pass2Starts(restart)
-	for _, sh := range p.log.Shards() {
-		from, ok := starts[sh.Stream]
-		upTo, bounded := scannedFrom[sh.Stream]
-		if !ok || (bounded && from >= upTo) {
-			continue // no restored context has unfiled records on this stream
+// walkChain reads the chain of context ctx off the log through rd:
+// from head, its newest replay-relevant message record — an incoming
+// call, or the reply to an outgoing one — link by link down to its
+// restart LSN ("If a message log record occurs earlier than the latest
+// state record of the same context, it is ignored"), and returns the
+// LSNs in replay order, oldest first: 8 bytes per record of backlog. A
+// link (from the nil LSN: the head itself) that leads to no record, or
+// to one that is not the context's message, is a broken log.
+func walkChain(rd *wal.Reader, ctx ids.CompID, head, restart ids.LSN) ([]ids.LSN, error) {
+	var chain []ids.LSN
+	for from, lsn := ids.NilLSN, head; !lsn.IsNil() && lsn >= restart; {
+		rec, err := rd.ReadAt(lsn)
+		if err != nil {
+			return nil, fmt.Errorf("core: chain of context %d: record at %v, linked from %v: %w", ctx, lsn, from, err)
 		}
-		head := func(rec wal.Record) error {
-			if bounded && rec.LSN >= upTo {
-				return wal.ErrStopScan
-			}
-			scanned++
-			if rec.Type != recIncoming && rec.Type != recOutgoingReply {
-				return nil
-			}
-			ctx, err := recCtx(rec.Payload)
-			if err != nil {
-				return err
-			}
-			if r, ok := restart[ctx]; ok && rec.LSN >= r {
-				filed[ctx] = append(filed[ctx], rec.LSN)
-			}
-			return nil
+		owner, err := recCtx(rec.Payload)
+		if err != nil {
+			return nil, err
 		}
-		if err := sh.Log.Scan(from, head); err != nil {
-			return nil, scanned, err
+		if (rec.Type != recIncoming && rec.Type != recOutgoingReply) || owner != ctx {
+			return nil, fmt.Errorf("core: chain of context %d: %v, linked from %v, holds a %s record of context %d",
+				ctx, lsn, from, recName(rec.Type), owner)
 		}
+		chain = append(chain, lsn)
+		from, lsn = lsn, rec.Prev
 	}
-	chains := make(map[ids.CompID][]ids.LSN, len(restart))
-	for ctx, from := range restart {
-		c := filed[ctx]
-		slices.Sort(c)
-		cut, _ := slices.BinarySearch(c, from)
-		chains[ctx] = c[cut:]
-	}
-	return chains, scanned, nil
+	slices.Reverse(chain)
+	return chain, nil
 }
 
 // ctxTail is a context's last buffered incoming call with the replies

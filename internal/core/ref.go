@@ -232,7 +232,7 @@ func (cx *Context) outgoingCall(call *msg.Call) (*msg.Reply, error) {
 	case cx.parent.ctype == msg.External || stateless:
 		// Algorithms 4/5 at the stateless component: do nothing.
 	case p.cfg.LogMode == LogBaseline && !aopt:
-		lsn, err := p.appendRec(recOutgoing, cx.parent.id, &outgoingRec{Ctx: cx.parent.id, Call: *call, Trace: call.Trace})
+		lsn, err := p.appendRec(recOutgoing, cx.parent.id, &outgoingRec{Ctx: cx.parent.id, Call: *call, Trace: call.Trace}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -314,7 +314,7 @@ func (cx *Context) outgoingCall(call *msg.Call) (*msg.Reply, error) {
 		// any other, so a second failure replays it too.
 		if p.cfg.LogMode == LogBaseline && !aopt {
 			cx.outgoingReply = outgoingReplyRec{Ctx: cx.parent.id, Seq: seq, Reply: *reply, Trace: call.Trace}
-			lsn, err := p.appendRec(recOutgoingReply, cx.parent.id, &cx.outgoingReply)
+			lsn, err := p.appendRec(recOutgoingReply, cx.parent.id, &cx.outgoingReply, &cx.chainHead)
 			if err != nil {
 				return nil, err
 			}
@@ -331,7 +331,7 @@ func (cx *Context) outgoingCall(call *msg.Call) (*msg.Reply, error) {
 			// replies are unrepeatable and must be logged too
 			// (Algorithm 5: "Log message 4").
 			cx.outgoingReply = outgoingReplyRec{Ctx: cx.parent.id, Seq: seq, Reply: *reply, Trace: call.Trace}
-			lsn, err := p.appendRec(recOutgoingReply, cx.parent.id, &cx.outgoingReply)
+			lsn, err := p.appendRec(recOutgoingReply, cx.parent.id, &cx.outgoingReply, &cx.chainHead)
 			if err != nil {
 				return nil, err
 			}

@@ -204,7 +204,7 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 	if !roTreatment && !ad.readOnly {
 		p.inject(PointServerBeforeLogIncoming)
 		cx.incoming = incomingRec{Ctx: cx.parent.id, Call: *call, Trace: call.Trace}
-		lsn, err := p.appendRec(recIncoming, cx.parent.id, &cx.incoming)
+		lsn, err := p.appendRec(recIncoming, cx.parent.id, &cx.incoming, &cx.chainHead)
 		if err != nil {
 			return fault(call.ID, "log incoming: %v", err)
 		}
@@ -252,7 +252,7 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 		switch {
 		case p.cfg.LogMode == LogBaseline && !ad.algo2:
 			// Algorithm 1: log the full reply and force.
-			lsn, err := p.appendRec(recReplyContent, cx.parent.id, &replyContentRec{Ctx: cx.parent.id, CallID: call.ID, Reply: *reply, Trace: call.Trace})
+			lsn, err := p.appendRec(recReplyContent, cx.parent.id, &replyContentRec{Ctx: cx.parent.id, CallID: call.ID, Reply: *reply, Trace: call.Trace}, nil)
 			if err != nil {
 				return fault(call.ID, "log reply: %v", err)
 			}
@@ -264,7 +264,7 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 			// Algorithm 3: a short record — only the fact that the
 			// reply was (attempted to be) sent — then force.
 			cx.replySent = replySentRec{Ctx: cx.parent.id, CallID: call.ID, Trace: call.Trace}
-			lsn, err := p.appendRec(recReplySent, cx.parent.id, &cx.replySent)
+			lsn, err := p.appendRec(recReplySent, cx.parent.id, &cx.replySent, nil)
 			if err != nil {
 				return fault(call.ID, "log reply-sent: %v", err)
 			}

@@ -49,13 +49,15 @@ func repoLocksyncConfig() LocksyncConfig {
 		},
 		Blocking: append([]string{
 			"(*repro/internal/wal.Log).Append",
-			"(*repro/internal/wal.Log).AppendInto",
+			"(*repro/internal/wal.Log).AppendLinked",
 			"(*repro/internal/wal.Log).SyncTo",
 			"(*repro/internal/wal.Log).SyncAll",
 			"(*repro/internal/wal.Set).AppendInto",
+			"(*repro/internal/wal.Set).AppendLinked",
 			"(*repro/internal/wal.Set).SyncTo",
 			"(*repro/internal/wal.Set).SyncAll",
 			"(repro/internal/wal.Writer).AppendInto",
+			"(repro/internal/wal.Writer).AppendLinked",
 			"(repro/internal/wal.Writer).SyncTo",
 			"(repro/internal/wal.Writer).SyncAll",
 			"(*repro/internal/core.Process).appendRec",

@@ -19,7 +19,7 @@ type ForcesiteConfig struct {
 
 var defaultForcesiteGuarded = []string{
 	"(*repro/internal/wal.Log).Append",
-	"(*repro/internal/wal.Log).AppendInto",
+	"(*repro/internal/wal.Log).AppendLinked",
 	"(*repro/internal/wal.Log).SyncTo",
 	"(*repro/internal/wal.Log).SyncAll",
 	// The sharded set and the Writer interface expose the same entry
@@ -27,9 +27,11 @@ var defaultForcesiteGuarded = []string{
 	// analyzer would lose its coverage the moment a call site is typed
 	// wal.Writer instead of *wal.Log.
 	"(*repro/internal/wal.Set).AppendInto",
+	"(*repro/internal/wal.Set).AppendLinked",
 	"(*repro/internal/wal.Set).SyncTo",
 	"(*repro/internal/wal.Set).SyncAll",
 	"(repro/internal/wal.Writer).AppendInto",
+	"(repro/internal/wal.Writer).AppendLinked",
 	"(repro/internal/wal.Writer).SyncTo",
 	"(repro/internal/wal.Writer).SyncAll",
 }

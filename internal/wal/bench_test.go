@@ -43,7 +43,7 @@ func BenchmarkWALAppendInto(b *testing.B) {
 	b.SetBytes(int64(len(benchPayload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.AppendInto(0, 1, enc); err != nil {
+		if _, err := l.AppendLinked(0, 1, enc, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -134,8 +134,8 @@ func TestFailedSyncStopsTheLog(t *testing.T) {
 	if _, err := l.Append(1, []byte("more")); err != syncErr {
 		t.Errorf("Append after the failed sync = %v, want the first error again", err)
 	}
-	if _, err := l.AppendInto(0, 1, EncodeFunc(func(dst []byte) ([]byte, error) { return dst, nil })); err != syncErr {
-		t.Errorf("AppendInto after the failed sync = %v, want the first error again", err)
+	if _, err := l.AppendLinked(0, 1, EncodeFunc(func(dst []byte) ([]byte, error) { return dst, nil }), nil); err != syncErr {
+		t.Errorf("AppendLinked after the failed sync = %v, want the first error again", err)
 	}
 	if got := l.SyncedLSN(); got != mark {
 		t.Errorf("SyncedLSN = %v after the failed sync, want it left at %v", got, mark)

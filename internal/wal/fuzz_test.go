@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,7 +17,10 @@ func FuzzOpenTornSegment(f *testing.F) {
 	f.Add([]byte{}, false)
 	f.Add([]byte{0xff, 0x00, 0x01}, true)
 	f.Add([]byte("half a record maybe"), false)
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x01, 0, 0, 0, 0, 'x'}, false) // a frame claiming a 4 GiB payload
+	f.Add(append(binary.AppendUvarint(nil, 1<<63), 0, 0, 0, 0, 0x01, 0, 'x'), false)     // a frame claiming a 2^63-byte payload
+	f.Add(make([]byte, 40), false)                                                       // a zero-filled page
+	f.Add([]byte{0x82, 0x00, 0x6f, 0x4f, 0xde, 0x91, 0x01, 0x00, 'h', 'i'}, false)       // a non-minimal length, its checksum right
+	f.Add([]byte{0x02, 0x82, 0x70, 0xbf, 0x5e, 0x01, 0xc0, 0x84, 0x3d, 'h', 'i'}, false) // a link back past the log's start, its checksum right
 	f.Fuzz(func(t *testing.T, tail []byte, clobberLast bool) {
 		dir := filepath.Join(t.TempDir(), "f.log")
 		l, err := Open(dir, nil)
@@ -96,9 +100,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lsn2, err := l.AppendInto(0, RecordType(typ)+1, EncodeFunc(func(dst []byte) ([]byte, error) {
+		lsn2, err := l.AppendLinked(0, RecordType(typ)+1, EncodeFunc(func(dst []byte) ([]byte, error) {
 			return append(dst, p2...), nil
-		}))
+		}), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ids"
@@ -32,6 +33,10 @@ func appendAll(t testing.TB, l *Log, payloads ...[]byte) []ids.LSN {
 	}
 	return lsns
 }
+
+// frameLen is the log space an unlinked record with an n-byte payload
+// takes: length, type, a zero distance, the checksum, the payload.
+func frameLen(n int) int { return uvarintLen(uint64(n)) + 1 + 1 + 4 + n }
 
 // numbered returns n distinguishable payloads of size bytes each.
 func numbered(n, size int) [][]byte {
@@ -116,21 +121,25 @@ func TestReaderEdgeCases(t *testing.T) {
 		}
 
 		run("record straddles a block edge", func(t *testing.T, l *Log) {
-			// 40-byte payloads frame to 49 bytes: no multiple of it is a
+			// 40-byte payloads frame to 47 bytes: no multiple of it is a
 			// block size, so block edges fall inside frames and payloads.
-			payloads := numbered(2*block/49+3, 40)
+			const rec = 47
+			if frameLen(40) != rec {
+				t.Fatalf("a 40-byte payload frames to %d bytes", frameLen(40))
+			}
+			payloads := numbered(2*block/rec+3, 40)
 			lsns := appendAll(t, l, payloads...)
 			before := l.Stats()
 			scanAll(t, l, lsns, payloads)
 			after := l.Stats()
 			// A refill starts at the straddling record, so the bytes read
 			// exceed the bytes scanned by less than a record per refill.
-			total := int64(len(payloads) * 49)
+			total := int64(len(payloads) * rec)
 			reads, bytesRead := after.ReadOps-before.ReadOps, after.ReadBytes-before.ReadBytes
-			if bytesRead < total || bytesRead >= total+49*reads {
+			if bytesRead < total || bytesRead >= total+rec*reads {
 				t.Errorf("%d reads of %d bytes for %d bytes of records", reads, bytesRead, total)
 			}
-			if want := int64(len(payloads) / (block / 49)); reads > want+1 {
+			if want := int64(len(payloads) / (block / rec)); reads > want+1 {
 				t.Errorf("%d device reads, want about %d (one per block)", reads, want)
 			}
 		})
@@ -213,7 +222,7 @@ func TestReaderEdgeCases(t *testing.T) {
 			payloads := numbered(30, 40)
 			lsns := appendAll(t, l, payloads...)
 			bad := lsns[17]
-			clobber(t, l, bad, frameSize+5, []byte{^payloads[17][5]})
+			clobber(t, l, bad, int64(frameLen(40)-40+5), []byte{^payloads[17][5]})
 			c := scanBlock(t, l, ids.NilLSN, block)
 			n, err := drain(t, c, lsns, payloads)
 			if want := fmt.Sprintf("wal: checksum mismatch at %v", bad); n != 17 || err == nil || err.Error() != want {
@@ -281,7 +290,7 @@ func TestReaderEdgeCases(t *testing.T) {
 			payloads := numbered(200, 40)
 			lsns := appendAll(t, l, payloads...)
 			rd, reads, bytesRead := hold(t, l, lsns[0], lsns[len(lsns)-1])
-			if want := int64(len(payloads) * 49); reads != 1 || bytesRead != want {
+			if want := int64(len(payloads) * frameLen(40)); reads != 1 || bytesRead != want {
 				t.Fatalf("Hold issued %d reads of %d bytes, want 1 of %d (the span, cut at the segment's end)", reads, bytesRead, want)
 			}
 			before := l.Stats().ReadOps
@@ -294,7 +303,7 @@ func TestReaderEdgeCases(t *testing.T) {
 		run("hold: at holdMax, and one byte over", func(t *testing.T, l *Log) {
 			// hi - lo is the first record's frame: the span is that plus a block.
 			for over := 0; over <= 1; over++ {
-				big := make([]byte, holdMax-block-frameSize+over)
+				big := make([]byte, holdMax-block-9+over) // a payload this long takes a 3-byte length: 9 bytes of frame
 				payloads := [][]byte{big, []byte("hi")}
 				lsns := appendAll(t, l, payloads...)
 				rd, reads, _ := hold(t, l, lsns[0], lsns[1])
@@ -443,11 +452,11 @@ func allocatedBy(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestTornLengthCostsNothing: a frame whose length field claims 4 GiB —
-// a torn tail at open, or a frame damaged under a live log — is refused
-// on its length alone, before any buffer is sized by it.
+// TestTornLengthCostsNothing: a frame whose length field claims 2^63
+// bytes — a torn tail at open, or a frame damaged under a live log — is
+// refused on its length alone, before any buffer is sized by it.
 func TestTornLengthCostsNothing(t *testing.T) {
-	huge := []byte{0xff, 0xff, 0xff, 0xff}
+	huge := binary.AppendUvarint(nil, 1<<63)
 	l, dir := openTemp(t)
 	payloads := numbered(20, 24)
 	lsns := appendAll(t, l, payloads...)
@@ -461,31 +470,198 @@ func TestTornLengthCostsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(append(huge, 1, 0, 0, 0, 0, 'x', 'y')); err != nil {
+	if _, err := f.Write(append(huge, 0, 0, 0, 0, 1, 0, 'x', 'y')); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 
 	var l2 *Log
 	if got := allocatedBy(func() { l2, err = Open(dir, nil) }); err != nil || got > 2*readBlock {
-		t.Fatalf("Open over a torn 4 GiB frame: err %v, %d bytes allocated (a block is %d)", err, got, readBlock)
+		t.Fatalf("Open over a torn 2^63-byte frame: err %v, %d bytes allocated (a block is %d)", err, got, readBlock)
 	}
 	defer l2.Close()
 	if l2.End() != end {
 		t.Errorf("log ends at %v after open, want the torn frame cut off at %v", l2.End(), end)
 	}
 
-	clobber(t, l2, lsns[10], 0, huge)
+	// Over a live record the ten length bytes reach into the payload:
+	// what follows them still has to parse as a header before the length
+	// is looked at, so give it one.
+	clobber(t, l2, lsns[10], 0, append(huge, 0, 0, 0, 0, 1, 0))
 	c, err := l2.ScanFrom(ids.NilLSN)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var n int
 	if got := allocatedBy(func() { n, err = drain(t, c, lsns, payloads) }); got > 2*readBlock {
-		t.Errorf("cursor over a 4 GiB frame allocated %d bytes (a block is %d)", got, readBlock)
+		t.Errorf("cursor over a 2^63-byte frame allocated %d bytes (a block is %d)", got, readBlock)
 	}
 	if n != 10 || !errors.Is(err, ErrNotFound) {
 		t.Errorf("cursor stopped after %d records with %v, want 10 and ErrNotFound", n, err)
+	}
+}
+
+// TestReaderRejectsWhatNoAppendWrites: bytes that are not a frame an
+// append wrote are not a record, whatever their checksum field says.
+func TestReaderRejectsWhatNoAppendWrites(t *testing.T) {
+	// A zero-filled or never-written page parses as an empty type-0
+	// record whose checksum field is 0: the checksum of that record is not.
+	if crc := crc32.Update(0, crcTable, []byte{0, 0}); crc == 0 {
+		t.Fatal("CRC-32C of a zero type byte and a zero distance is 0: a zero-filled tail would scan as records")
+	}
+	// frame builds a frame by hand, so the encodings Append never
+	// produces can be written with a checksum that matches them.
+	frame := func(length []byte, typ byte, dist, payload []byte) []byte {
+		covered := append(append([]byte{typ}, dist...), payload...)
+		b := binary.LittleEndian.AppendUint32(append([]byte{}, length...), crc32.Checksum(covered, crcTable))
+		return append(b, covered...)
+	}
+	payload := []byte("0123456789")
+	good := frame([]byte{10}, 1, []byte{0}, payload)
+	cases := []struct {
+		name string
+		tail []byte
+		want error // what reading the bytes as a record reports; nil: they are one
+	}{
+		{"a well-formed frame", good, nil},
+		{"zero-filled tail", make([]byte, 64), errChecksum},
+		{"stale page: an old frame's middle", good[3:], errChecksum},
+		{"non-minimal length", frame([]byte{0x8a, 0x00}, 1, []byte{0}, payload), errChecksum},
+		{"over-long length", frame(append(bytes.Repeat([]byte{0x80}, 10), 0x01), 1, []byte{0}, payload), errChecksum},
+		{"non-minimal distance", frame([]byte{10}, 1, []byte{0x80, 0x00}, payload), errChecksum},
+		{"distance back past the start of any log", frame([]byte{10}, 1, binary.AppendUvarint(nil, 1<<40), payload), errChecksum},
+		{"length torn off after its first byte", []byte{0xff}, ErrNotFound},
+		{"header torn off inside the checksum", good[:3], ErrNotFound},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l, dir := openTemp(t)
+			lsns := appendAll(t, l, numbered(3, 8)...)
+			if _, err := l.SyncAll(); err != nil {
+				t.Fatal(err)
+			}
+			end := l.End()
+			seg := activeSegPath(t, l)
+			l.Close()
+			f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(tc.tail); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			l, err = Open(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if tc.want == nil {
+				rec, err := l.Read(end)
+				if err != nil || !bytes.Equal(rec.Payload, payload) || rec.Size != len(tc.tail) {
+					t.Fatalf("Read(%v) = %q (%d bytes of log), %v", end, rec.Payload, rec.Size, err)
+				}
+				return
+			}
+			if l.End() != end {
+				t.Fatalf("log ends at %v after open, want the tail cut off at %v", l.End(), end)
+			}
+			if n, err := drain(t, scanBlock(t, l, ids.NilLSN, readBlock), lsns, numbered(3, 8)); n != 3 || err != nil {
+				t.Fatalf("scan after open: %d records, %v", n, err)
+			}
+			// And under a live log, where nothing truncates: the same
+			// bytes behind the last record read as the same error.
+			clobberTail(t, l, end, tc.tail)
+			rd := Reader{l: l, block: readBlock, limit: end + ids.LSN(len(tc.tail))}
+			if _, err := rd.read(end); !errors.Is(err, tc.want) {
+				t.Errorf("read of the tail: %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// clobberTail writes b behind the log's last record, behind its back,
+// and makes the active segment own the bytes.
+func clobberTail(t *testing.T, l *Log, end ids.LSN, b []byte) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	s := l.active()
+	if s.end() != end {
+		t.Fatalf("active segment ends at %v, not %v", s.end(), end)
+	}
+	if _, err := s.f.WriteAt(b, segHeaderSize+s.size); err != nil {
+		t.Fatal(err)
+	}
+	s.size += int64(len(b))
+}
+
+// TestReaderWalksBackwardsByTheBlock: positioned reads at descending
+// LSNs — a chain followed through Record.Prev — cost a device read per
+// block of log passed over, as a forward scan does, not one per record;
+// the same reader then reads forwards again.
+func TestReaderWalksBackwardsByTheBlock(t *testing.T) {
+	l, _ := openTemp(t)
+	defer l.Close()
+	l.SetSegmentBytes(48 << 10) // the walk crosses segment files too
+	const n, block = 2000, 4 << 10
+	var head atomic.Uint64
+	var lsns []ids.LSN
+	payloads := numbered(n, 40)
+	for i, p := range payloads {
+		p := p
+		enc := EncodeFunc(func(dst []byte) ([]byte, error) { return append(dst, p...), nil })
+		var lsn ids.LSN
+		var err error
+		if i%3 == 0 { // every third record is on the chain
+			lsn, err = l.AppendLinked(0, 1, enc, &head)
+		} else {
+			lsn, err = l.AppendLinked(0, 2, enc, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns = append(lsns, lsn)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	segs := int64(l.Stats().Segments)
+	if segs < 2 {
+		t.Fatal("log did not roll")
+	}
+	rd := readerOn(l, block)
+	var chain []ids.LSN
+	for lsn := ids.LSN(head.Load()); !lsn.IsNil(); {
+		rec, err := rd.ReadAt(lsn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain = append(chain, lsn)
+		if rec.Prev >= lsn {
+			t.Fatalf("record at %v links to %v", lsn, rec.Prev)
+		}
+		lsn = rec.Prev
+	}
+	for i, lsn := range chain {
+		if want := lsns[3*(len(chain)-1-i)]; lsn != want {
+			t.Fatalf("chain entry %d from the head is %v, want %v", i, lsn, want)
+		}
+	}
+	span := int64(l.End() - lsns[0])
+	// A block per block of log and one more per segment: a read does not
+	// cross files.
+	if got, max := rd.Reads(), span/block+segs+1; got > max {
+		t.Errorf("backward walk over %d bytes issued %d device reads, want at most %d", span, got, max)
+	}
+	before := rd.Reads()
+	for i := len(chain) - 1; i >= 0; i-- {
+		if rec, err := rd.ReadAt(chain[i]); err != nil || !bytes.Equal(rec.Payload, payloads[3*(len(chain)-1-i)]) {
+			t.Fatalf("forward ReadAt(%v): %v", chain[i], err)
+		}
+	}
+	if got, max := rd.Reads()-before, span/block+segs+2; got > max {
+		t.Errorf("forward pass over %d bytes issued %d device reads, want at most %d", span, got, max)
 	}
 }
 
@@ -608,28 +784,60 @@ func TestAllocsReader(t *testing.T) {
 	}
 }
 
-// TestFrameChecksumIsIEEEOverTypeAndPayload pins the frame format: the
-// checksum continued from typeCRC is, bit for bit, CRC-32/IEEE over the
-// type byte followed by the payload — what every segment on disk holds.
-func TestFrameChecksumIsIEEEOverTypeAndPayload(t *testing.T) {
-	payloads := [][]byte{nil, {0}, []byte("reply"), bytes.Repeat([]byte{0xA5}, 15), bytes.Repeat([]byte("0123456789"), 100)}
-	for typ := 0; typ < 256; typ++ {
-		for _, p := range payloads {
-			want := crc32.ChecksumIEEE(append([]byte{byte(typ)}, p...))
-			if got := crc32.Update(typeCRC[typ], crcTable, p); got != want {
-				t.Fatalf("type %d, %d-byte payload: checksum %#x, IEEE over type+payload is %#x", typ, len(p), got, want)
-			}
-		}
-	}
+// TestFrameIsUvarintLengthCRC32CTypeDistance pins the frame format, as
+// every segment on disk holds it: uvarint payload length, CRC-32C
+// (Castagnoli), little-endian, over everything behind it — the type
+// byte, the uvarint distance to the chain's previous record, the
+// payload.
+func TestFrameIsUvarintLengthCRC32CTypeDistance(t *testing.T) {
 	l, _ := openTemp(t)
 	defer l.Close()
-	lsn := appendAll(t, l, []byte("on disk"))[0]
+	var head atomic.Uint64
+	long := bytes.Repeat([]byte("0123456789"), 30)
+	payloads := [][]byte{[]byte("on disk"), nil, long, []byte("tail")}
+	var lsns []ids.LSN
+	for _, p := range payloads {
+		p := p
+		lsn, err := l.AppendLinked(0, 7, EncodeFunc(func(dst []byte) ([]byte, error) { return append(dst, p...), nil }), &head)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns = append(lsns, lsn)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	raw, err := os.ReadFile(activeSegPath(t, l))
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := raw[segHeaderSize+int(lsn-l.base):]
-	if got, want := binary.LittleEndian.Uint32(frame[5:9]), crc32.ChecksumIEEE(append([]byte{1}, "on disk"...)); got != want {
-		t.Errorf("frame on disk carries checksum %#x, want %#x", got, want)
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	var want []byte
+	for i, p := range payloads {
+		dist := uint64(0)
+		if i > 0 {
+			dist = uint64(lsns[i] - lsns[i-1])
+		}
+		covered := append(binary.AppendUvarint([]byte{7}, dist), p...)
+		want = binary.AppendUvarint(want, uint64(len(p)))
+		want = binary.LittleEndian.AppendUint32(want, crc32.Checksum(covered, castagnoli))
+		want = append(want, covered...)
+	}
+	if got := raw[segHeaderSize:]; !bytes.Equal(got, want) {
+		t.Fatalf("segment holds\n%x\nwant\n%x", got, want)
+	}
+	if got, min := len(want), frameMin*len(payloads)+len("on disk")+len(long)+len("tail"); got != min+2 {
+		t.Errorf("%d bytes for four records, want %d: seven bytes of frame each, one more for the 300-byte length and one for the distance past it", got, min+2)
+	}
+	// And it reads back with the links.
+	for i, lsn := range lsns {
+		rec, err := l.Read(lsn)
+		prev := ids.NilLSN
+		if i > 0 {
+			prev = lsns[i-1]
+		}
+		if err != nil || rec.Type != 7 || rec.Prev != prev || !bytes.Equal(rec.Payload, payloads[i]) {
+			t.Errorf("Read(%v) = type %d, prev %v, %d bytes, %v; want type 7, prev %v", lsn, rec.Type, rec.Prev, len(rec.Payload), err, prev)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/disk"
 	"repro/internal/ids"
@@ -26,6 +27,8 @@ import (
 // well-known checkpoint watermark is a per-stream vector (see
 // SaveWellKnownMarks).
 type Set struct {
+	dir    string
+	stable map[uint32]ids.LSN // the watermarks shards.meta held at open
 	eras   []Era
 	shards []Shard // era order; index-aligned with eras expansion
 	active []*Log  // logs of the latest era, routing-index order
@@ -50,7 +53,7 @@ func OpenSet(dir string, model disk.Model, n int) (*Set, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: mkdir %s: %w", dir, err)
 	}
-	eras, err := loadShardMeta(dir)
+	eras, stable, err := loadShardMeta(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -79,21 +82,23 @@ func OpenSet(dir string, model disk.Model, n int) (*Set, error) {
 		resharded = true
 	}
 	if fresh || resharded {
-		if err := saveShardMeta(dir, eras); err != nil {
+		if err := saveShardMeta(dir, eras, stable); err != nil {
 			return nil, err
 		}
 	}
 
 	s := &Set{
-		eras:  eras,
-		byStr: make(map[uint32]*Log),
-		m:     obs.WALView(obs.Default()),
+		dir:    dir,
+		stable: stable,
+		eras:   eras,
+		byStr:  make(map[uint32]*Log),
+		m:      obs.WALView(obs.Default()),
 	}
 	for ei, e := range eras {
 		for i := 0; i < e.Count; i++ {
 			stream := e.Base + uint32(i)
 			l, err := openLog(filepath.Join(dir, shardDirName(stream)), model,
-				ids.StreamLSN(stream, ids.LSN(segHeaderSize)))
+				ids.StreamLSN(stream, ids.LSN(segHeaderSize)), stable[stream])
 			if err != nil {
 				s.closeOpened()
 				return nil, err
@@ -139,8 +144,14 @@ func (s *Set) route(key uint64) (*Log, int) {
 
 // AppendInto appends to the shard the key maps to. Implements Writer.
 func (s *Set) AppendInto(key uint64, t RecordType, enc PayloadEncoder) (ids.LSN, error) {
+	return s.AppendLinked(key, t, enc, nil)
+}
+
+// AppendLinked implements Writer: the shard the key maps to links the
+// record behind *head (see Log.AppendLinked).
+func (s *Set) AppendLinked(key uint64, t RecordType, enc PayloadEncoder, head *atomic.Uint64) (ids.LSN, error) {
 	l, i := s.route(key)
-	lsn, err := l.AppendInto(key, t, enc)
+	lsn, err := l.AppendLinked(key, t, enc, head)
 	if err == nil {
 		s.m.ShardAppends.Inc()
 		s.m.ShardSpread.Observe(int64(i))
@@ -190,6 +201,24 @@ func (s *Set) SyncAll() (SyncOutcome, error) {
 // SyncedLSN implements Writer: the stable watermark of the meta shard
 // (where checkpoint records live).
 func (s *Set) SyncedLSN() ids.LSN { return s.active[0].SyncedLSN() }
+
+// MarkStable implements Writer: every stream's stable watermark goes
+// into shards.meta — the one file OpenSet reads before it opens a
+// stream — beside the era list.
+func (s *Set) MarkStable() error {
+	stable := make(map[uint32]ids.LSN, len(s.shards))
+	for _, sh := range s.shards {
+		stable[sh.Stream] = sh.Log.SyncedLSN()
+	}
+	if err := saveShardMeta(s.dir, s.eras, stable); err != nil {
+		return fmt.Errorf("wal: record stable watermarks: %w", err)
+	}
+	return nil
+}
+
+// StableMarks returns the watermarks shards.meta held when the set was
+// opened, by stream: where each stream's tail check started.
+func (s *Set) StableMarks() map[uint32]ids.LSN { return s.stable }
 
 // Flush implements Writer.
 func (s *Set) Flush() error {

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -122,11 +123,11 @@ func TestOpenSetRejectsBareLogDir(t *testing.T) {
 	}
 }
 
-// TestShardMetaRejectsMalformedLines: an era line is exactly what
+// TestShardMetaRejectsMalformedLines: an era or stable line is exactly what
 // saveShardMeta writes — trailing tokens and stream 0 (a bare Log's
 // tag) do not load.
 func TestShardMetaRejectsMalformedLines(t *testing.T) {
-	for _, line := range []string{"era 1 4 junk", "era 0 1", "era 1"} {
+	for _, line := range []string{"era 1 4 junk", "era 0 1", "era 1", "era 1 1\nstable 1 64 junk", "era 1 1\nstable 1", "era 1 1\nstable 300 64"} {
 		dir := t.TempDir()
 		meta := shardMetaMagic + "\n" + line + "\n"
 		if err := os.WriteFile(filepath.Join(dir, shardMetaName), []byte(meta), 0o644); err != nil {
@@ -184,7 +185,7 @@ func TestOpenSetWritesMetaOnlyOnChange(t *testing.T) {
 	if _, err := OpenSet(dir, nil, 3); err == nil {
 		t.Fatal("reshard opened a shard directory through a regular file")
 	}
-	if eras, err := loadShardMeta(dir); err != nil || len(eras) != 2 || eras[1] != (Era{Base: 2, Count: 3}) {
+	if eras, _, err := loadShardMeta(dir); err != nil || len(eras) != 2 || eras[1] != (Era{Base: 2, Count: 3}) {
 		t.Fatalf("era list after the failed reshard = %v, %v; want the new era {2 3} persisted", eras, err)
 	}
 	if err := os.Remove(blocker); err != nil {
@@ -363,4 +364,158 @@ func TestSetDiscardAndEmpty(t *testing.T) {
 	if !s2.byStr[unforcedStream].Empty() {
 		t.Errorf("unforced shard %d still holds records after Discard", unforcedStream)
 	}
+}
+
+// TestOpenSetStableWatermark: MarkStable records in shards.meta how far
+// each stream is stable, and the next open starts its tail check there —
+// it reads the bytes past the watermark, not the segment — and holds the
+// rule of each side of it: past the watermark a bad frame is a torn
+// tail, cut off; below it the log is corrupt, and the open says where.
+func TestOpenSetStableWatermark(t *testing.T) {
+	type image struct {
+		dir, seg     string
+		lsns         []ids.LSN // 300 records: 200 below the watermark, 100 past it
+		stable, end  ids.LSN
+		payloadBytes int
+	}
+	build := func(t *testing.T) image {
+		t.Helper()
+		img := image{dir: filepath.Join(t.TempDir(), "p.log"), payloadBytes: 100}
+		s, err := OpenSet(img.dir, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 300; i++ {
+			if i == 200 {
+				if _, err := s.SyncAll(); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.MarkStable(); err != nil {
+					t.Fatal(err)
+				}
+				img.stable = s.SyncedLSN()
+			}
+			img.lsns = append(img.lsns, appendKeyed(t, s, 1, bytes.Repeat([]byte{byte(i)}, img.payloadBytes)))
+		}
+		if _, err := s.SyncAll(); err != nil {
+			t.Fatal(err)
+		}
+		img.end = s.Shards()[0].Log.End()
+		img.seg = activeSegPath(t, s.Shards()[0].Log)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	// flip inverts one payload byte of the record at lsn (stream 1's
+	// first segment: the file offset of a record is its LSN's offset).
+	flip := func(t *testing.T, img image, lsn ids.LSN) {
+		t.Helper()
+		f, err := os.OpenFile(img.seg, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		off := int64(lsn.Offset()) + frameMin + 10
+		b := make([]byte, 1)
+		if _, err := f.ReadAt(b, off); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte{^b[0]}, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("the tail check reads from the watermark", func(t *testing.T) {
+		img := build(t)
+		if img.stable != img.lsns[200] {
+			t.Fatalf("watermark %v, want the 201st record's LSN %v", img.stable, img.lsns[200])
+		}
+		s, err := OpenSet(img.dir, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if st := s.Stats(); st.ReadBytes != int64(img.end-img.stable) {
+			t.Errorf("open read %d bytes in %d reads, want the %d bytes past the watermark", st.ReadBytes, st.ReadOps, img.end-img.stable)
+		}
+		if got := s.Shards()[0].Log.End(); got != img.end {
+			t.Errorf("log ends at %v, want %v", got, img.end)
+		}
+	})
+	t.Run("a flipped byte past the watermark is a torn tail", func(t *testing.T) {
+		img := build(t)
+		flip(t, img, img.lsns[250])
+		s, err := OpenSet(img.dir, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if got := s.Shards()[0].Log.End(); got != img.lsns[250] {
+			t.Errorf("log ends at %v, want the tail cut at %v", got, img.lsns[250])
+		}
+	})
+	t.Run("a flipped byte at the watermark is a torn tail", func(t *testing.T) {
+		img := build(t)
+		flip(t, img, img.lsns[200])
+		s, err := OpenSet(img.dir, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if got := s.Shards()[0].Log.End(); got != img.stable {
+			t.Errorf("log ends at %v, want the tail cut at the watermark %v", got, img.stable)
+		}
+	})
+	t.Run("bad frames at the watermark and below it are corruption", func(t *testing.T) {
+		img := build(t)
+		flip(t, img, img.lsns[200])
+		flip(t, img, img.lsns[120])
+		_, err := OpenSet(img.dir, nil, 0)
+		if err == nil || !strings.Contains(err.Error(), img.lsns[120].String()) || !strings.Contains(err.Error(), "corrupt") {
+			t.Fatalf("open: %v, want corruption reported at %v", err, img.lsns[120])
+		}
+		if fi, serr := os.Stat(img.seg); serr != nil || fi.Size() != segHeaderSize+int64(img.end.Offset()-img.lsns[0].Offset()) {
+			t.Errorf("the refused open changed the segment: %v, %v", fi, serr)
+		}
+	})
+	t.Run("a flipped byte below the watermark discards nothing", func(t *testing.T) {
+		img := build(t)
+		flip(t, img, img.lsns[120])
+		s, err := OpenSet(img.dir, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		l := s.Shards()[0].Log
+		if l.End() != img.end {
+			t.Errorf("log ends at %v, want every durable record kept up to %v", l.End(), img.end)
+		}
+		// The reader that gets there fails stop on it.
+		err = l.Scan(ids.NilLSN, func(Record) error { return nil })
+		if !errors.Is(err, errChecksum) || !strings.Contains(err.Error(), img.lsns[120].String()) {
+			t.Errorf("scan: %v, want a checksum error at %v", err, img.lsns[120])
+		}
+	})
+	t.Run("a segment cut below the watermark is corruption", func(t *testing.T) {
+		img := build(t)
+		if err := os.Truncate(img.seg, int64(img.lsns[150].Offset())); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenSet(img.dir, nil, 0); err == nil || !strings.Contains(err.Error(), img.stable.String()) {
+			t.Fatalf("open: %v, want the watermark %v reported missing", err, img.stable)
+		}
+	})
+	t.Run("a reshard keeps the watermarks", func(t *testing.T) {
+		img := build(t)
+		s, err := OpenSet(img.dir, nil, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		_, stable, err := loadShardMeta(img.dir)
+		if err != nil || len(stable) != 1 || stable[1] != img.stable {
+			t.Errorf("watermarks after the reshard = %v, %v; want stream 1 at %v", stable, err, img.stable)
+		}
+	})
 }

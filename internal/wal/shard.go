@@ -11,10 +11,11 @@ import (
 )
 
 // A sharded log is a log directory plus a shards.meta file recording
-// its reshard eras. Each era is a contiguous run of stream tags; the
-// streams of the latest era are the appendable shards, earlier eras
-// are read-only history that recovery still scans and trim still
-// reclaims. Stream tags are assigned monotonically across eras —
+// its reshard eras and, once a checkpoint has been published, how far
+// each stream was stable then (Set.MarkStable). Each era is a
+// contiguous run of stream tags; the streams of the latest era are the
+// appendable shards, earlier eras are read-only history that recovery
+// still scans and trim still reclaims. Stream tags are assigned monotonically across eras —
 // never reused — so raw LSN comparison orders records first by era
 // (temporal order), then by offset within a stream.
 //
@@ -40,21 +41,23 @@ func shardDirName(stream uint32) string {
 	return fmt.Sprintf("shard-%03d", stream)
 }
 
-// loadShardMeta reads the era list. A missing file returns (nil, nil).
-func loadShardMeta(dir string) ([]Era, error) {
+// loadShardMeta reads the era list and the stable watermarks recorded
+// beside it, by stream. A missing file returns (nil, nil, nil).
+func loadShardMeta(dir string) ([]Era, map[uint32]ids.LSN, error) {
 	f, err := os.Open(filepath.Join(dir, shardMetaName))
 	if os.IsNotExist(err) {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("wal: open shard meta: %w", err)
+		return nil, nil, fmt.Errorf("wal: open shard meta: %w", err)
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	if !sc.Scan() || sc.Text() != shardMetaMagic {
-		return nil, fmt.Errorf("wal: bad shard meta magic in %s", dir)
+		return nil, nil, fmt.Errorf("wal: bad shard meta magic in %s", dir)
 	}
 	var eras []Era
+	stable := make(map[uint32]ids.LSN)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -62,38 +65,54 @@ func loadShardMeta(dir string) ([]Era, error) {
 		}
 		// A line must be exactly what saveShardMeta writes: Sscanf alone
 		// would accept trailing tokens.
+		var stream uint32
+		var off uint64
+		if _, err := fmt.Sscanf(line, "stable %d %d", &stream, &off); err == nil {
+			mark := ids.StreamLSN(stream, ids.LSN(off))
+			if line != fmt.Sprintf("stable %d %d", stream, off) || mark.Stream() != stream || uint64(mark.Offset()) != off {
+				return nil, nil, fmt.Errorf("wal: bad shard meta line %q", line)
+			}
+			stable[stream] = mark
+			continue
+		}
 		var e Era
 		if _, err := fmt.Sscanf(line, "era %d %d", &e.Base, &e.Count); err != nil ||
 			line != fmt.Sprintf("era %d %d", e.Base, e.Count) {
-			return nil, fmt.Errorf("wal: bad shard meta line %q", line)
+			return nil, nil, fmt.Errorf("wal: bad shard meta line %q", line)
 		}
 		if e.Base < 1 || e.Count < 1 || uint64(e.Base)+uint64(e.Count)-1 > ids.MaxStream {
-			return nil, fmt.Errorf("wal: shard meta era out of range: %+v", e)
+			return nil, nil, fmt.Errorf("wal: shard meta era out of range: %+v", e)
 		}
 		if len(eras) > 0 && e.Base <= eras[len(eras)-1].Base+uint32(eras[len(eras)-1].Count)-1 {
-			return nil, fmt.Errorf("wal: shard meta eras not monotonic at %+v", e)
+			return nil, nil, fmt.Errorf("wal: shard meta eras not monotonic at %+v", e)
 		}
 		eras = append(eras, e)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("wal: read shard meta: %w", err)
+		return nil, nil, fmt.Errorf("wal: read shard meta: %w", err)
 	}
 	if len(eras) == 0 {
-		return nil, fmt.Errorf("wal: shard meta in %s lists no eras", dir)
+		return nil, nil, fmt.Errorf("wal: shard meta in %s lists no eras", dir)
 	}
-	return eras, nil
+	return eras, stable, nil
 }
 
-// saveShardMeta writes the era list atomically: temp file, fsync,
-// rename over shards.meta, fsync the directory — the same crash
-// discipline as the well-known file, since losing the era list after
-// a reshard would strand the new shard directories.
-func saveShardMeta(dir string, eras []Era) error {
+// saveShardMeta writes the era list and the stable watermarks
+// atomically: temp file, fsync, rename over shards.meta, fsync the
+// directory — the same crash discipline as the well-known file, since
+// losing the era list after a reshard would strand the new shard
+// directories.
+func saveShardMeta(dir string, eras []Era, stable map[uint32]ids.LSN) error {
 	var b strings.Builder
 	b.WriteString(shardMetaMagic)
 	b.WriteByte('\n')
 	for _, e := range eras {
 		fmt.Fprintf(&b, "era %d %d\n", e.Base, e.Count)
+		for s := e.Base; s < e.Base+uint32(e.Count); s++ {
+			if mark, ok := stable[s]; ok {
+				fmt.Fprintf(&b, "stable %d %d\n", s, uint64(mark.Offset()))
+			}
+		}
 	}
 	return atomicWriteFile(filepath.Join(dir, shardMetaName), []byte(b.String()))
 }

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -47,11 +48,15 @@ import (
 // opaque; the runtime defines the values (see package core).
 type RecordType uint8
 
-// Record is a single log record as returned by Read and Scan.
+// Record is a single log record as returned by Read and Scan. Prev is
+// the previous record of its chain (AppendLinked; NilLSN: none), Size
+// the bytes it occupies in the log, frame included.
 type Record struct {
 	LSN     ids.LSN
 	Type    RecordType
 	Payload []byte
+	Prev    ids.LSN
+	Size    int
 }
 
 // Stats counts logical and physical log activity. The experiment
@@ -90,26 +95,27 @@ type Stats struct {
 
 const (
 	segHeaderSize = 16
-	frameSize     = 4 + 1 + 4 // length + type + crc32
-	magic         = "PHXSEG1\n"
+	magic         = "PHXSEG2\n"
 	maxBuffered   = 1 << 20 // flush (without sync) past 1 MiB of buffer
 
 	// firstLSN is where a fresh log starts; LSN 0 stays the nil value.
 	firstLSN = ids.LSN(16)
 )
 
-// crcTable backs the crc32.Update calls on the append and read paths
-// (ChecksumIEEE over a joined copy is an allocation per record). A
-// frame's checksum is typeCRC[its type byte] continued over its payload.
-var (
-	crcTable = crc32.MakeTable(crc32.IEEE)
-	typeCRC  = func() (t [256]uint32) {
-		for i := range t {
-			t[i] = crc32.Update(0, crcTable, []byte{byte(i)})
-		}
-		return t
-	}()
+// A record's frame: uvarint payload length; CRC-32C (the CPU computes
+// it) of everything behind it, in one pass over contiguous bytes; type
+// byte; uvarint distance back to the previous record of the same chain
+// (0: none; the LSNs' difference, so it spans streams); the payload.
+// frameMin is the shortest frame, frameMax the longest header.
+const (
+	frameMin = 1 + 4 + 1 + 1
+	frameMax = 2*binary.MaxVarintLen64 + 4 + 1
 )
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // DefaultSegmentBytes is the roll-over threshold for segment files.
 const DefaultSegmentBytes = 4 << 20
@@ -156,7 +162,7 @@ type Log struct {
 	mu       sync.Mutex
 	segs     []*segment // ascending by start; last is active
 	buf      []byte
-	encBuf   []byte      // grow-only scratch for AppendInto encoders
+	encBuf   []byte      // grow-only scratch for AppendLinked encoders
 	bufBase  ids.LSN     // LSN of buf[0]
 	synced   ids.LSN     // stable watermark (survives Discard)
 	unsynced []*segment  // segments with flushed bytes no sync has covered, oldest first (flushLocked)
@@ -187,13 +193,16 @@ type syncSnap struct {
 // means disk.HostModel. The result is a bare one-stream Log — what a
 // Set is made of; processes and tools open a Set (OpenSet).
 func Open(dir string, model disk.Model) (*Log, error) {
-	return openLog(dir, model, firstLSN)
+	return openLog(dir, model, firstLSN, ids.NilLSN)
 }
 
 // openLog opens a log whose LSN space starts at base (the stream-
 // qualified first position; see Log.base). Open passes firstLSN; Set
-// opens each shard stream at ids.StreamLSN(stream, 16).
-func openLog(dir string, model disk.Model, base ids.LSN) (*Log, error) {
+// opens each shard stream at ids.StreamLSN(stream, 16). stable is how
+// far the stream is known to be durable (Set.MarkStable; nil: unknown):
+// the tail check starts there, and a bad frame below it is corruption,
+// not a torn tail.
+func openLog(dir string, model disk.Model, base, stable ids.LSN) (*Log, error) {
 	if model == nil {
 		model = disk.HostModel{}
 	}
@@ -208,7 +217,7 @@ func openLog(dir string, model disk.Model, base ids.LSN) (*Log, error) {
 		m:            obs.WALView(obs.Default()),
 	}
 	l.syncDone = sync.NewCond(&l.mu)
-	if err := l.load(); err != nil {
+	if err := l.load(stable); err != nil {
 		l.closeSegs()
 		return nil, err
 	}
@@ -219,7 +228,7 @@ func segName(start ids.LSN) string {
 	return fmt.Sprintf("%020d.seg", uint64(start))
 }
 
-func (l *Log) load() error {
+func (l *Log) load(stable ids.LSN) error {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		return fmt.Errorf("wal: read dir: %w", err)
@@ -263,11 +272,22 @@ func (l *Log) load() error {
 		}
 		l.segs = append(l.segs, seg)
 	}
-	// Only the active (last) segment can have a torn tail.
+	// Only the active (last) segment can have a torn tail, and only past
+	// the stable watermark: the check starts there.
 	active := l.segs[len(l.segs)-1]
-	validEnd, err := l.scanValidEnd(active)
+	from := min(max(stable, active.start), active.end())
+	validEnd, err := l.scanValidEnd(active, from)
+	if err == nil && validEnd == from && from > active.start && validEnd < active.end() {
+		// Nothing parses at the watermark: a torn tail right behind the
+		// stable prefix, or damage reaching below it. The whole segment
+		// decides which.
+		validEnd, err = l.scanValidEnd(active, active.start)
+	}
 	if err != nil {
 		return err
+	}
+	if validEnd < stable {
+		return fmt.Errorf("wal: no valid frame at %v, below the stable watermark %v: the log is corrupt", validEnd, stable)
 	}
 	if validEnd < active.end() {
 		if err := active.f.Truncate(segHeaderSize + int64(validEnd-active.start)); err != nil {
@@ -334,10 +354,10 @@ func (l *Log) openSegment(start ids.LSN) (*segment, error) {
 	return &segment{f: f, path: path, start: start, size: fi.Size() - segHeaderSize}, nil
 }
 
-// scanValidEnd returns the LSN just past the active segment's last
-// complete, checksum-valid record: where a cursor over it stops.
-func (l *Log) scanValidEnd(s *segment) (ids.LSN, error) {
-	c := Cursor{r: Reader{l: l, block: readBlock, limit: s.end()}, lsn: s.start}
+// scanValidEnd returns the LSN just past the last complete, valid
+// record of the active segment from `from` on: where a cursor stops.
+func (l *Log) scanValidEnd(s *segment, from ids.LSN) (ids.LSN, error) {
+	c := Cursor{r: Reader{l: l, block: readBlock, limit: s.end()}, lsn: from}
 	for {
 		_, ok, err := c.Next()
 		switch {
@@ -363,9 +383,8 @@ func (l *Log) active() *segment { return l.segs[len(l.segs)-1] }
 // record is not stable until the next force (or until recovery-time
 // reads flush it to a file, which still does not sync it). Append
 // does not retain payload and, in steady state, does not allocate:
-// the frame header is built on the stack, the checksum runs over the
-// type byte and payload without a joining copy, and the payload lands
-// directly in the log buffer.
+// frame and payload land directly in the log buffer, and the checksum
+// runs over them there.
 func (l *Log) Append(t RecordType, payload []byte) (ids.LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -373,18 +392,24 @@ func (l *Log) Append(t RecordType, payload []byte) (ids.LSN, error) {
 		return ids.NilLSN, err
 	}
 	start := obs.Stopwatch()
-	lsn, err := l.appendLocked(t, payload)
+	lsn, err := l.appendLocked(t, payload, ids.NilLSN)
 	l.stats.AppendBusyNanos += obs.Stopwatch() - start
 	return lsn, err
 }
 
-func (l *Log) appendLocked(t RecordType, payload []byte) (ids.LSN, error) {
+func (l *Log) appendLocked(t RecordType, payload []byte, prev ids.LSN) (ids.LSN, error) {
+	// LSNs run on across segment files: a roll does not move this one.
+	lsn := l.bufBase + ids.LSN(len(l.buf))
+	var dist uint64
+	if !prev.IsNil() {
+		dist = uint64(lsn - prev)
+	}
 	// Records never straddle segment files: if this record would push
 	// the active segment past its capacity, flush what is pending and
 	// roll first, so the record begins the new segment. (An oversized
 	// single record gets a segment to itself and may exceed the
 	// threshold.)
-	recLen := int64(frameSize + len(payload))
+	recLen := int64(uvarintLen(uint64(len(payload))) + 1 + uvarintLen(dist) + 4 + len(payload))
 	s := l.active()
 	if s.size+int64(len(l.buf))+recLen > l.segmentBytes &&
 		s.size+int64(len(l.buf)) > 0 {
@@ -398,17 +423,15 @@ func (l *Log) appendLocked(t RecordType, payload []byte) (ids.LSN, error) {
 		l.segs = append(l.segs, next)
 	}
 
-	lsn := l.bufBase + ids.LSN(len(l.buf))
 	// Frame and checksum are built directly inside l.buf (a stack frame
 	// scratch escapes via the checksum/write calls and becomes a
 	// per-record allocation).
-	base := len(l.buf)
-	var frame [frameSize]byte
-	binary.LittleEndian.PutUint32(frame[:], uint32(len(payload)))
-	frame[4] = byte(t)
-	l.buf = append(l.buf, frame[:]...)
+	l.buf = binary.AppendUvarint(l.buf, uint64(len(payload)))
+	crcAt := len(l.buf)
+	l.buf = append(l.buf, 0, 0, 0, 0, byte(t))
+	l.buf = binary.AppendUvarint(l.buf, dist)
 	l.buf = append(l.buf, payload...)
-	binary.LittleEndian.PutUint32(l.buf[base+5:base+9], crc32.Update(typeCRC[t], crcTable, payload))
+	binary.LittleEndian.PutUint32(l.buf[crcAt:], crc32.Update(0, crcTable, l.buf[crcAt+4:]))
 	l.stats.Appends++
 	l.m.Appends.Inc()
 	l.m.AppendBytes.Observe(int64(len(payload)))
@@ -420,7 +443,7 @@ func (l *Log) appendLocked(t RecordType, payload []byte) (ids.LSN, error) {
 	return lsn, nil
 }
 
-// AppendInto appends a record whose payload is produced by enc (see
+// AppendLinked appends a record whose payload is produced by enc (see
 // PayloadEncoder). The payload is built in a grow-only scratch buffer
 // the log owns and framed from there, so the encode+append path
 // allocates nothing in steady state. enc runs under the log mutex: it
@@ -429,7 +452,13 @@ func (l *Log) appendLocked(t RecordType, payload []byte) (ids.LSN, error) {
 //
 // key is the record's routing key: a Set picked this Log by it, and a
 // Log, being one stream, ignores it.
-func (l *Log) AppendInto(key uint64, t RecordType, enc PayloadEncoder) (ids.LSN, error) {
+//
+// A non-nil head makes the record the newest of a chain: its frame
+// carries the distance back to the LSN in *head (nil: none), and *head
+// becomes this record's LSN — here, because only the log knows a
+// record's LSN, and only under its mutex; atomically, because the
+// chain's owner reads it from goroutines that do not append.
+func (l *Log) AppendLinked(key uint64, t RecordType, enc PayloadEncoder, head *atomic.Uint64) (ids.LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.down(); err != nil {
@@ -448,7 +477,14 @@ func (l *Log) AppendInto(key uint64, t RecordType, enc PayloadEncoder) (ids.LSN,
 	} else {
 		l.encBuf = nil
 	}
-	lsn, err := l.appendLocked(t, payload)
+	prev := ids.NilLSN
+	if head != nil {
+		prev = ids.LSN(head.Load())
+	}
+	lsn, err := l.appendLocked(t, payload, prev)
+	if err == nil && head != nil {
+		head.Store(uint64(lsn))
+	}
 	l.stats.AppendBusyNanos += obs.Stopwatch() - start
 	return lsn, err
 }
@@ -737,7 +773,8 @@ const (
 // noLimit is the Reader.limit of a reader that is not a bounded view.
 const noLimit = ^ids.LSN(0)
 
-// errChecksum is wrapped, with the LSN, when a record fails its checksum.
+// errChecksum is wrapped, with the LSN, when the bytes there are not a
+// record: a failed checksum, or a frame no append writes.
 var errChecksum = errors.New("wal: checksum mismatch")
 
 // Reader turns log bytes into records — the one place that parses a
@@ -754,12 +791,17 @@ type Reader struct {
 	limit ids.LSN // a record must end at or before it (a cursor's snapshot end)
 	blk   []byte  // one segment's bytes from LSN base on
 	base  ids.LSN
+	reads int64 // device reads this reader issued
 }
 
 // ReadAt returns the record at lsn — an LSN a Scan or Cursor reported,
-// so the record is in its file and nothing needs flushing. A reader
-// kept across reads of nearby LSNs serves them from one device read.
+// or the Prev of a record read, so the record is in its file and nothing
+// needs flushing. A reader kept across reads of nearby LSNs serves them
+// from one device read, whichever way the LSNs run.
 func (r *Reader) ReadAt(lsn ids.LSN) (Record, error) { return r.read(lsn) }
+
+// Reads returns the device reads the reader has issued.
+func (r *Reader) Reads() int64 { return r.reads }
 
 // Hold fills the block, in one device read, with every record from the
 // one at lo to the one at hi, so a worker walking many contexts'
@@ -774,7 +816,8 @@ func (r *Reader) Hold(lo, hi ids.LSN) {
 	}
 	block := r.block
 	r.block += int(hi - lo)
-	_, _ = r.window(lo, int(hi-lo)+frameSize) // the segment must hold the frame at hi
+	r.blk = r.blk[:0] // a fresh block, wherever the last one was
+	_, _ = r.window(lo, uint64(hi-lo)+1)
 	r.block = block
 }
 
@@ -784,34 +827,62 @@ func (r *Reader) read(lsn ids.LSN) (Record, error) {
 	if r.l != nil && r.l.closed.Load() {
 		return Record{}, ErrClosed
 	}
-	b, err := r.window(lsn, frameSize)
+	b, err := r.window(lsn, frameMin)
+	var n, dist uint64
+	var k, d int
+	for err == nil {
+		if n, k = binary.Uvarint(b); k > 0 && len(b) > k+5 {
+			dist, d = binary.Uvarint(b[k+5:])
+		}
+		if (k != 0 && d != 0) || len(b) >= frameMax {
+			break
+		}
+		// The block ends inside the header: the segment has the rest,
+		// or the frame is torn.
+		b, err = r.window(lsn, uint64(len(b))+1)
+	}
 	if err != nil {
 		return Record{}, err
 	}
+	// No append writes a uvarint over ten bytes long or padded with a
+	// zero byte, nor links back past the start of any log.
+	h := k + 5 + d
+	if k < 0 || d < 0 || (k > 1 && b[k-1] == 0) || (d > 1 && b[h-1] == 0) || dist > uint64(lsn-firstLSN) {
+		return Record{}, fmt.Errorf("%w at %v (not a frame)", errChecksum, lsn)
+	}
 	// The length is held against the view here and the segment in
-	// window before any buffer is sized by it: a torn frame may claim 4 GiB.
-	n := int(binary.LittleEndian.Uint32(b))
-	if uint64(frameSize+n) > uint64(r.limit-lsn) {
+	// window before any buffer is sized by it: a torn frame may claim
+	// any length a uvarint can.
+	if room := uint64(r.limit - lsn); uint64(h) > room || n > room-uint64(h) {
 		return Record{}, fmt.Errorf("%w: %v (record extends past end)", ErrNotFound, lsn)
 	}
-	if b, err = r.window(lsn, frameSize+n); err != nil {
+	size := uint64(h) + n
+	if b, err = r.window(lsn, size); err != nil {
 		return Record{}, err
 	}
-	payload := b[frameSize : frameSize+n]
-	if crc32.Update(typeCRC[b[4]], crcTable, payload) != binary.LittleEndian.Uint32(b[5:9]) {
+	if crc32.Update(0, crcTable, b[k+4:size]) != binary.LittleEndian.Uint32(b[k:]) {
 		return Record{}, fmt.Errorf("%w at %v", errChecksum, lsn)
 	}
-	return Record{LSN: lsn, Type: RecordType(b[4]), Payload: payload}, nil
+	rec := Record{LSN: lsn, Type: RecordType(b[k+4]), Payload: b[h:size], Size: int(size)}
+	if dist != 0 {
+		rec.Prev = lsn - ids.LSN(dist)
+	}
+	return rec, nil
 }
 
-// window returns the segment's bytes from lsn on, at least need of
-// them: out of the block when it holds them, else after one device read
-// of max(need, r.block) bytes (or what the segment has) that makes the
+// window returns the log's bytes from lsn on, at least need of them:
+// out of the block when it holds them, else after one device read of
+// max(need, r.block) bytes (or what the segment has) that makes the
 // block start at lsn — a record straddling the old block's edge leads
-// the new one, a record longer than a block is read whole. The read
-// holds the log mutex: TrimHead and Close cannot pull the file away.
-func (r *Reader) window(lsn ids.LSN, need int) ([]byte, error) {
-	if lsn >= r.base && lsn+ids.LSN(need) <= r.base+ids.LSN(len(r.blk)) {
+// the new one, a record longer than a block is read whole. A miss less
+// than a block below the block — a chain walked newest to oldest —
+// extends it backwards instead: the read ends where the block starts
+// and the block's first r.block bytes stay behind it, so the walk
+// passes over each byte once and a record straddling the old start is
+// whole. The read holds the log mutex: TrimHead and Close cannot pull
+// the file away.
+func (r *Reader) window(lsn ids.LSN, need uint64) ([]byte, error) {
+	if lsn >= r.base && need <= uint64(len(r.blk)) && uint64(lsn-r.base) <= uint64(len(r.blk))-need {
 		return r.blk[lsn-r.base:], nil
 	}
 	// LSNs carry their stream, so only a miss can name another shard.
@@ -829,24 +900,35 @@ func (r *Reader) window(lsn ids.LSN, need int) ([]byte, error) {
 	if l.closed.Load() {
 		return nil, ErrClosed
 	}
+	old := r.blk[:min(len(r.blk), r.block)]
 	r.blk = r.blk[:0]
 	s := l.findSegment(lsn)
-	if s == nil || int64(s.end()-lsn) < int64(need) {
+	if s == nil || uint64(s.end()-lsn) < need {
 		return nil, fmt.Errorf("%w: %v", ErrNotFound, lsn)
 	}
-	n := int(min(int64(max(need, r.block)), int64(s.end()-lsn)))
-	if cap(r.blk) < n {
-		r.blk = make([]byte, 0, max(n, r.block))
+	from, n := lsn, int(min(max(need, uint64(r.block)), uint64(s.end()-lsn)))
+	if len(old) > 0 && lsn < r.base && r.base <= s.end() && uint64(r.base-lsn) <= uint64(r.block) &&
+		uint64(r.base-lsn)+uint64(len(old)) >= need {
+		from = max(s.start+ids.LSN(r.block), r.base) - ids.LSN(r.block)
+		n = int(r.base - from)
+	} else {
+		old = nil
 	}
-	if _, err := s.f.ReadAt(r.blk[:n], segHeaderSize+int64(lsn-s.start)); err != nil {
+	if cap(r.blk) < n+len(old) {
+		r.blk = make([]byte, 0, max(n+len(old), r.block))
+	}
+	blk := r.blk[:n+len(old)]
+	copy(blk[n:], old) // old may be blk's own head: moved up before the read lands there
+	if _, err := s.f.ReadAt(blk[:n], segHeaderSize+int64(from-s.start)); err != nil {
 		return nil, fmt.Errorf("wal: read at %v: %w", lsn, err)
 	}
-	r.blk, r.base = r.blk[:n], lsn
+	r.blk, r.base = blk, from
+	r.reads++
 	l.stats.ReadOps++
 	l.stats.ReadBytes += int64(n)
 	l.m.ReadOps.Inc()
 	l.m.ReadBytes.Add(int64(n))
-	return r.blk, nil
+	return r.blk[lsn-from:], nil
 }
 
 // Scan calls fn for every record from lsn `from` (or the log start if
@@ -916,13 +998,13 @@ func (l *Log) ScanFrom(lsn ids.LSN) (*Cursor, error) {
 // this log exists to avoid). Consumers that retain payload bytes must
 // copy them.
 func (c *Cursor) Next() (rec Record, ok bool, err error) {
-	if c.lsn+frameSize > c.r.limit {
+	if c.lsn >= c.r.limit {
 		return Record{}, false, nil
 	}
 	if rec, err = c.r.read(c.lsn); err != nil {
 		return Record{}, false, err
 	}
-	c.lsn += ids.LSN(frameSize + len(rec.Payload))
+	c.lsn += ids.LSN(rec.Size)
 	return rec, true, nil
 }
 

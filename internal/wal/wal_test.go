@@ -199,7 +199,7 @@ func TestCorruptRecordStopsScanAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt([]byte{'X'}, int64(second)+frameSize); err != nil {
+	if _, err := f.WriteAt([]byte{'X'}, int64(second)+frameMin); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

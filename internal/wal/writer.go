@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"sync/atomic"
+
 	"repro/internal/disk"
 	"repro/internal/ids"
 	"repro/internal/obs"
@@ -52,6 +54,10 @@ type Writer interface {
 	// AppendInto appends a record built by enc to the stream the
 	// routing key maps to and returns its stream-qualified LSN.
 	AppendInto(key uint64, t RecordType, enc PayloadEncoder) (ids.LSN, error)
+	// AppendLinked is AppendInto for a record of a chain: the frame
+	// links back to the LSN in *head, which becomes the record's own.
+	// A nil head is AppendInto.
+	AppendLinked(key uint64, t RecordType, enc PayloadEncoder, head *atomic.Uint64) (ids.LSN, error)
 	// SyncTo blocks until the record at lsn (and everything before it
 	// in its stream) is stable; the outcome feeds per-site force
 	// accounting.
@@ -62,6 +68,10 @@ type Writer interface {
 	// SyncedLSN returns the stable watermark of the meta stream (the
 	// stream checkpoint records append to).
 	SyncedLSN() ids.LSN
+	// MarkStable durably records every stream's stable watermark where
+	// the next open finds it: its tail check starts there, and treats a
+	// bad frame below it as corruption rather than a torn tail.
+	MarkStable() error
 	// Flush writes buffered records of every stream to their files
 	// without syncing.
 	Flush() error
