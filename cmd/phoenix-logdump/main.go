@@ -2,9 +2,10 @@
 // one line per record — its LSN, kind, payload+frame bytes, call
 // identities, context IDs, checkpoint structure (each context's restart
 // LSN and chain head), state-record summaries, and for a message record
-// the record of its context it links back to (prev=<LSN>) — then a
-// summary with the stable watermark shards.meta holds: the tool for
-// answering "what would recovery replay?".
+// the record of its context it links back to (prev=<LSN>) — under a
+// header with the checkpoint marks and over a summary with the stable
+// watermarks, both read from the shards.meta root of the directory it is
+// given: the tool for answering "what would recovery replay?".
 //
 //	phoenix-logdump /path/to/state/machine/process.log
 package main

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/msg"
-	"repro/internal/wal"
 )
 
 func TestSaveStateAdvancesRestartLSN(t *testing.T) {
@@ -110,19 +109,15 @@ func TestProcessCheckpointWritesWellKnownLSNOnNextForce(t *testing.T) {
 	if err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// The checkpoint is unforced: the well-known file must not point
-	// at it yet.
-	if _, err := wal.LoadWellKnownMarks(p.wkPath); err == nil {
-		t.Error("well-known LSN written before the checkpoint was forced")
+	// The checkpoint is unforced: the root must not point at it yet.
+	if marks, _ := publishedRoot(t, p.LogDir()); len(marks) != 0 {
+		t.Errorf("well-known LSN %v written before the checkpoint was forced", marks)
 	}
 	// The next send's force covers the checkpoint (Section 4.3:
 	// "possibly by a later send message"). A one-shard log's vector is
 	// the one mark the paper's protocol has: the begin-checkpoint LSN.
 	callInt(t, ref, "Add", 1)
-	marks, err := wal.LoadWellKnownMarks(p.wkPath)
-	if err != nil {
-		t.Fatalf("well-known LSN missing after a later force: %v", err)
-	}
+	marks, _ := publishedRoot(t, p.LogDir())
 	lsn, ok := marks[1]
 	if !ok || len(marks) != 1 {
 		t.Fatalf("well-known marks = %v, want one mark for stream 1", marks)

@@ -81,9 +81,10 @@ func (m RecoveryMode) String() string {
 }
 
 // Recovery configures crash recovery's replay engine (Config.Recovery).
-// Pass 1 (finding contexts and restart LSNs) and the head pass, which
-// between them file each message record under its context, are single
-// sequential scans. Replay is then per context — contexts are single-threaded and
+// restore — Pass 1: contexts, restart LSNs, the head of each context's
+// chain of message records — is the one sequential scan. Replay is then
+// per context: whoever replays one walks its chain off the log and
+// re-executes it oldest first — contexts are single-threaded and
 // independent by construction (Section 4.4), so their replays need no
 // mutual ordering — and the two fields say how much of it runs at once
 // and who waits for it. The zero value is one background worker,
@@ -91,8 +92,8 @@ func (m RecoveryMode) String() string {
 type Recovery struct {
 	// Mode schedules Pass 2: RecoveryEager (the zero value) replays
 	// everything before the process serves calls; RecoveryLazy admits
-	// traffic after Pass 1 and the head pass, and replays each
-	// context's backlog on first touch or from the background workers.
+	// traffic after Pass 1, and walks and replays each context's
+	// backlog on first touch or from the background workers.
 	Mode RecoveryMode
 	// Parallelism is the number of background replay workers and the
 	// bound on how many contexts replay their chains concurrently
@@ -150,11 +151,11 @@ type Config struct {
 	MultiCall bool
 	// WAL shapes the log: shard count and per-shard group commit.
 	WAL WALConfig
-	// Recovery parallelizes crash recovery's Pass 2 by context: a
-	// single reader demultiplexes the log into per-context replay
-	// queues drained by a bounded worker pool. The zero value keeps
-	// the serial two-pass recovery; worth turning on for processes
-	// hosting many contexts with long replay windows.
+	// Recovery schedules crash recovery's Pass 2, per context: restore
+	// (Pass 1) leaves each context the head of its chain, and a bounded
+	// pool of workers — or the first call to touch it — walks the chain
+	// off the log and replays it. The zero value is one worker, joined
+	// before the process serves; raise it for many long-backlog contexts.
 	Recovery Recovery
 	// Adaptive enables the runtime discipline controller: per-method
 	// promotion past the static discipline (Algorithm 1 → Algorithm 2,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/ids"
 	"repro/internal/obs"
@@ -20,15 +19,17 @@ import (
 // owned by a live process.
 //
 // Each record line carries a status column relative to the well-known
-// checkpoint LSN: "ckpt'd" records precede it (recovery's pass 1 scan
-// starts past them), "replay" records are what a crash right now would
-// scan. Records whose type implies a log force under every discipline
-// (creation records, Algorithm 3's reply-sent markers) are tagged
-// "forced"; the actual force count is runtime state the log does not
-// store, so the summary reports the implied minimum. The size column is
-// what the record takes in the log, payload plus frame; a message
-// record that continues its context's chain shows the record it links
-// back to as prev=<LSN>.
+// checkpoint LSN — the marks in the root of the directory given,
+// shards.meta, so a log directory copied on its own dumps with them:
+// "ckpt'd" records precede it (recovery's pass 1 scan starts past
+// them), "replay" records are what a crash right now would scan. A root
+// whose hint section fails its checksum is reported as such. Records
+// whose type implies a log force under every discipline (creation
+// records, Algorithm 3's reply-sent markers) are tagged "forced"; the
+// actual force count is runtime state the log does not store, so the
+// summary reports the implied minimum. The size column is what the
+// record takes in the log, payload plus frame; a message record that
+// continues its context's chain shows its link back as prev=<LSN>.
 func DumpLog(w io.Writer, dir string) error {
 	log, err := wal.OpenSet(dir, nil, 0)
 	if err != nil {
@@ -47,25 +48,20 @@ func DumpLog(w io.Writer, dir string) error {
 				sh.Stream, sh.Era, sh.Log.Start(), sh.Log.End())
 		}
 	}
-	// The process stores the well-known watermark next to the log
-	// directory: <name>.wk beside <name>.log (see Process.wkPath).
-	var marks map[uint32]ids.LSN
-	for _, path := range []string{strings.TrimSuffix(dir, ".log") + ".wk", dir + ".wk"} {
-		if m, err := wal.LoadWellKnownMarks(path); err == nil {
-			marks = m
-			if k, ok := m[shards[0].Stream]; ok && len(shards) == 1 {
-				fmt.Fprintf(w, "well-known checkpoint LSN: %v\n", k)
-			} else {
-				fmt.Fprintf(w, "well-known checkpoint marks:")
-				for _, sh := range shards {
-					if k, ok := m[sh.Stream]; ok {
-						fmt.Fprintf(w, " %d=%v", sh.Stream, k)
-					}
-				}
-				fmt.Fprintln(w)
+	// The root travels with the directory: the marks and watermarks are
+	// the ones shards.meta held when this open read it.
+	marks, stable := log.Marks(), log.StableMarks()
+	switch {
+	case log.HintsLost():
+		fmt.Fprintln(w, "well-known checkpoint marks: lost — the hint section of shards.meta is missing or fails its checksum; recovery scans every stream from its start")
+	case len(marks) > 0:
+		fmt.Fprintf(w, "well-known checkpoint marks:")
+		for _, sh := range shards {
+			if k, ok := marks[sh.Stream]; ok {
+				fmt.Fprintf(w, " %d=%v", sh.Stream, k)
 			}
-			break
 		}
+		fmt.Fprintln(w)
 	}
 
 	// Per-kind record counts accumulate in a private registry under the
@@ -113,7 +109,6 @@ func DumpLog(w io.Writer, dir string) error {
 
 	st := log.Stats()
 	fmt.Fprintf(w, "\nsummary: %d records, >=%d forces implied by record kinds; stable watermark", records, impliedForces)
-	stable := log.StableMarks()
 	if len(stable) == 0 {
 		fmt.Fprint(w, " none")
 	}

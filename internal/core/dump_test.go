@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -32,8 +34,12 @@ func TestDumpLogRendersAllRecordTypes(t *testing.T) {
 	pa.Close()
 	pb.Close()
 
+	// The directory on its own, as a copy made for inspection is: the
+	// marks travel in its root.
+	dir := filepath.Join(t.TempDir(), "copied")
+	copyDir(t, pa.LogDir(), dir)
 	var buf bytes.Buffer
-	if err := DumpLog(&buf, pa.LogDir()); err != nil {
+	if err := DumpLog(&buf, dir); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -47,10 +53,29 @@ func TestDumpLogRendersAllRecordTypes(t *testing.T) {
 		// the context, and how far the log was stable when it was
 		// published.
 		"B+7 ", " prev=lsn:1:", " head=lsn:1:", "stable watermark lsn:1:",
+		// The root's mark, and the records it lets recovery pass over.
+		"well-known checkpoint marks: 1=lsn:1:", " ckpt'd",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q\n%s", want, out)
 		}
+	}
+	// A root whose hint section no longer checks out says so, and every
+	// record is one a restart would scan.
+	root, err := os.ReadFile(filepath.Join(dir, "shards.meta"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root[len(root)-2] ^= 0xFF
+	if err := os.WriteFile(filepath.Join(dir, "shards.meta"), root, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := DumpLog(&buf, dir); err != nil {
+		t.Fatal(err)
+	}
+	if out := buf.String(); !strings.Contains(out, "well-known checkpoint marks: lost") || !strings.Contains(out, "stable watermark none") || strings.Contains(out, "ckpt'd") {
+		t.Errorf("dump of a root with a damaged hint section:\n%s", out)
 	}
 	if testing.Verbose() {
 		t.Log("\n" + out)

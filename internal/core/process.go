@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -34,7 +35,6 @@ type Process struct {
 
 	log       wal.Writer
 	logPath   string
-	wkPath    string
 	openReads int64 // device reads of the log's open-time tail check
 
 	// metrics is the resolved observability registry (Config.Metrics,
@@ -98,22 +98,19 @@ type Process struct {
 
 	// pendingCkpt is the begin-LSN of a checkpoint written but not yet
 	// covered by a force; the first force whose stable watermark moves
-	// past pendingCkptEnd (the end-checkpoint record) writes the
-	// well-known file (Section 4.3). On a sharded log pendingCkptEnds
+	// past pendingCkptEnd (the end-checkpoint record) publishes it in the
+	// log's root (Section 4.3). On a sharded log pendingCkptEnds
 	// snapshots each stream's append position when the checkpoint
 	// began: records past those positions postdate the checkpoint and
 	// are always rescanned, so the per-stream watermark can default to
 	// them; pendingCkptTails snapshots them again once the checkpoint is
 	// written: as far as its tables can name a record, and so as far as
-	// every stream has to be stable before it is published. lastMarks
-	// is the vector last recorded in the well-known
-	// file — recovery scans from it, so log trimming must keep it.
+	// every stream has to be stable before it is published.
 	ckptMu           sync.Mutex
 	pendingCkpt      atomic.Uint64 // an ids.LSN; written under ckptMu, loaded without it by every force's early-out
 	pendingCkptEnd   ids.LSN
 	pendingCkptEnds  map[uint32]ids.LSN
 	pendingCkptTails map[uint32]ids.LSN
-	lastMarks        map[uint32]ids.LSN
 }
 
 // component is one row of the component table (paper Table 1).
@@ -161,7 +158,6 @@ func newProcess(m *Machine, name string, procID ids.ProcID, cfg Config) (*Proces
 		log:          log,
 		openReads:    log.Stats().ReadOps,
 		logPath:      logPath,
-		wkPath:       filepath.Join(m.dir, name+".wk"),
 		metrics:      reg,
 		obs:          obs.RuntimeView(reg),
 		tr:           tr,
@@ -493,7 +489,8 @@ func (p *Process) finishForce(site *obs.Counter, out wal.SyncOutcome, err error)
 // records are covered by the stable watermark (Section 4.3: "Once a
 // process checkpoint has been flushed to the log (possibly by a later
 // send message), the log manager writes and forces the LSN of the
-// begin checkpoint record into a well-known file"). With the LSN-aware
+// begin checkpoint record into a well-known file" — here the root of
+// the log directory, wal.Writer.Publish). With the LSN-aware
 // force API a sync need not cover the whole tail, so the check is
 // against the end-checkpoint record's LSN, not "any force happened".
 func (p *Process) completeCheckpoint() error {
@@ -524,25 +521,20 @@ func (p *Process) completeCheckpoint() error {
 	p.pendingCkpt.Store(0)
 	p.pendingCkptEnd, p.pendingCkptEnds, p.pendingCkptTails = ids.NilLSN, nil, nil
 	p.ckptMu.Unlock()
-	marks := p.wellKnownMarks(begin, ends)
-	if err := wal.SaveWellKnownMarks(p.wkPath, marks); err != nil {
+	// One write: the marks, and how far every stream is stable now — the
+	// next open need not check that much for a torn tail. The log drops a
+	// publisher that a newer checkpoint overtook on the way here.
+	if err := p.log.Publish(begin, p.wellKnownMarks(begin, ends)); err != nil {
 		return err
 	}
-	// The next open need not check what is stable now for a torn tail.
-	if err := p.log.MarkStable(); err != nil {
-		return err
-	}
-	p.ckptMu.Lock()
-	p.lastMarks = marks
-	p.ckptMu.Unlock()
 	if p.cfg.AutoTrimLog {
 		return p.TrimLog()
 	}
 	return nil
 }
 
-// wellKnownMarks computes the checkpoint watermark vector the
-// well-known file records: for each stream, a position recovery's
+// wellKnownMarks computes the checkpoint watermark vector the log's
+// root records: for each stream, a position recovery's
 // pass-1 scan of that stream may start from. A log of one stream gets
 // exactly the paper's protocol — the begin-checkpoint LSN, since the
 // checkpoint's own tables summarise everything before it. With more
@@ -646,24 +638,16 @@ func (p *Process) TrimLog() error {
 	return nil
 }
 
-// reclaimPoints returns the per-stream trim floors: each stream's
-// saved well-known mark, lowered to anything recovery could still
-// need now (current restart LSNs, reply-content LSNs, cross-era
-// floors). Streams with no saved mark are absent — they were unknown
-// at the last durable checkpoint, so recovery scans them from the
-// start and nothing in them may be trimmed.
+// reclaimPoints returns the per-stream trim floors: each stream's mark
+// in the log's root — as last published, or as loaded by a restart that
+// has yet to checkpoint: recovery scans from it — lowered to anything
+// recovery could still need now (current restart LSNs, reply-content
+// LSNs, cross-era floors). Streams with no mark are absent — they were
+// unknown at the last durable checkpoint (with none, that is all of
+// them), so recovery scans them from the start and nothing in them may
+// be trimmed.
 func (p *Process) reclaimPoints() map[uint32]ids.LSN {
-	p.ckptMu.Lock()
-	last := p.lastMarks
-	p.ckptMu.Unlock()
-	if len(last) == 0 {
-		// No durable checkpoint yet: recovery scans from the start.
-		return nil
-	}
-	keeps := make(map[uint32]ids.LSN, len(last))
-	for s, l := range last {
-		keeps[s] = l
-	}
+	keeps := maps.Clone(p.log.Marks())
 	starts := make(map[uint32]ids.LSN)
 	for _, sh := range p.log.Shards() {
 		starts[sh.Stream] = sh.Log.Start()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -112,7 +111,7 @@ type restorePlan struct {
 }
 
 // restore is the explicit first lifecycle phase of a restart: Pass 1
-// of recovery. It scans the log from the well-known marks, rebuilds
+// of recovery. It scans the log from the marks its root held, rebuilds
 // the context tables and restart-LSN map, re-materializes every
 // context's components and seeds the last-call table — everything the
 // process needs to *route* traffic, but not yet the replayed state to
@@ -125,21 +124,19 @@ func (p *Process) restore() (*restorePlan, error) {
 		return nil, nil // registered before, but nothing was ever logged
 	}
 
-	// The well-known file is a per-stream watermark vector; each shard
-	// scans from its mark, or from its own start when the vector
-	// predates the shard's era.
-	marks, err := wal.LoadWellKnownMarks(p.wkPath)
-	if err != nil && !errors.Is(err, wal.ErrNoWellKnown) {
-		return nil, err
-	}
-	shards := p.log.Shards()
-	scanStart := func(sh wal.Shard) ids.LSN {
-		if m, ok := marks[sh.Stream]; ok {
-			return m
+	// Each shard scans from its mark in the root the log's open read, or
+	// from its own start when there is none: no checkpoint published,
+	// hints lost, or a vector that predates the shard's era.
+	marks, shards := p.log.Marks(), p.log.Shards()
+	scannedFrom := make(map[uint32]ids.LSN, len(shards))
+	for _, sh := range shards {
+		from, ok := marks[sh.Stream]
+		if !ok {
+			from = sh.Log.Start()
 		}
-		return sh.Log.Start()
+		scannedFrom[sh.Stream] = from
 	}
-	start := scanStart(shards[0])
+	start := scannedFrom[shards[0].Stream]
 	p.obs.RecoveryRuns.Inc()
 	clock := p.u.cfg.Clock
 	var stats RecoveryStats
@@ -164,10 +161,6 @@ func (p *Process) restore() (*restorePlan, error) {
 	pass1TS := p.tr.Now()
 	restart := make(map[ids.CompID]ids.LSN)
 	heads := make(map[ids.CompID]ids.LSN)
-	scannedFrom := make(map[uint32]ids.LSN, len(shards))
-	for _, sh := range shards {
-		scannedFrom[sh.Stream] = scanStart(sh)
-	}
 	pass1 := func(rec wal.Record) error {
 		stats.RecordsScanned++
 		switch rec.Type {

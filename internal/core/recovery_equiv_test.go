@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -76,6 +77,8 @@ type recoveryOutcome struct {
 	promoted   []AdaptiveAssignment
 	suppressed int64
 	stats      RecoveryStats
+	// marks and stable are what the restart's open found in the root.
+	marks, stable map[uint32]ids.LSN
 }
 
 func sortLastCalls(s []lastCallSaved) {
@@ -146,6 +149,8 @@ func recoverImage(t *testing.T, img equivImage, mode RecoveryMode, workers int) 
 		relayCalls: make(map[string]int),
 		suppressed: p.suppressedCalls.Load(),
 		promoted:   adaptivePromoted(p.AdaptiveAssignments()),
+		marks:      p.log.Marks(),
+		stable:     p.log.(*wal.Set).StableMarks(),
 	}
 	for _, name := range img.counters {
 		h, ok := p.Lookup(name)
@@ -457,13 +462,24 @@ func TestRecoveryCalleeCompleteTailBeforeCallerIncomplete(t *testing.T) {
 // every save-th context saves its state and the process takes a
 // checkpoint, which the next call's force publishes.
 func counterImage(t *testing.T, n, rounds, ckptAt, save int) (equivImage, wal.Stats) {
+	img, st, _ := shardedCounterImage(t, 0, n, rounds, save, ckptAt)
+	return img, st
+}
+
+// shardedCounterImage is counterImage on a log of the given shard count
+// with a checkpoint before each round of ckptAt, published by the forces
+// of that round. It also returns the log's root, shards.meta, as it was
+// before the last of them.
+func shardedCounterImage(t *testing.T, shards, n, rounds, save int, ckptAt ...int) (img equivImage, st wal.Stats, prevRoot []byte) {
 	t.Helper()
-	img := equivImage{dir: t.TempDir(), cfg: testConfig()}
+	img = equivImage{dir: t.TempDir(), cfg: testConfig()}
 	u, err := NewUniverse(UniverseConfig{Dir: img.dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, p := startProc(t, u, "evo1", "srv", testConfig())
+	cfg := testConfig()
+	cfg.WAL = WALConfig{Shards: shards}
+	_, p := startProc(t, u, "evo1", "srv", cfg)
 	refs := make([]*Ref, n)
 	handles := make([]*Handle, n)
 	for i := range refs {
@@ -475,11 +491,14 @@ func counterImage(t *testing.T, n, rounds, ckptAt, save int) (equivImage, wal.St
 		refs[i] = u.ExternalRef(handles[i].URI())
 	}
 	for round := 1; round <= rounds; round++ {
-		if round == ckptAt {
+		if slices.Contains(ckptAt, round) {
 			for i := 0; i < n; i += save {
 				if err := handles[i].SaveState(); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if prevRoot, err = os.ReadFile(filepath.Join(p.LogDir(), "shards.meta")); err != nil {
+				t.Fatal(err)
 			}
 			if err := p.Checkpoint(); err != nil {
 				t.Fatal(err)
@@ -489,10 +508,34 @@ func counterImage(t *testing.T, n, rounds, ckptAt, save int) (equivImage, wal.St
 			callInt(t, ref, "Add", round)
 		}
 	}
-	st := p.LogStats()
+	st = p.LogStats()
 	p.Crash()
 	u.Shutdown()
-	return img, st
+	return img, st, prevRoot
+}
+
+// publishedRoot reads the root of the log at logDir as an open would,
+// without opening the log, which may be live: a set opened over a copy
+// of shards.meta alone hands out what the file says.
+func publishedRoot(t *testing.T, logDir string) (marks, stable map[uint32]ids.LSN) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(logDir, "shards.meta"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "shards.meta"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	set, err := wal.OpenSet(dir, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	if set.HintsLost() {
+		t.Fatalf("%s: hint section lost:\n%s", logDir, data)
+	}
+	return set.Marks(), set.StableMarks()
 }
 
 // TestRecordsScannedGrowsWithBacklog pins RecoveryStats.RecordsScanned
@@ -677,15 +720,11 @@ func TestRestartOverDamagedLog(t *testing.T) {
 	const n, rounds = 4, 10
 	img, _ := counterImage(t, n, rounds, rounds/2+1, 2)
 	logDir := filepath.Join(img.dir, "evo1", "srv.log")
-	marks, err := wal.LoadWellKnownMarks(filepath.Join(img.dir, "evo1", "srv.wk"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	set, err := wal.OpenSet(logDir, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stable, end := set.StableMarks()[1], set.Shards()[0].Log.End()
+	marks, stable, end := set.Marks(), set.StableMarks()[1], set.Shards()[0].Log.End()
 	var last wal.Record // the last call's reply-sent marker
 	if err := set.Shards()[0].Log.Scan(stable, func(rec wal.Record) error { last = rec; return nil }); err != nil {
 		t.Fatal(err)

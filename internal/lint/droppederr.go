@@ -16,7 +16,7 @@ type DroppedErrConfig struct {
 }
 
 var (
-	defaultDroppedErrPackages = []string{"repro/internal/core", "repro/internal/wal"}
+	defaultDroppedErrPackages = []string{"repro/internal/core", "repro/internal/wal", "repro/internal/disk"}
 	// The guarded set is the durability surface: file syncs and
 	// truncations, segment removal, the wal writer life-cycle calls,
 	// the record codec and the lazy replay engine. (*os.File).Close is

@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/disk"
 	"repro/internal/ids"
 )
 
@@ -107,24 +108,8 @@ func (s *Service) save() error {
 	for _, n := range names {
 		fmt.Fprintf(&b, "%s %d\n", n, s.table[n])
 	}
-	tmp := s.tablePath + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("recsvc: create table: %w", err)
-	}
-	if _, err := f.WriteString(b.String()); err != nil {
-		f.Close()
+	if err := disk.AtomicWriteFile(s.tablePath, []byte(b.String())); err != nil {
 		return fmt.Errorf("recsvc: write table: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("recsvc: sync table: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, s.tablePath); err != nil {
-		return fmt.Errorf("recsvc: install table: %w", err)
 	}
 	return nil
 }

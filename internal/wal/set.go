@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/disk"
@@ -24,12 +25,17 @@ import (
 // does not need a totally ordered log (arXiv:1901.06491) — it needs
 // the per-context record order, and a context's records all land in
 // one stream per era because the routing key is the context ID. The
-// well-known checkpoint watermark is a per-stream vector (see
-// SaveWellKnownMarks).
+// well-known checkpoint LSN is a per-stream vector of marks (Publish).
 type Set struct {
-	dir    string
-	stable map[uint32]ids.LSN // the watermarks shards.meta held at open
-	eras   []Era
+	dir string
+	// root is shards.meta as OpenSet read or wrote it: eras, hintsLost and
+	// the stable watermarks the tail checks started from stay as they were
+	// then; marks is replaced by each publication. pubMu makes one a
+	// critical section: the file, marks, and the begin-LSN they belong to.
+	root
+	pubMu    sync.Mutex
+	pubBegin ids.LSN
+
 	shards []Shard // era order; index-aligned with eras expansion
 	active []*Log  // logs of the latest era, routing-index order
 	byStr  map[uint32]*Log
@@ -43,9 +49,9 @@ type Set struct {
 //     the zero config, and every read-only tool), and so does n equal
 //     to the current shard count; any other n appends a new era.
 //
-// The era file is written only when the era list changed — on
-// creation and on a reshard — and always before any directory of the
-// new era exists.
+// Open writes the root only when the era list changed — on creation
+// and on a reshard, which carries the hints through — and always before
+// any directory of the new era exists.
 func OpenSet(dir string, model disk.Model, n int) (*Set, error) {
 	if n > ids.MaxStream {
 		return nil, fmt.Errorf("wal: %d shards exceeds the %d-stream LSN tag space", n, ids.MaxStream)
@@ -53,11 +59,11 @@ func OpenSet(dir string, model disk.Model, n int) (*Set, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: mkdir %s: %w", dir, err)
 	}
-	eras, stable, err := loadShardMeta(dir)
+	r, err := loadShardMeta(dir)
 	if err != nil {
 		return nil, err
 	}
-	fresh, resharded := eras == nil, false
+	fresh, resharded := r.eras == nil, false
 	switch {
 	case fresh:
 		// Segment files without an era file are a bare Log's records;
@@ -71,41 +77,35 @@ func OpenSet(dir string, model disk.Model, n int) (*Set, error) {
 				return nil, fmt.Errorf("wal: %s holds segment files but no %s: not a sharded log directory", dir, shardMetaName)
 			}
 		}
-		eras = []Era{{Base: 1, Count: max(n, 1)}}
-	case n >= 1 && n != eras[len(eras)-1].Count:
-		last := eras[len(eras)-1]
+		r.eras = []Era{{Base: 1, Count: max(n, 1)}}
+	case n >= 1 && n != r.eras[len(r.eras)-1].Count:
+		last := r.eras[len(r.eras)-1]
 		base := uint64(last.Base) + uint64(last.Count)
 		if base+uint64(n)-1 > ids.MaxStream {
 			return nil, fmt.Errorf("wal: reshard to %d shards exhausts the %d-stream LSN tag space", n, ids.MaxStream)
 		}
-		eras = append(eras, Era{Base: uint32(base), Count: n})
+		r.eras = append(r.eras, Era{Base: uint32(base), Count: n})
 		resharded = true
 	}
 	if fresh || resharded {
-		if err := saveShardMeta(dir, eras, stable); err != nil {
+		if err := saveShardMeta(dir, r); err != nil {
 			return nil, err
 		}
 	}
 
-	s := &Set{
-		dir:    dir,
-		stable: stable,
-		eras:   eras,
-		byStr:  make(map[uint32]*Log),
-		m:      obs.WALView(obs.Default()),
-	}
-	for ei, e := range eras {
+	s := &Set{dir: dir, root: r, byStr: make(map[uint32]*Log), m: obs.WALView(obs.Default())}
+	for ei, e := range r.eras {
 		for i := 0; i < e.Count; i++ {
 			stream := e.Base + uint32(i)
 			l, err := openLog(filepath.Join(dir, shardDirName(stream)), model,
-				ids.StreamLSN(stream, ids.LSN(segHeaderSize)), stable[stream])
+				ids.StreamLSN(stream, ids.LSN(segHeaderSize)), r.stable[stream])
 			if err != nil {
 				s.closeOpened()
 				return nil, err
 			}
 			s.shards = append(s.shards, Shard{Stream: stream, Era: ei, Log: l})
 			s.byStr[stream] = l
-			if ei == len(eras)-1 {
+			if ei == len(r.eras)-1 {
 				s.active = append(s.active, l)
 			}
 		}
@@ -202,23 +202,41 @@ func (s *Set) SyncAll() (SyncOutcome, error) {
 // (where checkpoint records live).
 func (s *Set) SyncedLSN() ids.LSN { return s.active[0].SyncedLSN() }
 
-// MarkStable implements Writer: every stream's stable watermark goes
-// into shards.meta — the one file OpenSet reads before it opens a
-// stream — beside the era list.
-func (s *Set) MarkStable() error {
+// Publish implements Writer: one atomic write replaces the root with the
+// era list, the checkpoint's marks and every stream's stable watermark as
+// of now. Publications are serialized and never go backwards: a
+// checkpoint no newer than the one already published writes nothing.
+func (s *Set) Publish(begin ids.LSN, marks map[uint32]ids.LSN) error {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	if begin <= s.pubBegin {
+		return nil
+	}
 	stable := make(map[uint32]ids.LSN, len(s.shards))
 	for _, sh := range s.shards {
 		stable[sh.Stream] = sh.Log.SyncedLSN()
 	}
-	if err := saveShardMeta(s.dir, s.eras, stable); err != nil {
-		return fmt.Errorf("wal: record stable watermarks: %w", err)
+	if err := saveShardMeta(s.dir, root{eras: s.eras, marks: marks, stable: stable}); err != nil {
+		return fmt.Errorf("wal: publish checkpoint %v: %w", begin, err)
 	}
+	s.pubBegin, s.marks = begin, marks
 	return nil
 }
 
-// StableMarks returns the watermarks shards.meta held when the set was
+// Marks implements Writer.
+func (s *Set) Marks() map[uint32]ids.LSN {
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	return s.marks
+}
+
+// StableMarks returns the watermarks the root held when the set was
 // opened, by stream: where each stream's tail check started.
 func (s *Set) StableMarks() map[uint32]ids.LSN { return s.stable }
+
+// HintsLost reports that the root's hint section did not check out at
+// open: the set started with no marks and no stable watermarks.
+func (s *Set) HintsLost() bool { return s.hintsLost }
 
 // Flush implements Writer.
 func (s *Set) Flush() error {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -123,18 +125,38 @@ func TestOpenSetRejectsBareLogDir(t *testing.T) {
 	}
 }
 
-// TestShardMetaRejectsMalformedLines: an era or stable line is exactly what
-// saveShardMeta writes — trailing tokens and stream 0 (a bare Log's
-// tag) do not load.
+// TestShardMetaRejectsMalformedLines: the header counts the eras and an
+// era line is exactly what saveShardMeta writes — trailing tokens, a
+// missing line and stream 0 (a bare Log's tag) do not load. A hint line
+// that is not is no reason to refuse the log: the hints are dropped.
 func TestShardMetaRejectsMalformedLines(t *testing.T) {
-	for _, line := range []string{"era 1 4 junk", "era 0 1", "era 1", "era 1 1\nstable 1 64 junk", "era 1 1\nstable 1", "era 1 1\nstable 300 64"} {
+	write := func(body string) string {
 		dir := t.TempDir()
-		meta := shardMetaMagic + "\n" + line + "\n"
-		if err := os.WriteFile(filepath.Join(dir, shardMetaName), []byte(meta), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, shardMetaName), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenSet(dir, nil, 0); err == nil {
-			t.Errorf("OpenSet loaded a shard meta with line %q", line)
+		return dir
+	}
+	for _, body := range []string{" 1\nera 1 4 junk\n", " 1\nera 0 1\n", " 1\nera 1\n", " 2\nera 1 1\n", " 0\n", " -1\n", "\nera 1 1\n", " 1 \nera 1 1\n", " 2\nera 1 2\nera 2 1\n"} {
+		dir := write(shardMetaMagic + body)
+		if _, err := OpenSet(dir, nil, 0); err == nil || !strings.Contains(err.Error(), dir) {
+			t.Errorf("OpenSet of a shard meta %q = %v, want an error naming %s", shardMetaMagic+body, err, dir)
+		}
+	}
+	for _, hints := range []string{"stable 1 64 junk\n", "stable 1\n", "stable 300 64\n", "mark 1 72057594037927936\n", "mark 1 64\n"} {
+		for _, sum := range []string{fmt.Sprintf("sum %08x\n", crc32.ChecksumIEEE([]byte(hints))), ""} {
+			s, err := OpenSet(write(shardMetaMagic+" 1\nera 1 1\n"+sum+hints), nil, 0)
+			if err != nil {
+				t.Fatalf("hints %q: %v", sum+hints, err)
+			}
+			if hints == "mark 1 64\n" && sum != "" {
+				if len(s.Marks()) != 1 || s.HintsLost() {
+					t.Errorf("hints %q: marks %v, lost %v; want the one mark", sum+hints, s.Marks(), s.HintsLost())
+				}
+			} else if len(s.Marks())+len(s.StableMarks()) != 0 || !s.HintsLost() {
+				t.Errorf("hints %q: marks %v, watermarks %v, lost %v; want none, lost", sum+hints, s.Marks(), s.StableMarks(), s.HintsLost())
+			}
+			s.Close()
 		}
 	}
 }
@@ -185,8 +207,8 @@ func TestOpenSetWritesMetaOnlyOnChange(t *testing.T) {
 	if _, err := OpenSet(dir, nil, 3); err == nil {
 		t.Fatal("reshard opened a shard directory through a regular file")
 	}
-	if eras, _, err := loadShardMeta(dir); err != nil || len(eras) != 2 || eras[1] != (Era{Base: 2, Count: 3}) {
-		t.Fatalf("era list after the failed reshard = %v, %v; want the new era {2 3} persisted", eras, err)
+	if r, err := loadShardMeta(dir); err != nil || len(r.eras) != 2 || r.eras[1] != (Era{Base: 2, Count: 3}) {
+		t.Fatalf("era list after the failed reshard = %v, %v; want the new era {2 3} persisted", r.eras, err)
 	}
 	if err := os.Remove(blocker); err != nil {
 		t.Fatal(err)
@@ -299,28 +321,137 @@ func TestSetSyncRouting(t *testing.T) {
 	}
 }
 
-// TestWellKnownMarksVector: a multi-stream vector round-trips.
-func TestWellKnownMarksVector(t *testing.T) {
-	want := map[uint32]ids.LSN{
-		1: ids.StreamLSN(1, 100),
-		2: ids.StreamLSN(2, 16),
-		7: ids.StreamLSN(7, 99999),
-	}
-	path := filepath.Join(t.TempDir(), "marks.wk")
-	if err := SaveWellKnownMarks(path, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadWellKnownMarks(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("loaded %d marks, want %d", len(got), len(want))
-	}
-	for s, l := range want {
-		if got[s] != l {
-			t.Errorf("stream %d mark %v, want %v", s, got[s], l)
+// TestShardMetaRoot: shards.meta is the one root of a log. Eras, marks
+// and stable watermarks round-trip through Publish and OpenSet together;
+// publications never go backwards; any damage to the hint section loses
+// both hints and nothing else; the same damage to the magic or an era
+// line refuses the log.
+func TestShardMetaRoot(t *testing.T) {
+	// build opens a log through the given shard counts in turn (a
+	// reshard each), appends a few records to every appendable stream
+	// and publishes marks for the named streams.
+	build := func(t *testing.T, counts []int, marked ...uint32) (dir string, marks, stable map[uint32]ids.LSN) {
+		t.Helper()
+		dir = filepath.Join(t.TempDir(), "p.log")
+		var s *Set
+		for _, n := range counts {
+			if s != nil {
+				s.Close()
+			}
+			var err error
+			if s, err = OpenSet(dir, nil, n); err != nil {
+				t.Fatal(err)
+			}
 		}
+		defer s.Close()
+		var last ids.LSN
+		for key := uint64(0); key < 32; key++ {
+			last = appendKeyed(t, s, key, []byte("record"))
+		}
+		if _, err := s.SyncAll(); err != nil {
+			t.Fatal(err)
+		}
+		marks, stable = make(map[uint32]ids.LSN), make(map[uint32]ids.LSN)
+		for _, sh := range s.Shards() {
+			stable[sh.Stream] = sh.Log.SyncedLSN()
+		}
+		for _, stream := range marked {
+			marks[stream] = s.byStr[stream].Start()
+		}
+		if err := s.Publish(last, marks); err != nil {
+			t.Fatal(err)
+		}
+		// An older checkpoint arriving late writes nothing.
+		if err := s.Publish(last-1, map[uint32]ids.LSN{marked[0]: last}); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Marks(); !reflect.DeepEqual(got, marks) {
+			t.Fatalf("live marks %v, want %v", got, marks)
+		}
+		return dir, marks, stable
+	}
+	images := []struct {
+		name   string
+		counts []int
+		marked []uint32
+		eras   []Era
+	}{
+		{"one stream", []int{1}, []uint32{1}, []Era{{1, 1}}},
+		{"three eras", []int{1, 2, 3}, []uint32{1, 2, 5}, []Era{{1, 1}, {2, 2}, {4, 3}}},
+	}
+	for _, im := range images {
+		t.Run(im.name+" round trip", func(t *testing.T) {
+			dir, marks, stable := build(t, im.counts, im.marked...)
+			for _, n := range []int{0, 4} { // as it is, then through a reshard
+				s, err := OpenSet(dir, nil, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(s.Marks(), marks) || !reflect.DeepEqual(s.StableMarks(), stable) || s.HintsLost() {
+					t.Errorf("reopened with %d: marks %v, watermarks %v, lost %v; want %v, %v", n, s.Marks(), s.StableMarks(), s.HintsLost(), marks, stable)
+				}
+				if n == 0 && !reflect.DeepEqual(s.eras, im.eras) {
+					t.Errorf("eras %v, want %v", s.eras, im.eras)
+				}
+				// A newer publication replaces the root outright.
+				next := map[uint32]ids.LSN{im.marked[0]: stable[im.marked[0]]}
+				if err := s.Publish(ids.StreamLSN(200, 0), next); err != nil {
+					t.Fatal(err)
+				}
+				s.Close()
+				if r, err := loadShardMeta(dir); err != nil || !reflect.DeepEqual(r.marks, next) || len(r.stable) != len(s.Shards()) {
+					t.Errorf("after a second publication: %+v, %v; want marks %v and a watermark per stream", r, err, next)
+				}
+				if err := saveShardMeta(dir, root{eras: s.eras, marks: marks, stable: stable}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != 1+len(stable)+4 {
+				t.Errorf("the log directory holds %d entries, want shards.meta and %d shard directories", len(entries), len(stable)+4)
+			}
+		})
+		t.Run(im.name+" damage", func(t *testing.T) {
+			dir, _, _ := build(t, im.counts, im.marked...)
+			path := filepath.Join(dir, shardMetaName)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hints := bytes.Index(raw, []byte("sum "))
+			if hints < 0 || !bytes.Contains(raw[hints:], []byte("\nmark ")) || !bytes.Contains(raw[hints:], []byte("\nstable ")) {
+				t.Fatalf("root has no hint section:\n%s", raw)
+			}
+			open := func(what string, bad []byte, refused bool) {
+				t.Helper()
+				if err := os.WriteFile(path, bad, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				s, err := OpenSet(dir, nil, 0)
+				if refused {
+					if err == nil || !strings.Contains(err.Error(), path) {
+						t.Errorf("%s: OpenSet = %v, want an error naming %s", what, err, path)
+					}
+				} else if err != nil {
+					t.Errorf("%s: %v", what, err)
+				} else if len(s.Marks())+len(s.StableMarks()) != 0 || !s.HintsLost() {
+					t.Errorf("%s: marks %v, watermarks %v, lost %v; want no hints", what, s.Marks(), s.StableMarks(), s.HintsLost())
+				}
+				if s != nil {
+					s.Close()
+				}
+			}
+			for i := range raw {
+				for _, bits := range []byte{0xFF, 0x01} {
+					if i < hints && bits == 0x01 {
+						continue // "era 1 4" -> "era 1 5" is an era list, only not this log's
+					}
+					bad := append([]byte(nil), raw...)
+					bad[i] ^= bits
+					open(fmt.Sprintf("byte %d ^ %#x", i, bits), bad, i < hints)
+				}
+				open(fmt.Sprintf("cut to %d bytes", i), raw[:i], i < hints)
+			}
+		})
 	}
 }
 
@@ -366,7 +497,7 @@ func TestSetDiscardAndEmpty(t *testing.T) {
 	}
 }
 
-// TestOpenSetStableWatermark: MarkStable records in shards.meta how far
+// TestOpenSetStableWatermark: Publish records in shards.meta how far
 // each stream is stable, and the next open starts its tail check there —
 // it reads the bytes past the watermark, not the segment — and holds the
 // rule of each side of it: past the watermark a bad frame is a torn
@@ -390,7 +521,7 @@ func TestOpenSetStableWatermark(t *testing.T) {
 				if _, err := s.SyncAll(); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.MarkStable(); err != nil {
+				if err := s.Publish(img.lsns[199], nil); err != nil {
 					t.Fatal(err)
 				}
 				img.stable = s.SyncedLSN()
@@ -513,9 +644,9 @@ func TestOpenSetStableWatermark(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Close()
-		_, stable, err := loadShardMeta(img.dir)
-		if err != nil || len(stable) != 1 || stable[1] != img.stable {
-			t.Errorf("watermarks after the reshard = %v, %v; want stream 1 at %v", stable, err, img.stable)
+		r, err := loadShardMeta(img.dir)
+		if err != nil || len(r.stable) != 1 || r.stable[1] != img.stable {
+			t.Errorf("watermarks after the reshard = %v, %v; want stream 1 at %v", r.stable, err, img.stable)
 		}
 	})
 }

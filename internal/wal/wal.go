@@ -199,7 +199,7 @@ func Open(dir string, model disk.Model) (*Log, error) {
 // openLog opens a log whose LSN space starts at base (the stream-
 // qualified first position; see Log.base). Open passes firstLSN; Set
 // opens each shard stream at ids.StreamLSN(stream, 16). stable is how
-// far the stream is known to be durable (Set.MarkStable; nil: unknown):
+// far the stream is known to be durable (Set.Publish; nil: unknown):
 // the tail check starts there, and a bad frame below it is corruption,
 // not a torn tail.
 func openLog(dir string, model disk.Model, base, stable ids.LSN) (*Log, error) {

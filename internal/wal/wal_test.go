@@ -506,56 +506,3 @@ func TestReopenIdempotent(t *testing.T) {
 		l.Close()
 	}
 }
-
-// wkMark is a one-stream watermark vector, as a one-shard process
-// writes it.
-func wkMark(lsn ids.LSN) map[uint32]ids.LSN { return map[uint32]ids.LSN{1: lsn} }
-
-func TestWellKnownRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wk")
-	if _, err := LoadWellKnownMarks(path); err != ErrNoWellKnown {
-		t.Errorf("missing file: err = %v, want ErrNoWellKnown", err)
-	}
-	if err := SaveWellKnownMarks(path, wkMark(12345)); err != nil {
-		t.Fatal(err)
-	}
-	m, err := LoadWellKnownMarks(path)
-	if err != nil || len(m) != 1 || m[1] != ids.LSN(12345) {
-		t.Errorf("load = %v, %v", m, err)
-	}
-	// Overwrite with a new value.
-	if err := SaveWellKnownMarks(path, wkMark(99)); err != nil {
-		t.Fatal(err)
-	}
-	m, err = LoadWellKnownMarks(path)
-	if err != nil || len(m) != 1 || m[1] != ids.LSN(99) {
-		t.Errorf("reload = %v, %v", m, err)
-	}
-}
-
-func TestWellKnownCorruptRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wk")
-	if err := SaveWellKnownMarks(path, wkMark(7)); err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := os.ReadFile(path)
-	for _, flip := range []int{3, 14, len(raw) - 1} { // magic, a mark, the CRC
-		bad := append([]byte(nil), raw...)
-		bad[flip] ^= 0xFF
-		if err := os.WriteFile(path, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadWellKnownMarks(path); err != ErrNoWellKnown {
-			t.Errorf("byte %d corrupt: err = %v, want ErrNoWellKnown", flip, err)
-		}
-	}
-	// A short file, and a bare LSN+CRC without the magic.
-	for _, bad := range [][]byte{{1, 2}, make([]byte, 12)} {
-		if err := os.WriteFile(path, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadWellKnownMarks(path); err != ErrNoWellKnown {
-			t.Errorf("%d-byte file: err = %v, want ErrNoWellKnown", len(bad), err)
-		}
-	}
-}

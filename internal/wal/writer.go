@@ -68,10 +68,16 @@ type Writer interface {
 	// SyncedLSN returns the stable watermark of the meta stream (the
 	// stream checkpoint records append to).
 	SyncedLSN() ids.LSN
-	// MarkStable durably records every stream's stable watermark where
-	// the next open finds it: its tail check starts there, and treats a
-	// bad frame below it as corruption rather than a torn tail.
-	MarkStable() error
+	// Publish durably records the checkpoint that begins at begin where
+	// the next open finds it, in one atomic write: marks, the position
+	// recovery's scan of each stream may start from (the map is the log's
+	// from here on), and every stream's stable watermark — the next tail
+	// check starts there, and treats a bad frame below it as corruption,
+	// not a torn tail. A begin no newer than the last published is dropped.
+	Publish(begin ids.LSN, marks map[uint32]ids.LSN) error
+	// Marks returns the vector last published, else the one the log
+	// held when it was opened; empty when there is none. Read-only.
+	Marks() map[uint32]ids.LSN
 	// Flush writes buffered records of every stream to their files
 	// without syncing.
 	Flush() error

@@ -85,8 +85,8 @@ type (
 	// restart surface. Mode schedules Pass-2 replay: RecoveryEager
 	// (the zero value) replays every context's backlog before the
 	// process serves a single call; RecoveryLazy admits traffic as
-	// soon as Pass 1 has rebuilt the context tables and one index
-	// scan has filed each message record under its context,
+	// soon as Pass 1 has rebuilt the context tables and found the
+	// head of each context's chain of message records, walking and
 	// replaying a context's backlog when a call first touches it
 	// (only that call waits; concurrent arrivals share one replay)
 	// while background workers take the cold contexts hottest-first.
