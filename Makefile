@@ -171,8 +171,9 @@ profile-restart:
 # walks backwards, the stable watermark and its corruption rule came to
 # more than the head pass they replaced; PR 22 took the well-known file
 # and the second atomic writer out — CHANGES.md has the ledger, ROADMAP
-# items 4-6 where the rest comes back.)
-LOC_MAX = 24899
+# items 4-6 where the rest comes back; PR 26 lowered it to 24,845 with
+# msg's second value codec.)
+LOC_MAX = 24845
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

@@ -19,8 +19,9 @@ import (
 // compilation publishes a new one, so the codec's lookups are a plain
 // map read with no lock.
 type registry struct {
-	byName map[string]*Plan       // RegisterType'd types: the decoder's lookup
-	byType map[reflect.Type]*Plan // every compiled type; a RegisterType'd one carries its name
+	byName map[string]*Plan       // RegisterType'd types: the decoder's lookup behind tagNamed
+	byTag  [tagNamed]*Plan        // the closed set: the decoder's lookup by tag
+	byType map[reflect.Type]*Plan // every compiled type; one that travels carries its tag
 }
 
 var (
@@ -41,12 +42,32 @@ func PlanFor(t reflect.Type) (*Plan, error) {
 	if p := reg.Load().byType[t]; p != nil {
 		return p, nil
 	}
-	return register(t, "")
+	return register(t, 0, "")
 }
 
-// register compiles t's plan unless that is done and, given a name,
-// files the type under it.
-func register(t reflect.Type, name string) (*Plan, error) {
+// The closed set: the types that travel in a value stream under a tag
+// of their own rather than tagNamed and a name. Their bodies are their
+// plans', the same as where they are a statically typed field.
+func init() {
+	for tag, v := range [tagNamed]any{
+		tagInt: 0, tagInt8: int8(0), tagInt16: int16(0), tagInt32: int32(0), tagInt64: int64(0),
+		tagUint: uint(0), tagUint8: uint8(0), tagUint16: uint16(0), tagUint32: uint32(0), tagUint64: uint64(0),
+		tagFloat32: float32(0), tagFloat64: 0.0, tagString: "", tagBool: false, tagBytes: []byte(nil),
+		tagStrings: []string(nil), tagInts: []int(nil), tagInt64s: []int64(nil), tagFloat64s: []float64(nil),
+		tagMapStringString: map[string]string(nil), tagMapStringInt: map[string]int(nil),
+		tagMapStringFloat64: map[string]float64(nil), tagMapStringAny: map[string]any(nil), tagAnys: []any(nil),
+	} {
+		if v != nil {
+			if _, err := register(reflect.TypeOf(v), byte(tag), ""); err != nil {
+				panic(err)
+			}
+		}
+	}
+}
+
+// register compiles t's plan unless that is done and, given a tag,
+// files the type under it (tagNamed: under name).
+func register(t reflect.Type, tag byte, name string) (*Plan, error) {
 	regMu.Lock()
 	defer regMu.Unlock()
 	old := reg.Load()
@@ -56,8 +77,12 @@ func register(t reflect.Type, name string) (*Plan, error) {
 		}
 		return nil, fmt.Errorf("msg: name %q is already taken by %s", name, q.typ)
 	}
-	next := &registry{byName: old.byName, byType: maps.Clone(old.byType)}
 	p := old.byType[t]
+	if p != nil && (tag == 0 || p.tag != 0) {
+		return p, nil // a closed-set type keeps its tag
+	}
+	next := *old
+	next.byType = maps.Clone(old.byType)
 	if p == nil {
 		c := planCompiler{done: old.byType, seen: map[reflect.Type]*Plan{}}
 		if p = c.compile(t, t.String()); c.err != nil {
@@ -68,15 +93,20 @@ func register(t reflect.Type, name string) (*Plan, error) {
 			next.byType[q.typ] = q
 		}
 	}
-	if name != "" {
+	if tag != 0 {
 		// The plan may be shared already (reached through another type,
-		// handed out by PlanFor), so the name goes on a copy of its root.
-		named := *p
-		named.name, p = name, &named
-		next.byName = maps.Clone(old.byName)
-		next.byName[name], next.byType[t] = p, p
+		// handed out by PlanFor), so the tag goes on a copy of its root.
+		tagged := *p
+		tagged.tag, tagged.name, p = tag, name, &tagged
+		next.byType[t] = p
+		if tag == tagNamed {
+			next.byName = maps.Clone(old.byName)
+			next.byName[name] = p
+		} else {
+			next.byTag[tag] = p
+		}
 	}
-	reg.Store(next)
+	reg.Store(&next)
 	return p, nil
 }
 
@@ -94,7 +124,7 @@ func RegisterType(v any) {
 	if t == nil {
 		panic("msg: RegisterType(nil): pass a typed value")
 	}
-	if _, err := register(t, typeName(t)); err != nil {
+	if _, err := register(t, tagNamed, typeName(t)); err != nil {
 		panic(fmt.Sprintf("RegisterType(%s): %v", t, err))
 	}
 }
@@ -110,14 +140,6 @@ func typeName(t reflect.Type) string {
 		return star + t.PkgPath() + "." + t.Name()
 	}
 	return star + t.String()
-}
-
-// registeredPlan returns the plan t was registered with, or nil.
-func registeredPlan(t reflect.Type) *Plan {
-	if p := reg.Load().byType[t]; p != nil && p.name != "" {
-		return p
-	}
-	return nil
 }
 
 // namedPlan returns the plan registered under name, or nil.

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ids"
@@ -95,9 +96,11 @@ func BenchmarkDecodeReply(b *testing.B) {
 	}
 }
 
-// The two value-list shapes the benchmark's workloads send: one int
+// The two value-list shapes the benchmark's workloads send — one int
 // (p2p-mem's Add) and a search reply of eight offers (the bookstore's
-// []Offer, mirrored here because bookstore imports this package).
+// []Offer, mirrored here because bookstore imports this package) — and
+// two closed-set composites of sixteen elements, which travel by the
+// plan of their type like the offers do.
 type benchBook struct {
 	Title  string
 	Author string
@@ -125,7 +128,12 @@ func benchValueLists() []benchValueList {
 			Book:  benchBook{Title: "Transaction Processing", Author: "Gray, Reuter", Price: 89.5, Stock: i},
 		}
 	}
-	return []benchValueList{{"int", []any{42}}, {"offers8", []any{offers}}}
+	strs, m := make([]string, 16), make(map[string]int, 16)
+	for i := range strs {
+		strs[i] = fmt.Sprintf("keyword-%02d", i)
+		m[strs[i]] = i
+	}
+	return []benchValueList{{"int", []any{42}}, {"offers8", []any{offers}}, {"strings16", []any{strs}}, {"map16", []any{m}}}
 }
 
 func BenchmarkEncodeAnySlice(b *testing.B) {

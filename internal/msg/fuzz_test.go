@@ -139,6 +139,10 @@ func FuzzDecodeAnySlice(f *testing.F) {
 }
 
 // allocBound is what decoding data may allocate: a fixed part (the
-// error, a registered value's box) plus a small multiple of the input,
-// the worst honest ratio being a slice header or interface per byte.
-func allocBound(data []byte) uint64 { return 2048 + 64*uint64(len(data)) }
+// error, a registered value's box) plus a small multiple of the input.
+// The worst honest ratio is a one-entry map per three bytes (a count,
+// an empty key, a nil value): Go allocates a map's first eight slots at
+// once, so a map[string]any nested in another costs ~380 B with the
+// decoder's key and value holders, where a slice header or interface
+// per byte would cost 64.
+func allocBound(data []byte) uint64 { return 2048 + 160*uint64(len(data)) }

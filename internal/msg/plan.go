@@ -8,14 +8,15 @@ import (
 	"io"
 	"reflect"
 	"slices"
-	"sort"
+	"strconv"
+	"strings"
 )
 
 // A Plan lays out values of one Go type as bytes. It is compiled from
 // the reflect.Type once (PlanFor; RegisterType for a type that travels
-// in a value stream, where the plan's body follows tagNamed + name) and
-// interpreted on every encode and decode — no per-message type
-// analysis. By kind:
+// in a value stream, where the plan's body follows tagNamed + name, as
+// a closed-set type's follows its own tag) and interpreted on every
+// encode and decode — no per-message type analysis. By kind:
 //
 //	bool                 one byte, 0 or 1
 //	int*, uint*, uintptr zig-zag / plain uvarint, range-checked on decode
@@ -31,6 +32,7 @@ import (
 //	                     then the exported fields in declaration order
 type Plan struct {
 	name   string // the registered name; "" for a type never passed to RegisterType
+	tag    byte   // what a value stream writes before the body; 0 for a type that cannot travel there
 	typ    reflect.Type
 	kind   reflect.Kind
 	min    int   // fewest bytes an encoded value takes; never 0
@@ -217,7 +219,7 @@ func (p *Plan) append(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 		dst = AppendUvarint(dst, uint64(n))
 		for i := 0; i < n; i++ {
 			if dst, err = p.elem.append(dst, v.Index(i), depth+1); err != nil {
-				return nil, fmt.Errorf("[%d]: %w", i, err)
+				return nil, at(err, "["+strconv.Itoa(i)+"]")
 			}
 		}
 		return dst, nil
@@ -227,7 +229,7 @@ func (p *Plan) append(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 		dst = AppendUvarint(dst, uint64(len(p.fields)))
 		for _, f := range p.fields {
 			if dst, err = f.plan.append(dst, v.Field(f.index), depth); err != nil {
-				return nil, fmt.Errorf(".%s: %w", p.typ.Field(f.index).Name, err)
+				return nil, at(err, "."+p.typ.Field(f.index).Name)
 			}
 		}
 		return dst, nil
@@ -237,33 +239,42 @@ func (p *Plan) append(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 
 // appendMap writes the entries in ascending order of their encoded
 // keys, so that equal maps give equal bytes whatever the iteration
-// order.
+// order. Each entry is encoded behind dst's end as the map yields it,
+// through one key and one value holder for all of them, and the entries
+// are then moved into place by their key bytes.
 func (p *Plan) appendMap(dst []byte, v reflect.Value, depth int) ([]byte, error) {
 	n := v.Len()
 	dst = AppendUvarint(dst, uint64(n))
 	if n == 0 {
 		return dst, nil
 	}
-	type entry struct {
-		key []byte // encoded
-		val reflect.Value
-	}
+	type entry struct{ start, key, end int } // offsets in dst
 	entries := make([]entry, 0, n)
+	start := len(dst)
+	k, e := reflect.New(p.key.typ).Elem(), reflect.New(p.elem.typ).Elem()
+	var err error
 	for it := v.MapRange(); it.Next(); {
-		key, err := p.key.append(nil, it.Key(), depth+1)
-		if err != nil {
+		k.SetIterKey(it)
+		e.SetIterValue(it)
+		x := entry{start: len(dst)}
+		if dst, err = p.key.append(dst, k, depth+1); err != nil {
 			return nil, err
 		}
-		entries = append(entries, entry{key, it.Value()})
-	}
-	sort.Slice(entries, func(a, b int) bool { return bytes.Compare(entries[a].key, entries[b].key) < 0 })
-	for _, e := range entries {
-		var err error
-		if dst, err = p.elem.append(append(dst, e.key...), e.val, depth+1); err != nil {
-			return nil, fmt.Errorf("[key %x]: %w", e.key, err)
+		x.key = len(dst)
+		if dst, err = p.elem.append(dst, e, depth+1); err != nil {
+			return nil, at(err, fmt.Sprintf("[key %v]", k))
 		}
+		x.end = len(dst)
+		entries = append(entries, x)
 	}
-	return dst, nil
+	slices.SortFunc(entries, func(a, b entry) int {
+		return bytes.Compare(dst[a.start:a.key], dst[b.start:b.key])
+	})
+	end := len(dst)
+	for _, x := range entries {
+		dst = append(dst, dst[x.start:x.end]...)
+	}
+	return append(dst[:start], dst[end:]...), nil
 }
 
 // read decodes one value of p's type from r into v, which must be
@@ -355,7 +366,7 @@ func (p *Plan) read(r *reader, v reflect.Value, depth int) error {
 		}
 		for _, f := range p.fields {
 			if err := f.plan.read(r, v.Field(f.index), depth); err != nil {
-				return fmt.Errorf(".%s: %w", p.typ.Field(f.index).Name, err)
+				return at(err, "."+p.typ.Field(f.index).Name)
 			}
 		}
 		return nil
@@ -366,7 +377,7 @@ func (p *Plan) read(r *reader, v reflect.Value, depth int) error {
 func (p *Plan) readElems(r *reader, v reflect.Value, n, depth int) error {
 	for i := 0; i < n; i++ {
 		if err := p.elem.read(r, v.Index(i), depth+1); err != nil {
-			return fmt.Errorf("[%d]: %w", i, err)
+			return at(err, "["+strconv.Itoa(i)+"]")
 		}
 	}
 	return nil
@@ -379,23 +390,64 @@ func (p *Plan) readMap(r *reader, v reflect.Value, depth int) error {
 	}
 	m := reflect.MakeMapWithSize(p.typ, n)
 	v.Set(m)
+	// SetMapIndex copies the pair in, so one holder each serves every entry.
+	k, e := reflect.New(p.key.typ).Elem(), reflect.New(p.elem.typ).Elem()
 	var prev []byte
 	for i := 0; i < n; i++ {
 		before := r.b
-		k := reflect.New(p.key.typ).Elem()
 		if err := p.key.read(r, k, depth+1); err != nil {
-			return fmt.Errorf("key %d: %w", i, err)
+			return at(err, "key "+strconv.Itoa(i))
 		}
 		enc := before[:len(before)-len(r.b)]
 		if i > 0 && bytes.Compare(enc, prev) <= 0 {
 			return fmt.Errorf("map key %v: not in ascending order", k)
 		}
 		prev = enc
-		e := reflect.New(p.elem.typ).Elem()
+		e.SetZero()
 		if err := p.elem.read(r, e, depth+1); err != nil {
-			return fmt.Errorf("[key %v]: %w", k, err)
+			return at(err, fmt.Sprintf("[key %v]", k))
 		}
 		m.SetMapIndex(k, e)
 	}
 	return nil
+}
+
+// A pathError is a failure inside a value and the path to it. Every
+// level the failure passes on the way out adds its step to this one
+// error, up to maxSteps of them, so a hostile stream nested maxDepth
+// deep costs little more to reject than to read — wrapping the error
+// anew at each level would build n messages of up to n steps.
+type pathError struct {
+	steps []string // innermost first
+	cut   bool     // steps beyond maxSteps were dropped
+	err   error
+}
+
+const maxSteps = 32
+
+func (e *pathError) Error() string {
+	var b strings.Builder
+	if e.cut {
+		b.WriteString("…: ")
+	}
+	for i := len(e.steps) - 1; i >= 0; i-- {
+		b.WriteString(e.steps[i])
+		b.WriteString(": ")
+	}
+	b.WriteString(e.err.Error())
+	return b.String()
+}
+
+func (e *pathError) Unwrap() error { return e.err }
+
+// at adds step outside the path err already has.
+func at(err error, step string) error {
+	e, ok := err.(*pathError)
+	if !ok {
+		e = &pathError{err: err}
+	}
+	if e.cut = len(e.steps) == maxSteps; !e.cut {
+		e.steps = append(e.steps, step)
+	}
+	return e
 }

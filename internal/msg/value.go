@@ -13,10 +13,12 @@
 //	value  = tag body
 //
 // The tag names the value's dynamic type: one tag per closed-set type
-// below, and tagNamed + the registered name for application types,
-// whose body is laid out by the type's plan (plan.go). Slices and maps
-// encode nil and empty alike (count 0) and decode as nil; map entries
-// are written in ascending key order, so equal values give equal bytes.
+// below, and tagNamed + the registered name for application types.
+// Every body is the one the type's plan (plan.go) lays out; only the
+// scalars are decoded, and an int encoded, by type switch. Slices and
+// maps encode nil and empty alike (count 0) and decode as nil; map
+// entries are written in ascending order of their encoded keys, so
+// equal values give equal bytes.
 package msg
 
 import (
@@ -25,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"slices"
 	"strconv"
 )
 
@@ -134,35 +135,10 @@ func appendBool(dst []byte, b bool) []byte {
 	return append(dst, 0)
 }
 
-func appendInt(dst []byte, v int) []byte { return appendZigzag(dst, int64(v)) }
-
-func appendSlice[T any](dst []byte, x []T, elem func([]byte, T) []byte) []byte {
-	dst = AppendUvarint(dst, uint64(len(x)))
-	for _, e := range x {
-		dst = elem(dst, e)
-	}
-	return dst
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
-func appendStringMap[V any](dst []byte, m map[string]V, val func([]byte, V) []byte) []byte {
-	dst = AppendUvarint(dst, uint64(len(m)))
-	for _, k := range sortedKeys(m) {
-		dst = val(AppendString(dst, k), m[k])
-	}
-	return dst
-}
-
-// appendValue appends v in tagged form: the closed set by type switch,
-// anything else through its registered plan.
+// appendValue appends v in tagged form: an int by type switch, as
+// most calls' one argument and result are; anything else is the tag its
+// type's plan was filed under (tagNamed and the name for a registered
+// type) and the plan's body.
 func appendValue(dst []byte, v any, depth int) ([]byte, error) {
 	if depth > maxDepth {
 		return nil, errDepth
@@ -172,74 +148,19 @@ func appendValue(dst []byte, v any, depth int) ([]byte, error) {
 		return append(dst, tagNil), nil
 	case int:
 		return appendZigzag(append(dst, tagInt), int64(x)), nil
-	case int8:
-		return appendZigzag(append(dst, tagInt8), int64(x)), nil
-	case int16:
-		return appendZigzag(append(dst, tagInt16), int64(x)), nil
-	case int32:
-		return appendZigzag(append(dst, tagInt32), int64(x)), nil
-	case int64:
-		return appendZigzag(append(dst, tagInt64), x), nil
-	case uint:
-		return AppendUvarint(append(dst, tagUint), uint64(x)), nil
-	case uint8:
-		return AppendUvarint(append(dst, tagUint8), uint64(x)), nil
-	case uint16:
-		return AppendUvarint(append(dst, tagUint16), uint64(x)), nil
-	case uint32:
-		return AppendUvarint(append(dst, tagUint32), uint64(x)), nil
-	case uint64:
-		return AppendUvarint(append(dst, tagUint64), x), nil
-	case float32:
-		return appendFloat32(append(dst, tagFloat32), x), nil
-	case float64:
-		return appendFloat64(append(dst, tagFloat64), x), nil
-	case string:
-		return AppendString(append(dst, tagString), x), nil
-	case bool:
-		return appendBool(append(dst, tagBool), x), nil
-	case []byte:
-		return AppendBytes(append(dst, tagBytes), x), nil
-	case []string:
-		return appendSlice(append(dst, tagStrings), x, AppendString), nil
-	case []int:
-		return appendSlice(append(dst, tagInts), x, appendInt), nil
-	case []int64:
-		return appendSlice(append(dst, tagInt64s), x, appendZigzag), nil
-	case []float64:
-		return appendSlice(append(dst, tagFloat64s), x, appendFloat64), nil
-	case map[string]string:
-		return appendStringMap(append(dst, tagMapStringString), x, AppendString), nil
-	case map[string]int:
-		return appendStringMap(append(dst, tagMapStringInt), x, appendInt), nil
-	case map[string]float64:
-		return appendStringMap(append(dst, tagMapStringFloat64), x, appendFloat64), nil
-	case map[string]any:
-		dst = AppendUvarint(append(dst, tagMapStringAny), uint64(len(x)))
-		var err error
-		for _, k := range sortedKeys(x) {
-			if dst, err = appendValue(AppendString(dst, k), x[k], depth+1); err != nil {
-				return nil, fmt.Errorf("key %q: %w", k, err)
-			}
-		}
-		return dst, nil
-	case []any:
-		dst = AppendUvarint(append(dst, tagAnys), uint64(len(x)))
-		var err error
-		for i, e := range x {
-			if dst, err = appendValue(dst, e, depth+1); err != nil {
-				return nil, fmt.Errorf("element %d: %w", i, err)
-			}
-		}
-		return dst, nil
 	}
 	t := reflect.TypeOf(v)
-	p := registeredPlan(t)
-	if p == nil {
+	p := reg.Load().byType[t]
+	if p == nil || p.tag == 0 {
 		return nil, fmt.Errorf("type %s is not registered (call RegisterType)", t)
 	}
-	dst = AppendString(append(dst, tagNamed), p.name)
-	return p.append(dst, reflect.ValueOf(v), depth)
+	dst = append(dst, p.tag)
+	if p.tag == tagNamed {
+		return p.append(AppendString(dst, p.name), reflect.ValueOf(v), depth)
+	}
+	// A closed-set composite's elements are one level below the value, and
+	// its plan's container arm is what counts that level.
+	return p.append(dst, reflect.ValueOf(v), depth-1)
 }
 
 // reader consumes a value stream front to back. left is how many more
@@ -343,73 +264,6 @@ func (r *reader) count(min int) (int, error) {
 	return int(n), nil
 }
 
-// key reads the next key of a string-keyed map, which must sort after
-// prev: the encoder writes entries in ascending key order.
-func (r *reader) key(i int, prev string) (string, error) {
-	k, err := r.string()
-	if err == nil && i > 0 && k <= prev {
-		return "", fmt.Errorf("map key %q after %q: not in ascending order", k, prev)
-	}
-	return k, err
-}
-
-// readElem reads one element of a closed-set slice or map into p.
-// (A type switch, not a func parameter: a reader handed to a func value
-// escapes to the heap, one allocation per decoded list.)
-func readElem[T any](r *reader, p *T, depth int) (err error) {
-	switch p := any(p).(type) {
-	case *string:
-		*p, err = r.string()
-	case *int:
-		*p, err = r.int()
-	case *int64:
-		*p, err = r.zigzag()
-	case *float64:
-		*p, err = r.float64()
-	case *any:
-		*p, err = r.value(depth + 1)
-	}
-	return err
-}
-
-// readSlice reads a count and that many elements of at least min
-// bytes each. A count of zero gives a nil slice.
-func readSlice[T any](r *reader, min, depth int) ([]T, error) {
-	n, err := r.count(min)
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	out := make([]T, n)
-	for i := range out {
-		if err := readElem(r, &out[i], depth); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// readStringMap reads a count and that many key value pairs of at
-// least min bytes each. A count of zero gives a nil map.
-func readStringMap[V any](r *reader, min, depth int) (map[string]V, error) {
-	n, err := r.count(min)
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	out := make(map[string]V, n)
-	var k string
-	for i := 0; i < n; i++ {
-		if k, err = r.key(i, k); err != nil {
-			return nil, err
-		}
-		var v V
-		if err := readElem(r, &v, depth); err != nil {
-			return nil, err
-		}
-		out[k] = v
-	}
-	return out, nil
-}
-
 // value reads one tagged value.
 func (r *reader) value(depth int) (any, error) {
 	if depth > maxDepth {
@@ -460,39 +314,29 @@ func (r *reader) value(depth int) (any, error) {
 		return r.bool()
 	case tagBytes:
 		return r.bytes()
-	case tagStrings:
-		return readSlice[string](r, 1, depth)
-	case tagInts:
-		return readSlice[int](r, 1, depth)
-	case tagInt64s:
-		return readSlice[int64](r, 1, depth)
-	case tagFloat64s:
-		return readSlice[float64](r, 8, depth)
-	case tagMapStringString:
-		return readStringMap[string](r, 2, depth)
-	case tagMapStringInt:
-		return readStringMap[int](r, 2, depth)
-	case tagMapStringFloat64:
-		return readStringMap[float64](r, 9, depth)
-	case tagMapStringAny:
-		return readStringMap[any](r, 2, depth)
-	case tagAnys:
-		return readSlice[any](r, 1, depth)
-	case tagNamed:
+	}
+	var p *Plan
+	if tag == tagNamed {
 		n, err := r.count(1)
 		if err != nil {
 			return nil, err
 		}
-		p := namedPlan(r.b[:n])
-		if p == nil {
+		if p = namedPlan(r.b[:n]); p == nil {
 			return nil, fmt.Errorf("type %q is not registered (call RegisterType)", r.b[:n])
 		}
 		r.b = r.b[n:]
-		v := reflect.New(p.typ).Elem()
-		if err := p.read(r, v, depth); err != nil {
-			return nil, fmt.Errorf("%s: %w", p.name, err)
-		}
-		return v.Interface(), nil
+	} else if tag < tagNamed {
+		p, depth = reg.Load().byTag[tag], depth-1 // as in appendValue
 	}
-	return nil, fmt.Errorf("unknown value tag %#x", tag)
+	if p == nil {
+		return nil, fmt.Errorf("unknown value tag %#x", tag)
+	}
+	v := reflect.New(p.typ).Elem()
+	if err := p.read(r, v, depth); err != nil {
+		if p.tag == tagNamed {
+			err = at(err, p.name)
+		}
+		return nil, err
+	}
+	return v.Interface(), nil
 }

@@ -170,6 +170,104 @@ func TestValueRoundTrip(t *testing.T) {
 	}
 }
 
+// TestValueStreamGolden pins the wire bytes of a one-value list for
+// every tag: a row that changes is a format change. Maps are written in
+// ascending order of the encoded key, whose length prefix comes first,
+// so in the rows marked "keys of two lengths" the shorter key "b" goes
+// before "aa", which a string sort would put first.
+func TestValueStreamGolden(t *testing.T) {
+	rows := []struct {
+		name string
+		v    any
+		hex  string
+	}{
+		{"0x00 nil in []any", []any{nil}, "01180100"},
+		{"0x01 int", -300, "0101d704"},
+		{"0x02 int8", int8(math.MinInt8), "0102ff01"},
+		{"0x03 int16", int16(-300), "0103d704"},
+		{"0x04 int32", int32(-70000), "0104dfc508"},
+		{"0x05 int64", int64(math.MinInt64), "0105ffffffffffffffffff01"},
+		{"0x06 uint", uint(300), "0106ac02"},
+		{"0x07 uint8", uint8(math.MaxUint8), "0107ff01"},
+		{"0x08 uint16", uint16(math.MaxUint16), "0108ffff03"},
+		{"0x09 uint32", uint32(math.MaxUint32), "0109ffffffff0f"},
+		{"0x0A uint64", uint64(math.MaxUint64), "010affffffffffffffffff01"},
+		{"0x0B float32", float32(-1.5), "010b0000c0bf"},
+		{"0x0C float64", math.Inf(-1), "010c000000000000f0ff"},
+		{"0x0D string", "héllo", "010d0668c3a96c6c6f"},
+		{"0x0E bool", true, "010e01"},
+		{"0x0F []byte", []byte{0, 1, 255}, "010f030001ff"},
+		{"0x10 []string", []string{"b", "aa", ""}, "011003016202616100"},
+		{"0x10 []string empty", []string{}, "011000"},
+		{"0x11 []int", []int{-1, 0, 300}, "0111030100d804"},
+		{"0x12 []int64", []int64{math.MinInt64, math.MaxInt64}, "011202ffffffffffffffffff01feffffffffffffffff01"},
+		{"0x13 []float64", []float64{2.5, math.Copysign(0, -1)}, "01130200000000000004400000000000000080"},
+		{"0x13 []float64 nil", []float64(nil), "011300"},
+		{"0x14 map[string]string", map[string]string{"k": "v", "a": ""}, "011402016100016b0176"},
+		{"0x14 map[string]string keys of two lengths", map[string]string{"b": "x", "aa": "y"}, "011402016201780261610179"},
+		{"0x15 map[string]int", map[string]int{"x": 1, "y": -2}, "011502017802017903"},
+		{"0x15 map[string]int keys of two lengths", map[string]int{"b": 1, "aa": 2}, "01150201620202616104"},
+		{"0x15 map[string]int empty", map[string]int{}, "011500"},
+		{"0x16 map[string]float64", map[string]float64{"e": 2.75, "pi": 3.25}, "011602016500000000000006400270690000000000000a40"},
+		{"0x17 map[string]any nested", map[string]any{"a": []any{1, nil, map[string]any{"d": 2.0}}, "b": leaf{N: 1, S: "s"}, "n": nil}, "01170301611803010200170101640c000000000000004001621917726570726f2f696e7465726e616c2f6d73672e6c65616602020173016e00"},
+		{"0x17 map[string]any keys of two lengths", map[string]any{"in": map[string]any{"d": 2.0}, "n": 1, "nil": nil}, "011703016e010202696e170101640c0000000000000040036e696c00"},
+		{"0x17 map[string]any nil", map[string]any(nil), "011700"},
+		{"0x18 []any nested", []any{1, "two", nil, []any{3.0, leaf{N: -128, S: "x"}, []any{}}, []leaf{{N: 2}}, map[string]int{"k": 1}, []string{"z"}}, "01180701020d0374776f0018030c00000000000008401917726570726f2f696e7465726e616c2f6d73672e6c65616602ff0101781800190a5b5d6d73672e6c656166010204001501016b021001017a"},
+		{"0x18 []any empty", []any{}, "011800"},
+		{"0x19 registered struct with a map field", tree{
+			ByName: map[string]leaf{"a": {N: 1}, "b": {S: "b"}}, ByID: map[int32]string{-5: "neg", 5: "pos"},
+			Any: map[string]int{"b": 1, "c": 2}, Anys: []any{[]string{"s"}, nil}, Next: &tree{Level: 2},
+		}, "011917726570726f2f696e7465726e616c2f6d73672e747265650e02000000000201610202000162020001620209036e65670a03706f731502016202016304021001017300000300000000000000000000010e02000000000000000000030000000000000000000400"},
+	}
+	for _, row := range rows {
+		data, err := EncodeAnySlice([]any{row.v})
+		if err != nil {
+			t.Errorf("%s: encode: %v", row.name, err)
+			continue
+		}
+		if got := fmt.Sprintf("%x", data); got != row.hex {
+			t.Errorf("%s: encodes as\n\t%q\nwant\n\t%q", row.name, got, row.hex)
+		}
+		back, err := DecodeAnySlice(data)
+		if err != nil {
+			t.Errorf("%s: decode: %v", row.name, err)
+			continue
+		}
+		if again, err := EncodeAnySlice(back); err != nil || !bytes.Equal(again, data) {
+			t.Errorf("%s: decode → encode gives %x, %v", row.name, again, err)
+		}
+	}
+}
+
+// TestOneBodyPerType: a closed-set composite has one body, the same at
+// top level (behind its tag) and as a statically typed field of a
+// registered struct (behind the field count).
+func TestOneBodyPerType(t *testing.T) {
+	type withStrings struct{ F []string }
+	type withMap struct{ F map[string]int }
+	type withAnys struct{ F []any }
+	for _, holder := range []any{
+		withStrings{[]string{"b", "aa", ""}},
+		withMap{map[string]int{"b": 1, "aa": 2, "c": 3}},
+		withAnys{[]any{1, "aa", []any{nil, map[string]any{"b": 1, "aa": 2}}}},
+	} {
+		RegisterType(holder)
+		field := reflect.ValueOf(holder).Field(0).Interface()
+		top, err := EncodeAnySlice([]any{field})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nested, err := EncodeAnySlice([]any{holder})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := append(AppendString([]byte{1, tagNamed}, typeName(reflect.TypeOf(holder))), 1)
+		if top, nested := top[2:], nested[len(prefix):]; !bytes.Equal(top, nested) {
+			t.Errorf("%T: body %x at top level, %x as a field", field, top, nested)
+		}
+	}
+}
+
 // TestValueUnexportedFieldStaysHome: only exported fields travel.
 func TestValueUnexportedFieldStaysHome(t *testing.T) {
 	data, err := EncodeAnySlice([]any{tree{private: 9, Level: 1}})
@@ -252,6 +350,7 @@ func TestDecodeAnySliceRejects(t *testing.T) {
 		{"struct field overflow", named(leafName, 2, 0x80, 0x02, 0), "overflows int8"},
 		{"map keys out of order", []byte{1, tagMapStringInt, 2, 1, 'b', 0, 1, 'a', 0}, "ascending"},
 		{"map key repeated", []byte{1, tagMapStringInt, 2, 1, 'a', 0, 1, 'a', 0}, "ascending"},
+		{"map keys in string order", []byte{1, tagMapStringInt, 2, 2, 'a', 'a', 0, 1, 'b', 0}, "ascending"},
 		{"truncated float", []byte{1, tagFloat64, 0, 0, 0}, "short"},
 	}
 	for _, tc := range cases {
@@ -406,6 +505,11 @@ func TestRegisterTypeTwice(t *testing.T) {
 	if got, err := DecodeAnySlice(data); err != nil || !reflect.DeepEqual(got[0], first) {
 		t.Errorf("round trip after the refused twin: %v %v", got, err)
 	}
+	// A closed-set type keeps its own tag.
+	RegisterType([]string(nil))
+	if data, err := EncodeAnySlice([]any{[]string{"a"}}); err != nil || data[1] != tagStrings {
+		t.Errorf("[]string after RegisterType encodes as %x, %v", data, err)
+	}
 }
 
 // TestValueListAllocs: a one-int list — the shape of most calls — costs
@@ -422,6 +526,28 @@ func TestValueListAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { DecodeAnySlice(data) }); n != 1 {
 		t.Errorf("DecodeAnySlice([42]) allocates %v objects, want 1", n)
+	}
+}
+
+// TestAllocsMapEncode: a map's entries are put in order inside the
+// output buffer, so a sixteen-entry map costs the entries' offsets and
+// one key and one value holder — not an allocation per key. (A captured
+// map[string]float64 field, or a map in a value stream, takes this path.)
+func TestAllocsMapEncode(t *testing.T) {
+	m := make(map[string]int, 16)
+	for i := 0; i < 16; i++ {
+		m[fmt.Sprintf("key-%02d", i)] = i
+	}
+	p, err := PlanFor(reflect.TypeOf(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := p.Append(nil, reflect.ValueOf(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf, _ = p.Append(buf[:0], reflect.ValueOf(m)) }); n > 3 {
+		t.Errorf("Plan.Append of a 16-entry map[string]int allocates %v objects, gate 3", n)
 	}
 }
 
@@ -442,7 +568,7 @@ func TestPlanFor(t *testing.T) {
 	if again, _ := PlanFor(reflect.TypeOf(row{})); again != p {
 		t.Error("PlanFor compiled the same type twice")
 	}
-	if rp, _ := PlanFor(reflect.TypeOf(leaf{})); rp != registeredPlan(reflect.TypeOf(leaf{})) {
+	if rp, _ := PlanFor(reflect.TypeOf(leaf{})); rp != namedPlan([]byte(typeName(reflect.TypeOf(leaf{})))) {
 		t.Error("PlanFor of a registered type is not the registered plan")
 	}
 	if _, err := PlanFor(reflect.TypeOf(struct{ OK, F func() }{})); err == nil || !strings.Contains(err.Error(), ".OK: kind func") {

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -177,6 +178,15 @@ func TestInvokeEncodedAppErrorTravels(t *testing.T) {
 	}
 }
 
+// widths declares the numeric parameter kinds a generic caller need not
+// match exactly.
+type widths struct{}
+
+func (*widths) Int(x int)         {}
+func (*widths) Int8(x int8)       {}
+func (*widths) Uint(x uint)       {}
+func (*widths) Float32(x float32) {}
+
 func TestInvokeEncodedNumericCoercion(t *testing.T) {
 	s := newStore()
 	d, _ := NewDispatcher(s)
@@ -186,6 +196,44 @@ func TestInvokeEncodedNumericCoercion(t *testing.T) {
 		if _, _, _, err := d.InvokeEncoded("NoResults", args, n); err != nil {
 			t.Errorf("%T -> int coercion failed: %v", arg, err)
 		}
+	}
+	// A conversion that would change the number is refused.
+	w, _ := NewDispatcher(&widths{})
+	for _, tc := range []struct {
+		method string
+		arg    any
+		ok     bool
+	}{
+		{"Int8", int64(-128), true},
+		{"Int8", int64(300), false},
+		{"Int", 2.5, false},
+		{"Int", -3.0, true},
+		{"Int", uint64(math.MaxUint64), false},
+		{"Uint", -1, false},
+		{"Uint", uint64(math.MaxUint64), true},
+		{"Float32", 2.5, true},
+		{"Float32", math.NaN(), true},
+		{"Float32", math.Inf(-1), true},
+		{"Float32", 0.1, false},
+		{"Float32", 1e300, false},
+		{"Float32", 1<<24 + 1, false},
+	} {
+		args, n, _ := EncodeArgs(tc.arg)
+		_, _, _, err := w.InvokeEncoded(tc.method, args, n)
+		refused := err != nil && strings.Contains(err.Error(), "arg 0: "+reflect.TypeOf(tc.arg).String()+" is not assignable")
+		if err != nil && !refused {
+			t.Errorf("%s(%T %v): %v", tc.method, tc.arg, tc.arg, err)
+		} else if refused == tc.ok {
+			t.Errorf("%s(%T %v): refused %v, want %v", tc.method, tc.arg, tc.arg, refused, !tc.ok)
+		}
+	}
+	// The same rule fits a stub's results.
+	var c struct{ Small func() (int8, error) }
+	if err := BindStub(&c, func(string, ...any) ([]any, error) { return []any{int64(300)}, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := c.Small(); err == nil || !strings.Contains(err.Error(), "result 0: int64 is not assignable to int8") {
+		t.Errorf("int64(300) as an int8 result: %v, %v", v, err)
 	}
 }
 

@@ -23,8 +23,9 @@ type CallFunc func(method string, args ...any) ([]any, error)
 //
 // Each field's name is the remote method name; its signature must
 // declare an error as the last result. Results decoded from the wire
-// are converted to the declared types (numeric kinds convert; anything
-// else must match exactly, or the call returns an error).
+// are converted to the declared types (a number converts to another
+// numeric kind when it keeps its value; anything else must match
+// exactly, or the call returns an error).
 func BindStub(stub any, call CallFunc) error {
 	v := reflect.ValueOf(stub)
 	if !v.IsValid() || v.Kind() != reflect.Pointer || v.IsNil() {

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 
 	"repro/internal/msg"
@@ -64,8 +65,10 @@ func (d *Dispatcher) InvokeEncoded(name string, args []byte, numArgs int) (resul
 const stackVals = 4
 
 // coerce fits a decoded interface value to a declared parameter type.
-// Exact assignability always works; numeric kinds convert (a generic
-// caller need not match the declared int or float width).
+// Exact assignability always works; a number converts to another
+// numeric kind when the conversion keeps its value (a generic caller
+// need not match the declared int or float width, but 300 is no int8,
+// 2.5 no int and -1 no uint).
 func coerce(a any, want reflect.Type) (reflect.Value, error) {
 	v := reflect.ValueOf(a)
 	if !v.IsValid() {
@@ -75,10 +78,34 @@ func coerce(a any, want reflect.Type) (reflect.Value, error) {
 		return v, nil
 	}
 	if isNumeric(v.Kind()) && isNumeric(want.Kind()) && v.Type().ConvertibleTo(want) {
-		return v.Convert(want), nil
+		if c := v.Convert(want); keepsValue(v, c) {
+			return c, nil
+		}
 	}
 	return reflect.Value{}, fmt.Errorf("%s is not assignable to %s", v.Type(), want)
 }
+
+// keepsValue reports whether c, v converted, is the number v is: it
+// converts back to v and has v's sign (int64(-1) → uint64 → int64 comes
+// back -1). A NaN stays a NaN from float to float.
+func keepsValue(v, c reflect.Value) bool {
+	if isFloat(v.Kind()) && isFloat(c.Kind()) && math.IsNaN(v.Float()) {
+		return true
+	}
+	return c.Convert(v.Type()).Equal(v) && negative(c) == negative(v)
+}
+
+func negative(v reflect.Value) bool {
+	switch {
+	case isFloat(v.Kind()):
+		return v.Float() < 0
+	case v.CanInt():
+		return v.Int() < 0
+	}
+	return false
+}
+
+func isFloat(k reflect.Kind) bool { return k == reflect.Float32 || k == reflect.Float64 }
 
 func isNumeric(k reflect.Kind) bool {
 	switch k {
