@@ -79,22 +79,25 @@ stress:
 # walk's fail-stop, the flat-as-the-log-grows counts, the first-touch /
 # crash-mid-drain / RecoverContext suites, the wal cursor and
 # positioned-read tests (the reader's edge-case table with its Hold
-# rows; cursors racing an appender and TrimHead), and the
-# bookstore seller through the facade.
+# rows; cursors racing an appender and TrimHead), the tail check that
+# scans, appends and End race to run on a reopened log, the dump that
+# reads a log once, and the bookstore seller through the facade.
 recovery-stress:
-	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|TestChain|RecordsScanned|LogReads|TestRestart|Lazy|ScanFrom|ReadAt|Reader' ./internal/core/ ./internal/wal/
+	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|TestChain|RecordsScanned|LogReads|TestRestart|Lazy|ScanFrom|ReadAt|Reader|TailCheck|DumpLogReads' ./internal/core/ ./internal/wal/
 	go test -race -count=2 -run 'SellerRecoveryEquivalence' ./internal/bookstore/
 
 # Sharded-log stress under the race detector: the wal.Set unit suite
 # (open, reshard, and the shards.meta root: eras, marks and stable
-# watermarks through round trips and damage), the atomic file writer
-# under it, and the root through a process — publications racing from
+# watermarks through round trips and damage, and the tail check each
+# side of a watermark — a scan, an append or End first must agree on a
+# torn segment's end), the atomic file writer under it, and the root
+# through a process — publications racing from
 # many contexts, both crash states of the one write, a reshard, a
 # recreated directory, a restart that trims. Concurrent group commit
 # against a 4-shard log is a row of `stress`; recovery over sharded and
 # mixed-era logs is part of recovery-stress.
 shard-stress:
-	go test -race -count=2 -run 'OpenSet|ShardMeta|SetSync|SetDiscard|AtomicWriteFile' ./internal/wal/ ./internal/disk/
+	go test -race -count=2 -run 'OpenSet|ShardMeta|SetSync|SetDiscard|AtomicWriteFile|TailCheck|FuzzOpenTornSegment' ./internal/wal/ ./internal/disk/
 	go test -race -count=2 -run 'CheckpointPublication|EitherRoot|KeepsRoot|RecreatedLogDir|TrimsFromLoadedMarks|CheckpointWritesWellKnownLSN' ./internal/core/
 
 # Adaptive-discipline stress under the race detector: the controller's
@@ -151,8 +154,8 @@ profile-call:
 # eagerly by one worker 300 times, as `pprof -top` (putting the pristine image back is
 # outside the benchmark's timer but inside the profile, under copyTree),
 # then one restart each way for the RecoveryStats line: device reads
-# (by phase: open-time tail check, Pass 1, chain walks, replays), bytes
-# read over log bytes, records scanned, calls replayed, and what
+# (by phase: Pass 1 — the log's tail check too, the open reads nothing —
+# chain walks, replays), bytes read over log bytes, records scanned, calls replayed, and what
 # replaying one context by itself reads, as a first touch does —
 # counts, the same on every run.
 RESTART_DIR ?= /tmp/phoenix-profile-restart
@@ -172,8 +175,10 @@ profile-restart:
 # more than the head pass they replaced; PR 22 took the well-known file
 # and the second atomic writer out — CHANGES.md has the ledger, ROADMAP
 # items 4-6 where the rest comes back; PR 26 lowered it to 24,845 with
-# msg's second value codec.)
-LOC_MAX = 24845
+# msg's second value codec. Moving the tail check from the open into the
+# first pass over the tail — recovery's scan, or one an append, force or
+# End runs — raised it by 22 to 24,867: Cursor.Next settles the end.)
+LOC_MAX = 24867
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

@@ -496,8 +496,8 @@ func BenchmarkTable7_RestartImage(b *testing.B) {
 				p.Crash()
 				u.Shutdown()
 			}
-			b.Logf("%v restart of a %d-byte log: %d device reads (open %d, Pass 1 %d, walk %d, replay %d), %d bytes read (%.2fx the log), %d records scanned, %d calls replayed, %d sends suppressed; replaying one context from its creation by itself, as a first touch does: %d device reads",
-				rc.Mode, logBytes, stats.LogReads, stats.LogReadsOpen, stats.LogReadsPass1, stats.LogReadsWalk, stats.LogReadsReplay,
+			b.Logf("%v restart of a %d-byte log: %d device reads (Pass 1 %d, walk %d, replay %d), %d bytes read (%.2fx the log), %d records scanned, %d calls replayed, %d sends suppressed; replaying one context from its creation by itself, as a first touch does: %d device reads",
+				rc.Mode, logBytes, stats.LogReads, stats.LogReadsPass1, stats.LogReadsWalk, stats.LogReadsReplay,
 				stats.LogBytesRead, float64(stats.LogBytesRead)/float64(logBytes),
 				stats.RecordsScanned, stats.CallsReplayed, stats.CallsSuppressed, touchReads)
 		})

@@ -37,17 +37,9 @@ func DumpLog(w io.Writer, dir string) error {
 	}
 	defer log.Close()
 
+	// Each stream's scan below is its tail check: the summary has the ends.
 	shards := log.Shards()
-	if len(shards) == 1 {
-		l := shards[0].Log
-		fmt.Fprintf(w, "log %s: LSNs %v..%v\n", dir, l.Start(), l.End())
-	} else {
-		fmt.Fprintf(w, "log %s: %d shards\n", dir, len(shards))
-		for _, sh := range shards {
-			fmt.Fprintf(w, "  shard %d (era %d): LSNs %v..%v\n",
-				sh.Stream, sh.Era, sh.Log.Start(), sh.Log.End())
-		}
-	}
+	fmt.Fprintf(w, "log %s: %d shard(s)\n", dir, len(shards))
 	// The root travels with the directory: the marks and watermarks are
 	// the ones shards.meta held when this open read it.
 	marks, stable := log.Marks(), log.StableMarks()
@@ -108,7 +100,14 @@ func DumpLog(w io.Writer, dir string) error {
 	}
 
 	st := log.Stats()
-	fmt.Fprintf(w, "\nsummary: %d records, >=%d forces implied by record kinds; stable watermark", records, impliedForces)
+	fmt.Fprintf(w, "\nsummary: %d records in LSNs", records)
+	for _, sh := range shards {
+		fmt.Fprintf(w, " %v..%v", sh.Log.Start(), sh.Log.End())
+		if len(shards) > 1 {
+			fmt.Fprintf(w, " (era %d)", sh.Era)
+		}
+	}
+	fmt.Fprintf(w, ", >=%d forces implied by record kinds; stable watermark", impliedForces)
 	if len(stable) == 0 {
 		fmt.Fprint(w, " none")
 	}

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/ids"
 )
 
 func TestDumpLogRendersAllRecordTypes(t *testing.T) {
@@ -99,6 +102,51 @@ func TestDumpLogOptimizedShowsShortRecords(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "short record") {
 		t.Errorf("optimized external reply should dump as a short record:\n%s", buf.String())
+	}
+}
+
+// TestDumpLogReadsTheLogOnce: the dump's scan is the log's tail check,
+// so a log no checkpoint ever marked — whose whole segment is unchecked
+// tail — is read once, not checked and then scanned, and the LSN range
+// on the summary line is what that scan found.
+func TestDumpLogReadsTheLogOnce(t *testing.T) {
+	const block = 16 << 10 // wal's read-ahead unit
+	img, _ := counterImage(t, 4, 300, 0, 0)
+	logDir := filepath.Join(img.dir, "evo1", "srv.log")
+	segs, err := filepath.Glob(filepath.Join(logDir, "shard-*", "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments %v, %v", segs, err)
+	}
+	var logBytes int64
+	for _, seg := range segs {
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logBytes += fi.Size() - 16 // the segment header
+	}
+	if logBytes < 4*block {
+		t.Fatalf("a %d-byte log: too small to tell one pass from two", logBytes)
+	}
+	var buf bytes.Buffer
+	if err := DumpLog(&buf, logDir); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	i := strings.Index(out, "\nsummary: ")
+	if i < 0 {
+		t.Fatalf("no summary line:\n%s", out)
+	}
+	summary, _, _ := strings.Cut(out[i+1:], "\n")
+	var reads, bytesRead int64
+	if _, err := fmt.Sscanf(summary[strings.Index(summary, "; read with "):], "; read with %d device reads (%d bytes)", &reads, &bytesRead); err != nil {
+		t.Fatalf("summary %q: %v", summary, err)
+	}
+	if max := logBytes + block*int64(len(segs)); bytesRead < logBytes || bytesRead > max {
+		t.Errorf("dumping a %d-byte log read %d bytes in %d reads, want at least the log and at most %d", logBytes, bytesRead, reads, max)
+	}
+	if want := fmt.Sprintf(" in LSNs %v..%v,", ids.StreamLSN(1, 16), ids.StreamLSN(1, 16+ids.LSN(logBytes))); !strings.Contains(summary, want) {
+		t.Errorf("summary %q does not give the range%s", summary, want)
 	}
 }
 

@@ -33,9 +33,8 @@ type Process struct {
 	cfg    Config
 	addr   string
 
-	log       wal.Writer
-	logPath   string
-	openReads int64 // device reads of the log's open-time tail check
+	log     wal.Writer
+	logPath string
 
 	// metrics is the resolved observability registry (Config.Metrics,
 	// else the universe's, else obs.Default()); obs caches its runtime
@@ -156,7 +155,6 @@ func newProcess(m *Machine, name string, procID ids.ProcID, cfg Config) (*Proces
 		cfg:          cfg,
 		addr:         m.u.addrFor(m.name, name),
 		log:          log,
-		openReads:    log.Stats().ReadOps,
 		logPath:      logPath,
 		metrics:      reg,
 		obs:          obs.RuntimeView(reg),

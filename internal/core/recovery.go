@@ -57,15 +57,14 @@ type RecoveryStats struct {
 	RecordsScanned int64
 	// LogReads counts the device reads the restart issued and
 	// LogBytesRead the bytes they returned (wal.Stats.ReadOps/ReadBytes
-	// when published), by phase: LogReadsOpen, the open-time tail check
-	// past the stable watermark; LogReadsPass1, the scan past the
-	// checkpoint and the restart records; LogReadsWalk, the chain walks
-	// and the workers' holds of the backlog (wal.Reader.Hold);
-	// LogReadsReplay, the replays — none under a hold; a first touch, or
-	// a backlog a worker cannot hold, passes over a chain's span twice,
-	// a block per miss.
-	LogReads, LogBytesRead                                    int64
-	LogReadsOpen, LogReadsPass1, LogReadsWalk, LogReadsReplay int64
+	// when published), by phase: LogReadsPass1, the scan past the
+	// checkpoint (the log's tail check too) and the restart records;
+	// LogReadsWalk, the chain walks and the workers' holds of the backlog
+	// (wal.Reader.Hold); LogReadsReplay, the replays — none under a hold;
+	// a first touch, or a backlog a worker cannot hold, passes over a
+	// chain's span twice, a block per miss.
+	LogReads, LogBytesRead                      int64
+	LogReadsPass1, LogReadsWalk, LogReadsReplay int64
 	// CallsReplayed counts incoming calls re-executed; CallsSuppressed
 	// counts outgoing sends answered from the log during those replays.
 	CallsReplayed   int64
@@ -259,9 +258,8 @@ func (p *Process) restore() (*restorePlan, error) {
 		}
 	}
 	p.recoverySpan(recRun, pass1TS)
-	stats.LogReadsOpen = p.openReads
 	if len(restart) == 0 {
-		stats.LogReadsPass1 = p.log.Stats().ReadOps - p.openReads
+		stats.LogReadsPass1 = p.log.Stats().ReadOps
 		p.obs.RecoveryPass1Micros.Observe(time.Since(pass1Wall).Microseconds())
 		p.obs.RecoveryMicros.Observe(time.Since(recWall).Microseconds())
 		stats.Pass1Duration = clock.Now().Sub(pass1Start)
@@ -294,7 +292,7 @@ func (p *Process) restore() (*restorePlan, error) {
 	p.obs.ContextsRestored.Add(int64(len(restored)))
 	p.obs.RecoveryPass1Micros.Observe(time.Since(pass1Wall).Microseconds())
 	stats.ContextsRestored = len(restored)
-	stats.LogReadsPass1 = p.log.Stats().ReadOps - p.openReads
+	stats.LogReadsPass1 = p.log.Stats().ReadOps
 	stats.Pass1Duration = clock.Now().Sub(pass1Start)
 	return &restorePlan{
 		stats:    stats,

@@ -5,23 +5,31 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/ids"
 )
 
 // FuzzOpenTornSegment: arbitrary bytes appended to (or replacing the
-// tail of) a valid segment must never panic Open, and the valid prefix
-// must survive.
+// tail of) a valid segment, behind a stable watermark at any of its
+// record boundaries or none, must never panic the log, and the three
+// things that can first learn where the log ends — a scan, an append,
+// End — must agree on that end and on the records that survive. With no
+// watermark every bad byte is torn tail: what survives scans cleanly and
+// takes appends.
 func FuzzOpenTornSegment(f *testing.F) {
-	f.Add([]byte{}, false)
-	f.Add([]byte{0xff, 0x00, 0x01}, true)
-	f.Add([]byte("half a record maybe"), false)
-	f.Add(append(binary.AppendUvarint(nil, 1<<63), 0, 0, 0, 0, 0x01, 0, 'x'), false)     // a frame claiming a 2^63-byte payload
-	f.Add(make([]byte, 40), false)                                                       // a zero-filled page
-	f.Add([]byte{0x82, 0x00, 0x6f, 0x4f, 0xde, 0x91, 0x01, 0x00, 'h', 'i'}, false)       // a non-minimal length, its checksum right
-	f.Add([]byte{0x02, 0x82, 0x70, 0xbf, 0x5e, 0x01, 0xc0, 0x84, 0x3d, 'h', 'i'}, false) // a link back past the log's start, its checksum right
-	f.Fuzz(func(t *testing.T, tail []byte, clobberLast bool) {
+	f.Add([]byte{}, false, uint8(0))
+	f.Add([]byte{0xff, 0x00, 0x01}, true, uint8(0))
+	f.Add([]byte("half a record maybe"), false, uint8(0))
+	f.Add(append(binary.AppendUvarint(nil, 1<<63), 0, 0, 0, 0, 0x01, 0, 'x'), false, uint8(0))     // a frame claiming a 2^63-byte payload
+	f.Add(make([]byte, 40), false, uint8(0))                                                       // a zero-filled page
+	f.Add([]byte{0x82, 0x00, 0x6f, 0x4f, 0xde, 0x91, 0x01, 0x00, 'h', 'i'}, false, uint8(0))       // a non-minimal length, its checksum right
+	f.Add([]byte{0x02, 0x82, 0x70, 0xbf, 0x5e, 0x01, 0xc0, 0x84, 0x3d, 'h', 'i'}, false, uint8(0)) // a link back past the log's start, its checksum right
+	f.Add(bytes.Repeat([]byte{0xff}, 9), true, uint8(2))                                           // the last record torn: a tear exactly at the watermark
+	f.Add(bytes.Repeat([]byte{0xff}, 9), true, uint8(1))                                           // the same tear one frame past the watermark
+	f.Add([]byte("torn"), false, uint8(3))                                                         // a torn frame right behind a watermark at the end
+	f.Fuzz(func(t *testing.T, tail []byte, clobberLast bool, watermark uint8) {
 		dir := filepath.Join(t.TempDir(), "f.log")
 		l, err := Open(dir, nil)
 		if err != nil {
@@ -38,6 +46,7 @@ func FuzzOpenTornSegment(f *testing.F) {
 		if _, err := l.SyncAll(); err != nil {
 			t.Fatal(err)
 		}
+		stable := []ids.LSN{ids.NilLSN, lsns[1], lsns[2], l.End()}[int(watermark)%4]
 		seg := activeSegPath(t, l)
 		l.Close()
 
@@ -57,27 +66,83 @@ func FuzzOpenTornSegment(f *testing.F) {
 			fh.WriteAt(tail, fi.Size())
 		}
 		fh.Close()
-
-		l2, err := Open(dir, nil)
+		damaged, err := os.ReadFile(seg)
 		if err != nil {
-			// Header clobbered: rejection is acceptable, panics are not.
-			return
+			t.Fatal(err)
 		}
-		defer l2.Close()
-		// Whatever survived must scan cleanly and in order.
-		prev := ids.NilLSN
-		if err := l2.Scan(ids.NilLSN, func(r Record) error {
-			if r.LSN <= prev {
-				t.Fatalf("scan not monotonic at %v", r.LSN)
+
+		// What a log that learned its end one way or another holds.
+		type outcome struct {
+			openErr  string
+			end      ids.LSN
+			records  []Record // from the start to end, once end is known
+			badFrame ids.LSN  // where that scan failed (which error it says can hang on bytes past end)
+			appendOK bool
+		}
+		settle := func(first string) (o outcome) {
+			d := filepath.Join(t.TempDir(), first)
+			if err := os.MkdirAll(d, 0o755); err != nil {
+				t.Fatal(err)
 			}
-			prev = r.LSN
-			return nil
-		}); err != nil {
-			t.Fatalf("scan after torn open: %v", err)
+			if err := os.WriteFile(filepath.Join(d, filepath.Base(seg)), damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l, err := openLog(d, nil, firstLSN, stable)
+			if err != nil {
+				return outcome{openErr: err.Error()}
+			}
+			defer l.Close()
+			post := []byte("post")
+			switch first {
+			case "scan":
+				_ = l.Scan(ids.NilLSN, func(Record) error { return nil })
+			case "append":
+				lsn, err := l.Append(1, post)
+				if o.appendOK = err == nil; o.appendOK {
+					o.end = lsn
+				}
+			} // "end": the End below is the first use
+			if o.end.IsNil() {
+				o.end = l.End()
+			}
+			// The scan's view stops at the end found, the record an append
+			// put there left out.
+			c, err := l.ScanFrom(ids.NilLSN)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.end.IsNil() {
+				c.r.limit = o.end
+			}
+			for prev := ids.NilLSN; ; {
+				r, ok, err := c.Next()
+				if err != nil {
+					o.badFrame = c.LSN()
+				}
+				if !ok {
+					break
+				}
+				if r.LSN <= prev {
+					t.Fatalf("%s first: scan not monotonic at %v", first, r.LSN)
+				}
+				prev = r.LSN
+				r.Payload = append([]byte(nil), r.Payload...)
+				o.records = append(o.records, r)
+			}
+			if first != "append" {
+				_, err := l.Append(1, post)
+				o.appendOK = err == nil
+			}
+			return o
 		}
-		// Appends still work.
-		if _, err := l2.Append(1, []byte("post")); err != nil {
-			t.Fatalf("append after torn open: %v", err)
+		scanFirst := settle("scan")
+		for _, first := range []string{"append", "end"} {
+			if o := settle(first); !reflect.DeepEqual(o, scanFirst) {
+				t.Fatalf("watermark %v: the log learned its end\nby a scan:  %+v\nby %s first: %+v", stable, scanFirst, first, o)
+			}
+		}
+		if stable.IsNil() && (!scanFirst.badFrame.IsNil() || !scanFirst.appendOK) {
+			t.Fatalf("with no watermark, after the torn tail is cut: scan failed at %v, append ok %v", scanFirst.badFrame, scanFirst.appendOK)
 		}
 	})
 }

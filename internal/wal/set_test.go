@@ -498,20 +498,22 @@ func TestSetDiscardAndEmpty(t *testing.T) {
 }
 
 // TestOpenSetStableWatermark: Publish records in shards.meta how far
-// each stream is stable, and the next open starts its tail check there —
-// it reads the bytes past the watermark, not the segment — and holds the
-// rule of each side of it: past the watermark a bad frame is a torn
-// tail, cut off; below it the log is corrupt, and the open says where.
+// each stream is stable. The next open reads no record: the first
+// forward pass from at or below the watermark — recovery's scan from
+// the mark — is the tail check, and so is a pass from the watermark run
+// by whatever needs the log's end before one did. Either way the rule
+// of each side of the watermark holds: past it a bad frame is a torn
+// tail, cut off; below it the log is corrupt, the pass says where, and
+// nothing is cut.
 func TestOpenSetStableWatermark(t *testing.T) {
 	type image struct {
-		dir, seg     string
-		lsns         []ids.LSN // 300 records: 200 below the watermark, 100 past it
-		stable, end  ids.LSN
-		payloadBytes int
+		dir, seg          string
+		lsns              []ids.LSN // 300 records: 200 below the watermark, 100 past it
+		mark, stable, end ids.LSN
 	}
 	build := func(t *testing.T) image {
 		t.Helper()
-		img := image{dir: filepath.Join(t.TempDir(), "p.log"), payloadBytes: 100}
+		img := image{dir: filepath.Join(t.TempDir(), "p.log")}
 		s, err := OpenSet(img.dir, nil, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -521,12 +523,13 @@ func TestOpenSetStableWatermark(t *testing.T) {
 				if _, err := s.SyncAll(); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.Publish(img.lsns[199], nil); err != nil {
+				img.mark = img.lsns[100]
+				if err := s.Publish(img.lsns[199], map[uint32]ids.LSN{1: img.mark}); err != nil {
 					t.Fatal(err)
 				}
 				img.stable = s.SyncedLSN()
 			}
-			img.lsns = append(img.lsns, appendKeyed(t, s, 1, bytes.Repeat([]byte{byte(i)}, img.payloadBytes)))
+			img.lsns = append(img.lsns, appendKeyed(t, s, 1, bytes.Repeat([]byte{byte(i)}, 100)))
 		}
 		if _, err := s.SyncAll(); err != nil {
 			t.Fatal(err)
@@ -556,75 +559,118 @@ func TestOpenSetStableWatermark(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	t.Run("the tail check reads from the watermark", func(t *testing.T) {
-		img := build(t)
-		if img.stable != img.lsns[200] {
-			t.Fatalf("watermark %v, want the 201st record's LSN %v", img.stable, img.lsns[200])
+	segBytes := func(t *testing.T, img image) []byte {
+		t.Helper()
+		b, err := os.ReadFile(img.seg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return b
+	}
+	// open opens the image, which reads nothing, and returns its stream.
+	open := func(t *testing.T, img image) *Log {
+		t.Helper()
 		s, err := OpenSet(img.dir, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
-		if st := s.Stats(); st.ReadBytes != int64(img.end-img.stable) {
-			t.Errorf("open read %d bytes in %d reads, want the %d bytes past the watermark", st.ReadBytes, st.ReadOps, img.end-img.stable)
+		t.Cleanup(func() { s.Close() })
+		if st := s.Stats(); st.ReadOps != 0 || st.ReadBytes != 0 {
+			t.Errorf("open read %d bytes in %d reads, want none", st.ReadBytes, st.ReadOps)
 		}
-		if got := s.Shards()[0].Log.End(); got != img.end {
+		return s.Shards()[0].Log
+	}
+	// scan passes over every record from `from` on, as Pass 1 does.
+	scan := func(l *Log, from ids.LSN) (n int, err error) {
+		err = l.Scan(from, func(Record) error { n++; return nil })
+		return n, err
+	}
+	// appendAfter appends one record and returns its LSN.
+	appendAfter := func(l *Log) (ids.LSN, error) { return l.Append(1, []byte("after the tail check")) }
+
+	t.Run("the scan from the mark settles the end", func(t *testing.T) {
+		img := build(t)
+		if img.stable != img.lsns[200] {
+			t.Fatalf("watermark %v, want the 201st record's LSN %v", img.stable, img.lsns[200])
+		}
+		l := open(t, img)
+		if n, err := scan(l, img.mark); err != nil || n != 200 {
+			t.Fatalf("scan from the mark: %d records, %v; want 200", n, err)
+		}
+		st := l.Stats()
+		if past := int64(img.end - img.mark); st.ReadBytes < past || st.ReadBytes > past+readBlock {
+			t.Errorf("the scan read %d bytes, want the %d past the mark once", st.ReadBytes, past)
+		}
+		if got := l.End(); got != img.end {
 			t.Errorf("log ends at %v, want %v", got, img.end)
+		}
+		if got := l.Stats().ReadOps - st.ReadOps; got != 0 {
+			t.Errorf("End after the scan issued %d device reads, want none", got)
 		}
 	})
 	t.Run("a flipped byte past the watermark is a torn tail", func(t *testing.T) {
 		img := build(t)
 		flip(t, img, img.lsns[250])
-		s, err := OpenSet(img.dir, nil, 0)
-		if err != nil {
-			t.Fatal(err)
+		l := open(t, img)
+		if n, err := scan(l, img.mark); err != nil || n != 150 {
+			t.Fatalf("scan from the mark: %d records, %v; want the 150 in front of the tear", n, err)
 		}
-		defer s.Close()
-		if got := s.Shards()[0].Log.End(); got != img.lsns[250] {
+		if got := l.End(); got != img.lsns[250] {
 			t.Errorf("log ends at %v, want the tail cut at %v", got, img.lsns[250])
+		}
+		if fi, err := os.Stat(img.seg); err != nil || fi.Size() != int64(img.lsns[250].Offset()) {
+			t.Errorf("segment after the cut: %v, %v; want it ending at %v", fi, err, img.lsns[250])
 		}
 	})
 	t.Run("a flipped byte at the watermark is a torn tail", func(t *testing.T) {
 		img := build(t)
 		flip(t, img, img.lsns[200])
-		s, err := OpenSet(img.dir, nil, 0)
-		if err != nil {
-			t.Fatal(err)
+		l := open(t, img)
+		if n, err := scan(l, img.mark); err != nil || n != 100 {
+			t.Fatalf("scan from the mark: %d records, %v; want the 100 below the watermark", n, err)
 		}
-		defer s.Close()
-		if got := s.Shards()[0].Log.End(); got != img.stable {
+		if got := l.End(); got != img.stable {
 			t.Errorf("log ends at %v, want the tail cut at the watermark %v", got, img.stable)
 		}
 	})
 	t.Run("bad frames at the watermark and below it are corruption", func(t *testing.T) {
-		img := build(t)
-		flip(t, img, img.lsns[200])
-		flip(t, img, img.lsns[120])
-		_, err := OpenSet(img.dir, nil, 0)
-		if err == nil || !strings.Contains(err.Error(), img.lsns[120].String()) || !strings.Contains(err.Error(), "corrupt") {
-			t.Fatalf("open: %v, want corruption reported at %v", err, img.lsns[120])
-		}
-		if fi, serr := os.Stat(img.seg); serr != nil || fi.Size() != segHeaderSize+int64(img.end.Offset()-img.lsns[0].Offset()) {
-			t.Errorf("the refused open changed the segment: %v, %v", fi, serr)
+		for _, first := range []struct {
+			name string
+			use  func(*Log, image) error
+		}{
+			{"reported by the scan from the mark", func(l *Log, img image) error { _, err := scan(l, img.mark); return err }},
+			{"reported by the first append", func(l *Log, _ image) error { _, err := appendAfter(l); return err }},
+		} {
+			t.Run(first.name, func(t *testing.T) {
+				img := build(t)
+				flip(t, img, img.lsns[200])
+				flip(t, img, img.lsns[120])
+				before := segBytes(t, img)
+				err := first.use(open(t, img), img)
+				if err == nil || !strings.Contains(err.Error(), img.lsns[120].String()) || !strings.Contains(err.Error(), "corrupt") {
+					t.Errorf("%v, want corruption reported at %v", err, img.lsns[120])
+				}
+				if !bytes.Equal(segBytes(t, img), before) {
+					t.Error("the refused log changed the segment")
+				}
+			})
 		}
 	})
 	t.Run("a flipped byte below the watermark discards nothing", func(t *testing.T) {
 		img := build(t)
 		flip(t, img, img.lsns[120])
-		s, err := OpenSet(img.dir, nil, 0)
-		if err != nil {
-			t.Fatal(err)
+		l := open(t, img)
+		// The restart's scan fails stop on it and settles nothing ...
+		if _, err := scan(l, img.mark); !errors.Is(err, errChecksum) || !strings.Contains(err.Error(), img.lsns[120].String()) {
+			t.Errorf("scan from the mark: %v, want a checksum error at %v", err, img.lsns[120])
 		}
-		defer s.Close()
-		l := s.Shards()[0].Log
+		// ... so the first use checks the tail from the watermark, and keeps
+		// every durable record.
 		if l.End() != img.end {
 			t.Errorf("log ends at %v, want every durable record kept up to %v", l.End(), img.end)
 		}
-		// The reader that gets there fails stop on it.
-		err = l.Scan(ids.NilLSN, func(Record) error { return nil })
-		if !errors.Is(err, errChecksum) || !strings.Contains(err.Error(), img.lsns[120].String()) {
+		// Any reader that gets there fails stop on it.
+		if _, err := scan(l, ids.NilLSN); !errors.Is(err, errChecksum) || !strings.Contains(err.Error(), img.lsns[120].String()) {
 			t.Errorf("scan: %v, want a checksum error at %v", err, img.lsns[120])
 		}
 	})
@@ -647,6 +693,80 @@ func TestOpenSetStableWatermark(t *testing.T) {
 		r, err := loadShardMeta(img.dir)
 		if err != nil || len(r.stable) != 1 || r.stable[1] != img.stable {
 			t.Errorf("watermarks after the reshard = %v, %v; want stream 1 at %v", r.stable, err, img.stable)
+		}
+	})
+	t.Run("a watermark inside a record is corruption", func(t *testing.T) {
+		img := build(t)
+		r, err := loadShardMeta(img.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.stable[1] = img.stable + 3 // no publish writes one: a record straddles it
+		if err := saveShardMeta(img.dir, r); err != nil {
+			t.Fatal(err)
+		}
+		before := segBytes(t, img)
+		_, err = scan(open(t, img), img.mark)
+		if err == nil || !strings.Contains(err.Error(), img.lsns[200].String()) || !strings.Contains(err.Error(), "corrupt") {
+			t.Errorf("scan from the mark: %v, want corruption reported at %v", err, img.lsns[200])
+		}
+		if !bytes.Equal(segBytes(t, img), before) {
+			t.Error("the refused log changed the segment")
+		}
+	})
+	t.Run("a scan from above the watermark settles nothing", func(t *testing.T) {
+		img := build(t)
+		l := open(t, img)
+		if n, err := scan(l, img.lsns[250]); err != nil || n != 50 {
+			t.Fatalf("scan from %v: %d records, %v; want 50", img.lsns[250], n, err)
+		}
+		reads := l.Stats().ReadOps
+		if got := l.End(); got != img.end {
+			t.Errorf("log ends at %v, want %v", got, img.end)
+		}
+		if l.Stats().ReadOps == reads {
+			t.Error("End issued no device read: the scan from above the watermark settled the end")
+		}
+	})
+	t.Run("the first Append, SyncTo or End settles the end first", func(t *testing.T) {
+		for _, first := range []struct {
+			name string
+			use  func(*Log) error
+		}{
+			{"Append", nil},
+			{"SyncTo", func(l *Log) error { _, err := l.SyncTo(l.Start()); return err }},
+			{"End", func(l *Log) error { l.End(); return nil }},
+		} {
+			t.Run(first.name, func(t *testing.T) {
+				img := build(t)
+				flip(t, img, img.lsns[250])
+				l := open(t, img)
+				if first.use != nil {
+					if err := first.use(l); err != nil {
+						t.Fatal(err)
+					}
+				}
+				lsn, err := appendAfter(l)
+				if err != nil || lsn != img.lsns[250] {
+					t.Fatalf("append at %v, %v; want it at the cut %v", lsn, err, img.lsns[250])
+				}
+				if rec, err := l.Read(lsn); err != nil || string(rec.Payload) != "after the tail check" {
+					t.Errorf("the appended record reads back %q, %v", rec.Payload, err)
+				}
+			})
+		}
+	})
+	t.Run("Close or Discard of an unsettled log changes no byte", func(t *testing.T) {
+		img := build(t)
+		flip(t, img, img.lsns[250]) // a torn tail no pass has cut
+		before := segBytes(t, img)
+		for _, shut := range []func(*Log) error{(*Log).Close, (*Log).Discard} {
+			if err := shut(open(t, img)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(segBytes(t, img), before) {
+				t.Fatal("shutting an unsettled log down changed its segment")
+			}
 		}
 	})
 }

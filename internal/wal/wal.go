@@ -20,8 +20,8 @@
 // The package is schema-agnostic: it frames opaque typed payloads with
 // lengths and checksums. The Phoenix runtime defines the payload
 // encodings. A torn record at the tail — a crash in the middle of a
-// physical write — is detected by checksum at open time and the log is
-// truncated to the last complete record.
+// physical write — is detected by checksum on the first pass over the
+// tail (ScanFrom), and the log is truncated to the last complete record.
 package wal
 
 import (
@@ -76,8 +76,8 @@ type Stats struct {
 	// TrimmedBytes counts log space reclaimed by TrimHead.
 	TrimmedBytes int64
 	// ReadOps counts device reads since the log was opened — one per
-	// read-ahead block fetched, the open-time scan's included — and
-	// ReadBytes the bytes they returned.
+	// read-ahead block fetched; the open reads none — and ReadBytes the
+	// bytes they returned.
 	ReadOps, ReadBytes int64
 	// AppendBusyNanos is the cumulative wall time spent inside the
 	// append critical section (encode, frame, roll) with the log mutex
@@ -158,6 +158,10 @@ type Log struct {
 	// owned by a Set. Segment names, watermarks and record LSNs are all
 	// natively stream-qualified.
 	base ids.LSN
+	// While unchecked, the end is provisional (bufBase, synced: the file's)
+	// till a pass from at or below tail, max(watermark, tailSeg), ends.
+	tail, tailSeg ids.LSN
+	unchecked     atomic.Bool
 
 	mu       sync.Mutex
 	segs     []*segment // ascending by start; last is active
@@ -188,10 +192,10 @@ type syncSnap struct {
 }
 
 // Open opens (creating if necessary) the log directory at dir, verifies
-// segment headers, truncates any torn tail, and returns a log manager
-// whose physical writes and syncs are accounted to model. A nil model
-// means disk.HostModel. The result is a bare one-stream Log — what a
-// Set is made of; processes and tools open a Set (OpenSet).
+// segment headers — it reads no record — and returns a log manager whose
+// physical writes and syncs are accounted to model (nil: disk.HostModel).
+// The result is a bare one-stream Log — what a Set is made of;
+// processes and tools open a Set (OpenSet).
 func Open(dir string, model disk.Model) (*Log, error) {
 	return openLog(dir, model, firstLSN, ids.NilLSN)
 }
@@ -200,8 +204,8 @@ func Open(dir string, model disk.Model) (*Log, error) {
 // qualified first position; see Log.base). Open passes firstLSN; Set
 // opens each shard stream at ids.StreamLSN(stream, 16). stable is how
 // far the stream is known to be durable (Set.Publish; nil: unknown):
-// the tail check starts there, and a bad frame below it is corruption,
-// not a torn tail.
+// a torn tail can begin no earlier, and a bad frame below it is
+// corruption.
 func openLog(dir string, model disk.Model, base, stable ids.LSN) (*Log, error) {
 	if model == nil {
 		model = disk.HostModel{}
@@ -273,33 +277,14 @@ func (l *Log) load(stable ids.LSN) error {
 		l.segs = append(l.segs, seg)
 	}
 	// Only the active (last) segment can have a torn tail, and only past
-	// the stable watermark: the check starts there.
-	active := l.segs[len(l.segs)-1]
-	from := min(max(stable, active.start), active.end())
-	validEnd, err := l.scanValidEnd(active, from)
-	if err == nil && validEnd == from && from > active.start && validEnd < active.end() {
-		// Nothing parses at the watermark: a torn tail right behind the
-		// stable prefix, or damage reaching below it. The whole segment
-		// decides which.
-		validEnd, err = l.scanValidEnd(active, active.start)
+	// the stable watermark; the first pass over it finds where it ends.
+	active := l.active()
+	if active.end() < stable {
+		return fmt.Errorf("wal: the log ends at %v, below its stable watermark %v: the log is corrupt", active.end(), stable)
 	}
-	if err != nil {
-		return err
-	}
-	if validEnd < stable {
-		return fmt.Errorf("wal: no valid frame at %v, below the stable watermark %v: the log is corrupt", validEnd, stable)
-	}
-	if validEnd < active.end() {
-		if err := active.f.Truncate(segHeaderSize + int64(validEnd-active.start)); err != nil {
-			return fmt.Errorf("wal: truncate torn tail: %w", err)
-		}
-		if err := active.f.Sync(); err != nil {
-			return fmt.Errorf("wal: sync truncation: %w", err)
-		}
-		active.size = int64(validEnd - active.start)
-	}
-	l.bufBase = active.end()
-	l.synced = active.end()
+	l.tail, l.tailSeg = max(stable, active.start), active.start // tailSeg: the active segment's start
+	l.bufBase, l.synced = active.end(), active.end()
+	l.unchecked.Store(l.tail < active.end())
 	return nil
 }
 
@@ -354,20 +339,48 @@ func (l *Log) openSegment(start ids.LSN) (*segment, error) {
 	return &segment{f: f, path: path, start: start, size: fi.Size() - segHeaderSize}, nil
 }
 
-// scanValidEnd returns the LSN just past the last complete, valid
-// record of the active segment from `from` on: where a cursor stops.
-func (l *Log) scanValidEnd(s *segment, from ids.LSN) (ids.LSN, error) {
-	c := Cursor{r: Reader{l: l, block: readBlock, limit: s.end()}, lsn: from}
-	for {
-		_, ok, err := c.Next()
-		switch {
-		case ok:
-		case err == nil, errors.Is(err, ErrNotFound), errors.Is(err, errChecksum):
-			return c.lsn, nil
-		default:
-			return 0, err
-		}
+// ready settles the log's end if no pass has: Append, the forces, End and
+// SyncedLSN (the file's end if the check fails) need it, and nothing is
+// appended behind unchecked bytes. Once settled it is one atomic load.
+func (l *Log) ready() error {
+	if !l.unchecked.Load() {
+		return nil
 	}
+	return l.Scan(l.tail, func(Record) error { return nil })
+}
+
+// endTail settles the log's end at `at`, where the tail check that began
+// at from stopped: at the file's end (err nil), or at a bad frame — past
+// the tail a torn tail, cut off; below it damage to durable records, fail
+// stop. If nothing parses at the watermark, the segment's start decides.
+func (l *Log) endTail(from, at ids.LSN, err error) error {
+	switch {
+	case err != nil && !errors.Is(err, ErrNotFound) && !errors.Is(err, errChecksum):
+		return err
+	case err != nil && at < l.tail:
+		return fmt.Errorf("wal: the log is corrupt below %v, where a torn tail can begin: %w", l.tail, err)
+	case err != nil && at == l.tail && l.tailSeg < at && l.tailSeg < from:
+		return l.Scan(l.tailSeg, func(Record) error { return nil })
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed.Load() {
+		return ErrClosed
+	}
+	s := l.active()
+	if !l.unchecked.Swap(false) || at >= s.end() {
+		return nil // an end another pass settled first stands
+	}
+	if err = s.f.Truncate(segHeaderSize + int64(at-s.start)); err == nil {
+		s.size, l.bufBase, l.synced = int64(at-s.start), at, at
+		l.mu.Unlock() // the cut is synced with the mutex released (see syncLocked)
+		err = s.f.Sync()
+		l.mu.Lock()
+	}
+	if err != nil {
+		l.failed = fmt.Errorf("wal: cut torn tail at %v, log stopped: %w", at, err)
+	}
+	return l.failed
 }
 
 func (l *Log) closeSegs() {
@@ -386,6 +399,9 @@ func (l *Log) active() *segment { return l.segs[len(l.segs)-1] }
 // frame and payload land directly in the log buffer, and the checksum
 // runs over them there.
 func (l *Log) Append(t RecordType, payload []byte) (ids.LSN, error) {
+	if err := l.ready(); err != nil {
+		return ids.NilLSN, err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.down(); err != nil {
@@ -459,6 +475,9 @@ func (l *Log) appendLocked(t RecordType, payload []byte, prev ids.LSN) (ids.LSN,
 // record's LSN, and only under its mutex; atomically, because the
 // chain's owner reads it from goroutines that do not append.
 func (l *Log) AppendLinked(key uint64, t RecordType, enc PayloadEncoder, head *atomic.Uint64) (ids.LSN, error) {
+	if err := l.ready(); err != nil {
+		return ids.NilLSN, err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.down(); err != nil {
@@ -546,12 +565,7 @@ func (l *Log) down() error {
 
 // SyncAll makes every appended record stable. Forcing a clean log is
 // free and not counted in Stats.Forces.
-func (l *Log) SyncAll() (SyncOutcome, error) {
-	l.mu.Lock()
-	target := l.bufBase + ids.LSN(len(l.buf))
-	l.mu.Unlock()
-	return l.syncTarget(target)
-}
+func (l *Log) SyncAll() (SyncOutcome, error) { return l.syncTarget(noLimit) }
 
 // SyncTo blocks until the record appended at lsn — and every record
 // before it — is stable, and reports how. An lsn already covered by
@@ -559,15 +573,6 @@ func (l *Log) SyncAll() (SyncOutcome, error) {
 // force, even if later records are dirty: that is the over-waiting the
 // LSN-aware API eliminates.
 func (l *Log) SyncTo(lsn ids.LSN) (SyncOutcome, error) {
-	if lsn.IsNil() {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		if err := l.down(); err != nil {
-			return SyncClean, err
-		}
-		l.m.CleanForces.Inc()
-		return SyncClean, nil
-	}
 	// The watermark only ever takes record-boundary values, so
 	// synced > lsn means the record starting at lsn is fully durable.
 	return l.syncTarget(lsn + 1)
@@ -576,22 +581,27 @@ func (l *Log) SyncTo(lsn ids.LSN) (SyncOutcome, error) {
 // SyncedLSN returns the stable watermark: every record below it is
 // durable.
 func (l *Log) SyncedLSN() ids.LSN {
+	_ = l.ready()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.synced
 }
 
 // syncTarget blocks until the stable watermark reaches target (an
-// exclusive log position) — the only way an LSN becomes durable. While
-// a leader is at work, requesters wait for it and ride its sync if it
-// covers them; a requester that finds no leader becomes one, syncs the
-// whole tail and wakes the rest.
+// exclusive log position; at most the end) — the only way an LSN
+// becomes durable. While a leader is at work, requesters wait for it and
+// ride its sync if it covers them; a requester that finds no leader
+// becomes one, syncs the whole tail and wakes the rest.
 func (l *Log) syncTarget(target ids.LSN) (SyncOutcome, error) {
+	if err := l.ready(); err != nil {
+		return SyncClean, err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.down(); err != nil {
 		return SyncClean, err
 	}
+	target = min(target, l.bufBase+ids.LSN(len(l.buf)))
 	if l.synced >= target {
 		l.m.CleanForces.Inc()
 		return SyncClean, nil
@@ -722,6 +732,7 @@ func (l *Log) Flush() error {
 
 // End returns the LSN one past the last appended record.
 func (l *Log) End() ids.LSN {
+	_ = l.ready()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.bufBase + ids.LSN(len(l.buf))
@@ -778,7 +789,7 @@ const noLimit = ^ids.LSN(0)
 var errChecksum = errors.New("wal: checksum mismatch")
 
 // Reader turns log bytes into records — the one place that parses a
-// frame and verifies its checksum, under the open-time scan, cursors,
+// frame and verifies its checksum, under cursors (the tail check too),
 // Read and positioned reads alike. It holds one block of one segment
 // and refills it only when asked for a record the block does not hold.
 // A Record's Payload aliases the block and is valid until the next
@@ -968,12 +979,16 @@ func (l *Log) Scan(from ids.LSN, fn func(Record) error) error {
 type Cursor struct {
 	r   Reader  // limit: the log end at ScanFrom time
 	lsn ids.LSN // position of the next record to return
+	// The tail check (see ScanFrom) began at from, stops at the tail till it
+	// lands there, then runs on to end (nil: none, or done): Log.endTail.
+	from, end ids.LSN
 }
 
 // ScanFrom returns a cursor positioned at lsn (or the log start if lsn
 // is nil or trimmed away). The cursor sees the records present when
 // ScanFrom ran: buffered records are flushed so they are readable, and
-// records appended afterwards are not visited.
+// records appended afterwards are not visited — unless they race the tail
+// check, which a cursor from at or below an unchecked log's tail is.
 func (l *Log) ScanFrom(lsn ids.LSN) (*Cursor, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -986,7 +1001,11 @@ func (l *Log) ScanFrom(lsn ids.LSN) (*Cursor, error) {
 	if start := l.segs[0].start; lsn.IsNil() || lsn < start {
 		lsn = start
 	}
-	return &Cursor{r: Reader{l: l, block: readBlock, limit: l.bufBase}, lsn: lsn}, nil
+	c := &Cursor{r: Reader{l: l, block: readBlock, limit: l.bufBase}, lsn: lsn}
+	if l.unchecked.Load() && lsn <= l.tail {
+		c.from, c.end, c.r.limit = lsn, l.bufBase, l.tail
+	}
+	return c, nil
 }
 
 // Next returns the next record and advances the cursor. ok is false at
@@ -998,14 +1017,22 @@ func (l *Log) ScanFrom(lsn ids.LSN) (*Cursor, error) {
 // this log exists to avoid). Consumers that retain payload bytes must
 // copy them.
 func (c *Cursor) Next() (rec Record, ok bool, err error) {
-	if c.lsn >= c.r.limit {
-		return Record{}, false, nil
+	if c.lsn >= c.r.limit && c.r.limit < c.end {
+		c.r.limit = c.end // the tail check has landed on the tail
 	}
-	if rec, err = c.r.read(c.lsn); err != nil {
-		return Record{}, false, err
+	if c.lsn < c.r.limit {
+		if rec, err = c.r.read(c.lsn); err == nil {
+			c.lsn += ids.LSN(rec.Size)
+			return rec, true, nil
+		}
 	}
-	c.lsn += ids.LSN(rec.Size)
-	return rec, true, nil
+	if !c.end.IsNil() { // the tail check stopped: the log's end settles, and the view's
+		c.end = ids.NilLSN
+		if err = c.r.l.endTail(c.from, c.lsn, err); err == nil {
+			c.r.limit = c.lsn
+		}
+	}
+	return Record{}, false, err
 }
 
 // LSN returns the position of the record Next would return.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -211,6 +213,76 @@ func TestCorruptRecordStopsScanAtOpen(t *testing.T) {
 	defer l2.Close()
 	if l2.End() != second {
 		t.Errorf("End = %v, want truncation at %v", l2.End(), second)
+	}
+}
+
+// TestTailCheckRaces: everything that can settle a reopened log's end
+// races over a torn tail — scans from below the stable watermark, and
+// the appends and End that run the check from it when no scan has. The
+// tail is cut once, at the tear; every append lands behind the cut;
+// nothing in front of it is lost. (A scan that began before the cut may
+// also see records appended behind it before it got there.)
+func TestTailCheckRaces(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		l, dir := openTemp(t)
+		lsns := appendAll(t, l, numbered(200, 40)...)
+		if _, err := l.SyncAll(); err != nil {
+			t.Fatal(err)
+		}
+		seg := activeSegPath(t, l)
+		l.Close()
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(seg, fi.Size()-3); err != nil { // the last record torn
+			t.Fatal(err)
+		}
+		if l, err = openLog(dir, nil, firstLSN, lsns[100]); err != nil {
+			t.Fatal(err)
+		}
+		cut := lsns[199]
+		var wg sync.WaitGroup
+		var mu sync.Mutex
+		var appended []ids.LSN
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				switch g % 3 {
+				case 0:
+					n := 0
+					if err := l.Scan(lsns[50], func(Record) error { n++; return nil }); err != nil || n < 149 {
+						t.Errorf("scan from below the watermark: %d records, %v; want the 149 in front of the tear", n, err)
+					}
+				case 1:
+					lsn, err := l.Append(1, []byte("appended in the race"))
+					if err != nil || lsn < cut {
+						t.Errorf("append at %v, %v; want it at or behind the cut %v", lsn, err, cut)
+					}
+					mu.Lock()
+					appended = append(appended, lsn)
+					mu.Unlock()
+				case 2:
+					if end := l.End(); end < cut {
+						t.Errorf("End = %v, in front of the cut %v", end, cut)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		slices.Sort(appended)
+		if len(appended) != 2 || appended[0] != cut {
+			t.Fatalf("appends landed at %v, want the first at the cut %v", appended, cut)
+		}
+		want, payloads := append(slices.Clone(lsns[:199]), appended...), numbered(199, 40)
+		for range appended {
+			payloads = append(payloads, []byte("appended in the race"))
+		}
+		if n, err := drain(t, scanBlock(t, l, ids.NilLSN, readBlock), want, payloads); n != len(want) || err != nil {
+			t.Errorf("after the race the log scans %d records, %v; want the 199 in front of the tear and the %d appended", n, err, len(appended))
+		}
+		l.Close()
 	}
 }
 
