@@ -11,17 +11,16 @@ vet:
 # append sites, wall-clock reads, device I/O under held mutexes,
 # exhaustive enum switches, metric-name hygiene, the lock-order graph,
 # pooled-buffer lifetimes, goroutine/latch shutdown paths and dropped
-# device-I/O errors. -deadallow also fails the run when an allowlist
-# entry matches no current diagnostic. The `go list -export` front end
-# is cached on a hash of go.mod/go.sum and the tree's sources, so a
-# warm run skips the go tool. staticcheck and govulncheck run when
-# installed (CI installs them; offline dev machines may not have them).
+# device-I/O errors. One pass over the tree: the run fails on a
+# violation and on an allowlist entry that matched no diagnostic.
+# staticcheck and govulncheck run when installed (CI installs them;
+# offline dev machines may not have them).
 # The go list line keeps encoding/gob out of the module: msg's plans
 # are the one value codec, and no package may depend on another, even
 # transitively. ./benchmark is exempt — its calibration loop times gob
 # as a fixed yardstick of host speed.
 lint:
-	go run ./cmd/phoenix-lint -deadallow ./...
+	go run ./cmd/phoenix-lint ./...
 	@! go list -deps $$(go list ./... | grep -v '/benchmark$$') | grep -qx encoding/gob || \
 		{ echo "lint: a package other than ./benchmark depends on encoding/gob"; exit 1; }
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
@@ -177,8 +176,11 @@ profile-restart:
 # items 4-6 where the rest comes back; PR 26 lowered it to 24,845 with
 # msg's second value codec. Moving the tail check from the open into the
 # first pass over the tail — recovery's scan, or one an append, force or
-# End runs — raised it by 22 to 24,867: Cursor.Next settles the end.)
-LOC_MAX = 24867
+# End runs — raised it by 22 to 24,867: Cursor.Next settles the end.
+# phoenix-lint running one way — no go vet mode, no on-disk go list
+# cache, the allowlist applied by the runner in one pass — lowered it
+# to 24,368.)
+LOC_MAX = 24368
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

@@ -1,153 +1,96 @@
 // Command phoenix-lint runs the repository's discipline analyzers
 // (internal/lint): forcesite, wallclock, locksync, exhaustive,
-// metricnames, lockorder, poollife, shutdownpath and droppederr. It
-// has two modes:
-//
-// Standalone (the usual one; what `make lint` and CI run):
+// metricnames, lockorder, poollife, shutdownpath and droppederr.
 //
 //	go run ./cmd/phoenix-lint ./...
 //
-// loads the matched packages, runs the full suite — including the
-// cross-package metricnames reconciliation — and exits 1 with one
-// line per violation if the tree is not clean.
+// loads the matched packages (./... by default), runs the full suite —
+// including the cross-package reconciliations — and applies the
+// allowlist, internal/lint/phoenix-lint.allow (embedded at build time).
+// It exits 1 with one line per violation, and one per dead allowlist
+// entry (an entry that matched no diagnostic of the run), unless the
+// tree is clean. Entries are judged against the packages loaded, so
+// lint the whole tree.
 //
-// Vet tool:
-//
-//	go vet -vettool=$(which phoenix-lint) ./...
-//
-// follows the unitchecker protocol (-V=full fingerprinting, one JSON
-// .cfg per package). Unit invocations see one package at a time, so
-// this mode runs the per-package analyzers only; metricnames needs
-// the standalone whole-tree view.
-//
-// Deliberate exceptions live in internal/lint/phoenix-lint.allow
-// (embedded at build time); -allow substitutes a different file.
-// -deadallow additionally fails when an allowlist entry matches no
-// current diagnostic. -lockgraph prints the lock-acquisition graph
-// lockorder observed as Graphviz DOT (the DESIGN.md §14 figure).
-// -json, standalone, emits the diagnostics (and any dead allowlist
-// entries) as a JSON object for CI step summaries.
+// -json emits the same result as a JSON object for CI step summaries.
+// -lockgraph prints the lock-acquisition graph lockorder observed as
+// Graphviz DOT (the DESIGN.md §14 figure).
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/lint"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	versionFlag := flag.String("V", "", "print version and exit (go vet tool protocol)")
-	flagsFlag := flag.Bool("flags", false, "print the tool's flags as JSON and exit (go vet tool protocol)")
-	jsonFlag := flag.Bool("json", false, "emit diagnostics as JSON on stdout (unitchecker shape in vet-unit mode, a diagnostic array standalone)")
-	allowPath := flag.String("allow", "", "allowlist file to use instead of the embedded phoenix-lint.allow")
-	lockgraphFlag := flag.Bool("lockgraph", false, "emit the observed lock-acquisition graph as Graphviz DOT and exit")
-	deadallowFlag := flag.Bool("deadallow", false, "also fail on allowlist entries that match no current diagnostic")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: phoenix-lint [-allow file] [package pattern ...]\n\nDefaults to ./... . Flags:\n")
-		flag.PrintDefaults()
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("phoenix-lint", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	jsonFlag := flags.Bool("json", false, "emit the diagnostics and dead allowlist entries as a JSON object on stdout")
+	lockgraphFlag := flags.Bool("lockgraph", false, "emit the observed lock-acquisition graph as Graphviz DOT and exit")
+	flags.Usage = func() {
+		fmt.Fprintf(stderr, "usage: phoenix-lint [-json | -lockgraph] [package pattern ...]\n\nDefaults to ./... . Flags:\n")
+		flags.PrintDefaults()
 	}
-	flag.Parse()
-
-	if *versionFlag != "" {
-		// `go vet` fingerprints its -vettool with -V=full and caches
-		// unit results against the reply, so the ID must change
-		// whenever the analyzers do: hash the executable itself.
-		id, err := selfID()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "phoenix-lint:", err)
-			return 1
-		}
-		fmt.Printf("phoenix-lint version devel buildID=%s\n", id)
+	if err := flags.Parse(args); errors.Is(err, flag.ErrHelp) {
 		return 0
+	} else if err != nil {
+		return 2
 	}
-	if *flagsFlag {
-		// go vet asks which flags the tool understands before deciding
-		// what to forward; phoenix-lint takes no per-analyzer flags.
-		fmt.Println("[]")
-		return 0
-	}
-
-	var allow *lint.Allowlist // nil selects the embedded default
-	if *allowPath != "" {
-		a, err := lint.LoadAllowlist(*allowPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "phoenix-lint:", err)
-			return 2
-		}
-		allow = a
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "phoenix-lint:", err)
+		return 2
 	}
 
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return vetUnit(args[0], allow, *jsonFlag)
-	}
 	if *lockgraphFlag {
-		graph, err := lint.LockGraphFor(".", allow, args...)
+		graph, err := lint.LockGraphFor(".", flags.Args()...)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "phoenix-lint:", err)
-			return 2
+			return fail(err)
 		}
-		fmt.Print(graph.DOT())
+		fmt.Fprint(stdout, graph.DOT())
 		return 0
 	}
-	pkgs, err := lint.Load(".", args...)
+	diags, dead, err := lint.Check(".", flags.Args()...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "phoenix-lint:", err)
-		return 2
-	}
-	runner := &lint.Runner{Analyzers: lint.Analyzers(allow)}
-	diags, err := runner.Run(pkgs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "phoenix-lint:", err)
-		return 2
-	}
-	var dead []string
-	if *deadallowFlag {
-		if dead, err = lint.UnusedAllowlist(pkgs, allow); err != nil {
-			fmt.Fprintln(os.Stderr, "phoenix-lint:", err)
-			return 2
-		}
+		return fail(err)
 	}
 	if *jsonFlag {
-		if err := writeStandaloneJSON(os.Stdout, diags, dead); err != nil {
-			fmt.Fprintln(os.Stderr, "phoenix-lint:", err)
-			return 2
+		if err := writeJSON(stdout, diags, dead); err != nil {
+			return fail(err)
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 		for _, e := range dead {
-			fmt.Printf("phoenix-lint.allow: dead entry %q matches no current diagnostic; delete it\n", e)
+			fmt.Fprintf(stdout, "phoenix-lint.allow: dead entry %q matches no current diagnostic; delete it\n", e)
 		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "phoenix-lint: %d violation(s); fix them or add a '# why'-commented entry to internal/lint/phoenix-lint.allow\n", len(diags))
-		return 1
+		fmt.Fprintf(stderr, "phoenix-lint: %d violation(s); fix them or add a '# why'-commented entry to internal/lint/phoenix-lint.allow\n", len(diags))
 	}
 	if len(dead) > 0 {
-		fmt.Fprintf(os.Stderr, "phoenix-lint: %d dead allowlist entr(y/ies); the exceptions they document no longer exist — delete them\n", len(dead))
+		fmt.Fprintf(stderr, "phoenix-lint: %d dead allowlist entr(y/ies); on a ./... run the exceptions they document no longer exist — delete them\n", len(dead))
+	}
+	if len(diags) > 0 || len(dead) > 0 {
 		return 1
 	}
 	return 0
 }
 
-// writeStandaloneJSON emits the standalone-mode report: an object with
-// the diagnostics array (position, analyzer, enclosing function,
-// message) and any dead allowlist entries. CI publishes this as the
-// lint job's step summary.
-func writeStandaloneJSON(w io.Writer, diags []lint.Diagnostic, dead []string) error {
+// writeJSON emits the report: an object with the diagnostics array
+// (position, analyzer, enclosing function, message) and any dead
+// allowlist entries. CI publishes this as the lint job's step summary.
+func writeJSON(w io.Writer, diags []lint.Diagnostic, dead []string) error {
 	type jsonDiag struct {
 		Pos      string `json:"pos"`
 		Analyzer string `json:"analyzer"`
@@ -166,99 +109,4 @@ func writeStandaloneJSON(w io.Writer, diags []lint.Diagnostic, dead []string) er
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "\t")
 	return enc.Encode(out)
-}
-
-// selfID returns a content hash of the running binary.
-func selfID() (string, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return "", err
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:16]), nil
-}
-
-// vetUnit is one `go vet` package invocation.
-func vetUnit(cfgPath string, allow *lint.Allowlist, asJSON bool) int {
-	cfg, err := lint.LoadVetConfig(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "phoenix-lint:", err)
-		return 1
-	}
-	// phoenix-lint keeps no analysis facts, but go vet insists the
-	// facts file exists before it will cache the unit.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "phoenix-lint:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	// The disciplines bind production code: standalone mode never
-	// parses test files (tests wait on real deadlines), so skip the
-	// test-variant units go vet also hands us.
-	if cfg.IsTestUnit() {
-		if asJSON {
-			if err := writeJSON(os.Stdout, cfg.ImportPath, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "phoenix-lint:", err)
-				return 1
-			}
-		}
-		return 0
-	}
-	pkg, err := cfg.LoadPackage()
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "phoenix-lint:", err)
-		return 1
-	}
-	runner := &lint.Runner{Analyzers: lint.UnitAnalyzers(allow)}
-	diags, err := runner.Run([]*lint.Package{pkg})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "phoenix-lint:", err)
-		return 1
-	}
-	if asJSON {
-		if err := writeJSON(os.Stdout, cfg.ImportPath, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "phoenix-lint:", err)
-			return 1
-		}
-		return 0
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// writeJSON emits diagnostics in the unitchecker JSON shape:
-// importpath -> analyzer -> [{posn, message}].
-func writeJSON(w io.Writer, importPath string, diags []lint.Diagnostic) error {
-	type jsonDiag struct {
-		Posn    string `json:"posn"`
-		Message string `json:"message"`
-	}
-	byAnalyzer := map[string][]jsonDiag{}
-	for _, d := range diags {
-		byAnalyzer[d.Analyzer] = append(byAnalyzer[d.Analyzer],
-			jsonDiag{Posn: d.Pos.String(), Message: d.Message})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	return enc.Encode(map[string]map[string][]jsonDiag{importPath: byAnalyzer})
 }

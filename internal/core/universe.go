@@ -44,12 +44,10 @@ type UniverseConfig struct {
 	// retries). Nil means a wall clock at full speed.
 	Clock disk.Clock
 	// Net carries messages between processes. Nil means an in-memory
-	// network with NetworkRTT of injected latency.
+	// network with no injected latency; pass transport.NewMem(clock,
+	// rtt) to inject a round trip (the paper measures ~0.2 ms per
+	// remote call).
 	Net transport.Network
-	// NetworkRTT is the Mem network's injected round trip; the paper
-	// measures ~0.2 ms per remote call. Ignored when Net is set.
-	// Zero means no injected latency.
-	NetworkRTT time.Duration
 	// DiskModel builds the log device model for each new process. Nil
 	// means disk.HostModel (no simulated latency), which the test
 	// suite uses; the experiment harness passes 7200-RPM SimDisks.
@@ -78,7 +76,7 @@ func NewUniverse(cfg UniverseConfig) (*Universe, error) {
 		cfg.Clock = disk.NewRealClock(1)
 	}
 	if cfg.Net == nil {
-		cfg.Net = transport.NewMem(cfg.Clock, cfg.NetworkRTT)
+		cfg.Net = transport.NewMem(cfg.Clock, 0)
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.Default()

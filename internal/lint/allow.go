@@ -3,7 +3,6 @@ package lint
 import (
 	_ "embed"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 )
@@ -12,24 +11,20 @@ import (
 // small, commented file instead of suppressions scattered through the
 // code. Each entry names an analyzer and a function (in FuncString
 // spelling) and must carry a trailing "# why" comment — an exception
-// nobody can explain is not an exception.
-//
-// The entries mean different things per analyzer:
-//
-//   - wallclock, locksync: diagnostics inside the named function are
-//     suppressed (the function is a deliberate exception).
-//   - forcesite: the named functions are the *blessed* append/force
-//     sites — the only ones allowed to call into the wal entry points.
+// nobody can explain is not an exception. The Runner drops every
+// diagnostic an entry's analyzer attributes to its function; for
+// forcesite that makes the listed functions the *blessed* append/force
+// sites — the only ones allowed to call into the wal entry points.
 type Allowlist struct {
-	entries map[string]map[string]string // analyzer -> function -> why
+	entries map[[2]string]bool // (analyzer, function)
 }
 
 //go:embed phoenix-lint.allow
 var defaultAllowSrc []byte
 
-// DefaultAllowlist parses the allowlist compiled into the binary
+// defaultAllowlist parses the allowlist compiled into the binary
 // (internal/lint/phoenix-lint.allow).
-func DefaultAllowlist() *Allowlist {
+func defaultAllowlist() *Allowlist {
 	a, err := ParseAllowlist("phoenix-lint.allow (embedded)", defaultAllowSrc)
 	if err != nil {
 		// The embedded file is validated by the package's own tests;
@@ -37,15 +32,6 @@ func DefaultAllowlist() *Allowlist {
 		panic(err)
 	}
 	return a
-}
-
-// LoadAllowlist parses an allowlist file from disk.
-func LoadAllowlist(path string) (*Allowlist, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ParseAllowlist(path, src)
 }
 
 // ParseAllowlist parses allowlist source. Lines are
@@ -56,7 +42,7 @@ func LoadAllowlist(path string) (*Allowlist, error) {
 // uses FuncString spelling: pkgpath.Func, or (pkgpath.Recv).Method /
 // (*pkgpath.Recv).Method for methods.
 func ParseAllowlist(name string, src []byte) (*Allowlist, error) {
-	a := &Allowlist{entries: map[string]map[string]string{}}
+	a := &Allowlist{entries: map[[2]string]bool{}}
 	for i, line := range strings.Split(string(src), "\n") {
 		text, why, _ := strings.Cut(line, "#")
 		text = strings.TrimSpace(text)
@@ -72,24 +58,18 @@ func ParseAllowlist(name string, src []byte) (*Allowlist, error) {
 		if why == "" {
 			return nil, fmt.Errorf("%s:%d: allowlist entry for %s lacks a '# why' comment", name, i+1, fn)
 		}
-		if a.entries[analyzer] == nil {
-			a.entries[analyzer] = map[string]string{}
-		}
-		if _, dup := a.entries[analyzer][fn]; dup {
+		key := [2]string{analyzer, fn}
+		if a.entries[key] {
 			return nil, fmt.Errorf("%s:%d: duplicate entry %s %s", name, i+1, analyzer, fn)
 		}
-		a.entries[analyzer][fn] = why
+		a.entries[key] = true
 	}
 	return a, nil
 }
 
 // Allowed reports whether fn is listed for analyzer.
 func (a *Allowlist) Allowed(analyzer, fn string) bool {
-	if a == nil {
-		return false
-	}
-	_, ok := a.entries[analyzer][fn]
-	return ok
+	return a != nil && a.entries[[2]string{analyzer, fn}]
 }
 
 // Entries returns every (analyzer, function) pair in the list, sorted.
@@ -97,11 +77,9 @@ func (a *Allowlist) Entries() [][2]string {
 	if a == nil {
 		return nil
 	}
-	var out [][2]string
-	for analyzer, fns := range a.entries {
-		for fn := range fns {
-			out = append(out, [2]string{analyzer, fn})
-		}
+	out := make([][2]string, 0, len(a.entries))
+	for e := range a.entries {
+		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i][0] != out[j][0] {
@@ -110,16 +88,4 @@ func (a *Allowlist) Entries() [][2]string {
 		return out[i][1] < out[j][1]
 	})
 	return out
-}
-
-// Functions returns the functions listed for analyzer, unordered.
-func (a *Allowlist) Functions(analyzer string) []string {
-	if a == nil {
-		return nil
-	}
-	fns := make([]string, 0, len(a.entries[analyzer]))
-	for fn := range a.entries[analyzer] {
-		fns = append(fns, fn)
-	}
-	return fns
 }

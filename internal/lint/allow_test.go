@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,8 +30,12 @@ forcesite repro/internal/core.appendRec        # accounting chokepoint
 	if a.Allowed("locksync", "nope") {
 		t.Error("unknown entry reported as allowed")
 	}
-	if got := a.Functions("forcesite"); len(got) != 1 || got[0] != "repro/internal/core.appendRec" {
-		t.Errorf("Functions(forcesite) = %v", got)
+	want := [][2]string{
+		{"forcesite", "repro/internal/core.appendRec"},
+		{"wallclock", "(*repro/internal/wal.Log).syncLocked"},
+	}
+	if got := a.Entries(); !slices.Equal(got, want) {
+		t.Errorf("Entries() = %v, want %v", got, want)
 	}
 }
 
@@ -53,13 +58,13 @@ func TestParseAllowlistRejects(t *testing.T) {
 	}
 }
 
-// A nil allowlist allows nothing — the analyzers rely on this.
+// A nil allowlist allows nothing — a Runner without one relies on this.
 func TestNilAllowlist(t *testing.T) {
 	var a *lint.Allowlist
 	if a.Allowed("wallclock", "anything") {
 		t.Error("nil allowlist allowed an entry")
 	}
-	if fns := a.Functions("wallclock"); fns != nil {
-		t.Errorf("nil allowlist Functions = %v", fns)
+	if e := a.Entries(); e != nil {
+		t.Errorf("nil allowlist Entries = %v", e)
 	}
 }

@@ -1,30 +1,26 @@
 package lint
 
 // Analyzers returns the phoenix-lint suite configured for this
-// repository, sharing one allowlist. A nil allow means the embedded
-// default (phoenix-lint.allow). The returned analyzers carry run
-// state (metricnames reconciles declarations against uses at Finish),
-// so build a fresh set per Runner.
-func Analyzers(allow *Allowlist) []*Analyzer {
-	if allow == nil {
-		allow = DefaultAllowlist()
-	}
+// repository. The returned analyzers carry run state (metricnames
+// reconciles declarations against uses at Finish), so build a fresh
+// set per Runner.
+func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		NewForcesite(ForcesiteConfig{}, allow),
+		NewForcesite(),
 		NewWallclock(WallclockConfig{
 			Packages: []string{
 				"repro/internal/core",
 				"repro/internal/wal",
 				"repro/internal/bench",
 			},
-		}, allow),
-		NewLocksync(repoLocksyncConfig(), allow),
-		NewExhaustive(ExhaustiveConfig{}, allow),
-		NewMetricNames(MetricNamesConfig{}, allow),
-		NewLockOrder(LockOrderConfig{}, allow),
-		NewPoolLife(PoolLifeConfig{}, allow),
-		NewShutdownPath(ShutdownPathConfig{}, allow),
-		NewDroppedErr(DroppedErrConfig{}, allow),
+		}),
+		NewLocksync(repoLocksyncConfig()),
+		NewExhaustive(),
+		NewMetricNames(MetricNamesConfig{}),
+		NewLockOrder(LockOrderConfig{}),
+		NewPoolLife(PoolLifeConfig{}),
+		NewShutdownPath(ShutdownPathConfig{}),
+		NewDroppedErr(DroppedErrConfig{}),
 	}
 }
 
@@ -67,32 +63,17 @@ func repoLocksyncConfig() LocksyncConfig {
 	}
 }
 
-// UnitAnalyzers is the per-package subset of the suite for `go vet
-// -vettool` mode, where every package is analyzed in its own process.
-// metricnames is deliberately absent: it reconciles declarations in
-// internal/obs against uses across the whole tree, a view a unit
-// invocation never has — run standalone phoenix-lint (or `make lint`)
-// for the full suite.
-func UnitAnalyzers(allow *Allowlist) []*Analyzer {
-	all := Analyzers(allow)
-	unit := all[:0]
-	for _, a := range all {
-		if a.Name != "metricnames" {
-			unit = append(unit, a)
-		}
-	}
-	return unit
-}
-
-// Check loads the packages matching patterns under dir and runs the
-// full suite with the given allowlist (nil means embedded default).
-// It is the programmatic equivalent of `phoenix-lint <patterns>`.
-func Check(dir string, allow *Allowlist, patterns ...string) ([]Diagnostic, error) {
+// Check loads the packages matching patterns under dir, runs the full
+// suite and applies the embedded allowlist. It returns the remaining
+// diagnostics and the dead allowlist entries — what `phoenix-lint
+// <patterns>` prints. Entries are judged against the packages loaded,
+// so only a whole-tree run (./...) can find none dead.
+func Check(dir string, patterns ...string) ([]Diagnostic, []string, error) {
 	pkgs, err := Load(dir, patterns...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	r := &Runner{Analyzers: Analyzers(allow)}
+	r := &Runner{Analyzers: Analyzers(), Allow: defaultAllowlist()}
 	return r.Run(pkgs)
 }
 
@@ -100,17 +81,14 @@ func Check(dir string, allow *Allowlist, patterns ...string) ([]Diagnostic, erro
 // the lockorder analyzer alone and returns the acquisition graph it
 // observed — the `phoenix-lint -lockgraph` back end. Diagnostics are
 // discarded; the graph records every deduplicated edge regardless.
-func LockGraphFor(dir string, allow *Allowlist, patterns ...string) (*LockGraph, error) {
-	if allow == nil {
-		allow = DefaultAllowlist()
-	}
+func LockGraphFor(dir string, patterns ...string) (*LockGraph, error) {
 	pkgs, err := Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	analyzer, graph := NewLockOrderGraph(LockOrderConfig{}, allow)
+	analyzer, graph := NewLockOrderGraph(LockOrderConfig{})
 	r := &Runner{Analyzers: []*Analyzer{analyzer}}
-	if _, err := r.Run(pkgs); err != nil {
+	if _, _, err := r.Run(pkgs); err != nil {
 		return nil, err
 	}
 	return graph, nil

@@ -48,7 +48,7 @@ var (
 // go/defer) nor by assigning the error result to the blank identifier.
 // A deliberate drop (a fail-stop path that cannot act on the error)
 // must carry a '# why' allowlist entry instead.
-func NewDroppedErr(cfg DroppedErrConfig, allow *Allowlist) *Analyzer {
+func NewDroppedErr(cfg DroppedErrConfig) *Analyzer {
 	pkgs := toSet(cfg.Packages, defaultDroppedErrPackages)
 	guarded := toSet(cfg.Guarded, defaultDroppedErrGuarded)
 	return &Analyzer{
@@ -59,7 +59,7 @@ func NewDroppedErr(cfg DroppedErrConfig, allow *Allowlist) *Analyzer {
 				return nil
 			}
 			WalkFuncs(pass, func(decl *ast.FuncDecl, fname string) {
-				if allow.Allowed("droppederr", fname) || decl.Body == nil {
+				if decl.Body == nil {
 					return
 				}
 				checkDroppedErr(pass, decl, fname, guarded)

@@ -9,12 +9,9 @@ import (
 	"strings"
 )
 
-// ExhaustiveConfig scopes the exhaustive analyzer.
-type ExhaustiveConfig struct {
-	// ModulePrefix restricts the check to enum types declared in
-	// packages under this import-path prefix. Empty means "repro".
-	ModulePrefix string
-}
+// enumModule is the import path of the module whose enum types the
+// exhaustive analyzer checks.
+const enumModule = "repro"
 
 // NewExhaustive returns the exhaustive analyzer: a switch over one of
 // the runtime's enums (EventKind, the wal record types, the component
@@ -23,31 +20,24 @@ type ExhaustiveConfig struct {
 // members, the regression class the defensive String() defaults exist
 // for.
 //
-// An enum is any named integer or string type declared under the
-// module prefix with at least two package-level constants of exactly
+// An enum is any named integer or string type declared in the module
+// with at least two package-level constants of exactly
 // that type; the members are gathered from the type's own package and
 // from the switching package (the wal record types are declared in
 // core, not wal). Members whose name ends in "count" are bound
 // sentinels (eventKindCount) and are not required.
-func NewExhaustive(cfg ExhaustiveConfig, allow *Allowlist) *Analyzer {
-	prefix := cfg.ModulePrefix
-	if prefix == "" {
-		prefix = "repro"
-	}
+func NewExhaustive() *Analyzer {
 	return &Analyzer{
 		Name: "exhaustive",
 		Doc:  "switches over runtime enums cover every member or carry an explicit default",
 		Run: func(pass *Pass) error {
 			WalkFuncs(pass, func(decl *ast.FuncDecl, fname string) {
-				if allow.Allowed("exhaustive", fname) {
-					return
-				}
 				ast.Inspect(decl, func(n ast.Node) bool {
 					sw, ok := n.(*ast.SwitchStmt)
 					if !ok || sw.Tag == nil {
 						return true
 					}
-					checkSwitch(pass, sw, fname, prefix)
+					checkSwitch(pass, sw, fname)
 					return true
 				})
 			})
@@ -56,7 +46,7 @@ func NewExhaustive(cfg ExhaustiveConfig, allow *Allowlist) *Analyzer {
 	}
 }
 
-func checkSwitch(pass *Pass, sw *ast.SwitchStmt, fname, prefix string) {
+func checkSwitch(pass *Pass, sw *ast.SwitchStmt, fname string) {
 	tv, ok := pass.Info.Types[sw.Tag]
 	if !ok {
 		return
@@ -66,7 +56,7 @@ func checkSwitch(pass *Pass, sw *ast.SwitchStmt, fname, prefix string) {
 		return
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || !underPrefix(obj.Pkg().Path(), prefix) {
+	if obj.Pkg() == nil || !underModule(obj.Pkg().Path()) {
 		return
 	}
 	basic, ok := named.Underlying().(*types.Basic)
@@ -170,6 +160,6 @@ func sameNamed(t types.Type, named *types.Named) bool {
 	return a.Name() == b.Name() && a.Pkg().Path() == b.Pkg().Path()
 }
 
-func underPrefix(path, prefix string) bool {
-	return path == prefix || strings.HasPrefix(path, prefix+"/")
+func underModule(path string) bool {
+	return path == enumModule || strings.HasPrefix(path, enumModule+"/")
 }

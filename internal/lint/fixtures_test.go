@@ -22,35 +22,33 @@ func mustAllow(t *testing.T, src string) *lint.Allowlist {
 func TestForcesiteFixture(t *testing.T) {
 	allow := mustAllow(t,
 		"forcesite "+fixturePrefix+"forcesite.blessedAppend # fixture chokepoint\n")
-	linttest.Run(t, "testdata/forcesite", fixturePrefix+"forcesite",
-		[]*lint.Analyzer{lint.NewForcesite(lint.ForcesiteConfig{}, allow)})
+	linttest.Run(t, "testdata/forcesite", fixturePrefix+"forcesite", allow, lint.NewForcesite())
 }
 
 func TestWallclockFixture(t *testing.T) {
 	allow := mustAllow(t,
 		"wallclock "+fixturePrefix+"wallclock.instrumented # deliberate wall-time instrumentation\n")
-	linttest.Run(t, "testdata/wallclock", fixturePrefix+"wallclock",
-		[]*lint.Analyzer{lint.NewWallclock(lint.WallclockConfig{
+	linttest.Run(t, "testdata/wallclock", fixturePrefix+"wallclock", allow,
+		lint.NewWallclock(lint.WallclockConfig{
 			Packages: []string{fixturePrefix + "wallclock"},
-		}, allow)})
+		}))
 }
 
 func TestLocksyncFixture(t *testing.T) {
-	linttest.Run(t, "testdata/locksync", fixturePrefix+"locksync",
-		[]*lint.Analyzer{lint.NewLocksync(lint.LocksyncConfig{
+	linttest.Run(t, "testdata/locksync", fixturePrefix+"locksync", nil,
+		lint.NewLocksync(lint.LocksyncConfig{
 			Packages: []string{fixturePrefix + "locksync"},
-		}, nil)})
+		}))
 }
 
 func TestExhaustiveFixture(t *testing.T) {
-	linttest.Run(t, "testdata/exhaustive", fixturePrefix+"exhaustive",
-		[]*lint.Analyzer{lint.NewExhaustive(lint.ExhaustiveConfig{}, nil)})
+	linttest.Run(t, "testdata/exhaustive", fixturePrefix+"exhaustive", nil, lint.NewExhaustive())
 }
 
 func TestLockOrderFixture(t *testing.T) {
 	p := fixturePrefix + "lockorder"
-	linttest.Run(t, "testdata/lockorder", p,
-		[]*lint.Analyzer{lint.NewLockOrder(lint.LockOrderConfig{
+	linttest.Run(t, "testdata/lockorder", p, nil,
+		lint.NewLockOrder(lint.LockOrderConfig{
 			Packages: []string{p},
 			Order: []string{
 				p + ".slots",
@@ -63,46 +61,46 @@ func TestLockOrderFixture(t *testing.T) {
 			},
 			Semaphores: []string{p + ".slots"},
 			Latches:    []string{p + ".G.ready"},
-		}, nil)})
+		}))
 }
 
 func TestPoolLifeFixture(t *testing.T) {
 	p := fixturePrefix + "poollife"
-	linttest.Run(t, "testdata/poollife", p,
-		[]*lint.Analyzer{lint.NewPoolLife(lint.PoolLifeConfig{
+	linttest.Run(t, "testdata/poollife", p, nil,
+		lint.NewPoolLife(lint.PoolLifeConfig{
 			Packages: []string{p},
 			Get:      []string{p + ".getBuf"},
 			Free:     []string{p + ".freeBuf"},
 			Payloads: []string{p + ".Record.Payload"},
 			Windows:  []string{"(*" + p + ".Reader).ReadAt"},
-		}, nil)})
+		}))
 }
 
 func TestShutdownPathFixture(t *testing.T) {
 	p := fixturePrefix + "shutdownpath"
-	linttest.Run(t, "testdata/shutdownpath", p,
-		[]*lint.Analyzer{lint.NewShutdownPath(lint.ShutdownPathConfig{
+	linttest.Run(t, "testdata/shutdownpath", p, nil,
+		lint.NewShutdownPath(lint.ShutdownPathConfig{
 			Packages: []string{p},
 			Latches:  []string{p + ".Gate.ready"},
-		}, nil)})
+		}))
 }
 
 func TestDroppedErrFixture(t *testing.T) {
 	p := fixturePrefix + "droppederr"
-	linttest.Run(t, "testdata/droppederr", p,
-		[]*lint.Analyzer{lint.NewDroppedErr(lint.DroppedErrConfig{
+	linttest.Run(t, "testdata/droppederr", p, nil,
+		lint.NewDroppedErr(lint.DroppedErrConfig{
 			Packages: []string{p},
 			Guarded: []string{
 				p + ".syncDevice",
 				p + ".readDevice",
 				"(*" + p + ".Dev).Close",
 			},
-		}, nil)})
+		}))
 }
 
 func TestMetricNamesFixture(t *testing.T) {
-	linttest.Run(t, "testdata/metricnames", fixturePrefix+"metricnames",
-		[]*lint.Analyzer{lint.NewMetricNames(lint.MetricNamesConfig{
+	linttest.Run(t, "testdata/metricnames", fixturePrefix+"metricnames", nil,
+		lint.NewMetricNames(lint.MetricNamesConfig{
 			ObsPath: fixturePrefix + "metricnames",
-		}, nil)})
+		}))
 }

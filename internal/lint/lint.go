@@ -1,6 +1,6 @@
 // Package lint is phoenix-lint: a family of static analyzers that
 // mechanically enforce the logging, clock and lock disciplines the
-// runtime otherwise maintains by convention (DESIGN.md Section 9).
+// runtime otherwise maintains by convention (DESIGN.md Sections 9, 14).
 //
 // The package deliberately mirrors the shape of golang.org/x/tools'
 // go/analysis — Analyzer, Pass, Diagnostic — but is built on the
@@ -10,18 +10,26 @@
 //
 // Analyzers:
 //
-//	forcesite   — wal.Log append/force entry points may only be called
-//	              from the blessed accounting chokepoints in core
-//	wallclock   — no direct wall-clock reads in the simulation-clocked
-//	              packages (core, wal, bench) outside the allowlist
-//	locksync    — no device I/O while the wal mutex is held
-//	exhaustive  — switches over runtime enums cover every member or
-//	              carry an explicit default
-//	metricnames — obs metric names at call sites are the names.go
-//	              constants, and every declared name is wired somewhere
+//	forcesite    — wal append/force entry points may only be called
+//	               from the blessed accounting chokepoints in core
+//	wallclock    — no direct wall-clock reads in the simulation-clocked
+//	               packages (core, wal, bench)
+//	locksync     — no device I/O while a wal or engine mutex is held
+//	exhaustive   — switches over runtime enums cover every member or
+//	               carry an explicit default
+//	metricnames  — obs metric names at call sites are the names.go
+//	               constants, and every declared name is wired somewhere
+//	lockorder    — nested lock acquisitions follow lockorder.order and
+//	               form no cycle
+//	poollife     — pooled buffers are freed exactly once and never
+//	               escape; scan payloads never outlive their window
+//	shutdownpath — every goroutine is joined from a shutdown path and
+//	               every latch is opened idempotently on one
+//	droppederr   — durability-path errors are handled, not discarded
 //
-// Deliberate exceptions live in one commented allowlist file
-// (phoenix-lint.allow), not in suppressions scattered through code.
+// Analyzers report everything they find. Deliberate exceptions live in
+// one commented allowlist file (phoenix-lint.allow), not in
+// suppressions scattered through code, and the Runner applies it.
 package lint
 
 import (
@@ -36,9 +44,7 @@ import (
 // the run's shared FileSet so diagnostics from different packages (and
 // from cross-package Finish hooks) sort and print uniformly. Fn, when
 // known, is the enclosing function in FuncString spelling — the unit
-// allowlist entries are written against, which is what lets the
-// dead-allowlist check (UnusedAllowlist) match entries to raw
-// diagnostics.
+// allowlist entries are written against.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
@@ -59,11 +65,6 @@ type Pass struct {
 
 	analyzer *Analyzer
 	report   func(Diagnostic)
-}
-
-// Reportf records a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportfFn(pos, "", format, args...)
 }
 
 // ReportfFn records a diagnostic at pos attributed to the enclosing
@@ -92,15 +93,20 @@ type Analyzer struct {
 	Finish func(report func(Diagnostic))
 }
 
-// Runner applies a set of analyzers to a set of loaded packages.
+// Runner applies a set of analyzers to a set of loaded packages, and
+// the allowlist to what they report.
 type Runner struct {
 	Analyzers []*Analyzer
+	// Allow lists the deliberate exceptions. Nil allows nothing.
+	Allow *Allowlist
 }
 
-// Run analyzes every package with every analyzer, runs the Finish
-// hooks, and returns the diagnostics sorted by position.
-func (r *Runner) Run(pkgs []*Package) ([]Diagnostic, error) {
-	var diags []Diagnostic
+// Run analyzes every package with every analyzer and runs the Finish
+// hooks. It drops each diagnostic whose (analyzer, Fn) pair the
+// allowlist lists and returns the rest sorted by position, together
+// with the entries that matched no diagnostic: dead entries, whose
+// exception no longer exists in the code.
+func (r *Runner) Run(pkgs []*Package) (diags []Diagnostic, dead []string, err error) {
 	report := func(d Diagnostic) { diags = append(diags, d) }
 	for _, pkg := range pkgs {
 		for _, a := range r.Analyzers {
@@ -113,7 +119,7 @@ func (r *Runner) Run(pkgs []*Package) ([]Diagnostic, error) {
 				report:   report,
 			}
 			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
+				return nil, nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 			}
 		}
 	}
@@ -126,6 +132,21 @@ func (r *Runner) Run(pkgs []*Package) ([]Diagnostic, error) {
 			d.Analyzer = name
 			diags = append(diags, d)
 		})
+	}
+	used := map[[2]string]bool{}
+	kept := diags[:0]
+	for _, d := range diags {
+		if r.Allow.Allowed(d.Analyzer, d.Fn) {
+			used[[2]string{d.Analyzer, d.Fn}] = true
+			continue
+		}
+		kept = append(kept, d)
+	}
+	diags = kept
+	for _, e := range r.Allow.Entries() {
+		if !used[e] {
+			dead = append(dead, e[0]+" "+e[1])
+		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
@@ -140,7 +161,7 @@ func (r *Runner) Run(pkgs []*Package) ([]Diagnostic, error) {
 		}
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
-	return diags, nil
+	return diags, dead, nil
 }
 
 // FuncString names a function object the way the allowlist file spells

@@ -5,8 +5,9 @@
 //
 //	// want "regexp" "another regexp"
 //
-// comments. Run loads the fixture, applies the analyzers, and fails
-// the test on any unmatched expectation or unexpected diagnostic.
+// comments. Run loads the fixture, applies the analyzers and the
+// fixture's allowlist, and fails the test on any unmatched
+// expectation, unexpected diagnostic or dead allowlist entry.
 //
 // With PHOENIX_LINT_PRINT=1 in the environment, Run additionally
 // prints every diagnostic the analyzers produced for the fixture —
@@ -35,18 +36,21 @@ type want struct {
 }
 
 // Run loads the fixture package rooted at dir, type-checked under
-// importPath, runs the analyzers, and diffs the diagnostics against
-// the fixture's want comments.
-func Run(t *testing.T, dir, importPath string, analyzers []*lint.Analyzer) {
+// importPath, runs the analyzers with allow (nil allows nothing), and
+// diffs the diagnostics against the fixture's want comments.
+func Run(t *testing.T, dir, importPath string, allow *lint.Allowlist, analyzers ...*lint.Analyzer) {
 	t.Helper()
 	pkg, err := lint.LoadDir(dir, importPath)
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", dir, err)
 	}
-	runner := &lint.Runner{Analyzers: analyzers}
-	diags, err := runner.Run([]*lint.Package{pkg})
+	runner := &lint.Runner{Analyzers: analyzers, Allow: allow}
+	diags, dead, err := runner.Run([]*lint.Package{pkg})
 	if err != nil {
 		t.Fatalf("run analyzers on %s: %v", dir, err)
+	}
+	for _, e := range dead {
+		t.Errorf("fixture allowlist entry %q matches no diagnostic", e)
 	}
 	if os.Getenv("PHOENIX_LINT_PRINT") != "" {
 		for _, d := range diags {

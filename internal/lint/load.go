@@ -2,7 +2,6 @@ package lint
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,11 +11,9 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -43,132 +40,23 @@ type listedPkg struct {
 	GoFiles    []string
 }
 
-// goList is the cached front end to goListUncached: `go list -export`
-// re-exports (or at best re-validates) every package in the dependency
-// closure, which dominated `make lint` wall time because the suite
-// lists the module several times per run (the main load plus one
-// LoadDir per fixture test). Results are memoized in-process and
-// persisted to a file in the user cache keyed on a hash of go.mod,
-// go.sum and every non-testdata .go file, so a warm run skips the go
-// tool entirely. A cached entry is trusted only while every export
-// file it names still exists (the build cache may be trimmed).
+// goList runs `go list -export -deps -json` for patterns in dir and
+// returns the decoded package stream. -export compiles (or reuses from
+// the build cache) every package's export data, which is what lets the
+// type checker resolve imports without golang.org/x/tools. Results are
+// memoized for the life of the process, so a test binary lists the
+// module once, not once per fixture.
 func goList(dir string, patterns []string) ([]listedPkg, error) {
-	key := dir + "\x00" + strings.Join(patterns, "\x00")
-	listMu.Lock()
-	cached, ok := listMemo[key]
-	listMu.Unlock()
-	if ok && exportsExist(cached) {
-		return cached, nil
-	}
-	pkgs, err := goListDisk(dir, patterns)
+	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
+	key := abs + "\x00" + strings.Join(patterns, "\x00")
 	listMu.Lock()
-	listMemo[key] = pkgs
-	listMu.Unlock()
-	return pkgs, nil
-}
-
-var (
-	listMu   sync.Mutex
-	listMemo = map[string][]listedPkg{}
-)
-
-func exportsExist(pkgs []listedPkg) bool {
-	for _, p := range pkgs {
-		if p.Export != "" {
-			if _, err := os.Stat(p.Export); err != nil {
-				return false
-			}
-		}
+	defer listMu.Unlock()
+	if pkgs, ok := listMemo[key]; ok {
+		return pkgs, nil
 	}
-	return true
-}
-
-// goListDisk consults the on-disk cache before shelling out.
-func goListDisk(dir string, patterns []string) ([]listedPkg, error) {
-	path, ok := listCachePath(dir, patterns)
-	if ok {
-		if data, err := os.ReadFile(path); err == nil {
-			var pkgs []listedPkg
-			if json.Unmarshal(data, &pkgs) == nil && exportsExist(pkgs) {
-				return pkgs, nil
-			}
-		}
-	}
-	pkgs, err := goListUncached(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		if data, err := json.Marshal(pkgs); err == nil {
-			tmp := path + ".tmp"
-			if os.WriteFile(tmp, data, 0o644) == nil {
-				_ = os.Rename(tmp, path)
-			}
-		}
-	}
-	return pkgs, nil
-}
-
-// listCachePath derives the cache file for (dir, patterns) from a hash
-// over the module's inputs. A false return disables the disk cache
-// (no module root, unreadable tree) — correctness never depends on it.
-func listCachePath(dir string, patterns []string) (string, bool) {
-	root, err := moduleRoot(dir)
-	if err != nil {
-		return "", false
-	}
-	cacheDir, err := os.UserCacheDir()
-	if err != nil {
-		cacheDir = os.TempDir()
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "phoenix-lint|%s|%s|%s\n", runtime.Version(), dir, strings.Join(patterns, " "))
-	for _, name := range []string{"go.mod", "go.sum"} {
-		data, err := os.ReadFile(filepath.Join(root, name))
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return "", false
-		}
-		h.Write(data)
-	}
-	// Hash every tracked .go source; testdata is skipped — fixtures
-	// are parsed directly and never alter `go list` output.
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") {
-				return fs.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, path)
-		fmt.Fprintf(h, "%s\x00", rel)
-		h.Write(data)
-		return nil
-	})
-	if err != nil {
-		return "", false
-	}
-	return filepath.Join(cacheDir, fmt.Sprintf("phoenix-lint-list-%x.json", h.Sum(nil)[:16])), true
-}
-
-// goListUncached runs `go list -export -deps -json` for patterns in
-// dir and returns the decoded package stream. -export compiles (or
-// reuses from the build cache) every package's export data, which is
-// what lets the type checker resolve imports without
-// golang.org/x/tools.
-func goListUncached(dir string, patterns []string) ([]listedPkg, error) {
 	args := append([]string{
 		"list", "-export", "-deps",
 		"-json=ImportPath,Export,Dir,GoFiles,DepOnly",
@@ -192,8 +80,14 @@ func goListUncached(dir string, patterns []string) ([]listedPkg, error) {
 		}
 		pkgs = append(pkgs, p)
 	}
+	listMemo[key] = pkgs
 	return pkgs, nil
 }
+
+var (
+	listMu   sync.Mutex
+	listMemo = map[string][]listedPkg{}
+)
 
 // loader type-checks packages from parsed source, resolving every
 // import from compiler export data.
@@ -230,11 +124,7 @@ func newInfo() *types.Info {
 func (l *loader) check(path, dir string, fileNames []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range fileNames {
-		full := name
-		if !filepath.IsAbs(full) {
-			full = filepath.Join(dir, name)
-		}
-		f, err := parser.ParseFile(l.fset, full, nil, parser.ParseComments)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}

@@ -157,15 +157,15 @@ type orderFunc struct {
 // propagated over a call graph devirtualized against the analyzed
 // types, so holding the engine mutex while calling a helper that locks
 // a shard is an edge even though the lock is two calls away.
-func NewLockOrder(cfg LockOrderConfig, allow *Allowlist) *Analyzer {
-	a, _ := NewLockOrderGraph(cfg, allow)
+func NewLockOrder(cfg LockOrderConfig) *Analyzer {
+	a, _ := NewLockOrderGraph(cfg)
 	return a
 }
 
 // NewLockOrderGraph is NewLockOrder, additionally exposing the
 // acquisition graph the Finish pass computed (for `phoenix-lint
 // -lockgraph`). The graph is valid only after the analyzer has run.
-func NewLockOrderGraph(cfg LockOrderConfig, allow *Allowlist) (*Analyzer, *LockGraph) {
+func NewLockOrderGraph(cfg LockOrderConfig) (*Analyzer, *LockGraph) {
 	pkgs := map[string]bool{}
 	paths := cfg.Packages
 	if len(paths) == 0 {
@@ -233,13 +233,13 @@ func NewLockOrderGraph(cfg LockOrderConfig, allow *Allowlist) (*Analyzer, *LockG
 			return nil
 		},
 		Finish: func(report func(Diagnostic)) {
-			finishLockOrder(funcs, cg, graph, order, allow, report)
+			finishLockOrder(funcs, cg, graph, order, report)
 		},
 	}
 	return analyzer, graph
 }
 
-func finishLockOrder(funcs map[string]*orderFunc, cg *callGraph, graph *LockGraph, order []string, allow *Allowlist, report func(Diagnostic)) {
+func finishLockOrder(funcs map[string]*orderFunc, cg *callGraph, graph *LockGraph, order []string, report func(Diagnostic)) {
 	virt := cg.devirtualize()
 
 	// Transitive acquisitions: the classes a call to fn can take on
@@ -312,9 +312,6 @@ func finishLockOrder(funcs map[string]*orderFunc, cg *callGraph, graph *LockGrap
 	sort.Strings(names)
 	for _, name := range names {
 		of := funcs[name]
-		if allow.Allowed("lockorder", name) {
-			continue
-		}
 		for _, e := range of.events {
 			if e.class == "" {
 				continue

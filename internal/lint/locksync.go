@@ -50,7 +50,7 @@ var defaultLocksyncBlocking = []string{
 // naming convention). Cond.Wait is fine — it releases the mutex.
 // Calls reached indirectly (a helper that syncs, called under the
 // lock) are caught only if the helper is itself in the blocking list.
-func NewLocksync(cfg LocksyncConfig, allow *Allowlist) *Analyzer {
+func NewLocksync(cfg LocksyncConfig) *Analyzer {
 	blocking := toSet(cfg.Blocking, defaultLocksyncBlocking)
 	pkgs := toSet(cfg.Packages, []string{"repro/internal/wal"})
 	guardedClass := func(class string) bool { return true }
@@ -66,9 +66,6 @@ func NewLocksync(cfg LocksyncConfig, allow *Allowlist) *Analyzer {
 				return nil
 			}
 			WalkFuncs(pass, func(decl *ast.FuncDecl, fname string) {
-				if allow.Allowed("locksync", fname) {
-					return
-				}
 				walkLocks(pass, decl, lockWalkConfig{}, lockCallbacks{
 					call: func(held []heldLock, fn *types.Func, call *ast.CallExpr, inGo bool) {
 						if !blocking[FuncString(fn)] {

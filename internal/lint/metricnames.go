@@ -15,14 +15,15 @@ type MetricNamesConfig struct {
 	// ObsPath is the import path of the metrics package. Empty means
 	// "repro/internal/obs".
 	ObsPath string
-	// NamesFile is the file (base name) inside ObsPath that declares
-	// the canonical metric-name constants. Empty means "names.go".
-	NamesFile string
-	// Methods are the method names on ObsPath types that take a
-	// metric name as their first argument. Empty means Counter,
-	// Histogram, HistogramFor, Gauge.
-	Methods []string
 }
+
+// namesFile is the file (base name) inside the metrics package that
+// declares the canonical metric-name constants.
+const namesFile = "names.go"
+
+// metricMethods are the methods on metrics-package types that take a
+// metric name as their first argument.
+var metricMethods = map[string]bool{"Counter": true, "Histogram": true, "HistogramFor": true, "Gauge": true}
 
 // NewMetricNames returns the metricnames analyzer: every metric name
 // that reaches a Counter/Histogram resolution call must be one of the
@@ -33,22 +34,10 @@ type MetricNamesConfig struct {
 // run has been seen, so this analyzer is only meaningful on ./...
 // runs; on partial runs that never see the obs package it stays
 // silent.
-func NewMetricNames(cfg MetricNamesConfig, allow *Allowlist) *Analyzer {
+func NewMetricNames(cfg MetricNamesConfig) *Analyzer {
 	obsPath := cfg.ObsPath
 	if obsPath == "" {
 		obsPath = "repro/internal/obs"
-	}
-	namesFile := cfg.NamesFile
-	if namesFile == "" {
-		namesFile = "names.go"
-	}
-	methods := map[string]bool{}
-	names := cfg.Methods
-	if len(names) == 0 {
-		names = []string{"Counter", "Histogram", "HistogramFor", "Gauge"}
-	}
-	for _, m := range names {
-		methods[m] = true
 	}
 
 	type decl struct {
@@ -74,21 +63,18 @@ func NewMetricNames(cfg MetricNamesConfig, allow *Allowlist) *Analyzer {
 		Run: func(pass *Pass) error {
 			if pass.Pkg.Path() == obsPath {
 				sawObs = true
-				collectDeclared(pass, namesFile, func(name, value string, pos token.Pos) {
+				collectDeclared(pass, func(name, value string, pos token.Pos) {
 					declared[value] = decl{name: name, pos: pass.Fset.Position(pos)}
 				})
 			}
 			WalkFuncs(pass, func(fd *ast.FuncDecl, fname string) {
-				if allow.Allowed("metricnames", fname) {
-					return
-				}
 				ast.Inspect(fd, func(n ast.Node) bool {
 					call, ok := n.(*ast.CallExpr)
 					if !ok || len(call.Args) == 0 {
 						return true
 					}
 					fn := Callee(pass.Info, call)
-					if fn == nil || !methods[fn.Name()] || !receiverIn(fn, obsPath) {
+					if fn == nil || !metricMethods[fn.Name()] || !receiverIn(fn, obsPath) {
 						return true
 					}
 					arg := ast.Unparen(call.Args[0])
@@ -141,7 +127,7 @@ func NewMetricNames(cfg MetricNamesConfig, allow *Allowlist) *Analyzer {
 
 // collectDeclared walks the obs package's names file and reports every
 // package-level string constant it declares.
-func collectDeclared(pass *Pass, namesFile string, emit func(name, value string, pos token.Pos)) {
+func collectDeclared(pass *Pass, emit func(name, value string, pos token.Pos)) {
 	for _, file := range pass.Files {
 		if filepath.Base(pass.Fset.Position(file.Pos()).Filename) != namesFile {
 			continue

@@ -66,7 +66,7 @@ const (
 // record taken straight from such a reader is tracked whole. The check
 // is lexical and per-function; ownership handoffs (a producer returning
 // the pooled buffer to its caller) are documented as allowlist entries.
-func NewPoolLife(cfg PoolLifeConfig, allow *Allowlist) *Analyzer {
+func NewPoolLife(cfg PoolLifeConfig) *Analyzer {
 	pkgs := toSet(cfg.Packages, defaultPoolLifePackages)
 	get := toSet(cfg.Get, defaultPoolLifeGet)
 	free := toSet(cfg.Free, defaultPoolLifeFree)
@@ -80,7 +80,7 @@ func NewPoolLife(cfg PoolLifeConfig, allow *Allowlist) *Analyzer {
 				return nil
 			}
 			WalkFuncs(pass, func(decl *ast.FuncDecl, fname string) {
-				if allow.Allowed("poollife", fname) || decl.Body == nil {
+				if decl.Body == nil {
 					return
 				}
 				checkPoolLife(pass, decl, fname, get, free, payloads, windows)

@@ -62,7 +62,7 @@ type latchInfo struct {
 // select or sync.Once) and reachable from a shutdown root, so a crash
 // can never strand waiters — the engine.stop() bug class PR 8 fixed by
 // hand.
-func NewShutdownPath(cfg ShutdownPathConfig, allow *Allowlist) *Analyzer {
+func NewShutdownPath(cfg ShutdownPathConfig) *Analyzer {
 	pkgs := toSet(cfg.Packages, defaultShutdownPackages)
 	roots := toSet(cfg.Roots, defaultShutdownRoots)
 	latches := toSet(cfg.Latches, defaultShutdownLatches)
@@ -118,7 +118,7 @@ func NewShutdownPath(cfg ShutdownPathConfig, allow *Allowlist) *Analyzer {
 			return nil
 		},
 		Finish: func(report func(Diagnostic)) {
-			finishShutdownPath(cg, allFuncs, spawns, joiners, latchState, latches, roots, allow, report)
+			finishShutdownPath(cg, allFuncs, spawns, joiners, latchState, latches, roots, report)
 		},
 	}
 }
@@ -408,7 +408,7 @@ func containsNode(root ast.Node, target ast.Node) bool {
 	return found
 }
 
-func finishShutdownPath(cg *callGraph, allFuncs map[string]bool, spawns []*spawn, joiners map[string]map[string]bool, latchState map[string]*latchInfo, latches, roots map[string]bool, allow *Allowlist, report func(Diagnostic)) {
+func finishShutdownPath(cg *callGraph, allFuncs map[string]bool, spawns []*spawn, joiners map[string]map[string]bool, latchState map[string]*latchInfo, latches, roots map[string]bool, report func(Diagnostic)) {
 	// Functions reachable from any shutdown root, over the
 	// devirtualized call graph. Roots come from the full function set,
 	// not cg.edges: a leaf Close with no outgoing calls is still a root.
@@ -436,9 +436,6 @@ func finishShutdownPath(cg *callGraph, allFuncs map[string]bool, spawns []*spawn
 	}
 
 	for _, s := range spawns {
-		if allow.Allowed("shutdownpath", s.fn) {
-			continue
-		}
 		switch {
 		case s.none:
 			report(Diagnostic{Pos: s.pos, Fn: s.fn, Message: fmt.Sprintf(
@@ -468,9 +465,6 @@ func finishShutdownPath(cg *callGraph, allFuncs map[string]bool, spawns []*spawn
 			continue // latch not closed in analyzed packages: nothing to prove
 		}
 		for i, pos := range li.nonIdem {
-			if allow.Allowed("shutdownpath", li.nonIdemFns[i]) {
-				continue
-			}
 			report(Diagnostic{Pos: pos, Fn: li.nonIdemFns[i], Message: fmt.Sprintf(
 				"close of latch %s in %s is not idempotent; guard it with a ready-poll select or sync.Once so shutdown and completion can race safely",
 				class, li.nonIdemFns[i])})

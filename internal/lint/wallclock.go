@@ -1,24 +1,19 @@
 package lint
 
-import (
-	"go/ast"
-)
+import "go/ast"
 
 // WallclockConfig scopes the wallclock analyzer.
 type WallclockConfig struct {
 	// Packages are the import paths where direct wall-clock reads are
 	// banned (they must run on the universe clock).
 	Packages []string
-	// Banned are the call targets (FuncString spelling) that read or
-	// wait on the wall clock. Empty means the package time's readers,
-	// sleepers and timers.
-	Banned []string
 }
 
-var defaultWallclockBanned = []string{
-	"time.Now", "time.Since", "time.Until", "time.Sleep",
-	"time.After", "time.Tick", "time.NewTimer", "time.NewTicker",
-	"time.AfterFunc",
+// wallclockBanned are package time's readers, sleepers and timers.
+var wallclockBanned = map[string]bool{
+	"time.Now": true, "time.Since": true, "time.Until": true, "time.Sleep": true,
+	"time.After": true, "time.Tick": true, "time.NewTimer": true, "time.NewTicker": true,
+	"time.AfterFunc": true,
 }
 
 // NewWallclock returns the wallclock analyzer: inside the configured
@@ -33,19 +28,8 @@ var defaultWallclockBanned = []string{
 //
 // This is the bug class PR 3 fixed by hand: recovery durations read
 // time.Now under a VirtualClock and reported nonsense.
-func NewWallclock(cfg WallclockConfig, allow *Allowlist) *Analyzer {
-	banned := map[string]bool{}
-	names := cfg.Banned
-	if len(names) == 0 {
-		names = defaultWallclockBanned
-	}
-	for _, n := range names {
-		banned[n] = true
-	}
-	pkgs := map[string]bool{}
-	for _, p := range cfg.Packages {
-		pkgs[p] = true
-	}
+func NewWallclock(cfg WallclockConfig) *Analyzer {
+	pkgs := toSet(cfg.Packages, nil)
 	return &Analyzer{
 		Name: "wallclock",
 		Doc:  "ban direct wall-clock reads outside the clock abstraction in simulation-clocked packages",
@@ -54,15 +38,12 @@ func NewWallclock(cfg WallclockConfig, allow *Allowlist) *Analyzer {
 				return nil
 			}
 			WalkFuncs(pass, func(decl *ast.FuncDecl, fname string) {
-				if allow.Allowed("wallclock", fname) {
-					return
-				}
 				ast.Inspect(decl, func(n ast.Node) bool {
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
 						return true
 					}
-					if callee := CalleeString(pass.Info, call); banned[callee] {
+					if callee := CalleeString(pass.Info, call); wallclockBanned[callee] {
 						pass.ReportfFn(call.Pos(), fname,
 							"%s reads the wall clock in %s; use the universe clock (disk.Clock) for model time and obs.Stopwatch for host-side instrumentation, or allowlist %s in phoenix-lint.allow if this wall read is deliberate",
 							callee, fname, fname)
