@@ -71,16 +71,17 @@ stress:
 	go test -race -count=2 -run 'GroupCommit' ./internal/wal/ ./internal/core/
 
 # Recovery stress under the race detector, repeated: the one
-# equivalence table (mode × workers × shards × clean crash, injected
-# crashes, a log resharded 1 → 4, adaptive promotion boundary — on-demand
-# replays racing the background workers), the nested-demand hang
-# regression, the walked-chains-against-brute-force property and the
-# walk's fail-stop, the flat-as-the-log-grows counts, the first-touch /
-# crash-mid-drain / RecoverContext suites, the wal cursor and
-# positioned-read tests (the reader's edge-case table with its Hold
-# rows; cursors racing an appender and TrimHead), the tail check that
-# scans, appends and End race to run on a reopened log, the dump that
-# reads a log once, and the bookstore seller through the facade.
+# equivalence table (mode × shards × clean crash, injected crashes, a
+# log resharded 1 → 4, adaptive promotion boundary — on-demand replays
+# racing the background worker), the nested-demand hang regression,
+# the walked-chains-against-brute-force property and the walk's
+# fail-stop, the flat-as-the-log-grows counts, the first-touch /
+# touch-not-queued-behind-the-drain / crash-mid-drain / RecoverContext
+# suites, the wal cursor and positioned-read tests (the reader's
+# edge-case table with its Hold rows; cursors racing an appender and
+# TrimHead), the tail check that scans, appends and End race to run on
+# a reopened log, the dump that reads a log once, and the bookstore
+# seller through the facade.
 recovery-stress:
 	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|TestChain|RecordsScanned|LogReads|TestRestart|Lazy|ScanFrom|ReadAt|Reader|TailCheck|DumpLogReads' ./internal/core/ ./internal/wal/
 	go test -race -count=2 -run 'SellerRecoveryEquivalence' ./internal/bookstore/
@@ -150,7 +151,7 @@ profile-call:
 # The census a restart change starts from, profile-call's sibling: the
 # benchmark's restart-mem image (64 contexts, 6,000 calls, checkpoint at
 # 3,000) built once on the memory-backed file system and restarted
-# eagerly by one worker 300 times, as `pprof -top` (putting the pristine image back is
+# eagerly 300 times, as `pprof -top` (putting the pristine image back is
 # outside the benchmark's timer but inside the profile, under copyTree),
 # then one restart each way for the RecoveryStats line: device reads
 # (by phase: Pass 1 — the log's tail check too, the open reads nothing —
@@ -161,9 +162,9 @@ RESTART_DIR ?= /tmp/phoenix-profile-restart
 RESTART_BENCH = TMPDIR=/dev/shm go test -run '^$$' -o $(RESTART_DIR)/restart.test
 profile-restart:
 	@mkdir -p $(RESTART_DIR)
-	$(RESTART_BENCH) -bench 'BenchmarkTable7_RestartImage$$/eager/workers=1$$' -benchmem -benchtime 300x -cpuprofile $(RESTART_DIR)/cpu.prof .
+	$(RESTART_BENCH) -bench 'BenchmarkTable7_RestartImage$$/eager$$' -benchmem -benchtime 300x -cpuprofile $(RESTART_DIR)/cpu.prof .
 	go tool pprof -top -nodecount 40 $(RESTART_DIR)/restart.test $(RESTART_DIR)/cpu.prof
-	$(RESTART_BENCH) -bench 'BenchmarkTable7_RestartImage$$/./workers=1$$' -benchtime 1x . | grep -E 'restart of a|^Benchmark'
+	$(RESTART_BENCH) -bench 'BenchmarkTable7_RestartImage$$' -benchtime 1x . | grep -E 'restart of a|^Benchmark'
 
 # Non-test lines of Go per package (ROADMAP aim 2: net non-test LoC is
 # a tracked number). Lint fixtures under testdata/ are not product code.
@@ -179,8 +180,10 @@ profile-restart:
 # End runs — raised it by 22 to 24,867: Cursor.Next settles the end.
 # phoenix-lint running one way — no go vet mode, no on-disk go list
 # cache, the allowlist applied by the runner in one pass — lowered it
-# to 24,368.)
-LOC_MAX = 24368
+# to 24,368. One replay worker — no worker pool, slot semaphore,
+# hotness order or Recovery.Parallelism, and no semaphore support in
+# the lock walker — lowered it to 24,256.)
+LOC_MAX = 24256
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

@@ -390,8 +390,7 @@ func BenchmarkTable7_Recovery(b *testing.B) {
 // workload — 64 Counter contexts serving 6,000 Add(1) calls spread by a
 // seeded generator, the even contexts' state saved and a process
 // checkpoint taken at call 3,000, then a crash — restarted eagerly and
-// lazily by 1, 2 and 4 replay workers (Config.Recovery.Parallelism).
-// One op is one restart up to the drained backlog; putting the
+// lazily. One op is one restart up to the drained backlog; putting the
 // pristine image back is outside the timer. The RecoveryStats of the
 // last restart are logged: the counts repeat exactly.
 func BenchmarkTable7_RestartImage(b *testing.B) {
@@ -441,16 +440,10 @@ func BenchmarkTable7_RestartImage(b *testing.B) {
 	p.Crash()
 	u.Shutdown()
 
-	var cells []phoenix.RecoveryConfig
 	for _, mode := range []phoenix.RecoveryMode{phoenix.RecoveryEager, phoenix.RecoveryLazy} {
-		for _, workers := range []int{1, 2, 4} {
-			cells = append(cells, phoenix.RecoveryConfig{Mode: mode, Parallelism: workers})
-		}
-	}
-	for _, rc := range cells {
-		b.Run(fmt.Sprintf("%v/workers=%d", rc.Mode, rc.Parallelism), func(b *testing.B) {
+		b.Run(mode.String(), func(b *testing.B) {
 			cfg := cfg
-			cfg.Recovery = rc
+			cfg.Recovery = phoenix.RecoveryConfig{Mode: mode}
 			live := filepath.Join(b.TempDir(), "live")
 			var stats phoenix.RecoveryStats
 			var touchReads int64
@@ -497,7 +490,7 @@ func BenchmarkTable7_RestartImage(b *testing.B) {
 				u.Shutdown()
 			}
 			b.Logf("%v restart of a %d-byte log: %d device reads (Pass 1 %d, walk %d, replay %d), %d bytes read (%.2fx the log), %d records scanned, %d calls replayed, %d sends suppressed; replaying one context from its creation by itself, as a first touch does: %d device reads",
-				rc.Mode, logBytes, stats.LogReads, stats.LogReadsPass1, stats.LogReadsWalk, stats.LogReadsReplay,
+				mode, logBytes, stats.LogReads, stats.LogReadsPass1, stats.LogReadsWalk, stats.LogReadsReplay,
 				stats.LogBytesRead, float64(stats.LogBytesRead)/float64(logBytes),
 				stats.RecordsScanned, stats.CallsReplayed, stats.CallsSuppressed, touchReads)
 		})

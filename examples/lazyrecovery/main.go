@@ -78,7 +78,7 @@ func main() {
 		}
 		cfg := phoenix.Config{
 			LogMode:  phoenix.LogOptimized,
-			Recovery: phoenix.RecoveryConfig{Mode: mode, Parallelism: 2},
+			Recovery: phoenix.RecoveryConfig{Mode: mode},
 		}
 		runWorkload(u, m, cfg)
 

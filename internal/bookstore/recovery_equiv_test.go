@@ -15,9 +15,9 @@ import (
 // against the paper's own application, through the public facade: a
 // bookstore seller process hosting one BookSeller plus a
 // basket-manager context per buyer, crashed mid-shopping and recovered
-// from the same log eagerly and lazily with 1 and 4 replay workers.
-// Every cell must reproduce identical baskets and identical replay
-// accounting, and the EventRecoveryDone event must carry the same
+// from the same log eagerly and lazily. Both runs must reproduce
+// identical baskets and identical replay accounting, and the
+// EventRecoveryDone event must carry the same
 // RecoveryStats that Process.LastRecovery returns. (The wider table —
 // shard layouts, injected crashes, last-call tables — is core's
 // TestRecoveryEquivalence.)
@@ -53,7 +53,7 @@ func TestSellerRecoveryEquivalence(t *testing.T) {
 		baskets map[string][]BasketItem
 		stats   phoenix.RecoveryStats
 	}
-	recoverAt := func(mode phoenix.RecoveryMode, par int) outcome {
+	recoverAt := func(mode phoenix.RecoveryMode) outcome {
 		t.Helper()
 		dst := t.TempDir()
 		cloneDir(t, dir, dst)
@@ -67,7 +67,7 @@ func TestSellerRecoveryEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := LevelOptimizedLogging.Config()
-		cfg.Recovery = phoenix.RecoveryConfig{Mode: mode, Parallelism: par}
+		cfg.Recovery = phoenix.RecoveryConfig{Mode: mode}
 		var (
 			mu   sync.Mutex
 			done *phoenix.Event
@@ -82,22 +82,22 @@ func TestSellerRecoveryEquivalence(t *testing.T) {
 		}
 		p2, err := m2.StartProcess("seller", cfg)
 		if err != nil {
-			t.Fatalf("%v/%d: restart seller: %v", mode, par, err)
+			t.Fatalf("%v: restart seller: %v", mode, err)
 		}
 		if err := p2.DrainRecovery(); err != nil {
-			t.Fatalf("%v/%d: drain: %v", mode, par, err)
+			t.Fatalf("%v: drain: %v", mode, err)
 		}
 		stats, ok := p2.LastRecovery()
 		if !ok {
-			t.Fatalf("%v/%d: LastRecovery reported no run", mode, par)
+			t.Fatalf("%v: LastRecovery reported no run", mode)
 		}
 		mu.Lock()
 		if done == nil || done.Recovery == nil {
-			t.Fatalf("%v/%d: EventRecoveryDone missing Recovery stats", mode, par)
+			t.Fatalf("%v: EventRecoveryDone missing Recovery stats", mode)
 		}
 		if *done.Recovery != stats {
-			t.Errorf("%v/%d: event stats %+v != LastRecovery %+v",
-				mode, par, *done.Recovery, stats)
+			t.Errorf("%v: event stats %+v != LastRecovery %+v",
+				mode, *done.Recovery, stats)
 		}
 		mu.Unlock()
 
@@ -106,14 +106,14 @@ func TestSellerRecoveryEquivalence(t *testing.T) {
 		for _, b := range buyers {
 			res, err := ref.Call("ShowBasket", b)
 			if err != nil {
-				t.Fatalf("%v/%d: ShowBasket %s: %v", mode, par, b, err)
+				t.Fatalf("%v: ShowBasket %s: %v", mode, b, err)
 			}
 			out.baskets[b] = res[0].([]BasketItem)
 		}
 		return out
 	}
 
-	base := recoverAt(phoenix.RecoveryEager, 1)
+	base := recoverAt(phoenix.RecoveryEager)
 	if base.stats.CallsReplayed == 0 {
 		t.Error("seller recovery replayed no calls; workload too small")
 	}
@@ -122,28 +122,17 @@ func TestSellerRecoveryEquivalence(t *testing.T) {
 			t.Errorf("baseline recovery: %s basket has %d items, want 3", b, len(base.baskets[b]))
 		}
 	}
-	for _, cell := range []struct {
-		mode phoenix.RecoveryMode
-		par  int
-	}{{phoenix.RecoveryEager, 4}, {phoenix.RecoveryLazy, 1}, {phoenix.RecoveryLazy, 4}} {
-		got := recoverAt(cell.mode, cell.par)
-		for _, b := range buyers {
-			if fmt.Sprint(got.baskets[b]) != fmt.Sprint(base.baskets[b]) {
-				t.Errorf("%v/%d: %s basket %v, baseline recovered %v",
-					cell.mode, cell.par, b, got.baskets[b], base.baskets[b])
-			}
+	got := recoverAt(phoenix.RecoveryLazy)
+	for _, b := range buyers {
+		if fmt.Sprint(got.baskets[b]) != fmt.Sprint(base.baskets[b]) {
+			t.Errorf("lazy: %s basket %v, eager recovered %v", b, got.baskets[b], base.baskets[b])
 		}
-		if got.stats.CallsReplayed != base.stats.CallsReplayed ||
-			got.stats.CallsSuppressed != base.stats.CallsSuppressed ||
-			got.stats.RecordsScanned != base.stats.RecordsScanned ||
-			got.stats.ContextsRestored != base.stats.ContextsRestored {
-			t.Errorf("%v/%d: stats %+v diverge from baseline %+v",
-				cell.mode, cell.par, got.stats, base.stats)
-		}
-		if got.stats.WorkersUsed < 1 || got.stats.WorkersUsed > cell.par {
-			t.Errorf("%v/%d: WorkersUsed = %d, want 1..%d",
-				cell.mode, cell.par, got.stats.WorkersUsed, cell.par)
-		}
+	}
+	if got.stats.CallsReplayed != base.stats.CallsReplayed ||
+		got.stats.CallsSuppressed != base.stats.CallsSuppressed ||
+		got.stats.RecordsScanned != base.stats.RecordsScanned ||
+		got.stats.ContextsRestored != base.stats.ContextsRestored {
+		t.Errorf("lazy: stats %+v diverge from eager %+v", got.stats, base.stats)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // oscillating workloads), every transition is durable before it takes
 // effect, the read-only guard demotes mid-call before a mutated reply
 // externalizes, and recovery of a log whose discipline changed mid-run
-// is equivalent across eager/lazy modes and parallelism levels. Run
+// is equivalent across eager/lazy modes and shard layouts. Run
 // under -race via `make adaptive-stress`: promotions race with serving
 // calls from multiple client goroutines elsewhere in the suite.
 
@@ -452,8 +452,7 @@ func adaptiveChain(t *testing.T, dir string, cfg Config) (*Universe, *disk.Virtu
 // (PointAdaptiveAfterChangeLogged), and well after the promotion took
 // effect. They join the recovery equivalence table
 // (TestRecoveryEquivalence): each crashed one-shard log is
-// restarted on 1- and 4-shard layouts under every mode and worker
-// count, and every cell must agree on component state, the last-call
+// restarted on 1- and 4-shard layouts under every mode, and every cell must agree on component state, the last-call
 // table, and the promoted assignment set — which must be exactly what
 // the durable log said at the crash point.
 func adaptiveBoundaryScenarios() []equivScenario {

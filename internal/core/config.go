@@ -61,9 +61,10 @@ const (
 	// RecoveryLazy opens the process for traffic as soon as Pass 1 has
 	// rebuilt the context tables and restart LSNs. A call arriving at
 	// an unreplayed context triggers on-demand replay of just that
-	// context's backlog (blocking only that call; concurrent arrivals
-	// wait on the same replay), while the background workers drain the
-	// remaining contexts in traffic-hotness order.
+	// context's backlog on that call's goroutine (blocking only that
+	// call; concurrent arrivals wait on the same replay), while the
+	// background worker drains the remaining contexts in restart-LSN
+	// order.
 	RecoveryLazy
 )
 
@@ -86,19 +87,16 @@ func (m RecoveryMode) String() string {
 // per context: whoever replays one walks its chain off the log and
 // re-executes it oldest first — contexts are single-threaded and
 // independent by construction (Section 4.4), so their replays need no
-// mutual ordering — and the two fields say how much of it runs at once
-// and who waits for it. The zero value is one background worker,
-// joined before the process serves its first call.
+// mutual ordering. One background worker takes the contexts in
+// restart-LSN order; a call that touches a context nobody has claimed
+// replays it on its own goroutine. The zero value joins the worker
+// before the process serves its first call.
 type Recovery struct {
 	// Mode schedules Pass 2: RecoveryEager (the zero value) replays
 	// everything before the process serves calls; RecoveryLazy admits
 	// traffic after Pass 1, and walks and replays each context's
-	// backlog on first touch or from the background workers.
+	// backlog on first touch or from the background worker.
 	Mode RecoveryMode
-	// Parallelism is the number of background replay workers and the
-	// bound on how many contexts replay their chains concurrently
-	// (workers and touching calls alike). 0 means 1.
-	Parallelism int
 }
 
 // LogMode selects the logging discipline for persistent components.
@@ -152,10 +150,10 @@ type Config struct {
 	// WAL shapes the log: shard count and per-shard group commit.
 	WAL WALConfig
 	// Recovery schedules crash recovery's Pass 2, per context: restore
-	// (Pass 1) leaves each context the head of its chain, and a bounded
-	// pool of workers — or the first call to touch it — walks the chain
-	// off the log and replays it. The zero value is one worker, joined
-	// before the process serves; raise it for many long-backlog contexts.
+	// (Pass 1) leaves each context the head of its chain, and the one
+	// background worker — or the first call to touch it — walks the
+	// chain off the log and replays it. The zero value joins the worker
+	// before the process serves.
 	Recovery Recovery
 	// Adaptive enables the runtime discipline controller: per-method
 	// promotion past the static discipline (Algorithm 1 → Algorithm 2,

@@ -35,11 +35,6 @@ type Context struct {
 	// Section 4.4).
 	ready chan struct{}
 
-	// arrivals counts calls that reached this context while it awaited
-	// lazy replay — the background drain's hotness signal (hottest
-	// pending context replays first).
-	arrivals atomic.Int64
-
 	// Execution state below is owned by the goroutine holding mu (or
 	// by the single recovery goroutine during replay).
 	lastOutSeq uint64

@@ -59,9 +59,9 @@ type RecoveryStats struct {
 	// LogBytesRead the bytes they returned (wal.Stats.ReadOps/ReadBytes
 	// when published), by phase: LogReadsPass1, the scan past the
 	// checkpoint (the log's tail check too) and the restart records;
-	// LogReadsWalk, the chain walks and the workers' holds of the backlog
+	// LogReadsWalk, the chain walks and the worker's hold of the backlog
 	// (wal.Reader.Hold); LogReadsReplay, the replays — none under a hold;
-	// a first touch, or a backlog a worker cannot hold, passes over a
+	// a first touch, or a backlog the worker cannot hold, passes over a
 	// chain's span twice, a block per miss.
 	LogReads, LogBytesRead                      int64
 	LogReadsPass1, LogReadsWalk, LogReadsReplay int64
@@ -69,9 +69,6 @@ type RecoveryStats struct {
 	// counts outgoing sends answered from the log during those replays.
 	CallsReplayed   int64
 	CallsSuppressed int64
-	// WorkersUsed is the number of background replay workers:
-	// min(max(1, Config.Recovery.Parallelism), contexts to replay).
-	WorkersUsed int
 	// Mode is the recovery mode this run executed under.
 	Mode RecoveryMode
 	// TimeToFirstCallNanos is the universe-clock time from recovery
@@ -82,7 +79,7 @@ type RecoveryStats struct {
 	TimeToFirstCallNanos int64
 	// ContextsOnDemand counts contexts whose backlog was replayed
 	// because a call touched them; ContextsBackground counts contexts
-	// replayed by the background workers. Eager runs report them too:
+	// replayed by the background worker. Eager runs report them too:
 	// there a touch is a resumed tail call reaching a same-process
 	// context (or a client racing the restart), the rest is background.
 	ContextsOnDemand   int
@@ -311,7 +308,7 @@ func (p *Process) restore() (*restorePlan, error) {
 // drain, so the process
 // is fully caught up — or has failed to start — when admit returns;
 // lazy returns at once and lets first touches and the background
-// workers replay around live traffic. A nil plan (nothing restored) is
+// worker replay around live traffic. A nil plan (nothing restored) is
 // a no-op.
 func (p *Process) admit(plan *restorePlan) error {
 	if plan == nil {

@@ -198,7 +198,7 @@ func TestChainsEqualBruteForce(t *testing.T) {
 				// And the image recovers: the dropped context's filed
 				// records and the late context's missing mark trip nothing.
 				img.counters = []string{"C0", "Late"}
-				recoverImage(t, img, RecoveryLazy, 2)
+				recoverImage(t, img, RecoveryLazy)
 			})
 		}
 	}

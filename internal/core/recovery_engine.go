@@ -16,12 +16,12 @@ import (
 // every recovery mode. After Pass 1 has rebuilt the context tables and
 // found each context's chain head, every restored context keeps its
 // ready latch shut until its own chain has been walked and replayed.
-// Background workers — min(max(1, Parallelism), contexts) of them —
-// claim contexts hottest-first; a call that touches an unclaimed
-// context claims it and replays it on its own goroutine (concurrent
-// arrivals wait on the same latch). Eager mode joins the engine before
-// the process opens, lazy mode returns after arming it; nothing else
-// differs.
+// One background worker claims the contexts in restart-LSN order; a
+// call that touches an unclaimed context claims it and replays it on
+// its own goroutine (concurrent arrivals wait on the same latch), so a
+// first touch never queues behind the worker's current replay. Eager
+// mode joins the engine before the process opens, lazy mode returns
+// after arming it; nothing else differs.
 //
 // A context runs its own tail call and readies itself, with no order
 // imposed between contexts. That is safe because the serve path's
@@ -51,12 +51,6 @@ type replayEngine struct {
 	p    *Process
 	plan *restorePlan
 
-	// slots is the semaphore bounding concurrent chain walks (on-demand
-	// and background alike). Tail replays run slot-free: a resumed tail
-	// may demand another context's replay, and must find a slot
-	// available rather than a starvation deadlock.
-	slots chan struct{}
-
 	admitStart time.Time // universe clock, admission point
 	admitWall  time.Time // wall clock, for the recovery.* histograms
 
@@ -76,7 +70,7 @@ type replayEngine struct {
 	owned map[ids.CompID]bool
 
 	// backlogLo and backlogHi bound all pending chains together, lowest
-	// restart LSN to highest head (lo > hi: none): what a worker asks
+	// restart LSN to highest head (lo > hi: none): what the worker asks
 	// its reader to hold, so interleaved chains share one device read.
 	backlogLo, backlogHi ids.LSN
 
@@ -84,30 +78,26 @@ type replayEngine struct {
 	// zero means no mutex needs taking.
 	failures atomic.Int32
 
-	stopCh    chan struct{} // closed by stop (crash/close mid-drain)
 	done      chan struct{} // closed when the drain finishes or stops
 	closeOnce sync.Once
 
-	// workers counts the background goroutines. join waits for them
-	// after done closes; stop() must NOT — a crash raised from inside a
+	// worker tracks the background goroutine. join waits for it after
+	// done closes; stop() must NOT — a crash raised from inside the
 	// worker would then self-deadlock.
-	workers sync.WaitGroup
+	worker sync.WaitGroup
 }
 
 // startEngine arms the engine over the plan's unready contexts and
-// starts the background workers. From here on the serve path admits
+// starts the background worker. From here on the serve path admits
 // calls, replaying a context on first touch.
 func (p *Process) startEngine(plan *restorePlan, admitStart, admitWall time.Time) *replayEngine {
-	slots := max(1, p.cfg.Recovery.Parallelism)
 	e := &replayEngine{
 		p:          p,
 		plan:       plan,
-		slots:      make(chan struct{}, slots),
 		admitStart: admitStart,
 		admitWall:  admitWall,
 		pending:    make(map[ids.CompID]*pendingCtx),
 		owned:      make(map[ids.CompID]bool),
-		stopCh:     make(chan struct{}),
 		done:       make(chan struct{}),
 		backlogLo:  ^ids.LSN(0),
 	}
@@ -126,36 +116,30 @@ func (p *Process) startEngine(plan *restorePlan, admitStart, admitWall time.Time
 		}
 	}
 	e.remaining = len(e.pending)
-	workers := min(slots, e.remaining)
-	plan.stats.WorkersUsed = workers
+	idle := e.remaining == 0
 	p.recovered = true
 	// Publishing the engine opens it to touching calls: from here on
 	// its counters belong to e.mu.
 	p.engine.Store(e)
-	if workers == 0 {
+	if idle {
 		e.finalize()
 		return e
 	}
-	p.obs.RecoveryPass2Workers.Observe(int64(workers))
-	e.workers.Add(workers)
-	for i := 0; i < workers; i++ {
-		go e.work()
-	}
+	e.worker.Add(1)
+	go e.work()
 	return e
 }
 
 // demand is the serve path's admission hook, called before the ready
-// gate: it bumps the context's traffic counter (the workers' hotness
-// signal) and, if the context is still unclaimed, replays its chain on
-// this call's goroutine. Losing the claim race just means someone else
-// is replaying; the caller falls through to the ready latch.
+// gate: if the context is still unclaimed, it replays its chain on this
+// call's goroutine. Losing the claim race just means someone else is
+// replaying; the caller falls through to the ready latch.
 func (e *replayEngine) demand(cx *Context, call *msg.Call) {
 	select {
 	case <-cx.ready:
 		return
 	default:
 	}
-	cx.arrivals.Add(1)
 	ent := e.claim(cx.parent.id)
 	if ent == nil {
 		return
@@ -198,35 +182,12 @@ func (e *replayEngine) claim(id ids.CompID) *pendingCtx {
 	return ent
 }
 
-// claimHottest picks the pending context with the most observed
-// arrivals (ties broken by lowest restart LSN, so the order is
-// deterministic under equal traffic) and claims it.
-func (e *replayEngine) claimHottest() *pendingCtx {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.stopped {
-		return nil
-	}
-	var best *pendingCtx
-	var bestHot int64
-	for _, ent := range e.pending {
-		hot := ent.cx.arrivals.Load()
-		if best == nil || hot > bestHot || (hot == bestHot && ent.restart < best.restart) {
-			best, bestHot = ent, hot
-		}
-	}
-	if best != nil {
-		delete(e.pending, best.cx.parent.id)
-	}
-	return best
-}
-
-// work is one background worker: it drains the pending set, re-reading
-// the hotness counters before each pick so traffic arriving mid-drain
-// reorders what is left. Its log reader serves every chain it walks: out
-// of the whole backlog, read once, when it can hold that, else by the block.
+// work is the background worker: it walks the restored contexts in
+// restart-LSN order and replays each one no call has claimed first. Its
+// log reader serves every chain it walks: out of the whole backlog, read
+// once, when it can hold that, else by the block.
 func (e *replayEngine) work() {
-	defer e.workers.Done()
+	defer e.worker.Done()
 	rd := e.p.log.NewReader()
 	defer func() {
 		if r := recover(); r != nil {
@@ -236,60 +197,49 @@ func (e *replayEngine) work() {
 			panic(r)
 		}
 	}()
-	for !e.p.crashed.Load() {
-		ent := e.claimHottest()
-		if ent == nil {
+	for _, cx := range e.plan.restored {
+		if e.p.crashed.Load() {
 			return
 		}
-		_ = e.replayOne(ent, false, trace.Ref{}, nil, rd)
+		if ent := e.claim(cx.parent.id); ent != nil {
+			_ = e.replayOne(ent, false, trace.Ref{}, nil, rd)
+		}
 	}
 }
 
-// replayOne replays a claimed context: under a worker slot the chain
-// is walked, newest record to restart LSN, and replayed, oldest first,
-// both through the caller's rd; then the tail call runs slot-free (it
-// may resume live execution and demand further contexts). It records
-// the per-context latency, drops
-// a demand-replay span into the flight recorder — under the triggering
-// call's trace when there is one, else under the recovery run's own —
-// and marks the context ready whatever happened, so waiters unblock
-// and find the failure, or the crash that unwound through here.
+// replayOne replays a claimed context: the chain is walked, newest
+// record to restart LSN, and replayed, oldest first, both through the
+// caller's rd; then the tail call runs (it may resume live execution
+// and demand further contexts). It records the per-context latency,
+// drops a demand-replay span into the flight recorder (under the
+// triggering call's trace, else the recovery run's), and marks the
+// context ready whatever happened, so waiters unblock and find the
+// failure, or the crash that unwound through here.
 func (e *replayEngine) replayOne(ent *pendingCtx, onDemand bool, tref trace.Ref, method *string, rd *wal.Reader) error {
 	p := e.p
 	clock := p.u.cfg.Clock
 	start := clock.Now()
 	tstart := p.tr.Now()
 	defer ent.cx.markReady()
-	var err error
-	ran := false
 	var cost replayCost
-	select {
-	case e.slots <- struct{}{}:
-		ran = true
-		var chain []ids.LSN
-		var tail ctxTail
-		before := rd.Reads()
-		if !onDemand && before == 0 {
-			rd.Hold(e.backlogLo, e.backlogHi) // a worker's first context: the whole backlog, once
-		}
-		chain, err = walkChain(rd, ent.cx.parent.id, ent.head, ent.restart)
-		cost.walkReads = rd.Reads() - before
-		if err == nil {
-			tail, err = p.replayContext(ent.cx, chain, rd)
-		}
-		cost.records, cost.replayReads = 2*int64(len(chain)), rd.Reads()-before-cost.walkReads
-		<-e.slots
-		if err == nil {
-			err = p.replayTail(ent.cx, tail)
-		}
-	case <-e.stopCh:
-		// Stopping: fall through to markReady so waiters reach
-		// checkAlive and unwind instead of hanging on the latch.
+	var tail ctxTail
+	before := rd.Reads()
+	if !onDemand && before == 0 {
+		rd.Hold(e.backlogLo, e.backlogHi) // the worker's first context: the whole backlog, once
+	}
+	chain, err := walkChain(rd, ent.cx.parent.id, ent.head, ent.restart)
+	cost.walkReads = rd.Reads() - before
+	if err == nil {
+		tail, err = p.replayContext(ent.cx, chain, rd)
+	}
+	cost.records, cost.replayReads = 2*int64(len(chain)), rd.Reads()-before-cost.walkReads
+	if err == nil {
+		err = p.replayTail(ent.cx, tail)
 	}
 	if err != nil && p.crashed.Load() {
 		err = nil // the log closed under us: the crash's doing, not a replay failure
 	}
-	if p.tr != nil && ran {
+	if p.tr != nil {
 		parent := tref
 		if parent.IsZero() {
 			parent = e.plan.recRun
@@ -307,7 +257,7 @@ func (e *replayEngine) replayOne(ent *pendingCtx, onDemand bool, tref trace.Ref,
 			})
 		}
 	}
-	e.finishOne(ent, onDemand, ran, cost, clock.Now().Sub(start), err)
+	e.finishOne(ent, onDemand, cost, clock.Now().Sub(start), err)
 	return err
 }
 
@@ -316,23 +266,21 @@ type replayCost struct{ records, walkReads, replayReads int64 }
 
 // finishOne folds one finished replay into the run's accounting and
 // triggers finalization when it was the last.
-func (e *replayEngine) finishOne(ent *pendingCtx, onDemand, ran bool, cost replayCost, d time.Duration, err error) {
+func (e *replayEngine) finishOne(ent *pendingCtx, onDemand bool, cost replayCost, d time.Duration, err error) {
 	p := e.p
 	e.mu.Lock()
 	e.remaining--
 	last := e.remaining == 0
-	if ran {
-		e.plan.stats.RecordsScanned += cost.records
-		e.plan.stats.LogReadsWalk += cost.walkReads
-		e.plan.stats.LogReadsReplay += cost.replayReads
-		if onDemand {
-			e.onDemand++
-		} else {
-			e.background++
-		}
-		e.replayTotal += d
-		e.replayMax = max(e.replayMax, d)
+	e.plan.stats.RecordsScanned += cost.records
+	e.plan.stats.LogReadsWalk += cost.walkReads
+	e.plan.stats.LogReadsReplay += cost.replayReads
+	if onDemand {
+		e.onDemand++
+	} else {
+		e.background++
 	}
+	e.replayTotal += d
+	e.replayMax = max(e.replayMax, d)
 	if err != nil {
 		if e.failed == nil {
 			e.failed = make(map[ids.CompID]error)
@@ -344,14 +292,12 @@ func (e *replayEngine) finishOne(ent *pendingCtx, onDemand, ran bool, cost repla
 		e.failures.Add(1)
 	}
 	e.mu.Unlock()
-	if ran {
-		if onDemand {
-			p.obs.RecoveryLazyOnDemand.Inc()
-		} else {
-			p.obs.RecoveryLazyBackground.Inc()
-		}
-		p.obs.RecoveryLazyCtxReplayMicros.Observe(d.Microseconds())
+	if onDemand {
+		p.obs.RecoveryLazyOnDemand.Inc()
+	} else {
+		p.obs.RecoveryLazyBackground.Inc()
 	}
+	p.obs.RecoveryLazyCtxReplayMicros.Observe(d.Microseconds())
 	if last {
 		e.finalize()
 	}
@@ -418,7 +364,7 @@ func (e *replayEngine) finalize() {
 // process crashed mid-drain) and returns the first replay failure.
 func (e *replayEngine) join() error {
 	<-e.done
-	e.workers.Wait()
+	e.worker.Wait()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.firstErr
@@ -426,8 +372,8 @@ func (e *replayEngine) join() error {
 
 // stop tears the engine down when the process crashes or closes
 // mid-drain: unclaimed contexts get their latches opened (waiters
-// proceed into checkAlive and unwind as unavailability), in-flight
-// replays see stopCh, and joiners are released.
+// proceed into checkAlive and unwind as unavailability), nothing more
+// can be claimed, and joiners are released.
 func (e *replayEngine) stop() {
 	e.mu.Lock()
 	if e.stopped {
@@ -438,7 +384,6 @@ func (e *replayEngine) stop() {
 	pend := e.pending
 	e.pending = nil
 	e.mu.Unlock()
-	close(e.stopCh)
 	for _, ent := range pend {
 		ent.cx.markReady()
 	}

@@ -17,8 +17,7 @@ import (
 )
 
 // This file pins the recovery contract in one table: whatever the
-// mode (eager, lazy), the number of replay workers (1, 4) and the
-// shard layout (1, 4, 8), recovering the same crashed log must produce
+// mode (eager, lazy) and the shard layout (1, 4, 8), recovering the same crashed log must produce
 // identical component state, identical last-call tables and identical
 // replay and suppression counts — across a clean crash, crashes
 // injected inside a served call (where a tail replay runs off the end
@@ -26,7 +25,7 @@ import (
 // mid-life, and the adaptive controller's promotion boundary. Each
 // cell recovers its own copy of the crashed universe directory; lazy
 // cells take calls mid-drain. Run under -race: on-demand replays race
-// the background workers here by design.
+// the background worker here by design.
 
 // copyDir clones a universe directory so each recovery attempt starts
 // from the same crashed on-disk state.
@@ -61,7 +60,7 @@ type equivImage struct {
 	dir              string
 	counters, relays []string
 	// touch names the contexts a lazy restart calls (Add 0) while the
-	// drain is running: first-touch replays racing the workers. Add(0)
+	// drain is running: first-touch replays racing the worker. Add(0)
 	// leaves counter state unchanged and external calls leave no
 	// last-call entries, so the comparison still holds bit for bit.
 	touch []string
@@ -90,11 +89,11 @@ func sortLastCalls(s []lastCallSaved) {
 	})
 }
 
-// recoverImage clones the image and recovers it under the given mode
-// and worker count: restart, touch (lazy), drain, collect. The restart
+// recoverImage clones the image and recovers it under the given mode:
+// restart, touch (lazy), drain, collect. The restart
 // runs under a watchdog, so a replay that waits on a latch nobody will
 // open fails its cell in seconds instead of hanging the run.
-func recoverImage(t *testing.T, img equivImage, mode RecoveryMode, workers int) recoveryOutcome {
+func recoverImage(t *testing.T, img equivImage, mode RecoveryMode) recoveryOutcome {
 	t.Helper()
 	dst := t.TempDir()
 	copyDir(t, img.dir, dst)
@@ -108,7 +107,7 @@ func recoverImage(t *testing.T, img equivImage, mode RecoveryMode, workers int) 
 		t.Fatal(err)
 	}
 	cfg := img.cfg
-	cfg.Recovery = Recovery{Mode: mode, Parallelism: workers}
+	cfg.Recovery = Recovery{Mode: mode}
 
 	type started struct {
 		p   *Process
@@ -178,17 +177,14 @@ func recoverImage(t *testing.T, img equivImage, mode RecoveryMode, workers int) 
 
 // assertEngineStats checks what every run must report about itself,
 // whatever it is compared against.
-func assertEngineStats(t *testing.T, got recoveryOutcome, mode RecoveryMode, workers int) {
+func assertEngineStats(t *testing.T, got recoveryOutcome, mode RecoveryMode) {
 	t.Helper()
 	s := got.stats
 	if s.Mode != mode {
 		t.Errorf("stats.Mode = %v, want %v", s.Mode, mode)
 	}
-	if s.WorkersUsed < 1 || s.WorkersUsed > workers {
-		t.Errorf("WorkersUsed = %d, want 1..%d", s.WorkersUsed, workers)
-	}
 	// Every restored context was replayed exactly once, by a toucher or
-	// by a worker; which side won each race varies run to run.
+	// by the worker; which side won each race varies run to run.
 	if sum := s.ContextsOnDemand + s.ContextsBackground; sum != s.ContextsRestored {
 		t.Errorf("on-demand %d + background %d != restored %d",
 			s.ContextsOnDemand, s.ContextsBackground, s.ContextsRestored)
@@ -317,7 +313,7 @@ func equivScenarios() []equivScenario {
 		build: func(t *testing.T, shards int) equivImage {
 			dir, counters, relays := shardWorkload(t, shards)
 			assertSetOnDisk(t, filepath.Join(dir, "evo1", "srv.log"), shards)
-			// Late restart LSNs: the workers reach these last.
+			// Late restart LSNs: the worker reaches these last.
 			return equivImage{dir: dir, counters: counters, relays: relays,
 				touch: []string{"C5", "C4"}, cfg: testConfig()}
 		},
@@ -360,10 +356,11 @@ func equivScenarios() []equivScenario {
 }
 
 // TestRecoveryEquivalence is the table. The first cell of a scenario —
-// eager, one worker, the first shard count — is the baseline; the
+// eager, the first shard count — is the baseline; the
 // first cell of every further shard count is compared with it on what
 // was recovered, and every other cell with the first cell of its own
-// log on everything.
+// log on everything. A cell's name ends in "workers=1": a restart runs
+// one background worker, and the name keeps saying so.
 func TestRecoveryEquivalence(t *testing.T) {
 	for _, sc := range equivScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
@@ -372,24 +369,22 @@ func TestRecoveryEquivalence(t *testing.T) {
 				img := sc.build(t, shards)
 				var logBase *recoveryOutcome
 				for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
-					for _, workers := range []int{1, 4} {
-						t.Run(fmt.Sprintf("shards=%d/%v/workers=%d", shards, mode, workers), func(t *testing.T) {
-							got := recoverImage(t, img, mode, workers)
-							assertEngineStats(t, got, mode, workers)
-							switch {
-							case base == nil:
-								if sc.check != nil {
-									sc.check(t, got)
-								}
-								base, logBase = &got, &got
-							case logBase == nil:
-								assertEquivalent(t, *base, got, sc.sameLog)
-								logBase = &got
-							default:
-								assertEquivalent(t, *logBase, got, true)
+					t.Run(fmt.Sprintf("shards=%d/%v/workers=1", shards, mode), func(t *testing.T) {
+						got := recoverImage(t, img, mode)
+						assertEngineStats(t, got, mode)
+						switch {
+						case base == nil:
+							if sc.check != nil {
+								sc.check(t, got)
 							}
-						})
-					}
+							base, logBase = &got, &got
+						case logBase == nil:
+							assertEquivalent(t, *base, got, sc.sameLog)
+							logBase = &got
+						default:
+							assertEquivalent(t, *logBase, got, true)
+						}
+					})
 				}
 			}
 		})
@@ -432,26 +427,24 @@ func TestRecoveryCalleeCompleteTailBeforeCallerIncomplete(t *testing.T) {
 
 		var ref *recoveryOutcome
 		for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
-			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("shards=%d/%v/workers=%d", shards, mode, workers), func(t *testing.T) {
-					got := recoverImage(t, img, mode, workers)
-					if got.counters["C"] != 6 || got.relayCalls["R"] != 1 {
-						t.Errorf("recovered C = %d, R.Calls = %d; want 6 and 1",
-							got.counters["C"], got.relayCalls["R"])
-					}
-					// R's resumed call reached C exactly once: C's table
-					// holds R's call 1, and nothing else was a
-					// persistent caller.
-					if len(got.lastCalls) != 1 || got.lastCalls[0].Seq != 1 {
-						t.Errorf("last-call table = %+v, want R's call 1 only", got.lastCalls)
-					}
-					if ref == nil {
-						ref = &got
-					} else if !reflect.DeepEqual(got.lastCalls, ref.lastCalls) {
-						t.Errorf("last-call table = %+v, first cell recovered %+v", got.lastCalls, ref.lastCalls)
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("shards=%d/%v/workers=1", shards, mode), func(t *testing.T) {
+				got := recoverImage(t, img, mode)
+				if got.counters["C"] != 6 || got.relayCalls["R"] != 1 {
+					t.Errorf("recovered C = %d, R.Calls = %d; want 6 and 1",
+						got.counters["C"], got.relayCalls["R"])
+				}
+				// R's resumed call reached C exactly once: C's table
+				// holds R's call 1, and nothing else was a
+				// persistent caller.
+				if len(got.lastCalls) != 1 || got.lastCalls[0].Seq != 1 {
+					t.Errorf("last-call table = %+v, want R's call 1 only", got.lastCalls)
+				}
+				if ref == nil {
+					ref = &got
+				} else if !reflect.DeepEqual(got.lastCalls, ref.lastCalls) {
+					t.Errorf("last-call table = %+v, first cell recovered %+v", got.lastCalls, ref.lastCalls)
+				}
+			})
 		}
 	}
 }
@@ -552,8 +545,8 @@ func TestRecordsScannedGrowsWithBacklog(t *testing.T) {
 
 	// Lazy touches spread over the log: each is a first-touch replay.
 	img.touch = []string{"C63", "C31", "C7", "C48"}
-	eager := recoverImage(t, img, RecoveryEager, 1)
-	lazy := recoverImage(t, img, RecoveryLazy, 1)
+	eager := recoverImage(t, img, RecoveryEager)
+	lazy := recoverImage(t, img, RecoveryLazy)
 	assertEquivalent(t, eager, lazy, true)
 	if eager.stats.CallsReplayed != n*rounds {
 		t.Fatalf("replayed %d calls, want %d", eager.stats.CallsReplayed, n*rounds)
@@ -590,8 +583,8 @@ func TestLogReadsBoundedByBlocks(t *testing.T) {
 		if st.BytesWritten < 8*block {
 			t.Fatalf("image is %d bytes: too small to need several blocks", st.BytesWritten)
 		}
-		first := recoverImage(t, img, RecoveryEager, 1)
-		again := recoverImage(t, img, RecoveryEager, 1)
+		first := recoverImage(t, img, RecoveryEager)
+		again := recoverImage(t, img, RecoveryEager)
 		// The contexts that saved their state replay the second half.
 		if want := int64(n/2*rounds + n/2*(rounds-rounds/2)); first.stats.CallsReplayed != want {
 			t.Fatalf("replayed %d calls, want %d", first.stats.CallsReplayed, want)
@@ -664,8 +657,8 @@ func TestRestartFlatAsLogGrows(t *testing.T) {
 	for _, history := range []int{1, 700} {
 		img, st := counterImage(t, n, history+tail, history+1, 1)
 		c := cost{logBytes: st.BytesWritten}
-		c.eager = recoverImage(t, img, RecoveryEager, 1).stats
-		c.lazy = recoverImage(t, img, RecoveryLazy, 1).stats
+		c.eager = recoverImage(t, img, RecoveryEager).stats
+		c.lazy = recoverImage(t, img, RecoveryLazy).stats
 		if c.eager.CallsReplayed != n*tail {
 			t.Fatalf("history %d: replayed %d calls, want %d", history, c.eager.CallsReplayed, n*tail)
 		}
@@ -760,7 +753,7 @@ func TestRestartOverDamagedLog(t *testing.T) {
 	}
 
 	t.Run("past the watermark: truncated there, recovers", func(t *testing.T) {
-		got := recoverImage(t, damaged(last.LSN, int64(last.Size)-1), RecoveryEager, 1)
+		got := recoverImage(t, damaged(last.LSN, int64(last.Size)-1), RecoveryEager)
 		for _, name := range img.counters {
 			if got.counters[name] != rounds*(rounds+1)/2 {
 				t.Errorf("%s recovered to %d, want %d", name, got.counters[name], rounds*(rounds+1)/2)

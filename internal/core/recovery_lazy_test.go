@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -63,13 +66,13 @@ func TestLazyFirstTouchAndStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := testConfig()
 	cfg.Metrics = reg
-	cfg.Recovery = Recovery{Mode: RecoveryLazy, Parallelism: 1}
+	cfg.Recovery = Recovery{Mode: RecoveryLazy}
 	p2, err := m2.StartProcess("srv", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First touch: the hottest-first drain starts from the lowest
-	// restart LSN, so the last-created context goes on demand here.
+	// First touch: the worker drains in restart-LSN order, so the
+	// last-created context goes on demand here.
 	last := names[n-1]
 	h, ok := p2.Lookup(last)
 	if !ok {
@@ -161,7 +164,7 @@ func TestLazyRecoverContextAPI(t *testing.T) {
 // nothing).
 func TestLazyCrashMidDrain(t *testing.T) {
 	dir, counters, relays := shardWorkload(t, 4)
-	base := recoverImage(t, equivImage{dir: dir, counters: counters, relays: relays, cfg: testConfig()}, RecoveryEager, 1)
+	base := recoverImage(t, equivImage{dir: dir, counters: counters, relays: relays, cfg: testConfig()}, RecoveryEager)
 
 	dst := t.TempDir()
 	copyDir(t, dir, dst)
@@ -174,7 +177,7 @@ func TestLazyCrashMidDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	cfg.Recovery = Recovery{Mode: RecoveryLazy, Parallelism: 2}
+	cfg.Recovery = Recovery{Mode: RecoveryLazy}
 	p, err := m.StartProcess("srv", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -204,4 +207,127 @@ func TestLazyCrashMidDrain(t *testing.T) {
 		}
 	}
 	u.Shutdown()
+}
+
+// Gate is a counter whose Add blocks while gateHold is armed: a test
+// arms it around a restart to hold the replaying goroutine inside one
+// context's replay.
+type Gate struct{ N int }
+
+// gateHooks is an armed gateHold: entered closes when an Add first
+// blocks, release lets every blocked Add go on.
+type gateHooks struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+var gateHold atomic.Pointer[gateHooks]
+
+func (g *Gate) Add(d int) (int, error) {
+	if h := gateHold.Load(); h != nil {
+		h.once.Do(func() { close(h.entered) })
+		<-h.release
+	}
+	g.N += d
+	return g.N, nil
+}
+
+// TestLazyTouchNotQueuedBehindDrain: a first touch replays its context
+// on its own goroutine at once, whatever the background worker is
+// replaying. G is created first, so it has the lowest restart LSN and
+// the worker takes it first; its replay blocks. A call to C must still
+// come back with C's replayed value while G's replay is held.
+func TestLazyTouchNotQueuedBehindDrain(t *testing.T) {
+	const rounds = 5
+	dir := t.TempDir()
+	u, err := NewUniverse(UniverseConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, p := startProc(t, u, "evo1", "srv", testConfig())
+	hg, err := p.Create("G", &Gate{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc, err := p.Create("C", &Counter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= rounds; round++ {
+		callInt(t, u.ExternalRef(hg.URI()), "Add", round)
+		callInt(t, u.ExternalRef(hc.URI()), "Add", round)
+	}
+	p.Crash()
+	u.Shutdown()
+
+	u2, err := NewUniverse(UniverseConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u2.Shutdown()
+	m2, err := u2.AddMachine("evo1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooks := &gateHooks{entered: make(chan struct{}), release: make(chan struct{})}
+	gateHold.Store(hooks)
+	var released sync.Once
+	release := func() {
+		released.Do(func() {
+			gateHold.Store(nil)
+			close(hooks.release)
+		})
+	}
+	defer release()
+	cfg := testConfig()
+	cfg.Recovery = Recovery{Mode: RecoveryLazy}
+	p2, err := m2.StartProcess("srv", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-hooks.entered:
+	case <-time.After(3 * time.Second):
+		t.Fatal("the worker never entered G's replay")
+	}
+
+	h, ok := p2.Lookup("C")
+	if !ok {
+		t.Fatal("C missing after Pass 1")
+	}
+	type result struct {
+		n   int
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := u2.ExternalRef(h.URI()).Call("Add", 0)
+		if err != nil {
+			done <- result{err: err}
+			return
+		}
+		done <- result{n: res[0].(int)}
+	}()
+	want := rounds * (rounds + 1) / 2
+	select {
+	case r := <-done:
+		if r.err != nil || r.n != want {
+			t.Fatalf("C.Add(0) during G's replay = %d, %v; want %d", r.n, r.err, want)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("a first touch of C waited 3 s behind the worker's replay of G")
+	}
+
+	release()
+	if err := p2.DrainRecovery(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	stats, ok := p2.LastRecovery()
+	if !ok {
+		t.Fatal("LastRecovery reported no run")
+	}
+	if stats.ContextsOnDemand != 1 || stats.ContextsBackground != 1 {
+		t.Errorf("on-demand %d, background %d; want C on demand and G in the background",
+			stats.ContextsOnDemand, stats.ContextsBackground)
+	}
 }

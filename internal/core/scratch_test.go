@@ -67,7 +67,7 @@ func TestScratchRecordsArePerContext(t *testing.T) {
 	cli.Crash()
 
 	cfg := testConfig()
-	cfg.Recovery = Recovery{Mode: RecoveryLazy, Parallelism: 1}
+	cfg.Recovery = Recovery{Mode: RecoveryLazy}
 	m, _ := u.Machine("evo1")
 	cli2, err := m.StartProcess("cli", cfg)
 	if err != nil {

@@ -196,7 +196,6 @@ func TestCrashCrossingTimeline(t *testing.T) {
 func TestRecoveryContextReplaySpans(t *testing.T) {
 	u, rec := newTracedUniverse(t)
 	cfg := testConfig()
-	cfg.Recovery = Recovery{Parallelism: 2}
 
 	_, pCli := startProc(t, u, "evo1", "cli", cfg)
 	mSrv, pSrv := startProc(t, u, "evo2", "srv", cfg)

@@ -51,7 +51,6 @@ func TestLockOrderFixture(t *testing.T) {
 		lint.NewLockOrder(lint.LockOrderConfig{
 			Packages: []string{p},
 			Order: []string{
-				p + ".slots",
 				p + ".A.mu",
 				p + ".B.mu",
 				p + ".C.mu",
@@ -59,8 +58,7 @@ func TestLockOrderFixture(t *testing.T) {
 				p + ".F.mu",
 				p + ".G.ready",
 			},
-			Semaphores: []string{p + ".slots"},
-			Latches:    []string{p + ".G.ready"},
+			Latches: []string{p + ".G.ready"},
 		}))
 }
 

@@ -18,10 +18,6 @@ type LockOrderConfig struct {
 	// Order is the declared hierarchy, outermost class first. Empty
 	// means the embedded lockorder.order file.
 	Order []string
-	// Semaphores are channel classes acquired by send and released by
-	// receive (worker-slot semaphores). Empty means the lazy-recovery
-	// slots channel.
-	Semaphores []string
 	// Latches are close-once readiness channels; a blocking receive
 	// counts as an acquisition for ordering (it can wait forever).
 	// Empty means the context-ready latch.
@@ -36,8 +32,7 @@ var (
 		"repro/internal/core",
 		"repro/internal/wal",
 	}
-	defaultLockOrderSemaphores = []string{"repro/internal/core.replayEngine.slots"}
-	defaultLockOrderLatches    = []string{"repro/internal/core.Context.ready"}
+	defaultLockOrderLatches = []string{"repro/internal/core.Context.ready"}
 )
 
 // ParseLockOrder parses a lockorder.order file: one lock class per
@@ -178,14 +173,7 @@ func NewLockOrderGraph(cfg LockOrderConfig) (*Analyzer, *LockGraph) {
 	if len(order) == 0 {
 		order = ParseLockOrder(defaultLockOrderSrc)
 	}
-	walkCfg := lockWalkConfig{semaphores: map[string]bool{}, latches: map[string]bool{}}
-	sems := cfg.Semaphores
-	if cfg.Semaphores == nil {
-		sems = defaultLockOrderSemaphores
-	}
-	for _, s := range sems {
-		walkCfg.semaphores[s] = true
-	}
+	walkCfg := lockWalkConfig{latches: map[string]bool{}}
 	latches := cfg.Latches
 	if cfg.Latches == nil {
 		latches = defaultLockOrderLatches

@@ -27,7 +27,7 @@ func FieldClass(named *types.Named, field string) string {
 }
 
 // fieldClassOf resolves the operand of a lock or channel operation
-// (x.mu in x.mu.Lock(), lr.slots in lr.slots <- tok) to its lock
+// (x.mu in x.mu.Lock(), cx.ready in <-cx.ready) to its lock
 // class. Package-level variables resolve to "pkgpath.var". Locals and
 // anything else resolve to "" (untracked: a lock nobody else can see
 // cannot participate in a cross-function ordering).
@@ -76,9 +76,6 @@ func heldClasses(held []heldLock) []string {
 // lockWalkConfig declares which channel-typed classes carry lock-like
 // semantics for the walker.
 type lockWalkConfig struct {
-	// semaphores: buffered channels used as worker semaphores; a send
-	// acquires a slot, a receive releases it.
-	semaphores map[string]bool
 	// latches: close-once readiness channels; a blocking receive (one
 	// not inside a select that has a default clause) is a wait event.
 	latches map[string]bool
@@ -176,10 +173,6 @@ func (w *lockWalker) walk(root ast.Node, sc *lockScope) {
 			return false
 		case *ast.SelectStmt:
 			w.handleSelect(n, sc)
-			return false
-		case *ast.SendStmt:
-			w.walk(n.Value, sc)
-			w.handleSend(n, sc)
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
@@ -334,7 +327,6 @@ func (w *lockWalker) handleSelect(s *ast.SelectStmt, sc *lockScope) {
 		switch comm := cc.Comm.(type) {
 		case *ast.SendStmt:
 			w.walk(comm.Value, sc)
-			w.handleSend(comm, sc)
 		case *ast.ExprStmt:
 			if u, ok := comm.X.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
 				w.handleRecv(u, sc, hasDefault)
@@ -353,33 +345,14 @@ func (w *lockWalker) handleSelect(s *ast.SelectStmt, sc *lockScope) {
 	}
 }
 
-func (w *lockWalker) handleSend(s *ast.SendStmt, sc *lockScope) {
-	class := fieldClassOf(w.info, s.Chan)
-	if class == "" || !w.cfg.semaphores[class] {
-		return
-	}
-	if w.cb.acquire != nil {
-		w.cb.acquire(sc.held, class, s.Pos(), sc.inGo)
-	}
-	sc.held = append(sc.held, heldLock{Class: class, Pos: s.Pos()})
-}
-
-// handleRecv processes `<-ch`: a semaphore receive releases a slot; a
-// latch receive is a wait event unless the enclosing select has a
-// default clause (a non-blocking readiness poll).
+// handleRecv processes `<-ch`: a latch receive is a wait event unless
+// the enclosing select has a default clause (a non-blocking readiness
+// poll).
 func (w *lockWalker) handleRecv(u *ast.UnaryExpr, sc *lockScope, selectHasDefault bool) {
 	w.walk(u.X, sc)
 	class := fieldClassOf(w.info, u.X)
-	if class == "" {
-		return
-	}
-	switch {
-	case w.cfg.semaphores[class]:
-		sc.release(class)
-	case w.cfg.latches[class] && !selectHasDefault:
-		if w.cb.wait != nil {
-			w.cb.wait(sc.held, class, u.Pos(), sc.inGo)
-		}
+	if class != "" && w.cfg.latches[class] && !selectHasDefault && w.cb.wait != nil {
+		w.cb.wait(sc.held, class, u.Pos(), sc.inGo)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Fixture for the lockorder analyzer. The declared hierarchy (see
 // TestLockOrderFixture) is, outermost first:
 //
-//	slots, A.mu, B.mu, C.mu, E.mu, F.mu, G.ready
+//	A.mu, B.mu, C.mu, E.mu, F.mu, G.ready
 //
 // D.mu is deliberately undeclared.
 package lockorder
@@ -16,19 +16,14 @@ type E struct{ mu sync.Mutex }
 type F struct{ mu sync.Mutex }
 type G struct{ ready chan struct{} }
 
-// slots is a worker semaphore: a send acquires a slot.
-var slots = make(chan struct{}, 4)
-
-// goodNesting follows the declared order at every step: semaphore
-// outermost, then C before E, and the latch wait innermost.
+// goodNesting follows the declared order at every step: C before E,
+// and the latch wait innermost.
 func goodNesting(c *C, e *E, g *G) {
-	slots <- struct{}{}
 	c.mu.Lock()
 	e.mu.Lock()
 	<-g.ready
 	e.mu.Unlock()
 	c.mu.Unlock()
-	<-slots
 }
 
 // cycleFwd and cycleBack together form an A<->B cycle: each direction
@@ -56,7 +51,7 @@ func relock(c *C) {
 // inverted takes E while holding F; the hierarchy says E is outer.
 func inverted(e *E, f *F) {
 	f.mu.Lock()
-	e.mu.Lock() // want `acquiring .*E\.mu \(rank 4\) at .* while holding .*F\.mu \(rank 5\) .* inverts the declared hierarchy`
+	e.mu.Lock() // want `acquiring .*E\.mu \(rank 3\) at .* while holding .*F\.mu \(rank 4\) .* inverts the declared hierarchy`
 	e.mu.Unlock()
 	f.mu.Unlock()
 }

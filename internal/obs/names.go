@@ -130,11 +130,6 @@ const (
 	RecoveryPass2Micros = "recovery.pass2_micros"
 	RecoveryMicros      = "recovery.total_micros"
 
-	// RecoveryPass2Workers is the distribution of background replay
-	// workers started, observed once per recovery run that had
-	// contexts to replay.
-	RecoveryPass2Workers = "recovery.pass2.workers"
-
 	// --- per-context replay. These account how Pass 2 actually got
 	// done, context by context, and what admission latency looked like.
 	// The names say "lazy" because lazy admission introduced them; the
@@ -147,7 +142,7 @@ const (
 	// because a call touched them first.
 	RecoveryLazyOnDemand = "recovery.lazy.on_demand_replays"
 	// RecoveryLazyBackground counts contexts replayed by the background
-	// workers before any call arrived.
+	// worker before any call arrived.
 	RecoveryLazyBackground = "recovery.lazy.background_replays"
 	// RecoveryLazyCtxReplayMicros is the per-context backlog replay
 	// latency — what a first-touch call waits on top of its own work.
@@ -427,14 +422,13 @@ type RuntimeMetrics struct {
 	StateSaves  *Counter
 	Trims       *Counter
 
-	RecoveryRuns         *Counter
-	ContextsRestored     *Counter
-	ReplayedCalls        *Counter
-	SuppressedSends      *Counter
-	RecoveryPass1Micros  *Histogram
-	RecoveryPass2Micros  *Histogram
-	RecoveryMicros       *Histogram
-	RecoveryPass2Workers *Histogram
+	RecoveryRuns        *Counter
+	ContextsRestored    *Counter
+	ReplayedCalls       *Counter
+	SuppressedSends     *Counter
+	RecoveryPass1Micros *Histogram
+	RecoveryPass2Micros *Histogram
+	RecoveryMicros      *Histogram
 
 	RecoveryLazyOnDemand        *Counter
 	RecoveryLazyBackground      *Counter
@@ -495,14 +489,13 @@ func RuntimeView(r *Registry) *RuntimeMetrics {
 		StateSaves:  r.Counter(StateSaves),
 		Trims:       r.Counter(Trims),
 
-		RecoveryRuns:         r.Counter(RecoveryRuns),
-		ContextsRestored:     r.Counter(ContextsRestored),
-		ReplayedCalls:        r.Counter(ReplayedCalls),
-		SuppressedSends:      r.Counter(SuppressedSends),
-		RecoveryPass1Micros:  r.Histogram(RecoveryPass1Micros),
-		RecoveryPass2Micros:  r.Histogram(RecoveryPass2Micros),
-		RecoveryMicros:       r.Histogram(RecoveryMicros),
-		RecoveryPass2Workers: r.Histogram(RecoveryPass2Workers),
+		RecoveryRuns:        r.Counter(RecoveryRuns),
+		ContextsRestored:    r.Counter(ContextsRestored),
+		ReplayedCalls:       r.Counter(ReplayedCalls),
+		SuppressedSends:     r.Counter(SuppressedSends),
+		RecoveryPass1Micros: r.Histogram(RecoveryPass1Micros),
+		RecoveryPass2Micros: r.Histogram(RecoveryPass2Micros),
+		RecoveryMicros:      r.Histogram(RecoveryMicros),
 
 		RecoveryLazyOnDemand:        r.Counter(RecoveryLazyOnDemand),
 		RecoveryLazyBackground:      r.Counter(RecoveryLazyBackground),

@@ -88,11 +88,10 @@ type (
 	// soon as Pass 1 has rebuilt the context tables and found the
 	// head of each context's chain of message records, walking and
 	// replaying a context's backlog when a call first touches it
-	// (only that call waits; concurrent arrivals share one replay)
-	// while background workers take the cold contexts hottest-first.
-	// Parallelism is the number of those workers and the bound on
-	// concurrent context replays (0 = 1). The zero value is one
-	// worker, joined before the process opens.
+	// on that call's goroutine (only that call waits; concurrent
+	// arrivals share one replay) while one background worker takes the
+	// rest in restart-LSN order. The zero value joins the worker before
+	// the process opens.
 	RecoveryConfig = core.Recovery
 	// AdaptiveConfig is the nested Config.Adaptive section: Enabled
 	// turns on the runtime discipline controller, which observes each
@@ -121,8 +120,8 @@ type (
 	RecoveryMode = core.RecoveryMode
 	// RecoveryStats summarizes a crash-recovery run: per-pass durations
 	// (measured on the universe clock), contexts restored, records
-	// read from the log, calls replayed, sends suppressed, workers
-	// used, TimeToFirstCallNanos (recovery start to the first call
+	// read from the log, calls replayed, sends suppressed,
+	// TimeToFirstCallNanos (recovery start to the first call
 	// admitted — perceived downtime), on-demand vs background replay
 	// counts, and per-context replay latency.
 	// Retrieve it with Process.LastRecovery or from the
@@ -166,7 +165,7 @@ type (
 // Recovery modes (RecoveryConfig.Mode): eager replays everything
 // before admission — the zero value and the classic restart — while
 // lazy opens the process after Pass 1 and replays per context on first
-// touch or in background hotness order.
+// touch or, in restart-LSN order, on the one background worker.
 const (
 	RecoveryEager = core.RecoveryEager
 	RecoveryLazy  = core.RecoveryLazy
