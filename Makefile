@@ -75,9 +75,10 @@ stress:
 # log resharded 1 → 4, adaptive promotion boundary — on-demand replays
 # racing the background worker), the nested-demand hang regression,
 # the walked-chains-against-brute-force property and the walk's
-# fail-stop, the flat-as-the-log-grows counts, the first-touch /
-# touch-not-queued-behind-the-drain / crash-mid-drain / RecoverContext
-# suites, the wal cursor and positioned-read tests (the reader's
+# fail-stop, the flat-as-the-log-grows counts, the TestLazy* suites
+# (first touch, touch not queued behind the drain, a Handle on a pending
+# context, a pending context's last calls through a trim, what one touch
+# reads, crash mid-drain, RecoverContext), the wal cursor and positioned-read tests (the reader's
 # edge-case table with its Hold rows; cursors racing an appender and
 # TrimHead), the tail check that scans, appends and End race to run on
 # a reopened log, the dump that reads a log once, and the bookstore
@@ -155,9 +156,10 @@ profile-call:
 # outside the benchmark's timer but inside the profile, under copyTree),
 # then one restart each way for the RecoveryStats line: device reads
 # (by phase: Pass 1 — the log's tail check too, the open reads nothing —
-# chain walks, replays), bytes read over log bytes, records scanned, calls replayed, and what
-# replaying one context by itself reads, as a first touch does —
-# counts, the same on every run.
+# and chain walks; a replay reads nothing), bytes read over log bytes,
+# records scanned, calls replayed, and what bringing one context back
+# by itself reads (its restart record and its walk), as a first touch
+# does — counts, the same on every run.
 RESTART_DIR ?= /tmp/phoenix-profile-restart
 RESTART_BENCH = TMPDIR=/dev/shm go test -run '^$$' -o $(RESTART_DIR)/restart.test
 profile-restart:
@@ -182,8 +184,11 @@ profile-restart:
 # cache, the allowlist applied by the runner in one pass — lowered it
 # to 24,368. One replay worker — no worker pool, slot semaphore,
 # hotness order or Recovery.Parallelism, and no semaphore support in
-# the lock walker — lowered it to 24,256.)
-LOC_MAX = 24256
+# the lock walker — lowered it to 24,256. One way back — Pass 1 registers
+# shells, restoreContext and RecoverContext's own restore → walk →
+# replay → tail fold into bringBack, and the engine's pending entries
+# and owned set go — lowered it to 24,249.)
+LOC_MAX = 24249
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

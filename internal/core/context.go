@@ -30,10 +30,15 @@ type Context struct {
 	mu sync.Mutex
 
 	// ready is closed when the context may serve incoming calls; a
-	// context being replayed keeps arrivals waiting until its recovery
-	// finishes ("the context begins to wait for incoming calls",
+	// context being brought back keeps arrivals waiting until its
+	// recovery finishes ("the context begins to wait for incoming calls",
 	// Section 4.4).
 	ready chan struct{}
+
+	// saved is a shell's restart record as Pass 1 decoded it (a shell:
+	// registered by recovery, parent identity only, obj and disp nil),
+	// until whoever claims the context builds it (bringBack).
+	saved *ctxStateRec
 
 	// Execution state below is owned by the goroutine holding mu (or
 	// by the single recovery goroutine during replay).
@@ -113,6 +118,24 @@ func (cx *Context) markReady() {
 	default:
 		close(cx.ready)
 	}
+}
+
+// await returns once cx is back: a context a recovery run still holds
+// pending is claimed and brought back on this goroutine, one being
+// brought back elsewhere is waited for.
+func (cx *Context) await() {
+	if e := cx.p.engine.Load(); e != nil {
+		e.demand(cx, trace.Ref{}, nil)
+	}
+	<-cx.ready
+}
+
+// restart returns the context's restart LSN; state saves and
+// checkpoints move it under p.mu.
+func (cx *Context) restart() ids.LSN {
+	cx.p.mu.Lock()
+	defer cx.p.mu.Unlock()
+	return cx.restartLSN
 }
 
 // addr is the context's component address: the first three parts of
@@ -357,20 +380,20 @@ type Handle struct {
 // URI returns the component's URI, used by other processes to call it.
 func (h *Handle) URI() ids.URI { return h.cx.uri }
 
-// Ctx returns the context API for the component.
-func (h *Handle) Ctx() *Ctx { return &Ctx{cx: h.cx} }
+// Ctx returns the context API for the component, once it is back (as
+// Object).
+func (h *Handle) Ctx() *Ctx { h.cx.await(); return &Ctx{cx: h.cx} }
 
-// Object returns the hosted component instance. Reading it from
-// outside the runtime is safe only when no calls are in flight.
-func (h *Handle) Object() any { return h.cx.parent.obj }
+// Object returns the hosted component instance, with its replayed
+// state: a context a lazy restart has not brought back yet is brought
+// back first (or waited for). Reading it from outside the runtime is
+// safe only when no calls are in flight.
+func (h *Handle) Object() any { h.cx.await(); return h.cx.parent.obj }
 
-// SaveState writes a context state record (Section 4.2).
+// SaveState writes a context state record (Section 4.2) — of the
+// replayed state: Ctx brings the context back first.
 func (h *Handle) SaveState() error { return h.Ctx().SaveState() }
 
 // RestartLSN exposes the context's current restart point (tests and
 // the experiment harness examine recovery behaviour with it).
-func (h *Handle) RestartLSN() ids.LSN {
-	h.cx.p.mu.Lock()
-	defer h.cx.p.mu.Unlock()
-	return h.cx.restartLSN
-}
+func (h *Handle) RestartLSN() ids.LSN { return h.cx.restart() }

@@ -16,21 +16,22 @@ import (
 // This file is the recovery manager of paper Section 4.4.
 //
 // Process crash recovery runs in two passes over the log. Pass 1
-// (restore, this file) scans from the well-known checkpoint LSN (or
-// the log start) to the end, finding every context that existed at the
-// crash, the LSN of its latest state record (or creation record) —
-// contexts are then restored from those records — and the LSN of its
-// newest message record, the head of its chain. Pass 2 (admit) hands
-// the replay engine (recovery_engine.go) each context's restart LSN and
-// head; replaying a context reads its chain off the log, head to
-// restart LSN (recovery_replay.go), and replays it:
+// (restore, this file) is analysis only: it scans from the well-known
+// checkpoint LSN (or the log start) to the end, finding every context
+// that existed at the crash, the LSN of its latest state record (or
+// creation record) and the LSN of its newest message record, the head
+// of its chain; it reads each winning restart record once, seeds the
+// last call table — LSNs only; reply bodies are fetched from the log
+// when a duplicate call actually needs them — and registers the
+// context as a shell. Pass 2 (admit) hands the shells to the replay
+// engine (recovery_engine.go), and each comes back by the one way
+// there is (bringBack, recovery_replay.go): its components are built,
+// its chain is read off the log, head to restart LSN, and replayed:
 // message records are buffered until the next incoming call record
 // arrives, at which point the previous incoming call is replayed with
 // its outgoing calls answered from the buffer; the final buffered call
 // is replayed at the end of the chain, where a missing outgoing reply
-// switches the context back to live execution. The last call table is
-// rebuilt along the way — LSNs only; reply bodies are fetched from the
-// log when a duplicate call actually needs them.
+// switches the context back to live execution.
 
 // RecoveryStats summarizes one crash-recovery run: what each pass
 // cost, how much log it covered, and how much replay work it did.
@@ -41,30 +42,32 @@ import (
 // with Process.LastRecovery, or from the EventRecoveryDone event that
 // carries them.
 type RecoveryStats struct {
-	// Pass1Duration covers the context-discovery scan plus context
-	// restoration; Pass2Duration covers message replay; TotalDuration
+	// Pass1Duration covers the analysis scan plus reading the restart
+	// records and registering the contexts; Pass2Duration covers
+	// bringing every context back (build, walk, replay); TotalDuration
 	// is the whole recovery including event bookkeeping.
 	Pass1Duration time.Duration
 	Pass2Duration time.Duration
 	TotalDuration time.Duration
-	// ContextsRestored counts contexts rebuilt from creation or state
+	// ContextsRestored counts contexts restored from creation or state
 	// records.
 	ContextsRestored int
 	// RecordsScanned counts every record read from the log: by Pass 1,
-	// and twice per record of backlog — the walk that finds a context's
-	// chain and the replay that decodes it. It scales with the records
-	// past the checkpoint plus the backlog, whatever the log retains.
+	// and once per record of backlog — the walk that finds a context's
+	// chain decodes it, and the replay reads nothing. It scales with the
+	// records past the checkpoint plus the backlog, whatever the log
+	// retains.
 	RecordsScanned int64
 	// LogReads counts the device reads the restart issued and
 	// LogBytesRead the bytes they returned (wal.Stats.ReadOps/ReadBytes
 	// when published), by phase: LogReadsPass1, the scan past the
 	// checkpoint (the log's tail check too) and the restart records;
 	// LogReadsWalk, the chain walks and the worker's hold of the backlog
-	// (wal.Reader.Hold); LogReadsReplay, the replays — none under a hold;
-	// a first touch, or a backlog the worker cannot hold, passes over a
-	// chain's span twice, a block per miss.
-	LogReads, LogBytesRead                      int64
-	LogReadsPass1, LogReadsWalk, LogReadsReplay int64
+	// (wal.Reader.Hold). The two add up to LogReads. A first touch, or a
+	// backlog the worker cannot hold, passes over a chain's span once, a
+	// block per miss.
+	LogReads, LogBytesRead      int64
+	LogReadsPass1, LogReadsWalk int64
 	// CallsReplayed counts incoming calls re-executed; CallsSuppressed
 	// counts outgoing sends answered from the log during those replays.
 	CallsReplayed   int64
@@ -93,28 +96,26 @@ type RecoveryStats struct {
 }
 
 // restorePlan carries Pass-1 results across the restore/admit
-// lifecycle boundary: the contexts that were rebuilt (restart-LSN
-// order), their restart LSNs and chain heads, and the in-progress
+// lifecycle boundary: the contexts restored (restart-LSN order), each
+// a shell holding its restart LSN and chain head, and the in-progress
 // stats and trace of the run. A nil plan: admission has nothing to replay.
 type restorePlan struct {
 	stats    RecoveryStats
 	recRun   trace.Ref
 	recStart time.Time // universe clock, recovery begin
 	recWall  time.Time // wall clock, for the recovery.* obs histograms
-	restart  map[ids.CompID]ids.LSN
-	heads    map[ids.CompID]ids.LSN // newest message record; absent: none
 	restored []*Context
 }
 
 // restore is the explicit first lifecycle phase of a restart: Pass 1
-// of recovery. It scans the log from the marks its root held, rebuilds
-// the context tables and restart-LSN map, re-materializes every
-// context's components and seeds the last-call table — everything the
-// process needs to *route* traffic, but not yet the replayed state to
-// *serve* it (contexts stay unready). The returned plan feeds admit;
-// it is nil when there is nothing to replay. It runs before any
-// concurrent calls arrive at restored contexts (they block on the
-// per-context ready latches).
+// of recovery, analysis only. It scans the log from the marks its root
+// held, finds every context's restart LSN and chain head, reads each
+// restart record once, seeds the last-call table and registers every
+// context as a shell — everything the process needs to *route* traffic
+// and answer duplicates, but no component yet (a shell stays unready
+// until bringBack). The returned plan feeds admit; it is nil when there
+// is nothing to replay. It runs before any concurrent calls arrive at
+// restored contexts (they block on the per-context ready latches).
 func (p *Process) restore() (*restorePlan, error) {
 	if p.log.Empty() {
 		return nil, nil // registered before, but nothing was ever logged
@@ -160,24 +161,17 @@ func (p *Process) restore() (*restorePlan, error) {
 	pass1 := func(rec wal.Record) error {
 		stats.RecordsScanned++
 		switch rec.Type {
-		case recCreation:
-			// Process checkpoints re-emit creation records for
-			// stateless contexts so log trimming can advance past the
-			// original; like state records, the newest wins.
-			var cr creationRec
-			if err := decodeRec(rec.Payload, &cr); err != nil {
+		case recCreation, recCtxState:
+			// The newest restart record wins (process checkpoints re-emit
+			// creation records for stateless contexts so log trimming can
+			// advance past the original). Only its owner is read here: the
+			// winners are decoded once, below.
+			ctx, err := recCtx(rec.Payload)
+			if err != nil {
 				return err
 			}
-			if rec.LSN > restart[cr.Ctx] {
-				restart[cr.Ctx] = rec.LSN
-			}
-		case recCtxState:
-			var sr ctxStateRec
-			if err := decodeRec(rec.Payload, &sr); err != nil {
-				return err
-			}
-			if rec.LSN > restart[sr.Ctx] {
-				restart[sr.Ctx] = rec.LSN
+			if rec.LSN > restart[ctx] {
+				restart[ctx] = rec.LSN
 			}
 		case recCkptCtxTable:
 			var ct ckptCtxTableRec
@@ -268,8 +262,11 @@ func (p *Process) restore() (*restorePlan, error) {
 		return nil, nil
 	}
 
-	// Restore every context from its restart record, in LSN order through
-	// one reader: they sit in clusters (creations, a checkpoint's saves).
+	// Read the restart records in LSN order through one reader — they sit
+	// in clusters (creations, a checkpoint's saves) — decoding each once.
+	// A state record's last calls go into the table here, not when its
+	// context comes back: duplicate elimination and the trim floor
+	// (constrainMarks) must be complete before the first call is admitted.
 	lsns := make([]ids.LSN, 0, len(restart))
 	for _, lsn := range restart {
 		lsns = append(lsns, lsn)
@@ -278,13 +275,24 @@ func (p *Process) restore() (*restorePlan, error) {
 	rd := p.log.NewReader()
 	restored := make([]*Context, 0, len(lsns))
 	for _, lsn := range lsns {
-		cx, err := p.restoreContext(rd, lsn)
+		sr, err := readRestart(rd, lsn)
+		if err == nil {
+			for _, e := range sr.LastCalls {
+				p.lastCalls.seed(e)
+			}
+			pc := sr.Comps[0]
+			cx := p.newShell(component{id: sr.Ctx, name: pc.Name, ctype: pc.Type, roMethods: roSet(pc.ROMethods)},
+				sr.URI, lsn, heads[sr.Ctx])
+			cx.saved = sr
+			if pc.Type.Stateless() { // no chain: back at once
+				_, err = p.bringBack(cx, rd)
+				cx.markReady()
+			}
+			restored = append(restored, cx)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("restore context at %v: %w", lsn, err)
 		}
-		// Whatever the context logs next links behind its newest record.
-		cx.chainHead.Store(uint64(heads[cx.parent.id]))
-		restored = append(restored, cx)
 	}
 	p.obs.ContextsRestored.Add(int64(len(restored)))
 	p.obs.RecoveryPass1Micros.Observe(time.Since(pass1Wall).Microseconds())
@@ -296,8 +304,6 @@ func (p *Process) restore() (*restorePlan, error) {
 		recRun:   recRun,
 		recStart: recStart,
 		recWall:  recWall,
-		restart:  restart,
-		heads:    heads,
 		restored: restored,
 	}, nil
 }
@@ -328,118 +334,116 @@ func (p *Process) admit(plan *restorePlan) error {
 	return nil
 }
 
-// restoreContext reads the creation or state record at lsn through rd
-// (it is in its file; decoding copies what it keeps) and rebuilds the
-// context: fresh component instances via the type registry, field state
-// via the serial package, component references re-resolved.
-func (p *Process) restoreContext(rd *wal.Reader, lsn ids.LSN) (*Context, error) {
+// readRestart reads a context's restart record at lsn through rd — its
+// creation record or a state record — and decodes it as a state record:
+// a creation record is a state with no outgoing call made and no last
+// calls.
+func readRestart(rd *wal.Reader, lsn ids.LSN) (*ctxStateRec, error) {
 	rec, err := rd.ReadAt(lsn)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		ctxID      ids.CompID
-		uri        ids.URI
-		comps      []compRecord
-		lastOutSeq uint64
-		subCounter uint32
-		lastCalls  []lastCallSaved
-	)
+	sr := new(ctxStateRec)
 	switch rec.Type {
 	case recCreation:
 		var cr creationRec
 		if err := decodeRec(rec.Payload, &cr); err != nil {
 			return nil, err
 		}
-		ctxID, uri, comps = cr.Ctx, cr.URI, cr.Comps
-		subCounter = uint32(len(cr.Comps) - 1)
+		sr.Ctx, sr.URI, sr.Comps, sr.SubCounter = cr.Ctx, cr.URI, cr.Comps, uint32(len(cr.Comps)-1)
 	case recCtxState:
-		var sr ctxStateRec
-		if err := decodeRec(rec.Payload, &sr); err != nil {
+		if err := decodeRec(rec.Payload, sr); err != nil {
 			return nil, err
 		}
-		ctxID, uri, comps = sr.Ctx, sr.URI, sr.Comps
-		lastOutSeq, subCounter, lastCalls = sr.LastOutSeq, sr.SubCounter, sr.LastCalls
 	default:
 		return nil, fmt.Errorf("core: restart LSN %v holds a %s record", lsn, recName(rec.Type))
 	}
-	if len(comps) == 0 {
+	if len(sr.Comps) == 0 {
 		return nil, fmt.Errorf("core: record at %v has no components", lsn)
 	}
+	return sr, nil
+}
 
-	cx := &Context{
-		p:          p,
-		uri:        uri,
-		subs:       make(map[string]*component),
-		subsByID:   make(map[ids.CompID]*component),
-		lastOutSeq: lastOutSeq,
-		subCounter: subCounter,
-		restartLSN: lsn,
-		ready:      make(chan struct{}),
+// roSet is a component record's read-only methods as a lookup set.
+func roSet(methods []string) map[string]bool {
+	ro := make(map[string]bool, len(methods))
+	for _, m := range methods {
+		ro[m] = true
 	}
+	return ro
+}
+
+// newShell registers a context that is known but not back yet: its
+// parent's identity, name, type and read-only set, its restart LSN and
+// its chain head — what routing, checkpoints and the trim floor read —
+// with no component built and its ready latch shut. Whatever it logs
+// next links behind head. bringBack builds it.
+func (p *Process) newShell(parent component, uri ids.URI, restart, head ids.LSN) *Context {
+	cx := &Context{p: p, parent: &parent, uri: uri, restartLSN: restart, ready: make(chan struct{})}
+	parent.ctx = cx
+	cx.chainHead.Store(uint64(head))
+	p.mu.Lock()
+	p.contexts[parent.id] = cx
+	p.byName[parent.name] = cx
+	p.nextCompID = max(p.nextCompID, uint32(parent.id)+1)
+	p.mu.Unlock()
+	return cx
+}
+
+// build materializes a shell's components from its restart record —
+// the one Pass 1 decoded, or, repairing a live context, the record at
+// restart read through rd: fresh instances via the type registry, field
+// state via the serial package, component references re-resolved.
+func (p *Process) build(cx *Context, restart ids.LSN, rd *wal.Reader) error {
+	sr := cx.saved
+	cx.saved = nil
+	if sr == nil {
+		var err error
+		if sr, err = readRestart(rd, restart); err != nil {
+			return err
+		}
+	}
+	cx.lastOutSeq, cx.subCounter = sr.LastOutSeq, sr.SubCounter
+	cx.subs = make(map[string]*component, len(sr.Comps)-1)
+	cx.subsByID = make(map[ids.CompID]*component, len(sr.Comps)-1)
 	// First materialize instances so local references resolve.
-	built := make([]*component, len(comps))
-	for i, cr := range comps {
+	built := make([]*component, len(sr.Comps))
+	for i, cr := range sr.Comps {
 		obj, err := newComponentInstance(cr.GoType)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		disp, err := rpc.NewDispatcher(obj)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ro := make(map[string]bool, len(cr.ROMethods))
-		for _, m := range cr.ROMethods {
-			ro[m] = true
-		}
-		c := &component{
-			id: cr.ID, name: cr.Name, obj: obj, disp: disp,
-			ctype: cr.Type, roMethods: ro, ctx: cx,
-		}
-		built[i] = c
-		if i == 0 {
-			cx.parent = c
-		} else {
+		c := cx.parent
+		if i > 0 {
+			c = &component{id: cr.ID, name: cr.Name, ctype: cr.Type, roMethods: roSet(cr.ROMethods), ctx: cx}
 			cx.subs[c.name] = c
 			cx.subsByID[c.id] = c
 		}
+		c.obj, c.disp = obj, disp
+		built[i] = c
 	}
 	// Then restore field states, resolving component references.
 	res := &ctxResolver{cx: cx}
-	for i, cr := range comps {
+	for i, cr := range sr.Comps {
 		st, err := serial.DecodeState(cr.State)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := serial.Restore(built[i].obj, st, res); err != nil {
-			return nil, fmt.Errorf("restore %s: %w", cr.Name, err)
+			return fmt.Errorf("restore %s: %w", cr.Name, err)
 		}
 	}
-	for _, e := range lastCalls {
-		p.lastCalls.seed(e)
-	}
-
-	_, _, compName, err := uri.Split()
-	if err != nil {
-		return nil, err
-	}
 	p.mu.Lock()
-	p.contexts[ctxID] = cx
-	p.byName[compName] = cx
 	for _, c := range built {
 		p.components[c.id] = c
 	}
-	if uint32(ctxID) >= p.nextCompID {
-		p.nextCompID = uint32(ctxID) + 1
-	}
 	p.mu.Unlock()
 	cx.attachAware()
-	// Stateless contexts have no message records to replay; they are
-	// available as soon as their components are rebuilt.
-	if cx.parent.ctype.Stateless() {
-		cx.markReady()
-	}
-	return cx, nil
+	return nil
 }
 
 // ctxResolver re-obtains component references for restored fields:
@@ -495,8 +499,10 @@ func (p *Process) recoverySpan(run trace.Ref, start int64) {
 //
 // During a recovery run it doubles as the API form of on-demand
 // replay: a context still waiting in the engine's pending set is
-// replayed in place (Pass 1 already rebuilt its components), exactly
-// as if a call had touched it.
+// brought back in place, exactly as if a call had touched it. Outside
+// one, the failed context is replaced by a shell of itself — no Pass 1
+// ran: its own restart LSN and chain head — and brought back the same
+// way.
 func (p *Process) RecoverContext(name string) error {
 	p.mu.Lock()
 	old, ok := p.byName[name]
@@ -509,33 +515,13 @@ func (p *Process) RecoverContext(name string) error {
 			return err
 		}
 	}
-	restart := func() ids.LSN {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return old.restartLSN
-	}()
-	if restart.IsNil() {
-		return fmt.Errorf("core: context %s has no restart record (stateless?)", old.uri)
-	}
 	if err := p.log.Flush(); err != nil { // a state record is not forced: it may be buffered still
 		return err
 	}
-	rd := p.log.NewReader()
-	cx, err := p.restoreContext(rd, restart) // re-registers under the same name/ID
-	if err != nil {
-		return err
-	}
+	op := old.parent
+	cx := p.newShell(component{id: op.id, name: op.name, ctype: op.ctype, roMethods: op.roMethods},
+		old.uri, old.restart(), ids.LSN(old.chainHead.Load()))
 	defer cx.markReady()
-	// No Pass 1 ran: the failed context's own head starts the walk.
-	head := ids.LSN(old.chainHead.Load())
-	cx.chainHead.Store(uint64(head))
-	chain, err := walkChain(rd, cx.parent.id, head, restart)
-	if err != nil {
-		return err
-	}
-	tail, err := p.replayContext(cx, chain, rd)
-	if err != nil {
-		return err
-	}
-	return p.replayTail(cx, tail)
+	_, err := p.bringBack(cx, p.log.NewReader())
+	return err
 }

@@ -18,21 +18,50 @@ import (
 // they were written — read off the log through the frames' links, from
 // the head Pass 1 found or the checkpoint's table kept.
 
+// chainOf walks cx's chain as bringBack does: from the head Pass 1 gave
+// the shell down to its restart LSN.
+func chainOf(rd *wal.Reader, cx *Context) ([]chainRec, error) {
+	return walkChain(rd, cx.parent.id, ids.LSN(cx.chainHead.Load()), cx.restartLSN)
+}
+
+// lsnsOf lists the LSNs of a walked chain's records, in chain order.
+func lsnsOf(chain []chainRec) []ids.LSN {
+	lsns := make([]ids.LSN, len(chain))
+	for i, r := range chain {
+		lsns[i] = r.lsn
+	}
+	return lsns
+}
+
+// shellNamed returns the context Pass 1 registered under name.
+func shellNamed(t *testing.T, p *Process, name string) *Context {
+	t.Helper()
+	cx, ok := p.byName[name]
+	if !ok {
+		t.Fatalf("%s missing after Pass 1", name)
+	}
+	return cx
+}
+
 // chainsAndReference runs Pass 1 over a copy of img and walks every
 // restored context's chain, as a restart would, and builds the reference
 // by brute force: every stream scanned from its start in era order, a
 // message record kept when its context was restored and the record is
-// not older than the restart LSN.
+// not older than the restart LSN. A walked record's LSN stands for it:
+// the walk decoded it, and the record is of its context (walkChain
+// checks both).
 func chainsAndReference(t *testing.T, img equivImage) (plan *restorePlan, got, want map[ids.CompID][]ids.LSN) {
 	t.Helper()
 	p, plan := passOne(t, img)
 	got = make(map[ids.CompID][]ids.LSN)
+	restart := make(map[ids.CompID]ids.LSN)
 	rd := p.log.NewReader()
-	for ctx, from := range plan.restart {
-		var err error
-		if got[ctx], err = walkChain(rd, ctx, plan.heads[ctx], from); err != nil {
+	for _, cx := range plan.restored {
+		chain, err := chainOf(rd, cx)
+		if err != nil {
 			t.Fatal(err)
 		}
+		got[cx.parent.id], restart[cx.parent.id] = lsnsOf(chain), cx.restartLSN
 	}
 	want = make(map[ids.CompID][]ids.LSN)
 	for _, sh := range p.log.Shards() {
@@ -44,7 +73,7 @@ func chainsAndReference(t *testing.T, img equivImage) (plan *restorePlan, got, w
 			if err != nil {
 				return err
 			}
-			if from, ok := plan.restart[ctx]; ok && rec.LSN >= from {
+			if from, ok := restart[ctx]; ok && rec.LSN >= from {
 				want[ctx] = append(want[ctx], rec.LSN)
 			}
 			return nil
@@ -57,7 +86,8 @@ func chainsAndReference(t *testing.T, img equivImage) (plan *restorePlan, got, w
 }
 
 // passOne restarts srv over a copy of img as far as Pass 1: contexts
-// restored, restart LSNs and chain heads known, nothing replayed.
+// registered as shells, restart LSNs and chain heads known, nothing
+// built or replayed.
 func passOne(t *testing.T, img equivImage) (*Process, *restorePlan) {
 	t.Helper()
 	dst := t.TempDir()
@@ -90,11 +120,11 @@ func passOne(t *testing.T, img equivImage) (*Process, *restorePlan) {
 func assertChains(t *testing.T, img equivImage) (entries int) {
 	t.Helper()
 	plan, got, want := chainsAndReference(t, img)
-	for ctx, from := range plan.restart {
-		if !slices.Equal(got[ctx], want[ctx]) {
-			t.Errorf("context %d (restart %v): chain %v, brute-force reference %v", ctx, from, got[ctx], want[ctx])
+	for _, cx := range plan.restored {
+		if ctx := cx.parent.id; !slices.Equal(got[ctx], want[ctx]) {
+			t.Errorf("context %d (restart %v): chain %v, brute-force reference %v", ctx, cx.restartLSN, got[ctx], want[ctx])
 		}
-		entries += len(got[ctx])
+		entries += len(got[cx.parent.id])
 	}
 	return entries
 }
@@ -210,19 +240,15 @@ func TestChainsEqualBruteForce(t *testing.T) {
 // nothing is replayed past a hole.
 func TestChainWalkFailsStop(t *testing.T) {
 	img, _ := counterImage(t, 2, 6, 0, 0)
-	p, plan := passOne(t, img)
-	var ctx ids.CompID
-	for id, cx := range p.contexts {
-		if cx.parent.name == "C1" {
-			ctx = id
-		}
-	}
+	p, _ := passOne(t, img)
+	c1, c0 := shellNamed(t, p, "C1"), shellNamed(t, p, "C0")
+	ctx, restart := c1.parent.id, c1.restartLSN
 	rd := p.log.NewReader()
-	chain, err := walkChain(rd, ctx, plan.heads[ctx], plan.restart[ctx])
+	chain, err := chainOf(rd, c1)
 	if err != nil || len(chain) != 6 {
-		t.Fatalf("intact chain: %v, %v", chain, err)
+		t.Fatalf("intact chain: %v, %v", lsnsOf(chain), err)
 	}
-	head, below := chain[5], chain[4]
+	head, below := chain[5].lsn, chain[4].lsn
 	// A reply-sent record follows every incoming one: right type of
 	// frame, wrong kind of record.
 	rec, err := rd.ReadAt(head)
@@ -230,18 +256,13 @@ func TestChainWalkFailsStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	notAMessage := head + ids.LSN(rec.Size)
-	if _, err := walkChain(rd, ctx, notAMessage, plan.restart[ctx]); err == nil ||
+	if _, err := walkChain(rd, ctx, notAMessage, restart); err == nil ||
 		!strings.Contains(err.Error(), notAMessage.String()) || !strings.Contains(err.Error(), "reply-sent") {
 		t.Errorf("walk from a reply-sent record: %v", err)
 	}
 	// The other context's chain is not this one's.
-	var other ids.CompID
-	for id := range plan.restart {
-		if id != ctx {
-			other = id
-		}
-	}
-	if _, err := walkChain(rd, ctx, plan.heads[other], plan.restart[ctx]); err == nil ||
+	other := c0.parent.id
+	if _, err := walkChain(rd, ctx, ids.LSN(c0.chainHead.Load()), restart); err == nil ||
 		!strings.Contains(err.Error(), fmt.Sprintf("context %d", other)) {
 		t.Errorf("walk down another context's chain: %v", err)
 	}
@@ -265,7 +286,7 @@ func TestChainWalkFailsStop(t *testing.T) {
 	if _, err := f.WriteAt(make([]byte, prev.Size), int64(below.Offset())); err != nil {
 		t.Fatal(err)
 	}
-	_, err = walkChain(p.log.NewReader(), ctx, head, plan.restart[ctx])
+	_, err = walkChain(p.log.NewReader(), ctx, head, restart)
 	if err == nil || !strings.Contains(err.Error(), below.String()) || !strings.Contains(err.Error(), head.String()) {
 		t.Errorf("walk into a hole: %v, want both %v and %v named", err, below, head)
 	}

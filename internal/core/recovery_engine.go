@@ -7,42 +7,35 @@ import (
 	"time"
 
 	"repro/internal/ids"
-	"repro/internal/msg"
 	"repro/internal/obs/trace"
 	"repro/internal/wal"
 )
 
 // This file is the replay engine: the one scheduler of Pass 2, for
-// every recovery mode. After Pass 1 has rebuilt the context tables and
-// found each context's chain head, every restored context keeps its
-// ready latch shut until its own chain has been walked and replayed.
-// One background worker claims the contexts in restart-LSN order; a
-// call that touches an unclaimed context claims it and replays it on
-// its own goroutine (concurrent arrivals wait on the same latch), so a
-// first touch never queues behind the worker's current replay. Eager
-// mode joins the engine before the process opens, lazy mode returns
-// after arming it; nothing else differs.
+// every recovery mode. After Pass 1 has registered every context as a
+// shell with its restart LSN and chain head, every one keeps its ready
+// latch shut until it has been brought back (bringBack: built, walked,
+// replayed). One background worker claims the contexts in restart-LSN
+// order; a call that touches an unclaimed context claims it and brings
+// it back on its own goroutine (concurrent arrivals wait on the same
+// latch), so a first touch never queues behind the worker's current
+// replay. Eager mode joins the engine before the process opens, lazy
+// mode returns after arming it; nothing else differs.
 //
 // A context runs its own tail call and readies itself, with no order
 // imposed between contexts. That is safe because the serve path's
 // demand hook works for replaying goroutines too: a tail that resumes
 // live execution and calls another context of this process either
-// claims and replays that context right there, nested, or waits for
+// claims and brings back that context right there, nested, or waits for
 // the goroutine that already claimed it — and that goroutine is never
 // waiting on us, because a cycle of contexts each blocked mid-call on
 // the next would have been a deadlock before the crash as well.
 //
 // Correctness rests on what Pass 1 guarantees at admission time: the
-// last-call table is fully seeded (duplicate elimination works before
-// any replay) and restart LSNs are not advanced until a context
-// replays (a crash mid-drain loses nothing).
-
-// pendingCtx is one restored-but-unreplayed context in the engine's
-// work set: its chain runs from head down to restart.
-type pendingCtx struct {
-	cx            *Context
-	restart, head ids.LSN
-}
+// last-call table is fully seeded (duplicate elimination works, and
+// TrimLog keeps every reply it names, before any context is back) and
+// restart LSNs are not advanced until a context replays (a crash
+// mid-drain loses nothing).
 
 // replayEngine coordinates one recovery run's Pass 2. It lives in
 // Process.engine from admission until the drain completes cleanly, so
@@ -56,18 +49,14 @@ type replayEngine struct {
 
 	mu          sync.Mutex
 	stopped     bool
-	pending     map[ids.CompID]*pendingCtx // unclaimed contexts
-	remaining   int                        // claimed-but-unfinished + pending
+	pending     map[ids.CompID]*Context // unclaimed contexts
+	remaining   int                     // claimed-but-unfinished + pending
 	onDemand    int
 	background  int
 	replayMax   time.Duration
 	replayTotal time.Duration
 	failed      map[ids.CompID]error
 	firstErr    error
-
-	// owned is the immutable set of contexts this run started with
-	// (read-only after startEngine publishes the engine).
-	owned map[ids.CompID]bool
 
 	// backlogLo and backlogHi bound all pending chains together, lowest
 	// restart LSN to highest head (lo > hi: none): what the worker asks
@@ -89,30 +78,26 @@ type replayEngine struct {
 
 // startEngine arms the engine over the plan's unready contexts and
 // starts the background worker. From here on the serve path admits
-// calls, replaying a context on first touch.
+// calls, bringing a context back on first touch.
 func (p *Process) startEngine(plan *restorePlan, admitStart, admitWall time.Time) *replayEngine {
 	e := &replayEngine{
 		p:          p,
 		plan:       plan,
 		admitStart: admitStart,
 		admitWall:  admitWall,
-		pending:    make(map[ids.CompID]*pendingCtx),
-		owned:      make(map[ids.CompID]bool),
+		pending:    make(map[ids.CompID]*Context),
 		done:       make(chan struct{}),
 		backlogLo:  ^ids.LSN(0),
 	}
 	for _, cx := range plan.restored {
 		select {
 		case <-cx.ready:
-			continue // stateless: ready since restoration, no backlog
+			continue // stateless: back since Pass 1, no backlog
 		default:
 		}
-		id := cx.parent.id
-		ent := &pendingCtx{cx: cx, restart: plan.restart[id], head: plan.heads[id]}
-		e.pending[id] = ent
-		e.owned[id] = true
-		if ent.head >= ent.restart {
-			e.backlogLo, e.backlogHi = min(e.backlogLo, ent.restart), max(e.backlogHi, ent.head)
+		e.pending[cx.parent.id] = cx
+		if head, restart := ids.LSN(cx.chainHead.Load()), cx.restartLSN; head >= restart {
+			e.backlogLo, e.backlogHi = min(e.backlogLo, restart), max(e.backlogHi, head)
 		}
 	}
 	e.remaining = len(e.pending)
@@ -130,62 +115,56 @@ func (p *Process) startEngine(plan *restorePlan, admitStart, admitWall time.Time
 	return e
 }
 
-// demand is the serve path's admission hook, called before the ready
-// gate: if the context is still unclaimed, it replays its chain on this
-// call's goroutine. Losing the claim race just means someone else is
-// replaying; the caller falls through to the ready latch.
-func (e *replayEngine) demand(cx *Context, call *msg.Call) {
+// demand is the admission hook of the serve path and of a Handle,
+// called before the ready gate: an unclaimed context is brought back on
+// this goroutine, for the call tref and method name, if any. Losing the
+// claim race just means someone else is bringing it back; the caller
+// falls through to the ready latch.
+func (e *replayEngine) demand(cx *Context, tref trace.Ref, method *string) {
 	select {
 	case <-cx.ready:
 		return
 	default:
 	}
-	ent := e.claim(cx.parent.id)
-	if ent == nil {
-		return
+	if e.claim(cx) {
+		_ = e.replayOne(cx, true, tref, method, e.p.log.NewReader())
 	}
-	_ = e.replayOne(ent, true, call.Trace, &call.Method, e.p.log.NewReader())
 }
 
 // recoverNow is RecoverContext's entry into a live run. A context
-// still pending replays in place (Pass 1 already rebuilt it); one
-// being replayed right now is waited for. handled=false means the
-// context is past recovery (or was never part of it) and the caller
+// still pending is brought back in place; one being brought back right
+// now — the only other way a context is not ready — is waited for.
+// handled=false means the context is back already and the caller
 // should restore it afresh.
 func (e *replayEngine) recoverNow(cx *Context) (handled bool, err error) {
-	id := cx.parent.id
-	if ent := e.claim(id); ent != nil {
-		return true, e.replayOne(ent, true, trace.Ref{}, nil, e.p.log.NewReader())
+	if e.claim(cx) {
+		return true, e.replayOne(cx, true, trace.Ref{}, nil, e.p.log.NewReader())
 	}
 	select {
 	case <-cx.ready:
 		return false, nil
 	default:
 	}
-	if e.owned[id] {
-		<-cx.ready
-		return true, e.replayFailure(id)
-	}
-	return false, nil
+	<-cx.ready
+	return true, e.replayFailure(cx.parent.id)
 }
 
-// claim removes id from the pending set; the caller that gets a
-// non-nil entry owns that context's replay (and its markReady).
-func (e *replayEngine) claim(id ids.CompID) *pendingCtx {
+// claim removes cx from the pending set; the caller that gets true owns
+// bringing it back (and its markReady).
+func (e *replayEngine) claim(cx *Context) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.stopped {
-		return nil
+	if _, ok := e.pending[cx.parent.id]; !ok || e.stopped {
+		return false
 	}
-	ent := e.pending[id]
-	delete(e.pending, id)
-	return ent
+	delete(e.pending, cx.parent.id)
+	return true
 }
 
-// work is the background worker: it walks the restored contexts in
-// restart-LSN order and replays each one no call has claimed first. Its
-// log reader serves every chain it walks: out of the whole backlog, read
-// once, when it can hold that, else by the block.
+// work is the background worker: it goes through the restored contexts
+// in restart-LSN order and brings back each one no call has claimed
+// first. Its log reader serves every chain it walks: out of the whole
+// backlog, read once, when it can hold that, else by the block.
 func (e *replayEngine) work() {
 	defer e.worker.Done()
 	rd := e.p.log.NewReader()
@@ -201,41 +180,29 @@ func (e *replayEngine) work() {
 		if e.p.crashed.Load() {
 			return
 		}
-		if ent := e.claim(cx.parent.id); ent != nil {
-			_ = e.replayOne(ent, false, trace.Ref{}, nil, rd)
+		if e.claim(cx) {
+			_ = e.replayOne(cx, false, trace.Ref{}, nil, rd)
 		}
 	}
 }
 
-// replayOne replays a claimed context: the chain is walked, newest
-// record to restart LSN, and replayed, oldest first, both through the
-// caller's rd; then the tail call runs (it may resume live execution
-// and demand further contexts). It records the per-context latency,
-// drops a demand-replay span into the flight recorder (under the
-// triggering call's trace, else the recovery run's), and marks the
-// context ready whatever happened, so waiters unblock and find the
-// failure, or the crash that unwound through here.
-func (e *replayEngine) replayOne(ent *pendingCtx, onDemand bool, tref trace.Ref, method *string, rd *wal.Reader) error {
+// replayOne brings back a claimed context through the caller's rd.
+// It records the per-context latency, drops a demand-replay span into
+// the flight recorder (under the triggering call's trace, else the
+// recovery run's), and marks the context ready whatever happened, so
+// waiters unblock and find the failure, or the crash that unwound
+// through here.
+func (e *replayEngine) replayOne(cx *Context, onDemand bool, tref trace.Ref, method *string, rd *wal.Reader) error {
 	p := e.p
 	clock := p.u.cfg.Clock
 	start := clock.Now()
 	tstart := p.tr.Now()
-	defer ent.cx.markReady()
-	var cost replayCost
-	var tail ctxTail
+	defer cx.markReady()
 	before := rd.Reads()
 	if !onDemand && before == 0 {
 		rd.Hold(e.backlogLo, e.backlogHi) // the worker's first context: the whole backlog, once
 	}
-	chain, err := walkChain(rd, ent.cx.parent.id, ent.head, ent.restart)
-	cost.walkReads = rd.Reads() - before
-	if err == nil {
-		tail, err = p.replayContext(ent.cx, chain, rd)
-	}
-	cost.records, cost.replayReads = 2*int64(len(chain)), rd.Reads()-before-cost.walkReads
-	if err == nil {
-		err = p.replayTail(ent.cx, tail)
-	}
+	records, err := p.bringBack(cx, rd)
 	if err != nil && p.crashed.Load() {
 		err = nil // the log closed under us: the crash's doing, not a replay failure
 	}
@@ -251,29 +218,26 @@ func (e *replayEngine) replayOne(ent *pendingCtx, onDemand bool, tref trace.Ref,
 				Stage:  trace.StageDemandReplay,
 				Start:  tstart,
 				End:    p.tr.Now(),
-				LSN:    uint64(ent.restart),
+				LSN:    uint64(cx.restart()),
 				Proc:   &p.name,
 				Method: method,
 			})
 		}
 	}
-	e.finishOne(ent, onDemand, cost, clock.Now().Sub(start), err)
+	e.finishOne(cx, onDemand, int64(records), rd.Reads()-before, clock.Now().Sub(start), err)
 	return err
 }
 
-// replayCost is what one context's walk and replay read.
-type replayCost struct{ records, walkReads, replayReads int64 }
-
-// finishOne folds one finished replay into the run's accounting and
+// finishOne folds one context brought back into the run's accounting —
+// the records its walk decoded and the device reads behind them — and
 // triggers finalization when it was the last.
-func (e *replayEngine) finishOne(ent *pendingCtx, onDemand bool, cost replayCost, d time.Duration, err error) {
+func (e *replayEngine) finishOne(cx *Context, onDemand bool, records, reads int64, d time.Duration, err error) {
 	p := e.p
 	e.mu.Lock()
 	e.remaining--
 	last := e.remaining == 0
-	e.plan.stats.RecordsScanned += cost.records
-	e.plan.stats.LogReadsWalk += cost.walkReads
-	e.plan.stats.LogReadsReplay += cost.replayReads
+	e.plan.stats.RecordsScanned += records
+	e.plan.stats.LogReadsWalk += reads
 	if onDemand {
 		e.onDemand++
 	} else {
@@ -285,7 +249,7 @@ func (e *replayEngine) finishOne(ent *pendingCtx, onDemand bool, cost replayCost
 		if e.failed == nil {
 			e.failed = make(map[ids.CompID]error)
 		}
-		e.failed[ent.cx.parent.id] = err
+		e.failed[cx.parent.id] = err
 		if e.firstErr == nil {
 			e.firstErr = err
 		}
@@ -329,7 +293,7 @@ func (e *replayEngine) finalize() {
 	}
 	clock := p.u.cfg.Clock
 	e.mu.Lock()
-	stats := e.plan.stats // finishOne adds what the walks and replays read
+	stats := e.plan.stats // finishOne adds what the walks read
 	stats.ContextsOnDemand = e.onDemand
 	stats.ContextsBackground = e.background
 	stats.CtxReplayMaxNanos = int64(e.replayMax)
@@ -371,9 +335,9 @@ func (e *replayEngine) join() error {
 }
 
 // stop tears the engine down when the process crashes or closes
-// mid-drain: unclaimed contexts get their latches opened (waiters
-// proceed into checkAlive and unwind as unavailability), nothing more
-// can be claimed, and joiners are released.
+// mid-drain: unclaimed contexts get their latches opened, shells still
+// (waiters proceed into checkAlive and unwind as unavailability),
+// nothing more can be claimed, and joiners are released.
 func (e *replayEngine) stop() {
 	e.mu.Lock()
 	if e.stopped {
@@ -384,8 +348,8 @@ func (e *replayEngine) stop() {
 	pend := e.pending
 	e.pending = nil
 	e.mu.Unlock()
-	for _, ent := range pend {
-		ent.cx.markReady()
+	for _, cx := range pend {
+		cx.markReady()
 	}
 	e.close()
 }

@@ -533,11 +533,11 @@ func publishedRoot(t *testing.T, logDir string) (marks, stable map[uint32]ids.LS
 
 // TestRecordsScannedGrowsWithBacklog pins RecoveryStats.RecordsScanned
 // on a 64-context log with no checkpoint: Pass 1 reads every record
-// once, and each replayed record is read twice more — by the walk that
-// finds its context's chain and by the replay — so the count is Pass 1
-// plus twice the backlog — not contexts × log length, which is what one
-// filtered scan per first touch would cost — and a lazy restart reads
-// what an eager one does.
+// once, and each replayed record is read once more — by the walk that
+// finds its context's chain and decodes it for the replay — so the
+// count is Pass 1 plus the backlog — not contexts × log length, which
+// is what one filtered scan per first touch would cost — and a lazy
+// restart reads what an eager one does.
 func TestRecordsScannedGrowsWithBacklog(t *testing.T) {
 	const n, rounds = 64, 6
 	img, st := counterImage(t, n, rounds, 0, 0)
@@ -551,8 +551,8 @@ func TestRecordsScannedGrowsWithBacklog(t *testing.T) {
 	if eager.stats.CallsReplayed != n*rounds {
 		t.Fatalf("replayed %d calls, want %d", eager.stats.CallsReplayed, n*rounds)
 	}
-	if got, want := eager.stats.RecordsScanned, logged+2*n*rounds; got != want {
-		t.Errorf("eager scanned %d records, want Pass 1's %d plus twice the %d replayed", got, logged, n*rounds)
+	if got, want := eager.stats.RecordsScanned, logged+n*rounds; got != want {
+		t.Errorf("eager scanned %d records, want Pass 1's %d plus the %d replayed", got, logged, n*rounds)
 	}
 	if lazy.stats.RecordsScanned != eager.stats.RecordsScanned {
 		t.Errorf("lazy scanned %d records, eager %d", lazy.stats.RecordsScanned, eager.stats.RecordsScanned)
@@ -571,8 +571,8 @@ func TestRecordsScannedGrowsWithBacklog(t *testing.T) {
 // bytes (half of it for Pass 1, all of it for the backlog, two blocks
 // for the restart records), and the counts are properties of the
 // image: they repeat exactly from one restart to the next. A context
-// replayed by itself — a first touch — passes over its chain's span
-// once to walk it and once to replay it, a block per read.
+// brought back by itself — a first touch — passes over its chain's span
+// once, to walk it, a block per read: the replay reads nothing.
 func TestLogReadsBoundedByBlocks(t *testing.T) {
 	const calls = 6400     // ~400 KB: the restart records' two blocks are 0.08x of it; Pass 1 well clear of a block-count edge
 	const block = 16 << 10 // wal's read-ahead unit
@@ -598,10 +598,9 @@ func TestLogReadsBoundedByBlocks(t *testing.T) {
 			t.Errorf("%d contexts: device reads do not repeat: %d (%d bytes), then %d (%d bytes)",
 				n, s.LogReads, s.LogBytesRead, again.stats.LogReads, again.stats.LogBytesRead)
 		}
-		if sum := s.LogReadsPass1 + s.LogReadsWalk + s.LogReadsReplay; sum != s.LogReads ||
-			s.LogReadsWalk != 1 || s.LogReadsReplay != 0 {
-			t.Errorf("%d contexts: %d device reads, by phase Pass 1 %d + walk %d + replay %d; want them to add up, one hold and nothing past it",
-				n, s.LogReads, s.LogReadsPass1, s.LogReadsWalk, s.LogReadsReplay)
+		if s.LogReadsPass1+s.LogReadsWalk != s.LogReads || s.LogReadsWalk != 1 {
+			t.Errorf("%d contexts: %d device reads, by phase Pass 1 %d + walk %d; want them to add up, and one hold",
+				n, s.LogReads, s.LogReadsPass1, s.LogReadsWalk)
 		}
 		// Half the log is past the watermark and past the checkpoint.
 		if half := (st.BytesWritten/2)/block + 2; s.LogReadsPass1 > half+3 {
@@ -614,23 +613,15 @@ func TestLogReadsBoundedByBlocks(t *testing.T) {
 
 		// One context by itself, with a reader of its own.
 		p, plan := passOne(t, img)
-		for ctx, restart := range plan.restart {
-			head := plan.heads[ctx]
+		for _, cx := range plan.restored {
 			rd := p.log.NewReader()
-			chain, err := walkChain(rd, ctx, head, restart)
-			if err != nil {
+			if _, err := chainOf(rd, cx); err != nil {
 				t.Fatal(err)
 			}
-			walk := rd.Reads()
-			for _, lsn := range chain {
-				if _, err := rd.ReadAt(lsn); err != nil {
-					t.Fatal(err)
-				}
-			}
-			bound := int64(head-restart)/block + 1 + 1 // ⌈chain bytes / block⌉, and the log's one segment
-			if replay := rd.Reads() - walk; walk > bound || replay > bound {
-				t.Errorf("%d contexts: context %d's chain spans %d bytes: walked with %d device reads, replayed with %d, want at most %d each",
-					n, ctx, head-restart, walk, replay, bound)
+			span := int64(ids.LSN(cx.chainHead.Load()) - cx.restartLSN)
+			if bound := span/block + 1 + 1; rd.Reads() > bound { // ⌈chain bytes / block⌉, and the log's one segment
+				t.Errorf("%d contexts: context %d's chain spans %d bytes: walked with %d device reads, want at most %d",
+					n, cx.parent.id, span, rd.Reads(), bound)
 			}
 		}
 	}
@@ -644,8 +635,8 @@ func TestLogReadsBoundedByBlocks(t *testing.T) {
 // context's state saved, a checkpoint, three rounds of calls, the crash —
 // behind a history of 1 round and of 700: the restart scans the same
 // records and issues the same device reads over both, eagerly and
-// lazily, and a first touch — one context walked and replayed through a
-// reader of its own — reads the same.
+// lazily, and a first touch — one context walked through a reader of
+// its own; its replay reads nothing — reads the same.
 func TestRestartFlatAsLogGrows(t *testing.T) {
 	const n, tail = 8, 3
 	type cost struct {
@@ -662,24 +653,13 @@ func TestRestartFlatAsLogGrows(t *testing.T) {
 		if c.eager.CallsReplayed != n*tail {
 			t.Fatalf("history %d: replayed %d calls, want %d", history, c.eager.CallsReplayed, n*tail)
 		}
-		p, plan := passOne(t, img)
-		ctx := ids.CompID(0)
-		for id, cx := range p.contexts {
-			if cx.parent.name == "C5" {
-				ctx = id
-			}
-		}
+		p, _ := passOne(t, img)
 		rd := p.log.NewReader()
-		chain, err := walkChain(rd, ctx, plan.heads[ctx], plan.restart[ctx])
+		chain, err := chainOf(rd, shellNamed(t, p, "C5"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, lsn := range chain {
-			if _, err := rd.ReadAt(lsn); err != nil {
-				t.Fatal(err)
-			}
-		}
-		c.touchRecords, c.touchDevice = 2*int64(len(chain)), rd.Reads()
+		c.touchRecords, c.touchDevice = int64(len(chain)), rd.Reads()
 		costs[history] = c
 		t.Logf("history %d rounds, %d-byte log: %d records scanned, %d device reads (%d bytes); a first touch reads %d records with %d device reads",
 			history, c.logBytes, c.eager.RecordsScanned, c.eager.LogReads, c.eager.LogBytesRead, c.touchRecords, c.touchDevice)
@@ -688,9 +668,9 @@ func TestRestartFlatAsLogGrows(t *testing.T) {
 	if long.logBytes < 100*short.logBytes {
 		t.Fatalf("logs of %d and %d bytes: the long one should retain 100x more", short.logBytes, long.logBytes)
 	}
-	if short.touchRecords != 2*tail || short.touchRecords != long.touchRecords || short.touchDevice != long.touchDevice {
+	if short.touchRecords != tail || short.touchRecords != long.touchRecords || short.touchDevice != long.touchDevice {
 		t.Errorf("a first touch reads %d records with %d device reads over the short log, %d with %d over the long one; want %d records and equal reads",
-			short.touchRecords, short.touchDevice, long.touchRecords, long.touchDevice, 2*tail)
+			short.touchRecords, short.touchDevice, long.touchRecords, long.touchDevice, tail)
 	}
 	for _, mode := range []struct {
 		name        string

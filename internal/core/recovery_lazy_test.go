@@ -7,13 +7,17 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ids"
+	"repro/internal/msg"
 	"repro/internal/obs"
 )
 
 // These tests pin what is particular to lazy admission (Recovery.Mode =
-// RecoveryLazy) — the first-touch path, the RecoverContext API and a
-// crash in the middle of the drain. That lazy and eager recovery
-// compute the same thing is TestRecoveryEquivalence's business.
+// RecoveryLazy) — the first-touch path, the RecoverContext API, a
+// Handle on a pending context, the last calls a pending context's state
+// record names, what a touch reads, and a crash in the middle of the
+// drain. That lazy and eager recovery compute the same thing is
+// TestRecoveryEquivalence's business.
 
 // TestLazyFirstTouchAndStats drives a wide backlog, restarts lazily,
 // and touches the context the background drain reaches last — the
@@ -232,13 +236,11 @@ func (g *Gate) Add(d int) (int, error) {
 	return g.N, nil
 }
 
-// TestLazyTouchNotQueuedBehindDrain: a first touch replays its context
-// on its own goroutine at once, whatever the background worker is
-// replaying. G is created first, so it has the lowest restart LSN and
-// the worker takes it first; its replay blocks. A call to C must still
-// come back with C's replayed value while G's replay is held.
-func TestLazyTouchNotQueuedBehindDrain(t *testing.T) {
-	const rounds = 5
+// gateImage leaves a crashed srv in a new directory hosting G, a Gate
+// created first — the lowest restart LSN, so the worker takes it first —
+// and C, a Counter, each of which served Add(1) … Add(rounds).
+func gateImage(t *testing.T, rounds int) string {
+	t.Helper()
 	dir := t.TempDir()
 	u, err := NewUniverse(UniverseConfig{Dir: dir})
 	if err != nil {
@@ -259,7 +261,47 @@ func TestLazyTouchNotQueuedBehindDrain(t *testing.T) {
 	}
 	p.Crash()
 	u.Shutdown()
+	return dir
+}
 
+// holdGate arms gateHold: every Gate.Add blocks until release, which
+// the test's cleanup calls too. It returns once a replay has entered a
+// Gate.Add, or fails the test after 3 s.
+func holdGate(t *testing.T, start func()) (release func()) {
+	t.Helper()
+	hooks := &gateHooks{entered: make(chan struct{}), release: make(chan struct{})}
+	gateHold.Store(hooks)
+	var released sync.Once
+	release = func() {
+		released.Do(func() {
+			gateHold.Store(nil)
+			close(hooks.release)
+		})
+	}
+	t.Cleanup(release)
+	start()
+	select {
+	case <-hooks.entered:
+	case <-time.After(3 * time.Second):
+		t.Fatal("the worker never entered G's replay")
+	}
+	return release
+}
+
+// lazyCfg is testConfig with lazy admission.
+func lazyCfg() Config {
+	cfg := testConfig()
+	cfg.Recovery = Recovery{Mode: RecoveryLazy}
+	return cfg
+}
+
+// TestLazyTouchNotQueuedBehindDrain: a first touch brings its context
+// back on its own goroutine at once, whatever the background worker is
+// replaying. The worker takes G first; its replay blocks. A call to C
+// must still come back with C's replayed value while G's replay is held.
+func TestLazyTouchNotQueuedBehindDrain(t *testing.T) {
+	const rounds = 5
+	dir := gateImage(t, rounds)
 	u2, err := NewUniverse(UniverseConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -269,27 +311,12 @@ func TestLazyTouchNotQueuedBehindDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hooks := &gateHooks{entered: make(chan struct{}), release: make(chan struct{})}
-	gateHold.Store(hooks)
-	var released sync.Once
-	release := func() {
-		released.Do(func() {
-			gateHold.Store(nil)
-			close(hooks.release)
-		})
-	}
-	defer release()
-	cfg := testConfig()
-	cfg.Recovery = Recovery{Mode: RecoveryLazy}
-	p2, err := m2.StartProcess("srv", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-hooks.entered:
-	case <-time.After(3 * time.Second):
-		t.Fatal("the worker never entered G's replay")
-	}
+	var p2 *Process
+	release := holdGate(t, func() {
+		if p2, err = m2.StartProcess("srv", lazyCfg()); err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	h, ok := p2.Lookup("C")
 	if !ok {
@@ -330,4 +357,208 @@ func TestLazyTouchNotQueuedBehindDrain(t *testing.T) {
 		t.Errorf("on-demand %d, background %d; want C on demand and G in the background",
 			stats.ContextsOnDemand, stats.ContextsBackground)
 	}
+}
+
+// TestLazySaveStateWhilePending: a Handle on a context a lazy restart has
+// not brought back yet reads and saves its replayed state, not its
+// restart record's. The worker is held in G's replay while C, still
+// pending, is read and saved as its own new restart point; a save of the
+// pre-replay state would lose C's five logged calls to the next restart.
+func TestLazySaveStateWhilePending(t *testing.T) {
+	const rounds = 5
+	want := rounds * (rounds + 1) / 2
+	dir := gateImage(t, rounds)
+	u2, err := NewUniverse(UniverseConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u2.Shutdown()
+	m2, err := u2.AddMachine("evo1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p2 *Process
+	release := holdGate(t, func() {
+		if p2, err = m2.StartProcess("srv", lazyCfg()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	h, ok := p2.Lookup("C")
+	if !ok {
+		t.Fatal("C missing after Pass 1")
+	}
+	if got := h.Object().(*Counter).N; got != want {
+		t.Errorf("C reads %d while its restart is pending, want the replayed %d", got, want)
+	}
+	if err := h.SaveState(); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if err := p2.DrainRecovery(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if err := p2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p3, err := m2.StartProcess("srv", testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p3.Close()
+	h3, ok := p3.Lookup("C")
+	if !ok {
+		t.Fatal("C missing after the eager restart")
+	}
+	if got := h3.Object().(*Counter).N; got != want {
+		t.Errorf("C = %d after the eager restart, want %d", got, want)
+	}
+}
+
+// TestLazyTrimKeepsPendingLastCalls: the last-call table is complete
+// when the first call is admitted — Pass 1 seeds it from a state
+// record's last calls as well as from the checkpoint's dump and the
+// reply records it passes — so a checkpoint and a trim taken while a
+// context is still pending keep every reply the table names. A
+// persistent caller's last call to C comes after the image's
+// checkpoint; C's state record past the checkpoint names its reply, and
+// the restart LSNs of both contexts lie segments past the reply, so
+// only the table's entry holds the trim back. Restarted lazily with the
+// worker held in G, the process checkpoints, publishes and trims;
+// restarted again, it must answer the caller's duplicate with the
+// stored reply, not re-execute it or fault.
+func TestLazyTrimKeepsPendingLastCalls(t *testing.T) {
+	const segBytes = 2 << 10
+	dir := t.TempDir()
+	u, err := NewUniverse(UniverseConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, p := startProc(t, u, "evo1", "srv", testConfig())
+	p.SetLogSegmentBytes(segBytes)
+	hg, err := p.Create("G", &Gate{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc, err := p.Create("C", &Counter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := u.ExternalRef(hg.URI())
+	filler := func(n int) {
+		for i := 0; i < n; i++ {
+			callInt(t, gate, "Add", 1)
+		}
+	}
+	filler(100) // segments ahead of the reply, for the trim to reclaim
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	filler(1) // its forced reply publishes the checkpoint
+	caller := ids.ComponentAddr{Machine: "evo9", Proc: 1, Comp: 1}
+	args, nargs, _ := encodeArgsHelper(5)
+	dup := func() *msg.Call {
+		return &msg.Call{ID: ids.CallID{Caller: caller, Seq: 8}, Target: hc.URI(), Method: "Add",
+			Args: args, NumArgs: nargs, CallerType: msg.Persistent}
+	}
+	first := p.serveCall(dup())
+	if first.Fault != "" {
+		t.Fatalf("persistent call: %s", first.Fault)
+	}
+	if err := hc.SaveState(); err != nil { // writes the reply, then the state naming it
+		t.Fatal(err)
+	}
+	reply := p.lastCalls.get(caller).replyLSN
+	filler(200)
+	if err := hg.SaveState(); err != nil {
+		t.Fatal(err)
+	}
+	filler(3)                              // G's chain past its state: the worker's replay holds in it
+	if err := hc.SaveState(); err != nil { // C's restart record: past G's, naming the same reply
+		t.Fatal(err)
+	}
+	if err := p.force(nil); err != nil {
+		t.Fatal(err)
+	}
+	if reply.IsNil() || hg.RestartLSN()-reply < 2*segBytes || hc.RestartLSN() < hg.RestartLSN() {
+		t.Fatalf("image: reply at %v, G restarts at %v, C at %v; want the reply a whole segment behind G, and G before C",
+			reply, hg.RestartLSN(), hc.RestartLSN())
+	}
+	p.Crash()
+	u.Shutdown()
+
+	u2, err := NewUniverse(UniverseConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u2.Shutdown()
+	m2, err := u2.AddMachine("evo1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p2 *Process
+	release := holdGate(t, func() {
+		if p2, err = m2.StartProcess("srv", lazyCfg()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := p2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p2.force(nil); err != nil { // publishes it: the trim may reach its mark
+		t.Fatal(err)
+	}
+	if err := p2.TrimLog(); err != nil {
+		t.Fatal(err)
+	}
+	if p2.LogStats().TrimmedBytes == 0 {
+		t.Fatal("the trim reclaimed nothing")
+	}
+	p2.Crash()
+	release()
+	if err := p2.DrainRecovery(); err != nil {
+		t.Fatal(err)
+	}
+
+	p3, err := m2.StartProcess("srv", testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p3.Close()
+	again := p3.serveCall(dup())
+	if again.Fault != "" {
+		t.Fatalf("the caller's duplicate after the trim: %s", again.Fault)
+	}
+	if string(again.Results) != string(first.Results) {
+		t.Error("the duplicate's reply differs from the original")
+	}
+	h3, _ := p3.Lookup("C")
+	if got := h3.Object().(*Counter).N; got != 5 {
+		t.Errorf("C = %d, want 5: the duplicate must not execute again", got)
+	}
+}
+
+// TestLazyTouchReadsItsSpanOnce: a lazy restart with one first touch
+// reads what an eager restart reads plus that context's walk — at most
+// ⌈span / block⌉ + 1 device reads over its chain's span, once: the walk
+// decodes what the replay needs. The image is the benchmark's shape: 64
+// contexts, a checkpoint halfway with the even ones' state saved; C63
+// replays from its creation and is the worker's 32nd, so the touch
+// usually gets there first (if the worker does, the touch reads nothing).
+func TestLazyTouchReadsItsSpanOnce(t *testing.T) {
+	const n, rounds = 64, 100
+	const block = 16 << 10 // wal's read-ahead unit
+	img, _ := counterImage(t, n, rounds, rounds/2+1, 2)
+	eager := recoverImage(t, img, RecoveryEager)
+	p, _ := passOne(t, img)
+	touched := shellNamed(t, p, "C63")
+	span := int64(ids.LSN(touched.chainHead.Load()) - touched.restartLSN)
+	img.touch = []string{"C63"}
+	lazy := recoverImage(t, img, RecoveryLazy)
+	if bound := eager.stats.LogReads + (span+block-1)/block + 1; lazy.stats.LogReads > bound {
+		t.Errorf("a lazy restart with one touch issued %d device reads (Pass 1 %d, walks %d); want at most the eager %d plus %d for the touched span of %d bytes",
+			lazy.stats.LogReads, lazy.stats.LogReadsPass1, lazy.stats.LogReadsWalk, eager.stats.LogReads, bound-eager.stats.LogReads, span)
+	}
+	t.Logf("eager %d device reads, lazy with one touch %d (Pass 1 %d, walks %d), touched span %d bytes",
+		eager.stats.LogReads, lazy.stats.LogReads, lazy.stats.LogReadsPass1, lazy.stats.LogReadsWalk, span)
 }

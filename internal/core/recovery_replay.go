@@ -10,106 +10,120 @@ import (
 	"repro/internal/wal"
 )
 
-// This file is Pass 2 of Section 4.4, once: "buffer a context's
-// message records, replay its previous incoming call when the next one
-// arrives". A context's message records are a chain on the log: each
-// one's frame links back to the one before (wal.Writer.AppendLinked), so
-// its backlog is read off the log from its newest record, which Pass 1
-// found (walkChain), and replayed oldest first (replayContext). Every
-// way a context gets replayed — the eager drain, a lazy first touch, a
-// background worker, RecoverContext — goes through these two functions.
+// This file is the way back of Section 4.4, once: "the state record (or
+// creation record) can be read from the log and the context restored...
+// Then the log after the state record is read and incoming method calls
+// for the context are replayed". A context's message records are a
+// chain on the log: each one's frame links back to the one before
+// (wal.Writer.AppendLinked), so its backlog is read off the log from its
+// newest record, which Pass 1 found (walkChain), decoded as it is read,
+// and replayed oldest first (replayChain). Every way a context comes
+// back — the eager drain, a lazy first touch, the background worker, a
+// nested demand, RecoverContext, a Handle — is bringBack.
 //
 // Chain invariant: a link points at an older record, in raw-LSN order —
 // stream tags grow with the era and a context's records occupy exactly
 // one stream per era, so the smaller of two LSNs was written first (what
 // Pass 1's "newest restart record wins" rests on).
 
+// bringBack builds a shell's components from its restart record, walks
+// its chain off the log through rd and replays it — the last call may
+// run off the end of the log and resume live execution, calling perhaps
+// into other contexts of this process, which the serve path's demand
+// brings back in turn. The caller has claimed cx and opens its latch
+// once its own bookkeeping is done. It returns the records the walk read.
+func (p *Process) bringBack(cx *Context, rd *wal.Reader) (int, error) {
+	restart := cx.restart()
+	if err := p.build(cx, restart, rd); err != nil {
+		return 0, err
+	}
+	chain, err := walkChain(rd, cx.parent.id, ids.LSN(cx.chainHead.Load()), restart)
+	if err != nil {
+		return 0, err
+	}
+	return len(chain), p.replayChain(cx, chain)
+}
+
+// chainRec is one record of a context's chain as the walk decoded it:
+// an incoming call, or the reply to one of its outgoing calls.
+type chainRec struct {
+	lsn   ids.LSN
+	call  *incomingRec
+	reply *outgoingReplyRec
+}
+
 // walkChain reads the chain of context ctx off the log through rd:
 // from head, its newest replay-relevant message record — an incoming
 // call, or the reply to an outgoing one — link by link down to its
 // restart LSN ("If a message log record occurs earlier than the latest
-// state record of the same context, it is ignored"), and returns the
-// LSNs in replay order, oldest first: 8 bytes per record of backlog. A
-// link (from the nil LSN: the head itself) that leads to no record, or
-// to one that is not the context's message, is a broken log.
-func walkChain(rd *wal.Reader, ctx ids.CompID, head, restart ids.LSN) ([]ids.LSN, error) {
-	var chain []ids.LSN
+// state record of the same context, it is ignored"), decoding each
+// record once (decodeRec copies what it keeps, so nothing aliases rd's
+// block), and returns them in replay order, oldest first. A link (from
+// the nil LSN: the head itself) that leads to no record, or to one that
+// is not the context's message, is a broken log.
+func walkChain(rd *wal.Reader, ctx ids.CompID, head, restart ids.LSN) ([]chainRec, error) {
+	var chain []chainRec
 	for from, lsn := ids.NilLSN, head; !lsn.IsNil() && lsn >= restart; {
 		rec, err := rd.ReadAt(lsn)
 		if err != nil {
 			return nil, fmt.Errorf("core: chain of context %d: record at %v, linked from %v: %w", ctx, lsn, from, err)
 		}
-		owner, err := recCtx(rec.Payload)
-		if err != nil {
-			return nil, err
+		r := chainRec{lsn: lsn}
+		var owner ids.CompID
+		switch rec.Type {
+		case recIncoming:
+			r.call = new(incomingRec)
+			err = decodeRec(rec.Payload, r.call)
+			owner = r.call.Ctx
+		case recOutgoingReply:
+			r.reply = new(outgoingReplyRec)
+			err = decodeRec(rec.Payload, r.reply)
+			owner = r.reply.Ctx
+		default:
+			owner, err = recCtx(rec.Payload)
 		}
-		if (rec.Type != recIncoming && rec.Type != recOutgoingReply) || owner != ctx {
+		if err != nil {
+			return nil, fmt.Errorf("core: chain of context %d: record at %v: %w", ctx, lsn, err)
+		}
+		if (r.call == nil && r.reply == nil) || owner != ctx {
 			return nil, fmt.Errorf("core: chain of context %d: %v, linked from %v, holds a %s record of context %d",
 				ctx, lsn, from, recName(rec.Type), owner)
 		}
-		chain = append(chain, lsn)
+		chain = append(chain, r)
 		from, lsn = lsn, rec.Prev
 	}
 	slices.Reverse(chain)
 	return chain, nil
 }
 
-// ctxTail is a context's last buffered incoming call with the replies
-// logged for it. It is the one call whose replay may run off the end
-// of the log and resume live execution — calling, perhaps, into other
-// contexts of this process — so replayContext hands it back instead of
-// running it: the caller decides what to let go of first.
-type ctxTail struct {
-	call    *incomingRec // nil: the chain held no incoming call
-	lsn     ids.LSN
-	replies map[uint64]*msg.Reply
-}
-
-// replayContext replays cx's backlog from its chain: each entry is read
-// through rd — the caller's positioned reader, which it keeps across
-// the contexts it replays so neighbouring records share a device read —
-// decoded, and fed to the Section-4.4 state machine — replies are
-// buffered under the pending incoming call, and the pending call is
-// replayed when the next incoming call shows that all its messages are
-// in hand. By the log-prefix argument those replays never leave the
-// context: a later incoming record survived the crash, so every reply
-// to the earlier call's sends did too. Returns the tail.
-func (p *Process) replayContext(cx *Context, chain []ids.LSN, rd *wal.Reader) (ctxTail, error) {
-	tail := ctxTail{replies: make(map[uint64]*msg.Reply)}
-	for _, lsn := range chain {
-		rec, err := rd.ReadAt(lsn)
-		if err != nil {
-			return tail, err
+// replayChain feeds cx's walked chain to the Section-4.4 state machine:
+// replies are buffered under the pending incoming call, and the pending
+// call is replayed when the next incoming call shows that all its
+// messages are in hand. By the log-prefix argument those replays never
+// leave the context: a later incoming record survived the crash, so
+// every reply to the earlier call's sends did too. The last call is the
+// one whose replay may find a reply missing — the log ends inside it —
+// and resume live.
+func (p *Process) replayChain(cx *Context, chain []chainRec) error {
+	var pending *chainRec // the incoming call whose replies are being buffered
+	replies := make(map[uint64]*msg.Reply)
+	for i, r := range chain {
+		if r.reply != nil {
+			replies[r.reply.Seq] = &r.reply.Reply
+			continue
 		}
-		if rec.Type == recIncoming {
-			ir := new(incomingRec)
-			if err := decodeRec(rec.Payload, ir); err != nil {
-				return tail, err
+		if pending != nil {
+			if err := p.replayIncoming(cx, pending.call, pending.lsn, replies); err != nil {
+				return err
 			}
-			if tail.call != nil {
-				if err := p.replayIncoming(cx, tail.call, tail.lsn, tail.replies); err != nil {
-					return tail, err
-				}
-				clear(tail.replies)
-			}
-			tail.call, tail.lsn = ir, lsn
-		} else {
-			var or outgoingReplyRec
-			if err := decodeRec(rec.Payload, &or); err != nil {
-				return tail, err
-			}
-			tail.replies[or.Seq] = &or.Reply
+			clear(replies)
 		}
+		pending = &chain[i]
 	}
-	return tail, nil
-}
-
-// replayTail replays a context's last buffered call, if it has one.
-func (p *Process) replayTail(cx *Context, t ctxTail) error {
-	if t.call == nil {
+	if pending == nil {
 		return nil
 	}
-	return p.replayIncoming(cx, t.call, t.lsn, t.replies)
+	return p.replayIncoming(cx, pending.call, pending.lsn, replies)
 }
 
 // replayIncoming re-executes one logged incoming call. Outgoing calls

@@ -102,6 +102,28 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 		}
 	}
 
+	// A context being recovered is a shell until it is back, so this gate
+	// comes before anything reads its methods. While the replay engine is
+	// attached an arrival does better than wait: it claims the context
+	// and brings it back right here (first toucher pays; concurrent
+	// arrivals wait on the same latch) — which is also how a resumed tail
+	// call reaches a same-process context nobody has brought back yet.
+	// Steady state — no engine attached, first call already noted —
+	// costs two atomic loads.
+	if e := p.engine.Load(); e != nil {
+		e.demand(cx, call.Trace, &call.Method)
+		<-cx.ready
+		if err := e.replayFailure(cx.parent.id); err != nil {
+			return fault(call.ID, "context %s unavailable: replay failed: %v", cx.uri, err)
+		}
+	} else {
+		<-cx.ready
+	}
+	if cx.parent.disp == nil { // a shell opened by a crash mid-drain, or whose restore failed
+		p.checkAlive()
+		return fault(call.ID, "context %s unavailable: not restored", cx.uri)
+	}
+
 	external := call.ID.IsZero()
 	if _, ok := cx.parent.disp.Method(call.Method); !ok {
 		return fault(call.ID, "component %q has no method %q", compName, call.Method)
@@ -144,22 +166,6 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 		p.obs.InterceptAlgo2.Inc()
 	}
 
-	// A context being recovered holds arrivals until replay completes.
-	// While the replay engine is attached an arrival does better than
-	// wait: it claims the context and replays its chain right here
-	// (first toucher pays; concurrent arrivals wait on the same latch)
-	// — which is also how a resumed tail call reaches a same-process
-	// context that nobody has replayed yet. Steady state — no engine
-	// attached, first call already noted — costs two atomic loads.
-	if e := p.engine.Load(); e != nil {
-		e.demand(cx, call)
-		<-cx.ready
-		if err := e.replayFailure(cx.parent.id); err != nil {
-			return fault(call.ID, "context %s unavailable: replay failed: %v", cx.uri, err)
-		}
-	} else {
-		<-cx.ready
-	}
 	p.noteFirstCall()
 
 	// Single-threaded context: one incoming call at a time
