@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -392,7 +393,8 @@ func BenchmarkTable7_Recovery(b *testing.B) {
 // checkpoint taken at call 3,000, then a crash — restarted eagerly and
 // lazily. One op is one restart up to the drained backlog; putting the
 // pristine image back is outside the timer. The RecoveryStats of the
-// last restart are logged: the counts repeat exactly.
+// last restart are logged — the counts repeat exactly — with the
+// restarts' allocations (inside the timer) per replayed call.
 func BenchmarkTable7_RestartImage(b *testing.B) {
 	const contexts, calls = 64, 6000
 	img := filepath.Join(b.TempDir(), "img")
@@ -447,6 +449,8 @@ func BenchmarkTable7_RestartImage(b *testing.B) {
 			live := filepath.Join(b.TempDir(), "live")
 			var stats phoenix.RecoveryStats
 			var touchReads int64
+			var mallocs uint64 // inside the timer, all restarts
+			var ms0, ms1 runtime.MemStats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -462,12 +466,15 @@ func BenchmarkTable7_RestartImage(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				runtime.ReadMemStats(&ms0)
 				b.StartTimer()
 				p, err := m.StartProcess("srv", cfg)
 				if err == nil {
 					err = p.DrainRecovery()
 				}
 				b.StopTimer()
+				runtime.ReadMemStats(&ms1)
+				mallocs += ms1.Mallocs - ms0.Mallocs
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -492,10 +499,12 @@ func BenchmarkTable7_RestartImage(b *testing.B) {
 				p.Crash()
 				u.Shutdown()
 			}
-			b.Logf("%v restart of a %d-byte log: %d device reads (Pass 1 %d, walk %d), %d bytes read (%.2fx the log), %d records scanned, %d calls replayed, %d sends suppressed; bringing one context back from its creation by itself, as a first touch does: %d device reads",
+			b.Logf("%v restart of a %d-byte log: %d device reads (Pass 1 %d, walk %d), %d bytes read (%.2fx the log), %d records scanned, %d calls replayed (%.2f allocations per replayed call), %d sends suppressed; bringing one context back from its creation by itself, as a first touch does: %d device reads",
 				mode, logBytes, stats.LogReads, stats.LogReadsPass1, stats.LogReadsWalk,
 				stats.LogBytesRead, float64(stats.LogBytesRead)/float64(logBytes),
-				stats.RecordsScanned, stats.CallsReplayed, stats.CallsSuppressed, touchReads)
+				stats.RecordsScanned, stats.CallsReplayed,
+				float64(mallocs)/float64(b.N)/float64(stats.CallsReplayed),
+				stats.CallsSuppressed, touchReads)
 		})
 	}
 }

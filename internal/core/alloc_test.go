@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/ids"
@@ -16,11 +18,13 @@ import (
 // encoder does.
 
 // callPathAllocGate bounds one persistent↔persistent optimized call:
-// 18.5 allocs measured with one backing copy per decoded envelope,
-// stack scratch in rpc.InvokeEncoded, per-context hot records and the
-// holder-recycling buffer pool (27.5 before those; 947 with gob
-// envelopes, 394 with gob values only).
-const callPathAllocGate = 22.0
+// 17.5 allocs measured with one backing copy per decoded envelope,
+// stack scratch in the server's bound call, the method called by its
+// type's Func (no receiver thunk), per-context hot records and the
+// holder-recycling buffer pool (18.5 with a method value per instance,
+// 27.5 before the rest; 947 with gob envelopes, 394 with gob values
+// only).
+const callPathAllocGate = 21.0
 
 // AllocBatcher drives n persistent↔persistent calls per envelope call,
 // so the inner-call allocation cost can be isolated from the external
@@ -145,6 +149,53 @@ func TestAllocsTracedCallPath(t *testing.T) {
 	if traced > base+2 || base > callPathAllocGate {
 		t.Errorf("tracing costs %.1f allocs/call (untraced %.1f, traced %.1f); gate is ≤ +2 over a base ≤ %.1f",
 			traced-base, base, traced, callPathAllocGate)
+	}
+}
+
+// replayAllocGate bounds a restart's allocations per replayed external
+// call: 5.15 measured over an eager restart of 4 contexts and 2,000
+// Add(1) calls from their creation — the Pass 1 scan, the walk's
+// decode and the replay, with the replayed results not encoded (8.15
+// when every replay encoded its results, bound a method value per
+// instance and allocated each decoded record alone).
+const replayAllocGate = 6.0
+
+func TestAllocsReplayedCall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement is slow under -short")
+	}
+	const contexts, calls = 4, 2000
+	u := newTestUniverse(t)
+	m, p := startProc(t, u, "evo1", "srv", testConfig())
+	var refs [contexts]*Ref
+	for i := range refs {
+		h, err := p.Create(fmt.Sprintf("C%d", i), &Counter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = u.ExternalRef(h.URI())
+	}
+	for c := 0; c < calls; c++ {
+		callInt(t, refs[c%contexts], "Add", 1)
+	}
+	p.Crash()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p2, err := m.StartProcess("srv", testConfig())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	stats, _ := p2.LastRecovery()
+	if stats.CallsReplayed != calls {
+		t.Fatalf("replayed %d calls, want %d", stats.CallsReplayed, calls)
+	}
+	got := float64(after.Mallocs-before.Mallocs) / calls
+	t.Logf("eager restart: %.2f allocs per replayed call", got)
+	if got > replayAllocGate {
+		t.Errorf("a restart allocates %.2f per replayed call; gate is ≤ %.1f", got, replayAllocGate)
 	}
 }
 

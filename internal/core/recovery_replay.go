@@ -41,7 +41,8 @@ func (p *Process) bringBack(cx *Context, rd *wal.Reader) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return len(chain), p.replayChain(cx, chain)
+	p.replayChain(cx, chain)
+	return len(chain), nil
 }
 
 // chainRec is one record of a context's chain as the walk decoded it:
@@ -63,6 +64,7 @@ type chainRec struct {
 // is not the context's message, is a broken log.
 func walkChain(rd *wal.Reader, ctx ids.CompID, head, restart ids.LSN) ([]chainRec, error) {
 	var chain []chainRec
+	var calls []incomingRec // a slab: one allocation per 32 decoded calls
 	for from, lsn := ids.NilLSN, head; !lsn.IsNil() && lsn >= restart; {
 		rec, err := rd.ReadAt(lsn)
 		if err != nil {
@@ -72,7 +74,10 @@ func walkChain(rd *wal.Reader, ctx ids.CompID, head, restart ids.LSN) ([]chainRe
 		var owner ids.CompID
 		switch rec.Type {
 		case recIncoming:
-			r.call = new(incomingRec)
+			if len(calls) == 0 {
+				calls = make([]incomingRec, 32)
+			}
+			r.call, calls = &calls[0], calls[1:]
 			err = decodeRec(rec.Payload, r.call)
 			owner = r.call.Ctx
 		case recOutgoingReply:
@@ -104,7 +109,7 @@ func walkChain(rd *wal.Reader, ctx ids.CompID, head, restart ids.LSN) ([]chainRe
 // every reply to the earlier call's sends did too. The last call is the
 // one whose replay may find a reply missing — the log ends inside it —
 // and resume live.
-func (p *Process) replayChain(cx *Context, chain []chainRec) error {
+func (p *Process) replayChain(cx *Context, chain []chainRec) {
 	var pending *chainRec // the incoming call whose replies are being buffered
 	replies := make(map[uint64]*msg.Reply)
 	for i, r := range chain {
@@ -113,17 +118,14 @@ func (p *Process) replayChain(cx *Context, chain []chainRec) error {
 			continue
 		}
 		if pending != nil {
-			if err := p.replayIncoming(cx, pending.call, pending.lsn, replies); err != nil {
-				return err
-			}
+			p.replayIncoming(cx, pending.call, pending.lsn, replies)
 			clear(replies)
 		}
 		pending = &chain[i]
 	}
-	if pending == nil {
-		return nil
+	if pending != nil {
+		p.replayIncoming(cx, pending.call, pending.lsn, replies)
 	}
-	return p.replayIncoming(cx, pending.call, pending.lsn, replies)
 }
 
 // replayIncoming re-executes one logged incoming call. Outgoing calls
@@ -131,15 +133,25 @@ func (p *Process) replayChain(cx *Context, chain []chainRec) error {
 // log ends inside this call, and execution continues live with the
 // same deterministically re-derived call IDs, so servers answer
 // repeats from their last call tables. The reply is not sent to the
-// caller (condition 5) — it lands in the last call table, where a
-// duplicate call will find it.
+// caller (condition 5): a persistent caller's results are encoded into
+// the last call table, where a duplicate call will find them.
+//
+// A replay does what the live call did. A record that does not bind
+// (logged before the serve path bound first) faulted live unrun, so it
+// is skipped; results that do not encode faulted after the call ran,
+// so it runs and no last-call entry is made.
 //
 // A traced record replays under its ORIGINAL trace: the StageReplay
 // span carries the trace read back from the log plus the record's LSN,
 // which is what lets phoenix-trace stitch the pre-crash and post-crash
 // halves of a timeline together; curTrace is restored too, so records
 // re-logged by a resumed execution stay on that timeline.
-func (p *Process) replayIncoming(cx *Context, ir *incomingRec, lsn ids.LSN, replies map[uint64]*msg.Reply) error {
+func (p *Process) replayIncoming(cx *Context, ir *incomingRec, lsn ids.LSN, replies map[uint64]*msg.Reply) {
+	call := &ir.Call
+	bound, err := cx.parent.disp.Bind(call.Method, call.Args, call.NumArgs)
+	if err != nil {
+		return
+	}
 	cx.mu.Lock()
 	defer cx.mu.Unlock()
 	cx.recovering = true
@@ -154,10 +166,9 @@ func (p *Process) replayIncoming(cx *Context, ir *incomingRec, lsn ids.LSN, repl
 	cx.beginExecution()
 	p.replayedCalls.Add(1)
 	p.obs.ReplayedCalls.Inc()
-	p.emitEvent(Event{Kind: EventReplay, Context: cx.uri, Method: ir.Call.Method, LSN: lsn})
-	call := &ir.Call
+	p.emitEvent(Event{Kind: EventReplay, Context: cx.uri, Method: call.Method, LSN: lsn})
 	replayStart := p.tr.Now()
-	results, numResults, appErr, err := cx.parent.disp.InvokeEncoded(call.Method, call.Args, call.NumArgs)
+	out, appErr := bound.Call()
 	if p.tr != nil && !ir.Trace.IsZero() {
 		p.tr.Record(trace.SpanData{
 			Ref:    trace.Ref{Trace: ir.Trace.Trace, Span: p.tr.NewSpan()},
@@ -170,12 +181,11 @@ func (p *Process) replayIncoming(cx *Context, ir *incomingRec, lsn ids.LSN, repl
 			Method: &call.Method,
 		})
 	}
-	if err != nil {
-		return fmt.Errorf("replay %s.%s: %w", cx.uri, call.Method, err)
+	if call.ID.IsZero() {
+		return
 	}
-	if !call.ID.IsZero() {
+	if results, numResults, err := bound.EncodeResults(out); err == nil {
 		reply := &msg.Reply{ID: call.ID, Results: results, NumResults: numResults, AppErr: appErr}
 		p.lastCalls.putReplayed(call.ID.Caller, call.ID.Seq, reply, cx.parent.id)
 	}
-	return nil
 }

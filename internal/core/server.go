@@ -125,8 +125,11 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 	}
 
 	external := call.ID.IsZero()
-	if _, ok := cx.parent.disp.Method(call.Method); !ok {
-		return fault(call.ID, "component %q has no method %q", compName, call.Method)
+	// Bind before anything is logged: a call that cannot run faults
+	// leaving no record for a restart to trip over.
+	bound, err := cx.parent.disp.Bind(call.Method, call.Args, call.NumArgs)
+	if err != nil {
+		return fault(call.ID, "component %q: %v", compName, err)
 	}
 
 	// Classify the interaction (Sections 3.2-3.3). Stateless servers
@@ -240,7 +243,8 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 	defer func() { cx.curTrace = trace.Ref{}; cx.curMethod = "" }()
 	execStart := obs.Stopwatch()
 	execTraceStart := p.tr.Now()
-	results, numResults, appErr, err := cx.parent.disp.InvokeEncoded(call.Method, call.Args, call.NumArgs)
+	out, appErr := bound.Call()
+	results, numResults, err := bound.EncodeResults(out)
 	p.obs.ServeExecs.Inc()
 	p.obs.ServeExecMicros.Observe((obs.Stopwatch() - execStart) / 1e3)
 	p.traceSpan(call, trace.StageExecute, execTraceStart)

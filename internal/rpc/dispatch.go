@@ -17,62 +17,67 @@ package rpc
 import (
 	"fmt"
 	"reflect"
-	"sort"
+	"sync"
 )
 
-// Method describes one callable method of a component.
+// Method describes one callable method of a component type.
 type Method struct {
 	// Name is the exported method name.
 	Name string
 	// ParamTypes are the declared parameter types (receiver excluded).
 	ParamTypes []reflect.Type
-	// ResultTypes are the declared result types, excluding a trailing
-	// error.
-	ResultTypes []reflect.Type
 	// ReturnsErr reports whether the method's last result is an error.
 	ReturnsErr bool
 
+	// fn is the type's reflect.Method.Func, the receiver its argument
+	// 0: one Method serves every instance, and no call binds a method
+	// value.
 	fn reflect.Value
 }
 
 var errType = reflect.TypeOf((*error)(nil)).Elem()
 
-// Dispatcher invokes methods on a single component object.
-type Dispatcher struct {
-	obj     any
-	methods map[string]*Method
-}
+// tables holds each component type's method table, compiled on first
+// use: every Dispatcher of a type — Create, a subordinate, each
+// recovery build — shares it.
+var tables sync.Map // reflect.Type -> map[string]*Method
 
-// NewDispatcher enumerates the exported methods of obj (a pointer to a
-// component struct) and returns a dispatcher for them.
-func NewDispatcher(obj any) (*Dispatcher, error) {
-	v := reflect.ValueOf(obj)
-	if !v.IsValid() || v.Kind() != reflect.Pointer || v.IsNil() {
-		return nil, fmt.Errorf("rpc: component must be a non-nil pointer, got %T", obj)
+func tableFor(t reflect.Type) map[string]*Method {
+	if tb, ok := tables.Load(t); ok {
+		return tb.(map[string]*Method)
 	}
-	d := &Dispatcher{obj: obj, methods: make(map[string]*Method)}
-	t := v.Type()
+	tb := make(map[string]*Method, t.NumMethod())
 	for i := 0; i < t.NumMethod(); i++ {
 		m := t.Method(i)
 		if !m.IsExported() {
 			continue
 		}
-		mt := m.Func.Type()
-		meth := &Method{Name: m.Name, fn: v.Method(i)}
+		mt, n := m.Func.Type(), m.Func.Type().NumOut()
+		meth := &Method{Name: m.Name, ReturnsErr: n > 0 && mt.Out(n-1) == errType, fn: m.Func}
 		for p := 1; p < mt.NumIn(); p++ { // skip receiver
 			meth.ParamTypes = append(meth.ParamTypes, mt.In(p))
 		}
-		n := mt.NumOut()
-		if n > 0 && mt.Out(n-1) == errType {
-			meth.ReturnsErr = true
-			n--
-		}
-		for r := 0; r < n; r++ {
-			meth.ResultTypes = append(meth.ResultTypes, mt.Out(r))
-		}
-		d.methods[m.Name] = meth
+		tb[m.Name] = meth
 	}
-	return d, nil
+	actual, _ := tables.LoadOrStore(t, tb)
+	return actual.(map[string]*Method)
+}
+
+// Dispatcher invokes methods on a single component object.
+type Dispatcher struct {
+	obj     any
+	recv    reflect.Value      // obj, argument 0 of every call
+	methods map[string]*Method // its type's table
+}
+
+// NewDispatcher returns a dispatcher for the exported methods of obj (a
+// pointer to a component struct).
+func NewDispatcher(obj any) (*Dispatcher, error) {
+	v := reflect.ValueOf(obj)
+	if !v.IsValid() || v.Kind() != reflect.Pointer || v.IsNil() {
+		return nil, fmt.Errorf("rpc: component must be a non-nil pointer, got %T", obj)
+	}
+	return &Dispatcher{obj: obj, recv: v, methods: tableFor(v.Type())}, nil
 }
 
 // Object returns the wrapped component instance.
@@ -84,36 +89,10 @@ func (d *Dispatcher) Method(name string) (*Method, bool) {
 	return m, ok
 }
 
-// MethodNames returns the callable method names, sorted.
-func (d *Dispatcher) MethodNames() []string {
-	names := make([]string, 0, len(d.methods))
-	for n := range d.methods {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Call invokes the named method with already-decoded argument values
-// and returns its results and application error. It is the local
-// (non-marshalled) fast path used for subordinate calls, which the
-// paper leaves unintercepted (Section 3.2.1).
-func (d *Dispatcher) Call(name string, args []reflect.Value) ([]reflect.Value, error) {
-	m, ok := d.methods[name]
-	if !ok {
-		return nil, fmt.Errorf("rpc: %T has no method %q", d.obj, name)
-	}
-	if len(args) != len(m.ParamTypes) {
-		return nil, fmt.Errorf("rpc: %T.%s wants %d args, got %d",
-			d.obj, name, len(m.ParamTypes), len(args))
-	}
-	return m.call(args)
-}
-
-// call invokes the method and splits a trailing error result off as
-// the application error.
-func (m *Method) call(args []reflect.Value) ([]reflect.Value, error) {
-	out := m.fn.Call(args)
+// call invokes the method with in — the receiver, then the arguments —
+// and splits a trailing error result off as the application error.
+func (m *Method) call(in []reflect.Value) ([]reflect.Value, error) {
+	out := m.fn.Call(in)
 	if m.ReturnsErr {
 		last := out[len(out)-1]
 		out = out[:len(out)-1]
@@ -124,8 +103,10 @@ func (m *Method) call(args []reflect.Value) ([]reflect.Value, error) {
 	return out, nil
 }
 
-// CallValues is a convenience wrapper over Call for interface{} args
-// and results (used by tests and the Local subordinate handle).
+// CallValues invokes the named method with interface{} arguments and
+// returns its results and application error. It is the local
+// (non-marshalled) path used for subordinate calls, which the paper
+// leaves unintercepted (Section 3.2.1).
 func (d *Dispatcher) CallValues(name string, args ...any) ([]any, error) {
 	m, ok := d.methods[name]
 	if !ok {
@@ -135,7 +116,8 @@ func (d *Dispatcher) CallValues(name string, args ...any) ([]any, error) {
 		return nil, fmt.Errorf("rpc: %T.%s wants %d args, got %d",
 			d.obj, name, len(m.ParamTypes), len(args))
 	}
-	vals := make([]reflect.Value, len(args))
+	var inBuf [1 + stackVals]reflect.Value
+	in := append(inBuf[:0], d.recv)
 	for i, a := range args {
 		av := reflect.ValueOf(a)
 		if !av.IsValid() {
@@ -145,9 +127,9 @@ func (d *Dispatcher) CallValues(name string, args ...any) ([]any, error) {
 			return nil, fmt.Errorf("rpc: %T.%s arg %d: %s is not assignable to %s",
 				d.obj, name, i, av.Type(), m.ParamTypes[i])
 		}
-		vals[i] = av
+		in = append(in, av)
 	}
-	out, err := d.Call(name, vals)
+	out, err := m.call(in)
 	res := make([]any, len(out))
 	for i, o := range out {
 		res[i] = o.Interface()

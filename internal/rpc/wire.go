@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
@@ -10,59 +11,99 @@ import (
 
 // InvokeEncoded runs the named method from an encoded argument list
 // (msg value stream) and produces the encoded result list — the full
-// marshalled path a cross-context call takes. The appErr return carries
-// the method's own error (the component stays alive; this is the
-// paper's "invalid argument exception indicates an error, but the
-// remote component is still alive" case); err reports infrastructure
-// failures (unknown method, undecodable or mismatched arguments).
+// marshalled path a cross-context call takes: Bind, Call, EncodeResults.
+// The appErr return carries the method's own error (the component
+// stays alive; this is the paper's "invalid argument exception
+// indicates an error, but the remote component is still alive" case);
+// err reports infrastructure failures (unknown method, undecodable or
+// mismatched arguments, results the codec cannot carry).
 func (d *Dispatcher) InvokeEncoded(name string, args []byte, numArgs int) (results []byte, numResults int, appErr string, err error) {
+	b, err := d.Bind(name, args, numArgs)
+	if err != nil {
+		return nil, 0, "", err
+	}
+	out, appErr := b.Call()
+	if results, numResults, err = b.EncodeResults(out); err != nil {
+		return nil, 0, "", err
+	}
+	return results, numResults, appErr, nil
+}
+
+// stackVals is how many arguments or results a call keeps off the heap.
+const stackVals = 4
+
+// BoundCall is a method bound to its receiver and decoded arguments,
+// ready to run. Bind returns it by value with up to stackVals arguments
+// inside it, so on the caller's stack it costs no heap of its own.
+type BoundCall struct {
+	d     *Dispatcher
+	m     *Method
+	in    [1 + stackVals]reflect.Value // the receiver, then the arguments
+	spill []reflect.Value              // in, for a method of more arguments
+}
+
+// Bind looks up the named method and decodes an encoded argument list
+// into its parameters, fitting each decoded value to its declared type
+// (coerce). An error — unknown method, undecodable stream, a count or
+// type that does not match — means the call cannot run; nothing has.
+func (d *Dispatcher) Bind(name string, args []byte, numArgs int) (BoundCall, error) {
 	m, ok := d.methods[name]
 	if !ok {
-		return nil, 0, "", fmt.Errorf("rpc: %T has no method %q", d.obj, name)
+		return BoundCall{}, fmt.Errorf("rpc: %T has no method %q", d.obj, name)
 	}
-	// Arguments, their reflect.Values and the results are dead when
-	// this returns: up to stackVals of each live in this frame.
-	var argBuf, outBuf [stackVals]any
-	var valBuf [stackVals]reflect.Value
+	var argBuf [stackVals]any
 	decoded, err := msg.DecodeAnyInto(argBuf[:0], args)
 	if err != nil {
-		return nil, 0, "", fmt.Errorf("rpc: %T.%s: %w", d.obj, name, err)
+		return BoundCall{}, fmt.Errorf("rpc: %T.%s: %w", d.obj, name, err)
 	}
 	if len(decoded) != numArgs || numArgs != len(m.ParamTypes) {
-		return nil, 0, "", fmt.Errorf("rpc: %T.%s wants %d args, got %d",
+		return BoundCall{}, fmt.Errorf("rpc: %T.%s wants %d args, got %d",
 			d.obj, name, len(m.ParamTypes), len(decoded))
 	}
-	vals := valBuf[:0]
-	if len(decoded) > stackVals {
-		vals = make([]reflect.Value, 0, len(decoded))
+	b := BoundCall{d: d, m: m}
+	in := b.in[:]
+	if numArgs > stackVals {
+		b.spill = make([]reflect.Value, 1+numArgs)
+		in = b.spill
 	}
+	in[0] = d.recv
 	for i, a := range decoded {
 		v, err := coerce(a, m.ParamTypes[i])
 		if err != nil {
-			return nil, 0, "", fmt.Errorf("rpc: %T.%s arg %d: %w", d.obj, name, i, err)
+			return BoundCall{}, fmt.Errorf("rpc: %T.%s arg %d: %w", d.obj, name, i, err)
 		}
-		vals = append(vals, v)
+		in[i+1] = v
 	}
-	out, callErr := m.call(vals)
-	if callErr != nil {
-		appErr = callErr.Error()
-		if appErr == "" {
-			appErr = "application error"
-		}
+	return b, nil
+}
+
+// Call runs the bound method: its results, and its error as the
+// application error ("" for none).
+func (b *BoundCall) Call() ([]reflect.Value, string) {
+	in := b.spill
+	if in == nil {
+		in = b.in[:1+len(b.m.ParamTypes)]
 	}
+	out, err := b.m.call(in)
+	if err == nil {
+		return out, ""
+	}
+	return out, cmp.Or(err.Error(), "application error")
+}
+
+// EncodeResults encodes what Call returned as a reply's result list.
+func (b *BoundCall) EncodeResults(out []reflect.Value) ([]byte, int, error) {
+	var outBuf [stackVals]any
 	anyOut := outBuf[:0]
 	for _, o := range out {
 		anyOut = append(anyOut, o.Interface())
 	}
-	results, err = msg.EncodeAnySlice(anyOut)
+	results, err := msg.EncodeAnySlice(anyOut)
 	if err != nil {
-		return nil, 0, "", fmt.Errorf("rpc: %T.%s results: %w", d.obj, name, err)
+		return nil, 0, fmt.Errorf("rpc: %T.%s results: %w", b.d.obj, b.m.Name, err)
 	}
-	return results, len(anyOut), appErr, nil
+	return results, len(anyOut), nil
 }
-
-// stackVals is how many arguments or results fit InvokeEncoded's frame.
-const stackVals = 4
 
 // coerce fits a decoded interface value to a declared parameter type.
 // Exact assignability always works; a number converts to another
