@@ -9,9 +9,10 @@ vet:
 
 # The repository's own discipline analyzers (internal/lint): forced
 # append sites, wall-clock reads, device I/O under held mutexes,
-# exhaustive enum switches, metric-name hygiene, the lock-order graph,
-# pooled-buffer lifetimes, goroutine/latch shutdown paths and dropped
-# device-I/O errors. One pass over the tree: the run fails on a
+# exhaustive enum switches, the lock-order graph, pooled-buffer
+# lifetimes, goroutine/latch shutdown paths and dropped device-I/O
+# errors. (Metric names need no analyzer: only internal/obs's views
+# resolve one, and its tests hold them to names.go.) One pass over the tree: the run fails on a
 # violation and on an allowlist entry that matched no diagnostic.
 # staticcheck and govulncheck run when installed (CI installs them;
 # offline dev machines may not have them).
@@ -66,9 +67,10 @@ race:
 # (Close completes requests, Discard fails them), the
 # crash-durability property, and the end-to-end crash-recovery run on a
 # one-shard and a 4-shard log (per-shard sync leaders racing each
-# other's appenders).
+# other's appenders), and the metric census, whose group-commit
+# scenario races committers until one rides another's sync.
 stress:
-	go test -race -count=2 -run 'GroupCommit' ./internal/wal/ ./internal/core/
+	go test -race -count=2 -run 'GroupCommit|TestEveryMetricMoves' ./internal/wal/ ./internal/core/
 
 # Recovery stress under the race detector, repeated: the one
 # equivalence table (mode × shards × clean crash, injected crashes, a
@@ -192,8 +194,12 @@ profile-restart:
 # into bind, call and encode — so the server binds before it logs and
 # a replay encodes only the results it keeps — raised it by 37 to
 # 24,286, net of Dispatcher.Call, MethodNames and Method.ResultTypes,
-# which nothing outside tests used, deleted.)
-LOC_MAX = 24286
+# which nothing outside tests used, deleted. The metric census —
+# the metricnames analyzer, the codec.* and wal.shard.* metrics no
+# process registry or reader saw, DumpLog's copy of the record-kind
+# switch and Registry.Names deleted; only obs's views resolve a name —
+# lowered it by 318 to 23,968.)
+LOC_MAX = 23968
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

@@ -1,6 +1,6 @@
 // Command phoenix-lint runs the repository's discipline analyzers
 // (internal/lint): forcesite, wallclock, locksync, exhaustive,
-// metricnames, lockorder, poollife, shutdownpath and droppederr.
+// lockorder, poollife, shutdownpath and droppederr.
 //
 //	go run ./cmd/phoenix-lint ./...
 //

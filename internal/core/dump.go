@@ -57,13 +57,15 @@ func DumpLog(w io.Writer, dir string) error {
 	}
 
 	// Per-kind record counts accumulate in a private registry under the
-	// same rec.* names the runtime uses, so the summary reads exactly
-	// like a live metrics snapshot of this log's history. Discipline
+	// same rec.* counters the runtime uses, so the summary reads exactly
+	// like a live metrics snapshot of this log's history; a kind the
+	// runtime does not write is counted on the summary line. Discipline
 	// attribution replays the adaptive controller's change records as
 	// the scan passes them, so each message record is labeled with the
 	// discipline that was in force when it was written.
 	reg := obs.NewRegistry()
-	records, impliedForces := 0, 0
+	recs := obs.RuntimeView(reg)
+	records, unknown, impliedForces := 0, 0, 0
 	disc := make(map[methodKey]Discipline)
 	mc := make(map[methodKey]bool)
 	discCounts := make(map[string]int)
@@ -71,7 +73,11 @@ func DumpLog(w io.Writer, dir string) error {
 		wk := marks[sh.Stream]
 		err = sh.Log.Scan(ids.NilLSN, func(rec wal.Record) error {
 			records++
-			reg.Counter(recMetricName(rec.Type)).Inc()
+			if c := recCounter(recs, rec.Type); c != nil {
+				c.Inc()
+			} else {
+				unknown++
+			}
 			status := "replay"
 			if !wk.IsNil() && rec.LSN < wk {
 				status = "ckpt'd"
@@ -100,7 +106,11 @@ func DumpLog(w io.Writer, dir string) error {
 	}
 
 	st := log.Stats()
-	fmt.Fprintf(w, "\nsummary: %d records in LSNs", records)
+	fmt.Fprintf(w, "\nsummary: %d records", records)
+	if unknown > 0 {
+		fmt.Fprintf(w, " (%d of unknown kind)", unknown)
+	}
+	fmt.Fprint(w, " in LSNs")
 	for _, sh := range shards {
 		fmt.Fprintf(w, " %v..%v", sh.Log.Start(), sh.Log.End())
 		if len(shards) > 1 {
@@ -202,39 +212,6 @@ func dumpDiscipline(rec wal.Record, disc map[methodKey]Discipline, mc map[method
 		return "-"
 	default:
 		return "-"
-	}
-}
-
-// recMetricName maps a record type to the obs counter name the runtime
-// accounts it under (see Process.recCounter for the live equivalent).
-func recMetricName(t wal.RecordType) string {
-	switch t {
-	case recCreation:
-		return obs.RecCreation
-	case recIncoming:
-		return obs.RecIncoming
-	case recReplySent:
-		return obs.RecReplySent
-	case recReplyContent:
-		return obs.RecReplyContent
-	case recOutgoing:
-		return obs.RecOutgoing
-	case recOutgoingReply:
-		return obs.RecOutgoingReply
-	case recCtxState:
-		return obs.RecCtxState
-	case recBeginCkpt:
-		return obs.RecBeginCkpt
-	case recCkptCtxTable:
-		return obs.RecCkptCtxTable
-	case recCkptLastCall:
-		return obs.RecCkptLastCall
-	case recEndCkpt:
-		return obs.RecEndCkpt
-	case recDisciplineChange:
-		return obs.RecDisciplineChange
-	default:
-		return fmt.Sprintf("rec.unknown_%d", t)
 	}
 }
 

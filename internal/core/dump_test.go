@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/ids"
+	"repro/internal/wal"
 )
 
 func TestDumpLogRendersAllRecordTypes(t *testing.T) {
@@ -158,5 +159,32 @@ func TestDumpLogMissingDir(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "LSNs") {
 		t.Errorf("header missing: %s", buf.String())
+	}
+}
+
+// TestDumpLogCountsUnknownKinds: a record kind the runtime does not
+// write has no rec.* counter; the summary line counts it instead.
+func TestDumpLogCountsUnknownKinds(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "odd.log")
+	log, err := wal.OpenSet(dir, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := wal.EncodeFunc(func(dst []byte) ([]byte, error) { return append(dst, 1, 2, 3), nil })
+	for _, kind := range []wal.RecordType{200, 201} {
+		if _, err := log.AppendInto(1, kind, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := DumpLog(&buf, dir); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "\nsummary: 2 records (2 of unknown kind) in LSNs") || !strings.Contains(out, "unknown record type 201") {
+		t.Errorf("dump of a log holding two records of unknown kind:\n%s", out)
 	}
 }

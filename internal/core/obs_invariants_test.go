@@ -1,10 +1,23 @@
 package core
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/disk"
+	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/obs"
+	"repro/internal/obs/trace"
+	"repro/internal/wal"
 )
 
 // These tests pin the paper's per-algorithm logging invariants using
@@ -156,5 +169,276 @@ func TestAlgorithm5InvariantByCounters(t *testing.T) {
 	}
 	if got := cliD.Counter(obs.RecOutgoing); got != 0 {
 		t.Errorf("client rec.outgoing = %d, want 0", got)
+	}
+}
+
+// TestEveryMetricMoves: every metric internal/obs/names.go declares
+// moves under a short workload of the runtime's own — a number nothing
+// moves measures nothing. One registry is shared by every scenario (each
+// universe, process, log and flight recorder below reports into it); at
+// the end the test goes through the whole catalogue and names each
+// metric still at zero. A gauge has moved if it was nonzero at any
+// snapshot the test took. A new metric needs a scenario here that
+// moves it.
+func TestEveryMetricMoves(t *testing.T) {
+	reg := obs.NewRegistry()
+	raised := map[string]bool{}
+	look := func() {
+		for name, v := range reg.Snapshot().Gauges {
+			if v != 0 {
+				raised[name] = true
+			}
+		}
+	}
+	t.Run("calls", func(t *testing.T) { moveCalls(t, reg) })
+	t.Run("checkpoint", func(t *testing.T) { moveCheckpoint(t, reg) })
+	t.Run("restart", func(t *testing.T) { moveRestart(t, reg) })
+	t.Run("dead-server", func(t *testing.T) { moveDeadServer(t, reg) })
+	t.Run("adaptive", func(t *testing.T) { moveAdaptive(t, reg, look) })
+	t.Run("group-commit", func(t *testing.T) { moveGroupCommit(t, reg) })
+	look()
+
+	snap := reg.Snapshot()
+	for _, name := range declaredMetrics(t) {
+		if snap.Counters[name] == 0 && snap.Histograms[name].Count == 0 && !raised[name] {
+			t.Errorf("%s never moved", name)
+		}
+	}
+}
+
+// declaredMetrics returns the string constants of internal/obs/names.go,
+// sorted: the catalogue, read from the source.
+func declaredMetrics(t *testing.T) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "../obs/names.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, decl := range f.Decls {
+		if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.CONST {
+			ast.Inspect(gd, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					names = append(names, name)
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// metricsUniverse is a universe on clk whose processes, transport and
+// flight recorder all report to reg. The recorder's ring holds eight
+// spans, so it overwrites.
+func metricsUniverse(t *testing.T, reg *obs.Registry, clk disk.Clock) *Universe {
+	t.Helper()
+	rec := trace.NewRecorder(trace.Options{
+		Name:    t.Name(),
+		Size:    8,
+		Metrics: reg,
+		Now:     func() int64 { return clk.Now().UnixNano() },
+	})
+	u, err := NewUniverse(UniverseConfig{Dir: t.TempDir(), Clock: clk, Metrics: reg, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(u.Shutdown)
+	return u
+}
+
+// create creates obj under name in p and returns its URI.
+func create(t *testing.T, p *Process, name string, obj any, opts ...CreateOption) ids.URI {
+	t.Helper()
+	h, err := p.Create(name, obj, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.URI()
+}
+
+// moveCalls: optimized and baseline persistent→persistent calls from
+// external callers, to persistent, functional, read-only and
+// subordinate components, and a multi-call fan-out.
+func moveCalls(t *testing.T, reg *obs.Registry) {
+	u := metricsUniverse(t, reg, disk.NewRealClock(1))
+	base := testConfig()
+	base.LogMode = LogBaseline
+	multi := testConfig()
+	multi.MultiCall = true
+	_, pc := startProc(t, u, "evo1", "cli", testConfig())
+	_, ps := startProc(t, u, "evo2", "srv", testConfig())
+	_, pb := startProc(t, u, "evo3", "base", base)
+	_, pm := startProc(t, u, "evo4", "multi", multi)
+
+	counter := create(t, ps, "Counter", &Counter{})
+	pure := create(t, ps, "Pure", &Pure{}, WithType(msg.Functional))
+	ro := create(t, ps, "RO", &Counter{}, WithType(msg.ReadOnly))
+	cycler := create(t, ps, "Cycler", &Cycler{})
+	for _, c := range []struct {
+		server ids.URI
+		method string
+	}{{counter, "Add"}, {pure, "Double"}} {
+		b := create(t, pc, "Batcher-"+c.method, &Batcher{Server: NewRef(c.server)})
+		callInt(t, u.ExternalRef(b), "RunBatch", c.method, 3, 1)
+	}
+	b := create(t, pc, "Batcher-RO", &Batcher{Server: NewRef(ro)})
+	callInt(t, u.ExternalRef(b), "RunBatchNoArg", "Get", 3)
+	callInt(t, u.ExternalRef(cycler), "Put", 1)
+
+	bc := create(t, pb, "Counter", &Counter{})
+	relay := create(t, pb, "Relay", &Relay{Server: NewRef(bc)})
+	callInt(t, u.ExternalRef(relay), "Forward", 1)
+
+	var refs [3]*Ref
+	for i := range refs {
+		refs[i] = NewRef(create(t, ps, fmt.Sprintf("C%d", i), &Counter{}))
+	}
+	fan := create(t, pm, "Fan", &Fan{A: refs[0], B: refs[1], C: refs[2]})
+	callInt(t, u.ExternalRef(fan), "Spread", 1)
+}
+
+// moveCheckpoint: state saves, checkpoints and a trim on small segments,
+// with a persistent caller, so the last-call replies reach the log.
+func moveCheckpoint(t *testing.T, reg *obs.Registry) {
+	u := metricsUniverse(t, reg, disk.NewRealClock(1))
+	cfg := testConfig()
+	cfg.SaveStateEvery = 10
+	cfg.CheckpointEvery = 20
+	cfg.AutoTrimLog = true
+	_, pc := startProc(t, u, "evo1", "cli", testConfig())
+	_, p := startProc(t, u, "evo2", "srv", cfg)
+	p.SetLogSegmentBytes(2 << 10)
+	b := create(t, pc, "Batcher", &Batcher{Server: NewRef(create(t, p, "Counter", &Counter{}))})
+	callInt(t, u.ExternalRef(b), "RunBatch", "Add", 200, 1)
+}
+
+// moveRestart: a crash, an eager restart, a second crash and a lazy
+// restart whose worker is held in G's replay while a call touches C.
+// R's logged reply suppresses its send on replay.
+func moveRestart(t *testing.T, reg *obs.Registry) {
+	u := metricsUniverse(t, reg, disk.NewRealClock(1))
+	_, far := startProc(t, u, "evo2", "far", testConfig())
+	m, p := startProc(t, u, "evo1", "srv", testConfig())
+	gate := create(t, p, "G", &Gate{}) // first: the worker's first replay
+	c := create(t, p, "C", &Counter{})
+	r := create(t, p, "R", &Relay{Server: NewRef(create(t, far, "C", &Counter{}))})
+	for round := 1; round <= 3; round++ {
+		callInt(t, u.ExternalRef(gate), "Add", round)
+		callInt(t, u.ExternalRef(c), "Add", round)
+		callInt(t, u.ExternalRef(r), "Forward", round)
+	}
+	p.Crash()
+
+	p2, err := m.StartProcess("srv", testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p2.DrainRecovery(); err != nil {
+		t.Fatal(err)
+	}
+	p2.Crash()
+
+	var p3 *Process
+	release := holdGate(t, func() {
+		if p3, err = m.StartProcess("srv", lazyCfg()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := callInt(t, u.ExternalRef(c), "Add", 0); got != 6 {
+		t.Errorf("C after a lazy restart = %d, want 6", got)
+	}
+	release()
+	if err := p3.DrainRecovery(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// moveDeadServer: a persistent caller's call to a crashed server is
+// retried and its sends fail until the caller gives up.
+func moveDeadServer(t *testing.T, reg *obs.Registry) {
+	u := metricsUniverse(t, reg, disk.NewRealClock(1))
+	cfg := testConfig()
+	cfg.RetryLimit = 3
+	cfg.RetryInterval = time.Millisecond
+	_, pd := startProc(t, u, "evo1", "dead", testConfig())
+	_, pr := startProc(t, u, "evo2", "relay", cfg)
+	relay := create(t, pr, "Relay", &Relay{Server: NewRef(create(t, pd, "C", &Counter{}))})
+	pd.Crash()
+	if _, err := u.ExternalRef(relay).Call("Forward", 1); err == nil {
+		t.Error("a call to a crashed server succeeded")
+	}
+}
+
+// moveAdaptive: on a virtual clock, a baseline process promotes a
+// relay→counter chain to Algorithm 2 and a read-only method to
+// Algorithm 5, an optimized one promotes a fan-out to multi-call
+// elision; look samples the gauges while all three are promoted, then
+// the read-only method mutates and is demoted.
+func moveAdaptive(t *testing.T, reg *obs.Registry, look func()) {
+	clk := disk.NewVirtualClock()
+	u := metricsUniverse(t, reg, clk)
+	base, opt := adaptiveConfig(LogBaseline), adaptiveConfig(LogOptimized)
+	base.Metrics, opt.Metrics = nil, nil
+	_, pb := startProc(t, u, "evo1", "base", base)
+	_, po := startProc(t, u, "evo2", "opt", opt)
+
+	relay := u.ExternalRef(create(t, pb, "R", &Relay{Server: NewRef(create(t, pb, "C", &Counter{}))}))
+	flaky := u.ExternalRef(create(t, pb, "F", &Flaky{}))
+	var refs [3]*Ref
+	for i := range refs {
+		refs[i] = NewRef(create(t, po, fmt.Sprintf("C%d", i), &Counter{}))
+	}
+	fan := u.ExternalRef(create(t, po, "Fan", &Fan{A: refs[0], B: refs[1], C: refs[2]}))
+	burst := func() {
+		for i := 0; i < 4; i++ {
+			callInt(t, relay, "Forward", 1)
+			callInt(t, flaky, "Peek")
+			callInt(t, fan, "Spread", 1)
+		}
+	}
+	burst()
+	for i := 0; i < 5; i++ {
+		epoch(t, clk, base.Adaptive.Window, burst)
+	}
+	look()
+	callInt(t, flaky, "Arm")
+	callInt(t, flaky, "Peek")
+}
+
+// moveGroupCommit: concurrent committers on a log with the commit
+// window on, until one force request rides a sync it did not issue.
+func moveGroupCommit(t *testing.T, reg *obs.Registry) {
+	l, err := wal.Open(filepath.Join(t.TempDir(), "proc.log"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.SetMetrics(reg)
+	l.StartGroupCommit(wal.GroupCommitConfig{Enabled: true}, disk.NewVirtualClock())
+	for round := 0; round < 50 && reg.Snapshot().Counter(obs.WALGroupSyncsSaved) == 0; round++ {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					lsn, err := l.Append(1, []byte("rider"))
+					if err == nil {
+						_, err = l.SyncTo(lsn)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -683,7 +683,7 @@ func (p *Process) appendRec(t wal.RecordType, key ids.CompID, v any, head *atomi
 	}
 	lsn, err := p.log.AppendLinked(uint64(key), t, enc, head)
 	if err == nil {
-		p.recCounter(t).Inc()
+		recCounter(p.obs, t).Inc()
 		if !tref.IsZero() {
 			p.tr.Record(trace.SpanData{
 				Ref:    trace.Ref{Trace: tref.Trace, Span: p.tr.NewSpan()},
@@ -723,33 +723,35 @@ func (p *Process) forceTraced(site *obs.Counter, lsn ids.LSN, tref trace.Ref, me
 	return err
 }
 
-// recCounter maps a record type to its obs counter.
-func (p *Process) recCounter(t wal.RecordType) *obs.Counter {
+// recCounter maps a record type to its rec.* counter in m, or nil for a
+// kind the runtime does not write — the one mapping, shared by the live
+// path (appendRec) and DumpLog's per-kind summary.
+func recCounter(m *obs.RuntimeMetrics, t wal.RecordType) *obs.Counter {
 	switch t {
 	case recCreation:
-		return p.obs.RecCreation
+		return m.RecCreation
 	case recIncoming:
-		return p.obs.RecIncoming
+		return m.RecIncoming
 	case recReplySent:
-		return p.obs.RecReplySent
+		return m.RecReplySent
 	case recReplyContent:
-		return p.obs.RecReplyContent
+		return m.RecReplyContent
 	case recOutgoing:
-		return p.obs.RecOutgoing
+		return m.RecOutgoing
 	case recOutgoingReply:
-		return p.obs.RecOutgoingReply
+		return m.RecOutgoingReply
 	case recCtxState:
-		return p.obs.RecCtxState
+		return m.RecCtxState
 	case recBeginCkpt:
-		return p.obs.RecBeginCkpt
+		return m.RecBeginCkpt
 	case recCkptCtxTable:
-		return p.obs.RecCkptCtxTable
+		return m.RecCkptCtxTable
 	case recCkptLastCall:
-		return p.obs.RecCkptLastCall
+		return m.RecCkptLastCall
 	case recEndCkpt:
-		return p.obs.RecEndCkpt
+		return m.RecEndCkpt
 	case recDisciplineChange:
-		return p.obs.RecDisciplineChange
+		return m.RecDisciplineChange
 	default:
 		return nil
 	}

@@ -241,7 +241,7 @@ func TestRecoveryEventOrdering(t *testing.T) {
 	if done.Suppressed != done.Replayed {
 		t.Errorf("done.Suppressed = %d, want %d", done.Suppressed, done.Replayed)
 	}
-	if got := p2.Metrics().Counter(obs.SuppressedSends).Load(); got != done.Suppressed {
+	if got := p2.Metrics().Snapshot().Counter(obs.SuppressedSends); got != done.Suppressed {
 		t.Errorf("suppressed-sends counter = %d, want %d", got, done.Suppressed)
 	}
 }

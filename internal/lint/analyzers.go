@@ -1,9 +1,9 @@
 package lint
 
 // Analyzers returns the phoenix-lint suite configured for this
-// repository. The returned analyzers carry run state (metricnames
-// reconciles declarations against uses at Finish), so build a fresh
-// set per Runner.
+// repository. The returned analyzers carry run state (lockorder and
+// shutdownpath decide at Finish, once every package has been seen), so
+// build a fresh set per Runner.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NewForcesite(),
@@ -16,7 +16,6 @@ func Analyzers() []*Analyzer {
 		}),
 		NewLocksync(repoLocksyncConfig()),
 		NewExhaustive(),
-		NewMetricNames(MetricNamesConfig{}),
 		NewLockOrder(LockOrderConfig{}),
 		NewPoolLife(PoolLifeConfig{}),
 		NewShutdownPath(ShutdownPathConfig{}),

@@ -95,10 +95,3 @@ func TestDroppedErrFixture(t *testing.T) {
 			},
 		}))
 }
-
-func TestMetricNamesFixture(t *testing.T) {
-	linttest.Run(t, "testdata/metricnames", fixturePrefix+"metricnames", nil,
-		lint.NewMetricNames(lint.MetricNamesConfig{
-			ObsPath: fixturePrefix + "metricnames",
-		}))
-}

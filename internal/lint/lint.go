@@ -17,8 +17,6 @@
 //	locksync     — no device I/O while a wal or engine mutex is held
 //	exhaustive   — switches over runtime enums cover every member or
 //	               carry an explicit default
-//	metricnames  — obs metric names at call sites are the names.go
-//	               constants, and every declared name is wired somewhere
 //	lockorder    — nested lock acquisitions follow lockorder.order and
 //	               form no cycle
 //	poollife     — pooled buffers are freed exactly once and never
@@ -80,8 +78,8 @@ func (p *Pass) ReportfFn(pos token.Pos, fn string, format string, args ...any) {
 
 // Analyzer is one named check. Run is invoked once per package; the
 // optional Finish hook runs after every package of the run has been
-// analyzed, for checks that need whole-repo state (metricnames'
-// orphan detection). Analyzers carrying cross-package state are built
+// analyzed, for checks that need whole-repo state (lockorder's cycle
+// and rank checks, shutdownpath's joins). Analyzers carrying cross-package state are built
 // fresh per run by their constructor, so a Runner must not be reused.
 type Analyzer struct {
 	Name string

@@ -146,7 +146,6 @@ func EncodeCall(c *Call) ([]byte, error) {
 		buf = AppendUvarint(buf, c.Trace.Span)
 	}
 	buf = AppendCall(buf, c)
-	codecMetrics.BytesOut.Add(int64(len(buf)))
 	return buf, nil
 }
 
@@ -154,7 +153,6 @@ func EncodeCall(c *Call) ([]byte, error) {
 // binary envelope, 0xC6 the traced one. Any other first byte is a
 // decode error that names it — there is no second format to try.
 func DecodeCall(data []byte) (*Call, error) {
-	codecMetrics.BytesIn.Add(int64(len(data)))
 	var c Call
 	body, err := consumeEnvelope(data, verCall, verCallTraced, &c.Trace)
 	if err == nil {
@@ -205,14 +203,12 @@ func EncodeReply(r *Reply) ([]byte, error) {
 		buf = AppendUvarint(buf, r.Trace.Span)
 	}
 	buf = AppendReply(buf, r)
-	codecMetrics.BytesOut.Add(int64(len(buf)))
 	return buf, nil
 }
 
 // DecodeReply deserializes a Reply from the transport: 0xC2, or 0xC7
 // traced, with the same single-format rule as DecodeCall.
 func DecodeReply(data []byte) (*Reply, error) {
-	codecMetrics.BytesIn.Add(int64(len(data)))
 	var r Reply
 	body, err := consumeEnvelope(data, verReply, verReplyTraced, &r.Trace)
 	if err == nil {

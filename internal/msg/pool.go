@@ -1,10 +1,6 @@
 package msg
 
-import (
-	"sync"
-
-	"repro/internal/obs"
-)
+import "sync"
 
 // Scratch-buffer pool for the envelope codec. Encoding a Call or Reply
 // happens once per message on every hot path of Figure 1 (client send,
@@ -35,21 +31,14 @@ var (
 	holderPool = sync.Pool{New: func() any { return new([]byte) }}
 )
 
-// codecMetrics is the package-wide codec accounting (obs.Default). The
-// counters are nil-safe, so an unobserved process pays one predictable
-// pointer check per event.
-var codecMetrics = obs.CodecView(obs.Default())
-
 // GetBuf returns a pooled scratch buffer of zero length. The codec's
 // encoders call it internally; it is exported for callers that frame
 // their own bytes (the WAL's encode-into path).
 func GetBuf() []byte {
 	p, _ := bufPool.Get().(*[]byte)
 	if p == nil {
-		codecMetrics.PoolMisses.Inc()
 		return make([]byte, 0, minBufCap)
 	}
-	codecMetrics.PoolHits.Inc()
 	b := *p
 	*p = nil
 	holderPool.Put(p)

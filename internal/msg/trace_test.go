@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/ids"
-	"repro/internal/obs"
 	"repro/internal/obs/trace"
 )
 
@@ -119,24 +118,32 @@ func TestTracedEnvelopeTruncation(t *testing.T) {
 	}
 }
 
-// TestEncodeReplyBypassesPool is the regression gate on the PR-5
-// ownership contract: EncodeReply's result is retained after return
-// (the last-call reply table, async transport delivery), so it must
-// never come from the scratch pool. If a future optimization pass
-// switches it to GetBuf, the pool counters move and this fails.
+// TestEncodeReplyBypassesPool is the regression gate on the ownership
+// contract: EncodeReply's result is retained after return (the
+// last-call reply table, async transport delivery), so it must never
+// come from the scratch pool. Both encoders are measured the way a
+// pooled contract would be used, the result released with FreeBuf: a
+// warm pool then hands out buffers without allocating, so
+// pooledEncodeReply, the forbidden version, reads 0, while a fresh
+// result allocates on every call, in both framings.
 func TestEncodeReplyBypassesPool(t *testing.T) {
-	before := obs.Default().Snapshot()
-	r := &Reply{Results: bytes.Repeat([]byte{0xAB}, 512), NumResults: 1,
-		Trace: trace.Ref{Trace: 3, Span: 4}}
-	for i := 0; i < 50; i++ {
-		if _, err := EncodeReply(r); err != nil {
-			t.Fatal(err)
+	r := &Reply{Results: bytes.Repeat([]byte{0xAB}, 512), NumResults: 1}
+	for _, tr := range []trace.Ref{{Trace: 3, Span: 4}, {}} {
+		r.Trace = tr
+		allocs := testing.AllocsPerRun(50, func() {
+			data, err := EncodeReply(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			FreeBuf(data)
+		})
+		if allocs < 1 {
+			t.Errorf("EncodeReply (trace %v) allocates %v objects/call; its result outlives the call and must be freshly allocated", tr, allocs)
 		}
-		r.Trace = trace.Ref{} // both framings must stay pool-free
 	}
-	delta := obs.Default().Snapshot().Diff(before)
-	if hits, misses := delta.Counter(obs.CodecPoolHits), delta.Counter(obs.CodecPoolMisses); hits+misses != 0 {
-		t.Fatalf("EncodeReply touched the scratch pool (%d hits, %d misses); its result outlives the call and must be freshly allocated", hits, misses)
+	FreeBuf(pooledEncodeReply(r))
+	if allocs := testing.AllocsPerRun(50, func() { FreeBuf(pooledEncodeReply(r)) }); allocs != 0 {
+		t.Errorf("pooledEncodeReply allocates %v objects/call once warm, want 0: the test cannot tell a pooled reply from a fresh one", allocs)
 	}
 }
 

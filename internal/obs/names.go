@@ -1,9 +1,16 @@
 package obs
 
 // Canonical metric names. Dotted, grouped by subsystem. The wal.* group
-// is accounted at the device boundary by the log manager; everything
-// else is accounted by the runtime's message interceptors, recovery
-// manager and transport.
+// is accounted at the device boundary by the log manager (a sharded
+// log's shards all report into one registry, so these are process
+// totals); everything else is accounted by the runtime's message
+// interceptors, recovery manager and transport.
+//
+// The views below are the only code that resolves a name into a
+// registry. Every constant here is resolved by exactly one view field
+// (TestViewsResolveAllFields), listed in README's Observability section
+// (TestReadmeListsEveryMetric) and moved by a test workload
+// (TestEveryMetricMoves in internal/core).
 const (
 	// --- log manager, device boundary (internal/wal) ---
 
@@ -51,25 +58,6 @@ const (
 	// sync they did not issue — the paper's combined forces, made
 	// deliberate.
 	WALGroupSyncsSaved = "wal.group.syncs_saved"
-
-	// --- sharded log (internal/wal set.go). A Set's shards report the
-	// plain wal.* and wal.group.* metrics into the same registry, so
-	// those stay process totals; the wal.shard.* group covers what is
-	// specific to sharding. ---
-
-	// WALShardAppends counts records appended through a sharded Set
-	// (zero on single-Log processes).
-	WALShardAppends = "wal.shard.appends"
-	// WALShardSpread is the distribution of appendable-shard indices
-	// receiving appends — a skewed histogram means the CompID hash is
-	// not balancing the offered load.
-	WALShardSpread = "wal.shard.spread"
-	// WALShardStreams is the appendable shard count observed at each
-	// Set open.
-	WALShardStreams = "wal.shard.streams"
-	// WALShardReshards counts reshard eras appended to a log (an open
-	// with a shard count different from the layout on disk).
-	WALShardReshards = "wal.shard.reshards"
 
 	// --- log records by kind (the paper's message kinds 1-4 plus
 	// creation, state and checkpoint records) ---
@@ -209,25 +197,6 @@ const (
 	TransportBytesIn    = "transport.bytes_in"
 	TransportRTMicros   = "transport.rt_micros"
 
-	// --- envelope codec (internal/msg). Bytes are message-envelope
-	// bytes as framed for the transport and the log, counted at encode
-	// (out) and decode (in) time; the pool counters expose the scratch
-	// buffer hit rate of the zero-allocation hot path — a falling hit
-	// rate means some caller leaks buffers instead of FreeBuf-ing. ---
-
-	// CodecBytesOut totals envelope bytes produced by EncodeCall and
-	// EncodeReply.
-	CodecBytesOut = "codec.bytes_out"
-	// CodecBytesIn totals envelope bytes consumed by DecodeCall and
-	// DecodeReply.
-	CodecBytesIn = "codec.bytes_in"
-	// CodecPoolHits counts scratch-buffer requests served from the pool
-	// with a warm (full-capacity) buffer.
-	CodecPoolHits = "codec.pool_hits"
-	// CodecPoolMisses counts scratch-buffer requests that had to grow a
-	// fresh buffer.
-	CodecPoolMisses = "codec.pool_misses"
-
 	// --- causal tracing (internal/obs/trace). The stage histograms are
 	// per-leg latency distributions of traced interactions in
 	// universe-clock microseconds — under a scaled or virtual bench
@@ -290,56 +259,46 @@ type WALMetrics struct {
 	GroupBatchSize  *Histogram
 	GroupWaitMicros *Histogram
 	GroupSyncsSaved *Counter
-
-	ShardAppends  *Counter
-	ShardSpread   *Histogram
-	ShardStreams  *Histogram
-	ShardReshards *Counter
 }
 
 // WALView resolves the wal.* bundle from r.
 func WALView(r *Registry) *WALMetrics {
 	return &WALMetrics{
-		Appends:        r.Counter(WALAppends),
-		Forces:         r.Counter(WALForces),
-		CleanForces:    r.Counter(WALCleanForces),
-		PhysicalWrites: r.Counter(WALPhysicalWrites),
-		BytesWritten:   r.Counter(WALBytesWritten),
-		TrimmedBytes:   r.Counter(WALTrimmedBytes),
-		ReadOps:        r.Counter(WALReadOps),
-		ReadBytes:      r.Counter(WALReadBytes),
-		ForceMicros:    r.Histogram(WALForceMicros),
-		AppendBytes:    r.Histogram(WALAppendBytes),
+		Appends:        r.counter(WALAppends),
+		Forces:         r.counter(WALForces),
+		CleanForces:    r.counter(WALCleanForces),
+		PhysicalWrites: r.counter(WALPhysicalWrites),
+		BytesWritten:   r.counter(WALBytesWritten),
+		TrimmedBytes:   r.counter(WALTrimmedBytes),
+		ReadOps:        r.counter(WALReadOps),
+		ReadBytes:      r.counter(WALReadBytes),
+		ForceMicros:    r.histogram(WALForceMicros),
+		AppendBytes:    r.histogram(WALAppendBytes),
 
-		GroupBatchSize:  r.Histogram(WALGroupBatchSize),
-		GroupWaitMicros: r.Histogram(WALGroupWaitMicros),
-		GroupSyncsSaved: r.Counter(WALGroupSyncsSaved),
-
-		ShardAppends:  r.Counter(WALShardAppends),
-		ShardSpread:   r.Histogram(WALShardSpread),
-		ShardStreams:  r.Histogram(WALShardStreams),
-		ShardReshards: r.Counter(WALShardReshards),
+		GroupBatchSize:  r.histogram(WALGroupBatchSize),
+		GroupWaitMicros: r.histogram(WALGroupWaitMicros),
+		GroupSyncsSaved: r.counter(WALGroupSyncsSaved),
 	}
 }
 
-// CodecMetrics pre-resolves the envelope-codec metrics for the
-// per-message hot path of internal/msg. Like the other views, every
-// field of a nil-registry view is nil and the update methods tolerate
-// it.
-type CodecMetrics struct {
+// TransportMetrics pre-resolves the transport.* bundle for the
+// instrumented network's Send path.
+type TransportMetrics struct {
+	Sends      *Counter
+	SendErrors *Counter
 	BytesOut   *Counter
 	BytesIn    *Counter
-	PoolHits   *Counter
-	PoolMisses *Counter
+	RTMicros   *Histogram
 }
 
-// CodecView resolves the codec.* bundle from r.
-func CodecView(r *Registry) *CodecMetrics {
-	return &CodecMetrics{
-		BytesOut:   r.Counter(CodecBytesOut),
-		BytesIn:    r.Counter(CodecBytesIn),
-		PoolHits:   r.Counter(CodecPoolHits),
-		PoolMisses: r.Counter(CodecPoolMisses),
+// TransportView resolves the transport.* bundle from r.
+func TransportView(r *Registry) *TransportMetrics {
+	return &TransportMetrics{
+		Sends:      r.counter(TransportSends),
+		SendErrors: r.counter(TransportSendErrors),
+		BytesOut:   r.counter(TransportBytesOut),
+		BytesIn:    r.counter(TransportBytesIn),
+		RTMicros:   r.histogram(TransportRTMicros),
 	}
 }
 
@@ -369,21 +328,21 @@ type TraceMetrics struct {
 // TraceView resolves the trace.* bundle from r.
 func TraceView(r *Registry) *TraceMetrics {
 	return &TraceMetrics{
-		Spans:          r.Counter(TraceSpans),
-		RingOverwrites: r.Counter(TraceRingOverwrites),
+		Spans:          r.counter(TraceSpans),
+		RingOverwrites: r.counter(TraceRingOverwrites),
 
-		ClientInterceptMicros:  r.Histogram(TraceClientInterceptMicros),
-		TransportMicros:        r.Histogram(TraceTransportMicros),
-		ServerInterceptMicros:  r.Histogram(TraceServerInterceptMicros),
-		WALAppendMicros:        r.Histogram(TraceWALAppendMicros),
-		SyncWaitMicros:         r.Histogram(TraceSyncWaitMicros),
-		ExecuteMicros:          r.Histogram(TraceExecuteMicros),
-		ReplyMicros:            r.Histogram(TraceReplyMicros),
-		ClientResumeMicros:     r.Histogram(TraceClientResumeMicros),
-		RecoveryScanMicros:     r.Histogram(TraceRecoveryScanMicros),
-		ReplayMicros:           r.Histogram(TraceReplayMicros),
-		DemandReplayMicros:     r.Histogram(TraceDemandReplayMicros),
-		DisciplineChangeMicros: r.Histogram(TraceDisciplineChangeMicros),
+		ClientInterceptMicros:  r.histogram(TraceClientInterceptMicros),
+		TransportMicros:        r.histogram(TraceTransportMicros),
+		ServerInterceptMicros:  r.histogram(TraceServerInterceptMicros),
+		WALAppendMicros:        r.histogram(TraceWALAppendMicros),
+		SyncWaitMicros:         r.histogram(TraceSyncWaitMicros),
+		ExecuteMicros:          r.histogram(TraceExecuteMicros),
+		ReplyMicros:            r.histogram(TraceReplyMicros),
+		ClientResumeMicros:     r.histogram(TraceClientResumeMicros),
+		RecoveryScanMicros:     r.histogram(TraceRecoveryScanMicros),
+		ReplayMicros:           r.histogram(TraceReplayMicros),
+		DemandReplayMicros:     r.histogram(TraceDemandReplayMicros),
+		DisciplineChangeMicros: r.histogram(TraceDisciplineChangeMicros),
 	}
 }
 
@@ -457,67 +416,67 @@ type RuntimeMetrics struct {
 // RuntimeView resolves the runtime bundle from r.
 func RuntimeView(r *Registry) *RuntimeMetrics {
 	return &RuntimeMetrics{
-		RecCreation:         r.Counter(RecCreation),
-		RecIncoming:         r.Counter(RecIncoming),
-		RecReplySent:        r.Counter(RecReplySent),
-		RecReplyContent:     r.Counter(RecReplyContent),
-		RecOutgoing:         r.Counter(RecOutgoing),
-		RecOutgoingReply:    r.Counter(RecOutgoingReply),
-		RecCtxState:         r.Counter(RecCtxState),
-		RecBeginCkpt:        r.Counter(RecBeginCkpt),
-		RecCkptCtxTable:     r.Counter(RecCkptCtxTable),
-		RecCkptLastCall:     r.Counter(RecCkptLastCall),
-		RecEndCkpt:          r.Counter(RecEndCkpt),
-		RecDisciplineChange: r.Counter(RecDisciplineChange),
+		RecCreation:         r.counter(RecCreation),
+		RecIncoming:         r.counter(RecIncoming),
+		RecReplySent:        r.counter(RecReplySent),
+		RecReplyContent:     r.counter(RecReplyContent),
+		RecOutgoing:         r.counter(RecOutgoing),
+		RecOutgoingReply:    r.counter(RecOutgoingReply),
+		RecCtxState:         r.counter(RecCtxState),
+		RecBeginCkpt:        r.counter(RecBeginCkpt),
+		RecCkptCtxTable:     r.counter(RecCkptCtxTable),
+		RecCkptLastCall:     r.counter(RecCkptLastCall),
+		RecEndCkpt:          r.counter(RecEndCkpt),
+		RecDisciplineChange: r.counter(RecDisciplineChange),
 
-		InterceptAlgo1:       r.Counter(InterceptAlgo1),
-		InterceptAlgo2:       r.Counter(InterceptAlgo2),
-		InterceptAlgo3:       r.Counter(InterceptAlgo3),
-		InterceptFunctional:  r.Counter(InterceptFunctional),
-		InterceptReadOnly:    r.Counter(InterceptReadOnly),
-		InterceptSubordinate: r.Counter(InterceptSubordinate),
+		InterceptAlgo1:       r.counter(InterceptAlgo1),
+		InterceptAlgo2:       r.counter(InterceptAlgo2),
+		InterceptAlgo3:       r.counter(InterceptAlgo3),
+		InterceptFunctional:  r.counter(InterceptFunctional),
+		InterceptReadOnly:    r.counter(InterceptReadOnly),
+		InterceptSubordinate: r.counter(InterceptSubordinate),
 
-		ForceAtIncoming:      r.Counter(ForceAtIncoming),
-		ForceAtReply:         r.Counter(ForceAtReply),
-		ForceAtSend:          r.Counter(ForceAtSend),
-		ForceAtOutgoingReply: r.Counter(ForceAtOutgoingReply),
-		ElideFunctional:      r.Counter(ElideFunctional),
-		ElideReadOnly:        r.Counter(ElideReadOnly),
-		ElideMultiCall:       r.Counter(ElideMultiCall),
+		ForceAtIncoming:      r.counter(ForceAtIncoming),
+		ForceAtReply:         r.counter(ForceAtReply),
+		ForceAtSend:          r.counter(ForceAtSend),
+		ForceAtOutgoingReply: r.counter(ForceAtOutgoingReply),
+		ElideFunctional:      r.counter(ElideFunctional),
+		ElideReadOnly:        r.counter(ElideReadOnly),
+		ElideMultiCall:       r.counter(ElideMultiCall),
 
-		Checkpoints: r.Counter(Checkpoints),
-		StateSaves:  r.Counter(StateSaves),
-		Trims:       r.Counter(Trims),
+		Checkpoints: r.counter(Checkpoints),
+		StateSaves:  r.counter(StateSaves),
+		Trims:       r.counter(Trims),
 
-		RecoveryRuns:        r.Counter(RecoveryRuns),
-		ContextsRestored:    r.Counter(ContextsRestored),
-		ReplayedCalls:       r.Counter(ReplayedCalls),
-		SuppressedSends:     r.Counter(SuppressedSends),
-		RecoveryPass1Micros: r.Histogram(RecoveryPass1Micros),
-		RecoveryPass2Micros: r.Histogram(RecoveryPass2Micros),
-		RecoveryMicros:      r.Histogram(RecoveryMicros),
+		RecoveryRuns:        r.counter(RecoveryRuns),
+		ContextsRestored:    r.counter(ContextsRestored),
+		ReplayedCalls:       r.counter(ReplayedCalls),
+		SuppressedSends:     r.counter(SuppressedSends),
+		RecoveryPass1Micros: r.histogram(RecoveryPass1Micros),
+		RecoveryPass2Micros: r.histogram(RecoveryPass2Micros),
+		RecoveryMicros:      r.histogram(RecoveryMicros),
 
-		RecoveryLazyOnDemand:        r.Counter(RecoveryLazyOnDemand),
-		RecoveryLazyBackground:      r.Counter(RecoveryLazyBackground),
-		RecoveryLazyCtxReplayMicros: r.Histogram(RecoveryLazyCtxReplayMicros),
-		RecoveryLazyTTFCMicros:      r.Histogram(RecoveryLazyTTFCMicros),
+		RecoveryLazyOnDemand:        r.counter(RecoveryLazyOnDemand),
+		RecoveryLazyBackground:      r.counter(RecoveryLazyBackground),
+		RecoveryLazyCtxReplayMicros: r.histogram(RecoveryLazyCtxReplayMicros),
+		RecoveryLazyTTFCMicros:      r.histogram(RecoveryLazyTTFCMicros),
 
-		AdaptivePromotions:    r.Counter(AdaptivePromotions),
-		AdaptiveDemotions:     r.Counter(AdaptiveDemotions),
-		AdaptiveROViolations:  r.Counter(AdaptiveROViolations),
-		AdaptiveEpochs:        r.Counter(AdaptiveEpochs),
-		AdaptiveForceAtChange: r.Counter(AdaptiveForceAtChange),
-		AdaptiveElideAlgo2:    r.Counter(AdaptiveElideAlgo2),
-		AdaptiveElideReadOnly: r.Counter(AdaptiveElideReadOnly),
-		AdaptiveElideMulti:    r.Counter(AdaptiveElideMulti),
-		AdaptiveDiscAlgo2:     r.Gauge(AdaptiveDiscAlgo2),
-		AdaptiveDiscReadOnly:  r.Gauge(AdaptiveDiscReadOnly),
-		AdaptiveDiscMulti:     r.Gauge(AdaptiveDiscMulti),
+		AdaptivePromotions:    r.counter(AdaptivePromotions),
+		AdaptiveDemotions:     r.counter(AdaptiveDemotions),
+		AdaptiveROViolations:  r.counter(AdaptiveROViolations),
+		AdaptiveEpochs:        r.counter(AdaptiveEpochs),
+		AdaptiveForceAtChange: r.counter(AdaptiveForceAtChange),
+		AdaptiveElideAlgo2:    r.counter(AdaptiveElideAlgo2),
+		AdaptiveElideReadOnly: r.counter(AdaptiveElideReadOnly),
+		AdaptiveElideMulti:    r.counter(AdaptiveElideMulti),
+		AdaptiveDiscAlgo2:     r.gauge(AdaptiveDiscAlgo2),
+		AdaptiveDiscReadOnly:  r.gauge(AdaptiveDiscReadOnly),
+		AdaptiveDiscMulti:     r.gauge(AdaptiveDiscMulti),
 
-		RPCCalls:        r.Counter(RPCCalls),
-		RPCRetries:      r.Counter(RPCRetries),
-		RPCCallMicros:   r.Histogram(RPCCallMicros),
-		ServeExecs:      r.Counter(ServeExecs),
-		ServeExecMicros: r.Histogram(ServeExecMicros),
+		RPCCalls:        r.counter(RPCCalls),
+		RPCRetries:      r.counter(RPCRetries),
+		RPCCallMicros:   r.histogram(RPCCallMicros),
+		ServeExecs:      r.counter(ServeExecs),
+		ServeExecMicros: r.histogram(ServeExecMicros),
 	}
 }

@@ -9,8 +9,8 @@
 // power-of-two histograms, all updated with atomics so the interception
 // hot path (every logged message crosses it) never takes a lock. Names
 // are dotted strings grouped by subsystem (wal.*, rec.*, intercept.*,
-// force.*, recovery.*, rpc.*, transport.*); the canonical set lives in
-// names.go next to typed bundles that pre-resolve the hot-path pointers.
+// force.*, recovery.*, rpc.*, transport.*); the canonical set and the
+// views, the only code that resolves a metric, live in names.go.
 //
 // Snapshot captures every metric at an instant; Diff subtracts a base
 // snapshot, which is how the bench harness reports per-run deltas and
@@ -20,7 +20,6 @@ package obs
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -136,22 +135,23 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Registry holds named counters and histograms. Lookups get-or-create;
-// hot paths should resolve metrics once (see the bundles in names.go)
-// and then touch only atomics.
+// Registry holds named counters, histograms and gauges. Only the views
+// in names.go resolve a metric (get-or-create, once, at construction);
+// code outside this package holds the resolved pointers and touches
+// only atomics, and reads names back through Snapshot.
 type Registry struct {
-	mu        sync.RWMutex
-	counters  map[string]*Counter
-	histogram map[string]*Histogram
-	gauges    map[string]*Gauge
+	mu         sync.RWMutex
+	counters   map[string]*Counter
+	histograms map[string]*Histogram
+	gauges     map[string]*Gauge
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:  make(map[string]*Counter),
-		histogram: make(map[string]*Histogram),
-		gauges:    make(map[string]*Gauge),
+		counters:   make(map[string]*Counter),
+		histograms: make(map[string]*Histogram),
+		gauges:     make(map[string]*Gauge),
 	}
 }
 
@@ -163,8 +163,8 @@ var defaultRegistry = NewRegistry()
 // Default returns the process-wide shared registry.
 func Default() *Registry { return defaultRegistry }
 
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
+// counter returns the named counter, creating it on first use.
+func (r *Registry) counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
@@ -183,28 +183,28 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
+// histogram returns the named histogram, creating it on first use.
+func (r *Registry) histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
 	r.mu.RLock()
-	h := r.histogram[name]
+	h := r.histograms[name]
 	r.mu.RUnlock()
 	if h != nil {
 		return h
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h = r.histogram[name]; h == nil {
+	if h = r.histograms[name]; h == nil {
 		h = &Histogram{}
-		r.histogram[name] = h
+		r.histograms[name] = h
 	}
 	return h
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
+// gauge returns the named gauge, creating it on first use.
+func (r *Registry) gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
@@ -233,12 +233,12 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.RUnlock()
 	s := Snapshot{
 		Counters:   make(map[string]int64, len(r.counters)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.histogram)),
+		Histograms: make(map[string]HistogramSnapshot, len(r.histograms)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Load()
 	}
-	for name, h := range r.histogram {
+	for name, h := range r.histograms {
 		s.Histograms[name] = h.Snapshot()
 	}
 	if len(r.gauges) > 0 {
@@ -248,23 +248,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Names returns the sorted counter names currently registered (mostly
-// for the debug endpoint and tests).
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters)+len(r.histogram)+len(r.gauges))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.histogram {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

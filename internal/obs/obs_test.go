@@ -3,8 +3,15 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net/http"
+	"os"
+	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -12,13 +19,13 @@ import (
 
 func TestCounterBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("x.y")
+	c := r.counter("x.y")
 	c.Inc()
 	c.Add(41)
 	if got := c.Load(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	if r.Counter("x.y") != c {
+	if r.counter("x.y") != c {
 		t.Error("second lookup returned a different counter")
 	}
 	// nil receivers are no-ops, so unobserved subsystems need no guards.
@@ -31,7 +38,7 @@ func TestCounterBasics(t *testing.T) {
 	var nh *Histogram
 	nh.Observe(7)
 	var nr *Registry
-	if nr.Counter("a") != nil || nr.Histogram("b") != nil {
+	if nr.counter("a") != nil || nr.histogram("b") != nil {
 		t.Error("nil registry should hand out nil metrics")
 	}
 	if !nr.Snapshot().Empty() {
@@ -41,7 +48,7 @@ func TestCounterBasics(t *testing.T) {
 
 func TestHistogramBucketsAndMean(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat")
+	h := r.histogram("lat")
 	for _, v := range []int64{0, 1, 2, 3, 1000, -5} {
 		h.Observe(v)
 	}
@@ -70,8 +77,8 @@ func TestHistogramBucketsAndMean(t *testing.T) {
 
 func TestSnapshotDiff(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("calls")
-	h := r.Histogram("lat")
+	c := r.counter("calls")
+	h := r.histogram("lat")
 	c.Add(10)
 	h.Observe(5)
 	base := r.Snapshot()
@@ -98,10 +105,10 @@ func TestSnapshotDiff(t *testing.T) {
 
 func TestSnapshotWriteText(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b.two").Add(2)
-	r.Counter("a.one").Add(1)
-	r.Counter("z.zero") // stays zero: omitted
-	r.Histogram("lat").Observe(10)
+	r.counter("b.two").Add(2)
+	r.counter("a.one").Add(1)
+	r.counter("z.zero") // stays zero: omitted
+	r.histogram("lat").Observe(10)
 	var sb strings.Builder
 	r.Snapshot().WriteText(&sb, "  ")
 	out := sb.String()
@@ -119,26 +126,137 @@ func TestSnapshotWriteText(t *testing.T) {
 	}
 }
 
+// allViews resolves every view in names.go from r.
+func allViews(r *Registry) []any {
+	return []any{WALView(r), TraceView(r), RuntimeView(r), TransportView(r)}
+}
+
+// catalogue returns the string constants names.go declares, read from
+// the source so that a constant no view resolves is caught too.
+func catalogue(t *testing.T) map[string]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "names.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			for _, v := range spec.(*ast.ValueSpec).Values {
+				if lit, ok := v.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					names[name] = true
+				}
+			}
+		}
+	}
+	return names
+}
+
 func TestViewsResolveAllFields(t *testing.T) {
 	r := NewRegistry()
-	w := WALView(r)
-	if w.Forces == nil || w.CleanForces == nil || w.ForceMicros == nil {
-		t.Fatal("WALView left fields nil")
+	fields := 0
+	for _, v := range allViews(r) {
+		rv := reflect.ValueOf(v).Elem()
+		for i := 0; i < rv.NumField(); i++ {
+			fields++
+			if rv.Field(i).IsNil() {
+				t.Errorf("%s.%s is nil", rv.Type().Name(), rv.Type().Field(i).Name)
+			}
+		}
 	}
-	m := RuntimeView(r)
-	if m.RecOutgoing == nil || m.ForceAtSend == nil || m.SuppressedSends == nil ||
-		m.RPCCallMicros == nil || m.InterceptSubordinate == nil {
-		t.Fatal("RuntimeView left fields nil")
+
+	// The catalogue: the views resolve each constant of names.go by
+	// exactly one field, and nothing else.
+	snap := r.Snapshot()
+	resolved := map[string]int{}
+	for name := range snap.Counters {
+		resolved[name]++
 	}
+	for name := range snap.Histograms {
+		resolved[name]++
+	}
+	for name := range snap.Gauges {
+		resolved[name]++
+	}
+	declared := catalogue(t)
+	for name, n := range resolved {
+		if !declared[name] {
+			t.Errorf("a view resolves %q, which names.go does not declare", name)
+		}
+		if n > 1 {
+			t.Errorf("%q is resolved as %d kinds of metric", name, n)
+		}
+	}
+	for name := range declared {
+		if resolved[name] == 0 {
+			t.Errorf("names.go declares %q but no view resolves it", name)
+		}
+	}
+	if fields != len(declared) {
+		t.Errorf("the views have %d fields for %d declared names, want one field per name", fields, len(declared))
+	}
+
 	// Views over the same registry share state.
+	w := WALView(r)
 	w.Forces.Inc()
 	if WALView(r).Forces.Load() != 1 {
 		t.Error("views over one registry must share counters")
 	}
 	// Nil-registry views are safe to use.
+	for _, v := range allViews(nil) {
+		rv := reflect.ValueOf(v).Elem()
+		for i := 0; i < rv.NumField(); i++ {
+			if !rv.Field(i).IsNil() {
+				t.Errorf("nil-registry %s.%s is not nil", rv.Type().Name(), rv.Type().Field(i).Name)
+			}
+		}
+	}
 	nw := WALView(nil)
 	nw.Forces.Inc()
 	nw.ForceMicros.Observe(3)
+}
+
+// TestReadmeListsEveryMetric: the backticked metric names in README's
+// Observability section are exactly the catalogue. A metric-shaped
+// token is lowercase and dotted, like every name in names.go.
+func TestReadmeListsEveryMetric(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := string(readme)
+	start := strings.Index(section, "\n## Observability\n")
+	if start < 0 {
+		t.Fatal("README has no Observability section")
+	}
+	section = section[start+1:]
+	if end := strings.Index(section[1:], "\n## "); end >= 0 {
+		section = section[:end+1]
+	}
+	metric := regexp.MustCompile("`([a-z][a-z0-9_]*(?:\\.[a-z0-9_]+)+)`")
+	listed := map[string]bool{}
+	for _, m := range metric.FindAllStringSubmatch(section, -1) {
+		listed[m[1]] = true
+	}
+	declared := catalogue(t)
+	for name := range listed {
+		if !declared[name] {
+			t.Errorf("README's Observability section lists %q, which names.go does not declare", name)
+		}
+	}
+	for name := range declared {
+		if !listed[name] {
+			t.Errorf("README's Observability section does not list %q", name)
+		}
+	}
 }
 
 func TestRegistryConcurrency(t *testing.T) {
@@ -149,8 +267,8 @@ func TestRegistryConcurrency(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				r.Counter(fmt.Sprintf("c%d", i%10)).Inc()
-				r.Histogram("h").Observe(int64(i))
+				r.counter(fmt.Sprintf("c%d", i%10)).Inc()
+				r.histogram("h").Observe(int64(i))
 				if i%100 == 0 {
 					_ = r.Snapshot()
 				}
@@ -160,23 +278,23 @@ func TestRegistryConcurrency(t *testing.T) {
 	wg.Wait()
 	var total int64
 	for i := 0; i < 10; i++ {
-		total += r.Counter(fmt.Sprintf("c%d", i)).Load()
+		total += r.counter(fmt.Sprintf("c%d", i)).Load()
 	}
 	if total != 8000 {
 		t.Fatalf("lost updates: total = %d, want 8000", total)
 	}
-	if got := r.Histogram("h").Snapshot().Count; got != 8000 {
+	if got := r.histogram("h").Snapshot().Count; got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
 	}
-	if len(r.Names()) != 11 {
-		t.Fatalf("names = %v", r.Names())
+	if snap := r.Snapshot(); len(snap.Counters) != 10 || len(snap.Histograms) != 1 {
+		t.Fatalf("snapshot holds %d counters and %d histograms, want 10 and 1", len(snap.Counters), len(snap.Histograms))
 	}
 }
 
 func TestDebugServer(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(WALForces).Add(3)
-	r.Histogram(RPCCallMicros).Observe(250)
+	r.counter(WALForces).Add(3)
+	r.histogram(RPCCallMicros).Observe(250)
 	d, err := StartDebugServer("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)

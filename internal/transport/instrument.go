@@ -7,12 +7,8 @@ import "repro/internal/obs"
 // failures. The universe wraps its network with Instrument so the
 // transport boundary is observable regardless of implementation.
 type instrumented struct {
-	inner    Network
-	sends    *obs.Counter
-	errors   *obs.Counter
-	bytesOut *obs.Counter
-	bytesIn  *obs.Counter
-	rtMicros *obs.Histogram
+	inner Network
+	m     *obs.TransportMetrics
 }
 
 // Instrument returns n with its Send path accounted to reg. A nil
@@ -21,14 +17,7 @@ func Instrument(n Network, reg *obs.Registry) Network {
 	if n == nil || reg == nil {
 		return n
 	}
-	return &instrumented{
-		inner:    n,
-		sends:    reg.Counter(obs.TransportSends),
-		errors:   reg.Counter(obs.TransportSendErrors),
-		bytesOut: reg.Counter(obs.TransportBytesOut),
-		bytesIn:  reg.Counter(obs.TransportBytesIn),
-		rtMicros: reg.Histogram(obs.TransportRTMicros),
-	}
+	return &instrumented{inner: n, m: obs.TransportView(reg)}
 }
 
 // Unwrap exposes the underlying network (tests reach Mem-specific
@@ -40,15 +29,15 @@ func (i *instrumented) Listen(addr string, h Handler) error { return i.inner.Lis
 func (i *instrumented) Unlisten(addr string) { i.inner.Unlisten(addr) }
 
 func (i *instrumented) Send(addr string, req []byte) ([]byte, error) {
-	i.sends.Inc()
-	i.bytesOut.Add(int64(len(req)))
+	i.m.Sends.Inc()
+	i.m.BytesOut.Add(int64(len(req)))
 	start := obs.Stopwatch()
 	resp, err := i.inner.Send(addr, req)
-	i.rtMicros.Observe((obs.Stopwatch() - start) / 1e3)
+	i.m.RTMicros.Observe((obs.Stopwatch() - start) / 1e3)
 	if err != nil {
-		i.errors.Inc()
+		i.m.SendErrors.Inc()
 		return nil, err
 	}
-	i.bytesIn.Add(int64(len(resp)))
+	i.m.BytesIn.Add(int64(len(resp)))
 	return resp, nil
 }

@@ -39,7 +39,6 @@ type Set struct {
 	shards []Shard // era order; index-aligned with eras expansion
 	active []*Log  // logs of the latest era, routing-index order
 	byStr  map[uint32]*Log
-	m      *obs.WALMetrics
 }
 
 // OpenSet opens the sharded log at dir with n appendable shards:
@@ -93,7 +92,7 @@ func OpenSet(dir string, model disk.Model, n int) (*Set, error) {
 		}
 	}
 
-	s := &Set{dir: dir, root: r, byStr: make(map[uint32]*Log), m: obs.WALView(obs.Default())}
+	s := &Set{dir: dir, root: r, byStr: make(map[uint32]*Log)}
 	for ei, e := range r.eras {
 		for i := 0; i < e.Count; i++ {
 			stream := e.Base + uint32(i)
@@ -110,10 +109,6 @@ func OpenSet(dir string, model disk.Model, n int) (*Set, error) {
 			}
 		}
 	}
-	if resharded {
-		s.m.ShardReshards.Inc()
-	}
-	s.m.ShardStreams.Observe(int64(len(s.active)))
 	return s, nil
 }
 
@@ -136,12 +131,6 @@ func shardIdx(key uint64, n int) int {
 	return int(h % uint64(n))
 }
 
-// route returns the active shard the key maps to, and its index.
-func (s *Set) route(key uint64) (*Log, int) {
-	i := shardIdx(key, len(s.active))
-	return s.active[i], i
-}
-
 // AppendInto appends to the shard the key maps to. Implements Writer.
 func (s *Set) AppendInto(key uint64, t RecordType, enc PayloadEncoder) (ids.LSN, error) {
 	return s.AppendLinked(key, t, enc, nil)
@@ -150,13 +139,7 @@ func (s *Set) AppendInto(key uint64, t RecordType, enc PayloadEncoder) (ids.LSN,
 // AppendLinked implements Writer: the shard the key maps to links the
 // record behind *head (see Log.AppendLinked).
 func (s *Set) AppendLinked(key uint64, t RecordType, enc PayloadEncoder, head *atomic.Uint64) (ids.LSN, error) {
-	l, i := s.route(key)
-	lsn, err := l.AppendLinked(key, t, enc, head)
-	if err == nil {
-		s.m.ShardAppends.Inc()
-		s.m.ShardSpread.Observe(int64(i))
-	}
-	return lsn, err
+	return s.active[shardIdx(key, len(s.active))].AppendLinked(key, t, enc, head)
 }
 
 // streamLog resolves the shard owning an LSN's stream.
@@ -331,10 +314,8 @@ func (s *Set) SetSegmentBytes(n int64) {
 	}
 }
 
-// SetMetrics implements Writer: every shard accounts to reg, and so
-// do the set-level wal.shard.* counters.
+// SetMetrics implements Writer: every shard accounts to reg.
 func (s *Set) SetMetrics(reg *obs.Registry) {
-	s.m = obs.WALView(reg)
 	for _, sh := range s.shards {
 		sh.Log.SetMetrics(reg)
 	}
