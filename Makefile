@@ -59,8 +59,11 @@ fuzz:
 		done; \
 	done
 
+# The race detector also turns on checkptr, so msg's one unsafe.String
+# (bufString, the decoded-envelope buffer) is checked under the fuzz
+# seeds and the codec tests.
 race:
-	go test -race ./internal/core/ ./internal/wal/
+	go test -race ./internal/core/ ./internal/wal/ ./internal/msg/
 
 # Repeated group-commit concurrency stress under the race detector: the
 # one force path with the commit window on and off, the shutdown rule
@@ -160,7 +163,8 @@ profile-call:
 # (by phase: Pass 1 — the log's tail check too, the open reads nothing —
 # and chain walks; a replay reads nothing), bytes read over log bytes,
 # records scanned, calls replayed, the restarts' allocations per
-# replayed call (5.5; 8.7 when every replay encoded its results), and
+# replayed call (4.5; 5.5 with a record's strings and Args copied apart,
+# 8.7 when every replay encoded its results), and
 # what bringing one context back by itself reads (its restart record
 # and its walk), as a first touch does — counts, the same on every run.
 RESTART_DIR ?= /tmp/phoenix-profile-restart
@@ -198,8 +202,15 @@ profile-restart:
 # the metricnames analyzer, the codec.* and wal.shard.* metrics no
 # process registry or reader saw, DumpLog's copy of the record-kind
 # switch and Registry.Names deleted; only obs's views resolve a name —
-# lowered it by 318 to 23,968.)
-LOC_MAX = 23968
+# lowered it by 318 to 23,968. One copy per message raised it by 103 to
+# 24,071: msg's one buffer per decoded message with its one unsafe
+# helper, AppendAnySlice and DecodeReplyInto (+41, net of ownStrings),
+# the caller's reply and its result-count check in core (+9), results
+# encoded in pooled scratch in rpc (+6), and poollife following a pooled
+# buffer through Append… helpers and the struct value that carries it,
+# so the pooled argument list is checked (+47); no older path was left
+# to delete.)
+LOC_MAX = 24071
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

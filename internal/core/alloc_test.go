@@ -18,13 +18,20 @@ import (
 // encoder does.
 
 // callPathAllocGate bounds one persistent↔persistent optimized call:
-// 17.5 allocs measured with one backing copy per decoded envelope,
-// stack scratch in the server's bound call, the method called by its
-// type's Func (no receiver thunk), per-context hot records and the
-// holder-recycling buffer pool (18.5 with a method value per instance,
-// 27.5 before the rest; 947 with gob envelopes, 394 with gob values
-// only).
-const callPathAllocGate = 21.0
+// 13.5 allocs measured with one buffer per decoded envelope, the
+// argument list encoded into pooled scratch, the reply decoded into the
+// caller's own Reply, stack scratch in the server's bound call, the
+// method called by its type's Func (no receiver thunk), per-context hot
+// records and the holder-recycling buffer pool (17.5 with a string copy
+// and a value-list copy per envelope, a fresh argument list and a heap
+// Reply; 18.5 with a method value per instance, 27.5 before the rest;
+// 947 with gob envelopes, 394 with gob values only). What is left per
+// call: the client's Call (its Method is a trace span's), the server's
+// decoded Call, one buffer per decoded call and reply, the server's
+// Reply, its result list, the reply envelope, the last-call entry, the
+// send's address string, the decoded result list and its boxed int,
+// and reflect's result slice and box for the server's method.
+const callPathAllocGate = 17.0
 
 // AllocBatcher drives n persistent↔persistent calls per envelope call,
 // so the inner-call allocation cost can be isolated from the external
@@ -153,12 +160,14 @@ func TestAllocsTracedCallPath(t *testing.T) {
 }
 
 // replayAllocGate bounds a restart's allocations per replayed external
-// call: 5.15 measured over an eager restart of 4 contexts and 2,000
+// call: 4.15 measured over an eager restart of 4 contexts and 2,000
 // Add(1) calls from their creation — the Pass 1 scan, the walk's
-// decode and the replay, with the replayed results not encoded (8.15
-// when every replay encoded its results, bound a method value per
-// instance and allocated each decoded record alone).
-const replayAllocGate = 6.0
+// decode (one buffer per record for its call's strings and Args) and
+// the replay, with the replayed results not encoded (5.15 with the
+// strings and Args copied apart; 8.15 when every replay encoded its
+// results, bound a method value per instance and allocated each
+// decoded record alone).
+const replayAllocGate = 5.2
 
 func TestAllocsReplayedCall(t *testing.T) {
 	if testing.Short() {

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/disk"
 	"repro/internal/ids"
 	"repro/internal/msg"
+	"repro/internal/transport"
 )
 
 // Test components.
@@ -333,4 +336,48 @@ func encodeTestArgs(t *testing.T, args ...any) ([]byte, int, error) {
 		t.Fatal(err)
 	}
 	return data, n, nil
+}
+
+// resultCountNet rewrites the NumResults header of every reply it
+// carries, leaving the value stream as the server encoded it.
+type resultCountNet struct {
+	transport.Network
+	numResults int
+}
+
+func (n *resultCountNet) Send(addr string, req []byte) ([]byte, error) {
+	resp, err := n.Network.Send(addr, req)
+	if err != nil {
+		return nil, err
+	}
+	r, err := msg.DecodeReply(resp)
+	if err != nil {
+		return nil, err
+	}
+	r.NumResults = n.numResults
+	return msg.EncodeReply(r)
+}
+
+// TestReplyResultCountMismatch: a reply whose value stream holds a
+// different number of results than its header says fails the call with
+// both counts, as Bind fails a call whose argument count does not match.
+func TestReplyResultCountMismatch(t *testing.T) {
+	u, err := NewUniverse(UniverseConfig{Dir: t.TempDir(),
+		Net: &resultCountNet{Network: transport.NewMem(disk.NewRealClock(1), 0), numResults: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, p := startProc(t, u, "evo1", "srv", testConfig())
+	defer p.Close()
+	h, err := p.Create("Counter", &Counter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := u.ExternalRef(h.URI()).Call("Add", 1)
+	if err == nil {
+		t.Fatalf("a reply of 1 result whose header says 2 was accepted: %v", res)
+	}
+	if !strings.Contains(err.Error(), "carries 1 results") || !strings.Contains(err.Error(), "says 2") {
+		t.Errorf("error %q does not name both counts", err)
+	}
 }

@@ -111,7 +111,34 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		if !recEqual(got, tc.v) {
 			t.Errorf("%s: decoded record aliases its payload:\n  got  %+v\n  want %+v", name, got, tc.v)
 		}
+		// An embedded call's Args (a reply's Results) share one buffer
+		// with its strings and cannot reach them: writing into the list
+		// or appending to it changes no other field.
+		if vals := recValues(got); vals.IsValid() && vals.Len() > 0 {
+			kept := vals.Bytes()
+			vals.SetBytes(append([]byte(nil), kept...))
+			for i := range kept {
+				kept[i] = 0xdd
+			}
+			_ = append(kept, 0xdd) // in place, if kept had room
+			if !recEqual(got, tc.v) {
+				t.Errorf("%s: writing the value list reached other fields:\n  got  %+v\n  want %+v", name, got, tc.v)
+			}
+		}
 	}
+}
+
+// recValues returns the value list of a record's embedded call or
+// reply (the zero Value for a record that embeds neither).
+func recValues(rec any) reflect.Value {
+	v := reflect.ValueOf(rec).Elem()
+	if f := v.FieldByName("Call"); f.IsValid() {
+		return f.FieldByName("Args")
+	}
+	if f := v.FieldByName("Reply"); f.IsValid() {
+		return f.FieldByName("Results")
+	}
+	return reflect.Value{}
 }
 
 // hotRecFor returns a zero record struct of the kind a payload's frame

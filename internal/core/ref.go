@@ -101,17 +101,22 @@ func (r *Ref) Call(method string, args ...any) ([]any, error) {
 	if r.u == nil {
 		return nil, fmt.Errorf("core: ref to %s is not bound to a context (assign it to a component field before Create, or use Ctx.NewRef / Universe.ExternalRef)", r.target)
 	}
-	argBytes, n, err := rpc.EncodeArgs(args...)
+	// The argument list is encoded once, into pooled scratch that lives
+	// until the call returns: the envelope and a baseline outgoing record
+	// copy it, and a retry re-sends the envelope, so nothing keeps
+	// call.Args past the send.
+	argBuf, err := msg.AppendAnySlice(msg.GetBuf(), args)
 	if err != nil {
 		return nil, err
 	}
-	call := &msg.Call{Target: r.target, Method: method, Args: argBytes, NumArgs: n}
+	defer msg.FreeBuf(argBuf)
+	call := msg.Call{Target: r.target, Method: method, Args: argBuf, NumArgs: len(args)}
 
-	var reply *msg.Reply
+	var reply msg.Reply
 	if r.owner == nil {
-		reply, err = r.externalCall(call)
+		err = r.externalCall(&call, &reply)
 	} else {
-		reply, err = r.owner.outgoingCall(call)
+		err = r.owner.outgoingCall(&call, &reply)
 	}
 	if err != nil {
 		return nil, err
@@ -123,6 +128,10 @@ func (r *Ref) Call(method string, args ...any) ([]any, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(results) != reply.NumResults {
+		return nil, fmt.Errorf("core: %s.%s: reply carries %d results, its header says %d",
+			r.target, method, len(results), reply.NumResults)
+	}
 	return results, nil
 }
 
@@ -130,7 +139,7 @@ func (r *Ref) Call(method string, args ...any) ([]any, error) {
 // may still redrive unavailable servers (a user hitting reload); the
 // runtime gives them the same retry loop but none of the guarantees —
 // without a call ID the server cannot eliminate duplicates.
-func (r *Ref) externalCall(call *msg.Call) (*msg.Reply, error) {
+func (r *Ref) externalCall(call *msg.Call, reply *msg.Reply) error {
 	call.CallerType = msg.External
 	cfg := Config{} // defaults
 	tr := r.u.cfg.Trace
@@ -148,12 +157,12 @@ func (r *Ref) externalCall(call *msg.Call) (*msg.Reply, error) {
 	if r.noRetry {
 		retries = 1
 	}
-	return r.u.send(call, retries, cfg.retryInterval(), nil, "external", tr)
+	return r.u.send(call, reply, retries, cfg.retryInterval(), nil, "external", tr)
 }
 
 // outgoingCall is the client interceptor for calls from inside a
-// context: messages 3 and 4 of Figure 1.
-func (cx *Context) outgoingCall(call *msg.Call) (*msg.Reply, error) {
+// context: messages 3 and 4 of Figure 1. The reply lands in reply.
+func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 	p := cx.p
 	p.checkAlive()
 
@@ -197,7 +206,8 @@ func (cx *Context) outgoingCall(call *msg.Call) (*msg.Reply, error) {
 		if rep, ok := cx.replayReplies[seq]; ok {
 			p.suppressedCalls.Add(1)
 			p.obs.SuppressedSends.Inc()
-			return rep, nil
+			*reply = *rep
+			return nil
 		}
 	}
 
@@ -234,12 +244,12 @@ func (cx *Context) outgoingCall(call *msg.Call) (*msg.Reply, error) {
 	case p.cfg.LogMode == LogBaseline && !aopt:
 		lsn, err := p.appendRec(recOutgoing, cx.parent.id, &outgoingRec{Ctx: cx.parent.id, Call: *call, Trace: call.Trace}, nil)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		cx.lastLSN = lsn
 		p.inject(PointClientBeforeForceSend)
 		if err := p.forceTraced(p.obs.ForceAtSend, cx.lastLSN, call.Trace, &call.Method); err != nil {
-			return nil, err
+			return err
 		}
 	default: // optimized (statically, or by Algorithm-2 promotion)
 		switch {
@@ -268,7 +278,7 @@ func (cx *Context) outgoingCall(call *msg.Call) (*msg.Reply, error) {
 			// stable.
 			p.inject(PointClientBeforeForceSend)
 			if err := p.forceTraced(p.obs.ForceAtSend, cx.lastLSN, call.Trace, &call.Method); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
@@ -289,10 +299,9 @@ func (cx *Context) outgoingCall(call *msg.Call) (*msg.Reply, error) {
 	}
 
 	// Condition 4: repeat the call until some response arrives.
-	reply, err := p.u.send(call, p.cfg.retryLimit(), p.cfg.retryInterval(),
-		p.cfg.OnEvent, p.name, p.tr)
-	if err != nil {
-		return nil, err
+	if err := p.u.send(call, reply, p.cfg.retryLimit(), p.cfg.retryInterval(),
+		p.cfg.OnEvent, p.name, p.tr); err != nil {
+		return err
 	}
 	resumeStart := p.tr.Now()
 
@@ -316,12 +325,12 @@ func (cx *Context) outgoingCall(call *msg.Call) (*msg.Reply, error) {
 			cx.outgoingReply = outgoingReplyRec{Ctx: cx.parent.id, Seq: seq, Reply: *reply, Trace: call.Trace}
 			lsn, err := p.appendRec(recOutgoingReply, cx.parent.id, &cx.outgoingReply, &cx.chainHead)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cx.lastLSN = lsn
 			p.inject(PointClientBeforeForceReply)
 			if err := p.forceTraced(p.obs.ForceAtOutgoingReply, cx.lastLSN, call.Trace, &call.Method); err != nil {
-				return nil, err
+				return err
 			}
 		} else if p.cfg.SpecializedTypes && serverType == msg.Functional {
 			// Algorithm 4: "Do nothing" — a functional reply is
@@ -333,7 +342,7 @@ func (cx *Context) outgoingCall(call *msg.Call) (*msg.Reply, error) {
 			cx.outgoingReply = outgoingReplyRec{Ctx: cx.parent.id, Seq: seq, Reply: *reply, Trace: call.Trace}
 			lsn, err := p.appendRec(recOutgoingReply, cx.parent.id, &cx.outgoingReply, &cx.chainHead)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cx.lastLSN = lsn
 			if aopt && p.cfg.LogMode == LogBaseline {
@@ -345,22 +354,23 @@ func (cx *Context) outgoingCall(call *msg.Call) (*msg.Reply, error) {
 	}
 	p.inject(PointClientAfterReply)
 	p.traceSpan(call, trace.StageClientResume, resumeStart)
-	return reply, nil
+	return nil
 }
 
-// send resolves the target and drives the transport with retries.
-// onEvent (optional) observes each redrive; tr (optional) records the
-// round trip as a StageTransport span of the call's trace — including
-// retries, which are part of what the caller waited for.
-func (u *Universe) send(call *msg.Call, retries int, interval time.Duration,
-	onEvent func(Event), procName string, tr *trace.Recorder) (*msg.Reply, error) {
+// send resolves the target and drives the transport with retries,
+// decoding the answer into reply. onEvent (optional) observes each
+// redrive; tr (optional) records the round trip as a StageTransport span
+// of the call's trace — including retries, which are part of what the
+// caller waited for.
+func (u *Universe) send(call *msg.Call, reply *msg.Reply, retries int, interval time.Duration,
+	onEvent func(Event), procName string, tr *trace.Recorder) error {
 	addr, err := u.addrForURI(call.Target)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	data, err := msg.EncodeCall(call)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// The encoded call is pooled: every transport path hands the bytes
 	// over synchronously (handlers must not retain request buffers), so
@@ -388,12 +398,11 @@ func (u *Universe) send(call *msg.Call, retries int, interval time.Duration,
 			lastErr = err
 			continue
 		}
-		reply, err := msg.DecodeReply(respData)
-		if err != nil {
-			return nil, err
+		if err := msg.DecodeReplyInto(respData, reply); err != nil {
+			return err
 		}
 		if reply.Fault != "" {
-			return nil, &Fault{Msg: reply.Fault}
+			return &Fault{Msg: reply.Fault}
 		}
 		if tr != nil && !call.Trace.IsZero() {
 			tr.Record(trace.SpanData{
@@ -405,7 +414,7 @@ func (u *Universe) send(call *msg.Call, retries int, interval time.Duration,
 				Method: &call.Method,
 			})
 		}
-		return reply, nil
+		return nil
 	}
-	return nil, fmt.Errorf("%w: %s after %d attempts: %v", ErrUnavailable, call.Target, retries, lastErr)
+	return fmt.Errorf("%w: %s after %d attempts: %v", ErrUnavailable, call.Target, retries, lastErr)
 }

@@ -4,12 +4,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // PoolLifeConfig scopes the poollife analyzer.
 type PoolLifeConfig struct {
 	// Packages are the import paths checked. Empty means the buffer
-	// pool's producer and consumers (msg, core, wal, transport).
+	// pool's producer and consumers (msg, core, wal, transport, rpc).
 	Packages []string
 	// Get are the calls (FuncString spelling) whose first result is a
 	// pooled buffer the caller owns. Empty means msg.GetBuf and
@@ -36,6 +37,7 @@ var (
 		"repro/internal/core",
 		"repro/internal/wal",
 		"repro/internal/transport",
+		"repro/internal/rpc",
 	}
 	defaultPoolLifeGet      = []string{"repro/internal/msg.GetBuf", "repro/internal/msg.EncodeCall"}
 	defaultPoolLifeFree     = []string{"repro/internal/msg.FreeBuf"}
@@ -59,7 +61,9 @@ const (
 // (msg.GetBuf) must be freed exactly once on every path, must not be
 // used after it is freed, and neither it nor a sub-slice of it may
 // escape the owning function — no stores to fields, globals, channels
-// or composite literals, no returns. Variables aliasing a WAL record
+// or composite literals, no returns. What an appender (strconv.AppendInt's
+// shape) returns from a pooled buffer is that buffer, and a local
+// variable holding a value built around one obeys the same rule. Variables aliasing a WAL record
 // payload obey the same no-escape rule: the bytes are valid only until
 // the scan callback returns or the reader that produced the record —
 // a cursor or a positioned reader — reads again (DESIGN.md §14), and a
@@ -179,6 +183,20 @@ func (c *poolCheck) classify(e ast.Expr) (trackKind, bool) {
 				return trackPayload, true
 			}
 		}
+	case *ast.CompositeLit:
+		// A value built around a tracked buffer carries it: the local
+		// variable it is assigned to obeys the buffer's no-escape rule.
+		for _, elt := range e.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				elt = kv.Value
+			}
+			if k, ok := c.classify(elt); ok {
+				if k == trackPooled {
+					return trackAlias, true
+				}
+				return k, true
+			}
+		}
 	case *ast.CallExpr:
 		callee := CalleeString(c.pass.Info, e)
 		if c.get[callee] {
@@ -187,8 +205,11 @@ func (c *poolCheck) classify(e ast.Expr) (trackKind, bool) {
 		if c.windows[callee] {
 			return trackPayload, true
 		}
+		if len(e.Args) == 0 {
+			break
+		}
 		// append(tracked, ...) may alias the tracked backing array.
-		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && id.Name == "append" && len(e.Args) > 0 {
+		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && id.Name == "append" {
 			if k, ok := c.classify(e.Args[0]); ok {
 				if k == trackPayload {
 					return trackPayload, true
@@ -196,8 +217,25 @@ func (c *poolCheck) classify(e ast.Expr) (trackKind, bool) {
 				return trackPooled, true // append chain keeps ownership (EncodeCall pattern)
 			}
 		}
+		// So does an appender — named Append… or append…, with a
+		// []byte first parameter and result (msg.AppendAnySlice) —
+		// given a pooled buffer.
+		if k, ok := c.classify(e.Args[0]); ok && k != trackPayload && isAppender(c.pass.Info, e, callee) {
+			return trackPooled, true
+		}
 	}
 	return 0, false
+}
+
+var byteSlice = types.NewSlice(types.Typ[types.Byte])
+
+// isAppender reports whether call, to callee, is an appender (classify).
+func isAppender(info *types.Info, call *ast.CallExpr, callee string) bool {
+	sig, ok := info.TypeOf(call.Fun).(*types.Signature)
+	name := strings.ToLower(callee[strings.LastIndex(callee, ".")+1:])
+	return ok && strings.HasPrefix(name, "append") && sig.Params().Len() > 0 && sig.Results().Len() > 0 &&
+		types.Identical(sig.Params().At(0).Type().Underlying(), byteSlice) &&
+		types.Identical(sig.Results().At(0).Type().Underlying(), byteSlice)
 }
 
 // trackAssign records tracking for `lhs := rhs` pairs; returns whether
@@ -254,6 +292,9 @@ func (c *poolCheck) describe(k trackKind) string {
 // checkEscapes flags stores and returns that let a tracked buffer
 // outlive its validity window.
 func (c *poolCheck) checkEscapes(body *ast.BlockStmt) {
+	// A composite literal assigned straight to a local variable is no
+	// escape: the variable is tracked in its place (classify).
+	carried := map[*ast.CompositeLit]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
@@ -261,6 +302,9 @@ func (c *poolCheck) checkEscapes(body *ast.BlockStmt) {
 				return true
 			}
 			for i, rhs := range n.Rhs {
+				if lit, ok := ast.Unparen(rhs).(*ast.CompositeLit); ok && c.localVar(n.Lhs[i]) != nil {
+					carried[lit] = true
+				}
 				k, ok := c.classify(rhs)
 				if !ok {
 					continue
@@ -291,6 +335,9 @@ func (c *poolCheck) checkEscapes(body *ast.BlockStmt) {
 				}
 			}
 		case *ast.CompositeLit:
+			if carried[n] {
+				return true
+			}
 			for _, elt := range n.Elts {
 				e := elt
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {

@@ -37,6 +37,40 @@ func appendAndFree(n int) {
 	freeBuf(b)
 }
 
+func appendByte(dst []byte, v byte) []byte { return append(dst, v) }
+
+type envelope struct {
+	Args []byte
+	N    int
+}
+
+type envHolder struct{ e envelope }
+
+func send(*envelope) {}
+
+// carried fills a pooled buffer through an appender of append's shape
+// (the msg.AppendAnySlice pattern) and lends it down inside a local
+// struct value: still the one pooled buffer, freed once.
+func carried() {
+	b := appendByte(getBuf(8), 1)
+	defer freeBuf(b)
+	e := envelope{Args: b, N: 1}
+	send(&e)
+}
+
+func appendedNeverFreed() {
+	b := appendByte(getBuf(8), 1) // want `pooled buffer b acquired in .*appendedNeverFreed is never freed`
+	send(&envelope{Args: b})      // want `pooled buffer captured in a composite literal`
+}
+
+// carrierEscapes stores the struct value that carries the buffer.
+func carrierEscapes(h *envHolder) {
+	b := getBuf(8)
+	defer freeBuf(b)
+	e := envelope{Args: b}
+	h.e = e // want `pooled buffer stored to field e`
+}
+
 // errPath frees on the early exit and on the fall-through — one free
 // per path, so nothing is flagged.
 func errPath(fail bool) int {

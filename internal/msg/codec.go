@@ -95,7 +95,8 @@ func ConsumeUvarint(data []byte) (uint64, []byte, error) {
 // consumeSpan consumes a length-prefixed field and returns it as a
 // view of data: the one place a field's length is held against the
 // input. The exported consumers below copy it; ConsumeCall and
-// ConsumeReply collect their strings' spans and copy them together.
+// ConsumeReply collect their fields' spans and copy them into one
+// buffer (ownFields).
 func consumeSpan(data []byte) ([]byte, []byte, error) {
 	n, rest, err := ConsumeUvarint(data)
 	if err != nil {
@@ -108,7 +109,7 @@ func consumeSpan(data []byte) ([]byte, []byte, error) {
 }
 
 // ConsumeBytes consumes a length-prefixed byte field and returns a COPY.
-// Decoded envelopes must not alias the input: transport reads and WAL
+// Decoded values must not alias the input: transport reads and WAL
 // cursors reuse their buffers, and core retains decoded records across
 // replay (DESIGN.md Section 10 ownership rules).
 func ConsumeBytes(data []byte) ([]byte, []byte, error) {

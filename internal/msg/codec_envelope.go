@@ -1,7 +1,7 @@
 package msg
 
 import (
-	"strings"
+	"unsafe"
 
 	"repro/internal/ids"
 )
@@ -31,11 +31,12 @@ func AppendCall(dst []byte, c *Call) []byte {
 }
 
 // ConsumeCall decodes a bare Call body from data into c and returns
-// the unconsumed tail. c never aliases data: the string fields share
-// one backing copy (ownStrings) and Args is its own.
+// the unconsumed tail. c never aliases data: its strings and Args share
+// one new buffer (ownFields).
 func ConsumeCall(data []byte, c *Call) ([]byte, error) {
 	var err error
 	var u uint64
+	var args []byte
 	var str [4][]byte // Machine, Target, Method, CallerURI: views of data
 	if str[0], data, err = consumeSpan(data); err != nil {
 		return nil, err
@@ -57,7 +58,7 @@ func ConsumeCall(data []byte, c *Call) ([]byte, error) {
 	if str[2], data, err = consumeSpan(data); err != nil {
 		return nil, err
 	}
-	if c.Args, data, err = ConsumeBytes(data); err != nil {
+	if args, data, err = consumeSpan(data); err != nil {
 		return nil, err
 	}
 	if u, data, err = ConsumeUvarint(data); err != nil {
@@ -78,31 +79,50 @@ func ConsumeCall(data []byte, c *Call) ([]byte, error) {
 	c.ReadOnly = b&1 != 0
 	c.KnowsServer = b&2 != 0
 	var own [4]string
-	ownStrings(str[:], own[:])
+	c.Args = ownFields(args, str[:], own[:])
 	c.ID.Caller.Machine, c.Target, c.Method, c.CallerURI = own[0], ids.URI(own[1]), own[2], ids.URI(own[3])
 	return data, nil
 }
 
-// ownStrings copies spans — views of a decoder's input — into one
-// backing string and sets out[i] to span i's part of it: one
-// allocation however many fields (DESIGN §10 "Buffer ownership").
-func ownStrings(spans [][]byte, out []string) {
-	n := 0
+// ownFields copies a decoded message's fields — spans of the decoder's
+// input — into one new buffer, the one allocation a decode makes
+// (DESIGN §10 "Buffer ownership"). It returns the value list as a
+// capped slice of the buffer, so an append to it reallocates instead of
+// running into the strings, and sets out[i] to a view of span i's copy
+// (bufString). An empty list comes back nil.
+func ownFields(vals []byte, spans [][]byte, out []string) []byte {
+	n := len(vals)
 	for _, sp := range spans {
 		n += len(sp)
 	}
 	if n == 0 {
-		return
+		return nil
 	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, sp := range spans {
-		b.Write(sp)
+	b := make([]byte, n)
+	i := copy(b, vals)
+	for k, sp := range spans {
+		j := i + copy(b[i:], sp)
+		out[k] = bufString(b[i:j])
+		i = j
 	}
-	all := b.String()
-	for i, sp := range spans {
-		out[i], all = all[:len(sp)], all[len(sp):]
+	if len(vals) == 0 {
+		return nil
 	}
+	return b[:len(vals):len(vals)]
+}
+
+// bufString returns b's bytes as a string without copying them — the
+// package's one use of unsafe. It is sound under the invariant
+// strings.Builder relies on: nothing writes b's bytes after the call.
+// ownFields keeps it by handing out no slice of a string's region: b
+// is a region of a buffer the decode has just made, and the only slice
+// of that buffer that leaves the decode is the value list, which does
+// not overlap it.
+func bufString(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }
 
 // AppendReply appends the bare binary body of r (no version byte) to
@@ -132,6 +152,7 @@ func AppendReply(dst []byte, r *Reply) []byte {
 func ConsumeReply(data []byte, r *Reply) ([]byte, error) {
 	var err error
 	var u uint64
+	var results []byte
 	var str [3][]byte // Machine, AppErr, Fault: views of data
 	if str[0], data, err = consumeSpan(data); err != nil {
 		return nil, err
@@ -147,7 +168,7 @@ func ConsumeReply(data []byte, r *Reply) ([]byte, error) {
 	if r.ID.Seq, data, err = ConsumeUvarint(data); err != nil {
 		return nil, err
 	}
-	if r.Results, data, err = ConsumeBytes(data); err != nil {
+	if results, data, err = consumeSpan(data); err != nil {
 		return nil, err
 	}
 	if u, data, err = ConsumeUvarint(data); err != nil {
@@ -171,7 +192,7 @@ func ConsumeReply(data []byte, r *Reply) ([]byte, error) {
 	}
 	r.ServerType = ComponentType(b)
 	var own [3]string
-	ownStrings(str[:], own[:])
+	r.Results = ownFields(results, str[:], own[:])
 	r.ID.Caller.Machine, r.AppErr, r.Fault = own[0], own[1], own[2]
 	return data, nil
 }

@@ -21,7 +21,7 @@ const (
 
 // FuzzDecodeCall: arbitrary bytes must never panic the call decoder,
 // only the two version bytes open an envelope, and whatever decodes
-// must round-trip.
+// must round-trip — after its input has been overwritten.
 func FuzzDecodeCall(f *testing.F) {
 	seed, _ := EncodeCall(&Call{
 		ID:     ids.CallID{Caller: ids.ComponentAddr{Machine: "m", Proc: 1, Comp: 2}, Seq: 3},
@@ -38,7 +38,8 @@ func FuzzDecodeCall(f *testing.F) {
 	f.Add([]byte("garbage"))
 	f.Add([]byte(gobCall))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := DecodeCall(data)
+		in := bytes.Clone(data) // the engine's input must not be written
+		c, err := DecodeCall(in)
 		if err != nil {
 			return
 		}
@@ -49,10 +50,19 @@ func FuzzDecodeCall(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded call failed: %v", err)
 		}
+		scribble(in) // a decoded call owns its bytes: this changes nothing
 		if back, err := DecodeCall(again); err != nil || !callEqual(back, c) || back.Trace != c.Trace {
 			t.Fatalf("round trip mismatch (%v):\n  got  %+v\n  want %+v", err, back, c)
 		}
 	})
+}
+
+// scribble overwrites a decoder's input, as a transport or a log
+// reader refills its buffer once the decode returns.
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = 0xee
+	}
 }
 
 // FuzzDecodeReply mirrors FuzzDecodeCall for replies.
@@ -65,7 +75,8 @@ func FuzzDecodeReply(f *testing.F) {
 	f.Add([]byte{0xff, 0x00})
 	f.Add([]byte(gobReply))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := DecodeReply(data)
+		in := bytes.Clone(data)
+		r, err := DecodeReply(in)
 		if err != nil {
 			return
 		}
@@ -76,6 +87,7 @@ func FuzzDecodeReply(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded reply failed: %v", err)
 		}
+		scribble(in)
 		if back, err := DecodeReply(again); err != nil || !replyEqual(back, r) || back.Trace != r.Trace {
 			t.Fatalf("round trip mismatch (%v):\n  got  %+v\n  want %+v", err, back, r)
 		}

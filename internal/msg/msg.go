@@ -206,19 +206,31 @@ func EncodeReply(r *Reply) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeReply deserializes a Reply from the transport: 0xC2, or 0xC7
-// traced, with the same single-format rule as DecodeCall.
+// DecodeReply deserializes a Reply from the transport into a new Reply
+// (DecodeReplyInto).
 func DecodeReply(data []byte) (*Reply, error) {
-	var r Reply
+	r := new(Reply)
+	if err := DecodeReplyInto(data, r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// DecodeReplyInto deserializes a Reply from the transport into r, which
+// it overwrites: 0xC2, or 0xC7 traced, with the same single-format rule
+// as DecodeCall. A caller that owns r — Ref.Call's reply on its
+// stack — decodes without a Reply of the decoder's.
+func DecodeReplyInto(data []byte, r *Reply) error {
+	*r = Reply{}
 	body, err := consumeEnvelope(data, verReply, verReplyTraced, &r.Trace)
 	if err == nil {
-		body, err = ConsumeReply(body, &r)
+		body, err = ConsumeReply(body, r)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("msg: decode reply: %w", err)
+		return fmt.Errorf("msg: decode reply: %w", err)
 	}
 	if len(body) != 0 {
-		return nil, fmt.Errorf("msg: decode reply: %d trailing bytes", len(body))
+		return fmt.Errorf("msg: decode reply: %d trailing bytes", len(body))
 	}
-	return &r, nil
+	return nil
 }

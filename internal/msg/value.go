@@ -66,10 +66,17 @@ const maxDepth = 1000
 
 var errDepth = errors.New("value nests deeper than " + strconv.Itoa(maxDepth) + " levels (cyclic?)")
 
-// EncodeAnySlice serializes an argument or result list. The result is
-// freshly allocated and owned by the caller.
+// EncodeAnySlice serializes an argument or result list into a fresh
+// slice the caller owns (AppendAnySlice).
 func EncodeAnySlice(vals []any) ([]byte, error) {
-	dst := AppendUvarint(make([]byte, 0, 32), uint64(len(vals)))
+	return AppendAnySlice(make([]byte, 0, 32), vals)
+}
+
+// AppendAnySlice appends the value stream of an argument or result list
+// to dst and returns the extended slice — into the buffer the list
+// travels in, such as a pooled one (GetBuf).
+func AppendAnySlice(dst []byte, vals []any) ([]byte, error) {
+	dst = AppendUvarint(dst, uint64(len(vals)))
 	var err error
 	for i, v := range vals {
 		if v == nil {

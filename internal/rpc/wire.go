@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -92,16 +93,21 @@ func (b *BoundCall) Call() ([]reflect.Value, string) {
 }
 
 // EncodeResults encodes what Call returned as a reply's result list.
+// The list is encoded into pooled scratch and kept in one copy of its
+// exact size — the slice a last-call table holds — so a long list's
+// growth steps are the pool's, not the call's.
 func (b *BoundCall) EncodeResults(out []reflect.Value) ([]byte, int, error) {
 	var outBuf [stackVals]any
 	anyOut := outBuf[:0]
 	for _, o := range out {
 		anyOut = append(anyOut, o.Interface())
 	}
-	results, err := msg.EncodeAnySlice(anyOut)
+	buf, err := msg.AppendAnySlice(msg.GetBuf(), anyOut)
 	if err != nil {
 		return nil, 0, fmt.Errorf("rpc: %T.%s results: %w", b.d.obj, b.m.Name, err)
 	}
+	results := bytes.Clone(buf)
+	msg.FreeBuf(buf)
 	return results, len(anyOut), nil
 }
 
