@@ -99,11 +99,10 @@ func TestAblationShapes(t *testing.T) {
 }
 
 // TestAllRegistered pins the instrument's scope: the paper's tables in
-// paper order, then the ablations and the adaptive experiment, and
-// nothing else.
+// paper order, then the ablations, and nothing else.
 func TestAllRegistered(t *testing.T) {
 	want := []string{"table4", "table5", "figure9", "table6", "table7", "table8", "multicall",
-		"ablation-ckpt-interval", "ablation-combining", "ablation-records", "adaptive"}
+		"ablation-ckpt-interval", "ablation-combining", "ablation-records"}
 	var got []string
 	for _, e := range All() {
 		got = append(got, e.ID)

@@ -144,16 +144,6 @@ func (p *Process) runCheckpoint() error {
 		p.mu.Unlock()
 	}
 
-	// Re-emit the adaptive controller's non-default states: records
-	// appended after the per-stream end snapshots above are always
-	// rescanned by recovery, so a trim that drops a promotion's
-	// original change record cannot lose the committed discipline.
-	if p.adaptive != nil {
-		if err := p.adaptive.reemitChanges(); err != nil {
-			return err
-		}
-	}
-
 	p.mu.Lock()
 	entries := make([]ckptCtxEntry, 0, len(p.contexts))
 	for id, cx := range p.contexts {

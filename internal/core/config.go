@@ -155,13 +155,6 @@ type Config struct {
 	// chain off the log and replays it. The zero value joins the worker
 	// before the process serves.
 	Recovery Recovery
-	// Adaptive enables the runtime discipline controller: per-method
-	// promotion past the static discipline (Algorithm 1 → Algorithm 2,
-	// read-only detection → Algorithm 5, distinct-server fan-out →
-	// multi-call elision) with hysteresis, every transition durable as
-	// a forced discipline-change record before it takes effect. The
-	// zero value is off — static behavior, bit for bit.
-	Adaptive AdaptiveConfig
 
 	// SaveStateEvery makes a context save a state record after every
 	// N-th incoming call it finishes (0 disables; Section 4.2).

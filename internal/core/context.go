@@ -45,23 +45,9 @@ type Context struct {
 	lastOutSeq uint64
 	subCounter uint32
 	// multiCallSeen tracks the servers invoked during the current
-	// method execution for the Section 3.5 multi-call optimization,
-	// and doubles as the adaptive controller's distinct-target
-	// observation set. The value distinguishes the two users: the
-	// elision branch checks and stores true; adaptive observation
-	// stores false (presence only), so observing a target never
-	// changes what the static elision would have decided.
+	// method execution for the Section 3.5 multi-call optimization
+	// (allocated only under Config.MultiCall).
 	multiCallSeen map[ids.URI]bool
-
-	// curMethod is the method name of the incoming call currently
-	// executing (set only when the adaptive controller is on): the
-	// client side of an outgoing call looks up the *executing*
-	// method's promoted treatment. Owned by the goroutine holding mu.
-	curMethod string
-	// execOut / execRepeats count the current execution's outgoing
-	// calls and repeated-target calls for adaptive observation.
-	execOut     int
-	execRepeats int
 
 	// recovering marks replay mode: outgoing calls are answered from
 	// replayReplies when possible instead of being sent.
@@ -257,14 +243,11 @@ func (cx *Context) attachAware() {
 // beginExecution resets per-execution state; called with mu held just
 // before an incoming call is dispatched.
 func (cx *Context) beginExecution() {
-	if cx.p.cfg.MultiCall || cx.p.adaptive != nil {
+	if cx.p.cfg.MultiCall {
 		if cx.multiCallSeen == nil {
 			cx.multiCallSeen = make(map[ids.URI]bool)
 		}
 		clear(cx.multiCallSeen)
-	}
-	if cx.p.adaptive != nil {
-		cx.execOut, cx.execRepeats = 0, 0
 	}
 }
 

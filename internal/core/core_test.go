@@ -37,6 +37,24 @@ func (r *Relay) Forward(d int) (int, error) {
 	return res[0].(int), nil
 }
 
+// Fan calls three distinct servers per execution (Section 3.5's
+// distinct-server pattern).
+type Fan struct {
+	A, B, C *Ref
+	Total   int
+}
+
+func (f *Fan) Spread(d int) (int, error) {
+	for _, r := range []*Ref{f.A, f.B, f.C} {
+		res, err := r.Call("Add", d)
+		if err != nil {
+			return 0, err
+		}
+		f.Total = res[0].(int)
+	}
+	return f.Total, nil
+}
+
 // Pure is a functional component: stateless, no outgoing calls.
 type Pure struct{}
 

@@ -59,15 +59,10 @@ func DumpLog(w io.Writer, dir string) error {
 	// Per-kind record counts accumulate in a private registry under the
 	// same rec.* counters the runtime uses, so the summary reads exactly
 	// like a live metrics snapshot of this log's history; a kind the
-	// runtime does not write is counted on the summary line. Discipline
-	// attribution replays the adaptive controller's change records as
-	// the scan passes them, so each message record is labeled with the
-	// discipline that was in force when it was written.
+	// runtime does not write is counted on the summary line.
 	reg := obs.NewRegistry()
 	recs := obs.RuntimeView(reg)
 	records, unknown, impliedForces := 0, 0, 0
-	disc := make(map[methodKey]Discipline)
-	mc := make(map[methodKey]bool)
 	discCounts := make(map[string]int)
 	for _, sh := range shards {
 		wk := marks[sh.Stream]
@@ -86,7 +81,7 @@ func DumpLog(w io.Writer, dir string) error {
 				impliedForces++
 				status += "+forced"
 			}
-			algo := dumpDiscipline(rec, disc, mc)
+			algo := dumpDiscipline(rec)
 			if algo != "-" {
 				discCounts[algo]++
 			}
@@ -139,64 +134,25 @@ func DumpLog(w io.Writer, dir string) error {
 		}
 		fmt.Fprintln(w)
 	}
-	// Final adaptive assignments: the state the change records leave
-	// behind — what a recovery of this log would restore.
-	var keys []methodKey
-	for k := range disc {
-		if disc[k] != DiscBaseline || mc[k] {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) > 0 {
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].ctx != keys[j].ctx {
-				return keys[i].ctx < keys[j].ctx
-			}
-			return keys[i].method < keys[j].method
-		})
-		fmt.Fprintf(w, "  adaptive assignments:")
-		for _, k := range keys {
-			tag := disc[k].String()
-			if mc[k] {
-				tag += "+mc"
-			}
-			fmt.Fprintf(w, " ctx=%d.%s=%s", k.ctx, k.method, tag)
-		}
-		fmt.Fprintln(w)
-	}
 	reg.Snapshot().WriteText(w, "  ")
 	return nil
 }
 
 // dumpDiscipline labels a record with the logging discipline that
-// produced it, replaying adaptive discipline-change records into the
-// attribution maps as the scan passes them. Lifecycle records
-// (creation, state, checkpoint brackets) get "-"; message records get
-// the algorithm — exact where the record kind pins it (reply-sent is
-// Algorithm 3, outgoing sends only exist under Algorithm 1), a
-// "A1|A2"-style range where the log alone cannot distinguish the
-// static mode, and a "*"-suffixed form where an adaptive promotion was
-// in force.
-func dumpDiscipline(rec wal.Record, disc map[methodKey]Discipline, mc map[methodKey]bool) string {
+// produced it, from its kind (and, for message 1, whether the caller
+// was external). Lifecycle records (creation, state, checkpoint
+// brackets) get "-"; message records get the algorithm — exact where
+// the record kind pins it (reply-sent is Algorithm 3, outgoing sends
+// only exist under Algorithm 1), and a "A1|A2"-style range where the
+// log alone cannot distinguish the static mode.
+func dumpDiscipline(rec wal.Record) string {
 	switch rec.Type {
-	case recDisciplineChange:
-		var v disciplineChangeRec
-		if err := decodeRec(rec.Payload, &v); err != nil {
-			return "adapt"
-		}
-		k := methodKey{ctx: v.Ctx, method: v.Method}
-		disc[k] = v.To
-		mc[k] = v.MultiCall
-		return "adapt"
 	case recIncoming:
-		var v incomingRec
-		if err := decodeRec(rec.Payload, &v); err != nil {
+		_, id, err := msgHead(rec.Type, rec.Payload)
+		if err != nil {
 			return "?"
 		}
-		if disc[methodKey{ctx: v.Ctx, method: v.Call.Method}] == DiscAlgo2 {
-			return "A2*"
-		}
-		if v.Call.ID.IsZero() {
+		if id.IsZero() {
 			return "A1|A3"
 		}
 		return "A1|A2"
@@ -218,13 +174,11 @@ func dumpDiscipline(rec wal.Record, disc map[methodKey]Discipline, mc map[method
 // forcedKind reports whether a record of this type is forced at append
 // time under every logging discipline: creation records (Create forces
 // before publishing the component), Algorithm 3's reply-sent markers
-// ("log the reply-sent record and force"), and adaptive
-// discipline-change records (durable before the change takes effect).
-// Other kinds may or may not have been forced depending on the
-// discipline and on later forces covering them — the log itself does
-// not say.
+// ("log the reply-sent record and force"). Other kinds may or may not
+// have been forced depending on the discipline and on later forces
+// covering them — the log itself does not say.
 func forcedKind(t wal.RecordType) bool {
-	return t == recCreation || t == recReplySent || t == recDisciplineChange
+	return t == recCreation || t == recReplySent
 }
 
 // dumpTrace appends a record's causal identity when it carries one —
@@ -326,24 +280,6 @@ func dumpPayload(w io.Writer, rec wal.Record) error {
 			return err
 		}
 		fmt.Fprintf(w, "end process checkpoint (begin=%v)", v.BeginLSN)
-	case recDisciplineChange:
-		var v disciplineChangeRec
-		if err := decodeRec(rec.Payload, &v); err != nil {
-			return err
-		}
-		kind := "promote"
-		if v.From == v.To {
-			kind = "reemit"
-		} else if v.To == DiscBaseline {
-			kind = "demote"
-		}
-		fmt.Fprintf(w, "ctx=%d %s %s: %s -> %s epoch=%d", v.Ctx, kind, v.Method, v.From, v.To, v.Epoch)
-		if v.MultiCall {
-			fmt.Fprint(w, " multicall")
-		}
-		if v.Barred {
-			fmt.Fprint(w, " ro-barred")
-		}
 	default:
 		fmt.Fprintf(w, "unknown record type %d", rec.Type)
 	}

@@ -39,12 +39,6 @@ const (
 	// (Figure 2, failure point 3 from the server's perspective —
 	// the client has the reply, the server moved on).
 	PointClientAfterReply InjectionPoint = "client.after-reply"
-	// PointAdaptiveAfterChangeLogged fires after a discipline-change
-	// record is appended and forced but before the controller's
-	// in-memory commit: the durable log says the new discipline is in
-	// effect while no call has yet been handled under it — the exact
-	// promotion-boundary crash the adaptive recovery path must absorb.
-	PointAdaptiveAfterChangeLogged InjectionPoint = "adaptive.after-change-logged"
 )
 
 // Injector crashes a process when execution reaches a chosen point for

@@ -79,13 +79,6 @@ type Process struct {
 	// otherwise, so the serve hot path pays one atomic pointer load.
 	engine atomic.Pointer[replayEngine]
 
-	// adaptive is the discipline controller (Config.Adaptive.Enabled),
-	// set once at construction and immutable thereafter. Nil means
-	// disabled: every hot-path integration point is behind one nil
-	// check, so the static configuration's behavior is bit-for-bit
-	// unchanged.
-	adaptive *adaptiveController
-
 	// Time-to-first-call accounting: restore() arms the stamp at
 	// recovery start (ttfcBase = universe-clock nanos), and the serve
 	// path's first call past a ready gate disarms it and records the
@@ -166,9 +159,6 @@ func newProcess(m *Machine, name string, procID ids.ProcID, cfg Config) (*Proces
 		lastCalls:    newLastCallTable(),
 		remoteTypes:  newRemoteTypeTable(),
 		recoveryDone: make(chan struct{}),
-	}
-	if cfg.Adaptive.Enabled {
-		p.adaptive = newAdaptiveController(p)
 	}
 	if cfg.Injector != nil {
 		cfg.Injector.bind(p)
@@ -750,8 +740,6 @@ func recCounter(m *obs.RuntimeMetrics, t wal.RecordType) *obs.Counter {
 		return m.RecCkptLastCall
 	case recEndCkpt:
 		return m.RecEndCkpt
-	case recDisciplineChange:
-		return m.RecDisciplineChange
 	default:
 		return nil
 	}

@@ -44,14 +44,7 @@ const (
 	recCkptLastCall
 	// recEndCkpt closes a process checkpoint.
 	recEndCkpt
-	// recDisciplineChange records an adaptive controller transition:
-	// from the record's LSN onward, calls to (Ctx, Method) were logged
-	// under the To discipline. Always forced before the change takes
-	// effect, so a call logged under the new discipline can never
-	// precede its change record in the stream. Re-emitted inside
-	// process checkpoints so log trimming cannot strand a promotion's
-	// only record behind the well-known mark.
-	recDisciplineChange
+	// Kind 12 was the discipline-change record; it is never reused.
 )
 
 // compRecord describes one component of a context inside a creation or
@@ -172,19 +165,6 @@ type endCkptRec struct {
 	BeginLSN ids.LSN
 }
 
-// disciplineChangeRec is the payload of recDisciplineChange. MultiCall
-// and Barred are the method's multi-call flag and sticky read-only
-// disqualification *after* the change, so Pass 1 restores the
-// controller by applying records in scan order, newest wins.
-type disciplineChangeRec struct {
-	Ctx       ids.CompID
-	Method    string
-	From, To  Discipline
-	MultiCall bool
-	Barred    bool
-	Epoch     uint64
-}
-
 // recName names record types in errors and traces.
 func recName(t wal.RecordType) string {
 	switch t {
@@ -210,8 +190,6 @@ func recName(t wal.RecordType) string {
 		return "ckpt-last-call"
 	case recEndCkpt:
 		return "end-ckpt"
-	case recDisciplineChange:
-		return "discipline-change"
 	default:
 		return fmt.Sprintf("record(%d)", t)
 	}

@@ -31,10 +31,10 @@ import (
 // codec primitives: the fields in the order of the struct definitions
 // in records.go, embedded Call/Reply as bare envelope bodies
 // (msg.AppendCall / msg.AppendReply — no 0xC1/0xC2). The cold kinds —
-// creation, context state, the checkpoint records, discipline changes —
-// are rare and nested, so their body is their struct laid out by its
-// msg.Plan, the layout the value codec gives any Go type; a
-// begin-checkpoint record has no body.
+// creation, context state, the checkpoint records — are rare and
+// nested, so their body is their struct laid out by its msg.Plan, the
+// layout the value codec gives any Go type; a begin-checkpoint record
+// has no body.
 
 // recBinVer is the version byte opening a binary record payload;
 // recBinVerTraced opens one carrying a causal-trace header.
@@ -140,12 +140,11 @@ func msgHead(t wal.RecordType, payload []byte) (ctx ids.CompID, id ids.CallID, e
 // coldKinds names the record type each plan-encoded struct is the
 // payload of.
 var coldKinds = map[reflect.Type]wal.RecordType{
-	reflect.TypeOf(creationRec{}):         recCreation,
-	reflect.TypeOf(ctxStateRec{}):         recCtxState,
-	reflect.TypeOf(ckptCtxTableRec{}):     recCkptCtxTable,
-	reflect.TypeOf(ckptLastCallRec{}):     recCkptLastCall,
-	reflect.TypeOf(endCkptRec{}):          recEndCkpt,
-	reflect.TypeOf(disciplineChangeRec{}): recDisciplineChange,
+	reflect.TypeOf(creationRec{}):     recCreation,
+	reflect.TypeOf(ctxStateRec{}):     recCtxState,
+	reflect.TypeOf(ckptCtxTableRec{}): recCkptCtxTable,
+	reflect.TypeOf(ckptLastCallRec{}): recCkptLastCall,
+	reflect.TypeOf(endCkptRec{}):      recEndCkpt,
 }
 
 // appendColdRec appends the payload of a cold record: the header, then

@@ -219,23 +219,11 @@ func (p *Process) restore() (*restorePlan, error) {
 					ReplyLSN: rec.LSN, Ctx: rc.Ctx,
 				})
 			}
-		case recDisciplineChange:
-			// Rebuild the adaptive controller's committed state in scan
-			// order (a method's records share its context's stream, so
-			// scan order is temporal order — newest wins). A log written
-			// with the controller on but restarted with it off replays
-			// fine without this: every record needed for replay exists
-			// under any discipline history.
-			if p.adaptive != nil {
-				var dc disciplineChangeRec
-				if err := decodeRec(rec.Payload, &dc); err != nil {
-					return err
-				}
-				p.adaptive.restoreChange(&dc)
-			}
 		default:
 			// Reply-sent and outgoing records say what a context emitted;
-			// replay regenerates that. Checkpoint brackets carry nothing.
+			// replay regenerates that. Checkpoint brackets carry nothing,
+			// and nor does a kind this runtime does not write (12, the
+			// retired discipline-change record).
 		}
 		return nil
 	}

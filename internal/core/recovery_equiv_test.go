@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"io/fs"
 	"os"
@@ -13,6 +14,8 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/msg"
+	"repro/internal/obs/trace"
 	"repro/internal/wal"
 )
 
@@ -22,8 +25,9 @@ import (
 // replay and suppression counts — across a clean crash, crashes
 // injected inside a served call (where a tail replay runs off the end
 // of the log and resumes live), a log that changed shard counts
-// mid-life, and the adaptive controller's promotion boundary. Each
-// cell recovers its own copy of the crashed universe directory; lazy
+// mid-life, and a same-process caller whose resumed tail re-sends into
+// a callee that already ran the call (relay-mid-call). Each cell
+// recovers its own copy of the crashed universe directory; lazy
 // cells take calls mid-drain. Run under -race: on-demand replays race
 // the background worker here by design.
 
@@ -73,7 +77,6 @@ type recoveryOutcome struct {
 	counters   map[string]int
 	relayCalls map[string]int
 	lastCalls  []lastCallSaved
-	promoted   []AdaptiveAssignment
 	suppressed int64
 	stats      RecoveryStats
 	// marks and stable are what the restart's open found in the root.
@@ -147,7 +150,6 @@ func recoverImage(t *testing.T, img equivImage, mode RecoveryMode) recoveryOutco
 		counters:   make(map[string]int),
 		relayCalls: make(map[string]int),
 		suppressed: p.suppressedCalls.Load(),
-		promoted:   adaptivePromoted(p.AdaptiveAssignments()),
 		marks:      p.log.Marks(),
 		stable:     p.log.(*wal.Set).StableMarks(),
 	}
@@ -208,9 +210,6 @@ func assertEquivalent(t *testing.T, ref, got recoveryOutcome, sameLog bool) {
 	}
 	if !reflect.DeepEqual(got.relayCalls, ref.relayCalls) {
 		t.Errorf("relay calls = %v, reference recovered %v", got.relayCalls, ref.relayCalls)
-	}
-	if !reflect.DeepEqual(got.promoted, ref.promoted) {
-		t.Errorf("promoted assignments = %v, reference recovered %v", got.promoted, ref.promoted)
 	}
 	if got.suppressed != ref.suppressed {
 		t.Errorf("suppressed %d sends, reference suppressed %d", got.suppressed, ref.suppressed)
@@ -352,7 +351,69 @@ func equivScenarios() []equivScenario {
 			}
 		},
 	})
-	return append(scs, adaptiveBoundaryScenarios()...)
+	return append(scs, equivScenario{
+		// The crash lands inside C after C logged and forced its reply
+		// to R's fourth call: R's tail resumes live and re-sends a call
+		// C already executed, which C must answer from its last-call
+		// table once its own replay is done — not run a second time.
+		name:   "relay-mid-call",
+		shards: []int{1, 4},
+		build:  relayMidCallImage,
+		check: func(t *testing.T, base recoveryOutcome) {
+			if base.counters["C"] != relayMidCallForwards || base.relayCalls["R"] != relayMidCallForwards {
+				t.Errorf("recovered C = %d, R.Calls = %d; want %d and %d",
+					base.counters["C"], base.relayCalls["R"], relayMidCallForwards, relayMidCallForwards)
+			}
+			if len(base.lastCalls) != 1 || base.lastCalls[0].Seq != relayMidCallForwards {
+				t.Errorf("last-call table = %+v, want R's call %d only", base.lastCalls, relayMidCallForwards)
+			}
+			if base.suppressed != relayMidCallForwards-1 {
+				t.Errorf("suppressed %d sends, want the %d R's log answers", base.suppressed, relayMidCallForwards-1)
+			}
+		},
+	})
+}
+
+// relayMidCallForwards is how many R.Forward(1) calls relayMidCallImage
+// makes; the last one crashes inside C.
+const relayMidCallForwards = 4
+
+// relayMidCallImage drives an Algorithm-1 R → C chain in one process
+// until the injector crashes it inside C's last Add, after C's reply
+// record is forced but before the reply is sent. R's forced send is on
+// the log with no reply after it.
+func relayMidCallImage(t *testing.T, shards int) equivImage {
+	t.Helper()
+	cfg := Config{LogMode: LogBaseline, RetryInterval: 2 * time.Millisecond, RetryLimit: 50}
+	img := equivImage{dir: t.TempDir(), counters: []string{"C"}, relays: []string{"R"},
+		touch: []string{"C"}, cfg: cfg}
+	u, err := NewUniverse(UniverseConfig{Dir: img.dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.WAL = WALConfig{Shards: shards}
+	// The point fires in C, then in R, for every Forward.
+	inj := NewInjector().CrashAt(PointServerBeforeSendReply, 2*relayMidCallForwards-1)
+	cfg.Injector = inj
+	_, p := startProc(t, u, "evo1", "srv", cfg)
+	hc, err := p.Create("C", &Counter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := p.Create("R", &Relay{Server: NewRef(hc.URI())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relay := u.ExternalRef(hr.URI()).WithoutRetry()
+	for i := 1; i < relayMidCallForwards; i++ {
+		callInt(t, relay, "Forward", 1)
+	}
+	if _, err := relay.Call("Forward", 1); err == nil || inj.Fired(PointServerBeforeSendReply) != 1 {
+		t.Fatalf("last Forward returned %v with the injector fired %d times; want a crash inside C",
+			err, inj.Fired(PointServerBeforeSendReply))
+	}
+	u.Shutdown()
+	return img
 }
 
 // TestRecoveryEquivalence is the table. The first cell of a scenario —
@@ -446,6 +507,77 @@ func TestRecoveryCalleeCompleteTailBeforeCallerIncomplete(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRetiredRecordKindIsSkipped: record kind 12 was the discipline-change
+// record, and a runtime that no longer writes it still restarts a log
+// that holds one. A kind-12 frame appended on C's stream between calls
+// changes nothing a restart recovers, eager or lazy, and the dump counts
+// it as a kind it does not know.
+func TestRetiredRecordKindIsSkipped(t *testing.T) {
+	const retired wal.RecordType = 12
+	build := func(withFrame bool) equivImage {
+		img := equivImage{dir: t.TempDir(), counters: []string{"C"}, relays: []string{"R"},
+			touch: []string{"C"}, cfg: testConfig()}
+		u, err := NewUniverse(UniverseConfig{Dir: img.dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, p := startProc(t, u, "evo1", "srv", testConfig())
+		hc, err := p.Create("C", &Counter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := p.Create("R", &Relay{Server: NewRef(hc.URI())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		relay := u.ExternalRef(hr.URI())
+		for i := 1; i <= 4; i++ {
+			callInt(t, relay, "Forward", i)
+			if withFrame && i == 2 {
+				// The shape such a record had: the record header naming its
+				// context, then a body (the method it was about).
+				ctx := hc.cx.parent.id
+				frame := wal.EncodeFunc(func(dst []byte) ([]byte, error) {
+					return msg.AppendString(appendRecHeader(dst, retired, trace.Ref{}, ctx), "Add"), nil
+				})
+				if _, err := p.log.AppendLinked(uint64(ctx), retired, frame, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// The later calls' forces made the frame durable.
+		p.Crash()
+		u.Shutdown()
+		return img
+	}
+	dump := func(img equivImage) string {
+		var buf bytes.Buffer
+		if err := DumpLog(&buf, filepath.Join(img.dir, "evo1", "srv.log")); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	plain, framed := build(false), build(true)
+	if out := dump(framed); !strings.Contains(out, "\nsummary: 19 records (1 of unknown kind) in LSNs") {
+		t.Errorf("dump of the log with a kind-12 frame:\n%s", out)
+	}
+	if out := dump(plain); !strings.Contains(out, "\nsummary: 18 records in LSNs") {
+		t.Errorf("dump of the log without it:\n%s", out)
+	}
+	for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
+		t.Run(mode.String(), func(t *testing.T) {
+			want, got := recoverImage(t, plain, mode), recoverImage(t, framed, mode)
+			assertEquivalent(t, want, got, false)
+			if !reflect.DeepEqual(got.lastCalls, want.lastCalls) {
+				t.Errorf("last-call table = %+v, without the frame %+v", got.lastCalls, want.lastCalls)
+			}
+			if got.counters["C"] != 10 || got.relayCalls["R"] != 4 {
+				t.Errorf("recovered C = %d, R.Calls = %d; want 10 and 4", got.counters["C"], got.relayCalls["R"])
+			}
+		})
 	}
 }
 

@@ -189,11 +189,7 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 	// get the most conservative treatment: persistent.
 	serverType, roMethod, known := p.remoteTypes.lookup(call.Target, call.Method)
 	call.KnowsServer = known
-	// The adaptive controller honors learned read-only attachments even
-	// when the static specialized-types switch is off: an adaptive
-	// read-only promotion travels as MethodReadOnly and earns the
-	// Algorithm 5 client treatment here.
-	roCall := (p.cfg.SpecializedTypes || p.adaptive != nil) && (serverType == msg.ReadOnly || roMethod)
+	roCall := p.cfg.SpecializedTypes && (serverType == msg.ReadOnly || roMethod)
 	call.ReadOnly = roCall
 
 	// Replay: suppress the outgoing call if its reply is on the log
@@ -218,30 +214,10 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 	// component: do nothing").
 	stateless := cx.parent.ctype.Stateless()
 
-	// Adaptive client treatment of the *executing* method: when it is
-	// Algorithm-2 promoted, its outgoing calls take the optimized
-	// message-3/4 path; its per-method multi-call flag composes with
-	// the static switch. Observation rides the same map the multi-call
-	// elision uses, but marks presence with false so the static elision
-	// branch (which checks and stores true) decides exactly as it would
-	// have without the observer.
-	var aopt, amc bool
-	if p.adaptive != nil && !stateless && cx.parent.ctype != msg.External {
-		aopt, amc = p.adaptive.clientState(cx.parent.id, cx.curMethod)
-		if cx.multiCallSeen != nil {
-			cx.execOut++
-			if _, seen := cx.multiCallSeen[call.Target]; seen {
-				cx.execRepeats++
-			} else {
-				cx.multiCallSeen[call.Target] = false
-			}
-		}
-	}
-
 	switch {
 	case cx.parent.ctype == msg.External || stateless:
 		// Algorithms 4/5 at the stateless component: do nothing.
-	case p.cfg.LogMode == LogBaseline && !aopt:
+	case p.cfg.LogMode == LogBaseline:
 		lsn, err := p.appendRec(recOutgoing, cx.parent.id, &outgoingRec{Ctx: cx.parent.id, Call: *call, Trace: call.Trace}, nil)
 		if err != nil {
 			return err
@@ -251,7 +227,7 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 		if err := p.forceTraced(p.obs.ForceAtSend, cx.lastLSN, call.Trace, &call.Method); err != nil {
 			return err
 		}
-	default: // optimized (statically, or by Algorithm-2 promotion)
+	default: // optimized
 		switch {
 		case p.cfg.SpecializedTypes && serverType == msg.Functional:
 			// Algorithm 4: calling a functional server needs no force.
@@ -260,18 +236,12 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 			// Algorithm 5: "we do not force the log when calling a
 			// read-only component".
 			p.obs.ElideReadOnly.Inc()
-			if !p.cfg.SpecializedTypes {
-				p.obs.AdaptiveElideReadOnly.Inc()
-			}
-		case (p.cfg.MultiCall || amc) && cx.multiCallSeen != nil && !cx.multiCallSeen[call.Target]:
+		case p.cfg.MultiCall && cx.multiCallSeen != nil && !cx.multiCallSeen[call.Target]:
 			// Section 3.5: first call to this server during this
 			// method execution — its reply nondeterminism is captured
 			// in the server's last call table; skip the force.
 			cx.multiCallSeen[call.Target] = true
 			p.obs.ElideMultiCall.Inc()
-			if !p.cfg.MultiCall {
-				p.obs.AdaptiveElideMulti.Inc()
-			}
 		default:
 			// The send message itself is not written (replay recreates
 			// it) but all of this context's previous records must be
@@ -310,7 +280,7 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 		p.remoteTypes.learn(call.Target, call.Method, reply.ServerType, reply.MethodReadOnly)
 		serverType = reply.ServerType
 		roMethod = reply.MethodReadOnly
-		roCall = (p.cfg.SpecializedTypes || p.adaptive != nil) && (serverType == msg.ReadOnly || roMethod)
+		roCall = p.cfg.SpecializedTypes && (serverType == msg.ReadOnly || roMethod)
 	}
 
 	// Client-side logging for message 4.
@@ -321,7 +291,7 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 		// A reply to a live send during replay (cx.recovering) is the
 		// current end of history for this context: it is logged like
 		// any other, so a second failure replays it too.
-		if p.cfg.LogMode == LogBaseline && !aopt {
+		if p.cfg.LogMode == LogBaseline {
 			cx.outgoingReply = outgoingReplyRec{Ctx: cx.parent.id, Seq: seq, Reply: *reply, Trace: call.Trace}
 			lsn, err := p.appendRec(recOutgoingReply, cx.parent.id, &cx.outgoingReply, &cx.chainHead)
 			if err != nil {
@@ -345,11 +315,6 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 				return err
 			}
 			cx.lastLSN = lsn
-			if aopt && p.cfg.LogMode == LogBaseline {
-				// Algorithm-2 promotion: the baseline's message-4 force
-				// is elided (the reply record rides the next commit).
-				p.obs.AdaptiveElideAlgo2.Inc()
-			}
 		}
 	}
 	p.inject(PointClientAfterReply)

@@ -145,23 +145,14 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 	roTreatment := serverStateless ||
 		(p.cfg.SpecializedTypes && (roMethodAttr || call.CallerType == msg.ReadOnly))
 
-	// Adaptive treatment snapshot: one per execution, taken before any
-	// logging decision, so an execution never straddles a discipline
-	// flip. Statically stateless or read-only-treated calls already log
-	// nothing — there is nothing left to promote.
-	var ad adaptiveServe
-	if p.adaptive != nil && !serverStateless && !roTreatment {
-		ad = p.adaptive.serveState(cx.parent.id, call.Method)
-	}
-
 	// Account the interception by logging discipline (the split the
 	// paper's Tables 4-5 argue about).
 	switch {
 	case cx.parent.ctype == msg.Functional:
 		p.obs.InterceptFunctional.Inc() // Algorithm 4
-	case roTreatment || ad.readOnly:
+	case roTreatment:
 		p.obs.InterceptReadOnly.Inc() // Algorithm 5 treatment
-	case p.cfg.LogMode == LogBaseline && !ad.algo2:
+	case p.cfg.LogMode == LogBaseline:
 		p.obs.InterceptAlgo1.Inc()
 	case external:
 		p.obs.InterceptAlgo3.Inc()
@@ -196,21 +187,8 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 		}
 	}
 
-	// Read-only guard: hash the pre-execution state while the method is
-	// a candidate (observing mutation behavior) or promoted (the safety
-	// net). After duplicate elimination — a served-from-table duplicate
-	// never executes, so it needs no guard.
-	if ad.guard {
-		if h, err := cx.stateHash(); err != nil {
-			ad.hashErr = true
-		} else {
-			ad.preHash = h
-		}
-	}
-
-	// Message 1 logging. A read-only-promoted method logs nothing
-	// (Algorithm 5); the runtime guard below backstops the bet.
-	if !roTreatment && !ad.readOnly {
+	// Message 1 logging.
+	if !roTreatment {
 		p.inject(PointServerBeforeLogIncoming)
 		cx.incoming = incomingRec{Ctx: cx.parent.id, Call: *call, Trace: call.Trace}
 		lsn, err := p.appendRec(recIncoming, cx.parent.id, &cx.incoming, &cx.chainHead)
@@ -218,29 +196,21 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 			return fault(call.ID, "log incoming: %v", err)
 		}
 		cx.lastLSN = lsn
-		if external || (p.cfg.LogMode == LogBaseline && !ad.algo2) {
+		if external || p.cfg.LogMode == LogBaseline {
 			// Algorithm 1 forces every message; Algorithm 3 force-logs
 			// external calls promptly so the failure window is small.
 			if err := p.forceTraced(p.obs.ForceAtIncoming, cx.lastLSN, call.Trace, &call.Method); err != nil {
 				return fault(call.ID, "force incoming: %v", err)
 			}
-		} else if ad.algo2 && p.cfg.LogMode == LogBaseline {
-			// Promoted to Algorithm 2: message 1 stays unforced.
-			p.obs.AdaptiveElideAlgo2.Inc()
 		}
 		p.inject(PointServerAfterLogIncoming)
-	} else if ad.readOnly {
-		p.obs.AdaptiveElideReadOnly.Inc()
 	}
 	p.traceSpan(call, trace.StageServerIntercept, srvStart)
 
 	// Execute.
 	cx.beginExecution()
 	cx.curTrace = call.Trace
-	if p.adaptive != nil {
-		cx.curMethod = call.Method
-	}
-	defer func() { cx.curTrace = trace.Ref{}; cx.curMethod = "" }()
+	defer func() { cx.curTrace = trace.Ref{} }()
 	execStart := obs.Stopwatch()
 	execTraceStart := p.tr.Now()
 	out, appErr := bound.Call()
@@ -255,12 +225,10 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 	reply := &msg.Reply{ID: call.ID, Results: results, NumResults: numResults, AppErr: appErr, Trace: call.Trace}
 	p.inject(PointServerAfterExecute)
 
-	// Message 2 logging, before the reply is sent. Nothing for a
-	// read-only-promoted method: no message-1 record exists, so there
-	// is nothing to commit.
-	if !roTreatment && !ad.readOnly {
+	// Message 2 logging, before the reply is sent.
+	if !roTreatment {
 		switch {
-		case p.cfg.LogMode == LogBaseline && !ad.algo2:
+		case p.cfg.LogMode == LogBaseline:
 			// Algorithm 1: log the full reply and force.
 			lsn, err := p.appendRec(recReplyContent, cx.parent.id, &replyContentRec{Ctx: cx.parent.id, CallID: call.ID, Reply: *reply, Trace: call.Trace}, nil)
 			if err != nil {
@@ -300,17 +268,6 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 		p.lastCalls.put(call.ID.Caller, call.ID.Seq, reply, cx.parent.id)
 	}
 
-	// Adaptive epilogue: resolve the read-only guard (a violation
-	// demotes the method and captures the unlogged execution's damage
-	// as a forced state record before the reply externalizes), then
-	// feed the observation to the controller and apply any epoch
-	// decisions it returns.
-	if ad.active {
-		if err := p.adaptiveAfterExec(cx, call, ad); err != nil {
-			return fault(call.ID, "adaptive demote %q: %v", call.Method, err)
-		}
-	}
-
 	// Checkpoint policies (Section 4: state records are saved when the
 	// context is quiescent — right here, after the call finished and
 	// before the next is admitted).
@@ -336,12 +293,7 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 	if !external && !call.KnowsServer {
 		reply.HasAttachment = true
 		reply.ServerType = cx.parent.ctype
-		// An adaptive read-only promotion travels in the attachment like
-		// a declared read-only method: clients may elide their message-3
-		// force for future calls (Algorithm 5's client side). Safe even
-		// if the method is later demoted — the attachment only relaxes
-		// the client while the server still guards itself.
-		reply.MethodReadOnly = roMethodAttr || ad.readOnly
+		reply.MethodReadOnly = roMethodAttr
 	}
 	p.traceSpan(call, trace.StageReply, replyStart)
 	return reply

@@ -120,9 +120,10 @@ func badMode(m recMode) bool {
 	return true
 }
 
-// discipline mirrors core.Discipline: a three-value logging-discipline
-// enum whose String() carries a default rendering strays; switches
-// elsewhere must cover every discipline or carry a default.
+// discipline is a three-value logging-discipline enum shaped like
+// core.LogMode and msg.ComponentType: its String() carries a default
+// rendering strays; switches elsewhere must cover every discipline or
+// carry a default.
 type discipline int
 
 const (

@@ -73,9 +73,6 @@ const (
 	RecCkptCtxTable  = "rec.ckpt_ctx_table"
 	RecCkptLastCall  = "rec.ckpt_last_call"
 	RecEndCkpt       = "rec.end_ckpt"
-	// RecDisciplineChange counts adaptive discipline-change records:
-	// promotions, demotions and checkpoint re-emissions made durable.
-	RecDisciplineChange = "rec.discipline_change"
 
 	// --- interceptions by logging discipline (server side of each
 	// incoming call; subordinate calls are client-side direct dispatch) ---
@@ -140,44 +137,6 @@ const (
 	// Observed in lazy mode only.
 	RecoveryLazyTTFCMicros = "recovery.lazy.ttfc_micros"
 
-	// --- adaptive logging disciplines (internal/core adaptive.go).
-	// The controller observes each (component, method)'s interaction
-	// pattern per epoch and promotes/demotes its effective discipline;
-	// every transition is made durable as a discipline-change record
-	// before it takes effect. Counters account transitions and the
-	// forces the promoted disciplines elided (counted where the baseline
-	// discipline would have forced); gauges are the current number of
-	// methods under each promoted treatment. ---
-
-	// AdaptivePromotions counts discipline promotions applied (durable
-	// record forced, in-memory state flipped).
-	AdaptivePromotions = "adaptive.promotions"
-	// AdaptiveDemotions counts demotions, including read-only guard
-	// violations.
-	AdaptiveDemotions = "adaptive.demotions"
-	// AdaptiveROViolations counts read-only guard trips: a promoted
-	// method mutated state or made an outgoing call, and was demoted
-	// with a forced state save before its reply externalized.
-	AdaptiveROViolations = "adaptive.ro_violations"
-	// AdaptiveEpochs counts controller epoch boundaries crossed.
-	AdaptiveEpochs = "adaptive.epochs"
-	// AdaptiveForceAtChange is the per-site force counter of the
-	// discipline-change commit point (the record is forced before the
-	// new discipline takes effect).
-	AdaptiveForceAtChange = "adaptive.force.at_change"
-
-	// Forces elided because the controller promoted the method past the
-	// configured baseline (the adaptive analogue of force.elided_*).
-	AdaptiveElideAlgo2    = "adaptive.elided.algo2"     // message-1 forces skipped at promoted servers
-	AdaptiveElideReadOnly = "adaptive.elided.readonly"  // whole-discipline skips at RO-promoted methods
-	AdaptiveElideMulti    = "adaptive.elided.multicall" // send forces skipped by promoted multi-call elision
-
-	// Current discipline gauges: how many (component, method) pairs are
-	// under each promoted treatment right now.
-	AdaptiveDiscAlgo2    = "adaptive.disc.algo2"
-	AdaptiveDiscReadOnly = "adaptive.disc.readonly"
-	AdaptiveDiscMulti    = "adaptive.disc.multicall"
-
 	// --- rpc / transport ---
 
 	RPCCalls   = "rpc.calls"
@@ -210,18 +169,17 @@ const (
 	// for the retention you want at crash time.
 	TraceRingOverwrites = "trace.ring_overwrites"
 
-	TraceClientInterceptMicros  = "trace.stage.client_intercept_micros"
-	TraceTransportMicros        = "trace.stage.transport_micros"
-	TraceServerInterceptMicros  = "trace.stage.server_intercept_micros"
-	TraceWALAppendMicros        = "trace.stage.wal_append_micros"
-	TraceSyncWaitMicros         = "trace.stage.sync_wait_micros"
-	TraceExecuteMicros          = "trace.stage.execute_micros"
-	TraceReplyMicros            = "trace.stage.reply_micros"
-	TraceClientResumeMicros     = "trace.stage.client_resume_micros"
-	TraceRecoveryScanMicros     = "trace.stage.recovery_scan_micros"
-	TraceReplayMicros           = "trace.stage.replay_micros"
-	TraceDemandReplayMicros     = "trace.stage.demand_replay_micros"
-	TraceDisciplineChangeMicros = "trace.stage.discipline_change_micros"
+	TraceClientInterceptMicros = "trace.stage.client_intercept_micros"
+	TraceTransportMicros       = "trace.stage.transport_micros"
+	TraceServerInterceptMicros = "trace.stage.server_intercept_micros"
+	TraceWALAppendMicros       = "trace.stage.wal_append_micros"
+	TraceSyncWaitMicros        = "trace.stage.sync_wait_micros"
+	TraceExecuteMicros         = "trace.stage.execute_micros"
+	TraceReplyMicros           = "trace.stage.reply_micros"
+	TraceClientResumeMicros    = "trace.stage.client_resume_micros"
+	TraceRecoveryScanMicros    = "trace.stage.recovery_scan_micros"
+	TraceReplayMicros          = "trace.stage.replay_micros"
+	TraceDemandReplayMicros    = "trace.stage.demand_replay_micros"
 )
 
 // TraceStageMicros lists the per-stage trace histograms in pipeline
@@ -238,7 +196,6 @@ var TraceStageMicros = []string{
 	TraceRecoveryScanMicros,
 	TraceReplayMicros,
 	TraceDemandReplayMicros,
-	TraceDisciplineChangeMicros,
 }
 
 // WALMetrics pre-resolves the device-boundary metrics for the log
@@ -311,18 +268,17 @@ type TraceMetrics struct {
 	Spans          *Counter
 	RingOverwrites *Counter
 
-	ClientInterceptMicros  *Histogram
-	TransportMicros        *Histogram
-	ServerInterceptMicros  *Histogram
-	WALAppendMicros        *Histogram
-	SyncWaitMicros         *Histogram
-	ExecuteMicros          *Histogram
-	ReplyMicros            *Histogram
-	ClientResumeMicros     *Histogram
-	RecoveryScanMicros     *Histogram
-	ReplayMicros           *Histogram
-	DemandReplayMicros     *Histogram
-	DisciplineChangeMicros *Histogram
+	ClientInterceptMicros *Histogram
+	TransportMicros       *Histogram
+	ServerInterceptMicros *Histogram
+	WALAppendMicros       *Histogram
+	SyncWaitMicros        *Histogram
+	ExecuteMicros         *Histogram
+	ReplyMicros           *Histogram
+	ClientResumeMicros    *Histogram
+	RecoveryScanMicros    *Histogram
+	ReplayMicros          *Histogram
+	DemandReplayMicros    *Histogram
 }
 
 // TraceView resolves the trace.* bundle from r.
@@ -331,36 +287,34 @@ func TraceView(r *Registry) *TraceMetrics {
 		Spans:          r.counter(TraceSpans),
 		RingOverwrites: r.counter(TraceRingOverwrites),
 
-		ClientInterceptMicros:  r.histogram(TraceClientInterceptMicros),
-		TransportMicros:        r.histogram(TraceTransportMicros),
-		ServerInterceptMicros:  r.histogram(TraceServerInterceptMicros),
-		WALAppendMicros:        r.histogram(TraceWALAppendMicros),
-		SyncWaitMicros:         r.histogram(TraceSyncWaitMicros),
-		ExecuteMicros:          r.histogram(TraceExecuteMicros),
-		ReplyMicros:            r.histogram(TraceReplyMicros),
-		ClientResumeMicros:     r.histogram(TraceClientResumeMicros),
-		RecoveryScanMicros:     r.histogram(TraceRecoveryScanMicros),
-		ReplayMicros:           r.histogram(TraceReplayMicros),
-		DemandReplayMicros:     r.histogram(TraceDemandReplayMicros),
-		DisciplineChangeMicros: r.histogram(TraceDisciplineChangeMicros),
+		ClientInterceptMicros: r.histogram(TraceClientInterceptMicros),
+		TransportMicros:       r.histogram(TraceTransportMicros),
+		ServerInterceptMicros: r.histogram(TraceServerInterceptMicros),
+		WALAppendMicros:       r.histogram(TraceWALAppendMicros),
+		SyncWaitMicros:        r.histogram(TraceSyncWaitMicros),
+		ExecuteMicros:         r.histogram(TraceExecuteMicros),
+		ReplyMicros:           r.histogram(TraceReplyMicros),
+		ClientResumeMicros:    r.histogram(TraceClientResumeMicros),
+		RecoveryScanMicros:    r.histogram(TraceRecoveryScanMicros),
+		ReplayMicros:          r.histogram(TraceReplayMicros),
+		DemandReplayMicros:    r.histogram(TraceDemandReplayMicros),
 	}
 }
 
 // RuntimeMetrics pre-resolves the interception, checkpoint, recovery
 // and rpc metrics for the core runtime's hot paths.
 type RuntimeMetrics struct {
-	RecCreation         *Counter
-	RecIncoming         *Counter
-	RecReplySent        *Counter
-	RecReplyContent     *Counter
-	RecOutgoing         *Counter
-	RecOutgoingReply    *Counter
-	RecCtxState         *Counter
-	RecBeginCkpt        *Counter
-	RecCkptCtxTable     *Counter
-	RecCkptLastCall     *Counter
-	RecEndCkpt          *Counter
-	RecDisciplineChange *Counter
+	RecCreation      *Counter
+	RecIncoming      *Counter
+	RecReplySent     *Counter
+	RecReplyContent  *Counter
+	RecOutgoing      *Counter
+	RecOutgoingReply *Counter
+	RecCtxState      *Counter
+	RecBeginCkpt     *Counter
+	RecCkptCtxTable  *Counter
+	RecCkptLastCall  *Counter
+	RecEndCkpt       *Counter
 
 	InterceptAlgo1       *Counter
 	InterceptAlgo2       *Counter
@@ -394,18 +348,6 @@ type RuntimeMetrics struct {
 	RecoveryLazyCtxReplayMicros *Histogram
 	RecoveryLazyTTFCMicros      *Histogram
 
-	AdaptivePromotions    *Counter
-	AdaptiveDemotions     *Counter
-	AdaptiveROViolations  *Counter
-	AdaptiveEpochs        *Counter
-	AdaptiveForceAtChange *Counter
-	AdaptiveElideAlgo2    *Counter
-	AdaptiveElideReadOnly *Counter
-	AdaptiveElideMulti    *Counter
-	AdaptiveDiscAlgo2     *Gauge
-	AdaptiveDiscReadOnly  *Gauge
-	AdaptiveDiscMulti     *Gauge
-
 	RPCCalls        *Counter
 	RPCRetries      *Counter
 	RPCCallMicros   *Histogram
@@ -416,18 +358,17 @@ type RuntimeMetrics struct {
 // RuntimeView resolves the runtime bundle from r.
 func RuntimeView(r *Registry) *RuntimeMetrics {
 	return &RuntimeMetrics{
-		RecCreation:         r.counter(RecCreation),
-		RecIncoming:         r.counter(RecIncoming),
-		RecReplySent:        r.counter(RecReplySent),
-		RecReplyContent:     r.counter(RecReplyContent),
-		RecOutgoing:         r.counter(RecOutgoing),
-		RecOutgoingReply:    r.counter(RecOutgoingReply),
-		RecCtxState:         r.counter(RecCtxState),
-		RecBeginCkpt:        r.counter(RecBeginCkpt),
-		RecCkptCtxTable:     r.counter(RecCkptCtxTable),
-		RecCkptLastCall:     r.counter(RecCkptLastCall),
-		RecEndCkpt:          r.counter(RecEndCkpt),
-		RecDisciplineChange: r.counter(RecDisciplineChange),
+		RecCreation:      r.counter(RecCreation),
+		RecIncoming:      r.counter(RecIncoming),
+		RecReplySent:     r.counter(RecReplySent),
+		RecReplyContent:  r.counter(RecReplyContent),
+		RecOutgoing:      r.counter(RecOutgoing),
+		RecOutgoingReply: r.counter(RecOutgoingReply),
+		RecCtxState:      r.counter(RecCtxState),
+		RecBeginCkpt:     r.counter(RecBeginCkpt),
+		RecCkptCtxTable:  r.counter(RecCkptCtxTable),
+		RecCkptLastCall:  r.counter(RecCkptLastCall),
+		RecEndCkpt:       r.counter(RecEndCkpt),
 
 		InterceptAlgo1:       r.counter(InterceptAlgo1),
 		InterceptAlgo2:       r.counter(InterceptAlgo2),
@@ -460,18 +401,6 @@ func RuntimeView(r *Registry) *RuntimeMetrics {
 		RecoveryLazyBackground:      r.counter(RecoveryLazyBackground),
 		RecoveryLazyCtxReplayMicros: r.histogram(RecoveryLazyCtxReplayMicros),
 		RecoveryLazyTTFCMicros:      r.histogram(RecoveryLazyTTFCMicros),
-
-		AdaptivePromotions:    r.counter(AdaptivePromotions),
-		AdaptiveDemotions:     r.counter(AdaptiveDemotions),
-		AdaptiveROViolations:  r.counter(AdaptiveROViolations),
-		AdaptiveEpochs:        r.counter(AdaptiveEpochs),
-		AdaptiveForceAtChange: r.counter(AdaptiveForceAtChange),
-		AdaptiveElideAlgo2:    r.counter(AdaptiveElideAlgo2),
-		AdaptiveElideReadOnly: r.counter(AdaptiveElideReadOnly),
-		AdaptiveElideMulti:    r.counter(AdaptiveElideMulti),
-		AdaptiveDiscAlgo2:     r.gauge(AdaptiveDiscAlgo2),
-		AdaptiveDiscReadOnly:  r.gauge(AdaptiveDiscReadOnly),
-		AdaptiveDiscMulti:     r.gauge(AdaptiveDiscMulti),
 
 		RPCCalls:        r.counter(RPCCalls),
 		RPCRetries:      r.counter(RPCRetries),

@@ -53,36 +53,6 @@ func (c *Counter) Load() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an atomic level — a value that goes up and down, unlike the
-// monotonic Counter (the adaptive controller's "methods currently under
-// discipline X" is the canonical user). Like Counter, the zero value is
-// ready and a nil *Gauge ignores updates.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the current level.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Add moves the level by n (negative to decrease).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Load returns the current level (0 for nil).
-func (g *Gauge) Load() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // histBuckets is the number of power-of-two histogram buckets: bucket i
 // counts observations v with bits.Len64(v) == i, i.e. bucket 0 holds
 // v==0, bucket i holds 2^(i-1) <= v < 2^i.
@@ -135,7 +105,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Registry holds named counters, histograms and gauges. Only the views
+// Registry holds named counters and histograms. Only the views
 // in names.go resolve a metric (get-or-create, once, at construction);
 // code outside this package holds the resolved pointers and touches
 // only atomics, and reads names back through Snapshot.
@@ -143,7 +113,6 @@ type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
 	histograms map[string]*Histogram
-	gauges     map[string]*Gauge
 }
 
 // NewRegistry returns an empty registry.
@@ -151,7 +120,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		histograms: make(map[string]*Histogram),
-		gauges:     make(map[string]*Gauge),
 	}
 }
 
@@ -203,26 +171,6 @@ func (r *Registry) histogram(name string) *Histogram {
 	return h
 }
 
-// gauge returns the named gauge, creating it on first use.
-func (r *Registry) gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // Snapshot captures every registered metric. The result is detached:
 // later updates do not change it.
 func (r *Registry) Snapshot() Snapshot {
@@ -240,12 +188,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, h := range r.histograms {
 		s.Histograms[name] = h.Snapshot()
-	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]int64, len(r.gauges))
-		for name, g := range r.gauges {
-			s.Gauges[name] = g.Load()
-		}
 	}
 	return s
 }

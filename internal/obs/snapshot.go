@@ -89,15 +89,11 @@ func (h HistogramSnapshot) Sub(base HistogramSnapshot) HistogramSnapshot {
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Gauges     map[string]int64             `json:"gauges,omitempty"`
 }
 
 // Counter returns the named counter's value (0 when absent), so tests
 // read `snap.Counter(obs.RecOutgoing)` without existence checks.
 func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
-
-// Gauge returns the named gauge's level (0 when absent).
-func (s Snapshot) Gauge(name string) int64 { return s.Gauges[name] }
 
 // HistogramFor returns the named histogram snapshot (zero when absent).
 func (s Snapshot) HistogramFor(name string) HistogramSnapshot { return s.Histograms[name] }
@@ -115,14 +111,6 @@ func (s Snapshot) Diff(base Snapshot) Snapshot {
 	}
 	for name, h := range s.Histograms {
 		out.Histograms[name] = h.Sub(base.Histograms[name])
-	}
-	// Gauges are levels, not activity: a diff carries the newer level
-	// verbatim (like a histogram's Max — a level cannot be un-set).
-	if len(s.Gauges) > 0 {
-		out.Gauges = make(map[string]int64, len(s.Gauges))
-		for name, v := range s.Gauges {
-			out.Gauges[name] = v
-		}
 	}
 	return out
 }
@@ -167,15 +155,5 @@ func (s Snapshot) WriteText(w io.Writer, indent string) {
 	for _, n := range hnames {
 		h := s.Histograms[n]
 		fmt.Fprintf(w, "%s%-28s count=%d mean=%.1f max=%d\n", indent, n, h.Count, h.Mean(), h.Max)
-	}
-	gnames := make([]string, 0, len(s.Gauges))
-	for n, v := range s.Gauges {
-		if v != 0 {
-			gnames = append(gnames, n)
-		}
-	}
-	sort.Strings(gnames)
-	for _, n := range gnames {
-		fmt.Fprintf(w, "%s%-28s %d (gauge)\n", indent, n, s.Gauges[n])
 	}
 }

@@ -81,29 +81,23 @@ const (
 	// background worker (parented under the recovery run's trace), in
 	// eager and lazy mode alike. Its LSN is the context's restart LSN.
 	StageDemandReplay
-	// StageDisciplineChange is one adaptive discipline transition: the
-	// span covers appending and forcing the discipline-change record
-	// that makes the promotion/demotion durable before it takes effect.
-	// Its LSN is the change record's LSN.
-	StageDisciplineChange
 
 	// stageCount is the sentinel; keep it last.
 	stageCount
 )
 
 var stageNames = [stageCount]string{
-	StageClientIntercept:  "client_intercept",
-	StageTransport:        "transport",
-	StageServerIntercept:  "server_intercept",
-	StageWALAppend:        "wal_append",
-	StageSyncWait:         "sync_wait",
-	StageExecute:          "execute",
-	StageReply:            "reply",
-	StageClientResume:     "client_resume",
-	StageRecoveryScan:     "recovery_scan",
-	StageReplay:           "replay",
-	StageDemandReplay:     "demand_replay",
-	StageDisciplineChange: "discipline_change",
+	StageClientIntercept: "client_intercept",
+	StageTransport:       "transport",
+	StageServerIntercept: "server_intercept",
+	StageWALAppend:       "wal_append",
+	StageSyncWait:        "sync_wait",
+	StageExecute:         "execute",
+	StageReply:           "reply",
+	StageClientResume:    "client_resume",
+	StageRecoveryScan:    "recovery_scan",
+	StageReplay:          "replay",
+	StageDemandReplay:    "demand_replay",
 }
 
 // String returns the stage's canonical snake_case name.
@@ -231,18 +225,17 @@ func NewRecorder(o Options) *Recorder {
 	r.spans = tm.Spans
 	r.overwrites = tm.RingOverwrites
 	r.stageMicros = [stageCount]*obs.Histogram{
-		StageClientIntercept:  tm.ClientInterceptMicros,
-		StageTransport:        tm.TransportMicros,
-		StageServerIntercept:  tm.ServerInterceptMicros,
-		StageWALAppend:        tm.WALAppendMicros,
-		StageSyncWait:         tm.SyncWaitMicros,
-		StageExecute:          tm.ExecuteMicros,
-		StageReply:            tm.ReplyMicros,
-		StageClientResume:     tm.ClientResumeMicros,
-		StageRecoveryScan:     tm.RecoveryScanMicros,
-		StageReplay:           tm.ReplayMicros,
-		StageDemandReplay:     tm.DemandReplayMicros,
-		StageDisciplineChange: tm.DisciplineChangeMicros,
+		StageClientIntercept: tm.ClientInterceptMicros,
+		StageTransport:       tm.TransportMicros,
+		StageServerIntercept: tm.ServerInterceptMicros,
+		StageWALAppend:       tm.WALAppendMicros,
+		StageSyncWait:        tm.SyncWaitMicros,
+		StageExecute:         tm.ExecuteMicros,
+		StageReply:           tm.ReplyMicros,
+		StageClientResume:    tm.ClientResumeMicros,
+		StageRecoveryScan:    tm.RecoveryScanMicros,
+		StageReplay:          tm.ReplayMicros,
+		StageDemandReplay:    tm.DemandReplayMicros,
 	}
 	return r
 }

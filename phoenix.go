@@ -93,28 +93,6 @@ type (
 	// rest in restart-LSN order. The zero value joins the worker before
 	// the process opens.
 	RecoveryConfig = core.Recovery
-	// AdaptiveConfig is the nested Config.Adaptive section: Enabled
-	// turns on the runtime discipline controller, which observes each
-	// (component, method)'s interaction pattern per epoch (Window on
-	// the universe clock, 0 = 100ms) and — after PromoteAfter
-	// consecutive qualifying epochs (0 = 3) — promotes the method's
-	// effective discipline past the static configuration: Algorithm 1 →
-	// Algorithm 2 for persistent↔persistent traffic, detected read-only
-	// behavior → Algorithm 5 (with a runtime guard that demotes on the
-	// first observed mutation), distinct-server fan-out → per-method
-	// multi-call elision. DemoteAfter disqualifying epochs (0 = 2) undo
-	// a promotion. Every transition is durable as a forced
-	// discipline-change log record before it takes effect, so recovery
-	// replays each call under the discipline it was logged with. The
-	// zero value is off — static behavior, bit for bit.
-	AdaptiveConfig = core.AdaptiveConfig
-	// Discipline is the adaptive controller's per-method effective
-	// discipline (baseline / algo2 / readonly), as reported by
-	// Process.AdaptiveAssignments.
-	Discipline = core.Discipline
-	// AdaptiveAssignment is one method's current adaptive state
-	// (Process.AdaptiveAssignments).
-	AdaptiveAssignment = core.AdaptiveAssignment
 	// RecoveryMode selects when Pass-2 replay runs relative to the
 	// process admitting traffic (RecoveryConfig.Mode).
 	RecoveryMode = core.RecoveryMode
@@ -169,13 +147,6 @@ type (
 const (
 	RecoveryEager = core.RecoveryEager
 	RecoveryLazy  = core.RecoveryLazy
-)
-
-// Adaptive disciplines (AdaptiveConfig; Process.AdaptiveAssignments).
-const (
-	DiscBaseline = core.DiscBaseline
-	DiscAlgo2    = core.DiscAlgo2
-	DiscReadOnly = core.DiscReadOnly
 )
 
 // Lifecycle event kinds (Config.OnEvent).
