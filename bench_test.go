@@ -531,8 +531,8 @@ func copyTree(b *testing.B, src, dst string) {
 	}
 }
 
-// BenchmarkContendedAppend measures what sharding the log and holding
-// the commit window buy under contention: `clients` external callers
+// BenchmarkContendedAppend measures what holding the commit window
+// buys under contention: `clients` external callers
 // with one persistent Counter each, all hosted in ONE server process,
 // so every call forces the shared log twice (Algorithm 3). One op is
 // one call from every client (-benchtime 400x is 400 calls a client);
@@ -540,15 +540,13 @@ func copyTree(b *testing.B, src, dst string) {
 // per call. TMPDIR picks the device under the log (/dev/shm: a sync
 // is free).
 func BenchmarkContendedAppend(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		for _, clients := range []int{8, 64} {
-			for _, window := range []string{"off", "on"} {
-				b.Run(fmt.Sprintf("shards=%d/clients=%d/window=%s", shards, clients, window), func(b *testing.B) {
-					cfg := cfgFor(phoenix.LogOptimized, true)
-					cfg.WAL = phoenix.WALConfig{Shards: shards, GroupCommit: phoenix.GroupCommit{Enabled: window == "on"}}
-					contendedAppend(b, cfg, clients)
-				})
-			}
+	for _, clients := range []int{8, 64} {
+		for _, window := range []string{"off", "on"} {
+			b.Run(fmt.Sprintf("clients=%d/window=%s", clients, window), func(b *testing.B) {
+				cfg := cfgFor(phoenix.LogOptimized, true)
+				cfg.WAL = phoenix.WALConfig{GroupCommit: phoenix.GroupCommit{Enabled: window == "on"}}
+				contendedAppend(b, cfg, clients)
+			})
 		}
 	}
 }
@@ -691,14 +689,14 @@ func BenchmarkMultiCall(b *testing.B) {
 
 // ---- building-block micro-benchmarks ----
 
-// benchLog opens a one-shard log and returns its only stream.
+// benchLog opens a process log and returns its Log.
 func benchLog(b *testing.B) *wal.Log {
 	set, err := wal.OpenSet(b.TempDir()+"/bench.log", disk.HostModel{}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { set.Close() })
-	return set.Shards()[0].Log
+	return set.Log
 }
 
 // BenchmarkWALAppend measures a buffered log append.

@@ -3,9 +3,9 @@
 // identities, context IDs, checkpoint structure (each context's restart
 // LSN and chain head), state-record summaries, and for a message record
 // the record of its context it links back to (prev=<LSN>) — under a
-// header with the checkpoint marks and over a summary with the LSN range
-// its one scan found and the stable watermarks (marks and watermarks from
-// the directory's shards.meta): the tool for "what would recovery replay?".
+// header with the checkpoint mark and over a summary with the LSN range
+// its one scan found and the stable watermark (both from the directory's
+// root file): the tool for "what would recovery replay?".
 //
 //	phoenix-logdump /path/to/state/machine/process.log
 package main

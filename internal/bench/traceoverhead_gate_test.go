@@ -40,7 +40,18 @@ func cpuNow(t *testing.T) time.Duration {
 // is the median of per-round paired ratios — each round runs the two
 // modes back to back, so slow environmental drift (CPU frequency,
 // noisy neighbors) cancels within the pair instead of landing on one
-// mode.
+// mode. Which mode of a pair runs first alternates from round to
+// round, so whatever running second costs lands on both modes alike;
+// with a fixed order it landed on the traced one every time. Single
+// rounds swing by ±10% on two vCPUs, so the median is taken over
+// gateRounds of them. Calibrated on a 2-vCPU host by adding a CPU cost
+// of 0, 5 and 10% of an untraced cell to the traced cells only, six
+// runs each at 20 rounds read medians of +10.0–15.7, +14.5–18.8 and
+// +20.9–31.5% (five runs at 31 rounds: +10.3–17.5, +16.0–22.4,
+// +19.4–26.0%; eight runs of the old 5 rounds in a fixed order:
+// +5.2–21.4, +10.8–25.5, +16.5–26.2%). A 5% step moves the median by
+// about twice its run-to-run spread; more rounds did not narrow that
+// spread, which is the host's from one run to the next.
 func TestTraceOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate is slow under -short")
@@ -58,9 +69,13 @@ func TestTraceOverhead(t *testing.T) {
 	}
 	run(false) // discard the cold first run
 	var ratios []float64
-	for i := 0; i < 5; i++ {
-		b := run(false)
-		tr := run(true)
+	for i := 0; i < gateRounds; i++ {
+		var b, tr time.Duration
+		if i%2 == 0 {
+			b, tr = run(false), run(true)
+		} else {
+			tr, b = run(true), run(false)
+		}
 		ratios = append(ratios, float64(tr)/float64(b))
 		t.Logf("round %d: untraced %v, traced %v (%+.2f%%)",
 			i, b, tr, 100*(float64(tr)/float64(b)-1))
@@ -74,6 +89,10 @@ func TestTraceOverhead(t *testing.T) {
 }
 
 const traceClients = 4
+
+// gateRounds is how many paired rounds TestTraceOverhead takes the
+// median of: odd, so the median is one round's ratio.
+const gateRounds = 21
 
 // traceOverheadCell runs the gate's workload once: traceClients
 // concurrent external clients, o.Calls calls each, against one

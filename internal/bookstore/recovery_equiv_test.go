@@ -19,7 +19,7 @@ import (
 // identical baskets and identical replay accounting, and the
 // EventRecoveryDone event must carry the same
 // RecoveryStats that Process.LastRecovery returns. (The wider table —
-// shard layouts, injected crashes, last-call tables — is core's
+// injected crashes, last-call tables — is core's
 // TestRecoveryEquivalence.)
 func TestSellerRecoveryEquivalence(t *testing.T) {
 	buyers := []string{"alice", "bob", "carol", "dave"}

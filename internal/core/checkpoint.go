@@ -98,21 +98,6 @@ func (p *Process) runCheckpoint() error {
 	if err != nil {
 		return err
 	}
-	// With more than one stream, snapshot every stream's append
-	// position now: records past these positions postdate the
-	// checkpoint, so the well-known watermark vector may default each
-	// stream to its snapshot (recovery rescans everything later).
-	// Records before a snapshot belong to contexts whose restart LSNs
-	// constrain the vector downward when it is published (see
-	// wellKnownMarks). A one-stream log needs none: its mark is begin.
-	var ends map[uint32]ids.LSN
-	if shards := p.log.Shards(); len(shards) > 1 {
-		ends = make(map[uint32]ids.LSN, len(shards))
-		for _, sh := range shards {
-			ends[sh.Stream] = sh.Log.End()
-		}
-	}
-
 	// Stateless contexts never write state records, so their original
 	// creation record would pin the log head forever. Their fields are
 	// immutable by contract, so the checkpoint re-emits an equivalent
@@ -150,8 +135,8 @@ func (p *Process) runCheckpoint() error {
 		if cx.parent.ctype.Stateless() {
 			continue
 		}
-		// Read after the begin record (and the ends snapshot): no older
-		// than the newest chain record recovery's scan will not pass.
+		// Read after the begin record: no older than the newest chain
+		// record recovery's scan will not pass.
 		entries = append(entries, ckptCtxEntry{Ctx: id, RestartLSN: cx.restartLSN, ChainHead: ids.LSN(cx.chainHead.Load())})
 	}
 	p.mu.Unlock()
@@ -170,20 +155,10 @@ func (p *Process) runCheckpoint() error {
 
 	// The well-known file is updated only once the checkpoint is
 	// stable — the next force whose watermark passes the end record
-	// (ours or a later send's) covers it — and, on a sharded log, every
-	// stream as far as it reaches now: the tables name records of all
-	// of them (restart LSNs, chain heads).
-	var tails map[uint32]ids.LSN
-	if ends != nil {
-		tails = make(map[uint32]ids.LSN, len(ends))
-		for _, sh := range p.log.Shards() {
-			tails[sh.Stream] = sh.Log.End()
-		}
-	}
+	// (ours or a later send's) covers it.
 	p.ckptMu.Lock()
 	p.pendingCkpt.Store(uint64(begin))
 	p.pendingCkptEnd = end
-	p.pendingCkptEnds, p.pendingCkptTails = ends, tails
 	p.ckptMu.Unlock()
 	p.obs.Checkpoints.Inc()
 	p.emitEvent(Event{Kind: EventCheckpoint, LSN: begin,

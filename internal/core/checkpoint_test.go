@@ -1,6 +1,9 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/ids"
@@ -110,17 +113,20 @@ func TestProcessCheckpointWritesWellKnownLSNOnNextForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The checkpoint is unforced: the root must not point at it yet.
-	if marks, _ := publishedRoot(t, p.LogDir()); len(marks) != 0 {
-		t.Errorf("well-known LSN %v written before the checkpoint was forced", marks)
+	if mark, _ := publishedRoot(t, p.LogDir()); !mark.IsNil() {
+		t.Errorf("well-known LSN %v written before the checkpoint was forced", mark)
 	}
 	// The next send's force covers the checkpoint (Section 4.3:
-	// "possibly by a later send message"). A one-shard log's vector is
-	// the one mark the paper's protocol has: the begin-checkpoint LSN.
+	// "possibly by a later send message"), and the root holds the one
+	// mark the paper's protocol has: the begin-checkpoint LSN.
 	callInt(t, ref, "Add", 1)
-	marks, _ := publishedRoot(t, p.LogDir())
-	lsn, ok := marks[1]
-	if !ok || len(marks) != 1 {
-		t.Fatalf("well-known marks = %v, want one mark for stream 1", marks)
+	lsn, _ := publishedRoot(t, p.LogDir())
+	raw, err := os.ReadFile(filepath.Join(p.LogDir(), "root"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(raw), "\nmark "); lsn.IsNil() || n != 1 {
+		t.Fatalf("root holds %d marks (mark %v):\n%s; want one", n, lsn, raw)
 	}
 	rec, err := p.log.Read(lsn)
 	if err != nil || rec.Type != recBeginCkpt {

@@ -29,18 +29,9 @@ import (
 type GroupCommit = wal.GroupCommitConfig
 
 // WALConfig shapes the process's write-ahead log (Config.WAL). The
-// zero value is a one-shard log with no group commit.
+// zero value is no group commit.
 type WALConfig struct {
-	// Shards partitions the log into N shard streams keyed by the
-	// appending context's CompID: each shard owns its own files,
-	// append mutex, sync leader and synced watermark, so appends and
-	// forces from different contexts stop serializing on one mutex
-	// and one device file. 0 means one shard for a fresh
-	// log and the layout already on disk for an existing one; any
-	// other value that differs from the disk's reshards in place (old
-	// records stay where they are — recovery reads every era).
-	Shards int
-	// GroupCommit makes each shard's sync leader hold a commit window
+	// GroupCommit makes the log's sync leader hold a commit window
 	// before it flushes: one device sync per batch of committers,
 	// deliberately instead of only when their requests happen to
 	// overlap. Worth turning on when many contexts (or external
@@ -147,7 +138,7 @@ type Config struct {
 	// log; the force happens at the component's own reply, or on a
 	// second call to the same server.
 	MultiCall bool
-	// WAL shapes the log: shard count and per-shard group commit.
+	// WAL shapes the log: its group commit.
 	WAL WALConfig
 	// Recovery schedules crash recovery's Pass 2, per context: restore
 	// (Pass 1) leaves each context the head of its chain, and the one

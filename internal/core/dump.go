@@ -19,13 +19,13 @@ import (
 // owned by a live process.
 //
 // Each record line carries a status column relative to the well-known
-// checkpoint LSN — the marks in the root of the directory given,
-// shards.meta, so a log directory copied on its own dumps with them:
-// "ckpt'd" records precede it (recovery's pass 1 scan starts past
-// them), "replay" records are what a crash right now would scan. A root
-// whose hint section fails its checksum is reported as such. Records
-// whose type implies a log force under every discipline (creation
-// records, Algorithm 3's reply-sent markers) are tagged "forced"; the
+// checkpoint LSN — the mark in the root of the directory given, so a
+// log directory copied on its own dumps with it: "ckpt'd" records
+// precede it (recovery's pass 1 scan starts past them), "replay"
+// records are what a crash right now would scan. A root that fails its
+// checksum is reported as such. Records whose type implies a log force
+// under every discipline (creation records, Algorithm 3's reply-sent
+// markers) are tagged "forced"; the
 // actual force count is runtime state the log does not store, so the
 // summary reports the implied minimum. The size column is what the
 // record takes in the log, payload plus frame; a message record that
@@ -37,23 +37,16 @@ func DumpLog(w io.Writer, dir string) error {
 	}
 	defer log.Close()
 
-	// Each stream's scan below is its tail check: the summary has the ends.
-	shards := log.Shards()
-	fmt.Fprintf(w, "log %s: %d shard(s)\n", dir, len(shards))
-	// The root travels with the directory: the marks and watermarks are
-	// the ones shards.meta held when this open read it.
-	marks, stable := log.Marks(), log.StableMarks()
+	// The scan below is the log's tail check: the summary has the end.
+	fmt.Fprintf(w, "log %s\n", dir)
+	// The root travels with the directory: the mark and watermark are
+	// the ones it held when this open read it.
+	wk, stable := log.Mark(), log.Stable()
 	switch {
 	case log.HintsLost():
-		fmt.Fprintln(w, "well-known checkpoint marks: lost — the hint section of shards.meta is missing or fails its checksum; recovery scans every stream from its start")
-	case len(marks) > 0:
-		fmt.Fprintf(w, "well-known checkpoint marks:")
-		for _, sh := range shards {
-			if k, ok := marks[sh.Stream]; ok {
-				fmt.Fprintf(w, " %d=%v", sh.Stream, k)
-			}
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(w, "well-known checkpoint mark: lost — the log's root fails its checksum; recovery scans the log from its start")
+	case !wk.IsNil():
+		fmt.Fprintf(w, "well-known checkpoint mark: %v\n", wk)
 	}
 
 	// Per-kind record counts accumulate in a private registry under the
@@ -64,40 +57,37 @@ func DumpLog(w io.Writer, dir string) error {
 	recs := obs.RuntimeView(reg)
 	records, unknown, impliedForces := 0, 0, 0
 	discCounts := make(map[string]int)
-	for _, sh := range shards {
-		wk := marks[sh.Stream]
-		err = sh.Log.Scan(ids.NilLSN, func(rec wal.Record) error {
-			records++
-			if c := recCounter(recs, rec.Type); c != nil {
-				c.Inc()
-			} else {
-				unknown++
-			}
-			status := "replay"
-			if !wk.IsNil() && rec.LSN < wk {
-				status = "ckpt'd"
-			}
-			if forcedKind(rec.Type) {
-				impliedForces++
-				status += "+forced"
-			}
-			algo := dumpDiscipline(rec)
-			if algo != "-" {
-				discCounts[algo]++
-			}
-			fmt.Fprintf(w, "%-12v %-17s %-13s %-9s %5dB+%-2d ", rec.LSN, recName(rec.Type), status, algo, len(rec.Payload), rec.Size-len(rec.Payload))
-			if err := dumpPayload(w, rec); err != nil {
-				fmt.Fprintf(w, "<undecodable: %v>", err)
-			}
-			if !rec.Prev.IsNil() {
-				fmt.Fprintf(w, " prev=%v", rec.Prev)
-			}
-			fmt.Fprintln(w)
-			return nil
-		})
-		if err != nil {
-			return err
+	err = log.Scan(ids.NilLSN, func(rec wal.Record) error {
+		records++
+		if c := recCounter(recs, rec.Type); c != nil {
+			c.Inc()
+		} else {
+			unknown++
 		}
+		status := "replay"
+		if !wk.IsNil() && rec.LSN < wk {
+			status = "ckpt'd"
+		}
+		if forcedKind(rec.Type) {
+			impliedForces++
+			status += "+forced"
+		}
+		algo := dumpDiscipline(rec)
+		if algo != "-" {
+			discCounts[algo]++
+		}
+		fmt.Fprintf(w, "%-12v %-17s %-13s %-9s %5dB+%-2d ", rec.LSN, recName(rec.Type), status, algo, len(rec.Payload), rec.Size-len(rec.Payload))
+		if err := dumpPayload(w, rec); err != nil {
+			fmt.Fprintf(w, "<undecodable: %v>", err)
+		}
+		if !rec.Prev.IsNil() {
+			fmt.Fprintf(w, " prev=%v", rec.Prev)
+		}
+		fmt.Fprintln(w)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	st := log.Stats()
@@ -105,21 +95,11 @@ func DumpLog(w io.Writer, dir string) error {
 	if unknown > 0 {
 		fmt.Fprintf(w, " (%d of unknown kind)", unknown)
 	}
-	fmt.Fprint(w, " in LSNs")
-	for _, sh := range shards {
-		fmt.Fprintf(w, " %v..%v", sh.Log.Start(), sh.Log.End())
-		if len(shards) > 1 {
-			fmt.Fprintf(w, " (era %d)", sh.Era)
-		}
-	}
-	fmt.Fprintf(w, ", >=%d forces implied by record kinds; stable watermark", impliedForces)
-	if len(stable) == 0 {
+	fmt.Fprintf(w, " in LSNs %v..%v, >=%d forces implied by record kinds; stable watermark", log.Start(), log.End(), impliedForces)
+	if stable.IsNil() {
 		fmt.Fprint(w, " none")
-	}
-	for _, sh := range shards {
-		if mark, ok := stable[sh.Stream]; ok {
-			fmt.Fprintf(w, " %v", mark)
-		}
+	} else {
+		fmt.Fprintf(w, " %v", stable)
 	}
 	fmt.Fprintf(w, "; read with %d device reads (%d bytes)\n", st.ReadOps, st.ReadBytes)
 	if len(discCounts) > 0 {

@@ -39,7 +39,7 @@ func TestDumpLogRendersAllRecordTypes(t *testing.T) {
 	pb.Close()
 
 	// The directory on its own, as a copy made for inspection is: the
-	// marks travel in its root.
+	// mark travels in its root.
 	dir := filepath.Join(t.TempDir(), "copied")
 	copyDir(t, pa.LogDir(), dir)
 	var buf bytes.Buffer
@@ -56,30 +56,30 @@ func TestDumpLogRendersAllRecordTypes(t *testing.T) {
 		// of the second call's record, the head the checkpoint kept for
 		// the context, and how far the log was stable when it was
 		// published.
-		"B+7 ", " prev=lsn:1:", " head=lsn:1:", "stable watermark lsn:1:",
+		"B+7 ", " prev=lsn:", " head=lsn:", "stable watermark lsn:",
 		// The root's mark, and the records it lets recovery pass over.
-		"well-known checkpoint marks: 1=lsn:1:", " ckpt'd",
+		"well-known checkpoint mark: lsn:", " ckpt'd",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q\n%s", want, out)
 		}
 	}
-	// A root whose hint section no longer checks out says so, and every
-	// record is one a restart would scan.
-	root, err := os.ReadFile(filepath.Join(dir, "shards.meta"))
+	// A root that no longer checks out says so, and every record is one
+	// a restart would scan.
+	root, err := os.ReadFile(filepath.Join(dir, "root"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	root[len(root)-2] ^= 0xFF
-	if err := os.WriteFile(filepath.Join(dir, "shards.meta"), root, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "root"), root, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
 	if err := DumpLog(&buf, dir); err != nil {
 		t.Fatal(err)
 	}
-	if out := buf.String(); !strings.Contains(out, "well-known checkpoint marks: lost") || !strings.Contains(out, "stable watermark none") || strings.Contains(out, "ckpt'd") {
-		t.Errorf("dump of a root with a damaged hint section:\n%s", out)
+	if out := buf.String(); !strings.Contains(out, "well-known checkpoint mark: lost") || !strings.Contains(out, "stable watermark none") || strings.Contains(out, "ckpt'd") {
+		t.Errorf("dump of a damaged root:\n%s", out)
 	}
 	if testing.Verbose() {
 		t.Log("\n" + out)
@@ -114,7 +114,7 @@ func TestDumpLogReadsTheLogOnce(t *testing.T) {
 	const block = 16 << 10 // wal's read-ahead unit
 	img, _ := counterImage(t, 4, 300, 0, 0)
 	logDir := filepath.Join(img.dir, "evo1", "srv.log")
-	segs, err := filepath.Glob(filepath.Join(logDir, "shard-*", "*.seg"))
+	segs, err := filepath.Glob(filepath.Join(logDir, "*.seg"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("segments %v, %v", segs, err)
 	}
@@ -146,7 +146,7 @@ func TestDumpLogReadsTheLogOnce(t *testing.T) {
 	if max := logBytes + block*int64(len(segs)); bytesRead < logBytes || bytesRead > max {
 		t.Errorf("dumping a %d-byte log read %d bytes in %d reads, want at least the log and at most %d", logBytes, bytesRead, reads, max)
 	}
-	if want := fmt.Sprintf(" in LSNs %v..%v,", ids.StreamLSN(1, 16), ids.StreamLSN(1, 16+ids.LSN(logBytes))); !strings.Contains(summary, want) {
+	if want := fmt.Sprintf(" in LSNs %v..%v,", ids.LSN(16), ids.LSN(16+logBytes)); !strings.Contains(summary, want) {
 		t.Errorf("summary %q does not give the range%s", summary, want)
 	}
 }

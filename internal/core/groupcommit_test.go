@@ -21,64 +21,59 @@ func groupCommitConfig() Config {
 // virtual clock (the window is deterministic and instant),
 // then crashes the process mid-life: recovery must rebuild every
 // counter exactly, proving batched acknowledgements were durable. The
-// 4-shard row spreads the eight contexts over four streams, so
-// per-shard sync leaders race each other's appenders (under -race in
-// `make stress`) and the restart merges four streams.
+// one row keeps the name "shards=1" it had beside a sharded row.
 func TestGroupCommitEndToEndCrashRecovery(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			u, err := NewUniverse(UniverseConfig{
-				Dir:   t.TempDir(),
-				Clock: disk.NewVirtualClock(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := groupCommitConfig()
-			cfg.WAL.Shards = shards
-			m, p := startProc(t, u, "evo1", "srv", cfg)
-
-			const clients, calls = 8, 15
-			refs := make([]*Ref, clients)
-			for i := range refs {
-				h, err := p.Create(fmt.Sprintf("Counter%d", i), &Counter{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				refs[i] = u.ExternalRef(h.URI())
-			}
-			var wg sync.WaitGroup
-			for _, ref := range refs {
-				wg.Add(1)
-				go func(r *Ref) {
-					defer wg.Done()
-					for i := 0; i < calls; i++ {
-						if _, err := r.Call("Add", 1); err != nil {
-							t.Errorf("Add: %v", err)
-							return
-						}
-					}
-				}(ref)
-			}
-			wg.Wait()
-
-			p.Crash()
-			p2, err := m.StartProcess("srv", cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer p2.Close()
-			for i := 0; i < clients; i++ {
-				h, ok := p2.Lookup(fmt.Sprintf("Counter%d", i))
-				if !ok {
-					t.Fatalf("Counter%d missing after recovery", i)
-				}
-				if got := callInt(t, u.ExternalRef(h.URI()), "Get"); got != calls {
-					t.Errorf("Counter%d = %d after recovery, want %d", i, got, calls)
-				}
-			}
+	t.Run("shards=1", func(t *testing.T) {
+		u, err := NewUniverse(UniverseConfig{
+			Dir:   t.TempDir(),
+			Clock: disk.NewVirtualClock(),
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := groupCommitConfig()
+		m, p := startProc(t, u, "evo1", "srv", cfg)
+
+		const clients, calls = 8, 15
+		refs := make([]*Ref, clients)
+		for i := range refs {
+			h, err := p.Create(fmt.Sprintf("Counter%d", i), &Counter{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs[i] = u.ExternalRef(h.URI())
+		}
+		var wg sync.WaitGroup
+		for _, ref := range refs {
+			wg.Add(1)
+			go func(r *Ref) {
+				defer wg.Done()
+				for i := 0; i < calls; i++ {
+					if _, err := r.Call("Add", 1); err != nil {
+						t.Errorf("Add: %v", err)
+						return
+					}
+				}
+			}(ref)
+		}
+		wg.Wait()
+
+		p.Crash()
+		p2, err := m.StartProcess("srv", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p2.Close()
+		for i := 0; i < clients; i++ {
+			h, ok := p2.Lookup(fmt.Sprintf("Counter%d", i))
+			if !ok {
+				t.Fatalf("Counter%d missing after recovery", i)
+			}
+			if got := callInt(t, u.ExternalRef(h.URI()), "Get"); got != calls {
+				t.Errorf("Counter%d = %d after recovery, want %d", i, got, calls)
+			}
+		}
+	})
 }
 
 // TestGroupCommitExactlyOnceUnderInjection re-runs the exactly-once

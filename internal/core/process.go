@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -91,18 +90,10 @@ type Process struct {
 	// pendingCkpt is the begin-LSN of a checkpoint written but not yet
 	// covered by a force; the first force whose stable watermark moves
 	// past pendingCkptEnd (the end-checkpoint record) publishes it in the
-	// log's root (Section 4.3). On a sharded log pendingCkptEnds
-	// snapshots each stream's append position when the checkpoint
-	// began: records past those positions postdate the checkpoint and
-	// are always rescanned, so the per-stream watermark can default to
-	// them; pendingCkptTails snapshots them again once the checkpoint is
-	// written: as far as its tables can name a record, and so as far as
-	// every stream has to be stable before it is published.
-	ckptMu           sync.Mutex
-	pendingCkpt      atomic.Uint64 // an ids.LSN; written under ckptMu, loaded without it by every force's early-out
-	pendingCkptEnd   ids.LSN
-	pendingCkptEnds  map[uint32]ids.LSN
-	pendingCkptTails map[uint32]ids.LSN
+	// log's root (Section 4.3).
+	ckptMu         sync.Mutex
+	pendingCkpt    atomic.Uint64 // an ids.LSN; written under ckptMu, loaded without it by every force's early-out
+	pendingCkptEnd ids.LSN
 }
 
 // component is one row of the component table (paper Table 1).
@@ -122,9 +113,7 @@ func newProcess(m *Machine, name string, procID ids.ProcID, cfg Config) (*Proces
 		model = m.u.cfg.DiskModel(m.name, name)
 	}
 	logPath := filepath.Join(m.dir, name+".log")
-	// Every process log is a wal.Set; the zero config is one shard, and
-	// a restart with it keeps whatever layout the directory has.
-	log, err := wal.OpenSet(logPath, model, cfg.WAL.Shards)
+	log, err := wal.OpenSet(logPath, model, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -487,17 +476,9 @@ func (p *Process) completeCheckpoint() error {
 	}
 	p.ckptMu.Lock()
 	begin, end := ids.LSN(p.pendingCkpt.Load()), p.pendingCkptEnd
-	ends, tails := p.pendingCkptEnds, p.pendingCkptTails
 	p.ckptMu.Unlock()
 	if begin.IsNil() || p.log.SyncedLSN() <= end {
 		return nil
-	}
-	if len(tails) > 0 {
-		for _, sh := range p.log.Shards() {
-			if sh.Log.SyncedLSN() < tails[sh.Stream] {
-				return nil // a later force will find the stream stable
-			}
-		}
 	}
 	p.ckptMu.Lock()
 	if ids.LSN(p.pendingCkpt.Load()) != begin {
@@ -507,85 +488,18 @@ func (p *Process) completeCheckpoint() error {
 		return nil
 	}
 	p.pendingCkpt.Store(0)
-	p.pendingCkptEnd, p.pendingCkptEnds, p.pendingCkptTails = ids.NilLSN, nil, nil
+	p.pendingCkptEnd = ids.NilLSN
 	p.ckptMu.Unlock()
-	// One write: the marks, and how far every stream is stable now — the
-	// next open need not check that much for a torn tail. The log drops a
+	// One write: the mark, and how far the log is stable now — the next
+	// open need not check that much for a torn tail. The log drops a
 	// publisher that a newer checkpoint overtook on the way here.
-	if err := p.log.Publish(begin, p.wellKnownMarks(begin, ends)); err != nil {
+	if err := p.log.Publish(begin); err != nil {
 		return err
 	}
 	if p.cfg.AutoTrimLog {
 		return p.TrimLog()
 	}
 	return nil
-}
-
-// wellKnownMarks computes the checkpoint watermark vector the log's
-// root records: for each stream, a position recovery's
-// pass-1 scan of that stream may start from. A log of one stream gets
-// exactly the paper's protocol — the begin-checkpoint LSN, since the
-// checkpoint's own tables summarise everything before it. With more
-// streams each starts at its append position when the checkpoint
-// began (everything later postdates the checkpoint and is rescanned)
-// and is lowered to any restart LSN, reply-content LSN or cross-era
-// floor that recovery still needs (constrainMarks).
-func (p *Process) wellKnownMarks(begin ids.LSN, ends map[uint32]ids.LSN) map[uint32]ids.LSN {
-	shards := p.log.Shards()
-	if len(shards) == 1 {
-		return map[uint32]ids.LSN{shards[0].Stream: begin}
-	}
-	marks := make(map[uint32]ids.LSN, len(shards))
-	starts := make(map[uint32]ids.LSN, len(shards))
-	for _, sh := range shards {
-		starts[sh.Stream] = sh.Log.Start()
-		if e, ok := ends[sh.Stream]; ok {
-			marks[sh.Stream] = e
-		} else {
-			// Stream unknown when the checkpoint began (resharded
-			// since): recovery must see all of it.
-			marks[sh.Stream] = starts[sh.Stream]
-		}
-	}
-	lowerMark(marks, begin.Stream(), begin)
-	p.constrainMarks(marks, starts)
-	return marks
-}
-
-// lowerMark moves a present stream's mark down to l; absent streams
-// stay absent (trim callers must not invent streams they cannot keep).
-func lowerMark(marks map[uint32]ids.LSN, stream uint32, l ids.LSN) {
-	if cur, ok := marks[stream]; ok && l < cur {
-		marks[stream] = l
-	}
-}
-
-// constrainMarks lowers marks to the recovery-needs floor: every live
-// context's restart LSN (in the restart's own stream), the start of
-// any later-era stream that may hold a context's records while its
-// restart points at an older stream (recovery must scan such streams
-// from the beginning — the context's records there cannot be bounded
-// by its restart LSN), and every last-call entry's reply-content LSN
-// (duplicate replies are served from the log). Streams absent from
-// marks are left absent.
-func (p *Process) constrainMarks(marks, starts map[uint32]ids.LSN) {
-	p.mu.Lock()
-	for _, cx := range p.contexts {
-		r := cx.restartLSN
-		if r.IsNil() {
-			continue
-		}
-		lowerMark(marks, r.Stream(), r)
-		for _, s := range p.log.StreamsFor(uint64(cx.parent.id)) {
-			if s > r.Stream() {
-				lowerMark(marks, s, starts[s])
-			}
-		}
-	}
-	p.mu.Unlock()
-	for s, l := range p.lastCalls.minReplyLSNByStream() {
-		lowerMark(marks, s, l)
-	}
 }
 
 // TrimLog reclaims the dead log prefix: everything before the oldest
@@ -595,64 +509,55 @@ func (p *Process) constrainMarks(marks, starts map[uint32]ids.LSN) {
 // Config.AutoTrimLog it runs automatically whenever a process
 // checkpoint becomes durable.
 func (p *Process) TrimLog() error {
-	keeps := p.reclaimPoints()
-	if len(keeps) == 0 {
+	keep := p.reclaimPoint()
+	if keep.IsNil() {
 		return nil
 	}
 	before := p.log.Stats().TrimmedBytes
-	streams := make([]uint32, 0, len(keeps))
-	for s := range keeps {
-		streams = append(streams, s)
-	}
-	sort.Slice(streams, func(i, j int) bool { return streams[i] < streams[j] })
-	low := ids.NilLSN
-	for _, s := range streams {
-		keep := keeps[s]
-		if keep.IsNil() {
-			continue
-		}
-		if low.IsNil() || keep < low {
-			low = keep
-		}
-		if err := p.log.TrimHead(keep); err != nil {
-			return err
-		}
+	if err := p.log.TrimHead(keep); err != nil {
+		return err
 	}
 	if got := p.log.Stats().TrimmedBytes - before; got > 0 {
 		p.obs.Trims.Inc()
-		p.emitEvent(Event{Kind: EventTrim, LSN: low,
-			Detail: fmt.Sprintf("reclaimed %d bytes up to %v", got, low)})
+		p.emitEvent(Event{Kind: EventTrim, LSN: keep,
+			Detail: fmt.Sprintf("reclaimed %d bytes up to %v", got, keep)})
 	}
 	return nil
 }
 
-// reclaimPoints returns the per-stream trim floors: each stream's mark
-// in the log's root — as last published, or as loaded by a restart that
-// has yet to checkpoint: recovery scans from it — lowered to anything
-// recovery could still need now (current restart LSNs, reply-content
-// LSNs, cross-era floors). Streams with no mark are absent — they were
-// unknown at the last durable checkpoint (with none, that is all of
-// them), so recovery scans them from the start and nothing in them may
-// be trimmed.
-func (p *Process) reclaimPoints() map[uint32]ids.LSN {
-	keeps := maps.Clone(p.log.Marks())
-	starts := make(map[uint32]ids.LSN)
-	for _, sh := range p.log.Shards() {
-		starts[sh.Stream] = sh.Log.Start()
+// reclaimPoint returns the trim floor: the mark in the log's root — as
+// last published, or as loaded by a restart that has yet to checkpoint:
+// recovery scans from it — lowered to anything recovery could still
+// need now (every live context's restart LSN, every last-call entry's
+// reply-content LSN: duplicate replies are served from the log). With
+// no mark recovery scans the log from its start, and nothing may be
+// trimmed: the result is nil.
+func (p *Process) reclaimPoint() ids.LSN {
+	keep := p.log.Mark()
+	if keep.IsNil() {
+		return keep
 	}
-	p.constrainMarks(keeps, starts)
-	return keeps
+	p.mu.Lock()
+	for _, cx := range p.contexts {
+		if r := cx.restartLSN; !r.IsNil() && r < keep {
+			keep = r
+		}
+	}
+	p.mu.Unlock()
+	if r := p.lastCalls.minReplyLSN(); !r.IsNil() && r < keep {
+		keep = r
+	}
+	return keep
 }
 
 // appendRec encodes and appends a typed record, accounting it to the
 // per-kind record counters (the paper's message kinds 1-4 plus the
-// creation/state/checkpoint records). key routes the record on a
-// sharded log: the owning context's CompID for per-context records,
-// 0 (the meta stream) for process-wide checkpoint records. Hot
-// records implement wal.PayloadEncoder themselves and encode straight
-// into the log's scratch buffer, so the per-call append allocates
-// nothing (the assertion reads the existing interface value); cold
-// records (and a nil v: a record that is all header) go through
+// creation/state/checkpoint records). key is the owning context's
+// CompID for per-context records, 0 for process-wide checkpoint
+// records. Hot records implement wal.PayloadEncoder themselves and
+// encode straight into the log's scratch buffer, so the per-call append
+// allocates nothing (the assertion reads the existing interface value);
+// cold records (and a nil v: a record that is all header) go through
 // appendColdRec in a one-off closure. head is the owning context's
 // chainHead for an incoming call or the reply to an outgoing one, which
 // the log links into the context's chain, else nil. A traced record

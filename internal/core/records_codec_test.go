@@ -483,15 +483,13 @@ func TestTracedUntracedRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sh := range log.Shards() {
-			if err := sh.Log.Scan(ids.NilLSN, func(rec wal.Record) error {
-				if len(rec.Payload) > 0 {
-					vers[rec.Payload[0]]++
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
+		if err := log.Scan(ids.NilLSN, func(rec wal.Record) error {
+			if len(rec.Payload) > 0 {
+				vers[rec.Payload[0]]++
 			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 		log.Close()
 		if vers[recBinVer] == 0 || vers[recBinVerTraced] == 0 {

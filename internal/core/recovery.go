@@ -37,8 +37,8 @@ import (
 // cost, how much log it covered, and how much replay work it did.
 // Durations are measured on the universe clock, so simulated runs
 // (NewVirtualClock, scaled bench clocks) report model time consistent
-// with every other model-time measurement; the recovery.* obs
-// histograms keep a wall-time copy. Retrieve the latest run's stats
+// with every other model-time measurement; the recovery.*_micros obs
+// histograms observe the same durations. Retrieve the latest run's stats
 // with Process.LastRecovery, or from the EventRecoveryDone event that
 // carries them.
 type RecoveryStats struct {
@@ -103,12 +103,11 @@ type restorePlan struct {
 	stats    RecoveryStats
 	recRun   trace.Ref
 	recStart time.Time // universe clock, recovery begin
-	recWall  time.Time // wall clock, for the recovery.* obs histograms
 	restored []*Context
 }
 
 // restore is the explicit first lifecycle phase of a restart: Pass 1
-// of recovery, analysis only. It scans the log from the marks its root
+// of recovery, analysis only. It scans the log from the mark its root
 // held, finds every context's restart LSN and chain head, reads each
 // restart record once, seeds the last-call table and registers every
 // context as a shell — everything the process needs to *route* traffic
@@ -121,24 +120,18 @@ func (p *Process) restore() (*restorePlan, error) {
 		return nil, nil // registered before, but nothing was ever logged
 	}
 
-	// Each shard scans from its mark in the root the log's open read, or
-	// from its own start when there is none: no checkpoint published,
-	// hints lost, or a vector that predates the shard's era.
-	marks, shards := p.log.Marks(), p.log.Shards()
-	scannedFrom := make(map[uint32]ids.LSN, len(shards))
-	for _, sh := range shards {
-		from, ok := marks[sh.Stream]
-		if !ok {
-			from = sh.Log.Start()
-		}
-		scannedFrom[sh.Stream] = from
+	// The scan starts from the mark in the root the log's open read, or
+	// from the log's start when there is none: no checkpoint published,
+	// or the root missing or damaged.
+	start := p.log.Mark()
+	if start.IsNil() {
+		start = p.log.Start()
 	}
-	start := scannedFrom[shards[0].Stream]
 	p.obs.RecoveryRuns.Inc()
 	clock := p.u.cfg.Clock
 	var stats RecoveryStats
 	stats.Mode = p.cfg.Recovery.Mode
-	recStart, recWall := clock.Now(), time.Now()
+	recStart := clock.Now()
 	// Arm the time-to-first-call measurement: the first call admitted
 	// past a ready gate after this point stamps RecoveryStats.
 	p.armFirstCall(recStart)
@@ -147,14 +140,10 @@ func (p *Process) restore() (*restorePlan, error) {
 	// replayIncoming), so a timeline shows both the call's replay and
 	// which recovery run performed it.
 	recRun := p.tr.NewTrace()
-	detail := fmt.Sprintf("scanning from %v", start)
-	if len(shards) > 1 {
-		detail = fmt.Sprintf("scanning %d shards from %v", len(shards), start)
-	}
-	p.emitEvent(Event{Kind: EventRecoveryStart, LSN: start, Detail: detail})
+	p.emitEvent(Event{Kind: EventRecoveryStart, LSN: start, Detail: fmt.Sprintf("scanning from %v", start)})
 
 	// ---- Pass 1: find contexts and their restart LSNs. ----
-	pass1Start, pass1Wall := clock.Now(), time.Now()
+	pass1Start := clock.Now()
 	pass1TS := p.tr.Now()
 	restart := make(map[ids.CompID]ids.LSN)
 	heads := make(map[ids.CompID]ids.LSN)
@@ -185,7 +174,7 @@ func (p *Process) restore() (*restorePlan, error) {
 				// The table speaks for what this scan does not pass; a
 				// head inside the scan's range may have died unforced
 				// with the crash, and the scan sees what survived.
-				if h := e.ChainHead; h > heads[e.Ctx] && h < scannedFrom[h.Stream()] {
+				if h := e.ChainHead; h > heads[e.Ctx] && h < start {
 					heads[e.Ctx] = h
 				}
 			}
@@ -227,22 +216,16 @@ func (p *Process) restore() (*restorePlan, error) {
 		}
 		return nil
 	}
-	// Shards scan in era order (oldest first). Restart maxima are
-	// per-context, and a context's records occupy one stream per era
-	// with monotonically growing stream tags, so the raw-LSN "newest
-	// wins" comparisons above stay temporally correct across shards.
-	for _, sh := range shards {
-		if err := sh.Log.Scan(scannedFrom[sh.Stream], pass1); err != nil {
-			return nil, fmt.Errorf("recovery pass 1: %w", err)
-		}
+	if err := p.log.Scan(start, pass1); err != nil {
+		return nil, fmt.Errorf("recovery pass 1: %w", err)
 	}
 	p.recoverySpan(recRun, pass1TS)
 	if len(restart) == 0 {
 		stats.LogReadsPass1 = p.log.Stats().ReadOps
-		p.obs.RecoveryPass1Micros.Observe(time.Since(pass1Wall).Microseconds())
-		p.obs.RecoveryMicros.Observe(time.Since(recWall).Microseconds())
 		stats.Pass1Duration = clock.Now().Sub(pass1Start)
 		stats.TotalDuration = clock.Now().Sub(recStart)
+		p.obs.RecoveryPass1Micros.Observe(stats.Pass1Duration.Microseconds())
+		p.obs.RecoveryMicros.Observe(stats.TotalDuration.Microseconds())
 		p.setLastRecovery(&stats)
 		p.recovered = true
 		p.emitEvent(Event{Kind: EventRecoveryDone, Recovery: &stats,
@@ -254,7 +237,7 @@ func (p *Process) restore() (*restorePlan, error) {
 	// in clusters (creations, a checkpoint's saves) — decoding each once.
 	// A state record's last calls go into the table here, not when its
 	// context comes back: duplicate elimination and the trim floor
-	// (constrainMarks) must be complete before the first call is admitted.
+	// (reclaimPoint) must be complete before the first call is admitted.
 	lsns := make([]ids.LSN, 0, len(restart))
 	for _, lsn := range restart {
 		lsns = append(lsns, lsn)
@@ -283,15 +266,14 @@ func (p *Process) restore() (*restorePlan, error) {
 		}
 	}
 	p.obs.ContextsRestored.Add(int64(len(restored)))
-	p.obs.RecoveryPass1Micros.Observe(time.Since(pass1Wall).Microseconds())
 	stats.ContextsRestored = len(restored)
 	stats.LogReadsPass1 = p.log.Stats().ReadOps
 	stats.Pass1Duration = clock.Now().Sub(pass1Start)
+	p.obs.RecoveryPass1Micros.Observe(stats.Pass1Duration.Microseconds())
 	return &restorePlan{
 		stats:    stats,
 		recRun:   recRun,
 		recStart: recStart,
-		recWall:  recWall,
 		restored: restored,
 	}, nil
 }
@@ -308,8 +290,7 @@ func (p *Process) admit(plan *restorePlan) error {
 	if plan == nil {
 		return nil
 	}
-	admitStart, admitWall := p.u.cfg.Clock.Now(), time.Now()
-	eng := p.startEngine(plan, admitStart, admitWall)
+	eng := p.startEngine(plan, p.u.cfg.Clock.Now())
 	if p.cfg.Recovery.Mode == RecoveryLazy {
 		return nil
 	}

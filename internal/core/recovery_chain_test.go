@@ -45,8 +45,7 @@ func shellNamed(t *testing.T, p *Process, name string) *Context {
 
 // chainsAndReference runs Pass 1 over a copy of img and walks every
 // restored context's chain, as a restart would, and builds the reference
-// by brute force: every stream scanned from its start in era order, a
-// message record kept when its context was restored and the record is
+// by brute force: the log scanned from its start, a message record kept when its context was restored and the record is
 // not older than the restart LSN. A walked record's LSN stands for it:
 // the walk decoded it, and the record is of its context (walkChain
 // checks both).
@@ -64,23 +63,21 @@ func chainsAndReference(t *testing.T, img equivImage) (plan *restorePlan, got, w
 		got[cx.parent.id], restart[cx.parent.id] = lsnsOf(chain), cx.restartLSN
 	}
 	want = make(map[ids.CompID][]ids.LSN)
-	for _, sh := range p.log.Shards() {
-		err := sh.Log.Scan(ids.NilLSN, func(rec wal.Record) error {
-			if rec.Type != recIncoming && rec.Type != recOutgoingReply {
-				return nil
-			}
-			ctx, err := recCtx(rec.Payload)
-			if err != nil {
-				return err
-			}
-			if from, ok := restart[ctx]; ok && rec.LSN >= from {
-				want[ctx] = append(want[ctx], rec.LSN)
-			}
+	err := p.log.Scan(ids.NilLSN, func(rec wal.Record) error {
+		if rec.Type != recIncoming && rec.Type != recOutgoingReply {
 			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
+		ctx, err := recCtx(rec.Payload)
+		if err != nil {
+			return err
+		}
+		if from, ok := restart[ctx]; ok && rec.LSN >= from {
+			want[ctx] = append(want[ctx], rec.LSN)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return plan, got, want
 }
@@ -136,16 +133,14 @@ func assertChains(t *testing.T, img equivImage) (entries int) {
 // table), relays (outgoing-reply records), and a context the
 // checkpoint's table no longer names but whose records go on — dropped.
 // Even seeds roll the log's segments every 2 KiB: chains cross files.
-func randomChainImage(t *testing.T, seed int64, shards int) equivImage {
+func randomChainImage(t *testing.T, seed int64) equivImage {
 	t.Helper()
 	img := equivImage{dir: t.TempDir(), cfg: testConfig()}
 	u, err := NewUniverse(UniverseConfig{Dir: img.dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig()
-	cfg.WAL = WALConfig{Shards: shards}
-	_, p := startProc(t, u, "evo1", "srv", cfg)
+	_, p := startProc(t, u, "evo1", "srv", testConfig())
 	if seed%2 == 0 {
 		p.SetLogSegmentBytes(2 << 10)
 	}
@@ -196,7 +191,7 @@ func randomChainImage(t *testing.T, seed int64, shards int) equivImage {
 	if err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	burst(30) // the first forced reply publishes the checkpoint's marks
+	burst(30) // the first forced reply publishes the checkpoint's mark
 	save(3)
 	add("Late", &Counter{}, "Add")
 	burst(40)
@@ -205,32 +200,29 @@ func randomChainImage(t *testing.T, seed int64, shards int) equivImage {
 	return img
 }
 
+// TestChainsEqualBruteForce runs over TestRecoveryEquivalence's rows and
+// four random images. Its cells keep the "shards=1" label of that table.
 func TestChainsEqualBruteForce(t *testing.T) {
 	for _, sc := range equivScenarios() {
-		// Images are built on the scenario's T: some scenarios build one
-		// log and vary only how it is reopened (resharded 1 -> 4).
+		// Images are built on the scenario's T, as the table does.
 		t.Run(sc.name, func(t *testing.T) {
-			for _, shards := range sc.shards {
-				img := sc.build(t, shards)
-				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-					assertChains(t, img)
-				})
-			}
+			img := sc.build(t)
+			t.Run("shards=1", func(t *testing.T) {
+				assertChains(t, img)
+			})
 		})
 	}
-	for _, shards := range []int{1, 4} {
-		for seed := int64(1); seed <= 4; seed++ {
-			t.Run(fmt.Sprintf("random/shards=%d/seed=%d", shards, seed), func(t *testing.T) {
-				img := randomChainImage(t, seed, shards)
-				if n := assertChains(t, img); n == 0 {
-					t.Error("image has no backlog")
-				}
-				// And the image recovers: the dropped context's filed
-				// records and the late context's missing mark trip nothing.
-				img.counters = []string{"C0", "Late"}
-				recoverImage(t, img, RecoveryLazy)
-			})
-		}
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("random/shards=1/seed=%d", seed), func(t *testing.T) {
+			img := randomChainImage(t, seed)
+			if n := assertChains(t, img); n == 0 {
+				t.Error("image has no backlog")
+			}
+			// And the image recovers: the dropped context's filed
+			// records and the late context's missing mark trip nothing.
+			img.counters = []string{"C0", "Late"}
+			recoverImage(t, img, RecoveryLazy)
+		})
 	}
 }
 
@@ -272,7 +264,7 @@ func TestChainWalkFailsStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, err := filepath.Glob(filepath.Join(p.LogDir(), "shard-001", "*.seg"))
+	segs, err := filepath.Glob(filepath.Join(p.LogDir(), "*.seg"))
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("segments %v, %v", segs, err)
 	}
@@ -281,9 +273,9 @@ func TestChainWalkFailsStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	// The first segment's header is as long as its first LSN's offset:
-	// a record's file offset is its LSN's.
-	if _, err := f.WriteAt(make([]byte, prev.Size), int64(below.Offset())); err != nil {
+	// The first segment's header is as long as its first LSN: a record's
+	// file offset is its LSN.
+	if _, err := f.WriteAt(make([]byte, prev.Size), int64(below)); err != nil {
 		t.Fatal(err)
 	}
 	_, err = walkChain(p.log.NewReader(), ctx, head, restart)

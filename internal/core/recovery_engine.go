@@ -45,7 +45,6 @@ type replayEngine struct {
 	plan *restorePlan
 
 	admitStart time.Time // universe clock, admission point
-	admitWall  time.Time // wall clock, for the recovery.* histograms
 
 	mu          sync.Mutex
 	stopped     bool
@@ -79,12 +78,11 @@ type replayEngine struct {
 // startEngine arms the engine over the plan's unready contexts and
 // starts the background worker. From here on the serve path admits
 // calls, bringing a context back on first touch.
-func (p *Process) startEngine(plan *restorePlan, admitStart, admitWall time.Time) *replayEngine {
+func (p *Process) startEngine(plan *restorePlan, admitStart time.Time) *replayEngine {
 	e := &replayEngine{
 		p:          p,
 		plan:       plan,
 		admitStart: admitStart,
-		admitWall:  admitWall,
 		pending:    make(map[ids.CompID]*Context),
 		done:       make(chan struct{}),
 		backlogLo:  ^ids.LSN(0),
@@ -305,8 +303,8 @@ func (e *replayEngine) finalize() {
 	stats.TimeToFirstCallNanos = p.ttfcNanos.Load()
 	stats.CallsReplayed = p.replayedCalls.Load()
 	stats.CallsSuppressed = p.suppressedCalls.Load()
-	p.obs.RecoveryPass2Micros.Observe(time.Since(e.admitWall).Microseconds())
-	p.obs.RecoveryMicros.Observe(time.Since(e.plan.recWall).Microseconds())
+	p.obs.RecoveryPass2Micros.Observe(stats.Pass2Duration.Microseconds())
+	p.obs.RecoveryMicros.Observe(stats.TotalDuration.Microseconds())
 	p.setLastRecovery(&stats)
 	p.emitEvent(Event{
 		Kind:       EventRecoveryDone,

@@ -20,13 +20,13 @@ import (
 )
 
 // This file pins the recovery contract in one table: whatever the
-// mode (eager, lazy) and the shard layout (1, 4, 8), recovering the same crashed log must produce
+// mode (eager, lazy), recovering the same crashed log must produce
 // identical component state, identical last-call tables and identical
 // replay and suppression counts — across a clean crash, crashes
 // injected inside a served call (where a tail replay runs off the end
-// of the log and resumes live), a log that changed shard counts
-// mid-life, and a same-process caller whose resumed tail re-sends into
-// a callee that already ran the call (relay-mid-call). Each cell
+// of the log and resumes live), and a same-process caller whose resumed
+// tail re-sends into a callee that already ran the call
+// (relay-mid-call). Each cell
 // recovers its own copy of the crashed universe directory; lazy
 // cells take calls mid-drain. Run under -race: on-demand replays race
 // the background worker here by design.
@@ -58,6 +58,76 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
+// counterRelayWorkload drives the standard counters+relays workload
+// against a fresh process, crashes it, and returns the universe dir
+// plus component names.
+func counterRelayWorkload(t *testing.T) (dir string, counters, relays []string) {
+	t.Helper()
+	dir = t.TempDir()
+	u, err := NewUniverse(UniverseConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := u.AddMachine("evo1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := m.StartProcess("srv", testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := make(map[string]*Ref)
+	for i := 0; i < 6; i++ {
+		name := fmt.Sprintf("C%d", i)
+		h, err := p.Create(name, &Counter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		counters = append(counters, name)
+		refs[name] = u.ExternalRef(h.URI())
+	}
+	for i := 0; i < 2; i++ {
+		name := fmt.Sprintf("R%d", i)
+		target, _ := p.Lookup(fmt.Sprintf("C%d", i))
+		h, err := p.Create(name, &Relay{Server: NewRef(target.URI())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		relays = append(relays, name)
+		refs[name] = u.ExternalRef(h.URI())
+	}
+	for round := 1; round <= 8; round++ {
+		for i, name := range counters {
+			callInt(t, refs[name], "Add", i+round)
+		}
+		for _, name := range relays {
+			callInt(t, refs[name], "Forward", 10)
+		}
+	}
+	p.Crash()
+	u.Shutdown()
+	return dir, counters, relays
+}
+
+// assertLogOnDisk checks the layout every process log has: segment
+// files in the log directory itself and nothing else in it but the
+// root.
+func assertLogOnDisk(t *testing.T, logDir string) {
+	t.Helper()
+	entries, err := os.ReadDir(logDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "root" && (e.IsDir() || !strings.HasSuffix(e.Name(), ".seg")) {
+			t.Fatalf("%s holds %s, want segment files and the root only", logDir, e.Name())
+		}
+	}
+	if segs, _ := filepath.Glob(filepath.Join(logDir, "*.seg")); len(segs) == 0 {
+		t.Fatalf("%s holds no segment file", logDir)
+	}
+}
+
 // equivImage is a crashed universe on disk, how to restart its "srv"
 // process, and what to read back afterwards.
 type equivImage struct {
@@ -79,8 +149,8 @@ type recoveryOutcome struct {
 	lastCalls  []lastCallSaved
 	suppressed int64
 	stats      RecoveryStats
-	// marks and stable are what the restart's open found in the root.
-	marks, stable map[uint32]ids.LSN
+	// mark and stable are what the restart's open found in the root.
+	mark, stable ids.LSN
 }
 
 func sortLastCalls(s []lastCallSaved) {
@@ -150,8 +220,8 @@ func recoverImage(t *testing.T, img equivImage, mode RecoveryMode) recoveryOutco
 		counters:   make(map[string]int),
 		relayCalls: make(map[string]int),
 		suppressed: p.suppressedCalls.Load(),
-		marks:      p.log.Marks(),
-		stable:     p.log.(*wal.Set).StableMarks(),
+		mark:       p.log.Mark(),
+		stable:     p.log.(*wal.Set).Stable(),
 	}
 	for _, name := range img.counters {
 		h, ok := p.Lookup(name)
@@ -239,25 +309,20 @@ func assertEquivalent(t *testing.T, ref, got recoveryOutcome, sameLog bool) {
 
 // equivScenario is one way of producing a crashed log.
 type equivScenario struct {
-	name   string
-	shards []int
-	// build leaves a crashed universe on disk for one value of the
-	// shard axis. It runs on the scenario's *testing.T, so directories
-	// it makes outlive the per-cell subtests.
-	build func(t *testing.T, shards int) equivImage
-	// sameLog marks scenarios whose shard axis varies only the restart
-	// configuration of one log (resharding at restart).
-	sameLog bool
+	name string
+	// build leaves a crashed universe on disk. It runs on the
+	// scenario's *testing.T, so directories it makes outlive the
+	// per-cell subtests.
+	build func(t *testing.T) equivImage
 	// check, when set, asserts what the scenario expects of the
 	// baseline run.
 	check func(t *testing.T, base recoveryOutcome)
 }
 
-// injectedCrashImage drives four counters on a log with the given
-// shard count until the injector crashes the process mid-call at point
-// — late enough that earlier calls replay normally and the last one
-// exercises the crash point.
-func injectedCrashImage(t *testing.T, point InjectionPoint, shards int) equivImage {
+// injectedCrashImage drives four counters until the injector crashes
+// the process mid-call at point — late enough that earlier calls replay
+// normally and the last one exercises the crash point.
+func injectedCrashImage(t *testing.T, point InjectionPoint) equivImage {
 	t.Helper()
 	img := equivImage{dir: t.TempDir(), touch: []string{"C3"}, cfg: testConfig()}
 	u, err := NewUniverse(UniverseConfig{Dir: img.dir})
@@ -265,7 +330,6 @@ func injectedCrashImage(t *testing.T, point InjectionPoint, shards int) equivIma
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	cfg.WAL = WALConfig{Shards: shards}
 	cfg.Injector = NewInjector().CrashAt(point, 12)
 	_, p := startProc(t, u, "evo1", "srv", cfg)
 	refs := make(map[string]*Ref)
@@ -305,13 +369,11 @@ func equivScenarios() []equivScenario {
 	}
 	scs := []equivScenario{{
 		// Counters plus relays (whose replays suppress outgoing sends
-		// answered from the log). Restarts carry no WAL config: the
-		// shard layout must be detected from the directory alone.
-		name:   "clean-crash",
-		shards: []int{1, 4, 8},
-		build: func(t *testing.T, shards int) equivImage {
-			dir, counters, relays := shardWorkload(t, shards)
-			assertSetOnDisk(t, filepath.Join(dir, "evo1", "srv.log"), shards)
+		// answered from the log).
+		name: "clean-crash",
+		build: func(t *testing.T) equivImage {
+			dir, counters, relays := counterRelayWorkload(t)
+			assertLogOnDisk(t, filepath.Join(dir, "evo1", "srv.log"))
 			// Late restart LSNs: the worker reaches these last.
 			return equivImage{dir: dir, counters: counters, relays: relays,
 				touch: []string{"C5", "C4"}, cfg: testConfig()}
@@ -324,41 +386,19 @@ func equivScenarios() []equivScenario {
 		PointServerBeforeSendReply,
 	} {
 		scs = append(scs, equivScenario{
-			name:   string(point),
-			shards: []int{1, 4, 8},
-			build: func(t *testing.T, shards int) equivImage {
-				return injectedCrashImage(t, point, shards)
+			name: string(point),
+			build: func(t *testing.T) equivImage {
+				return injectedCrashImage(t, point)
 			},
 		})
 	}
-	var wantC0 int // C0's value across both eras of the mixed-era log
-	scs = append(scs, equivScenario{
-		// A one-shard era followed by a 4-shard era, restarted with the
-		// zero config again: per-context replay must cross the era
-		// barrier in order even when contexts replay independently.
-		name:   "mixed-era",
-		shards: []int{4},
-		build: func(t *testing.T, _ int) equivImage {
-			dir, counters, relays, want := mixedEraWorkload(t)
-			wantC0 = want
-			return equivImage{dir: dir, counters: counters, relays: relays,
-				touch: []string{"C0", "C3"}, cfg: testConfig()}
-		},
-		check: func(t *testing.T, base recoveryOutcome) {
-			replayedAndSuppressed(t, base)
-			if got := base.counters["C0"]; got != wantC0 {
-				t.Errorf("C0 recovered as %d, want %d", got, wantC0)
-			}
-		},
-	})
 	return append(scs, equivScenario{
 		// The crash lands inside C after C logged and forced its reply
 		// to R's fourth call: R's tail resumes live and re-sends a call
 		// C already executed, which C must answer from its last-call
 		// table once its own replay is done — not run a second time.
-		name:   "relay-mid-call",
-		shards: []int{1, 4},
-		build:  relayMidCallImage,
+		name:  "relay-mid-call",
+		build: relayMidCallImage,
 		check: func(t *testing.T, base recoveryOutcome) {
 			if base.counters["C"] != relayMidCallForwards || base.relayCalls["R"] != relayMidCallForwards {
 				t.Errorf("recovered C = %d, R.Calls = %d; want %d and %d",
@@ -382,7 +422,7 @@ const relayMidCallForwards = 4
 // until the injector crashes it inside C's last Add, after C's reply
 // record is forced but before the reply is sent. R's forced send is on
 // the log with no reply after it.
-func relayMidCallImage(t *testing.T, shards int) equivImage {
+func relayMidCallImage(t *testing.T) equivImage {
 	t.Helper()
 	cfg := Config{LogMode: LogBaseline, RetryInterval: 2 * time.Millisecond, RetryLimit: 50}
 	img := equivImage{dir: t.TempDir(), counters: []string{"C"}, relays: []string{"R"},
@@ -391,7 +431,6 @@ func relayMidCallImage(t *testing.T, shards int) equivImage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.WAL = WALConfig{Shards: shards}
 	// The point fires in C, then in R, for every Forward.
 	inj := NewInjector().CrashAt(PointServerBeforeSendReply, 2*relayMidCallForwards-1)
 	cfg.Injector = inj
@@ -416,37 +455,29 @@ func relayMidCallImage(t *testing.T, shards int) equivImage {
 	return img
 }
 
-// TestRecoveryEquivalence is the table. The first cell of a scenario —
-// eager, the first shard count — is the baseline; the
-// first cell of every further shard count is compared with it on what
-// was recovered, and every other cell with the first cell of its own
-// log on everything. A cell's name ends in "workers=1": a restart runs
-// one background worker, and the name keeps saying so.
+// TestRecoveryEquivalence is the table. The eager cell of a scenario is
+// the baseline, and the lazy cell is compared with it on everything. A
+// cell's name starts "shards=1" and ends in "workers=1": a restart reads
+// one log stream with one background worker, and the name keeps saying
+// so.
 func TestRecoveryEquivalence(t *testing.T) {
 	for _, sc := range equivScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
+			img := sc.build(t)
 			var base *recoveryOutcome
-			for _, shards := range sc.shards {
-				img := sc.build(t, shards)
-				var logBase *recoveryOutcome
-				for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
-					t.Run(fmt.Sprintf("shards=%d/%v/workers=1", shards, mode), func(t *testing.T) {
-						got := recoverImage(t, img, mode)
-						assertEngineStats(t, got, mode)
-						switch {
-						case base == nil:
-							if sc.check != nil {
-								sc.check(t, got)
-							}
-							base, logBase = &got, &got
-						case logBase == nil:
-							assertEquivalent(t, *base, got, sc.sameLog)
-							logBase = &got
-						default:
-							assertEquivalent(t, *logBase, got, true)
+			for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
+				t.Run(fmt.Sprintf("shards=1/%v/workers=1", mode), func(t *testing.T) {
+					got := recoverImage(t, img, mode)
+					assertEngineStats(t, got, mode)
+					if base == nil {
+						if sc.check != nil {
+							sc.check(t, got)
 						}
-					})
-				}
+						base = &got
+						return
+					}
+					assertEquivalent(t, *base, got, true)
+				})
 			}
 		})
 	}
@@ -460,59 +491,56 @@ func TestRecoveryEquivalence(t *testing.T) {
 // R can finish; an engine that orders tails globally and runs R's
 // first waits on C's latch forever.
 func TestRecoveryCalleeCompleteTailBeforeCallerIncomplete(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		img := equivImage{dir: t.TempDir(), counters: []string{"C"}, relays: []string{"R"}, cfg: testConfig()}
-		u, err := NewUniverse(UniverseConfig{Dir: img.dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := testConfig()
-		cfg.WAL = WALConfig{Shards: shards}
-		cfg.Injector = NewInjector().CrashAt(PointClientAfterForceSend, 1)
-		_, p := startProc(t, u, "evo1", "srv", cfg)
-		hc, err := p.Create("C", &Counter{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hr, err := p.Create("R", &Relay{Server: NewRef(hc.URI())})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := callInt(t, u.ExternalRef(hc.URI()), "Add", 5); got != 5 {
-			t.Fatalf("C.Add(5) = %d", got)
-		}
-		if _, err := u.ExternalRef(hr.URI()).WithoutRetry().Call("Forward", 1); err == nil {
-			t.Fatal("injector at client-after-force-send never fired")
-		}
-		u.Shutdown()
+	img := equivImage{dir: t.TempDir(), counters: []string{"C"}, relays: []string{"R"}, cfg: testConfig()}
+	u, err := NewUniverse(UniverseConfig{Dir: img.dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.Injector = NewInjector().CrashAt(PointClientAfterForceSend, 1)
+	_, p := startProc(t, u, "evo1", "srv", cfg)
+	hc, err := p.Create("C", &Counter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := p.Create("R", &Relay{Server: NewRef(hc.URI())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := callInt(t, u.ExternalRef(hc.URI()), "Add", 5); got != 5 {
+		t.Fatalf("C.Add(5) = %d", got)
+	}
+	if _, err := u.ExternalRef(hr.URI()).WithoutRetry().Call("Forward", 1); err == nil {
+		t.Fatal("injector at client-after-force-send never fired")
+	}
+	u.Shutdown()
 
-		var ref *recoveryOutcome
-		for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
-			t.Run(fmt.Sprintf("shards=%d/%v/workers=1", shards, mode), func(t *testing.T) {
-				got := recoverImage(t, img, mode)
-				if got.counters["C"] != 6 || got.relayCalls["R"] != 1 {
-					t.Errorf("recovered C = %d, R.Calls = %d; want 6 and 1",
-						got.counters["C"], got.relayCalls["R"])
-				}
-				// R's resumed call reached C exactly once: C's table
-				// holds R's call 1, and nothing else was a
-				// persistent caller.
-				if len(got.lastCalls) != 1 || got.lastCalls[0].Seq != 1 {
-					t.Errorf("last-call table = %+v, want R's call 1 only", got.lastCalls)
-				}
-				if ref == nil {
-					ref = &got
-				} else if !reflect.DeepEqual(got.lastCalls, ref.lastCalls) {
-					t.Errorf("last-call table = %+v, first cell recovered %+v", got.lastCalls, ref.lastCalls)
-				}
-			})
-		}
+	var ref *recoveryOutcome
+	for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
+		t.Run(fmt.Sprintf("shards=1/%v/workers=1", mode), func(t *testing.T) {
+			got := recoverImage(t, img, mode)
+			if got.counters["C"] != 6 || got.relayCalls["R"] != 1 {
+				t.Errorf("recovered C = %d, R.Calls = %d; want 6 and 1",
+					got.counters["C"], got.relayCalls["R"])
+			}
+			// R's resumed call reached C exactly once: C's table
+			// holds R's call 1, and nothing else was a
+			// persistent caller.
+			if len(got.lastCalls) != 1 || got.lastCalls[0].Seq != 1 {
+				t.Errorf("last-call table = %+v, want R's call 1 only", got.lastCalls)
+			}
+			if ref == nil {
+				ref = &got
+			} else if !reflect.DeepEqual(got.lastCalls, ref.lastCalls) {
+				t.Errorf("last-call table = %+v, first cell recovered %+v", got.lastCalls, ref.lastCalls)
+			}
+		})
 	}
 }
 
 // TestRetiredRecordKindIsSkipped: record kind 12 was the discipline-change
 // record, and a runtime that no longer writes it still restarts a log
-// that holds one. A kind-12 frame appended on C's stream between calls
+// that holds one. A kind-12 frame appended between C's calls
 // changes nothing a restart recovers, eager or lazy, and the dump counts
 // it as a kind it does not know.
 func TestRetiredRecordKindIsSkipped(t *testing.T) {
@@ -587,24 +615,21 @@ func TestRetiredRecordKindIsSkipped(t *testing.T) {
 // every save-th context saves its state and the process takes a
 // checkpoint, which the next call's force publishes.
 func counterImage(t *testing.T, n, rounds, ckptAt, save int) (equivImage, wal.Stats) {
-	img, st, _ := shardedCounterImage(t, 0, n, rounds, save, ckptAt)
+	img, st, _ := counterImageAt(t, n, rounds, save, ckptAt)
 	return img, st
 }
 
-// shardedCounterImage is counterImage on a log of the given shard count
-// with a checkpoint before each round of ckptAt, published by the forces
-// of that round. It also returns the log's root, shards.meta, as it was
-// before the last of them.
-func shardedCounterImage(t *testing.T, shards, n, rounds, save int, ckptAt ...int) (img equivImage, st wal.Stats, prevRoot []byte) {
+// counterImageAt is counterImage with a checkpoint before each round of
+// ckptAt, published by the forces of that round. It also returns the
+// log's root as it was before the last of them.
+func counterImageAt(t *testing.T, n, rounds, save int, ckptAt ...int) (img equivImage, st wal.Stats, prevRoot []byte) {
 	t.Helper()
 	img = equivImage{dir: t.TempDir(), cfg: testConfig()}
 	u, err := NewUniverse(UniverseConfig{Dir: img.dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig()
-	cfg.WAL = WALConfig{Shards: shards}
-	_, p := startProc(t, u, "evo1", "srv", cfg)
+	_, p := startProc(t, u, "evo1", "srv", testConfig())
 	refs := make([]*Ref, n)
 	handles := make([]*Handle, n)
 	for i := range refs {
@@ -622,7 +647,7 @@ func shardedCounterImage(t *testing.T, shards, n, rounds, save int, ckptAt ...in
 					t.Fatal(err)
 				}
 			}
-			if prevRoot, err = os.ReadFile(filepath.Join(p.LogDir(), "shards.meta")); err != nil {
+			if prevRoot, err = os.ReadFile(filepath.Join(p.LogDir(), "root")); err != nil && !os.IsNotExist(err) {
 				t.Fatal(err)
 			}
 			if err := p.Checkpoint(); err != nil {
@@ -641,15 +666,19 @@ func shardedCounterImage(t *testing.T, shards, n, rounds, save int, ckptAt ...in
 
 // publishedRoot reads the root of the log at logDir as an open would,
 // without opening the log, which may be live: a set opened over a copy
-// of shards.meta alone hands out what the file says.
-func publishedRoot(t *testing.T, logDir string) (marks, stable map[uint32]ids.LSN) {
+// of the root alone hands out what the file says. A log with no root
+// yet has neither.
+func publishedRoot(t *testing.T, logDir string) (mark, stable ids.LSN) {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(logDir, "shards.meta"))
+	data, err := os.ReadFile(filepath.Join(logDir, "root"))
+	if os.IsNotExist(err) {
+		return ids.NilLSN, ids.NilLSN
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "shards.meta"), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "root"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	set, err := wal.OpenSet(dir, nil, 0)
@@ -658,9 +687,9 @@ func publishedRoot(t *testing.T, logDir string) (marks, stable map[uint32]ids.LS
 	}
 	defer set.Close()
 	if set.HintsLost() {
-		t.Fatalf("%s: hint section lost:\n%s", logDir, data)
+		t.Fatalf("%s: root lost:\n%s", logDir, data)
 	}
-	return set.Marks(), set.StableMarks()
+	return set.Mark(), set.Stable()
 }
 
 // TestRecordsScannedGrowsWithBacklog pins RecoveryStats.RecordsScanned
@@ -830,21 +859,21 @@ func TestRestartOverDamagedLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	marks, stable, end := set.Marks(), set.StableMarks()[1], set.Shards()[0].Log.End()
+	mark, stable, end := set.Mark(), set.Stable(), set.End()
 	var last wal.Record // the last call's reply-sent marker
-	if err := set.Shards()[0].Log.Scan(stable, func(rec wal.Record) error { last = rec; return nil }); err != nil {
+	if err := set.Scan(stable, func(rec wal.Record) error { last = rec; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	set.Close()
-	if !(marks[1] < stable && stable < last.LSN && last.Type == recReplySent) {
-		t.Fatalf("image: mark %v, watermark %v, last record %s at %v of a log ending at %v", marks[1], stable, recName(last.Type), last.LSN, end)
+	if !(mark < stable && stable < last.LSN && last.Type == recReplySent) {
+		t.Fatalf("image: mark %v, watermark %v, last record %s at %v of a log ending at %v", mark, stable, recName(last.Type), last.LSN, end)
 	}
 	// damaged copies the image and inverts the byte at lsn's offset + off.
 	damaged := func(lsn ids.LSN, off int64) equivImage {
 		cp := img
 		cp.dir = t.TempDir()
 		copyDir(t, img.dir, cp.dir)
-		segs, err := filepath.Glob(filepath.Join(cp.dir, "evo1", "srv.log", "shard-001", "*.seg"))
+		segs, err := filepath.Glob(filepath.Join(cp.dir, "evo1", "srv.log", "*.seg"))
 		if err != nil || len(segs) != 1 {
 			t.Fatalf("segments %v, %v", segs, err)
 		}
@@ -854,7 +883,7 @@ func TestRestartOverDamagedLog(t *testing.T) {
 		}
 		defer f.Close()
 		b := make([]byte, 1)
-		at := int64(lsn.Offset()) + off // the first segment: a record's file offset is its LSN's
+		at := int64(lsn) + off // the first segment: a record's file offset is its LSN
 		if _, err := f.ReadAt(b, at); err != nil {
 			t.Fatal(err)
 		}
@@ -873,7 +902,7 @@ func TestRestartOverDamagedLog(t *testing.T) {
 		}
 	})
 	t.Run("below the watermark: fails stop", func(t *testing.T) {
-		cp := damaged(marks[1], 4)
+		cp := damaged(mark, 4)
 		u, err := NewUniverse(UniverseConfig{Dir: cp.dir})
 		if err != nil {
 			t.Fatal(err)
@@ -884,12 +913,12 @@ func TestRestartOverDamagedLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = m.StartProcess("srv", cp.cfg)
-		if err == nil || !strings.Contains(err.Error(), "checksum mismatch at "+marks[1].String()) {
-			t.Fatalf("restart over a damaged checkpoint record: %v, want a checksum error at %v", err, marks[1])
+		if err == nil || !strings.Contains(err.Error(), "checksum mismatch at "+mark.String()) {
+			t.Fatalf("restart over a damaged checkpoint record: %v, want a checksum error at %v", err, mark)
 		}
-		fi, serr := os.Stat(filepath.Join(cp.dir, "evo1", "srv.log", "shard-001", fmt.Sprintf("%020d.seg", uint64(ids.StreamLSN(1, 16)))))
-		if serr != nil || fi.Size() != int64(end.Offset()) {
-			t.Errorf("the refused restart left a %v-byte segment (%v), want all %d bytes kept", fi, serr, end.Offset())
+		fi, serr := os.Stat(filepath.Join(cp.dir, "evo1", "srv.log", fmt.Sprintf("%020d.seg", 16)))
+		if serr != nil || fi.Size() != int64(end) {
+			t.Errorf("the refused restart left a %v-byte segment (%v), want all %d bytes kept", fi, serr, end)
 		}
 	})
 }

@@ -120,7 +120,7 @@ func TestLazyFirstTouchAndStats(t *testing.T) {
 // the named context and leave its state correct, and remain usable in
 // its classic role after the drain completes.
 func TestLazyRecoverContextAPI(t *testing.T) {
-	dir, counters, _ := shardWorkload(t, 1)
+	dir, counters, _ := counterRelayWorkload(t)
 	dst := t.TempDir()
 	copyDir(t, dir, dst)
 	u, err := NewUniverse(UniverseConfig{Dir: dst})
@@ -167,7 +167,7 @@ func TestLazyRecoverContextAPI(t *testing.T) {
 // replay advances no restart LSNs, so an interrupted drain loses
 // nothing).
 func TestLazyCrashMidDrain(t *testing.T) {
-	dir, counters, relays := shardWorkload(t, 4)
+	dir, counters, relays := counterRelayWorkload(t)
 	base := recoverImage(t, equivImage{dir: dir, counters: counters, relays: relays, cfg: testConfig()}, RecoveryEager)
 
 	dst := t.TempDir()

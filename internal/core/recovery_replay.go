@@ -20,11 +20,6 @@ import (
 // and replayed oldest first (replayChain). Every way a context comes
 // back — the eager drain, a lazy first touch, the background worker, a
 // nested demand, RecoverContext, a Handle — is bringBack.
-//
-// Chain invariant: a link points at an older record, in raw-LSN order —
-// stream tags grow with the era and a context's records occupy exactly
-// one stream per era, so the smaller of two LSNs was written first (what
-// Pass 1's "newest restart record wins" rests on).
 
 // bringBack builds a shell's components from its restart record, walks
 // its chain off the log through rd and replays it — the last call may

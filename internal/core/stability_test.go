@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ids"
+	"repro/internal/wal"
 )
 
 // TestRepeatedRecoveryDoesNotGrowLog: replay must not re-log the
@@ -28,12 +29,7 @@ func TestRepeatedRecoveryDoesNotGrowLog(t *testing.T) {
 			}
 		}
 
-		logEnd := func(p *Process) (end ids.LSN) {
-			for _, sh := range p.log.Shards() {
-				end = sh.Log.End()
-			}
-			return end
-		}
+		logEnd := func(p *Process) ids.LSN { return p.log.(*wal.Set).End() }
 		var end ids.LSN
 		cur := p
 		for cycle := 0; cycle < 4; cycle++ {

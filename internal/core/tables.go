@@ -127,26 +127,6 @@ func (t *lastCallTable) minReplyLSN() ids.LSN {
 	return min
 }
 
-// minReplyLSNByStream returns, per log stream, the smallest reply-
-// record position still referenced by a last-call entry — the
-// per-shard bound on how much of each stream may be reclaimed
-// (minReplyLSN generalized to the sharded log's tagged LSNs).
-func (t *lastCallTable) minReplyLSNByStream() map[uint32]ids.LSN {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	mins := make(map[uint32]ids.LSN)
-	for _, e := range t.entries {
-		if e.replyLSN.IsNil() {
-			continue
-		}
-		s := e.replyLSN.Stream()
-		if cur, ok := mins[s]; !ok || e.replyLSN < cur {
-			mins[s] = e.replyLSN
-		}
-	}
-	return mins
-}
-
 // snapshot copies every entry (LSN view) for a process checkpoint.
 func (t *lastCallTable) snapshot() []lastCallSaved {
 	t.mu.Lock()

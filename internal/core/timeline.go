@@ -183,12 +183,7 @@ func scanTraceRecords(path string, byTrace map[uint64][]TimelineEvent) error {
 		})
 		return nil
 	}
-	for _, sh := range log.Shards() {
-		if err := sh.Log.Scan(ids.NilLSN, scan); err != nil {
-			return err
-		}
-	}
-	return nil
+	return log.Scan(ids.NilLSN, scan)
 }
 
 // DiscoverTraceFiles pairs every <proc>.log in dir with its

@@ -6,7 +6,7 @@ import (
 )
 
 // AtomicWriteFile makes data the durable content of path — the one way
-// this repository replaces a small file (a log's shards.meta root, the
+// this repository replaces a small file (a log's root, the
 // recovery service's table): write path+".tmp", fsync it, rename it over
 // path, fsync the directory so the rename itself survives a crash. A
 // crash leaves the old content or the new, and at most one inert .tmp,

@@ -18,54 +18,18 @@ import (
 	"strings"
 )
 
-// LSN is a log sequence number: the byte offset of a record in a
-// process-local log stream. LSNs are strictly increasing within a
-// stream.
-//
-// Sharded logs (internal/wal.Set) qualify LSNs with a stream tag in
-// the top byte. A Set's streams are tagged from 1; stream 0 is the tag
-// of a bare wal.Log, whose LSNs are therefore plain byte offsets.
-// Stream tags are assigned monotonically across reshard eras, so comparing
-// two raw LSNs orders them first by era (temporal order) and then by
-// offset within a stream — which is exactly the order recovery and
-// the checkpoint watermark rely on.
+// LSN is a log sequence number: the byte offset of a record in its
+// process's log. LSNs are strictly increasing.
 type LSN uint64
 
 // NilLSN marks an absent LSN (e.g. a last-call entry whose reply has not
 // been written to the log).
 const NilLSN LSN = 0
 
-const (
-	// lsnStreamShift puts the stream tag in the LSN's top byte,
-	// leaving 56 bits of byte offset (72 PB per stream).
-	lsnStreamShift = 56
-	lsnOffsetMask  = LSN(1)<<lsnStreamShift - 1
-
-	// MaxStream is the largest stream tag an LSN can carry.
-	MaxStream = 255
-)
-
 // IsNil reports whether the LSN is the reserved "absent" value.
 func (l LSN) IsNil() bool { return l == NilLSN }
 
-// Stream returns the log stream the LSN belongs to. Stream 0 is a
-// bare wal.Log.
-func (l LSN) Stream() uint32 { return uint32(l >> lsnStreamShift) }
-
-// Offset returns the byte offset of the LSN within its stream.
-func (l LSN) Offset() LSN { return l & lsnOffsetMask }
-
-// StreamLSN builds a stream-qualified LSN from a stream tag and a byte
-// offset. StreamLSN(0, off) == off: a bare wal.Log's LSNs.
-func StreamLSN(stream uint32, off LSN) LSN {
-	return LSN(stream)<<lsnStreamShift | off&lsnOffsetMask
-}
-
 func (l LSN) String() string {
-	if s := l.Stream(); s != 0 {
-		return "lsn:" + strconv.FormatUint(uint64(s), 10) + ":" +
-			strconv.FormatUint(uint64(l.Offset()), 10)
-	}
 	return "lsn:" + strconv.FormatUint(uint64(l), 10)
 }
 

@@ -23,9 +23,9 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// repoLocksyncConfig is the repository's locksync scope: since PRs 7-8
-// the blocking-I/O-free critical sections are the per-shard log
-// mutexes (every Set shard is a Log), the engine registry and the
+// repoLocksyncConfig is the repository's locksync scope: the
+// blocking-I/O-free critical sections are the log mutex (a Set's is
+// its Log's), the engine registry and the
 // lazy-recovery bookkeeping — named
 // explicitly so the per-context mutex, which serializes whole handler
 // executions (forces included) by design, stays exempt. The blocking
@@ -44,13 +44,10 @@ func repoLocksyncConfig() LocksyncConfig {
 		},
 		Blocking: append([]string{
 			"(*repro/internal/wal.Log).Append",
+			"(*repro/internal/wal.Log).AppendInto",
 			"(*repro/internal/wal.Log).AppendLinked",
 			"(*repro/internal/wal.Log).SyncTo",
 			"(*repro/internal/wal.Log).SyncAll",
-			"(*repro/internal/wal.Set).AppendInto",
-			"(*repro/internal/wal.Set).AppendLinked",
-			"(*repro/internal/wal.Set).SyncTo",
-			"(*repro/internal/wal.Set).SyncAll",
 			"(repro/internal/wal.Writer).AppendInto",
 			"(repro/internal/wal.Writer).AppendLinked",
 			"(repro/internal/wal.Writer).SyncTo",

@@ -30,9 +30,6 @@ var (
 		"(*repro/internal/wal.Log).Close",
 		"(*repro/internal/wal.Log).Discard",
 		"(*repro/internal/wal.Log).Flush",
-		"(*repro/internal/wal.Set).Close",
-		"(*repro/internal/wal.Set).Discard",
-		"(*repro/internal/wal.Set).Flush",
 		"(repro/internal/wal.Writer).Close",
 		"(repro/internal/wal.Writer).Discard",
 		"(repro/internal/wal.Writer).Flush",

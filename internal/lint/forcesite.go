@@ -6,17 +6,14 @@ import "go/ast"
 // append to or force the write-ahead log.
 var forcesiteGuarded = map[string]bool{
 	"(*repro/internal/wal.Log).Append":       true,
+	"(*repro/internal/wal.Log).AppendInto":   true,
 	"(*repro/internal/wal.Log).AppendLinked": true,
 	"(*repro/internal/wal.Log).SyncTo":       true,
 	"(*repro/internal/wal.Log).SyncAll":      true,
-	// The sharded set and the Writer interface expose the same entry
-	// points; core calls through the interface, so without these the
-	// analyzer would lose its coverage the moment a call site is typed
-	// wal.Writer instead of *wal.Log.
-	"(*repro/internal/wal.Set).AppendInto":     true,
-	"(*repro/internal/wal.Set).AppendLinked":   true,
-	"(*repro/internal/wal.Set).SyncTo":         true,
-	"(*repro/internal/wal.Set).SyncAll":        true,
+	// The Writer interface exposes the same entry points; core calls
+	// through it, so without these the analyzer would lose its coverage
+	// the moment a call site is typed wal.Writer instead of *wal.Log. A
+	// *wal.Set's are its Log's, promoted: the entries above.
 	"(repro/internal/wal.Writer).AppendInto":   true,
 	"(repro/internal/wal.Writer).AppendLinked": true,
 	"(repro/internal/wal.Writer).SyncTo":       true,

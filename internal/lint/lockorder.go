@@ -151,7 +151,7 @@ type orderFunc struct {
 // function (reusing locksync's replay, with per-closure scoping) and
 // propagated over a call graph devirtualized against the analyzed
 // types, so holding the engine mutex while calling a helper that locks
-// a shard is an edge even though the lock is two calls away.
+// the log is an edge even though the lock is two calls away.
 func NewLockOrder(cfg LockOrderConfig) *Analyzer {
 	a, _ := NewLockOrderGraph(cfg)
 	return a

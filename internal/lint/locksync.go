@@ -19,7 +19,7 @@ type LocksyncConfig struct {
 	// Mutexes are the lock classes ("pkgpath.Type.field") whose
 	// critical sections must stay free of blocking calls. Empty means
 	// every lock the replay can see (the strict mode fixtures use);
-	// the repository configuration names the shard, engine and
+	// the repository configuration names the log, engine and
 	// lazy-recovery mutexes explicitly so that coarse outer locks
 	// like the per-context mutex — which serializes whole handler
 	// executions, forces included, by design — stay exempt.
@@ -38,8 +38,7 @@ var defaultLocksyncBlocking = []string{
 // device I/O may run while a guarded mutex is held — the PR-2
 // invariant that keeps Append from ever waiting behind an in-flight
 // force (device syncs run with the log mutex released; see
-// (*wal.Log).syncLocked), extended in PR 9 to the per-shard mutexes
-// and the lazy-recovery engine mutex.
+// (*wal.Log).syncLocked), extended to the lazy-recovery engine mutex.
 //
 // The check is lexical and intra-procedural: within each function it
 // replays Lock/Unlock/defer-Unlock calls in source order — with lock

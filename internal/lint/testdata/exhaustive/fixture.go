@@ -59,7 +59,7 @@ func badString(m mode) bool {
 	return false
 }
 
-// syncOutcome mirrors the WAL's per-shard sync merge: a three-way
+// syncOutcome mirrors the WAL's sync outcomes: a three-way
 // enum whose switches must stay exhaustive as outcomes are added.
 type syncOutcome int
 

@@ -1,8 +1,7 @@
 package obs
 
 // Canonical metric names. Dotted, grouped by subsystem. The wal.* group
-// is accounted at the device boundary by the log manager (a sharded
-// log's shards all report into one registry, so these are process
+// is accounted at the device boundary by the log manager (process
 // totals); everything else is accounted by the runtime's message
 // interceptors, recovery manager and transport.
 //
@@ -107,10 +106,13 @@ const (
 
 	// --- recovery ---
 
-	RecoveryRuns        = "recovery.runs"
-	ContextsRestored    = "recovery.contexts_restored"
-	ReplayedCalls       = "recovery.replayed_calls"
-	SuppressedSends     = "recovery.suppressed_sends"
+	RecoveryRuns     = "recovery.runs"
+	ContextsRestored = "recovery.contexts_restored"
+	ReplayedCalls    = "recovery.replayed_calls"
+	SuppressedSends  = "recovery.suppressed_sends"
+
+	// The pass and total histograms observe RecoveryStats' durations:
+	// universe-clock microseconds, model time under a virtual clock.
 	RecoveryPass1Micros = "recovery.pass1_micros"
 	RecoveryPass2Micros = "recovery.pass2_micros"
 	RecoveryMicros      = "recovery.total_micros"
@@ -121,7 +123,7 @@ const (
 	// replay engine reports the first three in eager runs too (where a
 	// touch is a resumed tail call reaching a same-process context).
 	// Durations are universe-clock microseconds (model time under a
-	// virtual bench clock), unlike the wall-time recovery.*_micros. ---
+	// virtual bench clock), as are the recovery.*_micros above. ---
 
 	// RecoveryLazyOnDemand counts contexts whose backlog replayed
 	// because a call touched them first.
@@ -159,8 +161,8 @@ const (
 	// --- causal tracing (internal/obs/trace). The stage histograms are
 	// per-leg latency distributions of traced interactions in
 	// universe-clock microseconds — under a scaled or virtual bench
-	// clock they are model time, unlike the wallclock-allowlisted
-	// serve/rpc histograms. ---
+	// clock they are model time, unlike the serve/rpc histograms, which
+	// read the host's monotonic stopwatch. ---
 
 	// TraceSpans counts spans recorded into flight recorders.
 	TraceSpans = "trace.spans"

@@ -87,7 +87,7 @@ func FuzzOpenTornSegment(f *testing.F) {
 			if err := os.WriteFile(filepath.Join(d, filepath.Base(seg)), damaged, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			l, err := openLog(d, nil, firstLSN, stable)
+			l, err := openLog(d, nil, stable)
 			if err != nil {
 				return outcome{openErr: err.Error()}
 			}

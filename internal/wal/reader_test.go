@@ -48,7 +48,7 @@ func numbered(n, size int) [][]byte {
 }
 
 // readerOn is a positioned reader over l with a read-ahead block of
-// block bytes (what Set.NewReader builds over its shards).
+// block bytes (what Log.NewReader builds with readBlock).
 func readerOn(l *Log, block int) *Reader {
 	return &Reader{l: l, block: block, limit: noLimit}
 }
@@ -325,16 +325,6 @@ func TestReaderEdgeCases(t *testing.T) {
 			readBack(t, rd, lsns, payloads)
 		})
 
-		run("hold: span crosses a stream", func(t *testing.T, l *Log) {
-			payloads := numbered(10, 33)
-			lsns := appendAll(t, l, payloads...)
-			rd, reads, _ := hold(t, l, lsns[0], ids.StreamLSN(l.base.Stream()+1, lsns[9]))
-			if reads != 0 {
-				t.Fatalf("Hold across streams issued %d reads", reads)
-			}
-			readBack(t, rd, lsns, payloads)
-		})
-
 		run("hold: hi in the unflushed buffer", func(t *testing.T, l *Log) {
 			payloads := numbered(10, 33)
 			lsns := appendAll(t, l, payloads...)
@@ -404,42 +394,31 @@ func TestReaderEdgeCases(t *testing.T) {
 	}
 }
 
-// TestReaderHoldOnSet: a Set's reader follows lo's stream tag to its
-// shard, and holds nothing for a span that names two streams.
+// TestReaderHoldOnSet: a Set's reader is its log's: a hold of the
+// span of every record costs one device read, and the reads after it
+// none.
 func TestReaderHoldOnSet(t *testing.T) {
-	s, err := OpenSet(filepath.Join(t.TempDir(), "proc.log"), nil, 2)
+	s, err := OpenSet(filepath.Join(t.TempDir(), "proc.log"), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	byStream := make(map[uint32][]ids.LSN)
+	var lsns []ids.LSN
 	for key := uint64(1); key <= 40; key++ {
-		lsn := appendKeyed(t, s, key, []byte(fmt.Sprintf("record of key %d", key)))
-		byStream[lsn.Stream()] = append(byStream[lsn.Stream()], lsn)
+		lsns = append(lsns, appendKeyed(t, s, key, []byte(fmt.Sprintf("record of key %d", key))))
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if len(byStream) != 2 {
-		t.Fatalf("40 keys landed on %d streams", len(byStream))
-	}
-	one, two := byStream[1], byStream[2]
 	rd := s.NewReader()
-	rd.Hold(one[0], two[len(two)-1])
-	if got := s.Stats().ReadOps; got != 0 {
-		t.Fatalf("Hold across streams issued %d reads", got)
+	rd.Hold(lsns[0], lsns[len(lsns)-1])
+	for _, lsn := range lsns {
+		if rec, err := rd.ReadAt(lsn); err != nil || rec.LSN != lsn {
+			t.Fatalf("ReadAt(%v) = %v, %v", lsn, rec.LSN, err)
+		}
 	}
-	for _, lsns := range [][]ids.LSN{two, one} {
-		before := s.Stats().ReadOps
-		rd.Hold(lsns[0], lsns[len(lsns)-1])
-		for _, lsn := range lsns {
-			if rec, err := rd.ReadAt(lsn); err != nil || rec.LSN != lsn {
-				t.Fatalf("ReadAt(%v) = %v, %v", lsn, rec.LSN, err)
-			}
-		}
-		if got := s.Stats().ReadOps - before; got != 1 {
-			t.Errorf("stream %d: %d device reads for a held stream, want 1", lsns[0].Stream(), got)
-		}
+	if got := s.Stats().ReadOps; got != 1 {
+		t.Errorf("%d device reads for a held span, want 1", got)
 	}
 }
 

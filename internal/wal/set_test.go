@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -25,441 +24,241 @@ func appendKeyed(t *testing.T, w Writer, key uint64, payload []byte) ids.LSN {
 	return lsn
 }
 
-// TestOpenSetFresh: a fresh 4-shard set creates streams 1..4, routes
-// appends deterministically by key, and reads records back through the
-// stream-tagged LSNs.
+// TestOpenSetFresh: a fresh set is one stream whose segment files live
+// in the log directory itself; appends read back through their LSNs and
+// survive a reopen; the key routes nothing.
 func TestOpenSetFresh(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "p.log")
-	s, err := OpenSet(dir, nil, 4)
+	s, err := OpenSet(dir, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
-	shards := s.Shards()
-	if len(shards) != 4 {
-		t.Fatalf("fresh 4-shard set has %d shards", len(shards))
+	if shards := s.Shards(); len(shards) != 1 || shards[0].Log != s.Log {
+		t.Fatalf("a set has shards %+v, want its one log", shards)
 	}
-	for i, sh := range shards {
-		if sh.Stream != uint32(i+1) || sh.Era != 0 {
-			t.Errorf("shard %d: stream %d era %d, want stream %d era 0", i, sh.Stream, sh.Era, i+1)
+	var lsns []ids.LSN
+	for key := uint64(0); key < 16; key++ {
+		lsns = append(lsns, appendKeyed(t, s, key, []byte(fmt.Sprintf("k%d", key))))
+	}
+	for i, lsn := range lsns {
+		if i > 0 && lsn <= lsns[i-1] {
+			t.Errorf("LSNs out of order: %v after %v", lsn, lsns[i-1])
 		}
 	}
-
-	// Key 0 (process-wide records) pins to the meta shard.
-	meta := appendKeyed(t, s, 0, []byte("meta"))
-	if meta.Stream() != shards[0].Stream {
-		t.Errorf("key 0 landed on stream %d, want meta stream %d", meta.Stream(), shards[0].Stream)
-	}
-
-	// Routing is deterministic, and reads route back by stream tag.
-	byKey := make(map[uint64]uint32)
-	for key := uint64(1); key <= 16; key++ {
-		lsn := appendKeyed(t, s, key, []byte(fmt.Sprintf("k%d", key)))
-		byKey[key] = lsn.Stream()
-		rec, err := s.Read(lsn)
-		if err != nil {
-			t.Fatalf("read %v: %v", lsn, err)
-		}
-		if !bytes.Equal(rec.Payload, []byte(fmt.Sprintf("k%d", key))) {
-			t.Errorf("read %v returned %q", lsn, rec.Payload)
-		}
-		if streams := s.StreamsFor(key); len(streams) != 1 || streams[0] != lsn.Stream() {
-			t.Errorf("StreamsFor(%d) = %v, append landed on %d", key, streams, lsn.Stream())
-		}
-	}
-	spread := make(map[uint32]bool)
-	for key, stream := range byKey {
-		lsn2 := appendKeyed(t, s, key, []byte("again"))
-		if lsn2.Stream() != stream {
-			t.Errorf("key %d moved from stream %d to %d", key, stream, lsn2.Stream())
-		}
-		spread[stream] = true
-	}
-	if len(spread) < 2 {
-		t.Errorf("16 keys all routed to %d stream(s); hashing is not spreading", len(spread))
-	}
-
-	// Reopen: same meta, same routing, records still there.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenSet(dir, nil, 0) // 0 = keep existing layout
+	if segs, _ := filepath.Glob(filepath.Join(dir, "*.seg")); len(segs) != 1 {
+		t.Errorf("the log directory holds segments %v, want one", segs)
+	}
+	s2, err := OpenSet(dir, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := len(s2.Shards()); got != 4 {
-		t.Fatalf("reopen with n=0: %d shards, want 4", got)
-	}
-	for key, stream := range byKey {
-		if lsn := appendKeyed(t, s2, key, []byte("post")); lsn.Stream() != stream {
-			t.Errorf("after reopen key %d routed to stream %d, want %d", key, lsn.Stream(), stream)
+	for key, lsn := range lsns {
+		rec, err := s2.Read(lsn)
+		if err != nil || !bytes.Equal(rec.Payload, []byte(fmt.Sprintf("k%d", key))) {
+			t.Errorf("read %v after reopen = %q, %v", lsn, rec.Payload, err)
 		}
 	}
 }
 
-// TestOpenSetRejectsBareLogDir: a directory holding a bare Log's
-// segment files and no era file is an error naming the directory, and
-// is left as it was — never an empty new log beside the old records.
-func TestOpenSetRejectsBareLogDir(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "p.log")
-	l, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append(1, []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	before, _ := os.ReadDir(dir)
-	for _, n := range []int{0, 4} {
-		if _, err := OpenSet(dir, nil, n); err == nil || !strings.Contains(err.Error(), dir) {
-			t.Errorf("OpenSet(bare log dir, %d) = %v, want an error naming %s", n, err, dir)
+// TestOpenSetRejectsShardedLayout: a directory holding the root of the
+// sharded layout (shards.meta, magic PHXROOT1) or a stream's shard-NNN
+// subdirectory is an error naming what was found, and is left as it
+// was — there is no reader for that layout.
+func TestOpenSetRejectsShardedLayout(t *testing.T) {
+	for _, found := range []string{"shards.meta", "shard-001"} {
+		dir := filepath.Join(t.TempDir(), "p.log")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if after, _ := os.ReadDir(dir); len(after) != len(before) {
-		t.Errorf("rejected open changed the directory: %d entries, was %d", len(after), len(before))
+		var err error
+		if found == "shards.meta" {
+			err = os.WriteFile(filepath.Join(dir, found), []byte("PHXROOT1 1\nera 1 1\nsum 00000000\n"), 0o644)
+		} else {
+			err = os.Mkdir(filepath.Join(dir, found), 0o755)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{0, 1} {
+			if _, err := OpenSet(dir, nil, n); err == nil || !strings.Contains(err.Error(), found) {
+				t.Errorf("OpenSet(dir holding %s, %d) = %v, want an error naming it", found, n, err)
+			}
+		}
+		if after, _ := os.ReadDir(dir); len(after) != 1 {
+			t.Errorf("rejected open changed the directory: %d entries, want 1", len(after))
+		}
 	}
 }
 
-// TestShardMetaRejectsMalformedLines: the header counts the eras and an
-// era line is exactly what saveShardMeta writes — trailing tokens, a
-// missing line and stream 0 (a bare Log's tag) do not load. A hint line
-// that is not is no reason to refuse the log: the hints are dropped.
-func TestShardMetaRejectsMalformedLines(t *testing.T) {
+// TestRootDropsMalformedLines: the root is exactly what saveRoot
+// writes. Anything else — a wrong checksum, a trailing token, a missing
+// or extra line, a padded number — is no reason to refuse the log: the
+// hints are dropped and reported lost.
+func TestRootDropsMalformedLines(t *testing.T) {
 	write := func(body string) string {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, shardMetaName), []byte(body), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, rootName), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return dir
 	}
-	for _, body := range []string{" 1\nera 1 4 junk\n", " 1\nera 0 1\n", " 1\nera 1\n", " 2\nera 1 1\n", " 0\n", " -1\n", "\nera 1 1\n", " 1 \nera 1 1\n", " 2\nera 1 2\nera 2 1\n"} {
-		dir := write(shardMetaMagic + body)
-		if _, err := OpenSet(dir, nil, 0); err == nil || !strings.Contains(err.Error(), dir) {
-			t.Errorf("OpenSet of a shard meta %q = %v, want an error naming %s", shardMetaMagic+body, err, dir)
-		}
-	}
-	for _, hints := range []string{"stable 1 64 junk\n", "stable 1\n", "stable 300 64\n", "mark 1 72057594037927936\n", "mark 1 64\n"} {
-		for _, sum := range []string{fmt.Sprintf("sum %08x\n", crc32.ChecksumIEEE([]byte(hints))), ""} {
-			s, err := OpenSet(write(shardMetaMagic+" 1\nera 1 1\n"+sum+hints), nil, 0)
+	for _, lines := range []string{"mark 16\nstable 16\n", "mark 16 junk\nstable 16\n", "mark 16\n", "mark 16\nstable 16\nmark 16\n",
+		"mark 016\nstable 16\n", "stable 16\nmark 16\n", "mark 18446744073709551616\nstable 16\n"} {
+		for _, head := range []string{fmt.Sprintf("%s %08x\n", rootMagic, crc32.ChecksumIEEE([]byte(lines))), "PHXROOT1 1\n", ""} {
+			s, err := OpenSet(write(head+lines), nil, 0)
 			if err != nil {
-				t.Fatalf("hints %q: %v", sum+hints, err)
+				t.Fatalf("root %q: %v", head+lines, err)
 			}
-			if hints == "mark 1 64\n" && sum != "" {
-				if len(s.Marks()) != 1 || s.HintsLost() {
-					t.Errorf("hints %q: marks %v, lost %v; want the one mark", sum+hints, s.Marks(), s.HintsLost())
+			if lines == "mark 16\nstable 16\n" && head != "" && head[:8] == rootMagic {
+				if s.Mark() != 16 || s.Stable() != 16 || s.HintsLost() {
+					t.Errorf("root %q: mark %v, watermark %v, lost %v; want both at 16", head+lines, s.Mark(), s.Stable(), s.HintsLost())
 				}
-			} else if len(s.Marks())+len(s.StableMarks()) != 0 || !s.HintsLost() {
-				t.Errorf("hints %q: marks %v, watermarks %v, lost %v; want none, lost", sum+hints, s.Marks(), s.StableMarks(), s.HintsLost())
+			} else if !s.Mark().IsNil() || !s.Stable().IsNil() || !s.HintsLost() {
+				t.Errorf("root %q: mark %v, watermark %v, lost %v; want none, lost", head+lines, s.Mark(), s.Stable(), s.HintsLost())
 			}
 			s.Close()
 		}
 	}
 }
 
-// TestOpenSetWritesMetaOnlyOnChange: the default open makes a one-shard
-// set (shards.meta + shard-001); reopening without a reshard leaves the
-// era file alone; a reshard persists the new era list before any
-// directory of the new era is touched.
+// TestOpenSetWritesMetaOnlyOnChange: the root changes only with a
+// publication. A fresh open writes none — a missing root is a root of
+// no hints — and neither does a reopen.
 func TestOpenSetWritesMetaOnlyOnChange(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "p.log")
-	s, err := OpenSet(dir, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shards := s.Shards(); len(shards) != 1 || shards[0].Stream != 1 {
-		t.Fatalf("default set has shards %+v, want the one stream 1", shards)
-	}
-	s.Close()
-	metaPath := filepath.Join(dir, shardMetaName)
-	before, err := os.Stat(metaPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "shard-001")); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{0, 1} {
+	for _, n := range []int{0, 1, 0} {
 		s, err := OpenSet(dir, nil, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Close()
-		after, err := os.Stat(metaPath)
-		if err != nil {
+		appendKeyed(t, s, 1, []byte("record"))
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) {
-			t.Errorf("reopen with n=%d rewrote %s", n, shardMetaName)
+		if _, err := os.Stat(filepath.Join(dir, rootName)); !os.IsNotExist(err) {
+			t.Fatalf("open with n=%d left a root (%v), want none before a publication", n, err)
 		}
-	}
-
-	// A file where the first new shard directory must go makes the
-	// reshard fail — after the era list was made durable.
-	blocker := filepath.Join(dir, shardDirName(2))
-	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenSet(dir, nil, 3); err == nil {
-		t.Fatal("reshard opened a shard directory through a regular file")
-	}
-	if r, err := loadShardMeta(dir); err != nil || len(r.eras) != 2 || r.eras[1] != (Era{Base: 2, Count: 3}) {
-		t.Fatalf("era list after the failed reshard = %v, %v; want the new era {2 3} persisted", r.eras, err)
-	}
-	if err := os.Remove(blocker); err != nil {
-		t.Fatal(err)
-	}
-	s, err = OpenSet(dir, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := len(s.Shards()); got != 4 {
-		t.Errorf("reopen after the reshard: %d shards, want 4 (1 + 3)", got)
 	}
 }
 
-// TestOpenSetReshard: changing the shard count appends an era with
-// fresh stream IDs; reopening with 0 or the same count does not.
-func TestOpenSetReshard(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "p.log")
-	s, err := OpenSet(dir, nil, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendKeyed(t, s, 7, []byte("era0"))
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := OpenSet(dir, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := s2.Shards()
-	if len(shards) != 6 {
-		t.Fatalf("resharded set has %d shards, want 6 (2 + 4)", len(shards))
-	}
-	want := []struct {
-		stream uint32
-		era    int
-	}{{1, 0}, {2, 0}, {3, 1}, {4, 1}, {5, 1}, {6, 1}}
-	for i, w := range want {
-		if shards[i].Stream != w.stream || shards[i].Era != w.era {
-			t.Errorf("shard %d: stream %d era %d, want stream %d era %d",
-				i, shards[i].Stream, shards[i].Era, w.stream, w.era)
-		}
-	}
-	if lsn := appendKeyed(t, s2, 7, []byte("era1")); lsn.Stream() < 3 {
-		t.Errorf("post-reshard append landed on old-era stream %d", lsn.Stream())
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Same count and zero both keep the layout.
-	for _, n := range []int{0, 4} {
-		s3, err := OpenSet(dir, nil, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := len(s3.Shards()); got != 6 {
-			t.Errorf("reopen with n=%d: %d shards, want 6", n, got)
-		}
-		s3.Close()
-	}
-}
-
-// TestOpenSetShardBound: shard counts past the LSN tag space are
-// rejected up front.
+// TestOpenSetShardBound: a process log is one stream; any other count
+// is refused up front with an error naming it.
 func TestOpenSetShardBound(t *testing.T) {
-	if _, err := OpenSet(filepath.Join(t.TempDir(), "p.log"), nil, ids.MaxStream+1); err == nil {
-		t.Fatal("OpenSet accepted a shard count past the stream tag space")
-	}
-}
-
-// TestSetSyncRouting: SyncTo touches only the target LSN's shard;
-// SyncAll makes every appendable shard durable.
-func TestSetSyncRouting(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "p.log")
-	s, err := OpenSet(dir, nil, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	// Find two keys on different streams.
-	a := appendKeyed(t, s, 1, []byte("a"))
-	var b ids.LSN
-	for key := uint64(2); ; key++ {
-		b = appendKeyed(t, s, key, []byte("b"))
-		if b.Stream() != a.Stream() {
-			break
+	for _, n := range []int{2, 4, -1} {
+		dir := filepath.Join(t.TempDir(), "p.log")
+		if _, err := OpenSet(dir, nil, n); err == nil || !strings.Contains(err.Error(), fmt.Sprint(n)) {
+			t.Errorf("OpenSet(dir, nil, %d) = %v, want an error naming %d", n, err, n)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("the refused open with n=%d created the directory", n)
 		}
 	}
-	if _, err := s.SyncTo(a); err != nil {
-		t.Fatal(err)
-	}
-	// The synced watermark is an exclusive end position: a record is
-	// durable once the watermark passes the shard's End() after it.
-	la, lb := s.byStr[a.Stream()], s.byStr[b.Stream()]
-	if la.SyncedLSN() < la.End() {
-		t.Errorf("shard %d synced watermark %v, want >= %v", a.Stream(), la.SyncedLSN(), la.End())
-	}
-	if lb.SyncedLSN() >= lb.End() {
-		t.Errorf("SyncTo(%v) also forced shard %d (synced %v)", a, b.Stream(), lb.SyncedLSN())
-	}
-	if _, err := s.SyncAll(); err != nil {
-		t.Fatal(err)
-	}
-	if lb.SyncedLSN() < lb.End() {
-		t.Errorf("SyncAll left shard %d at %v, want >= %v", b.Stream(), lb.SyncedLSN(), lb.End())
-	}
 }
 
-// TestShardMetaRoot: shards.meta is the one root of a log. Eras, marks
-// and stable watermarks round-trip through Publish and OpenSet together;
-// publications never go backwards; any damage to the hint section loses
-// both hints and nothing else; the same damage to the magic or an era
-// line refuses the log.
-func TestShardMetaRoot(t *testing.T) {
-	// build opens a log through the given shard counts in turn (a
-	// reshard each), appends a few records to every appendable stream
-	// and publishes marks for the named streams.
-	build := func(t *testing.T, counts []int, marked ...uint32) (dir string, marks, stable map[uint32]ids.LSN) {
+// TestRoot: the root is the log's well-known file. The mark and the
+// stable watermark round-trip through Publish and OpenSet together;
+// publications never go backwards; any damage to the root loses both
+// hints and never refuses the log.
+func TestRoot(t *testing.T) {
+	// build appends a few records, forces them and publishes the last
+	// one's LSN as the checkpoint's begin.
+	build := func(t *testing.T) (dir string, mark, stable ids.LSN) {
 		t.Helper()
 		dir = filepath.Join(t.TempDir(), "p.log")
-		var s *Set
-		for _, n := range counts {
-			if s != nil {
-				s.Close()
-			}
-			var err error
-			if s, err = OpenSet(dir, nil, n); err != nil {
-				t.Fatal(err)
-			}
+		s, err := OpenSet(dir, nil, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
 		defer s.Close()
-		var last ids.LSN
 		for key := uint64(0); key < 32; key++ {
-			last = appendKeyed(t, s, key, []byte("record"))
+			mark = appendKeyed(t, s, key, []byte("record"))
 		}
 		if _, err := s.SyncAll(); err != nil {
 			t.Fatal(err)
 		}
-		marks, stable = make(map[uint32]ids.LSN), make(map[uint32]ids.LSN)
-		for _, sh := range s.Shards() {
-			stable[sh.Stream] = sh.Log.SyncedLSN()
-		}
-		for _, stream := range marked {
-			marks[stream] = s.byStr[stream].Start()
-		}
-		if err := s.Publish(last, marks); err != nil {
+		if err := s.Publish(mark); err != nil {
 			t.Fatal(err)
 		}
 		// An older checkpoint arriving late writes nothing.
-		if err := s.Publish(last-1, map[uint32]ids.LSN{marked[0]: last}); err != nil {
+		if err := s.Publish(mark - 1); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Marks(); !reflect.DeepEqual(got, marks) {
-			t.Fatalf("live marks %v, want %v", got, marks)
+		if got := s.Mark(); got != mark {
+			t.Fatalf("live mark %v, want %v", got, mark)
 		}
-		return dir, marks, stable
+		return dir, mark, s.SyncedLSN()
 	}
-	images := []struct {
-		name   string
-		counts []int
-		marked []uint32
-		eras   []Era
-	}{
-		{"one stream", []int{1}, []uint32{1}, []Era{{1, 1}}},
-		{"three eras", []int{1, 2, 3}, []uint32{1, 2, 5}, []Era{{1, 1}, {2, 2}, {4, 3}}},
-	}
-	for _, im := range images {
-		t.Run(im.name+" round trip", func(t *testing.T) {
-			dir, marks, stable := build(t, im.counts, im.marked...)
-			for _, n := range []int{0, 4} { // as it is, then through a reshard
-				s, err := OpenSet(dir, nil, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(s.Marks(), marks) || !reflect.DeepEqual(s.StableMarks(), stable) || s.HintsLost() {
-					t.Errorf("reopened with %d: marks %v, watermarks %v, lost %v; want %v, %v", n, s.Marks(), s.StableMarks(), s.HintsLost(), marks, stable)
-				}
-				if n == 0 && !reflect.DeepEqual(s.eras, im.eras) {
-					t.Errorf("eras %v, want %v", s.eras, im.eras)
-				}
-				// A newer publication replaces the root outright.
-				next := map[uint32]ids.LSN{im.marked[0]: stable[im.marked[0]]}
-				if err := s.Publish(ids.StreamLSN(200, 0), next); err != nil {
-					t.Fatal(err)
-				}
-				s.Close()
-				if r, err := loadShardMeta(dir); err != nil || !reflect.DeepEqual(r.marks, next) || len(r.stable) != len(s.Shards()) {
-					t.Errorf("after a second publication: %+v, %v; want marks %v and a watermark per stream", r, err, next)
-				}
-				if err := saveShardMeta(dir, root{eras: s.eras, marks: marks, stable: stable}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if entries, _ := os.ReadDir(dir); len(entries) != 1+len(stable)+4 {
-				t.Errorf("the log directory holds %d entries, want shards.meta and %d shard directories", len(entries), len(stable)+4)
-			}
-		})
-		t.Run(im.name+" damage", func(t *testing.T) {
-			dir, _, _ := build(t, im.counts, im.marked...)
-			path := filepath.Join(dir, shardMetaName)
-			raw, err := os.ReadFile(path)
-			if err != nil {
+	t.Run("round trip", func(t *testing.T) {
+		dir, mark, stable := build(t)
+		s, err := OpenSet(dir, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Mark() != mark || s.Stable() != stable || s.HintsLost() {
+			t.Errorf("reopened: mark %v, watermark %v, lost %v; want %v, %v", s.Mark(), s.Stable(), s.HintsLost(), mark, stable)
+		}
+		// A newer publication replaces the root outright.
+		next := appendKeyed(t, s, 0, []byte("begin"))
+		if _, err := s.SyncAll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Publish(next); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if r, err := loadRoot(dir); err != nil || r != (root{mark: next, stable: s.End()}) {
+			t.Errorf("after a second publication: %+v, %v; want mark %v and watermark %v", r, err, next, s.End())
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+			t.Errorf("the log directory holds %d entries, want the root and one segment", len(entries))
+		}
+	})
+	t.Run("damage", func(t *testing.T) {
+		dir, _, _ := build(t)
+		path := filepath.Join(dir, rootName)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(raw, []byte("\nmark ")) || !bytes.Contains(raw, []byte("\nstable ")) {
+			t.Fatalf("root has no hints:\n%s", raw)
+		}
+		open := func(what string, bad []byte) {
+			t.Helper()
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			hints := bytes.Index(raw, []byte("sum "))
-			if hints < 0 || !bytes.Contains(raw[hints:], []byte("\nmark ")) || !bytes.Contains(raw[hints:], []byte("\nstable ")) {
-				t.Fatalf("root has no hint section:\n%s", raw)
+			s, err := OpenSet(dir, nil, 0)
+			if err != nil {
+				t.Errorf("%s: %v", what, err)
+				return
 			}
-			open := func(what string, bad []byte, refused bool) {
-				t.Helper()
-				if err := os.WriteFile(path, bad, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				s, err := OpenSet(dir, nil, 0)
-				if refused {
-					if err == nil || !strings.Contains(err.Error(), path) {
-						t.Errorf("%s: OpenSet = %v, want an error naming %s", what, err, path)
-					}
-				} else if err != nil {
-					t.Errorf("%s: %v", what, err)
-				} else if len(s.Marks())+len(s.StableMarks()) != 0 || !s.HintsLost() {
-					t.Errorf("%s: marks %v, watermarks %v, lost %v; want no hints", what, s.Marks(), s.StableMarks(), s.HintsLost())
-				}
-				if s != nil {
-					s.Close()
-				}
+			if !s.Mark().IsNil() || !s.Stable().IsNil() || !s.HintsLost() {
+				t.Errorf("%s: mark %v, watermark %v, lost %v; want no hints", what, s.Mark(), s.Stable(), s.HintsLost())
 			}
-			for i := range raw {
-				for _, bits := range []byte{0xFF, 0x01} {
-					if i < hints && bits == 0x01 {
-						continue // "era 1 4" -> "era 1 5" is an era list, only not this log's
-					}
-					bad := append([]byte(nil), raw...)
-					bad[i] ^= bits
-					open(fmt.Sprintf("byte %d ^ %#x", i, bits), bad, i < hints)
-				}
-				open(fmt.Sprintf("cut to %d bytes", i), raw[:i], i < hints)
+			s.Close()
+		}
+		for i := range raw {
+			for _, bits := range []byte{0xFF, 0x01} {
+				bad := append([]byte(nil), raw...)
+				bad[i] ^= bits
+				open(fmt.Sprintf("byte %d ^ %#x", i, bits), bad)
 			}
-		})
-	}
+			open(fmt.Sprintf("cut to %d bytes", i), raw[:i])
+		}
+	})
 }
 
-// TestSetDiscardAndEmpty: Discard drops every shard's unforced tail;
-// Empty is true only when no stream holds a record.
+// TestSetDiscardAndEmpty: Discard drops the unforced tail; Empty is true
+// only when the log holds no record.
 func TestSetDiscardAndEmpty(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "p.log")
-	s, err := OpenSet(dir, nil, 3)
+	s, err := OpenSet(dir, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,13 +269,7 @@ func TestSetDiscardAndEmpty(t *testing.T) {
 	if _, err := s.SyncTo(forced); err != nil {
 		t.Fatal(err)
 	}
-	var unforcedKey uint64
-	for key := uint64(2); ; key++ {
-		if lsn := appendKeyed(t, s, key, []byte("volatile")); lsn.Stream() != forced.Stream() {
-			unforcedKey = key
-			break
-		}
-	}
+	unforced := appendKeyed(t, s, 2, []byte("volatile"))
 	if s.Empty() {
 		t.Error("set with records reports Empty")
 	}
@@ -491,14 +284,13 @@ func TestSetDiscardAndEmpty(t *testing.T) {
 	if _, err := s2.Read(forced); err != nil {
 		t.Errorf("forced record lost by Discard: %v", err)
 	}
-	unforcedStream := s2.StreamsFor(unforcedKey)[0]
-	if !s2.byStr[unforcedStream].Empty() {
-		t.Errorf("unforced shard %d still holds records after Discard", unforcedStream)
+	if _, err := s2.Read(unforced); !errors.Is(err, ErrNotFound) {
+		t.Errorf("unforced record after Discard: %v, want ErrNotFound", err)
 	}
 }
 
-// TestOpenSetStableWatermark: Publish records in shards.meta how far
-// each stream is stable. The next open reads no record: the first
+// TestOpenSetStableWatermark: Publish records in the root how far the
+// log is stable. The next open reads no record: the first
 // forward pass from at or below the watermark — recovery's scan from
 // the mark — is the tail check, and so is a pass from the watermark run
 // by whatever needs the log's end before one did. Either way the rule
@@ -524,7 +316,7 @@ func TestOpenSetStableWatermark(t *testing.T) {
 					t.Fatal(err)
 				}
 				img.mark = img.lsns[100]
-				if err := s.Publish(img.lsns[199], map[uint32]ids.LSN{1: img.mark}); err != nil {
+				if err := s.Publish(img.mark); err != nil {
 					t.Fatal(err)
 				}
 				img.stable = s.SyncedLSN()
@@ -541,8 +333,8 @@ func TestOpenSetStableWatermark(t *testing.T) {
 		}
 		return img
 	}
-	// flip inverts one payload byte of the record at lsn (stream 1's
-	// first segment: the file offset of a record is its LSN's offset).
+	// flip inverts one payload byte of the record at lsn (the first
+	// segment: the file offset of a record is its LSN).
 	flip := func(t *testing.T, img image, lsn ids.LSN) {
 		t.Helper()
 		f, err := os.OpenFile(img.seg, os.O_RDWR, 0)
@@ -550,7 +342,7 @@ func TestOpenSetStableWatermark(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		off := int64(lsn.Offset()) + frameMin + 10
+		off := int64(lsn) + frameMin + 10
 		b := make([]byte, 1)
 		if _, err := f.ReadAt(b, off); err != nil {
 			t.Fatal(err)
@@ -567,7 +359,7 @@ func TestOpenSetStableWatermark(t *testing.T) {
 		}
 		return b
 	}
-	// open opens the image, which reads nothing, and returns its stream.
+	// open opens the image, which reads nothing, and returns its log.
 	open := func(t *testing.T, img image) *Log {
 		t.Helper()
 		s, err := OpenSet(img.dir, nil, 0)
@@ -618,7 +410,7 @@ func TestOpenSetStableWatermark(t *testing.T) {
 		if got := l.End(); got != img.lsns[250] {
 			t.Errorf("log ends at %v, want the tail cut at %v", got, img.lsns[250])
 		}
-		if fi, err := os.Stat(img.seg); err != nil || fi.Size() != int64(img.lsns[250].Offset()) {
+		if fi, err := os.Stat(img.seg); err != nil || fi.Size() != int64(img.lsns[250]) {
 			t.Errorf("segment after the cut: %v, %v; want it ending at %v", fi, err, img.lsns[250])
 		}
 	})
@@ -676,33 +468,21 @@ func TestOpenSetStableWatermark(t *testing.T) {
 	})
 	t.Run("a segment cut below the watermark is corruption", func(t *testing.T) {
 		img := build(t)
-		if err := os.Truncate(img.seg, int64(img.lsns[150].Offset())); err != nil {
+		if err := os.Truncate(img.seg, int64(img.lsns[150])); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := OpenSet(img.dir, nil, 0); err == nil || !strings.Contains(err.Error(), img.stable.String()) {
 			t.Fatalf("open: %v, want the watermark %v reported missing", err, img.stable)
 		}
 	})
-	t.Run("a reshard keeps the watermarks", func(t *testing.T) {
-		img := build(t)
-		s, err := OpenSet(img.dir, nil, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
-		r, err := loadShardMeta(img.dir)
-		if err != nil || len(r.stable) != 1 || r.stable[1] != img.stable {
-			t.Errorf("watermarks after the reshard = %v, %v; want stream 1 at %v", r.stable, err, img.stable)
-		}
-	})
 	t.Run("a watermark inside a record is corruption", func(t *testing.T) {
 		img := build(t)
-		r, err := loadShardMeta(img.dir)
+		r, err := loadRoot(img.dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.stable[1] = img.stable + 3 // no publish writes one: a record straddles it
-		if err := saveShardMeta(img.dir, r); err != nil {
+		r.stable = img.stable + 3 // no publish writes one: a record straddles it
+		if err := saveRoot(img.dir, r); err != nil {
 			t.Fatal(err)
 		}
 		before := segBytes(t, img)

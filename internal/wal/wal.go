@@ -81,15 +81,15 @@ type Stats struct {
 	ReadOps, ReadBytes int64
 	// AppendBusyNanos is the cumulative wall time spent inside the
 	// append critical section (encode, frame, roll) with the log mutex
-	// held. One mutex admits one append at a time, so total appends
-	// divided by the busiest shard's AppendBusyNanos bounds the append
-	// throughput a partitioned log can sustain — independent of how
-	// many CPUs the measuring host happens to have.
+	// held. One mutex admits one append at a time, so appends divided
+	// by AppendBusyNanos bounds the append throughput the log can
+	// sustain — independent of how many CPUs the measuring host happens
+	// to have.
 	AppendBusyNanos int64
 	// SyncBusyNanos is the cumulative wall time of device flush+sync
 	// operations on this log's files. Together with AppendBusyNanos it
-	// is the busy time of the shard's serial resources (one append
-	// mutex, one device file).
+	// is the busy time of the log's serial resources (one append mutex,
+	// one device file).
 	SyncBusyNanos int64
 }
 
@@ -105,7 +105,7 @@ const (
 // A record's frame: uvarint payload length; CRC-32C (the CPU computes
 // it) of everything behind it, in one pass over contiguous bytes; type
 // byte; uvarint distance back to the previous record of the same chain
-// (0: none; the LSNs' difference, so it spans streams); the payload.
+// (0: none; the LSNs' difference); the payload.
 // frameMin is the shortest frame, frameMax the longest header.
 const (
 	frameMin = 1 + 4 + 1 + 1
@@ -153,11 +153,6 @@ type Log struct {
 	dir          string
 	model        disk.Model
 	segmentBytes int64
-	// base is where this log's LSN space starts: firstLSN (stream 0)
-	// for a bare Log, ids.StreamLSN(stream, 16) for a shard stream
-	// owned by a Set. Segment names, watermarks and record LSNs are all
-	// natively stream-qualified.
-	base ids.LSN
 	// While unchecked, the end is provisional (bufBase, synced: the file's)
 	// till a pass from at or below tail, max(watermark, tailSeg), ends.
 	tail, tailSeg ids.LSN
@@ -194,19 +189,16 @@ type syncSnap struct {
 // Open opens (creating if necessary) the log directory at dir, verifies
 // segment headers — it reads no record — and returns a log manager whose
 // physical writes and syncs are accounted to model (nil: disk.HostModel).
-// The result is a bare one-stream Log — what a Set is made of;
+// The result is a Log without its root — what a Set is made of;
 // processes and tools open a Set (OpenSet).
 func Open(dir string, model disk.Model) (*Log, error) {
-	return openLog(dir, model, firstLSN, ids.NilLSN)
+	return openLog(dir, model, ids.NilLSN)
 }
 
-// openLog opens a log whose LSN space starts at base (the stream-
-// qualified first position; see Log.base). Open passes firstLSN; Set
-// opens each shard stream at ids.StreamLSN(stream, 16). stable is how
-// far the stream is known to be durable (Set.Publish; nil: unknown):
-// a torn tail can begin no earlier, and a bad frame below it is
-// corruption.
-func openLog(dir string, model disk.Model, base, stable ids.LSN) (*Log, error) {
+// openLog opens the log at dir. stable is how far the log is known to
+// be durable (Set.Publish; nil: unknown): a torn tail can begin no
+// earlier, and a bad frame below it is corruption.
+func openLog(dir string, model disk.Model, stable ids.LSN) (*Log, error) {
 	if model == nil {
 		model = disk.HostModel{}
 	}
@@ -217,7 +209,6 @@ func openLog(dir string, model disk.Model, base, stable ids.LSN) (*Log, error) {
 		dir:          dir,
 		model:        model,
 		segmentBytes: DefaultSegmentBytes,
-		base:         base,
 		m:            obs.WALView(obs.Default()),
 	}
 	l.syncDone = sync.NewCond(&l.mu)
@@ -240,6 +231,13 @@ func (l *Log) load(stable ids.LSN) error {
 	var starts []ids.LSN
 	for _, e := range entries {
 		name := e.Name()
+		// The sharded layout this log replaced kept its records under a
+		// shards.meta root (magic PHXROOT1) in shard-NNN directories:
+		// there is no reader for it, and an empty log beside it would
+		// hide them.
+		if name == "shards.meta" || (e.IsDir() && strings.HasPrefix(name, "shard-")) {
+			return fmt.Errorf("wal: %s holds %s, part of a sharded (PHXROOT1) log: not a one-stream log directory", l.dir, name)
+		}
 		if !strings.HasSuffix(name, ".seg") {
 			continue
 		}
@@ -252,21 +250,17 @@ func (l *Log) load(stable ids.LSN) error {
 	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 
 	if len(starts) == 0 {
-		seg, err := l.createSegment(l.base)
+		seg, err := l.createSegment(firstLSN)
 		if err != nil {
 			return err
 		}
 		l.segs = []*segment{seg}
-		l.bufBase = l.base
-		l.synced = l.base
+		l.bufBase = firstLSN
+		l.synced = firstLSN
 		return nil
 	}
 
 	for i, start := range starts {
-		if start.Stream() != l.base.Stream() {
-			return fmt.Errorf("wal: segment %v belongs to stream %d, log is stream %d",
-				start, start.Stream(), l.base.Stream())
-		}
 		seg, err := l.openSegment(start)
 		if err != nil {
 			return err
@@ -392,6 +386,11 @@ func (l *Log) closeSegs() {
 // active returns the tail segment (always present while open).
 func (l *Log) active() *segment { return l.segs[len(l.segs)-1] }
 
+// AppendInto is AppendLinked with no chain: key routes nothing.
+func (l *Log) AppendInto(key uint64, t RecordType, enc PayloadEncoder) (ids.LSN, error) {
+	return l.AppendLinked(key, t, enc, nil)
+}
+
 // Append adds a record to the log buffer and returns its LSN. The
 // record is not stable until the next force (or until recovery-time
 // reads flush it to a file, which still does not sync it). Append
@@ -466,8 +465,9 @@ func (l *Log) appendLocked(t RecordType, payload []byte, prev ids.LSN) (ids.LSN,
 // must not call back into the log, and must not retain the slice it is
 // given or the one it returns.
 //
-// key is the record's routing key: a Set picked this Log by it, and a
-// Log, being one stream, ignores it.
+// key is the appending context's CompID (0: a process-wide record);
+// it routes nothing — a process has one log — and is kept in the
+// signature the runtime writes through (Writer).
 //
 // A non-nil head makes the record the newest of a chain: its frame
 // carries the distance back to the LSN in *head (nil: none), and *head
@@ -773,6 +773,13 @@ func (l *Log) Read(lsn ids.LSN) (Record, error) {
 	return r.read(lsn)
 }
 
+// NewReader returns a positioned reader for a consumer holding LSNs a
+// scan reported (a worker walking chains); the first read allocates the
+// block.
+func (l *Log) NewReader() *Reader {
+	return &Reader{l: l, block: readBlock, limit: noLimit}
+}
+
 // readBlock is the read-ahead unit of every reader: one device read
 // fetches this much of a segment, and the records in it are served
 // without a lock or a system call each.
@@ -796,8 +803,7 @@ var errChecksum = errors.New("wal: checksum mismatch")
 // read. A Reader is not safe for concurrent use; every consumer owns
 // its own.
 type Reader struct {
-	set   *Set    // non-nil: a miss follows the LSN's stream tag to its shard
-	l     *Log    // the log blk was read from
+	l     *Log    // the log it reads
 	block int     // bytes a refill asks for (more for a longer record)
 	limit ids.LSN // a record must end at or before it (a cursor's snapshot end)
 	blk   []byte  // one segment's bytes from LSN base on
@@ -822,7 +828,7 @@ func (r *Reader) Reads() int64 { return r.reads }
 // one segment and is at most holdMax — the most a reader pins and one
 // hold of the log mutex reads. A hint: reads report a bad log.
 func (r *Reader) Hold(lo, hi ids.LSN) {
-	if hi < lo || hi.Stream() != lo.Stream() || int64(hi-lo) > int64(holdMax-r.block) {
+	if hi < lo || int64(hi-lo) > int64(holdMax-r.block) {
 		return
 	}
 	block := r.block
@@ -895,15 +901,6 @@ func (r *Reader) read(lsn ids.LSN) (Record, error) {
 func (r *Reader) window(lsn ids.LSN, need uint64) ([]byte, error) {
 	if lsn >= r.base && need <= uint64(len(r.blk)) && uint64(lsn-r.base) <= uint64(len(r.blk))-need {
 		return r.blk[lsn-r.base:], nil
-	}
-	// LSNs carry their stream, so only a miss can name another shard.
-	if r.set != nil && (r.l == nil || r.l.base.Stream() != lsn.Stream()) {
-		r.blk = r.blk[:0]
-		l, err := r.set.streamLog(lsn)
-		if err != nil {
-			return nil, err
-		}
-		r.l = l
 	}
 	l := r.l
 	l.mu.Lock()

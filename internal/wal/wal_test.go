@@ -238,7 +238,7 @@ func TestTailCheckRaces(t *testing.T) {
 		if err := os.Truncate(seg, fi.Size()-3); err != nil { // the last record torn
 			t.Fatal(err)
 		}
-		if l, err = openLog(dir, nil, firstLSN, lsns[100]); err != nil {
+		if l, err = openLog(dir, nil, lsns[100]); err != nil {
 			t.Fatal(err)
 		}
 		cut := lsns[199]

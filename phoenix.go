@@ -65,8 +65,8 @@ type (
 	Process = core.Process
 	// Config holds the per-process runtime switches: logging mode,
 	// specialized types, multi-call optimization, checkpoint policies,
-	// log sharding and group-commit batching (Config.WAL), and recovery
-	// scheduling (Config.Recovery).
+	// group-commit batching (Config.WAL), and recovery scheduling
+	// (Config.Recovery).
 	Config = core.Config
 	// GroupCommit is the nested Config.WAL.GroupCommit section.
 	// Concurrent forces of the process log always share a device sync
@@ -75,11 +75,8 @@ type (
 	// already on their way are covered by the same sync. The zero
 	// value leaves the combining opportunistic.
 	GroupCommit = core.GroupCommit
-	// WALConfig is the nested Config.WAL section: Shards partitions the
-	// process log into that many shard streams keyed by the appending
-	// context, each with its own files, append mutex, sync leader and
-	// synced watermark; GroupCommit switches on the leaders' commit
-	// window. The zero value is one shard, no window.
+	// WALConfig is the nested Config.WAL section: GroupCommit switches
+	// on the log's commit window. The zero value is no window.
 	WALConfig = core.WALConfig
 	// RecoveryConfig is the nested Config.Recovery section — the
 	// restart surface. Mode schedules Pass-2 replay: RecoveryEager
