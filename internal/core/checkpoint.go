@@ -31,11 +31,9 @@ func (cx *Context) saveStateLocked() error {
 	saved := make([]lastCallSaved, 0, len(entries))
 	for _, e := range entries {
 		if e.replyLSN.IsNil() && e.reply != nil {
-			lsn, err := p.appendRec(recReplyContent, cx.parent.id, &replyContentRec{
-				Ctx:    cx.parent.id,
-				CallID: ids.CallID{Caller: e.caller, Seq: e.seq},
-				Reply:  *e.reply,
-			}, nil)
+			rc := replyContentRec{Ctx: cx.parent.id, Reply: *e.reply}
+			rc.Reply.ID = ids.CallID{Caller: e.caller, Seq: e.seq}
+			lsn, err := p.appendRec(&rc, nil)
 			if err != nil {
 				return err
 			}
@@ -51,8 +49,8 @@ func (cx *Context) saveStateLocked() error {
 	if err != nil {
 		return err
 	}
-	lsn, err := p.appendRec(recCtxState, cx.parent.id, &ctxStateRec{
-		Ctx:        cx.parent.id,
+	lsn, err := p.appendRec(&ctxStateRec{
+		ctx:        cx.parent.id,
 		URI:        cx.uri,
 		Comps:      comps,
 		LastOutSeq: cx.lastOutSeq,
@@ -94,7 +92,7 @@ func (p *Process) Checkpoint() error {
 // concurrency, and readers "examine all the log records between the
 // begin checkpoint and end checkpoint record".
 func (p *Process) runCheckpoint() error {
-	begin, err := p.appendRec(recBeginCkpt, 0, nil, nil)
+	begin, err := p.appendRec(&beginCkptRec{}, nil)
 	if err != nil {
 		return err
 	}
@@ -120,7 +118,7 @@ func (p *Process) runCheckpoint() error {
 		if err != nil {
 			return err
 		}
-		lsn, err := p.appendRec(recCreation, cx.parent.id, rec, nil)
+		lsn, err := p.appendRec(rec, nil)
 		if err != nil {
 			return err
 		}
@@ -140,15 +138,15 @@ func (p *Process) runCheckpoint() error {
 		entries = append(entries, ckptCtxEntry{Ctx: id, RestartLSN: cx.restartLSN, ChainHead: ids.LSN(cx.chainHead.Load())})
 	}
 	p.mu.Unlock()
-	if _, err := p.appendRec(recCkptCtxTable, 0, &ckptCtxTableRec{Entries: entries}, nil); err != nil {
+	if _, err := p.appendRec(&ckptCtxTableRec{Entries: entries}, nil); err != nil {
 		return err
 	}
 
-	if _, err := p.appendRec(recCkptLastCall, 0, &ckptLastCallRec{Entries: p.lastCalls.snapshot()}, nil); err != nil {
+	if _, err := p.appendRec(&ckptLastCallRec{Entries: p.lastCalls.snapshot()}, nil); err != nil {
 		return err
 	}
 
-	end, err := p.appendRec(recEndCkpt, 0, &endCkptRec{BeginLSN: begin}, nil)
+	end, err := p.appendRec(&endCkptRec{BeginLSN: begin}, nil)
 	if err != nil {
 		return err
 	}

@@ -177,7 +177,7 @@ func (cx *Context) creationRecord() (*creationRec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &creationRec{Ctx: cx.parent.id, URI: cx.uri, Comps: comps}, nil
+	return &creationRec{ctx: cx.parent.id, URI: cx.uri, Comps: comps}, nil
 }
 
 func (cx *Context) captureComponents() ([]compRecord, error) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/msg"
 	"repro/internal/transport"
+	"repro/internal/wal"
 )
 
 // Test components.
@@ -397,5 +399,80 @@ func TestReplyResultCountMismatch(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "carries 1 results") || !strings.Contains(err.Error(), "says 2") {
 		t.Errorf("error %q does not name both counts", err)
+	}
+}
+
+// otherCallNet answers every call that carries an ID with the reply to
+// another call — its own ID's next sequence number — and counts those
+// sends; an external call's reply passes as the server wrote it.
+type otherCallNet struct {
+	transport.Network
+	sends atomic.Int64
+}
+
+func (n *otherCallNet) Send(addr string, req []byte) ([]byte, error) {
+	resp, err := n.Network.Send(addr, req)
+	if err != nil {
+		return nil, err
+	}
+	call, err := msg.DecodeCall(req)
+	if err != nil || call.ID.IsZero() {
+		return resp, err
+	}
+	n.sends.Add(1)
+	r, err := msg.DecodeReply(resp)
+	if err != nil {
+		return nil, err
+	}
+	r.ID.Seq++
+	return msg.EncodeReply(r)
+}
+
+// TestReplyToAnotherCallRefused: a reply whose ID is not its call's is
+// refused as an undecodable one is — the call fails naming both IDs,
+// it is not retried, and the caller logs no outgoing-reply record (a
+// replay would take that reply for the call's).
+func TestReplyToAnotherCallRefused(t *testing.T) {
+	net := &otherCallNet{Network: transport.NewMem(disk.NewRealClock(1), 0)}
+	u, err := NewUniverse(UniverseConfig{Dir: t.TempDir(), Net: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ps := startProc(t, u, "evo2", "srv", testConfig())
+	defer ps.Close()
+	_, pc := startProc(t, u, "evo1", "cli", testConfig())
+	hc, err := ps.Create("C", &Counter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := pc.Create("R", &Relay{Server: NewRef(hc.URI())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = u.ExternalRef(hr.URI()).WithoutRetry().Call("Forward", 1)
+	want := ids.CallID{Caller: hr.cx.addr(), Seq: 1}
+	answered := want
+	answered.Seq++
+	if err == nil || !strings.Contains(err.Error(), want.String()) || !strings.Contains(err.Error(), answered.String()) {
+		t.Fatalf("Forward over a reply to another call = %v, want an error naming %v and %v", err, want, answered)
+	}
+	if n := net.sends.Load(); n != 1 {
+		t.Errorf("the call went out %d times, want once: a reply to another call is not retried", n)
+	}
+	if err := pc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.OpenSet(pc.LogDir(), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	if err := log.Scan(ids.NilLSN, func(rec wal.Record) error {
+		if rec.Type == recOutgoingReply {
+			t.Errorf("the caller logged an outgoing-reply record at %v", rec.LSN)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -128,7 +128,7 @@ func DumpLog(w io.Writer, dir string) error {
 func dumpDiscipline(rec wal.Record) string {
 	switch rec.Type {
 	case recIncoming:
-		_, id, err := msgHead(rec.Type, rec.Payload)
+		_, id, err := msgHead(rec)
 		if err != nil {
 			return "?"
 		}
@@ -170,66 +170,44 @@ func dumpTrace(w io.Writer, tr trace.Ref) {
 	}
 }
 
+// dumpPayload renders a record: the owner and trace its header names
+// (a checkpoint record's owner, 0, is left out), then its body.
 func dumpPayload(w io.Writer, rec wal.Record) error {
-	switch rec.Type {
-	case recCreation:
-		var v creationRec
-		if err := decodeRec(rec.Payload, &v); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "ctx=%d uri=%s comps=%d", v.Ctx, v.URI, len(v.Comps))
+	v := recFor(rec.Type)
+	if v == nil {
+		fmt.Fprintf(w, "unknown record type %d", rec.Type)
+		return nil
+	}
+	if err := decodeRec(rec, v); err != nil {
+		return err
+	}
+	_, ctx, tr := v.head()
+	if ctx != 0 {
+		fmt.Fprintf(w, "ctx=%d ", ctx)
+	}
+	switch v := v.(type) {
+	case *creationRec:
+		fmt.Fprintf(w, "uri=%s comps=%d", v.URI, len(v.Comps))
 		for _, c := range v.Comps {
 			fmt.Fprintf(w, " [%d %s %s %s]", c.ID, c.Name, c.Type, c.GoType)
 		}
-	case recIncoming:
-		var v incomingRec
-		if err := decodeRec(rec.Payload, &v); err != nil {
-			return err
-		}
+	case *incomingRec:
 		caller := "external"
 		if !v.Call.ID.IsZero() {
 			caller = v.Call.ID.String()
 		}
-		fmt.Fprintf(w, "ctx=%d %s.%s from %s (%s)",
-			v.Ctx, v.Call.Target, v.Call.Method, caller, v.Call.CallerType)
-		dumpTrace(w, v.Trace)
-	case recReplySent:
-		var v replySentRec
-		if err := decodeRec(rec.Payload, &v); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "ctx=%d call=%v (short record: sent marker only)", v.Ctx, v.CallID)
-		dumpTrace(w, v.Trace)
-	case recReplyContent:
-		var v replyContentRec
-		if err := decodeRec(rec.Payload, &v); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "ctx=%d call=%v results=%dB appErr=%q",
-			v.Ctx, v.CallID, len(v.Reply.Results), v.Reply.AppErr)
-		dumpTrace(w, v.Trace)
-	case recOutgoing:
-		var v outgoingRec
-		if err := decodeRec(rec.Payload, &v); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "ctx=%d -> %s.%s seq=%d", v.Ctx, v.Call.Target, v.Call.Method, v.Call.ID.Seq)
-		dumpTrace(w, v.Trace)
-	case recOutgoingReply:
-		var v outgoingReplyRec
-		if err := decodeRec(rec.Payload, &v); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "ctx=%d seq=%d results=%dB appErr=%q",
-			v.Ctx, v.Seq, len(v.Reply.Results), v.Reply.AppErr)
-		dumpTrace(w, v.Trace)
-	case recCtxState:
-		var v ctxStateRec
-		if err := decodeRec(rec.Payload, &v); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "ctx=%d uri=%s comps=%d lastOutSeq=%d lastCalls=%d",
-			v.Ctx, v.URI, len(v.Comps), v.LastOutSeq, len(v.LastCalls))
+		fmt.Fprintf(w, "%s.%s from %s (%s)", v.Call.Target, v.Call.Method, caller, v.Call.CallerType)
+	case *replySentRec:
+		fmt.Fprintf(w, "call=%v (short record: sent marker only)", v.CallID)
+	case *replyContentRec:
+		fmt.Fprintf(w, "call=%v results=%dB appErr=%q", v.Reply.ID, len(v.Reply.Results), v.Reply.AppErr)
+	case *outgoingRec:
+		fmt.Fprintf(w, "-> %s.%s seq=%d", v.Call.Target, v.Call.Method, v.Call.ID.Seq)
+	case *outgoingReplyRec:
+		fmt.Fprintf(w, "seq=%d results=%dB appErr=%q", v.Reply.ID.Seq, len(v.Reply.Results), v.Reply.AppErr)
+	case *ctxStateRec:
+		fmt.Fprintf(w, "uri=%s comps=%d lastOutSeq=%d lastCalls=%d",
+			v.URI, len(v.Comps), v.LastOutSeq, len(v.LastCalls))
 		for _, c := range v.Comps {
 			st, err := serial.DecodeState(c.State)
 			if err != nil {
@@ -237,31 +215,18 @@ func dumpPayload(w io.Writer, rec wal.Record) error {
 			}
 			fmt.Fprintf(w, " [%s: %d fields]", c.Name, len(st.Fields))
 		}
-	case recBeginCkpt:
+	case *beginCkptRec:
 		fmt.Fprint(w, "begin process checkpoint")
-	case recCkptCtxTable:
-		var v ckptCtxTableRec
-		if err := decodeRec(rec.Payload, &v); err != nil {
-			return err
-		}
+	case *ckptCtxTableRec:
 		fmt.Fprintf(w, "context table: %d entries", len(v.Entries))
 		for _, e := range v.Entries {
 			fmt.Fprintf(w, " [ctx=%d restart=%v head=%v]", e.Ctx, e.RestartLSN, e.ChainHead)
 		}
-	case recCkptLastCall:
-		var v ckptLastCallRec
-		if err := decodeRec(rec.Payload, &v); err != nil {
-			return err
-		}
+	case *ckptLastCallRec:
 		fmt.Fprintf(w, "last call table: %d entries", len(v.Entries))
-	case recEndCkpt:
-		var v endCkptRec
-		if err := decodeRec(rec.Payload, &v); err != nil {
-			return err
-		}
+	case *endCkptRec:
 		fmt.Fprintf(w, "end process checkpoint (begin=%v)", v.BeginLSN)
-	default:
-		fmt.Fprintf(w, "unknown record type %d", rec.Type)
 	}
+	dumpTrace(w, tr)
 	return nil
 }

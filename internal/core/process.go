@@ -351,7 +351,7 @@ func (p *Process) Create(name string, obj any, opts ...CreateOption) (*Handle, e
 	if err != nil {
 		return nil, err
 	}
-	lsn, err := p.appendRec(recCreation, parent.id, rec, nil)
+	lsn, err := p.appendRec(rec, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -550,36 +550,26 @@ func (p *Process) reclaimPoint() ids.LSN {
 	return keep
 }
 
-// appendRec encodes and appends a typed record, accounting it to the
-// per-kind record counters (the paper's message kinds 1-4 plus the
-// creation/state/checkpoint records). key is the owning context's
-// CompID for per-context records, 0 for process-wide checkpoint
-// records. Hot records implement wal.PayloadEncoder themselves and
-// encode straight into the log's scratch buffer, so the per-call append
-// allocates nothing (the assertion reads the existing interface value);
-// cold records (and a nil v: a record that is all header) go through
-// appendColdRec in a one-off closure. head is the owning context's
+// appendRec appends a record, accounting it to the per-kind record
+// counters (the paper's message kinds 1-4 plus the creation/state/
+// checkpoint records). The record names its frame type and its owning
+// context — so a payload cannot be framed under another kind — and
+// encodes itself straight into the log's scratch buffer, so the
+// per-call append allocates nothing. head is the owning context's
 // chainHead for an incoming call or the reply to an outgoing one, which
 // the log links into the context's chain, else nil. A traced record
 // also drops a StageWALAppend span.
-func (p *Process) appendRec(t wal.RecordType, key ids.CompID, v any, head *atomic.Uint64) (ids.LSN, error) {
-	var tref trace.Ref
+func (p *Process) appendRec(rec record, head *atomic.Uint64) (ids.LSN, error) {
+	t, key, tref := rec.head()
+	traced := p.tr != nil && !tref.IsZero()
 	var tstart int64
-	if p.tr != nil {
-		if tv, ok := v.(traceable); ok {
-			if tref = tv.traceRef(); !tref.IsZero() {
-				tstart = p.tr.Now()
-			}
-		}
+	if traced {
+		tstart = p.tr.Now()
 	}
-	enc, ok := v.(wal.PayloadEncoder)
-	if !ok {
-		enc = wal.EncodeFunc(func(dst []byte) ([]byte, error) { return appendColdRec(dst, t, key, v) })
-	}
-	lsn, err := p.log.AppendLinked(uint64(key), t, enc, head)
+	lsn, err := p.log.AppendLinked(uint64(key), t, rec, head)
 	if err == nil {
 		recCounter(p.obs, t).Inc()
-		if !tref.IsZero() {
+		if traced {
 			p.tr.Record(trace.SpanData{
 				Ref:    trace.Ref{Trace: tref.Trace, Span: p.tr.NewSpan()},
 				Parent: tref.Span,

@@ -104,50 +104,54 @@ func randOps(rng *rand.Rand, n int) []kvOp {
 // recovered component state equals a model that applied exactly the
 // completed operations. Every external call is acknowledged only after
 // its effects are forced (Algorithm 3), so nothing acknowledged may be
-// lost.
+// lost. The trials run under each LogMode, with Section 3.5's
+// multi-call optimization off and on.
 func TestCrashRecoveryEquivalenceProperty(t *testing.T) {
-	for _, mode := range []LogMode{LogBaseline, LogOptimized} {
-		for trial := 0; trial < 10; trial++ {
-			rng := rand.New(rand.NewSource(int64(101*trial + 7 + int(mode))))
-			ops := randOps(rng, 5+rng.Intn(25))
-			crashAt := rng.Intn(len(ops) + 1)
+	for _, multiCall := range []bool{false, true} {
+		for _, mode := range []LogMode{LogBaseline, LogOptimized} {
+			for trial := 0; trial < 10; trial++ {
+				rng := rand.New(rand.NewSource(int64(101*trial + 7 + int(mode))))
+				ops := randOps(rng, 5+rng.Intn(25))
+				crashAt := rng.Intn(len(ops) + 1)
 
-			u := newTestUniverse(t)
-			cfg := testConfig()
-			cfg.LogMode = mode
-			m, p := startProc(t, u, "evo1", "srv", cfg)
-			h, err := p.Create("KV", &KVStore{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := u.ExternalRef(h.URI())
-			model := make(map[string]string)
-			for i := 0; i < crashAt; i++ {
-				applyRef(t, ref, h, p, ops[i])
-				applyModel(model, ops[i])
-			}
-			p.Crash()
+				u := newTestUniverse(t)
+				cfg := testConfig()
+				cfg.LogMode = mode
+				cfg.MultiCall = multiCall
+				m, p := startProc(t, u, "evo1", "srv", cfg)
+				h, err := p.Create("KV", &KVStore{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := u.ExternalRef(h.URI())
+				model := make(map[string]string)
+				for i := 0; i < crashAt; i++ {
+					applyRef(t, ref, h, p, ops[i])
+					applyModel(model, ops[i])
+				}
+				p.Crash()
 
-			p2, err := m.StartProcess("srv", cfg)
-			if err != nil {
-				t.Fatalf("mode=%v trial=%d: restart: %v", mode, trial, err)
-			}
-			res, err := ref.Call("Snapshot")
-			if err != nil {
-				t.Fatalf("mode=%v trial=%d: snapshot: %v", mode, trial, err)
-			}
-			got := res[0].(map[string]string)
-			if len(got) == 0 && len(model) == 0 {
+				p2, err := m.StartProcess("srv", cfg)
+				if err != nil {
+					t.Fatalf("mode=%v multiCall=%v trial=%d: restart: %v", mode, multiCall, trial, err)
+				}
+				res, err := ref.Call("Snapshot")
+				if err != nil {
+					t.Fatalf("mode=%v multiCall=%v trial=%d: snapshot: %v", mode, multiCall, trial, err)
+				}
+				got := res[0].(map[string]string)
+				if len(got) == 0 && len(model) == 0 {
+					p2.Close()
+					continue
+				}
+				if !reflect.DeepEqual(got, model) {
+					t.Errorf("mode=%v multiCall=%v trial=%d crashAt=%d:\n got %v\nwant %v",
+						mode, multiCall, trial, crashAt, got, model)
+				}
+				// The recovered component must also keep working.
+				applyRef(t, ref, h, p2, kvOp{kind: 0, k: "post", v: "crash"})
 				p2.Close()
-				continue
 			}
-			if !reflect.DeepEqual(got, model) {
-				t.Errorf("mode=%v trial=%d crashAt=%d:\n got %v\nwant %v",
-					mode, trial, crashAt, got, model)
-			}
-			// The recovered component must also keep working.
-			applyRef(t, ref, h, p2, kvOp{kind: 0, k: "post", v: "crash"})
-			p2.Close()
 		}
 	}
 }

@@ -60,9 +60,21 @@ type compRecord struct {
 	State     []byte // encoded serial.State
 }
 
-// creationRec is the payload of recCreation.
+// A record is the payload struct of one record kind. head names what
+// the record header says of it: the frame type it is written under, the
+// context that owns it (0: a process-wide checkpoint record) and its
+// causal trace (zero when untraced, and on every cold kind).
+// AppendPayload writes that header, then the body.
+type record interface {
+	wal.PayloadEncoder
+	head() (wal.RecordType, ids.CompID, trace.Ref)
+}
+
+// creationRec is the payload of recCreation. ctx, the parent component
+// ID that identifies the context, comes from the record header; the
+// plan lays out exported fields only, so the body does not repeat it.
 type creationRec struct {
-	Ctx   ids.CompID // parent component ID; identifies the context
+	ctx   ids.CompID
 	URI   ids.URI
 	Comps []compRecord // index 0 is the parent
 }
@@ -81,12 +93,12 @@ type replySentRec struct {
 	Trace  trace.Ref
 }
 
-// replyContentRec is the payload of recReplyContent.
+// replyContentRec is the payload of recReplyContent. Reply.ID is the
+// incoming call it answers.
 type replyContentRec struct {
-	Ctx    ids.CompID
-	CallID ids.CallID // the incoming call this reply answers
-	Reply  msg.Reply
-	Trace  trace.Ref
+	Ctx   ids.CompID
+	Reply msg.Reply
+	Trace trace.Ref
 }
 
 // outgoingRec is the payload of recOutgoing (baseline only).
@@ -96,26 +108,14 @@ type outgoingRec struct {
 	Trace trace.Ref
 }
 
-// outgoingReplyRec is the payload of recOutgoingReply.
+// outgoingReplyRec is the payload of recOutgoingReply. Reply.ID.Seq is
+// the context's outgoing sequence number of the call it answers
+// (Universe.send refuses a reply to any other call).
 type outgoingReplyRec struct {
 	Ctx   ids.CompID
-	Seq   uint64 // the context's outgoing sequence number of the call
 	Reply msg.Reply
 	Trace trace.Ref
 }
-
-// traceable lets appendRec read a record's causal trace without
-// knowing its concrete kind (a type assertion on the existing
-// interface value — no allocation). Only the five hot kinds carry a
-// trace; cold records (creation, state, checkpoints) are process
-// lifecycle, not interactions.
-type traceable interface{ traceRef() trace.Ref }
-
-func (r *incomingRec) traceRef() trace.Ref      { return r.Trace }
-func (r *replySentRec) traceRef() trace.Ref     { return r.Trace }
-func (r *replyContentRec) traceRef() trace.Ref  { return r.Trace }
-func (r *outgoingRec) traceRef() trace.Ref      { return r.Trace }
-func (r *outgoingReplyRec) traceRef() trace.Ref { return r.Trace }
 
 // lastCallSaved is a last-call-table entry as persisted in context
 // state records and checkpoint dumps: LSNs only, reply bodies are read
@@ -129,15 +129,19 @@ type lastCallSaved struct {
 
 // ctxStateRec is the payload of recCtxState: the field states of the
 // parent and subordinates, context metadata, and the LSNs of the
-// last-call replies associated with the context.
+// last-call replies associated with the context. ctx comes from the
+// header, as in creationRec.
 type ctxStateRec struct {
-	Ctx        ids.CompID
+	ctx        ids.CompID
 	URI        ids.URI
 	Comps      []compRecord
 	LastOutSeq uint64
 	SubCounter uint32
 	LastCalls  []lastCallSaved
 }
+
+// beginCkptRec is the payload of recBeginCkpt: the header alone.
+type beginCkptRec struct{}
 
 // ckptCtxEntry is one context-table row inside a process checkpoint:
 // the restart LSN of the context (its latest state record, or creation
@@ -163,6 +167,36 @@ type ckptLastCallRec struct {
 // endCkptRec is the payload of recEndCkpt.
 type endCkptRec struct {
 	BeginLSN ids.LSN
+}
+
+// recFor returns a zero record struct of kind t, or nil for a kind this
+// runtime does not write.
+func recFor(t wal.RecordType) record {
+	switch t {
+	case recCreation:
+		return new(creationRec)
+	case recIncoming:
+		return new(incomingRec)
+	case recReplySent:
+		return new(replySentRec)
+	case recReplyContent:
+		return new(replyContentRec)
+	case recOutgoing:
+		return new(outgoingRec)
+	case recOutgoingReply:
+		return new(outgoingReplyRec)
+	case recCtxState:
+		return new(ctxStateRec)
+	case recBeginCkpt:
+		return new(beginCkptRec)
+	case recCkptCtxTable:
+		return new(ckptCtxTableRec)
+	case recCkptLastCall:
+		return new(ckptLastCallRec)
+	case recEndCkpt:
+		return new(endCkptRec)
+	}
+	return nil
 }
 
 // recName names record types in errors and traces.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"reflect"
@@ -19,7 +21,7 @@ import (
 // hotRecCases pairs each hot record kind with a representative value.
 var hotRecCases = []struct {
 	t wal.RecordType
-	v any
+	v record
 }{
 	{recIncoming, &incomingRec{Ctx: 3, Call: msg.Call{
 		ID:     ids.CallID{Caller: ids.ComponentAddr{Machine: "evo1", Proc: 2, Comp: 5}, Seq: 9},
@@ -31,39 +33,44 @@ var hotRecCases = []struct {
 	{recReplySent, &replySentRec{Ctx: 4, CallID: ids.CallID{
 		Caller: ids.ComponentAddr{Machine: "m", Proc: 1, Comp: 1}, Seq: 100}}},
 	{recReplyContent, &replyContentRec{Ctx: 5,
-		CallID: ids.CallID{Caller: ids.ComponentAddr{Machine: "m"}, Seq: 2},
-		Reply: msg.Reply{Results: []byte{7}, NumResults: 1, AppErr: "e",
+		Reply: msg.Reply{ID: ids.CallID{Caller: ids.ComponentAddr{Machine: "m"}, Seq: 2},
+			Results: []byte{7}, NumResults: 1, AppErr: "e",
 			HasAttachment: true, ServerType: msg.Persistent}}},
 	{recOutgoing, &outgoingRec{Ctx: 6, Call: msg.Call{Method: "M", NumArgs: 0}}},
-	{recOutgoingReply, &outgoingReplyRec{Ctx: 7, Seq: 41,
-		Reply: msg.Reply{Fault: "gone", MethodReadOnly: true}}},
-	// Traced variants frame as recBinVerTraced; the trace rides the
-	// header, and decode restores it into the embedded message too.
+	{recOutgoingReply, &outgoingReplyRec{Ctx: 7,
+		Reply: msg.Reply{ID: ids.CallID{Seq: 41}, Fault: "gone", MethodReadOnly: true}}},
+	// Traced variants: the trace rides the header's trace field, and
+	// decode restores it into the embedded message too.
 	{recIncoming, &incomingRec{Ctx: 8, Trace: trace.Ref{Trace: 0xAB00000001, Span: 7},
 		Call: msg.Call{Method: "Add", Args: []byte{9}, NumArgs: 1,
 			Trace: trace.Ref{Trace: 0xAB00000001, Span: 7}}}},
 	{recReplySent, &replySentRec{Ctx: 9, Trace: trace.Ref{Trace: 0xCD00000002, Span: 11},
 		CallID: ids.CallID{Caller: ids.ComponentAddr{Machine: "m", Proc: 2, Comp: 3}, Seq: 5}}},
-	{recOutgoingReply, &outgoingReplyRec{Ctx: 10, Seq: 42,
+	{recOutgoingReply, &outgoingReplyRec{Ctx: 10,
 		Trace: trace.Ref{Trace: 0xEF00000003, Span: 13},
-		Reply: msg.Reply{Results: []byte{4}, NumResults: 1,
+		Reply: msg.Reply{ID: ids.CallID{Seq: 42}, Results: []byte{4}, NumResults: 1,
 			Trace: trace.Ref{Trace: 0xEF00000003, Span: 13}}}},
 	{recReplyContent, &replyContentRec{Ctx: 11, Trace: trace.Ref{Trace: 0x1200000004, Span: 17},
-		CallID: ids.CallID{Caller: ids.ComponentAddr{Machine: "m"}, Seq: 3},
-		Reply: msg.Reply{Results: []byte{8}, NumResults: 1,
+		Reply: msg.Reply{ID: ids.CallID{Caller: ids.ComponentAddr{Machine: "m"}, Seq: 3},
+			Results: []byte{8}, NumResults: 1,
 			Trace: trace.Ref{Trace: 0x1200000004, Span: 17}}}},
 	{recOutgoing, &outgoingRec{Ctx: 300, Trace: trace.Ref{Trace: 0x3400000005, Span: 19},
 		Call: msg.Call{Method: "M", Trace: trace.Ref{Trace: 0x3400000005, Span: 19}}}},
 }
 
-// encodeHot returns a hot record's binary payload.
-func encodeHot(t testing.TB, v any) []byte {
+// encodeRec returns a record's payload.
+func encodeRec(t testing.TB, v record) []byte {
 	t.Helper()
-	bin, err := v.(wal.PayloadEncoder).AppendPayload(nil)
+	bin, err := v.AppendPayload(nil)
 	if err != nil {
 		t.Fatalf("%T: encode: %v", v, err)
 	}
 	return bin
+}
+
+// framed is a payload as a scan hands it over: under its frame type.
+func framed(t wal.RecordType, payload []byte) wal.Record {
+	return wal.Record{Type: t, Payload: payload}
 }
 
 // gobReplySent and gobCreation are the encoding/gob streams the parent
@@ -80,7 +87,7 @@ const (
 // first byte — a kind has one format.
 func TestRecordCodecRoundTrip(t *testing.T) {
 	names := fmt.Sprintf("version byte %#x", gobReplySent[0])
-	if err := decodeRec([]byte(gobReplySent), new(replySentRec)); err == nil || !strings.Contains(err.Error(), names) {
+	if err := decodeRec(framed(recReplySent, []byte(gobReplySent)), new(replySentRec)); err == nil || !strings.Contains(err.Error(), names) {
 		t.Errorf("decodeRec(gob payload) = %v, want an error naming %s", err, names)
 	}
 	if _, err := recCtx([]byte(gobReplySent)); err == nil || !strings.Contains(err.Error(), names) {
@@ -88,16 +95,13 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	}
 	for _, tc := range hotRecCases {
 		name := recName(tc.t)
-		bin := encodeHot(t, tc.v)
-		wantVer := byte(recBinVer)
-		if tv, ok := tc.v.(traceable); ok && !tv.traceRef().IsZero() {
-			wantVer = recBinVerTraced
+		bin := encodeRec(t, tc.v)
+		_, ctx, tr := tc.v.head()
+		if head := appendRecHeader(nil, ctx, tr); !bytes.HasPrefix(bin, head) || bin[0] != recVer {
+			t.Fatalf("%s: payload opens % x, want the header % x", name, bin[:len(head)], head)
 		}
-		if bin[0] != wantVer || bin[1] != byte(tc.t) {
-			t.Fatalf("%s: header % x, want %#x %#x", name, bin[:2], wantVer, byte(tc.t))
-		}
-		got := reflect.New(reflect.TypeOf(tc.v).Elem()).Interface()
-		if err := decodeRec(bin, got); err != nil {
+		got := reflect.New(reflect.TypeOf(tc.v).Elem()).Interface().(record)
+		if err := decodeRec(framed(tc.t, bin), got); err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
 		if !recEqual(got, tc.v) {
@@ -141,26 +145,9 @@ func recValues(rec any) reflect.Value {
 	return reflect.Value{}
 }
 
-// hotRecFor returns a zero record struct of the kind a payload's frame
-// type selects, or nil for a kind the binary codec does not cover.
-func hotRecFor(t wal.RecordType) any {
-	switch t {
-	case recIncoming:
-		return new(incomingRec)
-	case recReplySent:
-		return new(replySentRec)
-	case recReplyContent:
-		return new(replyContentRec)
-	case recOutgoing:
-		return new(outgoingRec)
-	case recOutgoingReply:
-		return new(outgoingReplyRec)
-	}
-	return nil
-}
-
-func recCtxOf(v any) ids.CompID {
-	return ids.CompID(reflect.ValueOf(v).Elem().FieldByName("Ctx").Uint())
+func recCtxOf(v record) ids.CompID {
+	_, ctx, _ := v.head()
+	return ctx
 }
 
 // TestRecCtxAgreesWithDecode: the recovery scans' peek at a record's owner
@@ -168,7 +155,7 @@ func recCtxOf(v any) ids.CompID {
 // traced and untraced.
 func TestRecCtxAgreesWithDecode(t *testing.T) {
 	for _, tc := range hotRecCases {
-		got, err := recCtx(encodeHot(t, tc.v))
+		got, err := recCtx(encodeRec(t, tc.v))
 		if err != nil {
 			t.Errorf("%s: recCtx: %v", recName(tc.t), err)
 		}
@@ -176,7 +163,7 @@ func TestRecCtxAgreesWithDecode(t *testing.T) {
 			t.Errorf("%s: recCtx = %d, record belongs to %d", recName(tc.t), got, want)
 		}
 	}
-	for _, bad := range [][]byte{nil, {recBinVer}, {recBinVer, byte(recIncoming)}, {recBinVerTraced, byte(recIncoming), 0x80}} {
+	for _, bad := range [][]byte{nil, {recVer}, {recVer, 3}, {recVer, 3, 0x80}, {recVer, 3, 1}} {
 		if _, err := recCtx(bad); err == nil {
 			t.Errorf("recCtx(% x) succeeded on a truncated payload", bad)
 		}
@@ -186,29 +173,25 @@ func TestRecCtxAgreesWithDecode(t *testing.T) {
 // TestMsgHeadAgreesWithDecode: Pass 1's read of a message record's
 // owner, and of an incoming record's call ID behind it — it relies on
 // msg.AppendCall laying the ID out first — must find what a full decode
-// finds, and must refuse a kind other than the frame's and a truncated
-// head.
+// finds, and must refuse a truncated head.
 func TestMsgHeadAgreesWithDecode(t *testing.T) {
 	seen := false
 	for _, tc := range hotRecCases {
-		payload := encodeHot(t, tc.v)
-		ctx, id, err := msgHead(recIncoming, payload)
+		payload := encodeRec(t, tc.v)
 		ir, ok := tc.v.(*incomingRec)
 		if !ok {
-			if err == nil {
-				t.Errorf("msgHead(incoming) accepted a %s record", recName(tc.t))
-			}
-			if ctx, id, err := msgHead(tc.t, payload); err != nil || ctx != recCtxOf(tc.v) || !id.IsZero() {
+			if ctx, id, err := msgHead(framed(tc.t, payload)); err != nil || ctx != recCtxOf(tc.v) || !id.IsZero() {
 				t.Errorf("msgHead(%s) = context %d, call %v, err %v; want %d and no ID", recName(tc.t), ctx, id, err, recCtxOf(tc.v))
 			}
 			continue
 		}
 		seen = true
+		ctx, id, err := msgHead(framed(recIncoming, payload))
 		if err != nil || ctx != ir.Ctx || id != ir.Call.ID {
 			t.Errorf("msgHead = context %d, call %v, err %v; the record holds %d, %v", ctx, id, err, ir.Ctx, ir.Call.ID)
 		}
-		for cut := 0; cut < 11; cut++ { // the shortest head here: 2 header bytes, context, 8 of call ID
-			if _, _, err := msgHead(recIncoming, payload[:cut]); err == nil {
+		for cut := 0; cut < 11; cut++ { // the shortest head here: 3 header bytes, 8 of call ID
+			if _, _, err := msgHead(framed(recIncoming, payload[:cut])); err == nil {
 				t.Errorf("msgHead succeeded on the first %d bytes", cut)
 			}
 		}
@@ -218,24 +201,24 @@ func TestMsgHeadAgreesWithDecode(t *testing.T) {
 	}
 }
 
-// FuzzRecCtx: recCtx accepts only payloads that open with a record
+// FuzzRecCtx: recCtx accepts only payloads that open with the record
 // version byte (the gob seed must be rejected), and on any payload
-// that decodes in full it succeeds and agrees.
+// that decodes in full under its frame type as a kind with an owner —
+// not one of the four process-wide checkpoint kinds, whose structs
+// name none — it succeeds and agrees.
 func FuzzRecCtx(f *testing.F) {
 	for _, tc := range hotRecCases {
-		f.Add(encodeHot(f, tc.v))
+		f.Add(byte(tc.t), encodeRec(f, tc.v))
 	}
-	f.Add([]byte(gobReplySent))
-	f.Fuzz(func(t *testing.T, payload []byte) {
+	f.Add(byte(recReplySent), []byte(gobReplySent))
+	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
 		got, err := recCtx(payload)
-		if err == nil && payload[0] != recBinVer && payload[0] != recBinVerTraced {
+		if err == nil && payload[0] != recVer {
 			t.Fatalf("recCtx accepted a payload opening with %#x", payload[0])
 		}
-		if len(payload) < 2 {
-			return
-		}
-		v := hotRecFor(wal.RecordType(payload[1]))
-		if v == nil || decodeRec(payload, v) != nil {
+		k := wal.RecordType(kind)
+		v := recFor(k)
+		if v == nil || (k >= recBeginCkpt && k <= recEndCkpt) || decodeRec(framed(k, payload), v) != nil {
 			return
 		}
 		if err != nil {
@@ -278,7 +261,7 @@ func recEqual(a, b any) bool {
 // process could have written (the component state is a captured one).
 func coldRecCases(t testing.TB) []struct {
 	t wal.RecordType
-	v any
+	v record
 } {
 	st, err := serial.Capture(&Counter{N: 41})
 	if err != nil {
@@ -295,10 +278,10 @@ func coldRecCases(t testing.TB) []struct {
 	lastCalls := []lastCallSaved{{Caller: ids.ComponentAddr{Machine: "evo1", Proc: 2, Comp: 5}, Seq: 9, ReplyLSN: 4096, Ctx: 3}}
 	return []struct {
 		t wal.RecordType
-		v any
+		v record
 	}{
-		{recCreation, &creationRec{Ctx: 3, URI: "phoenix://evo2/srv/Counter", Comps: comps}},
-		{recCtxState, &ctxStateRec{Ctx: 3, URI: "phoenix://evo2/srv/Counter", Comps: comps,
+		{recCreation, &creationRec{ctx: 3, URI: "phoenix://evo2/srv/Counter", Comps: comps}},
+		{recCtxState, &ctxStateRec{ctx: 3, URI: "phoenix://evo2/srv/Counter", Comps: comps,
 			LastOutSeq: 12, SubCounter: 1, LastCalls: lastCalls}},
 		{recCkptCtxTable, &ckptCtxTableRec{Entries: []ckptCtxEntry{{Ctx: 3, RestartLSN: 512, ChainHead: 1500}, {Ctx: 9, RestartLSN: 1 << 40}, {Ctx: 11, RestartLSN: 2<<56 | 64, ChainHead: 1<<56 | 9000}}}},
 		{recCkptLastCall, &ckptLastCallRec{Entries: lastCalls}},
@@ -306,34 +289,97 @@ func coldRecCases(t testing.TB) []struct {
 	}
 }
 
-func encodeCold(t testing.TB, kind wal.RecordType, v any) []byte {
-	t.Helper()
-	bin, err := appendColdRec(nil, kind, 3, v)
-	if err != nil {
-		t.Fatalf("%s: encode: %v", recName(kind), err)
+// coldRecFor returns a zero record struct of a cold kind — any but the
+// five hot ones, incoming … outgoing-reply — or nil for another kind.
+// (Kinds are numbered creation, the five hot ones, context state, then
+// the four checkpoint kinds.)
+func coldRecFor(t wal.RecordType) record {
+	if t >= recIncoming && t <= recOutgoingReply {
+		return nil
 	}
-	return bin
+	return recFor(t)
 }
 
 // TestColdRecordRoundTrip: every cold record kind opens with the header
-// the hot kinds open with and round-trips through its struct's plan; a
-// begin-checkpoint record is that header and nothing else.
+// the hot kinds open with, its trace field zero, and round-trips through
+// its struct's plan; a begin-checkpoint record is that header and
+// nothing else.
 func TestColdRecordRoundTrip(t *testing.T) {
 	for _, tc := range coldRecCases(t) {
-		bin := encodeCold(t, tc.t, tc.v)
-		if bin[0] != recBinVer || bin[1] != byte(tc.t) {
-			t.Fatalf("%s: header % x, want %#x %#x", recName(tc.t), bin[:2], recBinVer, byte(tc.t))
+		bin := encodeRec(t, tc.v)
+		if head := appendRecHeader(nil, recCtxOf(tc.v), trace.Ref{}); !bytes.HasPrefix(bin, head) {
+			t.Fatalf("%s: payload opens % x, want the header % x", recName(tc.t), bin[:len(head)], head)
 		}
-		got := reflect.New(reflect.TypeOf(tc.v).Elem()).Interface()
-		if err := decodeRec(bin, got); err != nil {
+		got := coldRecFor(tc.t)
+		if err := decodeRec(framed(tc.t, bin), got); err != nil {
 			t.Fatalf("%s: decode: %v", recName(tc.t), err)
 		}
 		if !reflect.DeepEqual(got, tc.v) {
 			t.Errorf("%s: round trip mismatch:\n  got  %+v\n  want %+v", recName(tc.t), got, tc.v)
 		}
 	}
-	if bin := encodeCold(t, recBeginCkpt, nil); !reflect.DeepEqual(bin, []byte{recBinVer, byte(recBeginCkpt), 3}) {
+	if bin := encodeRec(t, &beginCkptRec{}); !reflect.DeepEqual(bin, []byte{recVer, 0, 0}) {
 		t.Errorf("begin-checkpoint payload % x, want the bare header", bin)
+	}
+}
+
+// TestRecordGolden pins one payload of each of the eleven kinds byte
+// for byte, the five hot kinds untraced and traced (a cold kind's trace
+// field is always zero): a diff here is a log-format change, as a diff
+// in msg's TestEnvelopeGolden is a wire change. Each payload also
+// decodes back under its frame type.
+func TestRecordGolden(t *testing.T) {
+	tr := trace.Ref{Trace: 0xBEEF0001, Span: 2} // trace field 8180bcf70b 02
+	id := ids.CallID{Caller: ids.ComponentAddr{Machine: "m", Proc: 1, Comp: 2}, Seq: 3}
+	call := msg.Call{ID: id, Target: "t", Method: "Add", Args: []byte{0x03, 0x02}, NumArgs: 1,
+		CallerType: msg.Persistent, CallerURI: "c", KnowsServer: true}
+	tcall := call
+	tcall.Trace = tr
+	reply := msg.Reply{ID: id, Results: []byte{0x03, 0x04}, NumResults: 1, HasAttachment: true, ServerType: msg.Persistent}
+	treply := reply
+	treply.Trace = tr
+	comps := []compRecord{{ID: 5, Name: "C", GoType: "core.Counter", Type: msg.Persistent, State: []byte{0xC5}}}
+	const (
+		callBody  = "016d010203" + "0174" + "03416464" + "020302" + "01" + "01" + "0163" + "02"
+		replyBody = "016d010203" + "020304" + "01" + "00" + "00" + "01" + "01"
+		traced    = "8180bcf70b02"
+		// A cold body is its plan's layout: a 2-byte layout signature
+		// and the field count, then the fields.
+		creationComps = "01" + "06" + "05" + "0143" + "0c636f72652e436f756e746572" + "01" + "00" + "01c5"
+		lastCall      = "04" + "03016d0102" + "03" + "40" + "05"
+	)
+	for _, tc := range []struct {
+		name string
+		t    wal.RecordType
+		v    record
+		want string
+	}{
+		{"incoming", recIncoming, &incomingRec{Ctx: 5, Call: call}, "c80500" + callBody},
+		{"traced incoming", recIncoming, &incomingRec{Ctx: 5, Call: tcall, Trace: tr}, "c805" + traced + callBody},
+		{"reply-sent", recReplySent, &replySentRec{Ctx: 5, CallID: id}, "c80500" + "016d010203"},
+		{"traced reply-sent", recReplySent, &replySentRec{Ctx: 5, CallID: id, Trace: tr}, "c805" + traced + "016d010203"},
+		{"reply-content", recReplyContent, &replyContentRec{Ctx: 5, Reply: reply}, "c80500" + replyBody},
+		{"traced reply-content", recReplyContent, &replyContentRec{Ctx: 5, Reply: treply, Trace: tr}, "c805" + traced + replyBody},
+		{"outgoing", recOutgoing, &outgoingRec{Ctx: 5, Call: call}, "c80500" + callBody},
+		{"traced outgoing", recOutgoing, &outgoingRec{Ctx: 5, Call: tcall, Trace: tr}, "c805" + traced + callBody},
+		{"outgoing-reply", recOutgoingReply, &outgoingReplyRec{Ctx: 5, Reply: reply}, "c80500" + replyBody},
+		{"traced outgoing-reply", recOutgoingReply, &outgoingReplyRec{Ctx: 5, Reply: treply, Trace: tr}, "c805" + traced + replyBody},
+		{"creation", recCreation, &creationRec{ctx: 5, URI: "u", Comps: comps}, "c80500" + "b8a902" + "0175" + creationComps},
+		{"ctx-state", recCtxState, &ctxStateRec{ctx: 5, URI: "u", Comps: comps, LastOutSeq: 7, SubCounter: 1,
+			LastCalls: []lastCallSaved{{Caller: id.Caller, Seq: 3, ReplyLSN: 64, Ctx: 5}}}, "c80500" + "018f05" + "0175" + creationComps + "0701" + "01" + lastCall},
+		{"begin-ckpt", recBeginCkpt, &beginCkptRec{}, "c80000"},
+		{"ckpt-ctx-table", recCkptCtxTable, &ckptCtxTableRec{Entries: []ckptCtxEntry{{Ctx: 5, RestartLSN: 16, ChainHead: 64}}}, "c80000" + "d03e01" + "0103051040"},
+		{"ckpt-last-call", recCkptLastCall, &ckptLastCallRec{Entries: []lastCallSaved{{Caller: id.Caller, Seq: 3, ReplyLSN: 64, Ctx: 5}}}, "c80000" + "9f1901" + "01" + lastCall},
+		{"end-ckpt", recEndCkpt, &endCkptRec{BeginLSN: 16}, "c80000" + "184801" + "10"},
+	} {
+		bin := encodeRec(t, tc.v)
+		if got := hex.EncodeToString(bin); got != tc.want {
+			t.Errorf("%s:\n  got  %s\n  want %s", tc.name, got, tc.want)
+		}
+		got := reflect.New(reflect.TypeOf(tc.v).Elem()).Interface().(record)
+		if err := decodeRec(framed(tc.t, bin), got); err != nil || !recEqual(got, tc.v) {
+			t.Errorf("%s: decoded to %+v (%v), want %+v", tc.name, got, err, tc.v)
+		}
 	}
 }
 
@@ -341,74 +387,82 @@ func TestColdRecordRoundTrip(t *testing.T) {
 // promised fails to decode with an error that says what was found —
 // for hot and cold kinds alike, and never by panicking.
 func TestRecordCodecRejects(t *testing.T) {
-	creation := encodeCold(t, recCreation, coldRecCases(t)[0].v)
+	creation := encodeRec(t, coldRecCases(t)[0].v)
+	incoming := encodeRec(t, &incomingRec{Ctx: 1})
 	type endCkptDrifted struct{ BeginLSN int64 } // same bytes as endCkptRec, another layout
 	drifted, err := msg.PlanFor(reflect.TypeOf(endCkptDrifted{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	driftedEnd, err := drifted.Append([]byte{recBinVer, byte(recEndCkpt), 0}, reflect.ValueOf(endCkptDrifted{2048}))
+	driftedEnd, err := drifted.Append(appendRecHeader(nil, 0, trace.Ref{}), reflect.ValueOf(endCkptDrifted{2048}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The retired headers: c3 <kind> <ctx> and c4 <kind> <trace> <ctx>.
+	retired := func(ver byte, kind wal.RecordType, rest ...byte) []byte {
+		return append([]byte{ver, byte(kind)}, rest...)
+	}
 	for _, tc := range []struct {
-		name    string
-		payload []byte
-		into    any
-		want    string
+		name string
+		rec  wal.Record
+		into record
+		want string
 	}{
-		{"hot kind into another hot struct", encodeHot(t, &incomingRec{Ctx: 1}), new(replySentRec), "payload kind incoming, want reply-sent"},
-		{"cold kind into another cold struct", creation, new(ctxStateRec), "payload kind creation, want ctx-state"},
-		{"cold kind into a hot struct", creation, new(incomingRec), "payload kind creation, want incoming"},
-		{"hot kind into a cold struct", encodeHot(t, &incomingRec{Ctx: 1}), new(creationRec), "payload kind incoming, want creation"},
-		{"kind byte rewritten", append([]byte{recBinVer, byte(recCtxState)}, creation[2:]...), new(ctxStateRec), "layout signature"},
-		{"struct layout drifted", driftedEnd, new(endCkptRec), "layout signature"},
-		{"parent-format gob payload", []byte(gobCreation), new(creationRec), fmt.Sprintf("version byte %#x", gobCreation[0])},
-		{"header only", creation[:3], new(creationRec), "short"},
-		{"truncated", creation[:len(creation)-1], new(creationRec), "short"},
-		{"trailing byte", append(creation[:len(creation):len(creation)], 0), new(creationRec), "trailing"},
+		{"hot kind into another hot struct", framed(recIncoming, incoming), new(replySentRec), "decode a incoming record as reply-sent"},
+		{"cold kind into another cold struct", framed(recCreation, creation), new(ctxStateRec), "decode a creation record as ctx-state"},
+		{"cold kind into a hot struct", framed(recCreation, creation), new(incomingRec), "decode a creation record as incoming"},
+		{"hot kind into a cold struct", framed(recIncoming, incoming), new(creationRec), "decode a incoming record as creation"},
+		{"frame type rewritten", framed(recCtxState, creation), new(ctxStateRec), "layout signature"},
+		{"struct layout drifted", framed(recEndCkpt, driftedEnd), new(endCkptRec), "layout signature"},
+		{"retired untraced header", framed(recIncoming, retired(0xC3, recIncoming, append([]byte{1}, incoming[3:]...)...)), new(incomingRec), "version byte 0xc3"},
+		{"retired traced header", framed(recIncoming, retired(0xC4, recIncoming, append([]byte{1, 2, 1}, incoming[3:]...)...)), new(incomingRec), "version byte 0xc4"},
+		{"retired cold header", framed(recCreation, retired(0xC3, recCreation, creation[1:]...)), new(creationRec), "version byte 0xc3"},
+		{"parent-format gob payload", framed(recCreation, []byte(gobCreation)), new(creationRec), fmt.Sprintf("version byte %#x", gobCreation[0])},
+		{"empty payload", framed(recCreation, nil), new(creationRec), "empty"},
+		{"header only", framed(recCreation, creation[:3]), new(creationRec), "short"},
+		{"truncated", framed(recCreation, creation[:len(creation)-1]), new(creationRec), "short"},
+		{"trailing byte", framed(recCreation, append(creation[:len(creation):len(creation)], 0)), new(creationRec), "trailing"},
+		{"begin-checkpoint with a body", framed(recBeginCkpt, []byte{recVer, 0, 0, 1}), new(beginCkptRec), "1 trailing bytes"},
 	} {
-		if err := decodeRec(tc.payload, tc.into); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := decodeRec(tc.rec, tc.into); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: decodeRec = %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
+	}
+	for _, ver := range []byte{0xC3, 0xC4} {
+		want := fmt.Sprintf("version byte %#x", ver)
+		if _, err := recCtx(retired(ver, recIncoming, 1)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("recCtx of a %#x header = %v, want an error naming %s", ver, err, want)
 		}
 	}
 }
 
-// FuzzDecodeColdRec: decoding arbitrary bytes as each cold kind must be
-// total and must not let a short input claim a large allocation, and
-// whatever decodes must re-encode to bytes that decode to the same.
+// FuzzDecodeColdRec: decoding arbitrary bytes as each cold kind — the
+// one the frame type names — must be total and must not let a short
+// input claim a large allocation, and whatever decodes must re-encode
+// to bytes that decode to the same.
 func FuzzDecodeColdRec(f *testing.F) {
 	for _, tc := range coldRecCases(f) {
-		f.Add(encodeCold(f, tc.t, tc.v))
+		f.Add(byte(tc.t), encodeRec(f, tc.v))
 	}
-	f.Add([]byte(gobCreation))
+	f.Add(byte(recCreation), []byte(gobCreation))
 	// Empty lists and an empty body, which the cases above never hold.
-	f.Add(encodeCold(f, recCtxState, &ctxStateRec{Ctx: 1}))
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		if len(payload) < 2 {
-			return
-		}
-		kind := wal.RecordType(payload[1])
-		var typ reflect.Type
-		for ct, k := range coldKinds {
-			if k == kind {
-				typ = ct
-			}
-		}
-		if typ == nil {
+	f.Add(byte(recCtxState), encodeRec(f, &ctxStateRec{ctx: 1}))
+	f.Add(byte(recBeginCkpt), encodeRec(f, &beginCkptRec{}))
+	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
+		if coldRecFor(wal.RecordType(kind)) == nil {
 			return
 		}
 		// The fuzzing engine's own goroutines allocate too: take the
 		// quietest of a few tries.
 		bound := 2048 + 64*uint64(len(payload))
-		var v any
+		var v record
 		var err error
 		grew := uint64(math.MaxUint64)
 		for try := 0; try < 3 && grew > bound; try++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			v = reflect.New(typ).Interface()
-			err = decodeRec(payload, v)
+			v = coldRecFor(wal.RecordType(kind))
+			err = decodeRec(framed(wal.RecordType(kind), payload), v)
 			runtime.ReadMemStats(&after)
 			grew = min(grew, after.TotalAlloc-before.TotalAlloc)
 		}
@@ -418,17 +472,18 @@ func FuzzDecodeColdRec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		again := encodeCold(t, kind, v)
-		back := reflect.New(typ).Interface()
-		if err := decodeRec(again, back); err != nil || !reflect.DeepEqual(back, v) {
+		again := encodeRec(t, v)
+		back := coldRecFor(wal.RecordType(kind))
+		if err := decodeRec(framed(wal.RecordType(kind), again), back); err != nil || !reflect.DeepEqual(back, v) {
 			t.Fatalf("decode → encode → decode changed the record (%v):\n  %+v\n  %+v", err, v, back)
 		}
 	})
 }
 
 // TestTracedUntracedRecovery: one log whose head was written by an
-// untraced process (0xC3 records) and whose tail by a traced one (0xC4
-// records) must recover exactly, in a process of either kind.
+// untraced process (zero trace fields) and whose tail by a traced one
+// (nonzero trace fields) must recover exactly, in a process of either
+// kind.
 func TestTracedUntracedRecovery(t *testing.T) {
 	for _, mode := range []LogMode{LogBaseline, LogOptimized} {
 		u := newTestUniverse(t)
@@ -465,35 +520,43 @@ func TestTracedUntracedRecovery(t *testing.T) {
 		}
 		p2.Crash()
 
-		// Back in an untraced process, both layouts replay from one log.
+		// Back in an untraced process, both kinds of record replay from
+		// one log.
 		p3, err := m.StartProcess("srv", cfg)
 		if err != nil {
 			t.Fatalf("%v: final restart: %v", mode, err)
 		}
 		if got := callInt(t, ref, "Get"); got != 19 {
-			t.Errorf("%v: counter after two-layout recovery = %d, want 19", mode, got)
+			t.Errorf("%v: counter after two-trace recovery = %d, want 19", mode, got)
 		}
 		if err := p3.Close(); err != nil {
 			t.Fatal(err)
 		}
 
-		// The closed log must actually hold both layouts.
-		vers := map[byte]int{}
+		// The closed log must actually hold both zero and nonzero trace
+		// fields, every record under the one header.
+		var zero, traced int
 		log, err := wal.OpenSet(p3.LogDir(), nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := log.Scan(ids.NilLSN, func(rec wal.Record) error {
-			if len(rec.Payload) > 0 {
-				vers[rec.Payload[0]]++
+			_, tr, _, err := consumeRecHeader(rec.Payload)
+			if err != nil {
+				return err
+			}
+			if tr.IsZero() {
+				zero++
+			} else {
+				traced++
 			}
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 		log.Close()
-		if vers[recBinVer] == 0 || vers[recBinVerTraced] == 0 {
-			t.Errorf("%v: log holds %d untraced and %d traced records, want both", mode, vers[recBinVer], vers[recBinVerTraced])
+		if zero == 0 || traced == 0 {
+			t.Errorf("%v: log holds %d untraced and %d traced records, want both", mode, zero, traced)
 		}
 	}
 }

@@ -164,7 +164,7 @@ func (p *Process) restore() (*restorePlan, error) {
 			}
 		case recCkptCtxTable:
 			var ct ckptCtxTableRec
-			if err := decodeRec(rec.Payload, &ct); err != nil {
+			if err := decodeRec(rec, &ct); err != nil {
 				return err
 			}
 			for _, e := range ct.Entries {
@@ -180,14 +180,14 @@ func (p *Process) restore() (*restorePlan, error) {
 			}
 		case recCkptLastCall:
 			var lc ckptLastCallRec
-			if err := decodeRec(rec.Payload, &lc); err != nil {
+			if err := decodeRec(rec, &lc); err != nil {
 				return err
 			}
 			for _, e := range lc.Entries {
 				p.lastCalls.seed(e)
 			}
 		case recIncoming, recOutgoingReply:
-			ctx, id, err := msgHead(rec.Type, rec.Payload)
+			ctx, id, err := msgHead(rec)
 			if err != nil {
 				return err
 			}
@@ -199,12 +199,12 @@ func (p *Process) restore() (*restorePlan, error) {
 			}
 		case recReplyContent:
 			var rc replyContentRec
-			if err := decodeRec(rec.Payload, &rc); err != nil {
+			if err := decodeRec(rec, &rc); err != nil {
 				return err
 			}
-			if !rc.CallID.IsZero() {
+			if id := rc.Reply.ID; !id.IsZero() {
 				p.lastCalls.seed(lastCallSaved{
-					Caller: rc.CallID.Caller, Seq: rc.CallID.Seq,
+					Caller: id.Caller, Seq: id.Seq,
 					ReplyLSN: rec.LSN, Ctx: rc.Ctx,
 				})
 			}
@@ -252,8 +252,8 @@ func (p *Process) restore() (*restorePlan, error) {
 				p.lastCalls.seed(e)
 			}
 			pc := sr.Comps[0]
-			cx := p.newShell(component{id: sr.Ctx, name: pc.Name, ctype: pc.Type, roMethods: roSet(pc.ROMethods)},
-				sr.URI, lsn, heads[sr.Ctx])
+			cx := p.newShell(component{id: sr.ctx, name: pc.Name, ctype: pc.Type, roMethods: roSet(pc.ROMethods)},
+				sr.URI, lsn, heads[sr.ctx])
 			cx.saved = sr
 			if pc.Type.Stateless() { // no chain: back at once
 				_, err = p.bringBack(cx, rd)
@@ -316,12 +316,12 @@ func readRestart(rd *wal.Reader, lsn ids.LSN) (*ctxStateRec, error) {
 	switch rec.Type {
 	case recCreation:
 		var cr creationRec
-		if err := decodeRec(rec.Payload, &cr); err != nil {
+		if err := decodeRec(rec, &cr); err != nil {
 			return nil, err
 		}
-		sr.Ctx, sr.URI, sr.Comps, sr.SubCounter = cr.Ctx, cr.URI, cr.Comps, uint32(len(cr.Comps)-1)
+		sr.ctx, sr.URI, sr.Comps, sr.SubCounter = cr.ctx, cr.URI, cr.Comps, uint32(len(cr.Comps)-1)
 	case recCtxState:
-		if err := decodeRec(rec.Payload, sr); err != nil {
+		if err := decodeRec(rec, sr); err != nil {
 			return nil, err
 		}
 	default:

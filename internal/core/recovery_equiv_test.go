@@ -569,7 +569,7 @@ func TestRetiredRecordKindIsSkipped(t *testing.T) {
 				// context, then a body (the method it was about).
 				ctx := hc.cx.parent.id
 				frame := wal.EncodeFunc(func(dst []byte) ([]byte, error) {
-					return msg.AppendString(appendRecHeader(dst, retired, trace.Ref{}, ctx), "Add"), nil
+					return msg.AppendString(appendRecHeader(dst, ctx, trace.Ref{}), "Add"), nil
 				})
 				if _, err := p.log.AppendLinked(uint64(ctx), retired, frame, nil); err != nil {
 					t.Fatal(err)

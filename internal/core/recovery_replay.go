@@ -73,11 +73,11 @@ func walkChain(rd *wal.Reader, ctx ids.CompID, head, restart ids.LSN) ([]chainRe
 				calls = make([]incomingRec, 32)
 			}
 			r.call, calls = &calls[0], calls[1:]
-			err = decodeRec(rec.Payload, r.call)
+			err = decodeRec(rec, r.call)
 			owner = r.call.Ctx
 		case recOutgoingReply:
 			r.reply = new(outgoingReplyRec)
-			err = decodeRec(rec.Payload, r.reply)
+			err = decodeRec(rec, r.reply)
 			owner = r.reply.Ctx
 		default:
 			owner, err = recCtx(rec.Payload)
@@ -109,7 +109,7 @@ func (p *Process) replayChain(cx *Context, chain []chainRec) {
 	replies := make(map[uint64]*msg.Reply)
 	for i, r := range chain {
 		if r.reply != nil {
-			replies[r.reply.Seq] = &r.reply.Reply
+			replies[r.reply.Reply.ID.Seq] = &r.reply.Reply
 			continue
 		}
 		if pending != nil {

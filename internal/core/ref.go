@@ -218,7 +218,7 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 	case cx.parent.ctype == msg.External || stateless:
 		// Algorithms 4/5 at the stateless component: do nothing.
 	case p.cfg.LogMode == LogBaseline:
-		lsn, err := p.appendRec(recOutgoing, cx.parent.id, &outgoingRec{Ctx: cx.parent.id, Call: *call, Trace: call.Trace}, nil)
+		lsn, err := p.appendRec(&outgoingRec{Ctx: cx.parent.id, Call: *call, Trace: call.Trace}, nil)
 		if err != nil {
 			return err
 		}
@@ -292,8 +292,8 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 		// current end of history for this context: it is logged like
 		// any other, so a second failure replays it too.
 		if p.cfg.LogMode == LogBaseline {
-			cx.outgoingReply = outgoingReplyRec{Ctx: cx.parent.id, Seq: seq, Reply: *reply, Trace: call.Trace}
-			lsn, err := p.appendRec(recOutgoingReply, cx.parent.id, &cx.outgoingReply, &cx.chainHead)
+			cx.outgoingReply = outgoingReplyRec{Ctx: cx.parent.id, Reply: *reply, Trace: call.Trace}
+			lsn, err := p.appendRec(&cx.outgoingReply, &cx.chainHead)
 			if err != nil {
 				return err
 			}
@@ -309,8 +309,8 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 			// Optimized: log message 4 without forcing. Read-only
 			// replies are unrepeatable and must be logged too
 			// (Algorithm 5: "Log message 4").
-			cx.outgoingReply = outgoingReplyRec{Ctx: cx.parent.id, Seq: seq, Reply: *reply, Trace: call.Trace}
-			lsn, err := p.appendRec(recOutgoingReply, cx.parent.id, &cx.outgoingReply, &cx.chainHead)
+			cx.outgoingReply = outgoingReplyRec{Ctx: cx.parent.id, Reply: *reply, Trace: call.Trace}
+			lsn, err := p.appendRec(&cx.outgoingReply, &cx.chainHead)
 			if err != nil {
 				return err
 			}
@@ -365,6 +365,11 @@ func (u *Universe) send(call *msg.Call, reply *msg.Reply, retries int, interval 
 		}
 		if err := msg.DecodeReplyInto(respData, reply); err != nil {
 			return err
+		}
+		// A reply answers one call: a peer's reply to another is refused
+		// as an undecodable one is, before anything logs it as message 4.
+		if reply.ID != call.ID {
+			return fmt.Errorf("core: %s.%s: call %v answered by a reply to call %v", call.Target, call.Method, call.ID, reply.ID)
 		}
 		if reply.Fault != "" {
 			return &Fault{Msg: reply.Fault}

@@ -33,7 +33,7 @@ func logUnbound(t *testing.T, p *Process, name string, call *msg.Call) {
 	cx.mu.Lock()
 	defer cx.mu.Unlock()
 	rec := incomingRec{Ctx: cx.parent.id, Call: *call}
-	lsn, err := p.appendRec(recIncoming, cx.parent.id, &rec, &cx.chainHead)
+	lsn, err := p.appendRec(&rec, &cx.chainHead)
 	if err != nil {
 		t.Fatal(err)
 	}

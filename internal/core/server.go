@@ -191,7 +191,7 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 	if !roTreatment {
 		p.inject(PointServerBeforeLogIncoming)
 		cx.incoming = incomingRec{Ctx: cx.parent.id, Call: *call, Trace: call.Trace}
-		lsn, err := p.appendRec(recIncoming, cx.parent.id, &cx.incoming, &cx.chainHead)
+		lsn, err := p.appendRec(&cx.incoming, &cx.chainHead)
 		if err != nil {
 			return fault(call.ID, "log incoming: %v", err)
 		}
@@ -230,7 +230,7 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 		switch {
 		case p.cfg.LogMode == LogBaseline:
 			// Algorithm 1: log the full reply and force.
-			lsn, err := p.appendRec(recReplyContent, cx.parent.id, &replyContentRec{Ctx: cx.parent.id, CallID: call.ID, Reply: *reply, Trace: call.Trace}, nil)
+			lsn, err := p.appendRec(&replyContentRec{Ctx: cx.parent.id, Reply: *reply, Trace: call.Trace}, nil)
 			if err != nil {
 				return fault(call.ID, "log reply: %v", err)
 			}
@@ -242,7 +242,7 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 			// Algorithm 3: a short record — only the fact that the
 			// reply was (attempted to be) sent — then force.
 			cx.replySent = replySentRec{Ctx: cx.parent.id, CallID: call.ID, Trace: call.Trace}
-			lsn, err := p.appendRec(recReplySent, cx.parent.id, &cx.replySent, nil)
+			lsn, err := p.appendRec(&cx.replySent, nil)
 			if err != nil {
 				return fault(call.ID, "log reply-sent: %v", err)
 			}
@@ -314,7 +314,7 @@ func (p *Process) replyFromEntry(e *lastCallEntry) *msg.Reply {
 		return nil
 	}
 	var rc replyContentRec
-	if err := decodeRec(rec.Payload, &rc); err != nil {
+	if err := decodeRec(rec, &rc); err != nil {
 		return nil
 	}
 	e.reply = &rc.Reply

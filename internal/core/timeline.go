@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/ids"
+	"repro/internal/msg"
 	"repro/internal/obs/trace"
 	"repro/internal/wal"
 )
@@ -52,8 +53,8 @@ type Timeline struct {
 }
 
 // TraceTimelines builds per-trace timelines from recovery logs and
-// flight-recorder dumps. Logs are scanned for trace-carrying records
-// (the 0xC4-framed hot kinds); untraced records are skipped. The logs
+// flight-recorder dumps. Logs are scanned for records whose header
+// carries a trace; untraced records are skipped. The logs
 // must not be concurrently owned by live processes.
 func TraceTimelines(logs, dumps []string) ([]Timeline, error) {
 	byTrace := make(map[uint64][]TimelineEvent)
@@ -127,8 +128,10 @@ func TraceTimelines(logs, dumps []string) ([]Timeline, error) {
 	return out, nil
 }
 
-// scanTraceRecords appends a record event for every trace-carrying hot
-// record in the log at path.
+// scanTraceRecords appends a record event for every record in the log
+// at path whose header carries a trace (a kind this runtime does not
+// write is passed over); an incoming or outgoing call's event names its
+// method, the one body the scan decodes.
 func scanTraceRecords(path string, byTrace map[uint64][]TimelineEvent) error {
 	log, err := wal.OpenSet(path, nil, 0)
 	if err != nil {
@@ -138,48 +141,23 @@ func scanTraceRecords(path string, byTrace map[uint64][]TimelineEvent) error {
 	src := filepath.Base(path)
 	proc := strings.TrimSuffix(src, ".log")
 	scan := func(rec wal.Record) error {
-		var tr trace.Ref
-		var method string
-		switch rec.Type {
-		case recIncoming:
-			var v incomingRec
-			if err := decodeRec(rec.Payload, &v); err != nil {
-				return err
-			}
-			tr, method = v.Trace, v.Call.Method
-		case recReplySent:
-			var v replySentRec
-			if err := decodeRec(rec.Payload, &v); err != nil {
-				return err
-			}
-			tr = v.Trace
-		case recReplyContent:
-			var v replyContentRec
-			if err := decodeRec(rec.Payload, &v); err != nil {
-				return err
-			}
-			tr = v.Trace
-		case recOutgoing:
-			var v outgoingRec
-			if err := decodeRec(rec.Payload, &v); err != nil {
-				return err
-			}
-			tr, method = v.Trace, v.Call.Method
-		case recOutgoingReply:
-			var v outgoingReplyRec
-			if err := decodeRec(rec.Payload, &v); err != nil {
-				return err
-			}
-			tr = v.Trace
-		default:
-			return nil // cold kinds never carry a trace
+		if recFor(rec.Type) == nil {
+			return nil
+		}
+		_, tr, body, err := consumeRecHeader(rec.Payload)
+		var call msg.Call
+		if err == nil && !tr.IsZero() && (rec.Type == recIncoming || rec.Type == recOutgoing) {
+			_, err = msg.ConsumeCall(body, &call)
+		}
+		if err != nil {
+			return fmt.Errorf("core: %s record at %v: %w", recName(rec.Type), rec.LSN, err)
 		}
 		if tr.IsZero() {
 			return nil
 		}
 		byTrace[tr.Trace] = append(byTrace[tr.Trace], TimelineEvent{
 			Kind: "record", Rec: recName(rec.Type), Span: tr.Span,
-			LSN: uint64(rec.LSN), Proc: proc, Method: method, Source: src,
+			LSN: uint64(rec.LSN), Proc: proc, Method: call.Method, Source: src,
 		})
 		return nil
 	}

@@ -425,11 +425,21 @@ func (g *callGraph) addEdge(caller string, callee *types.Func) {
 
 // devirtualize returns, for every interface-method callee seen, the
 // concrete methods it may dispatch to among the analyzed named types.
+// A caller in another package sees the interface through export data,
+// a *types.Package apart from the one its implementers were checked
+// in, so their method signatures name other RecordType and
+// PayloadEncoder objects and never match: the interface is looked up
+// among the source-checked types by its qualified name first.
 func (g *callGraph) devirtualize() map[string][]string {
 	out := map[string][]string{}
 	for name, fn := range g.ifaceCalls {
-		sig := fn.Type().(*types.Signature)
-		iface, ok := sig.Recv().Type().Underlying().(*types.Interface)
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if n, ok := recv.(*types.Named); ok && n.Obj().Pkg() != nil {
+			if src, ok := g.named[n.Obj().Pkg().Path()+"."+n.Obj().Name()]; ok {
+				recv = src
+			}
+		}
+		iface, ok := recv.Underlying().(*types.Interface)
 		if !ok {
 			continue
 		}

@@ -11,17 +11,12 @@
 // Format (DESIGN.md Section 10). All integers are unsigned varints
 // (encoding/binary uvarint); "bytes" means uvarint length + raw bytes.
 //
-//	Call  = 0xC1 body;  Reply = 0xC2 body (version byte only at the
-//	outermost envelope — embedded copies inside log records use the
-//	bare body via AppendCall/ConsumeCall).
+//	Call  = 0xC6 trace body;  Reply = 0xC7 trace body (version byte
+//	only at the outermost envelope — embedded copies inside log
+//	records use the bare body via AppendCall/ConsumeCall).
 //
-//	Traced Call  = 0xC6 TraceID SpanID body
-//	Traced Reply = 0xC7 TraceID SpanID body
-//
-// The traced envelopes prepend the causal-trace identity as two
-// uvarints before the same bare body. Encoders emit them only for a
-// nonzero Trace: an untraced message does not pay for two zero bytes
-// (DESIGN.md Section 10 has the measurement).
+//	trace = TraceID, then SpanID only when TraceID is not 0
+//	        (AppendTrace; an untraced message carries one zero byte)
 //
 //	Call body:  Machine bytes, Proc, Comp, Seq, Target bytes,
 //	            Method bytes, Args bytes, NumArgs, CallerType byte,
@@ -36,19 +31,21 @@
 // other first byte with an error that names it.
 package msg
 
-import "errors"
+import (
+	"errors"
+	"fmt"
 
+	"repro/internal/obs/trace"
+)
+
+// envCall and envReply are the envelope version bytes. 0xC5
+// (serialized component state) and 0xC8 (log records) are taken by
+// internal/serial and internal/core; the four bytes below 0xC5, which
+// the untraced envelopes and the older record headers used, are
+// retired and never reused.
 const (
-	// verCall and verReply are the envelope version bytes. 0xC3 (hot
-	// log records), 0xC4 (traced log records) and 0xC5 (serialized
-	// component state) are taken by internal/core and internal/serial.
-	verCall  = 0xC1
-	verReply = 0xC2
-	// verCallTraced and verReplyTraced frame envelopes that carry a
-	// causal-trace identity (uvarint TraceID + SpanID before the bare
-	// body).
-	verCallTraced  = 0xC6
-	verReplyTraced = 0xC7
+	envCall  = 0xC6
+	envReply = 0xC7
 )
 
 // errShort reports a truncated or corrupt binary envelope.
@@ -125,6 +122,31 @@ func ConsumeBytes(data []byte) ([]byte, []byte, error) {
 func ConsumeString(data []byte) (string, []byte, error) {
 	span, rest, err := consumeSpan(data)
 	return string(span), rest, err
+}
+
+// AppendTrace appends the trace field every envelope and log record
+// header carries: tr's TraceID, then its SpanID only when the TraceID
+// is not 0 — every span is minted under a nonzero TraceID, so a zero
+// Ref is one byte.
+func AppendTrace(dst []byte, tr trace.Ref) []byte {
+	dst = AppendUvarint(dst, tr.Trace)
+	if tr.Trace == 0 {
+		return dst
+	}
+	return AppendUvarint(dst, tr.Span)
+}
+
+// ConsumeTrace consumes a trace field (AppendTrace) into tr.
+func ConsumeTrace(data []byte, tr *trace.Ref) ([]byte, error) {
+	var err error
+	*tr = trace.Ref{}
+	if tr.Trace, data, err = ConsumeUvarint(data); err == nil && tr.Trace != 0 {
+		tr.Span, data, err = ConsumeUvarint(data)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	return data, nil
 }
 
 // ConsumeByte consumes one raw byte.

@@ -43,8 +43,8 @@ func TestCodecTableRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("call %d: encode: %v", i, err)
 		}
-		if bin[0] != verCall {
-			t.Fatalf("call %d: version byte %#x, want %#x", i, bin[0], verCall)
+		if bin[0] != envCall {
+			t.Fatalf("call %d: version byte %#x, want %#x", i, bin[0], envCall)
 		}
 		got, err := DecodeCall(bin)
 		if err != nil {
@@ -60,8 +60,8 @@ func TestCodecTableRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reply %d: encode: %v", i, err)
 		}
-		if bin[0] != verReply {
-			t.Fatalf("reply %d: version byte %#x, want %#x", i, bin[0], verReply)
+		if bin[0] != envReply {
+			t.Fatalf("reply %d: version byte %#x, want %#x", i, bin[0], envReply)
 		}
 		got, err := DecodeReply(bin)
 		if err != nil {
@@ -73,9 +73,9 @@ func TestCodecTableRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEnvelopeGolden pins the wire bytes of a call and a reply, plain
-// (0xC1/0xC2) and traced (0xC6/0xC7): a diff here is a wire change,
-// like one in TestValueStreamGolden.
+// TestEnvelopeGolden pins the wire bytes of a call (0xC6) and a reply
+// (0xC7), untraced (a zero trace field, one byte) and traced: a diff
+// here is a wire change, like one in TestValueStreamGolden.
 func TestEnvelopeGolden(t *testing.T) {
 	const body = "0465766f31072a8080808080201970686f656e69783a2f2f65766f322f7372762f53657276657203416464" +
 		"040304000e02011a70686f656e69783a2f2f65766f312f636c692f4261746368657203"
@@ -88,9 +88,9 @@ func TestEnvelopeGolden(t *testing.T) {
 		enc  func() ([]byte, error)
 		want string
 	}{
-		{"call", func() ([]byte, error) { return EncodeCall(&c) }, "c1" + body},
+		{"call", func() ([]byte, error) { return EncodeCall(&c) }, "c600" + body},
 		{"traced call", func() ([]byte, error) { c.Trace = tr; return EncodeCall(&c) }, "c6" + traced + body},
-		{"reply", func() ([]byte, error) { return EncodeReply(&r) }, "c2" + replyBody},
+		{"reply", func() ([]byte, error) { return EncodeReply(&r) }, "c700" + replyBody},
 		{"traced reply", func() ([]byte, error) { r.Trace = tr; return EncodeReply(&r) }, "c7" + traced + replyBody},
 	}
 	for _, tc := range cases {

@@ -20,7 +20,7 @@ const (
 )
 
 // FuzzDecodeCall: arbitrary bytes must never panic the call decoder,
-// only the two version bytes open an envelope, and whatever decodes
+// only 0xC6 opens a call envelope, and whatever decodes
 // must round-trip — after its input has been overwritten.
 func FuzzDecodeCall(f *testing.F) {
 	seed, _ := EncodeCall(&Call{
@@ -43,7 +43,7 @@ func FuzzDecodeCall(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if data[0] != verCall && data[0] != verCallTraced {
+		if data[0] != envCall {
 			t.Fatalf("decoded an envelope opening with %#x", data[0])
 		}
 		again, err := EncodeCall(c)
@@ -65,7 +65,8 @@ func scribble(b []byte) {
 	}
 }
 
-// FuzzDecodeReply mirrors FuzzDecodeCall for replies.
+// FuzzDecodeReply mirrors FuzzDecodeCall for replies: only 0xC7 opens
+// one.
 func FuzzDecodeReply(f *testing.F) {
 	seed, _ := EncodeReply(&Reply{Results: []byte{9}, NumResults: 1, AppErr: "x"})
 	f.Add(seed)
@@ -80,7 +81,7 @@ func FuzzDecodeReply(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if data[0] != verReply && data[0] != verReplyTraced {
+		if data[0] != envReply {
 			t.Fatalf("decoded an envelope opening with %#x", data[0])
 		}
 		again, err := EncodeReply(r)

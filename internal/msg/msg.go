@@ -94,9 +94,8 @@ type Call struct {
 	KnowsServer bool
 
 	// Trace is the causal-trace identity of this call (zero when
-	// tracing is off or the caller predates it). It rides the traced
-	// envelope (0xC6), never the bare body, so untraced wire bytes are
-	// unchanged.
+	// tracing is off). It rides the envelope's trace field, never the
+	// bare body: a log record carries it in its own header.
 	Trace trace.Ref
 }
 
@@ -128,7 +127,7 @@ type Reply struct {
 	MethodReadOnly bool
 
 	// Trace echoes the call's causal-trace identity (zero when the
-	// call was untraced); rides the traced envelope (0xC7) only.
+	// call was untraced); it rides the envelope's trace field.
 	Trace trace.Ref
 }
 
@@ -137,24 +136,16 @@ type Reply struct {
 // until it calls FreeBuf (callers that cannot prove release just skip
 // FreeBuf; see pool.go).
 func EncodeCall(c *Call) ([]byte, error) {
-	var buf []byte
-	if c.Trace.IsZero() {
-		buf = append(GetBuf(), verCall)
-	} else {
-		buf = append(GetBuf(), verCallTraced)
-		buf = AppendUvarint(buf, c.Trace.Trace)
-		buf = AppendUvarint(buf, c.Trace.Span)
-	}
-	buf = AppendCall(buf, c)
-	return buf, nil
+	buf := AppendTrace(append(GetBuf(), envCall), c.Trace)
+	return AppendCall(buf, c), nil
 }
 
-// DecodeCall deserializes a Call from the transport: 0xC1 opens the
-// binary envelope, 0xC6 the traced one. Any other first byte is a
-// decode error that names it — there is no second format to try.
+// DecodeCall deserializes a Call from the transport: 0xC6, the trace
+// field, the body. Any other first byte is a decode error that names
+// it — there is no second format to try.
 func DecodeCall(data []byte) (*Call, error) {
 	var c Call
-	body, err := consumeEnvelope(data, verCall, verCallTraced, &c.Trace)
+	body, err := consumeEnvelope(data, envCall, &c.Trace)
 	if err == nil {
 		body, err = ConsumeCall(body, &c)
 	}
@@ -167,26 +158,17 @@ func DecodeCall(data []byte) (*Call, error) {
 	return &c, nil
 }
 
-// consumeEnvelope strips an envelope's version byte — plain, or traced
-// with the causal identity behind it, which lands in tr — and returns
-// the bare body.
-func consumeEnvelope(data []byte, plain, traced byte, tr *trace.Ref) (body []byte, err error) {
+// consumeEnvelope strips an envelope's version byte, which must be
+// ver, and its trace field, which lands in tr, and returns the bare
+// body.
+func consumeEnvelope(data []byte, ver byte, tr *trace.Ref) ([]byte, error) {
 	if len(data) == 0 {
 		return nil, errShort
 	}
-	switch data[0] {
-	case plain:
-		return data[1:], nil
-	case traced:
-		if tr.Trace, body, err = ConsumeUvarint(data[1:]); err == nil {
-			tr.Span, body, err = ConsumeUvarint(body)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: %w", err)
-		}
-		return body, nil
+	if data[0] != ver {
+		return nil, fmt.Errorf("unknown envelope version byte %#x", data[0])
 	}
-	return nil, fmt.Errorf("unknown envelope version byte %#x", data[0])
+	return ConsumeTrace(data[1:], tr)
 }
 
 // EncodeReply serializes a Reply for the transport. Unlike EncodeCall
@@ -194,16 +176,8 @@ func consumeEnvelope(data []byte, plain, traced byte, tr *trace.Ref) (body []byt
 // (transport delivery, the last-call reply table), so no call site can
 // prove release.
 func EncodeReply(r *Reply) ([]byte, error) {
-	buf := make([]byte, 0, 64+len(r.Results))
-	if r.Trace.IsZero() {
-		buf = append(buf, verReply)
-	} else {
-		buf = append(buf, verReplyTraced)
-		buf = AppendUvarint(buf, r.Trace.Trace)
-		buf = AppendUvarint(buf, r.Trace.Span)
-	}
-	buf = AppendReply(buf, r)
-	return buf, nil
+	buf := AppendTrace(append(make([]byte, 0, 64+len(r.Results)), envReply), r.Trace)
+	return AppendReply(buf, r), nil
 }
 
 // DecodeReply deserializes a Reply from the transport into a new Reply
@@ -217,12 +191,12 @@ func DecodeReply(data []byte) (*Reply, error) {
 }
 
 // DecodeReplyInto deserializes a Reply from the transport into r, which
-// it overwrites: 0xC2, or 0xC7 traced, with the same single-format rule
-// as DecodeCall. A caller that owns r — Ref.Call's reply on its
+// it overwrites: 0xC7, the trace field, the body, with the same
+// single-format rule as DecodeCall. A caller that owns r — Ref.Call's reply on its
 // stack — decodes without a Reply of the decoder's.
 func DecodeReplyInto(data []byte, r *Reply) error {
 	*r = Reply{}
-	body, err := consumeEnvelope(data, verReply, verReplyTraced, &r.Trace)
+	body, err := consumeEnvelope(data, envReply, &r.Trace)
 	if err == nil {
 		body, err = ConsumeReply(body, r)
 	}

@@ -2,7 +2,10 @@ package msg
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ids"
@@ -33,8 +36,8 @@ func TestTracedCallRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data[0] != verCallTraced {
-		t.Fatalf("traced call framed as %#x, want %#x", data[0], verCallTraced)
+	if data[0] != envCall {
+		t.Fatalf("traced call framed as %#x, want %#x", data[0], envCall)
 	}
 	got, err := DecodeCall(data)
 	if err != nil {
@@ -59,8 +62,8 @@ func TestTracedReplyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data[0] != verReplyTraced {
-		t.Fatalf("traced reply framed as %#x, want %#x", data[0], verReplyTraced)
+	if data[0] != envReply {
+		t.Fatalf("traced reply framed as %#x, want %#x", data[0], envReply)
 	}
 	got, err := DecodeReply(data)
 	if err != nil {
@@ -71,10 +74,10 @@ func TestTracedReplyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUntracedEnvelopeUnchanged pins the trace elision: a zero Trace
-// encodes to the 0xC1 envelope with no trace bytes, and the traced
-// envelope is exactly the same body behind its header.
-func TestUntracedEnvelopeUnchanged(t *testing.T) {
+// TestUntracedEnvelopeZeroTrace: a call with a zero Trace encodes as
+// c6 00 and its body, and the traced envelope is exactly the same body
+// behind its trace field — there is one envelope per message.
+func TestUntracedEnvelopeZeroTrace(t *testing.T) {
 	c := tracedCall()
 	traced, err := EncodeCall(c)
 	if err != nil {
@@ -85,20 +88,66 @@ func TestUntracedEnvelopeUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain[0] != verCall {
-		t.Fatalf("untraced call framed as %#x, want %#x", plain[0], verCall)
+	if !bytes.HasPrefix(plain, []byte{0xC6, 0x00}) {
+		t.Fatalf("untraced call opens % x, want c6 00", plain[:2])
 	}
-	// Strip the traced header: version byte + two uvarints.
-	body := traced[1:]
-	var consumeErr error
-	if _, body, consumeErr = ConsumeUvarint(body); consumeErr != nil {
-		t.Fatal(consumeErr)
+	var tr trace.Ref
+	body, err := ConsumeTrace(traced[1:], &tr)
+	if err != nil || tr != tracedCall().Trace {
+		t.Fatalf("traced call's trace field = %v, %v", tr, err)
 	}
-	if _, body, consumeErr = ConsumeUvarint(body); consumeErr != nil {
-		t.Fatal(consumeErr)
-	}
-	if !bytes.Equal(body, plain[1:]) {
+	if !bytes.Equal(body, plain[2:]) {
 		t.Error("traced call body differs from the untraced body")
+	}
+}
+
+// TestRetiredEnvelopeBytes: 0xC1 and 0xC2, the untraced envelopes this
+// codec no longer writes, fail to decode with an error naming the byte,
+// as does a call envelope handed to the reply decoder.
+func TestRetiredEnvelopeBytes(t *testing.T) {
+	call, _ := EncodeCall(tracedCall())
+	reply, _ := EncodeReply(&Reply{Results: []byte{1}, NumResults: 1})
+	for _, tc := range []struct {
+		data   []byte
+		decode func([]byte) error
+	}{
+		{append([]byte{0xC1}, call[1:]...), func(b []byte) error { _, err := DecodeCall(b); return err }},
+		{append([]byte{0xC2}, reply[1:]...), func(b []byte) error { _, err := DecodeReply(b); return err }},
+		{call, func(b []byte) error { _, err := DecodeReply(b); return err }},
+	} {
+		want := fmt.Sprintf("version byte %#x", tc.data[0])
+		if err := tc.decode(tc.data); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("decode of an envelope opening %#x = %v, want an error naming %s", tc.data[0], err, want)
+		}
+	}
+}
+
+// TestTraceFieldRoundTrip: the trace field is one zero byte for a zero
+// Ref and a TraceID, SpanID pair otherwise, up to ten bytes each, and
+// consumes back to the Ref it was given, leaving what follows.
+func TestTraceFieldRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		tr   trace.Ref
+		size int
+	}{
+		{trace.Ref{}, 1},
+		{trace.Ref{Trace: 0xBEEF0001, Span: 2}, 6},
+		{trace.Ref{Trace: math.MaxUint64, Span: math.MaxUint64}, 20},
+	} {
+		enc := AppendTrace(nil, tc.tr)
+		if len(enc) != tc.size {
+			t.Errorf("%v: %d-byte field, want %d", tc.tr, len(enc), tc.size)
+		}
+		var got trace.Ref
+		rest, err := ConsumeTrace(append(enc, 0x5A), &got)
+		if err != nil || got != tc.tr || !bytes.Equal(rest, []byte{0x5A}) {
+			t.Errorf("%v: consumed %v, rest % x, err %v", tc.tr, got, rest, err)
+		}
+		for cut := 0; cut < len(enc); cut++ {
+			if _, err := ConsumeTrace(enc[:cut], &got); err == nil {
+				t.Errorf("%v: the field's first %d bytes consumed", tc.tr, cut)
+			}
+		}
 	}
 }
 
@@ -151,7 +200,7 @@ func TestEncodeReplyBypassesPool(t *testing.T) {
 // a reply into a pooled scratch buffer. TestPooledReplyWouldCorrupt
 // shows why EncodeReply must not do this.
 func pooledEncodeReply(r *Reply) []byte {
-	buf := append(GetBuf(), verReply)
+	buf := AppendTrace(append(GetBuf(), envReply), r.Trace)
 	return AppendReply(buf, r)
 }
 
