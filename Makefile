@@ -7,11 +7,11 @@ ci: vet lint build test loc fuzz race stress recovery-stress
 vet:
 	go vet ./...
 
-# The repository's own discipline analyzers (internal/lint): forced
-# append sites, wall-clock reads, device I/O under held mutexes,
-# exhaustive enum switches, the lock-order graph, pooled-buffer
-# lifetimes, goroutine/latch shutdown paths and dropped device-I/O
-# errors. (Metric names need no analyzer: only internal/obs's views
+# The repository's seven discipline analyzers (internal/lint): forced
+# append sites, wall-clock reads, exhaustive enum switches, the
+# lock-order graph (its device rung: no device I/O under the log,
+# process or engine mutex), pooled-buffer lifetimes, goroutine/latch
+# shutdown paths and dropped device-I/O errors. (Metric names need no analyzer: only internal/obs's views
 # resolve one, and its tests hold them to names.go.) One pass over the tree: the run fails on a
 # violation and on an allowlist entry that matched no diagnostic.
 # staticcheck and govulncheck run when installed (CI installs them;
@@ -204,8 +204,12 @@ profile-restart:
 # byte, coldKinds, traceable, appendRec's type and key and the fields
 # records wrote twice deleted; every record struct names its own kind,
 # owner and trace — lowered it by 35 to 22,014, net of the reply-ID
-# check in Universe.send and devirtualize's qualified-name lookup.)
-LOC_MAX = 22014
+# check in Universe.send and devirtualize's qualified-name lookup.
+# locksync folded into lockorder's device rung, the runtime holding its
+# log as a *wal.Set (wal.Writer down to the benchmark's two methods, and
+# the qualified-name lookup gone with it) and crash dumps written as the
+# debug endpoint's JSON (PHXFTR1 deleted) lowered it by 238 to 21,776.)
+LOC_MAX = 21776
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

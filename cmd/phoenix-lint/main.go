@@ -1,6 +1,8 @@
-// Command phoenix-lint runs the repository's discipline analyzers
-// (internal/lint): forcesite, wallclock, locksync, exhaustive,
-// lockorder, poollife, shutdownpath and droppederr.
+// Command phoenix-lint runs the repository's seven discipline
+// analyzers (internal/lint): forcesite, wallclock, exhaustive,
+// lockorder (whose device rung keeps device I/O out from under the
+// log, process and engine mutexes), poollife, shutdownpath and
+// droppederr.
 //
 //	go run ./cmd/phoenix-lint ./...
 //

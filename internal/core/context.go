@@ -71,13 +71,13 @@ type Context struct {
 	// chainHead is the LSN of the newest replay-relevant record this
 	// context appended — an incoming call or the reply to an outgoing
 	// one. Each one's frame links back to the one before
-	// (wal.Writer.AppendLinked), so recovery reads the backlog off the
+	// (wal.Log.AppendLinked), so recovery reads the backlog off the
 	// log, newest first. Checkpoints read it; recovery re-seeds it.
 	chainHead atomic.Uint64
 
 	// lastLSN is the newest log record this context appended (any
 	// kind). The context's commit points force the log only up to it
-	// (ForceTo): a context never waits on other contexts' dirty
+	// (wal.Log.SyncTo): a context never waits on other contexts' dirty
 	// records. Owned by the goroutine holding cx.mu, like the rest of
 	// the execution state (Create sets it before publication).
 	lastLSN ids.LSN

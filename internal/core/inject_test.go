@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/disk"
 )
 
 // Driver is the persistent top tier: the external world calls it once,
@@ -242,5 +244,34 @@ func TestInjectorNthFiring(t *testing.T) {
 	}
 	if inj.Fired(PointServerAfterExecute) != 1 {
 		t.Errorf("fired = %d", inj.Fired(PointServerAfterExecute))
+	}
+}
+
+// TestAutoRestartDelayIsModelTime: the restart delay passes on the
+// universe clock. On a virtual clock an hour's delay costs no wall
+// time, and the crashed process is back well within five seconds.
+func TestAutoRestartDelayIsModelTime(t *testing.T) {
+	clk := disk.NewVirtualClock()
+	u, err := NewUniverse(UniverseConfig{Dir: t.TempDir(), Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, p := startProc(t, u, "evo1", "srv", testConfig())
+	m.EnableAutoRestart(testConfig(), time.Hour)
+	before := clk.Now()
+	p.Crash()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if q, ok := m.Process("srv"); ok && q != p {
+			defer q.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("crashed process not restarted within 5 s of wall time")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := clk.Now().Sub(before); got < time.Hour {
+		t.Errorf("universe clock advanced %v across the restart, want at least the 1h delay", got)
 	}
 }

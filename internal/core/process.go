@@ -32,7 +32,7 @@ type Process struct {
 	cfg    Config
 	addr   string
 
-	log     wal.Writer
+	log     *wal.Set
 	logPath string
 
 	// metrics is the resolved observability registry (Config.Metrics,
@@ -467,7 +467,7 @@ func (p *Process) finishForce(site *obs.Counter, out wal.SyncOutcome, err error)
 // process checkpoint has been flushed to the log (possibly by a later
 // send message), the log manager writes and forces the LSN of the
 // begin checkpoint record into a well-known file" — here the root of
-// the log directory, wal.Writer.Publish). With the LSN-aware
+// the log directory, wal.Set.Publish). With the LSN-aware
 // force API a sync need not cover the whole tail, so the check is
 // against the end-checkpoint record's LSN, not "any force happened".
 func (p *Process) completeCheckpoint() error {
@@ -680,8 +680,9 @@ func (p *Process) Crash() {
 // when tracing is off).
 func (p *Process) FlightRecorder() *trace.Recorder { return p.tr }
 
-// DumpFlightRecorder writes the current ring contents to path in the
-// trace dump format (phoenix-trace reads it back). Unlike the crash
+// DumpFlightRecorder writes the current ring contents to path as a
+// dump, the JSON the debug endpoint serves (phoenix-trace reads it
+// back). Unlike the crash
 // path's automatic dump this can run any time, e.g. from an operational
 // endpoint.
 func (p *Process) DumpFlightRecorder(path string) error {

@@ -221,7 +221,7 @@ func recoverImage(t *testing.T, img equivImage, mode RecoveryMode) recoveryOutco
 		relayCalls: make(map[string]int),
 		suppressed: p.suppressedCalls.Load(),
 		mark:       p.log.Mark(),
-		stable:     p.log.(*wal.Set).Stable(),
+		stable:     p.log.Stable(),
 	}
 	for _, name := range img.counters {
 		h, ok := p.Lookup(name)

@@ -15,7 +15,7 @@ import (
 // Then the log after the state record is read and incoming method calls
 // for the context are replayed". A context's message records are a
 // chain on the log: each one's frame links back to the one before
-// (wal.Writer.AppendLinked), so its backlog is read off the log from its
+// (wal.Log.AppendLinked), so its backlog is read off the log from its
 // newest record, which Pass 1 found (walkChain), decoded as it is read,
 // and replayed oldest first (replayChain). Every way a context comes
 // back — the eager drain, a lazy first touch, the background worker, a

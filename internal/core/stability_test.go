@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/ids"
-	"repro/internal/wal"
 )
 
 // TestRepeatedRecoveryDoesNotGrowLog: replay must not re-log the
@@ -29,7 +28,7 @@ func TestRepeatedRecoveryDoesNotGrowLog(t *testing.T) {
 			}
 		}
 
-		logEnd := func(p *Process) ids.LSN { return p.log.(*wal.Set).End() }
+		logEnd := func(p *Process) ids.LSN { return p.log.End() }
 		var end ids.LSN
 		cur := p
 		for cycle := 0; cycle < 4; cycle++ {

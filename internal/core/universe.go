@@ -272,10 +272,14 @@ func (m *Machine) Process(name string) (*Process, bool) {
 // EnableAutoRestart makes the recovery service restart crashed
 // processes with the given config after delay — the paper's "monitors
 // the abnormal exits of the registered processes and restarts those
-// processes".
+// processes". The delay is model time: it passes on the universe
+// clock, at once on a virtual one.
 func (m *Machine) EnableAutoRestart(cfg Config, delay time.Duration) {
 	m.svc.EnableAutoRestart(func(procName string) error {
+		if delay > 0 {
+			m.u.cfg.Clock.Sleep(delay)
+		}
 		_, err := m.StartProcess(procName, cfg)
 		return err
-	}, delay)
+	})
 }

@@ -27,7 +27,7 @@ forcesite repro/internal/core.appendRec        # accounting chokepoint
 	if a.Allowed("wallclock", "repro/internal/core.appendRec") {
 		t.Error("entry leaked across analyzers")
 	}
-	if a.Allowed("locksync", "nope") {
+	if a.Allowed("lockorder", "nope") {
 		t.Error("unknown entry reported as allowed")
 	}
 	want := [][2]string{

@@ -12,50 +12,14 @@ func Analyzers() []*Analyzer {
 				"repro/internal/core",
 				"repro/internal/wal",
 				"repro/internal/bench",
+				"repro/internal/recsvc",
 			},
 		}),
-		NewLocksync(repoLocksyncConfig()),
 		NewExhaustive(),
 		NewLockOrder(LockOrderConfig{}),
 		NewPoolLife(PoolLifeConfig{}),
 		NewShutdownPath(ShutdownPathConfig{}),
 		NewDroppedErr(DroppedErrConfig{}),
-	}
-}
-
-// repoLocksyncConfig is the repository's locksync scope: the
-// blocking-I/O-free critical sections are the log mutex (a Set's is
-// its Log's), the engine registry and the
-// lazy-recovery bookkeeping — named
-// explicitly so the per-context mutex, which serializes whole handler
-// executions (forces included) by design, stays exempt. The blocking
-// list adds the wal append/force entry points and the core
-// chokepoints that reach them.
-func repoLocksyncConfig() LocksyncConfig {
-	return LocksyncConfig{
-		Packages: []string{
-			"repro/internal/wal",
-			"repro/internal/core",
-		},
-		Mutexes: []string{
-			"repro/internal/wal.Log.mu",
-			"repro/internal/core.Process.mu",
-			"repro/internal/core.replayEngine.mu",
-		},
-		Blocking: append([]string{
-			"(*repro/internal/wal.Log).Append",
-			"(*repro/internal/wal.Log).AppendInto",
-			"(*repro/internal/wal.Log).AppendLinked",
-			"(*repro/internal/wal.Log).SyncTo",
-			"(*repro/internal/wal.Log).SyncAll",
-			"(repro/internal/wal.Writer).AppendInto",
-			"(repro/internal/wal.Writer).AppendLinked",
-			"(repro/internal/wal.Writer).SyncTo",
-			"(repro/internal/wal.Writer).SyncAll",
-			"(*repro/internal/core.Process).appendRec",
-			"(*repro/internal/core.Process).forceTo",
-			"(*repro/internal/core.Process).force",
-		}, defaultLocksyncBlocking...),
 	}
 }
 

@@ -34,13 +34,6 @@ func TestWallclockFixture(t *testing.T) {
 		}))
 }
 
-func TestLocksyncFixture(t *testing.T) {
-	linttest.Run(t, "testdata/locksync", fixturePrefix+"locksync", nil,
-		lint.NewLocksync(lint.LocksyncConfig{
-			Packages: []string{fixturePrefix + "locksync"},
-		}))
-}
-
 func TestExhaustiveFixture(t *testing.T) {
 	linttest.Run(t, "testdata/exhaustive", fixturePrefix+"exhaustive", nil, lint.NewExhaustive())
 }
@@ -59,6 +52,17 @@ func TestLockOrderFixture(t *testing.T) {
 				p + ".G.ready",
 			},
 			Latches: []string{p + ".G.ready"},
+		}))
+}
+
+// TestLocksyncFixture checks the lock order's device rung: no device
+// sync or sleep while a mutex ranked below device is held.
+func TestLocksyncFixture(t *testing.T) {
+	p := fixturePrefix + "lockorder/device"
+	linttest.Run(t, "testdata/lockorder/device", p, nil,
+		lint.NewLockOrder(lint.LockOrderConfig{
+			Packages: []string{p},
+			Order:    []string{p + ".ctx.mu", "device", p + ".store.mu"},
 		}))
 }
 

@@ -3,21 +3,14 @@ package lint
 import "go/ast"
 
 // forcesiteGuarded are the call targets (FuncString spelling) that
-// append to or force the write-ahead log.
+// append to or force the write-ahead log. The runtime holds its log as
+// a *wal.Set, whose entry points are its Log's, promoted: these.
 var forcesiteGuarded = map[string]bool{
 	"(*repro/internal/wal.Log).Append":       true,
 	"(*repro/internal/wal.Log).AppendInto":   true,
 	"(*repro/internal/wal.Log).AppendLinked": true,
 	"(*repro/internal/wal.Log).SyncTo":       true,
 	"(*repro/internal/wal.Log).SyncAll":      true,
-	// The Writer interface exposes the same entry points; core calls
-	// through it, so without these the analyzer would lose its coverage
-	// the moment a call site is typed wal.Writer instead of *wal.Log. A
-	// *wal.Set's are its Log's, promoted: the entries above.
-	"(repro/internal/wal.Writer).AppendInto":   true,
-	"(repro/internal/wal.Writer).AppendLinked": true,
-	"(repro/internal/wal.Writer).SyncTo":       true,
-	"(repro/internal/wal.Writer).SyncAll":      true,
 }
 
 // forcesiteExempt is the log manager's own package, where the entry

@@ -13,12 +13,13 @@
 //	forcesite    — wal append/force entry points may only be called
 //	               from the blessed accounting chokepoints in core
 //	wallclock    — no direct wall-clock reads in the simulation-clocked
-//	               packages (core, wal, bench)
-//	locksync     — no device I/O while a wal or engine mutex is held
+//	               packages (core, wal, bench, recsvc)
 //	exhaustive   — switches over runtime enums cover every member or
 //	               carry an explicit default
 //	lockorder    — nested lock acquisitions follow lockorder.order and
-//	               form no cycle
+//	               form no cycle; a device sync or a sleep acquires
+//	               its device rung, so no lock ranked below it (the
+//	               log, process and engine mutexes) is held across one
 //	poollife     — pooled buffers are freed exactly once and never
 //	               escape; scan payloads never outlive their window
 //	shutdownpath — every goroutine is joined from a shutdown path and

@@ -35,6 +35,20 @@ var (
 	defaultLockOrderLatches = []string{"repro/internal/core.Context.ready"}
 )
 
+// deviceClass is the pseudo-class a call that blocks on the device or
+// on real time acquires: one of devicePrimitives. It is never held, so
+// it only ever ends an edge, and its rank in lockorder.order says
+// which locks may be held across device I/O — the log latch may not
+// (Section 3.1's combined forces: appends keep flowing during a sync).
+const deviceClass = "device"
+
+var devicePrimitives = map[string]bool{
+	"(*os.File).Sync":                   true,
+	"(repro/internal/disk.Model).Sync":  true,
+	"(repro/internal/disk.Clock).Sleep": true,
+	"time.Sleep":                        true,
+}
+
 // ParseLockOrder parses a lockorder.order file: one lock class per
 // line, outermost first; blank lines and # comments are skipped.
 func ParseLockOrder(src []byte) []string {
@@ -114,12 +128,14 @@ func (g *LockGraph) DOT() string {
 	return b.String()
 }
 
-// orderEvent is one direct acquisition inside a function.
+// orderEvent is one direct acquisition inside a function. via names
+// the blocking primitive a device acquisition calls.
 type orderEvent struct {
 	class string
 	pos   token.Pos
 	held  []heldLock
 	inGo  bool
+	via   string
 }
 
 // orderCall is one call site with the locks held across it.
@@ -140,6 +156,9 @@ type orderFunc struct {
 	// around the device sync, then retakes it), so it is excluded from
 	// the caller-visible transitive-acquire set; acquiring the seed
 	// while it is still held is caught lexically as a direct self-edge.
+	// A caller's seed -> X edge through the call is not drawn either:
+	// the callee reports it where X is taken under the seed, and X
+	// taken after the callee dropped the seed is not nested under it.
 	seed string
 }
 
@@ -148,10 +167,14 @@ type orderFunc struct {
 // declared hierarchy in lockorder.order (outermost first), the
 // acquisition graph must be acyclic, and every class that appears in
 // an edge must be declared. Acquisition is tracked lexically per
-// function (reusing locksync's replay, with per-closure scoping) and
+// function (lockstate.go's replay, with per-closure scoping) and
 // propagated over a call graph devirtualized against the analyzed
 // types, so holding the engine mutex while calling a helper that locks
-// the log is an edge even though the lock is two calls away.
+// the log is an edge even though the lock is two calls away. A call to
+// a device primitive acquires deviceClass, so "no device I/O under the
+// log, process or engine mutex" is the same rank check, reached over
+// the same call graph. Each function reports its own edges: two
+// functions syncing under one mutex are two diagnostics.
 func NewLockOrder(cfg LockOrderConfig) *Analyzer {
 	a, _ := NewLockOrderGraph(cfg)
 	return a
@@ -205,16 +228,20 @@ func NewLockOrderGraph(cfg LockOrderConfig) (*Analyzer, *LockGraph) {
 					}
 					funcs[fname] = of
 				}
+				acquire := func(held []heldLock, class string, pos token.Pos, inGo bool) {
+					of.events = append(of.events, orderEvent{class, pos, append([]heldLock(nil), held...), inGo, ""})
+				}
 				walkLocks(pass, decl, walkCfg, lockCallbacks{
-					acquire: func(held []heldLock, class string, pos token.Pos, inGo bool) {
-						of.events = append(of.events, orderEvent{class, pos, append([]heldLock(nil), held...), inGo})
-					},
-					wait: func(held []heldLock, class string, pos token.Pos, inGo bool) {
-						of.events = append(of.events, orderEvent{class, pos, append([]heldLock(nil), held...), inGo})
-					},
+					acquire: acquire,
+					wait:    acquire,
 					call: func(held []heldLock, fn *types.Func, call *ast.CallExpr, inGo bool) {
+						name := FuncString(fn)
+						if devicePrimitives[name] {
+							of.events = append(of.events, orderEvent{deviceClass, call.Pos(), append([]heldLock(nil), held...), inGo, name})
+							return
+						}
 						cg.addEdge(fname, fn)
-						of.calls = append(of.calls, orderCall{FuncString(fn), call.Pos(), append([]heldLock(nil), held...), inGo})
+						of.calls = append(of.calls, orderCall{name, call.Pos(), append([]heldLock(nil), held...), inGo})
 					},
 				})
 			})
@@ -283,14 +310,22 @@ func finishLockOrder(funcs map[string]*orderFunc, cg *callGraph, graph *LockGrap
 	}
 
 	// Edges: direct (held at an acquire site) and transitive (held
-	// across a call whose expansion acquires).
-	type edgeKey struct{ from, to string }
+	// across a call whose expansion acquires), the first of each class
+	// pair per function.
+	type edgeKey struct{ from, to, fn string }
 	edges := map[edgeKey]LockEdge{}
+	first := map[[2]string]LockEdge{} // per class pair, for naming a cycle's back edge
 	addEdge := func(e LockEdge) {
-		key := edgeKey{e.From, e.To}
+		if e.From == "" {
+			return // an untracked (local) mutex
+		}
+		key := edgeKey{e.From, e.To, e.Fn}
 		if _, ok := edges[key]; !ok {
 			edges[key] = e
 			graph.Edges = append(graph.Edges, e)
+			if _, ok := first[[2]string{e.From, e.To}]; !ok {
+				first[[2]string{e.From, e.To}] = e
+			}
 		}
 	}
 	names := make([]string, 0, len(funcs))
@@ -305,13 +340,10 @@ func finishLockOrder(funcs map[string]*orderFunc, cg *callGraph, graph *LockGrap
 				continue
 			}
 			for _, h := range e.held {
-				if h.Class == "" {
-					continue
-				}
 				addEdge(LockEdge{
 					From: h.Class, To: e.class,
 					Pos: of.fset.Position(e.pos), HeldPos: of.fset.Position(h.Pos),
-					Fn: name,
+					Fn: name, Via: e.via,
 				})
 			}
 		}
@@ -320,9 +352,13 @@ func finishLockOrder(funcs map[string]*orderFunc, cg *callGraph, graph *LockGrap
 				continue
 			}
 			for _, callee := range expand(c.callee) {
+				seed := ""
+				if cf := funcs[callee]; cf != nil {
+					seed = cf.seed
+				}
 				for class := range trans[callee] {
 					for _, h := range c.held {
-						if h.Class == "" {
+						if h.Class == seed {
 							continue
 						}
 						addEdge(LockEdge{
@@ -338,8 +374,8 @@ func finishLockOrder(funcs map[string]*orderFunc, cg *callGraph, graph *LockGrap
 
 	// Adjacency for cycle checks.
 	succ := map[string][]string{}
-	for key := range edges {
-		succ[key.from] = append(succ[key.from], key.to)
+	for key := range first {
+		succ[key[0]] = append(succ[key[0]], key[1])
 	}
 	reaches := func(from, to string) []string { // returns path from→…→to, nil if none
 		type node struct {
@@ -382,7 +418,10 @@ func finishLockOrder(funcs map[string]*orderFunc, cg *callGraph, graph *LockGrap
 		if keys[i].from != keys[j].from {
 			return keys[i].from < keys[j].from
 		}
-		return keys[i].to < keys[j].to
+		if keys[i].to != keys[j].to {
+			return keys[i].to < keys[j].to
+		}
+		return keys[i].fn < keys[j].fn
 	})
 	for _, key := range keys {
 		e := edges[key]
@@ -397,7 +436,7 @@ func finishLockOrder(funcs map[string]*orderFunc, cg *callGraph, graph *LockGrap
 				e.To, e.Pos, e.HeldPos, e.Fn, via)})
 		case len(reaches(e.To, e.From)) > 0:
 			path := reaches(e.To, e.From)
-			back := edges[edgeKey{path[0], path[1]}]
+			back := first[[2]string{path[0], path[1]}]
 			report(Diagnostic{Pos: e.Pos, Fn: e.Fn, Message: fmt.Sprintf(
 				"acquiring %s at %s while holding %s in %s%s completes a lock cycle: the reverse edge %s -> %s is taken at %s in %s",
 				e.To, e.Pos, e.From, e.Fn, via, back.From, back.To, back.Pos, back.Fn)})
@@ -413,6 +452,10 @@ func finishLockOrder(funcs map[string]*orderFunc, cg *callGraph, graph *LockGrap
 				report(Diagnostic{Pos: e.Pos, Fn: e.Fn, Message: fmt.Sprintf(
 					"undocumented lock class %s in acquisition edge %s -> %s in %s%s; declare it in internal/lint/lockorder.order or allowlist %s",
 					missing, e.From, e.To, e.Fn, via, e.Fn)})
+			case rf >= rt && e.To == deviceClass:
+				report(Diagnostic{Pos: e.Pos, Fn: e.Fn, Message: fmt.Sprintf(
+					"device I/O at %s while holding %s (rank %d, below device at rank %d) in %s%s; release the mutex around the blocking call, as (*wal.Log).syncLocked does, or allowlist %s in phoenix-lint.allow",
+					e.Pos, e.From, rf, rt, e.Fn, via, e.Fn)})
 			case rf >= rt:
 				report(Diagnostic{Pos: e.Pos, Fn: e.Fn, Message: fmt.Sprintf(
 					"acquiring %s (rank %d) at %s while holding %s (rank %d) in %s%s inverts the declared hierarchy (lockorder.order: outermost first)",
@@ -421,9 +464,13 @@ func finishLockOrder(funcs map[string]*orderFunc, cg *callGraph, graph *LockGrap
 		}
 	}
 	sort.Slice(graph.Edges, func(i, j int) bool {
-		if graph.Edges[i].From != graph.Edges[j].From {
-			return graph.Edges[i].From < graph.Edges[j].From
+		a, b := graph.Edges[i], graph.Edges[j]
+		if a.From != b.From {
+			return a.From < b.From
 		}
-		return graph.Edges[i].To < graph.Edges[j].To
+		if a.To != b.To {
+			return a.To < b.To
+		}
+		return a.Fn < b.Fn
 	})
 }

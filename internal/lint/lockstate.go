@@ -7,14 +7,16 @@ import (
 	"strings"
 )
 
-// This file is the scaffolding shared by the second-generation
-// concurrency analyzers (lockorder, locksync, shutdownpath): lock
-// *classes* that name a struct field the way config files spell them,
-// a lexical walker that replays acquire/release/wait events per
-// function with proper scoping for closures and goroutines, and a
-// whole-run call graph with cheap interface devirtualization (core
-// reaches wal only through the wal.Writer interface, so without it
-// every core→wal edge would be lost).
+// This file is the scaffolding shared by the concurrency analyzers
+// (lockorder, shutdownpath): lock *classes* that name a struct field
+// the way config files spell them, a lexical walker that replays
+// acquire/release/wait events per function with proper scoping for
+// closures and goroutines, and a whole-run call graph with cheap
+// interface devirtualization (wal reaches core's record encoders only
+// through wal.PayloadEncoder, and core its records' heads through an
+// interface of its own). lockorder is the one judge of locks: its
+// device rung holds the rule "no device I/O under the log,
+// process or engine mutex", checked over this call graph.
 
 // FieldClass spells a struct field as a lock class:
 // "pkgpath.Type.field", e.g. "repro/internal/wal.Log.mu".
@@ -425,21 +427,10 @@ func (g *callGraph) addEdge(caller string, callee *types.Func) {
 
 // devirtualize returns, for every interface-method callee seen, the
 // concrete methods it may dispatch to among the analyzed named types.
-// A caller in another package sees the interface through export data,
-// a *types.Package apart from the one its implementers were checked
-// in, so their method signatures name other RecordType and
-// PayloadEncoder objects and never match: the interface is looked up
-// among the source-checked types by its qualified name first.
 func (g *callGraph) devirtualize() map[string][]string {
 	out := map[string][]string{}
 	for name, fn := range g.ifaceCalls {
-		recv := fn.Type().(*types.Signature).Recv().Type()
-		if n, ok := recv.(*types.Named); ok && n.Obj().Pkg() != nil {
-			if src, ok := g.named[n.Obj().Pkg().Path()+"."+n.Obj().Name()]; ok {
-				recv = src
-			}
-		}
-		iface, ok := recv.Underlying().(*types.Interface)
+		iface, ok := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
 		if !ok {
 			continue
 		}
@@ -479,4 +470,20 @@ func (g *callGraph) reachable(roots []string) map[string]bool {
 		}
 	}
 	return seen
+}
+
+func isLockAcquire(callee string) bool {
+	switch callee {
+	case "(*sync.Mutex).Lock", "(*sync.RWMutex).Lock", "(*sync.RWMutex).RLock":
+		return true
+	}
+	return false
+}
+
+func isLockRelease(callee string) bool {
+	switch callee {
+	case "(*sync.Mutex).Unlock", "(*sync.RWMutex).Unlock", "(*sync.RWMutex).RUnlock":
+		return true
+	}
+	return false
 }

@@ -61,7 +61,7 @@ func TestRunnerAllowlist(t *testing.T) {
 	p := fixturePrefix + "wallclock"
 	allow := mustAllow(t,
 		"wallclock "+p+".instrumented # live\n"+
-			"lockysnc "+p+".instrumented # typo\n"+
+			"walclock "+p+".instrumented # typo\n"+
 			"wallclock "+p+".gone # the function no longer exists\n")
 	pkg, err := lint.LoadDir("testdata/wallclock", p)
 	if err != nil {
@@ -83,7 +83,7 @@ func TestRunnerAllowlist(t *testing.T) {
 	if len(diags) != 6 {
 		t.Errorf("got %d diagnostics, want the 6 in bad and badTimer", len(diags))
 	}
-	want := []string{"lockysnc " + p + ".instrumented", "wallclock " + p + ".gone"}
+	want := []string{"walclock " + p + ".instrumented", "wallclock " + p + ".gone"}
 	if !slices.Equal(dead, want) {
 		t.Errorf("dead entries = %q, want %q", dead, want)
 	}

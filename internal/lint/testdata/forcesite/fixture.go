@@ -29,22 +29,13 @@ func rogueForces(l *wal.Log) error {
 	return err
 }
 
-// A Set's entry points are its Log's, and the Writer interface is
-// guarded the same way: core appends through wal.Writer, so interface
-// call sites must not slip past the accounting.
+// A Set's entry points are its Log's, promoted — the runtime's log is
+// a *wal.Set — so its call sites are guarded as the Log's.
 func rogueSet(s *wal.Set, enc wal.PayloadEncoder) error {
 	if _, err := s.AppendInto(3, 1, enc); err != nil { // want `\Q(*repro/internal/wal.Log).AppendInto\E called from .*rogueSet`
 		return err
 	}
 	_, err := s.SyncAll() // want `\Q(*repro/internal/wal.Log).SyncAll\E called from .*rogueSet`
-	return err
-}
-
-func rogueWriter(w wal.Writer, enc wal.PayloadEncoder) error {
-	if _, err := w.AppendInto(3, 1, enc); err != nil { // want `\Q(repro/internal/wal.Writer).AppendInto\E called from`
-		return err
-	}
-	_, err := w.SyncTo(9) // want `\Q(repro/internal/wal.Writer).SyncTo\E called from`
 	return err
 }
 

@@ -1,146 +1,48 @@
 package trace
 
 import (
-	"errors"
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-
-	"encoding/binary"
 )
 
-// Dump file format ("PHXFTR1"): the magic line, a span count, then
-// each span as a fixed field sequence of varints —
-//
-//	uvarint trace, span, parent, stage, lsn
-//	varint  start, end           (unix nanos; signed, pre-epoch safe)
-//	uvarint len(proc)   + bytes
-//	uvarint len(method) + bytes
-//
-// The encoding deliberately uses encoding/binary varints rather than
-// the msg codec: msg imports trace (envelopes carry Refs), so trace
-// cannot import msg back.
-const dumpMagic = "PHXFTR1\n"
-
-var errDumpShort = errors.New("trace: truncated dump")
-
-// AppendDump appends the dump encoding of spans to dst.
-func AppendDump(dst []byte, spans []Span) []byte {
-	dst = append(dst, dumpMagic...)
-	dst = binary.AppendUvarint(dst, uint64(len(spans)))
-	for _, sp := range spans {
-		dst = binary.AppendUvarint(dst, sp.Trace)
-		dst = binary.AppendUvarint(dst, sp.Span)
-		dst = binary.AppendUvarint(dst, sp.Parent)
-		dst = binary.AppendUvarint(dst, uint64(sp.Stage))
-		dst = binary.AppendUvarint(dst, sp.LSN)
-		dst = binary.AppendVarint(dst, sp.Start)
-		dst = binary.AppendVarint(dst, sp.End)
-		dst = appendDumpString(dst, sp.Proc)
-		dst = appendDumpString(dst, sp.Method)
-	}
-	return dst
+// dump is a span list as JSON, {"spans": [...]} with each stage by
+// name: what Handler serves at DebugPath and what a dump file — a
+// crash's <proc>.ftr.N — holds. One encoding for spans, readable by
+// any JSON tool.
+type dump struct {
+	Spans []Span `json:"spans"`
 }
 
-// DecodeDump parses a dump produced by AppendDump.
-func DecodeDump(data []byte) ([]Span, error) {
-	if len(data) < len(dumpMagic) || string(data[:len(dumpMagic)]) != dumpMagic {
-		return nil, errors.New("trace: not a flight-recorder dump (bad magic)")
-	}
-	data = data[len(dumpMagic):]
-	count, data, err := consumeDumpUvarint(data)
-	if err != nil {
-		return nil, err
-	}
-	if count > uint64(len(data)) { // each span costs ≥ 9 bytes; cheap sanity cap
-		return nil, fmt.Errorf("trace: dump claims %d spans in %d bytes", count, len(data))
-	}
-	spans := make([]Span, 0, count)
-	for n := uint64(0); n < count; n++ {
-		var sp Span
-		var stage uint64
-		if sp.Trace, data, err = consumeDumpUvarint(data); err != nil {
-			return nil, err
-		}
-		if sp.Span, data, err = consumeDumpUvarint(data); err != nil {
-			return nil, err
-		}
-		if sp.Parent, data, err = consumeDumpUvarint(data); err != nil {
-			return nil, err
-		}
-		if stage, data, err = consumeDumpUvarint(data); err != nil {
-			return nil, err
-		}
-		sp.Stage = Stage(stage)
-		if sp.LSN, data, err = consumeDumpUvarint(data); err != nil {
-			return nil, err
-		}
-		if sp.Start, data, err = consumeDumpVarint(data); err != nil {
-			return nil, err
-		}
-		if sp.End, data, err = consumeDumpVarint(data); err != nil {
-			return nil, err
-		}
-		if sp.Proc, data, err = consumeDumpString(data); err != nil {
-			return nil, err
-		}
-		if sp.Method, data, err = consumeDumpString(data); err != nil {
-			return nil, err
-		}
-		spans = append(spans, sp)
-	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("trace: %d trailing bytes after dump", len(data))
-	}
-	return spans, nil
+func writeSpans(w io.Writer, spans []Span) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(dump{spans})
 }
 
-// WriteDump writes spans to path in dump format. Crash dumps are
+// WriteDump writes spans to path as a dump. Crash dumps are
 // best-effort: one plain write, no fsync — the universe is going down.
 func WriteDump(path string, spans []Span) error {
-	return os.WriteFile(path, AppendDump(nil, spans), 0o644)
+	var b bytes.Buffer
+	if err := writeSpans(&b, spans); err != nil {
+		return err
+	}
+	return os.WriteFile(path, b.Bytes(), 0o644)
 }
 
-// LoadDump reads a dump file back.
+// LoadDump reads a dump file back. A file that is not one whole dump —
+// cut short, followed by other bytes, naming a stage there is none of,
+// or in another format — is an error naming the file.
 func LoadDump(path string) ([]Span, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	spans, err := DecodeDump(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	var d dump
+	if err := json.Unmarshal(data, &d); err != nil {
+		return nil, fmt.Errorf("trace: %s is not a flight-recorder dump: %w", path, err)
 	}
-	return spans, nil
-}
-
-func appendDumpString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func consumeDumpUvarint(data []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, nil, errDumpShort
-	}
-	return v, data[n:], nil
-}
-
-func consumeDumpVarint(data []byte) (int64, []byte, error) {
-	v, n := binary.Varint(data)
-	if n <= 0 {
-		return 0, nil, errDumpShort
-	}
-	return v, data[n:], nil
-}
-
-func consumeDumpString(data []byte) (string, []byte, error) {
-	l, data, err := consumeDumpUvarint(data)
-	if err != nil {
-		return "", nil, err
-	}
-	if l > uint64(len(data)) {
-		return "", nil, errDumpShort
-	}
-	return string(data[:l]), data[l:], nil
+	return d.Spans, nil
 }

@@ -18,6 +18,7 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"sort"
 	"sync/atomic"
@@ -111,6 +112,22 @@ func (s Stage) String() string {
 // MarshalJSON renders the stage by name so dump files and the debug
 // endpoint stay readable without a decoder ring.
 func (s Stage) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
+
+// UnmarshalJSON is MarshalJSON's inverse. A name no stage has —
+// "unknown" included — is an error.
+func (s *Stage) UnmarshalJSON(data []byte) error {
+	var name string
+	if err := json.Unmarshal(data, &name); err != nil {
+		return err
+	}
+	for i, n := range stageNames {
+		if n == name {
+			*s = Stage(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("trace: unknown stage %q", name)
+}
 
 // Span is one recorded leg of a trace, the decoded (reader-side) form.
 // Start and End are universe-clock unix nanoseconds; LSN is the log

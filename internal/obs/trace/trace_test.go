@@ -1,10 +1,13 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -198,18 +201,74 @@ func TestDumpRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDumpRejectsGarbage: a dump loads only whole. Every refusal
+// names the file.
 func TestDumpRejectsGarbage(t *testing.T) {
-	if _, err := DecodeDump([]byte("not a dump")); err == nil {
-		t.Error("bad magic accepted")
+	dir := t.TempDir()
+	load := func(name string, data []byte) error {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadDump(path)
+		if err != nil && !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: error %q does not name the file", name, err)
+		}
+		return err
 	}
-	good := AppendDump(nil, []Span{{Trace: 1, Span: 2, Stage: StageReply, Start: 3, End: 4}})
-	for cut := len(dumpMagic) + 1; cut < len(good); cut++ {
-		if _, err := DecodeDump(good[:cut]); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
+	goodPath := filepath.Join(dir, "good")
+	if err := WriteDump(goodPath, []Span{{Trace: 1, Span: 2, Stage: StageReply, Start: 3, End: 4, Proc: "srv"}}); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(goodPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if load("garbage", []byte("not a dump")) == nil {
+		t.Error("garbage accepted")
+	}
+	// Every cut into the JSON value; the final newline alone may go.
+	body := bytes.TrimRight(good, "\n")
+	for cut := 0; cut < len(body); cut++ {
+		if load("cut", body[:cut]) == nil {
+			t.Errorf("truncation at %d of %d accepted", cut, len(body))
 		}
 	}
-	if _, err := DecodeDump(append(good, 0)); err == nil {
+	if load("trailing", append(bytes.Clone(good), '0')) == nil {
 		t.Error("trailing byte accepted")
+	}
+	unknown := bytes.Replace(good, []byte(`"reply"`), []byte(`"replay_queue_wait"`), 1)
+	if bytes.Equal(unknown, good) {
+		t.Fatalf("no stage name in %s", good)
+	}
+	if load("unknown-stage", unknown) == nil {
+		t.Error("unknown stage name accepted")
+	}
+	// The varint format crash dumps had before they were JSON.
+	if load("old.ftr.0", []byte("PHXFTR1\n\x01\x01\x02\x00\x06\x00\x06\x08\x03srv\x00")) == nil {
+		t.Error("PHXFTR1 dump accepted")
+	}
+}
+
+// TestDumpIsDebugEndpointJSON: a dump file holds exactly what the
+// debug endpoint serves for the same spans.
+func TestDumpIsDebugEndpointJSON(t *testing.T) {
+	r, _ := newTestRecorder(8, nil)
+	proc := "srv"
+	r.Record(SpanData{Ref: r.NewTrace(), Stage: StageExecute, Start: 1, End: 2, Proc: &proc})
+	rec := httptest.NewRecorder()
+	Handler(r).ServeHTTP(rec, httptest.NewRequest("GET", DebugPath, nil))
+	path := filepath.Join(t.TempDir(), "srv.ftr.0")
+	if err := WriteDump(path, r.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file, rec.Body.Bytes()) {
+		t.Errorf("dump file\n%s\ndiffers from the debug endpoint's\n%s", file, rec.Body.Bytes())
 	}
 }
 

@@ -13,8 +13,9 @@
 //     process generates match those on its log (Section 2.3). The
 //     name→ID table is force-written to a file on every update.
 //  2. Restart: when notified of an abnormal exit it invokes a restart
-//     callback after a configurable delay and tells the restarted
-//     process it is recovering, not booting for the first time.
+//     callback and tells the restarted process it is recovering, not
+//     booting for the first time. Any delay before the restart is the
+//     callback's, on whatever clock its runtime keeps.
 package recsvc
 
 import (
@@ -27,7 +28,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/disk"
 	"repro/internal/ids"
@@ -46,7 +46,6 @@ type Service struct {
 	table   map[string]ids.ProcID
 	nextID  ids.ProcID
 	restart RestartFunc
-	delay   time.Duration
 	// monitoring is on only while a restart func is installed.
 	stopped bool
 }
@@ -157,12 +156,11 @@ func (s *Service) Processes() []string {
 }
 
 // EnableAutoRestart installs a restart callback: subsequent
-// NotifyCrash calls restart the named process after delay.
-func (s *Service) EnableAutoRestart(restart RestartFunc, delay time.Duration) {
+// NotifyCrash calls restart the named process.
+func (s *Service) EnableAutoRestart(restart RestartFunc) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.restart = restart
-	s.delay = delay
 	s.stopped = false
 }
 
@@ -175,23 +173,17 @@ func (s *Service) DisableAutoRestart() {
 }
 
 // NotifyCrash reports an abnormal process exit. If auto-restart is
-// enabled the process is restarted asynchronously after the configured
-// delay; the error from the restart function is delivered on the
-// returned channel (nil channel when monitoring is off).
+// enabled the process is restarted asynchronously; the error from the
+// restart function is delivered on the returned channel (nil channel
+// when monitoring is off).
 func (s *Service) NotifyCrash(procName string) <-chan error {
 	s.mu.Lock()
 	restart := s.restart
-	delay := s.delay
 	s.mu.Unlock()
 	if restart == nil {
 		return nil
 	}
 	done := make(chan error, 1)
-	go func() {
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		done <- restart(procName)
-	}()
+	go func() { done <- restart(procName) }()
 	return done
 }

@@ -96,7 +96,7 @@ func TestAutoRestartCallback(t *testing.T) {
 	s.EnableAutoRestart(func(name string) error {
 		restarted <- name
 		return nil
-	}, time.Millisecond)
+	})
 	done := s.NotifyCrash("shopd")
 	select {
 	case name := <-restarted:
@@ -111,7 +111,7 @@ func TestAutoRestartCallback(t *testing.T) {
 	}
 
 	// Errors from the restart function are delivered.
-	s.EnableAutoRestart(func(string) error { return errors.New("boom") }, 0)
+	s.EnableAutoRestart(func(string) error { return errors.New("boom") })
 	if err := <-s.NotifyCrash("shopd"); err == nil {
 		t.Error("restart error swallowed")
 	}

@@ -96,10 +96,13 @@ func saveRoot(dir string, r root) error {
 	return disk.AtomicWriteFile(filepath.Join(dir, rootName), []byte(data))
 }
 
-// Publish implements Writer: one atomic write replaces the root with the
-// checkpoint's begin LSN and the log's stable watermark as of now.
-// Publications are serialized and never go backwards: a checkpoint no
-// newer than the one already published writes nothing.
+// Publish durably records the checkpoint that begins at begin where
+// the next open finds it: one atomic write replaces the root with
+// begin, the mark recovery's scan may start from, and the log's stable
+// watermark as of now — the next tail check starts there, and treats a
+// bad frame below it as corruption, not a torn tail. Publications are
+// serialized and never go backwards: a checkpoint no newer than the
+// one already published writes nothing.
 func (s *Set) Publish(begin ids.LSN) error {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
@@ -113,7 +116,8 @@ func (s *Set) Publish(begin ids.LSN) error {
 	return nil
 }
 
-// Mark implements Writer.
+// Mark returns the begin-checkpoint LSN last published, else the one
+// the log held when it was opened; NilLSN when there is none.
 func (s *Set) Mark() ids.LSN {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()

@@ -466,8 +466,7 @@ func (l *Log) appendLocked(t RecordType, payload []byte, prev ids.LSN) (ids.LSN,
 // given or the one it returns.
 //
 // key is the appending context's CompID (0: a process-wide record);
-// it routes nothing — a process has one log — and is kept in the
-// signature the runtime writes through (Writer).
+// it routes nothing — a process has one log.
 //
 // A non-nil head makes the record the newest of a chain: its frame
 // carries the distance back to the LSN in *head (nil: none), and *head
