@@ -689,14 +689,14 @@ func BenchmarkMultiCall(b *testing.B) {
 
 // ---- building-block micro-benchmarks ----
 
-// benchLog opens a process log and returns its Log.
+// benchLog opens a process log.
 func benchLog(b *testing.B) *wal.Log {
-	set, err := wal.OpenSet(b.TempDir()+"/bench.log", disk.HostModel{}, 1)
+	l, err := wal.OpenSet(b.TempDir()+"/bench.log", disk.HostModel{}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { set.Close() })
-	return set.Log
+	b.Cleanup(func() { l.Close() })
+	return l
 }
 
 // BenchmarkWALAppend measures a buffered log append.

@@ -74,12 +74,12 @@ func TestFacadeSurface(t *testing.T) {
 
 	net := phoenix.NewMemNetwork(clk, 100*time.Microsecond)
 
-	var events []phoenix.Event
+	reg := phoenix.NewMetricsRegistry()
 	cfg := phoenix.Config{
 		LogMode:          phoenix.LogOptimized,
 		SpecializedTypes: true,
 		SaveStateEvery:   2,
-		OnEvent:          func(e phoenix.Event) { events = append(events, e) },
+		Metrics:          reg,
 	}
 	u, err := phoenix.NewUniverse(phoenix.UniverseConfig{
 		Dir:   t.TempDir(),
@@ -123,6 +123,7 @@ func TestFacadeSurface(t *testing.T) {
 		t.Error("Ctx().URI() mismatch")
 	}
 
+	created := hHost.RestartLSN()
 	ref := u.ExternalRef(hHost.URI())
 	if _, err := ref.Call("Stash", 3); err != nil {
 		t.Fatal(err)
@@ -133,14 +134,8 @@ func TestFacadeSurface(t *testing.T) {
 	if _, err := ref.Call("Stash", 1); err != nil {
 		t.Fatal(err)
 	}
-	var sawSave bool
-	for _, e := range events {
-		if e.Kind == phoenix.EventStateSave {
-			sawSave = true
-		}
-	}
-	if !sawSave {
-		t.Error("no state-save event surfaced through the facade")
+	if reg.Snapshot().Counter("ckpt.state_saves") == 0 || hHost.RestartLSN() <= created {
+		t.Error("no state save surfaced through the facade")
 	}
 
 	logDir := p.LogDir()

@@ -5,7 +5,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	phoenix "repro"
@@ -16,9 +15,7 @@ import (
 // bookstore seller process hosting one BookSeller plus a
 // basket-manager context per buyer, crashed mid-shopping and recovered
 // from the same log eagerly and lazily. Both runs must reproduce
-// identical baskets and identical replay accounting, and the
-// EventRecoveryDone event must carry the same
-// RecoveryStats that Process.LastRecovery returns. (The wider table —
+// identical baskets and identical replay accounting. (The wider table —
 // injected crashes, last-call tables — is core's
 // TestRecoveryEquivalence.)
 func TestSellerRecoveryEquivalence(t *testing.T) {
@@ -68,18 +65,6 @@ func TestSellerRecoveryEquivalence(t *testing.T) {
 		}
 		cfg := LevelOptimizedLogging.Config()
 		cfg.Recovery = phoenix.RecoveryConfig{Mode: mode}
-		var (
-			mu   sync.Mutex
-			done *phoenix.Event
-		)
-		cfg.OnEvent = func(e phoenix.Event) {
-			if e.Kind == phoenix.EventRecoveryDone {
-				mu.Lock()
-				ev := e
-				done = &ev
-				mu.Unlock()
-			}
-		}
 		p2, err := m2.StartProcess("seller", cfg)
 		if err != nil {
 			t.Fatalf("%v: restart seller: %v", mode, err)
@@ -91,15 +76,6 @@ func TestSellerRecoveryEquivalence(t *testing.T) {
 		if !ok {
 			t.Fatalf("%v: LastRecovery reported no run", mode)
 		}
-		mu.Lock()
-		if done == nil || done.Recovery == nil {
-			t.Fatalf("%v: EventRecoveryDone missing Recovery stats", mode)
-		}
-		if *done.Recovery != stats {
-			t.Errorf("%v: event stats %+v != LastRecovery %+v",
-				mode, *done.Recovery, stats)
-		}
-		mu.Unlock()
 
 		out := outcome{baskets: make(map[string][]BasketItem), stats: stats}
 		ref := u2.ExternalRef(d.SellerURI)

@@ -11,7 +11,11 @@ import (
 // crashing the middle and bottom tiers repeatedly at random
 // interception points (not just between calls — during them), with the
 // recovery service restarting everything. The end state must show
-// every driver call applied exactly once.
+// every driver call applied exactly once. The cells are the logging
+// disciplines: baseline, optimized, and optimized with Section 3.5's
+// multi-call optimization, where each tier's one send per execution
+// goes unforced (Algorithm 1 forces every send, so MultiCall changes
+// nothing under baseline).
 func TestChaosExactlyOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run")
@@ -25,14 +29,22 @@ func TestChaosExactlyOnce(t *testing.T) {
 		PointClientAfterForceSend,
 		PointClientAfterReply,
 	}
-	for _, mode := range []LogMode{LogBaseline, LogOptimized} {
-		for trial := 0; trial < 3; trial++ {
-			t.Run(fmt.Sprintf("%v/trial%d", mode, trial), func(t *testing.T) {
+	for _, cell := range []struct {
+		mode      LogMode
+		multiCall bool
+	}{{LogBaseline, false}, {LogOptimized, false}, {LogOptimized, true}} {
+		mode, name := cell.mode, cell.mode.String()
+		if cell.multiCall {
+			name += "+multicall"
+		}
+		for trial := 0; trial < 2; trial++ {
+			t.Run(fmt.Sprintf("%s/trial%d", name, trial), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(31*trial + 7 + int(mode))))
 				u := newTestUniverse(t)
 				base := Config{
 					LogMode:          mode,
 					SpecializedTypes: true,
+					MultiCall:        cell.multiCall,
 					RetryInterval:    time.Millisecond,
 					RetryLimit:       5000,
 					SaveStateEvery:   7,

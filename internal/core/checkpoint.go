@@ -70,8 +70,6 @@ func (cx *Context) saveStateLocked() error {
 	cx.lastLSN = lsn
 	cx.callsSinceSave = 0
 	p.obs.StateSaves.Inc()
-	p.emitEvent(Event{Kind: EventStateSave, Context: cx.uri, LSN: lsn,
-		Detail: fmt.Sprintf("state record at %v", lsn)})
 	return nil
 }
 
@@ -159,7 +157,5 @@ func (p *Process) runCheckpoint() error {
 	p.pendingCkptEnd = end
 	p.ckptMu.Unlock()
 	p.obs.Checkpoints.Inc()
-	p.emitEvent(Event{Kind: EventCheckpoint, LSN: begin,
-		Detail: fmt.Sprintf("begin at %v, %d contexts", begin, len(entries))})
 	return nil
 }

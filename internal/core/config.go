@@ -154,11 +154,6 @@ type Config struct {
 	// after every N-th incoming call it serves (0 disables;
 	// Section 4.3).
 	CheckpointEvery int
-	// AutoTrimLog reclaims dead log segments whenever a process
-	// checkpoint becomes durable: everything before the oldest restart
-	// LSN / last-call reply record is deleted. The paper's
-	// checkpointing bounds recovery time; trimming bounds log space.
-	AutoTrimLog bool
 
 	// RetryInterval is how long a client interceptor waits before
 	// repeating an outgoing call whose server failed (condition 4:
@@ -173,12 +168,6 @@ type Config struct {
 	// Injector, when set, crashes the process at named interception
 	// points to drive the Figure 2 failure experiments.
 	Injector *Injector
-
-	// OnEvent, when set, observes runtime lifecycle events (crashes,
-	// recovery, checkpoints, retries, log trims, replayed calls). The
-	// callback may run with runtime locks held and must not call back
-	// into the runtime.
-	OnEvent func(Event)
 
 	// Metrics is the registry this process accounts its runtime
 	// counters to: log forces and writes at the device boundary,

@@ -10,13 +10,13 @@ import (
 )
 
 // This file holds crash rows for disciplines the equivalence table
-// (recovery_equiv_test.go) does not reach, each across processes and
-// each recovered eagerly and lazily: Section 3.5's multi-call
-// optimization, where a server may durably run a call whose cause is
-// not yet durable at its caller, and Algorithm 5, where a persistent
-// caller's replay must take a read-only component's answer from its
-// log. Both read outgoing-reply records on replay, keyed by the reply's
-// own call ID.
+// (recovery_equiv_test.go) does not reach, each recovered eagerly and
+// lazily: Section 3.5's multi-call optimization, where a server may
+// durably run a call whose cause is not yet durable at its caller, and
+// Algorithm 5, where a persistent caller's replay must take a read-only
+// component's answer from its log — both across processes, reading
+// outgoing-reply records on replay, keyed by the reply's own call ID —
+// and a subordinate, whose state rides in its parent's state record.
 
 // Tally is a persistent server that counts its executions: its state
 // tells how many calls ran and which (each caller below adds a distinct
@@ -258,6 +258,104 @@ func TestCrashRowReadOnlyReplyFromLog(t *testing.T) {
 			}
 			if n := rcfg.Metrics.Snapshot().Counter(obs.ServeExecs); n != 1 {
 				t.Errorf("R ran %d times, want once: the replay called it again", n)
+			}
+		})
+	}
+}
+
+// Teller is a persistent caller of a Parent: Pay deposits through it,
+// so each deposit carries a call ID the Parent's process can answer a
+// retry of from its last-call table.
+type Teller struct {
+	Bank *Ref
+}
+
+func (c *Teller) Pay(n int) (int, error) {
+	res, err := c.Bank.Call("Deposit", n)
+	if err != nil {
+		return 0, err
+	}
+	return res[0].(int), nil
+}
+
+// TestCrashRowSubordinateAfterStateRecord: a parent with a subordinate
+// saves a state record every second call, so Deposit(1) and Deposit(2)
+// end in one; its process crashes in Deposit(4) after executing it. The
+// parent's process logs by Algorithm 1, so the force of Deposit(4)'s
+// incoming record makes the state record before it stable. The restart
+// restores both components from the state record and replays
+// Deposit(4), and the persistent caller's retry of that call ID is
+// answered from the last-call table, not run again. The subordinate's
+// state must come back with the parent's: each deposit's answer is the
+// running sum of distinct powers of two, so a lost subordinate state or
+// a call run twice shows.
+func TestCrashRowSubordinateAfterStateRecord(t *testing.T) {
+	for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
+		t.Run(mode.String(), func(t *testing.T) {
+			u := newTestUniverse(t)
+			defer u.Shutdown()
+			cfg := testConfig()
+			cfg.SaveStateEvery = 2
+			cfg.RetryInterval = time.Millisecond
+			cfg.RetryLimit = 5000
+			_, pc := startProc(t, u, "m-cli", "cli", cfg)
+			cfg.LogMode = LogBaseline
+			crashCfg := cfg
+			crashCfg.Injector = NewInjector().CrashAt(PointServerAfterExecute, 3)
+			m, p := startProc(t, u, "m-srv", "srv", crashCfg)
+			defer pc.Close()
+			h, err := p.Create("Parent", &Parent{}, WithSubordinate("vault", &Vault{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hc, err := pc.Create("Teller", &Teller{Bank: NewRef(h.URI())})
+			if err != nil {
+				t.Fatal(err)
+			}
+			teller := u.ExternalRef(hc.URI())
+			for i, want := range []int{1, 3} {
+				if got := callInt(t, teller, "Pay", 1<<i); got != want {
+					t.Fatalf("Pay(%d) = %d, want %d", 1<<i, got, want)
+				}
+			}
+
+			var across []any
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				across, err = teller.Call("Pay", 4)
+				done <- err
+			}()
+			for !p.Crashed() {
+				time.Sleep(time.Millisecond)
+			}
+			cfg.Recovery = Recovery{Mode: mode}
+			if p, err = m.StartProcess("srv", cfg); err == nil {
+				err = p.DrainRecovery()
+			}
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			defer p.Close()
+			if err := <-done; err != nil || across[0] != any(7) {
+				t.Fatalf("Pay(4) across the crash = %v, %v; want 7", across, err)
+			}
+			if rs, _ := p.LastRecovery(); rs.CallsReplayed != 1 {
+				t.Errorf("the restart replayed %d calls, want 1: it did not start from the state record", rs.CallsReplayed)
+			}
+			if got := callInt(t, teller, "Pay", 8); got != 15 {
+				t.Errorf("Pay(8) = %d, want 15", got)
+			}
+			h, ok := p.Lookup("Parent")
+			if !ok {
+				t.Fatal("the parent did not come back")
+			}
+			sub, ok := h.Ctx().Subordinate("vault")
+			if !ok {
+				t.Fatal("the subordinate did not come back")
+			}
+			if got, v := h.Object().(*Parent).Total, sub.Object().(*Vault).Stored; got != 15 || v != 15 {
+				t.Errorf("parent total %d, vault %d; want 15 and 15", got, v)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -186,6 +187,7 @@ func TestEveryMetricMoves(t *testing.T) {
 	t.Run("restart", func(t *testing.T) { moveRestart(t, reg) })
 	t.Run("dead-server", func(t *testing.T) { moveDeadServer(t, reg) })
 	t.Run("group-commit", func(t *testing.T) { moveGroupCommit(t, reg) })
+	t.Run("crash-discard", func(t *testing.T) { moveCrashDiscard(t, reg) })
 
 	snap := reg.Snapshot()
 	for _, name := range declaredMetrics(t) {
@@ -299,12 +301,14 @@ func moveCheckpoint(t *testing.T, reg *obs.Registry) {
 	cfg := testConfig()
 	cfg.SaveStateEvery = 10
 	cfg.CheckpointEvery = 20
-	cfg.AutoTrimLog = true
 	_, pc := startProc(t, u, "evo1", "cli", testConfig())
 	_, p := startProc(t, u, "evo2", "srv", cfg)
 	p.SetLogSegmentBytes(2 << 10)
 	b := create(t, pc, "Batcher", &Batcher{Server: NewRef(create(t, p, "Counter", &Counter{}))})
 	callInt(t, u.ExternalRef(b), "RunBatch", "Add", 200, 1)
+	if err := p.TrimLog(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // moveRestart: a crash, an eager restart, a second crash and a lazy
@@ -364,10 +368,36 @@ func moveDeadServer(t *testing.T, reg *obs.Registry) {
 	}
 }
 
+// moveCrashDiscard: a crash whose log discard fails. The log rolls into
+// a segment no force covers, and that segment's path becomes a
+// non-empty directory, which os.Remove refuses even to root.
+func moveCrashDiscard(t *testing.T, reg *obs.Registry) {
+	u := metricsUniverse(t, reg, disk.NewRealClock(1))
+	_, p := startProc(t, u, "evo1", "srv", testConfig())
+	p.SetLogSegmentBytes(64)
+	for n := p.LogStats().Segments; p.LogStats().Segments == n; {
+		if _, err := p.appendRec(&endCkptRec{BeginLSN: 1}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := filepath.Glob(filepath.Join(p.LogDir(), "*.seg"))
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("segments %v, %v", segs, err)
+	}
+	unforced := segs[len(segs)-1] // names are zero-padded start LSNs
+	if err := os.Remove(unforced); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(unforced, "pin"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	p.Crash()
+}
+
 // moveGroupCommit: concurrent committers on a log with the commit
 // window on, until one force request rides a sync it did not issue.
 func moveGroupCommit(t *testing.T, reg *obs.Registry) {
-	l, err := wal.Open(filepath.Join(t.TempDir(), "proc.log"), nil)
+	l, err := wal.OpenSet(filepath.Join(t.TempDir(), "proc.log"), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

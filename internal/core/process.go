@@ -32,7 +32,7 @@ type Process struct {
 	cfg    Config
 	addr   string
 
-	log     *wal.Set
+	log     *wal.Log
 	logPath string
 
 	// metrics is the resolved observability registry (Config.Metrics,
@@ -172,8 +172,7 @@ func (p *Process) Config() Config { return p.cfg }
 func (p *Process) Recovered() bool { return p.recovered }
 
 // LastRecovery returns the stats of this process's most recent crash
-// recovery, or ok=false if it has never recovered. The same stats ride
-// on the EventRecoveryDone event.
+// recovery, or ok=false if it has never recovered.
 func (p *Process) LastRecovery() (RecoveryStats, bool) {
 	p.recMu.Lock()
 	defer p.recMu.Unlock()
@@ -467,7 +466,7 @@ func (p *Process) finishForce(site *obs.Counter, out wal.SyncOutcome, err error)
 // process checkpoint has been flushed to the log (possibly by a later
 // send message), the log manager writes and forces the LSN of the
 // begin checkpoint record into a well-known file" — here the root of
-// the log directory, wal.Set.Publish). With the LSN-aware
+// the log directory, wal.Log.Publish). With the LSN-aware
 // force API a sync need not cover the whole tail, so the check is
 // against the end-checkpoint record's LSN, not "any force happened".
 func (p *Process) completeCheckpoint() error {
@@ -493,21 +492,14 @@ func (p *Process) completeCheckpoint() error {
 	// One write: the mark, and how far the log is stable now — the next
 	// open need not check that much for a torn tail. The log drops a
 	// publisher that a newer checkpoint overtook on the way here.
-	if err := p.log.Publish(begin); err != nil {
-		return err
-	}
-	if p.cfg.AutoTrimLog {
-		return p.TrimLog()
-	}
-	return nil
+	return p.log.Publish(begin)
 }
 
 // TrimLog reclaims the dead log prefix: everything before the oldest
 // position recovery could still need — the minimum over every
 // context's restart LSN, every last-call entry's reply LSN, and the
-// well-known checkpoint LSN. Whole dead segments are deleted. With
-// Config.AutoTrimLog it runs automatically whenever a process
-// checkpoint becomes durable.
+// well-known checkpoint LSN. Whole dead segments are deleted. It is the
+// one way to reclaim log space: nothing trims on its own.
 func (p *Process) TrimLog() error {
 	keep := p.reclaimPoint()
 	if keep.IsNil() {
@@ -517,10 +509,8 @@ func (p *Process) TrimLog() error {
 	if err := p.log.TrimHead(keep); err != nil {
 		return err
 	}
-	if got := p.log.Stats().TrimmedBytes - before; got > 0 {
+	if p.log.Stats().TrimmedBytes > before {
 		p.obs.Trims.Inc()
-		p.emitEvent(Event{Kind: EventTrim, LSN: keep,
-			Detail: fmt.Sprintf("reclaimed %d bytes up to %v", got, keep)})
 	}
 	return nil
 }
@@ -663,16 +653,16 @@ func (p *Process) Crash() {
 	}
 	p.u.cfg.Net.Unlisten(p.addr)
 	p.listening.Store(false)
-	detail := ""
 	if err := p.log.Discard(); err != nil {
-		detail = fmt.Sprintf("log discard: %v", err)
+		// The log was not cut back to its stable watermark: the restart
+		// image is not the modelled one.
+		p.obs.CrashDiscardErrors.Inc()
 	}
 	p.dumpFlightRecorder()
 	p.markStarted() // release any waiters; they will see the crash
 	if e := p.engine.Load(); e != nil {
 		e.stop()
 	}
-	p.emit(EventCrash, "", "%s", detail)
 	p.m.svc.NotifyCrash(p.name)
 }
 

@@ -39,13 +39,12 @@ import (
 // (NewVirtualClock, scaled bench clocks) report model time consistent
 // with every other model-time measurement; the recovery.*_micros obs
 // histograms observe the same durations. Retrieve the latest run's stats
-// with Process.LastRecovery, or from the EventRecoveryDone event that
-// carries them.
+// with Process.LastRecovery.
 type RecoveryStats struct {
 	// Pass1Duration covers the analysis scan plus reading the restart
 	// records and registering the contexts; Pass2Duration covers
 	// bringing every context back (build, walk, replay); TotalDuration
-	// is the whole recovery including event bookkeeping.
+	// is the whole recovery.
 	Pass1Duration time.Duration
 	Pass2Duration time.Duration
 	TotalDuration time.Duration
@@ -140,7 +139,6 @@ func (p *Process) restore() (*restorePlan, error) {
 	// replayIncoming), so a timeline shows both the call's replay and
 	// which recovery run performed it.
 	recRun := p.tr.NewTrace()
-	p.emitEvent(Event{Kind: EventRecoveryStart, LSN: start, Detail: fmt.Sprintf("scanning from %v", start)})
 
 	// ---- Pass 1: find contexts and their restart LSNs. ----
 	pass1Start := clock.Now()
@@ -228,8 +226,6 @@ func (p *Process) restore() (*restorePlan, error) {
 		p.obs.RecoveryMicros.Observe(stats.TotalDuration.Microseconds())
 		p.setLastRecovery(&stats)
 		p.recovered = true
-		p.emitEvent(Event{Kind: EventRecoveryDone, Recovery: &stats,
-			Detail: "no contexts to restore"})
 		return nil, nil
 	}
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -279,10 +278,10 @@ func (e *replayEngine) replayFailure(id ids.CompID) error {
 
 // finalize publishes the completed recovery when the last context
 // finishes: stats merged from the restore plan and the drain's
-// accounting, the recovery.* histograms, and the EventRecoveryDone
-// event. A clean run then detaches the engine from the process so the
-// serve path returns to a bare nil check; a run with failed contexts
-// stays attached, keeping the per-context errors addressable.
+// accounting, and the recovery.* histograms. A clean run then detaches
+// the engine from the process so the serve path returns to a bare nil
+// check; a run with failed contexts stays attached, keeping the
+// per-context errors addressable.
 func (e *replayEngine) finalize() {
 	p := e.p
 	if p.crashed.Load() {
@@ -306,16 +305,6 @@ func (e *replayEngine) finalize() {
 	p.obs.RecoveryPass2Micros.Observe(stats.Pass2Duration.Microseconds())
 	p.obs.RecoveryMicros.Observe(stats.TotalDuration.Microseconds())
 	p.setLastRecovery(&stats)
-	p.emitEvent(Event{
-		Kind:       EventRecoveryDone,
-		Restored:   len(e.plan.restored),
-		Replayed:   stats.CallsReplayed,
-		Suppressed: stats.CallsSuppressed,
-		Recovery:   &stats,
-		Detail: fmt.Sprintf("%d contexts restored (%d on demand, %d in background), %d calls replayed, %d sends suppressed",
-			len(e.plan.restored), stats.ContextsOnDemand, stats.ContextsBackground,
-			stats.CallsReplayed, stats.CallsSuppressed),
-	})
 	if failures == 0 {
 		p.engine.CompareAndSwap(e, nil)
 	}

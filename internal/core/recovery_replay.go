@@ -161,7 +161,6 @@ func (p *Process) replayIncoming(cx *Context, ir *incomingRec, lsn ids.LSN, repl
 	cx.beginExecution()
 	p.replayedCalls.Add(1)
 	p.obs.ReplayedCalls.Inc()
-	p.emitEvent(Event{Kind: EventReplay, Context: cx.uri, Method: call.Method, LSN: lsn})
 	replayStart := p.tr.Now()
 	out, appErr := bound.Call()
 	if p.tr != nil && !ir.Trace.IsZero() {

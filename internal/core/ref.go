@@ -157,7 +157,7 @@ func (r *Ref) externalCall(call *msg.Call, reply *msg.Reply) error {
 	if r.noRetry {
 		retries = 1
 	}
-	return r.u.send(call, reply, retries, cfg.retryInterval(), nil, "external", tr)
+	return r.u.send(call, reply, retries, cfg.retryInterval(), tr)
 }
 
 // outgoingCall is the client interceptor for calls from inside a
@@ -269,8 +269,7 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 	}
 
 	// Condition 4: repeat the call until some response arrives.
-	if err := p.u.send(call, reply, p.cfg.retryLimit(), p.cfg.retryInterval(),
-		p.cfg.OnEvent, p.name, p.tr); err != nil {
+	if err := p.u.send(call, reply, p.cfg.retryLimit(), p.cfg.retryInterval(), p.tr); err != nil {
 		return err
 	}
 	resumeStart := p.tr.Now()
@@ -323,12 +322,10 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 }
 
 // send resolves the target and drives the transport with retries,
-// decoding the answer into reply. onEvent (optional) observes each
-// redrive; tr (optional) records the round trip as a StageTransport span
-// of the call's trace — including retries, which are part of what the
-// caller waited for.
-func (u *Universe) send(call *msg.Call, reply *msg.Reply, retries int, interval time.Duration,
-	onEvent func(Event), procName string, tr *trace.Recorder) error {
+// decoding the answer into reply. tr (optional) records the round trip
+// as a StageTransport span of the call's trace — including retries,
+// which are part of what the caller waited for.
+func (u *Universe) send(call *msg.Call, reply *msg.Reply, retries int, interval time.Duration, tr *trace.Recorder) error {
 	addr, err := u.addrForURI(call.Target)
 	if err != nil {
 		return err
@@ -349,10 +346,6 @@ func (u *Universe) send(call *msg.Call, reply *msg.Reply, retries int, interval 
 	for attempt := 0; attempt < retries; attempt++ {
 		if attempt > 0 {
 			u.rpcm.RPCRetries.Inc()
-			if onEvent != nil {
-				onEvent(Event{Kind: EventRetry, Process: procName, Context: call.Target,
-					Method: call.Method, Detail: fmt.Sprintf("attempt %d", attempt+1)})
-			}
 			u.cfg.Clock.Sleep(interval)
 		}
 		respData, err := u.cfg.Net.Send(addr, data)

@@ -214,7 +214,6 @@ func TestRestartTrimsFromLoadedMarks(t *testing.T) {
 	}
 	p.Crash()
 
-	cfg.AutoTrimLog = true
 	if p, err = m.StartProcess("srv", cfg); err != nil {
 		t.Fatal(err)
 	}

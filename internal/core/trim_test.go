@@ -6,15 +6,15 @@ import (
 	"testing"
 )
 
-// TestAutoTrimReclaimsLogSpace: with checkpointing and AutoTrimLog on,
-// a long workload's log stays bounded — dead segments are deleted once
-// every restart point has moved past them — and recovery still works.
-func TestAutoTrimReclaimsLogSpace(t *testing.T) {
+// TestTrimLogReclaimsLogSpace: with checkpointing on and TrimLog called
+// as the workload runs, a long workload's log stays bounded — dead
+// segments are deleted once every restart point has moved past them —
+// and recovery still works.
+func TestTrimLogReclaimsLogSpace(t *testing.T) {
 	u := newTestUniverse(t)
 	cfg := testConfig()
 	cfg.SaveStateEvery = 20
 	cfg.CheckpointEvery = 40
-	cfg.AutoTrimLog = true
 	m, p := startProc(t, u, "evo1", "srv", cfg)
 	p.SetLogSegmentBytes(4 * 1024)
 	h, err := p.Create("KV", &KVStore{})
@@ -25,6 +25,10 @@ func TestAutoTrimReclaimsLogSpace(t *testing.T) {
 	const calls = 600
 	for i := 0; i < calls; i++ {
 		if _, err := ref.Call("Set", "k", "some-reasonably-long-value-to-grow-the-log"); err != nil {
+			t.Fatal(err)
+		}
+		// A no-op until a checkpoint is published; then it trims to it.
+		if err := p.TrimLog(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,7 +68,6 @@ func TestTrimKeepsStatelessComponents(t *testing.T) {
 	cfg := testConfig()
 	cfg.SaveStateEvery = 10
 	cfg.CheckpointEvery = 20
-	cfg.AutoTrimLog = true
 	m, p := startProc(t, u, "evo1", "srv", cfg)
 	p.SetLogSegmentBytes(2 * 1024)
 
@@ -78,6 +81,9 @@ func TestTrimKeepsStatelessComponents(t *testing.T) {
 	ref := u.ExternalRef(h.URI())
 	for i := 0; i < 200; i++ {
 		callInt(t, ref, "Add", 1)
+	}
+	if err := p.TrimLog(); err != nil {
+		t.Fatal(err)
 	}
 	if p.LogStats().TrimmedBytes == 0 {
 		t.Fatal("nothing was trimmed")

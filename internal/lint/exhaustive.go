@@ -14,7 +14,7 @@ import (
 const enumModule = "repro"
 
 // NewExhaustive returns the exhaustive analyzer: a switch over one of
-// the runtime's enums (EventKind, the wal record types, the component
+// the runtime's enums (LogMode, the wal record types, the component
 // kinds, ...) must either cover every declared member or carry an
 // explicit default — a bare partial switch silently drops newly added
 // members, the regression class the defensive String() defaults exist

@@ -3,8 +3,7 @@ package lint
 import "go/ast"
 
 // forcesiteGuarded are the call targets (FuncString spelling) that
-// append to or force the write-ahead log. The runtime holds its log as
-// a *wal.Set, whose entry points are its Log's, promoted: these.
+// append to or force the write-ahead log, a *wal.Log.
 var forcesiteGuarded = map[string]bool{
 	"(*repro/internal/wal.Log).Append":       true,
 	"(*repro/internal/wal.Log).AppendInto":   true,

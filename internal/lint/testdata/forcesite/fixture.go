@@ -29,13 +29,8 @@ func rogueForces(l *wal.Log) error {
 	return err
 }
 
-// A Set's entry points are its Log's, promoted — the runtime's log is
-// a *wal.Set — so its call sites are guarded as the Log's.
-func rogueSet(s *wal.Set, enc wal.PayloadEncoder) error {
-	if _, err := s.AppendInto(3, 1, enc); err != nil { // want `\Q(*repro/internal/wal.Log).AppendInto\E called from .*rogueSet`
-		return err
-	}
-	_, err := s.SyncAll() // want `\Q(*repro/internal/wal.Log).SyncAll\E called from .*rogueSet`
+func rogueAppendInto(l *wal.Log, enc wal.PayloadEncoder) error {
+	_, err := l.AppendInto(3, 1, enc) // want `\Q(*repro/internal/wal.Log).AppendInto\E called from .*rogueAppendInto`
 	return err
 }
 

@@ -103,6 +103,9 @@ const (
 	Checkpoints = "ckpt.process"
 	StateSaves  = "ckpt.state_saves"
 	Trims       = "ckpt.trims"
+	// A crash whose log discard failed: the log was not cut back to
+	// its stable watermark, so the restart image is not the modelled one.
+	CrashDiscardErrors = "ckpt.crash_discard_errors"
 
 	// --- recovery ---
 
@@ -333,9 +336,10 @@ type RuntimeMetrics struct {
 	ElideReadOnly        *Counter
 	ElideMultiCall       *Counter
 
-	Checkpoints *Counter
-	StateSaves  *Counter
-	Trims       *Counter
+	Checkpoints        *Counter
+	StateSaves         *Counter
+	Trims              *Counter
+	CrashDiscardErrors *Counter
 
 	RecoveryRuns        *Counter
 	ContextsRestored    *Counter
@@ -387,9 +391,10 @@ func RuntimeView(r *Registry) *RuntimeMetrics {
 		ElideReadOnly:        r.counter(ElideReadOnly),
 		ElideMultiCall:       r.counter(ElideMultiCall),
 
-		Checkpoints: r.counter(Checkpoints),
-		StateSaves:  r.counter(StateSaves),
-		Trims:       r.counter(Trims),
+		Checkpoints:        r.counter(Checkpoints),
+		StateSaves:         r.counter(StateSaves),
+		Trims:              r.counter(Trims),
+		CrashDiscardErrors: r.counter(CrashDiscardErrors),
 
 		RecoveryRuns:        r.counter(RecoveryRuns),
 		ContextsRestored:    r.counter(ContextsRestored),

@@ -11,7 +11,7 @@ import (
 var benchPayload = make([]byte, 128)
 
 func BenchmarkWALAppend(b *testing.B) {
-	l, err := Open(b.TempDir(), nil)
+	l, err := OpenSet(b.TempDir(), nil, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // BenchmarkWALAppendInto measures the encode-into path core's appendRec
 // uses: the payload is built directly in a pooled scratch buffer.
 func BenchmarkWALAppendInto(b *testing.B) {
-	l, err := Open(b.TempDir(), nil)
+	l, err := OpenSet(b.TempDir(), nil, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func BenchmarkWALAppendInto(b *testing.B) {
 }
 
 func BenchmarkCursorScan(b *testing.B) {
-	l, err := Open(b.TempDir(), nil)
+	l, err := OpenSet(b.TempDir(), nil, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func BenchmarkCursorScan(b *testing.B) {
 }
 
 func BenchmarkScan(b *testing.B) {
-	l, err := Open(b.TempDir(), nil)
+	l, err := OpenSet(b.TempDir(), nil, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func BenchmarkScan(b *testing.B) {
 // visiting every fourth record of the log, as a replay worker visits
 // the records of one context among its neighbours'.
 func BenchmarkReaderPositioned(b *testing.B) {
-	l, err := Open(b.TempDir(), nil)
+	l, err := OpenSet(b.TempDir(), nil, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

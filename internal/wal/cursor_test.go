@@ -14,7 +14,7 @@ import (
 // exactly the records appended from there on, and between records the
 // cursor sits at the next record's LSN.
 func TestScanFromVisitsAppendedRecords(t *testing.T) {
-	l, err := Open(t.TempDir(), nil)
+	l, err := OpenSet(t.TempDir(), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestScanFromVisitsAppendedRecords(t *testing.T) {
 // TestScanFromConcurrentCursors: many cursors iterate the same log
 // concurrently, each seeing the full record sequence (run under -race).
 func TestScanFromConcurrentCursors(t *testing.T) {
-	l, err := Open(t.TempDir(), nil)
+	l, err := OpenSet(t.TempDir(), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestScanFromConcurrentCursors(t *testing.T) {
 // TestScanFromBoundedView: records appended after ScanFrom are not
 // visited — the cursor's view is the log end at creation time.
 func TestScanFromBoundedView(t *testing.T) {
-	l, err := Open(t.TempDir(), nil)
+	l, err := OpenSet(t.TempDir(), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestScanFromBoundedView(t *testing.T) {
 // through one reader, forwards and backwards — and refuses an LSN that
 // is not a record's.
 func TestReadAtMatchesScan(t *testing.T) {
-	l, err := Open(t.TempDir(), nil)
+	l, err := OpenSet(t.TempDir(), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

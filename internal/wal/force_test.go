@@ -147,7 +147,7 @@ func TestFailedSyncStopsTheLog(t *testing.T) {
 	if err := l.Discard(); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := Open(path, nil)
+	l2, err := OpenSet(path, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestFailedSyncStopsTheLog(t *testing.T) {
 func TestUnsyncedSegmentsAcrossASync(t *testing.T) {
 	open := func(t *testing.T) (*Log, gateModel) {
 		model := gateModel{newGate()}
-		l, err := Open(t.TempDir()+"/proc.log", model)
+		l, err := OpenSet(t.TempDir()+"/proc.log", model, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

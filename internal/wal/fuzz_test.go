@@ -31,7 +31,7 @@ func FuzzOpenTornSegment(f *testing.F) {
 	f.Add([]byte("torn"), false, uint8(3))                                                         // a torn frame right behind a watermark at the end
 	f.Fuzz(func(t *testing.T, tail []byte, clobberLast bool, watermark uint8) {
 		dir := filepath.Join(t.TempDir(), "f.log")
-		l, err := Open(dir, nil)
+		l, err := OpenSet(dir, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,10 @@ func FuzzOpenTornSegment(f *testing.F) {
 			if err := os.WriteFile(filepath.Join(d, filepath.Base(seg)), damaged, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			l, err := openLog(d, nil, stable)
+			if err := saveRoot(d, root{stable: stable}); err != nil {
+				t.Fatal(err)
+			}
+			l, err := OpenSet(d, nil, 1)
 			if err != nil {
 				return outcome{openErr: err.Error()}
 			}
@@ -157,7 +160,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xaa}, 300), []byte{}, uint8(7))
 	f.Fuzz(func(t *testing.T, p1, p2 []byte, typ uint8) {
 		dir := filepath.Join(t.TempDir(), "f.log")
-		l, err := Open(dir, nil)
+		l, err := OpenSet(dir, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +179,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		l.Close()
 
-		l2, err := Open(dir, nil)
+		l2, err := OpenSet(dir, nil, 1)
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}

@@ -142,7 +142,7 @@ func (m gateModel) Name() string { return "gate" }
 func windowLog(t *testing.T, model disk.Model, clock disk.Clock) (*Log, string, *obs.Registry) {
 	t.Helper()
 	dir := t.TempDir() + "/proc.log"
-	l, err := Open(dir, model)
+	l, err := OpenSet(dir, model, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestGroupCommitCloseLetsRequestsComplete(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close still blocked after the window closed")
 	}
-	l2, err := Open(path, nil)
+	l2, err := OpenSet(path, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestGroupCommitDiscardFailsRequests(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Discard still blocked after the leader let go")
 	}
-	l2, err := Open(path, nil)
+	l2, err := OpenSet(path, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +490,7 @@ func TestGroupCommitStressAccounting(t *testing.T) {
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-			l2, err := Open(path, nil)
+			l2, err := OpenSet(path, nil, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -545,7 +545,7 @@ func TestGroupCommitCrashDurability(t *testing.T) {
 	wg.Wait()
 	<-crashed
 
-	l2, err := Open(path, nil)
+	l2, err := OpenSet(path, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +602,7 @@ func TestGroupCommitDisabledZeroValue(t *testing.T) {
 // until the concurrent append has demonstrably completed.
 func TestAppendNotBlockedByInFlightSync(t *testing.T) {
 	model := gateModel{newGate()}
-	l, err := Open(t.TempDir()+"/slow.log", model)
+	l, err := OpenSet(t.TempDir()+"/slow.log", model, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestWALModelProperty(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		dir := filepath.Join(t.TempDir(), "model.log")
-		l, err := Open(dir, nil)
+		l, err := OpenSet(dir, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestWALModelProperty(t *testing.T) {
 					t.Fatalf("trial %d: close: %v", trial, err)
 				}
 			}
-			l2, err := Open(dir, nil)
+			l2, err := OpenSet(dir, nil, 1)
 			if err != nil {
 				t.Fatalf("trial %d: reopen: %v", trial, err)
 			}

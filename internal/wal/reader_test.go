@@ -455,7 +455,7 @@ func TestTornLengthCostsNothing(t *testing.T) {
 	f.Close()
 
 	var l2 *Log
-	if got := allocatedBy(func() { l2, err = Open(dir, nil) }); err != nil || got > 2*readBlock {
+	if got := allocatedBy(func() { l2, err = OpenSet(dir, nil, 1) }); err != nil || got > 2*readBlock {
 		t.Fatalf("Open over a torn 2^63-byte frame: err %v, %d bytes allocated (a block is %d)", err, got, readBlock)
 	}
 	defer l2.Close()
@@ -530,7 +530,7 @@ func TestReaderRejectsWhatNoAppendWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 			f.Close()
-			l, err = Open(dir, nil)
+			l, err = OpenSet(dir, nil, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -69,7 +69,7 @@ func TestSegmentRollingPreservesRecords(t *testing.T) {
 	l.Close()
 
 	// Reopen: same records, same segment layout.
-	l2, err := Open(dir, nil)
+	l2, err := OpenSet(dir, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestTrimSurvivesReopen(t *testing.T) {
 	start := l.Start()
 	l.Close()
 
-	l2, err := Open(dir, nil)
+	l2, err := OpenSet(dir, nil, 1)
 	if err != nil {
 		t.Fatalf("reopen after trim: %v", err)
 	}
@@ -174,7 +174,7 @@ func TestSegmentGapRejected(t *testing.T) {
 	if err := os.Remove(paths[1]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, nil); err == nil {
+	if _, err := OpenSet(dir, nil, 1); err == nil {
 		t.Error("Open accepted a log with a missing middle segment")
 	}
 }
@@ -202,7 +202,7 @@ func TestDiscardRemovesUnsyncedSegments(t *testing.T) {
 	if err := l.Discard(); err != nil {
 		t.Fatalf("Discard: %v", err)
 	}
-	l2, err := Open(dir, nil)
+	l2, err := OpenSet(dir, nil, 1)
 	if err != nil {
 		t.Fatalf("reopen after discard: %v", err)
 	}

@@ -11,14 +11,14 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/ids"
+	"repro/internal/obs"
 )
 
-// Set is the log a process opens: one Log, whose segment files live in
-// the log directory, and the directory's root — the paper's well-known
-// file (Section 4.3), which holds the begin-checkpoint LSN of the last
-// published checkpoint (the mark recovery's Pass 1 starts from) and the
-// stable watermark the log had then (where the open's tail check
-// starts). The root holds hints only, under a checksum:
+// A log directory's root is the paper's well-known file (Section 4.3):
+// it holds the begin-checkpoint LSN of the last published checkpoint
+// (the mark recovery's Pass 1 starts from) and the stable watermark the
+// log had then (where the open's tail check starts). The root holds
+// hints only, under a checksum:
 //
 //	PHXROOT2 5d3c0f1a   magic, CRC-32 of the lines below
 //	mark 1040
@@ -28,14 +28,10 @@ import (
 // cut short or fails its checksum means no hints at all — "if the LSN
 // does not exist, the log is examined from the very beginning", and so
 // is the segment — never a guess.
-type Set struct {
-	*Log
-	// root is the hints as OpenSet read them: stable and lost stay as
-	// they were then; mark is replaced by each publication. pubMu makes
-	// a publication one critical section: the file and the mark.
-	root
-	pubMu sync.Mutex
-}
+
+// Set is the name benchmark/pins.go spells the process log by; there is
+// one log type.
+type Set = Log
 
 // The root file inside a log directory, and the magic heading it.
 const rootName, rootMagic = "root", "PHXROOT2"
@@ -47,12 +43,16 @@ type root struct {
 	lost         bool
 }
 
-// OpenSet opens the process log at dir, creating it if missing. n is
-// the number of log streams, 0 or 1: a process log is one stream. A
-// directory in the sharded layout this log replaced — a shards.meta
-// root (magic PHXROOT1) or a shard-NNN subdirectory — fails the open:
-// there is no reader for it.
-func OpenSet(dir string, model disk.Model, n int) (*Set, error) {
+// OpenSet opens the process log at dir, creating it if missing: it
+// reads the root, verifies segment headers — it reads no record — and
+// returns a log whose physical writes and syncs are accounted to model
+// (nil: disk.HostModel). The root's stable watermark bounds the tail
+// check: a torn tail can begin no earlier, and a bad frame below it is
+// corruption. n is the number of log streams, 0 or 1: a process log is
+// one stream. A directory in the sharded layout this log
+// replaced — a shards.meta root (magic PHXROOT1) or a shard-NNN
+// subdirectory — fails the open: there is no reader for it.
+func OpenSet(dir string, model disk.Model, n int) (*Log, error) {
 	if n != 0 && n != 1 {
 		return nil, fmt.Errorf("wal: a process log is one stream, not %d", n)
 	}
@@ -60,11 +60,25 @@ func OpenSet(dir string, model disk.Model, n int) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	l, err := openLog(dir, model, r.stable)
-	if err != nil {
+	if model == nil {
+		model = disk.HostModel{}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("wal: mkdir %s: %w", dir, err)
+	}
+	l := &Log{
+		dir:          dir,
+		model:        model,
+		segmentBytes: DefaultSegmentBytes,
+		root:         r,
+		m:            obs.WALView(obs.Default()),
+	}
+	l.syncDone = sync.NewCond(&l.mu)
+	if err := l.load(r.stable); err != nil {
+		l.closeSegs()
 		return nil, err
 	}
-	return &Set{Log: l, root: r}, nil
+	return l, nil
 }
 
 // loadRoot reads the root. A missing file is a root of no hints.
@@ -103,34 +117,34 @@ func saveRoot(dir string, r root) error {
 // bad frame below it as corruption, not a torn tail. Publications are
 // serialized and never go backwards: a checkpoint no newer than the
 // one already published writes nothing.
-func (s *Set) Publish(begin ids.LSN) error {
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
-	if begin <= s.mark {
+func (l *Log) Publish(begin ids.LSN) error {
+	l.pubMu.Lock()
+	defer l.pubMu.Unlock()
+	if begin <= l.mark {
 		return nil
 	}
-	if err := saveRoot(s.dir, root{mark: begin, stable: s.SyncedLSN()}); err != nil {
+	if err := saveRoot(l.dir, root{mark: begin, stable: l.SyncedLSN()}); err != nil {
 		return fmt.Errorf("wal: publish checkpoint %v: %w", begin, err)
 	}
-	s.mark = begin
+	l.mark = begin
 	return nil
 }
 
 // Mark returns the begin-checkpoint LSN last published, else the one
 // the log held when it was opened; NilLSN when there is none.
-func (s *Set) Mark() ids.LSN {
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
-	return s.mark
+func (l *Log) Mark() ids.LSN {
+	l.pubMu.Lock()
+	defer l.pubMu.Unlock()
+	return l.mark
 }
 
-// Stable returns the watermark the root held when the set was opened:
-// where the log's tail check started (nil: none).
-func (s *Set) Stable() ids.LSN { return s.stable }
+// Stable returns the watermark the root held when the log was opened:
+// where its tail check started (nil: none).
+func (l *Log) Stable() ids.LSN { return l.stable }
 
 // HintsLost reports that a root was there at open but did not check
-// out: the set started with no mark and no stable watermark.
-func (s *Set) HintsLost() bool { return s.lost }
+// out: the log started with no mark and no stable watermark.
+func (l *Log) HintsLost() bool { return l.lost }
 
 // Shards returns the log's one stream.
-func (s *Set) Shards() []Shard { return []Shard{{Log: s.Log}} }
+func (l *Log) Shards() []Shard { return []Shard{{Log: l}} }

@@ -34,7 +34,7 @@ func TestOpenSetFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if shards := s.Shards(); len(shards) != 1 || shards[0].Log != s.Log {
+	if shards := s.Shards(); len(shards) != 1 || shards[0].Log != s {
 		t.Fatalf("a set has shards %+v, want its one log", shards)
 	}
 	var lsns []ids.LSN
@@ -326,8 +326,8 @@ func TestOpenSetStableWatermark(t *testing.T) {
 		if _, err := s.SyncAll(); err != nil {
 			t.Fatal(err)
 		}
-		img.end = s.Shards()[0].Log.End()
-		img.seg = activeSegPath(t, s.Shards()[0].Log)
+		img.end = s.End()
+		img.seg = activeSegPath(t, s)
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +370,7 @@ func TestOpenSetStableWatermark(t *testing.T) {
 		if st := s.Stats(); st.ReadOps != 0 || st.ReadBytes != 0 {
 			t.Errorf("open read %d bytes in %d reads, want none", st.ReadBytes, st.ReadOps)
 		}
-		return s.Shards()[0].Log
+		return s
 	}
 	// scan passes over every record from `from` on, as Pass 1 does.
 	scan := func(l *Log, from ids.LSN) (n int, err error) {

@@ -176,6 +176,12 @@ type Log struct {
 	closed   atomic.Bool // set under mu; a Reader serving from the block it holds loads it lock-free
 	stats    Stats
 	m        *obs.WALMetrics
+
+	// root is the hints as OpenSet read them: stable and lost stay as
+	// they were then; mark is replaced by each publication. pubMu makes
+	// a publication one critical section: the file and the mark.
+	root
+	pubMu sync.Mutex
 }
 
 // syncSnap is one unsynced segment as the sync leader found it, and
@@ -184,39 +190,6 @@ type syncSnap struct {
 	s    *segment
 	size int64
 	err  error
-}
-
-// Open opens (creating if necessary) the log directory at dir, verifies
-// segment headers — it reads no record — and returns a log manager whose
-// physical writes and syncs are accounted to model (nil: disk.HostModel).
-// The result is a Log without its root — what a Set is made of;
-// processes and tools open a Set (OpenSet).
-func Open(dir string, model disk.Model) (*Log, error) {
-	return openLog(dir, model, ids.NilLSN)
-}
-
-// openLog opens the log at dir. stable is how far the log is known to
-// be durable (Set.Publish; nil: unknown): a torn tail can begin no
-// earlier, and a bad frame below it is corruption.
-func openLog(dir string, model disk.Model, stable ids.LSN) (*Log, error) {
-	if model == nil {
-		model = disk.HostModel{}
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("wal: mkdir %s: %w", dir, err)
-	}
-	l := &Log{
-		dir:          dir,
-		model:        model,
-		segmentBytes: DefaultSegmentBytes,
-		m:            obs.WALView(obs.Default()),
-	}
-	l.syncDone = sync.NewCond(&l.mu)
-	if err := l.load(stable); err != nil {
-		l.closeSegs()
-		return nil, err
-	}
-	return l, nil
 }
 
 func segName(start ids.LSN) string {

@@ -17,7 +17,7 @@ import (
 func openTemp(t *testing.T) (*Log, string) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "proc.log")
-	l, err := Open(dir, nil)
+	l, err := OpenSet(dir, nil, 1)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestForcedRecordsSurviveReopen(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	l2, err := Open(path, nil)
+	l2, err := OpenSet(path, nil, 1)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestUnforcedRecordsLostOnDiscard(t *testing.T) {
 	if err := l.Discard(); err != nil {
 		t.Fatalf("Discard: %v", err)
 	}
-	l2, err := Open(path, nil)
+	l2, err := OpenSet(path, nil, 1)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 	}
 	f.Close()
 
-	l2, err := Open(path, nil)
+	l2, err := OpenSet(path, nil, 1)
 	if err != nil {
 		t.Fatalf("reopen with torn tail: %v", err)
 	}
@@ -206,7 +206,7 @@ func TestCorruptRecordStopsScanAtOpen(t *testing.T) {
 	}
 	f.Close()
 
-	l2, err := Open(path, nil)
+	l2, err := OpenSet(path, nil, 1)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -238,7 +238,10 @@ func TestTailCheckRaces(t *testing.T) {
 		if err := os.Truncate(seg, fi.Size()-3); err != nil { // the last record torn
 			t.Fatal(err)
 		}
-		if l, err = openLog(dir, nil, lsns[100]); err != nil {
+		if err := saveRoot(dir, root{stable: lsns[100]}); err != nil {
+			t.Fatal(err)
+		}
+		if l, err = OpenSet(dir, nil, 1); err != nil {
 			t.Fatal(err)
 		}
 		cut := lsns[199]
@@ -401,7 +404,7 @@ func TestFlushThenForceStillSyncs(t *testing.T) {
 func TestStatsCounting(t *testing.T) {
 	model := disk.NewSimDisk(disk.DefaultParams(), disk.NewVirtualClock())
 	path := filepath.Join(t.TempDir(), "p.log")
-	l, err := Open(path, model)
+	l, err := OpenSet(path, model, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +474,7 @@ func TestBadHeaderRejected(t *testing.T) {
 		[]byte("NOTALOGFILE------"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, nil); err == nil {
+	if _, err := OpenSet(dir, nil, 1); err == nil {
 		t.Error("Open accepted a bad segment header")
 	}
 }
@@ -484,7 +487,7 @@ func TestStraySegmentNameRejected(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "hello.seg"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, nil); err == nil {
+	if _, err := OpenSet(dir, nil, 1); err == nil {
 		t.Error("Open accepted a stray segment name")
 	}
 }
@@ -512,7 +515,7 @@ func TestLargeBufferAutoFlush(t *testing.T) {
 func TestAppendScanProperty(t *testing.T) {
 	f := func(payloads [][]byte) bool {
 		path := filepath.Join(t.TempDir(), "q.log")
-		l, err := Open(path, nil)
+		l, err := OpenSet(path, nil, 1)
 		if err != nil {
 			return false
 		}
@@ -550,7 +553,7 @@ func TestAppendScanProperty(t *testing.T) {
 // times neither loses nor duplicates records.
 func TestReopenIdempotent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.log")
-	l, err := Open(path, nil)
+	l, err := OpenSet(path, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +567,7 @@ func TestReopenIdempotent(t *testing.T) {
 	}
 	l.Close()
 	for round := 0; round < 3; round++ {
-		l, err := Open(path, nil)
+		l, err := OpenSet(path, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

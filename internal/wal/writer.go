@@ -19,7 +19,7 @@ type EncodeFunc func(dst []byte) ([]byte, error)
 // AppendPayload implements PayloadEncoder.
 func (f EncodeFunc) AppendPayload(dst []byte) ([]byte, error) { return f(dst) }
 
-// Shard is a log stream: the Log that owns its files. Set.Shards
+// Shard is a log stream: the Log that owns its files. Log.Shards
 // returns the process log's one.
 type Shard struct {
 	Log *Log
@@ -27,7 +27,7 @@ type Shard struct {
 
 // Writer is the slice of the log an append-and-force loop drives:
 // benchmark/pins.go holds its own interface of these two methods to
-// it. The runtime holds its log by type, *Set.
+// it. The runtime holds its log by type, *Log.
 type Writer interface {
 	// AppendInto appends a record built by enc and returns its LSN.
 	// key is the appending context's CompID (0: a process-wide record);
@@ -38,4 +38,4 @@ type Writer interface {
 	SyncTo(lsn ids.LSN) (SyncOutcome, error)
 }
 
-var _ Writer = (*Set)(nil)
+var _ Writer = (*Log)(nil)

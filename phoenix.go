@@ -99,8 +99,7 @@ type (
 	// TimeToFirstCallNanos (recovery start to the first call
 	// admitted — perceived downtime), on-demand vs background replay
 	// counts, and per-context replay latency.
-	// Retrieve it with Process.LastRecovery or from the
-	// EventRecoveryDone event's Recovery field; after a lazy restart,
+	// Retrieve it with Process.LastRecovery; after a lazy restart,
 	// Process.DrainRecovery blocks until the background drain is done
 	// and Process.RecoverContext replays one context on demand.
 	RecoveryStats = core.RecoveryStats
@@ -131,10 +130,6 @@ type (
 	AppError = core.AppError
 	// Fault is an infrastructure error from the server runtime.
 	Fault = core.Fault
-	// Event is a runtime lifecycle occurrence (see Config.OnEvent).
-	Event = core.Event
-	// EventKind classifies lifecycle events.
-	EventKind = core.EventKind
 )
 
 // Recovery modes (RecoveryConfig.Mode): eager replays everything
@@ -144,18 +139,6 @@ type (
 const (
 	RecoveryEager = core.RecoveryEager
 	RecoveryLazy  = core.RecoveryLazy
-)
-
-// Lifecycle event kinds (Config.OnEvent).
-const (
-	EventCrash         = core.EventCrash
-	EventRecoveryStart = core.EventRecoveryStart
-	EventRecoveryDone  = core.EventRecoveryDone
-	EventStateSave     = core.EventStateSave
-	EventCheckpoint    = core.EventCheckpoint
-	EventTrim          = core.EventTrim
-	EventRetry         = core.EventRetry
-	EventReplay        = core.EventReplay
 )
 
 // Runtime metrics (see internal/obs for the full metric name catalog).
