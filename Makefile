@@ -214,8 +214,11 @@ profile-restart:
 # core/trace.go, nine emit sites and the facade's Event* names),
 # Config.AutoTrimLog, and wal.Set folded into wal.Log with wal.Open and
 # openLog — lowered it by 212 to 21,564, net of the crash-discard
-# counter.)
-LOC_MAX = 21564
+# counter. Records that carry only what replay reads — no message
+# record embeds a wire body; msg.Fields the one field reader of the
+# envelope and record decoders, msg.AppendCallID the one call-ID
+# layout — lowered it by 1 to 21,563.)
+LOC_MAX = 21563
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

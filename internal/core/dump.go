@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ids"
 	"repro/internal/obs"
-	"repro/internal/obs/trace"
 	"repro/internal/serial"
 	"repro/internal/wal"
 )
@@ -29,7 +28,9 @@ import (
 // actual force count is runtime state the log does not store, so the
 // summary reports the implied minimum. The size column is what the
 // record takes in the log, payload plus frame; a message record that
-// continues its context's chain shows its link back as prev=<LSN>.
+// continues its context's chain shows its link back as prev=<LSN>, and
+// an incoming line names its target from the context's creation or
+// state record (ctx=<N> if that was trimmed).
 func DumpLog(w io.Writer, dir string) error {
 	log, err := wal.OpenSet(dir, nil, 0)
 	if err != nil {
@@ -57,6 +58,7 @@ func DumpLog(w io.Writer, dir string) error {
 	recs := obs.RuntimeView(reg)
 	records, unknown, impliedForces := 0, 0, 0
 	discCounts := make(map[string]int)
+	uris := make(map[ids.CompID]ids.URI) // filled from creation and state records
 	err = log.Scan(ids.NilLSN, func(rec wal.Record) error {
 		records++
 		if c := recCounter(recs, rec.Type); c != nil {
@@ -68,7 +70,7 @@ func DumpLog(w io.Writer, dir string) error {
 		if !wk.IsNil() && rec.LSN < wk {
 			status = "ckpt'd"
 		}
-		if forcedKind(rec.Type) {
+		if rec.Type == recCreation || rec.Type == recReplySent { // forced under every discipline
 			impliedForces++
 			status += "+forced"
 		}
@@ -77,7 +79,7 @@ func DumpLog(w io.Writer, dir string) error {
 			discCounts[algo]++
 		}
 		fmt.Fprintf(w, "%-12v %-17s %-13s %-9s %5dB+%-2d ", rec.LSN, recName(rec.Type), status, algo, len(rec.Payload), rec.Size-len(rec.Payload))
-		if err := dumpPayload(w, rec); err != nil {
+		if err := dumpPayload(w, rec, uris); err != nil {
 			fmt.Fprintf(w, "<undecodable: %v>", err)
 		}
 		if !rec.Prev.IsNil() {
@@ -144,35 +146,15 @@ func dumpDiscipline(rec wal.Record) string {
 		return "A1"
 	case recOutgoingReply:
 		return "A1|A2|A5"
-	case recCreation, recCtxState, recBeginCkpt, recCkptCtxTable, recCkptLastCall, recEndCkpt:
+	default: // creation, state and checkpoint records
 		return "-"
-	default:
-		return "-"
-	}
-}
-
-// forcedKind reports whether a record of this type is forced at append
-// time under every logging discipline: creation records (Create forces
-// before publishing the component), Algorithm 3's reply-sent markers
-// ("log the reply-sent record and force"). Other kinds may or may not
-// have been forced depending on the discipline and on later forces
-// covering them — the log itself does not say.
-func forcedKind(t wal.RecordType) bool {
-	return t == recCreation || t == recReplySent
-}
-
-// dumpTrace appends a record's causal identity when it carries one —
-// the same TraceID phoenix-trace keys timelines on, so grepping a
-// logdump for a trace hex lands on the records that trace produced.
-func dumpTrace(w io.Writer, tr trace.Ref) {
-	if !tr.IsZero() {
-		fmt.Fprintf(w, " trace=%016x/%d", tr.Trace, tr.Span)
 	}
 }
 
 // dumpPayload renders a record: the owner and trace its header names
-// (a checkpoint record's owner, 0, is left out), then its body.
-func dumpPayload(w io.Writer, rec wal.Record) error {
+// (a checkpoint record's owner, 0, is left out), then its body. uris
+// holds each context's URI from its creation or state record.
+func dumpPayload(w io.Writer, rec wal.Record, uris map[ids.CompID]ids.URI) error {
 	v := recFor(rec.Type)
 	if v == nil {
 		fmt.Fprintf(w, "unknown record type %d", rec.Type)
@@ -187,6 +169,7 @@ func dumpPayload(w io.Writer, rec wal.Record) error {
 	}
 	switch v := v.(type) {
 	case *creationRec:
+		uris[ctx] = v.URI
 		fmt.Fprintf(w, "uri=%s comps=%d", v.URI, len(v.Comps))
 		for _, c := range v.Comps {
 			fmt.Fprintf(w, " [%d %s %s %s]", c.ID, c.Name, c.Type, c.GoType)
@@ -196,16 +179,21 @@ func dumpPayload(w io.Writer, rec wal.Record) error {
 		if !v.Call.ID.IsZero() {
 			caller = v.Call.ID.String()
 		}
-		fmt.Fprintf(w, "%s.%s from %s (%s)", v.Call.Target, v.Call.Method, caller, v.Call.CallerType)
+		target, ok := uris[ctx]
+		if !ok {
+			target = ids.URI(fmt.Sprintf("ctx=%d", ctx))
+		}
+		fmt.Fprintf(w, "%s.%s from %s", target, v.Call.Method, caller)
 	case *replySentRec:
-		fmt.Fprintf(w, "call=%v (short record: sent marker only)", v.CallID)
+		fmt.Fprint(w, "short record: sent marker only")
 	case *replyContentRec:
 		fmt.Fprintf(w, "call=%v results=%dB appErr=%q", v.Reply.ID, len(v.Reply.Results), v.Reply.AppErr)
 	case *outgoingRec:
-		fmt.Fprintf(w, "-> %s.%s seq=%d", v.Call.Target, v.Call.Method, v.Call.ID.Seq)
+		fmt.Fprintf(w, "-> %s seq=%d", v.Call.Method, v.Call.ID.Seq)
 	case *outgoingReplyRec:
 		fmt.Fprintf(w, "seq=%d results=%dB appErr=%q", v.Reply.ID.Seq, len(v.Reply.Results), v.Reply.AppErr)
 	case *ctxStateRec:
+		uris[ctx] = v.URI
 		fmt.Fprintf(w, "uri=%s comps=%d lastOutSeq=%d lastCalls=%d",
 			v.URI, len(v.Comps), v.LastOutSeq, len(v.LastCalls))
 		for _, c := range v.Comps {
@@ -227,6 +215,8 @@ func dumpPayload(w io.Writer, rec wal.Record) error {
 	case *endCkptRec:
 		fmt.Fprintf(w, "end process checkpoint (begin=%v)", v.BeginLSN)
 	}
-	dumpTrace(w, tr)
+	if !tr.IsZero() { // the TraceID phoenix-trace keys timelines on
+		fmt.Fprintf(w, " trace=%016x/%d", tr.Trace, tr.Span)
+	}
 	return nil
 }

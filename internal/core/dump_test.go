@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/ids"
+	"repro/internal/msg"
 	"repro/internal/wal"
 )
 
@@ -64,6 +65,17 @@ func TestDumpLogRendersAllRecordTypes(t *testing.T) {
 			t.Errorf("dump missing %q\n%s", want, out)
 		}
 	}
+	// A message record carries no URI: the incoming line names its
+	// target from the context's creation record, and the outgoing line
+	// names the method and the call's sequence number.
+	for _, want := range []string{
+		string(hr.URI()) + ".Forward from external\n",
+		"-> Add seq=1\n", "-> Add seq=2\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("dump missing %q\n%s", want, out)
+		}
+	}
 	// A root that no longer checks out says so, and every record is one
 	// a restart would scan.
 	root, err := os.ReadFile(filepath.Join(dir, "root"))
@@ -112,7 +124,7 @@ func TestDumpLogOptimizedShowsShortRecords(t *testing.T) {
 // on the summary line is what that scan found.
 func TestDumpLogReadsTheLogOnce(t *testing.T) {
 	const block = 16 << 10 // wal's read-ahead unit
-	img, _ := counterImage(t, 4, 300, 0, 0)
+	img, _ := counterImage(t, 4, 500, 0, 0)
 	logDir := filepath.Join(img.dir, "evo1", "srv.log")
 	segs, err := filepath.Glob(filepath.Join(logDir, "*.seg"))
 	if err != nil || len(segs) == 0 {
@@ -148,6 +160,20 @@ func TestDumpLogReadsTheLogOnce(t *testing.T) {
 	}
 	if want := fmt.Sprintf(" in LSNs %v..%v,", ids.LSN(16), ids.LSN(16+logBytes)); !strings.Contains(summary, want) {
 		t.Errorf("summary %q does not give the range%s", summary, want)
+	}
+}
+
+// TestDumpIncomingOfTrimmedContext: an incoming record whose context's
+// creation and state records are gone from the log (trimmed) names the
+// context by number where the URI would be.
+func TestDumpIncomingOfTrimmedContext(t *testing.T) {
+	rec := framed(recIncoming, encodeRec(t, &incomingRec{Ctx: 7, Call: msg.Call{Method: "Add"}}))
+	var buf bytes.Buffer
+	if err := dumpPayload(&buf, rec, map[ids.CompID]ids.URI{}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), "ctx=7 ctx=7.Add from external"; got != want {
+		t.Errorf("dump line %q, want %q", got, want)
 	}
 }
 

@@ -17,21 +17,21 @@ const (
 	// their post-construction field states. Replaying from it is the
 	// baseline recovery path ("from creation", Table 7).
 	recCreation wal.RecordType = 1 + iota
-	// recIncoming is message 1 in full (a "long record"): the call
-	// that will be re-invoked during replay.
+	// recIncoming is message 1 (a "long record"): the call that will
+	// be re-invoked during replay.
 	recIncoming
-	// recReplySent is message 2 as a "short record" — only identity,
+	// recReplySent is message 2 as a "short record" — the header alone,
 	// no content (Algorithm 3: the reply can be regenerated by replay;
 	// we only need the fact that it was sent).
 	recReplySent
-	// recReplyContent is a full reply body: baseline message 2, or a
+	// recReplyContent is a reply's content: baseline message 2, or a
 	// last-call-table reply saved ahead of a context state record
 	// (Section 4.2).
 	recReplyContent
-	// recOutgoing is message 3 in full; only the baseline writes it
+	// recOutgoing is message 3; only the baseline writes it
 	// (the optimized system recreates send messages by replay).
 	recOutgoing
-	// recOutgoingReply is message 4 in full: the server reply consumed
+	// recOutgoingReply is message 4's content: the server reply consumed
 	// during replay to suppress the outgoing call.
 	recOutgoingReply
 	// recCtxState is a context state record (Section 4.2).
@@ -79,18 +79,18 @@ type creationRec struct {
 	Comps []compRecord // index 0 is the parent
 }
 
-// incomingRec is the payload of recIncoming.
+// incomingRec is the payload of recIncoming; of Call it keeps what
+// replay reads (appendCallBody), and the rest decodes zero.
 type incomingRec struct {
 	Ctx   ids.CompID
 	Call  msg.Call
 	Trace trace.Ref // causal trace of the call; zero when untraced
 }
 
-// replySentRec is the payload of recReplySent.
+// replySentRec is the payload of recReplySent: the header alone.
 type replySentRec struct {
-	Ctx    ids.CompID
-	CallID ids.CallID
-	Trace  trace.Ref
+	Ctx   ids.CompID
+	Trace trace.Ref
 }
 
 // replyContentRec is the payload of recReplyContent. Reply.ID is the
@@ -101,12 +101,9 @@ type replyContentRec struct {
 	Trace trace.Ref
 }
 
-// outgoingRec is the payload of recOutgoing (baseline only).
-type outgoingRec struct {
-	Ctx   ids.CompID
-	Call  msg.Call
-	Trace trace.Ref
-}
+// outgoingRec is the payload of recOutgoing (baseline only): one call
+// layout serves both call records.
+type outgoingRec incomingRec
 
 // outgoingReplyRec is the payload of recOutgoingReply. Reply.ID.Seq is
 // the context's outgoing sequence number of the call it answers

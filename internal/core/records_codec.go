@@ -13,28 +13,26 @@ import (
 // Payload codec for the log records: one header, one decoder
 // (decodeRec), and a body that depends on how often the kind is written.
 //
-// Header (DESIGN.md Section 10): 0xC8, uvarint owning context (0 for a
+// Header (DESIGN.md Section 10): 0xC9, uvarint owning context (0 for a
 // process-wide checkpoint record), then the trace field every envelope
 // carries (msg.AppendTrace: one zero byte when untraced) — so recCtx
 // tells whose any record is, and a timeline scan its trace, without
 // decoding the body. The kind is the frame's type byte, which the
-// frame's CRC covers; the payload does not repeat it. Since the bare
-// Call/Reply bodies never carry the trace, the header is the only
-// durable home of a record's causal identity, and the decoder restores
-// it into both the record's Trace field and its embedded message.
+// frame's CRC covers; the payload does not repeat it.
 //
 // The five kinds written on the Figure-1 hot paths — incoming,
 // reply-sent, reply-content, outgoing, outgoing-reply — are appended
-// once per message, so their bodies are laid out by hand with the msg
-// codec primitives: an embedded Call/Reply as its bare envelope body
-// (msg.AppendCall / msg.AppendReply), a reply-sent record as the call
-// ID alone. The cold kinds — creation, context state, the checkpoint
-// records — are rare and nested, so their body is their struct laid out
-// by its msg.Plan, the layout the value codec gives any Go type; a
-// begin-checkpoint record has no body.
+// once per message, so their bodies are laid out by hand and hold only
+// the fields a reader of the log reads (appendCallBody,
+// appendReplyBody; a reply-sent record is the header alone). The cold
+// kinds — creation, context state, the checkpoint records — are rare
+// and nested, so their body is their struct laid out by its msg.Plan;
+// a begin-checkpoint record has no body.
 
-// recVer is the byte opening every record payload.
-const recVer = 0xC8
+// recVer opens every record payload. 0xC8, the layout whose message
+// records embedded wire bodies, is retired: a payload opening with it
+// fails naming it.
+const recVer = 0xC9
 
 // appendRecHeader opens a record payload: the version byte, the owning
 // context and the trace field.
@@ -59,29 +57,47 @@ func consumeRecHeader(data []byte) (ctx ids.CompID, tr trace.Ref, body []byte, e
 	return ids.CompID(u), tr, body, err
 }
 
-func appendCallID(dst []byte, id ids.CallID) []byte {
-	dst = msg.AppendString(dst, id.Caller.Machine)
-	dst = msg.AppendUvarint(dst, uint64(id.Caller.Proc))
-	dst = msg.AppendUvarint(dst, uint64(id.Caller.Comp))
-	return msg.AppendUvarint(dst, id.Seq)
+// appendCallBody lays out a call record (incoming; the baseline's
+// outgoing, which only phoenix-logdump reads): the call ID, for Pass
+// 1's last-call seeding (msgHead: it stays first) and the replayed
+// reply's last-call entry; method, args and num args, for
+// replayIncoming's Bind. The target is the header's context.
+func appendCallBody(dst []byte, c *msg.Call) []byte {
+	dst = msg.AppendString(msg.AppendCallID(dst, c.ID), c.Method)
+	return msg.AppendUvarint(msg.AppendBytes(dst, c.Args), uint64(c.NumArgs))
 }
 
-func consumeCallID(data []byte, id *ids.CallID) ([]byte, error) {
-	var err error
-	var u uint64
-	if id.Caller.Machine, data, err = msg.ConsumeString(data); err != nil {
-		return nil, err
-	}
-	if u, data, err = msg.ConsumeUvarint(data); err != nil {
-		return nil, err
-	}
-	id.Caller.Proc = ids.ProcID(u)
-	if u, data, err = msg.ConsumeUvarint(data); err != nil {
-		return nil, err
-	}
-	id.Caller.Comp = ids.CompID(u)
-	id.Seq, data, err = msg.ConsumeUvarint(data)
-	return data, err
+// readCallBody reads a call record's body into c, owning one buffer.
+func readCallBody(f *msg.Fields, c *msg.Call) error {
+	str := [2][]byte{f.CallID(&c.ID), f.Span()} // machine, method: views of the payload
+	args := f.Span()
+	c.NumArgs = int(f.Uvarint())
+	var own [2]string
+	c.Args = f.Own(args, str[:], own[:])
+	c.ID.Caller.Machine, c.Method = own[0], own[1]
+	return f.End()
+}
+
+// appendReplyBody lays out what follows a reply record's key (a call
+// ID, or an outgoing-reply's sequence number): results, num results
+// and app error, what a duplicate call is answered with or a
+// suppressed call returns in replay. A Fault is never logged, and the
+// attachment is learned from live replies only (DESIGN §10).
+func appendReplyBody(dst []byte, r *msg.Reply) []byte {
+	dst = msg.AppendUvarint(msg.AppendBytes(dst, r.Results), uint64(r.NumResults))
+	return msg.AppendString(dst, r.AppErr)
+}
+
+// readReplyBody reads a reply record's body into r, owning one buffer,
+// with machine (nil for an outgoing reply) as its ID's machine name.
+func readReplyBody(f *msg.Fields, r *msg.Reply, machine []byte) error {
+	results := f.Span()
+	r.NumResults = int(f.Uvarint())
+	str := [2][]byte{machine, f.Span()} // machine, app error: views of the payload
+	var own [2]string
+	r.Results = f.Own(results, str[:], own[:])
+	r.ID.Caller.Machine, r.AppErr = own[0], own[1]
+	return f.End()
 }
 
 // recCtx returns the context a record belongs to without decoding the
@@ -96,13 +112,15 @@ func recCtx(payload []byte) (ids.CompID, error) {
 }
 
 // msgHead reads a message record's owner off its header, and behind it
-// an incoming call's ID — msg.AppendCall lays the ID out first, as
-// appendCallID does — decoding nothing else: all Pass 1 wants of the
-// message records it passes.
+// an incoming call's ID — appendCallBody lays the ID out first —
+// decoding nothing else: all Pass 1 wants of the message records it
+// passes.
 func msgHead(rec wal.Record) (ctx ids.CompID, id ids.CallID, err error) {
 	ctx, _, body, err := consumeRecHeader(rec.Payload)
 	if err == nil && rec.Type == recIncoming {
-		_, err = consumeCallID(body, &id)
+		f := msg.ReadFields(body)
+		id.Caller.Machine = string(f.CallID(&id))
+		err = f.Err()
 	}
 	if err != nil {
 		err = fmt.Errorf("core: decode %s record head: %w", recName(rec.Type), err)
@@ -114,63 +132,59 @@ func msgHead(rec wal.Record) (ctx ids.CompID, id ids.CallID, err error) {
 // records.go, whose kind must be the frame's type: the frame type
 // routed the caller here, so a mismatch is a mislabeled record or a
 // reader asking for the wrong kind. The header's trace is restored into
-// both the record's Trace field and its embedded Call/Reply, whose bare
-// bodies never carry it.
+// both the record's Trace field and its embedded Call/Reply; a message
+// field the body does not carry comes back zero.
 func decodeRec(rec wal.Record, v record) error {
 	if kind, _, _ := v.head(); rec.Type != kind {
 		return fmt.Errorf("core: decode a %s record as %s", recName(rec.Type), recName(kind))
 	}
 	ctx, tr, body, err := consumeRecHeader(rec.Payload)
+	f := msg.ReadFields(body)
 	if err == nil {
 		switch r := v.(type) {
 		case *incomingRec:
-			r.Ctx, r.Trace = ctx, tr
-			body, err = msg.ConsumeCall(body, &r.Call)
-			r.Call.Trace = tr
+			*r = incomingRec{Ctx: ctx, Trace: tr, Call: msg.Call{Trace: tr}}
+			err = readCallBody(&f, &r.Call)
 		case *replySentRec:
 			r.Ctx, r.Trace = ctx, tr
-			body, err = consumeCallID(body, &r.CallID)
+			err = f.End()
 		case *replyContentRec:
-			r.Ctx, r.Trace = ctx, tr
-			body, err = msg.ConsumeReply(body, &r.Reply)
-			r.Reply.Trace = tr
+			*r = replyContentRec{Ctx: ctx, Trace: tr, Reply: msg.Reply{Trace: tr}}
+			err = readReplyBody(&f, &r.Reply, f.CallID(&r.Reply.ID))
 		case *outgoingRec:
-			r.Ctx, r.Trace = ctx, tr
-			body, err = msg.ConsumeCall(body, &r.Call)
-			r.Call.Trace = tr
+			*r = outgoingRec{Ctx: ctx, Trace: tr, Call: msg.Call{Trace: tr}}
+			err = readCallBody(&f, &r.Call)
 		case *outgoingReplyRec:
-			r.Ctx, r.Trace = ctx, tr
-			body, err = msg.ConsumeReply(body, &r.Reply)
-			r.Reply.Trace = tr
+			*r = outgoingReplyRec{Ctx: ctx, Trace: tr, Reply: msg.Reply{Trace: tr}}
+			r.Reply.ID.Seq = f.Uvarint()
+			err = readReplyBody(&f, &r.Reply, nil)
 		case *beginCkptRec:
+			err = f.End()
 		case *creationRec:
-			body, err = readPlanBody(body, r) // a plan's read zeroes the struct first
+			err = readPlanBody(body, r) // a plan's read zeroes the struct first
 			r.ctx = ctx
 		case *ctxStateRec:
-			body, err = readPlanBody(body, r)
+			err = readPlanBody(body, r)
 			r.ctx = ctx
 		default:
-			body, err = readPlanBody(body, v)
+			err = readPlanBody(body, v)
 		}
 	}
 	if err != nil {
 		return fmt.Errorf("core: decode %s record: %w", recName(rec.Type), err)
-	}
-	if len(body) != 0 {
-		return fmt.Errorf("core: decode %s record: %d trailing bytes", recName(rec.Type), len(body))
 	}
 	return nil
 }
 
 // readPlanBody reads a cold record's body into v, a pointer to its
 // struct, as the struct's plan lays it out; the plan reads to the end.
-func readPlanBody(body []byte, v any) ([]byte, error) {
+func readPlanBody(body []byte, v any) error {
 	rv := reflect.ValueOf(v).Elem()
 	p, err := msg.PlanFor(rv.Type())
 	if err == nil {
 		err = p.Read(body, rv)
 	}
-	return nil, err
+	return err
 }
 
 // appendColdRec appends the payload of a cold record: the header, then
@@ -199,35 +213,35 @@ func (r *incomingRec) head() (wal.RecordType, ids.CompID, trace.Ref) {
 	return recIncoming, r.Ctx, r.Trace
 }
 func (r *incomingRec) AppendPayload(dst []byte) ([]byte, error) {
-	return msg.AppendCall(appendRecHeader(dst, r.Ctx, r.Trace), &r.Call), nil
+	return appendCallBody(appendRecHeader(dst, r.Ctx, r.Trace), &r.Call), nil
 }
 
 func (r *replySentRec) head() (wal.RecordType, ids.CompID, trace.Ref) {
 	return recReplySent, r.Ctx, r.Trace
 }
 func (r *replySentRec) AppendPayload(dst []byte) ([]byte, error) {
-	return appendCallID(appendRecHeader(dst, r.Ctx, r.Trace), r.CallID), nil
+	return appendRecHeader(dst, r.Ctx, r.Trace), nil
 }
 
 func (r *replyContentRec) head() (wal.RecordType, ids.CompID, trace.Ref) {
 	return recReplyContent, r.Ctx, r.Trace
 }
 func (r *replyContentRec) AppendPayload(dst []byte) ([]byte, error) {
-	return msg.AppendReply(appendRecHeader(dst, r.Ctx, r.Trace), &r.Reply), nil
+	return appendReplyBody(msg.AppendCallID(appendRecHeader(dst, r.Ctx, r.Trace), r.Reply.ID), &r.Reply), nil
 }
 
 func (r *outgoingRec) head() (wal.RecordType, ids.CompID, trace.Ref) {
 	return recOutgoing, r.Ctx, r.Trace
 }
 func (r *outgoingRec) AppendPayload(dst []byte) ([]byte, error) {
-	return msg.AppendCall(appendRecHeader(dst, r.Ctx, r.Trace), &r.Call), nil
+	return appendCallBody(appendRecHeader(dst, r.Ctx, r.Trace), &r.Call), nil
 }
 
 func (r *outgoingReplyRec) head() (wal.RecordType, ids.CompID, trace.Ref) {
 	return recOutgoingReply, r.Ctx, r.Trace
 }
 func (r *outgoingReplyRec) AppendPayload(dst []byte) ([]byte, error) {
-	return msg.AppendReply(appendRecHeader(dst, r.Ctx, r.Trace), &r.Reply), nil
+	return appendReplyBody(msg.AppendUvarint(appendRecHeader(dst, r.Ctx, r.Trace), r.Reply.ID.Seq), &r.Reply), nil
 }
 
 func (r *creationRec) head() (wal.RecordType, ids.CompID, trace.Ref) {

@@ -735,7 +735,7 @@ func TestRecordsScannedGrowsWithBacklog(t *testing.T) {
 // brought back by itself — a first touch — passes over its chain's span
 // once, to walk it, a block per read: the replay reads nothing.
 func TestLogReadsBoundedByBlocks(t *testing.T) {
-	const calls = 6400     // ~400 KB: the restart records' two blocks are 0.08x of it; Pass 1 well clear of a block-count edge
+	const calls = 11520    // ~400 KB: the restart records' two blocks are 0.08x of it; Pass 1 well clear of a block-count edge
 	const block = 16 << 10 // wal's read-ahead unit
 	reads := make(map[int]int64)
 	for _, n := range []int{4, 32} {
@@ -794,7 +794,7 @@ func TestLogReadsBoundedByBlocks(t *testing.T) {
 // TestRestartFlatAsLogGrows: what a restart reads is set by what there
 // is to redo, not by what the log retains. Two images end alike — every
 // context's state saved, a checkpoint, three rounds of calls, the crash —
-// behind a history of 1 round and of 700: the restart scans the same
+// behind a history of 1 round and of 1000: the restart scans the same
 // records and issues the same device reads over both, eagerly and
 // lazily, and a first touch — one context walked through a reader of
 // its own; its replay reads nothing — reads the same.
@@ -806,7 +806,7 @@ func TestRestartFlatAsLogGrows(t *testing.T) {
 		touchRecords, touchDevice int64
 	}
 	costs := make(map[int]cost)
-	for _, history := range []int{1, 700} {
+	for _, history := range []int{1, 1000} {
 		img, st := counterImage(t, n, history+tail, history+1, 1)
 		c := cost{logBytes: st.BytesWritten}
 		c.eager = recoverImage(t, img, RecoveryEager).stats
@@ -825,7 +825,7 @@ func TestRestartFlatAsLogGrows(t *testing.T) {
 		t.Logf("history %d rounds, %d-byte log: %d records scanned, %d device reads (%d bytes); a first touch reads %d records with %d device reads",
 			history, c.logBytes, c.eager.RecordsScanned, c.eager.LogReads, c.eager.LogBytesRead, c.touchRecords, c.touchDevice)
 	}
-	short, long := costs[1], costs[700]
+	short, long := costs[1], costs[1000]
 	if long.logBytes < 100*short.logBytes {
 		t.Fatalf("logs of %d and %d bytes: the long one should retain 100x more", short.logBytes, long.logBytes)
 	}

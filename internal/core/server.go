@@ -241,7 +241,7 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 		case external:
 			// Algorithm 3: a short record — only the fact that the
 			// reply was (attempted to be) sent — then force.
-			cx.replySent = replySentRec{Ctx: cx.parent.id, CallID: call.ID, Trace: call.Trace}
+			cx.replySent = replySentRec{Ctx: cx.parent.id, Trace: call.Trace}
 			lsn, err := p.appendRec(&cx.replySent, nil)
 			if err != nil {
 				return fault(call.ID, "log reply-sent: %v", err)

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/ids"
-	"repro/internal/msg"
 	"repro/internal/obs/trace"
 	"repro/internal/wal"
 )
@@ -131,7 +130,7 @@ func TraceTimelines(logs, dumps []string) ([]Timeline, error) {
 // scanTraceRecords appends a record event for every record in the log
 // at path whose header carries a trace (a kind this runtime does not
 // write is passed over); an incoming or outgoing call's event names its
-// method, the one body the scan decodes.
+// method (decodeRec, the one reader of record bodies, reads each).
 func scanTraceRecords(path string, byTrace map[uint64][]TimelineEvent) error {
 	log, err := wal.OpenSet(path, nil, 0)
 	if err != nil {
@@ -141,23 +140,27 @@ func scanTraceRecords(path string, byTrace map[uint64][]TimelineEvent) error {
 	src := filepath.Base(path)
 	proc := strings.TrimSuffix(src, ".log")
 	scan := func(rec wal.Record) error {
-		if recFor(rec.Type) == nil {
+		v := recFor(rec.Type)
+		if v == nil {
 			return nil
 		}
-		_, tr, body, err := consumeRecHeader(rec.Payload)
-		var call msg.Call
-		if err == nil && !tr.IsZero() && (rec.Type == recIncoming || rec.Type == recOutgoing) {
-			_, err = msg.ConsumeCall(body, &call)
+		if err := decodeRec(rec, v); err != nil {
+			return fmt.Errorf("core: record at %v: %w", rec.LSN, err)
 		}
-		if err != nil {
-			return fmt.Errorf("core: %s record at %v: %w", recName(rec.Type), rec.LSN, err)
-		}
+		_, _, tr := v.head()
 		if tr.IsZero() {
 			return nil
 		}
+		var method string
+		switch v := v.(type) {
+		case *incomingRec:
+			method = v.Call.Method
+		case *outgoingRec:
+			method = v.Call.Method
+		}
 		byTrace[tr.Trace] = append(byTrace[tr.Trace], TimelineEvent{
 			Kind: "record", Rec: recName(rec.Type), Span: tr.Span,
-			LSN: uint64(rec.LSN), Proc: proc, Method: call.Method, Source: src,
+			LSN: uint64(rec.LSN), Proc: proc, Method: method, Source: src,
 		})
 		return nil
 	}

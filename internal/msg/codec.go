@@ -11,9 +11,10 @@
 // Format (DESIGN.md Section 10). All integers are unsigned varints
 // (encoding/binary uvarint); "bytes" means uvarint length + raw bytes.
 //
-//	Call  = 0xC6 trace body;  Reply = 0xC7 trace body (version byte
-//	only at the outermost envelope — embedded copies inside log
-//	records use the bare body via AppendCall/ConsumeCall).
+//	Call  = 0xC6 trace body;  Reply = 0xC7 trace body. No log record
+//	embeds a bare body: a record lays out only the fields its
+//	replay reads (internal/core, records_codec.go), with the
+//	primitives below and the one-buffer ownership of Fields.Own.
 //
 //	trace = TraceID, then SpanID only when TraceID is not 0
 //	        (AppendTrace; an untraced message carries one zero byte)
@@ -39,9 +40,10 @@ import (
 )
 
 // envCall and envReply are the envelope version bytes. 0xC5
-// (serialized component state) and 0xC8 (log records) are taken by
+// (serialized component state) and 0xC9 (log records) are taken by
 // internal/serial and internal/core; the four bytes below 0xC5, which
-// the untraced envelopes and the older record headers used, are
+// the untraced envelopes and the older record headers used, and 0xC8,
+// the record header of the layout that embedded these bodies, are
 // retired and never reused.
 const (
 	envCall  = 0xC6
@@ -91,9 +93,9 @@ func ConsumeUvarint(data []byte) (uint64, []byte, error) {
 
 // consumeSpan consumes a length-prefixed field and returns it as a
 // view of data: the one place a field's length is held against the
-// input. The exported consumers below copy it; ConsumeCall and
-// ConsumeReply collect their fields' spans and copy them into one
-// buffer (ownFields).
+// input. ConsumeBytes and ConsumeString copy it; a message decoder
+// reads its fields' spans (Fields.Span) and copies them into one
+// buffer (Fields.Own).
 func consumeSpan(data []byte) ([]byte, []byte, error) {
 	n, rest, err := ConsumeUvarint(data)
 	if err != nil {

@@ -137,7 +137,7 @@ type Reply struct {
 // FreeBuf; see pool.go).
 func EncodeCall(c *Call) ([]byte, error) {
 	buf := AppendTrace(append(GetBuf(), envCall), c.Trace)
-	return AppendCall(buf, c), nil
+	return appendCall(buf, c), nil
 }
 
 // DecodeCall deserializes a Call from the transport: 0xC6, the trace
@@ -147,13 +147,10 @@ func DecodeCall(data []byte) (*Call, error) {
 	var c Call
 	body, err := consumeEnvelope(data, envCall, &c.Trace)
 	if err == nil {
-		body, err = ConsumeCall(body, &c)
+		err = consumeCall(body, &c)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("msg: decode call: %w", err)
-	}
-	if len(body) != 0 {
-		return nil, fmt.Errorf("msg: decode call: %d trailing bytes", len(body))
 	}
 	return &c, nil
 }
@@ -177,7 +174,7 @@ func consumeEnvelope(data []byte, ver byte, tr *trace.Ref) ([]byte, error) {
 // prove release.
 func EncodeReply(r *Reply) ([]byte, error) {
 	buf := AppendTrace(append(make([]byte, 0, 64+len(r.Results)), envReply), r.Trace)
-	return AppendReply(buf, r), nil
+	return appendReply(buf, r), nil
 }
 
 // DecodeReply deserializes a Reply from the transport into a new Reply
@@ -198,13 +195,10 @@ func DecodeReplyInto(data []byte, r *Reply) error {
 	*r = Reply{}
 	body, err := consumeEnvelope(data, envReply, &r.Trace)
 	if err == nil {
-		body, err = ConsumeReply(body, r)
+		err = consumeReply(body, r)
 	}
 	if err != nil {
 		return fmt.Errorf("msg: decode reply: %w", err)
-	}
-	if len(body) != 0 {
-		return fmt.Errorf("msg: decode reply: %d trailing bytes", len(body))
 	}
 	return nil
 }

@@ -201,7 +201,7 @@ func TestEncodeReplyBypassesPool(t *testing.T) {
 // shows why EncodeReply must not do this.
 func pooledEncodeReply(r *Reply) []byte {
 	buf := AppendTrace(append(GetBuf(), envReply), r.Trace)
-	return AppendReply(buf, r)
+	return appendReply(buf, r)
 }
 
 // TestPooledReplyWouldCorrupt demonstrates the failure mode the
