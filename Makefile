@@ -61,9 +61,10 @@ fuzz:
 
 # The race detector also turns on checkptr, so msg's one unsafe.String
 # (bufString, the decoded-envelope buffer) is checked under the fuzz
-# seeds and the codec tests.
+# seeds and the codec tests, and the trace ring's (a slot's names,
+# rebuilt from pointer and length) under writers racing a reader.
 race:
-	go test -race ./internal/core/ ./internal/wal/ ./internal/msg/
+	go test -race ./internal/core/ ./internal/wal/ ./internal/msg/ ./internal/obs/trace/
 
 # Repeated group-commit concurrency stress under the race detector: the
 # one force path with the commit window on and off, the shutdown rule
@@ -126,19 +127,29 @@ bench-smoke:
 # in the numbers), as `pprof -top`. Two runs of fixed length — a CPU
 # profile of 1,000,000 calls, then every allocation of 100,000
 # (-memprofilerate=1 records a stack per object, which slows the call
-# ~30x and would fill a CPU profile taken alongside it; counts per call
-# are exact at any length: divide alloc_objects by the calls). The
-# profiler leaves out tiny objects that fit an open 16-byte block, so
-# the -benchmem figure printed above the table is the total. Profiles
-# and the test binary stay in PROFILE_DIR for `go tool pprof -list`.
+# ~30x and would fill a CPU profile taken alongside it). The profile
+# under-counts: Go (1.24 included) never samples an allocation that fits
+# an open 16-byte tiny block, even at -memprofilerate=1, so
+# alloc_objects / calls reads ≈ 15.5 per call where -benchmem reads 18 —
+# the missing ones are mostly boxed ints. The last line prints both;
+# -benchmem's count is the total, the table only says where the sampled
+# ones come from. Profiles and the test binary stay in PROFILE_DIR for
+# `go tool pprof -list`.
 PROFILE_DIR ?= /tmp/phoenix-profile-call
+PROFILE_CALLS = 100000
 PROFILE_BENCH = TMPDIR=/dev/shm go test -run '^$$' -bench 'BenchmarkTable4_PersistentToPersistent_Optimized$$' -benchmem -o $(PROFILE_DIR)/call.test
 profile-call:
 	@mkdir -p $(PROFILE_DIR)
 	$(PROFILE_BENCH) -benchtime 1000000x -cpuprofile $(PROFILE_DIR)/cpu.prof .
 	go tool pprof -top -nodecount 40 $(PROFILE_DIR)/call.test $(PROFILE_DIR)/cpu.prof
-	$(PROFILE_BENCH) -benchtime 100000x -memprofile $(PROFILE_DIR)/mem.prof -memprofilerate=1 .
-	go tool pprof -sample_index=alloc_objects -top -nodecount 40 $(PROFILE_DIR)/call.test $(PROFILE_DIR)/mem.prof
+	$(PROFILE_BENCH) -benchtime $(PROFILE_CALLS)x -memprofile $(PROFILE_DIR)/mem.prof -memprofilerate=1 . > $(PROFILE_DIR)/mem.bench; \
+		s=$$?; cat $(PROFILE_DIR)/mem.bench; exit $$s
+	go tool pprof -sample_index=alloc_objects -top -nodecount 40 $(PROFILE_DIR)/call.test $(PROFILE_DIR)/mem.prof > $(PROFILE_DIR)/mem.top; \
+		s=$$?; cat $(PROFILE_DIR)/mem.top; exit $$s
+	@awk -v calls=$(PROFILE_CALLS) '/allocs\/op/ { for (i = 2; i <= NF; i++) if ($$i == "allocs/op") bench = $$(i-1) } \
+		/ total$$/ { prof = $$(NF-1) / calls } \
+		END { printf "allocs per call: %s by -benchmem (all), %.2f sampled by the profile (no tiny-block allocation)\n", bench, prof; exit bench == "" || prof == 0 }' \
+		$(PROFILE_DIR)/mem.bench $(PROFILE_DIR)/mem.top
 
 # The census a restart change starts from, profile-call's sibling: the
 # benchmark's restart-mem image (64 contexts, 6,000 calls, checkpoint at
@@ -217,8 +228,13 @@ profile-restart:
 # counter. Records that carry only what replay reads — no message
 # record embeds a wire body; msg.Fields the one field reader of the
 # envelope and record decoders, msg.AppendCallID the one call-ID
-# layout — lowered it by 1 to 21,563.)
-LOC_MAX = 21563
+# layout — lowered it by 1 to 21,563. A call's messages off the heap —
+# msg.DecodeCallInto and EncodeReplyView beside the DecodeCall and
+# EncodeReply the benchmark pins, BoundCall.AppendResults under
+# EncodeResults, serveCall filling its caller's Reply, and a trace
+# slot's names kept as pointer and length in a slot its writer claims —
+# raised it by 39 to 21,602, net of putReplayed folded into put.)
+LOC_MAX = 21602
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

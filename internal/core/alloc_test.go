@@ -18,20 +18,23 @@ import (
 // encoder does.
 
 // callPathAllocGate bounds one persistent↔persistent optimized call:
-// 13.5 allocs measured with one buffer per decoded envelope, the
-// argument list encoded into pooled scratch, the reply decoded into the
-// caller's own Reply, stack scratch in the server's bound call, the
+// 9.5 allocs measured with both sides' Call and the server's Reply on
+// the stack (trace spans take the method name by value), the results
+// appended into pooled scratch and copied once, into the reply envelope
+// the last-call entry keeps them in, one buffer per decoded envelope,
+// the argument list encoded into pooled scratch, the reply decoded into
+// the caller's own Reply, stack scratch in the server's bound call, the
 // method called by its type's Func (no receiver thunk), per-context hot
-// records and the holder-recycling buffer pool (17.5 with a string copy
-// and a value-list copy per envelope, a fresh argument list and a heap
-// Reply; 18.5 with a method value per instance, 27.5 before the rest;
-// 947 with gob envelopes, 394 with gob values only). What is left per
-// call: the client's Call (its Method is a trace span's), the server's
-// decoded Call, one buffer per decoded call and reply, the server's
-// Reply, its result list, the reply envelope, the last-call entry, the
-// send's address string, the decoded result list and its boxed int,
-// and reflect's result slice and box for the server's method.
-const callPathAllocGate = 17.0
+// records and the holder-recycling buffer pool (13.5 with each side's
+// Call and the server's Reply on the heap and the kept results a copy
+// of their own; 17.5 with a string copy and a value-list copy per
+// envelope, a fresh argument list and a heap Reply on the client too;
+// 18.5 with a method value per instance, 27.5 before the rest; 947 with
+// gob envelopes, 394 with gob values only). What is left per call: one
+// buffer per decoded call and reply, the reply envelope, the last-call
+// entry, the send's address string, the decoded result list and its
+// boxed int, and reflect's result slice and box for the server's method.
+const callPathAllocGate = 12.0
 
 // AllocBatcher drives n persistent↔persistent calls per envelope call,
 // so the inner-call allocation cost can be isolated from the external

@@ -30,9 +30,8 @@ func (cx *Context) saveStateLocked() error {
 	entries := p.lastCalls.forContext(cx.parent.id)
 	saved := make([]lastCallSaved, 0, len(entries))
 	for _, e := range entries {
-		if e.replyLSN.IsNil() && e.reply != nil {
-			rc := replyContentRec{Ctx: cx.parent.id, Reply: *e.reply}
-			rc.Reply.ID = ids.CallID{Caller: e.caller, Seq: e.seq}
+		if e.replyLSN.IsNil() && !e.reply.ID.IsZero() {
+			rc := replyContentRec{Ctx: cx.parent.id, Reply: e.reply}
 			lsn, err := p.appendRec(&rc, nil)
 			if err != nil {
 				return err

@@ -189,7 +189,7 @@ func TestDuplicateAnsweredAfterStateRestore(t *testing.T) {
 		NumArgs:    n,
 		CallerType: msg.Persistent,
 	}
-	r1 := p.serveCall(call)
+	r1 := serve(t, p, call)
 	if r1.Fault != "" {
 		t.Fatalf("call failed: %+v", r1)
 	}
@@ -211,7 +211,7 @@ func TestDuplicateAnsweredAfterStateRestore(t *testing.T) {
 	defer p2.Close()
 	// The retried duplicate must be answered from the logged reply,
 	// without re-executing.
-	r2 := p2.serveCall(call)
+	r2 := serve(t, p2, call)
 	if r2.Fault != "" {
 		t.Fatalf("duplicate after recovery faulted: %+v", r2)
 	}

@@ -111,7 +111,7 @@ func (cx *Context) markReady() {
 // brought back elsewhere is waited for.
 func (cx *Context) await() {
 	if e := cx.p.engine.Load(); e != nil {
-		e.demand(cx, trace.Ref{}, nil)
+		e.demand(cx, trace.Ref{}, "")
 	}
 	<-cx.ready
 }

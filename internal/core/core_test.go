@@ -319,7 +319,7 @@ func TestDuplicateCallAnsweredFromLastCallTable(t *testing.T) {
 			CallerType: msg.Persistent,
 		}
 	}
-	r1 := p.serveCall(mkCall(1))
+	r1 := serve(t, p, mkCall(1))
 	if r1.Fault != "" || r1.AppErr != "" {
 		t.Fatalf("first call failed: %+v", r1)
 	}
@@ -327,7 +327,7 @@ func TestDuplicateCallAnsweredFromLastCallTable(t *testing.T) {
 		t.Fatalf("counter = %d after first call", counter.N)
 	}
 	// Duplicate (client retry after losing the reply): same ID.
-	r2 := p.serveCall(mkCall(1))
+	r2 := serve(t, p, mkCall(1))
 	if r2.Fault != "" {
 		t.Fatalf("duplicate call faulted: %+v", r2)
 	}
@@ -338,12 +338,12 @@ func TestDuplicateCallAnsweredFromLastCallTable(t *testing.T) {
 		t.Error("duplicate reply differs from original")
 	}
 	// A stale (older) call is rejected.
-	r3 := p.serveCall(mkCall(0))
+	r3 := serve(t, p, mkCall(0))
 	if r3.Fault == "" {
 		t.Error("stale call was accepted")
 	}
 	// A new call proceeds.
-	r4 := p.serveCall(mkCall(2))
+	r4 := serve(t, p, mkCall(2))
 	if r4.Fault != "" || counter.N != 6 {
 		t.Errorf("next call: fault=%q counter=%d", r4.Fault, counter.N)
 	}

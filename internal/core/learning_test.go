@@ -77,7 +77,7 @@ func TestBaselineDuplicateAnsweredFromLogAfterRecovery(t *testing.T) {
 		NumArgs:    n,
 		CallerType: msg.Persistent,
 	}
-	r1 := p.serveCall(call)
+	r1 := serve(t, p, call)
 	if r1.Fault != "" {
 		t.Fatalf("call: %+v", r1)
 	}
@@ -90,7 +90,7 @@ func TestBaselineDuplicateAnsweredFromLogAfterRecovery(t *testing.T) {
 	defer p2.Close()
 	// The entry must exist with its reply recoverable (from memory via
 	// the final-call replay, or from the baseline msg2 record).
-	r2 := p2.serveCall(call)
+	r2 := serve(t, p2, call)
 	if r2.Fault != "" {
 		t.Fatalf("duplicate after recovery: %+v", r2)
 	}
@@ -121,19 +121,19 @@ func TestLastCallTableSharedAcrossContexts(t *testing.T) {
 			Method: "Add", Args: args, NumArgs: n, CallerType: msg.Persistent,
 		}
 	}
-	if r := p.serveCall(mk(1, hA.URI())); r.Fault != "" {
+	if r := serve(t, p, mk(1, hA.URI())); r.Fault != "" {
 		t.Fatal(r.Fault)
 	}
-	if r := p.serveCall(mk(2, hB.URI())); r.Fault != "" {
+	if r := serve(t, p, mk(2, hB.URI())); r.Fault != "" {
 		t.Fatal(r.Fault)
 	}
 	// Seq 1 to A is now older than the caller's last call (2, to B):
 	// stale, rejected — the shared table kept only the newest.
-	if r := p.serveCall(mk(1, hA.URI())); r.Fault == "" {
+	if r := serve(t, p, mk(1, hA.URI())); r.Fault == "" {
 		t.Error("stale cross-context call accepted")
 	}
 	// The newest duplicate is still answered.
-	if r := p.serveCall(mk(2, hB.URI())); r.Fault != "" {
+	if r := serve(t, p, mk(2, hB.URI())); r.Fault != "" {
 		t.Errorf("duplicate to B rejected: %s", r.Fault)
 	}
 	if got := hB.Object().(*Counter).N; got != 1 {

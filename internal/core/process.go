@@ -567,7 +567,7 @@ func (p *Process) appendRec(rec record, head *atomic.Uint64) (ids.LSN, error) {
 				Start:  tstart,
 				End:    p.tr.Now(),
 				LSN:    uint64(lsn),
-				Proc:   &p.name,
+				Proc:   p.name,
 			})
 		}
 	}
@@ -579,7 +579,7 @@ func (p *Process) appendRec(rec record, head *atomic.Uint64) (ids.LSN, error) {
 // device sync, or the inline sync). It delegates to forceTo, the
 // blessed force chokepoint, so phoenix-lint's forcesite check needs no
 // new allowlist entry for it.
-func (p *Process) forceTraced(site *obs.Counter, lsn ids.LSN, tref trace.Ref, method *string) error {
+func (p *Process) forceTraced(site *obs.Counter, lsn ids.LSN, tref trace.Ref, method string) error {
 	if p.tr == nil || tref.IsZero() {
 		return p.forceTo(site, lsn)
 	}
@@ -592,7 +592,7 @@ func (p *Process) forceTraced(site *obs.Counter, lsn ids.LSN, tref trace.Ref, me
 		Start:  tstart,
 		End:    p.tr.Now(),
 		LSN:    uint64(lsn),
-		Proc:   &p.name,
+		Proc:   p.name,
 		Method: method,
 	})
 	return err

@@ -450,7 +450,7 @@ func (p *Process) recoverySpan(run trace.Ref, start int64) {
 		Stage:  trace.StageRecoveryScan,
 		Start:  start,
 		End:    p.tr.Now(),
-		Proc:   &p.name,
+		Proc:   p.name,
 	})
 }
 

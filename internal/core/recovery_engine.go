@@ -117,7 +117,7 @@ func (p *Process) startEngine(plan *restorePlan, admitStart time.Time) *replayEn
 // this goroutine, for the call tref and method name, if any. Losing the
 // claim race just means someone else is bringing it back; the caller
 // falls through to the ready latch.
-func (e *replayEngine) demand(cx *Context, tref trace.Ref, method *string) {
+func (e *replayEngine) demand(cx *Context, tref trace.Ref, method string) {
 	select {
 	case <-cx.ready:
 		return
@@ -135,7 +135,7 @@ func (e *replayEngine) demand(cx *Context, tref trace.Ref, method *string) {
 // should restore it afresh.
 func (e *replayEngine) recoverNow(cx *Context) (handled bool, err error) {
 	if e.claim(cx) {
-		return true, e.replayOne(cx, true, trace.Ref{}, nil, e.p.log.NewReader())
+		return true, e.replayOne(cx, true, trace.Ref{}, "", e.p.log.NewReader())
 	}
 	select {
 	case <-cx.ready:
@@ -178,7 +178,7 @@ func (e *replayEngine) work() {
 			return
 		}
 		if e.claim(cx) {
-			_ = e.replayOne(cx, false, trace.Ref{}, nil, rd)
+			_ = e.replayOne(cx, false, trace.Ref{}, "", rd)
 		}
 	}
 }
@@ -189,7 +189,7 @@ func (e *replayEngine) work() {
 // recovery run's), and marks the context ready whatever happened, so
 // waiters unblock and find the failure, or the crash that unwound
 // through here.
-func (e *replayEngine) replayOne(cx *Context, onDemand bool, tref trace.Ref, method *string, rd *wal.Reader) error {
+func (e *replayEngine) replayOne(cx *Context, onDemand bool, tref trace.Ref, method string, rd *wal.Reader) error {
 	p := e.p
 	clock := p.u.cfg.Clock
 	start := clock.Now()
@@ -216,7 +216,7 @@ func (e *replayEngine) replayOne(cx *Context, onDemand bool, tref trace.Ref, met
 				Start:  tstart,
 				End:    p.tr.Now(),
 				LSN:    uint64(cx.restart()),
-				Proc:   &p.name,
+				Proc:   p.name,
 				Method: method,
 			})
 		}

@@ -461,7 +461,7 @@ func TestLazyTrimKeepsPendingLastCalls(t *testing.T) {
 		return &msg.Call{ID: ids.CallID{Caller: caller, Seq: 8}, Target: hc.URI(), Method: "Add",
 			Args: args, NumArgs: nargs, CallerType: msg.Persistent}
 	}
-	first := p.serveCall(dup())
+	first := serve(t, p, dup())
 	if first.Fault != "" {
 		t.Fatalf("persistent call: %s", first.Fault)
 	}
@@ -525,7 +525,7 @@ func TestLazyTrimKeepsPendingLastCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p3.Close()
-	again := p3.serveCall(dup())
+	again := serve(t, p3, dup())
 	if again.Fault != "" {
 		t.Fatalf("the caller's duplicate after the trim: %s", again.Fault)
 	}

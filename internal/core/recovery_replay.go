@@ -171,15 +171,15 @@ func (p *Process) replayIncoming(cx *Context, ir *incomingRec, lsn ids.LSN, repl
 			Start:  replayStart,
 			End:    p.tr.Now(),
 			LSN:    uint64(lsn),
-			Proc:   &p.name,
-			Method: &call.Method,
+			Proc:   p.name,
+			Method: call.Method,
 		})
 	}
 	if call.ID.IsZero() {
 		return
 	}
 	if results, numResults, err := bound.EncodeResults(out); err == nil {
-		reply := &msg.Reply{ID: call.ID, Results: results, NumResults: numResults, AppErr: appErr}
-		p.lastCalls.putReplayed(call.ID.Caller, call.ID.Seq, reply, cx.parent.id)
+		reply := msg.Reply{ID: call.ID, Results: results, NumResults: numResults, AppErr: appErr}
+		p.lastCalls.put(call.ID.Caller, call.ID.Seq, reply, cx.parent.id)
 	}
 }

@@ -224,7 +224,7 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 		}
 		cx.lastLSN = lsn
 		p.inject(PointClientBeforeForceSend)
-		if err := p.forceTraced(p.obs.ForceAtSend, cx.lastLSN, call.Trace, &call.Method); err != nil {
+		if err := p.forceTraced(p.obs.ForceAtSend, cx.lastLSN, call.Trace, call.Method); err != nil {
 			return err
 		}
 	default: // optimized
@@ -247,7 +247,7 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 			// it) but all of this context's previous records must be
 			// stable.
 			p.inject(PointClientBeforeForceSend)
-			if err := p.forceTraced(p.obs.ForceAtSend, cx.lastLSN, call.Trace, &call.Method); err != nil {
+			if err := p.forceTraced(p.obs.ForceAtSend, cx.lastLSN, call.Trace, call.Method); err != nil {
 				return err
 			}
 		}
@@ -263,8 +263,8 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 			Stage:  trace.StageClientIntercept,
 			Start:  outStart,
 			End:    p.tr.Now(),
-			Proc:   &p.name,
-			Method: &call.Method,
+			Proc:   p.name,
+			Method: call.Method,
 		})
 	}
 
@@ -298,7 +298,7 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 			}
 			cx.lastLSN = lsn
 			p.inject(PointClientBeforeForceReply)
-			if err := p.forceTraced(p.obs.ForceAtOutgoingReply, cx.lastLSN, call.Trace, &call.Method); err != nil {
+			if err := p.forceTraced(p.obs.ForceAtOutgoingReply, cx.lastLSN, call.Trace, call.Method); err != nil {
 				return err
 			}
 		} else if p.cfg.SpecializedTypes && serverType == msg.Functional {
@@ -374,7 +374,7 @@ func (u *Universe) send(call *msg.Call, reply *msg.Reply, retries int, interval 
 				Stage:  trace.StageTransport,
 				Start:  tstart,
 				End:    tr.Now(),
-				Method: &call.Method,
+				Method: call.Method,
 			})
 		}
 		return nil

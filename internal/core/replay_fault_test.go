@@ -140,8 +140,8 @@ func TestDuplicateAfterRestartGetsTheSameReply(t *testing.T) {
 					CallerType: msg.Persistent,
 				}
 			}
-			p.serveCall(mkCall(1, 1<<20))
-			before := p.serveCall(mkCall(2, 3))
+			serve(t, p, mkCall(1, 1<<20))
+			before := serve(t, p, mkCall(2, 3))
 			if before.Fault != "" || before.AppErr != "" {
 				t.Fatalf("call failed: %+v", before)
 			}
@@ -154,7 +154,7 @@ func TestDuplicateAfterRestartGetsTheSameReply(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer p2.Close()
-			after := p2.serveCall(mkCall(2, 3))
+			after := serve(t, p2, mkCall(2, 3))
 			if after.Fault != "" {
 				t.Fatalf("duplicate faulted: %+v", after)
 			}

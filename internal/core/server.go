@@ -19,8 +19,8 @@ func (p *Process) handleRequest(req []byte) (resp []byte, err error) {
 	if p.crashed.Load() {
 		return nil, fmt.Errorf("%w: %s (crashed)", transport.ErrUnavailable, p.addr)
 	}
-	call, err := msg.DecodeCall(req)
-	if err != nil {
+	var call msg.Call
+	if err := msg.DecodeCallInto(req, &call); err != nil {
 		return nil, err
 	}
 
@@ -34,19 +34,21 @@ func (p *Process) handleRequest(req []byte) (resp []byte, err error) {
 		}
 	}()
 
-	reply := p.serveCall(call)
-	// EncodeReply deliberately allocates fresh bytes rather than drawing
-	// on the scratch pool (contrast Universe.send, which frees its
-	// encoded call once the retry loop is done): the encoded reply
-	// outlives this handler — transports may deliver it asynchronously
-	// and callers retain response buffers — so no site here could prove
-	// release. msg's TestEncodeReplyBypassesPool and
-	// TestPooledReplyWouldCorrupt pin that contract.
-	return msg.EncodeReply(reply)
+	// The envelope is fresh bytes, never pooled (contrast Universe.send):
+	// transports may deliver it asynchronously, callers retain response
+	// buffers and a last-call entry keeps its results as a view of it.
+	// msg's TestEncodeReplyBypassesPool and TestPooledReplyWouldCorrupt
+	// pin that contract.
+	var reply msg.Reply
+	return p.serveCall(&call, &reply), nil
 }
 
-func fault(id ids.CallID, format string, args ...any) *msg.Reply {
-	return &msg.Reply{ID: id, Fault: fmt.Sprintf(format, args...)}
+// fault answers call id with an infrastructure error: it fills reply
+// and returns its envelope.
+func fault(reply *msg.Reply, id ids.CallID, format string, args ...any) []byte {
+	*reply = msg.Reply{ID: id, Fault: fmt.Sprintf(format, args...)}
+	data, _ := msg.EncodeReplyView(reply)
+	return data
 }
 
 // traceSpan records one leg of call's trace ending now: a fresh span
@@ -62,16 +64,17 @@ func (p *Process) traceSpan(call *msg.Call, st trace.Stage, start int64) {
 		Stage:  st,
 		Start:  start,
 		End:    p.tr.Now(),
-		Proc:   &p.name,
-		Method: &call.Method,
+		Proc:   p.name,
+		Method: call.Method,
 	})
 }
 
 // serveCall is the server-side message interceptor: duplicate
 // elimination (condition 3), message-1/2 logging per the active
 // discipline, single-threaded execution, last-call-table maintenance,
-// and checkpoint policy.
-func (p *Process) serveCall(call *msg.Call) *msg.Reply {
+// and checkpoint policy. It fills reply, which the caller owns, and
+// returns the reply's envelope.
+func (p *Process) serveCall(call *msg.Call, reply *msg.Reply) []byte {
 	srvStart := p.tr.Now()
 	// An arrival with no causal identity — an untraced peer, or an
 	// external client whose side has no recorder — gets a trace minted
@@ -82,7 +85,7 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 	}
 	_, _, compName, err := call.Target.Split()
 	if err != nil {
-		return fault(call.ID, "bad target %q: %v", call.Target, err)
+		return fault(reply, call.ID, "bad target %q: %v", call.Target, err)
 	}
 	p.mu.Lock()
 	cx := p.byName[compName]
@@ -98,7 +101,7 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 		cx = p.byName[compName]
 		p.mu.Unlock()
 		if cx == nil {
-			return fault(call.ID, "no component %q in process %s", compName, p.name)
+			return fault(reply, call.ID, "no component %q in process %s", compName, p.name)
 		}
 	}
 
@@ -111,17 +114,17 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 	// Steady state — no engine attached, first call already noted —
 	// costs two atomic loads.
 	if e := p.engine.Load(); e != nil {
-		e.demand(cx, call.Trace, &call.Method)
+		e.demand(cx, call.Trace, call.Method)
 		<-cx.ready
 		if err := e.replayFailure(cx.parent.id); err != nil {
-			return fault(call.ID, "context %s unavailable: replay failed: %v", cx.uri, err)
+			return fault(reply, call.ID, "context %s unavailable: replay failed: %v", cx.uri, err)
 		}
 	} else {
 		<-cx.ready
 	}
 	if cx.parent.disp == nil { // a shell opened by a crash mid-drain, or whose restore failed
 		p.checkAlive()
-		return fault(call.ID, "context %s unavailable: not restored", cx.uri)
+		return fault(reply, call.ID, "context %s unavailable: not restored", cx.uri)
 	}
 
 	external := call.ID.IsZero()
@@ -129,7 +132,7 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 	// leaving no record for a restart to trip over.
 	bound, err := cx.parent.disp.Bind(call.Method, call.Args, call.NumArgs)
 	if err != nil {
-		return fault(call.ID, "component %q: %v", compName, err)
+		return fault(reply, call.ID, "component %q: %v", compName, err)
 	}
 
 	// Classify the interaction (Sections 3.2-3.3). Stateless servers
@@ -176,13 +179,15 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 	if !external && !roTreatment {
 		if e := p.lastCalls.get(call.ID.Caller); e != nil {
 			if call.ID.Seq < e.seq {
-				return fault(call.ID, "stale call %v (last is %d)", call.ID, e.seq)
+				return fault(reply, call.ID, "stale call %v (last is %d)", call.ID, e.seq)
 			}
 			if call.ID.Seq == e.seq {
-				if rep := p.replyFromEntry(e); rep != nil {
-					return rep
+				if !p.replyFromEntry(e) {
+					return fault(reply, call.ID, "duplicate call %v but reply is unrecoverable", call.ID)
 				}
-				return fault(call.ID, "duplicate call %v but reply is unrecoverable", call.ID)
+				*reply = e.reply
+				data, _ := msg.EncodeReplyView(reply)
+				return data
 			}
 		}
 	}
@@ -193,14 +198,14 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 		cx.incoming = incomingRec{Ctx: cx.parent.id, Call: *call, Trace: call.Trace}
 		lsn, err := p.appendRec(&cx.incoming, &cx.chainHead)
 		if err != nil {
-			return fault(call.ID, "log incoming: %v", err)
+			return fault(reply, call.ID, "log incoming: %v", err)
 		}
 		cx.lastLSN = lsn
 		if external || p.cfg.LogMode == LogBaseline {
 			// Algorithm 1 forces every message; Algorithm 3 force-logs
 			// external calls promptly so the failure window is small.
-			if err := p.forceTraced(p.obs.ForceAtIncoming, cx.lastLSN, call.Trace, &call.Method); err != nil {
-				return fault(call.ID, "force incoming: %v", err)
+			if err := p.forceTraced(p.obs.ForceAtIncoming, cx.lastLSN, call.Trace, call.Method); err != nil {
+				return fault(reply, call.ID, "force incoming: %v", err)
 			}
 		}
 		p.inject(PointServerAfterLogIncoming)
@@ -214,15 +219,16 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 	execStart := obs.Stopwatch()
 	execTraceStart := p.tr.Now()
 	out, appErr := bound.Call()
-	results, numResults, err := bound.EncodeResults(out)
+	results, numResults, err := bound.AppendResults(msg.GetBuf(), out) // until the envelope copies them
 	p.obs.ServeExecs.Inc()
 	p.obs.ServeExecMicros.Observe((obs.Stopwatch() - execStart) / 1e3)
 	p.traceSpan(call, trace.StageExecute, execTraceStart)
 	if err != nil {
-		return fault(call.ID, "%v", err)
+		return fault(reply, call.ID, "%v", err)
 	}
+	defer msg.FreeBuf(results)
 	replyStart := p.tr.Now()
-	reply := &msg.Reply{ID: call.ID, Results: results, NumResults: numResults, AppErr: appErr, Trace: call.Trace}
+	rep := msg.Reply{ID: call.ID, Results: results, NumResults: numResults, AppErr: appErr, Trace: call.Trace}
 	p.inject(PointServerAfterExecute)
 
 	// Message 2 logging, before the reply is sent.
@@ -230,13 +236,14 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 		switch {
 		case p.cfg.LogMode == LogBaseline:
 			// Algorithm 1: log the full reply and force.
-			lsn, err := p.appendRec(&replyContentRec{Ctx: cx.parent.id, Reply: *reply, Trace: call.Trace}, nil)
+			rc := replyContentRec{Ctx: cx.parent.id, Reply: rep, Trace: call.Trace}
+			lsn, err := p.appendRec(&rc, nil)
 			if err != nil {
-				return fault(call.ID, "log reply: %v", err)
+				return fault(reply, call.ID, "log reply: %v", err)
 			}
 			cx.lastLSN = lsn
-			if err := p.forceTraced(p.obs.ForceAtReply, cx.lastLSN, call.Trace, &call.Method); err != nil {
-				return fault(call.ID, "force reply: %v", err)
+			if err := p.forceTraced(p.obs.ForceAtReply, cx.lastLSN, call.Trace, call.Method); err != nil {
+				return fault(reply, call.ID, "force reply: %v", err)
 			}
 		case external:
 			// Algorithm 3: a short record — only the fact that the
@@ -244,28 +251,40 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 			cx.replySent = replySentRec{Ctx: cx.parent.id, Trace: call.Trace}
 			lsn, err := p.appendRec(&cx.replySent, nil)
 			if err != nil {
-				return fault(call.ID, "log reply-sent: %v", err)
+				return fault(reply, call.ID, "log reply-sent: %v", err)
 			}
 			cx.lastLSN = lsn
-			if err := p.forceTraced(p.obs.ForceAtReply, cx.lastLSN, call.Trace, &call.Method); err != nil {
-				return fault(call.ID, "force reply-sent: %v", err)
+			if err := p.forceTraced(p.obs.ForceAtReply, cx.lastLSN, call.Trace, call.Method); err != nil {
+				return fault(reply, call.ID, "force reply-sent: %v", err)
 			}
 		default:
 			// Algorithm 2: the send is not written (replay recreates
 			// it) but it commits state — force all of this context's
 			// previous records (other contexts' dirty tails are their
 			// own commits' business).
-			if err := p.forceTraced(p.obs.ForceAtReply, cx.lastLSN, call.Trace, &call.Method); err != nil {
-				return fault(call.ID, "force at reply: %v", err)
+			if err := p.forceTraced(p.obs.ForceAtReply, cx.lastLSN, call.Trace, call.Method); err != nil {
+				return fault(reply, call.ID, "force at reply: %v", err)
 			}
 		}
 	}
+
+	// Reply attachment (Section 3.4), omitted when the client already
+	// knows us (Section 5.2.3) or cannot use it (external caller); kept
+	// with the reply, so a duplicate is answered with the same bytes.
+	if !external && !call.KnowsServer {
+		rep.HasAttachment = true
+		rep.ServerType = cx.parent.ctype
+		rep.MethodReadOnly = roMethodAttr
+	}
+	// The envelope is made once, here; rep reads its results in it now.
+	data, kept := msg.EncodeReplyView(&rep)
+	rep.Results = kept
 
 	// Last call table (condition 3's memory). Kept for persistent
 	// clients only; the reply body stays in memory and reaches the log
 	// lazily when a context state save needs it (Section 4.2).
 	if !external && !roTreatment {
-		p.lastCalls.put(call.ID.Caller, call.ID.Seq, reply, cx.parent.id)
+		p.lastCalls.put(call.ID.Caller, call.ID.Seq, rep, cx.parent.id)
 	}
 
 	// Checkpoint policies (Section 4: state records are saved when the
@@ -275,48 +294,42 @@ func (p *Process) serveCall(call *msg.Call) *msg.Reply {
 		cx.callsSinceSave++
 		if p.cfg.SaveStateEvery > 0 && cx.callsSinceSave >= p.cfg.SaveStateEvery {
 			if err := cx.saveStateLocked(); err != nil {
-				return fault(call.ID, "save state: %v", err)
+				return fault(reply, call.ID, "save state: %v", err)
 			}
 		}
 	}
 	total := p.incomingCalls.Add(1)
 	if p.cfg.CheckpointEvery > 0 && total%int64(p.cfg.CheckpointEvery) == 0 {
 		if err := p.runCheckpoint(); err != nil {
-			return fault(call.ID, "checkpoint: %v", err)
+			return fault(reply, call.ID, "checkpoint: %v", err)
 		}
 	}
 
 	p.inject(PointServerBeforeSendReply)
-
-	// Reply attachment (Section 3.4), omitted when the client already
-	// knows us (Section 5.2.3) or cannot use it (external caller).
-	if !external && !call.KnowsServer {
-		reply.HasAttachment = true
-		reply.ServerType = cx.parent.ctype
-		reply.MethodReadOnly = roMethodAttr
-	}
 	p.traceSpan(call, trace.StageReply, replyStart)
-	return reply
+	*reply = rep
+	return data
 }
 
-// replyFromEntry materializes a last-call reply from memory or from
-// its log record ("actual reply messages are only read when they are
-// required to reply to a duplicate call", Section 4.4).
-func (p *Process) replyFromEntry(e *lastCallEntry) *msg.Reply {
-	if e.reply != nil {
-		return e.reply
+// replyFromEntry makes sure a last-call entry holds its reply, reading
+// it from its log record when it is not in memory ("actual reply
+// messages are only read when they are required to reply to a
+// duplicate call", Section 4.4), and reports whether it does.
+func (p *Process) replyFromEntry(e *lastCallEntry) bool {
+	if !e.reply.ID.IsZero() {
+		return true
 	}
 	if e.replyLSN.IsNil() {
-		return nil
+		return false
 	}
 	rec, err := p.log.Read(e.replyLSN)
 	if err != nil || rec.Type != recReplyContent {
-		return nil
+		return false
 	}
 	var rc replyContentRec
 	if err := decodeRec(rec, &rc); err != nil {
-		return nil
+		return false
 	}
-	e.reply = &rc.Reply
-	return e.reply
+	e.reply = rc.Reply
+	return true
 }

@@ -16,10 +16,11 @@ import (
 type lastCallEntry struct {
 	caller ids.ComponentAddr
 	seq    uint64
-	// reply is the in-memory reply body; nil after recovery until a
-	// duplicate actually needs it ("actual reply messages are only
-	// read when they are required to reply to a duplicate call").
-	reply *msg.Reply
+	// reply is the in-memory reply, its Results a view of the envelope
+	// sent; zero — no ID: not in memory — after recovery until a
+	// duplicate needs it ("actual reply messages are only read when they
+	// are required to reply to a duplicate call").
+	reply msg.Reply
 	// replyLSN is the recReplyContent record holding the reply, or nil
 	// if the reply has not been written to the log.
 	replyLSN ids.LSN
@@ -48,22 +49,13 @@ func (t *lastCallTable) get(caller ids.ComponentAddr) *lastCallEntry {
 	return t.entries[caller]
 }
 
-// put records the latest call from caller. An earlier entry for the
-// same caller is discarded: "If we receive a method call from a
+// put records the latest call from caller, served or replayed, and
+// discards an earlier one: "If we receive a method call from a
 // persistent client, the client can independently recover its state to
 // the send message time... So its earlier last call entry is no longer
-// needed."
-func (t *lastCallTable) put(caller ids.ComponentAddr, seq uint64, reply *msg.Reply, ctx ids.CompID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.entries[caller] = &lastCallEntry{caller: caller, seq: seq, reply: reply, ctx: ctx}
-}
-
-// putReplayed records a reply regenerated by replay. Unlike put it is
-// monotonic: replays of different contexts can interleave out of their
-// original cross-context order, and an older call must never displace
-// a caller's newer entry.
-func (t *lastCallTable) putReplayed(caller ids.ComponentAddr, seq uint64, reply *msg.Reply, ctx ids.CompID) {
+// needed." Never a later one: replays of different contexts interleave
+// out of their cross-context order (serveCall refuses a stale call).
+func (t *lastCallTable) put(caller ids.ComponentAddr, seq uint64, reply msg.Reply, ctx ids.CompID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if cur, ok := t.entries[caller]; ok && cur.seq > seq {

@@ -55,10 +55,12 @@ func consumeCall(data []byte, c *Call) error {
 }
 
 // appendReply appends the bare binary body of r (no version byte) to
-// dst and returns the extended slice.
-func appendReply(dst []byte, r *Reply) []byte {
+// dst and returns the extended slice and where in it r's results were
+// written (EncodeReplyView's view).
+func appendReply(dst []byte, r *Reply) ([]byte, int) {
 	dst = AppendCallID(dst, r.ID)
 	dst = AppendBytes(dst, r.Results)
+	at := len(dst) - len(r.Results)
 	dst = AppendUvarint(dst, uint64(r.NumResults))
 	dst = AppendString(dst, r.AppErr)
 	dst = AppendString(dst, r.Fault)
@@ -70,7 +72,7 @@ func appendReply(dst []byte, r *Reply) []byte {
 		flags |= 2
 	}
 	dst = append(dst, flags)
-	return append(dst, byte(r.ServerType))
+	return append(dst, byte(r.ServerType)), at
 }
 
 // consumeReply decodes a bare Reply body, all of data, into r. r never

@@ -173,14 +173,24 @@ func TestDecodeNoAlias(t *testing.T) {
 }
 
 // TestAllocsDecodeCall gates the decode of a persistent→persistent
-// envelope (four string fields and an argument list): measured 2 — the
-// Call and the one buffer its strings and Args share (3 with the
-// strings' backing copy and Args apart). Whole objects, so the gate has
-// no headroom to give: a third allocation is a field copied on its own.
+// envelope (four string fields and an argument list): DecodeCallInto a
+// Call the caller owns, as the server's handler decodes, allocates only
+// the one buffer its strings and Args share (2 with the strings' backing
+// copy and Args apart); DecodeCall adds the Call when it escapes. Whole
+// objects, so the gates have no headroom to give: one more allocation
+// is a field copied on its own.
 func TestAllocsDecodeCall(t *testing.T) {
 	data, err := EncodeCall(&codecCalls[1])
 	if err != nil {
 		t.Fatal(err)
+	}
+	var c Call
+	if n := testing.AllocsPerRun(200, func() {
+		if err := DecodeCallInto(data, &c); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("DecodeCallInto allocates %v objects, gate 1", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := DecodeCall(data); err != nil {
@@ -188,6 +198,32 @@ func TestAllocsDecodeCall(t *testing.T) {
 		}
 	}); n > 2 {
 		t.Errorf("DecodeCall allocates %v objects, gate 2", n)
+	}
+}
+
+// TestAllocsEncodeReplyView gates the server's reply encoder: the
+// envelope is its one allocation, and the results view it returns is a
+// slice of that envelope, not a copy — it reads the results, and a
+// write through it shows in the envelope.
+func TestAllocsEncodeReplyView(t *testing.T) {
+	r := codecReplies[1]
+	if n := testing.AllocsPerRun(200, func() { EncodeReplyView(&r) }); n > 1 {
+		t.Errorf("EncodeReplyView allocates %v objects, gate 1", n)
+	}
+	data, view := EncodeReplyView(&r)
+	if !bytes.Equal(view, r.Results) || cap(view) != len(view) {
+		t.Fatalf("view = %x (cap %d), want the results %x, capped", view, cap(view), r.Results)
+	}
+	if want, _ := EncodeReply(&r); !bytes.Equal(data, want) {
+		t.Fatalf("EncodeReplyView's envelope %x differs from EncodeReply's %x", data, want)
+	}
+	view[0] ^= 0xFF
+	var back Reply
+	if err := DecodeReplyInto(data, &back); err == nil && bytes.Equal(back.Results, r.Results) {
+		t.Error("a write through the view did not reach the envelope: the view is a copy")
+	}
+	if _, view := EncodeReplyView(&Reply{NumResults: 0}); view != nil {
+		t.Errorf("a reply without results views %x, want nil", view)
 	}
 }
 

@@ -140,19 +140,29 @@ func EncodeCall(c *Call) ([]byte, error) {
 	return appendCall(buf, c), nil
 }
 
-// DecodeCall deserializes a Call from the transport: 0xC6, the trace
-// field, the body. Any other first byte is a decode error that names
-// it — there is no second format to try.
+// DecodeCall deserializes a Call from the transport into a new Call
+// (DecodeCallInto).
 func DecodeCall(data []byte) (*Call, error) {
-	var c Call
+	c := new(Call)
+	if err := DecodeCallInto(data, c); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// DecodeCallInto deserializes a Call from the transport into c, which it
+// overwrites: 0xC6, the trace field, the body. Any other first byte is a
+// decode error that names it — there is no second format to try.
+func DecodeCallInto(data []byte, c *Call) error {
+	*c = Call{}
 	body, err := consumeEnvelope(data, envCall, &c.Trace)
 	if err == nil {
-		err = consumeCall(body, &c)
+		err = consumeCall(body, c)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("msg: decode call: %w", err)
+		return fmt.Errorf("msg: decode call: %w", err)
 	}
-	return &c, nil
+	return nil
 }
 
 // consumeEnvelope strips an envelope's version byte, which must be
@@ -168,13 +178,22 @@ func consumeEnvelope(data []byte, ver byte, tr *trace.Ref) ([]byte, error) {
 	return ConsumeTrace(data[1:], tr)
 }
 
-// EncodeReply serializes a Reply for the transport. Unlike EncodeCall
-// the result is NOT pooled: replies cross goroutines asynchronously
-// (transport delivery, the last-call reply table), so no call site can
-// prove release.
+// EncodeReply is EncodeReplyView without the view.
 func EncodeReply(r *Reply) ([]byte, error) {
-	buf := AppendTrace(append(make([]byte, 0, 64+len(r.Results)), envReply), r.Trace)
-	return appendReply(buf, r), nil
+	data, _ := EncodeReplyView(r)
+	return data, nil
+}
+
+// EncodeReplyView serializes a Reply for the transport, and returns r's
+// results as a capped view of the envelope (nil if none), which a
+// last-call entry keeps. The envelope is NOT pooled: replies cross
+// goroutines (transport delivery, the last-call table), so none is freed.
+func EncodeReplyView(r *Reply) (data, results []byte) {
+	data, at := appendReply(AppendTrace(append(make([]byte, 0, 64+len(r.Results)), envReply), r.Trace), r)
+	if n := len(r.Results); n > 0 {
+		results = data[at : at+n : at+n]
+	}
+	return data, results
 }
 
 // DecodeReply deserializes a Reply from the transport into a new Reply

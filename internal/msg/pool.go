@@ -8,7 +8,7 @@ import "sync"
 // draws its output buffers from a sync.Pool instead of allocating.
 //
 // Ownership rule (DESIGN.md Section 10): a buffer returned by
-// EncodeCall/EncodeReply belongs to the caller until it calls FreeBuf,
+// GetBuf or EncodeCall belongs to the caller until it calls FreeBuf,
 // after which the buffer must not be touched. Callers that hand the
 // bytes to a transport may FreeBuf as soon as the send returns, because
 // transport handlers must not retain request buffers. Callers that

@@ -200,8 +200,8 @@ func TestEncodeReplyBypassesPool(t *testing.T) {
 // a reply into a pooled scratch buffer. TestPooledReplyWouldCorrupt
 // shows why EncodeReply must not do this.
 func pooledEncodeReply(r *Reply) []byte {
-	buf := AppendTrace(append(GetBuf(), envReply), r.Trace)
-	return appendReply(buf, r)
+	buf, _ := appendReply(AppendTrace(append(GetBuf(), envReply), r.Trace), r)
+	return buf
 }
 
 // TestPooledReplyWouldCorrupt demonstrates the failure mode the

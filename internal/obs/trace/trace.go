@@ -5,12 +5,12 @@
 // lock-free ring-buffer flight recorder.
 //
 // The recorder is built for the logging hot path: Record is wait-free
-// (one atomic ticket claim plus plain atomic stores into a fixed slot),
-// allocates nothing, and timestamps on the universe clock so traces
-// are deterministic under a VirtualClock. Readers (the crash dump, the
-// debug endpoint) are rare and best-effort: each slot carries a
-// sequence number with seqlock parity, so a reader either gets a
-// consistent span or skips a slot that was mid-overwrite.
+// (an atomic ticket, a compare-and-swap claiming its slot, atomic
+// stores into it), allocates nothing, and timestamps on the universe
+// clock so traces are deterministic under a VirtualClock. Readers (the
+// crash dump, the debug endpoint) are rare and best-effort: each slot
+// carries a sequence number with seqlock parity, so a reader either
+// gets a consistent span or skips a slot that was mid-overwrite.
 //
 // A nil *Recorder is the "tracing off" state: every method is nil-safe
 // and free, so call sites never branch on a flag.
@@ -22,6 +22,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -144,10 +145,10 @@ type Span struct {
 	Method string `json:"method,omitempty"`
 }
 
-// SpanData is the writer-side record input. Proc and Method are
-// pointers into strings that already exist (the process name tag, a
-// decoded call's Method field) so that recording stays allocation-free;
-// the recorder stores the pointers, not copies.
+// SpanData is the writer-side record input. Proc and Method are strings
+// that already exist (the process name, a call's Method): the recorder
+// keeps their data pointers and lengths — no copy, and no address of a
+// caller's variable, so recording moves nothing of the caller's to the heap.
 type SpanData struct {
 	Ref    Ref
 	Parent uint64
@@ -155,15 +156,15 @@ type SpanData struct {
 	Start  int64
 	End    int64
 	LSN    uint64
-	Proc   *string
-	Method *string
+	Proc   string
+	Method string
 }
 
 // slot is one ring entry. Every field is individually atomic: the
 // race detector runs over the core tests, and a seqlock over plain
-// fields would (correctly) trip it — and a torn string header would be
-// memory-unsafe. The seq field carries seqlock parity on top: odd
-// while a writer is mid-store, even when stable, 0 when never written.
+// fields would (correctly) trip it. The seq field carries seqlock
+// parity on top: odd while a writer is mid-store, even when stable, 0
+// when never written.
 type slot struct {
 	seq    atomic.Uint64
 	trace  atomic.Uint64
@@ -173,8 +174,11 @@ type slot struct {
 	start  atomic.Int64
 	end    atomic.Int64
 	stage  atomic.Uint32
-	proc   atomic.Pointer[string]
-	method atomic.Pointer[string]
+	// Proc and Method as each string's data pointer and length. A pair
+	// read mid-write may be torn, one string's data with another's
+	// length: a reader rebuilds them only once the seqlock check passes.
+	procData, methodData atomic.Pointer[byte]
+	procLen, methodLen   atomic.Uint64
 }
 
 // Recorder is the per-process flight recorder: a fixed-size ring of
@@ -300,17 +304,23 @@ func (r *Recorder) Record(d SpanData) {
 	}
 	i := r.cursor.Add(1) - 1
 	s := &r.slots[i&r.mask]
-	s.seq.Store(2*i + 1) // odd: write in progress
-	s.trace.Store(d.Ref.Trace)
-	s.span.Store(d.Ref.Span)
-	s.parent.Store(d.Parent)
-	s.stage.Store(uint32(d.Stage))
-	s.start.Store(d.Start)
-	s.end.Store(d.End)
-	s.lsn.Store(d.LSN)
-	s.proc.Store(d.Proc)
-	s.method.Store(d.Method)
-	s.seq.Store(2*i + 2) // even: stable
+	// Claim the slot (odd: write in progress), so a stable seq covers
+	// one writer's fields. A writer that finds it held — the ring wrapped
+	// mid-store — drops its span, an overwrite, rather than wait.
+	if cur := s.seq.Load(); cur%2 == 0 && s.seq.CompareAndSwap(cur, 2*i+1) {
+		s.trace.Store(d.Ref.Trace)
+		s.span.Store(d.Ref.Span)
+		s.parent.Store(d.Parent)
+		s.stage.Store(uint32(d.Stage))
+		s.start.Store(d.Start)
+		s.end.Store(d.End)
+		s.lsn.Store(d.LSN)
+		s.procData.Store(unsafe.StringData(d.Proc))
+		s.procLen.Store(uint64(len(d.Proc)))
+		s.methodData.Store(unsafe.StringData(d.Method))
+		s.methodLen.Store(uint64(len(d.Method)))
+		s.seq.Store(2*i + 2) // even: stable, and no other ticket's value
+	}
 	r.spans.Inc()
 	if i >= uint64(len(r.slots)) {
 		r.overwrites.Inc()
@@ -360,13 +370,10 @@ func (r *Recorder) Snapshot() []Span {
 				End:    s.end.Load(),
 				LSN:    s.lsn.Load(),
 			}
-			if p := s.proc.Load(); p != nil {
-				sp.Proc = *p
-			}
-			if m := s.method.Load(); m != nil {
-				sp.Method = *m
-			}
+			proc, procLen := s.procData.Load(), s.procLen.Load()
+			method, methodLen := s.methodData.Load(), s.methodLen.Load()
 			if s.seq.Load() == seq { // unchanged across the read: consistent
+				sp.Proc, sp.Method = unsafe.String(proc, procLen), unsafe.String(method, methodLen)
 				out = append(out, sp)
 				break
 			}

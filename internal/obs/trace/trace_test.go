@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -39,8 +40,8 @@ func TestRecordSnapshot(t *testing.T) {
 			Start:  start,
 			End:    r.Now(),
 			LSN:    uint64(100 + i),
-			Proc:   &proc,
-			Method: &method,
+			Proc:   proc,
+			Method: method,
 		})
 	}
 	spans := r.Snapshot()
@@ -82,7 +83,7 @@ func TestRingOverwrite(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		start := r.Now()
 		r.Record(SpanData{Ref: Ref{Trace: ref.Trace, Span: r.NewSpan()},
-			Stage: StageExecute, Start: start, End: r.Now(), Proc: &proc})
+			Stage: StageExecute, Start: start, End: r.Now(), Proc: proc})
 	}
 	if got := r.Len(); got != 8 {
 		t.Fatalf("Len = %d, want ring size 8", got)
@@ -180,7 +181,7 @@ func TestDumpRoundTrip(t *testing.T) {
 		ref := r.NewTrace()
 		start := r.Now()
 		r.Record(SpanData{Ref: ref, Stage: StageReplay, Start: start, End: r.Now(),
-			LSN: uint64(i), Proc: &proc, Method: &method})
+			LSN: uint64(i), Proc: proc, Method: method})
 	}
 	want := r.Snapshot()
 	path := filepath.Join(t.TempDir(), "proc.ftr.0")
@@ -256,7 +257,7 @@ func TestDumpRejectsGarbage(t *testing.T) {
 func TestDumpIsDebugEndpointJSON(t *testing.T) {
 	r, _ := newTestRecorder(8, nil)
 	proc := "srv"
-	r.Record(SpanData{Ref: r.NewTrace(), Stage: StageExecute, Start: 1, End: 2, Proc: &proc})
+	r.Record(SpanData{Ref: r.NewTrace(), Stage: StageExecute, Start: 1, End: 2, Proc: proc})
 	rec := httptest.NewRecorder()
 	Handler(r).ServeHTTP(rec, httptest.NewRequest("GET", DebugPath, nil))
 	path := filepath.Join(t.TempDir(), "srv.ftr.0")
@@ -288,8 +289,8 @@ func TestRecordZeroAllocs(t *testing.T) {
 			Start:  start,
 			End:    clk.now(),
 			LSN:    42,
-			Proc:   &proc,
-			Method: &method,
+			Proc:   proc,
+			Method: method,
 		})
 	})
 	if allocs != 0 {
@@ -312,7 +313,7 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				start := r.Now()
 				r.Record(SpanData{Ref: Ref{Trace: ref.Trace, Span: r.NewSpan()},
-					Stage: Stage(i % int(stageCount)), Start: start, End: r.Now(), Proc: &proc})
+					Stage: Stage(i % int(stageCount)), Start: start, End: r.Now(), Proc: proc})
 			}
 		}()
 	}
@@ -343,7 +344,7 @@ func TestHandlerJSON(t *testing.T) {
 	proc := "srv"
 	ref := r.NewTrace()
 	start := r.Now()
-	r.Record(SpanData{Ref: ref, Stage: StageTransport, Start: start, End: r.Now(), Proc: &proc})
+	r.Record(SpanData{Ref: ref, Stage: StageTransport, Start: start, End: r.Now(), Proc: proc})
 	rec := httptest.NewRecorder()
 	Handler(r).ServeHTTP(rec, httptest.NewRequest("GET", DebugPath, nil))
 	var body struct {
@@ -363,4 +364,118 @@ func TestHandlerJSON(t *testing.T) {
 func ExampleStage_String() {
 	fmt.Println(StageClientIntercept, StageReplay)
 	// Output: client_intercept replay
+}
+
+// TestSnapshotNamesNeverTorn races writers on a four-slot ring, so that
+// slots wrap while a writer is mid-store, against a reader. Each span's
+// trace ID names the writer and the method it recorded, and every name
+// is its own allocation of a different length: a slot rebuilt from one
+// writer's data pointer and another's length, or from two writers'
+// fields, reads back a name that was never recorded with that ID. Run it
+// under -race, which also checks each rebuilt string (checkptr).
+func TestSnapshotNamesNeverTorn(t *testing.T) {
+	const writers, methods = 4, 5
+	r, _ := newTestRecorder(4, nil)
+	var procNames [writers]string
+	var methodNames [methods]string
+	for w := range procNames {
+		procNames[w] = strings.Repeat(fmt.Sprint(w), 1+3*w)
+	}
+	for m := range methodNames {
+		methodNames[m] = strings.Repeat(string(rune('a'+m)), 2+5*m)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3000; i++ {
+				m := i % methods
+				r.Record(SpanData{Ref: Ref{Trace: uint64(w)<<8 | uint64(m) + 1, Span: r.NewSpan()},
+					Stage: StageExecute, Proc: procNames[w], Method: methodNames[m]})
+			}
+		}()
+	}
+	readerDone := make(chan struct{})
+	var read int
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, sp := range r.Snapshot() {
+				read++
+				w, m := (sp.Trace-1)>>8, (sp.Trace-1)&0xFF
+				if w >= writers || m >= methods || sp.Proc != procNames[w] || sp.Method != methodNames[m] {
+					t.Errorf("span of trace %#x reads proc %q method %q: not what was recorded with it", sp.Trace, sp.Proc, sp.Method)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	if read == 0 {
+		t.Log("the reader saw no stable slot while writers ran")
+	}
+	for _, sp := range r.Snapshot() {
+		if w, m := (sp.Trace-1)>>8, (sp.Trace-1)&0xFF; sp.Proc != procNames[w] || sp.Method != methodNames[m] {
+			t.Errorf("quiescent ring: trace %#x reads proc %q method %q", sp.Trace, sp.Proc, sp.Method)
+		}
+	}
+}
+
+// TestWrappedWriterNeverMixesSlot stages, step by step, what the race
+// above can only hope to hit: writer A holds a slot mid-store when the
+// ring wraps onto it. The writer that wraps must drop its span rather
+// than store into the held slot, so a snapshot skips the slot while A
+// holds it and, once A is done, reads A's span alone — never A's trace
+// with another writer's names.
+func TestWrappedWriterNeverMixesSlot(t *testing.T) {
+	r, _ := newTestRecorder(4, nil)
+	for k := 0; k < 4; k++ {
+		r.Record(SpanData{Ref: Ref{Trace: 1, Span: uint64(10 + k)}, Proc: "old", Method: "Old"})
+	}
+	// Writer A takes the next ticket, claims its slot as Record does and
+	// stores the first half of its span.
+	i := r.cursor.Add(1) - 1
+	s := &r.slots[i&r.mask]
+	if cur := s.seq.Load(); cur%2 != 0 || !s.seq.CompareAndSwap(cur, 2*i+1) {
+		t.Fatal("writer A could not claim its slot")
+	}
+	s.trace.Store(7)
+	s.span.Store(70)
+	procA := "proc-a"
+	s.procData.Store(unsafe.StringData(procA))
+	s.procLen.Store(uint64(len(procA)))
+	// Four more spans wrap the ring onto A's slot.
+	for k := 0; k < 4; k++ {
+		r.Record(SpanData{Ref: Ref{Trace: 9, Span: uint64(90 + k)}, Proc: "wrapping-proc", Method: "WrappingMethod"})
+	}
+	for _, sp := range r.Snapshot() {
+		if sp.Trace != 9 {
+			t.Errorf("snapshot while A holds its slot returned %+v", sp)
+		}
+	}
+	methodA := "MethodA"
+	s.methodData.Store(unsafe.StringData(methodA))
+	s.methodLen.Store(uint64(len(methodA)))
+	s.seq.Store(2*i + 2)
+	var found bool
+	for _, sp := range r.Snapshot() {
+		if sp.Trace == 7 || sp.Span == 93 {
+			found = true
+			if sp.Trace != 7 || sp.Span != 70 || sp.Proc != "proc-a" || sp.Method != "MethodA" {
+				t.Errorf("A's slot reads %+v: mixed with the span that wrapped onto it", sp)
+			}
+		}
+	}
+	if !found {
+		t.Error("A's span is missing from the snapshot")
+	}
 }

@@ -92,23 +92,30 @@ func (b *BoundCall) Call() ([]reflect.Value, string) {
 	return out, cmp.Or(err.Error(), "application error")
 }
 
-// EncodeResults encodes what Call returned as a reply's result list.
-// The list is encoded into pooled scratch and kept in one copy of its
-// exact size — the slice a last-call table holds — so a long list's
-// growth steps are the pool's, not the call's.
-func (b *BoundCall) EncodeResults(out []reflect.Value) ([]byte, int, error) {
+// AppendResults appends what Call returned to dst as a reply's result
+// list, and returns the extended slice and the number of results (the
+// serve path appends into pooled scratch; its reply envelope copies it).
+func (b *BoundCall) AppendResults(dst []byte, out []reflect.Value) ([]byte, int, error) {
 	var outBuf [stackVals]any
 	anyOut := outBuf[:0]
 	for _, o := range out {
 		anyOut = append(anyOut, o.Interface())
 	}
-	buf, err := msg.AppendAnySlice(msg.GetBuf(), anyOut)
+	dst, err := msg.AppendAnySlice(dst, anyOut)
 	if err != nil {
 		return nil, 0, fmt.Errorf("rpc: %T.%s results: %w", b.d.obj, b.m.Name, err)
 	}
-	results := bytes.Clone(buf)
+	return dst, len(anyOut), nil
+}
+
+// EncodeResults is AppendResults into pooled scratch, kept in a copy of
+// its exact size that the caller owns (a replay's last-call entry), so a
+// long list's growth steps are the pool's, not the call's.
+func (b *BoundCall) EncodeResults(out []reflect.Value) ([]byte, int, error) {
+	buf, n, err := b.AppendResults(msg.GetBuf(), out)
+	results := bytes.Clone(buf) // nil after an error
 	msg.FreeBuf(buf)
-	return results, len(anyOut), nil
+	return results, n, err
 }
 
 // coerce fits a decoded interface value to a declared parameter type.
