@@ -1,8 +1,8 @@
 # Development entry points. `make ci` is what the GitHub workflow runs.
 
-.PHONY: ci vet lint lockgraph lint-fix-fixtures build test fuzz race stress recovery-stress bench bench-smoke profile-call profile-restart loc
+.PHONY: ci vet lint lockgraph lint-fix-fixtures build test fuzz race stress recovery-stress soak bench bench-smoke profile-call profile-restart loc
 
-ci: vet lint build test loc fuzz race stress recovery-stress
+ci: vet lint build test loc fuzz race stress recovery-stress soak
 
 vet:
 	go vet ./...
@@ -86,22 +86,33 @@ stress:
 # context, a pending context's last calls through a trim, what one touch
 # reads, crash mid-drain, RecoverContext), the wal cursor and positioned-read tests (the reader's
 # edge-case table with its Hold rows; cursors racing an appender and
-# TrimHead), the tail check that scans, appends and End race to run on
+# TrimHead; a trim resumed after a failed remove), the tail check that scans, appends and End race to run on
 # a reopened log (and a torn segment fuzzed), the dump that reads a log
 # once, the log's root — round trips and damage, a stable watermark with
 # the tail check each side of it, the atomic file writer under it, and
 # through a process: publications racing from many contexts, both crash
 # states of the one write, a restart without it, a recreated directory,
-# a restart that trims from the loaded mark, the checkpoint that writes
-# it — the crash rows whose replay reads outgoing-reply records (a
-# multi-call fan-out crashed at the caller between sends, after its
-# last reply and at a server after it executed; a read-only reply taken
-# from the caller's log; a subordinate restored with its parent from a
-# state record, mid-call), the log holding zero and nonzero trace fields
+# the checkpoint that writes it — the crash rows whose replay reads
+# outgoing-reply records (a multi-call fan-out crashed at the caller
+# between sends, after its last reply and at a server after it
+# executed; a read-only reply taken from the caller's log; a
+# subordinate restored with its parent from a state record, mid-call;
+# a call whose force met a failed checkpoint publication), the log
+# holding zero and nonzero trace fields
 # — and the bookstore seller through the facade.
 recovery-stress:
-	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|TestChain|RecordsScanned|LogReads|TestRestart|Lazy|ScanFrom|ReadAt|Reader|TailCheck|FuzzOpenTornSegment|DumpLogReads|OpenSet|TestRoot|SetDiscard|AtomicWriteFile|EitherRoot|RecreatedLogDir|TrimsFromLoadedMarks|CheckpointPublication|CheckpointWritesWellKnownLSN|TestCrashRow|TestTracedUntracedRecovery' ./internal/core/ ./internal/wal/ ./internal/disk/
+	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|TestChain|RecordsScanned|LogReads|TestRestart|Lazy|ScanFrom|ReadAt|Reader|TailCheck|FuzzOpenTornSegment|DumpLogReads|OpenSet|TrimHeadEdgeCases|TestRoot|SetDiscard|AtomicWriteFile|EitherRoot|RecreatedLogDir|CheckpointPublication|CheckpointWritesWellKnownLSN|TestCrashRow|TestTracedUntracedRecovery' ./internal/core/ ./internal/wal/ ./internal/disk/
 	go test -race -count=2 -run 'SellerRecoveryEquivalence' ./internal/bookstore/
+
+# The log stays bounded with no call to make: the bookstore and a
+# three-stage pipeline run 200,000 calls on 512-byte segments (on
+# /dev/shm when the host has it), and the bytes of segment files on
+# disk, the logs' segment count, the post-GC heap and the goroutines at
+# the end may not exceed 1.1x their values at 30 %; a crash of every
+# process and a restart then recover the model state. A few seconds on
+# two vCPUs; kept out of `go test ./...` by its build tag.
+soak:
+	go test -tags soak -run 'TestSoakLogStaysBounded$$' -count=1 -v .
 
 bench:
 	go run ./cmd/phoenix-bench -scale 0.05 -calls 30
@@ -233,8 +244,12 @@ profile-restart:
 # EncodeReply the benchmark pins, BoundCall.AppendResults under
 # EncodeResults, serveCall filling its caller's Reply, and a trace
 # slot's names kept as pointer and length in a slot its writer claims —
-# raised it by 39 to 21,602, net of putReplayed folded into put.)
-LOC_MAX = 21602
+# raised it by 39 to 21,602, net of putReplayed folded into put.
+# Trimming where a checkpoint is published — Process.TrimLog and the
+# manual trim's no-mark case deleted, ckpt.publish_errors added, and
+# TrimHead dropping each segment as its file goes — lowered it by 10 to
+# 21,592.)
+LOC_MAX = 21592
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -16,7 +18,8 @@ import (
 // Algorithm 5, where a persistent caller's replay must take a read-only
 // component's answer from its log — both across processes, reading
 // outgoing-reply records on replay, keyed by the reply's own call ID —
-// and a subordinate, whose state rides in its parent's state record.
+// a subordinate, whose state rides in its parent's state record, and a
+// checkpoint whose publication fails under a live call.
 
 // Tally is a persistent server that counts its executions: its state
 // tells how many calls ran and which (each caller below adds a distinct
@@ -356,6 +359,90 @@ func TestCrashRowSubordinateAfterStateRecord(t *testing.T) {
 			}
 			if got, v := h.Object().(*Parent).Total, sub.Object().(*Vault).Stored; got != 15 || v != 15 {
 				t.Errorf("parent total %d, vault %d; want 15 and 15", got, v)
+			}
+		})
+	}
+}
+
+// blockRoot makes the log's root path a non-empty directory, which the
+// atomic rename of a publication cannot replace (even as root), and
+// returns the function that clears it.
+func blockRoot(t *testing.T, p *Process) func() {
+	t.Helper()
+	root := filepath.Join(p.LogDir(), "root")
+	if err := os.MkdirAll(filepath.Join(root, "pin"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		if err := os.RemoveAll(root); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCrashRowFailedPublication: a checkpoint's publication fails under
+// a live call — the root cannot be written — and the call whose force
+// got there must still be answered: its incoming record is durable, so
+// a restart replays it, and a caller told it failed would see it run
+// anyway. Live answers must equal the recovered state. The failure is
+// counted, and the next checkpoint, once the root can be written,
+// publishes.
+func TestCrashRowFailedPublication(t *testing.T) {
+	for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
+		t.Run(mode.String(), func(t *testing.T) {
+			u := newTestUniverse(t)
+			defer u.Shutdown()
+			cfg := testConfig()
+			cfg.Metrics = obs.NewRegistry()
+			m, p := startProc(t, u, "evo1", "srv", cfg)
+			h, err := p.Create("C", &Counter{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := u.ExternalRef(h.URI())
+			live := 0
+			add := func() {
+				t.Helper()
+				res, err := ref.Call("Add", 1)
+				if err != nil {
+					t.Errorf("Add(1) after %d: %v", live, err)
+					return
+				}
+				live = res[0].(int)
+			}
+			add()
+			if err := p.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			unblock := blockRoot(t, p)
+			add() // its force publishes, and the root write fails
+			add()
+			if got := cfg.Metrics.Snapshot().Counter(obs.PublishErrors); got != 1 {
+				t.Errorf("ckpt.publish_errors = %d, want 1", got)
+			}
+			if !p.log.Mark().IsNil() {
+				t.Errorf("a failed publication left mark %v", p.log.Mark())
+			}
+			unblock()
+			if err := p.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			add()
+			if p.log.Mark().IsNil() {
+				t.Error("the checkpoint after the failed one was not published")
+			}
+			p.Crash()
+
+			cfg.Recovery = Recovery{Mode: mode}
+			if p, err = m.StartProcess("srv", cfg); err == nil {
+				err = p.DrainRecovery()
+			}
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			defer p.Close()
+			if got := callInt(t, ref, "Get"); got != live || live != 4 {
+				t.Errorf("recovered C = %d, last live answer %d; want both 4", got, live)
 			}
 		})
 	}

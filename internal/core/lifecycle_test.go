@@ -32,9 +32,6 @@ func TestLifecycleEvents(t *testing.T) {
 		callInt(t, ref, "Add", 1)
 	}
 	callInt(t, ref, "Add", 1) // leaves one call past the last state record to replay
-	if err := p.TrimLog(); err != nil {
-		t.Fatal(err)
-	}
 	before := cfg.Metrics.Snapshot()
 	for _, name := range []string{obs.StateSaves, obs.Checkpoints, obs.Trims, obs.WALTrimmedBytes} {
 		if before.Counter(name) == 0 {

@@ -188,6 +188,7 @@ func TestEveryMetricMoves(t *testing.T) {
 	t.Run("dead-server", func(t *testing.T) { moveDeadServer(t, reg) })
 	t.Run("group-commit", func(t *testing.T) { moveGroupCommit(t, reg) })
 	t.Run("crash-discard", func(t *testing.T) { moveCrashDiscard(t, reg) })
+	t.Run("publish-error", func(t *testing.T) { movePublishError(t, reg) })
 
 	snap := reg.Snapshot()
 	for _, name := range declaredMetrics(t) {
@@ -294,8 +295,9 @@ func moveCalls(t *testing.T, reg *obs.Registry) {
 	callInt(t, u.ExternalRef(fan), "Spread", 1)
 }
 
-// moveCheckpoint: state saves, checkpoints and a trim on small segments,
-// with a persistent caller, so the last-call replies reach the log.
+// moveCheckpoint: state saves, checkpoints and the trims their
+// publications run on small segments, with a persistent caller, so the
+// last-call replies reach the log.
 func moveCheckpoint(t *testing.T, reg *obs.Registry) {
 	u := metricsUniverse(t, reg, disk.NewRealClock(1))
 	cfg := testConfig()
@@ -306,9 +308,6 @@ func moveCheckpoint(t *testing.T, reg *obs.Registry) {
 	p.SetLogSegmentBytes(2 << 10)
 	b := create(t, pc, "Batcher", &Batcher{Server: NewRef(create(t, p, "Counter", &Counter{}))})
 	callInt(t, u.ExternalRef(b), "RunBatch", "Add", 200, 1)
-	if err := p.TrimLog(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // moveRestart: a crash, an eager restart, a second crash and a lazy
@@ -392,6 +391,19 @@ func moveCrashDiscard(t *testing.T, reg *obs.Registry) {
 		t.Fatal(err)
 	}
 	p.Crash()
+}
+
+// movePublishError: a checkpoint whose root write fails (see
+// blockRoot), published by the next call's force.
+func movePublishError(t *testing.T, reg *obs.Registry) {
+	u := metricsUniverse(t, reg, disk.NewRealClock(1))
+	_, p := startProc(t, u, "evo1", "srv", testConfig())
+	ref := u.ExternalRef(create(t, p, "C", &Counter{}))
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	blockRoot(t, p)
+	callInt(t, ref, "Add", 1)
 }
 
 // moveGroupCommit: concurrent committers on a log with the commit

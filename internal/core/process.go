@@ -458,7 +458,8 @@ func (p *Process) finishForce(site *obs.Counter, out wal.SyncOutcome, err error)
 	if site != nil && out == wal.SyncIssued {
 		site.Inc()
 	}
-	return p.completeCheckpoint()
+	p.completeCheckpoint()
+	return nil
 }
 
 // completeCheckpoint publishes a pending process checkpoint once its
@@ -469,22 +470,26 @@ func (p *Process) finishForce(site *obs.Counter, out wal.SyncOutcome, err error)
 // the log directory, wal.Log.Publish). With the LSN-aware
 // force API a sync need not cover the whole tail, so the check is
 // against the end-checkpoint record's LSN, not "any force happened".
-func (p *Process) completeCheckpoint() error {
+// Publication makes the log prefix garbage, so it trims the log. A
+// failed root write or trim is ckpt.publish_errors, not the force's
+// error: what the force made durable a restart replays. The checkpoint
+// stays unpublished; the next one publishes and trims.
+func (p *Process) completeCheckpoint() {
 	if p.pendingCkpt.Load() == 0 {
-		return nil
+		return
 	}
 	p.ckptMu.Lock()
 	begin, end := ids.LSN(p.pendingCkpt.Load()), p.pendingCkptEnd
 	p.ckptMu.Unlock()
 	if begin.IsNil() || p.log.SyncedLSN() <= end {
-		return nil
+		return
 	}
 	p.ckptMu.Lock()
 	if ids.LSN(p.pendingCkpt.Load()) != begin {
 		// A newer checkpoint superseded the one we saw; its own force
 		// will publish it.
 		p.ckptMu.Unlock()
-		return nil
+		return
 	}
 	p.pendingCkpt.Store(0)
 	p.pendingCkptEnd = ids.NilLSN
@@ -492,41 +497,23 @@ func (p *Process) completeCheckpoint() error {
 	// One write: the mark, and how far the log is stable now — the next
 	// open need not check that much for a torn tail. The log drops a
 	// publisher that a newer checkpoint overtook on the way here.
-	return p.log.Publish(begin)
-}
-
-// TrimLog reclaims the dead log prefix: everything before the oldest
-// position recovery could still need — the minimum over every
-// context's restart LSN, every last-call entry's reply LSN, and the
-// well-known checkpoint LSN. Whole dead segments are deleted. It is the
-// one way to reclaim log space: nothing trims on its own.
-func (p *Process) TrimLog() error {
-	keep := p.reclaimPoint()
-	if keep.IsNil() {
-		return nil
-	}
-	before := p.log.Stats().TrimmedBytes
-	if err := p.log.TrimHead(keep); err != nil {
-		return err
-	}
-	if p.log.Stats().TrimmedBytes > before {
+	trimmed := p.log.Stats().TrimmedBytes
+	if err := p.log.Publish(begin); err != nil {
+		p.obs.PublishErrors.Inc()
+	} else if err := p.log.TrimHead(p.reclaimPoint()); err != nil {
+		p.obs.PublishErrors.Inc()
+	} else if p.log.Stats().TrimmedBytes > trimmed {
 		p.obs.Trims.Inc()
 	}
-	return nil
 }
 
-// reclaimPoint returns the trim floor: the mark in the log's root — as
-// last published, or as loaded by a restart that has yet to checkpoint:
-// recovery scans from it — lowered to anything recovery could still
-// need now (every live context's restart LSN, every last-call entry's
-// reply-content LSN: duplicate replies are served from the log). With
-// no mark recovery scans the log from its start, and nothing may be
-// trimmed: the result is nil.
+// reclaimPoint returns the trim floor once a checkpoint is published:
+// the mark the log's root names — recovery scans from it — lowered to
+// anything recovery could still need now (every live context's restart
+// LSN, every last-call entry's reply-content LSN: duplicate replies are
+// served from the log).
 func (p *Process) reclaimPoint() ids.LSN {
 	keep := p.log.Mark()
-	if keep.IsNil() {
-		return keep
-	}
 	p.mu.Lock()
 	for _, cx := range p.contexts {
 		if r := cx.restartLSN; !r.IsNil() && r < keep {

@@ -32,9 +32,9 @@ import (
 //
 // Correctness rests on what Pass 1 guarantees at admission time: the
 // last-call table is fully seeded (duplicate elimination works, and
-// TrimLog keeps every reply it names, before any context is back) and
-// restart LSNs are not advanced until a context replays (a crash
-// mid-drain loses nothing).
+// the trim a publication runs keeps every reply it names, before any
+// context is back) and restart LSNs are not advanced until a context
+// replays (a crash mid-drain loses nothing).
 
 // replayEngine coordinates one recovery run's Pass 2. It lives in
 // Process.engine from admission until the drain completes cleanly, so

@@ -185,64 +185,11 @@ func TestRecreatedLogDirStartsWithoutMarks(t *testing.T) {
 	}
 }
 
-// TestRestartTrimsFromLoadedMarks: a restarted process need not wait for
-// its next checkpoint to reclaim log space — the mark its open loaded
-// is the one recovery would scan from — and never trims past it.
-func TestRestartTrimsFromLoadedMarks(t *testing.T) {
-	u := newTestUniverse(t)
-	cfg := testConfig()
-	cfg.SaveStateEvery = 10
-	m, p := startProc(t, u, "evo1", "srv", cfg)
-	p.SetLogSegmentBytes(2 * 1024)
-	h, err := p.Create("C", &Counter{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := u.ExternalRef(h.URI())
-	for i := 0; i < 300; i++ {
-		callInt(t, ref, "Add", 1)
-	}
-	if err := p.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		callInt(t, ref, "Add", 1)
-	}
-	mark := p.log.Mark()
-	if st := p.LogStats(); mark.IsNil() || st.TrimmedBytes != 0 || st.Segments < 4 {
-		t.Fatalf("image: mark %v, %d segments, %d bytes trimmed", mark, st.Segments, st.TrimmedBytes)
-	}
-	p.Crash()
-
-	if p, err = m.StartProcess("srv", cfg); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.log.Mark(); got != mark {
-		t.Fatalf("restart loaded mark %v, want %v", got, mark)
-	}
-	if err := p.TrimLog(); err != nil {
-		t.Fatal(err)
-	}
-	start := p.log.Start()
-	if st := p.LogStats(); st.TrimmedBytes == 0 || start > mark {
-		t.Errorf("trimmed %d bytes, log now starts at %v; want a trim that stops at or before the mark %v", st.TrimmedBytes, start, mark)
-	}
-	callInt(t, ref, "Add", 1)
-	p.Crash()
-	if p, err = m.StartProcess("srv", cfg); err != nil {
-		t.Fatalf("restart over the trimmed log: %v", err)
-	}
-	defer p.Close()
-	if got := callInt(t, ref, "Get"); got != 306 {
-		t.Errorf("recovered C = %d over the trimmed log, want 306", got)
-	}
-}
-
 // TestCheckpointPublicationSerialized: with CheckpointEvery 1 every call
 // takes a checkpoint and whichever force covers it publishes it, from
 // many contexts at once. The root on disk never names an older checkpoint
 // than it did while they run, and at quiescence it is the root the live
-// log reports — the one TrimLog trusts. The one cell keeps the
+// log reports — the one the trim after each publication trusts. The one cell keeps the
 // "shards=1" label it had beside a sharded cell. Run under -race.
 func TestCheckpointPublicationSerialized(t *testing.T) {
 	t.Run("shards=1", func(t *testing.T) {

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestTrimLogReclaimsLogSpace: with checkpointing on and TrimLog called
-// as the workload runs, a long workload's log stays bounded — dead
-// segments are deleted once every restart point has moved past them —
+// TestCheckpointReclaimsLogSpace: with checkpointing on, a long
+// workload's log stays bounded with no call to make — each published
+// checkpoint deletes the segments every restart point has moved past —
 // and recovery still works.
-func TestTrimLogReclaimsLogSpace(t *testing.T) {
+func TestCheckpointReclaimsLogSpace(t *testing.T) {
 	u := newTestUniverse(t)
 	cfg := testConfig()
 	cfg.SaveStateEvery = 20
@@ -25,10 +25,6 @@ func TestTrimLogReclaimsLogSpace(t *testing.T) {
 	const calls = 600
 	for i := 0; i < calls; i++ {
 		if _, err := ref.Call("Set", "k", "some-reasonably-long-value-to-grow-the-log"); err != nil {
-			t.Fatal(err)
-		}
-		// A no-op until a checkpoint is published; then it trims to it.
-		if err := p.TrimLog(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,7 +58,8 @@ func TestTrimLogReclaimsLogSpace(t *testing.T) {
 }
 
 // TestTrimKeepsStatelessComponents: stateless contexts get re-emitted
-// creation records at checkpoints, so trimming does not lose them.
+// creation records at checkpoints, so trimming does not lose them. The
+// last checkpoint, published by a force, trims as every one does.
 func TestTrimKeepsStatelessComponents(t *testing.T) {
 	u := newTestUniverse(t)
 	cfg := testConfig()
@@ -82,7 +79,10 @@ func TestTrimKeepsStatelessComponents(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		callInt(t, ref, "Add", 1)
 	}
-	if err := p.TrimLog(); err != nil {
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.force(nil); err != nil {
 		t.Fatal(err)
 	}
 	if p.LogStats().TrimmedBytes == 0 {
@@ -105,9 +105,9 @@ func TestTrimKeepsStatelessComponents(t *testing.T) {
 	}
 }
 
-// TestManualTrimBeforeCheckpointIsNoop: without a durable checkpoint,
-// recovery scans from the log start, so nothing may be trimmed.
-func TestManualTrimBeforeCheckpointIsNoop(t *testing.T) {
+// TestNoTrimBeforeCheckpoint: without a published checkpoint, recovery
+// scans from the log start, so no force trims anything.
+func TestNoTrimBeforeCheckpoint(t *testing.T) {
 	u := newTestUniverse(t)
 	_, p := startProc(t, u, "evo1", "srv", testConfig())
 	defer p.Close()
@@ -120,7 +120,7 @@ func TestManualTrimBeforeCheckpointIsNoop(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		callInt(t, ref, "Add", 1)
 	}
-	if err := p.TrimLog(); err != nil {
+	if err := p.force(nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.LogStats().TrimmedBytes; got != 0 {

@@ -19,7 +19,8 @@ var (
 	defaultDroppedErrPackages = []string{"repro/internal/core", "repro/internal/wal", "repro/internal/disk"}
 	// The guarded set is the durability surface: file syncs and
 	// truncations, segment removal, the wal writer life-cycle calls,
-	// the record codec and the lazy replay engine. (*os.File).Close is
+	// checkpoint publication and the trim after it, the record codec
+	// and the lazy replay engine. (*os.File).Close is
 	// deliberately absent — conventional error-path cleanup closes are
 	// not durability events; Sync is.
 	defaultDroppedErrGuarded = []string{
@@ -30,6 +31,8 @@ var (
 		"(*repro/internal/wal.Log).Close",
 		"(*repro/internal/wal.Log).Discard",
 		"(*repro/internal/wal.Log).Flush",
+		"(*repro/internal/wal.Log).Publish",
+		"(*repro/internal/wal.Log).TrimHead",
 		"repro/internal/core.decodeRec",
 		"(*repro/internal/core.replayEngine).replayOne",
 		"repro/internal/obs/trace.WriteDump",

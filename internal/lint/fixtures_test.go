@@ -96,6 +96,7 @@ func TestDroppedErrFixture(t *testing.T) {
 				p + ".syncDevice",
 				p + ".readDevice",
 				"(*" + p + ".Dev).Close",
+				"(*" + p + ".Dev).Trim",
 			},
 		}))
 }

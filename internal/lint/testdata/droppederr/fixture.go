@@ -1,5 +1,6 @@
-// Fixture for the droppederr analyzer: syncDevice, readDevice and
-// (*Dev).Close are configured as guarded durability calls.
+// Fixture for the droppederr analyzer: syncDevice, readDevice,
+// (*Dev).Close and (*Dev).Trim are configured as guarded durability
+// calls.
 package droppederr
 
 import "errors"
@@ -7,6 +8,8 @@ import "errors"
 type Dev struct{}
 
 func (d *Dev) Close() error { return nil }
+
+func (d *Dev) Trim(keep int) error { return nil }
 
 func syncDevice() error { return errors.New("io") }
 
@@ -24,6 +27,10 @@ func ignoredDefer(d *Dev) {
 
 func ignoredGo() {
 	go syncDevice() // want `error discarded \(spawned, result ignored\)`
+}
+
+func ignoredMethod(d *Dev) {
+	d.Trim(1) // want `\(\*.*Dev\)\.Trim error discarded \(result ignored\)`
 }
 
 func blankAssign() {

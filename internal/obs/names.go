@@ -106,6 +106,8 @@ const (
 	// A crash whose log discard failed: the log was not cut back to
 	// its stable watermark, so the restart image is not the modelled one.
 	CrashDiscardErrors = "ckpt.crash_discard_errors"
+	// A checkpoint whose root write, or the trim after it, failed.
+	PublishErrors = "ckpt.publish_errors"
 
 	// --- recovery ---
 
@@ -340,6 +342,7 @@ type RuntimeMetrics struct {
 	StateSaves         *Counter
 	Trims              *Counter
 	CrashDiscardErrors *Counter
+	PublishErrors      *Counter
 
 	RecoveryRuns        *Counter
 	ContextsRestored    *Counter
@@ -395,6 +398,7 @@ func RuntimeView(r *Registry) *RuntimeMetrics {
 		StateSaves:         r.counter(StateSaves),
 		Trims:              r.counter(Trims),
 		CrashDiscardErrors: r.counter(CrashDiscardErrors),
+		PublishErrors:      r.counter(PublishErrors),
 
 		RecoveryRuns:        r.counter(RecoveryRuns),
 		ContextsRestored:    r.counter(ContextsRestored),

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/ids"
@@ -117,6 +118,86 @@ func TestTrimHeadDeletesDeadSegments(t *testing.T) {
 	if count == 0 || count == len(lsns) {
 		t.Errorf("scan after trim saw %d of %d", count, len(lsns))
 	}
+}
+
+// TestTrimHeadEdgeCases: the segments a trim removes leave the log one
+// by one, as their files go. Six 256-byte segments; each row disturbs
+// the directory, trims up to the fifth segment and checks that the log
+// names exactly the segments still on disk — Start, the segment count,
+// TrimmedBytes — and that a later trim resumes where the first stopped.
+func TestTrimHeadEdgeCases(t *testing.T) {
+	run := func(name string, fn func(t *testing.T, l *Log, paths []string, starts []ids.LSN)) {
+		t.Run(name, func(t *testing.T) {
+			l, _ := openTemp(t)
+			defer l.Close()
+			l.SetSegmentBytes(256)
+			fillSegments(t, l, 6)
+			var starts []ids.LSN
+			for _, s := range l.segs {
+				starts = append(starts, s.start)
+			}
+			fn(t, l, segPaths(t, l), starts)
+		})
+	}
+	// expect checks the log starts at want with n segments, and that
+	// every segment file before want is gone.
+	expect := func(t *testing.T, l *Log, paths []string, starts []ids.LSN, want ids.LSN, n int) {
+		t.Helper()
+		if got, segs := l.Start(), l.Stats().Segments; got != want || segs != n {
+			t.Errorf("log starts at %v with %d segments, want %v with %d", got, segs, want, n)
+		}
+		for i, path := range paths {
+			if _, err := os.Stat(path); (err == nil) != (starts[i] >= want) {
+				t.Errorf("segment %v on disk: %v, want %v", starts[i], err == nil, starts[i] >= want)
+			}
+		}
+	}
+
+	run("a failed remove resumes", func(t *testing.T, l *Log, paths []string, starts []ids.LSN) {
+		// The second segment's path becomes a non-empty directory, which
+		// os.Remove refuses (even to root); the first goes before it.
+		if err := os.Remove(paths[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(paths[1], "pin"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.TrimHead(starts[4]); err == nil {
+			t.Fatal("a trim through a segment it cannot remove succeeded")
+		}
+		if got := l.Stats().TrimmedBytes; got != int64(starts[1]-starts[0]) {
+			t.Errorf("TrimmedBytes %d after one segment went, want %d", got, starts[1]-starts[0])
+		}
+		if l.Start() != starts[1] || l.Stats().Segments != len(starts)-1 {
+			t.Errorf("after the failed trim the log starts at %v with %d segments, want %v with %d",
+				l.Start(), l.Stats().Segments, starts[1], len(starts)-1)
+		}
+		if err := os.RemoveAll(paths[1]); err != nil { // clear the obstacle
+			t.Fatal(err)
+		}
+		if err := l.TrimHead(starts[4]); err != nil {
+			t.Fatalf("the retried trim: %v", err)
+		}
+		expect(t, l, paths, starts, starts[4], 2)
+		if got := l.Stats().TrimmedBytes; got != int64(starts[4]-starts[0]) {
+			t.Errorf("TrimmedBytes %d, want %d", got, starts[4]-starts[0])
+		}
+	})
+	run("a segment already gone counts as removed", func(t *testing.T, l *Log, paths []string, starts []ids.LSN) {
+		if err := os.Remove(paths[2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.TrimHead(starts[4]); err != nil {
+			t.Fatal(err)
+		}
+		expect(t, l, paths, starts, starts[4], 2)
+	})
+	run("a trim short of a segment's end keeps it", func(t *testing.T, l *Log, paths []string, starts []ids.LSN) {
+		if err := l.TrimHead(starts[4] - 1); err != nil {
+			t.Fatal(err)
+		}
+		expect(t, l, paths, starts, starts[3], 3)
+	})
 }
 
 func TestTrimHeadNeverRemovesActiveSegment(t *testing.T) {

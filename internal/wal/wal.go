@@ -1008,35 +1008,31 @@ func (c *Cursor) Next() (rec Record, ok bool, err error) {
 func (c *Cursor) LSN() ids.LSN { return c.lsn }
 
 // TrimHead deletes whole segments that lie entirely before keep: every
-// record at LSN >= keep stays readable. It is called once recovery no
-// longer needs the prefix (all restart points and last-call reply
-// records have moved past it). Trimming never touches the active
-// segment.
+// record at LSN >= keep stays readable. The runtime calls it each time
+// a checkpoint is published, with the oldest position recovery could
+// still need. Trimming never touches the active segment. A segment
+// leaves the log as its file goes, oldest first, so a failed remove
+// leaves the log naming exactly the segments still on disk, and the
+// next trim resumes there; a file already gone counts as removed.
 func (l *Log) TrimHead(keep ids.LSN) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed.Load() {
 		return ErrClosed
 	}
-	cut := 0
-	for cut < len(l.segs)-1 && l.segs[cut].end() <= keep {
-		cut++
-	}
-	if cut == 0 {
-		return nil
-	}
-	for _, s := range l.segs[:cut] {
-		s.f.Close()
-		if err := os.Remove(s.path); err != nil {
+	for len(l.segs) > 1 && l.segs[0].end() <= keep {
+		s := l.segs[0]
+		if err := os.Remove(s.path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("wal: trim %s: %w", s.path, err)
 		}
+		s.f.Close()
 		if i := slices.Index(l.unsynced, s); i >= 0 {
 			l.unsynced = slices.Delete(l.unsynced, i, i+1)
 		}
+		l.segs = slices.Delete(l.segs, 0, 1)
 		l.stats.TrimmedBytes += s.size
 		l.m.TrimmedBytes.Add(s.size)
 	}
-	l.segs = append([]*segment{}, l.segs[cut:]...)
 	return nil
 }
 
