@@ -92,20 +92,22 @@ stress:
 # the tail check each side of it, the atomic file writer under it, and
 # through a process: publications racing from many contexts, both crash
 # states of the one write, a restart without it, a recreated directory,
-# the checkpoint that writes it — the crash rows whose replay reads
+# the checkpoint that forces and writes it itself — the crash rows whose replay reads
 # outgoing-reply records (a multi-call fan-out crashed at the caller
 # between sends, after its last reply and at a server after it
 # executed; a read-only reply taken from the caller's log; a
 # subordinate restored with its parent from a state record, mid-call;
-# a call whose force met a failed checkpoint publication), the log
+# a call that took a checkpoint whose publication failed), the log
 # holding zero and nonzero trace fields
 # — and the bookstore seller through the facade.
 recovery-stress:
-	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|TestChain|RecordsScanned|LogReads|TestRestart|Lazy|ScanFrom|ReadAt|Reader|TailCheck|FuzzOpenTornSegment|DumpLogReads|OpenSet|TrimHeadEdgeCases|TestRoot|SetDiscard|AtomicWriteFile|EitherRoot|RecreatedLogDir|CheckpointPublication|CheckpointWritesWellKnownLSN|TestCrashRow|TestTracedUntracedRecovery' ./internal/core/ ./internal/wal/ ./internal/disk/
+	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|TestChain|RecordsScanned|LogReads|TestRestart|Lazy|ScanFrom|ReadAt|Reader|TailCheck|FuzzOpenTornSegment|DumpLogReads|OpenSet|TrimHeadEdgeCases|TestRoot|SetDiscard|AtomicWriteFile|EitherRoot|RecreatedLogDir|CheckpointPublication|CheckpointPublishesItself|TestCrashRow|TestTracedUntracedRecovery' ./internal/core/ ./internal/wal/ ./internal/disk/
 	go test -race -count=2 -run 'SellerRecoveryEquivalence' ./internal/bookstore/
 
-# The log stays bounded with no call to make: the bookstore and a
-# three-stage pipeline run 200,000 calls on 512-byte segments (on
+# The log stays bounded with no call to make: two bookstores (at the
+# optimized-logging level, and at the specialized level, whose stores,
+# grabber and tax processes never force but for their checkpoints) and
+# a three-stage pipeline run 200,000 calls on 512-byte segments (on
 # /dev/shm when the host has it), and the bytes of segment files on
 # disk, the logs' segment count, the post-GC heap and the goroutines at
 # the end may not exceed 1.1x their values at 30 %; a crash of every
@@ -248,8 +250,10 @@ profile-restart:
 # Trimming where a checkpoint is published — Process.TrimLog and the
 # manual trim's no-mark case deleted, ckpt.publish_errors added, and
 # TrimHead dropping each segment as its file goes — lowered it by 10 to
-# 21,592.)
-LOC_MAX = 21592
+# 21,592. A checkpoint that forces and publishes itself — the
+# pending-checkpoint hand-off, completeCheckpoint, finishForce and
+# Process.force deleted — lowered it by 47 to 21,545.)
+LOC_MAX = 21545
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

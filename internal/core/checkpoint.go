@@ -82,7 +82,8 @@ func (p *Process) Checkpoint() error {
 }
 
 // runCheckpoint logs begin-checkpoint, the context table, the last
-// call table, and end-checkpoint. The paper brackets the dumps with
+// call table, and end-checkpoint, forces them and publishes the
+// checkpoint. The paper brackets the dumps with
 // begin/end records precisely so the tables can be saved incrementally
 // under sub-range locks while execution continues; we snapshot each
 // table under its own short-lived lock, achieving the same
@@ -148,13 +149,29 @@ func (p *Process) runCheckpoint() error {
 		return err
 	}
 
-	// The well-known file is updated only once the checkpoint is
-	// stable — the next force whose watermark passes the end record
-	// (ours or a later send's) covers it.
-	p.ckptMu.Lock()
-	p.pendingCkpt.Store(uint64(begin))
-	p.pendingCkptEnd = end
-	p.ckptMu.Unlock()
 	p.obs.Checkpoints.Inc()
+	// "Once a process checkpoint has been flushed to the log, the log
+	// manager writes and forces the LSN of the begin checkpoint record
+	// into a well-known file" (Section 4.3) — here the log's root. The
+	// checkpoint flushes itself rather than wait for a later send, so a
+	// process that never forces still publishes. Publication makes the
+	// prefix garbage, so it trims; the floor reads the mark the root
+	// names, so a failed root write never trims past it. A failed root
+	// write or trim is ckpt.publish_errors, not the checkpoint's error:
+	// the root holds hints only, and a serving call that took the
+	// checkpoint has already executed. The next checkpoint publishes
+	// and trims; Publish never moves the mark backwards, which orders
+	// concurrent checkpoints.
+	if err := p.forceTo(nil, end); err != nil {
+		return err
+	}
+	trimmed := p.log.Stats().TrimmedBytes
+	if err := p.log.Publish(begin); err != nil {
+		p.obs.PublishErrors.Inc()
+	} else if err := p.log.TrimHead(p.reclaimPoint()); err != nil {
+		p.obs.PublishErrors.Inc()
+	} else if p.log.Stats().TrimmedBytes > trimmed {
+		p.obs.Trims.Inc()
+	}
 	return nil
 }

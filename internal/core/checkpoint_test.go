@@ -98,39 +98,69 @@ func TestSaveStateEveryPolicy(t *testing.T) {
 	}
 }
 
-func TestProcessCheckpointWritesWellKnownLSNOnNextForce(t *testing.T) {
+// TestCheckpointPublishesItself: a checkpoint forces its own records and
+// publishes its begin LSN in the log's root (Section 4.3), so a process
+// whose calls never force — here one hosting only a functional and a
+// read-only component — still publishes every checkpoint it takes and
+// trims its log. A restart opens at the published mark.
+func TestCheckpointPublishesItself(t *testing.T) {
 	u := newTestUniverse(t)
 	cfg := testConfig()
-	_, p := startProc(t, u, "evo1", "srv", cfg)
-	defer p.Close()
-	h, err := p.Create("Counter", &Counter{})
+	m, p := startProc(t, u, "evo1", "srv", cfg)
+	p.SetLogSegmentBytes(256)
+	hp, err := p.Create("Pure", &Pure{}, WithType(msg.Functional))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := u.ExternalRef(h.URI())
-	callInt(t, ref, "Add", 1)
-	if err := p.Checkpoint(); err != nil {
+	hr, err := p.Create("RO", &Counter{N: 7}, WithType(msg.ReadOnly))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The checkpoint is unforced: the root must not point at it yet.
-	if mark, _ := publishedRoot(t, p.LogDir()); !mark.IsNil() {
-		t.Errorf("well-known LSN %v written before the checkpoint was forced", mark)
+	pure, ro := u.ExternalRef(hp.URI()), u.ExternalRef(hr.URI())
+	forces := p.LogStats().Forces
+	const checkpoints = 8
+	for i := 0; i < checkpoints; i++ {
+		callInt(t, pure, "Double", i)
+		callInt(t, ro, "Get")
+		if err := p.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The next send's force covers the checkpoint (Section 4.3:
-	// "possibly by a later send message"), and the root holds the one
-	// mark the paper's protocol has: the begin-checkpoint LSN.
-	callInt(t, ref, "Add", 1)
-	lsn, _ := publishedRoot(t, p.LogDir())
+	if got := p.LogStats().Forces - forces; got != checkpoints {
+		t.Errorf("%d forces after creation, want one per checkpoint (%d)", got, checkpoints)
+	}
+	mark, _ := publishedRoot(t, p.LogDir())
+	if mark.IsNil() || mark != p.log.Mark() {
+		t.Fatalf("root on disk names %v, the live log %v; want the last checkpoint", mark, p.log.Mark())
+	}
 	raw, err := os.ReadFile(filepath.Join(p.LogDir(), "root"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(string(raw), "\nmark "); lsn.IsNil() || n != 1 {
-		t.Fatalf("root holds %d marks (mark %v):\n%s; want one", n, lsn, raw)
+	if n := strings.Count(string(raw), "\nmark "); n != 1 {
+		t.Fatalf("root holds %d marks:\n%s; want one", n, raw)
 	}
-	rec, err := p.log.Read(lsn)
-	if err != nil || rec.Type != recBeginCkpt {
+	if rec, err := p.log.Read(mark); err != nil || rec.Type != recBeginCkpt {
 		t.Errorf("well-known LSN points at %v/%v, want begin-checkpoint", rec.Type, err)
+	}
+	if p.LogStats().TrimmedBytes == 0 {
+		t.Error("the published checkpoints trimmed nothing")
+	}
+	p.Crash()
+
+	p2, err := m.StartProcess("srv", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	if got := p2.log.Mark(); got != mark {
+		t.Errorf("restart opened at mark %v, want %v", got, mark)
+	}
+	if got := callInt(t, pure, "Double", 4); got != 8 {
+		t.Errorf("Double(4) after the restart = %d, want 8", got)
+	}
+	if got := callInt(t, ro, "Get"); got != 7 {
+		t.Errorf("Get after the restart = %d, want 7", got)
 	}
 }
 
@@ -198,7 +228,7 @@ func TestDuplicateAnsweredAfterStateRestore(t *testing.T) {
 	}
 	// Force the log so the state record and reply body are stable,
 	// then crash.
-	if err := p.force(nil); err != nil {
+	if _, err := p.log.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	_ = counter

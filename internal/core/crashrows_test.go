@@ -381,12 +381,13 @@ func blockRoot(t *testing.T, p *Process) func() {
 }
 
 // TestCrashRowFailedPublication: a checkpoint's publication fails under
-// a live call — the root cannot be written — and the call whose force
-// got there must still be answered: its incoming record is durable, so
-// a restart replays it, and a caller told it failed would see it run
-// anyway. Live answers must equal the recovered state. The failure is
-// counted, and the next checkpoint, once the root can be written,
-// publishes.
+// a live call — the root cannot be written — and the call that took the
+// checkpoint must still be answered: it executed and its records are
+// durable, so a restart replays it, and a caller told it failed would
+// see it run anyway. Live answers must equal the recovered state. Each
+// failure is counted, an explicit checkpoint under the blocked root
+// returns no error, and the next checkpoint, once the root can be
+// written, publishes.
 func TestCrashRowFailedPublication(t *testing.T) {
 	for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -394,6 +395,7 @@ func TestCrashRowFailedPublication(t *testing.T) {
 			defer u.Shutdown()
 			cfg := testConfig()
 			cfg.Metrics = obs.NewRegistry()
+			cfg.CheckpointEvery = 3
 			m, p := startProc(t, u, "evo1", "srv", cfg)
 			h, err := p.Create("C", &Counter{})
 			if err != nil {
@@ -410,26 +412,29 @@ func TestCrashRowFailedPublication(t *testing.T) {
 				}
 				live = res[0].(int)
 			}
+			publishErrors := func() int64 { return cfg.Metrics.Snapshot().Counter(obs.PublishErrors) }
 			add()
-			if err := p.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
+			add()
 			unblock := blockRoot(t, p)
-			add() // its force publishes, and the root write fails
-			add()
-			if got := cfg.Metrics.Snapshot().Counter(obs.PublishErrors); got != 1 {
-				t.Errorf("ckpt.publish_errors = %d, want 1", got)
+			add() // takes the checkpoint, whose root write fails
+			if got := publishErrors(); got != 1 || live != 3 {
+				t.Errorf("after the checkpointing call: ckpt.publish_errors = %d, answer %d; want 1 and 3", got, live)
+			}
+			if err := p.Checkpoint(); err != nil {
+				t.Errorf("a checkpoint under a blocked root: %v", err)
+			}
+			if got := publishErrors(); got != 2 {
+				t.Errorf("ckpt.publish_errors = %d after the explicit checkpoint, want 2", got)
 			}
 			if !p.log.Mark().IsNil() {
 				t.Errorf("a failed publication left mark %v", p.log.Mark())
 			}
 			unblock()
-			if err := p.Checkpoint(); err != nil {
-				t.Fatal(err)
+			for i := 0; i < 4; i++ {
+				add() // the third takes the checkpoint that publishes
 			}
-			add()
 			if p.log.Mark().IsNil() {
-				t.Error("the checkpoint after the failed one was not published")
+				t.Error("the checkpoint after the failed ones was not published")
 			}
 			p.Crash()
 
@@ -441,8 +446,8 @@ func TestCrashRowFailedPublication(t *testing.T) {
 				t.Fatalf("restart: %v", err)
 			}
 			defer p.Close()
-			if got := callInt(t, ref, "Get"); got != live || live != 4 {
-				t.Errorf("recovered C = %d, last live answer %d; want both 4", got, live)
+			if got := callInt(t, ref, "Get"); got != live || live != 7 {
+				t.Errorf("recovered C = %d, last live answer %d; want both 7", got, live)
 			}
 		})
 	}

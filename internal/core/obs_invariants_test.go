@@ -393,17 +393,16 @@ func moveCrashDiscard(t *testing.T, reg *obs.Registry) {
 	p.Crash()
 }
 
-// movePublishError: a checkpoint whose root write fails (see
-// blockRoot), published by the next call's force.
+// movePublishError: a checkpoint, taken by a call at a CheckpointEvery
+// boundary, whose root write fails (see blockRoot).
 func movePublishError(t *testing.T, reg *obs.Registry) {
 	u := metricsUniverse(t, reg, disk.NewRealClock(1))
-	_, p := startProc(t, u, "evo1", "srv", testConfig())
+	cfg := testConfig()
+	cfg.CheckpointEvery = 1
+	_, p := startProc(t, u, "evo1", "srv", cfg)
 	ref := u.ExternalRef(create(t, p, "C", &Counter{}))
-	if err := p.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
 	blockRoot(t, p)
-	callInt(t, ref, "Add", 1)
+	callInt(t, ref, "Add", 1) // takes the checkpoint, whose root write fails
 }
 
 // moveGroupCommit: concurrent committers on a log with the commit

@@ -86,14 +86,6 @@ type Process struct {
 	ttfcArmed atomic.Bool
 	ttfcBase  atomic.Int64
 	ttfcNanos atomic.Int64
-
-	// pendingCkpt is the begin-LSN of a checkpoint written but not yet
-	// covered by a force; the first force whose stable watermark moves
-	// past pendingCkptEnd (the end-checkpoint record) publishes it in the
-	// log's root (Section 4.3).
-	ckptMu         sync.Mutex
-	pendingCkpt    atomic.Uint64 // an ids.LSN; written under ckptMu, loaded without it by every force's early-out
-	pendingCkptEnd ids.LSN
 }
 
 // component is one row of the component table (paper Table 1).
@@ -354,7 +346,7 @@ func (p *Process) Create(name string, obj any, opts ...CreateOption) (*Handle, e
 	if err != nil {
 		return nil, err
 	}
-	if err := p.force(nil); err != nil {
+	if err := p.forceTo(nil, lsn); err != nil {
 		return nil, err
 	}
 	cx.creationLSN = lsn
@@ -430,81 +422,25 @@ func (p *Process) Components() []string {
 }
 
 // forceTo makes the log stable up to lsn: the caller waits only until
-// its own records are durable, not until the global tail is. It then
-// finishes any process checkpoint the sync covered.
+// its own records are durable, not until the global tail is. Every
+// force the runtime issues goes through here.
 //
 // site, when non-nil, is the per-site force counter of the paper's
 // Tables 4-5 accounting (force.at_send, force.at_reply, ...). It is
 // incremented only when this request issued the device sync: clean
 // forces are free, and requests satisfied by someone else's sync (a
 // piggyback or a group-commit batch) count under wal.group.syncs_saved
-// instead — so the per-site sum stays equal to wal.forces.
+// instead. Creation and checkpoint forces carry no site, so the
+// per-site sum is wal.forces less the syncs they issued.
 func (p *Process) forceTo(site *obs.Counter, lsn ids.LSN) error {
 	out, err := p.log.SyncTo(lsn)
-	return p.finishForce(site, out, err)
-}
-
-// force forces the whole log tail (creation and checkpoint paths; the
-// message disciplines use forceTo with the context's last LSN).
-func (p *Process) force(site *obs.Counter) error {
-	out, err := p.log.SyncAll()
-	return p.finishForce(site, out, err)
-}
-
-func (p *Process) finishForce(site *obs.Counter, out wal.SyncOutcome, err error) error {
 	if err != nil {
 		return err
 	}
 	if site != nil && out == wal.SyncIssued {
 		site.Inc()
 	}
-	p.completeCheckpoint()
 	return nil
-}
-
-// completeCheckpoint publishes a pending process checkpoint once its
-// records are covered by the stable watermark (Section 4.3: "Once a
-// process checkpoint has been flushed to the log (possibly by a later
-// send message), the log manager writes and forces the LSN of the
-// begin checkpoint record into a well-known file" — here the root of
-// the log directory, wal.Log.Publish). With the LSN-aware
-// force API a sync need not cover the whole tail, so the check is
-// against the end-checkpoint record's LSN, not "any force happened".
-// Publication makes the log prefix garbage, so it trims the log. A
-// failed root write or trim is ckpt.publish_errors, not the force's
-// error: what the force made durable a restart replays. The checkpoint
-// stays unpublished; the next one publishes and trims.
-func (p *Process) completeCheckpoint() {
-	if p.pendingCkpt.Load() == 0 {
-		return
-	}
-	p.ckptMu.Lock()
-	begin, end := ids.LSN(p.pendingCkpt.Load()), p.pendingCkptEnd
-	p.ckptMu.Unlock()
-	if begin.IsNil() || p.log.SyncedLSN() <= end {
-		return
-	}
-	p.ckptMu.Lock()
-	if ids.LSN(p.pendingCkpt.Load()) != begin {
-		// A newer checkpoint superseded the one we saw; its own force
-		// will publish it.
-		p.ckptMu.Unlock()
-		return
-	}
-	p.pendingCkpt.Store(0)
-	p.pendingCkptEnd = ids.NilLSN
-	p.ckptMu.Unlock()
-	// One write: the mark, and how far the log is stable now — the next
-	// open need not check that much for a torn tail. The log drops a
-	// publisher that a newer checkpoint overtook on the way here.
-	trimmed := p.log.Stats().TrimmedBytes
-	if err := p.log.Publish(begin); err != nil {
-		p.obs.PublishErrors.Inc()
-	} else if err := p.log.TrimHead(p.reclaimPoint()); err != nil {
-		p.obs.PublishErrors.Inc()
-	} else if p.log.Stats().TrimmedBytes > trimmed {
-		p.obs.Trims.Inc()
-	}
 }
 
 // reclaimPoint returns the trim floor once a checkpoint is published:

@@ -191,7 +191,7 @@ func randomChainImage(t *testing.T, seed int64) equivImage {
 	if err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	burst(30) // the first forced reply publishes the checkpoint's mark
+	burst(30)
 	save(3)
 	add("Late", &Counter{}, "Add")
 	burst(40)

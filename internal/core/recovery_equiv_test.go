@@ -613,14 +613,14 @@ func TestRetiredRecordKindIsSkipped(t *testing.T) {
 // that each served Add(1) … Add(rounds), round-robin, and returns it
 // with the log's counters at the crash. Before round ckptAt (0: never)
 // every save-th context saves its state and the process takes a
-// checkpoint, which the next call's force publishes.
+// checkpoint, which publishes itself.
 func counterImage(t *testing.T, n, rounds, ckptAt, save int) (equivImage, wal.Stats) {
 	img, st, _ := counterImageAt(t, n, rounds, save, ckptAt)
 	return img, st
 }
 
 // counterImageAt is counterImage with a checkpoint before each round of
-// ckptAt, published by the forces of that round. It also returns the
+// ckptAt. It also returns the
 // log's root as it was before the last of them.
 func counterImageAt(t *testing.T, n, rounds, save int, ckptAt ...int) (img equivImage, st wal.Stats, prevRoot []byte) {
 	t.Helper()

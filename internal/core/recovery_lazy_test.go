@@ -454,7 +454,6 @@ func TestLazyTrimKeepsPendingLastCalls(t *testing.T) {
 	if err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	filler(1) // its forced reply publishes the checkpoint
 	caller := ids.ComponentAddr{Machine: "evo9", Proc: 1, Comp: 1}
 	args, nargs, _ := encodeArgsHelper(5)
 	dup := func() *msg.Call {
@@ -477,7 +476,7 @@ func TestLazyTrimKeepsPendingLastCalls(t *testing.T) {
 	if err := hc.SaveState(); err != nil { // C's restart record: past G's, naming the same reply
 		t.Fatal(err)
 	}
-	if err := p.force(nil); err != nil {
+	if _, err := p.log.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	if reply.IsNil() || hg.RestartLSN()-reply < 2*segBytes || hc.RestartLSN() < hg.RestartLSN() {
@@ -502,10 +501,7 @@ func TestLazyTrimKeepsPendingLastCalls(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if err := p2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.force(nil); err != nil { // publishes it, and trims to its mark
+	if err := p2.Checkpoint(); err != nil { // publishes it, and trims to its mark
 		t.Fatal(err)
 	}
 	if p2.LogStats().TrimmedBytes == 0 {

@@ -38,7 +38,7 @@ func logUnbound(t *testing.T, p *Process, name string, call *msg.Call) {
 		t.Fatal(err)
 	}
 	cx.lastLSN = lsn
-	if err := p.force(nil); err != nil {
+	if _, err := p.log.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 }

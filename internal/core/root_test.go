@@ -186,8 +186,7 @@ func TestRecreatedLogDirStartsWithoutMarks(t *testing.T) {
 }
 
 // TestCheckpointPublicationSerialized: with CheckpointEvery 1 every call
-// takes a checkpoint and whichever force covers it publishes it, from
-// many contexts at once. The root on disk never names an older checkpoint
+// takes a checkpoint and publishes it, from many contexts at once. The root on disk never names an older checkpoint
 // than it did while they run, and at quiescence it is the root the live
 // log reports — the one the trim after each publication trusts. The one cell keeps the
 // "shards=1" label it had beside a sharded cell. Run under -race.

@@ -59,7 +59,7 @@ func TestCheckpointReclaimsLogSpace(t *testing.T) {
 
 // TestTrimKeepsStatelessComponents: stateless contexts get re-emitted
 // creation records at checkpoints, so trimming does not lose them. The
-// last checkpoint, published by a force, trims as every one does.
+// last checkpoint publishes itself and trims as every one does.
 func TestTrimKeepsStatelessComponents(t *testing.T) {
 	u := newTestUniverse(t)
 	cfg := testConfig()
@@ -80,9 +80,6 @@ func TestTrimKeepsStatelessComponents(t *testing.T) {
 		callInt(t, ref, "Add", 1)
 	}
 	if err := p.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.force(nil); err != nil {
 		t.Fatal(err)
 	}
 	if p.LogStats().TrimmedBytes == 0 {
@@ -120,7 +117,7 @@ func TestNoTrimBeforeCheckpoint(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		callInt(t, ref, "Add", 1)
 	}
-	if err := p.force(nil); err != nil {
+	if _, err := p.log.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.LogStats().TrimmedBytes; got != 0 {
