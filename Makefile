@@ -69,11 +69,13 @@ race:
 # Repeated group-commit concurrency stress under the race detector: the
 # one force path with the commit window on and off, the shutdown rule
 # (Close completes requests, Discard fails them), the
-# crash-durability property, the end-to-end crash-recovery run, and the
+# crash-durability property, the end-to-end crash-recovery run, the
 # metric census, whose group-commit scenario races committers until one
-# rides another's sync.
+# rides another's sync, and a roll under a leader's sync — the active
+# file growing mid-sync, a roll sealing the file the leader is syncing
+# (no failed sync, no leaked file) or rolling in its commit window.
 stress:
-	go test -race -count=2 -run 'GroupCommit|TestEveryMetricMoves' ./internal/wal/ ./internal/core/
+	go test -race -count=2 -run 'GroupCommit|TestEveryMetricMoves|AcrossASync' ./internal/wal/ ./internal/core/
 
 # Recovery stress under the race detector, repeated: the one
 # equivalence table (mode × clean crash, injected crashes, a relay's
@@ -92,7 +94,8 @@ stress:
 # the tail check each side of it, the atomic file writer under it, and
 # through a process: publications racing from many contexts, both crash
 # states of the one write, a restart without it, a recreated directory,
-# the checkpoint that forces and writes it itself — the crash rows whose replay reads
+# the checkpoint that forces and writes it itself — a power cut after a
+# roll that keeps only synced bytes, the crash rows whose replay reads
 # outgoing-reply records (a multi-call fan-out crashed at the caller
 # between sends, after its last reply and at a server after it
 # executed; a read-only reply taken from the caller's log; a
@@ -101,7 +104,7 @@ stress:
 # holding zero and nonzero trace fields
 # — and the bookstore seller through the facade.
 recovery-stress:
-	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|TestChain|RecordsScanned|LogReads|TestRestart|Lazy|ScanFrom|ReadAt|Reader|TailCheck|FuzzOpenTornSegment|DumpLogReads|OpenSet|TrimHeadEdgeCases|TestRoot|SetDiscard|AtomicWriteFile|EitherRoot|RecreatedLogDir|CheckpointPublication|CheckpointPublishesItself|TestCrashRow|TestTracedUntracedRecovery' ./internal/core/ ./internal/wal/ ./internal/disk/
+	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|TestChain|RecordsScanned|LogReads|TestRestart|Lazy|ScanFrom|ReadAt|Reader|TailCheck|FuzzOpenTornSegment|DumpLogReads|OpenSet|TrimHeadEdgeCases|TestRoot|SetDiscard|AtomicWriteFile|EitherRoot|RecreatedLogDir|CheckpointPublication|CheckpointPublishesItself|PowerCutAfterRoll|TestCrashRow|TestTracedUntracedRecovery' ./internal/core/ ./internal/wal/ ./internal/disk/
 	go test -race -count=2 -run 'SellerRecoveryEquivalence' ./internal/bookstore/
 
 # The log stays bounded with no call to make: two bookstores (at the
@@ -252,8 +255,12 @@ profile-restart:
 # TrimHead dropping each segment as its file goes — lowered it by 10 to
 # 21,592. A checkpoint that forces and publishes itself — the
 # pending-checkpoint hand-off, completeCheckpoint, finishForce and
-# Process.force deleted — lowered it by 47 to 21,545.)
-LOC_MAX = 21545
+# Process.force deleted — lowered it by 47 to 21,545. A segment synced
+# once, when the log rolls past it — the unsynced-segment list, the
+# leader's per-segment snapshot, a file per segment and
+# Process.shutdown deleted; the roll seals, a read of a sealed segment
+# opens its path — lowered it by 12 to 21,533.)
+LOC_MAX = 21533
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

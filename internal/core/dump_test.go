@@ -177,14 +177,29 @@ func TestDumpIncomingOfTrimmedContext(t *testing.T) {
 	}
 }
 
+// TestDumpLogMissingDir: the offline readers — the dump and the trace
+// timelines — open a log that is there: a path that holds none, missing
+// or an empty directory, fails and is left as it was.
 func TestDumpLogMissingDir(t *testing.T) {
-	var buf bytes.Buffer
-	// A fresh (empty) directory dumps cleanly with no records.
-	if err := DumpLog(&buf, t.TempDir()+"/fresh.log"); err != nil {
-		t.Fatalf("empty log dump: %v", err)
+	base := t.TempDir()
+	empty := filepath.Join(base, "empty.log")
+	if err := os.Mkdir(empty, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "LSNs") {
-		t.Errorf("header missing: %s", buf.String())
+	for _, dir := range []string{filepath.Join(base, "nothere", "typo.log"), empty} {
+		var buf bytes.Buffer
+		if err := DumpLog(&buf, dir); err == nil {
+			t.Errorf("DumpLog(%s) dumped a log that is not there:\n%s", dir, buf.String())
+		}
+		if _, err := TraceTimelines([]string{dir}, nil); err == nil {
+			t.Errorf("TraceTimelines(%s) read a log that is not there", dir)
+		}
+	}
+	if ents, _ := os.ReadDir(base); len(ents) != 1 {
+		t.Errorf("%d entries in %s, want only the empty directory", len(ents), base)
+	}
+	if ents, _ := os.ReadDir(empty); len(ents) != 0 {
+		t.Errorf("the readers created %d files in an empty directory", len(ents))
 	}
 }
 

@@ -368,8 +368,9 @@ func moveDeadServer(t *testing.T, reg *obs.Registry) {
 }
 
 // moveCrashDiscard: a crash whose log discard fails. The log rolls into
-// a segment no force covers, and that segment's path becomes a
-// non-empty directory, which os.Remove refuses even to root.
+// a segment and flushes a record no force covers into it, and that
+// segment's path becomes a non-empty directory, which truncate(2)
+// refuses even to root.
 func moveCrashDiscard(t *testing.T, reg *obs.Registry) {
 	u := metricsUniverse(t, reg, disk.NewRealClock(1))
 	_, p := startProc(t, u, "evo1", "srv", testConfig())
@@ -378,6 +379,9 @@ func moveCrashDiscard(t *testing.T, reg *obs.Registry) {
 		if _, err := p.appendRec(&endCkptRec{BeginLSN: 1}, nil); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := p.log.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	segs, err := filepath.Glob(filepath.Join(p.LogDir(), "*.seg"))
 	if err != nil || len(segs) < 2 {

@@ -622,21 +622,11 @@ func (p *Process) dumpFlightRecorder() {
 	}
 }
 
-// shutdown releases resources without simulating a crash (clean exit
-// for error paths; unforced data is written out). The log-close error
-// is returned so the error path that triggered the shutdown can fold
-// it into what it reports.
-func (p *Process) shutdown() error {
-	p.u.cfg.Net.Unlisten(p.addr)
-	p.listening.Store(false)
-	p.markStarted()
-	return p.log.Close()
-}
-
-// Close cleanly stops the process (tests and examples; a clean close is
-// indistinguishable from a crash to the recovery protocol, except that
-// no buffered log data is lost). The error is the log's close error:
-// a failed final flush means buffered records did not reach the device.
+// Close cleanly stops the process (tests, examples and StartProcess's
+// error paths; a clean close is indistinguishable from a crash to the
+// recovery protocol, except that no buffered log data is lost). The
+// error is the log's close error: a failed final flush means buffered
+// records did not reach the device.
 func (p *Process) Close() error {
 	if !p.crashed.CompareAndSwap(false, true) {
 		return nil

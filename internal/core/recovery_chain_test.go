@@ -106,7 +106,7 @@ func passOne(t *testing.T, img equivImage) (*Process, *restorePlan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { p.shutdown() })
+	t.Cleanup(func() { p.Close() })
 	plan, err := p.restore()
 	if err != nil || plan == nil {
 		t.Fatalf("Pass 1: plan %v, err %v", plan, err)

@@ -681,7 +681,7 @@ func publishedRoot(t *testing.T, logDir string) (mark, stable ids.LSN) {
 	if err := os.WriteFile(filepath.Join(dir, "root"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	set, err := wal.OpenSet(dir, nil, 0)
+	set, err := wal.OpenSet(dir, nil, 1) // 1: a root alone is no log to a reader's open (0)
 	if err != nil {
 		t.Fatal(err)
 	}

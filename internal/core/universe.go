@@ -233,8 +233,8 @@ func (m *Machine) StartProcess(name string, cfg Config) (*Process, error) {
 	// components of this same process. Contexts being replayed hold
 	// incoming calls at their ready gate until their recovery is done.
 	if err := p.listen(); err != nil {
-		if cerr := p.shutdown(); cerr != nil {
-			err = fmt.Errorf("%w (shutdown: %v)", err, cerr)
+		if cerr := p.Close(); cerr != nil {
+			err = fmt.Errorf("%w (close: %v)", err, cerr)
 		}
 		return nil, err
 	}
@@ -248,8 +248,8 @@ func (m *Machine) StartProcess(name string, cfg Config) (*Process, error) {
 			err = p.admit(plan)
 		}
 		if err != nil {
-			if cerr := p.shutdown(); cerr != nil {
-				err = fmt.Errorf("%w (shutdown: %v)", err, cerr)
+			if cerr := p.Close(); cerr != nil {
+				err = fmt.Errorf("%w (close: %v)", err, cerr)
 			}
 			return nil, fmt.Errorf("core: recover %s/%s: %w", m.name, name, err)
 		}

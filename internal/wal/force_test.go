@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/disk"
 	"repro/internal/obs"
 )
 
@@ -112,9 +113,8 @@ func TestFailedSyncStopsTheLog(t *testing.T) {
 	}
 	dead.Close()
 	l.mu.Lock()
-	seg := l.active()
-	live := seg.f
-	seg.f = dead
+	live := l.f
+	l.f = dead
 	l.mu.Unlock()
 
 	_, syncErr := l.SyncTo(lost)
@@ -122,7 +122,7 @@ func TestFailedSyncStopsTheLog(t *testing.T) {
 		t.Fatalf("SyncTo over a dead descriptor = %v, want the device error", syncErr)
 	}
 	l.mu.Lock()
-	seg.f = live
+	l.f = live
 	l.mu.Unlock()
 
 	if _, err := l.SyncTo(lost); err != syncErr {
@@ -160,21 +160,18 @@ func TestFailedSyncStopsTheLog(t *testing.T) {
 	}
 }
 
-// TestUnsyncedSegmentsAcrossASync drives the two ways the unsynced list
-// can change under a leader whose device sync is in flight (the mutex
-// is released there), on top of the failed-sync case above: a segment
-// that grew stays listed for the next force and the watermark stops at
-// what the flush covered; a segment trimmed away is forgotten, and its
-// failed sync — the descriptor died with it — does not stop the log.
+// TestUnsyncedSegmentsAcrossASync drives the ways the active file can
+// change under a leader whose device sync is in flight (the mutex is
+// released there), on top of the failed-sync case above: it grows, and
+// the watermark stops at what the flush covered; a roll seals it, and
+// the leader's sync neither fails nor leaks the file; a roll in the
+// commit window, before the leader took a file, closes the sealed one
+// itself and the leader syncs the new one.
 func TestUnsyncedSegmentsAcrossASync(t *testing.T) {
-	open := func(t *testing.T) (*Log, gateModel) {
-		model := gateModel{newGate()}
-		l, err := OpenSet(t.TempDir()+"/proc.log", model, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+	open := func(t *testing.T, model disk.Model, clock disk.Clock) *Log {
+		l, _, _ := windowLog(t, model, clock)
 		t.Cleanup(func() { l.Close() })
-		return l, model
+		return l
 	}
 	syncAsync := func(l *Log) <-chan error {
 		done := make(chan error, 1)
@@ -184,14 +181,21 @@ func TestUnsyncedSegmentsAcrossASync(t *testing.T) {
 		}()
 		return done
 	}
-	listed := func(l *Log) int {
+	activeFile := func(l *Log) *os.File {
 		l.mu.Lock()
 		defer l.mu.Unlock()
-		return len(l.unsynced)
+		return l.f
+	}
+	closed := func(t *testing.T, f *os.File, what string) {
+		t.Helper()
+		if err := f.Sync(); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("%s: the sealed file is open (sync: %v)", what, err)
+		}
 	}
 
 	t.Run("grew", func(t *testing.T) {
-		l, model := open(t)
+		model := gateModel{newGate()}
+		l := open(t, model, nil)
 		if _, err := l.Append(1, []byte("covered")); err != nil {
 			t.Fatal(err)
 		}
@@ -212,55 +216,67 @@ func TestUnsyncedSegmentsAcrossASync(t *testing.T) {
 		if got := l.SyncedLSN(); got != covered {
 			t.Errorf("SyncedLSN = %v, want %v: the sync covered its own flush only", got, covered)
 		}
-		if n := listed(l); n != 1 {
-			t.Errorf("%d unsynced segments after the segment grew mid-sync, want it still listed", n)
-		}
 		if out, err := l.SyncTo(late); err != nil || out != SyncIssued {
 			t.Errorf("SyncTo(late record) = %v, %v; want a second device sync", out, err)
 		}
-		if n := listed(l); n != 0 {
-			t.Errorf("%d unsynced segments after the second sync, want 0", n)
-		}
 	})
 
-	t.Run("trimmed", func(t *testing.T) {
-		l, model := open(t)
+	t.Run("sealed", func(t *testing.T) {
+		model := gateModel{newGate()}
+		l := open(t, model, nil)
 		l.SetSegmentBytes(64)
 		payload := make([]byte, 40)
 		if _, err := l.Append(1, payload); err != nil {
 			t.Fatal(err)
 		}
-		second, err := l.Append(1, payload) // rolls: the first segment is flushed, not synced
-		if err != nil {
-			t.Fatal(err)
-		}
-		dead, err := os.Open(segPaths(t, l)[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		dead.Close()
-		l.mu.Lock()
-		l.segs[0].f.Close()
-		l.segs[0].f = dead // its sync will fail
-		l.mu.Unlock()
-
+		leaders := activeFile(l)
 		done := syncAsync(l)
 		model.awaitEntered(t, "the device sync")
-		if err := l.TrimHead(second); err != nil {
+		second, err := l.Append(1, payload) // rolls: seals the file the leader is about to sync
+		if err != nil {
 			t.Fatal(err)
+		}
+		if got := l.SyncedLSN(); got != second {
+			t.Errorf("SyncedLSN = %v after the roll, want the sealed segment's end %v", got, second)
 		}
 		close(model.release)
 		if err := <-done; err != nil {
-			t.Fatalf("sync over a segment trimmed mid-sync: %v", err)
+			t.Fatalf("sync over a file sealed mid-sync: %v", err)
 		}
-		if n := listed(l); n != 0 {
-			t.Errorf("%d unsynced segments, want 0: one trimmed, one synced", n)
+		closed(t, leaders, "after the leader's sync")
+		if got := l.SyncedLSN(); got != second {
+			t.Errorf("SyncedLSN = %v after the leader's sync, want it left at %v", got, second)
+		}
+		if out, err := l.SyncTo(second); err != nil || out != SyncIssued {
+			t.Errorf("SyncTo(record in the new segment) = %v, %v; want a device sync", out, err)
+		}
+	})
+
+	t.Run("window", func(t *testing.T) {
+		clock := gateClock{disk.NewRealClock(1), newGate()}
+		l := open(t, nil, clock)
+		l.SetSegmentBytes(64)
+		payload := make([]byte, 40)
+		if _, err := l.Append(1, payload); err != nil {
+			t.Fatal(err)
+		}
+		sealed := activeFile(l)
+		done := syncAsync(l)
+		clock.awaitEntered(t, "the commit window")
+		second, err := l.Append(1, payload) // rolls before the leader took a file
+		if err != nil {
+			t.Fatal(err)
+		}
+		closed(t, sealed, "after the roll")
+		close(clock.release)
+		if err := <-done; err != nil {
+			t.Fatal(err)
 		}
 		if got := l.SyncedLSN(); got != l.End() {
-			t.Errorf("SyncedLSN = %v, want the log end %v", got, l.End())
+			t.Errorf("SyncedLSN = %v, want the log end %v: the leader synced the new segment", got, l.End())
 		}
-		if _, err := l.Append(1, payload); err != nil {
-			t.Errorf("Append after the sync: %v (a trimmed segment's failed sync must not stop the log)", err)
+		if _, err := l.Read(second); err != nil {
+			t.Error(err)
 		}
 	})
 }

@@ -15,8 +15,10 @@ import (
 // against an in-memory model of what must survive:
 //
 //   - after a clean close, every appended record survives;
-//   - after a crash, exactly the records up to the last force survive
-//     (flushed-but-unsynced data is deliberately dropped);
+//   - after a crash, exactly the records below the stable watermark at
+//     the crash survive — every forced record, and every record in a
+//     segment the log rolled past (flushed-but-unsynced data in the
+//     active segment is deliberately dropped);
 //   - after a trim at LSN k, every surviving record at LSN >= k is
 //     still readable and intact;
 //   - a scan through a read-ahead block of any size returns the records
@@ -42,10 +44,18 @@ func TestWALModelProperty(t *testing.T) {
 
 		reopen := func(crash bool) {
 			if crash {
+				synced := l.SyncedLSN()
 				if err := l.Discard(); err != nil {
 					t.Fatalf("trial %d: discard: %v", trial, err)
 				}
-				all = all[:stable]
+				kept := 0
+				for kept < len(all) && all[kept].lsn < synced {
+					kept++
+				}
+				if kept < stable {
+					t.Fatalf("trial %d: %d records forced, only %d below the watermark %v", trial, stable, kept, synced)
+				}
+				all = all[:kept]
 			} else {
 				if err := l.Close(); err != nil {
 					t.Fatalf("trial %d: close: %v", trial, err)

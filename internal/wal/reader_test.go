@@ -569,7 +569,7 @@ func clobberTail(t *testing.T, l *Log, end ids.LSN, b []byte) {
 	if s.end() != end {
 		t.Fatalf("active segment ends at %v, not %v", s.end(), end)
 	}
-	if _, err := s.f.WriteAt(b, segHeaderSize+s.size); err != nil {
+	if _, err := l.f.WriteAt(b, segHeaderSize+s.size); err != nil {
 		t.Fatal(err)
 	}
 	s.size += int64(len(b))

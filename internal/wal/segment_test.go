@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/ids"
@@ -260,7 +261,11 @@ func TestSegmentGapRejected(t *testing.T) {
 	}
 }
 
-func TestDiscardRemovesUnsyncedSegments(t *testing.T) {
+// TestDiscardKeepsSealedSegments: a roll seals the segment it leaves —
+// its records are durable though no force asked for them — so a crash
+// keeps every sealed segment and cuts only the active file back to the
+// watermark.
+func TestDiscardKeepsSealedSegments(t *testing.T) {
 	l, dir := openTemp(t)
 	l.SetSegmentBytes(256)
 	forced, err := l.Append(1, []byte("durable"))
@@ -270,15 +275,24 @@ func TestDiscardRemovesUnsyncedSegments(t *testing.T) {
 	if _, err := l.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
-	// Push unforced data across several new segments.
+	// Push unforced records across several new segments: each takes
+	// one, the first shares the forced record's.
 	big := bytes.Repeat([]byte("z"), 200)
+	var sealed []ids.LSN
 	for i := 0; i < 6; i++ {
-		if _, err := l.Append(1, big); err != nil {
+		lsn, err := l.Append(1, big)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Flush(); err != nil {
 			t.Fatal(err)
 		}
+		sealed = append(sealed, lsn)
+	}
+	active := sealed[len(sealed)-1] // flushed, never synced
+	sealed = sealed[:len(sealed)-1]
+	if got := l.SyncedLSN(); got != active {
+		t.Errorf("SyncedLSN = %v, want the active segment's start %v", got, active)
 	}
 	if err := l.Discard(); err != nil {
 		t.Fatalf("Discard: %v", err)
@@ -288,22 +302,121 @@ func TestDiscardRemovesUnsyncedSegments(t *testing.T) {
 		t.Fatalf("reopen after discard: %v", err)
 	}
 	defer l2.Close()
-	if _, err := l2.Read(forced); err != nil {
-		t.Errorf("forced record lost: %v", err)
+	for _, lsn := range append([]ids.LSN{forced}, sealed...) {
+		if _, err := l2.Read(lsn); err != nil {
+			t.Errorf("record at %v lost: %v", lsn, err)
+		}
 	}
 	n := 0
 	if err := l2.Scan(ids.NilLSN, func(Record) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
-		t.Errorf("records after discard = %d, want 1 (only the forced one)", n)
+	if want := 1 + len(sealed); n != want {
+		t.Errorf("records after discard = %d, want %d (the forced one and the sealed ones)", n, want)
 	}
 	// New appends continue from the synced watermark.
 	lsn, err := l2.Append(1, []byte("fresh"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if lsn != active {
+		t.Errorf("append after discard at %v, want the watermark %v", lsn, active)
+	}
 	if rec, err := l2.Read(lsn); err != nil || string(rec.Payload) != "fresh" {
 		t.Errorf("append after discard: %v %v", rec, err)
+	}
+}
+
+// TestPowerCutAfterRoll: a power cut keeps what a sync covered and may
+// lose everything else — here each segment file is cut to its bytes
+// below the stable watermark, so the segment the log rolled past keeps
+// what its seal synced and its successor keeps its header. The log
+// reopens and reads every record below the watermark, every forced one
+// among them.
+func TestPowerCutAfterRoll(t *testing.T) {
+	l, dir := openTemp(t)
+	l.SetSegmentBytes(256)
+	forced, err := l.Append(1, []byte("forced"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.SyncTo(forced); err != nil {
+		t.Fatal(err)
+	}
+	lsns := []ids.LSN{forced}
+	for l.Stats().Segments < 2 {
+		lsn, err := l.Append(1, bytes.Repeat([]byte("u"), 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns = append(lsns, lsn)
+	}
+	synced := l.SyncedLSN()
+	l.mu.Lock()
+	segs := slices.Clone(l.segs)
+	l.mu.Unlock()
+	if err := l.Close(); err != nil { // the page cache holds the rest
+		t.Fatal(err)
+	}
+	for _, s := range segs {
+		keep := min(max(0, int64(synced)-int64(s.start)), s.size)
+		if err := os.Truncate(s.path, segHeaderSize+keep); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	l2, err := OpenSet(dir, nil, 1)
+	if err != nil {
+		t.Fatalf("reopen after a power cut behind a roll: %v", err)
+	}
+	defer l2.Close()
+	kept := 0
+	for _, lsn := range lsns {
+		if lsn >= synced {
+			break
+		}
+		if _, err := l2.Read(lsn); err != nil {
+			t.Errorf("record at %v, below the watermark %v, lost: %v", lsn, synced, err)
+		}
+		kept++
+	}
+	if kept < len(lsns)-1 {
+		t.Errorf("%d of %d records below the watermark %v, want all but the one in the new segment", kept, len(lsns), synced)
+	}
+}
+
+// TestRolledSegmentsHoldNoFile: a log that rolls to a thousand segments
+// and is never trimmed holds one open file, whatever segment a read
+// lands in.
+func TestRolledSegmentsHoldNoFile(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		return len(ents)
+	}
+	before := fds()
+	l, _ := openTemp(t)
+	defer l.Close()
+	l.SetSegmentBytes(64)
+	payload := make([]byte, 40)
+	var lsns []ids.LSN
+	for l.Stats().Segments < 1000 {
+		lsn, err := l.Append(1, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns = append(lsns, lsn)
+	}
+	n := 0
+	if err := l.Scan(ids.NilLSN, func(Record) error { n++; return nil }); err != nil || n != len(lsns) {
+		t.Fatalf("scan of %d segments: %d of %d records, %v", l.Stats().Segments, n, len(lsns), err)
+	}
+	if _, err := l.NewReader().ReadAt(lsns[0]); err != nil {
+		t.Fatal(err)
+	}
+	if after := fds(); after > before+2 {
+		t.Errorf("open descriptors %d → %d over %d segments, want a rise of at most 2", before, after, l.Stats().Segments)
 	}
 }

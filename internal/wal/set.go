@@ -43,15 +43,17 @@ type root struct {
 	lost         bool
 }
 
-// OpenSet opens the process log at dir, creating it if missing: it
-// reads the root, verifies segment headers — it reads no record — and
-// returns a log whose physical writes and syncs are accounted to model
-// (nil: disk.HostModel). The root's stable watermark bounds the tail
-// check: a torn tail can begin no earlier, and a bad frame below it is
-// corruption. n is the number of log streams, 0 or 1: a process log is
-// one stream. A directory in the sharded layout this log
-// replaced — a shards.meta root (magic PHXROOT1) or a shard-NNN
-// subdirectory — fails the open: there is no reader for it.
+// OpenSet opens the process log at dir: it reads the root, verifies
+// segment headers — it reads no record — and returns a log whose
+// physical writes and syncs are accounted to model (nil:
+// disk.HostModel). The root's stable watermark bounds the tail check: a
+// torn tail can begin no earlier, and a bad frame below it is
+// corruption. n is the number of log streams a process log is, 1 — the
+// log is created if missing — or 0, the open of an offline reader: a
+// path that holds no log fails and nothing is created. A directory in
+// the sharded layout this log replaced — a shards.meta root (magic
+// PHXROOT1) or a shard-NNN subdirectory — fails the open: there is no
+// reader for it.
 func OpenSet(dir string, model disk.Model, n int) (*Log, error) {
 	if n != 0 && n != 1 {
 		return nil, fmt.Errorf("wal: a process log is one stream, not %d", n)
@@ -63,8 +65,10 @@ func OpenSet(dir string, model disk.Model, n int) (*Log, error) {
 	if model == nil {
 		model = disk.HostModel{}
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("wal: mkdir %s: %w", dir, err)
+	if n == 1 {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("wal: mkdir %s: %w", dir, err)
+		}
 	}
 	l := &Log{
 		dir:          dir,
@@ -74,8 +78,10 @@ func OpenSet(dir string, model disk.Model, n int) (*Log, error) {
 		m:            obs.WALView(obs.Default()),
 	}
 	l.syncDone = sync.NewCond(&l.mu)
-	if err := l.load(r.stable); err != nil {
-		l.closeSegs()
+	if err := l.load(r.stable, n == 1); err != nil {
+		if l.f != nil {
+			l.f.Close()
+		}
 		return nil, err
 	}
 	return l, nil

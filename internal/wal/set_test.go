@@ -110,7 +110,7 @@ func TestRootDropsMalformedLines(t *testing.T) {
 	for _, lines := range []string{"mark 16\nstable 16\n", "mark 16 junk\nstable 16\n", "mark 16\n", "mark 16\nstable 16\nmark 16\n",
 		"mark 016\nstable 16\n", "stable 16\nmark 16\n", "mark 18446744073709551616\nstable 16\n"} {
 		for _, head := range []string{fmt.Sprintf("%s %08x\n", rootMagic, crc32.ChecksumIEEE([]byte(lines))), "PHXROOT1 1\n", ""} {
-			s, err := OpenSet(write(head+lines), nil, 0)
+			s, err := OpenSet(write(head+lines), nil, 1)
 			if err != nil {
 				t.Fatalf("root %q: %v", head+lines, err)
 			}
@@ -131,7 +131,7 @@ func TestRootDropsMalformedLines(t *testing.T) {
 // no hints — and neither does a reopen.
 func TestOpenSetWritesMetaOnlyOnChange(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "p.log")
-	for _, n := range []int{0, 1, 0} {
+	for _, n := range []int{1, 0, 1} {
 		s, err := OpenSet(dir, nil, n)
 		if err != nil {
 			t.Fatal(err)

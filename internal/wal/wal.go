@@ -131,9 +131,10 @@ var (
 	ErrStopScan = errors.New("wal: stop scan")
 )
 
-// segment is one on-disk file covering LSNs [start, start+size).
+// segment is one on-disk file covering LSNs [start, start+size). Only
+// the active (last) segment is open, as Log.f: the log synced and
+// closed every other one when it rolled past it.
 type segment struct {
-	f     *os.File
 	path  string
 	start ids.LSN
 	size  int64 // record bytes in the file (excluding the header)
@@ -160,13 +161,13 @@ type Log struct {
 
 	mu       sync.Mutex
 	segs     []*segment // ascending by start; last is active
+	f        *os.File   // the active segment's file: the log's one open file
+	syncFile *os.File   // the file the sync in flight is on: a roll that seals it leaves it open for that sync to close
 	buf      []byte
 	encBuf   []byte      // grow-only scratch for AppendLinked encoders
 	bufBase  ids.LSN     // LSN of buf[0]
-	synced   ids.LSN     // stable watermark (survives Discard)
-	unsynced []*segment  // segments with flushed bytes no sync has covered, oldest first (flushLocked)
-	snaps    []syncSnap  // the sync leader's scratch (syncLocked); reused across syncs
-	syncing  bool        // a sync leader is in its commit window or its device sync
+	synced   ids.LSN     // stable watermark (survives Discard); never below the active segment's start
+	syncing  bool        // a sync is in flight: a leader in its commit window or its device sync, or the tail check's cut
 	syncDone *sync.Cond  // broadcast (on mu) when the leader is done
 	waiters  int         // force requests behind the leader that no finished sync covers
 	late     int         // of those, the ones whose records the leader's flush missed
@@ -184,19 +185,13 @@ type Log struct {
 	pubMu sync.Mutex
 }
 
-// syncSnap is one unsynced segment as the sync leader found it, and
-// what syncing it returned.
-type syncSnap struct {
-	s    *segment
-	size int64
-	err  error
-}
-
 func segName(start ids.LSN) string {
 	return fmt.Sprintf("%020d.seg", uint64(start))
 }
 
-func (l *Log) load(stable ids.LSN) error {
+// load reads the segment list; with create, an empty directory gets
+// its first segment, else it holds no log and fails.
+func (l *Log) load(stable ids.LSN, create bool) error {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		return fmt.Errorf("wal: read dir: %w", err)
@@ -223,23 +218,29 @@ func (l *Log) load(stable ids.LSN) error {
 	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 
 	if len(starts) == 0 {
-		seg, err := l.createSegment(firstLSN)
+		if !create {
+			return fmt.Errorf("wal: %s holds no log", l.dir)
+		}
+		seg, f, err := l.createSegment(firstLSN)
 		if err != nil {
 			return err
 		}
-		l.segs = []*segment{seg}
-		l.bufBase = firstLSN
-		l.synced = firstLSN
+		l.segs, l.f = []*segment{seg}, f
+		l.bufBase, l.synced = firstLSN, firstLSN
 		return nil
 	}
 
-	for i, start := range starts {
-		seg, err := l.openSegment(start)
+	for _, start := range starts {
+		seg, f, err := l.openSegment(start)
 		if err != nil {
 			return err
 		}
-		if i > 0 && l.segs[i-1].end() != seg.start {
-			return fmt.Errorf("wal: gap between segments %v and %v", l.segs[i-1].end(), seg.start)
+		if l.f != nil {
+			l.f.Close() // only the active (last) segment stays open
+		}
+		l.f = f
+		if len(l.segs) > 0 && l.active().end() != seg.start {
+			return fmt.Errorf("wal: gap between segments %v and %v", l.active().end(), seg.start)
 		}
 		l.segs = append(l.segs, seg)
 	}
@@ -255,55 +256,62 @@ func (l *Log) load(stable ids.LSN) error {
 	return nil
 }
 
-func (l *Log) createSegment(start ids.LSN) (*segment, error) {
+// createSegment makes the segment at start and returns it with its
+// file open. Its header and its directory entry are durable before any
+// record lands in it (fsync(2): a file can vanish with its entry).
+func (l *Log) createSegment(start ids.LSN) (*segment, *os.File, error) {
 	path := filepath.Join(l.dir, segName(start))
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("wal: create segment: %w", err)
+		return nil, nil, fmt.Errorf("wal: create segment: %w", err)
 	}
 	hdr := make([]byte, segHeaderSize)
 	copy(hdr, magic)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(start))
-	if _, err := f.WriteAt(hdr, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: write segment header: %w", err)
+	var d *os.File
+	if _, err = f.WriteAt(hdr, 0); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: sync segment header: %w", err)
+	if err == nil {
+		if d, err = os.Open(l.dir); err == nil {
+			err = d.Sync()
+			d.Close()
+		}
 	}
-	return &segment{f: f, path: path, start: start}, nil
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("wal: create segment %s: %w", path, err)
+	}
+	return &segment{path: path, start: start}, f, nil
 }
 
-func (l *Log) openSegment(start ids.LSN) (*segment, error) {
+func (l *Log) openSegment(start ids.LSN) (*segment, *os.File, error) {
 	path := filepath.Join(l.dir, segName(start))
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("wal: open segment: %w", err)
+		return nil, nil, fmt.Errorf("wal: open segment: %w", err)
 	}
 	fi, err := f.Stat()
+	hdr := make([]byte, segHeaderSize)
+	switch {
+	case err != nil:
+	case fi.Size() < segHeaderSize:
+		err = fmt.Errorf("wal: segment %s too short", path)
+	default:
+		if _, err = f.ReadAt(hdr, 0); err != nil {
+			break
+		}
+		if string(hdr[:8]) != magic {
+			err = fmt.Errorf("wal: bad segment header in %s", path)
+		} else if got := ids.LSN(binary.LittleEndian.Uint64(hdr[8:])); got != start {
+			err = fmt.Errorf("wal: segment %s claims start %v", path, got)
+		}
+	}
 	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, nil, err
 	}
-	if fi.Size() < segHeaderSize {
-		f.Close()
-		return nil, fmt.Errorf("wal: segment %s too short", path)
-	}
-	hdr := make([]byte, segHeaderSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if string(hdr[:8]) != magic {
-		f.Close()
-		return nil, fmt.Errorf("wal: bad segment header in %s", path)
-	}
-	if got := ids.LSN(binary.LittleEndian.Uint64(hdr[8:])); got != start {
-		f.Close()
-		return nil, fmt.Errorf("wal: segment %s claims start %v", path, got)
-	}
-	return &segment{f: f, path: path, start: start, size: fi.Size() - segHeaderSize}, nil
+	return &segment{path: path, start: start, size: fi.Size() - segHeaderSize}, f, nil
 }
 
 // ready settles the log's end if no pass has: Append, the forces, End and
@@ -338,22 +346,23 @@ func (l *Log) endTail(from, at ids.LSN, err error) error {
 	if !l.unchecked.Swap(false) || at >= s.end() {
 		return nil // an end another pass settled first stands
 	}
-	if err = s.f.Truncate(segHeaderSize + int64(at-s.start)); err == nil {
+	if err = l.f.Truncate(segHeaderSize + int64(at-s.start)); err == nil {
 		s.size, l.bufBase, l.synced = int64(at-s.start), at, at
-		l.mu.Unlock() // the cut is synced with the mutex released (see syncLocked)
-		err = s.f.Sync()
+		f := l.f // synced as the one sync in flight, with the mutex released (see syncLocked)
+		l.syncing, l.syncFile = true, f
+		l.mu.Unlock()
+		err = f.Sync()
 		l.mu.Lock()
+		l.syncing, l.syncFile = false, nil
+		if f != l.f {
+			f.Close()
+		}
+		l.syncDone.Broadcast()
 	}
 	if err != nil {
 		l.failed = fmt.Errorf("wal: cut torn tail at %v, log stopped: %w", at, err)
 	}
 	return l.failed
-}
-
-func (l *Log) closeSegs() {
-	for _, s := range l.segs {
-		s.f.Close()
-	}
 }
 
 // active returns the tail segment (always present while open).
@@ -393,10 +402,13 @@ func (l *Log) appendLocked(t RecordType, payload []byte, prev ids.LSN) (ids.LSN,
 		dist = uint64(lsn - prev)
 	}
 	// Records never straddle segment files: if this record would push
-	// the active segment past its capacity, flush what is pending and
-	// roll first, so the record begins the new segment. (An oversized
-	// single record gets a segment to itself and may exceed the
-	// threshold.)
+	// the active segment past its capacity, roll first, so the record
+	// begins the new segment. (An oversized single record gets a segment
+	// to itself and may exceed the threshold.) The roll seals the old
+	// segment — flushes, syncs and closes it, and the watermark moves to
+	// its end — so every segment but the active one is durable and
+	// closed. No force requested the seal: like the new header's sync,
+	// it is not counted or charged to the disk model.
 	recLen := int64(uvarintLen(uint64(len(payload))) + 1 + uvarintLen(dist) + 4 + len(payload))
 	s := l.active()
 	if s.size+int64(len(l.buf))+recLen > l.segmentBytes &&
@@ -404,11 +416,19 @@ func (l *Log) appendLocked(t RecordType, payload []byte, prev ids.LSN) (ids.LSN,
 		if err := l.flushLocked(); err != nil {
 			return ids.NilLSN, err
 		}
-		next, err := l.createSegment(l.active().end())
+		if err := l.f.Sync(); err != nil {
+			l.failed = fmt.Errorf("wal: seal segment %v, log stopped: %w", s.start, err)
+			return ids.NilLSN, l.failed
+		}
+		l.synced = s.end()
+		next, f, err := l.createSegment(s.end())
 		if err != nil {
 			return ids.NilLSN, err
 		}
-		l.segs = append(l.segs, next)
+		if l.f != l.syncFile {
+			l.f.Close()
+		}
+		l.segs, l.f = append(l.segs, next), f
 	}
 
 	// Frame and checksum are built directly inside l.buf (a stack frame
@@ -488,16 +508,11 @@ func (l *Log) flushLocked() error {
 	}
 	s := l.active()
 	n := int64(len(l.buf))
-	if _, err := s.f.WriteAt(l.buf, segHeaderSize+s.size); err != nil {
+	if _, err := l.f.WriteAt(l.buf, segHeaderSize+s.size); err != nil {
 		return fmt.Errorf("wal: flush: %w", err)
 	}
 	l.model.Write(int(n))
 	s.size += n
-	// Only the active segment is flushed to: it is the list's last
-	// entry or not on it.
-	if k := len(l.unsynced); k == 0 || l.unsynced[k-1] != s {
-		l.unsynced = append(l.unsynced, s)
-	}
 	l.buf = l.buf[:0]
 	l.bufBase += ids.LSN(n)
 	l.stats.PhysicalWrites++
@@ -634,53 +649,38 @@ func (l *Log) syncTarget(target ids.LSN) (SyncOutcome, error) {
 }
 
 // syncLocked is the leader's device sync: it covers everything
-// appended so far. Called with l.mu held and l.syncing set; the mutex
-// is RELEASED during the file syncs — so Append never blocks behind an
-// in-flight force — and retaken to publish the new watermark. start is
-// the stopwatch reading the sync's busy time counts from; the reading
-// that ends it is returned for the caller's own arrival-to-stable sum.
+// appended so far, all of it in the one file it flushes into (every
+// other segment was synced when the log rolled past it). Called with
+// l.mu held and l.syncing set; the mutex is RELEASED during the device
+// sync — so Append never blocks behind an in-flight force — and retaken
+// to publish the new watermark. start is the stopwatch reading the
+// sync's busy time counts from; the reading that ends it is returned
+// for the caller's own arrival-to-stable sum.
 func (l *Log) syncLocked(start int64) (end int64, err error) {
-	if l.closed.Load() {
-		return 0, ErrClosed // Discard struck during the commit window
+	if err := l.down(); err != nil {
+		return 0, err // Discard struck during the commit window, or a roll's seal failed
 	}
 	if err := l.flushLocked(); err != nil {
 		return 0, err
 	}
-	target := l.bufBase
-	l.leadEnd = target
-	// One leader at a time (l.syncing), so the snapshot lives on the
-	// Log and is resliced: a device sync allocates nothing.
-	snaps := l.snaps[:0]
-	for _, s := range l.unsynced {
-		snaps = append(snaps, syncSnap{s: s, size: s.size})
-	}
-	l.snaps = snaps
-	defer clear(snaps) // keep the capacity, not the segments: one may be trimmed next
+	target, f := l.bufBase, l.f
+	l.leadEnd, l.syncFile = target, f
 	l.mu.Unlock()
-	for i := range snaps {
-		snaps[i].err = snaps[i].s.f.Sync()
-	}
 	l.model.Sync()
+	err = f.Sync()
 	l.mu.Lock()
+	l.syncFile = nil
+	if f != l.f {
+		f.Close() // a roll sealed it mid-sync and left it to this sync
+	}
 	if l.closed.Load() {
 		return 0, ErrClosed // Discard struck during the device sync
 	}
-	for _, sn := range snaps {
-		i := slices.Index(l.unsynced, sn.s)
-		if i < 0 {
-			continue // segment trimmed away mid-sync; nothing to keep
-		}
-		if sn.err != nil {
-			l.failed = fmt.Errorf("wal: sync failed, log stopped: %w", sn.err)
-			return 0, l.failed
-		}
-		if sn.s.size == sn.size {
-			// Unchanged since the snapshot: fully synced. A segment that
-			// grew mid-sync stays unsynced for the next force.
-			l.unsynced = slices.Delete(l.unsynced, i, i+1)
-		}
+	if err != nil {
+		l.failed = fmt.Errorf("wal: sync failed, log stopped: %w", err)
+		return 0, l.failed
 	}
-	l.synced = target
+	l.synced = max(l.synced, target) // a roll mid-sync may have moved it past target
 	end = obs.Stopwatch()
 	l.stats.Forces++
 	l.stats.SyncBusyNanos += end - start
@@ -689,7 +689,7 @@ func (l *Log) syncLocked(start int64) (end int64, err error) {
 	return end, nil
 }
 
-// Flush writes buffered records to the files without syncing. Paper
+// Flush writes buffered records to the active file without syncing. Paper
 // Section 4.3: "There is no need to force the log immediately after
 // either a state record or a process checkpoint is written" — but
 // recovery-time reads need the bytes in the file.
@@ -868,8 +868,9 @@ func (r *Reader) read(lsn ids.LSN) (Record, error) {
 // extends it backwards instead: the read ends where the block starts
 // and the block's first r.block bytes stay behind it, so the walk
 // passes over each byte once and a record straddling the old start is
-// whole. The read holds the log mutex: TrimHead and Close cannot pull
-// the file away.
+// whole. The active segment is read through the log's open file, a
+// sealed one through its path, opened for the read. The read holds the
+// log mutex: TrimHead and Close cannot pull the file away.
 func (r *Reader) window(lsn ids.LSN, need uint64) ([]byte, error) {
 	if lsn >= r.base && need <= uint64(len(r.blk)) && uint64(lsn-r.base) <= uint64(len(r.blk))-need {
 		return r.blk[lsn-r.base:], nil
@@ -899,7 +900,17 @@ func (r *Reader) window(lsn ids.LSN, need uint64) ([]byte, error) {
 	}
 	blk := r.blk[:n+len(old)]
 	copy(blk[n:], old) // old may be blk's own head: moved up before the read lands there
-	if _, err := s.f.ReadAt(blk[:n], segHeaderSize+int64(from-s.start)); err != nil {
+	f := l.f
+	var err error
+	if s != l.active() { // sealed, so closed: opened for this read
+		if f, err = os.Open(s.path); err == nil {
+			defer f.Close()
+		}
+	}
+	if err == nil {
+		_, err = f.ReadAt(blk[:n], segHeaderSize+int64(from-s.start))
+	}
+	if err != nil {
 		return nil, fmt.Errorf("wal: read at %v: %w", lsn, err)
 	}
 	r.blk, r.base = blk, from
@@ -1025,10 +1036,6 @@ func (l *Log) TrimHead(keep ids.LSN) error {
 		if err := os.Remove(s.path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("wal: trim %s: %w", s.path, err)
 		}
-		s.f.Close()
-		if i := slices.Index(l.unsynced, s); i >= 0 {
-			l.unsynced = slices.Delete(l.unsynced, i, i+1)
-		}
 		l.segs = slices.Delete(l.segs, 0, 1)
 		l.stats.TrimmedBytes += s.size
 		l.m.TrimmedBytes.Add(s.size)
@@ -1088,19 +1095,20 @@ func (l *Log) Close() error {
 	}
 	err := l.flushLocked()
 	l.closed.Store(true)
-	l.closeSegs()
+	l.f.Close()
 	return err
 }
 
 // Discard closes the log simulating a process crash: buffered records
-// are dropped and the files are truncated back to the last forced
-// position, so only data made stable by a force survives. (A real crash
-// loses whatever the OS page cache had not written; truncating to the
-// sync watermark models the worst permitted loss, which redo recovery
-// must tolerate.) From the first instant no force request is
+// are dropped and the active file — the only one that can hold bytes
+// no sync covered — is cut back to the stable watermark, so only data
+// made stable by a force or a roll survives. (A real crash loses
+// whatever the OS page cache had not written; truncating to the sync
+// watermark models the worst permitted loss, which redo recovery must
+// tolerate.) From the first instant no force request is
 // acknowledged: the leader — in its commit window or its device sync —
 // and every waiter fail with ErrClosed, and Discard waits only for the
-// leader to let go of the files.
+// leader to let go of its file.
 func (l *Log) Discard() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -1113,25 +1121,9 @@ func (l *Log) Discard() error {
 		l.syncDone.Wait()
 	}
 	l.buf = nil
-	var firstErr error
-	for i := len(l.segs) - 1; i >= 0; i-- {
-		s := l.segs[i]
-		switch {
-		case s.start >= l.synced:
-			// Entirely unsynced segment: it never became durable.
-			s.f.Close()
-			if err := os.Remove(s.path); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		case s.end() > l.synced:
-			if err := s.f.Truncate(segHeaderSize + int64(l.synced-s.start)); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			s.f.Close()
-		default:
-			s.f.Close()
-		}
+	defer l.f.Close()
+	if s := l.active(); s.end() > l.synced {
+		return os.Truncate(s.path, segHeaderSize+int64(l.synced-s.start))
 	}
-	l.segs = nil
-	return firstErr
+	return nil
 }
