@@ -589,19 +589,6 @@ func (p *Process) Crash() {
 	p.m.svc.NotifyCrash(p.name)
 }
 
-// FlightRecorder returns the process's resolved flight recorder (nil
-// when tracing is off).
-func (p *Process) FlightRecorder() *trace.Recorder { return p.tr }
-
-// DumpFlightRecorder writes the current ring contents to path as a
-// dump, the JSON the debug endpoint serves (phoenix-trace reads it
-// back). Unlike the crash
-// path's automatic dump this can run any time, e.g. from an operational
-// endpoint.
-func (p *Process) DumpFlightRecorder(path string) error {
-	return trace.WriteDump(path, p.tr.Snapshot())
-}
-
 // dumpFlightRecorder persists the ring next to the log on a crash as
 // <proc>.ftr.N — N counts restarts, so a trace that crosses several
 // crashes keeps every generation's spans. Best-effort by design: the

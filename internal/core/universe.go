@@ -98,10 +98,6 @@ func NewUniverse(cfg UniverseConfig) (*Universe, error) {
 // Metrics returns the universe-level observability registry.
 func (u *Universe) Metrics() *obs.Registry { return u.metrics }
 
-// FlightRecorder returns the universe-level flight recorder (nil when
-// tracing is off).
-func (u *Universe) FlightRecorder() *trace.Recorder { return u.cfg.Trace }
-
 // Clock returns the universe's clock.
 func (u *Universe) Clock() disk.Clock { return u.cfg.Clock }
 

@@ -83,15 +83,15 @@ const (
 
 // soakSample is one reading of what a long-running universe holds.
 type soakSample struct {
-	segBytes, segments, heapInuse, goroutines int64
+	segBytes, segments, heapLive, goroutines int64
 }
 
 // TestSoakLogStaysBounded runs two bookstores (Section 5.5), one at
 // optimized logging and one with specialized components and read-only
 // methods, and a three-stage pipeline for soakCalls executions and
 // reads, at every tenth of the run, the bytes of segment files on disk,
-// the segments the logs report, the post-GC heap in use and the
-// goroutines. At the specialized level the stores, the grabber and the
+// the segments the logs report, the live heap bytes after two GCs and
+// the goroutines. At the specialized level the stores, the grabber and the
 // tax calculator serve only read-only or functional calls, so their
 // processes never force but for their checkpoints. The bookstores'
 // level configs save no state and take no checkpoint, so every
@@ -197,8 +197,8 @@ func TestSoakLogStaysBounded(t *testing.T) {
 		// checkpoint that trims them.
 		if k := (r + 1) * 10 / rounds; rounds > 0 && (r+1)%(rounds/10) == 0 {
 			samples[k] = sampleSoak(t, dir, procs)
-			t.Logf("%3d%%: %7d calls, %7d segment bytes on disk, %3d segments, heap in use %5d KiB, %d goroutines",
-				k*10, execs(), samples[k].segBytes, samples[k].segments, samples[k].heapInuse>>10, samples[k].goroutines)
+			t.Logf("%3d%%: %7d calls, %7d segment bytes on disk, %3d segments, %7d live heap bytes, %d goroutines",
+				k*10, execs(), samples[k].segBytes, samples[k].segments, samples[k].heapLive, samples[k].goroutines)
 		}
 		for _, p := range serverProcs {
 			for _, name := range p.Components() {
@@ -233,7 +233,7 @@ func TestSoakLogStaysBounded(t *testing.T) {
 	}{
 		{"segment bytes on disk", at30.segBytes, at100.segBytes},
 		{"segments", at30.segments, at100.segments},
-		{"heap in use", at30.heapInuse, at100.heapInuse},
+		{"live heap bytes", at30.heapLive, at100.heapLive},
 		{"goroutines", at30.goroutines, at100.goroutines},
 	} {
 		if float64(c.at100) > soakSlack*float64(c.at30) {
@@ -345,7 +345,10 @@ func sampleSoak(t *testing.T, dir string, procs []*phoenix.Process) soakSample {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	s.heapInuse = int64(ms.HeapInuse)
+	// HeapAlloc, the bytes of live objects, not HeapInuse: that counts
+	// whole spans, and which spans a GC frees varies from run to run by
+	// more than soakSlack on a heap this small.
+	s.heapLive = int64(ms.HeapAlloc)
 	s.goroutines = int64(runtime.NumGoroutine())
 	return s
 }
