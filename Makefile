@@ -100,17 +100,21 @@ stress:
 # between sends, after its last reply and at a server after it
 # executed; a read-only reply taken from the caller's log; a
 # subordinate restored with its parent from a state record, mid-call;
-# a call that took a checkpoint whose publication failed), the log
+# a call that took a checkpoint whose publication failed; a checkpoint
+# that saved idle contexts' states before its publication failed), the
+# trim floor that no idle context or quiet caller holds, the log
 # holding zero and nonzero trace fields
 # — and the bookstore seller through the facade.
 recovery-stress:
-	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|TestChain|RecordsScanned|LogReads|TestRestart|Lazy|ScanFrom|ReadAt|Reader|TailCheck|FuzzOpenTornSegment|DumpLogReads|OpenSet|TrimHeadEdgeCases|TestRoot|SetDiscard|AtomicWriteFile|EitherRoot|RecreatedLogDir|CheckpointPublication|CheckpointPublishesItself|PowerCutAfterRoll|TestCrashRow|TestTracedUntracedRecovery' ./internal/core/ ./internal/wal/ ./internal/disk/
+	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|TestChain|RecordsScanned|LogReads|TestRestart|Lazy|ScanFrom|ReadAt|Reader|TailCheck|FuzzOpenTornSegment|DumpLogReads|OpenSet|TrimHeadEdgeCases|TestRoot|SetDiscard|AtomicWriteFile|EitherRoot|RecreatedLogDir|CheckpointPublication|CheckpointPublishesItself|PowerCutAfterRoll|TestCrashRow|TrimFloor|TestTracedUntracedRecovery' ./internal/core/ ./internal/wal/ ./internal/disk/
 	go test -race -count=2 -run 'SellerRecoveryEquivalence' ./internal/bookstore/
 
 # The log stays bounded with no call to make: two bookstores (at the
 # optimized-logging level, and at the specialized level, whose stores,
 # grabber and tax processes never force but for their checkpoints) and
-# a three-stage pipeline run 200,000 calls on 512-byte segments (on
+# a three-stage pipeline, beside a persistent context no call reaches
+# and a persistent caller that stops at 10 % of the run, run 200,000
+# calls on 512-byte segments (on
 # /dev/shm when the host has it), and the bytes of segment files on
 # disk, the logs' segment count, the live heap bytes after two GCs and
 # the goroutines at the end may not exceed 1.1x their values at 30 %;
@@ -194,7 +198,7 @@ profile-restart:
 # The total may not pass LOC_MAX. A change that needs more lines raises
 # the number in its own diff, where review sees it; a change that
 # deletes lines lowers it there too. CHANGES.md keeps the ledger.
-LOC_MAX = 21516
+LOC_MAX = 21505
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

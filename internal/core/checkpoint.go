@@ -13,34 +13,31 @@ import (
 // Order matters: the replies of the context's last-call entries must
 // reach the log first, because after restoring a state record the
 // replies of earlier incoming calls cannot be recreated by replay. The
-// state record then carries those entries with their LSNs. Neither the
-// reply records nor the state record is forced — "we can replay all
-// the method calls from the creation record or the last forced states"
-// — a later send's force makes them stable.
+// state record then carries those entries with their LSNs. A reply
+// logged below the published mark is written again, so that no entry
+// holds the trim floor under the mark for a caller that has gone
+// quiet. Neither the reply records nor the state record is forced —
+// "we can replay all the method calls from the creation record or the
+// last forced states" — a later send's force makes them stable.
 func (cx *Context) saveStateLocked() error {
 	p := cx.p
-	if cx.parent.ctype.Stateless() {
-		return fmt.Errorf("core: %s is stateless; it has no state to save", cx.uri)
-	}
+	mark := p.log.Mark()
 
-	// Write the reply bodies of this context's last-call entries that
-	// are not yet in the log, and remember their LSNs. "Next time we
-	// save the context state, if an LSN is not empty, we know the
-	// reply message is in the log and needn't save it again."
+	// "Next time we save the context state, if an LSN is not empty, we
+	// know the reply message is in the log and needn't save it again."
 	entries := p.lastCalls.forContext(cx.parent.id)
 	saved := make([]lastCallSaved, 0, len(entries))
 	for _, e := range entries {
-		if e.replyLSN.IsNil() && !e.reply.ID.IsZero() {
-			rc := replyContentRec{Ctx: cx.parent.id, Reply: e.reply}
-			lsn, err := p.appendRec(&rc, nil)
-			if err != nil {
+		lsn := e.replyLSN
+		if (lsn.IsNil() || lsn < mark) && p.replyFromEntry(e) {
+			var err error
+			if lsn, err = p.appendRec(&replyContentRec{Ctx: cx.parent.id, Reply: e.reply}, nil); err != nil {
 				return err
 			}
 			p.lastCalls.fillLSN(e.caller, e.seq, lsn)
-			e.replyLSN = lsn
 		}
 		saved = append(saved, lastCallSaved{
-			Caller: e.caller, Seq: e.seq, ReplyLSN: e.replyLSN, Ctx: e.ctx,
+			Caller: e.caller, Seq: e.seq, ReplyLSN: lsn, Ctx: e.ctx,
 		})
 	}
 
@@ -72,6 +69,30 @@ func (cx *Context) saveStateLocked() error {
 	return nil
 }
 
+// reanchor saves cx's state if it is idle: back, free, and with its
+// restart record, its chain and its newest record all below mark.
+// Otherwise its restart record would hold the trim floor under the
+// mark for as long as it stays idle. It never waits: a checkpoint may
+// run inside a serving call, whose own context is busy by definition.
+func (cx *Context) reanchor(mark ids.LSN) error {
+	if cx.restart() >= mark || ids.LSN(cx.chainHead.Load()) >= mark { // also when mark is nil
+		return nil
+	}
+	select {
+	case <-cx.ready:
+	default:
+		return nil // still being brought back
+	}
+	if cx.parent.disp == nil || !cx.mu.TryLock() { // not restored, or busy
+		return nil
+	}
+	defer cx.mu.Unlock()
+	if cx.lastLSN >= mark { // it logged since the first check
+		return nil
+	}
+	return cx.saveStateLocked()
+}
+
 // Checkpoint takes a process checkpoint now (Section 4.3). It is also
 // driven automatically by Config.CheckpointEvery.
 func (p *Process) Checkpoint() error {
@@ -90,47 +111,30 @@ func (p *Process) Checkpoint() error {
 // concurrency, and readers "examine all the log records between the
 // begin checkpoint and end checkpoint record".
 func (p *Process) runCheckpoint() error {
+	mark := p.log.Mark()
 	begin, err := p.appendRec(&beginCkptRec{}, nil)
 	if err != nil {
 		return err
 	}
-	// Stateless contexts never write state records, so their original
-	// creation record would pin the log head forever. Their fields are
-	// immutable by contract, so the checkpoint re-emits an equivalent
-	// creation record and advances their restart LSN, letting TrimHead
-	// reclaim the prefix.
+	// A quiescent context may save its state at any time (Section
+	// 4.2): every idle one does so now, above the mark this checkpoint
+	// replaces, so the trim after its publication is held by busy
+	// contexts alone. Nothing is idle before a first publication.
 	p.mu.Lock()
-	var stateless []*Context
+	all := make([]*Context, 0, len(p.contexts))
 	for _, cx := range p.contexts {
-		if cx.parent.ctype.Stateless() {
-			stateless = append(stateless, cx)
-		}
+		all = append(all, cx)
 	}
 	p.mu.Unlock()
-	// No context lock is taken here: a functional/read-only
-	// component's fields are immutable by contract (configuration set
-	// at creation), and locking another context from inside a serving
-	// call could cycle through a read-only component's outgoing calls.
-	for _, cx := range stateless {
-		rec, err := cx.creationRecord()
-		if err != nil {
+	for _, cx := range all {
+		if err := cx.reanchor(mark); err != nil {
 			return err
 		}
-		lsn, err := p.appendRec(rec, nil)
-		if err != nil {
-			return err
-		}
-		p.mu.Lock()
-		cx.restartLSN = lsn
-		p.mu.Unlock()
 	}
 
 	p.mu.Lock()
 	entries := make([]ckptCtxEntry, 0, len(p.contexts))
 	for id, cx := range p.contexts {
-		if cx.parent.ctype.Stateless() {
-			continue
-		}
 		// Read after the begin record: no older than the newest chain
 		// record recovery's scan will not pass.
 		entries = append(entries, ckptCtxEntry{Ctx: id, RestartLSN: cx.restartLSN, ChainHead: ids.LSN(cx.chainHead.Load())})
@@ -140,7 +144,8 @@ func (p *Process) runCheckpoint() error {
 		return err
 	}
 
-	if _, err := p.appendRec(&ckptLastCallRec{Entries: p.lastCalls.snapshot()}, nil); err != nil {
+	calls := p.lastCalls.snapshot()
+	if _, err := p.appendRec(&ckptLastCallRec{Entries: calls}, nil); err != nil {
 		return err
 	}
 
@@ -155,20 +160,20 @@ func (p *Process) runCheckpoint() error {
 	// into a well-known file" (Section 4.3) — here the log's root. The
 	// checkpoint flushes itself rather than wait for a later send, so a
 	// process that never forces still publishes. Publication makes the
-	// prefix garbage, so it trims; the floor reads the mark the root
-	// names, so a failed root write never trims past it. A failed root
-	// write or trim is ckpt.publish_errors, not the checkpoint's error:
-	// the root holds hints only, and a serving call that took the
-	// checkpoint has already executed. The next checkpoint publishes
-	// and trims; Publish never moves the mark backwards, which orders
-	// concurrent checkpoints.
+	// prefix garbage, so it trims — only once its root is written, and
+	// never past what a restart from that root reads (reclaimPoint). A
+	// failed root write or trim is ckpt.publish_errors, not the
+	// checkpoint's error: the root holds hints only, and a serving call
+	// that took the checkpoint has already executed. The next
+	// checkpoint publishes and trims; Publish never moves the mark
+	// backwards, which orders concurrent checkpoints.
 	if err := p.forceTo(nil, end); err != nil {
 		return err
 	}
 	trimmed := p.log.Stats().TrimmedBytes
 	if err := p.log.Publish(begin); err != nil {
 		p.obs.PublishErrors.Inc()
-	} else if err := p.log.TrimHead(p.reclaimPoint()); err != nil {
+	} else if err := p.log.TrimHead(reclaimPoint(begin, entries, calls)); err != nil {
 		p.obs.PublishErrors.Inc()
 	} else if p.log.Stats().TrimmedBytes > trimmed {
 		p.obs.Trims.Inc()

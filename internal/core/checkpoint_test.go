@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ids"
@@ -302,5 +304,93 @@ func TestSaveStateRejectedForStateless(t *testing.T) {
 	}
 	if err := h.SaveState(); err == nil {
 		t.Error("SaveState on a functional component succeeded")
+	}
+}
+
+// Ballast is a Counter whose state takes a while to capture: the time
+// between a state save's reply records and its state record.
+type Ballast struct {
+	Counter
+	Pad []int
+}
+
+// TestStateSavesRaceCheckpoints: four Ballasts save their state after
+// every call from their Relays in another process while a goroutine
+// takes checkpoints in a loop. A state save records where it wrote a
+// reply in the last-call table under the table's lock only, the lock
+// under which a checkpoint reads it. Run under -race.
+func TestStateSavesRaceCheckpoints(t *testing.T) {
+	const pairs, calls = 4, 25
+	u := newTestUniverse(t)
+	defer u.Shutdown()
+	cfg := testConfig()
+	cfg.SaveStateEvery = 1
+	_, ps := startProc(t, u, "evo1", "srv", cfg)
+	_, pc := startProc(t, u, "evo2", "cli", cfg)
+	relays := make([]*Ref, pairs)
+	for i := range relays {
+		h, err := ps.Create(fmt.Sprintf("Ballast%d", i), &Ballast{Pad: make([]int, 1<<14)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := pc.Create(fmt.Sprintf("Relay%d", i), &Relay{Server: NewRef(h.URI())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		relays[i] = u.ExternalRef(hr.URI())
+	}
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if err := ps.Checkpoint(); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for _, relay := range relays {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= calls; i++ {
+				if res, err := relay.Call("Forward", 1); err != nil || res[0] != any(i) {
+					t.Errorf("Forward(1) #%d = %v, %v", i, res, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+}
+
+// TestLastCallSeedNewestReply: Pass 1 meets a call's reply records in
+// any order — a checkpoint's table can name a copy older than one the
+// scan passed — and keeps the newest; an incoming record, which names
+// none, never clears one, and an older call never replaces a newer.
+func TestLastCallSeedNewestReply(t *testing.T) {
+	caller := ids.ComponentAddr{Machine: "evo9", Proc: 1, Comp: 1}
+	tab := newLastCallTable()
+	for _, e := range []lastCallSaved{
+		{Caller: caller, Seq: 2},
+		{Caller: caller, Seq: 2, ReplyLSN: 900},
+		{Caller: caller, Seq: 2, ReplyLSN: 300},
+		{Caller: caller, Seq: 2},
+		{Caller: caller, Seq: 1, ReplyLSN: 1200},
+	} {
+		tab.seed(e)
+	}
+	if e := tab.get(caller); e.seq != 2 || e.replyLSN != 900 {
+		t.Errorf("seeded entry is seq %d at %v, want seq 2 at lsn:900", e.seq, e.replyLSN)
 	}
 }

@@ -65,8 +65,7 @@ type Context struct {
 	// restartLSN is the latest context state record (or the creation
 	// record if none) — the context's replay starting point and its
 	// context-table entry's "LSN of the latest context state record".
-	restartLSN  ids.LSN
-	creationLSN ids.LSN
+	restartLSN ids.LSN
 
 	// chainHead is the LSN of the newest replay-relevant record this
 	// context appended — an incoming call or the reply to an outgoing
@@ -168,16 +167,6 @@ func (cx *Context) addSubordinate(name string, obj any) (*component, error) {
 		aware.AttachContext(&Ctx{cx: cx})
 	}
 	return c, nil
-}
-
-// creationRecord captures the context's components and their initial
-// states for the creation log record.
-func (cx *Context) creationRecord() (*creationRec, error) {
-	comps, err := cx.captureComponents()
-	if err != nil {
-		return nil, err
-	}
-	return &creationRec{ctx: cx.parent.id, URI: cx.uri, Comps: comps}, nil
 }
 
 func (cx *Context) captureComponents() ([]compRecord, error) {
@@ -319,8 +308,12 @@ func (c *Ctx) DropSubordinate(name string) {
 
 // SaveState writes a context state record now (explicit checkpointing;
 // the SaveStateEvery policy calls the same path automatically). It must
-// not be called from inside a method execution of this context.
+// not be called from inside a method execution of this context. A
+// stateless context has no state to save.
 func (c *Ctx) SaveState() error {
+	if c.cx.parent.ctype.Stateless() {
+		return fmt.Errorf("core: %s is stateless; it has no state to save", c.cx.uri)
+	}
 	c.cx.mu.Lock()
 	defer c.cx.mu.Unlock()
 	return c.cx.saveStateLocked()

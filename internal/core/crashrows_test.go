@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/disk"
 	"repro/internal/msg"
 	"repro/internal/obs"
 )
@@ -18,8 +22,10 @@ import (
 // Algorithm 5, where a persistent caller's replay must take a read-only
 // component's answer from its log — both across processes, reading
 // outgoing-reply records on replay, keyed by the reply's own call ID —
-// a subordinate, whose state rides in its parent's state record, and a
-// checkpoint whose publication fails under a live call.
+// a subordinate, whose state rides in its parent's state record, a
+// checkpoint whose publication fails under a live call, one whose
+// publication fails after it saved the state of idle contexts, and one
+// that a state save outruns during its force.
 
 // Tally is a persistent server that counts its executions: its state
 // tells how many calls ran and which (each caller below adds a distinct
@@ -448,6 +454,216 @@ func TestCrashRowFailedPublication(t *testing.T) {
 			defer p.Close()
 			if got := callInt(t, ref, "Get"); got != live || live != 7 {
 				t.Errorf("recovered C = %d, last live answer %d; want both 7", got, live)
+			}
+		})
+	}
+}
+
+// TestCrashRowReanchorBeforePublication: R calls Q once and both go
+// idle while C keeps serving. The second checkpoint saves the state of
+// R and Q (Q's with its reply to R, which no state save had logged), the
+// checkpoint's force makes the records durable, and its root write
+// fails; the process crashes. A restart from the root left on disk,
+// which names the first checkpoint, and one from the root the failed
+// write would have left recover the same state and the same last-call
+// table, eager and lazy: neither replays a call of R or Q.
+func TestCrashRowReanchorBeforePublication(t *testing.T) {
+	img := equivImage{dir: t.TempDir(), cfg: testConfig(), counters: []string{"C", "Q"}, relays: []string{"R"}}
+	u, err := NewUniverse(UniverseConfig{Dir: img.dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Shutdown()
+	_, p := startProc(t, u, "evo1", "srv", img.cfg)
+	hc, err := p.Create("C", &Counter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hq, err := p.Create("Q", &Counter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := p.Create("R", &Relay{Server: NewRef(hq.URI())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := u.ExternalRef(hc.URI())
+	callInt(t, u.ExternalRef(hr.URI()), "Forward", 5)
+	callInt(t, c, "Add", 1)
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	oldMark := p.log.Mark()
+	root := filepath.Join(p.LogDir(), "root")
+	oldRoot, err := os.ReadFile(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	callInt(t, c, "Add", 2)
+
+	if err := os.Remove(root); err != nil {
+		t.Fatal(err)
+	}
+	unblock := blockRoot(t, p)
+	begin := p.log.End()
+	if err := p.Checkpoint(); err != nil {
+		t.Fatalf("a checkpoint under a blocked root: %v", err)
+	}
+	if mark := p.log.Mark(); mark != oldMark {
+		t.Fatalf("the blocked publication moved the mark from %v to %v", oldMark, mark)
+	}
+	for _, h := range []*Handle{hq, hr} {
+		if r := h.RestartLSN(); r <= begin {
+			t.Errorf("%s restarts at %v, below the checkpoint at %v: not re-anchored", h.URI(), r, begin)
+		}
+	}
+	if r := hc.RestartLSN(); r > oldMark {
+		t.Errorf("busy C restarts at %v, past the mark %v", r, oldMark)
+	}
+	// The root the failed write would have left.
+	unblock()
+	if err := p.log.Publish(begin); err != nil {
+		t.Fatal(err)
+	}
+	p.Crash()
+	onOld := withRoot(t, img, oldRoot, nil)
+
+	for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
+		t.Run(mode.String(), func(t *testing.T) {
+			old, cur := recoverImage(t, onOld, mode), recoverImage(t, img, mode)
+			if old.mark != oldMark || cur.mark != begin {
+				t.Fatalf("restarts scanned from %v and %v, want %v and %v", old.mark, cur.mark, oldMark, begin)
+			}
+			for _, got := range []recoveryOutcome{old, cur} {
+				if got.counters["C"] != 3 || got.counters["Q"] != 5 || got.relayCalls["R"] != 1 {
+					t.Errorf("recovered C %d, Q %d, R.Calls %d; want 3, 5, 1", got.counters["C"], got.counters["Q"], got.relayCalls["R"])
+				}
+				if got.stats.CallsReplayed != 2 {
+					t.Errorf("replayed %d calls, want C's 2 alone", got.stats.CallsReplayed)
+				}
+				if len(got.lastCalls) != 1 || got.lastCalls[0].ReplyLSN <= begin {
+					t.Errorf("last-call table %+v, want Q's entry for R with its reply past %v", got.lastCalls, begin)
+				}
+			}
+			assertEquivalent(t, old, cur, false)
+			if !reflect.DeepEqual(old.lastCalls, cur.lastCalls) {
+				t.Errorf("last-call table = %+v from the old root, %+v from the new", old.lastCalls, cur.lastCalls)
+			}
+		})
+	}
+}
+
+// holdSync is a disk model whose next Sync, once armed, blocks until
+// the test releases it: it holds one force in flight.
+type holdSync struct {
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func (h *holdSync) Write(int) {}
+func (h *holdSync) Sync() {
+	if h.armed.CompareAndSwap(true, false) {
+		h.entered <- struct{}{}
+		<-h.release
+	}
+}
+func (h *holdSync) Name() string { return "hold" }
+
+// TestCrashRowStateSaveDuringCheckpointForce: a quiet caller's call to
+// Q left its reply below the mark, and Q stays busy past the mark, so
+// a checkpoint's tables name Q's old restart record and the old reply.
+// While that checkpoint's force is held, Q saves its state: the reply
+// is written again and Q's restart record moves on. The checkpoint
+// then publishes and trims, and the process crashes — with that save
+// unforced, so a restart reads the old records, or forced, so it finds
+// the new ones too. Either way the restart recovers Q, eager and lazy,
+// and answers the quiet caller's retry byte for byte from a reply
+// record the trim kept.
+func TestCrashRowStateSaveDuringCheckpointForce(t *testing.T) {
+	for _, forced := range []bool{false, true} {
+		t.Run(fmt.Sprintf("forced=%v", forced), func(t *testing.T) {
+			dir := t.TempDir()
+			hold := &holdSync{entered: make(chan struct{}, 1), release: make(chan struct{})}
+			u, err := NewUniverse(UniverseConfig{Dir: dir, DiskModel: func(string, string) disk.Model { return hold }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer u.Shutdown()
+			cfg := testConfig()
+			_, p := startProc(t, u, "evo1", "srv", cfg)
+			p.SetLogSegmentBytes(512)
+			hq, err := p.Create("Q", &Counter{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := bytes.Clone(p.serveCall(quietCall(t, hq), &msg.Reply{}))
+			if err := hq.SaveState(); err != nil { // the reply's first copy
+				t.Fatal(err)
+			}
+			if err := p.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			q := u.ExternalRef(hq.URI())
+			for i := 0; i < 20; i++ { // past the mark, over a few segments
+				callInt(t, q, "Add", 1)
+			}
+
+			hold.armed.Store(true)
+			begin := p.log.End()
+			ckpt := make(chan error, 1)
+			go func() { ckpt <- p.Checkpoint() }()
+			select {
+			case <-hold.entered:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the checkpoint never forced")
+			}
+			if err := hq.SaveState(); err != nil {
+				t.Fatal(err)
+			}
+			close(hold.release)
+			if err := <-ckpt; err != nil {
+				t.Fatal(err)
+			}
+			if r, lsn := hq.RestartLSN(), p.lastCalls.get(quietCall(t, hq).ID.Caller).replyLSN; r <= begin || lsn <= begin {
+				t.Fatalf("Q restarts at %v and keeps its reply at %v: the save did not run during the checkpoint at %v", r, lsn, begin)
+			}
+			if p.log.Mark() != begin {
+				t.Fatalf("mark %v, want the held checkpoint's %v", p.log.Mark(), begin)
+			}
+			if forced {
+				if _, err := p.log.SyncAll(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.Crash()
+
+			for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
+				t.Run(mode.String(), func(t *testing.T) {
+					dst := t.TempDir()
+					copyDir(t, dir, dst)
+					u, err := NewUniverse(UniverseConfig{Dir: dst})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer u.Shutdown()
+					rcfg := cfg
+					rcfg.Recovery = Recovery{Mode: mode}
+					_, p := startProc(t, u, "evo1", "srv", rcfg)
+					if err := p.DrainRecovery(); err != nil {
+						t.Fatal(err)
+					}
+					h, ok := p.Lookup("Q")
+					if !ok {
+						t.Fatal("Q missing after recovery")
+					}
+					if n := h.Object().(*Counter).N; n != 25 {
+						t.Errorf("Q recovered as %d, want 25", n)
+					}
+					var r msg.Reply
+					if again := p.serveCall(quietCall(t, h), &r); !bytes.Equal(again, first) {
+						t.Errorf("the retried call was answered with %x (%+v), first with %x", again, r, first)
+					}
+				})
 			}
 		})
 	}

@@ -338,18 +338,17 @@ func (p *Process) Create(name string, obj any, opts ...CreateOption) (*Handle, e
 	// contexts and components", Section 4.1). Stateless components get
 	// one too — no messages are ever logged at them, but recovery
 	// still reconstructs the component itself.
-	rec, err := cx.creationRecord()
+	comps, err := cx.captureComponents()
 	if err != nil {
 		return nil, err
 	}
-	lsn, err := p.appendRec(rec, nil)
+	lsn, err := p.appendRec(&creationRec{ctx: parent.id, URI: cx.uri, Comps: comps}, nil)
 	if err != nil {
 		return nil, err
 	}
 	if err := p.forceTo(nil, lsn); err != nil {
 		return nil, err
 	}
-	cx.creationLSN = lsn
 	cx.restartLSN = lsn
 	cx.lastLSN = lsn
 
@@ -443,22 +442,25 @@ func (p *Process) forceTo(site *obs.Counter, lsn ids.LSN) error {
 	return nil
 }
 
-// reclaimPoint returns the trim floor once a checkpoint is published:
-// the mark the log's root names — recovery scans from it — lowered to
-// anything recovery could still need now (every live context's restart
-// LSN, every last-call entry's reply-content LSN: duplicate replies are
-// served from the log).
-func (p *Process) reclaimPoint() ids.LSN {
-	keep := p.log.Mark()
-	p.mu.Lock()
-	for _, cx := range p.contexts {
-		if r := cx.restartLSN; !r.IsNil() && r < keep {
-			keep = r
+// reclaimPoint returns the trim floor once the checkpoint that begins
+// at begin is published: begin — a restart scans from it — lowered to
+// the restart LSNs and reply LSNs its context and last-call tables
+// name. Those tables, not the live ones, are what a restart from its
+// root reads: a state save may since have moved an LSN on, in records
+// that a crash can still take with it. A live LSN below begin was
+// already live when the tables were taken, so the tables name it.
+func reclaimPoint(begin ids.LSN, ctxs []ckptCtxEntry, calls []lastCallSaved) ids.LSN {
+	keep := begin
+	lower := func(lsn ids.LSN) {
+		if !lsn.IsNil() && lsn < keep {
+			keep = lsn
 		}
 	}
-	p.mu.Unlock()
-	if r := p.lastCalls.minReplyLSN(); !r.IsNil() && r < keep {
-		keep = r
+	for _, e := range ctxs {
+		lower(e.RestartLSN)
+	}
+	for _, e := range calls {
+		lower(e.ReplyLSN)
 	}
 	return keep
 }

@@ -149,10 +149,10 @@ func (p *Process) restore() (*restorePlan, error) {
 		stats.RecordsScanned++
 		switch rec.Type {
 		case recCreation, recCtxState:
-			// The newest restart record wins (process checkpoints re-emit
-			// creation records for stateless contexts so log trimming can
-			// advance past the original). Only its owner is read here: the
-			// winners are decoded once, below.
+			// The newest restart record wins (a checkpoint saves the state
+			// of every idle context, so the trim can pass the older one).
+			// Only its owner is read here: the winners are decoded once,
+			// below.
 			ctx, err := recCtx(rec.Payload)
 			if err != nil {
 				return err

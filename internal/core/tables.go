@@ -66,7 +66,11 @@ func (t *lastCallTable) put(caller ids.ComponentAddr, seq uint64, reply msg.Repl
 
 // seed installs an entry rebuilt during recovery (LSN only) unless a
 // newer one is already present — in place: Pass 1 brings a caller's
-// sequence numbers through here one after another.
+// sequence numbers through here one after another. Of two reply
+// records of one call the newest wins: a state save writes a reply
+// below the mark again, and the table of a checkpoint taken before it
+// may name the old copy, which a checkpoint taken after it, published
+// first, can trim.
 func (t *lastCallTable) seed(e lastCallSaved) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -76,7 +80,7 @@ func (t *lastCallTable) seed(e lastCallSaved) {
 		t.entries[e.Caller] = &lastCallEntry{caller: e.Caller, seq: e.Seq, replyLSN: e.ReplyLSN, ctx: e.Ctx}
 	case cur.seq < e.Seq:
 		*cur = lastCallEntry{caller: e.Caller, seq: e.Seq, replyLSN: e.ReplyLSN, ctx: e.Ctx}
-	case cur.seq == e.Seq && cur.replyLSN.IsNil():
+	case cur.seq == e.Seq && e.ReplyLSN > cur.replyLSN:
 		cur.replyLSN = e.ReplyLSN
 	}
 }
@@ -102,21 +106,6 @@ func (t *lastCallTable) forContext(ctx ids.CompID) []*lastCallEntry {
 		}
 	}
 	return out
-}
-
-// minReplyLSN returns the smallest log position still referenced by a
-// last-call entry's reply record (nil if none) — a bound on how much
-// log head may be reclaimed.
-func (t *lastCallTable) minReplyLSN() ids.LSN {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	min := ids.NilLSN
-	for _, e := range t.entries {
-		if !e.replyLSN.IsNil() && (min.IsNil() || e.replyLSN < min) {
-			min = e.replyLSN
-		}
-	}
-	return min
 }
 
 // snapshot copies every entry (LSN view) for a process checkpoint.

@@ -77,6 +77,7 @@ func OpenSet(dir string, model disk.Model, n int) (*Log, error) {
 		root:         r,
 		m:            obs.WALView(obs.Default()),
 	}
+	l.mark.Store(uint64(r.mark))
 	l.syncDone = sync.NewCond(&l.mu)
 	if err := l.load(r.stable, n == 1); err != nil {
 		if l.f != nil {
@@ -126,23 +127,19 @@ func saveRoot(dir string, r root) error {
 func (l *Log) Publish(begin ids.LSN) error {
 	l.pubMu.Lock()
 	defer l.pubMu.Unlock()
-	if begin <= l.mark {
+	if begin <= l.Mark() {
 		return nil
 	}
 	if err := saveRoot(l.dir, root{mark: begin, stable: l.SyncedLSN()}); err != nil {
 		return fmt.Errorf("wal: publish checkpoint %v: %w", begin, err)
 	}
-	l.mark = begin
+	l.mark.Store(uint64(begin))
 	return nil
 }
 
 // Mark returns the begin-checkpoint LSN last published, else the one
 // the log held when it was opened; NilLSN when there is none.
-func (l *Log) Mark() ids.LSN {
-	l.pubMu.Lock()
-	defer l.pubMu.Unlock()
-	return l.mark
-}
+func (l *Log) Mark() ids.LSN { return ids.LSN(l.mark.Load()) }
 
 // Stable returns the watermark the root held when the log was opened:
 // where its tail check started (nil: none).

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ids"
 )
@@ -549,4 +550,39 @@ func TestOpenSetStableWatermark(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMarkDoesNotWaitOnPublication: Mark reads the published mark
+// without the publication lock, so a state save reading it never waits
+// behind another goroutine's root write and its fsyncs; the mark moves
+// only once the root is written.
+func TestMarkDoesNotWaitOnPublication(t *testing.T) {
+	s, err := OpenSet(filepath.Join(t.TempDir(), "p.log"), nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mark := appendKeyed(t, s, 0, []byte("begin"))
+	if err := s.Publish(mark); err != nil {
+		t.Fatal(err)
+	}
+	next := appendKeyed(t, s, 0, []byte("begin"))
+	s.pubMu.Lock() // a publication in its root write
+	got := make(chan ids.LSN, 1)
+	go func() { got <- s.Mark() }()
+	select {
+	case m := <-got:
+		if m != mark {
+			t.Errorf("Mark during a publication = %v, want the published %v", m, mark)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Mark waited on the publication lock")
+	}
+	s.pubMu.Unlock()
+	if err := s.Publish(next); err != nil {
+		t.Fatal(err)
+	}
+	if m := s.Mark(); m != next {
+		t.Errorf("Mark after the publication = %v, want %v", m, next)
+	}
 }

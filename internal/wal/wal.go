@@ -179,9 +179,12 @@ type Log struct {
 	m        *obs.WALMetrics
 
 	// root is the hints as OpenSet read them: stable and lost stay as
-	// they were then; mark is replaced by each publication. pubMu makes
-	// a publication one critical section: the file and the mark.
+	// they were then. mark starts at its mark and is replaced by each
+	// publication once its file is written; pubMu serializes the
+	// publications, and Mark reads mark without it, so a reader never
+	// waits on a publication's file I/O.
 	root
+	mark  atomic.Uint64 // ids.LSN
 	pubMu sync.Mutex
 }
 

@@ -56,9 +56,10 @@ func (p *SoakPricing) Price(id, qty int) (int, error) {
 	return res[0].(int), nil
 }
 
-// SoakLedger books priced orders (stage 3, persistent).
+// SoakLedger books priced orders (stage 3, persistent) and counts the
+// audits it answers.
 type SoakLedger struct {
-	Count, LastID, Revenue int
+	Count, LastID, Revenue, Audits int
 }
 
 func (l *SoakLedger) Record(id, cents int) (int, error) {
@@ -69,6 +70,21 @@ func (l *SoakLedger) Record(id, cents int) (int, error) {
 }
 
 func (l *SoakLedger) Books() (int, int, int, error) { return l.Count, l.LastID, l.Revenue, nil }
+
+func (l *SoakLedger) Audit() (int, error) { l.Audits++; return l.Audits, nil }
+
+// SoakAuditor is a persistent caller of the ledger that goes quiet.
+type SoakAuditor struct {
+	Ledger *phoenix.Ref
+}
+
+func (a *SoakAuditor) Run() (int, error) {
+	res, err := a.Ledger.Call("Audit")
+	if err != nil {
+		return 0, err
+	}
+	return res[0].(int), nil
+}
 
 const (
 	soakCalls    = 200_000 // component executions, every process's
@@ -97,10 +113,14 @@ type soakSample struct {
 // level configs save no state and take no checkpoint, so every
 // soakCycle rounds the soak saves each of their stateful components and
 // checkpoints each of their processes itself; the pipeline's processes
-// do both by Config. Published checkpoints are the only trimming, so
-// with it gone the log samples grow with the run; with it, each sample
-// at the end is within soakSlack of its value at 30 %. A crash of every
-// process and a restart then recover the model state.
+// do both by Config. The pricing process also hosts a persistent
+// context no call reaches, and an auditor in a process of its own calls
+// the ledger once a round for the first tenth of the run, then never
+// again: neither may hold its log's trim floor. Published checkpoints
+// are the only trimming, so with it gone the log samples grow with the
+// run; with it, each sample at the end is within soakSlack of its value
+// at 30 %. A crash of every process and a restart then recover the
+// model state, and the auditor's next call is a new one to the ledger.
 //
 //	make soak
 func TestSoakLogStaysBounded(t *testing.T) {
@@ -140,7 +160,7 @@ func TestSoakLogStaysBounded(t *testing.T) {
 		CheckpointEvery:  soakCycle * ordersPerRound,
 	}
 	pipe := map[string]*phoenix.Process{}
-	for _, stage := range []string{"intake", "pricing", "ledger"} {
+	for _, stage := range []string{"intake", "pricing", "ledger", "audit"} {
 		m, err := u.AddMachine(stage)
 		if err != nil {
 			t.Fatal(err)
@@ -156,9 +176,11 @@ func TestSoakLogStaysBounded(t *testing.T) {
 	})
 	hIntake := soakCreate(t, pipe["intake"], "Intake", &SoakIntake{Next: phoenix.NewRef(hPricing.URI())})
 	submit := u.ExternalRef(hIntake.URI())
+	hIdle := soakCreate(t, pipe["pricing"], "Idle", &SoakLedger{})
+	auditor := u.ExternalRef(soakCreate(t, pipe["audit"], "Auditor", &SoakAuditor{Ledger: phoenix.NewRef(hLedger.URI())}).URI())
 
 	procs := append([]*phoenix.Process{}, serverProcs...)
-	for _, stage := range []string{"intake", "pricing", "ledger"} {
+	for _, stage := range []string{"intake", "pricing", "ledger", "audit"} {
 		procs = append(procs, pipe[stage])
 	}
 	for _, p := range procs {
@@ -172,7 +194,7 @@ func TestSoakLogStaysBounded(t *testing.T) {
 	// of cycles (ten of them at least) all find the logs at the same
 	// point of their cycles.
 	execs := func() int64 { return reg.Snapshot().Counter(obs.ServeExecs) }
-	orders, revenue := 0, 0
+	orders, revenue, audits := 0, 0, 0
 	var rounds int
 	var samples [11]soakSample
 	round := func(r int) {
@@ -189,6 +211,12 @@ func TestSoakLogStaysBounded(t *testing.T) {
 			}
 			orders++
 			revenue += soakCents * qty
+		}
+		if rounds == 0 || r < rounds/10 {
+			if _, err := auditor.Call("Run"); err != nil {
+				t.Fatalf("round %d, audit: %v", r, err)
+			}
+			audits++
 		}
 		if r%soakCycle != soakCycle-1 {
 			return
@@ -269,7 +297,7 @@ func TestSoakLogStaysBounded(t *testing.T) {
 			restart(machines[i], p.Name(), d.Level.Config())
 		}
 	}
-	for _, stage := range []string{"intake", "pricing", "ledger"} {
+	for _, stage := range []string{"intake", "pricing", "ledger", "audit"} {
 		restart(stage, stage+"d", pcfg)
 	}
 	for i, d := range stores {
@@ -289,6 +317,12 @@ func TestSoakLogStaysBounded(t *testing.T) {
 	}
 	if count, last, rev := res[0].(int), res[1].(int), res[2].(int); count != orders || last != orders || rev != revenue {
 		t.Errorf("ledger after the restart: %d orders, last #%d, %d cents; want %d, #%d, %d", count, last, rev, orders, orders, revenue)
+	}
+	if res, err := auditor.Call("Run"); err != nil || res[0] != any(audits+1) {
+		t.Errorf("an audit after the restart = %v, %v; want %d", res, err, audits+1)
+	}
+	if res, err := u.ExternalRef(hIdle.URI()).Call("Books"); err != nil || res[0] != any(0) {
+		t.Errorf("the idle context after the restart: %v, %v", res, err)
 	}
 	for _, b := range buyers {
 		if r, err := b.RunSession(); err != nil || r.Removed != 3 {
