@@ -88,7 +88,9 @@ stress:
 # context, a pending context's last calls through a trim, what one touch
 # reads, crash mid-drain, RecoverContext), the wal cursor and positioned-read tests (the reader's
 # edge-case table with its Hold rows; cursors racing an appender and
-# TrimHead; a trim resumed after a failed remove), the tail check that scans, appends and End race to run on
+# TrimHead; a trim resumed after a failed remove), the fail-stop table
+# (each device operation the log and its root issue, failed once, then
+# the open that follows), the tail check that scans, appends and End race to run on
 # a reopened log (and a torn segment fuzzed), the dump that reads a log
 # once, the log's root — round trips and damage, a stable watermark with
 # the tail check each side of it, the atomic file writer under it, and
@@ -101,12 +103,13 @@ stress:
 # executed; a read-only reply taken from the caller's log; a
 # subordinate restored with its parent from a state record, mid-call;
 # a call that took a checkpoint whose publication failed; a checkpoint
-# that saved idle contexts' states before its publication failed), the
-# trim floor that no idle context or quiet caller holds, the log
+# that saved idle contexts' states before its publication failed; a
+# context created while a checkpoint ran), the trim floor that no idle
+# context or quiet caller holds, the log
 # holding zero and nonzero trace fields
 # — and the bookstore seller through the facade.
 recovery-stress:
-	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|TestChain|RecordsScanned|LogReads|TestRestart|Lazy|ScanFrom|ReadAt|Reader|TailCheck|FuzzOpenTornSegment|DumpLogReads|OpenSet|TrimHeadEdgeCases|TestRoot|SetDiscard|AtomicWriteFile|EitherRoot|RecreatedLogDir|CheckpointPublication|CheckpointPublishesItself|PowerCutAfterRoll|TestCrashRow|TrimFloor|TestTracedUntracedRecovery' ./internal/core/ ./internal/wal/ ./internal/disk/
+	go test -race -count=2 -run 'TestRecoveryEquivalence|TestRecoveryCallee|TestChain|RecordsScanned|LogReads|TestRestart|Lazy|ScanFrom|ReadAt|Reader|TailCheck|FuzzOpenTornSegment|DumpLogReads|OpenSet|TrimHeadEdgeCases|DeviceFailStop|TestRoot|SetDiscard|AtomicWriteFile|EitherRoot|RecreatedLogDir|CheckpointPublication|CheckpointPublishesItself|PowerCutAfterRoll|TestCrashRow|TrimFloor|TestTracedUntracedRecovery' ./internal/core/ ./internal/wal/ ./internal/disk/
 	go test -race -count=2 -run 'SellerRecoveryEquivalence' ./internal/bookstore/
 
 # The log stays bounded with no call to make: two bookstores (at the
@@ -198,7 +201,7 @@ profile-restart:
 # The total may not pass LOC_MAX. A change that needs more lines raises
 # the number in its own diff, where review sees it; a change that
 # deletes lines lowers it there too. CHANGES.md keeps the ledger.
-LOC_MAX = 21505
+LOC_MAX = 21575
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.git/*' | xargs wc -l | \
 		awk -v max=$(LOC_MAX) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

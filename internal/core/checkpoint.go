@@ -58,11 +58,8 @@ func (cx *Context) saveStateLocked() error {
 	}
 	// "After that, it updates the state record LSN in the context table
 	// entry, which is saved as process states and used to retrieve the
-	// context state record during recovery." The LSN is guarded by
-	// p.mu because process checkpoints snapshot it concurrently.
-	p.mu.Lock()
-	cx.restartLSN = lsn
-	p.mu.Unlock()
+	// context state record during recovery."
+	cx.restartLSN.Store(uint64(lsn))
 	cx.lastLSN = lsn
 	cx.callsSinceSave = 0
 	p.obs.StateSaves.Inc()
@@ -137,7 +134,7 @@ func (p *Process) runCheckpoint() error {
 	for id, cx := range p.contexts {
 		// Read after the begin record: no older than the newest chain
 		// record recovery's scan will not pass.
-		entries = append(entries, ckptCtxEntry{Ctx: id, RestartLSN: cx.restartLSN, ChainHead: ids.LSN(cx.chainHead.Load())})
+		entries = append(entries, ckptCtxEntry{Ctx: id, RestartLSN: cx.restart(), ChainHead: ids.LSN(cx.chainHead.Load())})
 	}
 	p.mu.Unlock()
 	if _, err := p.appendRec(&ckptCtxTableRec{Entries: entries}, nil); err != nil {

@@ -65,7 +65,9 @@ type Context struct {
 	// restartLSN is the latest context state record (or the creation
 	// record if none) — the context's replay starting point and its
 	// context-table entry's "LSN of the latest context state record".
-	restartLSN ids.LSN
+	// Atomic, because checkpoints read it: the log stores a creation
+	// record's as it appends it (Create), a state save its record's after.
+	restartLSN atomic.Uint64 // ids.LSN
 
 	// chainHead is the LSN of the newest replay-relevant record this
 	// context appended — an incoming call or the reply to an outgoing
@@ -78,7 +80,7 @@ type Context struct {
 	// kind). The context's commit points force the log only up to it
 	// (wal.Log.SyncTo): a context never waits on other contexts' dirty
 	// records. Owned by the goroutine holding cx.mu, like the rest of
-	// the execution state (Create sets it before publication).
+	// the execution state (Create holds cx.mu while it sets it).
 	lastLSN ids.LSN
 
 	// Scratch for the records written once per message: built here,
@@ -115,13 +117,8 @@ func (cx *Context) await() {
 	<-cx.ready
 }
 
-// restart returns the context's restart LSN; state saves and
-// checkpoints move it under p.mu.
-func (cx *Context) restart() ids.LSN {
-	cx.p.mu.Lock()
-	defer cx.p.mu.Unlock()
-	return cx.restartLSN
-}
+// restart returns the context's restart LSN.
+func (cx *Context) restart() ids.LSN { return ids.LSN(cx.restartLSN.Load()) }
 
 // addr is the context's component address: the first three parts of
 // every method-call ID it generates. Outgoing calls from subordinates

@@ -668,3 +668,77 @@ func TestCrashRowStateSaveDuringCheckpointForce(t *testing.T) {
 		})
 	}
 }
+
+// TestCrashRowCreateDuringCheckpoint: a checkpoint runs while Create's
+// force is held, so its begin record follows the creation record. The
+// checkpoint publishes, the process crashes, and a restart from its
+// root — whose scan passes no creation record — finds the context
+// through the checkpoint's context table, eager and lazy.
+func TestCrashRowCreateDuringCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	hold := &holdSync{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	u, err := NewUniverse(UniverseConfig{Dir: dir, DiskModel: func(string, string) disk.Model { return hold }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Shutdown()
+	cfg := testConfig()
+	_, p := startProc(t, u, "evo1", "srv", cfg)
+
+	hold.armed.Store(true)
+	created := make(chan error, 1)
+	go func() {
+		_, err := p.Create("New", &Counter{N: 7})
+		created <- err
+	}()
+	select {
+	case <-hold.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Create never forced")
+	}
+	begin := p.log.End()
+	ckpts := p.obs.Checkpoints.Load()
+	ckpt := make(chan error, 1)
+	go func() { ckpt <- p.Checkpoint() }()
+	for deadline := time.Now().Add(5 * time.Second); p.obs.Checkpoints.Load() == ckpts; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the checkpoint never logged its end record")
+		}
+	}
+	close(hold.release)
+	if err := <-created; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-ckpt; err != nil {
+		t.Fatal(err)
+	}
+	if p.log.Mark() != begin {
+		t.Fatalf("mark %v, want the checkpoint that began at %v, behind the creation record", p.log.Mark(), begin)
+	}
+	p.Crash()
+
+	for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
+		t.Run(mode.String(), func(t *testing.T) {
+			dst := t.TempDir()
+			copyDir(t, dir, dst)
+			u, err := NewUniverse(UniverseConfig{Dir: dst})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer u.Shutdown()
+			rcfg := cfg
+			rcfg.Recovery = Recovery{Mode: mode}
+			_, p := startProc(t, u, "evo1", "srv", rcfg)
+			if err := p.DrainRecovery(); err != nil {
+				t.Fatal(err)
+			}
+			h, ok := p.Lookup("New")
+			if !ok {
+				t.Fatal("the context created during the checkpoint is missing after recovery")
+			}
+			if got := callInt(t, u.ExternalRef(h.URI()), "Get"); got != 7 {
+				t.Errorf("New recovered as %d, want 7", got)
+			}
+		})
+	}
+}

@@ -337,29 +337,32 @@ func (p *Process) Create(name string, obj any, opts ...CreateOption) (*Handle, e
 	// re-instantiate the components ("recovers the process tables,
 	// contexts and components", Section 4.1). Stateless components get
 	// one too — no messages are ever logged at them, but recovery
-	// still reconstructs the component itself.
+	// still reconstructs the component itself. The context is registered
+	// first and held until the record is forced, and the log stores the
+	// restart LSN as it appends: a checkpoint whose begin record follows
+	// names the context, and a losing Create of the name logs nothing.
 	comps, err := cx.captureComponents()
 	if err != nil {
 		return nil, err
 	}
-	lsn, err := p.appendRec(&creationRec{ctx: parent.id, URI: cx.uri, Comps: comps}, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.forceTo(nil, lsn); err != nil {
-		return nil, err
-	}
-	cx.restartLSN = lsn
-	cx.lastLSN = lsn
-
+	cx.mu.Lock()
 	p.mu.Lock()
 	if _, ok := p.byName[name]; ok {
 		p.mu.Unlock()
+		cx.mu.Unlock()
 		return nil, fmt.Errorf("core: component %q already exists in process %s", name, p.name)
 	}
 	p.contexts[parent.id] = cx
 	p.byName[name] = cx
 	p.mu.Unlock()
+	cx.lastLSN, err = p.appendRec(&creationRec{ctx: parent.id, URI: cx.uri, Comps: comps}, &cx.restartLSN)
+	if err == nil {
+		err = p.forceTo(nil, cx.lastLSN)
+	}
+	cx.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 
 	if aware, ok := parent.obj.(ContextAware); ok {
 		aware.AttachContext(&Ctx{cx: cx})
@@ -472,7 +475,9 @@ func reclaimPoint(begin ids.LSN, ctxs []ckptCtxEntry, calls []lastCallSaved) ids
 // encodes itself straight into the log's scratch buffer, so the
 // per-call append allocates nothing. head is the owning context's
 // chainHead for an incoming call or the reply to an outgoing one, which
-// the log links into the context's chain, else nil. A traced record
+// the log links into the context's chain; for a creation record, the
+// context's restart LSN, still nil, so the record links to nothing; else
+// nil. A traced record
 // also drops a StageWALAppend span.
 func (p *Process) appendRec(rec record, head *atomic.Uint64) (ids.LSN, error) {
 	t, key, tref := rec.head()

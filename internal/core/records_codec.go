@@ -81,8 +81,8 @@ func readCallBody(f *msg.Fields, c *msg.Call) error {
 // appendReplyBody lays out what follows a reply record's key (a call
 // ID, or an outgoing-reply's sequence number): results, num results
 // and app error, what a duplicate call is answered with or a
-// suppressed call returns in replay. A Fault is never logged, and the
-// attachment is learned from live replies only (DESIGN §10).
+// suppressed call returns in replay. A Fault is never logged, nor the
+// attachment: an answer computes it from its call (attach, DESIGN §10).
 func appendReplyBody(dst []byte, r *msg.Reply) []byte {
 	dst = msg.AppendUvarint(msg.AppendBytes(dst, r.Results), uint64(r.NumResults))
 	return msg.AppendString(dst, r.AppErr)

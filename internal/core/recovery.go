@@ -344,8 +344,9 @@ func roSet(methods []string) map[string]bool {
 // with no component built and its ready latch shut. Whatever it logs
 // next links behind head. bringBack builds it.
 func (p *Process) newShell(parent component, uri ids.URI, restart, head ids.LSN) *Context {
-	cx := &Context{p: p, parent: &parent, uri: uri, restartLSN: restart, ready: make(chan struct{})}
+	cx := &Context{p: p, parent: &parent, uri: uri, ready: make(chan struct{})}
 	parent.ctx = cx
+	cx.restartLSN.Store(uint64(restart))
 	cx.chainHead.Store(uint64(head))
 	p.mu.Lock()
 	p.contexts[parent.id] = cx

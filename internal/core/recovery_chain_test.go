@@ -21,7 +21,7 @@ import (
 // chainOf walks cx's chain as bringBack does: from the head Pass 1 gave
 // the shell down to its restart LSN.
 func chainOf(rd *wal.Reader, cx *Context) ([]chainRec, error) {
-	return walkChain(rd, cx.parent.id, ids.LSN(cx.chainHead.Load()), cx.restartLSN)
+	return walkChain(rd, cx.parent.id, ids.LSN(cx.chainHead.Load()), cx.restart())
 }
 
 // lsnsOf lists the LSNs of a walked chain's records, in chain order.
@@ -60,7 +60,7 @@ func chainsAndReference(t *testing.T, img equivImage) (plan *restorePlan, got, w
 		if err != nil {
 			t.Fatal(err)
 		}
-		got[cx.parent.id], restart[cx.parent.id] = lsnsOf(chain), cx.restartLSN
+		got[cx.parent.id], restart[cx.parent.id] = lsnsOf(chain), cx.restart()
 	}
 	want = make(map[ids.CompID][]ids.LSN)
 	err := p.log.Scan(ids.NilLSN, func(rec wal.Record) error {
@@ -119,7 +119,7 @@ func assertChains(t *testing.T, img equivImage) (entries int) {
 	plan, got, want := chainsAndReference(t, img)
 	for _, cx := range plan.restored {
 		if ctx := cx.parent.id; !slices.Equal(got[ctx], want[ctx]) {
-			t.Errorf("context %d (restart %v): chain %v, brute-force reference %v", ctx, cx.restartLSN, got[ctx], want[ctx])
+			t.Errorf("context %d (restart %v): chain %v, brute-force reference %v", ctx, cx.restart(), got[ctx], want[ctx])
 		}
 		entries += len(got[cx.parent.id])
 	}
@@ -234,7 +234,7 @@ func TestChainWalkFailsStop(t *testing.T) {
 	img, _ := counterImage(t, 2, 6, 0, 0)
 	p, _ := passOne(t, img)
 	c1, c0 := shellNamed(t, p, "C1"), shellNamed(t, p, "C0")
-	ctx, restart := c1.parent.id, c1.restartLSN
+	ctx, restart := c1.parent.id, c1.restart()
 	rd := p.log.NewReader()
 	chain, err := chainOf(rd, c1)
 	if err != nil || len(chain) != 6 {

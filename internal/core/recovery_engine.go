@@ -93,7 +93,7 @@ func (p *Process) startEngine(plan *restorePlan, admitStart time.Time) *replayEn
 		default:
 		}
 		e.pending[cx.parent.id] = cx
-		if head, restart := ids.LSN(cx.chainHead.Load()), cx.restartLSN; head >= restart {
+		if head, restart := ids.LSN(cx.chainHead.Load()), cx.restart(); head >= restart {
 			e.backlogLo, e.backlogHi = min(e.backlogLo, restart), max(e.backlogHi, head)
 		}
 	}

@@ -779,7 +779,7 @@ func TestLogReadsBoundedByBlocks(t *testing.T) {
 			if _, err := chainOf(rd, cx); err != nil {
 				t.Fatal(err)
 			}
-			span := int64(ids.LSN(cx.chainHead.Load()) - cx.restartLSN)
+			span := int64(ids.LSN(cx.chainHead.Load()) - cx.restart())
 			if bound := span/block + 1 + 1; rd.Reads() > bound { // ⌈chain bytes / block⌉, and the log's one segment
 				t.Errorf("%d contexts: context %d's chain spans %d bytes: walked with %d device reads, want at most %d",
 					n, cx.parent.id, span, rd.Reads(), bound)

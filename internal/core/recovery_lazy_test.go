@@ -545,7 +545,7 @@ func TestLazyTouchReadsItsSpanOnce(t *testing.T) {
 	eager := recoverImage(t, img, RecoveryEager)
 	p, _ := passOne(t, img)
 	touched := shellNamed(t, p, "C63")
-	span := int64(ids.LSN(touched.chainHead.Load()) - touched.restartLSN)
+	span := int64(ids.LSN(touched.chainHead.Load()) - touched.restart())
 	img.touch = []string{"C63"}
 	lazy := recoverImage(t, img, RecoveryLazy)
 	if bound := eager.stats.LogReads + (span+block-1)/block + 1; lazy.stats.LogReads > bound {

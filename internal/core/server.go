@@ -186,6 +186,7 @@ func (p *Process) serveCall(call *msg.Call, reply *msg.Reply) []byte {
 					return fault(reply, call.ID, "duplicate call %v but reply is unrecoverable", call.ID)
 				}
 				*reply = e.reply
+				attach(reply, call, cx.parent.ctype, roMethodAttr)
 				data, _ := msg.EncodeReplyView(reply)
 				return data
 			}
@@ -268,14 +269,7 @@ func (p *Process) serveCall(call *msg.Call, reply *msg.Reply) []byte {
 		}
 	}
 
-	// Reply attachment (Section 3.4), omitted when the client already
-	// knows us (Section 5.2.3) or cannot use it (external caller); kept
-	// with the reply, so a duplicate is answered with the same bytes.
-	if !external && !call.KnowsServer {
-		rep.HasAttachment = true
-		rep.ServerType = cx.parent.ctype
-		rep.MethodReadOnly = roMethodAttr
-	}
+	attach(&rep, call, cx.parent.ctype, roMethodAttr)
 	// The envelope is made once, here; rep reads its results in it now.
 	data, kept := msg.EncodeReplyView(&rep)
 	rep.Results = kept
@@ -309,6 +303,18 @@ func (p *Process) serveCall(call *msg.Call, reply *msg.Reply) []byte {
 	p.traceSpan(call, trace.StageReply, replyStart)
 	*reply = rep
 	return data
+}
+
+// attach sets a reply's attachment (Section 3.4) — the server's type t,
+// the method's read-only attribute ro — from the call alone, omitting
+// it when the client knows the server (Section 5.2.3) or cannot use it
+// (an external caller): a duplicate's answer is the first's bytes,
+// though a reply record keeps no attachment.
+func attach(rep *msg.Reply, call *msg.Call, t msg.ComponentType, ro bool) {
+	rep.HasAttachment, rep.ServerType, rep.MethodReadOnly = false, 0, false
+	if !call.ID.IsZero() && !call.KnowsServer {
+		rep.HasAttachment, rep.ServerType, rep.MethodReadOnly = true, t, ro
+	}
 }
 
 // replyFromEntry makes sure a last-call entry holds its reply, reading

@@ -105,7 +105,9 @@ func quietCall(t *testing.T, h *Handle) *msg.Call {
 // idle persistent context, an idle stateless one, an idle External one
 // (which a restart then brings back as of the latest checkpoint, not at
 // its creation state), or a persistent caller whose one call the
-// Counter answered before the caller went quiet. None of them may hold the trim floor: a checkpoint saves the
+// Counter answered before the caller went quiet — one that knows the
+// server's type, and one that does not, whose answers carry the reply
+// attachment. None of them may hold the trim floor: a checkpoint saves the
 // state of every idle context above the mark it replaces, and a state
 // save writes a reply logged below the mark again. A restart then
 // recovers every context, and the quiet caller's retry of its call is
@@ -113,7 +115,34 @@ func quietCall(t *testing.T, h *Handle) *msg.Call {
 // is trimmed.
 func TestTrimFloorNotPinned(t *testing.T) {
 	const calls = 200
-	quiet := func(h *Handle) *msg.Call { return quietCall(t, h) }
+	// quietRow is the quiet caller's row; knows is its call's KnowsServer.
+	quietRow := func(knows bool) func(t *testing.T, _ *Universe, p *Process, h *Handle) (func(*Process), int) {
+		quiet := func(h *Handle) *msg.Call {
+			c := quietCall(t, h)
+			c.KnowsServer = knows
+			return c
+		}
+		return func(t *testing.T, _ *Universe, p *Process, h *Handle) (func(*Process), int) {
+			var r msg.Reply
+			first := bytes.Clone(p.serveCall(quiet(h), &r))
+			if r.Fault != "" || r.AppErr != "" || r.HasAttachment == knows {
+				t.Fatalf("the quiet caller's call failed or has the wrong attachment: %+v", r)
+			}
+			if err := h.SaveState(); err != nil {
+				t.Fatal(err)
+			}
+			logged := p.lastCalls.get(quiet(h).ID.Caller).replyLSN
+			return func(p *Process) {
+				if start := p.log.Start(); logged >= start {
+					t.Errorf("the reply first logged at %v is still in the log (from %v)", logged, start)
+				}
+				var r msg.Reply
+				if again := p.serveCall(quiet(h), &r); !bytes.Equal(again, first) {
+					t.Errorf("the retried call was answered with %x, first with %x", again, first)
+				}
+			}, 5
+		}
+	}
 	for _, row := range []struct {
 		name string
 		// beside sets the neighbour up before the Counter's calls; the
@@ -155,26 +184,8 @@ func TestTrimFloorNotPinned(t *testing.T) {
 				}
 			}, 0
 		}},
-		{"quiet persistent caller", func(t *testing.T, _ *Universe, p *Process, h *Handle) (func(*Process), int) {
-			var r msg.Reply
-			first := bytes.Clone(p.serveCall(quiet(h), &r))
-			if r.Fault != "" || r.AppErr != "" {
-				t.Fatalf("the quiet caller's call failed: %+v", r)
-			}
-			if err := h.SaveState(); err != nil {
-				t.Fatal(err)
-			}
-			logged := p.lastCalls.get(quiet(h).ID.Caller).replyLSN
-			return func(p *Process) {
-				if start := p.log.Start(); logged >= start {
-					t.Errorf("the reply first logged at %v is still in the log (from %v)", logged, start)
-				}
-				var r msg.Reply
-				if again := p.serveCall(quiet(h), &r); !bytes.Equal(again, first) {
-					t.Errorf("the retried call was answered with %x, first with %x", again, first)
-				}
-			}, 5
-		}},
+		{"quiet persistent caller", quietRow(true)},
+		{"quiet persistent caller, server unknown", quietRow(false)},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			u := newTestUniverse(t)

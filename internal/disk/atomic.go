@@ -1,23 +1,20 @@
 package disk
 
-import (
-	"os"
-	"path/filepath"
-)
+import "path/filepath"
 
-// AtomicWriteFile makes data the durable content of path — the one way
-// this repository replaces a small file (a log's root, the
+// AtomicWriteFile makes data the durable content of path on dev — the
+// one way this repository replaces a small file (a log's root, the
 // recovery service's table): write path+".tmp", fsync it, rename it over
 // path, fsync the directory so the rename itself survives a crash. A
 // crash leaves the old content or the new, and at most one inert .tmp,
 // which the next write truncates. Callers serialize writes to one path.
-func AtomicWriteFile(path string, data []byte) error {
+func AtomicWriteFile(dev Device, path string, data []byte) error {
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := dev.Create(tmp)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(data)
+	_, err = f.WriteAt(data, 0)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -25,16 +22,11 @@ func AtomicWriteFile(path string, data []byte) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = dev.Rename(tmp, path)
 	}
 	if err != nil {
-		os.Remove(tmp)
+		dev.Remove(tmp)
 		return err
 	}
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return dev.SyncDir(filepath.Dir(path))
 }

@@ -17,7 +17,7 @@ func TestAtomicWriteFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"first", "2nd"} {
-		if err := AtomicWriteFile(path, []byte(want)); err != nil {
+		if err := AtomicWriteFile(HostDevice{}, path, []byte(want)); err != nil {
 			t.Fatal(err)
 		}
 		if got, err := os.ReadFile(path); err != nil || string(got) != want {
@@ -32,7 +32,7 @@ func TestAtomicWriteFile(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(blocked, "child"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := AtomicWriteFile(blocked, []byte("x")); err == nil {
+	if err := AtomicWriteFile(HostDevice{}, blocked, []byte("x")); err == nil {
 		t.Error("renamed a file over a non-empty directory")
 	}
 	if _, err := os.Stat(blocked + ".tmp"); !os.IsNotExist(err) {

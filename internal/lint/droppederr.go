@@ -17,17 +17,20 @@ type DroppedErrConfig struct {
 
 var (
 	defaultDroppedErrPackages = []string{"repro/internal/core", "repro/internal/wal", "repro/internal/disk"}
-	// The guarded set is the durability surface: file syncs and
-	// truncations, segment removal, the wal writer life-cycle calls,
-	// checkpoint publication and the trim after it, the record codec
-	// and the lazy replay engine. (*os.File).Close is
-	// deliberately absent — conventional error-path cleanup closes are
-	// not durability events; Sync is.
+	// The guarded set is the durability surface: the log device's
+	// file syncs and truncations, segment removal, renames and
+	// directory syncs, the wal writer life-cycle calls, checkpoint
+	// publication and the trim after it, the record codec and the lazy
+	// replay engine. (disk.File).Close is deliberately absent —
+	// conventional error-path cleanup closes are not durability events;
+	// Sync is.
 	defaultDroppedErrGuarded = []string{
-		"(*os.File).Sync",
-		"(*os.File).Truncate",
-		"os.Remove",
-		"os.Rename",
+		"(repro/internal/disk.File).Sync",
+		"(repro/internal/disk.File).Truncate",
+		"(repro/internal/disk.Device).Remove",
+		"(repro/internal/disk.Device).Truncate",
+		"(repro/internal/disk.Device).Rename",
+		"(repro/internal/disk.Device).SyncDir",
 		"(*repro/internal/wal.Log).Close",
 		"(*repro/internal/wal.Log).Discard",
 		"(*repro/internal/wal.Log).Flush",

@@ -43,10 +43,11 @@ var (
 const deviceClass = "device"
 
 var devicePrimitives = map[string]bool{
-	"(*os.File).Sync":                   true,
-	"(repro/internal/disk.Model).Sync":  true,
-	"(repro/internal/disk.Clock).Sleep": true,
-	"time.Sleep":                        true,
+	"(repro/internal/disk.File).Sync":      true,
+	"(repro/internal/disk.Device).SyncDir": true,
+	"(repro/internal/disk.Model).Sync":     true,
+	"(repro/internal/disk.Clock).Sleep":    true,
+	"time.Sleep":                           true,
 }
 
 // ParseLockOrder parses a lockorder.order file: one lock class per

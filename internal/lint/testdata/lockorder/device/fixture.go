@@ -10,22 +10,23 @@
 package device
 
 import (
-	"os"
 	"sync"
 	"time"
+
+	"repro/internal/disk"
 )
 
 type ctx struct{ mu sync.Mutex }
 
 type store struct {
 	mu sync.Mutex
-	f  *os.File
+	f  disk.File
 }
 
 func (s *store) badHeld() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.f.Sync() // want `device I/O at .* while holding .*store\.mu \(rank 2, below device at rank 1\) in .*badHeld \(via call to \Q(*os.File).Sync\E\)`
+	return s.f.Sync() // want `device I/O at .* while holding .*store\.mu \(rank 2, below device at rank 1\) in .*badHeld \(via call to \Q(repro/internal/disk.File).Sync\E\)`
 }
 
 // badHeldToo syncs under the same mutex as badHeld: a second site of
@@ -83,13 +84,13 @@ func (s *store) goodReleased() error {
 // syncUnderOuter holds ctx.mu, the one class ranked above device (the
 // repository's context mutex, which serializes whole handler runs,
 // forces included).
-func syncUnderOuter(c *ctx, f *os.File) error {
+func syncUnderOuter(c *ctx, f disk.File) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return f.Sync()
 }
 
 // unguarded code may sync freely.
-func flush(f *os.File) error {
+func flush(f disk.File) error {
 	return f.Sync()
 }

@@ -107,7 +107,7 @@ func (s *Service) save() error {
 	for _, n := range names {
 		fmt.Fprintf(&b, "%s %d\n", n, s.table[n])
 	}
-	if err := disk.AtomicWriteFile(s.tablePath, []byte(b.String())); err != nil {
+	if err := disk.AtomicWriteFile(disk.HostDevice{}, s.tablePath, []byte(b.String())); err != nil {
 		return fmt.Errorf("recsvc: write table: %w", err)
 	}
 	return nil

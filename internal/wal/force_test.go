@@ -83,14 +83,14 @@ func TestCleanForceIsFreeAndNotDoubleCounted(t *testing.T) {
 }
 
 // TestFailedSyncStopsTheLog pins fail-stop on a failed fsync: the
-// active segment's descriptor is swapped for a closed one under a live
-// log, so the device sync fails; then the good descriptor comes back —
-// the kernel that answers the next fsync with success after dropping
-// the dirty pages. The log must not fall for it: the first error
-// sticks to every later force and append, the watermark stays where
-// the last good sync left it, and a crash truncates back to it.
+// device fails the active segment's next sync, once, and then answers
+// every later one with success — the kernel that does so after
+// dropping the dirty pages. The log must not fall for it: the first
+// error sticks to every later force and append, the watermark stays
+// where the last good sync left it, and a crash truncates back to it.
 func TestFailedSyncStopsTheLog(t *testing.T) {
-	l, path := openTemp(t)
+	d := &faultDev{}
+	l, path := openDev(t, d)
 	good, err := l.Append(1, []byte("stable"))
 	if err != nil {
 		t.Fatal(err)
@@ -107,23 +107,11 @@ func TestFailedSyncStopsTheLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dead, err := os.Open(segPaths(t, l)[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead.Close()
-	l.mu.Lock()
-	live := l.f
-	l.f = dead
-	l.mu.Unlock()
-
+	d.fail("File.Sync", 1)
 	_, syncErr := l.SyncTo(lost)
-	if syncErr == nil || errors.Is(syncErr, ErrClosed) {
-		t.Fatalf("SyncTo over a dead descriptor = %v, want the device error", syncErr)
+	if !errors.Is(syncErr, errFault) {
+		t.Fatalf("SyncTo over a failing sync = %v, want the device error", syncErr)
 	}
-	l.mu.Lock()
-	l.f = live
-	l.mu.Unlock()
 
 	if _, err := l.SyncTo(lost); err != syncErr {
 		t.Errorf("SyncTo after the failed sync = %v, want the first error again", err)
@@ -181,12 +169,12 @@ func TestUnsyncedSegmentsAcrossASync(t *testing.T) {
 		}()
 		return done
 	}
-	activeFile := func(l *Log) *os.File {
+	activeFile := func(l *Log) disk.File {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		return l.f
 	}
-	closed := func(t *testing.T, f *os.File, what string) {
+	closed := func(t *testing.T, f disk.File, what string) {
 		t.Helper()
 		if err := f.Sync(); !errors.Is(err, os.ErrClosed) {
 			t.Errorf("%s: the sealed file is open (sync: %v)", what, err)

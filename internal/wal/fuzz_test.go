@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/disk"
 	"repro/internal/ids"
 )
 
@@ -87,7 +88,7 @@ func FuzzOpenTornSegment(f *testing.F) {
 			if err := os.WriteFile(filepath.Join(d, filepath.Base(seg)), damaged, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := saveRoot(d, root{stable: stable}); err != nil {
+			if err := saveRoot(disk.HostDevice{}, d, root{stable: stable}); err != nil {
 				t.Fatal(err)
 			}
 			l, err := OpenSet(d, nil, 1)

@@ -2,8 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
@@ -123,13 +123,15 @@ func TestTrimHeadDeletesDeadSegments(t *testing.T) {
 
 // TestTrimHeadEdgeCases: the segments a trim removes leave the log one
 // by one, as their files go. Six 256-byte segments; each row disturbs
-// the directory, trims up to the fifth segment and checks that the log
-// names exactly the segments still on disk — Start, the segment count,
-// TrimmedBytes — and that a later trim resumes where the first stopped.
+// the directory or the device, trims up to the fifth segment and checks
+// that the log names exactly the segments still on disk — Start, the
+// segment count, TrimmedBytes — and that a later trim resumes where the
+// first stopped.
 func TestTrimHeadEdgeCases(t *testing.T) {
-	run := func(name string, fn func(t *testing.T, l *Log, paths []string, starts []ids.LSN)) {
+	run := func(name string, fn func(t *testing.T, d *faultDev, l *Log, paths []string, starts []ids.LSN)) {
 		t.Run(name, func(t *testing.T) {
-			l, _ := openTemp(t)
+			d := &faultDev{}
+			l, _ := openDev(t, d)
 			defer l.Close()
 			l.SetSegmentBytes(256)
 			fillSegments(t, l, 6)
@@ -137,7 +139,7 @@ func TestTrimHeadEdgeCases(t *testing.T) {
 			for _, s := range l.segs {
 				starts = append(starts, s.start)
 			}
-			fn(t, l, segPaths(t, l), starts)
+			fn(t, d, l, segPaths(t, l), starts)
 		})
 	}
 	// expect checks the log starts at want with n segments, and that
@@ -154,17 +156,11 @@ func TestTrimHeadEdgeCases(t *testing.T) {
 		}
 	}
 
-	run("a failed remove resumes", func(t *testing.T, l *Log, paths []string, starts []ids.LSN) {
-		// The second segment's path becomes a non-empty directory, which
-		// os.Remove refuses (even to root); the first goes before it.
-		if err := os.Remove(paths[1]); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Join(paths[1], "pin"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.TrimHead(starts[4]); err == nil {
-			t.Fatal("a trim through a segment it cannot remove succeeded")
+	run("a failed remove resumes", func(t *testing.T, d *faultDev, l *Log, paths []string, starts []ids.LSN) {
+		// The second segment's remove fails; the first goes before it.
+		d.fail("Remove", 2)
+		if err := l.TrimHead(starts[4]); !errors.Is(err, errFault) {
+			t.Fatalf("a trim through a segment it cannot remove = %v, want the fault", err)
 		}
 		if got := l.Stats().TrimmedBytes; got != int64(starts[1]-starts[0]) {
 			t.Errorf("TrimmedBytes %d after one segment went, want %d", got, starts[1]-starts[0])
@@ -172,9 +168,6 @@ func TestTrimHeadEdgeCases(t *testing.T) {
 		if l.Start() != starts[1] || l.Stats().Segments != len(starts)-1 {
 			t.Errorf("after the failed trim the log starts at %v with %d segments, want %v with %d",
 				l.Start(), l.Stats().Segments, starts[1], len(starts)-1)
-		}
-		if err := os.RemoveAll(paths[1]); err != nil { // clear the obstacle
-			t.Fatal(err)
 		}
 		if err := l.TrimHead(starts[4]); err != nil {
 			t.Fatalf("the retried trim: %v", err)
@@ -184,7 +177,7 @@ func TestTrimHeadEdgeCases(t *testing.T) {
 			t.Errorf("TrimmedBytes %d, want %d", got, starts[4]-starts[0])
 		}
 	})
-	run("a segment already gone counts as removed", func(t *testing.T, l *Log, paths []string, starts []ids.LSN) {
+	run("a segment already gone counts as removed", func(t *testing.T, _ *faultDev, l *Log, paths []string, starts []ids.LSN) {
 		if err := os.Remove(paths[2]); err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +186,7 @@ func TestTrimHeadEdgeCases(t *testing.T) {
 		}
 		expect(t, l, paths, starts, starts[4], 2)
 	})
-	run("a trim short of a segment's end keeps it", func(t *testing.T, l *Log, paths []string, starts []ids.LSN) {
+	run("a trim short of a segment's end keeps it", func(t *testing.T, _ *faultDev, l *Log, paths []string, starts []ids.LSN) {
 		if err := l.TrimHead(starts[4] - 1); err != nil {
 			t.Fatal(err)
 		}
@@ -387,17 +380,10 @@ func TestPowerCutAfterRoll(t *testing.T) {
 
 // TestRolledSegmentsHoldNoFile: a log that rolls to a thousand segments
 // and is never trimmed holds one open file, whatever segment a read
-// lands in.
+// lands in; the device counts the files it has open.
 func TestRolledSegmentsHoldNoFile(t *testing.T) {
-	fds := func() int {
-		ents, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			t.Skipf("no /proc/self/fd: %v", err)
-		}
-		return len(ents)
-	}
-	before := fds()
-	l, _ := openTemp(t)
+	d := &faultDev{}
+	l, _ := openDev(t, d)
 	defer l.Close()
 	l.SetSegmentBytes(64)
 	payload := make([]byte, 40)
@@ -416,7 +402,7 @@ func TestRolledSegmentsHoldNoFile(t *testing.T) {
 	if _, err := l.NewReader().ReadAt(lsns[0]); err != nil {
 		t.Fatal(err)
 	}
-	if after := fds(); after > before+2 {
-		t.Errorf("open descriptors %d → %d over %d segments, want a rise of at most 2", before, after, l.Stats().Segments)
+	if n := d.openFiles(); n != 1 {
+		t.Errorf("%d files open over %d segments, want the active one", n, l.Stats().Segments)
 	}
 }

@@ -1,9 +1,10 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -53,12 +54,16 @@ type root struct {
 // path that holds no log fails and nothing is created. A directory in
 // the sharded layout this log replaced — a shards.meta root (magic
 // PHXROOT1) or a shard-NNN subdirectory — fails the open: there is no
-// reader for it.
+// reader for it. Its files are the host's; openOn opens on any disk.Device.
 func OpenSet(dir string, model disk.Model, n int) (*Log, error) {
+	return openOn(disk.HostDevice{}, dir, model, n)
+}
+
+func openOn(dev disk.Device, dir string, model disk.Model, n int) (*Log, error) {
 	if n != 0 && n != 1 {
 		return nil, fmt.Errorf("wal: a process log is one stream, not %d", n)
 	}
-	r, err := loadRoot(dir)
+	r, err := loadRoot(dev, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -66,11 +71,12 @@ func OpenSet(dir string, model disk.Model, n int) (*Log, error) {
 		model = disk.HostModel{}
 	}
 	if n == 1 {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		if err := dev.MkdirAll(dir); err != nil {
 			return nil, fmt.Errorf("wal: mkdir %s: %w", dir, err)
 		}
 	}
 	l := &Log{
+		dev:          dev,
 		dir:          dir,
 		model:        model,
 		segmentBytes: DefaultSegmentBytes,
@@ -89,9 +95,9 @@ func OpenSet(dir string, model disk.Model, n int) (*Log, error) {
 }
 
 // loadRoot reads the root. A missing file is a root of no hints.
-func loadRoot(dir string) (r root, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, rootName))
-	if os.IsNotExist(err) {
+func loadRoot(dev disk.Device, dir string) (r root, err error) {
+	data, err := dev.ReadFile(filepath.Join(dir, rootName))
+	if errors.Is(err, fs.ErrNotExist) {
 		return r, nil
 	}
 	if err != nil {
@@ -111,10 +117,10 @@ func loadRoot(dir string) (r root, err error) {
 
 // saveRoot replaces the root in one atomic write (see
 // disk.AtomicWriteFile): an open finds the old root or the new one.
-func saveRoot(dir string, r root) error {
+func saveRoot(dev disk.Device, dir string, r root) error {
 	lines := fmt.Sprintf("mark %d\nstable %d\n", uint64(r.mark), uint64(r.stable))
 	data := fmt.Sprintf("%s %08x\n%s", rootMagic, crc32.ChecksumIEEE([]byte(lines)), lines)
-	return disk.AtomicWriteFile(filepath.Join(dir, rootName), []byte(data))
+	return disk.AtomicWriteFile(dev, filepath.Join(dir, rootName), []byte(data))
 }
 
 // Publish durably records the checkpoint that begins at begin where
@@ -130,7 +136,7 @@ func (l *Log) Publish(begin ids.LSN) error {
 	if begin <= l.Mark() {
 		return nil
 	}
-	if err := saveRoot(l.dir, root{mark: begin, stable: l.SyncedLSN()}); err != nil {
+	if err := saveRoot(l.dev, l.dir, root{mark: begin, stable: l.SyncedLSN()}); err != nil {
 		return fmt.Errorf("wal: publish checkpoint %v: %w", begin, err)
 	}
 	l.mark.Store(uint64(begin))

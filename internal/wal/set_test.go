@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/disk"
 	"repro/internal/ids"
 )
 
@@ -212,7 +213,7 @@ func TestRoot(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Close()
-		if r, err := loadRoot(dir); err != nil || r != (root{mark: next, stable: s.End()}) {
+		if r, err := loadRoot(disk.HostDevice{}, dir); err != nil || r != (root{mark: next, stable: s.End()}) {
 			t.Errorf("after a second publication: %+v, %v; want mark %v and watermark %v", r, err, next, s.End())
 		}
 		if entries, _ := os.ReadDir(dir); len(entries) != 2 {
@@ -478,12 +479,12 @@ func TestOpenSetStableWatermark(t *testing.T) {
 	})
 	t.Run("a watermark inside a record is corruption", func(t *testing.T) {
 		img := build(t)
-		r, err := loadRoot(img.dir)
+		r, err := loadRoot(disk.HostDevice{}, img.dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.stable = img.stable + 3 // no publish writes one: a record straddles it
-		if err := saveRoot(img.dir, r); err != nil {
+		if err := saveRoot(disk.HostDevice{}, img.dir, r); err != nil {
 			t.Fatal(err)
 		}
 		before := segBytes(t, img)

@@ -3,9 +3,8 @@
 // Each virtual process owns one log managed by a log manager (paper
 // Section 4.1: "We manage disk files on a per-process basis to simplify
 // file access. Logging is performed through a log manager in a
-// process."). Records accumulate in a buffer and are written at a log
-// force or when the buffer fills (Section 5: "Log records accumulate in
-// a buffer and are written at a log force or full buffer."). A force
+// process."). Section 5: "Log records accumulate in a buffer and are
+// written at a log force or full buffer." A force
 // makes every previously appended record stable, which is what lets the
 // optimized logging discipline of Section 3.1 combine the forces of
 // several receive messages into the single force at the next send.
@@ -29,8 +28,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"math/bits"
-	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -129,6 +128,7 @@ var (
 	// ErrStopScan can be returned by a Scan callback to stop early
 	// without Scan reporting an error.
 	ErrStopScan = errors.New("wal: stop scan")
+	errNoHeader = errors.New("wal: segment shorter than its header")
 )
 
 // segment is one on-disk file covering LSNs [start, start+size). Only
@@ -149,8 +149,9 @@ func (s *segment) end() ids.LSN { return s.start + ids.LSN(s.size) }
 // paper's Section 3.1): the first requester leads the device sync and
 // later ones ride it; with StartGroupCommit a fresh leader first holds
 // a commit window so more of them arrive in time (group.go). A failed
-// device sync stops the log for good.
+// segment write, sync or roll stops the log for good.
 type Log struct {
+	dev          disk.Device // every file operation of the log and its root
 	dir          string
 	model        disk.Model
 	segmentBytes int64
@@ -161,8 +162,8 @@ type Log struct {
 
 	mu       sync.Mutex
 	segs     []*segment // ascending by start; last is active
-	f        *os.File   // the active segment's file: the log's one open file
-	syncFile *os.File   // the file the sync in flight is on: a roll that seals it leaves it open for that sync to close
+	f        disk.File  // the active segment's file: the log's one open file
+	syncFile disk.File  // the file the sync in flight is on: a roll that seals it leaves it open for that sync to close
 	buf      []byte
 	encBuf   []byte      // grow-only scratch for AppendLinked encoders
 	bufBase  ids.LSN     // LSN of buf[0]
@@ -173,7 +174,7 @@ type Log struct {
 	late     int         // of those, the ones whose records the leader's flush missed
 	leadEnd  ids.LSN     // what the leader's sync covers (exclusive); nil until it flushes
 	window   disk.Clock  // non-nil once StartGroupCommit ran: fresh leaders hold commitWindow on it
-	failed   error       // sticky: a device sync failed, the watermark can no longer be trusted
+	failed   error       // sticky: a segment write, sync or roll failed, the watermark can no longer be trusted
 	closed   atomic.Bool // set under mu; a Reader serving from the block it holds loads it lock-free
 	stats    Stats
 	m        *obs.WALMetrics
@@ -193,9 +194,10 @@ func segName(start ids.LSN) string {
 }
 
 // load reads the segment list; with create, an empty directory gets
-// its first segment, else it holds no log and fails.
+// its first segment, else it holds no log and fails. A last segment with
+// no whole header is a create cut short: it holds no record, and is created again.
 func (l *Log) load(stable ids.LSN, create bool) error {
-	entries, err := os.ReadDir(l.dir)
+	entries, err := l.dev.ReadDir(l.dir)
 	if err != nil {
 		return fmt.Errorf("wal: read dir: %w", err)
 	}
@@ -218,23 +220,13 @@ func (l *Log) load(stable ids.LSN, create bool) error {
 		}
 		starts = append(starts, ids.LSN(n))
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	slices.Sort(starts)
 
-	if len(starts) == 0 {
-		if !create {
-			return fmt.Errorf("wal: %s holds no log", l.dir)
-		}
-		seg, f, err := l.createSegment(firstLSN)
-		if err != nil {
-			return err
-		}
-		l.segs, l.f = []*segment{seg}, f
-		l.bufBase, l.synced = firstLSN, firstLSN
-		return nil
-	}
-
-	for _, start := range starts {
+	for i, start := range starts {
 		seg, f, err := l.openSegment(start)
+		if errors.Is(err, errNoHeader) && i == len(starts)-1 {
+			break
+		}
 		if err != nil {
 			return err
 		}
@@ -246,6 +238,16 @@ func (l *Log) load(stable ids.LSN, create bool) error {
 			return fmt.Errorf("wal: gap between segments %v and %v", l.active().end(), seg.start)
 		}
 		l.segs = append(l.segs, seg)
+	}
+	if len(l.segs) == 0 {
+		if !create {
+			return fmt.Errorf("wal: %s holds no log", l.dir)
+		}
+		seg, f, err := l.createSegment(firstLSN)
+		if err != nil {
+			return err
+		}
+		l.segs, l.f, stable = []*segment{seg}, f, ids.NilLSN
 	}
 	// Only the active (last) segment can have a torn tail, and only past
 	// the stable watermark; the first pass over it finds where it ends.
@@ -259,27 +261,19 @@ func (l *Log) load(stable ids.LSN, create bool) error {
 	return nil
 }
 
-// createSegment makes the segment at start and returns it with its
-// file open. Its header and its directory entry are durable before any
-// record lands in it (fsync(2): a file can vanish with its entry).
-func (l *Log) createSegment(start ids.LSN) (*segment, *os.File, error) {
+// createSegment makes the segment at start and returns it with its file
+// open. Its header and its directory entry are durable before any record lands in it.
+func (l *Log) createSegment(start ids.LSN) (*segment, disk.File, error) {
 	path := filepath.Join(l.dir, segName(start))
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := l.dev.Create(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: create segment: %w", err)
 	}
-	hdr := make([]byte, segHeaderSize)
-	copy(hdr, magic)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(start))
-	var d *os.File
-	if _, err = f.WriteAt(hdr, 0); err == nil {
+	if _, err = f.WriteAt(segHeader(start), 0); err == nil {
 		err = f.Sync()
 	}
 	if err == nil {
-		if d, err = os.Open(l.dir); err == nil {
-			err = d.Sync()
-			d.Close()
-		}
+		err = l.dev.SyncDir(l.dir)
 	}
 	if err != nil {
 		f.Close()
@@ -288,26 +282,24 @@ func (l *Log) createSegment(start ids.LSN) (*segment, *os.File, error) {
 	return &segment{path: path, start: start}, f, nil
 }
 
-func (l *Log) openSegment(start ids.LSN) (*segment, *os.File, error) {
+// segHeader is the header of the segment at start: magic, start LSN.
+func segHeader(start ids.LSN) []byte {
+	return binary.LittleEndian.AppendUint64([]byte(magic), uint64(start))
+}
+
+func (l *Log) openSegment(start ids.LSN) (*segment, disk.File, error) {
 	path := filepath.Join(l.dir, segName(start))
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	f, err := l.dev.Open(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open segment: %w", err)
 	}
 	fi, err := f.Stat()
 	hdr := make([]byte, segHeaderSize)
-	switch {
-	case err != nil:
-	case fi.Size() < segHeaderSize:
-		err = fmt.Errorf("wal: segment %s too short", path)
-	default:
-		if _, err = f.ReadAt(hdr, 0); err != nil {
-			break
-		}
-		if string(hdr[:8]) != magic {
-			err = fmt.Errorf("wal: bad segment header in %s", path)
-		} else if got := ids.LSN(binary.LittleEndian.Uint64(hdr[8:])); got != start {
-			err = fmt.Errorf("wal: segment %s claims start %v", path, got)
+	if err == nil && fi.Size() < segHeaderSize {
+		err = fmt.Errorf("%w: %s", errNoHeader, path)
+	} else if err == nil {
+		if _, err = f.ReadAt(hdr, 0); err == nil && string(hdr) != string(segHeader(start)) {
+			err = fmt.Errorf("wal: bad segment header in %s: %q", path, hdr)
 		}
 	}
 	if err != nil {
@@ -411,7 +403,8 @@ func (l *Log) appendLocked(t RecordType, payload []byte, prev ids.LSN) (ids.LSN,
 	// segment — flushes, syncs and closes it, and the watermark moves to
 	// its end — so every segment but the active one is durable and
 	// closed. No force requested the seal: like the new header's sync,
-	// it is not counted or charged to the disk model.
+	// it is not counted or charged to the disk model. A failed seal or
+	// create stops the log (a smaller record would still fit the sealed one).
 	recLen := int64(uvarintLen(uint64(len(payload))) + 1 + uvarintLen(dist) + 4 + len(payload))
 	s := l.active()
 	if s.size+int64(len(l.buf))+recLen > l.segmentBytes &&
@@ -426,7 +419,8 @@ func (l *Log) appendLocked(t RecordType, payload []byte, prev ids.LSN) (ids.LSN,
 		l.synced = s.end()
 		next, f, err := l.createSegment(s.end())
 		if err != nil {
-			return ids.NilLSN, err
+			l.failed = fmt.Errorf("wal: roll to segment %v, log stopped: %w", s.end(), err)
+			return ids.NilLSN, l.failed
 		}
 		if l.f != l.syncFile {
 			l.f.Close()
@@ -506,13 +500,14 @@ func (l *Log) AppendLinked(key uint64, t RecordType, enc PayloadEncoder, head *a
 // flushLocked writes the buffer into the active segment without
 // syncing. Append's roll logic guarantees it fits.
 func (l *Log) flushLocked() error {
-	if len(l.buf) == 0 {
-		return nil
+	if len(l.buf) == 0 || l.failed != nil {
+		return l.failed // a stopped log writes nothing more
 	}
 	s := l.active()
 	n := int64(len(l.buf))
 	if _, err := l.f.WriteAt(l.buf, segHeaderSize+s.size); err != nil {
-		return fmt.Errorf("wal: flush: %w", err)
+		l.failed = fmt.Errorf("wal: flush, log stopped: %w", err)
+		return l.failed
 	}
 	l.model.Write(int(n))
 	s.size += n
@@ -903,10 +898,9 @@ func (r *Reader) window(lsn ids.LSN, need uint64) ([]byte, error) {
 	}
 	blk := r.blk[:n+len(old)]
 	copy(blk[n:], old) // old may be blk's own head: moved up before the read lands there
-	f := l.f
-	var err error
+	f, err := l.f, error(nil)
 	if s != l.active() { // sealed, so closed: opened for this read
-		if f, err = os.Open(s.path); err == nil {
+		if f, err = l.dev.Open(s.path); err == nil {
 			defer f.Close()
 		}
 	}
@@ -1036,7 +1030,7 @@ func (l *Log) TrimHead(keep ids.LSN) error {
 	}
 	for len(l.segs) > 1 && l.segs[0].end() <= keep {
 		s := l.segs[0]
-		if err := os.Remove(s.path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		if err := l.dev.Remove(s.path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("wal: trim %s: %w", s.path, err)
 		}
 		l.segs = slices.Delete(l.segs, 0, 1)
@@ -1126,7 +1120,7 @@ func (l *Log) Discard() error {
 	l.buf = nil
 	defer l.f.Close()
 	if s := l.active(); s.end() > l.synced {
-		return os.Truncate(s.path, segHeaderSize+int64(l.synced-s.start))
+		return l.dev.Truncate(s.path, segHeaderSize+int64(l.synced-s.start))
 	}
 	return nil
 }

@@ -238,7 +238,7 @@ func TestTailCheckRaces(t *testing.T) {
 		if err := os.Truncate(seg, fi.Size()-3); err != nil { // the last record torn
 			t.Fatal(err)
 		}
-		if err := saveRoot(dir, root{stable: lsns[100]}); err != nil {
+		if err := saveRoot(disk.HostDevice{}, dir, root{stable: lsns[100]}); err != nil {
 			t.Fatal(err)
 		}
 		if l, err = OpenSet(dir, nil, 1); err != nil {
