@@ -742,3 +742,20 @@ func TestCrashRowCreateDuringCheckpoint(t *testing.T) {
 		})
 	}
 }
+
+// TestFailedCreateRegistersNothing: a Create whose creation record the
+// log refuses leaves no context behind, so Lookup misses the name.
+func TestFailedCreateRegistersNothing(t *testing.T) {
+	u := newTestUniverse(t)
+	defer u.Shutdown()
+	_, p := startProc(t, u, "evo1", "srv", testConfig())
+	if err := p.log.Discard(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Create("New", &Counter{}); err == nil {
+		t.Fatal("Create on a closed log succeeded")
+	}
+	if _, ok := p.Lookup("New"); ok {
+		t.Error("Lookup finds the context whose creation record was never logged")
+	}
+}

@@ -334,13 +334,10 @@ func (p *Process) Create(name string, obj any, opts ...CreateOption) (*Handle, e
 
 	// Log and force the creation record: the context's replay starting
 	// point when no state record exists, and what recovery uses to
-	// re-instantiate the components ("recovers the process tables,
-	// contexts and components", Section 4.1). Stateless components get
-	// one too — no messages are ever logged at them, but recovery
-	// still reconstructs the component itself. The context is registered
-	// first and held until the record is forced, and the log stores the
-	// restart LSN as it appends: a checkpoint whose begin record follows
-	// names the context, and a losing Create of the name logs nothing.
+	// re-instantiate the components, stateless ones too (Section 4.1).
+	// The context is registered first, held till the record is forced (the
+	// log stores its restart LSN) and dropped if that fails: a checkpoint
+	// whose begin record follows names it; a losing Create logs nothing.
 	comps, err := cx.captureComponents()
 	if err != nil {
 		return nil, err
@@ -359,10 +356,15 @@ func (p *Process) Create(name string, obj any, opts ...CreateOption) (*Handle, e
 	if err == nil {
 		err = p.forceTo(nil, cx.lastLSN)
 	}
-	cx.mu.Unlock()
 	if err != nil {
+		p.mu.Lock()
+		delete(p.contexts, parent.id)
+		delete(p.byName, name)
+		p.mu.Unlock()
+		cx.mu.Unlock()
 		return nil, err
 	}
+	cx.mu.Unlock()
 
 	if aware, ok := parent.obj.(ContextAware); ok {
 		aware.AttachContext(&Ctx{cx: cx})

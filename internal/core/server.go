@@ -305,11 +305,10 @@ func (p *Process) serveCall(call *msg.Call, reply *msg.Reply) []byte {
 	return data
 }
 
-// attach sets a reply's attachment (Section 3.4) — the server's type t,
-// the method's read-only attribute ro — from the call alone, omitting
-// it when the client knows the server (Section 5.2.3) or cannot use it
-// (an external caller): a duplicate's answer is the first's bytes,
-// though a reply record keeps no attachment.
+// attach sets a reply's attachment (Section 3.4), the server's type t
+// and the method's read-only attribute ro, unless the client knows the
+// server (Section 5.2.3) or cannot use it (an external caller): a
+// duplicate is answered with the first's bytes, a reply record or not.
 func attach(rep *msg.Reply, call *msg.Call, t msg.ComponentType, ro bool) {
 	rep.HasAttachment, rep.ServerType, rep.MethodReadOnly = false, 0, false
 	if !call.ID.IsZero() && !call.KnowsServer {

@@ -193,11 +193,11 @@ func restoreField(fv reflect.Value, plan *msg.Plan, fs *FieldState, r Resolver) 
 	if r == nil && (fs.Kind == KindRemoteRef || fs.Kind == KindLocalRef) {
 		return fmt.Errorf("a component reference needs a resolver")
 	}
+	if (plan != nil) != (fs.Kind == KindValue) {
+		return fmt.Errorf("state field of kind %d does not fit %s", fs.Kind, fv.Type())
+	}
 	switch fs.Kind {
 	case KindValue:
-		if plan == nil {
-			return fmt.Errorf("state holds a value, %s is a component reference", fv.Type())
-		}
 		return plan.Read(fs.Data, fv)
 	case KindNilRef:
 		fv.SetZero()

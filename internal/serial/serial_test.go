@@ -246,6 +246,21 @@ func TestRestoreUnknownKind(t *testing.T) {
 	}
 }
 
+// TestRestoreKindMismatch: a reference where the field is a value (an
+// interface field would take it, and fail to capture again) and a value
+// where the field is a reference are both refused.
+func TestRestoreKindMismatch(t *testing.T) {
+	type iface struct{ X any }
+	st := &State{TypeName: "serial.iface", Fields: []FieldState{{Name: "X", Kind: KindLocalRef, Data: []byte{7}}}}
+	if err := Restore(&iface{}, st, &fakeResolver{}); err == nil {
+		t.Error("a local reference restored into an interface value field")
+	}
+	st = &State{TypeName: "serial.basket", Fields: []FieldState{{Name: "Helper", Kind: KindValue, Data: []byte{1}}}}
+	if err := Restore(&basket{}, st, &fakeResolver{}); err == nil {
+		t.Error("a value restored into a reference field")
+	}
+}
+
 // Property: for components with only plain exported value fields,
 // capture→encode→decode→restore reproduces the value exactly.
 func TestPlainStateRoundTripProperty(t *testing.T) {

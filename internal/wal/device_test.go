@@ -228,11 +228,15 @@ func reopen(t *testing.T, dir string, recs []logged) *Log {
 }
 
 // rollsAgain checks a reopened log appends, forces and rolls, and that
-// the next open holds what it forced.
+// the next open holds what it forced. Its first record is small: after a
+// roll that stopped the log it would still fit the sealed segment, so it
+// lands past the start of any file the roll left unless the open made
+// that file the active segment.
 func rollsAgain(t *testing.T, l *Log, dir string, recs []logged) {
 	t.Helper()
 	l.SetSegmentBytes(1024)
 	before := l.Stats().Segments
+	recs = append(recs, appendForced(t, l, 1, 10)...)
 	for l.Stats().Segments == before {
 		recs = append(recs, appendForced(t, l, 1, 200)...)
 	}

@@ -193,9 +193,9 @@ func segName(start ids.LSN) string {
 	return fmt.Sprintf("%020d.seg", uint64(start))
 }
 
-// load reads the segment list; with create, an empty directory gets
-// its first segment, else it holds no log and fails. A last segment with
-// no whole header is a create cut short: it holds no record, and is created again.
+// load reads the segment list; with create, an empty directory gets its
+// first segment and a last one with no whole header (a create cut short)
+// is created again; else the first fails and the second is passed over.
 func (l *Log) load(stable ids.LSN, create bool) error {
 	entries, err := l.dev.ReadDir(l.dir)
 	if err != nil {
@@ -224,7 +224,9 @@ func (l *Log) load(stable ids.LSN, create bool) error {
 
 	for i, start := range starts {
 		seg, f, err := l.openSegment(start)
-		if errors.Is(err, errNoHeader) && i == len(starts)-1 {
+		if cut := errors.Is(err, errNoHeader) && i == len(starts)-1; cut && create {
+			seg, f, err = l.createSegment(start)
+		} else if cut {
 			break
 		}
 		if err != nil {
@@ -403,8 +405,7 @@ func (l *Log) appendLocked(t RecordType, payload []byte, prev ids.LSN) (ids.LSN,
 	// segment — flushes, syncs and closes it, and the watermark moves to
 	// its end — so every segment but the active one is durable and
 	// closed. No force requested the seal: like the new header's sync,
-	// it is not counted or charged to the disk model. A failed seal or
-	// create stops the log (a smaller record would still fit the sealed one).
+	// it is not counted or charged to the disk model; a failure stops the log.
 	recLen := int64(uvarintLen(uint64(len(payload))) + 1 + uvarintLen(dist) + 4 + len(payload))
 	s := l.active()
 	if s.size+int64(len(l.buf))+recLen > l.segmentBytes &&
@@ -1119,8 +1120,6 @@ func (l *Log) Discard() error {
 	}
 	l.buf = nil
 	defer l.f.Close()
-	if s := l.active(); s.end() > l.synced {
-		return l.dev.Truncate(s.path, segHeaderSize+int64(l.synced-s.start))
-	}
-	return nil
+	s := l.active()
+	return l.dev.Truncate(s.path, segHeaderSize+int64(l.synced-s.start))
 }
