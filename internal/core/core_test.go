@@ -85,9 +85,11 @@ func testConfig() Config {
 	}
 }
 
-func newTestUniverse(t *testing.T) *Universe {
+func newTestUniverse(t *testing.T) *Universe { return newTestUniverseOn(t, powerCut()) }
+
+func newTestUniverseOn(t *testing.T, dev *crashDev) *Universe {
 	t.Helper()
-	u, err := NewUniverse(UniverseConfig{Dir: t.TempDir()})
+	u, err := NewUniverse(UniverseConfig{Dir: t.TempDir(), dev: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +384,7 @@ func (n *resultCountNet) Send(addr string, req []byte) ([]byte, error) {
 // different number of results than its header says fails the call with
 // both counts, as Bind fails a call whose argument count does not match.
 func TestReplyResultCountMismatch(t *testing.T) {
-	u, err := NewUniverse(UniverseConfig{Dir: t.TempDir(),
+	u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: t.TempDir(),
 		Net: &resultCountNet{Network: transport.NewMem(disk.NewRealClock(1), 0), numResults: 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +436,7 @@ func (n *otherCallNet) Send(addr string, req []byte) ([]byte, error) {
 // replay would take that reply for the call's).
 func TestReplyToAnotherCallRefused(t *testing.T) {
 	net := &otherCallNet{Network: transport.NewMem(disk.NewRealClock(1), 0)}
-	u, err := NewUniverse(UniverseConfig{Dir: t.TempDir(), Net: net})
+	u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: t.TempDir(), Net: net})
 	if err != nil {
 		t.Fatal(err)
 	}

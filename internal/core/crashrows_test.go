@@ -81,10 +81,12 @@ type crashCell struct {
 // S1 twice in the next (Twice(10): Add(10), Add(100)), then fans out
 // once more (Spread(1000)). One process crashes: F between fan-out
 // sends (client.after-force-send fires after an elided force too), F
-// once its last reply has arrived, or S2 after it executed and forced
-// the call. F's crash fails the external call, and F's restart finishes
-// the execution by replay; S2's crash F rides out by retrying into S2's
-// restart. Either way every server must have run each call ID exactly
+// once its last reply has arrived, F in the force of Spread(1)'s
+// reply-sent record, which wrote the three replies its elided forces
+// left unforced (the device fails that sync), or S2 after it executed
+// and forced the call. F's crash fails the external call, and F's
+// restart finishes the execution by replay; S2's crash F rides out by
+// retrying into S2's restart. Either way every server must have run each call ID exactly
 // once, and F must hold the model's state. The second S1 call of
 // Twice must force F's log: without that force F could lose the first
 // call's reply while S1's last-call table holds only the second.
@@ -92,16 +94,17 @@ func TestCrashRowMultiCallFanout(t *testing.T) {
 	for _, crash := range []struct {
 		name  string
 		proc  string
-		point InjectionPoint
+		point InjectionPoint // "": the proc's nth device sync fails
 		nth   int
 	}{
 		{"fan-between-sends", "f", PointClientAfterForceSend, 2},
 		{"fan-after-last-reply", "f", PointClientAfterReply, 5},
+		{"fan-in-reply-force", "f", "", 2},
 		{"server-after-execute", "s2", PointServerBeforeSendReply, 1},
 	} {
 		for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
-			t.Run(fmt.Sprintf("%s/%v", crash.name, mode), func(t *testing.T) {
-				u := newTestUniverse(t)
+			t.Run(fmt.Sprintf("%s/%v", crash.name, mode), forVariants(func(t *testing.T, dev *crashDev) {
+				u := newTestUniverseOn(t, dev)
 				defer u.Shutdown()
 				cfg := testConfig()
 				cfg.MultiCall = true
@@ -126,6 +129,10 @@ func TestCrashRowMultiCallFanout(t *testing.T) {
 					servers[i] = NewRef(start(fmt.Sprintf("s%d", i+1), &Tally{}).URI())
 				}
 				f := u.ExternalRef(start("f", &Fanout{S1: servers[0], S2: servers[1], S3: servers[2]}).URI()).WithoutRetry()
+				if crash.point == "" {
+					dev.failSync(crash.proc, crash.nth)
+				}
+				unsynced := dev.unsynced.Load()
 				restart := func(name string) {
 					c := cfg
 					c.Recovery = Recovery{Mode: mode}
@@ -163,8 +170,11 @@ func TestCrashRowMultiCallFanout(t *testing.T) {
 						restart("f")
 					}
 				}
-				if n := inj.Fired(crash.point); n != 1 {
+				if n := inj.Fired(crash.point); n != 1 && crash.point != "" {
 					t.Fatalf("%s fired %d times in %s, want once", crash.point, n, crash.proc)
+				}
+				if crash.point == "" && dev.unsynced.Load() == unsynced {
+					t.Fatalf("the crash found no record past %s's last sync", crash.proc)
 				}
 
 				state := func(name string) any {
@@ -183,7 +193,7 @@ func TestCrashRowMultiCallFanout(t *testing.T) {
 							name, got.N, got.Runs, want.N, want.Runs)
 					}
 				}
-			})
+			}))
 		}
 	}
 }
@@ -212,63 +222,91 @@ func (l *Looker) Touch() (int, error) { l.Touches++; return l.Touches, nil }
 // caller (15); P crashes after its next force — its next call's
 // incoming record. R's answer cannot be had again, so P's replay must
 // take it from the outgoing-reply record P logged and must not run R:
-// P sees 5 after the restart, and R ran once.
+// P sees 5 after the restart, and R ran once. In the in-force row P
+// crashes in Look's own reply force, R's answer logged and not forced:
+// a process death keeps it and R ran once; a power cut loses it, and
+// the replay asks R again — Algorithm 5 allows that, as P answered no
+// one with it — and sees 5 still.
 func TestCrashRowReadOnlyReplyFromLog(t *testing.T) {
-	for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
-		t.Run(mode.String(), func(t *testing.T) {
-			u := newTestUniverse(t)
-			defer u.Shutdown()
-			cfg := testConfig()
-			_, ps := startProc(t, u, "m-s", "s", cfg)
-			hs, err := ps.Create("S", &Counter{N: 5})
-			if err != nil {
-				t.Fatal(err)
+	for _, inForce := range []bool{false, true} {
+		for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
+			name := mode.String()
+			if inForce {
+				name = "in-reply-force/" + name
 			}
-			rcfg := cfg
-			rcfg.Metrics = obs.NewRegistry()
-			_, pr := startProc(t, u, "m-r", "r", rcfg)
-			hr, err := pr.Create("R", &Prober{Server: NewRef(hs.URI())}, WithType(msg.ReadOnly))
-			if err != nil {
-				t.Fatal(err)
-			}
-			pcfg := cfg
-			pcfg.Injector = NewInjector().CrashAt(PointServerAfterLogIncoming, 2)
-			mp, pp := startProc(t, u, "m-p", "p", pcfg)
-			hp, err := pp.Create("P", &Looker{RO: NewRef(hr.URI())})
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := u.ExternalRef(hp.URI()).WithoutRetry()
+			t.Run(name, forVariants(func(t *testing.T, dev *crashDev) { readOnlyReplyFromLog(t, dev, mode, inForce) }))
+		}
+	}
+}
 
-			if got := callInt(t, p, "Look"); got != 5 {
-				t.Fatalf("P.Look = %d, want 5", got)
-			}
-			if got := callInt(t, u.ExternalRef(hs.URI()), "Add", 10); got != 15 {
-				t.Fatalf("S.Add(10) = %d, want 15", got)
-			}
-			if _, err := p.Call("Touch"); err == nil || !pp.Crashed() {
-				t.Fatalf("P.Touch = %v with P crashed %v; want the crash after its incoming force", err, pp.Crashed())
-			}
+func readOnlyReplyFromLog(t *testing.T, dev *crashDev, mode RecoveryMode, inForce bool) {
+	u := newTestUniverseOn(t, dev)
+	defer u.Shutdown()
+	cfg := testConfig()
+	_, ps := startProc(t, u, "m-s", "s", cfg)
+	hs, err := ps.Create("S", &Counter{N: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcfg := cfg
+	rcfg.Metrics = obs.NewRegistry()
+	_, pr := startProc(t, u, "m-r", "r", rcfg)
+	hr, err := pr.Create("R", &Prober{Server: NewRef(hs.URI())}, WithType(msg.ReadOnly))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcfg := cfg
+	pcfg.Injector = NewInjector().CrashAt(PointServerAfterLogIncoming, 2)
+	touches, rRuns := 1, int64(1)
+	if inForce {
+		pcfg.Injector = nil
+		touches, rRuns = 0, map[bool]int64{false: 1, true: 2}[dev.powerCut]
+	}
+	mp, pp := startProc(t, u, "m-p", "p", pcfg)
+	hp, err := pp.Create("P", &Looker{RO: NewRef(hr.URI())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := u.ExternalRef(hp.URI()).WithoutRetry()
 
-			cfg.Recovery = Recovery{Mode: mode}
-			pp, err = mp.StartProcess("p", cfg)
-			if err == nil {
-				err = pp.DrainRecovery()
-			}
-			if err != nil {
-				t.Fatalf("restart P: %v", err)
-			}
-			h, ok := pp.Lookup("P")
-			if !ok {
-				t.Fatal("P lost its component")
-			}
-			if got := h.Object().(*Looker); got.Seen != 5 || got.Touches != 1 {
-				t.Errorf("P after replay: saw %d, touched %d times; want 5 (R's logged answer) and 1", got.Seen, got.Touches)
-			}
-			if n := rcfg.Metrics.Snapshot().Counter(obs.ServeExecs); n != 1 {
-				t.Errorf("R ran %d times, want once: the replay called it again", n)
-			}
-		})
+	if inForce {
+		dev.failSync("p", 2) // the incoming force, then the reply-sent one
+		before := dev.unsynced.Load()
+		if _, err := p.Call("Look"); err == nil || !pp.Crashed() {
+			t.Fatalf("P.Look = %v with P crashed %v; want the crash in its reply force", err, pp.Crashed())
+		}
+		if dev.unsynced.Load() == before {
+			t.Fatal("the crash found no record past P's last sync")
+		}
+	} else {
+		if got := callInt(t, p, "Look"); got != 5 {
+			t.Fatalf("P.Look = %d, want 5", got)
+		}
+		if got := callInt(t, u.ExternalRef(hs.URI()), "Add", 10); got != 15 {
+			t.Fatalf("S.Add(10) = %d, want 15", got)
+		}
+		if _, err := p.Call("Touch"); err == nil || !pp.Crashed() {
+			t.Fatalf("P.Touch = %v with P crashed %v; want the crash after its incoming force", err, pp.Crashed())
+		}
+	}
+
+	cfg.Recovery = Recovery{Mode: mode}
+	pp, err = mp.StartProcess("p", cfg)
+	if err == nil {
+		err = pp.DrainRecovery()
+	}
+	if err != nil {
+		t.Fatalf("restart P: %v", err)
+	}
+	h, ok := pp.Lookup("P")
+	if !ok {
+		t.Fatal("P lost its component")
+	}
+	if got := h.Object().(*Looker); got.Seen != 5 || got.Touches != touches {
+		t.Errorf("P after replay: saw %d, touched %d times; want 5 (R's logged answer) and %d", got.Seen, got.Touches, touches)
+	}
+	if n := rcfg.Metrics.Snapshot().Counter(obs.ServeExecs); n != rRuns {
+		t.Errorf("R ran %d times, want %d", n, rRuns)
 	}
 }
 
@@ -300,8 +338,8 @@ func (c *Teller) Pay(n int) (int, error) {
 // a call run twice shows.
 func TestCrashRowSubordinateAfterStateRecord(t *testing.T) {
 	for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
-		t.Run(mode.String(), func(t *testing.T) {
-			u := newTestUniverse(t)
+		t.Run(mode.String(), forVariants(func(t *testing.T, dev *crashDev) {
+			u := newTestUniverseOn(t, dev)
 			defer u.Shutdown()
 			cfg := testConfig()
 			cfg.SaveStateEvery = 2
@@ -366,23 +404,85 @@ func TestCrashRowSubordinateAfterStateRecord(t *testing.T) {
 			if got, v := h.Object().(*Parent).Total, sub.Object().(*Vault).Stored; got != 15 || v != 15 {
 				t.Errorf("parent total %d, vault %d; want 15 and 15", got, v)
 			}
-		})
+		}))
 	}
 }
 
-// blockRoot makes the log's root path a non-empty directory, which the
-// atomic rename of a publication cannot replace (even as root), and
-// returns the function that clears it.
-func blockRoot(t *testing.T, p *Process) func() {
-	t.Helper()
-	root := filepath.Join(p.LogDir(), "root")
-	if err := os.MkdirAll(filepath.Join(root, "pin"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	return func() {
-		if err := os.RemoveAll(root); err != nil {
-			t.Fatal(err)
-		}
+// TestCrashRowFailedForce: a persistent caller's call reaches S, whose
+// force at reply — the Algorithm-2 force of S's unforced incoming
+// record — fails at the device. The call ran and its record is in the
+// file: a restart after a process death adopts it, one after a power cut
+// does not. So the force may not answer the call as failed, which the
+// caller would not retry, while a process death ran it anyway. The
+// failed force crashes S; the caller retries into S's restart and is
+// answered once, from the adopted call or from a run of its own.
+func TestCrashRowFailedForce(t *testing.T) {
+	for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
+		t.Run(mode.String(), forVariants(func(t *testing.T, dev *crashDev) {
+			u := newTestUniverseOn(t, dev)
+			defer u.Shutdown()
+			cfg := testConfig()
+			cfg.RetryInterval = time.Millisecond
+			cfg.RetryLimit = 5000
+			_, pc := startProc(t, u, "m-cli", "cli", cfg)
+			m, ps := startProc(t, u, "m-srv", "srv", cfg)
+			hs, err := ps.Create("S", &Tally{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hr, err := pc.Create("R", &Relay{Server: NewRef(hs.URI())})
+			if err != nil {
+				t.Fatal(err)
+			}
+			relay := u.ExternalRef(hr.URI())
+			callInt(t, relay, "Forward", 1)
+
+			dev.failSync("srv", 1)
+			unsynced := dev.unsynced.Load()
+			type result struct {
+				res []any
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				res, err := relay.Call("Forward", 10)
+				done <- result{res, err}
+			}()
+			for deadline := time.Now().Add(5 * time.Second); !ps.Crashed(); {
+				select {
+				case r := <-done:
+					t.Fatalf("Forward(10) across the failed force = %v, %v, with S alive: the failed force answered the call", r.res, r.err)
+				case <-time.After(time.Millisecond):
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("S never crashed")
+				}
+			}
+			// The crash is done once it closed the log, where the device
+			// finds the records past the last sync.
+			for deadline := time.Now().Add(5 * time.Second); dev.unsynced.Load() == unsynced; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the crash found no record past S's last sync")
+				}
+			}
+			cfg.Recovery = Recovery{Mode: mode}
+			if ps, err = m.StartProcess("srv", cfg); err == nil {
+				err = ps.DrainRecovery()
+			}
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			if r := <-done; r.err != nil || r.res[0] != any(11) {
+				t.Fatalf("Forward(10) across the failed force = %v, %v; want 11", r.res, r.err)
+			}
+			h, ok := ps.Lookup("S")
+			if !ok {
+				t.Fatal("S did not come back")
+			}
+			if got := *h.Object().(*Tally); got != (Tally{N: 11, Runs: 2}) {
+				t.Errorf("S: N %d after %d runs, want 11 after 2: a call ran other than once", got.N, got.Runs)
+			}
+		}))
 	}
 }
 
@@ -396,8 +496,8 @@ func blockRoot(t *testing.T, p *Process) func() {
 // written, publishes.
 func TestCrashRowFailedPublication(t *testing.T) {
 	for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
-		t.Run(mode.String(), func(t *testing.T) {
-			u := newTestUniverse(t)
+		t.Run(mode.String(), forVariants(func(t *testing.T, dev *crashDev) {
+			u := newTestUniverseOn(t, dev)
 			defer u.Shutdown()
 			cfg := testConfig()
 			cfg.Metrics = obs.NewRegistry()
@@ -455,7 +555,7 @@ func TestCrashRowFailedPublication(t *testing.T) {
 			if got := callInt(t, ref, "Get"); got != live || live != 7 {
 				t.Errorf("recovered C = %d, last live answer %d; want both 7", got, live)
 			}
-		})
+		}))
 	}
 }
 
@@ -468,8 +568,12 @@ func TestCrashRowFailedPublication(t *testing.T) {
 // write would have left recover the same state and the same last-call
 // table, eager and lazy: neither replays a call of R or Q.
 func TestCrashRowReanchorBeforePublication(t *testing.T) {
+	forModes(t, crashRowReanchorBeforePublication)
+}
+
+func crashRowReanchorBeforePublication(t *testing.T, dev *crashDev) func(*testing.T, RecoveryMode) {
 	img := equivImage{dir: t.TempDir(), cfg: testConfig(), counters: []string{"C", "Q"}, relays: []string{"R"}}
-	u, err := NewUniverse(UniverseConfig{Dir: img.dir})
+	u, err := NewUniverse(UniverseConfig{Dir: img.dir, dev: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,9 +605,6 @@ func TestCrashRowReanchorBeforePublication(t *testing.T) {
 	}
 	callInt(t, c, "Add", 2)
 
-	if err := os.Remove(root); err != nil {
-		t.Fatal(err)
-	}
 	unblock := blockRoot(t, p)
 	begin := p.log.End()
 	if err := p.Checkpoint(); err != nil {
@@ -528,28 +629,26 @@ func TestCrashRowReanchorBeforePublication(t *testing.T) {
 	p.Crash()
 	onOld := withRoot(t, img, oldRoot, nil)
 
-	for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
-		t.Run(mode.String(), func(t *testing.T) {
-			old, cur := recoverImage(t, onOld, mode), recoverImage(t, img, mode)
-			if old.mark != oldMark || cur.mark != begin {
-				t.Fatalf("restarts scanned from %v and %v, want %v and %v", old.mark, cur.mark, oldMark, begin)
+	return func(t *testing.T, mode RecoveryMode) {
+		old, cur := recoverImage(t, onOld, mode), recoverImage(t, img, mode)
+		if old.mark != oldMark || cur.mark != begin {
+			t.Fatalf("restarts scanned from %v and %v, want %v and %v", old.mark, cur.mark, oldMark, begin)
+		}
+		for _, got := range []recoveryOutcome{old, cur} {
+			if got.counters["C"] != 3 || got.counters["Q"] != 5 || got.relayCalls["R"] != 1 {
+				t.Errorf("recovered C %d, Q %d, R.Calls %d; want 3, 5, 1", got.counters["C"], got.counters["Q"], got.relayCalls["R"])
 			}
-			for _, got := range []recoveryOutcome{old, cur} {
-				if got.counters["C"] != 3 || got.counters["Q"] != 5 || got.relayCalls["R"] != 1 {
-					t.Errorf("recovered C %d, Q %d, R.Calls %d; want 3, 5, 1", got.counters["C"], got.counters["Q"], got.relayCalls["R"])
-				}
-				if got.stats.CallsReplayed != 2 {
-					t.Errorf("replayed %d calls, want C's 2 alone", got.stats.CallsReplayed)
-				}
-				if len(got.lastCalls) != 1 || got.lastCalls[0].ReplyLSN <= begin {
-					t.Errorf("last-call table %+v, want Q's entry for R with its reply past %v", got.lastCalls, begin)
-				}
+			if got.stats.CallsReplayed != 2 {
+				t.Errorf("replayed %d calls, want C's 2 alone", got.stats.CallsReplayed)
 			}
-			assertEquivalent(t, old, cur, false)
-			if !reflect.DeepEqual(old.lastCalls, cur.lastCalls) {
-				t.Errorf("last-call table = %+v from the old root, %+v from the new", old.lastCalls, cur.lastCalls)
+			if len(got.lastCalls) != 1 || got.lastCalls[0].ReplyLSN <= begin {
+				t.Errorf("last-call table %+v, want Q's entry for R with its reply past %v", got.lastCalls, begin)
 			}
-		})
+		}
+		assertEquivalent(t, old, cur, false)
+		if !reflect.DeepEqual(old.lastCalls, cur.lastCalls) {
+			t.Errorf("last-call table = %+v from the old root, %+v from the new", old.lastCalls, cur.lastCalls)
+		}
 	}
 }
 
@@ -582,66 +681,66 @@ func (h *holdSync) Name() string { return "hold" }
 func TestCrashRowStateSaveDuringCheckpointForce(t *testing.T) {
 	for _, forced := range []bool{false, true} {
 		t.Run(fmt.Sprintf("forced=%v", forced), func(t *testing.T) {
-			dir := t.TempDir()
-			hold := &holdSync{entered: make(chan struct{}, 1), release: make(chan struct{})}
-			u, err := NewUniverse(UniverseConfig{Dir: dir, DiskModel: func(string, string) disk.Model { return hold }})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer u.Shutdown()
-			cfg := testConfig()
-			_, p := startProc(t, u, "evo1", "srv", cfg)
-			p.SetLogSegmentBytes(512)
-			hq, err := p.Create("Q", &Counter{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			first := bytes.Clone(p.serveCall(quietCall(t, hq), &msg.Reply{}))
-			if err := hq.SaveState(); err != nil { // the reply's first copy
-				t.Fatal(err)
-			}
-			if err := p.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			q := u.ExternalRef(hq.URI())
-			for i := 0; i < 20; i++ { // past the mark, over a few segments
-				callInt(t, q, "Add", 1)
-			}
-
-			hold.armed.Store(true)
-			begin := p.log.End()
-			ckpt := make(chan error, 1)
-			go func() { ckpt <- p.Checkpoint() }()
-			select {
-			case <-hold.entered:
-			case <-time.After(5 * time.Second):
-				t.Fatal("the checkpoint never forced")
-			}
-			if err := hq.SaveState(); err != nil {
-				t.Fatal(err)
-			}
-			close(hold.release)
-			if err := <-ckpt; err != nil {
-				t.Fatal(err)
-			}
-			if r, lsn := hq.RestartLSN(), p.lastCalls.get(quietCall(t, hq).ID.Caller).replyLSN; r <= begin || lsn <= begin {
-				t.Fatalf("Q restarts at %v and keeps its reply at %v: the save did not run during the checkpoint at %v", r, lsn, begin)
-			}
-			if p.log.Mark() != begin {
-				t.Fatalf("mark %v, want the held checkpoint's %v", p.log.Mark(), begin)
-			}
-			if forced {
-				if _, err := p.log.SyncAll(); err != nil {
+			forModes(t, func(t *testing.T, dev *crashDev) func(*testing.T, RecoveryMode) {
+				dir := t.TempDir()
+				hold := &holdSync{entered: make(chan struct{}, 1), release: make(chan struct{})}
+				u, err := NewUniverse(UniverseConfig{Dir: dir, DiskModel: func(string, string) disk.Model { return hold }, dev: dev})
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			p.Crash()
+				defer u.Shutdown()
+				cfg := testConfig()
+				_, p := startProc(t, u, "evo1", "srv", cfg)
+				p.SetLogSegmentBytes(512)
+				hq, err := p.Create("Q", &Counter{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				first := bytes.Clone(p.serveCall(quietCall(t, hq), &msg.Reply{}))
+				if err := hq.SaveState(); err != nil { // the reply's first copy
+					t.Fatal(err)
+				}
+				if err := p.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				q := u.ExternalRef(hq.URI())
+				for i := 0; i < 20; i++ { // past the mark, over a few segments
+					callInt(t, q, "Add", 1)
+				}
 
-			for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
-				t.Run(mode.String(), func(t *testing.T) {
+				hold.armed.Store(true)
+				begin := p.log.End()
+				ckpt := make(chan error, 1)
+				go func() { ckpt <- p.Checkpoint() }()
+				select {
+				case <-hold.entered:
+				case <-time.After(5 * time.Second):
+					t.Fatal("the checkpoint never forced")
+				}
+				if err := hq.SaveState(); err != nil {
+					t.Fatal(err)
+				}
+				close(hold.release)
+				if err := <-ckpt; err != nil {
+					t.Fatal(err)
+				}
+				if r, lsn := hq.RestartLSN(), p.lastCalls.get(quietCall(t, hq).ID.Caller).replyLSN; r <= begin || lsn <= begin {
+					t.Fatalf("Q restarts at %v and keeps its reply at %v: the save did not run during the checkpoint at %v", r, lsn, begin)
+				}
+				if p.log.Mark() != begin {
+					t.Fatalf("mark %v, want the held checkpoint's %v", p.log.Mark(), begin)
+				}
+				if forced {
+					if _, err := p.log.SyncAll(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				p.Crash()
+
+				return func(t *testing.T, mode RecoveryMode) {
 					dst := t.TempDir()
 					copyDir(t, dir, dst)
-					u, err := NewUniverse(UniverseConfig{Dir: dst})
+					u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: dst})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -663,8 +762,8 @@ func TestCrashRowStateSaveDuringCheckpointForce(t *testing.T) {
 					if again := p.serveCall(quietCall(t, h), &r); !bytes.Equal(again, first) {
 						t.Errorf("the retried call was answered with %x (%+v), first with %x", again, r, first)
 					}
-				})
-			}
+				}
+			})
 		})
 	}
 }
@@ -674,10 +773,12 @@ func TestCrashRowStateSaveDuringCheckpointForce(t *testing.T) {
 // checkpoint publishes, the process crashes, and a restart from its
 // root — whose scan passes no creation record — finds the context
 // through the checkpoint's context table, eager and lazy.
-func TestCrashRowCreateDuringCheckpoint(t *testing.T) {
+func TestCrashRowCreateDuringCheckpoint(t *testing.T) { forModes(t, crashRowCreateDuringCheckpoint) }
+
+func crashRowCreateDuringCheckpoint(t *testing.T, dev *crashDev) func(*testing.T, RecoveryMode) {
 	dir := t.TempDir()
 	hold := &holdSync{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	u, err := NewUniverse(UniverseConfig{Dir: dir, DiskModel: func(string, string) disk.Model { return hold }})
+	u, err := NewUniverse(UniverseConfig{Dir: dir, DiskModel: func(string, string) disk.Model { return hold }, dev: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -717,29 +818,27 @@ func TestCrashRowCreateDuringCheckpoint(t *testing.T) {
 	}
 	p.Crash()
 
-	for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
-		t.Run(mode.String(), func(t *testing.T) {
-			dst := t.TempDir()
-			copyDir(t, dir, dst)
-			u, err := NewUniverse(UniverseConfig{Dir: dst})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer u.Shutdown()
-			rcfg := cfg
-			rcfg.Recovery = Recovery{Mode: mode}
-			_, p := startProc(t, u, "evo1", "srv", rcfg)
-			if err := p.DrainRecovery(); err != nil {
-				t.Fatal(err)
-			}
-			h, ok := p.Lookup("New")
-			if !ok {
-				t.Fatal("the context created during the checkpoint is missing after recovery")
-			}
-			if got := callInt(t, u.ExternalRef(h.URI()), "Get"); got != 7 {
-				t.Errorf("New recovered as %d, want 7", got)
-			}
-		})
+	return func(t *testing.T, mode RecoveryMode) {
+		dst := t.TempDir()
+		copyDir(t, dir, dst)
+		u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: dst})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer u.Shutdown()
+		rcfg := cfg
+		rcfg.Recovery = Recovery{Mode: mode}
+		_, p := startProc(t, u, "evo1", "srv", rcfg)
+		if err := p.DrainRecovery(); err != nil {
+			t.Fatal(err)
+		}
+		h, ok := p.Lookup("New")
+		if !ok {
+			t.Fatal("the context created during the checkpoint is missing after recovery")
+		}
+		if got := callInt(t, u.ExternalRef(h.URI()), "Get"); got != 7 {
+			t.Errorf("New recovered as %d, want 7", got)
+		}
 	}
 }
 
@@ -749,9 +848,7 @@ func TestFailedCreateRegistersNothing(t *testing.T) {
 	u := newTestUniverse(t)
 	defer u.Shutdown()
 	_, p := startProc(t, u, "evo1", "srv", testConfig())
-	if err := p.log.Discard(); err != nil {
-		t.Fatal(err)
-	}
+	p.log.Discard()
 	if _, err := p.Create("New", &Counter{}); err == nil {
 		t.Fatal("Create on a closed log succeeded")
 	}

@@ -25,6 +25,7 @@ func groupCommitConfig() Config {
 func TestGroupCommitEndToEndCrashRecovery(t *testing.T) {
 	t.Run("shards=1", func(t *testing.T) {
 		u, err := NewUniverse(UniverseConfig{
+			dev:   powerCut(),
 			Dir:   t.TempDir(),
 			Clock: disk.NewVirtualClock(),
 		})

@@ -252,7 +252,7 @@ func TestInjectorNthFiring(t *testing.T) {
 // time, and the crashed process is back well within five seconds.
 func TestAutoRestartDelayIsModelTime(t *testing.T) {
 	clk := disk.NewVirtualClock()
-	u, err := NewUniverse(UniverseConfig{Dir: t.TempDir(), Clock: clk})
+	u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: t.TempDir(), Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}

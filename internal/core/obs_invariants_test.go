@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -187,7 +186,6 @@ func TestEveryMetricMoves(t *testing.T) {
 	t.Run("restart", func(t *testing.T) { moveRestart(t, reg) })
 	t.Run("dead-server", func(t *testing.T) { moveDeadServer(t, reg) })
 	t.Run("group-commit", func(t *testing.T) { moveGroupCommit(t, reg) })
-	t.Run("crash-discard", func(t *testing.T) { moveCrashDiscard(t, reg) })
 	t.Run("publish-error", func(t *testing.T) { movePublishError(t, reg) })
 
 	snap := reg.Snapshot()
@@ -236,7 +234,7 @@ func metricsUniverse(t *testing.T, reg *obs.Registry, clk disk.Clock) *Universe 
 		Metrics: reg,
 		Now:     func() int64 { return clk.Now().UnixNano() },
 	})
-	u, err := NewUniverse(UniverseConfig{Dir: t.TempDir(), Clock: clk, Metrics: reg, Trace: rec})
+	u, err := NewUniverse(UniverseConfig{Dir: t.TempDir(), Clock: clk, Metrics: reg, Trace: rec, dev: powerCut()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,36 +363,6 @@ func moveDeadServer(t *testing.T, reg *obs.Registry) {
 	if _, err := u.ExternalRef(relay).Call("Forward", 1); err == nil {
 		t.Error("a call to a crashed server succeeded")
 	}
-}
-
-// moveCrashDiscard: a crash whose log discard fails. The log rolls into
-// a segment and flushes a record no force covers into it, and that
-// segment's path becomes a non-empty directory, which truncate(2)
-// refuses even to root.
-func moveCrashDiscard(t *testing.T, reg *obs.Registry) {
-	u := metricsUniverse(t, reg, disk.NewRealClock(1))
-	_, p := startProc(t, u, "evo1", "srv", testConfig())
-	p.SetLogSegmentBytes(64)
-	for n := p.LogStats().Segments; p.LogStats().Segments == n; {
-		if _, err := p.appendRec(&endCkptRec{BeginLSN: 1}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.log.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := filepath.Glob(filepath.Join(p.LogDir(), "*.seg"))
-	if err != nil || len(segs) < 2 {
-		t.Fatalf("segments %v, %v", segs, err)
-	}
-	unforced := segs[len(segs)-1] // names are zero-padded start LSNs
-	if err := os.Remove(unforced); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(unforced, "pin"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	p.Crash()
 }
 
 // movePublishError: a checkpoint, taken by a call at a CheckpointEvery

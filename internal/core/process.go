@@ -105,7 +105,7 @@ func newProcess(m *Machine, name string, procID ids.ProcID, cfg Config) (*Proces
 		model = m.u.cfg.DiskModel(m.name, name)
 	}
 	logPath := filepath.Join(m.dir, name+".log")
-	log, err := wal.OpenSet(logPath, model, 1)
+	log, err := wal.OpenOn(m.u.cfg.dev, logPath, model, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -436,9 +436,14 @@ func (p *Process) Components() []string {
 // piggyback or a group-commit batch) count under wal.group.syncs_saved
 // instead. Creation and checkpoint forces carry no site, so the
 // per-site sum is wal.forces less the syncs they issued.
+//
+// A force that fails crashes the process (DESIGN §12): its records may
+// be in the file, and a restart after a process death adopts them, so
+// no answer may say they are not.
 func (p *Process) forceTo(site *obs.Counter, lsn ids.LSN) error {
 	out, err := p.log.SyncTo(lsn)
 	if err != nil {
+		p.Crash()
 		return err
 	}
 	if site != nil && out == wal.SyncIssued {
@@ -506,14 +511,18 @@ func (p *Process) appendRec(rec record, head *atomic.Uint64) (ids.LSN, error) {
 	return lsn, err
 }
 
-// forceTraced wraps forceTo with a StageSyncWait span — the time a
-// commit point spent waiting for durability (group-commit window plus
-// device sync, or the inline sync). It delegates to forceTo, the
+// forceTraced is a call's force: forceTo with a StageSyncWait span — the
+// time a commit point spent waiting for durability (group-commit window
+// plus device sync, or the inline sync). It delegates to forceTo, the
 // blessed force chokepoint, so phoenix-lint's forcesite check needs no
-// new allowlist entry for it.
-func (p *Process) forceTraced(site *obs.Counter, lsn ids.LSN, tref trace.Ref, method string) error {
+// new allowlist entry for it. A failed force crashed the process, and
+// the call unwinds as from any crash.
+func (p *Process) forceTraced(site *obs.Counter, lsn ids.LSN, tref trace.Ref, method string) {
 	if p.tr == nil || tref.IsZero() {
-		return p.forceTo(site, lsn)
+		if p.forceTo(site, lsn) != nil {
+			panic(crashSignal{proc: p.name})
+		}
+		return
 	}
 	tstart := p.tr.Now()
 	err := p.forceTo(site, lsn)
@@ -527,7 +536,9 @@ func (p *Process) forceTraced(site *obs.Counter, lsn ids.LSN, tref trace.Ref, me
 		Proc:   p.name,
 		Method: method,
 	})
-	return err
+	if err != nil {
+		panic(crashSignal{proc: p.name})
+	}
 }
 
 // recCounter maps a record type to its rec.* counter in m, or nil for a
@@ -573,8 +584,9 @@ func (p *Process) markStarted() {
 }
 
 // Crash fail-stops the process: the transport address goes silent, the
-// log buffer (everything not yet forced) is lost, and all in-memory
-// runtime state is abandoned — except the flight recorder, which is
+// log buffer is lost (the log file keeps what the device keeps: on the
+// host, every byte written, as a killed process leaves it), and all
+// in-memory runtime state is abandoned — except the flight recorder, which is
 // dumped next to the log first (a real deployment's crash handler
 // writes the ring from a signal handler; the virtual process does the
 // moral equivalent). The machine's recovery service is notified, which
@@ -585,11 +597,7 @@ func (p *Process) Crash() {
 	}
 	p.u.cfg.Net.Unlisten(p.addr)
 	p.listening.Store(false)
-	if err := p.log.Discard(); err != nil {
-		// The log was not cut back to its stable watermark: the restart
-		// image is not the modelled one.
-		p.obs.CrashDiscardErrors.Inc()
-	}
+	p.log.Discard()
 	p.dumpFlightRecorder()
 	p.markStarted() // release any waiters; they will see the crash
 	if e := p.engine.Load(); e != nil {

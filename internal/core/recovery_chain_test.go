@@ -89,7 +89,7 @@ func passOne(t *testing.T, img equivImage) (*Process, *restorePlan) {
 	t.Helper()
 	dst := t.TempDir()
 	copyDir(t, img.dir, dst)
-	u, err := NewUniverse(UniverseConfig{Dir: dst})
+	u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: dst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func assertChains(t *testing.T, img equivImage) (entries int) {
 func randomChainImage(t *testing.T, seed int64) equivImage {
 	t.Helper()
 	img := equivImage{dir: t.TempDir(), cfg: testConfig()}
-	u, err := NewUniverse(UniverseConfig{Dir: img.dir})
+	u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: img.dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,15 +200,21 @@ func randomChainImage(t *testing.T, seed int64) equivImage {
 	return img
 }
 
-// TestChainsEqualBruteForce runs over TestRecoveryEquivalence's rows and
-// four random images. Its cells keep the "shards=1" label of that table.
+// TestChainsEqualBruteForce runs over TestRecoveryEquivalence's rows,
+// both crash variants of each, and four random images. Its cells keep
+// the "shards=1" label of that table.
 func TestChainsEqualBruteForce(t *testing.T) {
 	for _, sc := range equivScenarios() {
 		// Images are built on the scenario's T, as the table does.
 		t.Run(sc.name, func(t *testing.T) {
-			img := sc.build(t)
+			imgs := make([]equivImage, len(variants))
+			for i, v := range variants {
+				imgs[i] = sc.build(t, v.dev())
+			}
 			t.Run("shards=1", func(t *testing.T) {
-				assertChains(t, img)
+				for i, v := range variants {
+					t.Run(v.name, func(t *testing.T) { assertChains(t, imgs[i]) })
+				}
 			})
 		})
 	}

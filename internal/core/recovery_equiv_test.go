@@ -59,12 +59,14 @@ func copyDir(t *testing.T, src, dst string) {
 }
 
 // counterRelayWorkload drives the standard counters+relays workload
-// against a fresh process, crashes it, and returns the universe dir
-// plus component names.
-func counterRelayWorkload(t *testing.T) (dir string, counters, relays []string) {
+// against a fresh process on dev, crashes it, and returns the universe
+// dir plus component names. With inForce > 0 the process dies in the
+// last round's first relay call, in that call's inForce-th device sync,
+// the rest of the round unrun.
+func counterRelayWorkload(t *testing.T, dev *crashDev, inForce int) (dir string, counters, relays []string) {
 	t.Helper()
 	dir = t.TempDir()
-	u, err := NewUniverse(UniverseConfig{Dir: dir})
+	u, err := NewUniverse(UniverseConfig{Dir: dir, dev: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +101,13 @@ func counterRelayWorkload(t *testing.T) (dir string, counters, relays []string) 
 	for round := 1; round <= 8; round++ {
 		for i, name := range counters {
 			callInt(t, refs[name], "Add", i+round)
+		}
+		if round == 8 && inForce > 0 {
+			dev.failSync("srv", inForce)
+			if _, err := refs[relays[0]].WithoutRetry().Call("Forward", 10); err == nil || !p.Crashed() {
+				t.Fatalf("the relay call whose force failed = %v, with the process crashed %v", err, p.Crashed())
+			}
+			break
 		}
 		for _, name := range relays {
 			callInt(t, refs[name], "Forward", 10)
@@ -170,7 +179,7 @@ func recoverImage(t *testing.T, img equivImage, mode RecoveryMode) recoveryOutco
 	t.Helper()
 	dst := t.TempDir()
 	copyDir(t, img.dir, dst)
-	u, err := NewUniverse(UniverseConfig{Dir: dst})
+	u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: dst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,22 +319,22 @@ func assertEquivalent(t *testing.T, ref, got recoveryOutcome, sameLog bool) {
 // equivScenario is one way of producing a crashed log.
 type equivScenario struct {
 	name string
-	// build leaves a crashed universe on disk. It runs on the
-	// scenario's *testing.T, so directories it makes outlive the
+	// build leaves a crashed universe on disk, made on dev. It runs on
+	// the scenario's *testing.T, so directories it makes outlive the
 	// per-cell subtests.
-	build func(t *testing.T) equivImage
+	build func(t *testing.T, dev *crashDev) equivImage
 	// check, when set, asserts what the scenario expects of the
 	// baseline run.
 	check func(t *testing.T, base recoveryOutcome)
 }
 
-// injectedCrashImage drives four counters until the injector crashes
-// the process mid-call at point — late enough that earlier calls replay
-// normally and the last one exercises the crash point.
-func injectedCrashImage(t *testing.T, point InjectionPoint) equivImage {
+// injectedCrashImage drives four counters on dev until the injector
+// crashes the process mid-call at point — late enough that earlier calls
+// replay normally and the last one exercises the crash point.
+func injectedCrashImage(t *testing.T, point InjectionPoint, dev *crashDev) equivImage {
 	t.Helper()
 	img := equivImage{dir: t.TempDir(), touch: []string{"C3"}, cfg: testConfig()}
-	u, err := NewUniverse(UniverseConfig{Dir: img.dir})
+	u, err := NewUniverse(UniverseConfig{Dir: img.dir, dev: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,17 +376,32 @@ func equivScenarios() []equivScenario {
 			t.Error("workload produced no replayed calls")
 		}
 	}
-	scs := []equivScenario{{
-		// Counters plus relays (whose replays suppress outgoing sends
-		// answered from the log).
-		name: "clean-crash",
-		build: func(t *testing.T) equivImage {
-			dir, counters, relays := counterRelayWorkload(t)
+	// Counters plus relays (whose replays suppress outgoing sends
+	// answered from the log), crashed after the workload or in a force.
+	relays := func(inForce int) func(t *testing.T, dev *crashDev) equivImage {
+		return func(t *testing.T, dev *crashDev) equivImage {
+			dir, counters, relays := counterRelayWorkload(t, dev, inForce)
 			assertLogOnDisk(t, filepath.Join(dir, "evo1", "srv.log"))
 			// Late restart LSNs: the worker reaches these last.
 			return equivImage{dir: dir, counters: counters, relays: relays,
 				touch: []string{"C5", "C4"}, cfg: testConfig()}
-		},
+		}
+	}
+	scs := []equivScenario{{
+		name:  "clean-crash",
+		build: relays(0),
+		check: replayedAndSuppressed,
+	}, {
+		// The process dies in the relay's Algorithm-3 force of its
+		// external call's incoming record.
+		name:  "in-force/incoming",
+		build: relays(1),
+		check: replayedAndSuppressed,
+	}, {
+		// The process dies in the callee's Algorithm-2 force at reply,
+		// its incoming record never forced.
+		name:  "in-force/reply",
+		build: relays(2),
 		check: replayedAndSuppressed,
 	}}
 	for _, point := range []InjectionPoint{
@@ -387,8 +411,8 @@ func equivScenarios() []equivScenario {
 	} {
 		scs = append(scs, equivScenario{
 			name: string(point),
-			build: func(t *testing.T) equivImage {
-				return injectedCrashImage(t, point)
+			build: func(t *testing.T, dev *crashDev) equivImage {
+				return injectedCrashImage(t, point, dev)
 			},
 		})
 	}
@@ -398,36 +422,47 @@ func equivScenarios() []equivScenario {
 		// C already executed, which C must answer from its last-call
 		// table once its own replay is done — not run a second time.
 		name:  "relay-mid-call",
-		build: relayMidCallImage,
-		check: func(t *testing.T, base recoveryOutcome) {
-			if base.counters["C"] != relayMidCallForwards || base.relayCalls["R"] != relayMidCallForwards {
-				t.Errorf("recovered C = %d, R.Calls = %d; want %d and %d",
-					base.counters["C"], base.relayCalls["R"], relayMidCallForwards, relayMidCallForwards)
-			}
-			if len(base.lastCalls) != 1 || base.lastCalls[0].Seq != relayMidCallForwards {
-				t.Errorf("last-call table = %+v, want R's call %d only", base.lastCalls, relayMidCallForwards)
-			}
-			if base.suppressed != relayMidCallForwards-1 {
-				t.Errorf("suppressed %d sends, want the %d R's log answers", base.suppressed, relayMidCallForwards-1)
-			}
-		},
+		build: func(t *testing.T, dev *crashDev) equivImage { return relayMidCallImage(t, dev, false) },
+		check: relayMidCall,
+	}, equivScenario{
+		// The same, the process dying in the Algorithm-1 force of C's
+		// reply record.
+		name:  "in-force/baseline",
+		build: func(t *testing.T, dev *crashDev) equivImage { return relayMidCallImage(t, dev, true) },
+		check: relayMidCall,
 	})
+}
+
+// relayMidCall checks the recovery of a relayMidCallImage: C ran each
+// Forward's Add once, and R's resumed call was answered from C's table.
+func relayMidCall(t *testing.T, base recoveryOutcome) {
+	if base.counters["C"] != relayMidCallForwards || base.relayCalls["R"] != relayMidCallForwards {
+		t.Errorf("recovered C = %d, R.Calls = %d; want %d and %d",
+			base.counters["C"], base.relayCalls["R"], relayMidCallForwards, relayMidCallForwards)
+	}
+	if len(base.lastCalls) != 1 || base.lastCalls[0].Seq != relayMidCallForwards {
+		t.Errorf("last-call table = %+v, want R's call %d only", base.lastCalls, relayMidCallForwards)
+	}
+	if base.suppressed != relayMidCallForwards-1 {
+		t.Errorf("suppressed %d sends, want the %d R's log answers", base.suppressed, relayMidCallForwards-1)
+	}
 }
 
 // relayMidCallForwards is how many R.Forward(1) calls relayMidCallImage
 // makes; the last one crashes inside C.
 const relayMidCallForwards = 4
 
-// relayMidCallImage drives an Algorithm-1 R → C chain in one process
-// until the injector crashes it inside C's last Add, after C's reply
+// relayMidCallImage drives an Algorithm-1 R → C chain in one process on
+// dev until the injector crashes it inside C's last Add, after C's reply
 // record is forced but before the reply is sent. R's forced send is on
-// the log with no reply after it.
-func relayMidCallImage(t *testing.T) equivImage {
+// the log with no reply after it. With inForce the process dies instead
+// in the force of C's reply record, the fourth of the last Forward.
+func relayMidCallImage(t *testing.T, dev *crashDev, inForce bool) equivImage {
 	t.Helper()
 	cfg := Config{LogMode: LogBaseline, RetryInterval: 2 * time.Millisecond, RetryLimit: 50}
 	img := equivImage{dir: t.TempDir(), counters: []string{"C"}, relays: []string{"R"},
 		touch: []string{"C"}, cfg: cfg}
-	u, err := NewUniverse(UniverseConfig{Dir: img.dir})
+	u, err := NewUniverse(UniverseConfig{Dir: img.dir, dev: dev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +482,13 @@ func relayMidCallImage(t *testing.T) equivImage {
 	for i := 1; i < relayMidCallForwards; i++ {
 		callInt(t, relay, "Forward", 1)
 	}
-	if _, err := relay.Call("Forward", 1); err == nil || inj.Fired(PointServerBeforeSendReply) != 1 {
+	if inForce {
+		inj.Disarm(PointServerBeforeSendReply)
+		dev.failSync("srv", 4) // R's incoming, R's send, C's incoming, C's reply
+		if _, err := relay.Call("Forward", 1); err == nil || !p.Crashed() {
+			t.Fatalf("last Forward returned %v with the process crashed %v; want a crash in C's reply force", err, p.Crashed())
+		}
+	} else if _, err := relay.Call("Forward", 1); err == nil || inj.Fired(PointServerBeforeSendReply) != 1 {
 		t.Fatalf("last Forward returned %v with the injector fired %d times; want a crash inside C",
 			err, inj.Fired(PointServerBeforeSendReply))
 	}
@@ -455,32 +496,71 @@ func relayMidCallImage(t *testing.T) equivImage {
 	return img
 }
 
-// TestRecoveryEquivalence is the table. The eager cell of a scenario is
-// the baseline, and the lazy cell is compared with it on everything. A
-// cell's name starts "shards=1" and ends in "workers=1": a restart reads
-// one log stream with one background worker, and the name keeps saying
-// so.
+// TestRecoveryEquivalence is the table. Each scenario's image is built
+// under both crash variants, process death and power cut, and each cell
+// recovers both: its subtests name the variant. The eager cell of a
+// variant's image is the baseline, and the lazy cell is compared with
+// it on everything. A cell's name starts "shards=1" and ends in
+// "workers=1": a restart reads one log stream with one background
+// worker, and the name keeps saying so.
+//
+// A process-death image whose crash kept bytes past the last sync holds
+// records no force made durable, and the restart adopts them: such an
+// image must be read to more records than the power-cut image of its
+// scenario, and the table counts its cells, and the ones that replayed
+// more calls too.
 func TestRecoveryEquivalence(t *testing.T) {
+	adopted, replayedMore := 0, 0
 	for _, sc := range equivScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			img := sc.build(t)
-			var base *recoveryOutcome
+			imgs := make([]equivImage, len(variants))
+			var unsynced int64 // what the process death's crash kept past the last sync
+			for i, v := range variants {
+				dev := v.dev()
+				imgs[i] = sc.build(t, dev)
+				if !v.powerCut {
+					unsynced = dev.unsynced.Load()
+				}
+			}
+			base := make([]*recoveryOutcome, len(variants))
 			for _, mode := range []RecoveryMode{RecoveryEager, RecoveryLazy} {
 				t.Run(fmt.Sprintf("shards=1/%v/workers=1", mode), func(t *testing.T) {
-					got := recoverImage(t, img, mode)
-					assertEngineStats(t, got, mode)
-					if base == nil {
-						if sc.check != nil {
-							sc.check(t, got)
-						}
-						base = &got
-						return
+					for i, v := range variants {
+						t.Run(v.name, func(t *testing.T) {
+							got := recoverImage(t, imgs[i], mode)
+							assertEngineStats(t, got, mode)
+							if base[i] == nil {
+								if sc.check != nil {
+									sc.check(t, got)
+								}
+								base[i] = &got
+								return
+							}
+							assertEquivalent(t, *base[i], got, true)
+						})
 					}
-					assertEquivalent(t, *base, got, true)
 				})
+			}
+			if base[0] == nil || base[1] == nil {
+				return
+			}
+			pd, pc := base[0].stats, base[1].stats
+			switch {
+			case unsynced > 0 && pd.RecordsScanned > pc.RecordsScanned:
+				adopted += 2
+				if pd.CallsReplayed > pc.CallsReplayed {
+					replayedMore += 2
+				}
+			case strings.HasPrefix(sc.name, "in-force/"):
+				t.Errorf("a process death in a force left %d bytes past the last sync, and its restart scanned %d records, a power cut's %d: nothing was adopted",
+					unsynced, pd.RecordsScanned, pc.RecordsScanned)
 			}
 		})
 	}
+	if adopted == 0 {
+		t.Error("no process-death image held a record past its last sync")
+	}
+	t.Logf("%d process-death cells restarted a log holding records past its last sync and read them; %d of them replayed more calls than a power cut's", adopted, replayedMore)
 }
 
 // TestRecoveryCalleeCompleteTailBeforeCallerIncomplete: a callee whose
@@ -492,7 +572,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 // first waits on C's latch forever.
 func TestRecoveryCalleeCompleteTailBeforeCallerIncomplete(t *testing.T) {
 	img := equivImage{dir: t.TempDir(), counters: []string{"C"}, relays: []string{"R"}, cfg: testConfig()}
-	u, err := NewUniverse(UniverseConfig{Dir: img.dir})
+	u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: img.dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +628,7 @@ func TestRetiredRecordKindIsSkipped(t *testing.T) {
 	build := func(withFrame bool) equivImage {
 		img := equivImage{dir: t.TempDir(), counters: []string{"C"}, relays: []string{"R"},
 			touch: []string{"C"}, cfg: testConfig()}
-		u, err := NewUniverse(UniverseConfig{Dir: img.dir})
+		u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: img.dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -625,7 +705,7 @@ func counterImage(t *testing.T, n, rounds, ckptAt, save int) (equivImage, wal.St
 func counterImageAt(t *testing.T, n, rounds, save int, ckptAt ...int) (img equivImage, st wal.Stats, prevRoot []byte) {
 	t.Helper()
 	img = equivImage{dir: t.TempDir(), cfg: testConfig()}
-	u, err := NewUniverse(UniverseConfig{Dir: img.dir})
+	u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: img.dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -903,7 +983,7 @@ func TestRestartOverDamagedLog(t *testing.T) {
 	})
 	t.Run("below the watermark: fails stop", func(t *testing.T) {
 		cp := damaged(mark, 4)
-		u, err := NewUniverse(UniverseConfig{Dir: cp.dir})
+		u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: cp.dir})
 		if err != nil {
 			t.Fatal(err)
 		}

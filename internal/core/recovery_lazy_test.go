@@ -27,7 +27,7 @@ import (
 func TestLazyFirstTouchAndStats(t *testing.T) {
 	const n, rounds = 16, 12
 	dir := t.TempDir()
-	u, err := NewUniverse(UniverseConfig{Dir: dir})
+	u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestLazyFirstTouchAndStats(t *testing.T) {
 	p.Crash()
 	u.Shutdown()
 
-	u2, err := NewUniverse(UniverseConfig{Dir: dir})
+	u2, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +120,10 @@ func TestLazyFirstTouchAndStats(t *testing.T) {
 // the named context and leave its state correct, and remain usable in
 // its classic role after the drain completes.
 func TestLazyRecoverContextAPI(t *testing.T) {
-	dir, counters, _ := counterRelayWorkload(t)
+	dir, counters, _ := counterRelayWorkload(t, powerCut(), 0)
 	dst := t.TempDir()
 	copyDir(t, dir, dst)
-	u, err := NewUniverse(UniverseConfig{Dir: dst})
+	u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: dst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,12 +167,12 @@ func TestLazyRecoverContextAPI(t *testing.T) {
 // replay advances no restart LSNs, so an interrupted drain loses
 // nothing).
 func TestLazyCrashMidDrain(t *testing.T) {
-	dir, counters, relays := counterRelayWorkload(t)
+	dir, counters, relays := counterRelayWorkload(t, powerCut(), 0)
 	base := recoverImage(t, equivImage{dir: dir, counters: counters, relays: relays, cfg: testConfig()}, RecoveryEager)
 
 	dst := t.TempDir()
 	copyDir(t, dir, dst)
-	u, err := NewUniverse(UniverseConfig{Dir: dst})
+	u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: dst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func (g *Gate) Add(d int) (int, error) {
 func gateImage(t *testing.T, rounds int) string {
 	t.Helper()
 	dir := t.TempDir()
-	u, err := NewUniverse(UniverseConfig{Dir: dir})
+	u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func lazyCfg() Config {
 func TestLazyTouchNotQueuedBehindDrain(t *testing.T) {
 	const rounds = 5
 	dir := gateImage(t, rounds)
-	u2, err := NewUniverse(UniverseConfig{Dir: dir})
+	u2, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestLazySaveStateWhilePending(t *testing.T) {
 	const rounds = 5
 	want := rounds * (rounds + 1) / 2
 	dir := gateImage(t, rounds)
-	u2, err := NewUniverse(UniverseConfig{Dir: dir})
+	u2, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestLazySaveStateWhilePending(t *testing.T) {
 func TestLazyTrimKeepsPendingLastCalls(t *testing.T) {
 	const segBytes = 2 << 10
 	dir := t.TempDir()
-	u, err := NewUniverse(UniverseConfig{Dir: dir})
+	u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +486,7 @@ func TestLazyTrimKeepsPendingLastCalls(t *testing.T) {
 	p.Crash()
 	u.Shutdown()
 
-	u2, err := NewUniverse(UniverseConfig{Dir: dir})
+	u2, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

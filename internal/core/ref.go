@@ -224,9 +224,7 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 		}
 		cx.lastLSN = lsn
 		p.inject(PointClientBeforeForceSend)
-		if err := p.forceTraced(p.obs.ForceAtSend, cx.lastLSN, call.Trace, call.Method); err != nil {
-			return err
-		}
+		p.forceTraced(p.obs.ForceAtSend, cx.lastLSN, call.Trace, call.Method)
 	default: // optimized
 		switch {
 		case p.cfg.SpecializedTypes && serverType == msg.Functional:
@@ -247,9 +245,7 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 			// it) but all of this context's previous records must be
 			// stable.
 			p.inject(PointClientBeforeForceSend)
-			if err := p.forceTraced(p.obs.ForceAtSend, cx.lastLSN, call.Trace, call.Method); err != nil {
-				return err
-			}
+			p.forceTraced(p.obs.ForceAtSend, cx.lastLSN, call.Trace, call.Method)
 		}
 	}
 
@@ -298,9 +294,7 @@ func (cx *Context) outgoingCall(call *msg.Call, reply *msg.Reply) error {
 			}
 			cx.lastLSN = lsn
 			p.inject(PointClientBeforeForceReply)
-			if err := p.forceTraced(p.obs.ForceAtOutgoingReply, cx.lastLSN, call.Trace, call.Method); err != nil {
-				return err
-			}
+			p.forceTraced(p.obs.ForceAtOutgoingReply, cx.lastLSN, call.Trace, call.Method)
 		} else if p.cfg.SpecializedTypes && serverType == msg.Functional {
 			// Algorithm 4: "Do nothing" — a functional reply is
 			// recomputable by re-invoking the pure function.

@@ -18,7 +18,7 @@ import (
 func TestScratchRecordsArePerContext(t *testing.T) {
 	const relays, calls = 8, 40
 	dir := t.TempDir()
-	u, err := NewUniverse(UniverseConfig{Dir: dir})
+	u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,9 +205,7 @@ func (p *Process) serveCall(call *msg.Call, reply *msg.Reply) []byte {
 		if external || p.cfg.LogMode == LogBaseline {
 			// Algorithm 1 forces every message; Algorithm 3 force-logs
 			// external calls promptly so the failure window is small.
-			if err := p.forceTraced(p.obs.ForceAtIncoming, cx.lastLSN, call.Trace, call.Method); err != nil {
-				return fault(reply, call.ID, "force incoming: %v", err)
-			}
+			p.forceTraced(p.obs.ForceAtIncoming, cx.lastLSN, call.Trace, call.Method)
 		}
 		p.inject(PointServerAfterLogIncoming)
 	}
@@ -243,9 +241,7 @@ func (p *Process) serveCall(call *msg.Call, reply *msg.Reply) []byte {
 				return fault(reply, call.ID, "log reply: %v", err)
 			}
 			cx.lastLSN = lsn
-			if err := p.forceTraced(p.obs.ForceAtReply, cx.lastLSN, call.Trace, call.Method); err != nil {
-				return fault(reply, call.ID, "force reply: %v", err)
-			}
+			p.forceTraced(p.obs.ForceAtReply, cx.lastLSN, call.Trace, call.Method)
 		case external:
 			// Algorithm 3: a short record — only the fact that the
 			// reply was (attempted to be) sent — then force.
@@ -255,17 +251,13 @@ func (p *Process) serveCall(call *msg.Call, reply *msg.Reply) []byte {
 				return fault(reply, call.ID, "log reply-sent: %v", err)
 			}
 			cx.lastLSN = lsn
-			if err := p.forceTraced(p.obs.ForceAtReply, cx.lastLSN, call.Trace, call.Method); err != nil {
-				return fault(reply, call.ID, "force reply-sent: %v", err)
-			}
+			p.forceTraced(p.obs.ForceAtReply, cx.lastLSN, call.Trace, call.Method)
 		default:
 			// Algorithm 2: the send is not written (replay recreates
 			// it) but it commits state — force all of this context's
 			// previous records (other contexts' dirty tails are their
 			// own commits' business).
-			if err := p.forceTraced(p.obs.ForceAtReply, cx.lastLSN, call.Trace, call.Method); err != nil {
-				return fault(reply, call.ID, "force at reply: %v", err)
-			}
+			p.forceTraced(p.obs.ForceAtReply, cx.lastLSN, call.Trace, call.Method)
 		}
 	}
 

@@ -101,7 +101,7 @@ func TestSubordinateDropAcrossStateRecord(t *testing.T) {
 
 func TestUniverseShutdownPreservesState(t *testing.T) {
 	dir := t.TempDir()
-	u, err := NewUniverse(UniverseConfig{Dir: dir})
+	u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestUniverseShutdownPreservesState(t *testing.T) {
 	}
 
 	// A new universe over the same directory recovers everything.
-	u2, err := NewUniverse(UniverseConfig{Dir: dir})
+	u2, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

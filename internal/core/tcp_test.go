@@ -33,6 +33,7 @@ func TestTCPUniverse(t *testing.T) {
 	tcp := transport.NewTCP()
 	defer tcp.Close()
 	u, err := NewUniverse(UniverseConfig{
+		dev:     powerCut(),
 		Dir:     t.TempDir(),
 		Net:     tcp,
 		AddrFor: loopbackAddrs(t, "evo1/cli", "evo2/srv"),
@@ -163,7 +164,7 @@ func TestKeptReplySurvivesBufferReuse(t *testing.T) {
 
 func testKeptReply(t *testing.T, network transport.Network, addrFor func(machine, process string) string) {
 	rec := &recordNet{Network: network}
-	u, err := NewUniverse(UniverseConfig{Dir: t.TempDir(), Net: rec, AddrFor: addrFor})
+	u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: t.TempDir(), Net: rec, AddrFor: addrFor})
 	if err != nil {
 		t.Fatal(err)
 	}

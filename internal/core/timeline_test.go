@@ -23,7 +23,7 @@ func newTracedUniverse(t *testing.T) (*Universe, *trace.Recorder) {
 		Metrics: obs.NewRegistry(),
 		Now:     func() int64 { return clk.Now().UnixNano() },
 	})
-	u, err := NewUniverse(UniverseConfig{Dir: t.TempDir(), Clock: clk, Trace: rec})
+	u, err := NewUniverse(UniverseConfig{dev: powerCut(), Dir: t.TempDir(), Clock: clk, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,6 +65,10 @@ type UniverseConfig struct {
 	// into it, and processes whose Config sets no recorder of their own
 	// inherit it. Nil means tracing off (the zero-cost default).
 	Trace *trace.Recorder
+
+	// dev is the device under every process log (nil:
+	// disk.HostDevice). Core's tests hand in a power cut here.
+	dev disk.Device
 }
 
 // NewUniverse creates a world rooted at cfg.Dir.
@@ -80,6 +84,9 @@ func NewUniverse(cfg UniverseConfig) (*Universe, error) {
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.Default()
+	}
+	if cfg.dev == nil {
+		cfg.dev = disk.HostDevice{}
 	}
 	// Every message between processes crosses the instrumented
 	// transport, giving transport.* counts and latencies for free.

@@ -17,7 +17,6 @@ type Device interface {
 	ReadDir(dir string) ([]fs.DirEntry, error)
 	ReadFile(path string) ([]byte, error)
 	Remove(path string) error
-	Truncate(path string, size int64) error
 	Rename(from, to string) error
 	// SyncDir makes dir's entries durable: a created or renamed file
 	// can vanish with an unsynced directory entry (fsync(2)).
@@ -46,7 +45,6 @@ func (HostDevice) Open(path string) (File, error)            { return file(os.Op
 func (HostDevice) ReadDir(dir string) ([]fs.DirEntry, error) { return os.ReadDir(dir) }
 func (HostDevice) ReadFile(path string) ([]byte, error)      { return os.ReadFile(path) }
 func (HostDevice) Remove(path string) error                  { return os.Remove(path) }
-func (HostDevice) Truncate(path string, size int64) error    { return os.Truncate(path, size) }
 func (HostDevice) Rename(from, to string) error              { return os.Rename(from, to) }
 func (HostDevice) MkdirAll(dir string) error                 { return os.MkdirAll(dir, 0o755) }
 

@@ -28,11 +28,9 @@ var (
 		"(repro/internal/disk.File).Sync",
 		"(repro/internal/disk.File).Truncate",
 		"(repro/internal/disk.Device).Remove",
-		"(repro/internal/disk.Device).Truncate",
 		"(repro/internal/disk.Device).Rename",
 		"(repro/internal/disk.Device).SyncDir",
 		"(*repro/internal/wal.Log).Close",
-		"(*repro/internal/wal.Log).Discard",
 		"(*repro/internal/wal.Log).Flush",
 		"(*repro/internal/wal.Log).Publish",
 		"(*repro/internal/wal.Log).TrimHead",

@@ -103,9 +103,6 @@ const (
 	Checkpoints = "ckpt.process"
 	StateSaves  = "ckpt.state_saves"
 	Trims       = "ckpt.trims"
-	// A crash whose log discard failed: the log was not cut back to
-	// its stable watermark, so the restart image is not the modelled one.
-	CrashDiscardErrors = "ckpt.crash_discard_errors"
 	// A checkpoint whose root write, or the trim after it, failed.
 	PublishErrors = "ckpt.publish_errors"
 
@@ -338,11 +335,10 @@ type RuntimeMetrics struct {
 	ElideReadOnly        *Counter
 	ElideMultiCall       *Counter
 
-	Checkpoints        *Counter
-	StateSaves         *Counter
-	Trims              *Counter
-	CrashDiscardErrors *Counter
-	PublishErrors      *Counter
+	Checkpoints   *Counter
+	StateSaves    *Counter
+	Trims         *Counter
+	PublishErrors *Counter
 
 	RecoveryRuns        *Counter
 	ContextsRestored    *Counter
@@ -394,11 +390,10 @@ func RuntimeView(r *Registry) *RuntimeMetrics {
 		ElideReadOnly:        r.counter(ElideReadOnly),
 		ElideMultiCall:       r.counter(ElideMultiCall),
 
-		Checkpoints:        r.counter(Checkpoints),
-		StateSaves:         r.counter(StateSaves),
-		Trims:              r.counter(Trims),
-		CrashDiscardErrors: r.counter(CrashDiscardErrors),
-		PublishErrors:      r.counter(PublishErrors),
+		Checkpoints:   r.counter(Checkpoints),
+		StateSaves:    r.counter(StateSaves),
+		Trims:         r.counter(Trims),
+		PublishErrors: r.counter(PublishErrors),
 
 		RecoveryRuns:        r.counter(RecoveryRuns),
 		ContextsRestored:    r.counter(ContextsRestored),

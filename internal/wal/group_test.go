@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -377,8 +378,8 @@ func TestGroupCommitDiscardFailsRequests(t *testing.T) {
 	riderLSN, rider := forceAsync(t, l, "doomed rider")
 	waitFor(t, l, "the rider waiting on the leader", func() bool { return l.waiters == 1 })
 
-	discarded := make(chan error, 1)
-	go func() { discarded <- l.Discard() }()
+	discarded := make(chan struct{})
+	go func() { l.Discard(); close(discarded) }()
 	waitFor(t, l, "the crash", func() bool { return l.closed.Load() })
 	close(clock.release)
 
@@ -388,10 +389,7 @@ func TestGroupCommitDiscardFailsRequests(t *testing.T) {
 		}
 	}
 	select {
-	case err := <-discarded:
-		if err != nil {
-			t.Fatal(err)
-		}
+	case <-discarded:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Discard still blocked after the leader let go")
 	}
@@ -500,12 +498,18 @@ func TestGroupCommitStressAccounting(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCrashDurability is the crash property: inject a crash
-// (Discard) in the middle of a concurrent commit storm; afterwards
-// every record whose SyncTo was acknowledged before the crash must be
-// readable on reopen. Lost in-flight requests must fail, not hang.
+// TestGroupCommitCrashDurability is the crash property: inject a power
+// cut (Discard on a device that keeps only synced bytes) in the middle
+// of a concurrent commit storm; afterwards every record whose SyncTo
+// was acknowledged before the crash must be readable on reopen. Lost
+// in-flight requests must fail, not hang.
 func TestGroupCommitCrashDurability(t *testing.T) {
-	l, path, _ := windowLog(t, nil, disk.NewVirtualClock())
+	path := filepath.Join(t.TempDir(), "proc.log")
+	l, err := OpenOn(&faultDev{powerCut: true}, path, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.StartGroupCommit(GroupCommitConfig{Enabled: true}, disk.NewVirtualClock())
 	const workers, iters = 8, 60
 
 	acked := make([][]ackRec, workers)
@@ -538,9 +542,7 @@ func TestGroupCommitCrashDurability(t *testing.T) {
 	go func() {
 		defer close(crashed)
 		<-storm // crash mid-storm: a tenth of the requests acknowledged
-		if err := l.Discard(); err != nil {
-			t.Errorf("Discard: %v", err)
-		}
+		l.Discard()
 	}()
 	wg.Wait()
 	<-crashed

@@ -12,18 +12,29 @@ import (
 
 // TestWALModelProperty drives random operation sequences — append,
 // force, flush, trim, crash (Discard+reopen), clean close+reopen —
-// against an in-memory model of what must survive:
+// against an in-memory model of what must survive, once on each device
+// variant:
 //
-//   - after a clean close, every appended record survives;
-//   - after a crash, exactly the records below the stable watermark at
-//     the crash survive — every forced record, and every record in a
-//     segment the log rolled past (flushed-but-unsynced data in the
-//     active segment is deliberately dropped);
+//   - after a clean close, every appended record survives, but on the
+//     power-cut device, which keeps what a crash does there: a close
+//     does not sync;
+//   - after a crash, the survivors are a prefix of the appended records
+//     that holds every forced one: under a process death exactly the
+//     records a flush wrote, under a power cut exactly those within each
+//     file's last synced length, the records below the stable watermark
+//     (every forced record, and every record in a segment the log rolled
+//     past);
 //   - after a trim at LSN k, every surviving record at LSN >= k is
 //     still readable and intact;
 //   - a scan through a read-ahead block of any size returns the records
 //     that per-record Read returns.
 func TestWALModelProperty(t *testing.T) {
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) { walModelProperty(t, &faultDev{powerCut: v.powerCut}) })
+	}
+}
+
+func walModelProperty(t *testing.T, d *faultDev) {
 	type modelRec struct {
 		lsn     ids.LSN
 		typ     RecordType
@@ -32,7 +43,7 @@ func TestWALModelProperty(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		dir := filepath.Join(t.TempDir(), "model.log")
-		l, err := OpenSet(dir, nil, 1)
+		l, err := OpenOn(d, dir, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,27 +54,35 @@ func TestWALModelProperty(t *testing.T) {
 		trimmedTo := ids.LSN(0)
 
 		reopen := func(crash bool) {
-			if crash {
-				synced := l.SyncedLSN()
-				if err := l.Discard(); err != nil {
-					t.Fatalf("trial %d: discard: %v", trial, err)
-				}
-				kept := 0
-				for kept < len(all) && all[kept].lsn < synced {
-					kept++
-				}
-				if kept < stable {
-					t.Fatalf("trial %d: %d records forced, only %d below the watermark %v", trial, stable, kept, synced)
-				}
-				all = all[:kept]
-			} else {
-				if err := l.Close(); err != nil {
-					t.Fatalf("trial %d: close: %v", trial, err)
-				}
+			// What survives: what was written, or what was synced.
+			l.mu.Lock()
+			keep := l.bufBase
+			if !crash {
+				keep += ids.LSN(len(l.buf)) // Close flushes it
 			}
-			l2, err := OpenSet(dir, nil, 1)
+			if d.powerCut {
+				keep = l.synced
+			}
+			l.mu.Unlock()
+			if crash {
+				l.Discard()
+			} else if err := l.Close(); err != nil {
+				t.Fatalf("trial %d: close: %v", trial, err)
+			}
+			kept := 0
+			for kept < len(all) && all[kept].lsn < keep {
+				kept++
+			}
+			if kept < stable {
+				t.Fatalf("trial %d: %d records forced, only %d below %v", trial, stable, kept, keep)
+			}
+			all = all[:kept]
+			l2, err := OpenOn(d, dir, nil, 1)
 			if err != nil {
 				t.Fatalf("trial %d: reopen: %v", trial, err)
+			}
+			if end := l2.End(); end != keep {
+				t.Fatalf("trial %d: the log ends at %v after the %s, want %v", trial, end, map[bool]string{true: "crash", false: "close"}[crash], keep)
 			}
 			l = l2
 			l.SetSegmentBytes(int64(256 + rng.Intn(2048)))

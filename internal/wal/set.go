@@ -54,12 +54,14 @@ type root struct {
 // path that holds no log fails and nothing is created. A directory in
 // the sharded layout this log replaced — a shards.meta root (magic
 // PHXROOT1) or a shard-NNN subdirectory — fails the open: there is no
-// reader for it. Its files are the host's; openOn opens on any disk.Device.
+// reader for it. Its files are the host's.
 func OpenSet(dir string, model disk.Model, n int) (*Log, error) {
-	return openOn(disk.HostDevice{}, dir, model, n)
+	return OpenOn(disk.HostDevice{}, dir, model, n)
 }
 
-func openOn(dev disk.Device, dir string, model disk.Model, n int) (*Log, error) {
+// OpenOn is OpenSet on dev: every file operation of the log and its
+// root goes through it, so dev decides what a crash keeps.
+func OpenOn(dev disk.Device, dir string, model disk.Model, n int) (*Log, error) {
 	if n != 0 && n != 1 {
 		return nil, fmt.Errorf("wal: a process log is one stream, not %d", n)
 	}

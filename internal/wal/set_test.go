@@ -256,8 +256,8 @@ func TestRoot(t *testing.T) {
 	})
 }
 
-// TestSetDiscardAndEmpty: Discard drops the unforced tail; Empty is true
-// only when the log holds no record.
+// TestSetDiscardAndEmpty: Discard drops the buffer, the unforced tail no
+// flush wrote; Empty is true only when the log holds no record.
 func TestSetDiscardAndEmpty(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "p.log")
 	s, err := OpenSet(dir, nil, 1)
@@ -275,9 +275,7 @@ func TestSetDiscardAndEmpty(t *testing.T) {
 	if s.Empty() {
 		t.Error("set with records reports Empty")
 	}
-	if err := s.Discard(); err != nil {
-		t.Fatal(err)
-	}
+	s.Discard()
 	s2, err := OpenSet(dir, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -542,8 +540,10 @@ func TestOpenSetStableWatermark(t *testing.T) {
 		img := build(t)
 		flip(t, img, img.lsns[250]) // a torn tail no pass has cut
 		before := segBytes(t, img)
-		for _, shut := range []func(*Log) error{(*Log).Close, (*Log).Discard} {
-			if err := shut(open(t, img)); err != nil {
+		for _, crash := range []bool{false, true} {
+			if l := open(t, img); crash {
+				l.Discard()
+			} else if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(segBytes(t, img), before) {

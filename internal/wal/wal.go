@@ -128,7 +128,7 @@ var (
 	// ErrStopScan can be returned by a Scan callback to stop early
 	// without Scan reporting an error.
 	ErrStopScan = errors.New("wal: stop scan")
-	errNoHeader = errors.New("wal: segment shorter than its header")
+	errNoHeader = errors.New("wal: no segment header")
 )
 
 // segment is one on-disk file covering LSNs [start, start+size). Only
@@ -167,7 +167,7 @@ type Log struct {
 	buf      []byte
 	encBuf   []byte      // grow-only scratch for AppendLinked encoders
 	bufBase  ids.LSN     // LSN of buf[0]
-	synced   ids.LSN     // stable watermark (survives Discard); never below the active segment's start
+	synced   ids.LSN     // stable watermark; never below the active segment's start
 	syncing  bool        // a sync is in flight: a leader in its commit window or its device sync, or the tail check's cut
 	syncDone *sync.Cond  // broadcast (on mu) when the leader is done
 	waiters  int         // force requests behind the leader that no finished sync covers
@@ -194,8 +194,9 @@ func segName(start ids.LSN) string {
 }
 
 // load reads the segment list; with create, an empty directory gets its
-// first segment and a last one with no whole header (a create cut short)
-// is created again; else the first fails and the second is passed over.
+// first segment and a last one at or above the watermark with no header
+// (a create cut short) is created again; else the first fails and the
+// second is passed over. Below the watermark a missing header is damage.
 func (l *Log) load(stable ids.LSN, create bool) error {
 	entries, err := l.dev.ReadDir(l.dir)
 	if err != nil {
@@ -224,7 +225,7 @@ func (l *Log) load(stable ids.LSN, create bool) error {
 
 	for i, start := range starts {
 		seg, f, err := l.openSegment(start)
-		if cut := errors.Is(err, errNoHeader) && i == len(starts)-1; cut && create {
+		if cut := errors.Is(err, errNoHeader) && i == len(starts)-1 && start >= stable; cut && create {
 			seg, f, err = l.createSegment(start)
 		} else if cut {
 			break
@@ -295,12 +296,16 @@ func (l *Log) openSegment(start ids.LSN) (*segment, disk.File, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open segment: %w", err)
 	}
+	// A create cut short leaves a file shorter than its header, or, when
+	// its size reached the disk and its data did not, a header of zeros.
 	fi, err := f.Stat()
 	hdr := make([]byte, segHeaderSize)
 	if err == nil && fi.Size() < segHeaderSize {
-		err = fmt.Errorf("%w: %s", errNoHeader, path)
+		err = fmt.Errorf("%w in %s: %d bytes", errNoHeader, path, fi.Size())
 	} else if err == nil {
-		if _, err = f.ReadAt(hdr, 0); err == nil && string(hdr) != string(segHeader(start)) {
+		if _, err = f.ReadAt(hdr, 0); err == nil && string(hdr) == string(make([]byte, segHeaderSize)) {
+			err = fmt.Errorf("%w in %s: zeros", errNoHeader, path)
+		} else if err == nil && string(hdr) != string(segHeader(start)) {
 			err = fmt.Errorf("wal: bad segment header in %s: %q", path, hdr)
 		}
 	}
@@ -810,8 +815,8 @@ func (r *Reader) Hold(lo, hi ids.LSN) {
 }
 
 func (r *Reader) read(lsn ids.LSN) (Record, error) {
-	// A block may outlive the bytes it was read from: Discard truncates
-	// flushed records that were never forced.
+	// A block may outlive the bytes it was read from: a crash's device
+	// may cut flushed records that were never forced.
 	if r.l != nil && r.l.closed.Load() {
 		return Record{}, ErrClosed
 	}
@@ -1097,21 +1102,19 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Discard closes the log simulating a process crash: buffered records
-// are dropped and the active file — the only one that can hold bytes
-// no sync covered — is cut back to the stable watermark, so only data
-// made stable by a force or a roll survives. (A real crash loses
-// whatever the OS page cache had not written; truncating to the sync
-// watermark models the worst permitted loss, which redo recovery must
-// tolerate.) From the first instant no force request is
-// acknowledged: the leader — in its commit window or its device sync —
-// and every waiter fail with ErrClosed, and Discard waits only for the
-// leader to let go of its file.
-func (l *Log) Discard() error {
+// Discard closes the log as a process crash does: the buffer — every
+// record no flush wrote — is dropped, and nothing is written, synced or
+// cut. What the files keep is the device's to decide: the host keeps
+// every byte already written, as a killed process leaves them, and a
+// power cut keeps what a sync covered. From the first instant no force
+// request is acknowledged: the leader — in its commit window or its
+// device sync — and every waiter fail with ErrClosed, and Discard waits
+// only for the leader to let go of its file.
+func (l *Log) Discard() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed.Load() {
-		return nil
+		return
 	}
 	l.closed.Store(true)
 	l.syncDone.Broadcast()
@@ -1119,7 +1122,5 @@ func (l *Log) Discard() error {
 		l.syncDone.Wait()
 	}
 	l.buf = nil
-	defer l.f.Close()
-	s := l.active()
-	return l.dev.Truncate(s.path, segHeaderSize+int64(l.synced-s.start))
+	l.f.Close()
 }

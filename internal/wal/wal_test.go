@@ -109,8 +109,10 @@ func TestForcedRecordsSurviveReopen(t *testing.T) {
 	}
 }
 
+// TestUnforcedRecordsLostOnDiscard: on a power cut a record no force
+// covered is lost, written to the file or not.
 func TestUnforcedRecordsLostOnDiscard(t *testing.T) {
-	l, path := openTemp(t)
+	l, path := openDev(t, &faultDev{powerCut: true})
 	forced, err := l.Append(1, []byte("survives"))
 	if err != nil {
 		t.Fatal(err)
@@ -122,9 +124,10 @@ func TestUnforcedRecordsLostOnDiscard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Discard(); err != nil {
-		t.Fatalf("Discard: %v", err)
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
 	}
+	l.Discard()
 	l2, err := OpenSet(path, nil, 1)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
